@@ -9,7 +9,7 @@
 
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use crate::index::{sort_hits, SearchResult, TopK, VerifyOrder};
+use crate::index::{sort_hits, SearchResult, TopK, VerifyOrder, VerifyQuery};
 use crate::partitioning::Partitioning;
 use crate::scratch::QueryScratch;
 use crate::sim::{distinct_len, normalize_query, Similarity, ThresholdedEval};
@@ -186,7 +186,7 @@ impl<S: Similarity> Htgm<S> {
         for &g in &surviving {
             stats.groups_verified += 1;
             self.verify
-                .with_window(self.sim, g, q_len, delta, |ids, skipped| {
+                .with_window(self.sim, g, q_len, delta, |ids, _lens, skipped| {
                     stats.size_skipped += skipped;
                     for &id in ids {
                         stats.candidates += 1;
@@ -241,6 +241,13 @@ impl<S: Similarity> Htgm<S> {
             });
         }
         let mut top = TopK::new(k);
+        let verify = VerifyQuery {
+            sim: self.sim,
+            db: &self.db,
+            query,
+            q_len,
+            filter: None,
+        };
         let last_level = self.hp.n_levels() - 1;
         while let Some(Frontier { ub, level, group }) = frontier.pop() {
             if top.is_full() && ub <= top.kth() {
@@ -249,25 +256,7 @@ impl<S: Similarity> Htgm<S> {
             }
             if level == last_level {
                 stats.groups_verified += 1;
-                self.verify
-                    .with_window(self.sim, group, q_len, top.kth(), |ids, skipped| {
-                        stats.size_skipped += skipped;
-                        for &id in ids {
-                            stats.candidates += 1;
-                            stats.sims_computed += 1;
-                            match self
-                                .sim
-                                .eval_with_threshold(query, self.db.set(id), top.kth())
-                            {
-                                ThresholdedEval::Hit(s) => top.offer(id, s),
-                                ThresholdedEval::Rejected { early } => {
-                                    if early {
-                                        stats.early_exits += 1;
-                                    }
-                                }
-                            }
-                        }
-                    });
+                verify.knn_window(&self.verify, group, &mut top, &mut stats);
             } else {
                 let children = self.hp.children(level, group);
                 let touched = self.tgms[level + 1].group_overlaps_restricted_into(

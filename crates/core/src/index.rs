@@ -26,7 +26,7 @@ use crate::metadata::FilterCandidates;
 use crate::par::{self, ParGroups};
 use crate::partitioning::Partitioning;
 use crate::scratch::QueryScratch;
-use crate::sim::{distinct_len, normalize_query, Similarity};
+use crate::sim::{distinct_len, normalize_query, Similarity, ThresholdedEval};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
 
@@ -881,24 +881,14 @@ impl<S: Similarity> ParGroups for FlatGroups<'_, S> {
         (&self.index.verify, self.bounds[i].0)
     }
 
-    fn sim(&self) -> S {
-        self.index.sim
-    }
-
-    fn db(&self) -> &SetDatabase {
-        &self.index.db
-    }
-
-    fn query(&self) -> &[TokenId] {
-        self.query
-    }
-
-    fn q_len(&self) -> usize {
-        self.q_len
-    }
-
-    fn set_filter(&self) -> Option<&les3_bitmap::DenseBitSet> {
-        self.filter
+    fn verify(&self) -> VerifyQuery<'_, S> {
+        VerifyQuery {
+            sim: self.index.sim,
+            db: &self.index.db,
+            query: self.query,
+            q_len: self.q_len,
+            filter: self.filter,
+        }
     }
 }
 
@@ -1008,16 +998,17 @@ impl VerifyOrder {
     }
 
     /// Runs `f` on the slice of group `g`'s member ids (in (length, id)
-    /// order) whose length alone permits `sim ≥ threshold`, plus the
-    /// number of members excluded by that length window. Merges the
-    /// group's pending insert tail first if a mutation left one behind.
+    /// order) whose length alone permits `sim ≥ threshold`, their
+    /// distinct lengths alongside, plus the number of members excluded by
+    /// that length window. Merges the group's pending insert tail first
+    /// if a mutation left one behind.
     pub(crate) fn with_window<S: Similarity, R>(
         &self,
         sim: S,
         g: u32,
         q_len: usize,
         threshold: f64,
-        f: impl FnOnce(&[SetId], usize) -> R,
+        f: impl FnOnce(&[SetId], &[u32], usize) -> R,
     ) -> R {
         let lock = &self.groups[g as usize];
         let mut guard = lock.read().expect("verify lock poisoned");
@@ -1029,7 +1020,127 @@ impl VerifyOrder {
             guard = lock.read().expect("verify lock poisoned");
         }
         let (lo, hi) = guard.window(sim, q_len, threshold);
-        f(&guard.ids[lo..hi], guard.ids.len() - (hi - lo))
+        f(
+            &guard.ids[lo..hi],
+            &guard.lens[lo..hi],
+            guard.ids.len() - (hi - lo),
+        )
+    }
+}
+
+/// Where the kNN window scan reads its threshold and sends each
+/// candidate's verdict — the one parameter that distinguishes the plain
+/// descent ([`TopK`]) from `par.rs`'s speculation (fixed threshold,
+/// verdicts recorded) and replay (recorded verdicts stand in for merges).
+pub(crate) trait KnnVerdicts {
+    /// The threshold the next candidate is verified at. Re-read only
+    /// after a `Hit` was settled: nothing else can move it.
+    fn threshold(&self) -> f64;
+
+    /// A verdict already known for the window's `slot`-th candidate at
+    /// threshold `t`, sparing its merge.
+    fn cached(&self, _slot: usize, _t: f64) -> Option<ThresholdedEval> {
+        None
+    }
+
+    /// Takes candidate `id`'s verdict (the scan does the counting).
+    fn settle(&mut self, id: SetId, verdict: ThresholdedEval);
+}
+
+impl KnnVerdicts for TopK {
+    fn threshold(&self) -> f64 {
+        self.kth()
+    }
+
+    fn settle(&mut self, id: SetId, verdict: ThresholdedEval) {
+        if let ThresholdedEval::Hit(s) = verdict {
+            self.offer(id, s);
+        }
+    }
+}
+
+/// The query-constant inputs of verification. [`VerifyQuery::knn_window`]
+/// is the one kNN candidate loop: the flat (sequential, commit and
+/// speculation), sharded and HTGM descents all call it.
+pub(crate) struct VerifyQuery<'a, S> {
+    pub(crate) sim: S,
+    pub(crate) db: &'a SetDatabase,
+    /// The normalized query and its distinct token count.
+    pub(crate) query: &'a [TokenId],
+    pub(crate) q_len: usize,
+    /// Per-set match mask of a filtered query.
+    pub(crate) filter: Option<&'a les3_bitmap::DenseBitSet>,
+}
+
+impl<S: Similarity> VerifyQuery<'_, S> {
+    /// Verifies group `g`'s length window at `verdicts`' (possibly
+    /// evolving) threshold, charging the work to `stats`.
+    pub(crate) fn knn_window<V: KnnVerdicts>(
+        &self,
+        order: &VerifyOrder,
+        g: u32,
+        verdicts: &mut V,
+        stats: &mut SearchStats,
+    ) {
+        let t = verdicts.threshold();
+        order.with_window(self.sim, g, self.q_len, t, |ids, lens, skipped| {
+            stats.size_skipped += skipped;
+            // Branch on the filter once per window, not per candidate:
+            // non-matching members are skipped before any accounting, so
+            // slot `j` is the j-th *matching* candidate.
+            match self.filter {
+                None => self.scan(ids, lens, |_| true, verdicts, stats),
+                Some(m) => self.scan(ids, lens, |id| m.contains(id), verdicts, stats),
+            }
+        });
+    }
+
+    /// The candidate loop. Everything constant across candidates stays
+    /// out of it: `|Q|` comes from the caller, `|S|` from the stored
+    /// window lengths, and the minimal overlap is recomputed only when
+    /// the length or the threshold changes — windows are length-sorted
+    /// and the threshold moves only on an accepted hit, so that is a few
+    /// times per group. The verdicts are those of
+    /// [`Similarity::eval_with_threshold`] on the same `(Q, S, t)`.
+    fn scan<V: KnnVerdicts>(
+        &self,
+        ids: &[SetId],
+        lens: &[u32],
+        keep: impl Fn(SetId) -> bool,
+        verdicts: &mut V,
+        stats: &mut SearchStats,
+    ) {
+        let mut t = verdicts.threshold();
+        let (mut memo, mut needed) = ((usize::MAX, 0u64), 0usize);
+        let (mut candidates, mut early_exits) = (0usize, 0usize);
+        let mut members = ids
+            .iter()
+            .zip(lens)
+            .filter(|&(&id, _)| keep(id))
+            .map(|(&id, &len)| (id, len as usize, self.db.set(id)));
+        let mut next = members.next();
+        while let Some((id, b_len, b)) = next {
+            // Resolve the next candidate's tokens before this merge, so
+            // its offset loads are in flight while the merge runs.
+            next = members.next();
+            let verdict = verdicts.cached(candidates, t).unwrap_or_else(|| {
+                if memo != (b_len, t.to_bits()) {
+                    memo = (b_len, t.to_bits());
+                    needed = self.sim.min_overlap_for(t, self.q_len, b_len);
+                }
+                self.sim
+                    .merge_with_threshold(self.query, b, self.q_len, b_len, needed, t)
+            });
+            candidates += 1;
+            verdicts.settle(id, verdict);
+            match verdict {
+                ThresholdedEval::Hit(_) => t = verdicts.threshold(),
+                ThresholdedEval::Rejected { early } => early_exits += usize::from(early),
+            }
+        }
+        stats.candidates += candidates;
+        stats.sims_computed += candidates;
+        stats.early_exits += early_exits;
     }
 }
 
@@ -1158,8 +1269,8 @@ impl TopK {
             // Capacity is only a hint: cap it so an absurd k (e.g. from
             // an untrusted network request) cannot demand an up-front
             // k-sized allocation — the heap never holds more than
-            // min(k, |D|) + 1 entries and grows on demand.
-            heap: std::collections::BinaryHeap::with_capacity(k.saturating_add(1).min(4096)),
+            // min(k, |D|) entries and grows on demand.
+            heap: std::collections::BinaryHeap::with_capacity(k.min(4096)),
         }
     }
 
@@ -1180,9 +1291,15 @@ impl TopK {
     }
 
     pub(crate) fn offer(&mut self, id: SetId, sim: f64) {
-        self.heap.push(std::cmp::Reverse(HeapEntry { sim, id }));
-        if self.heap.len() > self.k {
-            self.heap.pop();
+        let entry = HeapEntry { sim, id };
+        if !self.is_full() {
+            self.heap.push(std::cmp::Reverse(entry));
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            // Full: the offer either displaces the current worst in
+            // place or is itself the (k+1)-th and dropped.
+            if entry > worst.0 {
+                worst.0 = entry;
+            }
         }
     }
 
@@ -1234,6 +1351,110 @@ mod tests {
             (0..n).map(|_| rng.gen_range(0..groups as u32)).collect(),
             groups,
         )
+    }
+
+    /// The hoisted window scan against the loop it replaced: every
+    /// member evaluated by `eval_with_threshold` at the heap's current
+    /// k-th similarity. One group holding runs of equal lengths, changing
+    /// lengths, multisets and (for small k) a threshold that rises inside
+    /// the window — so the `(length, threshold)` memo of the minimal
+    /// overlap is both reused and invalidated mid-window.
+    #[test]
+    fn window_scan_equals_per_candidate_eval_while_threshold_rises() {
+        fn check<S: Similarity>(sim: S) {
+            let mut rng = StdRng::seed_from_u64(0x5ca9);
+            let sets: Vec<Vec<TokenId>> = (0..240)
+                .map(|i| {
+                    // Lengths repeat in runs of ~8 and grow with i.
+                    let len = 2 + i / 8 % 12;
+                    let mut s: Vec<TokenId> = (0..len).map(|_| rng.gen_range(0..40)).collect();
+                    s.sort_unstable();
+                    if i % 5 != 0 {
+                        s.dedup(); // every fifth set stays a multiset
+                    }
+                    s
+                })
+                .collect();
+            let db = SetDatabase::from_sets(sets);
+            let part = Partitioning::from_assignment(vec![0; db.len()], 1);
+            let order = VerifyOrder::build(&db, &part);
+            let mut mask = les3_bitmap::DenseBitSet::new();
+            mask.reset(db.len());
+            (0..db.len() as SetId)
+                .filter(|id| id % 3 != 0)
+                .for_each(|id| mask.insert(id));
+            for (qid, k) in [(7u32, 1usize), (100, 3), (191, 8), (239, 40), (64, 500)] {
+                let query = db.set(qid);
+                let q_len = distinct_len(query);
+                for filter in [None, Some(&mask)] {
+                    let (mut want_top, mut want) = (TopK::new(k), SearchStats::default());
+                    order.with_window(sim, 0, q_len, want_top.kth(), |ids, _lens, skipped| {
+                        want.size_skipped += skipped;
+                        for &id in ids {
+                            if filter.is_some_and(|m| !m.contains(id)) {
+                                continue;
+                            }
+                            want.candidates += 1;
+                            want.sims_computed += 1;
+                            match sim.eval_with_threshold(query, db.set(id), want_top.kth()) {
+                                ThresholdedEval::Hit(s) => want_top.offer(id, s),
+                                ThresholdedEval::Rejected { early } => {
+                                    want.early_exits += usize::from(early)
+                                }
+                            }
+                        }
+                    });
+                    let (mut top, mut stats) = (TopK::new(k), SearchStats::default());
+                    let verify = VerifyQuery {
+                        sim,
+                        db: &db,
+                        query,
+                        q_len,
+                        filter,
+                    };
+                    verify.knn_window(&order, 0, &mut top, &mut stats);
+                    assert_eq!(stats, want, "{} q{qid} k{k}", sim.name());
+                    assert_eq!(top.into_sorted(), want_top.into_sorted());
+                    assert!(want.early_exits > 0 || k >= 40, "fixture must exit early");
+                }
+            }
+        }
+        check(Jaccard);
+        check(Cosine);
+        check(crate::sim::Dice);
+        check(crate::sim::OverlapCoefficient);
+    }
+
+    /// `offer` on a full heap replaces the worst entry in place; among
+    /// equal similarities the smaller id must win, exactly as the old
+    /// push-then-pop did.
+    #[test]
+    fn topk_offer_breaks_similarity_ties_toward_smaller_ids() {
+        let mut top = TopK::new(1);
+        for id in [5u32, 9, 2, 7, 2] {
+            top.offer(id, 0.5);
+        }
+        assert_eq!(top.kth(), 0.5);
+        top.offer(11, 0.25); // worse: dropped
+        assert_eq!(top.into_sorted(), vec![(2, 0.5)]);
+
+        let mut top = TopK::new(3);
+        for (id, sim) in [
+            (8u32, 0.5),
+            (3, 0.5),
+            (6, 0.5),
+            (4, 0.5),
+            (9, 0.75),
+            (1, 0.5),
+        ] {
+            top.offer(id, sim);
+        }
+        assert_eq!(top.kth(), 0.5);
+        assert_eq!(top.into_sorted(), vec![(9, 0.75), (1, 0.5), (3, 0.5)]);
+
+        let mut none = TopK::new(0);
+        none.offer(1, 1.0);
+        assert!(none.into_sorted().is_empty());
     }
 
     #[test]

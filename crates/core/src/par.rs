@@ -25,19 +25,22 @@
 //!   sequential `(r descending, group id ascending)` order with the
 //!   true top-k. A recorded outcome is reused only when the true
 //!   threshold at that exact candidate equals `t_snap` bit-for-bit
-//!   (`f64 ==`); any mismatch falls back to recomputing
-//!   [`Similarity::eval_with_threshold`] — so the committed sequence
-//!   of window cuts, heap offers and counter increments is *defined*
-//!   to be the sequential one, and speculation only ever substitutes
-//!   cached values of the identical pure computation.
+//!   (`f64 ==`); any mismatch falls back to recomputing the verdict —
+//!   so the committed sequence of window cuts, heap offers and counter
+//!   increments is *defined* to be the sequential one, and speculation
+//!   only ever substitutes cached values of the identical pure
+//!   computation. All three roles run the crate's one kNN candidate
+//!   loop, [`VerifyQuery::knn_window`]; they differ only in the
+//!   [`KnnVerdicts`] they hand it.
 //!
 //! # Why replay is sound
 //!
 //! During a query the index is immutable (`&self`), so for a fixed
 //! group both the verification window (two `partition_point`s on the
-//! length array) and `eval_with_threshold(Q, S, t)` are pure functions
-//! of the threshold `t`. If the committer enters a group at threshold
-//! `t == t_snap`, the speculative window is the committed window —
+//! length array) and a candidate's verdict — what
+//! [`Similarity::eval_with_threshold`]`(Q, S, t)` returns — are pure
+//! functions of the threshold `t`. If the committer enters a group at
+//! threshold `t == t_snap`, the speculative window is the committed window —
 //! same slice, same order — so the recorded outcomes align
 //! positionally; and each candidate whose per-candidate threshold
 //! still equals `t_snap` gets the identical `Hit`/`Rejected{early}`
@@ -80,21 +83,23 @@ use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering
 use crate::sync::{Condvar, Mutex, OnceLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use les3_data::{SetDatabase, SetId, TokenId};
+use les3_data::SetId;
 
 use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, QueryCtl};
-use crate::index::{TopK, VerifyOrder};
+use crate::index::{KnnVerdicts, TopK, VerifyOrder, VerifyQuery};
 use crate::sim::{Similarity, ThresholdedEval};
 use crate::stats::SearchStats;
 
 /// A single query's descent below this many groups stays sequential
 /// under the auto policy (thread coordination would cost more than the
-/// verification it spreads).
-const AUTO_MIN_GROUPS: usize = 128;
+/// verification it spreads: at 256 groups two workers measured 1.5× the
+/// sequential kNN latency and 3.8× the range latency, `les3-bench`
+/// `par.w2_vs_seq_ratio` / `par.auto_vs_seq_ratio`).
+const AUTO_MIN_GROUPS: usize = 512;
 
 /// Groups per worker the auto policy aims for when it does fan out.
-const AUTO_GROUPS_PER_WORKER: usize = 64;
+const AUTO_GROUPS_PER_WORKER: usize = 256;
 
 /// How far past the commit frontier speculation may run, per worker.
 /// Bounding the lookahead keeps speculative thresholds close to the
@@ -200,43 +205,65 @@ pub(crate) trait ParGroups: Sync {
     fn ub(&self, i: usize) -> f64;
     /// The verify order owning group `i`, and `i`'s id within it.
     fn locate(&self, i: usize) -> (&VerifyOrder, u32);
-    fn sim(&self) -> Self::S;
-    fn db(&self) -> &SetDatabase;
-    /// The normalized query.
-    fn query(&self) -> &[TokenId];
-    /// Distinct token count of the query.
-    fn q_len(&self) -> usize;
-    /// Per-set match mask of a filtered query (`None`: every member is
-    /// a candidate). Query-constant, so window contents filtered by it
-    /// stay a pure function of the threshold — the replay soundness
-    /// argument (module docs) is unchanged.
-    fn set_filter(&self) -> Option<&les3_bitmap::DenseBitSet> {
-        None
+    /// The query-constant inputs of verification: measure, database,
+    /// normalized query with its distinct token count, and the per-set
+    /// match mask of a filtered query (`None`: every member is a
+    /// candidate). The mask is query-constant, so window contents
+    /// filtered by it stay a pure function of the threshold — the
+    /// replay soundness argument (module docs) is unchanged.
+    fn verify(&self) -> VerifyQuery<'_, Self::S>;
+}
+
+// ---------------------------------------------------------------------
+// Group verification: the shared window scan, with optional replay.
+// ---------------------------------------------------------------------
+
+/// A speculated group: the snapshot threshold it ran at, plus the
+/// verdict of every candidate in its (threshold-determined) window.
+struct GroupRecord {
+    t_snap: f64,
+    verdicts: Vec<ThresholdedEval>,
+}
+
+/// Speculation: the window scan at the fixed snapshot threshold, every
+/// verdict recorded and nothing offered.
+impl KnnVerdicts for GroupRecord {
+    fn threshold(&self) -> f64 {
+        self.t_snap
+    }
+
+    fn settle(&mut self, _id: SetId, verdict: ThresholdedEval) {
+        self.verdicts.push(verdict);
     }
 }
 
-// ---------------------------------------------------------------------
-// Group verification: the one sequential kernel, with optional replay.
-// ---------------------------------------------------------------------
-
-/// Per-candidate outcome of a speculative `eval_with_threshold`.
-enum Outcome {
-    Hit(f64),
-    RejectedEarly,
-    Rejected,
+/// Replay: the true top-k, with a record taken at the group's entry
+/// threshold as a cache — a recorded verdict substitutes for the merge
+/// only where the true per-candidate threshold still equals the record's
+/// `t_snap` bit-for-bit. Same group, same threshold ⇒ same window (a
+/// pure function of the threshold), so record slot `j` is candidate `j`.
+struct Replay<'a> {
+    top: &'a mut TopK,
+    rec: &'a GroupRecord,
 }
 
-/// A speculated group: the snapshot threshold it ran at, plus the
-/// outcome of every candidate in its (threshold-determined) window.
-struct GroupRecord {
-    t_snap: f64,
-    outcomes: Vec<Outcome>,
+impl KnnVerdicts for Replay<'_> {
+    fn threshold(&self) -> f64 {
+        self.top.kth()
+    }
+
+    fn cached(&self, slot: usize, t: f64) -> Option<ThresholdedEval> {
+        (t == self.rec.t_snap).then(|| self.rec.verdicts[slot])
+    }
+
+    fn settle(&mut self, id: SetId, verdict: ThresholdedEval) {
+        self.top.settle(id, verdict);
+    }
 }
 
 /// Verifies group `i` against the *true* top-k, exactly as the
-/// sequential loop would, consulting `rec` as a cache: a recorded
-/// outcome substitutes for `eval_with_threshold` only where the true
-/// per-candidate threshold equals the record's `t_snap` bit-for-bit.
+/// sequential loop would, consulting `rec` as a cache when it was taken
+/// at this group's entry threshold (else its window may differ).
 fn commit_group<G: ParGroups>(
     g: &G,
     i: usize,
@@ -244,72 +271,24 @@ fn commit_group<G: ParGroups>(
     top: &mut TopK,
     stats: &mut SearchStats,
 ) {
-    let sim = g.sim();
-    let (verify, local) = g.locate(i);
-    let filter = g.set_filter();
-    let t_entry = top.kth();
-    let usable = rec.filter(|r| r.t_snap == t_entry);
-    verify.with_window(sim, local, g.q_len(), t_entry, |ids, skipped| {
-        stats.size_skipped += skipped;
-        let mut j = 0usize;
-        for &id in ids.iter() {
-            // Filtered query: non-matching members are skipped before
-            // any accounting, identically here and in speculation, so
-            // record slot `j` is the j-th *matching* candidate.
-            if filter.is_some_and(|m| !m.contains(id)) {
-                continue;
-            }
-            stats.candidates += 1;
-            stats.sims_computed += 1;
-            let t = top.kth();
-            // Same group, same threshold ⇒ same window (a pure function
-            // of the threshold), so record slot `j` is candidate `j`.
-            if let Some(rec) = usable.filter(|r| t == r.t_snap) {
-                debug_assert!(j < rec.outcomes.len());
-                match rec.outcomes[j] {
-                    Outcome::Hit(s) => top.offer(id, s),
-                    Outcome::RejectedEarly => stats.early_exits += 1,
-                    Outcome::Rejected => {}
-                }
-            } else {
-                match sim.eval_with_threshold(g.query(), g.db().set(id), t) {
-                    ThresholdedEval::Hit(s) => top.offer(id, s),
-                    ThresholdedEval::Rejected { early } => {
-                        if early {
-                            stats.early_exits += 1;
-                        }
-                    }
-                }
-            }
-            j += 1;
-        }
-    });
+    let (q, (verify, local)) = (g.verify(), g.locate(i));
+    match rec.filter(|r| r.t_snap == top.kth()) {
+        Some(rec) => q.knn_window(verify, local, &mut Replay { top, rec }, stats),
+        None => q.knn_window(verify, local, top, stats),
+    }
 }
 
 /// Speculatively verifies group `i` at the fixed snapshot threshold.
 fn speculate_group<G: ParGroups>(g: &G, i: usize, t_snap: f64) -> GroupRecord {
-    let sim = g.sim();
     let (verify, local) = g.locate(i);
-    let filter = g.set_filter();
-    let mut outcomes = Vec::new();
-    verify.with_window(sim, local, g.q_len(), t_snap, |ids, _skipped| {
-        outcomes.reserve_exact(ids.len());
-        for &id in ids {
-            // Mirror the committer's skip exactly: one record slot per
-            // matching candidate.
-            if filter.is_some_and(|m| !m.contains(id)) {
-                continue;
-            }
-            outcomes.push(
-                match sim.eval_with_threshold(g.query(), g.db().set(id), t_snap) {
-                    ThresholdedEval::Hit(s) => Outcome::Hit(s),
-                    ThresholdedEval::Rejected { early: true } => Outcome::RejectedEarly,
-                    ThresholdedEval::Rejected { early: false } => Outcome::Rejected,
-                },
-            );
-        }
-    });
-    GroupRecord { t_snap, outcomes }
+    let mut rec = GroupRecord {
+        t_snap,
+        verdicts: Vec::new(),
+    };
+    // Speculative work is never charged: the committer counts it.
+    g.verify()
+        .knn_window(verify, local, &mut rec, &mut SearchStats::default());
+    rec
 }
 
 // ---------------------------------------------------------------------
@@ -580,19 +559,18 @@ fn range_group<G: ParGroups>(
     hits: &mut Vec<(SetId, f64)>,
     stats: &mut SearchStats,
 ) {
-    let sim = g.sim();
+    let q = g.verify();
     let (verify, local) = g.locate(i);
-    let filter = g.set_filter();
     stats.groups_verified += 1;
-    verify.with_window(sim, local, g.q_len(), delta, |ids, skipped| {
+    verify.with_window(q.sim, local, q.q_len, delta, |ids, _lens, skipped| {
         stats.size_skipped += skipped;
         for &id in ids {
-            if filter.is_some_and(|m| !m.contains(id)) {
+            if q.filter.is_some_and(|m| !m.contains(id)) {
                 continue;
             }
             stats.candidates += 1;
             stats.sims_computed += 1;
-            match sim.eval_with_threshold(g.query(), g.db().set(id), delta) {
+            match q.sim.eval_with_threshold(q.query, q.db.set(id), delta) {
                 ThresholdedEval::Hit(s) => hits.push((id, s)),
                 ThresholdedEval::Rejected { early } => {
                     if early {
@@ -745,7 +723,12 @@ mod tests {
             return; // the override deliberately defeats the policy
         }
         assert_eq!(auto_intra_workers(0), 1);
+        assert_eq!(auto_intra_workers(256), 1);
         assert_eq!(auto_intra_workers(AUTO_MIN_GROUPS - 1), 1);
         assert!(auto_intra_workers(100_000) >= 1);
+        // The serving front's lone-request budget follows the same rule.
+        assert_eq!(serve_intra_cap(256), 1);
+        assert_eq!(serve_intra_cap(AUTO_MIN_GROUPS - 1), 1);
+        assert!(serve_intra_cap(AUTO_MIN_GROUPS) > 1);
     }
 }

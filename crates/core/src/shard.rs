@@ -75,7 +75,9 @@ use les3_data::{SetDatabase, SetId, TokenId};
 use crate::approx::{ApproxInfo, ApproxParams, ApproxPolicy, MinHashIndex};
 use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
-use crate::index::{anytime_phase_a_interrupt, sort_hits, SearchResult, TopK, VerifyOrder};
+use crate::index::{
+    anytime_phase_a_interrupt, sort_hits, SearchResult, TopK, VerifyOrder, VerifyQuery,
+};
 use crate::metadata::FilterCandidates;
 use crate::par::{self, ParGroups};
 use crate::partitioning::Partitioning;
@@ -400,6 +402,13 @@ impl<S: Similarity> ShardedLes3Index<S> {
     ) -> Result<TopK, (InterruptReason, TopK)> {
         let n_shards = cursors.len();
         let mut top = TopK::new(k);
+        let verify = VerifyQuery {
+            sim: self.sim,
+            db: &self.db,
+            query,
+            q_len,
+            filter: set_filter,
+        };
         loop {
             // The globally best unvisited group: max r, ties to the
             // smallest global group id — the unsharded bucketed order.
@@ -435,33 +444,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
             }
             cursors[s] += 1;
             stats.groups_verified += 1;
-            let shard = &self.shards[s];
-            shard
-                .verify
-                .with_window(self.sim, b.local, q_len, top.kth(), |ids, skipped| {
-                    stats.size_skipped += skipped;
-                    for &id in ids {
-                        // Filtered query: skip non-matching members
-                        // before any accounting (same rule as the
-                        // flat/parallel engines).
-                        if set_filter.is_some_and(|m| !m.contains(id)) {
-                            continue;
-                        }
-                        stats.candidates += 1;
-                        stats.sims_computed += 1;
-                        match self
-                            .sim
-                            .eval_with_threshold(query, self.db.set(id), top.kth())
-                        {
-                            ThresholdedEval::Hit(sim) => top.offer(id, sim),
-                            ThresholdedEval::Rejected { early } => {
-                                if early {
-                                    stats.early_exits += 1;
-                                }
-                            }
-                        }
-                    }
-                });
+            verify.knn_window(&self.shards[s].verify, b.local, &mut top, stats);
         }
         Ok(top)
     }
@@ -495,7 +478,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
             stats.groups_verified += 1;
             shard
                 .verify
-                .with_window(self.sim, b.local, q_len, delta, |ids, skipped| {
+                .with_window(self.sim, b.local, q_len, delta, |ids, _lens, skipped| {
                     stats.size_skipped += skipped;
                     for &id in ids {
                         if set_filter.is_some_and(|m| !m.contains(id)) {
@@ -1412,24 +1395,14 @@ impl<S: Similarity> ParGroups for MergedGroups<'_, S> {
         (&self.index.shards[s as usize].verify, b.local)
     }
 
-    fn sim(&self) -> S {
-        self.index.sim
-    }
-
-    fn db(&self) -> &SetDatabase {
-        &self.index.db
-    }
-
-    fn query(&self) -> &[TokenId] {
-        self.query
-    }
-
-    fn q_len(&self) -> usize {
-        self.q_len
-    }
-
-    fn set_filter(&self) -> Option<&DenseBitSet> {
-        self.filter
+    fn verify(&self) -> VerifyQuery<'_, S> {
+        VerifyQuery {
+            sim: self.index.sim,
+            db: &self.index.db,
+            query: self.query,
+            q_len: self.q_len,
+            filter: self.filter,
+        }
     }
 }
 

@@ -64,10 +64,8 @@ pub trait Similarity: Copy + Send + Sync + 'static {
     /// Threshold-aware evaluation: returns the exact similarity when it is
     /// `≥ threshold`, or the reason it cannot be.
     ///
-    /// The merge intersection maintains the residual-overlap bound
-    /// `o + min(remaining_a, remaining_b)` and abandons as soon as the
-    /// bound drops below the minimal overlap the threshold requires — an
-    /// integer comparison per merge step, no floating point in the loop.
+    /// *Prepare* (both distinct lengths and the minimal overlap the
+    /// threshold requires) followed by [`Similarity::merge_with_threshold`].
     /// For any `Some`/`Hit` outcome the value equals [`Similarity::eval`]
     /// bit for bit (same `from_overlap` arithmetic on the same counts), so
     /// replacing `eval` with this in the verify step preserves exactness
@@ -77,28 +75,69 @@ pub trait Similarity: Copy + Send + Sync + 'static {
         let a_len = distinct_len(a);
         let b_len = distinct_len(b);
         let needed = self.min_overlap_for(threshold, a_len, b_len);
+        self.merge_with_threshold(a, b, a_len, b_len, needed, threshold)
+    }
+
+    /// The merge half of [`Similarity::eval_with_threshold`], for callers
+    /// that already hold the prepared values: `a_len`/`b_len` are the
+    /// distinct lengths of `a`/`b` and `needed` is
+    /// `min_overlap_for(threshold, a_len, b_len)` (the kNN window scan
+    /// hoists all three out of its per-candidate loop).
+    ///
+    /// The merge intersection maintains the residual-overlap bound
+    /// `o + min(remaining_a, remaining_b)` and abandons as soon as the
+    /// bound drops below `needed` — an integer comparison per merge step,
+    /// no floating point in the loop. The duplicate-free fast path takes
+    /// the same steps as the multiset loop on such inputs (one cursor
+    /// move per side per step), so both test the bound on the identical
+    /// `(i, j, o)` sequence and return the identical verdict.
+    ///
+    /// Forced inline: as a call the kNN scan pays ~4 % of `lib_knn` for
+    /// the out-pointer return and the spills around it.
+    #[inline(always)]
+    fn merge_with_threshold(
+        &self,
+        a: &[TokenId],
+        b: &[TokenId],
+        a_len: usize,
+        b_len: usize,
+        needed: usize,
+        threshold: f64,
+    ) -> ThresholdedEval {
         if needed > a_len.min(b_len) {
             // The length filter should normally have caught this.
             return ThresholdedEval::Rejected { early: true };
         }
         let (mut i, mut j, mut o) = (0usize, 0usize, 0usize);
-        // Remaining raw lengths upper-bound the remaining distinct
-        // overlap (duplicates only loosen the bound, never tighten it).
-        while i < a.len() && j < b.len() {
-            if o + (a.len() - i).min(b.len() - j) < needed {
-                return ThresholdedEval::Rejected { early: true };
+        if a_len == a.len() && b_len == b.len() {
+            while i < a.len() && j < b.len() {
+                if o + (a.len() - i).min(b.len() - j) < needed {
+                    return ThresholdedEval::Rejected { early: true };
+                }
+                let (x, y) = (a[i], b[j]);
+                o += usize::from(x == y);
+                i += usize::from(x <= y);
+                j += usize::from(y <= x);
             }
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    o += 1;
-                    let t = a[i];
-                    while i < a.len() && a[i] == t {
-                        i += 1;
-                    }
-                    while j < b.len() && b[j] == t {
-                        j += 1;
+        } else {
+            // Remaining raw lengths upper-bound the remaining distinct
+            // overlap (duplicates only loosen the bound, never tighten it).
+            while i < a.len() && j < b.len() {
+                if o + (a.len() - i).min(b.len() - j) < needed {
+                    return ThresholdedEval::Rejected { early: true };
+                }
+                match a[i].cmp(&b[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        o += 1;
+                        let t = a[i];
+                        while i < a.len() && a[i] == t {
+                            i += 1;
+                        }
+                        while j < b.len() && b[j] == t {
+                            j += 1;
+                        }
                     }
                 }
             }
@@ -325,6 +364,49 @@ mod tests {
         }
     }
 
+    /// `eval_with_threshold` as it stood before the prepare/merge split
+    /// (one loop, lengths and `needed` derived per call) — the oracle the
+    /// split kernel must reproduce: `Hit` bits and the `early` flag.
+    fn reference_eval_with_threshold<M: Similarity>(
+        m: M,
+        a: &[TokenId],
+        b: &[TokenId],
+        threshold: f64,
+    ) -> ThresholdedEval {
+        let a_len = distinct_len(a);
+        let b_len = distinct_len(b);
+        let needed = m.min_overlap_for(threshold, a_len, b_len);
+        if needed > a_len.min(b_len) {
+            return ThresholdedEval::Rejected { early: true };
+        }
+        let (mut i, mut j, mut o) = (0usize, 0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            if o + (a.len() - i).min(b.len() - j) < needed {
+                return ThresholdedEval::Rejected { early: true };
+            }
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    o += 1;
+                    let t = a[i];
+                    while i < a.len() && a[i] == t {
+                        i += 1;
+                    }
+                    while j < b.len() && b[j] == t {
+                        j += 1;
+                    }
+                }
+            }
+        }
+        let sim = m.from_overlap(o, a_len, b_len);
+        if sim >= threshold {
+            ThresholdedEval::Hit(sim)
+        } else {
+            ThresholdedEval::Rejected { early: false }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -370,6 +452,50 @@ mod tests {
                 Jaccard.eval_with_threshold(&q, &s, f64::NEG_INFINITY),
                 ThresholdedEval::Hit(_)
             ));
+        }
+
+        #[test]
+        fn prepared_merge_equals_reference_eval(
+            q in prop::collection::vec(0u32..24, 0..14),
+            s in prop::collection::vec(0u32..24, 0..14),
+            dedup in 0usize..4,
+            t_kind in 0usize..8,
+            t_frac in 0.0f64..1.0,
+        ) {
+            // Sorted multisets with duplicates on neither, either or both
+            // sides (the duplicate-free fast path needs both deduplicated).
+            let (mut q, mut s) = (q, s);
+            q.sort_unstable();
+            s.sort_unstable();
+            if dedup & 1 == 1 { q.dedup(); }
+            if dedup & 2 == 2 { s.dedup(); }
+            fn check<M: Similarity>(m: M, q: &[u32], s: &[u32], t_kind: usize, t_frac: f64) {
+                let t = match t_kind {
+                    0 => f64::NEG_INFINITY,
+                    1 => -0.5,
+                    2 => 1.0,
+                    3 => 1.5,
+                    4 => f64::NAN,
+                    // The pair's own similarity: the `sim >= t` boundary.
+                    5 => m.eval(q, s),
+                    _ => t_frac,
+                };
+                let (a_len, b_len) = (distinct_len(q), distinct_len(s));
+                let needed = m.min_overlap_for(t, a_len, b_len);
+                let got = m.merge_with_threshold(q, s, a_len, b_len, needed, t);
+                let want = reference_eval_with_threshold(m, q, s, t);
+                match (got, want) {
+                    (ThresholdedEval::Hit(g), ThresholdedEval::Hit(w)) => {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{} t={t}", m.name())
+                    }
+                    _ => assert_eq!(got, want, "{} t={t} q={q:?} s={s:?}", m.name()),
+                }
+                assert_eq!(m.eval_with_threshold(q, s, t), got, "prepare + merge");
+            }
+            check(Jaccard, &q, &s, t_kind, t_frac);
+            check(Dice, &q, &s, t_kind, t_frac);
+            check(Cosine, &q, &s, t_kind, t_frac);
+            check(OverlapCoefficient, &q, &s, t_kind, t_frac);
         }
 
         #[test]

@@ -223,11 +223,20 @@ fn cancellation_stops_all_knn_workers_mid_flight() {
         fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
             Jaccard.ub_from_overlap(q_len, r)
         }
-        fn eval_with_threshold(&self, a: &[TokenId], b: &[TokenId], t: f64) -> ThresholdedEval {
+        // The kNN window scan's per-candidate hook.
+        fn merge_with_threshold(
+            &self,
+            a: &[TokenId],
+            b: &[TokenId],
+            a_len: usize,
+            b_len: usize,
+            needed: usize,
+            t: f64,
+        ) -> ThresholdedEval {
             if EVALS.fetch_add(1, Ordering::SeqCst) + 1 == TRIP_AT {
                 CANCEL.store(true, Ordering::SeqCst);
             }
-            Jaccard.eval_with_threshold(a, b, t)
+            Jaccard.merge_with_threshold(a, b, a_len, b_len, needed, t)
         }
     }
 
@@ -315,8 +324,9 @@ fn cancellation_stops_all_range_workers_mid_flight() {
 }
 
 /// Deterministic spot check on an index large enough for the automatic
-/// worker heuristic to engage (≥ 128 groups) and for the speculation
-/// lookahead window to wrap several times.
+/// worker heuristic to engage (≥ 512 groups; below that it stays
+/// sequential) and for the speculation lookahead window to wrap several
+/// times.
 #[test]
 fn parallel_matches_sequential_on_larger_index() {
     let mut state = 0x2545_f491_4f6c_dd1du64;
@@ -326,7 +336,7 @@ fn parallel_matches_sequential_on_larger_index() {
         state ^= state << 17;
         state
     };
-    let sets: Vec<Vec<u32>> = (0..400)
+    let sets: Vec<Vec<u32>> = (0..1600)
         .map(|_| {
             let len = 3 + (next() % 20) as usize;
             let mut s: Vec<u32> = (0..len).map(|_| (next() % 300) as u32).collect();
@@ -336,7 +346,7 @@ fn parallel_matches_sequential_on_larger_index() {
         })
         .collect();
     let db = SetDatabase::from_sets(sets);
-    let part = pseudo_partitioning(db.len(), 160, 7);
+    let part = pseudo_partitioning(db.len(), 640, 7);
     let flat = Les3Index::build(db.clone(), part.clone(), Jaccard);
     let sharded = ShardedLes3Index::build(db, part, Jaccard, 4, ShardPolicy::Contiguous);
     let mut scratch = ShardedScratch::new();
