@@ -12,15 +12,20 @@
 //! * the tier's own mean `recall_est` (the banding-formula estimate —
 //!   printed next to the truth so the estimate's calibration is
 //!   visible),
-//! * per-query latency and speedup vs. the exact engine.
+//! * per-query latency and speedup vs. the exact engine,
+//! * a verdict: a rung at useful recall (≥ 0.9) either `earns` its place
+//!   by being faster than exact or is marked `remove`; below that recall
+//!   it is `lossy` (a speed/recall trade the caller opts into), and the
+//!   saturated rung is the `fallback`.
 //!
-//! The rows land in `BENCH_approx.json` at the workspace root. With
+//! The rows land in `BENCH_approx.json` at the workspace root, under an
+//! `env` block saying what machine, commit and scale produced them. With
 //! `LES3_BENCH_RECALL_FLOOR` set (CI's smoke config), the harness
 //! asserts the mid-ladder rung — the sidecar's built shape — measures
 //! at least that recall, so a regression in the signature pipeline
 //! fails the build rather than silently degrading the tier.
 
-use les3_bench::{bench_queries, bench_sets, header, per_query_us, time, workload};
+use les3_bench::{bench_queries, bench_sets, env_json, header, per_query_us, time, workload};
 use les3_core::{
     ApproxParams, ApproxPolicy, Jaccard, Les3Index, Partitioning, QueryCtl, QueryScratch,
 };
@@ -40,6 +45,9 @@ const LADDER: [(&str, u32, u32); 5] = [
     ("b16-r1", 16, 1),
     ("saturated (exact)", 0, 0),
 ];
+
+/// The recall from which a rung has to beat exact to stay on the ladder.
+const USEFUL_RECALL: f64 = 0.9;
 
 /// Index of the rung `LES3_BENCH_RECALL_FLOOR` asserts against: the
 /// mid-ladder single-row config.
@@ -64,7 +72,7 @@ fn main() {
     });
     println!("|D| = {n}, {n_groups} groups, {n_queries} queries, k = {K}, sidecar 16x2\n");
     println!(
-        "{:<20} {:>8} {:>12} {:>10} {:>12} {:>9}",
+        "{:<20} {:>8} {:>12} {:>10} {:>12} {:>9}  verdict",
         "configuration", "recall", "recall_est", "us/query", "queries/s", "speedup"
     );
 
@@ -159,8 +167,17 @@ fn main() {
             );
         }
         let us = per_query_us(t, queries.len());
+        let verdict = if rows_q == 0 {
+            "fallback"
+        } else if recall < USEFUL_RECALL {
+            "lossy"
+        } else if us < exact_us {
+            "earns"
+        } else {
+            "remove"
+        };
         println!(
-            "{:<20} {:>8.4} {:>12.4} {:>10.1} {:>12.0} {:>8.2}x",
+            "{:<20} {:>8.4} {:>12.4} {:>10.1} {:>12.0} {:>8.2}x  {verdict}",
             label,
             recall,
             est,
@@ -170,7 +187,7 @@ fn main() {
         );
         let _ = write!(
             rows,
-            ",\n  {{\"config\": \"{label}\", \"bands\": {bands}, \"rows\": {rows_q}, \"recall\": {recall:.4}, \"recall_est\": {est:.4}, \"us_per_query\": {us:.2}, \"qps\": {:.0}, \"speedup_vs_exact\": {:.3}}}",
+            ",\n  {{\"config\": \"{label}\", \"bands\": {bands}, \"rows\": {rows_q}, \"recall\": {recall:.4}, \"recall_est\": {est:.4}, \"us_per_query\": {us:.2}, \"qps\": {:.0}, \"speedup_vs_exact\": {:.3}, \"verdict\": \"{verdict}\"}}",
             1e6 / us,
             exact_us / us
         );
@@ -189,7 +206,8 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n \"bench\": \"table5_approx\",\n \"n_sets\": {n},\n \"n_groups\": {n_groups},\n \"n_queries\": {n_queries},\n \"k\": {K},\n \"sidecar\": {{\"bands\": 16, \"rows\": 2}},\n \"rows\": [{rows}]\n}}\n"
+        "{{\n \"bench\": \"table5_approx\",\n \"env\": {},\n \"n_sets\": {n},\n \"n_groups\": {n_groups},\n \"n_queries\": {n_queries},\n \"k\": {K},\n \"sidecar\": {{\"bands\": 16, \"rows\": 2}},\n \"rows\": [{rows}]\n}}\n",
+        env_json()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_approx.json");
     match std::fs::write(path, &json) {

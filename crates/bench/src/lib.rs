@@ -24,6 +24,34 @@ pub fn env_usize(key: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// A command's trimmed output, or `"unknown"` if it fails or prints nothing.
+fn command_line(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map(|out| String::from_utf8_lossy(&out.stdout).trim().to_string())
+        .filter(|line| !line.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The `env` object of a recorded `BENCH_*.json`: what machine, build
+/// and scale produced the rows (a speed row without it cannot be
+/// compared with anything). `commit` carries a `-dirty` suffix when the
+/// working tree differs from it.
+pub fn env_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let commit = command_line("git", &["describe", "--always", "--dirty", "--abbrev=40"]);
+    let rustc = command_line("rustc", &["--version"]);
+    let scale = |key: &str| std::env::var(key).unwrap_or_else(|_| "default".to_string());
+    format!(
+        "{{\"logical_cores\": {cores}, \"commit\": \"{commit}\", \"rustc\": \"{rustc}\", \"LES3_BENCH_N\": \"{}\", \"LES3_BENCH_QUERIES\": \"{}\"}}",
+        scale("LES3_BENCH_N"),
+        scale("LES3_BENCH_QUERIES"),
+    )
+}
+
 /// Dataset size for a harness (`LES3_BENCH_N`).
 pub fn bench_sets(default: usize) -> usize {
     env_usize("LES3_BENCH_N", default)

@@ -6,10 +6,10 @@
 //! machinery:
 //!
 //! * **Prefilter** — a classic MinHash LSH candidate filter (b bands ×
-//!   r rows; a set is a candidate iff it collides with the query in at
-//!   least one band). The candidate set becomes a per-set bitmap that
-//!   is intersected into the group mask *before* phase A — exactly how
-//!   [`crate::metadata`] attribute filters already compose — so the
+//!   r rows; a set is a candidate iff it agrees with the query on every
+//!   row of at least one band). The scan's output *is* the per-set mask
+//!   that is intersected into the group mask *before* phase A — exactly
+//!   how [`crate::metadata`] attribute filters already compose — so the
 //!   masked kernels, `TopK`, `QueryCtl` and the intra-parallel engine
 //!   are reused unchanged, and every surviving candidate is re-verified
 //!   with the **exact** similarity. Misses are only ever *omissions*:
@@ -23,14 +23,42 @@
 //!   Hits are always exact similarities; only completeness is traded.
 //! * **Exact** — the default; byte-for-byte the existing engine.
 //!
+//! # Layout and kernel
+//!
+//! The candidate side of an LSH-then-verify pipeline has to be nearly
+//! free, or the pruning it buys is spent before verification starts. So
+//! the signatures are laid out for the scan, not for the insert: sets
+//! are grouped in blocks of 64 (`LANES`), and inside a block the
+//! matrix is column-major — `sigs[(block·width + col)·64 + lane]` — in
+//! one allocation, the tail block padded with the `u64::MAX` sentinel.
+//! A query then costs, per block, one 64-lane equality compare per
+//! signature column it reads (`bands × rows` of the `width` built),
+//! packed into a `u64`, AND-ed across the rows of a band and OR-ed
+//! across bands: **one candidate word per block**, with no hashing and
+//! no per-set branch. Those words are exactly the words of the per-set
+//! [`DenseBitSet`](les3_bitmap::DenseBitSet) inside
+//! [`FilterCandidates`], which is filled from them directly
+//! (`FilterCandidates::refill`) — no id vector, no `Bitmap`, no second
+//! pass. An insert writes `width` lanes of the tail block, so it stays
+//! `O(width)`.
+//!
+//! The layout is in-memory only: [`MinHashIndex::encode`] and
+//! [`MinHashIndex::decode`] transpose to and from the row-major SIG
+//! payload (`n_sets × width`, see `persist/segment.rs`), so bytes on
+//! disk are those of every earlier version and old segments load.
+//!
 //! Signatures are deterministic (seeded splitmix64 row hashes, no
 //! runtime randomness), so a rebuilt or reloaded index answers
-//! identically; they persist as an optional segment block (see
-//! `persist/segment.rs`). Deletions need no sidecar maintenance: the
-//! engines are tombstone-only, and a stale signature can only produce a
-//! superset candidate that downstream verification discards.
+//! identically. Deletions need no sidecar maintenance: the engines are
+//! tombstone-only, and a stale signature can only produce a superset
+//! candidate that downstream verification discards.
 
 use les3_data::{SetId, TokenId};
+
+use crate::ctl::Interrupted;
+use crate::index::SearchResult;
+use crate::metadata::FilterCandidates;
+use crate::partitioning::Partitioning;
 
 /// How a query trades recall for speed. The default is [`Exact`]
 /// everywhere — approximation is strictly opt-in per query.
@@ -126,20 +154,25 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The MinHash signature sidecar: a dense `n_sets × (bands·rows)`
-/// matrix of row minima, appended to on insert and scanned at query
-/// time for band collisions. Everything is derived deterministically
-/// from [`ApproxParams`], so rebuild, save→load and WAL replay all
-/// produce bit-identical signatures.
+/// Sets per signature block: one candidate-mask word.
+const LANES: usize = 64;
+
+/// The MinHash signature sidecar: an `n_sets × (bands·rows)` matrix of
+/// row minima in 64-set column-major blocks (see the module docs),
+/// appended to on insert and scanned at query time for band collisions.
+/// Everything is derived deterministically from [`ApproxParams`], so
+/// rebuild, save→load and WAL replay all produce bit-identical
+/// signatures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinHashIndex {
     params: ApproxParams,
     /// Per-row hash seeds, `bands·rows` of them, derived from
     /// `params.seed`.
     row_seeds: Vec<u64>,
-    /// Row-major signature matrix: set `id`'s row is
-    /// `sigs[id·width .. (id+1)·width]`, band `b` occupying columns
-    /// `b·rows .. (b+1)·rows`.
+    /// Blocked signature matrix: set `id`'s value in signature column
+    /// `col` is `sigs[((id / 64)·width + col)·64 + id % 64]`, band `b`
+    /// occupying columns `b·rows .. (b+1)·rows`. Whole blocks only; the
+    /// unused lanes of the tail block hold `u64::MAX`.
     sigs: Vec<u64>,
     n_sets: usize,
 }
@@ -166,7 +199,8 @@ impl MinHashIndex {
     /// Builds the sidecar over every set of `db`, in id order.
     pub fn build(db: &les3_data::SetDatabase, params: ApproxParams) -> Self {
         let mut out = Self::new(params);
-        out.sigs.reserve(db.len() * out.width());
+        out.sigs
+            .reserve_exact(db.len().div_ceil(LANES) * out.width() * LANES);
         for (_, set) in db.iter() {
             out.push(set);
         }
@@ -188,32 +222,26 @@ impl MinHashIndex {
         (self.params.bands * self.params.rows) as usize
     }
 
-    /// Set `id`'s signature row.
-    pub fn signature(&self, id: SetId) -> &[u64] {
-        let w = self.width();
-        &self.sigs[id as usize * w..(id as usize + 1) * w]
+    /// Position of set `id`'s value in signature column 0; column `col`
+    /// is `col · LANES` further on.
+    fn slot(&self, id: usize) -> usize {
+        (id / LANES) * self.width() * LANES + id % LANES
     }
 
     /// Appends the next set's signature (ids are assigned densely, in
-    /// insertion order — the same contract as the database).
+    /// insertion order — the same contract as the database): `width`
+    /// lanes of the tail block, which is opened (sentinel-filled) every
+    /// 64th insert.
     pub fn push(&mut self, set: &[TokenId]) {
-        let start = self.sigs.len();
-        self.sigs.resize(start + self.width(), u64::MAX);
-        Self::sign_into(&self.row_seeds, set, &mut self.sigs[start..]);
-        self.n_sets += 1;
-    }
-
-    /// Writes the signature of `set` into `out` (one slot per row
-    /// seed). The empty set keeps the `u64::MAX` sentinel everywhere.
-    fn sign_into(row_seeds: &[u64], set: &[TokenId], out: &mut [u64]) {
-        for (slot, &seed) in out.iter_mut().zip(row_seeds) {
-            let mut min = u64::MAX;
-            for &t in set {
-                let h = splitmix64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                min = min.min(h);
-            }
-            *slot = min;
+        if self.n_sets.is_multiple_of(LANES) {
+            let grown = self.sigs.len() + self.width() * LANES;
+            self.sigs.resize(grown, u64::MAX);
         }
+        let slot = self.slot(self.n_sets);
+        for (col, &seed) in self.row_seeds.iter().enumerate() {
+            self.sigs[slot + col * LANES] = min_hash(seed, set);
+        }
+        self.n_sets += 1;
     }
 
     /// Clamps a query-time policy to the built parameters: `bands == 0`
@@ -228,28 +256,66 @@ impl MinHashIndex {
         (b, rows.min(self.params.rows))
     }
 
+    /// Signs `query` for a scan of the first `rows` rows of the first
+    /// `bands` bands (both already clamped): `qsig[b·rows + r]` is the
+    /// query's minimum under the seed of signature column
+    /// `b·built_rows + r`. Only the columns the scan reads are signed.
+    fn sign_query(&self, query: &[TokenId], bands: u32, rows: u32, qsig: &mut Vec<u64>) {
+        let built_rows = self.params.rows as usize;
+        qsig.clear();
+        for b in 0..bands as usize {
+            let seeds = &self.row_seeds[b * built_rows..][..rows as usize];
+            qsig.extend(seeds.iter().map(|&seed| min_hash(seed, query)));
+        }
+    }
+
+    /// The candidate word of one block: bit `lane` is set iff set
+    /// `block·64 + lane` agrees with `qsig` (from
+    /// [`MinHashIndex::sign_query`] with the same shape) on every row of
+    /// at least one band. `rows == 0` compares nothing, so every set
+    /// collides. Lanes past `n_sets` are cleared (an empty query's
+    /// sentinel signature equals the padding), and a block past the end
+    /// is empty.
+    fn block_word(&self, block: usize, qsig: &[u64], bands: u32, rows: u32) -> u64 {
+        let (width, built_rows, rows) = (self.width(), self.params.rows as usize, rows as usize);
+        let Some(cols) = self
+            .sigs
+            .get(block * width * LANES..(block + 1) * width * LANES)
+        else {
+            return 0;
+        };
+        let mut word = 0u64;
+        for b in 0..bands as usize {
+            let band_cols = &cols[b * built_rows * LANES..][..rows * LANES];
+            let qrows = &qsig[b * rows..][..rows];
+            word |= band_cols
+                .chunks_exact(LANES)
+                .zip(qrows)
+                .fold(!0u64, |band, (col, &q)| band & eq_mask(col, q));
+        }
+        let live = self.n_sets - block * LANES;
+        if live < LANES {
+            word &= (1u64 << live) - 1;
+        }
+        word
+    }
+
     /// The LSH candidates of `query` under the first `bands` bands with
-    /// `rows` rows each (both pre-clamped via
-    /// [`MinHashIndex::effective`] by callers): every set id whose
-    /// signature collides with the query's in at least one band,
-    /// ascending. `rows == 0` makes every band key the empty fold, so
-    /// every set collides — the saturated filter.
+    /// `rows` rows each (clamped via [`MinHashIndex::effective`]): every
+    /// set id whose signature collides with the query's in at least one
+    /// band, ascending. `rows == 0` makes every set collide — the
+    /// saturated filter. A convenience over the block scan the engines
+    /// feed straight into their candidate mask.
     pub fn candidates(&self, query: &[TokenId], bands: u32, rows: u32) -> Vec<SetId> {
         let (bands, rows) = self.effective(bands, rows);
-        let width = self.width();
-        let built_rows = self.params.rows as usize;
-        let mut qsig = vec![u64::MAX; width];
-        Self::sign_into(&self.row_seeds, query, &mut qsig);
-        let qkeys: Vec<u64> = (0..bands as usize)
-            .map(|b| band_key(&qsig[b * built_rows..], rows as usize, b))
-            .collect();
+        let mut qsig = Vec::new();
+        self.sign_query(query, bands, rows, &mut qsig);
         let mut out = Vec::new();
-        for id in 0..self.n_sets {
-            let row = &self.sigs[id * width..(id + 1) * width];
-            let hit = (0..bands as usize)
-                .any(|b| band_key(&row[b * built_rows..], rows as usize, b) == qkeys[b]);
-            if hit {
-                out.push(id as SetId);
+        for block in 0..self.n_sets.div_ceil(LANES) {
+            let mut word = self.block_word(block, &qsig, bands, rows);
+            while word != 0 {
+                out.push((block * LANES) as SetId + word.trailing_zeros());
+                word &= word - 1;
             }
         }
         out
@@ -281,16 +347,22 @@ impl MinHashIndex {
         (sum / hits.len() as f64).clamp(0.0, 1.0)
     }
 
-    /// Serializes the sidecar: params, set count, then the raw
-    /// signature matrix. The row seeds are derived, not stored.
+    /// Serializes the sidecar: params, set count, then the signature
+    /// matrix row-major (set by set, `width` values each) — the blocked
+    /// layout is transposed out, so the payload does not depend on it.
+    /// The row seeds are derived, not stored.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(24 + self.sigs.len() * 8);
+        let width = self.width();
+        let mut out = Vec::with_capacity(24 + self.n_sets * width * 8);
         out.extend_from_slice(&self.params.bands.to_le_bytes());
         out.extend_from_slice(&self.params.rows.to_le_bytes());
         out.extend_from_slice(&self.params.seed.to_le_bytes());
         out.extend_from_slice(&(self.n_sets as u64).to_le_bytes());
-        for &s in &self.sigs {
-            out.extend_from_slice(&s.to_le_bytes());
+        for id in 0..self.n_sets {
+            let slot = self.slot(id);
+            for col in 0..width {
+                out.extend_from_slice(&self.sigs[slot + col * LANES].to_le_bytes());
+            }
         }
         out
     }
@@ -333,17 +405,102 @@ impl MinHashIndex {
             ));
         }
         let mut out = Self::new(ApproxParams { bands, rows, seed });
-        out.sigs = body
-            .chunks_exact(8)
-            .map(|c| {
+        out.n_sets = n_sets as usize;
+        let width = width as usize;
+        out.sigs = vec![u64::MAX; out.n_sets.div_ceil(LANES) * width * LANES];
+        for (id, row) in body.chunks_exact(width * 8).enumerate() {
+            let slot = out.slot(id);
+            for (col, c) in row.chunks_exact(8).enumerate() {
                 let mut a = [0u8; 8];
                 a.copy_from_slice(c);
-                u64::from_le_bytes(a)
-            })
-            .collect();
-        out.n_sets = n_sets as usize;
+                out.sigs[slot + col * LANES] = u64::from_le_bytes(a);
+            }
+        }
         Ok(out)
     }
+}
+
+/// The prefilter's per-query working memory, kept in the caller's
+/// scratch so a steady-state prefiltered query allocates nothing: the
+/// candidate mask itself, the group flags it is derived through, and
+/// the signed query columns.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PrefilterScratch {
+    cand: FilterCandidates,
+    group_hit: Vec<bool>,
+    qsig: Vec<u64>,
+}
+
+/// The LSH candidate mask of a prefilter query, scanned straight into
+/// `scratch`, or `None` when the query must take the unfiltered exact
+/// path instead: no sidecar built, `rows == 0` (decided before any
+/// signature is read), or a candidate set that came out saturated (only
+/// a full candidate set reproduces the exact engine's stats bit-for-bit
+/// — the restricted kernels count differently).
+pub(crate) fn prefilter_candidates<'s>(
+    mh: Option<&MinHashIndex>,
+    partitioning: &Partitioning,
+    query: &[TokenId],
+    bands: u32,
+    rows: u32,
+    scratch: &'s mut PrefilterScratch,
+) -> Option<&'s FilterCandidates> {
+    let mh = mh?;
+    let (bands, rows) = mh.effective(bands, rows);
+    if rows == 0 {
+        return None;
+    }
+    let PrefilterScratch {
+        cand,
+        group_hit,
+        qsig,
+    } = scratch;
+    mh.sign_query(query, bands, rows, qsig);
+    cand.refill(partitioning, group_hit, |block| {
+        mh.block_word(block, qsig, bands, rows)
+    });
+    (cand.n_matching() < partitioning.n_sets()).then_some(&*cand)
+}
+
+/// The prefilter verdict for a finished result (clamped effective
+/// parameters feed the banding formula).
+pub(crate) fn prefilter_info(
+    mh: &MinHashIndex,
+    hits: &[(SetId, f64)],
+    bands: u32,
+    rows: u32,
+) -> ApproxInfo {
+    let (bands, rows) = mh.effective(bands, rows);
+    ApproxInfo {
+        approx: true,
+        recall_est: MinHashIndex::recall_estimate(hits, bands, rows),
+    }
+}
+
+/// Runs one [`ApproxPolicy::Prefilter`] query of either engine: builds
+/// the candidate mask in the scratch's [`PrefilterScratch`] (found via
+/// `slot`; taken out for the duration of `search`, which needs the rest
+/// of the scratch mutably), hands `search` the mask — or `None` for the
+/// unfiltered exact path — and attaches the verdict.
+pub(crate) fn run_prefiltered<S>(
+    mh: Option<&MinHashIndex>,
+    partitioning: &Partitioning,
+    query: &[TokenId],
+    (bands, rows): (u32, u32),
+    scratch: &mut S,
+    slot: fn(&mut S) -> &mut PrefilterScratch,
+    search: impl FnOnce(Option<&FilterCandidates>, &mut S) -> Result<SearchResult, Interrupted>,
+) -> Result<(SearchResult, ApproxInfo), Interrupted> {
+    let mut pre = std::mem::take(slot(scratch));
+    let cand = prefilter_candidates(mh, partitioning, query, bands, rows, &mut pre);
+    let out = search(cand, scratch).map(|result| {
+        let info = cand.and(mh).map_or(ApproxInfo::EXACT, |mh| {
+            prefilter_info(mh, &result.hits, bands, rows)
+        });
+        (result, info)
+    });
+    *slot(scratch) = pre;
+    out
 }
 
 /// The anytime tier's recall estimate: the fraction of the candidate
@@ -358,21 +515,169 @@ pub(crate) fn coverage(stats: &crate::stats::SearchStats, n_groups: usize) -> f6
     ((stats.groups_verified + stats.groups_pruned) as f64 / n_groups as f64).clamp(0.0, 1.0)
 }
 
-/// Folds the first `rows` values of a band's signature slice into one
-/// comparable key. `rows == 0` folds nothing: every key is the band
-/// salt, so everything collides (the saturated filter).
-fn band_key(band_sig: &[u64], rows: usize, band: usize) -> u64 {
-    let mut acc = band as u64;
-    for &v in &band_sig[..rows] {
-        acc = splitmix64(acc ^ v);
+/// The MinHash of `set` under one row seed: the minimum row hash over
+/// its tokens. The empty set keeps the `u64::MAX` sentinel.
+fn min_hash(seed: u64, set: &[TokenId]) -> u64 {
+    set.iter()
+        .map(|&t| splitmix64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+        .min()
+        .unwrap_or(u64::MAX)
+}
+
+/// Compares the 64 lanes of one signature column with `q`: bit `lane`
+/// of the result is set iff `col[lane] == q`. Eight lanes at a time into
+/// a byte, which the compiler turns into vector compares plus a
+/// move-mask.
+#[inline]
+fn eq_mask(col: &[u64], q: u64) -> u64 {
+    let mut mask = 0u64;
+    for (i, lanes) in col.chunks_exact(8).enumerate() {
+        let mut byte = 0u8;
+        for (lane, &v) in lanes.iter().enumerate() {
+            byte |= u8::from(v == q) << lane;
+        }
+        mask |= u64::from(byte) << (i * 8);
     }
-    acc
+    mask
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use les3_bitmap::Bitmap;
     use les3_data::SetDatabase;
+    use proptest::prelude::*;
+
+    /// Folds the first `rows` values of a band's signature slice into one
+    /// comparable key. `rows == 0` folds nothing: every key is the band
+    /// salt, so everything collides (the saturated filter).
+    fn band_key(band_sig: &[u64], rows: usize, band: usize) -> u64 {
+        let mut acc = band as u64;
+        for &v in &band_sig[..rows] {
+            acc = splitmix64(acc ^ v);
+        }
+        acc
+    }
+
+    impl MinHashIndex {
+        /// Set `id`'s signature row, gathered out of its block.
+        fn signature(&self, id: SetId) -> Vec<u64> {
+            let slot = self.slot(id as usize);
+            (0..self.width())
+                .map(|col| self.sigs[slot + col * LANES])
+                .collect()
+        }
+
+        /// The oracle: the per-set, per-band key-fold scan the block
+        /// kernel replaced, as it stood (over gathered rows). The kernel
+        /// compares a band's rows directly instead of folding them; for
+        /// one row the fold is a bijection, for more the two can differ
+        /// only when the 64-bit fold itself collides.
+        fn candidates_oracle(&self, query: &[TokenId], bands: u32, rows: u32) -> Vec<SetId> {
+            let (bands, rows) = self.effective(bands, rows);
+            let built_rows = self.params.rows as usize;
+            let qsig: Vec<u64> = self.row_seeds.iter().map(|&s| min_hash(s, query)).collect();
+            let qkeys: Vec<u64> = (0..bands as usize)
+                .map(|b| band_key(&qsig[b * built_rows..], rows as usize, b))
+                .collect();
+            let mut out = Vec::new();
+            for id in 0..self.n_sets {
+                let row = self.signature(id as SetId);
+                let hit = (0..bands as usize)
+                    .any(|b| band_key(&row[b * built_rows..], rows as usize, b) == qkeys[b]);
+                if hit {
+                    out.push(id as SetId);
+                }
+            }
+            out
+        }
+    }
+
+    fn to_vecs(sets: &[std::collections::BTreeSet<u32>]) -> Vec<Vec<u32>> {
+        sets.iter().map(|s| s.iter().copied().collect()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Block kernel ≡ oracle on every query shape, incremental ≡ bulk
+        /// across block boundaries, and the mask scanned into a (reused)
+        /// scratch ≡ the mask built from the id list.
+        #[test]
+        fn block_kernel_matches_the_per_set_oracle(
+            n_sets in prop_oneof![Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(200)],
+            sets in prop::collection::vec(prop::collection::btree_set(0u32..24, 0..5), 200),
+            queries in prop::collection::vec(prop::collection::btree_set(0u32..24, 0..5), 3),
+            built in (1u32..=3, 1u32..=3),
+            seed in any::<u64>(),
+            n_bulk in 0usize..=200,
+            n_groups in 1usize..=9,
+        ) {
+            let sets = to_vecs(&sets[..n_sets]);
+            let mut queries = to_vecs(&queries);
+            queries.push(Vec::new());
+            let params = ApproxParams { bands: built.0, rows: built.1, seed };
+            let mh = MinHashIndex::build(&SetDatabase::from_sets(sets.clone()), params);
+            prop_assert_eq!(mh.sigs.len(), n_sets.div_ceil(LANES) * mh.width() * LANES);
+
+            let n_bulk = n_bulk.min(n_sets);
+            let mut inc =
+                MinHashIndex::build(&SetDatabase::from_sets(sets[..n_bulk].to_vec()), params);
+            for set in &sets[n_bulk..] {
+                inc.push(set);
+            }
+            prop_assert_eq!(&inc, &mh);
+            prop_assert_eq!(&MinHashIndex::decode(&mh.encode()).expect("roundtrip"), &mh);
+
+            let part = Partitioning::from_assignment(
+                (0..n_sets).map(|i| (splitmix64(seed ^ i as u64) % n_groups as u64) as u32).collect(),
+                n_groups,
+            );
+            let mut scratch = PrefilterScratch::default();
+            for query in &queries {
+                for bands in 0..=built.0 + 1 {
+                    for rows in 0..=built.1 + 1 {
+                        let ids = mh.candidates(query, bands, rows);
+                        prop_assert_eq!(&ids, &mh.candidates_oracle(query, bands, rows));
+
+                        let got = prefilter_candidates(
+                            Some(&mh), &part, query, bands, rows, &mut scratch,
+                        ).is_some();
+                        let saturated = rows == 0 || ids.len() >= n_sets;
+                        prop_assert_eq!(got, !saturated);
+                        if rows == 0 {
+                            continue; // decided before the scan: scratch untouched
+                        }
+                        let want = FilterCandidates::build(&Bitmap::from_sorted(&ids), &part);
+                        let cand = &scratch.cand;
+                        prop_assert_eq!(cand.n_matching, want.n_matching);
+                        prop_assert_eq!(&cand.groups, &want.groups);
+                        for w in 0..n_sets.div_ceil(64) + 1 {
+                            prop_assert_eq!(cand.sets.word(w), want.sets.word(w));
+                        }
+                        prop_assert!(cand.sets.touched_is_sorted());
+                        prop_assert!(cand.sets.touched_words().windows(2).all(|p| p[0] < p[1]));
+                        prop_assert_eq!(cand.sets.touched_words(), want.sets.touched_words());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn missing_sidecar_and_zero_rows_skip_the_scan() {
+        let db = tiny_db();
+        let part = Partitioning::round_robin(db.len(), 2);
+        let mh = MinHashIndex::build(&db, ApproxParams::default());
+        let mut scratch = PrefilterScratch::default();
+        assert!(prefilter_candidates(None, &part, &[0, 1], 0, 2, &mut scratch).is_none());
+        assert!(prefilter_candidates(Some(&mh), &part, &[0, 1], 0, 0, &mut scratch).is_none());
+        assert!(scratch.qsig.is_empty(), "no signature may be computed");
+        assert!(
+            prefilter_candidates(Some(&mh), &part, &[0, 1, 2, 3], 0, 2, &mut scratch).is_some()
+        );
+        assert!(!scratch.qsig.is_empty());
+    }
 
     fn tiny_db() -> SetDatabase {
         SetDatabase::from_sets(vec![

@@ -442,32 +442,67 @@ pub struct FilterCandidates {
 }
 
 impl FilterCandidates {
-    /// Derives the candidate structure from a matching-set bitmap.
+    /// Derives the candidate structure from a matching-set bitmap. Bits
+    /// at or beyond the partitioning's set count are ignored.
     pub fn build(matching: &Bitmap, partitioning: &Partitioning) -> Self {
-        let n_sets = partitioning.n_sets();
-        let mut sets = DenseBitSet::new();
-        sets.reset(n_sets);
-        let mut group_hit = vec![false; partitioning.n_groups()];
-        let mut n_matching = 0usize;
-        for id in matching.iter() {
-            if (id as usize) >= n_sets {
-                continue;
+        let mut words = vec![0u64; partitioning.n_sets().div_ceil(64)];
+        matching.visit_words(|base, word| {
+            if let Some(slot) = words.get_mut((base >> 6) as usize) {
+                *slot = word;
             }
-            sets.insert(id);
-            group_hit[partitioning.group_of(id) as usize] = true;
-            n_matching += 1;
+        });
+        Self::from_words(&words, partitioning)
+    }
+
+    /// Derives the candidate structure from the per-set match mask as
+    /// 64-bit words (bit `b` of `words[w]` set means set `64·w + b`
+    /// matches; missing words are empty, and bits at or beyond the
+    /// partitioning's set count are ignored).
+    pub fn from_words(words: &[u64], partitioning: &Partitioning) -> Self {
+        let mut out = Self::default();
+        out.refill(partitioning, &mut Vec::new(), |w| {
+            words.get(w).copied().unwrap_or(0)
+        });
+        out
+    }
+
+    /// [`FilterCandidates::from_words`] in place, pulling word `w` from
+    /// `word_at(w)` for every word of the set range in increasing order
+    /// and reusing this value's buffers plus the caller's `group_hit`
+    /// flags — the words become the per-set mask as they are, and each
+    /// set bit marks its group; nothing else is materialised.
+    pub(crate) fn refill(
+        &mut self,
+        partitioning: &Partitioning,
+        group_hit: &mut Vec<bool>,
+        mut word_at: impl FnMut(usize) -> u64,
+    ) {
+        let n_sets = partitioning.n_sets();
+        self.sets.reset(n_sets);
+        self.n_matching = 0;
+        group_hit.clear();
+        group_hit.resize(partitioning.n_groups(), false);
+        for w in 0..n_sets.div_ceil(64) {
+            let mut word = word_at(w);
+            let live = n_sets - w * 64;
+            if live < 64 {
+                word &= (1u64 << live) - 1;
+            }
+            self.sets.insert_word(w, word);
+            self.n_matching += word.count_ones() as usize;
+            while word != 0 {
+                let id = (w * 64) as u32 + word.trailing_zeros();
+                group_hit[partitioning.group_of(id) as usize] = true;
+                word &= word - 1;
+            }
         }
-        let groups = group_hit
-            .iter()
-            .enumerate()
-            .filter(|&(_, &hit)| hit)
-            .map(|(g, _)| g as u32)
-            .collect();
-        Self {
-            sets,
-            groups,
-            n_matching,
-        }
+        self.groups.clear();
+        self.groups.extend(
+            (0u32..)
+                .zip(&*group_hit)
+                .filter(|&(_, &hit)| hit)
+                .map(|(g, _)| g),
+        );
     }
 
     /// Number of matching sets.

@@ -8,6 +8,8 @@
 
 use les3_bitmap::DenseBitSet;
 
+use crate::approx::PrefilterScratch;
+
 /// Working memory for one in-flight query.
 ///
 /// Create once (e.g. per thread) and pass to
@@ -29,6 +31,8 @@ pub struct QueryScratch {
     pub(crate) offsets: Vec<u32>,
     /// Groups in verification order with their upper bounds.
     pub(crate) bounds: Vec<(u32, f64)>,
+    /// The candidate mask of a prefiltered query and its inputs.
+    pub(crate) prefilter: PrefilterScratch,
 }
 
 impl QueryScratch {
@@ -58,6 +62,8 @@ pub struct ShardedScratch {
     pub(crate) merged: Vec<(u32, crate::shard::ShardBound)>,
     /// Per-shard local candidate-group lists of a filtered query.
     pub(crate) cand_locals: Vec<Vec<u32>>,
+    /// The candidate mask of a prefiltered query and its inputs.
+    pub(crate) prefilter: PrefilterScratch,
 }
 
 impl ShardedScratch {

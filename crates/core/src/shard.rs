@@ -72,7 +72,7 @@ use crate::sync::Mutex;
 use les3_bitmap::{Bitmap, DenseBitSet};
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use crate::approx::{ApproxInfo, ApproxParams, ApproxPolicy, MinHashIndex};
+use crate::approx::{self, ApproxInfo, ApproxParams, ApproxPolicy, MinHashIndex};
 use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::index::{
@@ -831,6 +831,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
             cursors,
             merged,
             cand_locals,
+            ..
         } = scratch;
         // Restricted phase A is proportional to the candidate count, so
         // it always runs sequentially per shard; only verification fans
@@ -1050,16 +1051,18 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 .knn_ctl_on(workers, query, k, scratch, ctl)
                 .map(|r| (r, ApproxInfo::EXACT)),
             ApproxPolicy::Anytime => self.knn_anytime_ctl_on(workers, query, k, scratch, ctl),
-            ApproxPolicy::Prefilter { bands, rows } => {
-                let Some(cand) = self.prefilter_candidates(query, bands, rows) else {
-                    return self
-                        .knn_ctl_on(workers, query, k, scratch, ctl)
-                        .map(|r| (r, ApproxInfo::EXACT));
-                };
-                let result = self.knn_filtered_ctl_on(workers, query, k, &cand, scratch, ctl)?;
-                let info = self.prefilter_info(&result.hits, bands, rows);
-                Ok((result, info))
-            }
+            ApproxPolicy::Prefilter { bands, rows } => approx::run_prefiltered(
+                self.approx.as_ref(),
+                &self.partitioning,
+                query,
+                (bands, rows),
+                scratch,
+                |scratch| &mut scratch.prefilter,
+                |cand, scratch| match cand {
+                    Some(cand) => self.knn_filtered_ctl_on(workers, query, k, cand, scratch, ctl),
+                    None => self.knn_ctl_on(workers, query, k, scratch, ctl),
+                },
+            ),
         }
     }
 
@@ -1079,52 +1082,20 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 .range_ctl_on(workers, query, delta, scratch, ctl)
                 .map(|r| (r, ApproxInfo::EXACT)),
             ApproxPolicy::Anytime => self.range_anytime_ctl_on(workers, query, delta, scratch, ctl),
-            ApproxPolicy::Prefilter { bands, rows } => {
-                let Some(cand) = self.prefilter_candidates(query, bands, rows) else {
-                    return self
-                        .range_ctl_on(workers, query, delta, scratch, ctl)
-                        .map(|r| (r, ApproxInfo::EXACT));
-                };
-                let result =
-                    self.range_filtered_ctl_on(workers, query, delta, &cand, scratch, ctl)?;
-                let info = self.prefilter_info(&result.hits, bands, rows);
-                Ok((result, info))
-            }
-        }
-    }
-
-    /// The LSH candidate mask of a prefilter query, or `None` for the
-    /// unfiltered exact path — same rules as
-    /// [`crate::Les3Index::knn_approx_ctl_on`]'s helper (no sidecar, or
-    /// a saturated candidate set).
-    fn prefilter_candidates(
-        &self,
-        query: &[TokenId],
-        bands: u32,
-        rows: u32,
-    ) -> Option<FilterCandidates> {
-        let mh = self.approx.as_ref()?;
-        let (bands, rows) = mh.effective(bands, rows);
-        let ids = mh.candidates(query, bands, rows);
-        if ids.len() >= self.db.len() {
-            return None;
-        }
-        Some(FilterCandidates::build(
-            &Bitmap::from_sorted(&ids),
-            &self.partitioning,
-        ))
-    }
-
-    /// The prefilter verdict for a finished result (clamped effective
-    /// parameters feed the banding formula).
-    fn prefilter_info(&self, hits: &[(SetId, f64)], bands: u32, rows: u32) -> ApproxInfo {
-        let (bands, rows) = match &self.approx {
-            Some(mh) => mh.effective(bands, rows),
-            None => (bands, rows),
-        };
-        ApproxInfo {
-            approx: true,
-            recall_est: MinHashIndex::recall_estimate(hits, bands, rows),
+            ApproxPolicy::Prefilter { bands, rows } => approx::run_prefiltered(
+                self.approx.as_ref(),
+                &self.partitioning,
+                query,
+                (bands, rows),
+                scratch,
+                |scratch| &mut scratch.prefilter,
+                |cand, scratch| match cand {
+                    Some(cand) => {
+                        self.range_filtered_ctl_on(workers, query, delta, cand, scratch, ctl)
+                    }
+                    None => self.range_ctl_on(workers, query, delta, scratch, ctl),
+                },
+            ),
         }
     }
 

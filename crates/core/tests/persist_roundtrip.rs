@@ -8,7 +8,9 @@
 //! `InsertAttrs` WAL record / segment METADATA block); the reopened
 //! attribute table and attribute-filtered answers must round-trip too.
 //! Plus: random corruption of the segment bytes — including the
-//! METADATA block — must surface as a descriptive error, never a panic.
+//! METADATA block — must surface as a descriptive error, never a panic;
+//! and the SIG payload is pinned to bytes recorded before the sidecar's
+//! in-memory layout became blocked and column-major.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -478,5 +480,95 @@ proptest! {
         prop_assert!(DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// -- SIG payload pinned across in-memory layout changes ------------------
+
+const PIN_PARAMS: ApproxParams = ApproxParams {
+    bands: 2,
+    rows: 2,
+    seed: 42,
+};
+
+/// `MinHashIndex::encode()` of `[[0,1,2,3], [0,1,2,4], []]` under
+/// [`PIN_PARAMS`], recorded from commit 5238dbd — the last one whose
+/// in-memory matrix *was* the row-major payload.
+#[rustfmt::skip]
+const PINNED_SIG: [u8; 120] = [
+    0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // bands, rows
+    0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seed
+    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // n_sets
+    0xdd, 0xb8, 0x9b, 0x8e, 0xd7, 0x02, 0xa7, 0x1e, // set 0
+    0x33, 0x76, 0xaa, 0xf3, 0xe3, 0xb3, 0x5e, 0x19,
+    0x8b, 0xdb, 0x0f, 0xfa, 0x14, 0x5e, 0xa2, 0x13,
+    0xcb, 0x91, 0xe3, 0xb7, 0x80, 0x9b, 0x07, 0x13,
+    0x25, 0xaf, 0x9c, 0x6c, 0x9b, 0x83, 0x91, 0x27, // set 1
+    0xad, 0x35, 0x72, 0x90, 0x3f, 0x03, 0xcd, 0x35,
+    0x8b, 0xdb, 0x0f, 0xfa, 0x14, 0x5e, 0xa2, 0x13,
+    0xcb, 0x91, 0xe3, 0xb7, 0x80, 0x9b, 0x07, 0x13,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // set 2 (empty)
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+];
+
+/// 70 sets (more than one 64-set block), every fifth one empty.
+fn pinned_big_sets() -> Vec<Vec<u32>> {
+    (0..70u32)
+        .map(|i| {
+            let mut s: Vec<u32> = (0..i % 5).map(|j| (i * 7 + j * 13) % 97).collect();
+            s.sort_unstable();
+            s
+        })
+        .collect()
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The SIG block's bytes — and the answers a sidecar decoded from them
+/// gives — are those of the parent commit: the blocked in-memory layout
+/// must never leak into the payload, or segments written before it stop
+/// loading (or worse, load as a transposed matrix).
+#[test]
+fn sig_payload_is_pinned_across_the_layout_rewrite() {
+    let small = SetDatabase::from_sets(vec![vec![0u32, 1, 2, 3], vec![0, 1, 2, 4], vec![]]);
+    let built = MinHashIndex::build(&small, PIN_PARAMS);
+    assert_eq!(built.encode(), PINNED_SIG);
+    let decoded = MinHashIndex::decode(&PINNED_SIG).expect("parent bytes decode");
+    assert_eq!(decoded, built);
+    // (query, bands, rows) → candidates, as the parent answered.
+    let small_answers: [(&[u32], u32, u32, &[u32]); 5] = [
+        (&[0, 1, 2, 3], 0, 2, &[0, 1]),
+        (&[0, 1, 2, 4], 2, 1, &[0, 1]),
+        (&[0, 1, 2], 1, 1, &[1]),
+        (&[], 0, 2, &[2]),
+        (&[7], 0, 0, &[0, 1, 2]),
+    ];
+    for (query, bands, rows, want) in small_answers {
+        assert_eq!(decoded.candidates(query, bands, rows), want);
+    }
+
+    let sets = pinned_big_sets();
+    let built = MinHashIndex::build(&SetDatabase::from_sets(sets.clone()), PIN_PARAMS);
+    let bytes = built.encode();
+    assert_eq!(bytes.len(), 2264);
+    assert_eq!(fnv1a(&bytes), 0x1482_fe52_7265_9cd3, "recorded at 5238dbd");
+    let decoded = MinHashIndex::decode(&bytes).expect("roundtrip");
+    assert_eq!(decoded, built);
+    let empties: Vec<u32> = (0..70).step_by(5).collect();
+    let big_answers: [(&[u32], u32, u32, &[u32]); 5] = [
+        (&sets[69], 0, 2, &[33, 57, 69]),
+        (&sets[64], 2, 1, &[28, 52, 64]),
+        (&sets[3], 1, 1, &[3]),
+        (&[], 0, 2, &empties),
+        (&[1, 14, 27], 2, 1, &[2, 14, 38]),
+    ];
+    for (query, bands, rows, want) in big_answers {
+        assert_eq!(decoded.candidates(query, bands, rows), want);
     }
 }
