@@ -21,7 +21,7 @@
 //! sequential baseline before its timing is recorded.
 
 use les3_bench::{bench_queries, bench_sets, header, per_query_us, time, workload};
-use les3_core::{Jaccard, Les3Index, Partitioning, ShardPolicy, ShardedLes3Index};
+use les3_core::{Jaccard, Les3Index, Partitioning, Query, ShardPolicy, ShardedLes3Index};
 use les3_data::zipfian::ZipfianGenerator;
 use std::fmt::Write as _;
 
@@ -152,7 +152,14 @@ fn main() {
         let (res, t) = time(|| {
             queries
                 .iter()
-                .map(|q| flat.knn_par(q, K, workers))
+                .map(|q| {
+                    let query = Query {
+                        workers,
+                        ..Query::knn(q, K)
+                    };
+                    let fresh = &mut les3_core::QueryScratch::new();
+                    flat.search(&query, fresh).unwrap().0
+                })
                 .collect::<Vec<_>>()
         });
         for (g, e) in res.iter().zip(&expected) {

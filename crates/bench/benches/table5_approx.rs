@@ -37,12 +37,13 @@ const K: usize = 10;
 /// The ladder: (label, bands, rows), aggressive → saturated. The
 /// `rows == 0` rung saturates the filter and routes through the exact
 /// path — its recall must come out exactly 1.0, which closes the loop
-/// on the fallback contract.
-const LADDER: [(&str, u32, u32); 5] = [
+/// on the fallback contract. Eight single-row bands is the widest
+/// useful rung: sixteen measured recall 0.99 at 0.99× exact (verdict
+/// `remove`) and was dropped.
+const LADDER: [(&str, u32, u32); 4] = [
     ("b2-r2", 2, 2),
     ("b4-r2", 4, 2),
     ("b8-r1", 8, 1),
-    ("b16-r1", 16, 1),
     ("saturated (exact)", 0, 0),
 ];
 

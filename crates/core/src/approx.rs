@@ -55,10 +55,10 @@
 
 use les3_data::{SetId, TokenId};
 
-use crate::ctl::Interrupted;
-use crate::index::SearchResult;
 use crate::metadata::FilterCandidates;
 use crate::partitioning::Partitioning;
+use crate::query::SearchOutcome;
+use crate::scratch::WorkerScratch;
 
 /// How a query trades recall for speed. The default is [`Exact`]
 /// everywhere — approximation is strictly opt-in per query.
@@ -425,7 +425,7 @@ impl MinHashIndex {
 /// candidate mask itself, the group flags it is derived through, and
 /// the signed query columns.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PrefilterScratch {
+pub struct PrefilterScratch {
     cand: FilterCandidates,
     group_hit: Vec<bool>,
     qsig: Vec<u64>,
@@ -478,28 +478,29 @@ pub(crate) fn prefilter_info(
 }
 
 /// Runs one [`ApproxPolicy::Prefilter`] query of either engine: builds
-/// the candidate mask in the scratch's [`PrefilterScratch`] (found via
-/// `slot`; taken out for the duration of `search`, which needs the rest
-/// of the scratch mutably), hands `search` the mask — or `None` for the
-/// unfiltered exact path — and attaches the verdict.
-pub(crate) fn run_prefiltered<S>(
+/// the candidate mask in the scratch's [`PrefilterScratch`] (taken out
+/// for the duration of `search`, which needs the rest of the scratch
+/// mutably), hands `search` the mask — or `None` for the unfiltered
+/// exact path — and attaches the verdict to an answer that is not
+/// already a committed partial one.
+pub(crate) fn run_prefiltered<S: WorkerScratch>(
     mh: Option<&MinHashIndex>,
     partitioning: &Partitioning,
     query: &[TokenId],
     (bands, rows): (u32, u32),
     scratch: &mut S,
-    slot: fn(&mut S) -> &mut PrefilterScratch,
-    search: impl FnOnce(Option<&FilterCandidates>, &mut S) -> Result<SearchResult, Interrupted>,
-) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-    let mut pre = std::mem::take(slot(scratch));
+    search: impl FnOnce(Option<&FilterCandidates>, &mut S) -> SearchOutcome,
+) -> SearchOutcome {
+    let mut pre = std::mem::take(scratch.prefilter());
     let cand = prefilter_candidates(mh, partitioning, query, bands, rows, &mut pre);
-    let out = search(cand, scratch).map(|result| {
-        let info = cand.and(mh).map_or(ApproxInfo::EXACT, |mh| {
-            prefilter_info(mh, &result.hits, bands, rows)
-        });
-        (result, info)
+    let out = search(cand, scratch).map(|(result, info)| match cand.and(mh) {
+        Some(mh) if !info.approx => {
+            let info = prefilter_info(mh, &result.hits, bands, rows);
+            (result, info)
+        }
+        _ => (result, info),
     });
-    *slot(scratch) = pre;
+    *scratch.prefilter() = pre;
     out
 }
 
@@ -510,7 +511,8 @@ pub(crate) fn run_prefiltered<S>(
 /// both count as covered.
 pub(crate) fn coverage(stats: &crate::stats::SearchStats, n_groups: usize) -> f64 {
     if n_groups == 0 {
-        return 1.0;
+        // Only a query stopped before verification gets here.
+        return 0.0;
     }
     ((stats.groups_verified + stats.groups_pruned) as f64 / n_groups as f64).clamp(0.0, 1.0)
 }

@@ -20,12 +20,14 @@
 
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use crate::approx::{self, ApproxInfo, ApproxParams, ApproxPolicy, MinHashIndex};
-use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
+use crate::approx::{ApproxParams, ApproxPolicy, MinHashIndex};
+use crate::ctl::{Interrupted, QueryCtl};
 use crate::metadata::FilterCandidates;
 use crate::par::{self, ParGroups};
 use crate::partitioning::Partitioning;
+use crate::query::{self, Gathered, Kind, Query, SearchOutcome};
 use crate::scratch::QueryScratch;
+use crate::serve::ServeBackend;
 use crate::sim::{distinct_len, normalize_query, Similarity, ThresholdedEval};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
@@ -267,11 +269,56 @@ impl<S: Similarity> Les3Index<S> {
         }
     }
 
-    /// Exact kNN search (Definition 2.1).
+    /// Runs one [`Query`] — the index's only query body; every named
+    /// `knn*/range*` method below is a single expression over it.
     ///
-    /// Groups are verified in decreasing upper-bound order; the search
-    /// stops at the first group whose bound cannot improve the current
-    /// k-th best similarity, which preserves exactness (Theorem 3.1).
+    /// Guards, then phase A (the TGM column count and bucketed bound
+    /// order, over all groups or only the mask's), one `ctl` poll —
+    /// filtering is cheap, verification is where the CPU goes, so an
+    /// expired or cancelled query must not start it — then phase B: the
+    /// best-first descent (kNN, stopping at the first group whose bound
+    /// cannot improve the k-th best, Theorem 3.1) or the scan of every
+    /// group whose bound reaches `δ` (range). `workers <= 1` is the plain
+    /// sequential loop; more run the speculate + deterministic-replay
+    /// engine (`par.rs`), bit-for-bit identical in hits *and* stats.
+    pub fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
+        let mut stats = SearchStats::default();
+        if q.is_vacuous(self.db.is_empty()) {
+            return query::settle(None, Gathered::NOTHING, stats, q.on_expiry, 0);
+        }
+        // Sort an unsorted query once; the filter kernels and the verify
+        // merges both assume sorted tokens.
+        let tokens = &*normalize_query(q.tokens);
+        match q.mask {
+            None => self.group_upper_bounds_sorted(tokens, &mut stats, scratch),
+            Some(cand) => {
+                self.group_upper_bounds_sorted_restricted(tokens, cand, &mut stats, scratch)
+            }
+        }
+        let n_considered = q.n_considered(self.tgm.n_groups());
+        if let stopped @ Some(_) = q.ctl.interrupted() {
+            return query::settle(stopped, Gathered::NOTHING, stats, q.on_expiry, n_considered);
+        }
+        let workers = par::resolve_workers(q.workers, n_considered);
+        let groups = FlatGroups {
+            index: self,
+            bounds: &scratch.bounds,
+            query: tokens,
+            q_len: distinct_len(tokens),
+            filter: q.mask.map(|cand| &cand.sets),
+        };
+        let (stopped, gathered) = match q.kind {
+            Kind::Knn(k) => {
+                Gathered::heap(par::knn_descend(&groups, k, workers, &mut stats, &q.ctl))
+            }
+            Kind::Range(delta) => Gathered::list(|hits| {
+                par::range_scan(&groups, delta, workers, hits, &mut stats, &q.ctl)
+            }),
+        };
+        query::settle(stopped, gathered, stats, q.on_expiry, n_considered)
+    }
+
+    /// Exact kNN search (Definition 2.1).
     pub fn knn(&self, query: &[TokenId], k: usize) -> SearchResult {
         self.knn_with(query, k, &mut QueryScratch::new())
     }
@@ -284,40 +331,11 @@ impl<S: Similarity> Les3Index<S> {
         k: usize,
         scratch: &mut QueryScratch,
     ) -> SearchResult {
-        self.knn_ctl(query, k, scratch, &QueryCtl::NONE)
-            .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
+        query::uninterrupted(self.search(&Query::knn(query, k), scratch))
     }
 
-    /// [`Les3Index::knn_with`] under cooperative interruption: the query
-    /// polls `ctl` between the filter pass and verification, then at
-    /// every group boundary, and stops with the partial
-    /// [`SearchStats`] when the deadline passes or the cancellation
-    /// token fires. With [`QueryCtl::NONE`] this is exactly `knn_with`
-    /// (the polls are free and can never fire).
-    ///
-    /// Worker count is chosen automatically (sequential below a group
-    /// count worth fanning out); [`Les3Index::knn_ctl_on`] pins it.
-    pub fn knn_ctl(
-        &self,
-        query: &[TokenId],
-        k: usize,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.knn_ctl_on(
-            par::auto_intra_workers(self.tgm.n_groups()),
-            query,
-            k,
-            scratch,
-            ctl,
-        )
-    }
-
-    /// Exact kNN with an explicit intra-query worker count: `workers <=
-    /// 1` runs the plain sequential descent; more run the speculate +
-    /// deterministic-replay engine (`par.rs` module docs), whose
-    /// result — hits *and* stats — is bit-for-bit that of the
-    /// sequential path at any worker count.
+    /// Exact kNN under cooperative interruption with a pinned
+    /// intra-query worker count (`0` counts as `1`).
     pub fn knn_ctl_on(
         &self,
         workers: usize,
@@ -326,53 +344,12 @@ impl<S: Similarity> Les3Index<S> {
         scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
-        let mut stats = SearchStats::default();
-        if k == 0 || self.db.is_empty() {
-            return Ok(SearchResult {
-                hits: Vec::new(),
-                stats,
-            });
-        }
-        // Sort an unsorted query once; the filter kernels and the verify
-        // merges both assume sorted tokens.
-        let query = &*normalize_query(query);
-        self.group_upper_bounds_sorted(query, &mut stats, scratch);
-        // The one check that matters most: phase A (filter) is cheap,
-        // verification is where the CPU goes — an expired or cancelled
-        // query must not start it.
-        if let Some(reason) = ctl.interrupted() {
-            return Err(Interrupted { reason, stats });
-        }
-        let groups = FlatGroups {
-            index: self,
-            bounds: &scratch.bounds,
-            query,
-            q_len: distinct_len(query),
-            filter: None,
-        };
-        match par::knn_descend(&groups, k, workers, &mut stats, ctl) {
-            Ok(top) => Ok(SearchResult {
-                hits: top.into_sorted(),
-                stats,
-            }),
-            Err((reason, _)) => Err(Interrupted { reason, stats }),
-        }
+        self.search(&Query::knn(query, k).pinned(workers, ctl), scratch)
+            .map(|(result, _)| result)
     }
 
-    /// [`Les3Index::knn`] with a pinned intra-query worker count (the
-    /// equivalence tests and benches sweep this).
-    pub fn knn_par(&self, query: &[TokenId], k: usize, workers: usize) -> SearchResult {
-        self.knn_ctl_on(workers, query, k, &mut QueryScratch::new(), &QueryCtl::NONE)
-            .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-    }
-
-    /// Exact kNN over the matching subset of a filtered query: the k
-    /// most similar sets among those `cand` marks as matching. Same
-    /// verification machinery as [`Les3Index::knn_ctl_on`] — only the
-    /// candidate groups of the restricted phase A are descended, and
-    /// non-matching members are skipped inside the (unchanged) windows —
-    /// so hits *and* stats are bit-for-bit stable across worker counts
-    /// and sharding.
+    /// [`Les3Index::knn_ctl_on`] over the matching subset of a filtered
+    /// query: the k most similar sets among those `cand` admits.
     pub fn knn_filtered_ctl_on(
         &self,
         workers: usize,
@@ -382,70 +359,25 @@ impl<S: Similarity> Les3Index<S> {
         scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
-        let mut stats = SearchStats::default();
-        if k == 0 || self.db.is_empty() || cand.groups.is_empty() {
-            return Ok(SearchResult {
-                hits: Vec::new(),
-                stats,
-            });
-        }
-        let query = &*normalize_query(query);
-        self.group_upper_bounds_sorted_restricted(query, cand, &mut stats, scratch);
-        if let Some(reason) = ctl.interrupted() {
-            return Err(Interrupted { reason, stats });
-        }
-        let groups = FlatGroups {
-            index: self,
-            bounds: &scratch.bounds,
-            query,
-            q_len: distinct_len(query),
-            filter: Some(&cand.sets),
+        let q = Query {
+            mask: Some(cand),
+            ..Query::knn(query, k).pinned(workers, ctl)
         };
-        match par::knn_descend(&groups, k, workers, &mut stats, ctl) {
-            Ok(top) => Ok(SearchResult {
-                hits: top.into_sorted(),
-                stats,
-            }),
-            Err((reason, _)) => Err(Interrupted { reason, stats }),
-        }
+        self.search(&q, scratch).map(|(result, _)| result)
     }
 
-    /// Allocating convenience around [`Les3Index::knn_filtered_ctl_on`]
-    /// with automatic worker choice.
-    pub fn knn_filtered(
+    /// kNN under an [`ApproxPolicy`]: [`ServeBackend::search_approx`]
+    /// taking its [`Query`] as an argument list.
+    pub fn knn_approx_ctl_on(
         &self,
-        query: &[TokenId],
-        k: usize,
-        cand: &FilterCandidates,
-    ) -> SearchResult {
-        self.knn_filtered_ctl_on(
-            par::auto_intra_workers(cand.groups.len()),
-            query,
-            k,
-            cand,
-            &mut QueryScratch::new(),
-            &QueryCtl::NONE,
-        )
-        .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-    }
-
-    /// [`Les3Index::knn_filtered`] with a pinned worker count.
-    pub fn knn_filtered_par(
-        &self,
-        query: &[TokenId],
-        k: usize,
-        cand: &FilterCandidates,
         workers: usize,
-    ) -> SearchResult {
-        self.knn_filtered_ctl_on(
-            workers,
-            query,
-            k,
-            cand,
-            &mut QueryScratch::new(),
-            &QueryCtl::NONE,
-        )
-        .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
+        query: &[TokenId],
+        k: usize,
+        policy: ApproxPolicy,
+        scratch: &mut QueryScratch,
+        ctl: &QueryCtl<'_>,
+    ) -> SearchOutcome {
+        self.search_approx(&Query::knn(query, k).pinned(workers, ctl), policy, scratch)
     }
 
     /// Exact range search (Definition 2.2): all sets with
@@ -461,34 +393,11 @@ impl<S: Similarity> Les3Index<S> {
         delta: f64,
         scratch: &mut QueryScratch,
     ) -> SearchResult {
-        self.range_ctl(query, delta, scratch, &QueryCtl::NONE)
-            .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
+        query::uninterrupted(self.search(&Query::range(query, delta), scratch))
     }
 
-    /// [`Les3Index::range_with`] under cooperative interruption; see
-    /// [`Les3Index::knn_ctl`] for the polling points. Worker count is
-    /// chosen automatically; [`Les3Index::range_ctl_on`] pins it.
-    pub fn range_ctl(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.range_ctl_on(
-            par::auto_intra_workers(self.tgm.n_groups()),
-            query,
-            delta,
-            scratch,
-            ctl,
-        )
-    }
-
-    /// Exact range search with an explicit intra-query worker count.
-    /// Range verification is order-independent (fixed threshold `δ`,
-    /// hits canonically sorted at the end), so workers simply split the
-    /// surviving prefix of the bound stream — bit-for-bit identical to
-    /// the sequential path at any worker count.
+    /// Exact range search under cooperative interruption with a pinned
+    /// intra-query worker count (`0` counts as `1`).
     pub fn range_ctl_on(
         &self,
         workers: usize,
@@ -497,329 +406,8 @@ impl<S: Similarity> Les3Index<S> {
         scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
-        let mut stats = SearchStats::default();
-        let query = &*normalize_query(query);
-        self.group_upper_bounds_sorted(query, &mut stats, scratch);
-        if let Some(reason) = ctl.interrupted() {
-            return Err(Interrupted { reason, stats });
-        }
-        let groups = FlatGroups {
-            index: self,
-            bounds: &scratch.bounds,
-            query,
-            q_len: distinct_len(query),
-            filter: None,
-        };
-        let mut hits: Vec<(SetId, f64)> = Vec::new();
-        if let Err(reason) = par::range_scan(&groups, delta, workers, &mut hits, &mut stats, ctl) {
-            return Err(Interrupted { reason, stats });
-        }
-        sort_hits(&mut hits);
-        Ok(SearchResult { hits, stats })
-    }
-
-    /// [`Les3Index::range`] with a pinned intra-query worker count.
-    pub fn range_par(&self, query: &[TokenId], delta: f64, workers: usize) -> SearchResult {
-        self.range_ctl_on(
-            workers,
-            query,
-            delta,
-            &mut QueryScratch::new(),
-            &QueryCtl::NONE,
-        )
-        .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-    }
-
-    /// Exact range search over the matching subset of a filtered query;
-    /// see [`Les3Index::knn_filtered_ctl_on`] for the mechanics.
-    pub fn range_filtered_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        cand: &FilterCandidates,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        let mut stats = SearchStats::default();
-        if cand.groups.is_empty() {
-            return Ok(SearchResult {
-                hits: Vec::new(),
-                stats,
-            });
-        }
-        let query = &*normalize_query(query);
-        self.group_upper_bounds_sorted_restricted(query, cand, &mut stats, scratch);
-        if let Some(reason) = ctl.interrupted() {
-            return Err(Interrupted { reason, stats });
-        }
-        let groups = FlatGroups {
-            index: self,
-            bounds: &scratch.bounds,
-            query,
-            q_len: distinct_len(query),
-            filter: Some(&cand.sets),
-        };
-        let mut hits: Vec<(SetId, f64)> = Vec::new();
-        if let Err(reason) = par::range_scan(&groups, delta, workers, &mut hits, &mut stats, ctl) {
-            return Err(Interrupted { reason, stats });
-        }
-        sort_hits(&mut hits);
-        Ok(SearchResult { hits, stats })
-    }
-
-    /// Allocating convenience around
-    /// [`Les3Index::range_filtered_ctl_on`] with automatic worker
-    /// choice.
-    pub fn range_filtered(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        cand: &FilterCandidates,
-    ) -> SearchResult {
-        self.range_filtered_ctl_on(
-            par::auto_intra_workers(cand.groups.len()),
-            query,
-            delta,
-            cand,
-            &mut QueryScratch::new(),
-            &QueryCtl::NONE,
-        )
-        .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-    }
-
-    /// [`Les3Index::range_filtered`] with a pinned worker count.
-    pub fn range_filtered_par(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        cand: &FilterCandidates,
-        workers: usize,
-    ) -> SearchResult {
-        self.range_filtered_ctl_on(
-            workers,
-            query,
-            delta,
-            cand,
-            &mut QueryScratch::new(),
-            &QueryCtl::NONE,
-        )
-        .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-    }
-
-    /// kNN under an [`ApproxPolicy`]: dispatches to the exact engine,
-    /// the MinHash prefilter, or the anytime descent, and reports the
-    /// approximation verdict alongside the result.
-    ///
-    /// * [`ApproxPolicy::Exact`] is byte-for-byte
-    ///   [`Les3Index::knn_ctl_on`] (hits *and* stats).
-    /// * [`ApproxPolicy::Prefilter`] turns the LSH candidates into a
-    ///   [`FilterCandidates`] mask intersected before phase A — the
-    ///   same composition point as attribute filters — then re-verifies
-    ///   survivors exactly through
-    ///   [`Les3Index::knn_filtered_ctl_on`]. A saturated candidate set
-    ///   (every set collides, e.g. `rows == 0`) and a missing sidecar
-    ///   both route through the *unfiltered* exact path, so those
-    ///   configurations stay bit-for-bit identical to `knn_ctl_on`.
-    /// * [`ApproxPolicy::Anytime`] is [`Les3Index::knn_anytime_ctl_on`].
-    pub fn knn_approx_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        policy: ApproxPolicy,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        match policy {
-            ApproxPolicy::Exact => self
-                .knn_ctl_on(workers, query, k, scratch, ctl)
-                .map(|r| (r, ApproxInfo::EXACT)),
-            ApproxPolicy::Anytime => self.knn_anytime_ctl_on(workers, query, k, scratch, ctl),
-            ApproxPolicy::Prefilter { bands, rows } => approx::run_prefiltered(
-                self.approx.as_ref(),
-                &self.partitioning,
-                query,
-                (bands, rows),
-                scratch,
-                |scratch| &mut scratch.prefilter,
-                |cand, scratch| match cand {
-                    Some(cand) => self.knn_filtered_ctl_on(workers, query, k, cand, scratch, ctl),
-                    None => self.knn_ctl_on(workers, query, k, scratch, ctl),
-                },
-            ),
-        }
-    }
-
-    /// Range search under an [`ApproxPolicy`]; the range twin of
-    /// [`Les3Index::knn_approx_ctl_on`].
-    pub fn range_approx_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        policy: ApproxPolicy,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        match policy {
-            ApproxPolicy::Exact => self
-                .range_ctl_on(workers, query, delta, scratch, ctl)
-                .map(|r| (r, ApproxInfo::EXACT)),
-            ApproxPolicy::Anytime => self.range_anytime_ctl_on(workers, query, delta, scratch, ctl),
-            ApproxPolicy::Prefilter { bands, rows } => approx::run_prefiltered(
-                self.approx.as_ref(),
-                &self.partitioning,
-                query,
-                (bands, rows),
-                scratch,
-                |scratch| &mut scratch.prefilter,
-                |cand, scratch| match cand {
-                    Some(cand) => {
-                        self.range_filtered_ctl_on(workers, query, delta, cand, scratch, ctl)
-                    }
-                    None => self.range_ctl_on(workers, query, delta, scratch, ctl),
-                },
-            ),
-        }
-    }
-
-    /// Anytime kNN: runs the exact descent, but when the deadline
-    /// expires mid-flight it **commits** the partial top-k gathered so
-    /// far — every hit carries its exact similarity; only completeness
-    /// is traded — with a coverage-based recall estimate, instead of
-    /// failing. Completing before the deadline yields the exact answer
-    /// (`approx: false`, estimate 1). Cancellation still interrupts:
-    /// a cancelled caller wants no answer at all.
-    pub fn knn_anytime_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let mut stats = SearchStats::default();
-        if k == 0 || self.db.is_empty() {
-            return Ok((
-                SearchResult {
-                    hits: Vec::new(),
-                    stats,
-                },
-                ApproxInfo::EXACT,
-            ));
-        }
-        let query = &*normalize_query(query);
-        self.group_upper_bounds_sorted(query, &mut stats, scratch);
-        if let Some(reason) = ctl.interrupted() {
-            return anytime_phase_a_interrupt(reason, stats);
-        }
-        let n_considered = scratch.bounds.len();
-        let groups = FlatGroups {
-            index: self,
-            bounds: &scratch.bounds,
-            query,
-            q_len: distinct_len(query),
-            filter: None,
-        };
-        match par::knn_descend(&groups, k, workers, &mut stats, ctl) {
-            Ok(top) => Ok((
-                SearchResult {
-                    hits: top.into_sorted(),
-                    stats,
-                },
-                ApproxInfo::EXACT,
-            )),
-            Err((InterruptReason::Cancelled, _)) => Err(Interrupted {
-                reason: InterruptReason::Cancelled,
-                stats,
-            }),
-            Err((InterruptReason::Expired, top)) => {
-                let recall_est = crate::approx::coverage(&stats, n_considered);
-                Ok((
-                    SearchResult {
-                        hits: top.into_sorted(),
-                        stats,
-                    },
-                    ApproxInfo {
-                        approx: true,
-                        recall_est,
-                    },
-                ))
-            }
-        }
-    }
-
-    /// Anytime range search: the hits gathered before the deadline are
-    /// all true hits (`sim ≥ δ`, exact similarities), so expiry commits
-    /// them with a coverage estimate. See
-    /// [`Les3Index::knn_anytime_ctl_on`].
-    pub fn range_anytime_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let mut stats = SearchStats::default();
-        let query = &*normalize_query(query);
-        self.group_upper_bounds_sorted(query, &mut stats, scratch);
-        if let Some(reason) = ctl.interrupted() {
-            return anytime_phase_a_interrupt(reason, stats);
-        }
-        let n_considered = scratch.bounds.len();
-        let groups = FlatGroups {
-            index: self,
-            bounds: &scratch.bounds,
-            query,
-            q_len: distinct_len(query),
-            filter: None,
-        };
-        let mut hits: Vec<(SetId, f64)> = Vec::new();
-        match par::range_scan(&groups, delta, workers, &mut hits, &mut stats, ctl) {
-            Ok(()) => {
-                sort_hits(&mut hits);
-                Ok((SearchResult { hits, stats }, ApproxInfo::EXACT))
-            }
-            Err(InterruptReason::Cancelled) => Err(Interrupted {
-                reason: InterruptReason::Cancelled,
-                stats,
-            }),
-            Err(InterruptReason::Expired) => {
-                sort_hits(&mut hits);
-                let recall_est = crate::approx::coverage(&stats, n_considered);
-                Ok((
-                    SearchResult { hits, stats },
-                    ApproxInfo {
-                        approx: true,
-                        recall_est,
-                    },
-                ))
-            }
-        }
-    }
-}
-
-/// The anytime tier's phase-A interruption rule, shared by the flat and
-/// sharded engines: expiry before any verification commits an empty
-/// partial answer (coverage 0); cancellation interrupts outright.
-pub(crate) fn anytime_phase_a_interrupt(
-    reason: InterruptReason,
-    stats: SearchStats,
-) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-    match reason {
-        InterruptReason::Cancelled => Err(Interrupted { reason, stats }),
-        InterruptReason::Expired => Ok((
-            SearchResult {
-                hits: Vec::new(),
-                stats,
-            },
-            ApproxInfo {
-                approx: true,
-                recall_est: 0.0,
-            },
-        )),
+        self.search(&Query::range(query, delta).pinned(workers, ctl), scratch)
+            .map(|(result, _)| result)
     }
 }
 

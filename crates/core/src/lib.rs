@@ -13,6 +13,14 @@
 //!
 //! Entry points:
 //!
+//! * [`Query`] — the one query descriptor: [`Kind`] (`Knn(k)` or
+//!   `Range(δ)`), an optional candidate `mask` (attribute filter or LSH
+//!   prefilter), `workers` (0 = auto), `ctl` (deadline / cancellation)
+//!   and [`OnExpiry`] (`Fail`, or `Commit` the partial answer). Each
+//!   engine runs it through exactly one body, `search`
+//!   ([`Les3Index::search`], [`ShardedLes3Index::search`]); `knn`,
+//!   `range` and the other named methods are single expressions over
+//!   it;
 //! * [`Les3Index`] — memory-resident index over a
 //!   [`SetDatabase`](les3_data::SetDatabase) and a [`Partitioning`];
 //! * [`ShardedLes3Index`] — the group axis split across N shards, each
@@ -70,6 +78,16 @@
 //! let index = Les3Index::build(db, part, Jaccard);
 //! let res = index.knn(&[0, 1, 2], 2);
 //! assert_eq!(res.hits[0].0, 0); // exact match first
+//!
+//! // The same search spelled out: `knn` is `search` with the defaults.
+//! use les3_core::{ApproxInfo, Query, QueryScratch};
+//! let query = Query::knn(&[0, 1, 2], 2);
+//! let (same, info) = index.search(&query, &mut QueryScratch::new()).unwrap();
+//! assert_eq!((same, info), (res, ApproxInfo::EXACT));
+//! // Every axis is a field: range instead of kNN, two verify workers.
+//! let range = Query { workers: 2, ..Query::range(&[0, 1, 2], 0.5) };
+//! let (close, _) = index.search(&range, &mut QueryScratch::new()).unwrap();
+//! assert_eq!(close, index.range(&[0, 1, 2], 0.5));
 //! ```
 
 pub mod approx;
@@ -84,6 +102,7 @@ pub mod namespace;
 pub(crate) mod par;
 pub mod partitioning;
 pub mod persist;
+pub mod query;
 pub mod scratch;
 pub mod serve;
 pub mod shard;
@@ -115,6 +134,7 @@ pub use metadata::{Filter, FilterCandidates, Filters, MetaError, MetadataIndex};
 pub use namespace::{Namespace, NamespaceError, NamespaceInfo, NamespaceSpec, Namespaces};
 pub use partitioning::Partitioning;
 pub use persist::{DurableIndex, DurableOptions, FsyncPolicy, PersistError, PersistentBackend};
+pub use query::{Kind, OnExpiry, Query, SearchOutcome};
 pub use scratch::{QueryScratch, ShardedScratch, WorkerScratch};
 pub use serve::{
     OnFull, ServeBackend, ServeConfig, ServeError, ServeFront, ServeResult, SubmitOpts, Ticket,

@@ -12,10 +12,11 @@
 //! finish cleanly on the detached index.
 //!
 //! Filtered queries resolve the [`Filters`] predicate to a
-//! [`FilterCandidates`] mask once, then reuse the engine's filtered
-//! entry points, so hits *and* [`SearchStats`] are
-//! bit-for-bit identical across flat/sharded engines and worker counts
-//! (`tests/filtered_equivalence.rs` pins this).
+//! [`FilterCandidates`](crate::FilterCandidates) mask once and hand it
+//! to the engine's `search` as the [`Query`]'s `mask`, so hits *and*
+//! [`SearchStats`] are bit-for-bit identical across flat/sharded
+//! engines and worker counts (`tests/filtered_equivalence.rs` pins
+//! this).
 //!
 //! ```
 //! use les3_core::namespace::{NamespaceSpec, Namespaces};
@@ -52,17 +53,16 @@ use crate::sync::{Arc, Mutex};
 
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use crate::approx::{ApproxInfo, ApproxPolicy};
+use crate::approx::ApproxPolicy;
 use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::delete::DeletionLog;
 use crate::index::{Les3Index, SearchResult};
-use crate::metadata::{
-    FilterCandidates, Filters, MetaError, MetadataIndex, MAX_ATTRS_PER_SET, MAX_ATTR_STR,
-};
+use crate::metadata::{Filters, MetaError, MetadataIndex, MAX_ATTRS_PER_SET, MAX_ATTR_STR};
 use crate::partitioning::Partitioning;
-use crate::persist::{self, DurableIndex, PersistError, PersistentBackend};
-use crate::scratch::WorkerScratch;
+use crate::persist::{self, DurableIndex, PersistError};
+use crate::query::{Kind, Query, SearchOutcome};
+use crate::serve::ServeBackend;
 use crate::shard::{ShardPolicy, ShardedLes3Index};
 use crate::sim::{Cosine, Dice, Jaccard, OverlapCoefficient, Similarity};
 use crate::stats::SearchStats;
@@ -188,184 +188,10 @@ fn validate_name(name: &str) -> Result<(), NamespaceError> {
     Ok(())
 }
 
-/// The engine shapes a namespace can wrap: both index variants over any
-/// measure. Everything kind-specific (filtered/unfiltered dispatch, the
-/// scratch type) lives here; `NsIndex` holds the shared bookkeeping.
-trait NsEngine: PersistentBackend + Send + Sync + 'static {
-    type Scratch: WorkerScratch;
-
-    #[allow(clippy::too_many_arguments)]
-    fn ns_knn(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        mode: ApproxPolicy,
-        cand: Option<&FilterCandidates>,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted>;
-
-    #[allow(clippy::too_many_arguments)]
-    fn ns_range(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        mode: ApproxPolicy,
-        cand: Option<&FilterCandidates>,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted>;
-}
-
-/// Finishes an attribute-filtered namespace query, which runs the exact
-/// restricted engine whatever the mode: namespace engines build no
-/// MinHash sidecar ([`ApproxPolicy::Prefilter`] falls back to exact, as
-/// it does on any sidecar-less index), and the restricted descent keeps
-/// no committable partial heap — so a filtered *anytime* query that
-/// expires degrades to an **empty committed answer** (recall estimate
-/// 0, partial work still in the stats) instead of an error, preserving
-/// the anytime never-expires contract.
-fn finish_filtered(
-    out: Result<SearchResult, Interrupted>,
-    mode: ApproxPolicy,
-) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-    match out {
-        Ok(res) => Ok((res, ApproxInfo::EXACT)),
-        Err(i) if mode.is_anytime() && i.reason == InterruptReason::Expired => Ok((
-            SearchResult {
-                hits: Vec::new(),
-                stats: i.stats,
-            },
-            ApproxInfo {
-                approx: true,
-                recall_est: 0.0,
-            },
-        )),
-        Err(i) => Err(i),
-    }
-}
-
-/// Resolves the auto worker count (`0`) against the groups a query will
-/// actually descend: the candidate groups when filtered, all groups
-/// otherwise.
-fn resolve_workers(workers: usize, n_groups: usize, cand: Option<&FilterCandidates>) -> usize {
-    if workers > 0 {
-        workers
-    } else {
-        crate::par::auto_intra_workers(cand.map_or(n_groups, FilterCandidates::n_groups))
-    }
-}
-
-impl<S: Similarity> NsEngine for Les3Index<S> {
-    type Scratch = crate::QueryScratch;
-
-    fn ns_knn(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        mode: ApproxPolicy,
-        cand: Option<&FilterCandidates>,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let w = resolve_workers(workers, self.partitioning().n_groups(), cand);
-        match cand {
-            None => self.knn_approx_ctl_on(w, query, k, mode, scratch, ctl),
-            Some(c) => {
-                finish_filtered(self.knn_filtered_ctl_on(w, query, k, c, scratch, ctl), mode)
-            }
-        }
-    }
-
-    fn ns_range(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        mode: ApproxPolicy,
-        cand: Option<&FilterCandidates>,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let w = resolve_workers(workers, self.partitioning().n_groups(), cand);
-        match cand {
-            None => self.range_approx_ctl_on(w, query, delta, mode, scratch, ctl),
-            Some(c) => finish_filtered(
-                self.range_filtered_ctl_on(w, query, delta, c, scratch, ctl),
-                mode,
-            ),
-        }
-    }
-}
-
-impl<S: Similarity> NsEngine for ShardedLes3Index<S> {
-    type Scratch = crate::ShardedScratch;
-
-    fn ns_knn(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        mode: ApproxPolicy,
-        cand: Option<&FilterCandidates>,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let w = resolve_workers(workers, self.partitioning().n_groups(), cand);
-        match cand {
-            None => self.knn_approx_ctl_on(w, query, k, mode, scratch, ctl),
-            Some(c) => {
-                finish_filtered(self.knn_filtered_ctl_on(w, query, k, c, scratch, ctl), mode)
-            }
-        }
-    }
-
-    fn ns_range(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        mode: ApproxPolicy,
-        cand: Option<&FilterCandidates>,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let w = resolve_workers(workers, self.partitioning().n_groups(), cand);
-        match cand {
-            None => self.range_approx_ctl_on(w, query, delta, mode, scratch, ctl),
-            Some(c) => finish_filtered(
-                self.range_filtered_ctl_on(w, query, delta, c, scratch, ctl),
-                mode,
-            ),
-        }
-    }
-}
-
 /// What the registry stores per namespace, behind a trait object so one
 /// map can hold flat and sharded engines over any measure.
 trait NsBackend: Send + Sync {
-    fn knn(
-        &self,
-        query: &[TokenId],
-        k: usize,
-        filters: &Filters,
-        mode: ApproxPolicy,
-        workers: usize,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted>;
-
-    fn range(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        filters: &Filters,
-        mode: ApproxPolicy,
-        workers: usize,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted>;
+    fn search(&self, q: &Query<'_>, filters: &Filters, mode: ApproxPolicy) -> SearchOutcome;
 
     fn insert(&mut self, tokens: &mut [TokenId], attrs: &[(String, String)]) -> (SetId, u32);
     fn delete(&mut self, id: SetId) -> bool;
@@ -376,14 +202,14 @@ trait NsBackend: Send + Sync {
 
 /// One namespace's state: engine + metadata + tombstones + a scratch
 /// pool so concurrent read-locked queries never share working memory.
-struct NsIndex<E: NsEngine> {
+struct NsIndex<E: ServeBackend> {
     engine: E,
     meta: MetadataIndex,
     deletes: DeletionLog,
     scratch: Mutex<Vec<E::Scratch>>,
 }
 
-impl<E: NsEngine> NsIndex<E> {
+impl<E: ServeBackend> NsIndex<E> {
     fn new(engine: E, meta: MetadataIndex) -> Self {
         let deletes = DeletionLog::build_with_tombstones(engine.db(), engine.partitioning(), &[]);
         Self::from_parts(engine, meta, deletes)
@@ -408,63 +234,29 @@ impl<E: NsEngine> NsIndex<E> {
     }
 }
 
-impl<E: NsEngine> NsBackend for NsIndex<E> {
-    fn knn(
-        &self,
-        query: &[TokenId],
-        k: usize,
-        filters: &Filters,
-        mode: ApproxPolicy,
-        workers: usize,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
+impl<E: ServeBackend> NsBackend for NsIndex<E> {
+    fn search(&self, q: &Query<'_>, filters: &Filters, mode: ApproxPolicy) -> SearchOutcome {
         let cand = self.meta.candidates(filters, self.engine.partitioning());
-        // Over-fetch past every tombstone: at most `deleted` hits can be
-        // filtered out below, so `k + deleted` guarantees k live answers
-        // whenever they exist. Partial (anytime) results pass through
-        // the same tombstone filter and truncation.
+        // kNN over-fetches past every tombstone: at most `deleted` hits
+        // can be filtered out below, so `k + deleted` guarantees k live
+        // answers whenever they exist. Partial (anytime) results pass
+        // through the same tombstone filter and truncation.
         let deleted = self.engine.db().len() - self.deletes.live_count();
-        let fetch = k.saturating_add(deleted);
+        let kind = match q.kind {
+            Kind::Knn(k) => Kind::Knn(k.saturating_add(deleted)),
+            range => range,
+        };
+        let mask = cand.as_ref();
         let mut scratch = self.take_scratch();
-        let out = self.engine.ns_knn(
-            workers,
-            query,
-            fetch,
-            mode,
-            cand.as_ref(),
-            &mut scratch,
-            ctl,
-        );
+        let out = self
+            .engine
+            .search_approx(&Query { kind, mask, ..*q }, mode, &mut scratch);
         self.put_scratch(scratch);
         let (mut res, info) = out?;
         self.deletes.filter_hits(&mut res.hits);
-        res.hits.truncate(k);
-        Ok((res, info))
-    }
-
-    fn range(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        filters: &Filters,
-        mode: ApproxPolicy,
-        workers: usize,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let cand = self.meta.candidates(filters, self.engine.partitioning());
-        let mut scratch = self.take_scratch();
-        let out = self.engine.ns_range(
-            workers,
-            query,
-            delta,
-            mode,
-            cand.as_ref(),
-            &mut scratch,
-            ctl,
-        );
-        self.put_scratch(scratch);
-        let (mut res, info) = out?;
-        self.deletes.filter_hits(&mut res.hits);
+        if let Kind::Knn(k) = q.kind {
+            res.hits.truncate(k);
+        }
         Ok((res, info))
     }
 
@@ -536,7 +328,12 @@ impl Namespace {
         workers: usize,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
-        self.knn_approx(query, k, filters, ApproxPolicy::Exact, workers, ctl)
+        let q = Query {
+            workers,
+            ctl: *ctl,
+            ..Query::knn(query, k)
+        };
+        self.search(&q, filters, ApproxPolicy::Exact)
             .map(|(res, _)| res)
     }
 
@@ -549,88 +346,49 @@ impl Namespace {
         workers: usize,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
-        self.range_approx(query, delta, filters, ApproxPolicy::Exact, workers, ctl)
+        let q = Query {
+            workers,
+            ctl: *ctl,
+            ..Query::range(query, delta)
+        };
+        self.search(&q, filters, ApproxPolicy::Exact)
             .map(|(res, _)| res)
     }
 
-    /// kNN under an [`ApproxPolicy`]. [`ApproxPolicy::Exact`] is
-    /// [`Namespace::knn`]; [`ApproxPolicy::Prefilter`] falls back to
-    /// exact (namespace engines build no MinHash sidecar);
-    /// [`ApproxPolicy::Anytime`] commits the partial top-k on deadline
-    /// expiry — still tombstone-filtered and truncated to `k` — with a
-    /// coverage-based recall estimate. Committed anytime answers count
-    /// as served queries in the namespace aggregate, not as `expired`.
-    pub fn knn_approx(
-        &self,
-        query: &[TokenId],
-        k: usize,
-        filters: &Filters,
-        mode: ApproxPolicy,
-        workers: usize,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let out = self.read_inner().knn(query, k, filters, mode, workers, ctl);
-        self.note_approx(&out);
-        out
-    }
-
-    /// Range search under an [`ApproxPolicy`]; semantics as for
-    /// [`Namespace::knn_approx`].
-    pub fn range_approx(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        filters: &Filters,
-        mode: ApproxPolicy,
-        workers: usize,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let out = self
-            .read_inner()
-            .range(query, delta, filters, mode, workers, ctl);
-        self.note_approx(&out);
-        out
-    }
-
-    /// Folds an interruption that never reached this namespace's engine
-    /// (a request dead on arrival at its worker) into the aggregate, so
-    /// the global stats identity — front total = default route + Σ
-    /// namespaces — also covers rejections.
-    pub(crate) fn note_interrupted(&self, interrupted: &Interrupted) {
-        self.note(&Err(Interrupted {
-            reason: interrupted.reason,
-            stats: interrupted.stats,
-        }));
-    }
-
-    fn note(&self, out: &Result<SearchResult, Interrupted>) {
-        let mut agg = lock_unpoisoned(&self.agg);
-        match out {
-            Ok(res) => agg.accumulate(&res.stats),
-            Err(interrupted) => {
-                agg.accumulate(&interrupted.stats);
-                match interrupted.reason {
-                    InterruptReason::Expired => agg.expired += 1,
-                    InterruptReason::Cancelled => agg.cancelled += 1,
-                }
-            }
+    /// Runs `q` over the sets `filters` admits (all of them when empty)
+    /// under an [`ApproxPolicy`]. The mask is the filters': `q.mask`
+    /// speaks an engine's ids, which a namespace does not expose, and is
+    /// ignored. [`ApproxPolicy::Prefilter`] falls back to exact
+    /// (namespace engines build no MinHash sidecar);
+    /// [`ApproxPolicy::Anytime`] commits the partial answer on deadline
+    /// expiry — filtered or not, still tombstone-filtered and truncated
+    /// to `k` — with a coverage-based recall estimate. Committed anytime
+    /// answers count as served queries in the namespace aggregate, not
+    /// as `expired`.
+    pub fn search(&self, q: &Query<'_>, filters: &Filters, mode: ApproxPolicy) -> SearchOutcome {
+        let out = self.read_inner().search(q, filters, mode);
+        match &out {
+            Ok((res, _)) => self.note(&res.stats, None),
+            Err(interrupted) => self.note_interrupted(interrupted),
         }
+        out
     }
 
-    /// [`Namespace::note`] for the approx-aware entry points: a
-    /// committed (possibly partial) answer counts as a served query,
-    /// never as `expired`.
-    fn note_approx(&self, out: &Result<(SearchResult, ApproxInfo), Interrupted>) {
+    /// Folds an interruption into the aggregate — also one that never
+    /// reached this namespace's engine (a request dead on arrival at its
+    /// worker), so the global stats identity — front total = default
+    /// route + Σ namespaces — covers rejections too.
+    pub(crate) fn note_interrupted(&self, interrupted: &Interrupted) {
+        self.note(&interrupted.stats, Some(interrupted.reason));
+    }
+
+    fn note(&self, stats: &SearchStats, interrupted: Option<InterruptReason>) {
         let mut agg = lock_unpoisoned(&self.agg);
-        match out {
-            Ok((res, _)) => agg.accumulate(&res.stats),
-            Err(interrupted) => {
-                agg.accumulate(&interrupted.stats);
-                match interrupted.reason {
-                    InterruptReason::Expired => agg.expired += 1,
-                    InterruptReason::Cancelled => agg.cancelled += 1,
-                }
-            }
+        agg.accumulate(stats);
+        match interrupted {
+            Some(InterruptReason::Expired) => agg.expired += 1,
+            Some(InterruptReason::Cancelled) => agg.cancelled += 1,
+            None => {}
         }
     }
 
@@ -758,7 +516,7 @@ fn load_backend(dir: &Path) -> Result<Box<dyn NsBackend>, NamespaceError> {
 
     fn open<B>(dir: &Path, sim: B::Sim) -> Result<Box<dyn NsBackend>, NamespaceError>
     where
-        B: PersistentBackend + NsEngine,
+        B: ServeBackend,
     {
         let (engine, deletes, meta) = DurableIndex::<B>::open(dir, sim)?.into_parts();
         Ok(Box::new(NsIndex::from_parts(engine, meta, deletes)))

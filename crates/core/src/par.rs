@@ -133,6 +133,17 @@ pub(crate) fn auto_intra_workers(n_groups: usize) -> usize {
         .max(1)
 }
 
+/// A [`Query`](crate::Query)'s worker count: the explicit one, or for
+/// `0` the auto policy over the groups the query considers (a mask's
+/// candidate groups, else all of them).
+pub(crate) fn resolve_workers(workers: usize, n_considered: usize) -> usize {
+    if workers > 0 {
+        workers
+    } else {
+        auto_intra_workers(n_considered)
+    }
+}
+
 /// Caps a serve-side idle-worker budget to what this index size can
 /// use. The explicit `ServeConfig::intra_workers` setting bypasses
 /// this; the `LES3_TEST_WORKERS` override wins over both.

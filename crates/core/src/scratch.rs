@@ -98,7 +98,20 @@ pub trait WorkerScratch: Default + Send + 'static {
     fn reset(&mut self) {
         *self = Self::default();
     }
+
+    /// Where a prefiltered query keeps its candidate mask.
+    #[doc(hidden)]
+    fn prefilter(&mut self) -> &mut PrefilterScratch;
 }
 
-impl WorkerScratch for QueryScratch {}
-impl WorkerScratch for ShardedScratch {}
+impl WorkerScratch for QueryScratch {
+    fn prefilter(&mut self) -> &mut PrefilterScratch {
+        &mut self.prefilter
+    }
+}
+
+impl WorkerScratch for ShardedScratch {
+    fn prefilter(&mut self) -> &mut PrefilterScratch {
+        &mut self.prefilter
+    }
+}

@@ -149,12 +149,14 @@ use std::time::{Duration, Instant};
 
 use les3_data::TokenId;
 
-use crate::approx::{ApproxInfo, ApproxPolicy};
+use crate::approx::{self, ApproxInfo, ApproxPolicy};
 use crate::batch::{lock_unpoisoned, PoolHandle, PoolJob, WorkerPool, TASK_QUERIES};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::index::{Les3Index, SearchResult};
 use crate::metadata::Filters;
 use crate::namespace::{Namespace, Namespaces};
+use crate::persist::PersistentBackend;
+use crate::query::{self, Kind, OnExpiry, Query, SearchOutcome};
 use crate::scratch::{QueryScratch, ShardedScratch, WorkerScratch};
 use crate::shard::ShardedLes3Index;
 use crate::sim::Similarity;
@@ -300,61 +302,16 @@ pub struct SubmitOpts {
 }
 
 /// An index the serving front can execute batches against: the two
-/// in-memory variants, each with its per-worker scratch type.
-pub trait ServeBackend: Send + Sync + 'static {
+/// in-memory engines, each with its per-worker scratch type.
+pub trait ServeBackend: PersistentBackend + Send + Sync + 'static {
     /// Per-worker working memory, owned by a pool worker for its whole
     /// lifetime and reused across every batch it executes.
     type Scratch: WorkerScratch;
 
-    /// Answers one kNN request under cooperative interruption with
-    /// `intra` intra-query workers (must equal the backend's public
-    /// `knn` bit for bit — stats included — whenever it completes, at
-    /// any worker count).
-    fn serve_knn_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        k: usize,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted>;
-
-    /// Answers one range request under cooperative interruption with
-    /// `intra` intra-query workers (must equal the backend's public
-    /// `range` bit for bit whenever it completes, at any worker count).
-    fn serve_range_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted>;
-
-    /// [`ServeBackend::serve_knn_ctl`] under an [`ApproxPolicy`]:
-    /// [`ApproxPolicy::Exact`] must be bit-for-bit `serve_knn_ctl`
-    /// (with [`ApproxInfo::EXACT`]); the other modes report their
-    /// approximation verdict alongside the result.
-    fn serve_approx_knn_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        k: usize,
-        mode: ApproxPolicy,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted>;
-
-    /// [`ServeBackend::serve_range_ctl`] under an [`ApproxPolicy`].
-    fn serve_approx_range_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        delta: f64,
-        mode: ApproxPolicy,
-        scratch: &mut Self::Scratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted>;
+    /// Runs one [`Query`]: the engine's `search`
+    /// ([`Les3Index::search`] / [`ShardedLes3Index::search`]), whose
+    /// answer — stats included — is the same at any worker count.
+    fn search(&self, q: &Query<'_>, scratch: &mut Self::Scratch) -> SearchOutcome;
 
     /// Largest useful intra-query worker count for this backend: the
     /// front clamps its *adaptive* split to this, so lone requests
@@ -364,73 +321,66 @@ pub trait ServeBackend: Send + Sync + 'static {
         1
     }
 
-    /// Uninterruptible sequential kNN (convenience over
-    /// [`QueryCtl::NONE`]).
-    fn serve_knn(&self, query: &[TokenId], k: usize, scratch: &mut Self::Scratch) -> SearchResult {
-        self.serve_knn_ctl(1, query, k, scratch, &QueryCtl::NONE)
-            .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
+    /// [`ServeBackend::search`] under an [`ApproxPolicy`] — the one
+    /// place a policy is turned into query fields, for both engines and
+    /// every route:
+    ///
+    /// * [`ApproxPolicy::Exact`] is `search`, bit for bit.
+    /// * [`ApproxPolicy::Anytime`] is `search` with
+    ///   [`OnExpiry::Commit`].
+    /// * [`ApproxPolicy::Prefilter`] scans the MinHash sidecar into the
+    ///   query's `mask` — the same composition point as attribute
+    ///   filters — and `search` re-verifies the survivors exactly. A
+    ///   saturated candidate set (every set collides, e.g. `rows == 0`)
+    ///   and a missing sidecar both run unmasked, so those
+    ///   configurations stay bit-for-bit exact; a mask the caller
+    ///   already supplied wins and the scan is skipped.
+    fn search_approx(
+        &self,
+        q: &Query<'_>,
+        policy: ApproxPolicy,
+        scratch: &mut Self::Scratch,
+    ) -> SearchOutcome {
+        match policy {
+            ApproxPolicy::Prefilter { bands, rows } if q.mask.is_none() => approx::run_prefiltered(
+                self.approx_sidecar(),
+                self.partitioning(),
+                q.tokens,
+                (bands, rows),
+                scratch,
+                |mask, scratch| self.search(&Query { mask, ..*q }, scratch),
+            ),
+            ApproxPolicy::Anytime => {
+                let on_expiry = OnExpiry::Commit;
+                self.search(&Query { on_expiry, ..*q }, scratch)
+            }
+            ApproxPolicy::Exact | ApproxPolicy::Prefilter { .. } => self.search(q, scratch),
+        }
     }
 
-    /// Uninterruptible sequential range search (convenience over
-    /// [`QueryCtl::NONE`]).
+    /// Uninterruptible sequential exact kNN.
+    fn serve_knn(&self, query: &[TokenId], k: usize, scratch: &mut Self::Scratch) -> SearchResult {
+        let q = Query::knn(query, k);
+        query::uninterrupted(self.search(&Query { workers: 1, ..q }, scratch))
+    }
+
+    /// Uninterruptible sequential exact range search.
     fn serve_range(
         &self,
         query: &[TokenId],
         delta: f64,
         scratch: &mut Self::Scratch,
     ) -> SearchResult {
-        self.serve_range_ctl(1, query, delta, scratch, &QueryCtl::NONE)
-            .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
+        let q = Query::range(query, delta);
+        query::uninterrupted(self.search(&Query { workers: 1, ..q }, scratch))
     }
 }
 
 impl<S: Similarity> ServeBackend for Les3Index<S> {
     type Scratch = QueryScratch;
 
-    fn serve_knn_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        k: usize,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.knn_ctl_on(intra, query, k, scratch, ctl)
-    }
-
-    fn serve_range_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.range_ctl_on(intra, query, delta, scratch, ctl)
-    }
-
-    fn serve_approx_knn_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        k: usize,
-        mode: ApproxPolicy,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        self.knn_approx_ctl_on(intra, query, k, mode, scratch, ctl)
-    }
-
-    fn serve_approx_range_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        delta: f64,
-        mode: ApproxPolicy,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        self.range_approx_ctl_on(intra, query, delta, mode, scratch, ctl)
+    fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
+        Les3Index::search(self, q, scratch)
     }
 
     fn intra_cap(&self) -> usize {
@@ -441,54 +391,12 @@ impl<S: Similarity> ServeBackend for Les3Index<S> {
 impl<S: Similarity> ServeBackend for ShardedLes3Index<S> {
     type Scratch = ShardedScratch;
 
-    fn serve_knn_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        k: usize,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.knn_ctl_on(intra, query, k, scratch, ctl)
-    }
-
-    fn serve_range_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.range_ctl_on(intra, query, delta, scratch, ctl)
-    }
-
-    fn serve_approx_knn_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        k: usize,
-        mode: ApproxPolicy,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        self.knn_approx_ctl_on(intra, query, k, mode, scratch, ctl)
-    }
-
-    fn serve_approx_range_ctl(
-        &self,
-        intra: usize,
-        query: &[TokenId],
-        delta: f64,
-        mode: ApproxPolicy,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        self.range_approx_ctl_on(intra, query, delta, mode, scratch, ctl)
+    fn search(&self, q: &Query<'_>, scratch: &mut ShardedScratch) -> SearchOutcome {
+        ShardedLes3Index::search(self, q, scratch)
     }
 
     fn intra_cap(&self) -> usize {
-        crate::par::serve_intra_cap(self.partitioning().n_groups())
+        crate::par::serve_intra_cap(ShardedLes3Index::partitioning(self).n_groups())
     }
 }
 
@@ -840,11 +748,6 @@ impl Drop for Ticket {
     }
 }
 
-enum QueryKind {
-    Knn(usize),
-    Range(f64),
-}
-
 /// Where a request executes: the front's own backend (the default
 /// route), or a named namespace resolved at submit time, carrying its
 /// decoded attribute filters.
@@ -855,7 +758,7 @@ enum Target {
 
 struct Request {
     query: Vec<TokenId>,
-    kind: QueryKind,
+    kind: Kind,
     target: Target,
     deadline: Option<Instant>,
     mode: ApproxPolicy,
@@ -898,25 +801,20 @@ impl<B: ServeBackend> BatchJob<B> {
                 return;
             }
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| match (&req.target, &req.kind) {
-            (Target::Backend, QueryKind::Knn(k)) => self
-                .backend
-                .serve_approx_knn_ctl(self.intra, &req.query, *k, req.mode, scratch, &ctl),
-            (Target::Backend, QueryKind::Range(delta)) => self
-                .backend
-                .serve_approx_range_ctl(self.intra, &req.query, *delta, req.mode, scratch, &ctl),
-            (Target::Ns(ns, filters), QueryKind::Knn(k)) => {
-                ns.knn_approx(&req.query, *k, filters, req.mode, self.intra, &ctl)
-            }
-            (Target::Ns(ns, filters), QueryKind::Range(delta)) => {
-                ns.range_approx(&req.query, *delta, filters, req.mode, self.intra, &ctl)
-            }
+        let q = Query {
+            workers: self.intra,
+            ctl,
+            ..Query::new(&req.query, req.kind)
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| match &req.target {
+            Target::Backend => self.backend.search_approx(&q, req.mode, scratch),
+            Target::Ns(ns, filters) => ns.search(&q, filters, req.mode),
         }));
         match outcome {
             Ok(Ok((result, info))) => {
                 // Namespace queries are accounted in their namespace's
-                // own aggregate (inside `Namespace::knn_approx`/
-                // `range_approx`); recording them here too would
+                // own aggregate (inside `Namespace::search`);
+                // recording them here too would
                 // double-count in the global sum `stats() = default
                 // route + Σ namespaces`. A deadline-committed anytime
                 // answer lands here as a served query, not `expired`.
@@ -1116,12 +1014,7 @@ impl<B: ServeBackend> ServeFront<B> {
     /// resolves to exactly [`knn`](crate::Les3Index::knn)'s result for
     /// the same arguments, or to an admission outcome.
     pub fn submit_knn(&self, query: Vec<TokenId>, k: usize) -> Ticket {
-        self.submit(
-            query,
-            QueryKind::Knn(k),
-            Target::Backend,
-            SubmitOpts::default(),
-        )
+        self.submit(query, Kind::Knn(k), Target::Backend, SubmitOpts::default())
     }
 
     /// Enqueues a range request (shedding on a full queue); the
@@ -1131,7 +1024,7 @@ impl<B: ServeBackend> ServeFront<B> {
     pub fn submit_range(&self, query: Vec<TokenId>, delta: f64) -> Ticket {
         self.submit(
             query,
-            QueryKind::Range(delta),
+            Kind::Range(delta),
             Target::Backend,
             SubmitOpts::default(),
         )
@@ -1140,12 +1033,12 @@ impl<B: ServeBackend> ServeFront<B> {
     /// [`ServeFront::submit_knn`] with explicit [`SubmitOpts`]
     /// (deadline, full-queue behavior).
     pub fn submit_knn_opts(&self, query: Vec<TokenId>, k: usize, opts: SubmitOpts) -> Ticket {
-        self.submit(query, QueryKind::Knn(k), Target::Backend, opts)
+        self.submit(query, Kind::Knn(k), Target::Backend, opts)
     }
 
     /// [`ServeFront::submit_range`] with explicit [`SubmitOpts`].
     pub fn submit_range_opts(&self, query: Vec<TokenId>, delta: f64, opts: SubmitOpts) -> Ticket {
-        self.submit(query, QueryKind::Range(delta), Target::Backend, opts)
+        self.submit(query, Kind::Range(delta), Target::Backend, opts)
     }
 
     /// Enqueues a kNN request against namespace `ns`, optionally
@@ -1163,9 +1056,7 @@ impl<B: ServeBackend> ServeFront<B> {
         opts: SubmitOpts,
     ) -> Ticket {
         match self.namespaces.get(ns) {
-            Some(handle) => {
-                self.submit(query, QueryKind::Knn(k), Target::Ns(handle, filters), opts)
-            }
+            Some(handle) => self.submit(query, Kind::Knn(k), Target::Ns(handle, filters), opts),
             None => Ticket {
                 slot: Arc::new(Slot::resolved(Err(ServeError::UnknownNamespace(
                     ns.to_string(),
@@ -1185,12 +1076,9 @@ impl<B: ServeBackend> ServeFront<B> {
         opts: SubmitOpts,
     ) -> Ticket {
         match self.namespaces.get(ns) {
-            Some(handle) => self.submit(
-                query,
-                QueryKind::Range(delta),
-                Target::Ns(handle, filters),
-                opts,
-            ),
+            Some(handle) => {
+                self.submit(query, Kind::Range(delta), Target::Ns(handle, filters), opts)
+            }
             None => Ticket {
                 slot: Arc::new(Slot::resolved(Err(ServeError::UnknownNamespace(
                     ns.to_string(),
@@ -1238,13 +1126,7 @@ impl<B: ServeBackend> ServeFront<B> {
         self.submit_range_wait(query.to_vec(), delta).wait()
     }
 
-    fn submit(
-        &self,
-        query: Vec<TokenId>,
-        kind: QueryKind,
-        target: Target,
-        opts: SubmitOpts,
-    ) -> Ticket {
+    fn submit(&self, query: Vec<TokenId>, kind: Kind, target: Target, opts: SubmitOpts) -> Ticket {
         // An anytime request is never deadline-rejected at admission —
         // expiry commits a partial answer instead — so its deadline is
         // withheld from the admission gate (it still bounds the query's

@@ -72,16 +72,16 @@ use crate::sync::Mutex;
 use les3_bitmap::{Bitmap, DenseBitSet};
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use crate::approx::{self, ApproxInfo, ApproxParams, ApproxPolicy, MinHashIndex};
+use crate::approx::{ApproxParams, ApproxPolicy, MinHashIndex};
 use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
-use crate::index::{
-    anytime_phase_a_interrupt, sort_hits, SearchResult, TopK, VerifyOrder, VerifyQuery,
-};
+use crate::index::{SearchResult, TopK, VerifyOrder, VerifyQuery};
 use crate::metadata::FilterCandidates;
 use crate::par::{self, ParGroups};
 use crate::partitioning::Partitioning;
+use crate::query::{self, Gathered, Kind, Query, SearchOutcome};
 use crate::scratch::{QueryScratch, ShardedScratch};
+use crate::serve::ServeBackend;
 use crate::sim::{distinct_len, normalize_query, Similarity, ThresholdedEval};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
@@ -500,6 +500,143 @@ impl<S: Similarity> ShardedLes3Index<S> {
         Ok(())
     }
 
+    /// Runs one [`Query`] — the sharded index's only query body; every
+    /// named `knn*/range*` method below is a single expression over it.
+    /// Results are bit-for-bit those of [`crate::Les3Index::search`] on
+    /// the same database and partitioning, hits *and* stats.
+    ///
+    /// Guards, then phase A for every shard (the full filter pass fanned
+    /// out over the shards, or the restricted kernels over each shard's
+    /// slice of the mask's groups — proportional to the candidate count,
+    /// so always sequential), one `ctl` poll, then phase B. `workers <=
+    /// 1` keeps the cursor kernels: the cross-shard best-first
+    /// `merge_knn` sharing one top-k, or
+    /// `range_shard` shard after shard. More
+    /// workers materialize the merged bound stream — provably the same
+    /// `(r desc, global id asc)` sequence the cursor merge consumes, and
+    /// for range the same set of surviving groups with additive counters
+    /// — and hand it to the speculate + replay engine (`par.rs`).
+    pub fn search(&self, q: &Query<'_>, scratch: &mut ShardedScratch) -> SearchOutcome {
+        let mut stats = SearchStats::default();
+        if q.is_vacuous(self.db.is_empty()) {
+            return query::settle(None, Gathered::NOTHING, stats, q.on_expiry, 0);
+        }
+        // One sort for an unsorted query serves every shard's filter
+        // pass and the verify step alike.
+        let tokens = &*normalize_query(q.tokens);
+        let q_len = distinct_len(tokens);
+        let n_shards = self.shards.len();
+        // Every group surfaces in exactly one shard's filter output.
+        let n_considered = q.n_considered(self.partitioning.n_groups());
+        let workers = par::resolve_workers(q.workers, n_considered);
+        scratch.ensure(n_shards);
+        let ShardedScratch {
+            per_shard,
+            filters,
+            cursors,
+            merged,
+            cand_locals,
+            ..
+        } = scratch;
+        match q.mask {
+            None => self.filter_all(workers, tokens, q_len, per_shard, filters),
+            Some(cand) => {
+                self.split_candidates(cand, cand_locals);
+                for (s, locals) in cand_locals.iter().enumerate().take(n_shards) {
+                    let (scr, out) = (&mut per_shard[s], &mut filters[s]);
+                    self.filter_shard_restricted(s, tokens, q_len, locals, scr, out);
+                }
+            }
+        }
+        let filters = &filters[..n_shards];
+        stats.columns_checked += filters.iter().map(|f| f.cols as usize).sum::<usize>();
+        // Phase boundary: verification must not start for an expired or
+        // cancelled query.
+        if let stopped @ Some(_) = q.ctl.interrupted() {
+            return query::settle(stopped, Gathered::NOTHING, stats, q.on_expiry, n_considered);
+        }
+        let set_filter = q.mask.map(|cand| &cand.sets);
+        let ctl = &q.ctl;
+        let (stopped, gathered) = if workers <= 1 {
+            match q.kind {
+                Kind::Knn(k) => Gathered::heap(self.merge_knn(
+                    tokens,
+                    k,
+                    q_len,
+                    |s| &filters[s],
+                    set_filter,
+                    cursors,
+                    &mut stats,
+                    ctl,
+                )),
+                Kind::Range(delta) => Gathered::list(|hits| {
+                    filters.iter().enumerate().try_for_each(|(s, filter)| {
+                        self.range_shard(
+                            s, tokens, delta, filter, set_filter, hits, &mut stats, ctl,
+                        )
+                    })
+                }),
+            }
+        } else {
+            merge_filter_streams(filters, merged);
+            let groups = MergedGroups {
+                index: self,
+                merged,
+                query: tokens,
+                q_len,
+                filter: set_filter,
+            };
+            match q.kind {
+                Kind::Knn(k) => {
+                    Gathered::heap(par::knn_descend(&groups, k, workers, &mut stats, ctl))
+                }
+                Kind::Range(delta) => Gathered::list(|hits| {
+                    par::range_scan(&groups, delta, workers, hits, &mut stats, ctl)
+                }),
+            }
+        };
+        query::settle(stopped, gathered, stats, q.on_expiry, n_considered)
+    }
+
+    /// Phase A fanned out: shards are claimed from an atomic cursor by
+    /// `min(workers, n_shards)` scoped workers (each shard's filter
+    /// state is its own, so the per-shard mutexes are uncontended —
+    /// they exist to move the `&mut` pairs across threads).
+    fn filter_all(
+        &self,
+        workers: usize,
+        query: &[TokenId],
+        q_len: usize,
+        per_shard: &mut [QueryScratch],
+        filters: &mut [ShardFilter],
+    ) {
+        let n = self.shards.len();
+        if workers <= 1 || n <= 1 {
+            for s in 0..n {
+                self.filter_shard(s, query, q_len, &mut per_shard[s], &mut filters[s]);
+            }
+            return;
+        }
+        let tasks: Vec<Mutex<(&mut QueryScratch, &mut ShardFilter)>> = per_shard
+            .iter_mut()
+            .zip(filters.iter_mut())
+            .map(Mutex::new)
+            .collect();
+        let next = AtomicUsize::new(0);
+        rayon::run_workers(workers.min(n), |_w| loop {
+            // relaxed: unique-ticket handout; each claimed shard's
+            // results travel through its own Mutex cell, ordered by
+            // the `run_workers` join barrier.
+            let s = next.fetch_add(1, Ordering::Relaxed);
+            if s >= n {
+                break;
+            }
+            let mut cell = lock_unpoisoned(&tasks[s]);
+            let (scr, fil) = &mut *cell;
+            self.filter_shard(s, query, q_len, scr, fil);
+        });
+    }
+
     /// Exact kNN search across all shards (Definition 2.1); results are
     /// bit-for-bit those of [`crate::Les3Index::knn`] on the same
     /// database and partitioning.
@@ -515,40 +652,11 @@ impl<S: Similarity> ShardedLes3Index<S> {
         k: usize,
         scratch: &mut ShardedScratch,
     ) -> SearchResult {
-        self.knn_ctl(query, k, scratch, &QueryCtl::NONE)
-            .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
+        query::uninterrupted(self.search(&Query::knn(query, k), scratch))
     }
 
-    /// [`ShardedLes3Index::knn_with`] under cooperative interruption:
-    /// polls `ctl` after the per-shard filter passes (between phase A
-    /// and verification) and at every step of the cross-shard merge.
-    /// With [`QueryCtl::NONE`] this is exactly `knn_with`.
-    ///
-    /// Worker count is chosen automatically;
-    /// [`ShardedLes3Index::knn_ctl_on`] pins it.
-    pub fn knn_ctl(
-        &self,
-        query: &[TokenId],
-        k: usize,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.knn_ctl_on(
-            par::auto_intra_workers(self.partitioning.n_groups()),
-            query,
-            k,
-            scratch,
-            ctl,
-        )
-    }
-
-    /// Exact kNN with an explicit intra-query worker count. `workers <=
-    /// 1` is the sequential cursor-wise cross-shard descent; more
-    /// workers run phase A (per-shard filters) fanned out over the
-    /// shards, then materialize the merged bound stream — provably the
-    /// same `(r desc, global id asc)` sequence the cursor merge
-    /// consumes — and descend it with the speculate + replay engine
-    /// (`par.rs`). Bit-for-bit identical either way.
+    /// Exact kNN under cooperative interruption with a pinned
+    /// intra-query worker count (`0` counts as `1`).
     pub fn knn_ctl_on(
         &self,
         workers: usize,
@@ -557,128 +665,41 @@ impl<S: Similarity> ShardedLes3Index<S> {
         scratch: &mut ShardedScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
-        let mut stats = SearchStats::default();
-        if k == 0 || self.db.is_empty() {
-            return Ok(SearchResult {
-                hits: Vec::new(),
-                stats,
-            });
-        }
-        // One sort for an unsorted query serves every shard's filter
-        // pass and the merge's verify step alike.
-        let query = &*normalize_query(query);
-        scratch.ensure(self.shards.len());
-        let q_len = distinct_len(query);
-        let ShardedScratch {
-            per_shard,
-            filters,
-            cursors,
-            merged,
-            ..
-        } = scratch;
-        if workers <= 1 {
-            for s in 0..self.shards.len() {
-                self.filter_shard(s, query, q_len, &mut per_shard[s], &mut filters[s]);
-                stats.columns_checked += filters[s].cols as usize;
-            }
-            // Phase boundary: verification must not start for an expired
-            // or cancelled query.
-            if let Some(reason) = ctl.interrupted() {
-                return Err(Interrupted { reason, stats });
-            }
-            let filters: &[ShardFilter] = filters;
-            return match self.merge_knn(
-                query,
-                k,
-                q_len,
-                |s| &filters[s],
-                None,
-                cursors,
-                &mut stats,
-                ctl,
-            ) {
-                Ok(top) => Ok(SearchResult {
-                    hits: top.into_sorted(),
-                    stats,
-                }),
-                Err((reason, _)) => Err(Interrupted { reason, stats }),
-            };
-        }
-        self.filter_all(workers, query, q_len, per_shard, filters, &mut stats);
-        if let Some(reason) = ctl.interrupted() {
-            return Err(Interrupted { reason, stats });
-        }
-        merge_filter_streams(&filters[..self.shards.len()], merged);
-        let groups = MergedGroups {
-            index: self,
-            merged,
-            query,
-            q_len,
-            filter: None,
-        };
-        match par::knn_descend(&groups, k, workers, &mut stats, ctl) {
-            Ok(top) => Ok(SearchResult {
-                hits: top.into_sorted(),
-                stats,
-            }),
-            Err((reason, _)) => Err(Interrupted { reason, stats }),
-        }
+        self.search(&Query::knn(query, k).pinned(workers, ctl), scratch)
+            .map(|(result, _)| result)
     }
 
-    /// [`ShardedLes3Index::knn`] with a pinned intra-query worker count.
-    pub fn knn_par(&self, query: &[TokenId], k: usize, workers: usize) -> SearchResult {
-        self.knn_ctl_on(
-            workers,
-            query,
-            k,
-            &mut ShardedScratch::new(),
-            &QueryCtl::NONE,
-        )
-        .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-    }
-
-    /// Phase A fanned out: shards are claimed from an atomic cursor by
-    /// `min(workers, n_shards)` scoped workers (each shard's filter
-    /// state is its own, so the per-shard mutexes are uncontended —
-    /// they exist to move the `&mut` pairs across threads).
-    /// `columns_checked` is summed afterwards, order-independently.
-    fn filter_all(
+    /// [`ShardedLes3Index::knn_ctl_on`] over the matching subset of a
+    /// filtered query: the k most similar sets among those `cand`
+    /// admits.
+    pub fn knn_filtered_ctl_on(
         &self,
         workers: usize,
         query: &[TokenId],
-        q_len: usize,
-        per_shard: &mut [QueryScratch],
-        filters: &mut [ShardFilter],
-        stats: &mut SearchStats,
-    ) {
-        let n = self.shards.len();
-        if workers <= 1 || n <= 1 {
-            for s in 0..n {
-                self.filter_shard(s, query, q_len, &mut per_shard[s], &mut filters[s]);
-            }
-        } else {
-            let tasks: Vec<Mutex<(&mut QueryScratch, &mut ShardFilter)>> = per_shard
-                .iter_mut()
-                .zip(filters.iter_mut())
-                .map(Mutex::new)
-                .collect();
-            let next = AtomicUsize::new(0);
-            rayon::run_workers(workers.min(n), |_w| loop {
-                // relaxed: unique-ticket handout; each claimed shard's
-                // results travel through its own Mutex cell, ordered by
-                // the `run_workers` join barrier.
-                let s = next.fetch_add(1, Ordering::Relaxed);
-                if s >= n {
-                    break;
-                }
-                let mut cell = lock_unpoisoned(&tasks[s]);
-                let (scr, fil) = &mut *cell;
-                self.filter_shard(s, query, q_len, scr, fil);
-            });
-        }
-        for f in filters.iter().take(n) {
-            stats.columns_checked += f.cols as usize;
-        }
+        k: usize,
+        cand: &FilterCandidates,
+        scratch: &mut ShardedScratch,
+        ctl: &QueryCtl<'_>,
+    ) -> Result<SearchResult, Interrupted> {
+        let q = Query {
+            mask: Some(cand),
+            ..Query::knn(query, k).pinned(workers, ctl)
+        };
+        self.search(&q, scratch).map(|(result, _)| result)
+    }
+
+    /// kNN under an [`ApproxPolicy`]: [`ServeBackend::search_approx`]
+    /// taking its [`Query`] as an argument list.
+    pub fn knn_approx_ctl_on(
+        &self,
+        workers: usize,
+        query: &[TokenId],
+        k: usize,
+        policy: ApproxPolicy,
+        scratch: &mut ShardedScratch,
+        ctl: &QueryCtl<'_>,
+    ) -> SearchOutcome {
+        self.search_approx(&Query::knn(query, k).pinned(workers, ctl), policy, scratch)
     }
 
     /// Exact range search across all shards (Definition 2.2); results
@@ -694,37 +715,11 @@ impl<S: Similarity> ShardedLes3Index<S> {
         delta: f64,
         scratch: &mut ShardedScratch,
     ) -> SearchResult {
-        self.range_ctl(query, delta, scratch, &QueryCtl::NONE)
-            .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
+        query::uninterrupted(self.search(&Query::range(query, delta), scratch))
     }
 
-    /// [`ShardedLes3Index::range_with`] under cooperative interruption:
-    /// polls `ctl` between each shard's filter pass and its
-    /// verification, and at every group boundary inside it. Worker
-    /// count is chosen automatically;
-    /// [`ShardedLes3Index::range_ctl_on`] pins it.
-    pub fn range_ctl(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.range_ctl_on(
-            par::auto_intra_workers(self.partitioning.n_groups()),
-            query,
-            delta,
-            scratch,
-            ctl,
-        )
-    }
-
-    /// Exact range search with an explicit intra-query worker count.
-    /// The parallel path fans the per-shard filters out, then splits
-    /// the merged surviving groups across workers — per-shard pruning
-    /// and merged-stream pruning cut exactly the same set of groups
-    /// (a group survives iff `UB ≥ δ`, shard-independently), and all
-    /// counters are additive, so results are bit-for-bit sequential.
+    /// Exact range search under cooperative interruption with a pinned
+    /// intra-query worker count (`0` counts as `1`).
     pub fn range_ctl_on(
         &self,
         workers: usize,
@@ -733,587 +728,8 @@ impl<S: Similarity> ShardedLes3Index<S> {
         scratch: &mut ShardedScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
-        let mut stats = SearchStats::default();
-        let query = &*normalize_query(query);
-        scratch.ensure(self.shards.len());
-        let q_len = distinct_len(query);
-        let mut hits: Vec<(SetId, f64)> = Vec::new();
-        let ShardedScratch {
-            per_shard,
-            filters,
-            merged,
-            ..
-        } = scratch;
-        if workers <= 1 {
-            for s in 0..self.shards.len() {
-                self.filter_shard(s, query, q_len, &mut per_shard[s], &mut filters[s]);
-                stats.columns_checked += filters[s].cols as usize;
-                if let Some(reason) = ctl.interrupted() {
-                    return Err(Interrupted { reason, stats });
-                }
-                if let Err(reason) = self.range_shard(
-                    s,
-                    query,
-                    delta,
-                    &filters[s],
-                    None,
-                    &mut hits,
-                    &mut stats,
-                    ctl,
-                ) {
-                    return Err(Interrupted { reason, stats });
-                }
-            }
-            sort_hits(&mut hits);
-            return Ok(SearchResult { hits, stats });
-        }
-        self.filter_all(workers, query, q_len, per_shard, filters, &mut stats);
-        if let Some(reason) = ctl.interrupted() {
-            return Err(Interrupted { reason, stats });
-        }
-        merge_filter_streams(&filters[..self.shards.len()], merged);
-        let groups = MergedGroups {
-            index: self,
-            merged,
-            query,
-            q_len,
-            filter: None,
-        };
-        if let Err(reason) = par::range_scan(&groups, delta, workers, &mut hits, &mut stats, ctl) {
-            return Err(Interrupted { reason, stats });
-        }
-        sort_hits(&mut hits);
-        Ok(SearchResult { hits, stats })
-    }
-
-    /// [`ShardedLes3Index::range`] with a pinned intra-query worker
-    /// count.
-    pub fn range_par(&self, query: &[TokenId], delta: f64, workers: usize) -> SearchResult {
-        self.range_ctl_on(
-            workers,
-            query,
-            delta,
-            &mut ShardedScratch::new(),
-            &QueryCtl::NONE,
-        )
-        .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-    }
-
-    /// Exact kNN over the matching subset of a filtered query — the
-    /// sharded twin of [`crate::Les3Index::knn_filtered_ctl_on`],
-    /// bit-for-bit identical to it (hits and stats) on the same
-    /// database and partitioning. Phase A runs the restricted kernels
-    /// per shard over the shard's slice of the candidate groups; the
-    /// per-set mask rides into the unchanged merge/verify machinery.
-    pub fn knn_filtered_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        cand: &FilterCandidates,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        let mut stats = SearchStats::default();
-        if k == 0 || self.db.is_empty() || cand.groups.is_empty() {
-            return Ok(SearchResult {
-                hits: Vec::new(),
-                stats,
-            });
-        }
-        let query = &*normalize_query(query);
-        scratch.ensure(self.shards.len());
-        self.split_candidates(cand, &mut scratch.cand_locals);
-        let q_len = distinct_len(query);
-        let ShardedScratch {
-            per_shard,
-            filters,
-            cursors,
-            merged,
-            cand_locals,
-            ..
-        } = scratch;
-        // Restricted phase A is proportional to the candidate count, so
-        // it always runs sequentially per shard; only verification fans
-        // out.
-        for s in 0..self.shards.len() {
-            self.filter_shard_restricted(
-                s,
-                query,
-                q_len,
-                &cand_locals[s],
-                &mut per_shard[s],
-                &mut filters[s],
-            );
-            stats.columns_checked += filters[s].cols as usize;
-        }
-        if let Some(reason) = ctl.interrupted() {
-            return Err(Interrupted { reason, stats });
-        }
-        if workers <= 1 {
-            let filters: &[ShardFilter] = filters;
-            return match self.merge_knn(
-                query,
-                k,
-                q_len,
-                |s| &filters[s],
-                Some(&cand.sets),
-                cursors,
-                &mut stats,
-                ctl,
-            ) {
-                Ok(top) => Ok(SearchResult {
-                    hits: top.into_sorted(),
-                    stats,
-                }),
-                Err((reason, _)) => Err(Interrupted { reason, stats }),
-            };
-        }
-        merge_filter_streams(&filters[..self.shards.len()], merged);
-        let groups = MergedGroups {
-            index: self,
-            merged,
-            query,
-            q_len,
-            filter: Some(&cand.sets),
-        };
-        match par::knn_descend(&groups, k, workers, &mut stats, ctl) {
-            Ok(top) => Ok(SearchResult {
-                hits: top.into_sorted(),
-                stats,
-            }),
-            Err((reason, _)) => Err(Interrupted { reason, stats }),
-        }
-    }
-
-    /// Allocating convenience around
-    /// [`ShardedLes3Index::knn_filtered_ctl_on`] with automatic worker
-    /// choice.
-    pub fn knn_filtered(
-        &self,
-        query: &[TokenId],
-        k: usize,
-        cand: &FilterCandidates,
-    ) -> SearchResult {
-        self.knn_filtered_par(query, k, cand, par::auto_intra_workers(cand.groups.len()))
-    }
-
-    /// [`ShardedLes3Index::knn_filtered`] with a pinned worker count.
-    pub fn knn_filtered_par(
-        &self,
-        query: &[TokenId],
-        k: usize,
-        cand: &FilterCandidates,
-        workers: usize,
-    ) -> SearchResult {
-        self.knn_filtered_ctl_on(
-            workers,
-            query,
-            k,
-            cand,
-            &mut ShardedScratch::new(),
-            &QueryCtl::NONE,
-        )
-        .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-    }
-
-    /// Exact range search over the matching subset of a filtered query;
-    /// the sharded twin of
-    /// [`crate::Les3Index::range_filtered_ctl_on`].
-    pub fn range_filtered_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        cand: &FilterCandidates,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        let mut stats = SearchStats::default();
-        if cand.groups.is_empty() {
-            return Ok(SearchResult {
-                hits: Vec::new(),
-                stats,
-            });
-        }
-        let query = &*normalize_query(query);
-        scratch.ensure(self.shards.len());
-        self.split_candidates(cand, &mut scratch.cand_locals);
-        let q_len = distinct_len(query);
-        let mut hits: Vec<(SetId, f64)> = Vec::new();
-        let ShardedScratch {
-            per_shard,
-            filters,
-            merged,
-            cand_locals,
-            ..
-        } = scratch;
-        for s in 0..self.shards.len() {
-            self.filter_shard_restricted(
-                s,
-                query,
-                q_len,
-                &cand_locals[s],
-                &mut per_shard[s],
-                &mut filters[s],
-            );
-            stats.columns_checked += filters[s].cols as usize;
-        }
-        if let Some(reason) = ctl.interrupted() {
-            return Err(Interrupted { reason, stats });
-        }
-        if workers <= 1 {
-            for (s, filter) in filters.iter().enumerate().take(self.shards.len()) {
-                if let Err(reason) = self.range_shard(
-                    s,
-                    query,
-                    delta,
-                    filter,
-                    Some(&cand.sets),
-                    &mut hits,
-                    &mut stats,
-                    ctl,
-                ) {
-                    return Err(Interrupted { reason, stats });
-                }
-            }
-            sort_hits(&mut hits);
-            return Ok(SearchResult { hits, stats });
-        }
-        merge_filter_streams(&filters[..self.shards.len()], merged);
-        let groups = MergedGroups {
-            index: self,
-            merged,
-            query,
-            q_len,
-            filter: Some(&cand.sets),
-        };
-        if let Err(reason) = par::range_scan(&groups, delta, workers, &mut hits, &mut stats, ctl) {
-            return Err(Interrupted { reason, stats });
-        }
-        sort_hits(&mut hits);
-        Ok(SearchResult { hits, stats })
-    }
-
-    /// Allocating convenience around
-    /// [`ShardedLes3Index::range_filtered_ctl_on`] with automatic
-    /// worker choice.
-    pub fn range_filtered(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        cand: &FilterCandidates,
-    ) -> SearchResult {
-        self.range_filtered_par(
-            query,
-            delta,
-            cand,
-            par::auto_intra_workers(cand.groups.len()),
-        )
-    }
-
-    /// [`ShardedLes3Index::range_filtered`] with a pinned worker count.
-    pub fn range_filtered_par(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        cand: &FilterCandidates,
-        workers: usize,
-    ) -> SearchResult {
-        self.range_filtered_ctl_on(
-            workers,
-            query,
-            delta,
-            cand,
-            &mut ShardedScratch::new(),
-            &QueryCtl::NONE,
-        )
-        .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-    }
-
-    /// kNN under an [`ApproxPolicy`]; the sharded twin of
-    /// [`crate::Les3Index::knn_approx_ctl_on`] — same dispatch, same
-    /// fallback rules (a missing sidecar or a saturated candidate set
-    /// routes through the unfiltered exact path, keeping those
-    /// configurations bit-for-bit identical to
-    /// [`ShardedLes3Index::knn_ctl_on`]).
-    pub fn knn_approx_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        policy: ApproxPolicy,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        match policy {
-            ApproxPolicy::Exact => self
-                .knn_ctl_on(workers, query, k, scratch, ctl)
-                .map(|r| (r, ApproxInfo::EXACT)),
-            ApproxPolicy::Anytime => self.knn_anytime_ctl_on(workers, query, k, scratch, ctl),
-            ApproxPolicy::Prefilter { bands, rows } => approx::run_prefiltered(
-                self.approx.as_ref(),
-                &self.partitioning,
-                query,
-                (bands, rows),
-                scratch,
-                |scratch| &mut scratch.prefilter,
-                |cand, scratch| match cand {
-                    Some(cand) => self.knn_filtered_ctl_on(workers, query, k, cand, scratch, ctl),
-                    None => self.knn_ctl_on(workers, query, k, scratch, ctl),
-                },
-            ),
-        }
-    }
-
-    /// Range search under an [`ApproxPolicy`]; the range twin of
-    /// [`ShardedLes3Index::knn_approx_ctl_on`].
-    pub fn range_approx_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        policy: ApproxPolicy,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        match policy {
-            ApproxPolicy::Exact => self
-                .range_ctl_on(workers, query, delta, scratch, ctl)
-                .map(|r| (r, ApproxInfo::EXACT)),
-            ApproxPolicy::Anytime => self.range_anytime_ctl_on(workers, query, delta, scratch, ctl),
-            ApproxPolicy::Prefilter { bands, rows } => approx::run_prefiltered(
-                self.approx.as_ref(),
-                &self.partitioning,
-                query,
-                (bands, rows),
-                scratch,
-                |scratch| &mut scratch.prefilter,
-                |cand, scratch| match cand {
-                    Some(cand) => {
-                        self.range_filtered_ctl_on(workers, query, delta, cand, scratch, ctl)
-                    }
-                    None => self.range_ctl_on(workers, query, delta, scratch, ctl),
-                },
-            ),
-        }
-    }
-
-    /// Anytime kNN across shards: the exact cross-shard descent, but a
-    /// deadline expiry mid-merge **commits** the partial top-k (exact
-    /// similarities, coverage-based recall estimate) instead of
-    /// failing. See [`crate::Les3Index::knn_anytime_ctl_on`].
-    pub fn knn_anytime_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let mut stats = SearchStats::default();
-        if k == 0 || self.db.is_empty() {
-            return Ok((
-                SearchResult {
-                    hits: Vec::new(),
-                    stats,
-                },
-                ApproxInfo::EXACT,
-            ));
-        }
-        let query = &*normalize_query(query);
-        scratch.ensure(self.shards.len());
-        let q_len = distinct_len(query);
-        // Every group surfaces in exactly one shard's filter output, so
-        // the coverage denominator is the global group count.
-        let n_considered = self.partitioning.n_groups();
-        let ShardedScratch {
-            per_shard,
-            filters,
-            cursors,
-            merged,
-            ..
-        } = scratch;
-        if workers <= 1 {
-            for s in 0..self.shards.len() {
-                self.filter_shard(s, query, q_len, &mut per_shard[s], &mut filters[s]);
-                stats.columns_checked += filters[s].cols as usize;
-            }
-            if let Some(reason) = ctl.interrupted() {
-                return anytime_phase_a_interrupt(reason, stats);
-            }
-            let filters: &[ShardFilter] = filters;
-            return match self.merge_knn(
-                query,
-                k,
-                q_len,
-                |s| &filters[s],
-                None,
-                cursors,
-                &mut stats,
-                ctl,
-            ) {
-                Ok(top) => Ok((
-                    SearchResult {
-                        hits: top.into_sorted(),
-                        stats,
-                    },
-                    ApproxInfo::EXACT,
-                )),
-                Err((InterruptReason::Cancelled, _)) => Err(Interrupted {
-                    reason: InterruptReason::Cancelled,
-                    stats,
-                }),
-                Err((InterruptReason::Expired, top)) => {
-                    let recall_est = crate::approx::coverage(&stats, n_considered);
-                    Ok((
-                        SearchResult {
-                            hits: top.into_sorted(),
-                            stats,
-                        },
-                        ApproxInfo {
-                            approx: true,
-                            recall_est,
-                        },
-                    ))
-                }
-            };
-        }
-        self.filter_all(workers, query, q_len, per_shard, filters, &mut stats);
-        if let Some(reason) = ctl.interrupted() {
-            return anytime_phase_a_interrupt(reason, stats);
-        }
-        merge_filter_streams(&filters[..self.shards.len()], merged);
-        let groups = MergedGroups {
-            index: self,
-            merged,
-            query,
-            q_len,
-            filter: None,
-        };
-        match par::knn_descend(&groups, k, workers, &mut stats, ctl) {
-            Ok(top) => Ok((
-                SearchResult {
-                    hits: top.into_sorted(),
-                    stats,
-                },
-                ApproxInfo::EXACT,
-            )),
-            Err((InterruptReason::Cancelled, _)) => Err(Interrupted {
-                reason: InterruptReason::Cancelled,
-                stats,
-            }),
-            Err((InterruptReason::Expired, top)) => {
-                let recall_est = crate::approx::coverage(&stats, n_considered);
-                Ok((
-                    SearchResult {
-                        hits: top.into_sorted(),
-                        stats,
-                    },
-                    ApproxInfo {
-                        approx: true,
-                        recall_est,
-                    },
-                ))
-            }
-        }
-    }
-
-    /// Anytime range search across shards: partial hits gathered before
-    /// the deadline are all true hits with exact similarities, so
-    /// expiry commits them. See
-    /// [`crate::Les3Index::range_anytime_ctl_on`].
-    pub fn range_anytime_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut ShardedScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-        let mut stats = SearchStats::default();
-        let query = &*normalize_query(query);
-        scratch.ensure(self.shards.len());
-        let q_len = distinct_len(query);
-        let n_considered = self.partitioning.n_groups();
-        let mut hits: Vec<(SetId, f64)> = Vec::new();
-        let ShardedScratch {
-            per_shard,
-            filters,
-            merged,
-            ..
-        } = scratch;
-        if workers <= 1 {
-            // The sequential path interleaves filter and verify per
-            // shard, so earlier shards' hits are already in `hits` when
-            // a later shard expires — they commit with the partial
-            // answer.
-            for s in 0..self.shards.len() {
-                self.filter_shard(s, query, q_len, &mut per_shard[s], &mut filters[s]);
-                stats.columns_checked += filters[s].cols as usize;
-                if let Some(reason) = ctl.interrupted() {
-                    return anytime_range_commit(reason, hits, stats, n_considered);
-                }
-                if let Err(reason) = self.range_shard(
-                    s,
-                    query,
-                    delta,
-                    &filters[s],
-                    None,
-                    &mut hits,
-                    &mut stats,
-                    ctl,
-                ) {
-                    return anytime_range_commit(reason, hits, stats, n_considered);
-                }
-            }
-            sort_hits(&mut hits);
-            return Ok((SearchResult { hits, stats }, ApproxInfo::EXACT));
-        }
-        self.filter_all(workers, query, q_len, per_shard, filters, &mut stats);
-        if let Some(reason) = ctl.interrupted() {
-            return anytime_phase_a_interrupt(reason, stats);
-        }
-        merge_filter_streams(&filters[..self.shards.len()], merged);
-        let groups = MergedGroups {
-            index: self,
-            merged,
-            query,
-            q_len,
-            filter: None,
-        };
-        match par::range_scan(&groups, delta, workers, &mut hits, &mut stats, ctl) {
-            Ok(()) => {
-                sort_hits(&mut hits);
-                Ok((SearchResult { hits, stats }, ApproxInfo::EXACT))
-            }
-            Err(reason) => anytime_range_commit(reason, hits, stats, n_considered),
-        }
-    }
-}
-
-/// Commits an anytime range query's partial hits on expiry (every hit
-/// gathered so far is a true hit carrying its exact similarity);
-/// cancellation interrupts outright.
-fn anytime_range_commit(
-    reason: InterruptReason,
-    mut hits: Vec<(SetId, f64)>,
-    stats: SearchStats,
-    n_considered: usize,
-) -> Result<(SearchResult, ApproxInfo), Interrupted> {
-    match reason {
-        InterruptReason::Cancelled => Err(Interrupted { reason, stats }),
-        InterruptReason::Expired => {
-            sort_hits(&mut hits);
-            let recall_est = crate::approx::coverage(&stats, n_considered);
-            Ok((
-                SearchResult { hits, stats },
-                ApproxInfo {
-                    approx: true,
-                    recall_est,
-                },
-            ))
-        }
+        self.search(&Query::range(query, delta).pinned(workers, ctl), scratch)
+            .map(|(result, _)| result)
     }
 }
 

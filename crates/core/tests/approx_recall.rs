@@ -25,12 +25,16 @@
 
 #![cfg(not(feature = "model"))]
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
+use common::run;
 use les3_core::{
-    ApproxInfo, ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Jaccard, Les3Index,
-    OverlapCoefficient, Partitioning, QueryCtl, QueryScratch, SearchResult, ShardPolicy,
+    ApproxInfo, ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Filter, FilterCandidates,
+    Filters, Jaccard, Kind, Les3Index, NamespaceSpec, Namespaces, OnExpiry, OverlapCoefficient,
+    Partitioning, Query, QueryCtl, QueryScratch, SearchResult, ServeBackend, ShardPolicy,
     ShardedLes3Index, ShardedScratch, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
@@ -73,7 +77,13 @@ fn sidecar_params(seed: u64) -> ApproxParams {
 /// (`k = n` exhausts the tie classes). Absent ids have similarity 0 or
 /// are tombstoned — either way a prefiltered hit may not name them.
 fn exact_sims(flat: &Les3Index<impl Similarity>, query: &[TokenId]) -> Vec<Option<u64>> {
-    let full = flat.knn_par(query, flat.db().len(), 1);
+    let full = run(
+        flat,
+        Query {
+            workers: 1,
+            ..Query::knn(query, flat.db().len())
+        },
+    );
     let mut sims = vec![None; flat.db().len()];
     for (id, sim) in full.hits {
         sims[id as usize] = Some(sim.to_bits());
@@ -144,7 +154,7 @@ proptest! {
             let mut flat = Les3Index::build(db.clone(), part.clone(), sim);
             flat.enable_approx(sidecar_params(seed));
             let sims = exact_sims(&flat, query);
-            let exact_range = flat.range_par(query, delta, 1);
+            let exact_range = run(&flat, Query { workers: 1, ..Query::range(query, delta) });
             let ctl = QueryCtl::NONE;
             let mut scratch = QueryScratch::new();
             for policy in [
@@ -157,7 +167,7 @@ proptest! {
                     .expect("QueryCtl::NONE never interrupts");
                 assert_sound(&knn, &sims, &[], Some(k), &format!("{} knn {policy:?}", sim.name()));
                 let range = flat
-                    .range_approx_ctl_on(1, query, delta, policy, &mut scratch, &ctl)
+                    .search_approx(&Query { workers: 1, ctl, ..Query::range(query, delta) }, policy, &mut scratch)
                     .expect("QueryCtl::NONE never interrupts");
                 assert_sound(
                     &range,
@@ -184,7 +194,7 @@ proptest! {
                         assert_eq!(sknn.0.stats, knn.0.stats, "sharded knn stats diverged");
                         assert_eq!(sknn.1, knn.1, "sharded knn verdict diverged");
                         let srange = sharded
-                            .range_approx_ctl_on(workers, query, delta, policy, &mut sscratch, &ctl)
+                            .search_approx(&Query { workers, ctl, ..Query::range(query, delta) }, policy, &mut sscratch)
                             .expect("QueryCtl::NONE never interrupts");
                         assert_eq!(srange.0.hits, range.0.hits, "sharded range hits diverged");
                         assert_eq!(srange.0.stats, range.0.stats, "sharded range stats diverged");
@@ -261,7 +271,7 @@ proptest! {
                     assert_eq!(knn.stats, want_knn.stats, "{} flat knn stats {policy:?}", sim.name());
                     assert_eq!(info, ApproxInfo::EXACT, "{} flat knn verdict {policy:?}", sim.name());
                     let (range, info) = flat
-                        .range_approx_ctl_on(workers, query, delta, policy, &mut scratch, &ctl)
+                        .search_approx(&Query { workers, ctl, ..Query::range(query, delta) }, policy, &mut scratch)
                         .expect("QueryCtl::NONE never interrupts");
                     assert_eq!(range.hits, want_range.hits, "{} flat range hits {policy:?}", sim.name());
                     assert_eq!(range.stats, want_range.stats, "{} flat range stats {policy:?}", sim.name());
@@ -301,7 +311,7 @@ proptest! {
                         assert_eq!(knn.stats, want_knn.stats, "{} sharded knn stats {policy:?}", sim.name());
                         assert_eq!(info, ApproxInfo::EXACT);
                         let (range, info) = sharded
-                            .range_approx_ctl_on(workers, query, delta, policy, &mut sscratch, &ctl)
+                            .search_approx(&Query { workers, ctl, ..Query::range(query, delta) }, policy, &mut sscratch)
                             .expect("QueryCtl::NONE never interrupts");
                         assert_eq!(range.hits, want_range.hits, "{} sharded range hits {policy:?}", sim.name());
                         assert_eq!(range.stats, want_range.stats, "{} sharded range stats {policy:?}", sim.name());
@@ -331,7 +341,15 @@ fn anytime_commits_partials_on_expired_deadline() {
     // A deadline in the past: phase A already sees the interrupt.
     let ctl = QueryCtl::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
     let (result, info) = flat
-        .knn_anytime_ctl_on(1, &query, 5, &mut scratch, &ctl)
+        .search(
+            &Query {
+                workers: 1,
+                ctl,
+                on_expiry: OnExpiry::Commit,
+                ..Query::knn(&query, 5)
+            },
+            &mut scratch,
+        )
         .expect("anytime never surfaces Expired");
     assert!(info.approx, "an interrupted anytime answer is approximate");
     assert!((0.0..=1.0).contains(&info.recall_est));
@@ -339,7 +357,15 @@ fn anytime_commits_partials_on_expired_deadline() {
         assert_eq!(Some(sim.to_bits()), sims[id as usize], "hit {id} not exact");
     }
     let (range, info) = flat
-        .range_anytime_ctl_on(1, &query, 0.2, &mut scratch, &ctl)
+        .search(
+            &Query {
+                workers: 1,
+                ctl,
+                on_expiry: OnExpiry::Commit,
+                ..Query::range(&query, 0.2)
+            },
+            &mut scratch,
+        )
         .expect("anytime never surfaces Expired");
     assert!(info.approx);
     assert!((0.0..=1.0).contains(&info.recall_est));
@@ -351,7 +377,15 @@ fn anytime_commits_partials_on_expired_deadline() {
         ShardedLes3Index::build(flat.db().clone(), part, Jaccard, 4, ShardPolicy::Contiguous);
     let mut sscratch = ShardedScratch::new();
     let (result, info) = sharded
-        .knn_anytime_ctl_on(1, &query, 5, &mut sscratch, &ctl)
+        .search(
+            &Query {
+                workers: 1,
+                ctl,
+                on_expiry: OnExpiry::Commit,
+                ..Query::knn(&query, 5)
+            },
+            &mut sscratch,
+        )
         .expect("anytime never surfaces Expired");
     assert!(info.approx);
     assert!((0.0..=1.0).contains(&info.recall_est));
@@ -374,7 +408,15 @@ fn anytime_without_deadline_is_exact_and_cancellation_interrupts() {
         .knn_ctl_on(1, &query, 7, &mut scratch, &QueryCtl::NONE)
         .expect("NONE never interrupts");
     let (got, info) = flat
-        .knn_anytime_ctl_on(1, &query, 7, &mut scratch, &QueryCtl::NONE)
+        .search(
+            &Query {
+                workers: 1,
+                ctl: QueryCtl::NONE,
+                on_expiry: OnExpiry::Commit,
+                ..Query::knn(&query, 7)
+            },
+            &mut scratch,
+        )
         .expect("no deadline, nothing to commit early");
     assert_eq!(got.hits, want.hits);
     assert_eq!(got.stats, want.stats);
@@ -383,9 +425,171 @@ fn anytime_without_deadline_is_exact_and_cancellation_interrupts() {
     let cancelled = AtomicBool::new(true);
     let ctl = QueryCtl::new(None, Some(&cancelled));
     let err = flat
-        .knn_anytime_ctl_on(1, &query, 7, &mut scratch, &ctl)
+        .search(
+            &Query {
+                workers: 1,
+                ctl,
+                on_expiry: OnExpiry::Commit,
+                ..Query::knn(&query, 7)
+            },
+            &mut scratch,
+        )
         .expect_err("cancellation must interrupt, not commit");
     assert_eq!(err.reason, les3_core::InterruptReason::Cancelled);
     // Relaxed read just to keep the atomic alive past the call.
     assert!(cancelled.load(Ordering::Relaxed));
+}
+
+/// Mask × anytime, first half: a masked query whose deadline has
+/// already passed stops at the phase boundary and commits the empty
+/// answer with recall 0 — the restricted phase A it did run is in the
+/// stats, identically on both engines.
+#[test]
+fn masked_anytime_commits_empty_on_a_past_deadline() {
+    let db = SetDatabase::from_sets((0..200).map(|i| vec![i as u32, i as u32 + 1, 7]));
+    let part = Partitioning::round_robin(db.len(), 16);
+    let every_third: Vec<u64> = (0..4)
+        .map(|w| {
+            (0..64)
+                .filter(|b| (w * 64 + b) % 3 == 0)
+                .fold(0, |m, b| m | 1 << b)
+        })
+        .collect();
+    let mask = FilterCandidates::from_words(&every_third, &part);
+    let flat = Les3Index::build(db.clone(), part.clone(), Jaccard);
+    let sharded = ShardedLes3Index::build(db, part, Jaccard, 4, ShardPolicy::Contiguous);
+    let tokens: Vec<u32> = vec![7, 50, 51];
+    let ctl = QueryCtl::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
+    for kind in [Kind::Knn(5), Kind::Range(0.2)] {
+        for workers in [1, 4] {
+            let q = Query {
+                mask: Some(&mask),
+                workers,
+                ctl,
+                on_expiry: OnExpiry::Commit,
+                ..Query::new(&tokens, kind)
+            };
+            let (a, a_info) = flat
+                .search(&q, &mut QueryScratch::new())
+                .expect("anytime never surfaces Expired");
+            let (b, b_info) = sharded
+                .search(&q, &mut ShardedScratch::new())
+                .expect("anytime never surfaces Expired");
+            assert!(a.hits.is_empty() && b.hits.is_empty(), "{kind:?}");
+            assert_eq!((a_info.approx, a_info.recall_est), (true, 0.0), "{kind:?}");
+            assert_eq!(a_info, b_info, "{kind:?}");
+            assert_eq!(a.stats, b.stats, "{kind:?} w={workers}");
+            assert!(a.stats.columns_checked > 0, "phase A ran");
+            assert_eq!(a.stats.groups_verified, 0, "phase B did not");
+            // The same query without the commit policy is an error.
+            let fail = Query {
+                on_expiry: OnExpiry::Fail,
+                ..q
+            };
+            let err = flat
+                .search(&fail, &mut QueryScratch::new())
+                .expect_err("expired");
+            assert_eq!(err.reason, les3_core::InterruptReason::Expired);
+            assert_eq!(err.stats, a.stats);
+        }
+    }
+}
+
+/// Mask × anytime, second half: a filtered anytime query that expires
+/// *mid-descent* commits the masked partial answer. Deadlines double
+/// from 1 µs until the query completes; every answer on the way —
+/// partial or exact — may only name sets of the exact filtered answer,
+/// with bit-equal similarities, and somewhere on the way a partial
+/// answer must carry hits.
+#[test]
+fn filtered_anytime_commits_masked_partials_mid_descent() {
+    // Large enough that verification takes milliseconds: 24 000 sets
+    // sharing token 0 (so every group has range hits from its first
+    // member on), half of them "red".
+    let n = 24_000u32;
+    let sets: Vec<Vec<u32>> = (0..n)
+        .map(|i| vec![0, 1 + i % 97, 100 + i % 89, 200 + i % 83, 300 + i % 79])
+        .collect();
+    let attrs: Vec<Vec<(String, String)>> = (0..n)
+        .map(|i| {
+            let color = if i % 2 == 0 { "red" } else { "blue" };
+            vec![("color".to_string(), color.to_string())]
+        })
+        .collect();
+    let red = Filters(vec![Filter::Eq {
+        key: "color".into(),
+        value: "red".into(),
+    }]);
+    let tokens: Vec<u32> = vec![0, 5, 104, 207, 311];
+    let registry = Namespaces::new();
+    for (name, n_shards) in [("flat", 0usize), ("sharded", 3)] {
+        let spec = NamespaceSpec {
+            n_groups: 96,
+            n_shards,
+            sets: sets.clone(),
+            attrs: attrs.clone(),
+            ..Default::default()
+        };
+        let ns = registry.create(name, spec).expect("namespace builds");
+        for kind in [Kind::Knn(10), Kind::Range(0.1)] {
+            let exact = ns
+                .search(
+                    &Query {
+                        workers: 1,
+                        ..Query::new(&tokens, kind)
+                    },
+                    &red,
+                    ApproxPolicy::Exact,
+                )
+                .expect("no deadline")
+                .0;
+            assert!(exact.hits.len() >= 10, "{name} {kind:?}: fixture has hits");
+            // kNN ties at the boundary may resolve to different ids once
+            // fewer groups were seen, so a partial kNN hit is checked
+            // against every matching set's exact similarity instead.
+            let all = ns
+                .range(&tokens, 0.0, &red, 1, &QueryCtl::NONE)
+                .expect("no deadline")
+                .hits;
+            let reference = if matches!(kind, Kind::Knn(_)) {
+                &all
+            } else {
+                &exact.hits
+            };
+            let mut partials_with_hits = 0;
+            for _sweep in 0..50 {
+                let mut budget = std::time::Duration::from_micros(1);
+                loop {
+                    let q = Query {
+                        workers: 1,
+                        ctl: QueryCtl::with_deadline(Instant::now() + budget),
+                        ..Query::new(&tokens, kind)
+                    };
+                    let (got, info) = ns
+                        .search(&q, &red, ApproxPolicy::Anytime)
+                        .expect("anytime never surfaces Expired");
+                    for hit in &got.hits {
+                        let same = reference.iter().find(|e| e.0 == hit.0).unwrap_or_else(|| {
+                            panic!("{name} {kind:?}: hit {} is not admissible", hit.0)
+                        });
+                        assert_eq!(hit.1.to_bits(), same.1.to_bits(), "{name} {kind:?}");
+                    }
+                    assert!((0.0..=1.0).contains(&info.recall_est));
+                    if !info.approx {
+                        assert_eq!(got.hits, exact.hits, "{name} {kind:?}: in time is exact");
+                        break;
+                    }
+                    partials_with_hits += usize::from(!got.hits.is_empty());
+                    budget *= 2;
+                }
+                if partials_with_hits > 0 {
+                    break;
+                }
+            }
+            assert!(
+                partials_with_hits > 0,
+                "{name} {kind:?}: no deadline caught the descent with hits in hand"
+            );
+        }
+    }
 }

@@ -9,6 +9,9 @@
 //! every byte of a segment and demands a descriptive error, never a
 //! panic or a wrong answer.
 
+mod common;
+
+use common::run;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -17,7 +20,7 @@ use les3_core::persist::io::{FaultBudget, FaultyIo};
 use les3_core::persist::{save_index_with_meta, DurableIndex, DurableOptions, PersistentBackend};
 use les3_core::{
     ApproxParams, DeletionLog, Jaccard, Les3Index, MetadataIndex, Partitioning, PersistError,
-    SearchResult, ShardPolicy, ShardedLes3Index,
+    Query, SearchResult, ShardPolicy, ShardedLes3Index,
 };
 use les3_data::SetDatabase;
 
@@ -125,7 +128,14 @@ impl CrashBackend for Les3Index<Jaccard> {
         let cand = meta
             .candidates(&red_filter(), self.partitioning())
             .expect("non-empty filter list");
-        self.knn_filtered_par(q, k, &cand, 1)
+        run(
+            self,
+            Query {
+                mask: Some(&cand),
+                workers: 1,
+                ..Query::knn(q, k)
+            },
+        )
     }
     fn build_log(&self) -> DeletionLog {
         DeletionLog::build(self)
@@ -143,7 +153,14 @@ impl CrashBackend for ShardedLes3Index<Jaccard> {
         let cand = meta
             .candidates(&red_filter(), self.partitioning())
             .expect("non-empty filter list");
-        self.knn_filtered_par(q, k, &cand, 1)
+        run(
+            self,
+            Query {
+                mask: Some(&cand),
+                workers: 1,
+                ..Query::knn(q, k)
+            },
+        )
     }
     fn build_log(&self) -> DeletionLog {
         DeletionLog::build_sharded(self)

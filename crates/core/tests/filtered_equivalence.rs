@@ -31,10 +31,14 @@
 //! itself.
 #![cfg(not(feature = "model"))]
 
+mod common;
+
+use common::run;
 use les3_core::metadata::{Filter, Filters};
 use les3_core::{
-    Cosine, DeletionLog, Dice, FilterCandidates, Jaccard, Les3Index, MetadataIndex,
-    OverlapCoefficient, Partitioning, SearchResult, ShardPolicy, ShardedLes3Index, Similarity,
+    ApproxInfo, Cosine, DeletionLog, Dice, FilterCandidates, Jaccard, Kind, Les3Index,
+    MetadataIndex, OnExpiry, OverlapCoefficient, Partitioning, Query, QueryScratch, SearchResult,
+    ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
@@ -165,11 +169,17 @@ fn brute_knn_full(
     query: &[TokenId],
     matching: &[bool],
 ) -> Vec<(SetId, f64)> {
-    flat.knn_par(query, flat.db().len(), 1)
-        .hits
-        .into_iter()
-        .filter(|&(id, _)| matching[id as usize])
-        .collect()
+    run(
+        flat,
+        Query {
+            workers: 1,
+            ..Query::knn(query, flat.db().len())
+        },
+    )
+    .hits
+    .into_iter()
+    .filter(|&(id, _)| matching[id as usize])
+    .collect()
 }
 
 /// Tie-class-aware top-k comparison (module docs): `got` must have the
@@ -218,11 +228,17 @@ fn brute_range(
     delta: f64,
     matching: &[bool],
 ) -> Vec<(SetId, f64)> {
-    flat.range_par(query, delta, 1)
-        .hits
-        .into_iter()
-        .filter(|&(id, _)| matching[id as usize])
-        .collect()
+    run(
+        flat,
+        Query {
+            workers: 1,
+            ..Query::range(query, delta)
+        },
+    )
+    .hits
+    .into_iter()
+    .filter(|&(id, _)| matching[id as usize])
+    .collect()
 }
 
 /// Asserts the full equivalence square for one (db, partitioning,
@@ -265,8 +281,22 @@ fn check_filtered_configs<S: Similarity>(
     let full_knn = brute_knn_full(&flat, query, &matching);
     let want_range = brute_range(&flat, query, delta, &matching);
 
-    let baseline_knn = flat.knn_filtered_par(query, k, &cand, 1);
-    let baseline_range = flat.range_filtered_par(query, delta, &cand, 1);
+    let baseline_knn = run(
+        &flat,
+        Query {
+            mask: Some(&cand),
+            workers: 1,
+            ..Query::knn(query, k)
+        },
+    );
+    let baseline_range = run(
+        &flat,
+        Query {
+            mask: Some(&cand),
+            workers: 1,
+            ..Query::range(query, delta)
+        },
+    );
     assert_knn_matches(
         &baseline_knn.hits,
         &full_knn,
@@ -289,22 +319,50 @@ fn check_filtered_configs<S: Similarity>(
         assert_eq!(got.stats, want.stats, "{} {what} stats", sim.name());
     };
     for workers in WORKER_COUNTS {
-        let got = flat.knn_filtered_par(query, k, &cand, workers);
+        let got = run(
+            &flat,
+            Query {
+                mask: Some(&cand),
+                workers,
+                ..Query::knn(query, k)
+            },
+        );
         check(&got, &baseline_knn, &format!("flat knn w={workers}"));
-        let got = flat.range_filtered_par(query, delta, &cand, workers);
+        let got = run(
+            &flat,
+            Query {
+                mask: Some(&cand),
+                workers,
+                ..Query::range(query, delta)
+            },
+        );
         check(&got, &baseline_range, &format!("flat range w={workers}"));
     }
     for n_shards in SHARD_COUNTS {
         let sharded =
             ShardedLes3Index::build(db.clone(), part.clone(), sim, n_shards, ShardPolicy::Hash);
         for workers in WORKER_COUNTS {
-            let got = sharded.knn_filtered_par(query, k, &cand, workers);
+            let got = run(
+                &sharded,
+                Query {
+                    mask: Some(&cand),
+                    workers,
+                    ..Query::knn(query, k)
+                },
+            );
             check(
                 &got,
                 &baseline_knn,
                 &format!("sharded knn N={n_shards} w={workers}"),
             );
-            let got = sharded.range_filtered_par(query, delta, &cand, workers);
+            let got = run(
+                &sharded,
+                Query {
+                    mask: Some(&cand),
+                    workers,
+                    ..Query::range(query, delta)
+                },
+            );
             check(
                 &got,
                 &baseline_range,
@@ -442,9 +500,9 @@ proptest! {
             // Over-fetch exactly like the namespace layer does, so the
             // tombstone filter can never starve the answer below k.
             let fetch = k + (flat.db().len() - log.live_count());
-            let baseline = flat.knn_filtered_par(&q, fetch, &cand, 1);
+            let baseline = run(&flat, Query { mask: Some(&cand), workers: 1, ..Query::knn(&q, fetch) });
             for workers in WORKER_COUNTS {
-                let got = flat.knn_filtered_par(&q, fetch, &cand, workers);
+                let got = run(&flat, Query { mask: Some(&cand), workers, ..Query::knn(&q, fetch) });
                 prop_assert_eq!(&got.hits, &baseline.hits, "knn w={}", workers);
                 prop_assert_eq!(got.stats, baseline.stats, "knn stats w={}", workers);
                 let mut hits = got.hits;
@@ -456,7 +514,7 @@ proptest! {
                     k,
                     &format!("post-update filtered knn w={workers}"),
                 );
-                let got = flat.range_filtered_par(&q, delta, &cand, workers);
+                let got = run(&flat, Query { mask: Some(&cand), workers, ..Query::range(&q, delta) });
                 let mut hits = got.hits;
                 log.filter_hits(&mut hits);
                 prop_assert_eq!(&hits, &want_range, "post-update filtered range w={}", workers);
@@ -499,18 +557,56 @@ fn auto_worker_entry_points_match_explicit() {
         vec![0u32],
         vec![200u32, 201, 202, 203],
     ] {
-        let want_knn = flat.knn_filtered_par(&q, 10, &cand, 1);
-        let want_range = flat.range_filtered_par(&q, 0.3, &cand, 1);
-        let auto = flat.knn_filtered(&q, 10, &cand);
+        let want_knn = run(
+            &flat,
+            Query {
+                mask: Some(&cand),
+                workers: 1,
+                ..Query::knn(&q, 10)
+            },
+        );
+        let want_range = run(
+            &flat,
+            Query {
+                mask: Some(&cand),
+                workers: 1,
+                ..Query::range(&q, 0.3)
+            },
+        );
+        let auto = run(
+            &flat,
+            Query {
+                mask: Some(&cand),
+                ..Query::knn(&q, 10)
+            },
+        );
         assert_eq!(auto.hits, want_knn.hits);
         assert_eq!(auto.stats, want_knn.stats);
-        let auto = flat.range_filtered(&q, 0.3, &cand);
+        let auto = run(
+            &flat,
+            Query {
+                mask: Some(&cand),
+                ..Query::range(&q, 0.3)
+            },
+        );
         assert_eq!(auto.hits, want_range.hits);
         assert_eq!(auto.stats, want_range.stats);
-        let auto = sharded.knn_filtered(&q, 10, &cand);
+        let auto = run(
+            &sharded,
+            Query {
+                mask: Some(&cand),
+                ..Query::knn(&q, 10)
+            },
+        );
         assert_eq!(auto.hits, want_knn.hits);
         assert_eq!(auto.stats, want_knn.stats);
-        let auto = sharded.range_filtered(&q, 0.3, &cand);
+        let auto = run(
+            &sharded,
+            Query {
+                mask: Some(&cand),
+                ..Query::range(&q, 0.3)
+            },
+        );
         assert_eq!(auto.hits, want_range.hits);
         assert_eq!(auto.stats, want_range.stats);
     }
@@ -526,4 +622,109 @@ fn out_of_range_matches_are_ignored() {
     assert_eq!(cand.n_matching(), 2);
     assert!(cand.matches(1) && cand.matches(2));
     assert!(!cand.matches(0));
+}
+
+/// The entry-point matrix as a table: every combination of the
+/// [`Query`] axes, on every engine shape, is one `search` — equal to
+/// brute force on hits, and to the flat sequential run on hits *and*
+/// stats. With no deadline to pass, `OnExpiry::Commit` changes nothing
+/// and every verdict is exact.
+#[test]
+fn every_query_axis_combination_matches_brute_force_and_flat() {
+    fn check<S: Similarity>(sim: S) {
+        let mut g = Gen(0x5eed_cafe);
+        let sets: Vec<Vec<TokenId>> = (0..230)
+            .map(|_| {
+                let len = 1 + g.below(14);
+                let set: std::collections::BTreeSet<u32> =
+                    (0..len).map(|_| g.below(60) as u32).collect();
+                set.into_iter().collect()
+            })
+            .collect();
+        let db = SetDatabase::from_sets(sets);
+        let n = db.len();
+        let part = pseudo_partitioning(n, 14, 0x9a7);
+        let tokens: Vec<TokenId> = db.set(17).to_vec();
+
+        let mask_of = |keep: &dyn Fn(usize) -> bool| {
+            let words: Vec<u64> = (0..n.div_ceil(64))
+                .map(|w| {
+                    (0..64)
+                        .filter(|b| w * 64 + b < n && keep(w * 64 + b))
+                        .fold(0, |m, b| m | 1 << b)
+                })
+                .collect();
+            FilterCandidates::from_words(&words, &part)
+        };
+        let masks = [
+            ("none", None),
+            ("10%", Some(mask_of(&|id| id % 10 == 3))),
+            ("empty", Some(mask_of(&|_| false))),
+            ("all", Some(mask_of(&|_| true))),
+        ];
+        let kinds = [
+            Kind::Knn(1),
+            Kind::Knn(10),
+            Kind::Knn(n + 5),
+            Kind::Range(0.2),
+            Kind::Range(0.8),
+            Kind::Range(1.0),
+        ];
+
+        let flat = Les3Index::build(db.clone(), part.clone(), sim);
+        let sharded = |n_shards, policy| {
+            ShardedLes3Index::build(db.clone(), part.clone(), sim, n_shards, policy)
+        };
+        let engines = [
+            ("sharded x1", sharded(1, ShardPolicy::Contiguous)),
+            ("sharded x3 contiguous", sharded(3, ShardPolicy::Contiguous)),
+            ("sharded x3 hash", sharded(3, ShardPolicy::Hash)),
+        ];
+
+        for (mask_name, mask) in &masks {
+            // Brute force: every admitted set's similarity, in the
+            // engine's total order (similarity descending, id ascending).
+            let mut ranked: Vec<(SetId, f64)> = db
+                .iter()
+                .filter(|&(id, _)| mask.as_ref().is_none_or(|m| m.matches(id)))
+                .map(|(id, set)| (id, sim.eval(&tokens, set)))
+                .collect();
+            ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            for kind in kinds {
+                let ctx = format!("{} {kind:?} mask={mask_name}", sim.name());
+                let query = |workers, on_expiry| Query {
+                    mask: mask.as_ref(),
+                    workers,
+                    on_expiry,
+                    ..Query::new(&tokens, kind)
+                };
+                let (want, info) = flat
+                    .search(&query(1, OnExpiry::Fail), &mut QueryScratch::new())
+                    .expect("no deadline");
+                assert_eq!(info, ApproxInfo::EXACT, "{ctx}");
+                match kind {
+                    Kind::Knn(k) => assert_knn_matches(&want.hits, &ranked, k, &ctx),
+                    Kind::Range(delta) => {
+                        let hits: Vec<_> =
+                            ranked.iter().copied().filter(|h| h.1 >= delta).collect();
+                        assert_eq!(want.hits, hits, "{ctx}");
+                    }
+                }
+                for workers in [0, 1, 2, 4] {
+                    for on_expiry in [OnExpiry::Fail, OnExpiry::Commit] {
+                        let q = query(workers, on_expiry);
+                        let ctx = format!("{ctx} w={workers} {on_expiry:?}");
+                        let got = flat.search(&q, &mut QueryScratch::new());
+                        assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "flat {ctx}");
+                        for (name, engine) in &engines {
+                            let got = engine.search(&q, &mut ShardedScratch::new());
+                            assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "{name} {ctx}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+    check(Jaccard);
+    check(Cosine);
 }

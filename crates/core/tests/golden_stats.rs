@@ -11,8 +11,10 @@
 //! documented change of the work the engines do.
 #![cfg(not(feature = "model"))]
 
+mod common;
+
 use les3_core::{
-    FilterCandidates, HierarchicalPartitioning, Htgm, Jaccard, Les3Index, Partitioning,
+    FilterCandidates, HierarchicalPartitioning, Htgm, Jaccard, Les3Index, Partitioning, Query,
     SearchResult, SearchStats, ShardPolicy, ShardedLes3Index,
 };
 use les3_data::zipfian::ZipfianGenerator;
@@ -169,9 +171,23 @@ fn per_query_search_stats_match_recorded_literals() {
             })
             .collect::<Vec<_>>()
     };
-    let flat_results = run(&|q| flat.knn(q, K), &|q| flat.knn_filtered(q, K, &cand));
+    let flat_results = run(&|q| flat.knn(q, K), &|q| {
+        common::run(
+            &flat,
+            Query {
+                mask: Some(&cand),
+                ..Query::knn(q, K)
+            },
+        )
+    });
     let sharded_results = run(&|q| sharded.knn(q, K), &|q| {
-        sharded.knn_filtered(q, K, &cand)
+        common::run(
+            &sharded,
+            Query {
+                mask: Some(&cand),
+                ..Query::knn(q, K)
+            },
+        )
     });
     let htgm_results: Vec<SearchResult> = (0..N_UNFILTERED)
         .map(|i| htgm.knn(&query(&db, i), K))

@@ -14,11 +14,14 @@
 //! `loom::model` run (`model_check.rs` is the model-build suite).
 #![cfg(not(feature = "model"))]
 
+mod common;
+
+use common::run;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use les3_core::{
     Cosine, DeletionLog, Dice, InterruptReason, Jaccard, Les3Index, OverlapCoefficient,
-    Partitioning, QueryCtl, QueryScratch, ShardPolicy, ShardedLes3Index, ShardedScratch,
+    Partitioning, Query, QueryCtl, QueryScratch, ShardPolicy, ShardedLes3Index, ShardedScratch,
     Similarity, ThresholdedEval,
 };
 use les3_data::{SetDatabase, TokenId};
@@ -57,12 +60,30 @@ fn check_parallel_configs<S: Similarity>(
     delta: f64,
 ) {
     let flat = Les3Index::build(db.clone(), part.clone(), sim);
-    let seq_knn = flat.knn_par(query, k, 1);
-    let seq_range = flat.range_par(query, delta, 1);
+    let seq_knn = run(
+        &flat,
+        Query {
+            workers: 1,
+            ..Query::knn(query, k)
+        },
+    );
+    let seq_range = run(
+        &flat,
+        Query {
+            workers: 1,
+            ..Query::range(query, delta)
+        },
+    );
     let sharded = ShardedLes3Index::build(db.clone(), part.clone(), sim, 3, ShardPolicy::Hash);
     let mut scratch = ShardedScratch::new();
     for workers in WORKER_COUNTS {
-        let got = flat.knn_par(query, k, workers);
+        let got = run(
+            &flat,
+            Query {
+                workers,
+                ..Query::knn(query, k)
+            },
+        );
         assert_eq!(
             got.hits,
             seq_knn.hits,
@@ -75,7 +96,13 @@ fn check_parallel_configs<S: Similarity>(
             "knn stats {} w={workers}",
             sim.name()
         );
-        let got = flat.range_par(query, delta, workers);
+        let got = run(
+            &flat,
+            Query {
+                workers,
+                ..Query::range(query, delta)
+            },
+        );
         assert_eq!(
             got.hits,
             seq_range.hits,
@@ -167,10 +194,10 @@ proptest! {
                 log.delete(&mut flat, victim);
             }
             let q = flat.db().set((flat.db().len() - 1) as u32).to_vec();
-            let seq_knn = flat.knn_par(&q, k, 1);
-            let seq_range = flat.range_par(&q, delta, 1);
+            let seq_knn = run(&flat, Query { workers: 1, ..Query::knn(&q, k) });
+            let seq_range = run(&flat, Query { workers: 1, ..Query::range(&q, delta) });
             for workers in WORKER_COUNTS {
-                let got = flat.knn_par(&q, k, workers);
+                let got = run(&flat, Query { workers, ..Query::knn(&q, k) });
                 prop_assert_eq!(&got.hits, &seq_knn.hits, "post-update knn w={}", workers);
                 prop_assert_eq!(got.stats, seq_knn.stats, "post-update knn stats w={}", workers);
                 let mut a = got.hits;
@@ -178,7 +205,7 @@ proptest! {
                 log.filter_hits(&mut a);
                 log.filter_hits(&mut b);
                 prop_assert_eq!(a, b, "post-update filtered knn w={}", workers);
-                let got = flat.range_par(&q, delta, workers);
+                let got = run(&flat, Query { workers, ..Query::range(&q, delta) });
                 prop_assert_eq!(&got.hits, &seq_range.hits, "post-update range w={}", workers);
                 prop_assert_eq!(got.stats, seq_range.stats,
                     "post-update range stats w={}", workers);
@@ -355,18 +382,42 @@ fn parallel_matches_sequential_on_larger_index() {
         vec![0u32],
         vec![200u32, 201, 202, 203],
     ] {
-        let seq_knn = flat.knn_par(&q, 10, 1);
-        let seq_range = flat.range_par(&q, 0.3, 1);
+        let seq_knn = run(
+            &flat,
+            Query {
+                workers: 1,
+                ..Query::knn(&q, 10)
+            },
+        );
+        let seq_range = run(
+            &flat,
+            Query {
+                workers: 1,
+                ..Query::range(&q, 0.3)
+            },
+        );
         // `knn` picks its own worker count (auto heuristic or the
         // LES3_TEST_WORKERS override): still bit-for-bit sequential.
         let auto = flat.knn(&q, 10);
         assert_eq!(auto.hits, seq_knn.hits);
         assert_eq!(auto.stats, seq_knn.stats);
         for workers in [2usize, 4, 8] {
-            let got = flat.knn_par(&q, 10, workers);
+            let got = run(
+                &flat,
+                Query {
+                    workers,
+                    ..Query::knn(&q, 10)
+                },
+            );
             assert_eq!(got.hits, seq_knn.hits, "knn w={workers}");
             assert_eq!(got.stats, seq_knn.stats, "knn stats w={workers}");
-            let got = flat.range_par(&q, 0.3, workers);
+            let got = run(
+                &flat,
+                Query {
+                    workers,
+                    ..Query::range(&q, 0.3)
+                },
+            );
             assert_eq!(got.hits, seq_range.hits, "range w={workers}");
             assert_eq!(got.stats, seq_range.stats, "range stats w={workers}");
             let got = sharded

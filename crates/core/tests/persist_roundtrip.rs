@@ -12,6 +12,9 @@
 //! and the SIG payload is pinned to bytes recorded before the sidecar's
 //! in-memory layout became blocked and column-major.
 
+mod common;
+
+use common::run;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -19,7 +22,7 @@ use les3_core::metadata::{Filter, Filters};
 use les3_core::persist::{save_index_with_meta, DurableIndex, PersistentBackend};
 use les3_core::{
     ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Jaccard, Les3Index, MetadataIndex,
-    MinHashIndex, OverlapCoefficient, Partitioning, QueryCtl, QueryScratch, SearchResult,
+    MinHashIndex, OverlapCoefficient, Partitioning, Query, QueryCtl, QueryScratch, SearchResult,
     ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity,
 };
 use les3_data::SetDatabase;
@@ -74,7 +77,14 @@ impl<S: Similarity> TestBackend for Les3Index<S> {
         let cand = meta
             .candidates(&gold_filter(), self.partitioning())
             .expect("non-empty filter list");
-        self.knn_filtered_par(q, k, &cand, 1)
+        run(
+            self,
+            Query {
+                mask: Some(&cand),
+                workers: 1,
+                ..Query::knn(q, k)
+            },
+        )
     }
     fn build_log(&self) -> DeletionLog {
         DeletionLog::build(self)
@@ -103,7 +113,14 @@ impl<S: Similarity> TestBackend for ShardedLes3Index<S> {
         let cand = meta
             .candidates(&gold_filter(), self.partitioning())
             .expect("non-empty filter list");
-        self.knn_filtered_par(q, k, &cand, 1)
+        run(
+            self,
+            Query {
+                mask: Some(&cand),
+                workers: 1,
+                ..Query::knn(q, k)
+            },
+        )
     }
     fn build_log(&self) -> DeletionLog {
         DeletionLog::build_sharded(self)

@@ -31,6 +31,12 @@
 //! string/char literal contents blanked, line structure preserved —
 //! with `#[cfg(test)]` item regions masked out by brace tracking, so
 //! the rules see real code and only real code.
+//!
+//! `cargo run -p xtask -- loc` prints the tracked size number on the
+//! same view: per crate and per file, the non-blank code-view lines
+//! outside `#[cfg(test)]` regions of `crates/core/src` and
+//! `crates/net/src`. Comments, blank lines and in-`src` tests do not
+//! count, so neither does deleting them. It only reports.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -47,19 +53,20 @@ fn main() -> ExitCode {
                 Some(r) => root = PathBuf::from(r),
                 None => return usage("--root needs a path"),
             },
-            "lint" if cmd.is_none() => cmd = Some("lint"),
+            "lint" | "loc" if cmd.is_none() => cmd = Some(a.as_str()),
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
     match cmd {
         Some("lint") => run_lint(&root),
+        Some("loc") => run_loc(&root),
         _ => usage("expected a subcommand"),
     }
 }
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("error: {err}");
-    eprintln!("usage: cargo run -p xtask -- lint [--root <repo-root>]");
+    eprintln!("usage: cargo run -p xtask -- <lint|loc> [--root <repo-root>]");
     ExitCode::from(2)
 }
 
@@ -93,6 +100,43 @@ fn run_lint(root: &Path) -> ExitCode {
         println!("les3-lint: {} violation(s)", violations.len());
         ExitCode::FAILURE
     }
+}
+
+/// The crates whose code size is a tracked number (ROADMAP aim 2).
+const LOC_CRATES: [&str; 2] = ["crates/core/src", "crates/net/src"];
+
+fn run_loc(root: &Path) -> ExitCode {
+    let sources = rust_sources(root);
+    for dir in LOC_CRATES {
+        let mut total = 0;
+        for file in &sources {
+            let rel = rel_str(root, file);
+            if !rel.starts_with(&format!("{dir}/")) {
+                continue;
+            }
+            let Ok(src) = std::fs::read_to_string(file) else {
+                eprintln!("error: unreadable: {rel}");
+                return ExitCode::FAILURE;
+            };
+            let n = code_lines(&src);
+            println!("{n:>7}  {rel}");
+            total += n;
+        }
+        println!("{total:>7}  {dir} (total)");
+    }
+    ExitCode::SUCCESS
+}
+
+/// Non-blank lines of `src`'s code view outside `#[cfg(test)]` regions.
+fn code_lines(src: &str) -> usize {
+    let code = code_view(src);
+    let lines: Vec<&str> = code.lines().collect();
+    let in_test = test_mask(&lines);
+    lines
+        .iter()
+        .zip(&in_test)
+        .filter(|&(line, &test)| !test && !line.trim().is_empty())
+        .count()
 }
 
 struct Violation {
@@ -617,6 +661,15 @@ mod tests {
         let lines: Vec<&str> = view.lines().collect();
         let mask = test_mask(&lines);
         assert_eq!(mask, [false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn loc_counts_code_lines_only() {
+        let src = "//! module docs\n\nuse x::y; // trailing comment\n/* block\n   comment */\nfn a() {\n    let s = \"\n\";\n}\n\n#[cfg(test)]\nmod tests {\n    fn c() { d(); }\n}\n";
+        // `use`, `fn a() {`, the two halves of the multi-line string
+        // statement, and the closing brace.
+        assert_eq!(code_lines(src), 5);
+        assert_eq!(code_lines("// only comments\n\n"), 0);
     }
 
     #[test]

@@ -48,6 +48,12 @@
 //! assert_eq!(top10.hits[0].0, 7); // the set itself is its own 1-NN
 //! let close = index.range(&query, 0.8);
 //! assert!(close.hits.iter().all(|&(_, s)| s >= 0.8));
+//!
+//! // `knn`/`range` are shorthands over the one entry point, `search`:
+//! // a `Query` names every axis (kind, mask, workers, ctl, on_expiry).
+//! let pinned = Query { workers: 2, ..Query::knn(&query, 10) };
+//! let (same, _) = index.search(&pinned, &mut QueryScratch::new()).unwrap();
+//! assert_eq!(same, top10); // hits and stats, at any worker count
 //! ```
 
 pub use les3_baselines as baselines;
@@ -67,10 +73,11 @@ pub mod prelude {
     pub use les3_core::{
         normalize_query, ApproxInfo, ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice,
         DiskLes3, DurableIndex, DurableOptions, FsyncPolicy, HierarchicalPartitioning, Htgm,
-        InterruptReason, Interrupted, Jaccard, Les3Index, MinHashIndex, OnFull, OverlapCoefficient,
-        Partitioning, PersistError, PersistentBackend, QueryCtl, QueryScratch, SearchResult,
-        SearchStats, ServeBackend, ServeConfig, ServeError, ServeFront, ServeResult, ShardPolicy,
-        ShardedLes3Index, ShardedScratch, Similarity, SubmitOpts, Tgm, Ticket, WorkerScratch,
+        InterruptReason, Interrupted, Jaccard, Kind, Les3Index, MinHashIndex, OnExpiry, OnFull,
+        OverlapCoefficient, Partitioning, PersistError, PersistentBackend, Query, QueryCtl,
+        QueryScratch, SearchOutcome, SearchResult, SearchStats, ServeBackend, ServeConfig,
+        ServeError, ServeFront, ServeResult, ShardPolicy, ShardedLes3Index, ShardedScratch,
+        Similarity, SubmitOpts, Tgm, Ticket, WorkerScratch,
     };
     pub use les3_data::realistic::DatasetSpec;
     pub use les3_data::zipfian::ZipfianGenerator;
