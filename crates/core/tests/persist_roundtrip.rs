@@ -589,3 +589,109 @@ fn sig_payload_is_pinned_across_the_layout_rewrite() {
         assert_eq!(decoded.candidates(query, bands, rows), want);
     }
 }
+
+/// The fixed flat fixture of the compatibility pins: the 70 pinned sets
+/// in 6 pseudo-random groups, Jaccard.
+fn pinned_flat_index() -> Les3Index<Jaccard> {
+    let db = SetDatabase::from_sets(pinned_big_sets());
+    let part = pseudo_partitioning(db.len(), 6, 0x1e53);
+    Les3Index::build(db, part, Jaccard)
+}
+
+/// A flat index is stored without a SHARDS block and with `n_shards ==
+/// 0`; the bytes `DurableIndex::create` writes for a fixed fixture —
+/// and for the same fixture after a logged insert, a logged delete and
+/// a checkpoint — are those of 08853e3, the last commit where
+/// `Les3Index` was an engine of its own rather than the 1-shard one.
+#[test]
+fn flat_segment_bytes_are_pinned_across_the_engine_merge() {
+    let dir = fresh_dir("flat-pin");
+    let mut durable = DurableIndex::create(&dir, pinned_flat_index()).unwrap();
+    let bytes = std::fs::read(dir.join("segment")).unwrap();
+    assert_eq!(bytes.len(), 4_279);
+    assert_eq!(fnv1a(&bytes), 0xc181_e663_74fa_a6eb, "recorded at 08853e3");
+
+    durable.insert(&mut [96, 3, 40, 3]).unwrap();
+    durable.insert(&mut [200, 7]).unwrap();
+    assert!(durable.delete(11).unwrap());
+    durable.checkpoint().unwrap();
+    let bytes = std::fs::read(dir.join("segment")).unwrap();
+    assert_eq!(bytes.len(), 4_391);
+    assert_eq!(fnv1a(&bytes), 0x9326_574e_dfa4_079b, "recorded at 08853e3");
+    drop(durable);
+
+    let meta = les3_core::persist::read_meta(&dir).unwrap();
+    assert_eq!((meta.n_shards, meta.epoch), (0, 1));
+    let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+    assert_eq!(reopened.backend().db().len(), 72);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Flat and sharded directories are distinct kinds on disk, however many
+/// shards the sharded one has: opening either as the other is a
+/// `Mismatch`, never a silently re-sharded index.
+#[test]
+fn opening_a_directory_as_the_other_kind_is_a_mismatch() {
+    use les3_core::PersistError;
+    let flat_dir = fresh_dir("kind-flat");
+    drop(DurableIndex::create(&flat_dir, pinned_flat_index()).unwrap());
+    let err = DurableIndex::<ShardedLes3Index<Jaccard>>::open(&flat_dir, Jaccard)
+        .err()
+        .expect("a flat segment must not open as sharded");
+    assert!(matches!(err, PersistError::Mismatch { .. }), "{err}");
+    assert_eq!(
+        err.to_string(),
+        "segment mismatch: expected a sharded index, found a flat segment"
+    );
+    DurableIndex::<Les3Index<Jaccard>>::open(&flat_dir, Jaccard).expect("still opens as flat");
+
+    for n_shards in [1usize, 3] {
+        let dir = fresh_dir("kind-sharded");
+        let flat = pinned_flat_index();
+        let sharded = ShardedLes3Index::build(
+            flat.db().clone(),
+            flat.partitioning().clone(),
+            Jaccard,
+            n_shards,
+            ShardPolicy::Contiguous,
+        );
+        drop(DurableIndex::create(&dir, sharded).unwrap());
+        let err = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard)
+            .err()
+            .expect("a sharded segment must not open as flat");
+        assert!(matches!(err, PersistError::Mismatch { .. }), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "segment mismatch: expected a flat index, found a sharded segment"
+        );
+        let reopened = DurableIndex::<ShardedLes3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+        assert_eq!(reopened.backend().n_shards(), n_shards);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    std::fs::remove_dir_all(&flat_dir).ok();
+}
+
+/// A namespace created with `n_shards: 0` is the flat kind before and
+/// after a save → load, and one created with a single shard is not.
+#[test]
+fn namespace_kind_survives_save_and_load() {
+    use les3_core::{NamespaceSpec, Namespaces};
+    for (n_shards, kind) in [(0usize, "flat"), (1, "sharded"), (2, "sharded")] {
+        let root = fresh_dir("ns-kind");
+        let registry = Namespaces::new();
+        let spec = NamespaceSpec {
+            n_shards,
+            n_groups: 4,
+            sets: pinned_big_sets(),
+            ..Default::default()
+        };
+        let info = registry.create("pin", spec).unwrap().info();
+        assert_eq!((info.kind, info.n_shards), (kind, n_shards));
+        registry.save_all(&root).unwrap();
+
+        let loaded = Namespaces::new();
+        assert_eq!(loaded.load_all(&root).unwrap(), 1);
+        assert_eq!(loaded.expect("pin").unwrap().info(), info);
+        std::fs::remove_dir_all(&root).ok();
+    }
+}
