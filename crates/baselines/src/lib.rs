@@ -47,40 +47,23 @@ pub trait SetSimSearch {
     fn index_size_in_bytes(&self) -> usize;
 }
 
+// `Les3Index` derefs to the engine that has these as inherent methods;
+// going through `**self` keeps each call from resolving back to this
+// trait's method of the same name.
 impl<S: les3_core::Similarity> SetSimSearch for les3_core::Les3Index<S> {
     fn name(&self) -> &'static str {
         "LES3"
     }
 
     fn knn(&self, query: &[TokenId], k: usize) -> SearchResult {
-        Les3Index_knn(self, query, k)
+        (**self).knn(query, k)
     }
 
     fn range(&self, query: &[TokenId], delta: f64) -> SearchResult {
-        Les3Index_range(self, query, delta)
+        (**self).range(query, delta)
     }
 
     fn index_size_in_bytes(&self) -> usize {
-        les3_core::Les3Index::index_size_in_bytes(self)
+        (**self).index_size_in_bytes()
     }
-}
-
-// Free-function shims avoid infinite recursion between the inherent
-// methods and the trait methods of the same name.
-#[allow(non_snake_case)]
-fn Les3Index_knn<S: les3_core::Similarity>(
-    idx: &les3_core::Les3Index<S>,
-    query: &[TokenId],
-    k: usize,
-) -> SearchResult {
-    les3_core::Les3Index::knn(idx, query, k)
-}
-
-#[allow(non_snake_case)]
-fn Les3Index_range<S: les3_core::Similarity>(
-    idx: &les3_core::Les3Index<S>,
-    query: &[TokenId],
-    delta: f64,
-) -> SearchResult {
-    les3_core::Les3Index::range(idx, query, delta)
 }

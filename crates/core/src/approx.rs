@@ -477,10 +477,9 @@ pub(crate) fn prefilter_info(
     }
 }
 
-/// Runs one [`ApproxPolicy::Prefilter`] query of either engine: builds
-/// the candidate mask in the scratch's [`PrefilterScratch`] (taken out
-/// for the duration of `search`, which needs the rest of the scratch
-/// mutably), hands `search` the mask — or `None` for the unfiltered
+/// Runs one [`ApproxPolicy::Prefilter`] query: builds the candidate
+/// mask in the scratch's [`PrefilterScratch`] (taken out for the
+/// duration of `search`, which needs the rest of the scratch mutably), hands `search` the mask — or `None` for the unfiltered
 /// exact path — and attaches the verdict to an answer that is not
 /// already a committed partial one.
 pub(crate) fn run_prefiltered<S: WorkerScratch>(

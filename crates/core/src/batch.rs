@@ -1,27 +1,22 @@
 //! Batched query execution on a coalescing work queue.
 //!
-//! Search services rarely see one query at a time. Both index variants
-//! expose batch entry points that fan out over rayon workers through a
-//! shared **coalescing executor**: the batch is cut into many small
-//! fixed-size tasks, workers claim tasks one at a time from an atomic
-//! counter, and each worker owns its scratch for its whole lifetime
-//! (zero steady-state allocation). Compared to the earlier
-//! one-contiguous-chunk-per-worker split, a skewed batch — a few
-//! expensive queries clustered together — no longer leaves the other
-//! workers idle: whoever finishes early simply claims the next task.
-//!
-//! For the sharded index the task grid is **(shard × query-chunk)**: the
-//! per-shard filter passes of different shards proceed in parallel even
-//! for the same queries, then a second wave of per-chunk tasks runs the
-//! cross-shard merge (kNN) or concatenation (range). Results are
-//! bit-for-bit identical to running the queries one by one — workers
-//! share nothing but the read-only index and their disjoint output
-//! slots.
+//! Search services rarely see one query at a time. The batch entry
+//! points of both index types fan out over rayon workers through one
+//! **coalescing executor**: the batch is cut into many small fixed-size
+//! tasks, workers claim tasks one at a time from an atomic counter, and
+//! each worker owns its scratch for its whole lifetime (zero
+//! steady-state allocation). Compared to a one-contiguous-chunk-per-worker
+//! split, a skewed batch — a few expensive queries clustered together —
+//! does not leave the other workers idle: whoever finishes early simply
+//! claims the next task. Every task runs its queries through the one
+//! `search`, so results are bit-for-bit identical to running the queries
+//! one by one — workers share nothing but the read-only index and their
+//! disjoint output slots.
 //!
 //! Two executors share the coalescing discipline:
 //!
 //! * `run_coalesced` — the synchronous one-shot executor behind
-//!   [`Les3Index::knn_batch`] / [`ShardedLes3Index::range_batch`] and
+//!   [`ShardedLes3Index::knn_batch`] / [`Les3Index::range_batch_on`] and
 //!   friends: spawn workers, claim tasks, join. Panicking tasks are
 //!   isolated (every other task still runs; the first payload is
 //!   rethrown to the caller).
@@ -57,12 +52,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use les3_data::TokenId;
 
 use crate::ctl::QueryCtl;
-use crate::index::{sort_hits, Les3Index, SearchResult};
-use crate::par;
-use crate::scratch::{QueryScratch, ShardedScratch};
-use crate::shard::{merge_filter_streams, MergedGroups, ShardFilter, ShardedLes3Index};
-use crate::sim::{distinct_len, normalize_query, Similarity};
-use crate::stats::SearchStats;
+use crate::index::{Les3Index, SearchResult};
+use crate::query::{self, Kind, Query};
+use crate::scratch::QueryScratch;
+use crate::shard::ShardedLes3Index;
+use crate::sim::Similarity;
 
 /// Queries per task. Small enough that a skewed batch decomposes into
 /// many stealable tasks, large enough to amortize a task claim (one
@@ -296,32 +290,15 @@ fn pool_worker_loop<W: Send + 'static>(
     }
 }
 
-/// Per-query [`normalize_query`]: borrows every already-sorted query
-/// (the common case — one scan, no copy) and owns a sorted copy of any
-/// unsorted one, so the wave paths stay bit-for-bit identical to the
-/// per-query entry points.
-fn normalized_queries(queries: &[Vec<TokenId>]) -> Vec<std::borrow::Cow<'_, [TokenId]>> {
-    queries.iter().map(|q| normalize_query(q)).collect()
-}
-
-/// Worker count for a batch of `n` queries: enough tasks per worker that
-/// claiming stays amortized, never more workers than tasks.
-fn auto_workers(n: usize) -> usize {
-    rayon::current_num_threads()
-        .min(n.div_ceil(TASK_QUERIES))
-        .max(1)
-}
-
-/// Splits the machine's thread budget between the inter-query axis
-/// (workers claiming query-chunks) and the intra-query axis (workers
-/// inside one query's verification, `par.rs`). Large batches take
-/// the whole budget on the inter axis (`intra = 1`, per-query overhead
-/// zero); a batch with fewer chunks than cores folds the leftover
-/// `budget / inter` into each query so one oversized query cannot leave
-/// the other cores idle.
-fn split_budget(n: usize) -> (usize, usize) {
-    let budget = rayon::current_num_threads();
-    let inter = auto_workers(n);
+/// Splits a thread budget between the inter-query axis (workers
+/// claiming query-chunks) and the intra-query axis (workers inside one
+/// query's verification, `par.rs`). Large batches take the whole budget
+/// on the inter axis (`intra = 1`, per-query overhead zero); a batch
+/// with fewer chunks than threads folds the leftover `budget / inter`
+/// into each query so one oversized query cannot leave the other cores
+/// idle. Never more inter-query workers than tasks.
+fn split_budget(budget: usize, n: usize) -> (usize, usize) {
+    let inter = budget.min(n.div_ceil(TASK_QUERIES)).max(1);
     (inter, (budget / inter).max(1))
 }
 
@@ -332,61 +309,67 @@ fn task_cells<T>(slots: &mut [T], chunk: usize) -> Vec<Mutex<&mut [T]>> {
     slots.chunks_mut(chunk).map(Mutex::new).collect()
 }
 
-impl<S: Similarity> Les3Index<S> {
+impl<S: Similarity> ShardedLes3Index<S> {
     /// Answers many range queries in parallel. Returns one result per
-    /// query, in input order.
+    /// query, in input order; results equal per-query
+    /// [`ShardedLes3Index::range`].
     pub fn range_batch(&self, queries: &[Vec<TokenId>], delta: f64) -> Vec<SearchResult> {
-        let (inter, intra) = split_budget(queries.len());
-        self.range_batch_on(inter, intra, queries, delta)
+        self.range_batch_on(rayon::current_num_threads(), queries, delta)
     }
 
-    /// [`Les3Index::range_batch`] with pinned inter-/intra-query worker
-    /// counts (the equivalence tests and bench sweeps pin both axes).
+    /// [`ShardedLes3Index::range_batch`] with an explicit worker budget:
+    /// `workers` is the *total* parallel width, split between
+    /// query-chunks and intra-query verification workers.
     pub fn range_batch_on(
         &self,
         workers: usize,
-        intra: usize,
         queries: &[Vec<TokenId>],
         delta: f64,
     ) -> Vec<SearchResult> {
-        self.run_batch_on(workers, intra, queries, |index, query, scratch, intra| {
-            index
-                .range_ctl_on(intra, query, delta, scratch, &QueryCtl::NONE)
-                .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
-        })
+        let (inter, intra) = split_budget(workers, queries.len());
+        self.run_kind_on(inter, intra, queries, Kind::Range(delta))
     }
 
     /// Answers many kNN queries in parallel. Returns one result per
     /// query, in input order; results equal per-query
-    /// [`Les3Index::knn`].
+    /// [`ShardedLes3Index::knn`].
     pub fn knn_batch(&self, queries: &[Vec<TokenId>], k: usize) -> Vec<SearchResult> {
-        let (inter, intra) = split_budget(queries.len());
-        self.knn_batch_on(inter, intra, queries, k)
+        self.knn_batch_on(rayon::current_num_threads(), queries, k)
     }
 
-    /// [`Les3Index::knn_batch`] with pinned inter-/intra-query worker
-    /// counts.
+    /// [`ShardedLes3Index::knn_batch`] with an explicit worker budget,
+    /// split as in [`ShardedLes3Index::range_batch_on`].
     pub fn knn_batch_on(
+        &self,
+        workers: usize,
+        queries: &[Vec<TokenId>],
+        k: usize,
+    ) -> Vec<SearchResult> {
+        let (inter, intra) = split_budget(workers, queries.len());
+        self.run_kind_on(inter, intra, queries, Kind::Knn(k))
+    }
+
+    /// Every query of the batch as a `kind` search with `intra`
+    /// intra-query workers, on `workers` chunk-claiming workers.
+    fn run_kind_on(
         &self,
         workers: usize,
         intra: usize,
         queries: &[Vec<TokenId>],
-        k: usize,
+        kind: Kind,
     ) -> Vec<SearchResult> {
-        self.run_batch_on(workers, intra, queries, |index, query, scratch, intra| {
-            index
-                .knn_ctl_on(intra, query, k, scratch, &QueryCtl::NONE)
-                .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"))
+        self.run_batch_on(workers, intra, queries, |index, tokens, scratch, intra| {
+            let q = Query::new(tokens, kind).pinned(intra, &QueryCtl::NONE);
+            query::uninterrupted(index.search(&q, scratch))
         })
     }
 
-    /// Coalescing parallel executor shared by the batch entry points:
-    /// `workers` claim query-chunks (inter-query axis) and each query
-    /// runs with `intra` intra-query workers — `run_one` receives the
-    /// intra width and is expected to pass it to `knn_ctl_on` /
-    /// `range_ctl_on`. An undersized batch (fewer chunks than cores)
-    /// therefore still saturates the machine: the leftover budget folds
-    /// into each query instead of idling.
+    /// The one coalescing batch executor: `workers` claim query-chunks
+    /// (inter-query axis) and `run_one` answers each query, receiving
+    /// the `intra` width it is expected to run that query with. An
+    /// undersized batch (fewer chunks than cores) therefore still
+    /// saturates the machine: the leftover budget folds into each query
+    /// instead of idling.
     fn run_batch_on(
         &self,
         workers: usize,
@@ -414,305 +397,30 @@ impl<S: Similarity> Les3Index<S> {
     }
 }
 
-/// Query-chunks each worker may have in flight per wave: bounds the
-/// retained phase-A filter output of a sharded batch to
-/// `O(workers × WAVE_CHUNKS_PER_WORKER × TASK_QUERIES × n_groups)`
-/// entries instead of the whole batch's, while leaving several claimable
-/// tasks per worker for skew absorption.
-const WAVE_CHUNKS_PER_WORKER: usize = 4;
-
-impl<S: Similarity> ShardedLes3Index<S> {
-    /// Worker count for a sharded batch: the parallel width is the
-    /// (shard × query-chunk) task grid, so even a batch of one chunk can
-    /// occupy one worker per shard.
-    fn sharded_workers(&self, n: usize) -> usize {
-        rayon::current_num_threads()
-            .min(n.div_ceil(TASK_QUERIES) * self.n_shards())
-            .max(1)
-    }
-
-    /// Answers many kNN queries in parallel over the (shard ×
-    /// query-chunk) task grid. Returns one result per query, in input
-    /// order; results equal per-query [`ShardedLes3Index::knn`].
-    pub fn knn_batch(&self, queries: &[Vec<TokenId>], k: usize) -> Vec<SearchResult> {
-        self.knn_batch_on(self.sharded_workers(queries.len()), queries, k)
-    }
-
-    /// [`ShardedLes3Index::knn_batch`] with an explicit worker budget.
-    /// `workers` is the *total* parallel width: the filter grid uses all
-    /// of it, and the merge phase splits it between query-chunks and
-    /// intra-query verification workers (`knn_wave`'s intra split).
-    pub fn knn_batch_on(
-        &self,
-        workers: usize,
-        queries: &[Vec<TokenId>],
-        k: usize,
-    ) -> Vec<SearchResult> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if k == 0 || self.db.is_empty() {
-            // Mirror knn_with's degenerate-input guard so batch results
-            // (and stats) stay bit-identical to per-query calls.
-            return (0..n)
-                .map(|_| SearchResult {
-                    hits: Vec::new(),
-                    stats: SearchStats::default(),
-                })
-                .collect();
-        }
-        if workers <= 1 {
-            // No parallelism to schedule: skip the phase split and its
-            // partial-filter buffers entirely.
-            let mut scratch = ShardedScratch::new();
-            return queries
-                .iter()
-                .map(|q| self.knn_with(q, k, &mut scratch))
-                .collect();
-        }
-        // The wave paths hand raw queries to the shard filter kernels,
-        // so sort any unsorted ones here — exactly what the per-query
-        // entry points do — to keep batch results identical to them.
-        let storage = normalized_queries(queries);
-        let queries: Vec<&[TokenId]> = storage.iter().map(|q| q.as_ref()).collect();
-        // Waves keep phase-A memory bounded for arbitrarily large
-        // batches; each wave is its own two-phase run.
-        let wave = (workers * WAVE_CHUNKS_PER_WORKER * TASK_QUERIES).max(TASK_QUERIES);
-        let mut out = Vec::with_capacity(n);
-        for slice in queries.chunks(wave) {
-            out.append(&mut self.knn_wave(workers, slice, k));
-        }
-        out
-    }
-
-    /// One wave of the sharded kNN batch: phase A fills the (shard ×
-    /// chunk) filter grid, phase B merges per query.
-    ///
-    /// Phase B's parallel axis is query-chunks — but an undersized wave
-    /// (fewer chunks than workers) would strand the surplus, so the
-    /// leftover budget becomes the **intra-query split**: each merge
-    /// task runs its queries through the speculate-and-replay engine
-    /// (`par.rs`) over the materialized cross-shard bound stream,
-    /// which is bit-for-bit the cursor-wise [`ShardedLes3Index::merge_knn`].
-    fn knn_wave(&self, workers: usize, queries: &[&[TokenId]], k: usize) -> Vec<SearchResult> {
-        let n = queries.len();
-        let n_shards = self.n_shards();
-        let n_chunks = n.div_ceil(TASK_QUERIES);
-        // Phase A — (shard × chunk) filter tasks: shards filter the same
-        // chunk concurrently; each task owns one partial-output cell.
-        let partials = self.run_filter_phase(workers, queries, n_chunks);
-        // Phase B — per-chunk merge tasks: the cross-shard descent is
-        // sequential per query (the shared top-k is the point), so the
-        // parallel axes are queries × intra-query workers.
-        let intra = (workers / workers.min(n_chunks)).max(1);
-        let mut slots: Vec<Option<SearchResult>> = (0..n).map(|_| None).collect();
-        let cells = task_cells(&mut slots, TASK_QUERIES);
-        run_coalesced(
-            workers,
-            n_chunks,
-            || (vec![0usize; n_shards], Vec::new()),
-            |c, (cursors, merged)| {
-                let mut out = lock_unpoisoned(&cells[c]);
-                for (i, (q, slot)) in queries[c * TASK_QUERIES..]
-                    .iter()
-                    .zip(out.iter_mut())
-                    .enumerate()
-                {
-                    let mut stats = SearchStats::default();
-                    for s in 0..n_shards {
-                        stats.columns_checked += partials[s * n_chunks + c][i].cols as usize;
-                    }
-                    let top = if intra > 1 {
-                        merge_filter_streams(
-                            (0..n_shards).map(|s| &partials[s * n_chunks + c][i]),
-                            merged,
-                        );
-                        let groups = MergedGroups {
-                            index: self,
-                            merged,
-                            query: q,
-                            q_len: distinct_len(q),
-                            filter: None,
-                        };
-                        par::knn_descend(&groups, k, intra, &mut stats, &QueryCtl::NONE)
-                    } else {
-                        cursors.iter_mut().for_each(|cur| *cur = 0);
-                        self.merge_knn(
-                            q,
-                            k,
-                            distinct_len(q),
-                            |s| &partials[s * n_chunks + c][i],
-                            None,
-                            cursors,
-                            &mut stats,
-                            &QueryCtl::NONE,
-                        )
-                    }
-                    .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"));
-                    *slot = Some(SearchResult {
-                        hits: top.into_sorted(),
-                        stats,
-                    });
-                }
-            },
-        );
-        drop(cells);
-        slots
-            .into_iter()
-            .map(|r| r.expect("worker filled its slice"))
-            .collect()
-    }
-
-    /// Answers many range queries in parallel over the (shard ×
-    /// query-chunk) task grid; shards verify independently and the
-    /// per-query hit lists concatenate. Results equal per-query
-    /// [`ShardedLes3Index::range`].
-    pub fn range_batch(&self, queries: &[Vec<TokenId>], delta: f64) -> Vec<SearchResult> {
-        self.range_batch_on(self.sharded_workers(queries.len()), queries, delta)
-    }
-
-    /// [`ShardedLes3Index::range_batch`] with an explicit worker budget.
-    /// Range verification needs no cross-shard state, so the (shard ×
-    /// chunk) grid itself is the intra-query split: one query's shards
-    /// verify on different workers.
+impl<S: Similarity> Les3Index<S> {
+    /// [`ShardedLes3Index::range_batch`] with pinned inter-/intra-query
+    /// worker counts (the equivalence tests and bench sweeps pin both
+    /// axes).
     pub fn range_batch_on(
         &self,
         workers: usize,
+        intra: usize,
         queries: &[Vec<TokenId>],
         delta: f64,
     ) -> Vec<SearchResult> {
-        let n = queries.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if workers <= 1 {
-            let mut scratch = ShardedScratch::new();
-            return queries
-                .iter()
-                .map(|q| self.range_with(q, delta, &mut scratch))
-                .collect();
-        }
-        let storage = normalized_queries(queries);
-        let queries: Vec<&[TokenId]> = storage.iter().map(|q| q.as_ref()).collect();
-        let wave = (workers * WAVE_CHUNKS_PER_WORKER * TASK_QUERIES).max(TASK_QUERIES);
-        let mut out = Vec::with_capacity(n);
-        for slice in queries.chunks(wave) {
-            out.append(&mut self.range_wave(workers, slice, delta));
-        }
-        out
+        self.run_kind_on(workers, intra, queries, Kind::Range(delta))
     }
 
-    /// One wave of the sharded range batch: filter + verify per (shard,
-    /// chunk) task, then per-query concatenation.
-    fn range_wave(&self, workers: usize, queries: &[&[TokenId]], delta: f64) -> Vec<SearchResult> {
-        let n = queries.len();
-        let n_shards = self.n_shards();
-        let n_chunks = n.div_ceil(TASK_QUERIES);
-        // Phase A — (shard × chunk) tasks run filter *and* verify: range
-        // verification needs no cross-shard state.
-        type Partial = (Vec<(les3_data::SetId, f64)>, SearchStats);
-        let cells: Vec<Mutex<Vec<Partial>>> = (0..n_shards * n_chunks)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        run_coalesced(
-            workers,
-            n_shards * n_chunks,
-            || (QueryScratch::new(), ShardFilter::default()),
-            |t, (scratch, filter)| {
-                let (s, c) = (t / n_chunks, t % n_chunks);
-                let chunk = &queries[c * TASK_QUERIES..((c + 1) * TASK_QUERIES).min(n)];
-                let mut out: Vec<Partial> = Vec::with_capacity(chunk.len());
-                for q in chunk {
-                    let q_len = distinct_len(q);
-                    let mut stats = SearchStats::default();
-                    let mut hits = Vec::new();
-                    self.filter_shard(s, q, q_len, scratch, filter);
-                    stats.columns_checked += filter.cols as usize;
-                    self.range_shard(
-                        s,
-                        q,
-                        delta,
-                        filter,
-                        None,
-                        &mut hits,
-                        &mut stats,
-                        &QueryCtl::NONE,
-                    )
-                    .unwrap_or_else(|_| unreachable!("QueryCtl::NONE never interrupts"));
-                    out.push((hits, stats));
-                }
-                *lock_unpoisoned(&cells[t]) = out;
-            },
-        );
-        let partials: Vec<Vec<Partial>> = cells
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        // Phase B — per-chunk concatenation + canonical sort.
-        let mut slots: Vec<Option<SearchResult>> = (0..n).map(|_| None).collect();
-        let out_cells = task_cells(&mut slots, TASK_QUERIES);
-        run_coalesced(
-            workers,
-            n_chunks,
-            || (),
-            |c, _| {
-                let mut out = lock_unpoisoned(&out_cells[c]);
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let mut hits = Vec::new();
-                    for s in 0..n_shards {
-                        hits.extend_from_slice(&partials[s * n_chunks + c][i].0);
-                    }
-                    let stats = SearchStats::merged(
-                        (0..n_shards).map(|s| &partials[s * n_chunks + c][i].1),
-                    );
-                    sort_hits(&mut hits);
-                    *slot = Some(SearchResult { hits, stats });
-                }
-            },
-        );
-        drop(out_cells);
-        slots
-            .into_iter()
-            .map(|r| r.expect("worker filled its slice"))
-            .collect()
-    }
-
-    /// Phase A of the sharded kNN batch: every (shard, chunk) task runs
-    /// that shard's filter pass for the chunk's queries. Returned as
-    /// `result[s * n_chunks + c][i]` = shard `s`'s filter output for the
-    /// `i`-th query of chunk `c`.
-    fn run_filter_phase(
+    /// [`ShardedLes3Index::knn_batch`] with pinned inter-/intra-query
+    /// worker counts.
+    pub fn knn_batch_on(
         &self,
         workers: usize,
-        queries: &[&[TokenId]],
-        n_chunks: usize,
-    ) -> Vec<Vec<ShardFilter>> {
-        let n = queries.len();
-        let n_shards = self.n_shards();
-        let cells: Vec<Mutex<Vec<ShardFilter>>> = (0..n_shards * n_chunks)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        run_coalesced(
-            workers,
-            n_shards * n_chunks,
-            QueryScratch::new,
-            |t, scratch| {
-                let (s, c) = (t / n_chunks, t % n_chunks);
-                let chunk = &queries[c * TASK_QUERIES..((c + 1) * TASK_QUERIES).min(n)];
-                let mut out: Vec<ShardFilter> = Vec::with_capacity(chunk.len());
-                for q in chunk {
-                    let mut filter = ShardFilter::default();
-                    self.filter_shard(s, q, distinct_len(q), scratch, &mut filter);
-                    out.push(filter);
-                }
-                *lock_unpoisoned(&cells[t]) = out;
-            },
-        );
-        cells
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect()
+        intra: usize,
+        queries: &[Vec<TokenId>],
+        k: usize,
+    ) -> Vec<SearchResult> {
+        self.run_kind_on(workers, intra, queries, Kind::Knn(k))
     }
 }
 
@@ -829,9 +537,9 @@ mod tests {
             }
         }
         // An undersized batch against a big budget: 10 queries = 2
-        // chunks, 8 workers → the merge phase runs with intra = 4
-        // through the speculate-and-replay engine. Results (and stats)
-        // must not move.
+        // chunks, 8 workers → each query runs with intra = 4 through
+        // the speculate-and-replay engine. Results (and stats) must not
+        // move.
         let small = &queries[..10];
         let knn = sharded.knn_batch_on(8, small, 6);
         for (i, q) in small.iter().enumerate() {
@@ -842,10 +550,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batch_waves_preserve_order_and_results() {
-        // 300 queries with 2 workers span multiple phase-A waves
-        // (wave = workers × 4 chunks × 8 queries = 64); results must be
-        // identical to the single-query path across wave boundaries.
+    fn long_sharded_batches_preserve_order_and_results() {
+        // 300 queries are 38 chunks for 2 workers to claim; results must
+        // land in input order, identical to the single-query path.
         let db = ZipfianGenerator::new(400, 250, 6.0, 1.1).generate(41);
         let queries: Vec<Vec<TokenId>> =
             (0..300u32).map(|i| db.set(i * 11 % 400).to_vec()).collect();

@@ -17,7 +17,7 @@
 //! A poll costs one relaxed atomic load (cancellation) plus one
 //! monotonic-clock read (deadline) — both skipped entirely for
 //! [`QueryCtl::NONE`], which the uncontrolled entry points
-//! ([`crate::Les3Index::knn_with`] and friends) pass, so the existing
+//! ([`crate::ShardedLes3Index::knn_with`] and friends) pass, so the existing
 //! hot paths pay nothing.
 //!
 //! Interruption never loses work silently: the `*_ctl` entry points

@@ -12,7 +12,7 @@ use les3_data::{SetDatabase, SetId, TokenId};
 use crate::index::{sort_hits, SearchResult, TopK, VerifyOrder, VerifyQuery};
 use crate::partitioning::Partitioning;
 use crate::scratch::QueryScratch;
-use crate::sim::{distinct_len, normalize_query, Similarity, ThresholdedEval};
+use crate::sim::{distinct_len, normalize_query, Similarity};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
 
@@ -146,6 +146,10 @@ impl<S: Similarity> Htgm<S> {
         let query = &*normalize_query(query);
         let q_len = distinct_len(query);
         let mut stats = SearchStats::default();
+        // Every level's pass runs one after the other: one kernel
+        // scratch serves them all.
+        scratch.ensure(1);
+        let scratch = &mut scratch.per_shard[0];
         // Level 0: full word-parallel scan of the coarsest matrix.
         let touched = self.tgms[0].group_overlaps_into(query, &mut scratch.counts);
         stats.columns_checked += touched as usize;
@@ -183,24 +187,16 @@ impl<S: Similarity> Htgm<S> {
         // Verify the finest survivors through the length window +
         // threshold-aware merges.
         let mut hits: Vec<(SetId, f64)> = Vec::new();
+        let verify = VerifyQuery {
+            sim: self.sim,
+            db: &self.db,
+            query,
+            q_len,
+            filter: None,
+        };
         for &g in &surviving {
             stats.groups_verified += 1;
-            self.verify
-                .with_window(self.sim, g, q_len, delta, |ids, _lens, skipped| {
-                    stats.size_skipped += skipped;
-                    for &id in ids {
-                        stats.candidates += 1;
-                        stats.sims_computed += 1;
-                        match self.sim.eval_with_threshold(query, self.db.set(id), delta) {
-                            ThresholdedEval::Hit(s) => hits.push((id, s)),
-                            ThresholdedEval::Rejected { early } => {
-                                if early {
-                                    stats.early_exits += 1;
-                                }
-                            }
-                        }
-                    }
-                });
+            verify.range_window(&self.verify, g, delta, &mut hits, &mut stats);
         }
         sort_hits(&mut hits);
         SearchResult { hits, stats }
@@ -229,6 +225,8 @@ impl<S: Similarity> Htgm<S> {
                 stats,
             };
         }
+        scratch.ensure(1);
+        let scratch = &mut scratch.per_shard[0];
         // Seed the frontier with level-0 bounds.
         let touched = self.tgms[0].group_overlaps_into(query, &mut scratch.counts);
         stats.columns_checked += touched as usize;

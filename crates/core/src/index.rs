@@ -1,33 +1,38 @@
-//! The memory-resident LES3 index and its query algorithms (paper §6).
+//! The flat-kind index and the verification machinery every engine
+//! shares (paper §6).
 //!
-//! The query hot path is built for throughput:
+//! [`Les3Index`] is not an engine of its own: it is a
+//! [`ShardedLes3Index`] built with exactly one shard — so the shard's
+//! local group ids *are* the global ones and its TGM *is* the global
+//! matrix — under the constructor, accessors and on-disk kind the
+//! unsharded index has always had. Every query, insert and delete runs
+//! the one body in `shard.rs` / `update.rs` / `delete.rs` through
+//! `Deref`. What lives here besides the newtype is what that body (and
+//! the HTGM) verifies with:
 //!
-//! * the filter step runs the word-parallel counting kernels of
-//!   `les3-bitmap` over the query's token columns;
 //! * groups are ordered for verification by **bucketed descending
-//!   selection** — `ub_from_overlap` is monotone in the overlap count
-//!   `r ∈ 0..=|Q|`, so bucketing groups by `r` yields the same order as
-//!   sorting by bound in `O(G + |Q|)` instead of `O(G log G)`;
+//!   selection** (`bucketed_descending`) — `ub_from_overlap` is
+//!   monotone in the overlap count `r ∈ 0..=|Q|`, so bucketing groups by
+//!   `r` yields the same order as sorting by bound in `O(G + |Q|)`
+//!   instead of `O(G log G)`;
 //! * verification is **threshold-aware**: members are stored
-//!   length-sorted per group so a similarity-specific length window
-//!   excludes most of a group with two binary searches, and each
-//!   surviving merge abandons as soon as its residual-overlap bound
-//!   cannot reach the current threshold
-//!   ([`Similarity::eval_with_threshold`]);
-//! * all working memory lives in a reusable [`QueryScratch`]
-//!   ([`Les3Index::knn_with`] / [`Les3Index::range_with`]), so
+//!   length-sorted per group (`VerifyOrder`) so a similarity-specific
+//!   length window excludes most of a group with two binary searches,
+//!   and each surviving merge abandons as soon as its residual-overlap
+//!   bound cannot reach the current threshold
+//!   ([`Similarity::eval_with_threshold`]); the kNN and range candidate
+//!   loops exist once each (`VerifyQuery::knn_window`,
+//!   `VerifyQuery::range_window`);
+//! * all working memory lives in a reusable [`QueryScratch`], so
 //!   steady-state queries allocate nothing but their result vector.
+
+use std::ops::{Deref, DerefMut};
 
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use crate::approx::{ApproxParams, ApproxPolicy, MinHashIndex};
-use crate::ctl::{Interrupted, QueryCtl};
-use crate::metadata::FilterCandidates;
-use crate::par::{self, ParGroups};
 use crate::partitioning::Partitioning;
-use crate::query::{self, Gathered, Kind, Query, SearchOutcome};
 use crate::scratch::QueryScratch;
-use crate::serve::ServeBackend;
+use crate::shard::{ShardPolicy, ShardedLes3Index};
 use crate::sim::{distinct_len, normalize_query, Similarity, ThresholdedEval};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
@@ -42,120 +47,50 @@ pub struct SearchResult {
 }
 
 /// The LES3 index: database + partitioning + TGM + similarity measure.
+///
+/// A [`ShardedLes3Index`] with one shard owning groups `0..G` in order
+/// (the invariant everything here relies on: local group id == global
+/// group id). `search`, `knn*`, `range*`, `insert`, `enable_approx` and
+/// the accessors are the engine's own, reached through `Deref`; this
+/// type adds the unsharded constructor, [`Les3Index::tgm`], the
+/// per-group probes the disk-resident variant drives, the batch entry
+/// points with an explicit intra-query width, and the flat segment kind
+/// (no SHARDS block, see [`crate::persist`]).
 #[derive(Debug, Clone)]
-pub struct Les3Index<S: Similarity> {
-    db: SetDatabase,
-    partitioning: Partitioning,
-    tgm: Tgm,
-    sim: S,
-    /// Length-sorted member order per group (the verify-step scan order).
-    verify: VerifyOrder,
-    /// The opt-in MinHash sidecar of the approximate tier (`None` until
-    /// [`Les3Index::enable_approx`]); kept id-aligned with `db` by the
-    /// insert path.
-    approx: Option<MinHashIndex>,
+pub struct Les3Index<S: Similarity>(ShardedLes3Index<S>);
+
+impl<S: Similarity> Deref for Les3Index<S> {
+    type Target = ShardedLes3Index<S>;
+
+    fn deref(&self) -> &ShardedLes3Index<S> {
+        &self.0
+    }
+}
+
+impl<S: Similarity> DerefMut for Les3Index<S> {
+    fn deref_mut(&mut self) -> &mut ShardedLes3Index<S> {
+        &mut self.0
+    }
 }
 
 impl<S: Similarity> Les3Index<S> {
     /// Builds the index. The partitioning must cover the database.
     pub fn build(db: SetDatabase, partitioning: Partitioning, sim: S) -> Self {
-        assert_eq!(
-            db.len(),
-            partitioning.n_sets(),
-            "partitioning must cover the database"
-        );
-        let tgm = Tgm::build(&db, &partitioning);
-        let verify = VerifyOrder::build(&db, &partitioning);
-        Self {
-            db,
-            partitioning,
-            tgm,
-            sim,
-            verify,
-            approx: None,
-        }
+        let one_shard = ShardedLes3Index::build(db, partitioning, sim, 1, ShardPolicy::Contiguous);
+        Self::from_one_shard(one_shard)
     }
 
-    /// Reassembles an index from parts recovered off disk. The caller
-    /// (the persist layer) has already validated that the partitioning
-    /// covers the database and that the TGM columns and verification
-    /// order were produced from the same snapshot.
-    pub(crate) fn from_parts(
-        db: SetDatabase,
-        partitioning: Partitioning,
-        tgm: Tgm,
-        sim: S,
-        verify: VerifyOrder,
-    ) -> Self {
-        debug_assert_eq!(db.len(), partitioning.n_sets());
-        Self {
-            db,
-            partitioning,
-            tgm,
-            sim,
-            verify,
-            approx: None,
-        }
+    /// Wraps an engine that has exactly one shard (the persist layer
+    /// reassembles one from every segment without a SHARDS block).
+    pub(crate) fn from_one_shard(engine: ShardedLes3Index<S>) -> Self {
+        assert_eq!(engine.n_shards(), 1, "a flat index is the 1-shard engine");
+        Self(engine)
     }
 
-    /// Builds the MinHash sidecar that backs
-    /// [`ApproxPolicy::Prefilter`] queries. Until this is called (or a
-    /// segment with a signature block is loaded), prefilter queries
-    /// fall back to the exact path.
-    pub fn enable_approx(&mut self, params: ApproxParams) {
-        self.approx = Some(MinHashIndex::build(&self.db, params));
-    }
-
-    /// The MinHash sidecar, if the approximate tier is enabled.
-    pub fn approx_sidecar(&self) -> Option<&MinHashIndex> {
-        self.approx.as_ref()
-    }
-
-    /// Installs a sidecar recovered off disk (persist layer).
-    pub(crate) fn set_approx(&mut self, approx: Option<MinHashIndex>) {
-        self.approx = approx;
-    }
-
-    /// The underlying database.
-    pub fn db(&self) -> &SetDatabase {
-        &self.db
-    }
-
-    /// The partitioning in use.
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
-    }
-
-    /// The token-group matrix.
+    /// The token-group matrix (the one shard's, whose rows are the
+    /// global groups).
     pub fn tgm(&self) -> &Tgm {
-        &self.tgm
-    }
-
-    /// Mutable TGM access (used by the update path).
-    pub(crate) fn parts_mut(&mut self) -> (&mut SetDatabase, &mut Partitioning, &mut Tgm) {
-        (&mut self.db, &mut self.partitioning, &mut self.tgm)
-    }
-
-    /// Registers a newly inserted member of group `g` in the
-    /// length-sorted verification order (update path).
-    pub(crate) fn note_new_member(&mut self, g: u32, id: SetId) {
-        let len = distinct_len(self.db.set(id)) as u32;
-        self.verify.push(g, len, id);
-        if let Some(mh) = &mut self.approx {
-            debug_assert_eq!(mh.n_sets() as u32, id, "sidecar out of sync with db");
-            mh.push(self.db.set(id));
-        }
-    }
-
-    /// The similarity measure.
-    pub fn sim(&self) -> S {
-        self.sim
-    }
-
-    /// Index size in bytes (TGM only — the quantity of Figure 11; the
-    /// partitioning assignment itself is part of data placement).
-    pub fn index_size_in_bytes(&self) -> usize {
-        self.tgm.size_in_bytes()
+        &self.0.shards[0].tgm
     }
 
     /// Upper bounds `UB(Q, G_g)` for every group, in verification order
@@ -163,7 +98,7 @@ impl<S: Similarity> Les3Index<S> {
     /// written into `scratch.bounds`. Records the true column-scan cost
     /// (`Σ_{t∈Q} |groups(t)|` bits visited) into `stats`.
     ///
-    /// The order is produced without sorting: overlap counts are bucketed
+    /// The order is the engine's phase A: overlap counts are bucketed
     /// (`r ∈ 0..=|Q|`) and buckets are emitted from `r = |Q|` down, group
     /// ids ascending within a bucket — exactly the order a stable
     /// descending sort on the (monotone in `r`) bounds would give, in
@@ -175,63 +110,18 @@ impl<S: Similarity> Les3Index<S> {
         scratch: &mut QueryScratch,
     ) {
         let query = &*normalize_query(query);
-        self.group_upper_bounds_sorted(query, stats, scratch);
-    }
-
-    /// [`Les3Index::group_upper_bounds_with`] for a query the caller has
-    /// already normalized (the hot paths normalize once at their entry).
-    fn group_upper_bounds_sorted(
-        &self,
-        query: &[TokenId],
-        stats: &mut SearchStats,
-        scratch: &mut QueryScratch,
-    ) {
         let q_len = distinct_len(query);
-        let touched = self.tgm.group_overlaps_into(query, &mut scratch.counts);
-        stats.columns_checked += touched as usize;
-        let n_groups = self.tgm.n_groups();
+        scratch.ensure(1);
+        let (kernel, filter) = (&mut scratch.per_shard[0], &mut scratch.filters[0]);
+        self.0.filter_shard(0, query, q_len, kernel, filter);
+        stats.columns_checked += filter.cols as usize;
+        let sim = self.0.sim;
         scratch.bounds.clear();
-        scratch.bounds.resize(n_groups, (0, 0.0));
-        let (bounds, sim) = (&mut scratch.bounds, self.sim);
-        bucketed_descending(&scratch.counts, q_len, &mut scratch.offsets, |pos, g, r| {
-            bounds[pos] = (g, sim.ub_from_overlap(q_len, r as usize));
-        });
-    }
-
-    /// The restricted phase A of a filtered query: overlap counts only
-    /// for `cand.groups` (via the masked counting kernels of
-    /// [`Tgm::group_overlaps_restricted_into`]), then the same bucketed
-    /// descending selection over the candidate list. `scratch.bounds`
-    /// holds *global* group ids afterwards, in `(r descending, id
-    /// ascending)` order — exactly the order the unrestricted pass would
-    /// produce for these groups, since candidate positions ascend with
-    /// global ids.
-    fn group_upper_bounds_sorted_restricted(
-        &self,
-        query: &[TokenId],
-        cand: &FilterCandidates,
-        stats: &mut SearchStats,
-        scratch: &mut QueryScratch,
-    ) {
-        let q_len = distinct_len(query);
-        let touched = self.tgm.group_overlaps_restricted_into(
-            query,
-            &cand.groups,
-            &mut scratch.mask,
-            &mut scratch.restricted,
-            &mut scratch.restricted_out,
-        );
-        stats.columns_checked += touched as usize;
-        scratch.bounds.clear();
-        scratch.bounds.resize(cand.groups.len(), (0, 0.0));
-        let (bounds, sim, groups) = (&mut scratch.bounds, self.sim, &cand.groups);
-        bucketed_descending(
-            &scratch.restricted_out,
-            q_len,
-            &mut scratch.offsets,
-            |pos, i, r| {
-                bounds[pos] = (groups[i as usize], sim.ub_from_overlap(q_len, r as usize));
-            },
+        scratch.bounds.extend(
+            filter
+                .bounds
+                .iter()
+                .map(|b| (b.group, sim.ub_from_overlap(q_len, b.r as usize))),
         );
     }
 
@@ -261,198 +151,18 @@ impl<S: Similarity> Les3Index<S> {
     ) {
         let query = &*normalize_query(query);
         stats.groups_verified += 1;
-        for &id in self.partitioning.members(g) {
-            let s = self.sim.eval(query, self.db.set(id));
+        for &id in self.0.partitioning.members(g) {
+            let s = self.0.sim.eval(query, self.0.db.set(id));
             stats.candidates += 1;
             stats.sims_computed += 1;
             on_hit(id, s);
         }
     }
-
-    /// Runs one [`Query`] — the index's only query body; every named
-    /// `knn*/range*` method below is a single expression over it.
-    ///
-    /// Guards, then phase A (the TGM column count and bucketed bound
-    /// order, over all groups or only the mask's), one `ctl` poll —
-    /// filtering is cheap, verification is where the CPU goes, so an
-    /// expired or cancelled query must not start it — then phase B: the
-    /// best-first descent (kNN, stopping at the first group whose bound
-    /// cannot improve the k-th best, Theorem 3.1) or the scan of every
-    /// group whose bound reaches `δ` (range). `workers <= 1` is the plain
-    /// sequential loop; more run the speculate + deterministic-replay
-    /// engine (`par.rs`), bit-for-bit identical in hits *and* stats.
-    pub fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
-        let mut stats = SearchStats::default();
-        if q.is_vacuous(self.db.is_empty()) {
-            return query::settle(None, Gathered::NOTHING, stats, q.on_expiry, 0);
-        }
-        // Sort an unsorted query once; the filter kernels and the verify
-        // merges both assume sorted tokens.
-        let tokens = &*normalize_query(q.tokens);
-        match q.mask {
-            None => self.group_upper_bounds_sorted(tokens, &mut stats, scratch),
-            Some(cand) => {
-                self.group_upper_bounds_sorted_restricted(tokens, cand, &mut stats, scratch)
-            }
-        }
-        let n_considered = q.n_considered(self.tgm.n_groups());
-        if let stopped @ Some(_) = q.ctl.interrupted() {
-            return query::settle(stopped, Gathered::NOTHING, stats, q.on_expiry, n_considered);
-        }
-        let workers = par::resolve_workers(q.workers, n_considered);
-        let groups = FlatGroups {
-            index: self,
-            bounds: &scratch.bounds,
-            query: tokens,
-            q_len: distinct_len(tokens),
-            filter: q.mask.map(|cand| &cand.sets),
-        };
-        let (stopped, gathered) = match q.kind {
-            Kind::Knn(k) => {
-                Gathered::heap(par::knn_descend(&groups, k, workers, &mut stats, &q.ctl))
-            }
-            Kind::Range(delta) => Gathered::list(|hits| {
-                par::range_scan(&groups, delta, workers, hits, &mut stats, &q.ctl)
-            }),
-        };
-        query::settle(stopped, gathered, stats, q.on_expiry, n_considered)
-    }
-
-    /// Exact kNN search (Definition 2.1).
-    pub fn knn(&self, query: &[TokenId], k: usize) -> SearchResult {
-        self.knn_with(query, k, &mut QueryScratch::new())
-    }
-
-    /// [`Les3Index::knn`] with caller-provided scratch (allocation-free
-    /// in steady state; the batch executors keep one scratch per worker).
-    pub fn knn_with(
-        &self,
-        query: &[TokenId],
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> SearchResult {
-        query::uninterrupted(self.search(&Query::knn(query, k), scratch))
-    }
-
-    /// Exact kNN under cooperative interruption with a pinned
-    /// intra-query worker count (`0` counts as `1`).
-    pub fn knn_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.search(&Query::knn(query, k).pinned(workers, ctl), scratch)
-            .map(|(result, _)| result)
-    }
-
-    /// [`Les3Index::knn_ctl_on`] over the matching subset of a filtered
-    /// query: the k most similar sets among those `cand` admits.
-    pub fn knn_filtered_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        cand: &FilterCandidates,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        let q = Query {
-            mask: Some(cand),
-            ..Query::knn(query, k).pinned(workers, ctl)
-        };
-        self.search(&q, scratch).map(|(result, _)| result)
-    }
-
-    /// kNN under an [`ApproxPolicy`]: [`ServeBackend::search_approx`]
-    /// taking its [`Query`] as an argument list.
-    pub fn knn_approx_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        k: usize,
-        policy: ApproxPolicy,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> SearchOutcome {
-        self.search_approx(&Query::knn(query, k).pinned(workers, ctl), policy, scratch)
-    }
-
-    /// Exact range search (Definition 2.2): all sets with
-    /// `Sim(Q, S) ≥ delta`.
-    pub fn range(&self, query: &[TokenId], delta: f64) -> SearchResult {
-        self.range_with(query, delta, &mut QueryScratch::new())
-    }
-
-    /// [`Les3Index::range`] with caller-provided scratch.
-    pub fn range_with(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut QueryScratch,
-    ) -> SearchResult {
-        query::uninterrupted(self.search(&Query::range(query, delta), scratch))
-    }
-
-    /// Exact range search under cooperative interruption with a pinned
-    /// intra-query worker count (`0` counts as `1`).
-    pub fn range_ctl_on(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut QueryScratch,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<SearchResult, Interrupted> {
-        self.search(&Query::range(query, delta).pinned(workers, ctl), scratch)
-            .map(|(result, _)| result)
-    }
-}
-
-/// The flat index's bound stream for the intra-query engine: eager
-/// per-group bounds from the bucketed selection, already in
-/// verification order.
-struct FlatGroups<'a, S: Similarity> {
-    index: &'a Les3Index<S>,
-    bounds: &'a [(u32, f64)],
-    query: &'a [TokenId],
-    q_len: usize,
-    /// Per-set match mask of a filtered query.
-    filter: Option<&'a les3_bitmap::DenseBitSet>,
-}
-
-impl<S: Similarity> ParGroups for FlatGroups<'_, S> {
-    type S = S;
-
-    fn n_groups(&self) -> usize {
-        self.bounds.len()
-    }
-
-    fn ub(&self, i: usize) -> f64 {
-        self.bounds[i].1
-    }
-
-    fn locate(&self, i: usize) -> (&VerifyOrder, u32) {
-        (&self.index.verify, self.bounds[i].0)
-    }
-
-    fn verify(&self) -> VerifyQuery<'_, S> {
-        VerifyQuery {
-            sim: self.index.sim,
-            db: &self.index.db,
-            query: self.query,
-            q_len: self.q_len,
-            filter: self.filter,
-        }
-    }
 }
 
 /// Per-group member ids sorted by (distinct length, id), with the lengths
-/// alongside — the order the verify step scans, shared by the flat index,
-/// the HTGM's finest level, and each shard of a
-/// [`crate::shard::ShardedLes3Index`].
+/// alongside — the order the verify step scans, shared by each shard of a
+/// [`crate::shard::ShardedLes3Index`] and the HTGM's finest level.
 ///
 /// Inserts append to a small unsorted per-group *tail* in O(1); the tail
 /// is merged into the sorted arrays lazily, by the next query that
@@ -617,8 +327,9 @@ impl KnnVerdicts for TopK {
 }
 
 /// The query-constant inputs of verification. [`VerifyQuery::knn_window`]
-/// is the one kNN candidate loop: the flat (sequential, commit and
-/// speculation), sharded and HTGM descents all call it.
+/// is the one kNN candidate loop (the cursor merge, `par.rs`'s commit
+/// and speculation, and the HTGM descent all call it) and
+/// [`VerifyQuery::range_window`] the one range candidate loop.
 pub(crate) struct VerifyQuery<'a, S> {
     pub(crate) sim: S,
     pub(crate) db: &'a SetDatabase,
@@ -699,6 +410,40 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         stats.sims_computed += candidates;
         stats.early_exits += early_exits;
     }
+
+    /// Verifies group `g`'s length window at the fixed range threshold
+    /// `delta`, appending hits (unsorted) and charging the work to
+    /// `stats`.
+    pub(crate) fn range_window(
+        &self,
+        order: &VerifyOrder,
+        g: u32,
+        delta: f64,
+        hits: &mut Vec<(SetId, f64)>,
+        stats: &mut SearchStats,
+    ) {
+        order.with_window(self.sim, g, self.q_len, delta, |ids, _lens, skipped| {
+            stats.size_skipped += skipped;
+            for &id in ids {
+                if self.filter.is_some_and(|m| !m.contains(id)) {
+                    continue;
+                }
+                stats.candidates += 1;
+                stats.sims_computed += 1;
+                match self
+                    .sim
+                    .eval_with_threshold(self.query, self.db.set(id), delta)
+                {
+                    ThresholdedEval::Hit(s) => hits.push((id, s)),
+                    ThresholdedEval::Rejected { early } => {
+                        if early {
+                            stats.early_exits += 1;
+                        }
+                    }
+                }
+            }
+        });
+    }
 }
 
 impl GroupOrder {
@@ -749,15 +494,15 @@ impl GroupOrder {
     }
 }
 
-/// The `O(G + |Q|)` bucketed descending selection shared by the flat and
-/// sharded filter passes: overlap counts are histogrammed into buckets
+/// The `O(G + |Q|)` bucketed descending selection of every shard's
+/// filter pass: overlap counts are histogrammed into buckets
 /// `r ∈ 0..=|Q|`, descending start offsets are prefixed, and each group
 /// is scattered to its verification-order position — `emit(pos, g, r)`
 /// with `pos` running over the `(r descending, group id ascending)`
 /// order. Exactly the order a stable descending sort on the (monotone in
-/// `r`) bounds would give. The flat and sharded indexes MUST share this
-/// one implementation: the sharded engine's bit-for-bit equality rests
-/// on both sides verifying groups in the identical sequence.
+/// `r`) bounds would give. Every shard count MUST go through this one
+/// implementation: the engine's bit-for-bit equality across shard counts
+/// rests on all of them verifying groups in the identical sequence.
 pub(crate) fn bucketed_descending(
     counts: &[u32],
     q_len: usize,
@@ -908,6 +653,56 @@ mod tests {
             (0..n).map(|_| rng.gen_range(0..groups as u32)).collect(),
             groups,
         )
+    }
+
+    /// What makes a `Les3Index` a `Les3Index`: its engine has one shard
+    /// that owns groups `0..G` in order (local id == global id), and on
+    /// disk it is the flat kind. Inserts, deletes and a save → open keep
+    /// both true.
+    #[test]
+    fn a_flat_index_is_the_one_shard_engine_and_stays_one() {
+        use crate::persist::{DurableIndex, PersistentBackend};
+
+        fn check(index: &Les3Index<Jaccard>) {
+            let identity: Vec<u32> = (0..index.partitioning().n_groups() as u32).collect();
+            assert_eq!(index.shards.len(), 1);
+            assert_eq!(index.shard_groups(0), identity);
+            assert_eq!(index.local_of_group, identity);
+            assert!(index.shard_of_group.iter().all(|&s| s == 0));
+            assert_eq!(index.tgm().n_groups(), identity.len());
+            assert!(index.sole_shard().is_some());
+            // The persisted kind: no SHARDS block.
+            assert_eq!(Les3Index::<Jaccard>::kind_name(), "flat");
+            assert_eq!(PersistentBackend::n_shards(index), 0);
+            assert_eq!(index.shard_layout(), None);
+        }
+
+        let db = ZipfianGenerator::new(200, 120, 6.0, 1.1).generate(47);
+        let part = random_partitioning(db.len(), 7, 5);
+        let mut index = Les3Index::build(db, part, Jaccard);
+        check(&index);
+        let mut log = crate::DeletionLog::build(&index);
+        for i in 0..30u32 {
+            let (id, _) = index.insert(&mut [i % 9, 40 + i, 500 + i]);
+            log.note_insert(&index, id);
+            assert!(log.delete(&mut index, i * 5));
+        }
+        check(&index);
+
+        let dir = std::env::temp_dir().join(format!("les3-one-shard-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut durable = DurableIndex::create(&dir, index).unwrap();
+        durable.insert(&mut [3, 4, 900]).unwrap();
+        assert!(durable.delete(1).unwrap());
+        durable.checkpoint().unwrap();
+        durable.insert(&mut [5, 901]).unwrap();
+        let (live, _) = durable.into_backend();
+        let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+        check(reopened.backend());
+        let q = live.db().set(17).to_vec();
+        assert_eq!(reopened.backend().knn(&q, 9), live.knn(&q, 9));
+        assert_eq!(reopened.backend().range(&q, 0.3), live.range(&q, 0.3));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The hoisted window scan against the loop it replaced: every

@@ -16,18 +16,18 @@
 //! * [`Query`] — the one query descriptor: [`Kind`] (`Knn(k)` or
 //!   `Range(δ)`), an optional candidate `mask` (attribute filter or LSH
 //!   prefilter), `workers` (0 = auto), `ctl` (deadline / cancellation)
-//!   and [`OnExpiry`] (`Fail`, or `Commit` the partial answer). Each
-//!   engine runs it through exactly one body, `search`
-//!   ([`Les3Index::search`], [`ShardedLes3Index::search`]); `knn`,
-//!   `range` and the other named methods are single expressions over
-//!   it;
-//! * [`Les3Index`] — memory-resident index over a
-//!   [`SetDatabase`](les3_data::SetDatabase) and a [`Partitioning`];
-//! * [`ShardedLes3Index`] — the group axis split across N shards, each
-//!   with its own TGM + scratch pool; kNN shares one global top-k whose
-//!   running k-th similarity prunes across shards, and batches run on a
-//!   coalescing (shard × query-chunk) work queue. Results are
-//!   bit-for-bit those of [`Les3Index`];
+//!   and [`OnExpiry`] (`Fail`, or `Commit` the partial answer). One
+//!   body runs it, [`ShardedLes3Index::search`]; `knn`, `range` and the
+//!   other named methods are single expressions over it;
+//! * [`ShardedLes3Index`] — the memory-resident engine over a
+//!   [`SetDatabase`](les3_data::SetDatabase) and a [`Partitioning`]:
+//!   the group axis split across N ≥ 1 shards, each with its own TGM;
+//!   kNN shares one global top-k whose running k-th similarity prunes
+//!   across shards, and batches run on a coalescing work queue. Hits
+//!   and stats are bit-for-bit the same at every N;
+//! * [`Les3Index`] — that engine with one shard, under the unsharded
+//!   constructor and on-disk kind (it derefs to the engine: every query
+//!   and update method is the engine's own);
 //! * [`ServeFront`] — the asynchronous serving front: single requests
 //!   from many producer threads coalesce into deadline- or
 //!   size-triggered batches on a persistent panic-isolating worker
@@ -54,9 +54,10 @@
 //!   threshold ([`Similarity::eval_with_threshold`]) — all exact, per
 //!   Theorem 3.1;
 //! * callers that issue many queries reuse a [`QueryScratch`]
-//!   ([`Les3Index::knn_with`] / [`Les3Index::range_with`]), and the batch
-//!   entry points ([`Les3Index::knn_batch`] / [`Les3Index::range_batch`])
-//!   fan the batch out over rayon workers with one scratch per worker.
+//!   ([`ShardedLes3Index::knn_with`] / [`ShardedLes3Index::range_with`]),
+//!   and the batch entry points ([`ShardedLes3Index::knn_batch`] /
+//!   [`ShardedLes3Index::range_batch`]) fan the batch out over rayon
+//!   workers with one scratch per worker.
 //! * [`SearchStats`] reports the true work performed, including
 //!   `early_exits` (abandoned merges) and `size_skipped` (members cut by
 //!   the length window).

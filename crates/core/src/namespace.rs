@@ -211,12 +211,12 @@ struct NsIndex<E: ServeBackend> {
 
 impl<E: ServeBackend> NsIndex<E> {
     fn new(engine: E, meta: MetadataIndex) -> Self {
-        let deletes = DeletionLog::build_with_tombstones(engine.db(), engine.partitioning(), &[]);
+        let deletes = DeletionLog::build(engine.sharded());
         Self::from_parts(engine, meta, deletes)
     }
 
     fn from_parts(engine: E, meta: MetadataIndex, deletes: DeletionLog) -> Self {
-        debug_assert_eq!(meta.n_sets(), engine.db().len());
+        debug_assert_eq!(meta.n_sets(), engine.sharded().db().len());
         Self {
             engine,
             meta,
@@ -236,12 +236,13 @@ impl<E: ServeBackend> NsIndex<E> {
 
 impl<E: ServeBackend> NsBackend for NsIndex<E> {
     fn search(&self, q: &Query<'_>, filters: &Filters, mode: ApproxPolicy) -> SearchOutcome {
-        let cand = self.meta.candidates(filters, self.engine.partitioning());
+        let engine = self.engine.sharded();
+        let cand = self.meta.candidates(filters, engine.partitioning());
         // kNN over-fetches past every tombstone: at most `deleted` hits
         // can be filtered out below, so `k + deleted` guarantees k live
         // answers whenever they exist. Partial (anytime) results pass
         // through the same tombstone filter and truncation.
-        let deleted = self.engine.db().len() - self.deletes.live_count();
+        let deleted = engine.db().len() - self.deletes.live_count();
         let kind = match q.kind {
             Kind::Knn(k) => Kind::Knn(k.saturating_add(deleted)),
             range => range,
@@ -261,15 +262,15 @@ impl<E: ServeBackend> NsBackend for NsIndex<E> {
     }
 
     fn insert(&mut self, tokens: &mut [TokenId], attrs: &[(String, String)]) -> (SetId, u32) {
-        let (id, g) = self.engine.insert_set(tokens);
-        E::note_insert(&mut self.deletes, &self.engine, id);
+        let (id, g) = self.engine.sharded_mut().insert(tokens);
+        self.deletes.note_insert(self.engine.sharded(), id);
         let meta_id = self.meta.push(attrs);
         debug_assert_eq!(meta_id, id, "metadata and database ids must stay aligned");
         (id, g)
     }
 
     fn delete(&mut self, id: SetId) -> bool {
-        E::delete_set(&mut self.deletes, &mut self.engine, id)
+        self.deletes.delete(self.engine.sharded_mut(), id)
     }
 
     fn attrs_of(&self, id: SetId) -> Vec<(String, String)> {
@@ -277,11 +278,12 @@ impl<E: ServeBackend> NsBackend for NsIndex<E> {
     }
 
     fn fill_info(&self, info: &mut NamespaceInfo) {
+        let engine = self.engine.sharded();
         info.kind = E::kind_name();
-        info.sim = self.engine.sim().name();
-        info.n_sets = self.engine.db().len();
+        info.sim = engine.sim().name();
+        info.n_sets = engine.db().len();
         info.live_sets = self.deletes.live_count();
-        info.n_groups = self.engine.partitioning().n_groups();
+        info.n_groups = engine.partitioning().n_groups();
         info.n_shards = self.engine.n_shards() as usize;
     }
 

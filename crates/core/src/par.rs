@@ -87,7 +87,8 @@ use les3_data::SetId;
 
 use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, QueryCtl};
-use crate::index::{KnnVerdicts, TopK, VerifyOrder, VerifyQuery};
+use crate::index::{KnnVerdicts, TopK};
+use crate::shard::MergedGroups;
 use crate::sim::{Similarity, ThresholdedEval};
 use crate::stats::SearchStats;
 
@@ -201,31 +202,6 @@ impl Default for SharedKth {
 }
 
 // ---------------------------------------------------------------------
-// The group stream the engine descends.
-// ---------------------------------------------------------------------
-
-/// A query's bound stream in verification order — the one interface
-/// the engine needs over the flat index (`scratch.bounds`, eager
-/// bounds) and the sharded index (the merged per-shard streams, bounds
-/// derived lazily from `r`). Bounds must be non-increasing in `i`.
-pub(crate) trait ParGroups: Sync {
-    type S: Similarity;
-
-    fn n_groups(&self) -> usize;
-    /// Upper bound of group `i` (non-increasing in `i`).
-    fn ub(&self, i: usize) -> f64;
-    /// The verify order owning group `i`, and `i`'s id within it.
-    fn locate(&self, i: usize) -> (&VerifyOrder, u32);
-    /// The query-constant inputs of verification: measure, database,
-    /// normalized query with its distinct token count, and the per-set
-    /// match mask of a filtered query (`None`: every member is a
-    /// candidate). The mask is query-constant, so window contents
-    /// filtered by it stay a pure function of the threshold — the
-    /// replay soundness argument (module docs) is unchanged.
-    fn verify(&self) -> VerifyQuery<'_, Self::S>;
-}
-
-// ---------------------------------------------------------------------
 // Group verification: the shared window scan, with optional replay.
 // ---------------------------------------------------------------------
 
@@ -275,14 +251,14 @@ impl KnnVerdicts for Replay<'_> {
 /// Verifies group `i` against the *true* top-k, exactly as the
 /// sequential loop would, consulting `rec` as a cache when it was taken
 /// at this group's entry threshold (else its window may differ).
-fn commit_group<G: ParGroups>(
-    g: &G,
+fn commit_group<S: Similarity>(
+    g: &MergedGroups<'_, S>,
     i: usize,
     rec: Option<&GroupRecord>,
     top: &mut TopK,
     stats: &mut SearchStats,
 ) {
-    let (q, (verify, local)) = (g.verify(), g.locate(i));
+    let (q, (verify, local)) = (&g.verify, g.locate(i));
     match rec.filter(|r| r.t_snap == top.kth()) {
         Some(rec) => q.knn_window(verify, local, &mut Replay { top, rec }, stats),
         None => q.knn_window(verify, local, top, stats),
@@ -290,14 +266,14 @@ fn commit_group<G: ParGroups>(
 }
 
 /// Speculatively verifies group `i` at the fixed snapshot threshold.
-fn speculate_group<G: ParGroups>(g: &G, i: usize, t_snap: f64) -> GroupRecord {
+fn speculate_group<S: Similarity>(g: &MergedGroups<'_, S>, i: usize, t_snap: f64) -> GroupRecord {
     let (verify, local) = g.locate(i);
     let mut rec = GroupRecord {
         t_snap,
         verdicts: Vec::new(),
     };
     // Speculative work is never charged: the committer counts it.
-    g.verify()
+    g.verify
         .knn_window(verify, local, &mut rec, &mut SearchStats::default());
     rec
 }
@@ -361,8 +337,8 @@ impl Drop for AbortOnExit<'_> {
 
 /// One speculation worker: claims groups ahead of the commit frontier,
 /// verifies them at the current shared bound, publishes the records.
-fn spec_worker<G: ParGroups>(
-    g: &G,
+fn spec_worker<S: Similarity>(
+    g: &MergedGroups<'_, S>,
     coord: &Coord,
     slots: &[SpecSlot],
     lookahead: usize,
@@ -429,8 +405,8 @@ fn spec_worker<G: ParGroups>(
 /// The commit loop: replays the sequential descent over the bound
 /// stream with the true top-k, consuming speculative records where
 /// their thresholds match. Runs on the calling thread.
-fn knn_commit<G: ParGroups>(
-    g: &G,
+fn knn_commit<S: Similarity>(
+    g: &MergedGroups<'_, S>,
     k: usize,
     coord: &Coord,
     slots: &[SpecSlot],
@@ -485,52 +461,25 @@ fn knn_commit<G: ParGroups>(
     Ok(top)
 }
 
-/// The sequential descent — used verbatim for `workers <= 1`, and the
-/// definition the parallel path must reproduce (`commit_group` with no
-/// record *is* this loop's body).
-fn knn_seq<G: ParGroups>(
-    g: &G,
-    k: usize,
-    stats: &mut SearchStats,
-    ctl: &QueryCtl<'_>,
-) -> Result<TopK, (InterruptReason, TopK)> {
-    let n = g.n_groups();
-    let mut top = TopK::new(k);
-    for i in 0..n {
-        if top.is_full() && g.ub(i) <= top.kth() {
-            stats.groups_pruned += n - i;
-            break;
-        }
-        if let Some(reason) = ctl.interrupted() {
-            return Err((reason, top));
-        }
-        stats.groups_verified += 1;
-        commit_group(g, i, None, &mut top, stats);
-    }
-    Ok(top)
-}
-
-/// Parallel-capable kNN descent over a bound stream. `workers <= 1`
-/// runs the plain sequential loop; more workers speculate ahead of the
-/// sequential commit, bit-for-bit identically either way. An
+/// Parallel kNN descent over a bound stream: `workers - 1` threads
+/// speculate ahead of the calling thread's sequential commit, whose
+/// group loop (`knn_commit`; `commit_group` with no record is the plain
+/// window scan) *is* the sequential descent — bit-for-bit what the
+/// cursor merge computes. `search` sends one-worker and one-group
+/// queries to the cursor kernels instead, so `2 ≤ workers ≤ n` here. An
 /// interrupted descent returns the reason *with* the partial top-k
-/// committed so far — only groups the sequential loop would have fully
-/// committed are in it, so the partial heap is exact on everything it
-/// holds (the anytime tier's contract).
-pub(crate) fn knn_descend<G: ParGroups>(
-    g: &G,
+/// committed so far — only fully committed groups are in it, so the
+/// partial heap is exact on everything it holds (the anytime tier's
+/// contract).
+pub(crate) fn knn_descend<S: Similarity>(
+    g: &MergedGroups<'_, S>,
     k: usize,
     workers: usize,
     stats: &mut SearchStats,
     ctl: &QueryCtl<'_>,
 ) -> Result<TopK, (InterruptReason, TopK)> {
     let n = g.n_groups();
-    // One speculator per group beyond the committer is the most that
-    // can ever be useful.
-    let workers = workers.min(n);
-    if workers <= 1 || n < 2 {
-        return knn_seq(g, k, stats, ctl);
-    }
+    debug_assert!((2..=n).contains(&workers), "search clamps the fan-out");
     let slots: Vec<SpecSlot> = (0..n)
         .map(|_| SpecSlot {
             state: AtomicU8::new(OPEN),
@@ -561,36 +510,17 @@ pub(crate) fn knn_descend<G: ParGroups>(
 // Range: order-independent fan-out.
 // ---------------------------------------------------------------------
 
-/// Verifies one group against the fixed range threshold (the body of
-/// the sequential range loop).
-fn range_group<G: ParGroups>(
-    g: &G,
+/// Verifies one group against the fixed range threshold.
+fn range_group<S: Similarity>(
+    g: &MergedGroups<'_, S>,
     i: usize,
     delta: f64,
     hits: &mut Vec<(SetId, f64)>,
     stats: &mut SearchStats,
 ) {
-    let q = g.verify();
     let (verify, local) = g.locate(i);
     stats.groups_verified += 1;
-    verify.with_window(q.sim, local, q.q_len, delta, |ids, _lens, skipped| {
-        stats.size_skipped += skipped;
-        for &id in ids {
-            if q.filter.is_some_and(|m| !m.contains(id)) {
-                continue;
-            }
-            stats.candidates += 1;
-            stats.sims_computed += 1;
-            match q.sim.eval_with_threshold(q.query, q.db.set(id), delta) {
-                ThresholdedEval::Hit(s) => hits.push((id, s)),
-                ThresholdedEval::Rejected { early } => {
-                    if early {
-                        stats.early_exits += 1;
-                    }
-                }
-            }
-        }
-    });
+    g.verify.range_window(verify, local, delta, hits, stats);
 }
 
 /// Parallel-capable range descent: all groups are verified at the same
@@ -598,8 +528,8 @@ fn range_group<G: ParGroups>(
 /// surviving prefix of the bound stream. Appends to `hits` (unsorted —
 /// the caller's final `sort_hits` canonicalizes); `workers <= 1` is the
 /// sequential loop.
-pub(crate) fn range_scan<G: ParGroups>(
-    g: &G,
+pub(crate) fn range_scan<S: Similarity>(
+    g: &MergedGroups<'_, S>,
     delta: f64,
     workers: usize,
     hits: &mut Vec<(SetId, f64)>,

@@ -2,8 +2,10 @@
 //! for post-save mutations, and crash recovery that is exact by
 //! construction.
 //!
-//! A [`DurableIndex`] wraps either index backend ([`Les3Index`] or
-//! [`ShardedLes3Index`]) and a directory:
+//! A [`DurableIndex`] wraps the engine under either of its on-disk kinds
+//! ([`ShardedLes3Index`], whose segments carry a SHARDS block, or
+//! [`Les3Index`], the 1-shard engine whose segments carry none) and a
+//! directory:
 //!
 //! * `segment` — the immutable snapshot (see [`segment`](self) block
 //!   format docs in `segment.rs`): database, partitioning assignment,
@@ -18,8 +20,9 @@
 //!
 //! Recovery is bit-for-bit: the segment stores the exact column bits
 //! and verification runs of the live index, and WAL replay routes
-//! through the same deterministic [`insert`](crate::Les3Index::insert)
-//! / [`DeletionLog`] code paths the live index used, so a reopened
+//! through the same deterministic
+//! [`insert`](crate::ShardedLes3Index::insert) / [`DeletionLog`] code
+//! paths the live index used, so a reopened
 //! index answers every kNN/range query with identical hits *and*
 //! [`SearchStats`](crate::SearchStats) to one that never crashed.
 //!
@@ -192,7 +195,7 @@ pub struct LoadedParts<S: Similarity> {
     columns: Vec<Bitmap>,
     /// Per-group `(distinct length, id)` runs, ascending.
     runs: Vec<Vec<(u32, SetId)>>,
-    /// Present iff the segment is sharded.
+    /// Present iff the segment carries a SHARDS block.
     shard_of_group: Option<Vec<u32>>,
     n_shards: u32,
     /// The MinHash sidecar, present iff the segment carries a SIG
@@ -200,145 +203,158 @@ pub struct LoadedParts<S: Similarity> {
     approx: Option<MinHashIndex>,
 }
 
-/// An index backend that can be saved to and reassembled from a
-/// segment. Implemented by [`Les3Index`] and [`ShardedLes3Index`];
-/// not implementable outside the crate ([`LoadedParts`] cannot be
+/// An index that can be saved to and reassembled from a segment: the
+/// one engine, [`ShardedLes3Index`], under one of its two on-disk kinds.
+/// Implemented by [`ShardedLes3Index`] itself (segments with a SHARDS
+/// block) and by [`Les3Index`], the 1-shard engine whose segments carry
+/// none; not implementable outside the crate ([`LoadedParts`] cannot be
 /// constructed elsewhere).
 pub trait PersistentBackend: Sized {
     /// The similarity measure type.
     type Sim: Similarity;
 
-    /// "flat" or "sharded" — for mismatch error messages.
-    fn kind_name() -> &'static str;
+    /// Whether segments of this kind carry a SHARDS block.
+    const SHARDED: bool;
 
-    /// The similarity measure.
-    fn sim(&self) -> Self::Sim;
-    /// The underlying database.
-    fn db(&self) -> &SetDatabase;
-    /// The partitioning in use.
-    fn partitioning(&self) -> &Partitioning;
+    /// The engine (queries, the database, the partitioning, the
+    /// sidecar: everything is read through this).
+    fn sharded(&self) -> &ShardedLes3Index<Self::Sim>;
+    /// The engine, for inserts and deletes. Replacing it wholesale with
+    /// one of another shard count is not supported.
+    fn sharded_mut(&mut self) -> &mut ShardedLes3Index<Self::Sim>;
+    /// Reassembles the backend from validated segment parts of its own
+    /// kind.
+    fn assemble(parts: LoadedParts<Self::Sim>) -> Self;
+
+    /// "flat" or "sharded".
+    fn kind_name() -> &'static str {
+        if Self::SHARDED {
+            "sharded"
+        } else {
+            "flat"
+        }
+    }
+
     /// Global group id → shard, or `None` for a flat index.
-    fn shard_layout(&self) -> Option<&[u32]>;
+    fn shard_layout(&self) -> Option<&[u32]> {
+        Self::SHARDED.then(|| &self.sharded().shard_of_group[..])
+    }
+
     /// Number of shards (0 for a flat index; may exceed the largest
     /// value in [`PersistentBackend::shard_layout`] when trailing
     /// shards are empty).
-    fn n_shards(&self) -> u32;
-    /// The global TGM column of token `t` (empty if the token appears
-    /// nowhere). Saving walks tokens one at a time so no second copy of
-    /// the matrix is ever resident.
-    fn global_column(&self, t: TokenId) -> Bitmap;
-    /// The MinHash sidecar of the approximate tier, if enabled (saved
-    /// as an optional SIG block; inserts replayed from the WAL keep it
-    /// in sync through [`PersistentBackend::insert_set`]).
-    fn approx_sidecar(&self) -> Option<&MinHashIndex>;
-    /// Inserts a set (the backend's deterministic §6 placement rule).
-    fn insert_set(&mut self, tokens: &mut [TokenId]) -> (SetId, u32);
-    /// Routes a deletion through the log to this backend's TGM.
-    fn delete_set(log: &mut DeletionLog, backend: &mut Self, id: SetId) -> bool;
-    /// Registers an insert in the log.
-    fn note_insert(log: &mut DeletionLog, backend: &Self, id: SetId);
-    /// Reassembles the backend from validated segment parts.
-    fn assemble(parts: LoadedParts<Self::Sim>) -> Result<Self, PersistError>;
+    fn n_shards(&self) -> u32 {
+        if Self::SHARDED {
+            self.sharded().n_shards() as u32
+        } else {
+            0
+        }
+    }
 }
 
 impl<S: Similarity> PersistentBackend for Les3Index<S> {
     type Sim = S;
+    const SHARDED: bool = false;
 
-    fn kind_name() -> &'static str {
-        "flat"
+    fn sharded(&self) -> &ShardedLes3Index<S> {
+        self
     }
 
-    fn sim(&self) -> S {
-        Les3Index::sim(self)
+    fn sharded_mut(&mut self) -> &mut ShardedLes3Index<S> {
+        self
     }
 
-    fn db(&self) -> &SetDatabase {
-        Les3Index::db(self)
-    }
-
-    fn partitioning(&self) -> &Partitioning {
-        Les3Index::partitioning(self)
-    }
-
-    fn shard_layout(&self) -> Option<&[u32]> {
-        None
-    }
-
-    fn n_shards(&self) -> u32 {
-        0
-    }
-
-    fn global_column(&self, t: TokenId) -> Bitmap {
-        self.tgm()
-            .columns()
-            .get(t as usize)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    fn approx_sidecar(&self) -> Option<&MinHashIndex> {
-        Les3Index::approx_sidecar(self)
-    }
-
-    fn insert_set(&mut self, tokens: &mut [TokenId]) -> (SetId, u32) {
-        self.insert(tokens)
-    }
-
-    fn delete_set(log: &mut DeletionLog, backend: &mut Self, id: SetId) -> bool {
-        log.delete(backend, id)
-    }
-
-    fn note_insert(log: &mut DeletionLog, backend: &Self, id: SetId) {
-        log.note_insert(backend, id);
-    }
-
-    fn assemble(parts: LoadedParts<S>) -> Result<Self, PersistError> {
-        if parts.shard_of_group.is_some() {
-            return Err(PersistError::Mismatch {
-                expected: "flat".into(),
-                found: "sharded".into(),
-            });
-        }
-        let n_groups = parts.partitioning.n_groups();
-        let tgm = Tgm::from_columns(n_groups, parts.columns);
-        let verify = VerifyOrder::from_sorted_runs(parts.runs);
-        let mut index = Les3Index::from_parts(parts.db, parts.partitioning, tgm, parts.sim, verify);
-        index.set_approx(parts.approx);
-        Ok(index)
+    fn assemble(parts: LoadedParts<S>) -> Self {
+        Les3Index::from_one_shard(ShardedLes3Index::assemble(parts))
     }
 }
 
 impl<S: Similarity> PersistentBackend for ShardedLes3Index<S> {
     type Sim = S;
+    const SHARDED: bool = true;
 
-    fn kind_name() -> &'static str {
-        "sharded"
+    fn sharded(&self) -> &Self {
+        self
     }
 
-    fn sim(&self) -> S {
-        ShardedLes3Index::sim(self)
+    fn sharded_mut(&mut self) -> &mut Self {
+        self
     }
 
-    fn db(&self) -> &SetDatabase {
-        ShardedLes3Index::db(self)
+    /// A segment without a SHARDS block *is* the 1-shard engine: every
+    /// group in shard 0.
+    fn assemble(parts: LoadedParts<S>) -> Self {
+        let n_groups = parts.partitioning.n_groups();
+        let n_shards = (parts.n_shards as usize).max(1);
+        let shard_of_group = parts.shard_of_group.unwrap_or_else(|| vec![0; n_groups]);
+        let mut groups_per: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
+        let mut local_of_group = vec![0u32; n_groups];
+        for (g, &s) in shard_of_group.iter().enumerate() {
+            local_of_group[g] = groups_per[s as usize].len() as u32;
+            groups_per[s as usize].push(g as u32);
+        }
+        let shards: Vec<Shard> = if let [groups] = &mut groups_per[..] {
+            // One shard owns every group: local ids are the global ones,
+            // so the stored columns and runs are the shard's as they are.
+            vec![Shard {
+                tgm: Tgm::from_columns(n_groups, parts.columns),
+                verify: VerifyOrder::from_sorted_runs(parts.runs),
+                groups: std::mem::take(groups),
+            }]
+        } else {
+            // Scatter each global column back into per-shard local
+            // columns — the exact inverse of `global_column`.
+            let universe = parts.db.universe_size() as usize;
+            let mut cols: Vec<Vec<Bitmap>> = (0..n_shards)
+                .map(|_| vec![Bitmap::new(); universe])
+                .collect();
+            let mut runs_of: Vec<Vec<Vec<(u32, SetId)>>> = vec![Vec::new(); n_shards];
+            for (t, col) in parts.columns.iter().enumerate() {
+                for g in col.iter() {
+                    let s = shard_of_group[g as usize] as usize;
+                    cols[s][t].insert(local_of_group[g as usize]);
+                }
+            }
+            for (g, run) in parts.runs.into_iter().enumerate() {
+                runs_of[shard_of_group[g] as usize].push(run);
+            }
+            groups_per
+                .into_iter()
+                .zip(cols)
+                .zip(runs_of)
+                .map(|((groups, c), runs)| Shard {
+                    tgm: Tgm::from_columns(groups.len(), c),
+                    verify: VerifyOrder::from_sorted_runs(runs),
+                    groups,
+                })
+                .collect()
+        };
+        ShardedLes3Index {
+            db: parts.db,
+            partitioning: parts.partitioning,
+            sim: parts.sim,
+            shards,
+            shard_of_group,
+            local_of_group,
+            approx: parts.approx,
+        }
     }
+}
 
-    fn partitioning(&self) -> &Partitioning {
-        ShardedLes3Index::partitioning(self)
-    }
-
-    fn shard_layout(&self) -> Option<&[u32]> {
-        Some(&self.shard_of_group)
-    }
-
-    fn n_shards(&self) -> u32 {
-        ShardedLes3Index::n_shards(self) as u32
-    }
-
-    fn global_column(&self, t: TokenId) -> Bitmap {
-        // The global column is the union of the shard columns with
-        // local group ids mapped back to global ones (a shard's column
-        // is exactly the global column restricted to its groups).
+impl<S: Similarity> ShardedLes3Index<S> {
+    /// The global TGM column of token `t` (empty if the token appears
+    /// nowhere). Saving walks tokens one at a time so no second copy of
+    /// the matrix is ever resident.
+    pub(crate) fn global_column(&self, t: TokenId) -> Bitmap {
+        if let Some(shard) = self.sole_shard() {
+            // Local ids are the global ones: the shard's column, as it
+            // is stored, is the global column.
+            let column = shard.tgm.columns().get(t as usize);
+            return column.cloned().unwrap_or_default();
+        }
+        // The union of the shard columns with local group ids mapped
+        // back to global ones (a shard's column is exactly the global
+        // column restricted to its groups).
         let mut out = Bitmap::new();
         for shard in &self.shards {
             if let Some(col) = shard.tgm.columns().get(t as usize) {
@@ -348,74 +364,6 @@ impl<S: Similarity> PersistentBackend for ShardedLes3Index<S> {
             }
         }
         out
-    }
-
-    fn approx_sidecar(&self) -> Option<&MinHashIndex> {
-        ShardedLes3Index::approx_sidecar(self)
-    }
-
-    fn insert_set(&mut self, tokens: &mut [TokenId]) -> (SetId, u32) {
-        self.insert(tokens)
-    }
-
-    fn delete_set(log: &mut DeletionLog, backend: &mut Self, id: SetId) -> bool {
-        log.delete_sharded(backend, id)
-    }
-
-    fn note_insert(log: &mut DeletionLog, backend: &Self, id: SetId) {
-        log.note_insert_sharded(backend, id);
-    }
-
-    fn assemble(parts: LoadedParts<S>) -> Result<Self, PersistError> {
-        let Some(shard_of_group) = parts.shard_of_group else {
-            return Err(PersistError::Mismatch {
-                expected: "sharded".into(),
-                found: "flat".into(),
-            });
-        };
-        let n_shards = parts.n_shards as usize;
-        let n_groups = parts.partitioning.n_groups();
-        let universe = parts.db.universe_size() as usize;
-        let mut groups_per: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        let mut local_of_group = vec![0u32; n_groups];
-        for (g, &s) in shard_of_group.iter().enumerate() {
-            local_of_group[g] = groups_per[s as usize].len() as u32;
-            groups_per[s as usize].push(g as u32);
-        }
-        // Scatter each global column back into per-shard local columns —
-        // the exact inverse of `global_column`.
-        let mut cols: Vec<Vec<Bitmap>> = (0..n_shards)
-            .map(|_| vec![Bitmap::new(); universe])
-            .collect();
-        let mut runs_of: Vec<Vec<Vec<(u32, SetId)>>> = vec![Vec::new(); n_shards];
-        for (t, col) in parts.columns.iter().enumerate() {
-            for g in col.iter() {
-                let s = shard_of_group[g as usize] as usize;
-                cols[s][t].insert(local_of_group[g as usize]);
-            }
-        }
-        for (g, run) in parts.runs.into_iter().enumerate() {
-            runs_of[shard_of_group[g] as usize].push(run);
-        }
-        let shards: Vec<Shard> = groups_per
-            .into_iter()
-            .zip(cols)
-            .zip(runs_of)
-            .map(|((groups, c), runs)| Shard {
-                tgm: Tgm::from_columns(groups.len(), c),
-                verify: VerifyOrder::from_sorted_runs(runs),
-                groups,
-            })
-            .collect();
-        Ok(ShardedLes3Index {
-            db: parts.db,
-            partitioning: parts.partitioning,
-            sim: parts.sim,
-            shards,
-            shard_of_group,
-            local_of_group,
-            approx: parts.approx,
-        })
     }
 }
 
@@ -549,9 +497,9 @@ impl<B: PersistentBackend> DurableIndex<B> {
                 found: "an existing segment".into(),
             });
         }
-        let log = DeletionLog::build_with_tombstones(backend.db(), backend.partitioning(), &[]);
+        let log = DeletionLog::build(backend.sharded());
         let mut meta = MetadataIndex::new();
-        meta.push_empty(backend.db().len());
+        meta.push_empty(backend.sharded().db().len());
         let wal = write_checkpoint(io.as_ref(), &dir, &backend, &[], &meta, 0)?;
         Ok(Self {
             backend,
@@ -588,14 +536,11 @@ impl<B: PersistentBackend> DurableIndex<B> {
                 found: format!("similarity {:?}", raw.sim_name),
             });
         }
-        let expects_shards = raw.n_shards > 0;
-        if expects_shards != (B::kind_name() == "sharded") {
+        let has_shards = raw.shard_of_group.is_some();
+        if has_shards != B::SHARDED {
             return Err(PersistError::Mismatch {
                 expected: format!("a {} index", B::kind_name()),
-                found: format!(
-                    "a {} segment",
-                    if expects_shards { "sharded" } else { "flat" }
-                ),
+                found: format!("a {} segment", if has_shards { "sharded" } else { "flat" }),
             });
         }
         let epoch = raw.epoch;
@@ -610,13 +555,14 @@ impl<B: PersistentBackend> DurableIndex<B> {
             shard_of_group: raw.shard_of_group,
             n_shards: raw.n_shards,
             approx: raw.approx,
-        })?;
+        });
+        let engine = backend.sharded_mut();
         let mut log =
-            DeletionLog::build_with_tombstones(backend.db(), backend.partitioning(), &tombstones);
+            DeletionLog::build_with_tombstones(engine.db(), engine.partitioning(), &tombstones);
         // Segments without a METADATA block (attribute-free or written
         // before metadata existed) mean "no set has attributes".
-        if meta.n_sets() < backend.db().len() {
-            meta.push_empty(backend.db().len() - meta.n_sets());
+        if meta.n_sets() < engine.db().len() {
+            meta.push_empty(engine.db().len() - meta.n_sets());
         }
 
         // Replay the WAL tail. A missing file means a crash hit between
@@ -642,16 +588,16 @@ impl<B: PersistentBackend> DurableIndex<B> {
         for record in records {
             match record {
                 WalRecord::Insert(mut tokens) => {
-                    let (id, _) = backend.insert_set(&mut tokens);
-                    B::note_insert(&mut log, &backend, id);
+                    let (id, _) = engine.insert(&mut tokens);
+                    log.note_insert(engine, id);
                     meta.push_empty(1);
                 }
                 WalRecord::Delete(id) => {
-                    B::delete_set(&mut log, &mut backend, id);
+                    log.delete(engine, id);
                 }
                 WalRecord::InsertAttrs(mut tokens, attrs) => {
-                    let (id, _) = backend.insert_set(&mut tokens);
-                    B::note_insert(&mut log, &backend, id);
+                    let (id, _) = engine.insert(&mut tokens);
+                    log.note_insert(engine, id);
                     let meta_id = meta.push(&attrs);
                     debug_assert_eq!(meta_id, id);
                 }
@@ -735,8 +681,8 @@ impl<B: PersistentBackend> DurableIndex<B> {
     /// in-memory index is untouched and the writer is poisoned.
     pub fn insert(&mut self, tokens: &mut [TokenId]) -> Result<(SetId, u32), PersistError> {
         self.append(&WalRecord::Insert(tokens.to_vec()))?;
-        let (id, g) = self.backend.insert_set(tokens);
-        B::note_insert(&mut self.log, &self.backend, id);
+        let (id, g) = self.backend.sharded_mut().insert(tokens);
+        self.log.note_insert(self.backend.sharded(), id);
         self.meta.push_empty(1);
         Ok((id, g))
     }
@@ -749,8 +695,8 @@ impl<B: PersistentBackend> DurableIndex<B> {
         attrs: &[(String, String)],
     ) -> Result<(SetId, u32), PersistError> {
         self.append(&WalRecord::InsertAttrs(tokens.to_vec(), attrs.to_vec()))?;
-        let (id, g) = self.backend.insert_set(tokens);
-        B::note_insert(&mut self.log, &self.backend, id);
+        let (id, g) = self.backend.sharded_mut().insert(tokens);
+        self.log.note_insert(self.backend.sharded(), id);
         let meta_id = self.meta.push(attrs);
         debug_assert_eq!(meta_id, id);
         Ok((id, g))
@@ -761,7 +707,7 @@ impl<B: PersistentBackend> DurableIndex<B> {
     /// no-op is still logged and replays as a no-op).
     pub fn delete(&mut self, id: SetId) -> Result<bool, PersistError> {
         self.append(&WalRecord::Delete(id))?;
-        Ok(B::delete_set(&mut self.log, &mut self.backend, id))
+        Ok(self.log.delete(self.backend.sharded_mut(), id))
     }
 
     /// Folds the WAL into a fresh segment at `epoch + 1` and starts an

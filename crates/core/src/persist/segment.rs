@@ -161,9 +161,9 @@ pub(crate) fn write_segment<B: PersistentBackend>(
     metadata: &MetadataIndex,
     epoch: u64,
 ) -> Result<(), PersistError> {
-    let db = backend.db();
-    let partitioning = backend.partitioning();
-    let shard_of_group = backend.shard_layout().map(<[u32]>::to_vec);
+    let engine = backend.sharded();
+    let db = engine.db();
+    let partitioning = engine.partitioning();
     let n_shards = backend.n_shards();
 
     let mut w = BlockWriter::new(io.create(path)?)?;
@@ -174,7 +174,7 @@ pub(crate) fn write_segment<B: PersistentBackend>(
     meta.extend_from_slice(&db.universe_size().to_le_bytes());
     meta.extend_from_slice(&(db.len() as u64).to_le_bytes());
     meta.extend_from_slice(&(partitioning.n_groups() as u64).to_le_bytes());
-    let name = backend.sim().name();
+    let name = engine.sim().name();
     meta.extend_from_slice(&(name.len() as u32).to_le_bytes());
     meta.extend_from_slice(name.as_bytes());
     w.write_block(KIND_META, &meta)?;
@@ -198,7 +198,7 @@ pub(crate) fn write_segment<B: PersistentBackend>(
 
     let mut sec = SectionWriter::new(&mut w, KIND_TGM);
     for t in 0..db.universe_size() {
-        let col = backend.global_column(t);
+        let col = engine.global_column(t);
         if col.is_empty() {
             continue;
         }
@@ -235,7 +235,7 @@ pub(crate) fn write_segment<B: PersistentBackend>(
     }
     sec.finish()?;
 
-    if let Some(sog) = &shard_of_group {
+    if let Some(sog) = backend.shard_layout() {
         let mut payload = Vec::with_capacity(4 + 4 * sog.len());
         payload.extend_from_slice(&(sog.len() as u32).to_le_bytes());
         for &s in sog {
@@ -262,7 +262,7 @@ pub(crate) fn write_segment<B: PersistentBackend>(
     // optional SIG block; absence means the tier was never enabled and
     // the reopened index answers only exact queries until
     // `enable_approx` rebuilds it.
-    if let Some(mh) = backend.approx_sidecar() {
+    if let Some(mh) = engine.approx_sidecar() {
         w.write_block(KIND_SIG, &mh.encode())?;
     }
 

@@ -1,4 +1,4 @@
-//! The one query descriptor both engines execute.
+//! The one query descriptor the engine executes.
 //!
 //! LES3 has a single query procedure — count `Q`'s TGM columns, order
 //! the groups by the Theorem 3.1 bound, verify best-first until the
@@ -6,10 +6,11 @@
 //! it is a field of [`Query`]: where the threshold comes from
 //! ([`Kind`]), which sets may answer (`mask`), how many threads verify
 //! (`workers`), when to stop early (`ctl`) and what a passed deadline
-//! means ([`OnExpiry`]). [`Les3Index::search`](crate::Les3Index::search)
-//! and [`ShardedLes3Index::search`](crate::ShardedLes3Index::search) are
-//! the only bodies that run it; the named `knn*/range*` methods are
-//! single expressions over them.
+//! means ([`OnExpiry`]).
+//! [`ShardedLes3Index::search`](crate::ShardedLes3Index::search) is the
+//! only body that runs it — on a [`Les3Index`](crate::Les3Index) too,
+//! which is that engine with one shard; the named `knn*/range*` methods
+//! are single expressions over it.
 //!
 //! ```
 //! use les3_core::sim::Jaccard;

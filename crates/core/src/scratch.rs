@@ -1,22 +1,22 @@
 //! Reusable per-query working memory.
 //!
-//! Every buffer the query hot path needs — overlap counters, the
-//! candidate-group mask, the bucket histogram and the verification order —
-//! lives in one [`QueryScratch`] that callers (and the batch executors,
-//! one per worker thread) reuse across queries, so steady-state query
-//! execution performs no heap allocation.
+//! Every buffer the query hot path needs — per-shard overlap counters,
+//! candidate-group masks and bucket histograms, the per-shard group
+//! streams, the cross-shard merge state — lives in one [`QueryScratch`]
+//! that callers (and the batch executor, one per worker thread) reuse
+//! across queries, so steady-state query execution performs no heap
+//! allocation. There is one engine and therefore one scratch type;
+//! [`ShardedScratch`] is an alias of it.
 
 use les3_bitmap::DenseBitSet;
 
 use crate::approx::PrefilterScratch;
+use crate::shard::{ShardBound, ShardFilter};
 
-/// Working memory for one in-flight query.
-///
-/// Create once (e.g. per thread) and pass to
-/// [`crate::Les3Index::knn_with`] / [`crate::Les3Index::range_with`];
-/// buffers grow to the high-water mark of the workload and stay there.
+/// Working memory of one TGM's filter pass (one per shard: the shards'
+/// passes are independent and may run on different threads).
 #[derive(Debug, Clone, Default)]
-pub struct QueryScratch {
+pub(crate) struct FilterScratch {
     /// Dense per-group overlap counts (full filter pass).
     pub(crate) counts: Vec<u32>,
     /// Dense counts for candidate-restricted passes. Invariant: all-zero
@@ -29,53 +29,51 @@ pub struct QueryScratch {
     /// Bucket histogram / offsets for the `O(G + |Q|)` descending
     /// selection (indexed by overlap count `r ∈ 0..=|Q|`).
     pub(crate) offsets: Vec<u32>,
-    /// Groups in verification order with their upper bounds.
-    pub(crate) bounds: Vec<(u32, f64)>,
-    /// The candidate mask of a prefiltered query and its inputs.
-    pub(crate) prefilter: PrefilterScratch,
 }
 
-impl QueryScratch {
-    /// Creates empty scratch (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Working memory for one in-flight query against a
-/// [`crate::shard::ShardedLes3Index`]: one [`QueryScratch`] per shard
-/// (each shard's filter pass is independent) plus the cross-shard merge
-/// state. Create once per thread and reuse; the sharded batch executor
-/// keeps one per worker.
+/// Working memory for one in-flight query.
+///
+/// Create once (e.g. per thread) and pass to
+/// [`crate::ShardedLes3Index::knn_with`] /
+/// [`crate::ShardedLes3Index::range_with`] (on either index type);
+/// buffers grow to the high-water mark of the workload and stay there.
 #[derive(Debug, Clone, Default)]
-pub struct ShardedScratch {
-    /// Per-shard filter scratch (counts + bucket offsets).
-    pub(crate) per_shard: Vec<QueryScratch>,
+pub struct QueryScratch {
+    /// Per-shard filter scratch.
+    pub(crate) per_shard: Vec<FilterScratch>,
     /// Per-shard group streams in verification order (filter output).
-    pub(crate) filters: Vec<crate::shard::ShardFilter>,
+    pub(crate) filters: Vec<ShardFilter>,
     /// Per-shard cursor into `filters` during the cross-shard descent.
     pub(crate) cursors: Vec<usize>,
     /// The materialized `(shard, bound)` merge of all per-shard filter
     /// streams, in global verification order — built only by the
     /// intra-query parallel path (the sequential descent merges
     /// cursor-wise without materializing).
-    pub(crate) merged: Vec<(u32, crate::shard::ShardBound)>,
+    pub(crate) merged: Vec<(u32, ShardBound)>,
     /// Per-shard local candidate-group lists of a filtered query.
     pub(crate) cand_locals: Vec<Vec<u32>>,
+    /// Groups in verification order with their upper bounds (the output
+    /// of [`crate::Les3Index::group_upper_bounds_with`]).
+    pub(crate) bounds: Vec<(u32, f64)>,
     /// The candidate mask of a prefiltered query and its inputs.
     pub(crate) prefilter: PrefilterScratch,
 }
 
-impl ShardedScratch {
+/// [`QueryScratch`], under the name callers of a
+/// [`crate::ShardedLes3Index`] know it by.
+pub type ShardedScratch = QueryScratch;
+
+impl QueryScratch {
     /// Creates empty scratch (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Ensures the per-shard buffers exist for `n_shards`.
+    /// Ensures the per-shard buffers exist for `n_shards` and zeroes
+    /// the cursors.
     pub(crate) fn ensure(&mut self, n_shards: usize) {
         if self.per_shard.len() < n_shards {
-            self.per_shard.resize_with(n_shards, QueryScratch::new);
+            self.per_shard.resize_with(n_shards, Default::default);
             self.filters.resize_with(n_shards, Default::default);
         }
         self.cursors.clear();
@@ -89,7 +87,7 @@ impl ShardedScratch {
 /// The front's worker pool keeps one scratch per worker for the pool's
 /// whole lifetime, reused across every batch the worker executes. When a
 /// query panics mid-execution its scratch may be left with internal
-/// invariants violated (e.g. `QueryScratch::restricted`'s all-zero
+/// invariants violated (e.g. the restricted-count buffer's all-zero
 /// contract), so the panic-isolation path calls [`WorkerScratch::reset`]
 /// before the worker touches the next request.
 pub trait WorkerScratch: Default + Send + 'static {
@@ -105,12 +103,6 @@ pub trait WorkerScratch: Default + Send + 'static {
 }
 
 impl WorkerScratch for QueryScratch {
-    fn prefilter(&mut self) -> &mut PrefilterScratch {
-        &mut self.prefilter
-    }
-}
-
-impl WorkerScratch for ShardedScratch {
     fn prefilter(&mut self) -> &mut PrefilterScratch {
         &mut self.prefilter
     }

@@ -2,9 +2,9 @@
 //! admission control (backpressure, per-request deadlines,
 //! cancellation).
 //!
-//! The batch entry points ([`crate::Les3Index::knn_batch`] and friends)
-//! assume someone already has a batch in hand. A search service does
-//! not: queries arrive one at a time on many connection threads, and
+//! The batch entry points ([`crate::ShardedLes3Index::knn_batch`] and
+//! friends) assume someone already has a batch in hand. A search service
+//! does not: queries arrive one at a time on many connection threads, and
 //! LES3's throughput win comes from executing them *together* (shared
 //! worker scratch, coalesced task claiming, one pass over the index per
 //! worker instead of per query). [`ServeFront`] closes that gap:
@@ -29,10 +29,9 @@
 //!    already passed (or whose ticket was cancelled) are shed without
 //!    ever reaching a worker.
 //! 3. **Execute.** Batches are pipelined onto a persistent
-//!    [`WorkerPool`](crate::batch) whose workers each own one scratch
-//!    ([`QueryScratch`] for a flat backend, [`ShardedScratch`] for a
-//!    sharded one) for the pool's whole lifetime — steady-state serving
-//!    allocates nothing per batch — and claim fixed-size task chunks
+//!    [`WorkerPool`](crate::batch) whose workers each own one
+//!    [`QueryScratch`] for the pool's whole lifetime — steady-state
+//!    serving allocates nothing per batch — and claim fixed-size task chunks
 //!    exactly like the synchronous coalescing executor. Each batch also
 //!    carries an **intra-query worker budget**
 //!    ([`ServeConfig::intra_workers`]): under light load a lone large
@@ -48,8 +47,8 @@
 //!    [`SearchResult`] (releasing its unit of queue capacity); results
 //!    are **bit-for-bit identical** — hits *and* [`SearchStats`] — to
 //!    calling
-//!    [`knn_with`](crate::Les3Index::knn_with) /
-//!    [`range_with`](crate::Les3Index::range_with) directly
+//!    [`knn_with`](crate::ShardedLes3Index::knn_with) /
+//!    [`range_with`](crate::ShardedLes3Index::range_with) directly
 //!    (`tests/serve_front.rs` proves it under racing producers).
 //!
 //! # Admission control
@@ -152,14 +151,12 @@ use les3_data::TokenId;
 use crate::approx::{self, ApproxInfo, ApproxPolicy};
 use crate::batch::{lock_unpoisoned, PoolHandle, PoolJob, WorkerPool, TASK_QUERIES};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
-use crate::index::{Les3Index, SearchResult};
+use crate::index::SearchResult;
 use crate::metadata::Filters;
 use crate::namespace::{Namespace, Namespaces};
 use crate::persist::PersistentBackend;
 use crate::query::{self, Kind, OnExpiry, Query, SearchOutcome};
-use crate::scratch::{QueryScratch, ShardedScratch, WorkerScratch};
-use crate::shard::ShardedLes3Index;
-use crate::sim::Similarity;
+use crate::scratch::{QueryScratch, WorkerScratch};
 use crate::stats::SearchStats;
 
 /// Tuning knobs for a [`ServeFront`].
@@ -184,7 +181,7 @@ pub struct ServeConfig {
     /// ones block until capacity frees. The default (`usize::MAX`) is
     /// effectively unbounded.
     pub queue_capacity: usize,
-    /// Intra-query workers per request ([`crate::Les3Index::knn_ctl_on`]'s
+    /// Intra-query workers per request ([`crate::ShardedLes3Index::knn_ctl_on`]'s
     /// worker count). `0` (the default) adapts per batch: a full batch
     /// runs each query sequentially (the batch itself is the
     /// parallelism), while a lone large request under light load fans
@@ -301,16 +298,16 @@ pub struct SubmitOpts {
     pub mode: ApproxPolicy,
 }
 
-/// An index the serving front can execute batches against: the two
-/// in-memory engines, each with its per-worker scratch type.
+/// An index the serving front can execute batches against: the engine
+/// under either of its kinds (every [`PersistentBackend`] is one).
 pub trait ServeBackend: PersistentBackend + Send + Sync + 'static {
     /// Per-worker working memory, owned by a pool worker for its whole
     /// lifetime and reused across every batch it executes.
     type Scratch: WorkerScratch;
 
-    /// Runs one [`Query`]: the engine's `search`
-    /// ([`Les3Index::search`] / [`ShardedLes3Index::search`]), whose
-    /// answer — stats included — is the same at any worker count.
+    /// Runs one [`Query`]: the engine's
+    /// [`search`](crate::ShardedLes3Index::search), whose answer — stats
+    /// included — is the same at any worker count.
     fn search(&self, q: &Query<'_>, scratch: &mut Self::Scratch) -> SearchOutcome;
 
     /// Largest useful intra-query worker count for this backend: the
@@ -318,11 +315,11 @@ pub trait ServeBackend: PersistentBackend + Send + Sync + 'static {
     /// against a small index skip the parallel engine entirely. An
     /// explicit [`ServeConfig::intra_workers`] bypasses the cap.
     fn intra_cap(&self) -> usize {
-        1
+        crate::par::serve_intra_cap(self.sharded().partitioning().n_groups())
     }
 
     /// [`ServeBackend::search`] under an [`ApproxPolicy`] — the one
-    /// place a policy is turned into query fields, for both engines and
+    /// place a policy is turned into query fields, for both index types and
     /// every route:
     ///
     /// * [`ApproxPolicy::Exact`] is `search`, bit for bit.
@@ -343,8 +340,8 @@ pub trait ServeBackend: PersistentBackend + Send + Sync + 'static {
     ) -> SearchOutcome {
         match policy {
             ApproxPolicy::Prefilter { bands, rows } if q.mask.is_none() => approx::run_prefiltered(
-                self.approx_sidecar(),
-                self.partitioning(),
+                self.sharded().approx_sidecar(),
+                self.sharded().partitioning(),
                 q.tokens,
                 (bands, rows),
                 scratch,
@@ -376,27 +373,11 @@ pub trait ServeBackend: PersistentBackend + Send + Sync + 'static {
     }
 }
 
-impl<S: Similarity> ServeBackend for Les3Index<S> {
+impl<B: PersistentBackend + Send + Sync + 'static> ServeBackend for B {
     type Scratch = QueryScratch;
 
     fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
-        Les3Index::search(self, q, scratch)
-    }
-
-    fn intra_cap(&self) -> usize {
-        crate::par::serve_intra_cap(self.tgm().n_groups())
-    }
-}
-
-impl<S: Similarity> ServeBackend for ShardedLes3Index<S> {
-    type Scratch = ShardedScratch;
-
-    fn search(&self, q: &Query<'_>, scratch: &mut ShardedScratch) -> SearchOutcome {
-        ShardedLes3Index::search(self, q, scratch)
-    }
-
-    fn intra_cap(&self) -> usize {
-        crate::par::serve_intra_cap(ShardedLes3Index::partitioning(self).n_groups())
+        self.sharded().search(q, scratch)
     }
 }
 
@@ -930,7 +911,7 @@ impl<B: ServeBackend> ServeFront<B> {
     }
 
     /// Builds a front over a shared backend — direct
-    /// [`knn`](crate::Les3Index::knn) calls on the same `Arc` stay
+    /// [`knn`](crate::ShardedLes3Index::knn) calls on the same `Arc` stay
     /// available alongside served ones (and return identical results).
     pub fn from_arc(backend: Arc<B>, config: ServeConfig) -> Self {
         let config = ServeConfig {
@@ -1011,7 +992,7 @@ impl<B: ServeBackend> ServeFront<B> {
     }
 
     /// Enqueues a kNN request (shedding on a full queue); the [`Ticket`]
-    /// resolves to exactly [`knn`](crate::Les3Index::knn)'s result for
+    /// resolves to exactly [`knn`](crate::ShardedLes3Index::knn)'s result for
     /// the same arguments, or to an admission outcome.
     pub fn submit_knn(&self, query: Vec<TokenId>, k: usize) -> Ticket {
         self.submit(query, Kind::Knn(k), Target::Backend, SubmitOpts::default())
@@ -1019,7 +1000,7 @@ impl<B: ServeBackend> ServeFront<B> {
 
     /// Enqueues a range request (shedding on a full queue); the
     /// [`Ticket`] resolves to exactly
-    /// [`range`](crate::Les3Index::range)'s result for the same
+    /// [`range`](crate::ShardedLes3Index::range)'s result for the same
     /// arguments, or to an admission outcome.
     pub fn submit_range(&self, query: Vec<TokenId>, delta: f64) -> Ticket {
         self.submit(
@@ -1281,6 +1262,7 @@ fn dispatcher_loop<B: ServeBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::Les3Index;
     use crate::partitioning::Partitioning;
     use crate::sim::Jaccard;
     use les3_data::zipfian::ZipfianGenerator;

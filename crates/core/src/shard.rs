@@ -1,26 +1,29 @@
-//! Sharded query engine: per-shard TGMs with a cross-shard top-k merge.
+//! The query engine: per-shard TGMs with a cross-shard top-k merge, at
+//! any shard count `N ≥ 1`.
 //!
 //! LES3's filter–verify pipeline partitions cleanly along the TGM's
 //! *group axis*: every group is filtered and verified as a unit (the
 //! paper's §5 cost model prices both steps per group), so assigning each
 //! group — with all of its members — to one of `N` shards loses nothing.
 //! A [`ShardedLes3Index`] gives every shard its own [`Tgm`] over its
-//! slice of the group axis, its own verification order, and (through
-//! [`ShardedScratch`] / the batch executor) its own scratch pool, so
-//! shards share nothing on the query path but the read-only database.
+//! slice of the group axis and its own verification order, so shards
+//! share nothing on the query path but the read-only database. This is
+//! the crate's only in-memory engine: [`crate::Les3Index`] is the same
+//! struct built with one shard (whose slice is the whole axis), and
+//! `search`, `insert`, [`crate::DeletionLog::delete`], the batch
+//! executor and the persistence layer exist once, here.
 //!
 //! # The cross-shard threshold-sharing invariant
 //!
 //! Exact kNN needs **one global top-k**. The descent keeps a cursor into
 //! each shard's filter output — groups in `(overlap r descending,
-//! global group id ascending)` order, exactly the bucketed order the
-//! unsharded index verifies in — and at every step consumes the
-//! globally best-bounded front among all shards. Two consequences, which
-//! together make sharded results *bit-for-bit identical* to the
-//! unsharded index (hits **and** stats):
+//! global group id ascending)` order, the bucketed order — and at every
+//! step consumes the globally best-bounded front among all shards. Two
+//! consequences, which together make results *bit-for-bit identical* at
+//! every shard count (hits **and** stats):
 //!
 //! 1. **Admissible pruning across shards.** The merged stream is the
-//!    unsharded verification order: when the best remaining front's
+//!    one-shard verification order: when the best remaining front's
 //!    upper bound cannot beat the current k-th similarity, *every*
 //!    unvisited group in *every* shard is behind that front in the
 //!    order, hence also beaten — the whole fleet stops at once. The
@@ -28,22 +31,24 @@
 //!    threshold: a "tight" shard that fills the heap with high
 //!    similarities early prunes the other shards' groups before they are
 //!    verified.
-//! 2. **Identical traversal.** Because the merge replays the unsharded
+//! 2. **Identical traversal.** Because the merge replays the one-shard
 //!    order group by group with the same evolving threshold, every
 //!    window cut, every abandoned merge and every heap offer happens at
 //!    the same point with the same arguments — the equality is exact,
 //!    not just up to ties (`tests/shard_equivalence.rs` asserts full
-//!    `SearchResult` equality, counters included).
+//!    `SearchResult` equality, counters included, and
+//!    `tests/golden_stats.rs` pins the counters to recorded literals).
 //!
-//! Range queries need no shared state at all: shards fan out, verify
-//! their groups against the fixed `δ`, and the hit lists concatenate
-//! (the final sort by `(similarity, id)` is order-insensitive).
+//! Range queries need no shared state at all: shards verify their groups
+//! against the fixed `δ` one after the other and the hit lists
+//! concatenate (the final sort by `(similarity, id)` is
+//! order-insensitive).
 //!
-//! Updates route to the owning shard: an insert picks its group with the
-//! same global rule as the unsharded index (per-shard overlap counts are
-//! scattered back to global group ids first), then touches only that
-//! group's shard; deletions clear TGM bits through the same routing
-//! (see [`crate::delete::DeletionLog`]).
+//! Updates route to the owning shard: an insert picks its group with one
+//! global rule (per-shard overlap counts are scattered back to global
+//! group ids first — a no-op for a shard that owns every group), then
+//! touches only that group's shard; deletions clear TGM bits through the
+//! same routing (see [`crate::delete::DeletionLog`]).
 //!
 //! # Example
 //!
@@ -69,7 +74,7 @@
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::Mutex;
 
-use les3_bitmap::{Bitmap, DenseBitSet};
+use les3_bitmap::Bitmap;
 use les3_data::{SetDatabase, SetId, TokenId};
 
 use crate::approx::{ApproxParams, ApproxPolicy, MinHashIndex};
@@ -77,12 +82,12 @@ use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::index::{SearchResult, TopK, VerifyOrder, VerifyQuery};
 use crate::metadata::FilterCandidates;
-use crate::par::{self, ParGroups};
+use crate::par;
 use crate::partitioning::Partitioning;
 use crate::query::{self, Gathered, Kind, Query, SearchOutcome};
-use crate::scratch::{QueryScratch, ShardedScratch};
+use crate::scratch::{FilterScratch, QueryScratch};
 use crate::serve::ServeBackend;
-use crate::sim::{distinct_len, normalize_query, Similarity, ThresholdedEval};
+use crate::sim::{distinct_len, normalize_query, Similarity};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
 
@@ -154,9 +159,8 @@ pub(crate) struct ShardBound {
     /// upper bound is monotone in `r` but not injective, so ordering by
     /// `ub` alone would not reproduce the bucketed order). The bound
     /// itself (`UB(Q, G_g)`, Eq. 2) is derived lazily from `r` only for
-    /// entries that reach the front of the merge — unlike the flat
-    /// index's eager per-group bounds, groups pruned wholesale never pay
-    /// for one.
+    /// entries that reach the front of the merge — groups pruned
+    /// wholesale never pay for one.
     pub(crate) r: u32,
 }
 
@@ -169,11 +173,11 @@ pub struct ShardFilter {
     pub(crate) cols: u64,
 }
 
-/// The sharded LES3 index: the group axis split across `N` shards, each
+/// The LES3 index: the group axis split across `N ≥ 1` shards, each
 /// with its own TGM + verification order, answering exact kNN and range
-/// queries bit-for-bit identically to [`crate::Les3Index`] built on the
-/// same database and partitioning. See the module docs for the
-/// cross-shard threshold-sharing invariant.
+/// queries bit-for-bit identically — hits and stats — at every `N` on
+/// the same database and partitioning ([`crate::Les3Index`] is `N = 1`).
+/// See the module docs for the cross-shard threshold-sharing invariant.
 #[derive(Debug, Clone)]
 pub struct ShardedLes3Index<S: Similarity> {
     pub(crate) db: SetDatabase,
@@ -272,14 +276,34 @@ impl<S: Similarity> ShardedLes3Index<S> {
         &self.shards[s].groups
     }
 
+    /// The index's only shard, if it has exactly one: that shard owns
+    /// every group in order, so its local group ids are the global ones
+    /// and its counts and columns need no local → global scatter.
+    pub(crate) fn sole_shard(&self) -> Option<&Shard> {
+        match &self.shards[..] {
+            [only] => Some(only),
+            _ => None,
+        }
+    }
+
+    /// The shard that owns global group `g`, and `g`'s id within it.
+    pub(crate) fn locate(&self, g: u32) -> (usize, u32) {
+        if self.shards.len() == 1 {
+            return (0, g);
+        }
+        let s = self.shard_of_group[g as usize] as usize;
+        (s, self.local_of_group[g as usize])
+    }
+
     /// Total index size across all shard matrices (Figure-11 quantity).
     pub fn index_size_in_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.tgm.size_in_bytes()).sum()
     }
 
     /// Builds the MinHash sidecar that backs
-    /// [`ApproxPolicy::Prefilter`] queries; the sharded twin of
-    /// [`crate::Les3Index::enable_approx`].
+    /// [`ApproxPolicy::Prefilter`] queries. Until this is called (or a
+    /// segment with a signature block is loaded), prefilter queries
+    /// fall back to the exact path.
     pub fn enable_approx(&mut self, params: ApproxParams) {
         self.approx = Some(MinHashIndex::build(&self.db, params));
     }
@@ -298,7 +322,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         s: usize,
         query: &[TokenId],
         q_len: usize,
-        scratch: &mut QueryScratch,
+        scratch: &mut FilterScratch,
         out: &mut ShardFilter,
     ) {
         let shard = &self.shards[s];
@@ -306,8 +330,8 @@ impl<S: Similarity> ShardedLes3Index<S> {
         out.bounds.clear();
         out.bounds
             .resize(shard.tgm.n_groups(), ShardBound::default());
-        // The one shared bucketed selection (see its docs: the sharded
-        // bit-for-bit contract depends on flat and sharded emitting the
+        // The one shared bucketed selection (see its docs: the
+        // bit-for-bit contract depends on every shard count emitting the
         // identical order). Local ids ascend with global ids within a
         // shard, so per-shard `(r desc, local asc)` is `(r desc, global
         // asc)` — what the cross-shard merge assumes.
@@ -331,13 +355,13 @@ impl<S: Similarity> ShardedLes3Index<S> {
     /// the shard's candidates, ascending (global candidates ascend, and
     /// local ids ascend with global within a shard), so the emitted
     /// `(r desc, local asc)` order is again `(r desc, global asc)`.
-    pub(crate) fn filter_shard_restricted(
+    fn filter_shard_restricted(
         &self,
         s: usize,
         query: &[TokenId],
         q_len: usize,
         locals: &[u32],
-        scratch: &mut QueryScratch,
+        scratch: &mut FilterScratch,
         out: &mut ShardFilter,
     ) {
         let shard = &self.shards[s];
@@ -377,44 +401,32 @@ impl<S: Similarity> ShardedLes3Index<S> {
             l.clear();
         }
         for &g in &cand.groups {
-            let s = self.shard_of_group[g as usize] as usize;
-            locals[s].push(self.local_of_group[g as usize]);
+            let (s, l) = self.locate(g);
+            locals[s].push(l);
         }
     }
 
-    /// The cross-shard best-first descent over pre-computed shard filter
-    /// outputs, sharing one global top-k. `filter_of(s)` yields shard
-    /// `s`'s [`ShardFilter`]; `cursors` must hold one zeroed cursor per
-    /// shard. Polls `ctl` at every merge step (the sharded analogue of
-    /// the flat index's group-boundary check). See the module docs for
-    /// why this replays the unsharded traversal exactly.
-    #[allow(clippy::too_many_arguments)] // internal kernel: callers thread scratch + ctl
-    pub(crate) fn merge_knn<'a>(
+    /// The cross-shard best-first descent over the shards' filter
+    /// outputs, sharing one global top-k. `cursors` must hold one zeroed
+    /// cursor per shard. Polls `ctl` at every merge step (a group
+    /// boundary). See the module docs for why the merged order is the
+    /// same at every shard count.
+    fn merge_knn(
         &self,
-        query: &[TokenId],
+        verify: &VerifyQuery<'_, S>,
         k: usize,
-        q_len: usize,
-        filter_of: impl Fn(usize) -> &'a ShardFilter,
-        set_filter: Option<&DenseBitSet>,
+        filters: &[ShardFilter],
         cursors: &mut [usize],
         stats: &mut SearchStats,
         ctl: &QueryCtl<'_>,
     ) -> Result<TopK, (InterruptReason, TopK)> {
-        let n_shards = cursors.len();
         let mut top = TopK::new(k);
-        let verify = VerifyQuery {
-            sim: self.sim,
-            db: &self.db,
-            query,
-            q_len,
-            filter: set_filter,
-        };
         loop {
             // The globally best unvisited group: max r, ties to the
-            // smallest global group id — the unsharded bucketed order.
+            // smallest global group id — the bucketed order.
             let mut best: Option<(usize, ShardBound)> = None;
             for (s, &cur) in cursors.iter().enumerate() {
-                if let Some(&b) = filter_of(s).bounds.get(cur) {
+                if let Some(&b) = filters[s].bounds.get(cur) {
                     let better = match &best {
                         None => true,
                         Some((_, cur)) => b.r > cur.r || (b.r == cur.r && b.group < cur.group),
@@ -425,14 +437,16 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 }
             }
             let Some((s, b)) = best else { break };
-            // The bound is derived from `r` only here, at the front —
-            // identical arithmetic to the flat index's eager bounds.
-            let ub = self.sim.ub_from_overlap(q_len, b.r as usize);
+            // The bound is derived from `r` only here, at the front:
+            // groups pruned wholesale never pay for one.
+            let ub = self.sim.ub_from_overlap(verify.q_len, b.r as usize);
             if top.is_full() && ub <= top.kth() {
                 // Every shard's remaining groups sit behind this front in
                 // the merged order, so they are all beaten too.
-                stats.groups_pruned += (0..n_shards)
-                    .map(|s| filter_of(s).bounds.len() - cursors[s])
+                stats.groups_pruned += filters
+                    .iter()
+                    .zip(cursors.iter())
+                    .map(|(f, &cur)| f.bounds.len() - cur)
                     .sum::<usize>();
                 break;
             }
@@ -450,25 +464,21 @@ impl<S: Similarity> ShardedLes3Index<S> {
     }
 
     /// Verifies shard `s`'s groups against a fixed range threshold,
-    /// appending hits. Shards need no shared state for range queries, so
-    /// the batch executor runs this per (shard × query) task. Polls
-    /// `ctl` at every group boundary.
+    /// appending hits. Shards need no shared state for range queries.
+    /// Polls `ctl` at every group boundary.
     #[allow(clippy::too_many_arguments)] // internal kernel: callers thread scratch + ctl
-    pub(crate) fn range_shard(
+    fn range_shard(
         &self,
         s: usize,
-        query: &[TokenId],
+        verify: &VerifyQuery<'_, S>,
         delta: f64,
         filter: &ShardFilter,
-        set_filter: Option<&DenseBitSet>,
         hits: &mut Vec<(SetId, f64)>,
         stats: &mut SearchStats,
         ctl: &QueryCtl<'_>,
     ) -> Result<(), InterruptReason> {
-        let q_len = distinct_len(query);
-        let shard = &self.shards[s];
         for (i, b) in filter.bounds.iter().enumerate() {
-            if self.sim.ub_from_overlap(q_len, b.r as usize) < delta {
+            if self.sim.ub_from_overlap(verify.q_len, b.r as usize) < delta {
                 stats.groups_pruned += filter.bounds.len() - i;
                 break;
             }
@@ -476,47 +486,32 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 return Err(reason);
             }
             stats.groups_verified += 1;
-            shard
-                .verify
-                .with_window(self.sim, b.local, q_len, delta, |ids, _lens, skipped| {
-                    stats.size_skipped += skipped;
-                    for &id in ids {
-                        if set_filter.is_some_and(|m| !m.contains(id)) {
-                            continue;
-                        }
-                        stats.candidates += 1;
-                        stats.sims_computed += 1;
-                        match self.sim.eval_with_threshold(query, self.db.set(id), delta) {
-                            ThresholdedEval::Hit(sim) => hits.push((id, sim)),
-                            ThresholdedEval::Rejected { early } => {
-                                if early {
-                                    stats.early_exits += 1;
-                                }
-                            }
-                        }
-                    }
-                });
+            verify.range_window(&self.shards[s].verify, b.local, delta, hits, stats);
         }
         Ok(())
     }
 
-    /// Runs one [`Query`] — the sharded index's only query body; every
-    /// named `knn*/range*` method below is a single expression over it.
-    /// Results are bit-for-bit those of [`crate::Les3Index::search`] on
-    /// the same database and partitioning, hits *and* stats.
+    /// Runs one [`Query`] — the only query body of the in-memory index,
+    /// at every shard count ([`crate::Les3Index`] is the 1-shard case);
+    /// every named `knn*/range*` method below is a single expression
+    /// over it. Hits *and* stats are the same at every shard count and
+    /// worker count.
     ///
     /// Guards, then phase A for every shard (the full filter pass fanned
     /// out over the shards, or the restricted kernels over each shard's
     /// slice of the mask's groups — proportional to the candidate count,
-    /// so always sequential), one `ctl` poll, then phase B. `workers <=
-    /// 1` keeps the cursor kernels: the cross-shard best-first
-    /// `merge_knn` sharing one top-k, or
-    /// `range_shard` shard after shard. More
-    /// workers materialize the merged bound stream — provably the same
-    /// `(r desc, global id asc)` sequence the cursor merge consumes, and
-    /// for range the same set of surviving groups with additive counters
-    /// — and hand it to the speculate + replay engine (`par.rs`).
-    pub fn search(&self, q: &Query<'_>, scratch: &mut ShardedScratch) -> SearchOutcome {
+    /// so always sequential), one `ctl` poll — filtering is cheap,
+    /// verification is where the CPU goes, so an expired or cancelled
+    /// query must not start it — then phase B. One worker (or a single
+    /// group to verify) keeps the cursor kernels: the cross-shard
+    /// best-first `merge_knn` sharing one top-k (stopping at the first
+    /// front whose bound cannot improve the k-th best, Theorem 3.1), or
+    /// `range_shard` shard after shard. More workers materialize the
+    /// merged bound stream — provably the same `(r desc, global id asc)`
+    /// sequence the cursor merge consumes, and for range the same set of
+    /// surviving groups with additive counters — and hand it to the
+    /// speculate + replay engine (`par.rs`).
+    pub fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
         let mut stats = SearchStats::default();
         if q.is_vacuous(self.db.is_empty()) {
             return query::settle(None, Gathered::NOTHING, stats, q.on_expiry, 0);
@@ -530,7 +525,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         let n_considered = q.n_considered(self.partitioning.n_groups());
         let workers = par::resolve_workers(q.workers, n_considered);
         scratch.ensure(n_shards);
-        let ShardedScratch {
+        let QueryScratch {
             per_shard,
             filters,
             cursors,
@@ -555,25 +550,25 @@ impl<S: Similarity> ShardedLes3Index<S> {
         if let stopped @ Some(_) = q.ctl.interrupted() {
             return query::settle(stopped, Gathered::NOTHING, stats, q.on_expiry, n_considered);
         }
-        let set_filter = q.mask.map(|cand| &cand.sets);
+        let verify = VerifyQuery {
+            sim: self.sim,
+            db: &self.db,
+            query: tokens,
+            q_len,
+            filter: q.mask.map(|cand| &cand.sets),
+        };
         let ctl = &q.ctl;
+        // One speculator per group beyond the committer is the most that
+        // can ever be useful.
+        let workers = workers.min(n_considered);
         let (stopped, gathered) = if workers <= 1 {
             match q.kind {
-                Kind::Knn(k) => Gathered::heap(self.merge_knn(
-                    tokens,
-                    k,
-                    q_len,
-                    |s| &filters[s],
-                    set_filter,
-                    cursors,
-                    &mut stats,
-                    ctl,
-                )),
+                Kind::Knn(k) => {
+                    Gathered::heap(self.merge_knn(&verify, k, filters, cursors, &mut stats, ctl))
+                }
                 Kind::Range(delta) => Gathered::list(|hits| {
                     filters.iter().enumerate().try_for_each(|(s, filter)| {
-                        self.range_shard(
-                            s, tokens, delta, filter, set_filter, hits, &mut stats, ctl,
-                        )
+                        self.range_shard(s, &verify, delta, filter, hits, &mut stats, ctl)
                     })
                 }),
             }
@@ -582,9 +577,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
             let groups = MergedGroups {
                 index: self,
                 merged,
-                query: tokens,
-                q_len,
-                filter: set_filter,
+                verify,
             };
             match q.kind {
                 Kind::Knn(k) => {
@@ -607,7 +600,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         workers: usize,
         query: &[TokenId],
         q_len: usize,
-        per_shard: &mut [QueryScratch],
+        per_shard: &mut [FilterScratch],
         filters: &mut [ShardFilter],
     ) {
         let n = self.shards.len();
@@ -617,7 +610,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
             }
             return;
         }
-        let tasks: Vec<Mutex<(&mut QueryScratch, &mut ShardFilter)>> = per_shard
+        let tasks: Vec<Mutex<(&mut FilterScratch, &mut ShardFilter)>> = per_shard
             .iter_mut()
             .zip(filters.iter_mut())
             .map(Mutex::new)
@@ -637,11 +630,9 @@ impl<S: Similarity> ShardedLes3Index<S> {
         });
     }
 
-    /// Exact kNN search across all shards (Definition 2.1); results are
-    /// bit-for-bit those of [`crate::Les3Index::knn`] on the same
-    /// database and partitioning.
+    /// Exact kNN search across all shards (Definition 2.1).
     pub fn knn(&self, query: &[TokenId], k: usize) -> SearchResult {
-        self.knn_with(query, k, &mut ShardedScratch::new())
+        self.knn_with(query, k, &mut QueryScratch::new())
     }
 
     /// [`ShardedLes3Index::knn`] with caller-provided scratch
@@ -650,7 +641,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         &self,
         query: &[TokenId],
         k: usize,
-        scratch: &mut ShardedScratch,
+        scratch: &mut QueryScratch,
     ) -> SearchResult {
         query::uninterrupted(self.search(&Query::knn(query, k), scratch))
     }
@@ -662,7 +653,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         workers: usize,
         query: &[TokenId],
         k: usize,
-        scratch: &mut ShardedScratch,
+        scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
         self.search(&Query::knn(query, k).pinned(workers, ctl), scratch)
@@ -678,7 +669,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         query: &[TokenId],
         k: usize,
         cand: &FilterCandidates,
-        scratch: &mut ShardedScratch,
+        scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
         let q = Query {
@@ -696,16 +687,16 @@ impl<S: Similarity> ShardedLes3Index<S> {
         query: &[TokenId],
         k: usize,
         policy: ApproxPolicy,
-        scratch: &mut ShardedScratch,
+        scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> SearchOutcome {
         self.search_approx(&Query::knn(query, k).pinned(workers, ctl), policy, scratch)
     }
 
-    /// Exact range search across all shards (Definition 2.2); results
-    /// are bit-for-bit those of [`crate::Les3Index::range`].
+    /// Exact range search across all shards (Definition 2.2): all sets
+    /// with `Sim(Q, S) ≥ delta`.
     pub fn range(&self, query: &[TokenId], delta: f64) -> SearchResult {
-        self.range_with(query, delta, &mut ShardedScratch::new())
+        self.range_with(query, delta, &mut QueryScratch::new())
     }
 
     /// [`ShardedLes3Index::range`] with caller-provided scratch.
@@ -713,7 +704,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         &self,
         query: &[TokenId],
         delta: f64,
-        scratch: &mut ShardedScratch,
+        scratch: &mut QueryScratch,
     ) -> SearchResult {
         query::uninterrupted(self.search(&Query::range(query, delta), scratch))
     }
@@ -725,7 +716,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         workers: usize,
         query: &[TokenId],
         delta: f64,
-        scratch: &mut ShardedScratch,
+        scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
         self.search(&Query::range(query, delta).pinned(workers, ctl), scratch)
@@ -734,62 +725,48 @@ impl<S: Similarity> ShardedLes3Index<S> {
 }
 
 /// Materializes the `(r desc, global group id asc)` merge of per-shard
-/// filter streams — the exact sequence the cursor-wise
-/// [`ShardedLes3Index::merge_knn`] consumes front by front, and (because
-/// each shard's stream comes from the one shared
-/// [`crate::index::bucketed_descending`]) the exact flat verification
-/// order. Each shard's stream is already sorted, so this is a k-way
-/// merge flattened into one sort; `(r, group)` is unique per group, so
-/// the order is total and `sort_unstable` deterministic.
-pub(crate) fn merge_filter_streams<'a>(
-    filters: impl IntoIterator<Item = &'a ShardFilter>,
-    out: &mut Vec<(u32, ShardBound)>,
-) {
+/// filter streams — the exact sequence the cursor-wise `merge_knn`
+/// consumes front by front. Each shard's stream is already sorted (it
+/// comes from the one shared [`crate::index::bucketed_descending`]), so
+/// this is a k-way merge flattened into one sort; `(r, group)` is unique
+/// per group, so the order is total and `sort_unstable` deterministic.
+fn merge_filter_streams(filters: &[ShardFilter], out: &mut Vec<(u32, ShardBound)>) {
     out.clear();
-    for (s, f) in filters.into_iter().enumerate() {
+    for (s, f) in filters.iter().enumerate() {
         out.extend(f.bounds.iter().map(|&b| (s as u32, b)));
     }
     out.sort_unstable_by(|a, b| b.1.r.cmp(&a.1.r).then(a.1.group.cmp(&b.1.group)));
 }
 
-/// The sharded index's merged bound stream for the intra-query engine:
-/// bounds derived lazily from `r` (identical arithmetic to both the
-/// flat index's eager bounds and the cursor merge's front bounds).
+/// The merged bound stream the intra-query engine (`par.rs`) descends,
+/// in verification order: bounds derived lazily from `r` (identical
+/// arithmetic to the cursor merge's front bounds), non-increasing in
+/// `i`.
 pub(crate) struct MergedGroups<'a, S: Similarity> {
     pub(crate) index: &'a ShardedLes3Index<S>,
     pub(crate) merged: &'a [(u32, ShardBound)],
-    pub(crate) query: &'a [TokenId],
-    pub(crate) q_len: usize,
-    /// Per-set match mask of a filtered query.
-    pub(crate) filter: Option<&'a DenseBitSet>,
+    /// The query-constant inputs of verification. A filtered query's
+    /// per-set mask is among them, so window contents filtered by it
+    /// stay a pure function of the threshold — the replay soundness
+    /// argument (`par.rs` module docs) is unchanged.
+    pub(crate) verify: VerifyQuery<'a, S>,
 }
 
-impl<S: Similarity> ParGroups for MergedGroups<'_, S> {
-    type S = S;
-
-    fn n_groups(&self) -> usize {
+impl<S: Similarity> MergedGroups<'_, S> {
+    pub(crate) fn n_groups(&self) -> usize {
         self.merged.len()
     }
 
-    fn ub(&self, i: usize) -> f64 {
-        self.index
-            .sim
-            .ub_from_overlap(self.q_len, self.merged[i].1.r as usize)
+    /// Upper bound of group `i` (non-increasing in `i`).
+    pub(crate) fn ub(&self, i: usize) -> f64 {
+        let r = self.merged[i].1.r as usize;
+        self.verify.sim.ub_from_overlap(self.verify.q_len, r)
     }
 
-    fn locate(&self, i: usize) -> (&VerifyOrder, u32) {
+    /// The verify order owning group `i`, and `i`'s id within it.
+    pub(crate) fn locate(&self, i: usize) -> (&VerifyOrder, u32) {
         let (s, b) = self.merged[i];
         (&self.index.shards[s as usize].verify, b.local)
-    }
-
-    fn verify(&self) -> VerifyQuery<'_, S> {
-        VerifyQuery {
-            sim: self.index.sim,
-            db: &self.index.db,
-            query: self.query,
-            q_len: self.q_len,
-            filter: self.filter,
-        }
     }
 }
 
@@ -855,7 +832,7 @@ mod tests {
         let db = ZipfianGenerator::new(300, 200, 6.0, 1.2).generate(8);
         let part = random_partitioning(db.len(), 12, 2);
         let index = ShardedLes3Index::build(db.clone(), part, Jaccard, 4, ShardPolicy::Hash);
-        let mut scratch = ShardedScratch::new();
+        let mut scratch = QueryScratch::new();
         for qid in [0u32, 50, 299] {
             let q = db.set(qid).to_vec();
             assert_eq!(

@@ -12,81 +12,53 @@
 
 use les3_data::{SetId, TokenId};
 
-use crate::index::Les3Index;
 use crate::shard::ShardedLes3Index;
 use crate::sim::{distinct_len, Similarity};
 
-impl<S: Similarity> Les3Index<S> {
-    /// Inserts a new set, handling unseen tokens per §6. Returns the new
-    /// set's id and the group it joined.
-    pub fn insert(&mut self, tokens: &mut [TokenId]) -> (SetId, u32) {
-        tokens.sort_unstable();
-        let universe = self.db().universe_size();
-        // PS = previously seen tokens (§6 step 1).
-        let ps: Vec<TokenId> = tokens.iter().copied().filter(|&t| t < universe).collect();
-        let g = self.choose_group(&ps);
-        let (db, partitioning, tgm) = self.parts_mut();
-        let id = db.push_sorted(tokens);
-        let joined = partitioning.push(g);
-        debug_assert_eq!(id, joined);
-        for &t in tokens.iter() {
-            tgm.set_bit(g, t);
-        }
-        self.note_new_member(g, id);
-        (id, g)
-    }
-
-    /// Group with the highest UB to `ps`; ties (including the all-zero
-    /// case) go to the smallest group.
-    fn choose_group(&self, ps: &[TokenId]) -> u32 {
-        let n = self.partitioning().n_groups();
-        debug_assert!(n > 0);
-        let sizes = self.partitioning().group_sizes();
-        if ps.is_empty() {
-            return smallest_group(&sizes);
-        }
-        let counts = self.tgm().group_overlaps(ps);
-        choose_group_from_counts(self.sim(), distinct_len(ps), &counts, &sizes)
-    }
-}
-
 impl<S: Similarity> ShardedLes3Index<S> {
-    /// Inserts a new set, routing it to the shard that owns the chosen
-    /// group. Group selection follows the exact global rule of
-    /// [`Les3Index::insert`] — per-shard overlap counts are scattered
-    /// back to global group ids first — so a sharded index and an
-    /// unsharded one stay bit-for-bit in sync under interleaved inserts.
+    /// Inserts a new set, handling unseen tokens per §6, and routes it
+    /// to the shard that owns the chosen group. Returns the new set's id
+    /// and the group it joined. Group selection is one global rule —
+    /// per-shard overlap counts are scattered back to global group ids
+    /// first — so indexes at every shard count stay bit-for-bit in sync
+    /// under interleaved inserts.
     pub fn insert(&mut self, tokens: &mut [TokenId]) -> (SetId, u32) {
         tokens.sort_unstable();
         let universe = self.db.universe_size();
+        // PS = previously seen tokens (§6 step 1).
         let ps: Vec<TokenId> = tokens.iter().copied().filter(|&t| t < universe).collect();
         let sizes = self.partitioning.group_sizes();
         let g = if ps.is_empty() {
             smallest_group(&sizes)
         } else {
-            let mut counts = vec![0u32; self.partitioning.n_groups()];
-            for shard in &self.shards {
-                for (l, &r) in shard.tgm.group_overlaps(&ps).iter().enumerate() {
-                    counts[shard.groups[l] as usize] = r;
+            let counts = match self.sole_shard() {
+                // Local ids are the global ones: nothing to scatter.
+                Some(shard) => shard.tgm.group_overlaps(&ps),
+                None => {
+                    let mut counts = vec![0u32; self.partitioning.n_groups()];
+                    for shard in &self.shards {
+                        for (l, &r) in shard.tgm.group_overlaps(&ps).iter().enumerate() {
+                            counts[shard.groups[l] as usize] = r;
+                        }
+                    }
+                    counts
                 }
-            }
+            };
             choose_group_from_counts(self.sim, distinct_len(&ps), &counts, &sizes)
         };
         let id = self.db.push_sorted(tokens);
         let joined = self.partitioning.push(g);
         debug_assert_eq!(id, joined);
         // Route to the owning shard.
-        let s = self.shard_of_group[g as usize] as usize;
-        let l = self.local_of_group[g as usize];
+        let (s, l) = self.locate(g);
         let shard = &mut self.shards[s];
-        for &t in self.db.set(id) {
+        for &t in tokens.iter() {
             shard.tgm.set_bit(l, t);
         }
-        let len = distinct_len(self.db.set(id)) as u32;
-        shard.verify.push(l, len, id);
+        shard.verify.push(l, distinct_len(tokens) as u32, id);
         if let Some(mh) = &mut self.approx {
             debug_assert_eq!(mh.n_sets() as u32, id, "sidecar out of sync with db");
-            mh.push(self.db.set(id));
+            mh.push(tokens);
         }
         (id, g)
     }
@@ -94,8 +66,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
 
 /// Group with the highest `UB(ps, G_g)` given pre-computed overlap
 /// counts; ties (including the all-zero case) go to the smallest group,
-/// then the smallest id — the §6 placement rule, shared by the flat and
-/// sharded indexes so both make identical placement decisions.
+/// then the smallest id — the §6 placement rule.
 pub(crate) fn choose_group_from_counts<S: Similarity>(
     sim: S,
     q_len: usize,
@@ -129,6 +100,7 @@ pub(crate) fn smallest_group(sizes: &[usize]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::Les3Index;
     use crate::partitioning::Partitioning;
     use crate::sim::Jaccard;
     use les3_data::SetDatabase;

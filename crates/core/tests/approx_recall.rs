@@ -291,9 +291,9 @@ proptest! {
                 );
                 sharded.enable_approx(sidecar_params(seed));
                 // Replay the tombstones: sharded deletes route by id.
-                let mut slog = DeletionLog::build_sharded(&sharded);
+                let mut slog = DeletionLog::build(&sharded);
                 for id in log.deleted_ids() {
-                    slog.delete_sharded(&mut sharded, id);
+                    slog.delete(&mut sharded, id);
                 }
                 let mut sscratch = ShardedScratch::new();
                 for workers in WORKER_COUNTS {

@@ -163,7 +163,7 @@ impl CrashBackend for ShardedLes3Index<Jaccard> {
         )
     }
     fn build_log(&self) -> DeletionLog {
-        DeletionLog::build_sharded(self)
+        DeletionLog::build(self)
     }
 }
 
@@ -180,7 +180,7 @@ fn signature<B: CrashBackend>(backend: &B, log: &DeletionLog, meta: &MetadataInd
         })
         .collect();
     Signature {
-        n_sets: backend.db().len(),
+        n_sets: backend.sharded().db().len(),
         tombstones: log.deleted_ids(),
         attrs: (0..meta.n_sets() as u32).map(|id| meta.attrs(id)).collect(),
         answers,
@@ -194,22 +194,22 @@ fn reference_states<B: CrashBackend>(make: impl Fn() -> B) -> Vec<Signature> {
     let mut backend = make();
     let mut log = backend.build_log();
     let mut meta = MetadataIndex::new();
-    meta.push_empty(backend.db().len());
+    meta.push_empty(backend.sharded().db().len());
     refs.push(signature(&backend, &log, &meta));
     for op in schedule() {
         match op {
             Op::Insert(tokens) => {
-                let (id, _) = backend.insert_set(&mut tokens.clone());
-                B::note_insert(&mut log, &backend, id);
+                let (id, _) = backend.sharded_mut().insert(&mut tokens.clone());
+                log.note_insert(backend.sharded(), id);
                 meta.push_empty(1);
             }
             Op::InsertAttrs(tokens, attrs) => {
-                let (id, _) = backend.insert_set(&mut tokens.clone());
-                B::note_insert(&mut log, &backend, id);
+                let (id, _) = backend.sharded_mut().insert(&mut tokens.clone());
+                log.note_insert(backend.sharded(), id);
                 meta.push(&owned_attrs(&attrs));
             }
             Op::Delete(id) => {
-                B::delete_set(&mut log, &mut backend, id);
+                log.delete(backend.sharded_mut(), id);
             }
             Op::Checkpoint => continue,
         }
@@ -268,7 +268,7 @@ fn crash_everywhere<B: CrashBackend>(make: impl Fn() -> B, tag: &str) {
     let root = std::env::temp_dir().join(format!("les3-crash-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
     let pristine = root.join("pristine");
-    let sim = make().sim();
+    let sim = make().sharded().sim();
 
     // Seed the directory with a clean epoch-0 save.
     drop(DurableIndex::create(&pristine, make()).unwrap());
@@ -372,20 +372,19 @@ fn flat_make() -> Les3Index<Jaccard> {
 /// The state a survivor must reach after recovery (with or without the
 /// crashed first insert) plus the follow-up mutations applied to it.
 fn flat_reference(with_first: bool) -> Signature {
-    type B = Les3Index<Jaccard>;
     let mut backend = flat_make();
     let mut log = backend.build_log();
     let mut meta = MetadataIndex::new();
-    meta.push_empty(backend.db().len());
+    meta.push_empty(backend.sharded().db().len());
     if with_first {
-        let (id, _) = backend.insert_set(&mut [1, 2, 21]);
-        B::note_insert(&mut log, &backend, id);
+        let (id, _) = backend.sharded_mut().insert(&mut [1, 2, 21]);
+        log.note_insert(backend.sharded(), id);
         meta.push_empty(1);
     }
-    let (id, _) = backend.insert_set(&mut [8, 9, 23]);
-    B::note_insert(&mut log, &backend, id);
+    let (id, _) = backend.sharded_mut().insert(&mut [8, 9, 23]);
+    log.note_insert(backend.sharded(), id);
     meta.push_empty(1);
-    B::delete_set(&mut log, &mut backend, 3);
+    log.delete(backend.sharded_mut(), 3);
     signature(&backend, &log, &meta)
 }
 

@@ -134,12 +134,12 @@ fn deletion_log_tolerates_out_of_range_ids() {
     assert!(!log.delete(&mut flat, 4_000_000_000));
     assert_eq!(log.live_count(), 5);
     let mut sharded = sharded();
-    let mut slog = DeletionLog::build_sharded(&sharded);
-    assert!(!slog.delete_sharded(&mut sharded, u32::MAX));
+    let mut slog = DeletionLog::build(&sharded);
+    assert!(!slog.delete(&mut sharded, u32::MAX));
     assert_eq!(slog.live_count(), 5);
     // Real deletions still work after the no-ops.
     assert!(log.delete(&mut flat, 0));
-    assert!(slog.delete_sharded(&mut sharded, 0));
+    assert!(slog.delete(&mut sharded, 0));
     assert_eq!(log.live_count(), 4);
     assert_eq!(slog.live_count(), 4);
 }

@@ -360,20 +360,15 @@ const GOLDEN_HIT_DIGESTS: [u64; 3] = [
 ];
 
 fn hit_digest(results: &[SearchResult]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |word: u64| {
-        for b in word.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut bytes = Vec::new();
     for r in results {
-        eat(r.hits.len() as u64);
+        bytes.extend_from_slice(&(r.hits.len() as u64).to_le_bytes());
         for &(id, sim) in &r.hits {
-            eat(u64::from(id));
-            eat(sim.to_bits());
+            bytes.extend_from_slice(&u64::from(id).to_le_bytes());
+            bytes.extend_from_slice(&sim.to_bits().to_le_bytes());
         }
     }
-    h
+    common::fnv1a(&bytes)
 }
 
 /// Every query of the fixture, one at a time: the first 24 unmasked,

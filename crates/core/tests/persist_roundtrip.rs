@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::run;
+use common::{fnv1a, run};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -123,7 +123,7 @@ impl<S: Similarity> TestBackend for ShardedLes3Index<S> {
         )
     }
     fn build_log(&self) -> DeletionLog {
-        DeletionLog::build_sharded(self)
+        DeletionLog::build(self)
     }
     fn enable_sidecar(&mut self, params: ApproxParams) {
         self.enable_approx(params);
@@ -192,21 +192,21 @@ fn check_roundtrip<B: TestBackend>(
     let dir = fresh_dir(tag);
     let mut live_log = live.build_log();
     let mut live_meta = MetadataIndex::new();
-    live_meta.push_empty(live.db().len());
+    live_meta.push_empty(live.sharded().db().len());
     let mut durable = DurableIndex::create(&dir, copy).unwrap();
     let halfway = ops.len() / 2;
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Insert(tokens) => {
-                let (live_id, live_g) = live.insert_set(&mut tokens.clone());
-                B::note_insert(&mut live_log, &live, live_id);
+                let (live_id, live_g) = live.sharded_mut().insert(&mut tokens.clone());
+                live_log.note_insert(live.sharded(), live_id);
                 live_meta.push_empty(1);
                 let placed = durable.insert(&mut tokens.clone()).unwrap();
                 assert_eq!(placed, (live_id, live_g), "insert placement diverged");
             }
             Op::InsertAttrs(tokens, code) => {
-                let (live_id, live_g) = live.insert_set(&mut tokens.clone());
-                B::note_insert(&mut live_log, &live, live_id);
+                let (live_id, live_g) = live.sharded_mut().insert(&mut tokens.clone());
+                live_log.note_insert(live.sharded(), live_id);
                 let attrs = attrs_for(*code);
                 live_meta.push(&attrs);
                 let placed = durable
@@ -215,8 +215,8 @@ fn check_roundtrip<B: TestBackend>(
                 assert_eq!(placed, (live_id, live_g), "insert placement diverged");
             }
             Op::Delete(pick) => {
-                let id = pick % live.db().len() as u32;
-                let live_ok = B::delete_set(&mut live_log, &mut live, id);
+                let id = pick % live.sharded().db().len() as u32;
+                let live_ok = live_log.delete(live.sharded_mut(), id);
                 assert_eq!(durable.delete(id).unwrap(), live_ok, "delete diverged");
             }
         }
@@ -227,12 +227,16 @@ fn check_roundtrip<B: TestBackend>(
         }
     }
     let expected_epoch = durable.epoch();
-    let sim = live.sim();
+    let sim = live.sharded().sim();
     drop(durable);
 
     let reopened = DurableIndex::<B>::open(&dir, sim).unwrap();
     assert_eq!(reopened.epoch(), expected_epoch);
-    assert_eq!(reopened.backend().db(), live.db(), "database diverged");
+    assert_eq!(
+        reopened.backend().sharded().db(),
+        live.sharded().db(),
+        "database diverged"
+    );
     assert_eq!(
         reopened.log().deleted_ids(),
         live_log.deleted_ids(),
@@ -334,13 +338,13 @@ fn check_sidecar_roundtrip<B: TestBackend>(
     for (i, op) in ops.iter().enumerate() {
         match op {
             Op::Insert(tokens) | Op::InsertAttrs(tokens, _) => {
-                let (live_id, _) = live.insert_set(&mut tokens.clone());
-                B::note_insert(&mut live_log, &live, live_id);
+                let (live_id, _) = live.sharded_mut().insert(&mut tokens.clone());
+                live_log.note_insert(live.sharded(), live_id);
                 durable.insert(&mut tokens.clone()).unwrap();
             }
             Op::Delete(pick) => {
-                let id = pick % live.db().len() as u32;
-                let live_ok = B::delete_set(&mut live_log, &mut live, id);
+                let id = pick % live.sharded().db().len() as u32;
+                let live_ok = live_log.delete(live.sharded_mut(), id);
                 assert_eq!(durable.delete(id).unwrap(), live_ok, "delete diverged");
             }
         }
@@ -348,7 +352,7 @@ fn check_sidecar_roundtrip<B: TestBackend>(
             durable.checkpoint().unwrap();
         }
     }
-    let sim = live.sim();
+    let sim = live.sharded().sim();
     drop(durable);
 
     let reopened = DurableIndex::<B>::open(&dir, sim).unwrap();
@@ -362,7 +366,7 @@ fn check_sidecar_roundtrip<B: TestBackend>(
     // final corpus does (deletes are logical, so tombstoned sets keep
     // their signatures and the rebuild sees them too).
     assert_eq!(
-        &MinHashIndex::build(live.db(), params),
+        &MinHashIndex::build(live.sharded().db(), params),
         live_sig,
         "incremental sidecar diverged from a cold rebuild"
     );
@@ -539,12 +543,6 @@ fn pinned_big_sets() -> Vec<Vec<u32>> {
             s
         })
         .collect()
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// The SIG block's bytes — and the answers a sidecar decoded from them

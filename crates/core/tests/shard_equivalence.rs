@@ -151,7 +151,7 @@ proptest! {
             for n_shards in SHARD_COUNTS {
                 let mut sharded =
                     ShardedLes3Index::build(db.clone(), part.clone(), Jaccard, n_shards, policy);
-                let mut sharded_log = DeletionLog::build_sharded(&sharded);
+                let mut sharded_log = DeletionLog::build(&sharded);
                 // Interleave: insert, delete, insert, delete, …, applying
                 // the identical operation stream to both indexes. Only
                 // the first (policy, N) iteration mutates `flat`; later
@@ -162,7 +162,7 @@ proptest! {
                 for s in &inserts {
                     let mut tokens: Vec<u32> = s.iter().copied().collect();
                     let (sid, sg) = sharded.insert(&mut tokens.clone());
-                    sharded_log.note_insert_sharded(&sharded, sid);
+                    sharded_log.note_insert(&sharded, sid);
                     if first {
                         let (fid, fg) = flat.insert(&mut tokens);
                         flat_log.note_insert(&flat, fid);
@@ -170,7 +170,7 @@ proptest! {
                     }
                     if let Some(&pick) = deletes.next() {
                         let id = pick % sharded.db().len() as u32;
-                        let s_ok = sharded_log.delete_sharded(&mut sharded, id);
+                        let s_ok = sharded_log.delete(&mut sharded, id);
                         if first {
                             let f_ok = flat_log.delete(&mut flat, id);
                             prop_assert_eq!(s_ok, f_ok, "delete outcome diverged");

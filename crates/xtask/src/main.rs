@@ -33,12 +33,13 @@
 //! the rules see real code and only real code.
 //!
 //! `cargo run -p xtask -- loc` prints the tracked size number on the
-//! same view: per crate and per file, the non-blank code-view lines
-//! outside `#[cfg(test)]` regions of `crates/core/src` and
-//! `crates/net/src`. Comments, blank lines and in-`src` tests do not
-//! count, so neither does deleting them. It only reports.
+//! same view: the non-blank code-view lines outside `#[cfg(test)]`
+//! regions, as a total for every crate's `src` directory and for the
+//! workspace, and per file for `crates/core/src` and `crates/net/src`.
+//! Comments, blank lines and in-`src` tests do not count, so neither
+//! does deleting them. It only reports.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -102,29 +103,58 @@ fn run_lint(root: &Path) -> ExitCode {
     }
 }
 
-/// The crates whose code size is a tracked number (ROADMAP aim 2).
+/// The crates whose code size is a tracked number (ROADMAP aim 2):
+/// these are listed per file, every other crate by its total only.
 const LOC_CRATES: [&str; 2] = ["crates/core/src", "crates/net/src"];
 
 fn run_loc(root: &Path) -> ExitCode {
-    let sources = rust_sources(root);
-    for dir in LOC_CRATES {
-        let mut total = 0;
-        for file in &sources {
-            let rel = rel_str(root, file);
-            if !rel.starts_with(&format!("{dir}/")) {
-                continue;
-            }
-            let Ok(src) = std::fs::read_to_string(file) else {
-                eprintln!("error: unreadable: {rel}");
-                return ExitCode::FAILURE;
-            };
-            let n = code_lines(&src);
-            println!("{n:>7}  {rel}");
-            total += n;
-        }
-        println!("{total:>7}  {dir} (total)");
+    let mut files = Vec::new();
+    for file in rust_sources(root) {
+        let rel = rel_str(root, &file);
+        let Ok(src) = std::fs::read_to_string(&file) else {
+            eprintln!("error: unreadable: {rel}");
+            return ExitCode::FAILURE;
+        };
+        files.push((rel, code_lines(&src)));
+    }
+    for line in loc_report(&files) {
+        println!("{line}");
     }
     ExitCode::SUCCESS
+}
+
+/// The `src` directory a source file belongs to (`crates/core/src`,
+/// `src`, …); `None` for the tests, benches and examples outside one.
+fn crate_src_dir(rel: &str) -> Option<&str> {
+    if rel.starts_with("src/") {
+        return Some("src");
+    }
+    rel.find("/src/").map(|i| &rel[..i + "/src".len()])
+}
+
+/// The report for `(repo-relative path, code lines)` pairs: crate by
+/// crate in path order, the [`LOC_CRATES`] file by file, every crate's
+/// `src` total, and the workspace total last.
+fn loc_report(files: &[(String, usize)]) -> Vec<String> {
+    let mut crates: BTreeMap<&str, (Vec<String>, usize)> = BTreeMap::new();
+    for (rel, n) in files {
+        let Some(dir) = crate_src_dir(rel) else {
+            continue;
+        };
+        let (lines, total) = crates.entry(dir).or_default();
+        if LOC_CRATES.contains(&dir) {
+            lines.push(format!("{n:>7}  {rel}"));
+        }
+        *total += n;
+    }
+    let workspace: usize = crates.values().map(|(_, total)| total).sum();
+    let mut report = Vec::new();
+    for (dir, (lines, total)) in crates {
+        report.extend(lines);
+        report.push(format!("{total:>7}  {dir} (total)"));
+    }
+    report.push(format!("{workspace:>7}  workspace (total)"));
+    report
 }
 
 /// Non-blank lines of `src`'s code view outside `#[cfg(test)]` regions.
@@ -670,6 +700,37 @@ mod tests {
         // statement, and the closing brace.
         assert_eq!(code_lines(src), 5);
         assert_eq!(code_lines("// only comments\n\n"), 0);
+    }
+
+    #[test]
+    fn loc_reports_every_crate_total_and_tracked_crates_per_file() {
+        assert_eq!(
+            crate_src_dir("crates/core/src/persist/io.rs"),
+            Some("crates/core/src")
+        );
+        assert_eq!(crate_src_dir("src/lib.rs"), Some("src"));
+        assert_eq!(crate_src_dir("crates/core/tests/golden_stats.rs"), None);
+        assert_eq!(crate_src_dir("examples/quickstart.rs"), None);
+        let files = [
+            ("crates/bitmap/src/bits.rs", 40),
+            ("crates/bitmap/src/lib.rs", 2),
+            ("crates/core/src/index.rs", 10),
+            ("crates/core/src/persist/io.rs", 5),
+            ("crates/core/tests/golden_stats.rs", 99),
+            ("src/lib.rs", 3),
+        ]
+        .map(|(rel, n)| (rel.to_string(), n));
+        assert_eq!(
+            loc_report(&files),
+            [
+                "     42  crates/bitmap/src (total)",
+                "     10  crates/core/src/index.rs",
+                "      5  crates/core/src/persist/io.rs",
+                "     15  crates/core/src (total)",
+                "      3  src (total)",
+                "     60  workspace (total)",
+            ]
+        );
     }
 
     #[test]
