@@ -13,19 +13,19 @@
 //! one by one — workers share nothing but the read-only index and their
 //! disjoint output slots.
 //!
-//! Two executors share the coalescing discipline:
+//! Two executors live here:
 //!
 //! * `run_coalesced` — the synchronous one-shot executor behind
 //!   [`ShardedLes3Index::knn_batch`] / [`Les3Index::range_batch_on`] and
 //!   friends: spawn workers, claim tasks, join. Panicking tasks are
 //!   isolated (every other task still runs; the first payload is
 //!   rethrown to the caller).
-//! * `WorkerPool` — the persistent counterpart used by the serving
+//! * [`WorkerPool`] — the persistent counterpart used by the serving
 //!   front ([`crate::serve::ServeFront`]): long-lived named threads,
-//!   each owning one scratch for the pool's whole lifetime, executing a
-//!   FIFO queue of jobs whose tasks are claimed through the same
-//!   skew-absorbing atomic cursor. Jobs pipeline (no barrier between
-//!   batches), and dropping the pool drains every submitted job before
+//!   each owning one scratch for the pool's whole lifetime, popping one
+//!   job at a time off a FIFO queue. A job is a whole unit of work (the
+//!   front's is one request), so a free worker is all the load balancing
+//!   there is. Dropping the pool drains every submitted job before
 //!   joining — the serving front's graceful-shutdown guarantee rests on
 //!   this.
 //!
@@ -47,6 +47,7 @@
 
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use les3_data::TokenId;
@@ -60,9 +61,8 @@ use crate::sim::Similarity;
 
 /// Queries per task. Small enough that a skewed batch decomposes into
 /// many stealable tasks, large enough to amortize a task claim (one
-/// uncontended atomic add) over real work. Shared with the serving
-/// front's batch jobs so both executors coalesce at the same grain.
-pub(crate) const TASK_QUERIES: usize = 8;
+/// uncontended atomic add) over real work.
+const TASK_QUERIES: usize = 8;
 
 /// Locks a mutex, recovering the guard when a panicking worker left it
 /// poisoned. Every mutex in this module protects data that is either
@@ -141,102 +141,74 @@ pub(crate) fn run_coalesced<W>(
     }
 }
 
-/// A persistent coalescing worker pool — the long-lived counterpart of
-/// [`run_coalesced`], extracted for callers that outlive any single
-/// batch (the serving front's [`crate::serve::ServeFront`]).
+/// A persistent worker pool — the long-lived counterpart of
+/// `run_coalesced`, for callers that outlive any single batch (the
+/// serving front's [`crate::serve::ServeFront`]).
 ///
 /// `N` OS threads live for the pool's whole lifetime; each owns one
 /// per-worker state (scratch) built once by the factory and reused
 /// across **every job the pool ever executes**, so steady-state serving
-/// allocates nothing per batch. Jobs queue FIFO; all workers gang up on
-/// the front job, claiming its tasks through the job's own atomic
-/// cursor (the same skew-absorbing discipline as `run_coalesced`), and
-/// fall through to the next job the moment the front one is fully
-/// claimed — jobs pipeline, they do not barrier.
+/// allocates nothing per job. Jobs queue FIFO; a worker pops exactly one,
+/// hands it to the run function the pool was built with, and comes back
+/// for the next.
 ///
 /// Dropping the pool is graceful: workers drain the queue (every
-/// submitted job completes) before the threads are joined.
-pub(crate) struct WorkerPool<W: Send + 'static> {
-    shared: Arc<PoolShared<W>>,
+/// submitted job runs) before the threads are joined.
+pub struct WorkerPool<J: Send + 'static> {
+    shared: Arc<PoolShared<J>>,
     handles: Vec<crate::sync::thread::JoinHandle<()>>,
 }
 
-/// A unit of pool work: a batch that hands out tasks to however many
-/// workers show up.
-pub(crate) trait PoolJob<W>: Send + Sync + 'static {
-    /// Claims and runs tasks until none are left to claim, then returns.
-    /// `worker` is the stable index of the executing pool thread
-    /// (`0..workers`) — jobs use it to write into per-worker accumulators
-    /// without a shared lock. Implementations must not let panics
-    /// escape — convert them into per-task error results
-    /// ([`crate::serve`] does); the pool treats an escaped panic as a
-    /// defect, rebuilds the worker's state and keeps the worker alive.
-    fn run(&self, worker: usize, state: &mut W);
-
-    /// Whether every task has been claimed (the pool then pops the job;
-    /// claimed-but-still-running tasks finish on their claimants).
-    fn exhausted(&self) -> bool;
-}
-
-struct PoolShared<W> {
-    queue: Mutex<std::collections::VecDeque<Arc<dyn PoolJob<W>>>>,
+struct PoolShared<J> {
+    queue: Mutex<VecDeque<J>>,
     available: Condvar,
     shutdown: AtomicBool,
 }
 
-/// A cheap submit-only handle onto a [`WorkerPool`]'s queue, detachable
-/// from the pool's owner (the serving front's dispatcher thread holds
-/// one).
-pub(crate) struct PoolHandle<W>(Arc<PoolShared<W>>);
-
-impl<W> Clone for PoolHandle<W> {
-    fn clone(&self) -> Self {
-        Self(Arc::clone(&self.0))
-    }
-}
-
-impl<W: Send + 'static> PoolHandle<W> {
-    /// Enqueues a job; every idle worker wakes and starts claiming.
-    pub(crate) fn submit(&self, job: Arc<dyn PoolJob<W>>) {
-        lock_unpoisoned(&self.0.queue).push_back(job);
-        self.0.available.notify_all();
-    }
-}
-
-impl<W: Send + 'static> WorkerPool<W> {
+impl<J: Send + 'static> WorkerPool<J> {
     /// Spawns `workers` named threads, each owning one `make_state()`
-    /// result for its whole lifetime.
-    pub(crate) fn new(
+    /// result for its whole lifetime and calling `run(worker, job,
+    /// &mut state)` for every job it pops — `worker` is the thread's
+    /// stable index (`0..workers`), which `run` can use to write into
+    /// per-worker accumulators without a shared lock. `run` should not
+    /// let panics escape (the serving front converts them into
+    /// per-request errors); the pool treats an escaped panic as a defect,
+    /// rebuilds the worker's state and keeps the worker alive.
+    pub fn new<W>(
         workers: usize,
         name: &str,
         make_state: impl Fn() -> W + Send + Sync + 'static,
+        run: impl Fn(usize, J, &mut W) + Send + Sync + 'static,
     ) -> Self {
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(std::collections::VecDeque::new()),
+            queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let make_state = Arc::new(make_state);
+        let body = Arc::new((make_state, run));
         let handles = (0..workers.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let make_state = Arc::clone(&make_state);
+                let body = Arc::clone(&body);
                 crate::sync::thread::Builder::new()
                     .name(format!("{name}-{i}"))
-                    .spawn(move || pool_worker_loop(i, &shared, &*make_state))
+                    .spawn(move || pool_worker_loop(i, &shared, &body.0, &body.1))
                     .expect("spawn pool worker")
             })
             .collect();
         Self { shared, handles }
     }
 
-    /// A submit-only handle usable from other threads.
-    pub(crate) fn handle(&self) -> PoolHandle<W> {
-        PoolHandle(Arc::clone(&self.shared))
+    /// Enqueues a job and wakes one parked worker. One wake-up per push
+    /// loses none: a worker only parks after finding the queue empty
+    /// under the lock this push takes.
+    pub fn submit(&self, job: J) {
+        lock_unpoisoned(&self.shared.queue).push_back(job);
+        self.shared.available.notify_one();
     }
 }
 
-impl<W: Send + 'static> Drop for WorkerPool<W> {
+impl<J: Send + 'static> Drop for WorkerPool<J> {
     fn drop(&mut self) {
         // Set the flag while holding the queue mutex: a worker that just
         // saw `shutdown == false` under the lock cannot yet be parked on
@@ -254,23 +226,19 @@ impl<W: Send + 'static> Drop for WorkerPool<W> {
     }
 }
 
-fn pool_worker_loop<W: Send + 'static>(
+fn pool_worker_loop<J, W>(
     worker: usize,
-    shared: &PoolShared<W>,
+    shared: &PoolShared<J>,
     make_state: &dyn Fn() -> W,
+    run: &dyn Fn(usize, J, &mut W),
 ) {
     let mut state = make_state();
     loop {
         let job = {
             let mut queue = lock_unpoisoned(&shared.queue);
             loop {
-                // Drop fully-claimed jobs off the front (their last
-                // tasks finish on whichever workers claimed them).
-                while queue.front().is_some_and(|j| j.exhausted()) {
-                    queue.pop_front();
-                }
-                if let Some(front) = queue.front() {
-                    break Arc::clone(front);
+                if let Some(job) = queue.pop_front() {
+                    break job;
                 }
                 if shared.shutdown.load(Ordering::Acquire) {
                     return; // queue drained and no more submitters
@@ -281,10 +249,10 @@ fn pool_worker_loop<W: Send + 'static>(
                     .unwrap_or_else(|e| e.into_inner());
             }
         };
-        // Jobs catch per-request panics themselves; this outer catch is
-        // the backstop that keeps a defective job from killing the
-        // worker thread (and with it the pool's capacity).
-        if catch_unwind(AssertUnwindSafe(|| job.run(worker, &mut state))).is_err() {
+        // The run function catches per-request panics itself; this outer
+        // catch is the backstop that keeps a defective job from killing
+        // the worker thread (and with it the pool's capacity).
+        if catch_unwind(AssertUnwindSafe(|| run(worker, job, &mut state))).is_err() {
             state = make_state();
         }
     }
@@ -625,51 +593,35 @@ mod tests {
 
     #[test]
     fn worker_pool_runs_jobs_and_persists_state() {
-        struct CountJob {
-            next: AtomicUsize,
-            n_tasks: usize,
-            ran: Vec<AtomicUsize>,
-            /// Sum of per-worker task tallies observed (state reuse).
-            state_total: AtomicUsize,
-        }
-        impl PoolJob<usize> for CountJob {
-            fn run(&self, _worker: usize, state: &mut usize) {
-                loop {
-                    let t = self.next.fetch_add(1, Ordering::Relaxed);
-                    if t >= self.n_tasks {
-                        break;
-                    }
+        const JOBS: usize = 26;
+        const WORKERS: usize = 3;
+        let ran: Arc<Vec<AtomicUsize>> = Arc::new((0..JOBS).map(|_| AtomicUsize::new(0)).collect());
+        // Each worker's own job tally, as its private state last saw it.
+        let tallies: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..WORKERS).map(|_| AtomicUsize::new(0)).collect());
+        let pool: WorkerPool<usize> = {
+            let (ran, tallies) = (Arc::clone(&ran), Arc::clone(&tallies));
+            WorkerPool::new(
+                WORKERS,
+                "test-pool",
+                || 0usize,
+                move |worker, job: usize, state: &mut usize| {
                     *state += 1; // per-worker state survives across jobs
-                    self.ran[t].fetch_add(1, Ordering::Relaxed);
-                    self.state_total.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            fn exhausted(&self) -> bool {
-                self.next.load(Ordering::Relaxed) >= self.n_tasks
-            }
-        }
-        let pool: WorkerPool<usize> = WorkerPool::new(3, "test-pool", || 0usize);
-        let handle = pool.handle();
-        let jobs: Vec<Arc<CountJob>> = (0..4)
-            .map(|j| {
-                Arc::new(CountJob {
-                    next: AtomicUsize::new(0),
-                    n_tasks: 5 + j,
-                    ran: (0..5 + j).map(|_| AtomicUsize::new(0)).collect(),
-                    state_total: AtomicUsize::new(0),
-                })
-            })
-            .collect();
-        for job in &jobs {
-            handle.submit(Arc::clone(job) as Arc<dyn PoolJob<usize>>);
+                    ran[job].fetch_add(1, Ordering::Relaxed);
+                    tallies[worker].store(*state, Ordering::Relaxed);
+                },
+            )
+        };
+        for job in 0..JOBS {
+            pool.submit(job);
         }
         drop(pool); // graceful: drains the queue before joining workers
-        for (j, job) in jobs.iter().enumerate() {
-            for (t, c) in job.ran.iter().enumerate() {
-                assert_eq!(c.load(Ordering::Relaxed), 1, "job {j} task {t}");
-            }
-            assert_eq!(job.state_total.load(Ordering::Relaxed), job.n_tasks);
+        for (job, c) in ran.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "job {job}");
         }
+        // A state rebuilt per job would leave every tally at 1.
+        let total: usize = tallies.iter().map(|t| t.load(Ordering::Relaxed)).sum();
+        assert_eq!(total, JOBS);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //!   constructor and on-disk kind (it derefs to the engine: every query
 //!   and update method is the engine's own);
 //! * [`ServeFront`] — the asynchronous serving front: single requests
-//!   from many producer threads coalesce into deadline- or
-//!   size-triggered batches on a persistent panic-isolating worker
+//!   from many producer threads pass an admission gate (bounded queue,
+//!   deadlines, cancellation) onto a persistent panic-isolating worker
 //!   pool, with results bit-for-bit identical to direct calls;
 //! * [`Htgm`] — the hierarchical variant (§5.2, evaluated in Figure 14);
 //! * [`DiskLes3`] — disk-resident variant with group-contiguous layout
@@ -118,6 +118,7 @@ pub mod update;
 /// public API: shapes and names may change without notice.
 #[doc(hidden)]
 pub mod model_support {
+    pub use crate::batch::WorkerPool;
     pub use crate::par::{
         decode_f64, encode_f64, SharedKth, CLAIMED as SLOT_CLAIMED, DONE as SLOT_DONE,
         OPEN as SLOT_OPEN, TAKEN as SLOT_TAKEN,

@@ -122,7 +122,7 @@ fn env_workers() -> Option<usize> {
 /// force the parallel paths on inputs the auto policy would run
 /// sequentially), else a fan-out proportional to the group count,
 /// capped by the machine width.
-pub(crate) fn auto_intra_workers(n_groups: usize) -> usize {
+pub(crate) fn auto_workers(n_groups: usize) -> usize {
     if let Some(n) = env_workers() {
         return n.max(1);
     }
@@ -141,13 +141,12 @@ pub(crate) fn resolve_workers(workers: usize, n_considered: usize) -> usize {
     if workers > 0 {
         workers
     } else {
-        auto_intra_workers(n_considered)
+        auto_workers(n_considered)
     }
 }
 
 /// Caps a serve-side idle-worker budget to what this index size can
-/// use. The explicit `ServeConfig::intra_workers` setting bypasses
-/// this; the `LES3_TEST_WORKERS` override wins over both.
+/// use; the `LES3_TEST_WORKERS` override wins over the size rule.
 pub(crate) fn serve_intra_cap(n_groups: usize) -> usize {
     if let Some(n) = env_workers() {
         return n.max(1);
@@ -663,10 +662,10 @@ mod tests {
         if env_workers().is_some() {
             return; // the override deliberately defeats the policy
         }
-        assert_eq!(auto_intra_workers(0), 1);
-        assert_eq!(auto_intra_workers(256), 1);
-        assert_eq!(auto_intra_workers(AUTO_MIN_GROUPS - 1), 1);
-        assert!(auto_intra_workers(100_000) >= 1);
+        assert_eq!(auto_workers(0), 1);
+        assert_eq!(auto_workers(256), 1);
+        assert_eq!(auto_workers(AUTO_MIN_GROUPS - 1), 1);
+        assert!(auto_workers(100_000) >= 1);
         // The serving front's lone-request budget follows the same rule.
         assert_eq!(serve_intra_cap(256), 1);
         assert_eq!(serve_intra_cap(AUTO_MIN_GROUPS - 1), 1);

@@ -1,49 +1,46 @@
-//! Asynchronous serving front: deadline-coalesced batching with
-//! admission control (backpressure, per-request deadlines,
-//! cancellation).
+//! Asynchronous serving front: an admission gate (backpressure,
+//! per-request deadlines, cancellation) in front of a FIFO queue and a
+//! persistent worker pool.
 //!
-//! The batch entry points ([`crate::ShardedLes3Index::knn_batch`] and
-//! friends) assume someone already has a batch in hand. A search service
-//! does not: queries arrive one at a time on many connection threads, and
-//! LES3's throughput win comes from executing them *together* (shared
-//! worker scratch, coalesced task claiming, one pass over the index per
-//! worker instead of per query). [`ServeFront`] closes that gap:
+//! The engine answers a query on the caller's thread. A search service
+//! wants more than that: queries arrive one at a time on many connection
+//! threads, and the service has to bound how much work it has accepted,
+//! stop work nobody is waiting for, and survive a query that panics.
+//! LES3 answers every query on its own (count its TGM columns, order the
+//! groups by the bound, verify group by group), so requests have nothing
+//! to share and [`ServeFront`] never holds one back to wait for company:
+//! **one request is one pool job**.
 //!
 //! 1. **Admit.** Producer threads call [`ServeFront::knn`] /
 //!    [`ServeFront::range`] (blocking) or [`ServeFront::submit_knn`] /
 //!    [`ServeFront::submit_range`] (returning a [`Ticket`]). A bounded
-//!    queue ([`ServeConfig::queue_capacity`]) caps the
+//!    gate ([`ServeConfig::queue_capacity`]) caps the
 //!    **accepted-but-unfinished** requests: when it is full, fire-and-
 //!    forget submissions are shed immediately with
 //!    [`ServeError::Overloaded`] (load shedding — overload degrades
 //!    into fast rejections, not unbounded queueing), while the blocking
 //!    calls and [`OnFull::Wait`] submissions park until capacity frees
-//!    (backpressure). Each admitted request carries a one-shot
-//!    completion slot and lands on an MPSC queue.
-//! 2. **Coalesce.** A dispatcher thread drains the queue into batches,
-//!    closing a batch when **either** it reaches
-//!    [`ServeConfig::max_batch`] requests **or** the oldest request has
-//!    waited [`ServeConfig::max_wait`] — so a lone request never waits
-//!    for company that is not coming, and a burst never fragments into
-//!    per-query work. At batch close, requests whose deadline has
-//!    already passed (or whose ticket was cancelled) are shed without
-//!    ever reaching a worker.
-//! 3. **Execute.** Batches are pipelined onto a persistent
-//!    [`WorkerPool`](crate::batch) whose workers each own one
-//!    [`QueryScratch`] for the pool's whole lifetime — steady-state
-//!    serving allocates nothing per batch — and claim fixed-size task chunks
-//!    exactly like the synchronous coalescing executor. Each batch also
-//!    carries an **intra-query worker budget**
-//!    ([`ServeConfig::intra_workers`]): under light load a lone large
-//!    request fans its verification across the idle pool width through
-//!    the speculate-and-replay engine instead of occupying one worker
-//!    while the rest sleep — with results still bit-for-bit sequential.
-//!    Every request runs under a [`QueryCtl`]: the deadline and cancellation token
+//!    (backpressure).
+//! 2. **Queue.** Each admitted request carries a one-shot completion
+//!    slot and goes straight from the submitting thread onto the worker
+//!    pool's FIFO queue, waking one parked worker. There is no thread in
+//!    between.
+//! 3. **Execute.** The pool's workers each own one [`QueryScratch`] for
+//!    the pool's whole lifetime — steady-state serving allocates nothing
+//!    per request — and pop exactly one request at a time. A request that
+//!    died while queued (deadline passed, ticket cancelled) is completed
+//!    at the pop without running. Otherwise it runs the engine's one
+//!    `search` under a [`QueryCtl`]: the deadline and cancellation token
 //!    are polled between the phase-A filter and verification and at
 //!    every group boundary, so a request that expires or is cancelled
 //!    *mid-flight* stops consuming CPU at the next boundary instead of
-//!    running to completion.
-//! 4. **Complete.** Each request's slot is filled with its
+//!    running to completion. On an index large enough for intra-query
+//!    parallelism to pay ([`ServeBackend::intra_cap`] > 1), the request
+//!    gets `pool width / accepted-but-unfinished requests` verification
+//!    workers, so a lone large request fans across the idle pool through
+//!    the speculate-and-replay engine while a busy front runs every
+//!    query sequentially — with results bit-for-bit the same either way.
+//! 4. **Complete.** The request's slot is filled with its
 //!    [`SearchResult`] (releasing its unit of queue capacity); results
 //!    are **bit-for-bit identical** — hits *and* [`SearchStats`] — to
 //!    calling
@@ -60,7 +57,7 @@
 //! |---|---|
 //! | `Ok(result)` | identical to the direct call, bit for bit |
 //! | [`ServeError::Overloaded`] | shed at admission: the bounded queue was full |
-//! | [`ServeError::DeadlineExceeded`] | the request's deadline passed — at submit, at batch close, or mid-flight (carries the partial [`SearchStats`]) |
+//! | [`ServeError::DeadlineExceeded`] | the request's deadline passed — at submit, while queued, or mid-flight (carries the partial [`SearchStats`]) |
 //! | [`ServeError::Cancelled`] | its [`Ticket`] was dropped or [`cancel`](Ticket::cancel)-ed (carries the partial [`SearchStats`]) |
 //!
 //! ([`ServeError::QueryPanicked`] — see *Panic isolation* below — is the
@@ -77,33 +74,26 @@
 //! `cancelled` counters count the rejections, so shed rate and goodput
 //! fall straight out of one snapshot.
 //!
-//! # Example: submit, overload, deadline
+//! # Example: submit, deadline, aggregate counters
 //!
 //! ```
 //! use les3_core::serve::{ServeConfig, ServeError, ServeFront, SubmitOpts};
 //! use les3_core::sim::Jaccard;
 //! use les3_core::{Les3Index, Partitioning};
 //! use les3_data::SetDatabase;
-//! use std::time::{Duration, Instant};
+//! use std::time::Instant;
 //!
 //! let db = SetDatabase::from_sets(vec![vec![0u32, 1, 2], vec![0, 1, 3], vec![7, 8]]);
 //! let index = Les3Index::build(db, Partitioning::round_robin(3, 2), Jaccard);
 //! let front = ServeFront::new(
 //!     index,
 //!     ServeConfig {
-//!         max_batch: 64,
-//!         max_wait: Duration::from_secs(1), // batch stays open 1 s
 //!         workers: 1,
 //!         queue_capacity: 2, // at most 2 accepted-but-unfinished requests
-//!         intra_workers: 0,  // adapt intra-query fan-out to batch size
 //!     },
 //! );
-//! // Two submissions fill the bounded queue; while the dispatcher holds
-//! // them in the open batch, a third is shed instead of queueing.
 //! let t1 = front.submit_knn(vec![0, 1, 2], 2);
-//! let t2 = front.submit_knn(vec![0, 1, 3], 2);
-//! let t3 = front.submit_knn(vec![7, 8], 2);
-//! assert_eq!(t3.wait(), Err(ServeError::Overloaded));
+//! let t2 = front.submit_knn_wait(vec![0, 1, 3], 2); // parks if the queue is full
 //! // A request whose deadline has already passed never runs at all:
 //! let late = front.submit_knn_opts(
 //!     vec![0, 1],
@@ -117,12 +107,18 @@
 //!     Err(ServeError::DeadlineExceeded(stats)) => assert_eq!(stats.groups_verified, 0),
 //!     other => panic!("expected a deadline rejection, got {other:?}"),
 //! }
-//! // The admitted requests still complete, identical to direct calls.
+//! // The admitted requests complete, identical to direct calls.
 //! assert_eq!(t1.wait().unwrap(), front.backend().knn(&[0, 1, 2], 2));
-//! assert!(t2.wait().is_ok());
+//! assert_eq!(t2.wait().unwrap(), front.backend().knn(&[0, 1, 3], 2));
 //! let agg = front.stats();
-//! assert_eq!((agg.shed, agg.expired, agg.cancelled), (1, 1, 0));
+//! assert_eq!((agg.shed, agg.expired, agg.cancelled), (0, 1, 0));
 //! ```
+//!
+//! Overload needs a worker held busy to be deterministic, so it is shown
+//! where a test can hold one: a third submission against a full
+//! `queue_capacity: 2` resolves to [`ServeError::Overloaded`] in
+//! `bounded_queue_sheds_overflow_and_respects_capacity`
+//! (`tests/serve_front.rs`).
 //!
 //! # Panic isolation
 //!
@@ -136,12 +132,11 @@
 //! # Shutdown
 //!
 //! Dropping the front is graceful: already-accepted requests are
-//! batched, executed (or shed, if expired/cancelled by then) and
-//! completed before the worker threads join, so a [`Ticket`] obtained
-//! before the drop can always be waited on after it.
+//! executed (or skipped, if expired/cancelled by then) and completed
+//! before the worker threads join, so a [`Ticket`] obtained before the
+//! drop can always be waited on after it.
 
-use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use crate::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{Arc, Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -149,7 +144,7 @@ use std::time::{Duration, Instant};
 use les3_data::TokenId;
 
 use crate::approx::{self, ApproxInfo, ApproxPolicy};
-use crate::batch::{lock_unpoisoned, PoolHandle, PoolJob, WorkerPool, TASK_QUERIES};
+use crate::batch::{lock_unpoisoned, WorkerPool};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::index::SearchResult;
 use crate::metadata::Filters;
@@ -162,43 +157,23 @@ use crate::stats::SearchStats;
 /// Tuning knobs for a [`ServeFront`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// A batch closes as soon as it holds this many requests (clamped to
-    /// ≥ 1). Larger batches amortize worker wake-ups and share scratch
-    /// locality; `1` degenerates to request-at-a-time execution.
-    pub max_batch: usize,
-    /// A batch closes when its *first* request has waited this long,
-    /// however few requests have joined — the tail-latency bound a lone
-    /// request pays under light load. `Duration::ZERO` means "whatever
-    /// the queue holds right now".
-    pub max_wait: Duration,
     /// Worker threads in the persistent pool; `0` means one per
     /// available core.
     pub workers: usize,
     /// Cap on **accepted-but-unfinished** requests — everything admitted
-    /// (queued, batched, or executing) and not yet completed (clamped to
+    /// (queued or executing) and not yet completed (clamped to
     /// ≥ 1). When the queue is full, [`OnFull::Shed`] submissions are
     /// rejected with [`ServeError::Overloaded`] and [`OnFull::Wait`]
     /// ones block until capacity frees. The default (`usize::MAX`) is
     /// effectively unbounded.
     pub queue_capacity: usize,
-    /// Intra-query workers per request ([`crate::ShardedLes3Index::knn_ctl_on`]'s
-    /// worker count). `0` (the default) adapts per batch: a full batch
-    /// runs each query sequentially (the batch itself is the
-    /// parallelism), while a lone large request under light load fans
-    /// its verification across the idle pool width instead of occupying
-    /// one worker while the others sleep. Any other value pins the
-    /// count for every request.
-    pub intra_workers: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            max_batch: 64,
-            max_wait: Duration::from_micros(500),
             workers: 0,
             queue_capacity: usize::MAX,
-            intra_workers: 0,
         }
     }
 }
@@ -222,10 +197,10 @@ pub enum ServeError {
     /// ([`ServeConfig::queue_capacity`]) was full. The request consumed
     /// no query CPU at all.
     Overloaded,
-    /// The request's deadline passed — at submission, at batch close, or
+    /// The request's deadline passed — at submission, while queued, or
     /// mid-flight. Carries the partial [`SearchStats`] of whatever work
-    /// ran before the stop (all-zero when the request never reached a
-    /// worker; `groups_verified == 0` whenever it expired before
+    /// ran before the stop (all-zero when the request never started
+    /// running; `groups_verified == 0` whenever it expired before
     /// verification began).
     DeadlineExceeded(SearchStats),
     /// The request's [`Ticket`] was dropped or
@@ -241,9 +216,6 @@ pub enum ServeError {
     /// pool and every other in-flight request are unaffected. Carries
     /// the panic message.
     QueryPanicked(String),
-    /// The front's dispatcher is gone (it only exits once the front is
-    /// dropped, so user code should never observe this on a live front).
-    Disconnected,
 }
 
 impl std::fmt::Display for ServeError {
@@ -254,7 +226,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Cancelled(_) => write!(f, "request cancelled"),
             ServeError::UnknownNamespace(name) => write!(f, "unknown namespace: {name}"),
             ServeError::QueryPanicked(msg) => write!(f, "query panicked in worker: {msg}"),
-            ServeError::Disconnected => write!(f, "serving front is shut down"),
         }
     }
 }
@@ -263,6 +234,10 @@ impl std::error::Error for ServeError {}
 
 /// What a served request resolves to.
 pub type ServeResult = Result<SearchResult, ServeError>;
+
+/// A [`ServeResult`] with its approximation verdict — what a request's
+/// slot holds and [`Ticket::wait_full`] returns.
+type ServeResultFull = Result<(SearchResult, ApproxInfo), ServeError>;
 
 /// What a submission does when the bounded queue is full.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -280,9 +255,10 @@ pub enum OnFull {
 /// Per-request submission options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubmitOpts {
-    /// Drop-dead time: past this instant the request is shed (at submit
-    /// or batch close) or interrupted at the next phase/group boundary
-    /// (mid-flight), resolving to [`ServeError::DeadlineExceeded`].
+    /// Drop-dead time: past this instant the request is shed (at submit,
+    /// or unrun when a worker reaches it) or interrupted at the next
+    /// phase/group boundary (mid-flight), resolving to
+    /// [`ServeError::DeadlineExceeded`].
     /// `None` means "run to completion".
     pub deadline: Option<Instant>,
     /// Full-queue behavior; see [`OnFull`].
@@ -292,17 +268,17 @@ pub struct SubmitOpts {
     /// of rejecting with [`ServeError::DeadlineExceeded`], expiry
     /// **commits** the partial answer gathered so far (exact
     /// similarities, coverage-based recall estimate) — so an anytime
-    /// request is never shed for a passed deadline, at submit, at batch
-    /// close, or mid-flight. Read the verdict with
+    /// request is never shed for a passed deadline, at submit, while
+    /// queued, or mid-flight. Read the verdict with
     /// [`Ticket::wait_full`].
     pub mode: ApproxPolicy,
 }
 
-/// An index the serving front can execute batches against: the engine
+/// An index the serving front can execute requests against: the engine
 /// under either of its kinds (every [`PersistentBackend`] is one).
 pub trait ServeBackend: PersistentBackend + Send + Sync + 'static {
     /// Per-worker working memory, owned by a pool worker for its whole
-    /// lifetime and reused across every batch it executes.
+    /// lifetime and reused across every request it executes.
     type Scratch: WorkerScratch;
 
     /// Runs one [`Query`]: the engine's
@@ -311,9 +287,8 @@ pub trait ServeBackend: PersistentBackend + Send + Sync + 'static {
     fn search(&self, q: &Query<'_>, scratch: &mut Self::Scratch) -> SearchOutcome;
 
     /// Largest useful intra-query worker count for this backend: the
-    /// front clamps its *adaptive* split to this, so lone requests
-    /// against a small index skip the parallel engine entirely. An
-    /// explicit [`ServeConfig::intra_workers`] bypasses the cap.
+    /// front clamps the idle pool width it hands a request to this, so
+    /// requests against a small index skip the parallel engine entirely.
     fn intra_cap(&self) -> usize {
         crate::par::serve_intra_cap(self.sharded().partitioning().n_groups())
     }
@@ -387,9 +362,9 @@ impl<B: PersistentBackend + Send + Sync + 'static> ServeBackend for B {
 #[repr(align(64))]
 struct CacheAligned<T>(T);
 
-/// State shared by the front, its dispatcher, its batch jobs and every
-/// outstanding request: the bounded admission queue and the aggregate
-/// serving counters.
+/// State shared by the front, its pool workers and every outstanding
+/// request: the bounded admission queue and the aggregate serving
+/// counters.
 pub struct FrontShared {
     /// Cap on accepted-but-unfinished requests (≥ 1).
     capacity: usize,
@@ -400,9 +375,9 @@ pub struct FrontShared {
     in_flight: Mutex<usize>,
     /// Signalled on every release (a completion freeing capacity).
     freed: Condvar,
-    /// Counters recorded off the worker path: admission shedding
-    /// (producer threads) and batch-close shedding (the dispatcher).
-    /// Cold — at most one uncontended lock per *rejected* request.
+    /// Counters recorded off the worker path: admission shedding, on
+    /// the producer threads. Cold — at most one uncontended lock per
+    /// *rejected* request.
     front_agg: Mutex<SearchStats>,
     /// Per-worker lifetime accumulators: every completed or interrupted
     /// query folds its stats into its executing worker's own slot, so
@@ -514,17 +489,12 @@ impl FrontShared {
 /// carrying the request's cancellation token and — once admitted — the
 /// capacity unit it returns on completion.
 struct Slot {
-    cell: Mutex<Option<ServeResult>>,
+    cell: Mutex<Option<ServeResultFull>>,
     done: Condvar,
     /// The cancellation token: set by [`Ticket::cancel`] or the ticket's
-    /// drop, polled by the dispatcher at batch close and by workers at
-    /// every phase/group boundary.
+    /// drop, polled by the worker when it pops the request and at every
+    /// phase/group boundary.
     cancelled: AtomicBool,
-    /// The approximation verdict of a completed request, written (under
-    /// its own lock) strictly before [`Slot::put`] publishes the
-    /// result, so any waiter that observed the result reads it
-    /// consistently. `None` (never written) means exact.
-    info: Mutex<Option<ApproxInfo>>,
     /// `Some` for admitted requests: completing the slot releases their
     /// unit of the bounded queue's capacity.
     front: Option<Arc<FrontShared>>,
@@ -537,34 +507,21 @@ impl Slot {
             cell: Mutex::new(None),
             done: Condvar::new(),
             cancelled: AtomicBool::new(false),
-            info: Mutex::new(None),
             front: Some(front),
         }
     }
 
     /// A pre-resolved slot (a submission rejected without admission).
-    fn resolved(value: ServeResult) -> Self {
+    fn resolved(err: ServeError) -> Self {
         Self {
-            cell: Mutex::new(Some(value)),
+            cell: Mutex::new(Some(Err(err))),
             done: Condvar::new(),
             cancelled: AtomicBool::new(false),
-            info: Mutex::new(None),
             front: None,
         }
     }
 
-    /// Records the approximation verdict; must be called before
-    /// [`Slot::put`] (waiters read it only after seeing the result).
-    fn set_info(&self, info: ApproxInfo) {
-        *lock_unpoisoned(&self.info) = Some(info);
-    }
-
-    /// The recorded verdict, [`ApproxInfo::EXACT`] if none was written.
-    fn info(&self) -> ApproxInfo {
-        lock_unpoisoned(&self.info).unwrap_or(ApproxInfo::EXACT)
-    }
-
-    fn put(&self, value: ServeResult) {
+    fn put(&self, value: ServeResultFull) {
         {
             let mut cell = lock_unpoisoned(&self.cell);
             debug_assert!(cell.is_none(), "slot completed twice");
@@ -578,7 +535,7 @@ impl Slot {
         self.done.notify_all();
     }
 
-    fn wait(&self) -> ServeResult {
+    fn wait(&self) -> ServeResultFull {
         let mut cell = lock_unpoisoned(&self.cell);
         loop {
             if let Some(value) = cell.take() {
@@ -590,7 +547,7 @@ impl Slot {
 
     /// Like [`Slot::wait`], but gives up at `deadline`; `None` means the
     /// request is still in flight (the result stays in the slot).
-    fn wait_until(&self, deadline: Instant) -> Option<ServeResult> {
+    fn wait_until(&self, deadline: Instant) -> Option<ServeResultFull> {
         let mut cell = lock_unpoisoned(&self.cell);
         loop {
             if let Some(value) = cell.take() {
@@ -629,7 +586,7 @@ pub struct Ticket {
 impl Ticket {
     /// Blocks until the request completes and returns its result.
     pub fn wait(self) -> ServeResult {
-        self.slot.wait()
+        self.wait_full().map(|(result, _)| result)
     }
 
     /// Waits for at most `timeout`: `Ok` with the result if the request
@@ -665,14 +622,8 @@ impl Ticket {
     /// assert!(result.unwrap().is_ok());
     /// ```
     pub fn wait_for(self, timeout: Duration) -> Result<ServeResult, Ticket> {
-        // checked_add: a "wait forever" timeout must not panic.
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Ok(self.slot.wait());
-        };
-        match self.slot.wait_until(deadline) {
-            Some(result) => Ok(result),
-            None => Err(self),
-        }
+        self.wait_for_full(timeout)
+            .map(|full| full.map(|(result, _)| result))
     }
 
     /// [`Ticket::wait`] plus the approximation verdict: `approx` is
@@ -680,9 +631,7 @@ impl Ticket {
     /// requests that finished in time — and `true` with a recall
     /// estimate for prefiltered or deadline-committed partial ones.
     pub fn wait_full(self) -> Result<(SearchResult, ApproxInfo), ServeError> {
-        let result = self.slot.wait();
-        let info = self.slot.info();
-        result.map(|r| (r, info))
+        self.slot.wait()
     }
 
     /// [`Ticket::wait_for`]'s probing twin for [`Ticket::wait_full`]:
@@ -692,16 +641,11 @@ impl Ticket {
         self,
         timeout: Duration,
     ) -> Result<Result<(SearchResult, ApproxInfo), ServeError>, Ticket> {
+        // checked_add: a "wait forever" timeout must not panic.
         let Some(deadline) = Instant::now().checked_add(timeout) else {
             return Ok(self.wait_full());
         };
-        match self.slot.wait_until(deadline) {
-            Some(result) => {
-                let info = self.slot.info();
-                Ok(result.map(|r| (r, info)))
-            }
-            None => Err(self),
-        }
+        self.slot.wait_until(deadline).ok_or(self)
     }
 
     /// Whether the request has already completed — a subsequent
@@ -746,22 +690,32 @@ struct Request {
     slot: Arc<Slot>,
 }
 
-/// One coalesced batch on the worker pool: requests are claimed in
-/// `TASK_QUERIES`-sized chunks from the atomic cursor, exactly the
-/// synchronous executor's discipline, and each request completes its own
-/// slot the moment it finishes — no barrier at the batch edge.
-struct BatchJob<B: ServeBackend> {
+/// What the pool's workers run each popped request with, built once
+/// with the front.
+struct Executor<B: ServeBackend> {
     backend: Arc<B>,
     shared: Arc<FrontShared>,
-    requests: Vec<Request>,
-    next: AtomicUsize,
-    /// Intra-query workers per request, fixed at dispatch (the batch's
-    /// size is known then): a full batch gets `1`, a lone oversized
-    /// request gets the pool width — see [`ServeConfig::intra_workers`].
-    intra: usize,
+    /// The pool's width: what [`Executor::query_workers`] divides among
+    /// the requests in flight.
+    pool_workers: usize,
 }
 
-impl<B: ServeBackend> BatchJob<B> {
+impl<B: ServeBackend> Executor<B> {
+    /// Intra-query workers for a request a worker has just popped: the
+    /// pool width divided by the accepted-but-unfinished requests (this
+    /// one included), clamped to what the index size can use — a lone
+    /// large request fans its verification across the idle pool instead
+    /// of occupying one worker while the rest sleep, and a busy front
+    /// runs every query sequentially. The admission count is only read
+    /// where the answer can exceed 1.
+    fn query_workers(&self) -> usize {
+        let cap = self.backend.intra_cap();
+        if cap <= 1 {
+            return 1;
+        }
+        (self.pool_workers / self.shared.in_flight().max(1)).clamp(1, cap)
+    }
+
     fn serve_one(&self, worker: usize, req: &Request, scratch: &mut B::Scratch) {
         let ctl = QueryCtl::new(req.deadline, Some(&req.slot.cancelled));
         // Dead on arrival (expired or cancelled while queued): skip the
@@ -783,7 +737,7 @@ impl<B: ServeBackend> BatchJob<B> {
             }
         }
         let q = Query {
-            workers: self.intra,
+            workers: self.query_workers(),
             ctl,
             ..Query::new(&req.query, req.kind)
         };
@@ -803,8 +757,7 @@ impl<B: ServeBackend> BatchJob<B> {
                     self.shared
                         .note_worker(worker, |agg| agg.accumulate(&result.stats));
                 }
-                req.slot.set_info(info);
-                req.slot.put(Ok(result));
+                req.slot.put(Ok((result, info)));
             }
             Ok(Err(interrupted)) => match &req.target {
                 // Already noted in the namespace aggregate mid-flight.
@@ -845,31 +798,6 @@ impl<B: ServeBackend> BatchJob<B> {
     }
 }
 
-impl<B: ServeBackend> PoolJob<B::Scratch> for BatchJob<B> {
-    fn run(&self, worker: usize, scratch: &mut B::Scratch) {
-        loop {
-            // relaxed: unique-chunk handout; each request's result is
-            // published through its slot mutex + condvar, and worker
-            // stats through the per-worker accumulator locks.
-            let start = self.next.fetch_add(TASK_QUERIES, Ordering::Relaxed);
-            if start >= self.requests.len() {
-                break;
-            }
-            let end = (start + TASK_QUERIES).min(self.requests.len());
-            for req in &self.requests[start..end] {
-                self.serve_one(worker, req, scratch);
-            }
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        // relaxed: advisory fast-path check — a stale read only makes a
-        // worker attempt one extra (idempotent, empty) claim; the claim
-        // cursor's own atomicity decides who actually runs what.
-        self.next.load(Ordering::Relaxed) >= self.requests.len()
-    }
-}
-
 fn interrupt_error(interrupted: Interrupted) -> ServeError {
     match interrupted.reason {
         InterruptReason::Expired => ServeError::DeadlineExceeded(interrupted.stats),
@@ -887,7 +815,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The deadline-coalescing, admission-controlled serving front. See the
+/// The admission-controlled serving front. See the
 /// [module docs](self) for the architecture; share one instance behind
 /// `&` (or `Arc`) across any number of producer threads.
 pub struct ServeFront<B: ServeBackend> {
@@ -896,12 +824,9 @@ pub struct ServeFront<B: ServeBackend> {
     /// Named secondary indexes served through the same admission queue
     /// and worker pool as the default route; see [`Namespaces`].
     namespaces: Arc<Namespaces>,
-    /// `Some` until drop; dropping it disconnects the dispatcher.
-    tx: Option<Sender<Request>>,
-    dispatcher: Option<crate::sync::thread::JoinHandle<()>>,
-    /// Dropped last: its workers drain every batch the dispatcher
-    /// submitted before the threads join.
-    pool: Option<WorkerPool<B::Scratch>>,
+    /// The request queue and its workers. Its drop drains every request
+    /// already submitted before the threads join.
+    pool: WorkerPool<Request>,
 }
 
 impl<B: ServeBackend> ServeFront<B> {
@@ -914,36 +839,26 @@ impl<B: ServeBackend> ServeFront<B> {
     /// [`knn`](crate::ShardedLes3Index::knn) calls on the same `Arc` stay
     /// available alongside served ones (and return identical results).
     pub fn from_arc(backend: Arc<B>, config: ServeConfig) -> Self {
-        let config = ServeConfig {
-            max_batch: config.max_batch.max(1),
-            ..config
+        let pool_workers = config.effective_workers();
+        let shared = Arc::new(FrontShared::new(config.queue_capacity, pool_workers));
+        let executor = Executor {
+            backend: Arc::clone(&backend),
+            shared: Arc::clone(&shared),
+            pool_workers,
         };
-        let shared = Arc::new(FrontShared::new(
-            config.queue_capacity,
-            config.effective_workers(),
-        ));
         let pool = WorkerPool::new(
-            config.effective_workers(),
+            pool_workers,
             "les3-serve",
             B::Scratch::default,
+            move |worker, req: Request, scratch: &mut B::Scratch| {
+                executor.serve_one(worker, &req, scratch)
+            },
         );
-        let handle = pool.handle();
-        let (tx, rx) = mpsc::channel();
-        let dispatcher_backend = Arc::clone(&backend);
-        let dispatcher_shared = Arc::clone(&shared);
-        let dispatcher = crate::sync::thread::Builder::new()
-            .name("les3-serve-dispatch".to_string())
-            .spawn(move || {
-                dispatcher_loop(rx, handle, dispatcher_backend, dispatcher_shared, config)
-            })
-            .expect("spawn serve dispatcher");
         Self {
             backend,
             shared,
             namespaces: Arc::new(Namespaces::new()),
-            tx: Some(tx),
-            dispatcher: Some(dispatcher),
-            pool: Some(pool),
+            pool,
         }
     }
 
@@ -1039,9 +954,7 @@ impl<B: ServeBackend> ServeFront<B> {
         match self.namespaces.get(ns) {
             Some(handle) => self.submit(query, Kind::Knn(k), Target::Ns(handle, filters), opts),
             None => Ticket {
-                slot: Arc::new(Slot::resolved(Err(ServeError::UnknownNamespace(
-                    ns.to_string(),
-                )))),
+                slot: Arc::new(Slot::resolved(ServeError::UnknownNamespace(ns.to_string()))),
             },
         }
     }
@@ -1061,9 +974,7 @@ impl<B: ServeBackend> ServeFront<B> {
                 self.submit(query, Kind::Range(delta), Target::Ns(handle, filters), opts)
             }
             None => Ticket {
-                slot: Arc::new(Slot::resolved(Err(ServeError::UnknownNamespace(
-                    ns.to_string(),
-                )))),
+                slot: Arc::new(Slot::resolved(ServeError::UnknownNamespace(ns.to_string()))),
             },
         }
     }
@@ -1094,14 +1005,14 @@ impl<B: ServeBackend> ServeFront<B> {
         )
     }
 
-    /// Blocking kNN through the batching queue. Waits for admission on a
+    /// Blocking kNN through the serving queue. Waits for admission on a
     /// full queue: a closed-loop caller experiences backpressure, never
     /// [`ServeError::Overloaded`].
     pub fn knn(&self, query: &[TokenId], k: usize) -> ServeResult {
         self.submit_knn_wait(query.to_vec(), k).wait()
     }
 
-    /// Blocking range search through the batching queue (waiting
+    /// Blocking range search through the serving queue (waiting
     /// admission, like [`ServeFront::knn`]).
     pub fn range(&self, query: &[TokenId], delta: f64) -> ServeResult {
         self.submit_range_wait(query.to_vec(), delta).wait()
@@ -1124,138 +1035,22 @@ impl<B: ServeBackend> ServeFront<B> {
                 _ => {}
             });
             return Ticket {
-                slot: Arc::new(Slot::resolved(Err(err))),
+                slot: Arc::new(Slot::resolved(err)),
             };
         }
         let slot = Arc::new(Slot::admitted(Arc::clone(&self.shared)));
         let ticket = Ticket {
             slot: Arc::clone(&slot),
         };
-        let request = Request {
+        self.pool.submit(Request {
             query,
             kind,
             target,
             deadline: opts.deadline,
             mode: opts.mode,
             slot,
-        };
-        let tx = self.tx.as_ref().expect("sender lives until drop");
-        if let Err(mpsc::SendError(request)) = tx.send(request) {
-            // Defensive: the dispatcher only exits after `tx` drops.
-            request.slot.put(Err(ServeError::Disconnected));
-        }
-        ticket
-    }
-}
-
-impl<B: ServeBackend> Drop for ServeFront<B> {
-    fn drop(&mut self) {
-        // 1. Disconnect: the dispatcher drains the channel (everything
-        //    already sent still comes out) and exits.
-        self.tx = None;
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
-        }
-        // 2. The pool's drop drains every submitted batch before joining
-        //    its workers — all outstanding tickets resolve.
-        self.pool = None;
-    }
-}
-
-/// Drains the request channel into deadline-or-size-triggered batches,
-/// shedding requests already expired or cancelled at batch close.
-fn dispatcher_loop<B: ServeBackend>(
-    rx: Receiver<Request>,
-    pool: PoolHandle<B::Scratch>,
-    backend: Arc<B>,
-    shared: Arc<FrontShared>,
-    config: ServeConfig,
-) {
-    loop {
-        // Block for a batch's first request; channel disconnect (all
-        // senders gone — the front is dropping) ends the loop.
-        let Ok(first) = rx.recv() else { return };
-        let mut requests = Vec::with_capacity(config.max_batch.min(1024));
-        requests.push(first);
-        // checked_add: a huge max_wait ("wait forever") must not panic
-        // the dispatcher; a day is forever for a batching deadline.
-        let deadline = Instant::now()
-            .checked_add(config.max_wait)
-            .unwrap_or_else(|| Instant::now() + Duration::from_secs(86_400));
-        while requests.len() < config.max_batch {
-            // Drain whatever is already queued without timer syscalls.
-            match rx.try_recv() {
-                Ok(request) => {
-                    requests.push(request);
-                    continue;
-                }
-                Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => {}
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(request) => requests.push(request),
-                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // Batch-close shedding: requests that died while queued —
-        // deadline passed, ticket cancelled — never reach a worker.
-        // Counts fold locally and post once per batch: this thread is
-        // the serving front's single dispatcher, so a lock per shed
-        // request would make mass expiry (the overload regime, exactly
-        // when the dispatcher must keep up) its bottleneck.
-        let now = Instant::now();
-        let (mut shed_cancelled, mut shed_expired) = (0usize, 0usize);
-        requests.retain(|request| {
-            if request.slot.cancelled.load(Ordering::Acquire) {
-                shed_cancelled += 1;
-                request
-                    .slot
-                    .put(Err(ServeError::Cancelled(SearchStats::default())));
-                false
-            } else if request.deadline.is_some_and(|d| now >= d) && !request.mode.is_anytime() {
-                shed_expired += 1;
-                request
-                    .slot
-                    .put(Err(ServeError::DeadlineExceeded(SearchStats::default())));
-                false
-            } else {
-                true
-            }
         });
-        if shed_cancelled + shed_expired > 0 {
-            shared.note(|agg| {
-                agg.cancelled += shed_cancelled;
-                agg.expired += shed_expired;
-            });
-        }
-        if requests.is_empty() {
-            continue;
-        }
-        // The intra-query split is decided per batch, now that its size
-        // is known: an explicit setting pins it; the adaptive default
-        // gives each request the workers the batch leaves idle, clamped
-        // to what the index size can use.
-        let intra = if config.intra_workers > 0 {
-            config.intra_workers
-        } else {
-            (config.effective_workers() / requests.len())
-                .max(1)
-                .min(backend.intra_cap())
-        };
-        // Hand the batch to the pool and immediately go back to
-        // collecting: batches pipeline, the queue never stalls on
-        // execution.
-        pool.submit(Arc::new(BatchJob {
-            backend: Arc::clone(&backend),
-            shared: Arc::clone(&shared),
-            requests,
-            next: AtomicUsize::new(0),
-            intra,
-        }));
+        ticket
     }
 }
 
@@ -1275,8 +1070,6 @@ mod tests {
             Jaccard,
         ));
         let config = ServeConfig {
-            max_batch: 4,
-            max_wait: Duration::from_micros(200),
             workers: 2,
             ..ServeConfig::default()
         };
@@ -1291,6 +1084,10 @@ mod tests {
             assert_eq!(front.knn(&q, 5).unwrap(), index.knn(&q, 5));
             assert_eq!(front.range(&q, 0.4).unwrap(), index.range(&q, 0.4));
         }
+        // Degenerate inputs flow through the front unchanged.
+        let q = index.db().set(11).to_vec();
+        assert!(front.knn(&q, 0).unwrap().hits.is_empty());
+        assert!(front.knn(&[], 2).unwrap().hits.len() == 2);
     }
 
     /// Work counters must survive the per-worker split: stats recorded
@@ -1385,23 +1182,6 @@ mod tests {
         for t in tickets {
             assert_eq!(t.wait().unwrap(), expected);
         }
-    }
-
-    #[test]
-    fn zero_wait_and_batch_of_one_still_serve() {
-        let (_, index) = front_and_index();
-        let config = ServeConfig {
-            max_batch: 1,
-            max_wait: Duration::ZERO,
-            workers: 1,
-            ..ServeConfig::default()
-        };
-        let front = ServeFront::from_arc(Arc::clone(&index), config);
-        let q = index.db().set(11).to_vec();
-        assert_eq!(front.knn(&q, 3).unwrap(), index.knn(&q, 3));
-        // Degenerate inputs flow through the front unchanged.
-        assert!(front.knn(&q, 0).unwrap().hits.is_empty());
-        assert!(front.knn(&[], 2).unwrap().hits.len() == 2);
     }
 
     #[test]

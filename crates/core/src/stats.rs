@@ -35,7 +35,8 @@ pub struct SearchStats {
     /// single query; meaningful in the front's aggregate
     /// ([`crate::serve::ServeFront::stats`]).
     pub shed: usize,
-    /// Requests stopped by their deadline — shed at batch close or
+    /// Requests stopped by their deadline — rejected at submit, skipped
+    /// by the worker that reached them, or
     /// interrupted mid-flight (`ServeError::DeadlineExceeded`). Always 0
     /// for a single query; meaningful in the front's aggregate.
     pub expired: usize,

@@ -12,7 +12,7 @@
 //! `std::sync::atomic` / `std::thread` imports in this crate outside
 //! this module, keeping the ported modules honest.
 //!
-//! Types with no scheduling-visible behavior (`Arc`, `mpsc`, `OnceLock`,
+//! Types with no scheduling-visible behavior (`Arc`, `OnceLock`,
 //! `PoisonError`) stay `std` under both configurations.
 
 #[cfg(not(feature = "model"))]
@@ -29,4 +29,4 @@ pub use loom::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 #[cfg(feature = "model")]
 pub use loom::thread;
 
-pub use std::sync::{mpsc, Arc, OnceLock, PoisonError};
+pub use std::sync::{Arc, OnceLock, PoisonError};

@@ -3,7 +3,7 @@
 //! Run with `cargo test -p les3-core --features model --test model_check`.
 //! Under the `model` feature, [`les3_core::sync`] re-exports the vendored
 //! loom-style checker, so the *real* protocol objects below (`SharedKth`,
-//! `FrontShared`, `QueryCtl`) execute on instrumented atomics and every
+//! `FrontShared`, `WorkerPool`, `QueryCtl`) execute on instrumented atomics and every
 //! interleaving within the preemption bound is explored. The remaining
 //! models are small, faithful mirrors of protocols whose production hosts
 //! are too large to model whole (the slot state machine of `par.rs`, the
@@ -18,6 +18,7 @@
 
 #![cfg(feature = "model")]
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loom::cell::Data;
@@ -26,7 +27,7 @@ use loom::sync::{Arc, Condvar, Mutex};
 use loom::{model, thread, Builder};
 
 use les3_core::model_support::{
-    FrontShared, SharedKth, SLOT_CLAIMED, SLOT_DONE, SLOT_OPEN, SLOT_TAKEN,
+    FrontShared, SharedKth, WorkerPool, SLOT_CLAIMED, SLOT_DONE, SLOT_OPEN, SLOT_TAKEN,
 };
 use les3_core::{InterruptReason, OnFull, QueryCtl};
 
@@ -419,7 +420,88 @@ fn abandon_gate_body(renotify: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// (e) The snapshot busy guard (les3-net server.rs).
+// (e) The worker pool's queue (batch.rs::WorkerPool).
+// ---------------------------------------------------------------------------
+
+/// The real `WorkerPool`: two workers, three submits, then `drop` — all
+/// racing the workers' pop/park loop. In every schedule each job runs
+/// exactly once and both threads join. That is two protocol facts: one
+/// `notify_one` per push loses no wake-up (a worker parks only after
+/// finding the queue empty under the lock the push takes), and the
+/// shutdown flag, stored under that same lock, cannot land between a
+/// worker's check and its park — a stranded worker would be reported as
+/// a deadlock in `drop`'s join.
+#[test]
+fn worker_pool_runs_every_job_once_and_joins_on_drop() {
+    let report = model(|| {
+        const JOBS: usize = 3;
+        let ran: Arc<Vec<Data<u32>>> = Arc::new((0..JOBS).map(|_| Data::new(0)).collect());
+        let pool = {
+            let ran = Arc::clone(&ran);
+            WorkerPool::new(
+                2,
+                "model-pool",
+                || (),
+                move |_worker, job: usize, _state: &mut ()| ran[job].with_mut(|r| *r += 1),
+            )
+        };
+        for job in 0..JOBS {
+            pool.submit(job);
+        }
+        drop(pool); // drains, then joins both workers
+        for (job, cell) in ran.iter().enumerate() {
+            cell.with(|r| assert_eq!(*r, 1, "job {job} ran {r} times"));
+        }
+    });
+    assert!(report.executions > 1, "not exhaustive: {report:?}");
+}
+
+/// The injected twin: a mirror of the pool's worker loop and `drop` with
+/// the one change a "the flag is atomic anyway" refactor would make —
+/// `shutdown` stored *outside* the queue lock. The store and the
+/// broadcast can then both land after a worker saw `shutdown == false`
+/// and before it parks, and the worker sleeps forever.
+#[test]
+fn injected_pool_shutdown_outside_the_lock_strands_a_worker() {
+    struct Pool {
+        queue: Mutex<VecDeque<u32>>,
+        available: Condvar,
+        shutdown: AtomicBool,
+    }
+    let failure = Builder::default()
+        .check_result(|| {
+            let pool = Arc::new(Pool {
+                queue: Mutex::new(VecDeque::new()),
+                available: Condvar::new(),
+                shutdown: AtomicBool::new(false),
+            });
+            let worker = {
+                let pool = Arc::clone(&pool);
+                thread::spawn(move || loop {
+                    let mut queue = lock(&pool.queue);
+                    while queue.pop_front().is_none() {
+                        if pool.shutdown.load(Ordering::Acquire) {
+                            return;
+                        }
+                        queue = pool
+                            .available
+                            .wait(queue)
+                            .unwrap_or_else(|e| e.into_inner());
+                    }
+                })
+            };
+            lock(&pool.queue).push_back(7);
+            pool.available.notify_one();
+            pool.shutdown.store(true, Ordering::Release); // not under the lock
+            pool.available.notify_all();
+            worker.join().unwrap();
+        })
+        .expect_err("the unguarded store can land in the check-to-park window");
+    assert!(failure.message.contains("deadlock"), "{failure}");
+}
+
+// ---------------------------------------------------------------------------
+// (f) The snapshot busy guard (les3-net server.rs).
 // ---------------------------------------------------------------------------
 
 /// Mirror of the `POST /snapshot` single-flight guard: `swap(true,

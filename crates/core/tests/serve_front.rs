@@ -4,7 +4,7 @@
 //!   [`ServeFront`] — hits *and* [`SearchStats`] — are bit-for-bit
 //!   identical to direct `knn_with` / `range_with` calls, for both the
 //!   flat and the sharded backend, under ≥ 4 racing producer threads
-//!   and across batch-size / deadline configurations (proptest).
+//!   and across worker counts (proptest).
 //! * **Admission control**: a bounded queue never exceeds its capacity
 //!   in accepted-but-unfinished requests and sheds the overflow with
 //!   [`ServeError::Overloaded`]; an already-expired request never
@@ -13,12 +13,14 @@
 //!   capacity-1 queue with slow queries every submitted request
 //!   resolves to exactly one of {identical hits, `Overloaded`,
 //!   `DeadlineExceeded`, `Cancelled`} — no hangs, no lost tickets,
-//!   drop-drain still clean (proptest).
+//!   drop-drain still clean (proptest). A namespace-routed request that
+//!   dies while queued is counted in its namespace, never in the default
+//!   route.
 //! * **Panic isolation**: a poisoned query fails only its own request
 //!   with [`ServeError::QueryPanicked`]; concurrent and subsequent
 //!   requests keep succeeding on the same pool.
-//! * **Deadline trigger**: a lone request completes without waiting for
-//!   a batch that will never fill.
+//! * **One request, one job**: two concurrent requests run on two
+//!   workers at the same time.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,8 +30,8 @@ use les3_core::serve::{OnFull, ServeConfig, ServeError, ServeFront, SubmitOpts, 
 use les3_core::sim::Jaccard;
 use les3_core::{ApproxInfo, ApproxPolicy};
 use les3_core::{
-    Les3Index, Partitioning, SearchResult, SearchStats, ServeBackend, ShardPolicy,
-    ShardedLes3Index, Similarity,
+    Filters, Les3Index, NamespaceSpec, Partitioning, SearchResult, SearchStats, ServeBackend,
+    ShardPolicy, ShardedLes3Index, Similarity,
 };
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::TokenId;
@@ -67,7 +69,7 @@ fn check_front<B: ServeBackend>(
                 s.spawn(move || {
                     let mut out = Vec::new();
                     // First half: blocking calls (one in flight per
-                    // producer — the deadline forms the batches).
+                    // producer).
                     for (i, q) in queries.iter().enumerate() {
                         if i % PRODUCERS != p || i % 2 == 0 {
                             continue;
@@ -79,8 +81,8 @@ fn check_front<B: ServeBackend>(
                         };
                         out.push((i, res.expect("served query failed")));
                     }
-                    // Second half: pipelined tickets (many in flight —
-                    // the size trigger forms the batches).
+                    // Second half: pipelined tickets (many in flight,
+                    // queued behind the workers).
                     let tickets: Vec<(usize, Ticket)> = queries
                         .iter()
                         .enumerate()
@@ -121,15 +123,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The acceptance proptest: N racing producers, flat AND sharded
-    /// backends, randomized batch-size / deadline / worker configs —
-    /// served results must equal direct calls bit for bit.
+    /// backends, randomized worker counts — served results must equal
+    /// direct calls bit for bit.
     #[test]
     fn served_results_equal_direct_calls(
         seed in 0u64..10_000,
         n_groups in 3usize..20,
         n_shards in 1usize..5,
-        max_batch in 1usize..48,
-        wait_us in 0u64..1_500,
         workers in 1usize..5,
     ) {
         let db = ZipfianGenerator::new(300, 180, 6.0, 1.1).generate(seed);
@@ -138,8 +138,6 @@ proptest! {
             .collect();
         let part = Partitioning::round_robin(db.len(), n_groups);
         let config = ServeConfig {
-            max_batch,
-            max_wait: Duration::from_micros(wait_us),
             workers,
             ..ServeConfig::default()
         };
@@ -181,8 +179,6 @@ fn panicking_query_fails_alone_and_pool_keeps_serving() {
     let front = ServeFront::new(
         index,
         ServeConfig {
-            max_batch: 4,
-            max_wait: Duration::from_micros(200),
             workers: 2,
             ..ServeConfig::default()
         },
@@ -223,29 +219,67 @@ fn panicking_query_fails_alone_and_pool_keeps_serving() {
     assert_eq!(front.knn(&good, 5).unwrap(), expected);
 }
 
+/// A similarity measure under which two particular queries must overlap
+/// in time: a query of `MEET_LENS[i]` distinct tokens announces itself in
+/// the filter pass and waits there until the other one has too. The wait
+/// gives up after 10 s — for both, and for good — so a front that runs
+/// them back to back fails the test instead of hanging it.
+#[derive(Debug, Clone, Copy, Default)]
+struct RendezvousSim(Jaccard);
+
+const MEET_LENS: [usize; 2] = [3, 5];
+static INSIDE: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
+static NEVER_MET: AtomicBool = AtomicBool::new(false);
+
+impl Similarity for RendezvousSim {
+    fn name(&self) -> &'static str {
+        "rendezvous"
+    }
+    fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
+        self.0.from_overlap(overlap, a_len, b_len)
+    }
+    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
+        if let Some(me) = MEET_LENS.iter().position(|&len| len == q_len) {
+            INSIDE[me].store(true, Ordering::Release);
+            let start = Instant::now();
+            while !INSIDE[1 - me].load(Ordering::Acquire) && !NEVER_MET.load(Ordering::Acquire) {
+                if start.elapsed() >= Duration::from_secs(10) {
+                    NEVER_MET.store(true, Ordering::Release);
+                }
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        }
+        self.0.ub_from_overlap(q_len, r)
+    }
+}
+
+/// One request is one pool job: two requests submitted to a two-worker
+/// front execute at the same time, each on its own worker. (A front that
+/// gathers them into one batch for one worker runs them back to back,
+/// and they never meet.)
 #[test]
-fn lone_request_completes_on_the_deadline_not_the_batch() {
-    let db = ZipfianGenerator::new(120, 100, 5.0, 1.0).generate(9);
-    let index = Les3Index::build(db, Partitioning::round_robin(120, 5), Jaccard);
-    // A batch this large never fills from one request: only the
-    // max_wait deadline can release it.
+fn concurrent_requests_run_on_different_workers() {
+    let db = ZipfianGenerator::new(120, 90, 5.0, 1.1).generate(5);
+    let index = Les3Index::build(
+        db,
+        Partitioning::round_robin(120, 6),
+        RendezvousSim::default(),
+    );
     let front = ServeFront::new(
         index,
         ServeConfig {
-            max_batch: 1_000_000,
-            max_wait: Duration::from_millis(10),
-            workers: 1,
+            workers: 2,
             ..ServeConfig::default()
         },
     );
-    let q = front.backend().db().set(7).to_vec();
-    let start = Instant::now();
-    let res = front.knn(&q, 6).unwrap();
-    let elapsed = start.elapsed();
-    assert_eq!(res, front.backend().knn(&q, 6));
-    // Generous bound: the point is "deadline fired", not "within N µs" —
-    // a broken trigger hangs for the batch that never comes.
-    assert!(elapsed < Duration::from_secs(30), "took {elapsed:?}");
+    let a = front.submit_knn((0..MEET_LENS[0] as u32).collect(), 4);
+    let b = front.submit_knn((10..10 + MEET_LENS[1] as u32).collect(), 4);
+    assert!(a.wait().is_ok());
+    assert!(b.wait().is_ok());
+    assert!(
+        !NEVER_MET.load(Ordering::Acquire),
+        "the two requests never ran at the same time"
+    );
 }
 
 /// A similarity measure whose filter pass blocks on an external gate:
@@ -256,7 +290,9 @@ fn lone_request_completes_on_the_deadline_not_the_batch() {
 #[derive(Debug, Clone, Copy, Default)]
 struct GatedSim<const ID: usize>(Jaccard);
 
-static GATES: [AtomicBool; 4] = [
+static GATES: [AtomicBool; 6] = [
+    AtomicBool::new(false),
+    AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
@@ -289,11 +325,8 @@ fn gated_front<const ID: usize>(queue_capacity: usize) -> ServeFront<Les3Index<G
     ServeFront::new(
         index,
         ServeConfig {
-            max_batch: 1,
-            max_wait: Duration::ZERO,
             workers: 1,
             queue_capacity,
-            intra_workers: 0,
         },
     )
 }
@@ -380,12 +413,77 @@ fn cancelled_and_dropped_tickets_skip_queued_work() {
         other => panic!("expected Cancelled, got {other:?}"),
     }
     // The dropped ticket resolves inside the front; its cancellation
-    // lands in the aggregate once its batch is reached.
+    // lands in the aggregate once a worker reaches it.
     let start = Instant::now();
     while front.stats().cancelled < 2 && start.elapsed() < Duration::from_secs(10) {
         std::thread::sleep(Duration::from_micros(100));
     }
     assert_eq!(front.stats().cancelled, 2);
+}
+
+/// Holds `front`'s only worker on a gated default-route query, lets
+/// `kill` doom a namespace-routed request queued behind it, opens the
+/// gate and returns how that request resolved — with the worker as the
+/// one place a queued request can die, it must be counted in its
+/// namespace's aggregate (what `GET /ns/{name}/stats` reports), not in
+/// the default route's, and the global identity must hold.
+fn namespace_request_dying_while_queued<const ID: usize>(
+    ttl: Option<Duration>,
+    kill: impl FnOnce(&Ticket),
+) -> (ServeError, SearchStats) {
+    let front = gated_front::<ID>(usize::MAX);
+    let sets = (0..20u32).map(|i| vec![i, i + 1, 3]).collect();
+    let namespace = front
+        .namespaces()
+        .create(
+            "tenant",
+            NamespaceSpec {
+                sets,
+                ..NamespaceSpec::default()
+            },
+        )
+        .unwrap();
+    let q = front.backend().db().set(3).to_vec();
+    let blocker = front.submit_knn(q, 4); // pins the only worker
+    let victim = front.submit_ns_knn(
+        "tenant",
+        vec![1, 2, 3],
+        4,
+        Filters::none(),
+        SubmitOpts {
+            deadline: ttl.map(|ttl| Instant::now() + ttl),
+            ..Default::default()
+        },
+    );
+    kill(&victim);
+    GATES[ID].store(true, Ordering::Release);
+    assert!(blocker.wait().is_ok());
+    let err = victim.wait().expect_err("the queued request was doomed");
+    let default_route = front.default_route_stats();
+    assert_eq!((default_route.cancelled, default_route.expired), (0, 0));
+    let mut sum = default_route;
+    sum.accumulate(&front.namespaces().total_stats());
+    assert_eq!(front.stats(), sum, "stats identity");
+    (err, namespace.stats())
+}
+
+#[test]
+fn namespace_request_cancelled_while_queued_counts_in_its_namespace() {
+    let (err, ns_stats) = namespace_request_dying_while_queued::<4>(None, Ticket::cancel);
+    assert_eq!(err, ServeError::Cancelled(SearchStats::default()));
+    assert_eq!((ns_stats.cancelled, ns_stats.expired), (1, 0));
+}
+
+#[test]
+fn namespace_request_expired_while_queued_counts_in_its_namespace() {
+    // Admitted with its deadline a second ahead (wide margin even on a
+    // preempted CI box); it passes in the queue.
+    let ttl = Duration::from_secs(1);
+    let (err, ns_stats) = namespace_request_dying_while_queued::<5>(Some(ttl), |_| {
+        std::thread::sleep(ttl + Duration::from_millis(500))
+    });
+    assert_eq!(err, ServeError::DeadlineExceeded(SearchStats::default()));
+    assert_eq!((ns_stats.cancelled, ns_stats.expired), (0, 1));
 }
 
 /// Anytime admission: a request whose deadline has already passed is
@@ -399,8 +497,6 @@ fn anytime_expired_deadline_commits_partial_instead_of_504() {
     let front = ServeFront::new(
         index,
         ServeConfig {
-            max_batch: 1,
-            max_wait: Duration::ZERO,
             workers: 1,
             ..ServeConfig::default()
         },
@@ -571,7 +667,6 @@ proptest! {
     fn capacity_one_requests_resolve_to_exactly_one_outcome(
         seed in 0u64..10_000,
         n_requests in 8usize..20,
-        wait_us in 0u64..800,
         workers in 1usize..3,
     ) {
         let db = ZipfianGenerator::new(150, 100, 5.0, 1.1).generate(seed);
@@ -581,11 +676,8 @@ proptest! {
             SlowSim::default(),
         ));
         let front = ServeFront::from_arc(Arc::clone(&index), ServeConfig {
-            max_batch: 4,
-            max_wait: Duration::from_micros(wait_us),
             workers,
             queue_capacity: 1,
-            intra_workers: 0,
         });
         let queries: Vec<Vec<TokenId>> = (0..n_requests as u32)
             .map(|i| index.db().set((i * 13 + seed as u32) % 150).to_vec())

@@ -26,7 +26,6 @@
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
-use std::time::Duration;
 
 use les3_core::persist::{read_meta, save_index};
 use les3_core::sim::Jaccard;
@@ -51,11 +50,7 @@ Network:
 
 Serving front (admission control):
     --workers N            query worker threads; 0 = one per core [default: 0]
-    --max-batch N          close a batch at N requests [default: 64]
-    --max-wait-ms MS       ...or MS after its first request [default: 1]
     --queue-capacity N     accepted-but-unfinished cap; 0 = unbounded [default: 1024]
-    --intra-workers N      intra-query workers per request; 0 = adapt to
-                           batch size (lone large queries fan out) [default: 0]
 
 Index:
     --shards N             shard the group axis N ways; 0 = flat index [default: 0]
@@ -91,10 +86,7 @@ struct Args {
     port: u16,
     conn_workers: usize,
     workers: usize,
-    max_batch: usize,
-    max_wait_ms: u64,
     queue_capacity: usize,
-    intra_workers: usize,
     shards: usize,
     groups: Option<usize>,
     approx: Option<ApproxParams>,
@@ -116,10 +108,7 @@ impl Default for Args {
             port: 7878,
             conn_workers: 4,
             workers: 0,
-            max_batch: 64,
-            max_wait_ms: 1,
             queue_capacity: 1024,
-            intra_workers: 0,
             shards: 0,
             groups: None,
             approx: None,
@@ -161,15 +150,8 @@ fn parse_args() -> Args {
                 args.conn_workers = parse(value(&mut it, "--conn-workers"), "--conn-workers")
             }
             "--workers" => args.workers = parse(value(&mut it, "--workers"), "--workers"),
-            "--max-batch" => args.max_batch = parse(value(&mut it, "--max-batch"), "--max-batch"),
-            "--max-wait-ms" => {
-                args.max_wait_ms = parse(value(&mut it, "--max-wait-ms"), "--max-wait-ms")
-            }
             "--queue-capacity" => {
                 args.queue_capacity = parse(value(&mut it, "--queue-capacity"), "--queue-capacity")
-            }
-            "--intra-workers" => {
-                args.intra_workers = parse(value(&mut it, "--intra-workers"), "--intra-workers")
             }
             "--shards" => args.shards = parse(value(&mut it, "--shards"), "--shards"),
             "--groups" => args.groups = Some(parse(value(&mut it, "--groups"), "--groups")),
@@ -366,15 +348,12 @@ where
 fn main() {
     let args = parse_args();
     let config = ServeConfig {
-        max_batch: args.max_batch.max(1),
-        max_wait: Duration::from_millis(args.max_wait_ms),
         workers: args.workers,
         queue_capacity: if args.queue_capacity == 0 {
             usize::MAX
         } else {
             args.queue_capacity
         },
-        intra_workers: args.intra_workers,
     };
 
     if let Some(dir) = args.load_index.clone() {
@@ -433,11 +412,9 @@ fn main() {
         .clamp(1, n_sets.max(1));
     let partitioning = Partitioning::round_robin(n_sets, n_groups);
     println!(
-        "index: {} groups, {} shard(s); front: max_batch={} max_wait={}ms workers={} queue_capacity={}",
+        "index: {} groups, {} shard(s); front: workers={} queue_capacity={}",
         n_groups,
         args.shards.max(1),
-        config.max_batch,
-        args.max_wait_ms,
         config.workers,
         args.queue_capacity,
     );

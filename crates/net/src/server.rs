@@ -10,6 +10,7 @@
 //!                                             │  decode body (wire.rs)
 //!                                             ▼
 //!                                        ServeFront::submit_*_opts
+//!                                             │  admission gate → FIFO → query worker
 //!                                             │  Ticket::wait_for_full probe loop
 //!                                             ▼
 //!                                        HTTP response (status mapping below)
@@ -33,7 +34,6 @@
 //! | [`ServeError::Cancelled`] | `499` + partial `stats` (normally unobservable: the client is gone) |
 //! | [`ServeError::UnknownNamespace`] | `404` (the `/ns/{name}` routes) |
 //! | [`ServeError::QueryPanicked`] | `500` |
-//! | [`ServeError::Disconnected`] | `503` (front shutting down) |
 //! | schema violation | `400` |
 //! | unknown path / wrong method | `404` / `405` |
 //!
@@ -897,12 +897,6 @@ fn serve_query<B: ServeBackend>(
             500,
             wire::encode_error("internal", &format!("query panicked: {msg}"), None).to_string(),
             vec![],
-        ),
-        Err(ServeError::Disconnected) => (
-            503,
-            wire::encode_error("shutting_down", "the serving front is shutting down", None)
-                .to_string(),
-            vec![("Retry-After", retry_after_secs(config).to_string())],
         ),
     };
     stream

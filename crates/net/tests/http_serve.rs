@@ -4,12 +4,14 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use les3_core::sim::Jaccard;
 use les3_core::{
     Les3Index, Partitioning, ServeBackend, ServeConfig, ServeFront, ShardPolicy, ShardedLes3Index,
+    Similarity,
 };
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::SetDatabase;
@@ -34,6 +36,38 @@ fn sharded_index(seed: u64) -> ShardedLes3Index<Jaccard> {
     ShardedLes3Index::build(db, part, Jaccard, 3, ShardPolicy::Contiguous)
 }
 
+/// A similarity measure whose filter pass blocks on an external gate
+/// (the `serve_front.rs` idiom): the deterministic way to keep a query
+/// on its worker until the test has arranged what it wants to observe.
+/// `GATES[ID]` starts closed; the block self-releases after 10 s so a
+/// failing test fails instead of hanging.
+#[derive(Debug, Clone, Copy, Default)]
+struct GatedSim<const ID: usize>(Jaccard);
+
+static GATES: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
+
+impl<const ID: usize> Similarity for GatedSim<ID> {
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+    fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
+        self.0.from_overlap(overlap, a_len, b_len)
+    }
+    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
+        let start = Instant::now();
+        while !GATES[ID].load(Ordering::Acquire) && start.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        self.0.ub_from_overlap(q_len, r)
+    }
+}
+
+fn gated_index<const ID: usize>(seed: u64) -> Les3Index<GatedSim<ID>> {
+    let db = test_db(seed);
+    let part = Partitioning::round_robin(db.len(), 12);
+    Les3Index::build(db, part, GatedSim::<ID>::default())
+}
+
 fn start_server<B: ServeBackend>(backend: B, config: ServeConfig) -> (HttpServer, String) {
     start_server_with(backend, config, NetConfig::default())
 }
@@ -51,11 +85,8 @@ fn start_server_with<B: ServeBackend>(
 
 fn fast_config() -> ServeConfig {
     ServeConfig {
-        max_batch: 8,
-        max_wait: Duration::from_micros(300),
         workers: 2,
         queue_capacity: usize::MAX,
-        intra_workers: 0,
     }
 }
 
@@ -259,17 +290,14 @@ fn served_results_are_bit_for_bit_sharded() {
 
 #[test]
 fn overload_maps_to_503_with_retry_after() {
-    // Capacity 1 and a long batching window: the first request is
-    // admitted and parked in the open batch; the second finds the queue
-    // full and must shed.
+    // Capacity 1 and a gated query: the first request is admitted and
+    // holds the worker at the gate; the second finds the queue full and
+    // must shed.
     let config = ServeConfig {
-        max_batch: 64,
-        max_wait: Duration::from_millis(700),
         workers: 1,
         queue_capacity: 1,
-        intra_workers: 0,
     };
-    let (server, addr) = start_server(flat_index(5), config);
+    let (server, addr) = start_server(gated_index::<0>(5), config);
     let db = test_db(5);
     let query = db.set(0).to_vec();
 
@@ -309,7 +337,8 @@ fn overload_maps_to_503_with_retry_after() {
         Some("overloaded")
     );
 
-    // The occupant still completes normally once its batch closes.
+    // The occupant still completes normally once the gate opens.
+    GATES[0].store(true, Ordering::Release);
     let occupant_response = occupant.join().unwrap();
     assert_eq!(occupant_response.status, 200);
     assert!(stats_field(&addr, "shed") >= 1);
@@ -464,16 +493,13 @@ fn prefilter_mode_reports_verdict_and_exact_bits() {
 
 #[test]
 fn client_disconnect_cancels_the_query() {
-    // A long batching window keeps the request queued; the client
-    // vanishes before it runs, and the probe loop must cancel it.
+    // A gated query keeps the request on its worker; the client
+    // vanishes before the gate opens, and the probe loop must cancel it.
     let config = ServeConfig {
-        max_batch: 64,
-        max_wait: Duration::from_millis(400),
         workers: 1,
         queue_capacity: usize::MAX,
-        intra_workers: 0,
     };
-    let (server, addr) = start_server(flat_index(7), config);
+    let (server, addr) = start_server(gated_index::<1>(7), config);
     let db = test_db(7);
     {
         let mut client = Client::connect(&addr);
@@ -496,6 +522,10 @@ fn client_disconnect_cancels_the_query() {
         );
         // Drop the connection without reading the response.
     }
+    // Two hundred probe intervals for the server to notice, then let the
+    // query reach its next cancellation check.
+    std::thread::sleep(Duration::from_millis(400));
+    GATES[1].store(true, Ordering::Release);
     let t0 = Instant::now();
     loop {
         if stats_field(&addr, "cancelled") >= 1 {

@@ -1,6 +1,6 @@
-//! Async serving front: single queries from many producer threads,
-//! coalesced into deadline- or size-triggered batches on a persistent
-//! worker pool, behind an **admission-control layer** — the
+//! Async serving front: single queries from many producer threads pass
+//! an **admission-control layer** onto a FIFO queue drained by a
+//! persistent worker pool, one request per worker at a time — the
 //! request-queue step on top of `sharded_service`'s synchronous batch
 //! calls.
 //!
@@ -17,11 +17,8 @@
 //!
 //! ```text
 //! let front = ServeFront::new(index, ServeConfig {
-//!     max_batch: 64,                          // close a batch at 64 requests…
-//!     max_wait: Duration::from_micros(500),   // …or 500µs after its first one
 //!     workers: 0,                             // 0 = one worker per core
 //!     queue_capacity: 256,                    // accepted-but-unfinished cap
-//!     intra_workers: 0,                       // adapt intra-query fan-out
 //! });
 //! // Share &front across connection threads:
 //! let hits = front.knn(&query, 10)?;          // blocking (backpressure on full)
@@ -36,7 +33,7 @@
 //! Every submitted request resolves to exactly one of: a result
 //! bit-for-bit identical to the direct `knn`/`range` call (hits and
 //! stats), `Overloaded` (shed at admission — the bounded queue was
-//! full), `DeadlineExceeded` (expired at submit, batch close, or
+//! full), `DeadlineExceeded` (expired at submit, while queued, or
 //! mid-flight: workers poll the deadline between the filter pass and
 //! verification and at every group boundary), or `Cancelled` (its
 //! ticket was dropped or cancelled). A panicking query fails only its
@@ -44,13 +41,37 @@
 //! the work plus the shed/expired/cancelled counts.
 
 use les3::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const PRODUCERS: usize = 4;
 const REQUESTS_PER_PRODUCER: usize = 500;
 const K: usize = 10;
+
+/// Jaccard behind a gate: a query's filter pass waits until `GATE`
+/// opens (or 10 s pass). The admission demo uses it to hold the worker
+/// busy for as long as it takes to show the queue filling up.
+#[derive(Debug, Clone, Copy, Default)]
+struct Gated(Jaccard);
+
+static GATE: AtomicBool = AtomicBool::new(false);
+
+impl Similarity for Gated {
+    fn name(&self) -> &'static str {
+        "gated-jaccard"
+    }
+    fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
+        self.0.from_overlap(overlap, a_len, b_len)
+    }
+    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
+        let start = Instant::now();
+        while !GATE.load(Ordering::Acquire) && start.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        self.0.ub_from_overlap(q_len, r)
+    }
+}
 
 fn main() {
     // A KOSARAK-shaped database served by a 4-shard index.
@@ -68,19 +89,14 @@ fn main() {
     ));
 
     let config = ServeConfig {
-        max_batch: 64,
-        max_wait: Duration::from_micros(500),
         workers: 0, // one worker per core
         ..ServeConfig::default()
     };
     let front = ServeFront::from_arc(Arc::clone(&index), config);
-    println!(
-        "serving front up: max_batch {}, max_wait {:?}\n",
-        config.max_batch, config.max_wait
-    );
+    println!("serving front up: one worker per core, unbounded queue\n");
 
     // Closed-loop producers: each thread fires blocking single-query
-    // requests; the front coalesces whatever arrives together.
+    // requests; each one is a job for the next free worker.
     let errors = AtomicUsize::new(0);
     let t = Instant::now();
     let latencies: Vec<Duration> = std::thread::scope(|s| {
@@ -158,24 +174,22 @@ fn main() {
     );
 
     // Admission control: a front with a tiny bounded queue sheds the
-    // overflow instead of queueing without bound. The dispatcher holds
-    // the first two requests in its open batch (1 s window — wide
-    // enough that scheduler stalls can't sneak the batch closed), so
-    // the third submission deterministically finds the queue full.
+    // overflow instead of queueing without bound. The first request
+    // holds the only worker at the gate and the second waits behind it,
+    // so the third submission deterministically finds the queue full.
     drop(front);
-    let small = ServeFront::from_arc(
-        Arc::clone(&index),
+    let small_db = ZipfianGenerator::new(500, 300, 8.0, 1.1).generate(7);
+    let q = small_db.set(42).to_vec();
+    let part = Partitioning::round_robin(small_db.len(), 16);
+    let small = ServeFront::new(
+        Les3Index::build(small_db, part, Gated::default()),
         ServeConfig {
-            max_batch: 64,
-            max_wait: Duration::from_secs(1),
             workers: 1,
             queue_capacity: 2,
-            intra_workers: 0,
         },
     );
-    let q = db.set(42).to_vec();
-    let t1 = small.submit_knn(q.clone(), K);
-    let t2 = small.submit_knn(q.clone(), K);
+    let t1 = small.submit_knn(q.clone(), K); // on the worker, at the gate
+    let t2 = small.submit_knn(q.clone(), K); // queued behind it
     let t3 = small.submit_knn(q.clone(), K); // queue full: shed
     match t3.wait() {
         Err(ServeError::Overloaded) => println!("\nthird request shed with Overloaded ✓"),
@@ -198,6 +212,7 @@ fn main() {
         }
         other => panic!("expected a deadline rejection, got {other:?}"),
     }
+    GATE.store(true, Ordering::Release);
     assert!(t1.wait().is_ok() && t2.wait().is_ok());
     let agg = small.stats();
     println!(

@@ -4,7 +4,7 @@
 //! flat index.
 //!
 //! For the production-shaped path — single queries arriving on many
-//! threads, coalesced into batches by deadline or size, behind
+//! threads, each one a job for a persistent worker pool, behind
 //! admission control (a bounded queue that sheds overflow with
 //! `Overloaded`, per-request deadlines that stop expired queries before
 //! and during verification, and cancellable tickets) — see
