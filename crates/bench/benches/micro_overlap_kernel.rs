@@ -128,8 +128,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
     // Same workload through the sharded engine (per-shard TGMs +
     // cross-shard top-k merge + coalescing executor). Two shards is the
     // right scale for a single-core host — per-shard fixed costs grow
-    // with N while verification work is constant; `table3_sharding`
-    // sweeps the full shard-count range.
+    // with N while verification work is constant; `les3-bench`'s
+    // `shard.vs_flat_ratio` is the tracked sharded-vs-flat number.
     let sharded = les3_core::ShardedLes3Index::build(
         db.clone(),
         Partitioning::round_robin(db.len(), 256),

@@ -10,7 +10,7 @@
 //!   row of at least one band). The scan's output *is* the per-set mask
 //!   that is intersected into the group mask *before* phase A — exactly
 //!   how [`crate::metadata`] attribute filters already compose — so the
-//!   masked kernels, `TopK`, `QueryCtl` and the intra-parallel engine
+//!   masked kernels, `TopK` and `QueryCtl`
 //!   are reused unchanged, and every surviving candidate is re-verified
 //!   with the **exact** similarity. Misses are only ever *omissions*:
 //!   a true neighbour whose signature never collides. The probability a

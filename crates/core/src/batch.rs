@@ -260,11 +260,12 @@ fn pool_worker_loop<J, W>(
 
 /// Splits a thread budget between the inter-query axis (workers
 /// claiming query-chunks) and the intra-query axis (workers inside one
-/// query's verification, `par.rs`). Large batches take the whole budget
-/// on the inter axis (`intra = 1`, per-query overhead zero); a batch
-/// with fewer chunks than threads folds the leftover `budget / inter`
-/// into each query so one oversized query cannot leave the other cores
-/// idle. Never more inter-query workers than tasks.
+/// range query's verification, `par.rs`). Large batches take the whole
+/// budget on the inter axis (`intra = 1`, per-query overhead zero); a
+/// batch with fewer chunks than threads folds the leftover
+/// `budget / inter` into each query. The folded budget reaches range
+/// queries only: a kNN descends on one thread at any width. Never more
+/// inter-query workers than tasks.
 fn split_budget(budget: usize, n: usize) -> (usize, usize) {
     let inter = budget.min(n.div_ceil(TASK_QUERIES)).max(1);
     (inter, (budget / inter).max(1))
@@ -505,9 +506,8 @@ mod tests {
             }
         }
         // An undersized batch against a big budget: 10 queries = 2
-        // chunks, 8 workers → each query runs with intra = 4 through
-        // the speculate-and-replay engine. Results (and stats) must not
-        // move.
+        // chunks, 8 workers → each query is handed intra = 4, which a
+        // kNN does not read. Results (and stats) must not move.
         let small = &queries[..10];
         let knn = sharded.knn_batch_on(8, small, 6);
         for (i, q) in small.iter().enumerate() {

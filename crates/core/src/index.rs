@@ -295,41 +295,10 @@ impl VerifyOrder {
     }
 }
 
-/// Where the kNN window scan reads its threshold and sends each
-/// candidate's verdict — the one parameter that distinguishes the plain
-/// descent ([`TopK`]) from `par.rs`'s speculation (fixed threshold,
-/// verdicts recorded) and replay (recorded verdicts stand in for merges).
-pub(crate) trait KnnVerdicts {
-    /// The threshold the next candidate is verified at. Re-read only
-    /// after a `Hit` was settled: nothing else can move it.
-    fn threshold(&self) -> f64;
-
-    /// A verdict already known for the window's `slot`-th candidate at
-    /// threshold `t`, sparing its merge.
-    fn cached(&self, _slot: usize, _t: f64) -> Option<ThresholdedEval> {
-        None
-    }
-
-    /// Takes candidate `id`'s verdict (the scan does the counting).
-    fn settle(&mut self, id: SetId, verdict: ThresholdedEval);
-}
-
-impl KnnVerdicts for TopK {
-    fn threshold(&self) -> f64 {
-        self.kth()
-    }
-
-    fn settle(&mut self, id: SetId, verdict: ThresholdedEval) {
-        if let ThresholdedEval::Hit(s) = verdict {
-            self.offer(id, s);
-        }
-    }
-}
-
 /// The query-constant inputs of verification. [`VerifyQuery::knn_window`]
-/// is the one kNN candidate loop (the cursor merge, `par.rs`'s commit
-/// and speculation, and the HTGM descent all call it) and
-/// [`VerifyQuery::range_window`] the one range candidate loop.
+/// is the one kNN candidate loop (the cursor merge and the HTGM descent
+/// both call it) and [`VerifyQuery::range_window`] the one range
+/// candidate loop.
 pub(crate) struct VerifyQuery<'a, S> {
     pub(crate) sim: S,
     pub(crate) db: &'a SetDatabase,
@@ -341,24 +310,23 @@ pub(crate) struct VerifyQuery<'a, S> {
 }
 
 impl<S: Similarity> VerifyQuery<'_, S> {
-    /// Verifies group `g`'s length window at `verdicts`' (possibly
-    /// evolving) threshold, charging the work to `stats`.
-    pub(crate) fn knn_window<V: KnnVerdicts>(
+    /// Verifies group `g`'s length window at `top`'s evolving k-th
+    /// similarity, offering every hit and charging the work to `stats`.
+    pub(crate) fn knn_window(
         &self,
         order: &VerifyOrder,
         g: u32,
-        verdicts: &mut V,
+        top: &mut TopK,
         stats: &mut SearchStats,
     ) {
-        let t = verdicts.threshold();
+        let t = top.kth();
         order.with_window(self.sim, g, self.q_len, t, |ids, lens, skipped| {
             stats.size_skipped += skipped;
             // Branch on the filter once per window, not per candidate:
-            // non-matching members are skipped before any accounting, so
-            // slot `j` is the j-th *matching* candidate.
+            // non-matching members are skipped before any accounting.
             match self.filter {
-                None => self.scan(ids, lens, |_| true, verdicts, stats),
-                Some(m) => self.scan(ids, lens, |id| m.contains(id), verdicts, stats),
+                None => self.scan(ids, lens, |_| true, top, stats),
+                Some(m) => self.scan(ids, lens, |id| m.contains(id), top, stats),
             }
         });
     }
@@ -370,15 +338,15 @@ impl<S: Similarity> VerifyQuery<'_, S> {
     /// and the threshold moves only on an accepted hit, so that is a few
     /// times per group. The verdicts are those of
     /// [`Similarity::eval_with_threshold`] on the same `(Q, S, t)`.
-    fn scan<V: KnnVerdicts>(
+    fn scan(
         &self,
         ids: &[SetId],
         lens: &[u32],
         keep: impl Fn(SetId) -> bool,
-        verdicts: &mut V,
+        top: &mut TopK,
         stats: &mut SearchStats,
     ) {
-        let mut t = verdicts.threshold();
+        let mut t = top.kth();
         let (mut memo, mut needed) = ((usize::MAX, 0u64), 0usize);
         let (mut candidates, mut early_exits) = (0usize, 0usize);
         let mut members = ids
@@ -391,18 +359,20 @@ impl<S: Similarity> VerifyQuery<'_, S> {
             // Resolve the next candidate's tokens before this merge, so
             // its offset loads are in flight while the merge runs.
             next = members.next();
-            let verdict = verdicts.cached(candidates, t).unwrap_or_else(|| {
-                if memo != (b_len, t.to_bits()) {
-                    memo = (b_len, t.to_bits());
-                    needed = self.sim.min_overlap_for(t, self.q_len, b_len);
-                }
-                self.sim
-                    .merge_with_threshold(self.query, b, self.q_len, b_len, needed, t)
-            });
+            if memo != (b_len, t.to_bits()) {
+                memo = (b_len, t.to_bits());
+                needed = self.sim.min_overlap_for(t, self.q_len, b_len);
+            }
             candidates += 1;
-            verdicts.settle(id, verdict);
-            match verdict {
-                ThresholdedEval::Hit(_) => t = verdicts.threshold(),
+            match self
+                .sim
+                .merge_with_threshold(self.query, b, self.q_len, b_len, needed, t)
+            {
+                // Only an accepted hit can move the threshold.
+                ThresholdedEval::Hit(s) => {
+                    top.offer(id, s);
+                    t = top.kth();
+                }
                 ThresholdedEval::Rejected { early } => early_exits += usize::from(early),
             }
         }

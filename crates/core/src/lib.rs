@@ -15,7 +15,8 @@
 //!
 //! * [`Query`] — the one query descriptor: [`Kind`] (`Knn(k)` or
 //!   `Range(δ)`), an optional candidate `mask` (attribute filter or LSH
-//!   prefilter), `workers` (0 = auto), `ctl` (deadline / cancellation)
+//!   prefilter), `workers` (a range's verification width, 0 = auto),
+//!   `ctl` (deadline / cancellation)
 //!   and [`OnExpiry`] (`Fail`, or `Commit` the partial answer). One
 //!   body runs it, [`ShardedLes3Index::search`]; `knn`, `range` and the
 //!   other named methods are single expressions over it;
@@ -119,10 +120,6 @@ pub mod update;
 #[doc(hidden)]
 pub mod model_support {
     pub use crate::batch::WorkerPool;
-    pub use crate::par::{
-        decode_f64, encode_f64, SharedKth, CLAIMED as SLOT_CLAIMED, DONE as SLOT_DONE,
-        OPEN as SLOT_OPEN, TAKEN as SLOT_TAKEN,
-    };
     pub use crate::serve::FrontShared;
 }
 

@@ -320,8 +320,8 @@ impl Namespace {
     }
 
     /// Exact kNN over this namespace, optionally attribute-filtered.
-    /// `workers` is the intra-query fan-out (`0` = auto); results are
-    /// identical at every worker count.
+    /// `workers` lands in [`Query::workers`](Query), which a kNN does
+    /// not read; results are identical at every value.
     pub fn knn(
         &self,
         query: &[TokenId],

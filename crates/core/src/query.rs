@@ -5,8 +5,8 @@
 //! bound cannot beat the threshold. Everything a caller can vary about
 //! it is a field of [`Query`]: where the threshold comes from
 //! ([`Kind`]), which sets may answer (`mask`), how many threads verify
-//! (`workers`), when to stop early (`ctl`) and what a passed deadline
-//! means ([`OnExpiry`]).
+//! a range (`workers`), when to stop early (`ctl`) and what a passed
+//! deadline means ([`OnExpiry`]).
 //! [`ShardedLes3Index::search`](crate::ShardedLes3Index::search) is the
 //! only body that runs it — on a [`Les3Index`](crate::Les3Index) too,
 //! which is that engine with one shard; the named `knn*/range*` methods
@@ -20,15 +20,19 @@
 //! let db = SetDatabase::from_sets(vec![vec![0u32, 1, 2], vec![0, 1, 3], vec![7, 8]]);
 //! let index = Les3Index::build(db, Partitioning::round_robin(3, 2), Jaccard);
 //! let mut scratch = QueryScratch::new();
-//! // The same search as `index.knn(&[0, 1, 2], 2)`, pinned to two workers.
-//! let query = Query {
-//!     workers: 2,
-//!     ..Query::knn(&[0, 1, 2], 2)
-//! };
+//! // The same search as `index.knn(&[0, 1, 2], 2)`.
+//! let query = Query::knn(&[0, 1, 2], 2);
 //! let (result, info) = index.search(&query, &mut scratch).unwrap();
 //! assert_eq!(result, index.knn(&[0, 1, 2], 2));
 //! assert_eq!(info, ApproxInfo::EXACT);
 //! assert_eq!(query.kind, Kind::Knn(2));
+//! // Every axis is a field: a range, verified by two workers.
+//! let query = Query {
+//!     workers: 2,
+//!     ..Query::range(&[0, 1, 2], 0.5)
+//! };
+//! let (result, _) = index.search(&query, &mut scratch).unwrap();
+//! assert_eq!(result, index.range(&[0, 1, 2], 0.5));
 //! ```
 
 use les3_data::{SetId, TokenId};
@@ -78,9 +82,10 @@ pub struct Query<'a> {
     /// verification skips non-matching members; every survivor is still
     /// verified exactly.
     pub mask: Option<&'a FilterCandidates>,
-    /// Intra-query verification workers; `0` picks automatically from
-    /// the number of groups the query considers. Hits *and* stats are
-    /// bit-for-bit the same at every count.
+    /// Range verification workers, `0` = from the surviving groups; a
+    /// kNN's threshold evolves group by group, so its descent is
+    /// sequential at any value. Hits *and* stats are bit-for-bit the
+    /// same at every count.
     pub workers: usize,
     /// Deadline and cancellation, polled between phase A and
     /// verification and at every group boundary.

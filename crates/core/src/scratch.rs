@@ -11,7 +11,7 @@
 use les3_bitmap::DenseBitSet;
 
 use crate::approx::PrefilterScratch;
-use crate::shard::{ShardBound, ShardFilter};
+use crate::shard::ShardFilter;
 
 /// Working memory of one TGM's filter pass (one per shard: the shards'
 /// passes are independent and may run on different threads).
@@ -43,13 +43,9 @@ pub struct QueryScratch {
     pub(crate) per_shard: Vec<FilterScratch>,
     /// Per-shard group streams in verification order (filter output).
     pub(crate) filters: Vec<ShardFilter>,
-    /// Per-shard cursor into `filters` during the cross-shard descent.
+    /// Per-shard position in `filters`: the cursor of the cross-shard
+    /// kNN descent, or the end of a range's surviving prefix.
     pub(crate) cursors: Vec<usize>,
-    /// The materialized `(shard, bound)` merge of all per-shard filter
-    /// streams, in global verification order — built only by the
-    /// intra-query parallel path (the sequential descent merges
-    /// cursor-wise without materializing).
-    pub(crate) merged: Vec<(u32, ShardBound)>,
     /// Per-shard local candidate-group lists of a filtered query.
     pub(crate) cand_locals: Vec<Vec<u32>>,
     /// Groups in verification order with their upper bounds (the output

@@ -34,12 +34,8 @@
 //!    are polled between the phase-A filter and verification and at
 //!    every group boundary, so a request that expires or is cancelled
 //!    *mid-flight* stops consuming CPU at the next boundary instead of
-//!    running to completion. On an index large enough for intra-query
-//!    parallelism to pay ([`ServeBackend::intra_cap`] > 1), the request
-//!    gets `pool width / accepted-but-unfinished requests` verification
-//!    workers, so a lone large request fans across the idle pool through
-//!    the speculate-and-replay engine while a busy front runs every
-//!    query sequentially — with results bit-for-bit the same either way.
+//!    running to completion. A request runs on the one worker that
+//!    popped it, start to finish.
 //! 4. **Complete.** The request's slot is filled with its
 //!    [`SearchResult`] (releasing its unit of queue capacity); results
 //!    are **bit-for-bit identical** — hits *and* [`SearchStats`] — to
@@ -285,13 +281,6 @@ pub trait ServeBackend: PersistentBackend + Send + Sync + 'static {
     /// [`search`](crate::ShardedLes3Index::search), whose answer — stats
     /// included — is the same at any worker count.
     fn search(&self, q: &Query<'_>, scratch: &mut Self::Scratch) -> SearchOutcome;
-
-    /// Largest useful intra-query worker count for this backend: the
-    /// front clamps the idle pool width it hands a request to this, so
-    /// requests against a small index skip the parallel engine entirely.
-    fn intra_cap(&self) -> usize {
-        crate::par::serve_intra_cap(self.sharded().partitioning().n_groups())
-    }
 
     /// [`ServeBackend::search`] under an [`ApproxPolicy`] — the one
     /// place a policy is turned into query fields, for both index types and
@@ -695,27 +684,9 @@ struct Request {
 struct Executor<B: ServeBackend> {
     backend: Arc<B>,
     shared: Arc<FrontShared>,
-    /// The pool's width: what [`Executor::query_workers`] divides among
-    /// the requests in flight.
-    pool_workers: usize,
 }
 
 impl<B: ServeBackend> Executor<B> {
-    /// Intra-query workers for a request a worker has just popped: the
-    /// pool width divided by the accepted-but-unfinished requests (this
-    /// one included), clamped to what the index size can use — a lone
-    /// large request fans its verification across the idle pool instead
-    /// of occupying one worker while the rest sleep, and a busy front
-    /// runs every query sequentially. The admission count is only read
-    /// where the answer can exceed 1.
-    fn query_workers(&self) -> usize {
-        let cap = self.backend.intra_cap();
-        if cap <= 1 {
-            return 1;
-        }
-        (self.pool_workers / self.shared.in_flight().max(1)).clamp(1, cap)
-    }
-
     fn serve_one(&self, worker: usize, req: &Request, scratch: &mut B::Scratch) {
         let ctl = QueryCtl::new(req.deadline, Some(&req.slot.cancelled));
         // Dead on arrival (expired or cancelled while queued): skip the
@@ -736,8 +707,9 @@ impl<B: ServeBackend> Executor<B> {
                 return;
             }
         }
+        // One request is one pool job on one thread.
         let q = Query {
-            workers: self.query_workers(),
+            workers: 1,
             ctl,
             ..Query::new(&req.query, req.kind)
         };
@@ -844,7 +816,6 @@ impl<B: ServeBackend> ServeFront<B> {
         let executor = Executor {
             backend: Arc::clone(&backend),
             shared: Arc::clone(&shared),
-            pool_workers,
         };
         let pool = WorkerPool::new(
             pool_workers,

@@ -71,18 +71,13 @@
 //! assert_eq!(sharded.range(&[0, 1, 2], 0.5), flat.range(&[0, 1, 2], 0.5));
 //! ```
 
-use crate::sync::atomic::{AtomicUsize, Ordering};
-use crate::sync::Mutex;
-
 use les3_bitmap::Bitmap;
-use les3_data::{SetDatabase, SetId, TokenId};
+use les3_data::{SetDatabase, TokenId};
 
 use crate::approx::{ApproxParams, ApproxPolicy, MinHashIndex};
-use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::index::{SearchResult, TopK, VerifyOrder, VerifyQuery};
 use crate::metadata::FilterCandidates;
-use crate::par;
 use crate::partitioning::Partitioning;
 use crate::query::{self, Gathered, Kind, Query, SearchOutcome};
 use crate::scratch::{FilterScratch, QueryScratch};
@@ -463,54 +458,20 @@ impl<S: Similarity> ShardedLes3Index<S> {
         Ok(top)
     }
 
-    /// Verifies shard `s`'s groups against a fixed range threshold,
-    /// appending hits. Shards need no shared state for range queries.
-    /// Polls `ctl` at every group boundary.
-    #[allow(clippy::too_many_arguments)] // internal kernel: callers thread scratch + ctl
-    fn range_shard(
-        &self,
-        s: usize,
-        verify: &VerifyQuery<'_, S>,
-        delta: f64,
-        filter: &ShardFilter,
-        hits: &mut Vec<(SetId, f64)>,
-        stats: &mut SearchStats,
-        ctl: &QueryCtl<'_>,
-    ) -> Result<(), InterruptReason> {
-        for (i, b) in filter.bounds.iter().enumerate() {
-            if self.sim.ub_from_overlap(verify.q_len, b.r as usize) < delta {
-                stats.groups_pruned += filter.bounds.len() - i;
-                break;
-            }
-            if let Some(reason) = ctl.interrupted() {
-                return Err(reason);
-            }
-            stats.groups_verified += 1;
-            verify.range_window(&self.shards[s].verify, b.local, delta, hits, stats);
-        }
-        Ok(())
-    }
-
     /// Runs one [`Query`] — the only query body of the in-memory index,
     /// at every shard count ([`crate::Les3Index`] is the 1-shard case);
     /// every named `knn*/range*` method below is a single expression
     /// over it. Hits *and* stats are the same at every shard count and
     /// worker count.
     ///
-    /// Guards, then phase A for every shard (the full filter pass fanned
-    /// out over the shards, or the restricted kernels over each shard's
-    /// slice of the mask's groups — proportional to the candidate count,
-    /// so always sequential), one `ctl` poll — filtering is cheap,
-    /// verification is where the CPU goes, so an expired or cancelled
-    /// query must not start it — then phase B. One worker (or a single
-    /// group to verify) keeps the cursor kernels: the cross-shard
-    /// best-first `merge_knn` sharing one top-k (stopping at the first
-    /// front whose bound cannot improve the k-th best, Theorem 3.1), or
-    /// `range_shard` shard after shard. More workers materialize the
-    /// merged bound stream — provably the same `(r desc, global id asc)`
-    /// sequence the cursor merge consumes, and for range the same set of
-    /// surviving groups with additive counters — and hand it to the
-    /// speculate + replay engine (`par.rs`).
+    /// Guards, then phase A shard after shard (the full filter pass, or
+    /// the restricted kernels over each shard's slice of the mask's
+    /// groups), one `ctl` poll — filtering is cheap, verification is
+    /// where the CPU goes, so an expired or cancelled query must not
+    /// start it — then phase B: the cross-shard best-first `merge_knn`
+    /// sharing one top-k (stopping at the first front whose bound cannot
+    /// improve the k-th best, Theorem 3.1), or `range_descend` over every
+    /// shard's surviving prefix (`par.rs`).
     pub fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
         let mut stats = SearchStats::default();
         if q.is_vacuous(self.db.is_empty()) {
@@ -523,18 +484,20 @@ impl<S: Similarity> ShardedLes3Index<S> {
         let n_shards = self.shards.len();
         // Every group surfaces in exactly one shard's filter output.
         let n_considered = q.n_considered(self.partitioning.n_groups());
-        let workers = par::resolve_workers(q.workers, n_considered);
         scratch.ensure(n_shards);
         let QueryScratch {
             per_shard,
             filters,
             cursors,
-            merged,
             cand_locals,
             ..
         } = scratch;
         match q.mask {
-            None => self.filter_all(workers, tokens, q_len, per_shard, filters),
+            None => {
+                for s in 0..n_shards {
+                    self.filter_shard(s, tokens, q_len, &mut per_shard[s], &mut filters[s]);
+                }
+            }
             Some(cand) => {
                 self.split_candidates(cand, cand_locals);
                 for (s, locals) in cand_locals.iter().enumerate().take(n_shards) {
@@ -558,76 +521,17 @@ impl<S: Similarity> ShardedLes3Index<S> {
             filter: q.mask.map(|cand| &cand.sets),
         };
         let ctl = &q.ctl;
-        // One speculator per group beyond the committer is the most that
-        // can ever be useful.
-        let workers = workers.min(n_considered);
-        let (stopped, gathered) = if workers <= 1 {
-            match q.kind {
-                Kind::Knn(k) => {
-                    Gathered::heap(self.merge_knn(&verify, k, filters, cursors, &mut stats, ctl))
-                }
-                Kind::Range(delta) => Gathered::list(|hits| {
-                    filters.iter().enumerate().try_for_each(|(s, filter)| {
-                        self.range_shard(s, &verify, delta, filter, hits, &mut stats, ctl)
-                    })
-                }),
+        let (stopped, gathered) = match q.kind {
+            Kind::Knn(k) => {
+                Gathered::heap(self.merge_knn(&verify, k, filters, cursors, &mut stats, ctl))
             }
-        } else {
-            merge_filter_streams(filters, merged);
-            let groups = MergedGroups {
-                index: self,
-                merged,
-                verify,
-            };
-            match q.kind {
-                Kind::Knn(k) => {
-                    Gathered::heap(par::knn_descend(&groups, k, workers, &mut stats, ctl))
-                }
-                Kind::Range(delta) => Gathered::list(|hits| {
-                    par::range_scan(&groups, delta, workers, hits, &mut stats, ctl)
-                }),
-            }
+            Kind::Range(delta) => Gathered::list(|hits| {
+                self.range_descend(
+                    &verify, delta, q.workers, filters, cursors, hits, &mut stats, ctl,
+                )
+            }),
         };
         query::settle(stopped, gathered, stats, q.on_expiry, n_considered)
-    }
-
-    /// Phase A fanned out: shards are claimed from an atomic cursor by
-    /// `min(workers, n_shards)` scoped workers (each shard's filter
-    /// state is its own, so the per-shard mutexes are uncontended —
-    /// they exist to move the `&mut` pairs across threads).
-    fn filter_all(
-        &self,
-        workers: usize,
-        query: &[TokenId],
-        q_len: usize,
-        per_shard: &mut [FilterScratch],
-        filters: &mut [ShardFilter],
-    ) {
-        let n = self.shards.len();
-        if workers <= 1 || n <= 1 {
-            for s in 0..n {
-                self.filter_shard(s, query, q_len, &mut per_shard[s], &mut filters[s]);
-            }
-            return;
-        }
-        let tasks: Vec<Mutex<(&mut FilterScratch, &mut ShardFilter)>> = per_shard
-            .iter_mut()
-            .zip(filters.iter_mut())
-            .map(Mutex::new)
-            .collect();
-        let next = AtomicUsize::new(0);
-        rayon::run_workers(workers.min(n), |_w| loop {
-            // relaxed: unique-ticket handout; each claimed shard's
-            // results travel through its own Mutex cell, ordered by
-            // the `run_workers` join barrier.
-            let s = next.fetch_add(1, Ordering::Relaxed);
-            if s >= n {
-                break;
-            }
-            let mut cell = lock_unpoisoned(&tasks[s]);
-            let (scr, fil) = &mut *cell;
-            self.filter_shard(s, query, q_len, scr, fil);
-        });
     }
 
     /// Exact kNN search across all shards (Definition 2.1).
@@ -646,8 +550,9 @@ impl<S: Similarity> ShardedLes3Index<S> {
         query::uninterrupted(self.search(&Query::knn(query, k), scratch))
     }
 
-    /// Exact kNN under cooperative interruption with a pinned
-    /// intra-query worker count (`0` counts as `1`).
+    /// Exact kNN under cooperative interruption. `workers` lands in
+    /// [`Query::workers`](Query), which a kNN does not read: its descent
+    /// is sequential at any value.
     pub fn knn_ctl_on(
         &self,
         workers: usize,
@@ -710,7 +615,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
     }
 
     /// Exact range search under cooperative interruption with a pinned
-    /// intra-query worker count (`0` counts as `1`).
+    /// verification worker count (`0` counts as `1`).
     pub fn range_ctl_on(
         &self,
         workers: usize,
@@ -721,52 +626,6 @@ impl<S: Similarity> ShardedLes3Index<S> {
     ) -> Result<SearchResult, Interrupted> {
         self.search(&Query::range(query, delta).pinned(workers, ctl), scratch)
             .map(|(result, _)| result)
-    }
-}
-
-/// Materializes the `(r desc, global group id asc)` merge of per-shard
-/// filter streams — the exact sequence the cursor-wise `merge_knn`
-/// consumes front by front. Each shard's stream is already sorted (it
-/// comes from the one shared [`crate::index::bucketed_descending`]), so
-/// this is a k-way merge flattened into one sort; `(r, group)` is unique
-/// per group, so the order is total and `sort_unstable` deterministic.
-fn merge_filter_streams(filters: &[ShardFilter], out: &mut Vec<(u32, ShardBound)>) {
-    out.clear();
-    for (s, f) in filters.iter().enumerate() {
-        out.extend(f.bounds.iter().map(|&b| (s as u32, b)));
-    }
-    out.sort_unstable_by(|a, b| b.1.r.cmp(&a.1.r).then(a.1.group.cmp(&b.1.group)));
-}
-
-/// The merged bound stream the intra-query engine (`par.rs`) descends,
-/// in verification order: bounds derived lazily from `r` (identical
-/// arithmetic to the cursor merge's front bounds), non-increasing in
-/// `i`.
-pub(crate) struct MergedGroups<'a, S: Similarity> {
-    pub(crate) index: &'a ShardedLes3Index<S>,
-    pub(crate) merged: &'a [(u32, ShardBound)],
-    /// The query-constant inputs of verification. A filtered query's
-    /// per-set mask is among them, so window contents filtered by it
-    /// stay a pure function of the threshold — the replay soundness
-    /// argument (`par.rs` module docs) is unchanged.
-    pub(crate) verify: VerifyQuery<'a, S>,
-}
-
-impl<S: Similarity> MergedGroups<'_, S> {
-    pub(crate) fn n_groups(&self) -> usize {
-        self.merged.len()
-    }
-
-    /// Upper bound of group `i` (non-increasing in `i`).
-    pub(crate) fn ub(&self, i: usize) -> f64 {
-        let r = self.merged[i].1.r as usize;
-        self.verify.sim.ub_from_overlap(self.verify.q_len, r)
-    }
-
-    /// The verify order owning group `i`, and `i`'s id within it.
-    pub(crate) fn locate(&self, i: usize) -> (&VerifyOrder, u32) {
-        let (s, b) = self.merged[i];
-        (&self.index.shards[s as usize].verify, b.local)
     }
 }
 

@@ -523,9 +523,8 @@ proptest! {
     }
 }
 
-/// Deterministic spot check on an index large enough for the automatic
-/// worker heuristic (and the `LES3_TEST_WORKERS` override CI exercises)
-/// to engage: the auto entry points must match the explicit ones.
+/// Deterministic spot check: the entry points that leave the worker
+/// count to the engine must match the explicit ones.
 #[test]
 fn auto_worker_entry_points_match_explicit() {
     let mut g = Gen(0x0123_4567_89ab_cdef);

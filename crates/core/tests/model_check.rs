@@ -2,19 +2,21 @@
 //!
 //! Run with `cargo test -p les3-core --features model --test model_check`.
 //! Under the `model` feature, [`les3_core::sync`] re-exports the vendored
-//! loom-style checker, so the *real* protocol objects below (`SharedKth`,
-//! `FrontShared`, `WorkerPool`, `QueryCtl`) execute on instrumented atomics and every
+//! loom-style checker, so the *real* protocol objects below
+//! (`FrontShared`, `WorkerPool`, `QueryCtl`) execute on instrumented atomics and every
 //! interleaving within the preemption bound is explored. The remaining
 //! models are small, faithful mirrors of protocols whose production hosts
-//! are too large to model whole (the slot state machine of `par.rs`, the
-//! coalesced task queue of `batch.rs`, the snapshot busy guard of
-//! `les3-net`); `docs/CONCURRENCY.md` maps each protocol to its model.
+//! are too large to model whole (the coalesced task queue of `batch.rs`,
+//! the snapshot busy guard of `les3-net`); `docs/CONCURRENCY.md` maps
+//! each protocol to its model.
 //!
 //! Every passing test asserts `report.executions > 1`: the checker really
 //! explored the schedule tree to completion, it did not see one lucky
-//! interleaving. The `injected_*` tests demote one ordering or drop one
-//! protocol step and require the checker to fail — proof that the models
-//! have teeth, and a template for pinning future ordering bugs.
+//! interleaving. The `injected_*` tests drop one protocol step and
+//! require the checker to fail — proof that the models have teeth, and a
+//! template for pinning future ordering bugs (the checker's own suite,
+//! `crates/shims/loom/tests/model.rs`, pins that a demoted ordering is
+//! reported as a data race).
 
 #![cfg(feature = "model")]
 
@@ -22,13 +24,11 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loom::cell::Data;
-use loom::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::{model, thread, Builder};
 
-use les3_core::model_support::{
-    FrontShared, SharedKth, WorkerPool, SLOT_CLAIMED, SLOT_DONE, SLOT_OPEN, SLOT_TAKEN,
-};
+use les3_core::model_support::{FrontShared, WorkerPool};
 use les3_core::{InterruptReason, OnFull, QueryCtl};
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> loom::sync::MutexGuard<'a, T> {
@@ -36,208 +36,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> loom::sync::MutexGuard<'a, T> {
 }
 
 // ---------------------------------------------------------------------------
-// (a) SharedKth: the cross-shard kNN bound (par.rs).
-// ---------------------------------------------------------------------------
-
-/// The shared k-th bound only ever rises, and its `fetch_max(AcqRel)` /
-/// `load(Acquire)` pairing publishes whatever the committer wrote before
-/// raising: a reader that observes `bound >= 0.25` may read the record
-/// that raise published, in every schedule, without a data race.
-#[test]
-fn shared_kth_is_monotone_and_raise_publishes() {
-    let report = model(|| {
-        let kth = Arc::new(SharedKth::new());
-        let record = Arc::new(Data::new(0u32));
-
-        let committer = {
-            let (kth, record) = (Arc::clone(&kth), Arc::clone(&record));
-            thread::spawn(move || {
-                record.with_mut(|r| *r = 7); // result behind the bound
-                kth.raise(0.25);
-                kth.raise(0.5);
-                kth.raise(0.25); // late, lower raise must not regress
-            })
-        };
-        let reader = {
-            let (kth, record) = (Arc::clone(&kth), Arc::clone(&record));
-            thread::spawn(move || {
-                let a = kth.get();
-                let b = kth.get();
-                assert!(b >= a, "bound regressed: {a} then {b}");
-                if a >= 0.25 {
-                    // The raise's release side orders the record write
-                    // before this read; a race here means the AcqRel /
-                    // Acquire pairing is broken.
-                    record.with(|r| assert_eq!(*r, 7));
-                }
-            })
-        };
-        committer.join().unwrap();
-        reader.join().unwrap();
-        assert_eq!(kth.get(), 0.5, "final bound must be the max raise");
-    });
-    assert!(report.executions > 1, "not exhaustive: {report:?}");
-}
-
-// ---------------------------------------------------------------------------
-// (b) The speculation slot state machine (par.rs):
-//     OPEN -> CLAIMED -> DONE -> TAKEN  (speculator claims)
-//     OPEN -> TAKEN                     (committer evaluates in-line)
-// ---------------------------------------------------------------------------
-
-struct Slot {
-    state: AtomicU8,
-    rec: Mutex<Option<u64>>,
-    /// Counts evaluations; the protocol promises exactly one per group.
-    evals: Data<u32>,
-}
-
-struct Coord {
-    committed: Mutex<usize>,
-    cv: Condvar,
-}
-
-/// Faithful mirror of `spec_worker` + `knn_commit` over two slots: a
-/// group is evaluated exactly once in every schedule, the committer
-/// never consumes a slot before the claim resolves to DONE, and the
-/// published record always arrives intact.
-#[test]
-fn slot_state_machine_evaluates_each_group_exactly_once() {
-    let report = model(|| {
-        const GROUPS: usize = 2;
-        let slots: Arc<Vec<Slot>> = Arc::new(
-            (0..GROUPS)
-                .map(|_| Slot {
-                    state: AtomicU8::new(SLOT_OPEN),
-                    rec: Mutex::new(None),
-                    evals: Data::new(0),
-                })
-                .collect(),
-        );
-        let coord = Arc::new(Coord {
-            committed: Mutex::new(0),
-            cv: Condvar::new(),
-        });
-
-        let speculator = {
-            let (slots, coord) = (Arc::clone(&slots), Arc::clone(&coord));
-            thread::spawn(move || {
-                for (g, slot) in slots.iter().enumerate() {
-                    if slot
-                        .state
-                        .compare_exchange(
-                            SLOT_OPEN,
-                            SLOT_CLAIMED,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        )
-                        .is_ok()
-                    {
-                        slot.evals.with_mut(|e| *e += 1); // speculate
-                        let guard = lock(&coord.committed);
-                        *lock(&slot.rec) = Some(100 + g as u64);
-                        slot.state.store(SLOT_DONE, Ordering::Release);
-                        drop(guard);
-                        coord.cv.notify_all();
-                    }
-                }
-            })
-        };
-
-        // Committer: in-order commit over the groups, as knn_commit does.
-        for (g, slot) in slots.iter().enumerate() {
-            loop {
-                match slot.state.compare_exchange(
-                    SLOT_OPEN,
-                    SLOT_TAKEN,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        slot.evals.with_mut(|e| *e += 1); // evaluate in-line
-                        break;
-                    }
-                    Err(s) if s == SLOT_CLAIMED => {
-                        let mut c = lock(&coord.committed);
-                        while slot.state.load(Ordering::Acquire) == SLOT_CLAIMED {
-                            c = coord.cv.wait(c).unwrap_or_else(|e| e.into_inner());
-                        }
-                    }
-                    Err(s) if s == SLOT_DONE => {
-                        // relaxed in production too: committer-private edge.
-                        slot.state.store(SLOT_TAKEN, Ordering::Relaxed);
-                        let rec = lock(&slot.rec).take();
-                        assert_eq!(rec, Some(100 + g as u64), "record lost or torn");
-                        break;
-                    }
-                    Err(s) => panic!("slot in impossible state {s}"),
-                }
-            }
-            *lock(&coord.committed) = g + 1;
-            coord.cv.notify_all();
-        }
-
-        speculator.join().unwrap();
-        for slot in slots.iter() {
-            slot.evals
-                .with(|e| assert_eq!(*e, 1, "group evaluated {e} times"));
-            assert_eq!(slot.state.load(Ordering::Acquire), SLOT_TAKEN);
-        }
-    });
-    assert!(report.executions > 1, "not exhaustive: {report:?}");
-}
-
-/// The DONE hand-off with the record carried *only* by the claim-edge
-/// atomics — no mutex in sight, so nothing else can smuggle in the
-/// ordering (production additionally wraps the record in a mutex; the
-/// edge alone must also be sufficient, or the state machine could not be
-/// trusted to order anything). `store(DONE, Release)` paired with the
-/// committer CAS's `Acquire` failure ordering passes in every schedule...
-#[test]
-fn slot_done_edge_publishes_with_release_acquire() {
-    let report = model(|| done_edge_body(Ordering::Release, Ordering::Acquire));
-    assert!(report.executions > 1, "not exhaustive: {report:?}");
-}
-
-/// ...and the injected bug — the committer's claim-edge `Acquire`
-/// (knn_commit's CAS failure ordering) demoted to `Relaxed` — must be
-/// caught as a data race on the record. This is the acceptance-criteria
-/// demonstration that a real ordering demotion in the slot protocol
-/// cannot slip past the checker.
-#[test]
-fn injected_relaxed_claim_edge_fails_the_checker() {
-    let failure = Builder::default()
-        .check_result(|| done_edge_body(Ordering::Release, Ordering::Relaxed))
-        .expect_err("a Relaxed observer of the DONE edge must race");
-    assert!(failure.message.contains("data race"), "{failure}");
-}
-
-fn done_edge_body(publish: Ordering, claim_edge: Ordering) {
-    let state = Arc::new(AtomicU8::new(SLOT_CLAIMED));
-    let rec = Arc::new(Data::new(0u64));
-
-    let speculator = {
-        let (state, rec) = (Arc::clone(&state), Arc::clone(&rec));
-        thread::spawn(move || {
-            rec.with_mut(|r| *r = 41); // speculate, then publish
-            state.store(SLOT_DONE, publish);
-        })
-    };
-
-    // Committer: one commit attempt, exactly knn_commit's CAS.
-    match state.compare_exchange(SLOT_OPEN, SLOT_TAKEN, Ordering::AcqRel, claim_edge) {
-        Err(s) if s == SLOT_DONE => {
-            state.store(SLOT_TAKEN, Ordering::Relaxed);
-            rec.with(|r| assert_eq!(*r, 41));
-        }
-        Err(s) if s == SLOT_CLAIMED => {} // still speculating; knn_commit would wait
-        other => panic!("impossible commit result {other:?}"),
-    }
-    speculator.join().unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// (c) Coalesced task claiming (batch.rs::run_coalesced).
+// (a) Coalesced task claiming (batch.rs::run_coalesced).
 // ---------------------------------------------------------------------------
 
 /// Two workers race a `fetch_add(Relaxed)` cursor over three tasks, one
@@ -299,7 +98,7 @@ fn coalesced_claiming_runs_every_task_once_despite_panic() {
 }
 
 // ---------------------------------------------------------------------------
-// (d) The admission gate (serve.rs::FrontShared).
+// (b) The admission gate (serve.rs::FrontShared).
 // ---------------------------------------------------------------------------
 
 /// The real `FrontShared` at capacity 1 under two competing producers:
@@ -420,7 +219,7 @@ fn abandon_gate_body(renotify: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// (e) The worker pool's queue (batch.rs::WorkerPool).
+// (c) The worker pool's queue (batch.rs::WorkerPool).
 // ---------------------------------------------------------------------------
 
 /// The real `WorkerPool`: two workers, three submits, then `drop` — all
@@ -501,7 +300,7 @@ fn injected_pool_shutdown_outside_the_lock_strands_a_worker() {
 }
 
 // ---------------------------------------------------------------------------
-// (f) The snapshot busy guard (les3-net server.rs).
+// (d) The snapshot busy guard (les3-net server.rs).
 // ---------------------------------------------------------------------------
 
 /// Mirror of the `POST /snapshot` single-flight guard: `swap(true,
@@ -604,59 +403,4 @@ fn cancellation_is_observed_at_the_next_group_boundary() {
         progressed.with(|p| assert!(*p <= GROUPS));
     });
     assert!(report.executions > 1, "not exhaustive: {report:?}");
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: the abort broadcast (par.rs::Coord::raise_abort).
-// ---------------------------------------------------------------------------
-
-/// Why `raise_abort` takes the `committed` mutex before storing the
-/// abort flag: a speculator checks the flag under that mutex and then
-/// waits on the condvar. Storing + notifying *with* the mutex cannot
-/// land in the speculator's check-to-wait window...
-#[test]
-fn abort_broadcast_with_mutex_always_wakes_the_speculator() {
-    let report = model(|| abort_broadcast_body(true));
-    assert!(report.executions > 1, "not exhaustive: {report:?}");
-}
-
-/// ...and the injected bug — storing the flag and notifying without the
-/// mutex, as a naive "it's atomic anyway" refactor would — is caught as
-/// a lost wakeup (deadlock) by the checker.
-#[test]
-fn injected_abort_broadcast_without_mutex_loses_the_wakeup() {
-    let failure = Builder::default()
-        .check_result(|| abort_broadcast_body(false))
-        .expect_err("the unguarded store can land in the check-to-wait window");
-    assert!(failure.message.contains("deadlock"), "{failure}");
-}
-
-fn abort_broadcast_body(aborter_takes_mutex: bool) {
-    let abort = Arc::new(AtomicBool::new(false));
-    let coord = Arc::new(Coord {
-        committed: Mutex::new(0),
-        cv: Condvar::new(),
-    });
-
-    let speculator = {
-        let (abort, coord) = (Arc::clone(&abort), Arc::clone(&coord));
-        thread::spawn(move || {
-            // spec_worker's lookahead wait: no room will ever appear in
-            // this model, so only the abort can release the thread.
-            let mut c = lock(&coord.committed);
-            while !abort.load(Ordering::Acquire) {
-                c = coord.cv.wait(c).unwrap_or_else(|e| e.into_inner());
-            }
-        })
-    };
-
-    if aborter_takes_mutex {
-        let guard = lock(&coord.committed);
-        abort.store(true, Ordering::Release);
-        drop(guard);
-    } else {
-        abort.store(true, Ordering::Release);
-    }
-    coord.cv.notify_all();
-    speculator.join().unwrap();
 }

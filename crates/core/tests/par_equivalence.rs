@@ -1,13 +1,14 @@
-//! Property tests for intra-query parallelism: a kNN or range query
-//! answered by the speculate-and-replay engine (`par.rs`) at any worker
-//! count must be indistinguishable — hits *and* every [`SearchStats`]
-//! counter, bit for bit — from the sequential descent. This is the
-//! contract that lets the serving front fan a lone large query across
-//! idle workers without changing a single observable byte.
+//! Property tests for `Query.workers`: a range query fanned out over
+//! any number of verification workers (`par.rs`) must be
+//! indistinguishable — hits *and* every [`SearchStats`] counter, bit for
+//! bit — from the sequential descent, and a kNN, whose descent is
+//! sequential at any value, must not change with it at all.
 //!
-//! Also covers cooperative cancellation mid-verification: tripping the
-//! [`QueryCtl`] flag while several workers are speculating must stop
-//! *every* worker at its next group boundary, not just the committer.
+//! Also covers cooperative cancellation mid-verification (tripping the
+//! [`QueryCtl`] flag while several range workers are verifying must stop
+//! *every* worker at its next group boundary) and where the work runs:
+//! a kNN, a selective range and a served request evaluate every
+//! candidate on one thread.
 //!
 //! Compiled out under the `model` feature: these are real-thread stress
 //! tests, and loom-instrumented primitives only work inside a
@@ -17,12 +18,15 @@
 mod common;
 
 use common::run;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::thread::ThreadId;
 
 use les3_core::{
     Cosine, DeletionLog, Dice, InterruptReason, Jaccard, Les3Index, OverlapCoefficient,
-    Partitioning, Query, QueryCtl, QueryScratch, ShardPolicy, ShardedLes3Index, ShardedScratch,
-    Similarity, ThresholdedEval,
+    Partitioning, Query, QueryCtl, QueryScratch, ServeConfig, ServeFront, ShardPolicy,
+    ShardedLes3Index, ShardedScratch, Similarity, ThresholdedEval,
 };
 use les3_data::{SetDatabase, TokenId};
 use proptest::prelude::*;
@@ -47,6 +51,16 @@ fn pseudo_partitioning(n_sets: usize, n_groups: usize, seed: u64) -> Partitionin
         })
         .collect();
     Partitioning::from_assignment(assignment, n_groups)
+}
+
+/// A deterministic stream for the fixed-size fixtures.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
 }
 
 /// Asserts that every pinned worker count reproduces the sequential
@@ -183,7 +197,7 @@ proptest! {
         let mut log = DeletionLog::build(&flat);
         let mut deletes = delete_picks.iter();
         // Mutate, then re-check the parallel/sequential contract after
-        // every insert+delete pair: the engine must replay the updated
+        // every insert+delete pair: the fan-out must walk the updated
         // verification order, not a stale snapshot of it.
         for s in &inserts {
             let mut tokens: Vec<u32> = s.iter().copied().collect();
@@ -224,82 +238,14 @@ fn singleton_fixture(n: usize) -> (SetDatabase, Partitioning) {
     (db, part)
 }
 
-/// Mid-flight cancellation must reach *all* parallel verification
-/// workers: after the flag trips during the `TRIP_AT`-th evaluation,
-/// each of the `workers` concurrent evaluators may finish at most the
-/// one evaluation it has already begun (or just claimed) before its
-/// next group-boundary poll observes the shared abort — so the total
-/// evaluation count is bounded by `TRIP_AT + workers`, far below the
-/// `G` evaluations a full run performs.
-#[test]
-fn cancellation_stops_all_knn_workers_mid_flight() {
-    static EVALS: AtomicUsize = AtomicUsize::new(0);
-    static CANCEL: AtomicBool = AtomicBool::new(false);
-    const TRIP_AT: usize = 24;
-    const G: usize = 64;
-
-    #[derive(Clone, Copy)]
-    struct TrippingSim;
-    impl Similarity for TrippingSim {
-        fn name(&self) -> &'static str {
-            "tripping-jaccard"
-        }
-        fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
-            Jaccard.from_overlap(overlap, a_len, b_len)
-        }
-        fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
-            Jaccard.ub_from_overlap(q_len, r)
-        }
-        // The kNN window scan's per-candidate hook.
-        fn merge_with_threshold(
-            &self,
-            a: &[TokenId],
-            b: &[TokenId],
-            a_len: usize,
-            b_len: usize,
-            needed: usize,
-            t: f64,
-        ) -> ThresholdedEval {
-            if EVALS.fetch_add(1, Ordering::SeqCst) + 1 == TRIP_AT {
-                CANCEL.store(true, Ordering::SeqCst);
-            }
-            Jaccard.merge_with_threshold(a, b, a_len, b_len, needed, t)
-        }
-    }
-
-    let (db, part) = singleton_fixture(G);
-    let index = Les3Index::build(db, part, TrippingSim);
-    for workers in WORKER_COUNTS {
-        EVALS.store(0, Ordering::SeqCst);
-        CANCEL.store(false, Ordering::SeqCst);
-        // k = G keeps the top-k threshold at -inf for the whole query:
-        // every group's single candidate is evaluated, none is pruned,
-        // so an uncancelled run would perform exactly G evaluations.
-        let ctl = QueryCtl::new(None, Some(&CANCEL));
-        let err = index
-            .knn_ctl_on(workers, &[0], G, &mut QueryScratch::new(), &ctl)
-            .expect_err("tripped flag must interrupt the query");
-        assert_eq!(err.reason, InterruptReason::Cancelled, "w={workers}");
-        let evals = EVALS.load(Ordering::SeqCst);
-        assert!(
-            evals >= TRIP_AT,
-            "flag trips at eval {TRIP_AT}, saw {evals}"
-        );
-        assert!(
-            evals <= TRIP_AT + workers,
-            "w={workers}: {evals} evaluations after cancelling at {TRIP_AT} — \
-             some worker ran past its group boundary"
-        );
-        assert!(
-            err.stats.groups_verified < G,
-            "w={workers}: all {G} groups committed despite cancellation"
-        );
-    }
-}
-
-/// The range-scan analogue: δ = 0 admits every group, the committer
-/// reuses every speculative record (the threshold is the constant δ),
-/// and cancellation must still stop all workers within one group each.
+/// Mid-flight cancellation must reach *all* range verification workers
+/// (δ = 0 admits every group): after the flag trips during the
+/// `TRIP_AT`-th evaluation, each of the `workers` concurrent evaluators
+/// may finish at most the one evaluation it has already begun (or just
+/// claimed) before its next group-boundary poll observes the shared
+/// abort — so the total evaluation count is bounded by
+/// `TRIP_AT + workers`, far below the `G` evaluations a full run
+/// performs.
 #[test]
 fn cancellation_stops_all_range_workers_mid_flight() {
     static EVALS: AtomicUsize = AtomicUsize::new(0);
@@ -350,19 +296,12 @@ fn cancellation_stops_all_range_workers_mid_flight() {
     }
 }
 
-/// Deterministic spot check on an index large enough for the automatic
-/// worker heuristic to engage (≥ 512 groups; below that it stays
-/// sequential) and for the speculation lookahead window to wrap several
-/// times.
+/// Deterministic spot check on an index large enough for a wide range
+/// to engage the automatic worker heuristic (≥ 512 surviving groups;
+/// below that it stays sequential).
 #[test]
 fn parallel_matches_sequential_on_larger_index() {
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
+    let mut next = xorshift(0x2545_f491_4f6c_dd1d);
     let sets: Vec<Vec<u32>> = (0..1600)
         .map(|_| {
             let len = 3 + (next() % 20) as usize;
@@ -396,11 +335,10 @@ fn parallel_matches_sequential_on_larger_index() {
                 ..Query::range(&q, 0.3)
             },
         );
-        // `knn` picks its own worker count (auto heuristic or the
-        // LES3_TEST_WORKERS override): still bit-for-bit sequential.
-        let auto = flat.knn(&q, 10);
-        assert_eq!(auto.hits, seq_knn.hits);
-        assert_eq!(auto.stats, seq_knn.stats);
+        // The plain entry points leave the worker count to the engine
+        // (`workers: 0`): still bit-for-bit sequential.
+        assert_eq!(flat.knn(&q, 10), seq_knn);
+        assert_eq!(flat.range(&q, 0.3), seq_range);
         for workers in [2usize, 4, 8] {
             let got = run(
                 &flat,
@@ -426,5 +364,132 @@ fn parallel_matches_sequential_on_larger_index() {
             assert_eq!(got.hits, seq_knn.hits, "sharded knn w={workers}");
             assert_eq!(got.stats, seq_knn.stats, "sharded knn stats w={workers}");
         }
+    }
+}
+
+/// Default calls must not spawn threads for work that cannot pay for
+/// them. A `Similarity` wrapper records the thread of every candidate
+/// evaluation on a 1 024-group index: a kNN at any `workers` (flat and
+/// sharded) and a selective range at `workers: 0` evaluate everything on
+/// the calling thread, and a lone request served by a 4-worker front
+/// evaluates on exactly one pool thread.
+#[test]
+fn knn_and_selective_ranges_evaluate_on_one_thread() {
+    static SEEN: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+
+    fn note_thread() {
+        let me = std::thread::current().id();
+        let mut seen = SEEN.lock().unwrap();
+        if seen.last() != Some(&me) {
+            seen.push(me);
+        }
+    }
+
+    /// The distinct threads that evaluated a candidate while `f` ran.
+    fn evaluators(f: impl FnOnce()) -> HashSet<ThreadId> {
+        SEEN.lock().unwrap().clear();
+        f();
+        SEEN.lock().unwrap().drain(..).collect()
+    }
+
+    #[derive(Clone, Copy)]
+    struct WhereSim;
+    impl Similarity for WhereSim {
+        fn name(&self) -> &'static str {
+            "where-jaccard"
+        }
+        fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
+            Jaccard.from_overlap(overlap, a_len, b_len)
+        }
+        fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
+            Jaccard.ub_from_overlap(q_len, r)
+        }
+        // The kNN window scan's per-candidate hook.
+        fn merge_with_threshold(
+            &self,
+            a: &[TokenId],
+            b: &[TokenId],
+            a_len: usize,
+            b_len: usize,
+            needed: usize,
+            t: f64,
+        ) -> ThresholdedEval {
+            note_thread();
+            Jaccard.merge_with_threshold(a, b, a_len, b_len, needed, t)
+        }
+        // The range window scan's. A selective range is over in
+        // microseconds; hold each evaluation long enough that a spawned
+        // worker, if there were one, would get to claim a group.
+        fn eval_with_threshold(&self, a: &[TokenId], b: &[TokenId], t: f64) -> ThresholdedEval {
+            note_thread();
+            std::thread::sleep(std::time::Duration::from_micros(100));
+            Jaccard.eval_with_threshold(a, b, t)
+        }
+    }
+
+    // 1 024 distinct sets, four copies of each, hashed over 1 024 groups:
+    // a member query overlaps hundreds of groups (plenty for a kNN to
+    // verify) but at δ = 0.8 only the groups holding one of its copies
+    // survive.
+    const GROUPS: usize = 1024;
+    let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+    let base: Vec<Vec<u32>> = (0..GROUPS)
+        .map(|_| {
+            let len = 8 + (next() % 12) as usize;
+            let mut s: Vec<u32> = (0..len).map(|_| (next() % 600) as u32).collect();
+            s.sort_unstable();
+            s.dedup();
+            s
+        })
+        .collect();
+    let db = SetDatabase::from_sets((0..4 * GROUPS).map(|i| base[i % GROUPS].clone()));
+    let part = pseudo_partitioning(db.len(), GROUPS, 11);
+    let flat = Les3Index::build(db.clone(), part.clone(), WhereSim);
+    let sharded = ShardedLes3Index::build(db, part, WhereSim, 4, ShardPolicy::Hash);
+    let me = HashSet::from([std::thread::current().id()]);
+    let q = base[17].clone();
+
+    // (a) A kNN descends on the calling thread whatever `workers` says.
+    for workers in [0usize, 2, 7] {
+        let knn = Query {
+            workers,
+            ..Query::knn(&q, 10)
+        };
+        assert_eq!(evaluators(|| drop(run(&flat, knn))), me, "flat w={workers}");
+        assert_eq!(
+            evaluators(|| drop(run(&sharded, knn))),
+            me,
+            "sharded w={workers}"
+        );
+    }
+
+    // (b) A selective range left to the auto policy stays on it too: the
+    // policy counts the surviving groups, not the index's 1 024.
+    let selective = run(&flat, Query::range(&q, 0.8)).stats;
+    assert!(
+        (2..=16).contains(&selective.groups_verified),
+        "fixture: a handful of surviving groups, got {selective:?}"
+    );
+    assert_eq!(evaluators(|| drop(run(&flat, Query::range(&q, 0.8)))), me);
+    assert_eq!(
+        evaluators(|| drop(run(&sharded, Query::range(&q, 0.8)))),
+        me
+    );
+
+    // (c) A lone served request is one pool job on one pool thread, even
+    // with three more workers idle.
+    let front = ServeFront::new(
+        flat,
+        ServeConfig {
+            workers: 4,
+            ..ServeConfig::default()
+        },
+    );
+    for served in [
+        evaluators(|| drop(front.knn(&q, 10).unwrap())),
+        evaluators(|| drop(front.range(&q, 0.8).unwrap())),
+    ] {
+        assert_eq!(served.len(), 1, "one request, one thread: {served:?}");
+        assert!(served.is_disjoint(&me), "served on a pool thread");
     }
 }

@@ -1,17 +1,17 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! The build environment has no registry access, so this crate implements
-//! the structured-parallelism subset the workspace uses — [`scope`] /
-//! [`Scope::spawn`], [`join`], and [`current_num_threads`] — directly on
-//! OS threads via [`std::thread::scope`]. Unlike real rayon there is no
-//! work-stealing pool: every `spawn` is one OS thread. Callers therefore
-//! spawn one task per *worker* (chunked), not one per item, which is how
-//! the batch query paths in `les3-core` use it.
+//! exactly what the workspace uses — [`current_num_threads`] and the
+//! scoped-worker helper [`run_workers`] — directly on OS threads via
+//! [`std::thread::scope`]. Unlike real rayon there is no work-stealing
+//! pool: every worker is one OS thread. Callers therefore start one loop
+//! per *worker*, not one task per item, which is how the batch executor
+//! and the range fan-out in `les3-core` use it.
 //!
 //! # The scoped-worker idiom
 //!
-//! Because a `spawn` costs a thread, fan-out code must not spawn per
-//! shard, per chunk, or per group. The shape that works is: spawn
+//! Because a worker costs a thread, fan-out code must not spawn per
+//! shard, per chunk, or per group. The shape that works is: start
 //! exactly `workers` loops, and have each loop *claim* items from a
 //! shared atomic cursor until the work runs dry. [`run_workers`]
 //! packages that shape — it runs `f(0) .. f(workers-1)` concurrently
@@ -36,7 +36,7 @@
 //! If the real rayon is ever swapped back in (see the workspace
 //! manifest), keep this helper as a thin adapter — it has no
 //! counterpart in rayon's API but is trivially expressible with
-//! `scope` + `spawn`, which is exactly what it does here.
+//! `rayon::scope` + `spawn`.
 
 /// Number of worker threads a parallel section should target.
 pub fn current_num_threads() -> usize {
@@ -52,38 +52,6 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// A scope in which tasks can be spawned that borrow from the enclosing
-/// stack frame (mirrors `rayon::Scope`).
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns a task; the scope joins it before [`scope`] returns.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        let inner = self.inner;
-        inner.spawn(move || {
-            let wrapper = Scope { inner };
-            f(&wrapper);
-        });
-    }
-}
-
-/// Runs `f` with a [`Scope`]; returns once every spawned task finished.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R + Send,
-    R: Send,
-{
-    std::thread::scope(|s| {
-        let wrapper = Scope { inner: s };
-        f(&wrapper)
-    })
 }
 
 /// Runs `f(w)` for `w ∈ 0..workers` concurrently — one OS thread per
@@ -110,57 +78,10 @@ where
     });
 }
 
-/// Runs two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let handle = s.spawn(b);
-        let ra = a();
-        let rb = handle.join().expect("rayon::join task panicked");
-        (ra, rb)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn scope_joins_all_tasks() {
-        let counter = AtomicUsize::new(0);
-        let data: Vec<usize> = (0..100).collect();
-        scope(|s| {
-            for chunk in data.chunks(25) {
-                let counter = &counter;
-                s.spawn(move |_| {
-                    counter.fetch_add(chunk.iter().sum::<usize>(), Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), (0..100).sum());
-    }
-
-    #[test]
-    fn scope_writes_through_disjoint_slices() {
-        let mut out = vec![0u32; 64];
-        let mut parts: Vec<&mut [u32]> = out.chunks_mut(16).collect();
-        scope(|s| {
-            for (i, part) in parts.drain(..).enumerate() {
-                s.spawn(move |_| {
-                    for (j, v) in part.iter_mut().enumerate() {
-                        *v = (i * 16 + j) as u32;
-                    }
-                });
-            }
-        });
-        assert_eq!(out, (0..64).collect::<Vec<u32>>());
-    }
 
     #[test]
     fn run_workers_covers_all_items_at_any_width() {
@@ -185,13 +106,6 @@ mod tests {
             assert_eq!(w, 0);
             assert_eq!(std::thread::current().id(), caller);
         });
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "two");
-        assert_eq!(a, 2);
-        assert_eq!(b, "two");
     }
 
     #[test]

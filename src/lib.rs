@@ -51,9 +51,9 @@
 //!
 //! // `knn`/`range` are shorthands over the one entry point, `search`:
 //! // a `Query` names every axis (kind, mask, workers, ctl, on_expiry).
-//! let pinned = Query { workers: 2, ..Query::knn(&query, 10) };
+//! let pinned = Query { workers: 2, ..Query::range(&query, 0.8) };
 //! let (same, _) = index.search(&pinned, &mut QueryScratch::new()).unwrap();
-//! assert_eq!(same, top10); // hits and stats, at any worker count
+//! assert_eq!(same, close); // hits and stats, at any worker count
 //! ```
 
 pub use les3_baselines as baselines;
