@@ -10,8 +10,9 @@ use crate::iter::BitmapIter;
 /// crate docs for the role this plays in the LES3 token-group matrix.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bitmap {
-    /// `(high_bits, container)` pairs sorted by `high_bits`.
-    chunks: Vec<(u16, Container)>,
+    /// `(high_bits, container)` pairs sorted by `high_bits` (the counting
+    /// kernels in `kernel.rs` stream them directly).
+    pub(crate) chunks: Vec<(u16, Container)>,
 }
 
 #[inline]
@@ -275,27 +276,6 @@ impl Bitmap {
         }
     }
 
-    /// Chunk table accessor for the serializer.
-    pub(crate) fn chunks_for_serialization(&self) -> &[(u16, Container)] {
-        &self.chunks
-    }
-
-    /// Appends a parsed chunk (serializer internal); keys must arrive in
-    /// strictly increasing order.
-    pub(crate) fn push_chunk(
-        &mut self,
-        high: u16,
-        container: Container,
-    ) -> Result<(), crate::serialize::DeserializeError> {
-        if let Some((last, _)) = self.chunks.last() {
-            if *last >= high {
-                return Err(crate::serialize::DeserializeError::UnsortedChunks);
-            }
-        }
-        self.chunks.push((high, container));
-        Ok(())
-    }
-
     /// Heap bytes used (containers + chunk table).
     pub fn size_in_bytes(&self) -> usize {
         let table = self.chunks.capacity() * std::mem::size_of::<(u16, Container)>();
@@ -402,5 +382,21 @@ mod tests {
         assert_eq!(bm.len(), 100_000);
         assert!(bm.contains(99_999));
         assert_eq!(bm.rank(50_000), 50_000);
+    }
+
+    /// The Figure-11 size model, per container kind: a 4-byte chunk
+    /// header plus 2 bytes per array value, 8 KiB per bits container,
+    /// 4 bytes per run.
+    #[test]
+    fn serialized_size_is_chunk_header_plus_payload() {
+        assert_eq!(Bitmap::new().serialized_size_in_bytes(), 0);
+        let two_chunks = Bitmap::from_iter([1u32, 5, 70_000]);
+        assert_eq!(two_chunks.serialized_size_in_bytes(), (4 + 4) + (4 + 2));
+        let mut sparse = Bitmap::from_iter((0..5_000u32).map(|v| v * 7));
+        sparse.run_optimize();
+        assert_eq!(sparse.serialized_size_in_bytes(), 4 + 8192);
+        let mut dense = Bitmap::from_iter(100u32..30_000);
+        dense.run_optimize();
+        assert_eq!(dense.serialized_size_in_bytes(), 4 + 4);
     }
 }

@@ -149,7 +149,7 @@ impl Bitmap {
     /// `base_value + i` is a member. `base_value` is always a multiple
     /// of 64 and strictly increases across calls.
     pub fn visit_words(&self, mut f: impl FnMut(u32, u64)) {
-        for (high, container) in self.chunks_for_serialization() {
+        for (high, container) in &self.chunks {
             let chunk_base = (*high as u32) << 16;
             match container {
                 Container::Bits(bits) => {
@@ -191,7 +191,7 @@ impl Bitmap {
     /// Panics if any member is `>= counts.len()`.
     pub fn count_into(&self, counts: &mut [u32]) -> u64 {
         let mut visited = 0u64;
-        for (high, container) in self.chunks_for_serialization() {
+        for (high, container) in &self.chunks {
             let chunk_base = (*high as u32) << 16;
             match container {
                 Container::Bits(bits) => {
@@ -230,7 +230,7 @@ impl Bitmap {
     /// in the mask (they are skipped without panicking).
     pub fn count_into_masked(&self, mask: &DenseBitSet, counts: &mut [u32]) -> u64 {
         let mut visited = 0u64;
-        for (high, container) in self.chunks_for_serialization() {
+        for (high, container) in &self.chunks {
             let chunk_base = (*high as u32) << 16;
             match container {
                 Container::Bits(bits) => {
@@ -294,7 +294,7 @@ impl Bitmap {
             return 0;
         }
         let mut visited = 0u64;
-        for (high, container) in self.chunks_for_serialization() {
+        for (high, container) in &self.chunks {
             let chunk_base = (*high as u32) << 16;
             let w_lo = chunk_base >> 6;
             let w_hi = w_lo + (1 << 10); // 65 536 values / 64 per word

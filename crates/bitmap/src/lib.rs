@@ -18,7 +18,10 @@
 //! insertion, iteration (the per-token "column scan" during upper-bound
 //! computation), unions (building group token signatures), intersection
 //! cardinality, and byte-accurate size accounting (Figure 11 of the paper
-//! reports index sizes).
+//! reports index sizes). A bitmap has no byte format of its own: nothing
+//! stores one (a saved index keeps the sets and the assignment, and its
+//! TGM is rebuilt from them), so [`Bitmap::serialized_size_in_bytes`] is
+//! a size model only.
 //!
 //! The query hot path does not iterate values one by one: the
 //! [`kernel`] module provides word-parallel counting kernels
@@ -47,7 +50,6 @@ pub mod container;
 pub mod iter;
 pub mod kernel;
 pub mod run;
-pub mod serialize;
 
 mod bitmap;
 
@@ -55,7 +57,6 @@ pub use bitmap::Bitmap;
 pub use container::Container;
 pub use iter::BitmapIter;
 pub use kernel::DenseBitSet;
-pub use serialize::DeserializeError;
 
 /// Maximum cardinality at which a chunk stays an array container.
 ///

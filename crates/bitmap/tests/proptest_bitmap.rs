@@ -76,53 +76,6 @@ proptest! {
     }
 
     #[test]
-    fn serialization_round_trips(values in prop::collection::btree_set(value_strategy(), 0..2000)) {
-        let mut bm = Bitmap::from_iter(values.iter().copied());
-        let bytes = bm.serialize();
-        prop_assert_eq!(&Bitmap::deserialize(&bytes).unwrap(), &bm);
-        // Also after run optimization (different container mix).
-        bm.run_optimize();
-        let bytes = bm.serialize();
-        prop_assert_eq!(&Bitmap::deserialize(&bytes).unwrap(), &bm);
-    }
-
-    #[test]
-    fn deserialize_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        // Arbitrary input must yield Ok or Err, never panic.
-        let _ = Bitmap::deserialize(&bytes);
-    }
-
-    #[test]
-    fn deserialize_survives_mutations_of_valid_buffers(
-        values in prop::collection::btree_set(value_strategy(), 0..1500),
-        mutations in prop::collection::vec((any::<u16>(), any::<u8>()), 1..8),
-        truncate_to in any::<u16>(),
-        optimize in any::<bool>(),
-    ) {
-        // Start from a structurally valid buffer and damage it: flip
-        // bytes, truncate. Every outcome must be a clean Err or a bitmap
-        // that is itself serializable — never a panic, never unbounded
-        // allocation.
-        let mut bm = Bitmap::from_iter(values.iter().copied());
-        if optimize {
-            bm.run_optimize();
-        }
-        let mut bytes = bm.serialize();
-        for &(pos, val) in &mutations {
-            let n = bytes.len();
-            if n > 0 {
-                bytes[pos as usize % n] ^= val;
-            }
-        }
-        bytes.truncate((truncate_to as usize).min(bytes.len()).max(8));
-        if let Ok(parsed) = Bitmap::deserialize(&bytes) {
-            // Whatever survived must be internally consistent.
-            let reserialized = parsed.serialize();
-            prop_assert_eq!(Bitmap::deserialize(&reserialized).unwrap(), parsed);
-        }
-    }
-
-    #[test]
     fn dense_ranges_survive_optimization(start in 0u32..100_000, len in 1u32..20_000) {
         let mut bm = Bitmap::from_iter(start..start + len);
         bm.run_optimize();

@@ -42,14 +42,13 @@
 //! pass. An insert writes `width` lanes of the tail block, so it stays
 //! `O(width)`.
 //!
-//! The layout is in-memory only: [`MinHashIndex::encode`] and
-//! [`MinHashIndex::decode`] transpose to and from the row-major SIG
-//! payload (`n_sets × width`, see `persist/segment.rs`), so bytes on
-//! disk are those of every earlier version and old segments load.
-//!
 //! Signatures are deterministic (seeded splitmix64 row hashes, no
-//! runtime randomness), so a rebuilt or reloaded index answers
-//! identically. Deletions need no sidecar maintenance: the engines are
+//! runtime randomness): a pure function of the sets and of
+//! [`ApproxParams`]. So a segment stores the parameters only — the SIG
+//! block is [`ApproxParams::encode`]'s 16 bytes, see
+//! `persist/segment.rs` — and opening one runs [`MinHashIndex::build`]
+//! over the stored sets, which yields the saved sidecar bit for bit.
+//! Deletions need no sidecar maintenance: the engines are
 //! tombstone-only, and a stale signature can only produce a superset
 //! candidate that downstream verification discards.
 
@@ -57,6 +56,7 @@ use les3_data::{SetId, TokenId};
 
 use crate::metadata::FilterCandidates;
 use crate::partitioning::Partitioning;
+use crate::persist::{le_u32, le_u64};
 use crate::query::SearchOutcome;
 use crate::scratch::WorkerScratch;
 
@@ -145,6 +145,43 @@ impl Default for ApproxParams {
 /// signature per set is already far past useful).
 const MAX_WIDTH: u64 = 8192;
 
+impl ApproxParams {
+    /// The SIG segment block: `bands` u32, `rows` u32, `seed` u64,
+    /// little-endian. Signatures are a pure function of these and the
+    /// sets, so the parameters are all a segment stores.
+    pub fn encode(&self) -> [u8; 16] {
+        let mut out = [0u8; 16];
+        out[..4].copy_from_slice(&self.bands.to_le_bytes());
+        out[4..8].copy_from_slice(&self.rows.to_le_bytes());
+        out[8..].copy_from_slice(&self.seed.to_le_bytes());
+        out
+    }
+
+    /// Decodes [`ApproxParams::encode`]'s bytes, rejecting every shape
+    /// [`MinHashIndex::new`] would panic on before anything is sized
+    /// from it. Errors are descriptive strings (the persistence layer
+    /// wraps them in [`PersistError::Corrupt`](crate::PersistError::Corrupt));
+    /// this function never panics on malformed input.
+    pub fn decode(payload: &[u8]) -> Result<Self, String> {
+        if payload.len() != 16 {
+            return Err(format!(
+                "sidecar parameters are 16 bytes, payload has {}",
+                payload.len()
+            ));
+        }
+        let (bands, rows) = (le_u32(payload), le_u32(&payload[4..]));
+        let seed = le_u64(&payload[8..]);
+        if bands == 0 || rows == 0 {
+            return Err(format!("degenerate sidecar shape {bands}x{rows}"));
+        }
+        let width = bands as u64 * rows as u64;
+        if width > MAX_WIDTH {
+            return Err(format!("signature width {width} exceeds cap {MAX_WIDTH}"));
+        }
+        Ok(Self { bands, rows, seed })
+    }
+}
+
 /// The 64-bit finalizer of splitmix64 — the deterministic mixing
 /// function behind every row hash.
 fn splitmix64(mut z: u64) -> u64 {
@@ -160,9 +197,9 @@ const LANES: usize = 64;
 /// The MinHash signature sidecar: an `n_sets × (bands·rows)` matrix of
 /// row minima in 64-set column-major blocks (see the module docs),
 /// appended to on insert and scanned at query time for band collisions.
-/// Everything is derived deterministically from [`ApproxParams`], so
-/// rebuild, save→load and WAL replay all produce bit-identical
-/// signatures.
+/// Everything is derived deterministically from [`ApproxParams`], so a
+/// rebuild — which is what save→load is — and WAL replay produce
+/// bit-identical signatures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MinHashIndex {
     params: ApproxParams,
@@ -345,78 +382,6 @@ impl MinHashIndex {
             .map(|&(_, s)| Self::inclusion_prob(s, bands, rows))
             .sum();
         (sum / hits.len() as f64).clamp(0.0, 1.0)
-    }
-
-    /// Serializes the sidecar: params, set count, then the signature
-    /// matrix row-major (set by set, `width` values each) — the blocked
-    /// layout is transposed out, so the payload does not depend on it.
-    /// The row seeds are derived, not stored.
-    pub fn encode(&self) -> Vec<u8> {
-        let width = self.width();
-        let mut out = Vec::with_capacity(24 + self.n_sets * width * 8);
-        out.extend_from_slice(&self.params.bands.to_le_bytes());
-        out.extend_from_slice(&self.params.rows.to_le_bytes());
-        out.extend_from_slice(&self.params.seed.to_le_bytes());
-        out.extend_from_slice(&(self.n_sets as u64).to_le_bytes());
-        for id in 0..self.n_sets {
-            let slot = self.slot(id);
-            for col in 0..width {
-                out.extend_from_slice(&self.sigs[slot + col * LANES].to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Decodes a sidecar serialized by [`MinHashIndex::encode`],
-    /// validating every count before any allocation is sized from it.
-    /// Errors are descriptive strings (the persistence layer wraps them
-    /// in [`PersistError::Corrupt`](crate::PersistError::Corrupt));
-    /// this function never panics on malformed input.
-    pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        if payload.len() < 24 {
-            return Err(format!(
-                "sidecar header needs 24 bytes, payload has {}",
-                payload.len()
-            ));
-        }
-        let bands = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
-        let rows = u32::from_le_bytes([payload[4], payload[5], payload[6], payload[7]]);
-        let mut b8 = [0u8; 8];
-        b8.copy_from_slice(&payload[8..16]);
-        let seed = u64::from_le_bytes(b8);
-        b8.copy_from_slice(&payload[16..24]);
-        let n_sets = u64::from_le_bytes(b8);
-        if bands == 0 || rows == 0 {
-            return Err(format!("degenerate sidecar shape {bands}x{rows}"));
-        }
-        let width = bands as u64 * rows as u64;
-        if width > MAX_WIDTH {
-            return Err(format!("signature width {width} exceeds cap {MAX_WIDTH}"));
-        }
-        let body = &payload[24..];
-        let expected = n_sets
-            .checked_mul(width)
-            .and_then(|w| w.checked_mul(8))
-            .ok_or_else(|| "signature matrix size overflows".to_string())?;
-        if body.len() as u64 != expected {
-            return Err(format!(
-                "signature matrix holds {} bytes, {expected} expected for {n_sets} sets of width {width}",
-                body.len()
-            ));
-        }
-        let mut out = Self::new(ApproxParams { bands, rows, seed });
-        out.n_sets = n_sets as usize;
-        let width = width as usize;
-        out.sigs = vec![u64::MAX; out.n_sets.div_ceil(LANES) * width * LANES];
-        for (id, row) in body.chunks_exact(width * 8).enumerate() {
-            let slot = out.slot(id);
-            for (col, c) in row.chunks_exact(8).enumerate() {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(c);
-                out.sigs[slot + col * LANES] = u64::from_le_bytes(a);
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -628,7 +593,6 @@ mod tests {
                 inc.push(set);
             }
             prop_assert_eq!(&inc, &mh);
-            prop_assert_eq!(&MinHashIndex::decode(&mh.encode()).expect("roundtrip"), &mh);
 
             let part = Partitioning::from_assignment(
                 (0..n_sets).map(|i| (splitmix64(seed ^ i as u64) % n_groups as u64) as u32).collect(),
@@ -744,36 +708,38 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrips_bit_for_bit() {
-        let mh = MinHashIndex::build(
-            &tiny_db(),
-            ApproxParams {
-                bands: 3,
-                rows: 2,
-                seed: 42,
-            },
-        );
-        let decoded = MinHashIndex::decode(&mh.encode()).expect("roundtrip");
-        assert_eq!(mh, decoded);
-    }
-
-    #[test]
     fn decode_rejects_malformed_payloads_without_panicking() {
-        let good = MinHashIndex::build(&tiny_db(), ApproxParams::default()).encode();
-        // Truncations at every prefix length.
-        for cut in 0..good.len().min(64) {
-            assert!(MinHashIndex::decode(&good[..cut]).is_err() || cut == good.len());
+        let params = ApproxParams {
+            bands: 3,
+            rows: 2,
+            seed: 42,
+        };
+        let good = params.encode();
+        assert_eq!(ApproxParams::decode(&good), Ok(params));
+        // Every other length: truncations and trailing bytes.
+        for cut in 0..good.len() {
+            assert!(ApproxParams::decode(&good[..cut]).is_err());
         }
-        // A length-field lie.
-        let mut bad = good.clone();
-        bad[16] ^= 0xff; // n_sets
-        assert!(MinHashIndex::decode(&bad).is_err());
-        // Degenerate shape.
-        let mut bad = good.clone();
-        bad[0] = 0;
-        bad[1] = 0;
-        bad[2] = 0;
-        bad[3] = 0;
-        assert!(MinHashIndex::decode(&bad).is_err());
+        assert!(ApproxParams::decode(&[&good[..], &[0]].concat()).is_err());
+        // Degenerate shapes, and a width past what `new` accepts.
+        for (bands, rows) in [(0, 2), (3, 0), (0, 0), (4096, 3), (u32::MAX, u32::MAX)] {
+            let bad = ApproxParams {
+                bands,
+                rows,
+                ..params
+            };
+            assert!(
+                ApproxParams::decode(&bad.encode()).is_err(),
+                "{bands}x{rows}"
+            );
+        }
+        // The cap itself is a shape `new` takes.
+        let widest = ApproxParams {
+            bands: 4096,
+            rows: 2,
+            ..params
+        };
+        assert_eq!(ApproxParams::decode(&widest.encode()), Ok(widest));
+        MinHashIndex::new(widest);
     }
 }

@@ -13,6 +13,7 @@
 use les3_data::{SetDatabase, SetId, TokenId};
 use std::collections::HashMap;
 
+use crate::query::{Kind, Query, SearchOutcome};
 use crate::shard::ShardedLes3Index;
 use crate::sim::Similarity;
 use crate::tgm::Tgm;
@@ -37,39 +38,16 @@ pub struct DeletionLog {
 impl DeletionLog {
     /// Scans the index and counts token occurrences per group.
     pub fn build<S: Similarity>(index: &ShardedLes3Index<S>) -> Self {
-        Self::build_with_tombstones(index.db(), index.partitioning(), &[])
+        Self::count_all(index.db(), index.partitioning())
     }
 
-    /// Rebuilds the log a saved index would carry: `tombstones` are the
-    /// ids already deleted, so only live sets contribute reference
-    /// counts — bit-for-bit the state an in-memory log reaches after the
-    /// same deletions (each delete removes exactly the deleted set's
-    /// token counts).
-    pub(crate) fn build_with_tombstones(
-        db: &SetDatabase,
-        partitioning: &crate::Partitioning,
-        tombstones: &[SetId],
-    ) -> Self {
-        let mut deleted = vec![false; db.len()];
-        for &id in tombstones {
-            deleted[id as usize] = true;
-        }
-        let mut counts: HashMap<(u32, TokenId), u32> = HashMap::new();
-        for (id, set) in db.iter() {
-            if deleted[id as usize] {
-                continue;
-            }
-            let g = partitioning.group_of(id);
-            for t in distinct(set) {
-                *counts.entry((g, t)).or_insert(0) += 1;
-            }
-        }
-        let live = db.len() - tombstones.len();
-        Self {
-            counts,
-            deleted,
-            live,
-        }
+    /// Whether every counted `(group, token)` still has its TGM bit —
+    /// false over an index that some other log has deleted from.
+    pub(crate) fn counted_bits_are_set<S: Similarity>(&self, index: &ShardedLes3Index<S>) -> bool {
+        self.counts.keys().all(|&(g, t)| {
+            let (s, l) = index.locate(g);
+            index.shards[s].tgm.bit(l, t)
+        })
     }
 
     /// The tombstoned set ids, ascending (what persistence writes out).
@@ -113,10 +91,25 @@ impl DeletionLog {
         self.count_out(&index.db, g, id, &mut index.shards[s].tgm, l)
     }
 
-    // The two refcount walks take the index's parts, not the index, so
-    // they are compiled once, in this crate, whatever the similarity
-    // measure: generic over it they are instantiated in the caller's
-    // crate, where each call measured ≈ 0.4 µs slower (`durable_rw`).
+    // The refcount walks take the index's parts, not the index, so they
+    // are compiled once, in this crate, whatever the similarity measure:
+    // generic over it they are instantiated in the caller's crate, where
+    // each call measured ≈ 0.4 µs slower (`durable_rw`).
+
+    fn count_all(db: &SetDatabase, partitioning: &crate::Partitioning) -> Self {
+        let mut counts: HashMap<(u32, TokenId), u32> = HashMap::new();
+        for (id, set) in db.iter() {
+            let g = partitioning.group_of(id);
+            for t in distinct(set) {
+                *counts.entry((g, t)).or_insert(0) += 1;
+            }
+        }
+        Self {
+            counts,
+            deleted: vec![false; db.len()],
+            live: db.len(),
+        }
+    }
 
     fn count_in(&mut self, db: &SetDatabase, g: u32, id: SetId) {
         for t in distinct(db.set(id)) {
@@ -162,6 +155,29 @@ impl DeletionLog {
     /// hits survive.
     pub fn filter_hits(&self, hits: &mut Vec<(SetId, f64)>) {
         hits.retain(|&(id, _)| !self.is_deleted(id));
+    }
+
+    /// Answers `q` over the live sets only, through `search` (an engine
+    /// that knows nothing of tombstones). A kNN over-fetches past every
+    /// tombstone: at most that many hits can be dropped afterwards, so
+    /// `k + deleted` guarantees k live answers whenever they exist.
+    /// Partial (anytime) answers pass through the same filter and
+    /// truncation.
+    pub(crate) fn search_live(
+        &self,
+        q: &Query<'_>,
+        search: impl FnOnce(&Query<'_>) -> SearchOutcome,
+    ) -> SearchOutcome {
+        let kind = match q.kind {
+            Kind::Knn(k) => Kind::Knn(k.saturating_add(self.deleted.len() - self.live)),
+            range => range,
+        };
+        let (mut res, info) = search(&Query { kind, ..*q })?;
+        self.filter_hits(&mut res.hits);
+        if let Kind::Knn(k) = q.kind {
+            res.hits.truncate(k);
+        }
+        Ok((res, info))
     }
 }
 

@@ -81,7 +81,7 @@ impl<S: Similarity> Les3Index<S> {
     }
 
     /// Wraps an engine that has exactly one shard (the persist layer
-    /// reassembles one from every segment without a SHARDS block).
+    /// builds one from every segment without a SHARDS block).
     pub(crate) fn from_one_shard(engine: ShardedLes3Index<S>) -> Self {
         assert_eq!(engine.n_shards(), 1, "a flat index is the 1-shard engine");
         Self(engine)
@@ -224,25 +224,6 @@ impl VerifyOrder {
                 // Members arrive in ascending id order; the (length, id)
                 // tuple sort keeps ids ascending within equal lengths.
                 pairs.sort_unstable();
-                std::sync::RwLock::new(GroupOrder {
-                    ids: pairs.iter().map(|&(_, id)| id).collect(),
-                    lens: pairs.iter().map(|&(len, _)| len).collect(),
-                    tail: Vec::new(),
-                })
-            })
-            .collect();
-        Self { groups }
-    }
-
-    /// Rebuilds the order from per-group `(length, id)` runs already
-    /// sorted ascending (the persisted form): entry `i` serves the
-    /// caller's group id `i`. The persist layer validates sortedness
-    /// before calling.
-    pub(crate) fn from_sorted_runs(runs: Vec<Vec<(u32, SetId)>>) -> Self {
-        let groups = runs
-            .into_iter()
-            .map(|pairs| {
-                debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]));
                 std::sync::RwLock::new(GroupOrder {
                     ids: pairs.iter().map(|&(_, id)| id).collect(),
                     lens: pairs.iter().map(|&(len, _)| len).collect(),
@@ -649,19 +630,17 @@ mod tests {
 
         let db = ZipfianGenerator::new(200, 120, 6.0, 1.1).generate(47);
         let part = random_partitioning(db.len(), 7, 5);
-        let mut index = Les3Index::build(db, part, Jaccard);
-        check(&index);
-        let mut log = crate::DeletionLog::build(&index);
-        for i in 0..30u32 {
-            let (id, _) = index.insert(&mut [i % 9, 40 + i, 500 + i]);
-            log.note_insert(&index, id);
-            assert!(log.delete(&mut index, i * 5));
-        }
+        let index = Les3Index::build(db, part, Jaccard);
         check(&index);
 
         let dir = std::env::temp_dir().join(format!("les3-one-shard-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let mut durable = DurableIndex::create(&dir, index).unwrap();
+        for i in 0..30u32 {
+            durable.insert(&mut [i % 9, 40 + i, 500 + i]).unwrap();
+            assert!(durable.delete(i * 5).unwrap());
+        }
+        check(durable.backend());
         durable.insert(&mut [3, 4, 900]).unwrap();
         assert!(durable.delete(1).unwrap());
         durable.checkpoint().unwrap();

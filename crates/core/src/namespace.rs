@@ -61,7 +61,7 @@ use crate::index::{Les3Index, SearchResult};
 use crate::metadata::{Filters, MetaError, MetadataIndex, MAX_ATTRS_PER_SET, MAX_ATTR_STR};
 use crate::partitioning::Partitioning;
 use crate::persist::{self, DurableIndex, PersistError};
-use crate::query::{Kind, Query, SearchOutcome};
+use crate::query::{Query, SearchOutcome};
 use crate::serve::ServeBackend;
 use crate::shard::{ShardPolicy, ShardedLes3Index};
 use crate::sim::{Cosine, Dice, Jaccard, OverlapCoefficient, Similarity};
@@ -236,29 +236,16 @@ impl<E: ServeBackend> NsIndex<E> {
 
 impl<E: ServeBackend> NsBackend for NsIndex<E> {
     fn search(&self, q: &Query<'_>, filters: &Filters, mode: ApproxPolicy) -> SearchOutcome {
-        let engine = self.engine.sharded();
-        let cand = self.meta.candidates(filters, engine.partitioning());
-        // kNN over-fetches past every tombstone: at most `deleted` hits
-        // can be filtered out below, so `k + deleted` guarantees k live
-        // answers whenever they exist. Partial (anytime) results pass
-        // through the same tombstone filter and truncation.
-        let deleted = engine.db().len() - self.deletes.live_count();
-        let kind = match q.kind {
-            Kind::Knn(k) => Kind::Knn(k.saturating_add(deleted)),
-            range => range,
-        };
+        let cand = self
+            .meta
+            .candidates(filters, self.engine.sharded().partitioning());
         let mask = cand.as_ref();
-        let mut scratch = self.take_scratch();
-        let out = self
-            .engine
-            .search_approx(&Query { kind, mask, ..*q }, mode, &mut scratch);
-        self.put_scratch(scratch);
-        let (mut res, info) = out?;
-        self.deletes.filter_hits(&mut res.hits);
-        if let Kind::Knn(k) = q.kind {
-            res.hits.truncate(k);
-        }
-        Ok((res, info))
+        self.deletes.search_live(&Query { mask, ..*q }, |q| {
+            let mut scratch = self.take_scratch();
+            let out = self.engine.search_approx(q, mode, &mut scratch);
+            self.put_scratch(scratch);
+            out
+        })
     }
 
     fn insert(&mut self, tokens: &mut [TokenId], attrs: &[(String, String)]) -> (SetId, u32) {

@@ -8,18 +8,23 @@
 //! directory:
 //!
 //! * `segment` — the immutable snapshot (see [`segment`](self) block
-//!   format docs in `segment.rs`): database, partitioning assignment,
-//!   the exact TGM token columns (reusing `Bitmap::serialize`),
-//!   length-sorted member runs, shard layout and tombstones, all in
-//!   CRC32-checksummed length-prefixed blocks, written to a tmp file,
-//!   fsynced and renamed into place;
+//!   format docs in `segment.rs`): the facts — database, partitioning
+//!   assignment, shard layout, tombstones, attributes and the sidecar's
+//!   parameters — in CRC32-checksummed length-prefixed blocks, written
+//!   to a tmp file, fsynced and renamed into place. Nothing derived from
+//!   them is stored;
 //! * `wal-<epoch>` — checksummed mutation records appended **before**
 //!   each in-memory insert/delete and replayed on open. A truncated or
 //!   corrupt *tail* record is the clean end of the log (a torn final
 //!   write); a corrupt *interior* record is a hard, descriptive error.
 //!
-//! Recovery is bit-for-bit: the segment stores the exact column bits
-//! and verification runs of the live index, and WAL replay routes
+//! Recovery is bit-for-bit because open ≡ build: the TGM, the
+//! verification order, the deletion refcounts and the MinHash signatures
+//! are pure functions of what the segment stores, and
+//! [`DurableIndex::open`] computes them with the code a fresh index is
+//! built by (`ShardedLes3Index::from_layout`, which
+//! [`build`](crate::ShardedLes3Index::build) ends in too), applies the
+//! tombstones through [`DeletionLog::delete`] and replays the WAL tail
 //! through the same deterministic
 //! [`insert`](crate::ShardedLes3Index::insert) / [`DeletionLog`] code
 //! paths the live index used, so a reopened
@@ -50,17 +55,15 @@ mod wal;
 use crate::sync::Arc;
 use std::path::{Path, PathBuf};
 
-use les3_bitmap::Bitmap;
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use crate::approx::MinHashIndex;
+use crate::approx::ApproxParams;
 use crate::delete::DeletionLog;
-use crate::index::{Les3Index, VerifyOrder};
+use crate::index::Les3Index;
 use crate::metadata::MetadataIndex;
 use crate::partitioning::Partitioning;
-use crate::shard::{Shard, ShardedLes3Index};
+use crate::shard::ShardedLes3Index;
 use crate::sim::Similarity;
-use crate::tgm::Tgm;
 
 use io::{PersistIo, RealIo, WriteSync};
 pub use segment::SegmentMeta;
@@ -94,8 +97,8 @@ pub enum PersistError {
     UnsupportedVersion(u32),
     /// A segment section violates its invariants.
     Corrupt {
-        /// Which section (META, ASSIGN, SETS, TGM, RUNS, SHARDS, TOMBS,
-        /// block, END) failed validation.
+        /// Which section (header, META, ASSIGN, SETS, SHARDS, TOMBS,
+        /// METADATA, SIG, block, END) failed validation.
         section: &'static str,
         /// What exactly was wrong.
         detail: String,
@@ -191,19 +194,15 @@ pub struct LoadedParts<S: Similarity> {
     sim: S,
     db: SetDatabase,
     partitioning: Partitioning,
-    /// Global token columns, indexed by token id, length = universe.
-    columns: Vec<Bitmap>,
-    /// Per-group `(distinct length, id)` runs, ascending.
-    runs: Vec<Vec<(u32, SetId)>>,
     /// Present iff the segment carries a SHARDS block.
     shard_of_group: Option<Vec<u32>>,
     n_shards: u32,
-    /// The MinHash sidecar, present iff the segment carries a SIG
-    /// block (the approximate tier was enabled when it was saved).
-    approx: Option<MinHashIndex>,
+    /// The MinHash sidecar's parameters, present iff the segment carries
+    /// a SIG block (the approximate tier was enabled when it was saved).
+    approx: Option<ApproxParams>,
 }
 
-/// An index that can be saved to and reassembled from a segment: the
+/// An index that can be saved to and rebuilt from a segment: the
 /// one engine, [`ShardedLes3Index`], under one of its two on-disk kinds.
 /// Implemented by [`ShardedLes3Index`] itself (segments with a SHARDS
 /// block) and by [`Les3Index`], the 1-shard engine whose segments carry
@@ -222,8 +221,8 @@ pub trait PersistentBackend: Sized {
     /// The engine, for inserts and deletes. Replacing it wholesale with
     /// one of another shard count is not supported.
     fn sharded_mut(&mut self) -> &mut ShardedLes3Index<Self::Sim>;
-    /// Reassembles the backend from validated segment parts of its own
-    /// kind.
+    /// Builds the backend from validated segment parts of its own kind
+    /// (no tombstone applied yet).
     fn assemble(parts: LoadedParts<Self::Sim>) -> Self;
 
     /// "flat" or "sharded".
@@ -284,86 +283,21 @@ impl<S: Similarity> PersistentBackend for ShardedLes3Index<S> {
     /// A segment without a SHARDS block *is* the 1-shard engine: every
     /// group in shard 0.
     fn assemble(parts: LoadedParts<S>) -> Self {
-        let n_groups = parts.partitioning.n_groups();
         let n_shards = (parts.n_shards as usize).max(1);
-        let shard_of_group = parts.shard_of_group.unwrap_or_else(|| vec![0; n_groups]);
-        let mut groups_per: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        let mut local_of_group = vec![0u32; n_groups];
-        for (g, &s) in shard_of_group.iter().enumerate() {
-            local_of_group[g] = groups_per[s as usize].len() as u32;
-            groups_per[s as usize].push(g as u32);
-        }
-        let shards: Vec<Shard> = if let [groups] = &mut groups_per[..] {
-            // One shard owns every group: local ids are the global ones,
-            // so the stored columns and runs are the shard's as they are.
-            vec![Shard {
-                tgm: Tgm::from_columns(n_groups, parts.columns),
-                verify: VerifyOrder::from_sorted_runs(parts.runs),
-                groups: std::mem::take(groups),
-            }]
-        } else {
-            // Scatter each global column back into per-shard local
-            // columns — the exact inverse of `global_column`.
-            let universe = parts.db.universe_size() as usize;
-            let mut cols: Vec<Vec<Bitmap>> = (0..n_shards)
-                .map(|_| vec![Bitmap::new(); universe])
-                .collect();
-            let mut runs_of: Vec<Vec<Vec<(u32, SetId)>>> = vec![Vec::new(); n_shards];
-            for (t, col) in parts.columns.iter().enumerate() {
-                for g in col.iter() {
-                    let s = shard_of_group[g as usize] as usize;
-                    cols[s][t].insert(local_of_group[g as usize]);
-                }
-            }
-            for (g, run) in parts.runs.into_iter().enumerate() {
-                runs_of[shard_of_group[g] as usize].push(run);
-            }
-            groups_per
-                .into_iter()
-                .zip(cols)
-                .zip(runs_of)
-                .map(|((groups, c), runs)| Shard {
-                    tgm: Tgm::from_columns(groups.len(), c),
-                    verify: VerifyOrder::from_sorted_runs(runs),
-                    groups,
-                })
-                .collect()
-        };
-        ShardedLes3Index {
-            db: parts.db,
-            partitioning: parts.partitioning,
-            sim: parts.sim,
-            shards,
+        let shard_of_group = parts
+            .shard_of_group
+            .unwrap_or_else(|| vec![0; parts.partitioning.n_groups()]);
+        let mut engine = Self::from_layout(
+            parts.db,
+            parts.partitioning,
+            parts.sim,
             shard_of_group,
-            local_of_group,
-            approx: parts.approx,
+            n_shards,
+        );
+        if let Some(params) = parts.approx {
+            engine.enable_approx(params);
         }
-    }
-}
-
-impl<S: Similarity> ShardedLes3Index<S> {
-    /// The global TGM column of token `t` (empty if the token appears
-    /// nowhere). Saving walks tokens one at a time so no second copy of
-    /// the matrix is ever resident.
-    pub(crate) fn global_column(&self, t: TokenId) -> Bitmap {
-        if let Some(shard) = self.sole_shard() {
-            // Local ids are the global ones: the shard's column, as it
-            // is stored, is the global column.
-            let column = shard.tgm.columns().get(t as usize);
-            return column.cloned().unwrap_or_default();
-        }
-        // The union of the shard columns with local group ids mapped
-        // back to global ones (a shard's column is exactly the global
-        // column restricted to its groups).
-        let mut out = Bitmap::new();
-        for shard in &self.shards {
-            if let Some(col) = shard.tgm.columns().get(t as usize) {
-                for l in col.iter() {
-                    out.insert(shard.groups[l as usize]);
-                }
-            }
-        }
-        out
+        engine
     }
 }
 
@@ -476,12 +410,19 @@ impl<B: PersistentBackend> DurableIndex<B> {
     /// Saves `backend` into `dir` (created if needed) as epoch 0 and
     /// returns the durable wrapper. Fails if `dir` already holds a
     /// segment — open that instead.
+    ///
+    /// `backend` must be one no [`DeletionLog`] has deleted from: the
+    /// wrapper starts a fresh log, which would believe those sets live
+    /// while their group's bound no longer covers them (checked in debug
+    /// builds). An index with deletions goes to disk with its log's
+    /// tombstones — [`save_index`]`(backend, tombstones, dir)` — and
+    /// comes back through [`DurableIndex::open`].
     pub fn create(dir: impl Into<PathBuf>, backend: B) -> Result<Self, PersistError> {
         Self::create_with(dir, backend, Arc::new(RealIo), DurableOptions::default())
     }
 
-    /// [`DurableIndex::create`] with injectable I/O and options (the
-    /// fault-injection harness passes a
+    /// [`DurableIndex::create`] — same contract on `backend` — with
+    /// injectable I/O and options (the fault-injection harness passes a
     /// [`FaultyIo`](io::FaultyIo) here).
     pub fn create_with(
         dir: impl Into<PathBuf>,
@@ -498,6 +439,10 @@ impl<B: PersistentBackend> DurableIndex<B> {
             });
         }
         let log = DeletionLog::build(backend.sharded());
+        debug_assert!(
+            log.counted_bits_are_set(backend.sharded()),
+            "create: the backend has been deleted from; save_index it with its tombstones and open"
+        );
         let mut meta = MetadataIndex::new();
         meta.push_empty(backend.sharded().db().len());
         let wal = write_checkpoint(io.as_ref(), &dir, &backend, &[], &meta, 0)?;
@@ -514,9 +459,10 @@ impl<B: PersistentBackend> DurableIndex<B> {
     }
 
     /// Opens the index saved in `dir`: reads and validates the segment,
-    /// reassembles the backend, then replays the WAL tail through the
-    /// same deterministic mutation paths the live index used. `sim`
-    /// must match the measure the segment was saved with.
+    /// builds the backend from it, deletes its tombstones, then replays
+    /// the WAL tail — all through the same deterministic paths the live
+    /// index used. `sim` must match the measure the segment was saved
+    /// with.
     pub fn open(dir: impl Into<PathBuf>, sim: B::Sim) -> Result<Self, PersistError> {
         Self::open_with(dir, sim, Arc::new(RealIo), DurableOptions::default())
     }
@@ -550,15 +496,18 @@ impl<B: PersistentBackend> DurableIndex<B> {
             sim,
             db: raw.db,
             partitioning: raw.partitioning,
-            columns: raw.columns,
-            runs: raw.runs,
             shard_of_group: raw.shard_of_group,
             n_shards: raw.n_shards,
             approx: raw.approx,
         });
+        // Tombstones go through the live delete path: the refcounts and
+        // the cleared TGM bits are what the same deletions left behind in
+        // the index that was saved.
         let engine = backend.sharded_mut();
-        let mut log =
-            DeletionLog::build_with_tombstones(engine.db(), engine.partitioning(), &tombstones);
+        let mut log = DeletionLog::build(engine);
+        for &id in &tombstones {
+            log.delete(engine, id);
+        }
         // Segments without a METADATA block (attribute-free or written
         // before metadata existed) mean "no set has attributes".
         if meta.n_sets() < engine.db().len() {
@@ -644,8 +593,10 @@ impl<B: PersistentBackend> DurableIndex<B> {
         &self.meta
     }
 
-    /// Consumes the wrapper, yielding the backend and deletion log
-    /// (serving wants the bare backend).
+    /// Consumes the wrapper, yielding the backend and deletion log. The
+    /// engine is tombstone-only, so the log has to travel with it
+    /// (serving takes the pair:
+    /// [`ServeFront::with_tombstones`](crate::ServeFront::with_tombstones)).
     pub fn into_backend(self) -> (B, DeletionLog) {
         (self.backend, self.log)
     }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! u32  magic "LS3S"
-//! u32  format version (currently 1)
+//! u32  format version (currently 2)
 //! per block:
 //!   u32  kind
 //!   u32  payload length
@@ -18,38 +18,44 @@
 //! | 1 | META    | epoch u64, n_shards u32 (0 = flat), universe u32, n_sets u64, n_groups u64, sim name (u32 len + bytes) |
 //! | 2 | ASSIGN  | u32 count, count × u32 group-of-set, in set-id order |
 //! | 3 | SETS    | u32 count, count × (u32 len, len × u32 sorted tokens) |
-//! | 4 | TGM     | u32 count, count × (u32 token, u32 nbytes, `Bitmap::serialize` bytes), tokens ascending |
-//! | 5 | RUNS    | u32 count, count × (u32 group, u32 n, n × (u32 len, u32 id)), groups ascending |
 //! | 6 | SHARDS  | u32 count, count × u32 shard-of-group (sharded only) |
 //! | 7 | TOMBS   | u32 count, count × u32 deleted set ids, ascending |
 //! | 8 | METADATA | `MetadataIndex::encode` bytes (only when attributes exist) |
-//! | 9 | SIG     | `MinHashIndex::encode` bytes (only when the approximate tier is enabled) |
+//! | 9 | SIG     | `ApproxParams::encode` bytes: bands u32, rows u32, seed u64 (only when the approximate tier is enabled) |
 //! | 0 | END     | u64 number of preceding blocks |
 //!
-//! Multi-entry sections (ASSIGN/SETS/TGM/RUNS) may span several blocks;
-//! blocks are flushed near [`BLOCK_BUDGET`] bytes so saving streams
-//! entry by entry and never materializes the index a second time. The
-//! END block must be last and count every preceding block — a segment
-//! truncated at a block boundary is detected by its absence, and a
-//! segment truncated or corrupted mid-block by the length prefix or the
-//! CRC. All integers are little-endian.
+//! A segment stores what cannot be recomputed — the sets, the learned
+//! assignment, the shard layout, the tombstones, the attributes, the
+//! sidecar's parameters — and nothing derived from them: the TGM, the
+//! verification order, the deletion refcounts and the MinHash signatures
+//! are rebuilt at open by the code a fresh index is built by. Kinds 4
+//! (TGM) and 5 (RUNS) belonged to format version 1, which stored a copy
+//! of that derived state; they are unknown kinds now and a version-1
+//! file is [`PersistError::UnsupportedVersion`].
+//!
+//! Multi-entry sections (ASSIGN/SETS) may span several blocks; blocks
+//! are flushed near [`BLOCK_BUDGET`] bytes so saving streams entry by
+//! entry and never materializes the index a second time. The END block
+//! must be last and count every preceding block — a segment truncated at
+//! a block boundary is detected by its absence, and a segment truncated
+//! or corrupted mid-block by the length prefix or the CRC. All integers
+//! are little-endian.
 
-use les3_bitmap::Bitmap;
 use les3_data::{SetDatabase, SetId, TokenId};
 
 use super::io::{crc32, PersistIo, WriteSync};
 use super::{PersistError, PersistentBackend};
-use crate::approx::MinHashIndex;
+use crate::approx::ApproxParams;
 use crate::metadata::MetadataIndex;
 use crate::partitioning::Partitioning;
-use crate::sim::{distinct_len, Similarity};
+use crate::sim::Similarity;
 
 pub(crate) const MAGIC: u32 = 0x4c53_3353; // "LS3S"
-pub(crate) const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 2;
 
 /// Flush threshold for multi-entry blocks. One entry may exceed it (a
-/// huge set or column gets its own oversized block); the reader caps
-/// block length at [`MAX_BLOCK`] instead.
+/// huge set gets its own oversized block); the reader caps block length
+/// at [`MAX_BLOCK`] instead.
 const BLOCK_BUDGET: usize = 64 << 10;
 
 /// Upper bound a reader will believe for one block's payload length.
@@ -59,8 +65,6 @@ pub(crate) const KIND_END: u32 = 0;
 pub(crate) const KIND_META: u32 = 1;
 pub(crate) const KIND_ASSIGN: u32 = 2;
 pub(crate) const KIND_SETS: u32 = 3;
-pub(crate) const KIND_TGM: u32 = 4;
-pub(crate) const KIND_RUNS: u32 = 5;
 pub(crate) const KIND_SHARDS: u32 = 6;
 pub(crate) const KIND_TOMBS: u32 = 7;
 pub(crate) const KIND_METADATA: u32 = 8;
@@ -152,7 +156,7 @@ impl<'a> SectionWriter<'a> {
 
 /// Writes a complete segment for `backend` + `tombstones` to `path`
 /// (typically a tmp name the caller renames into place). Streams: at no
-/// point is more than one block (plus one token column) resident.
+/// point is more than one block resident.
 pub(crate) fn write_segment<B: PersistentBackend>(
     io: &dyn PersistIo,
     path: &std::path::Path,
@@ -196,45 +200,6 @@ pub(crate) fn write_segment<B: PersistentBackend>(
     }
     sec.finish()?;
 
-    let mut sec = SectionWriter::new(&mut w, KIND_TGM);
-    for t in 0..db.universe_size() {
-        let col = engine.global_column(t);
-        if col.is_empty() {
-            continue;
-        }
-        let bytes = col.serialize();
-        sec.entry(|buf| {
-            buf.extend_from_slice(&t.to_le_bytes());
-            buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&bytes);
-        })?;
-    }
-    sec.finish()?;
-
-    let mut sec = SectionWriter::new(&mut w, KIND_RUNS);
-    let mut pairs: Vec<(u32, SetId)> = Vec::new();
-    for g in 0..partitioning.n_groups() as u32 {
-        pairs.clear();
-        pairs.extend(
-            partitioning
-                .members(g)
-                .iter()
-                .map(|&id| (distinct_len(db.set(id)) as u32, id)),
-        );
-        // The live verification order is exactly the members sorted by
-        // (distinct length, id) once any lazy insert tail is merged.
-        pairs.sort_unstable();
-        sec.entry(|buf| {
-            buf.extend_from_slice(&g.to_le_bytes());
-            buf.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-            for &(len, id) in &pairs {
-                buf.extend_from_slice(&len.to_le_bytes());
-                buf.extend_from_slice(&id.to_le_bytes());
-            }
-        })?;
-    }
-    sec.finish()?;
-
     if let Some(sog) = backend.shard_layout() {
         let mut payload = Vec::with_capacity(4 + 4 * sog.len());
         payload.extend_from_slice(&(sog.len() as u32).to_le_bytes());
@@ -258,12 +223,11 @@ pub(crate) fn write_segment<B: PersistentBackend>(
         w.write_block(KIND_METADATA, &metadata.encode())?;
     }
 
-    // The MinHash sidecar of the approximate tier travels as an
-    // optional SIG block; absence means the tier was never enabled and
-    // the reopened index answers only exact queries until
-    // `enable_approx` rebuilds it.
+    // The approximate tier travels as its parameters: absence means the
+    // tier was never enabled and the reopened index answers only exact
+    // queries until `enable_approx` builds a sidecar.
     if let Some(mh) = engine.approx_sidecar() {
-        w.write_block(KIND_SIG, &mh.encode())?;
+        w.write_block(KIND_SIG, &mh.params().encode())?;
     }
 
     w.finish()
@@ -278,18 +242,14 @@ pub(crate) struct RawSegment {
     pub(crate) n_shards: u32,
     pub(crate) db: SetDatabase,
     pub(crate) partitioning: Partitioning,
-    /// Global token columns, indexed by token id, length = universe.
-    pub(crate) columns: Vec<Bitmap>,
-    /// Per-group `(distinct length, id)` pairs, ascending.
-    pub(crate) runs: Vec<Vec<(u32, SetId)>>,
     pub(crate) shard_of_group: Option<Vec<u32>>,
     pub(crate) tombstones: Vec<SetId>,
     /// Attribute metadata; `None` when the segment has no METADATA block
     /// (attribute-free index or a pre-metadata segment).
     pub(crate) metadata: Option<MetadataIndex>,
-    /// The MinHash sidecar; `None` when the segment has no SIG block
-    /// (the approximate tier was not enabled at save time).
-    pub(crate) approx: Option<MinHashIndex>,
+    /// The MinHash sidecar's parameters; `None` when the segment has no
+    /// SIG block (the approximate tier was not enabled at save time).
+    pub(crate) approx: Option<ApproxParams>,
 }
 
 struct Reader<'a> {
@@ -467,12 +427,10 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
     let mut meta: Option<SegmentMeta> = None;
     let mut assignment: Vec<u32> = Vec::new();
     let mut sets: Vec<Vec<TokenId>> = Vec::new();
-    let mut columns: Vec<(TokenId, Bitmap)> = Vec::new();
-    let mut runs: Vec<(u32, Vec<(u32, SetId)>)> = Vec::new();
     let mut shard_of_group: Option<Vec<u32>> = None;
     let mut tombstones: Option<Vec<SetId>> = None;
     let mut metadata: Option<MetadataIndex> = None;
-    let mut approx: Option<MinHashIndex> = None;
+    let mut approx: Option<ApproxParams> = None;
 
     for_each_block(&bytes, |kind, payload| {
         if kind != KIND_META && meta.is_none() {
@@ -525,66 +483,6 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
                 }
                 if !r.done() {
                     return Err(corrupt("SETS", "trailing bytes"));
-                }
-            }
-            KIND_TGM => {
-                let mut r = Reader {
-                    buf: payload,
-                    pos: 0,
-                    section: "TGM",
-                };
-                let n = r.u32()? as usize;
-                for _ in 0..n {
-                    let token = r.u32()?;
-                    if let Some(&(prev, _)) = columns.last() {
-                        if token <= prev {
-                            return Err(corrupt("TGM", "token columns out of order"));
-                        }
-                    }
-                    let nbytes = r.u32()? as usize;
-                    let col = Bitmap::deserialize(r.take(nbytes)?)
-                        .map_err(|e| corrupt("TGM", format!("column {token}: {e}")))?;
-                    if col.is_empty() {
-                        return Err(corrupt("TGM", format!("column {token} is empty")));
-                    }
-                    columns.push((token, col));
-                }
-                if !r.done() {
-                    return Err(corrupt("TGM", "trailing bytes"));
-                }
-            }
-            KIND_RUNS => {
-                let mut r = Reader {
-                    buf: payload,
-                    pos: 0,
-                    section: "RUNS",
-                };
-                let n = r.u32()? as usize;
-                for _ in 0..n {
-                    let g = r.u32()?;
-                    if g as usize != runs.len() {
-                        return Err(corrupt("RUNS", "groups out of order or missing"));
-                    }
-                    let members = r.u32()? as usize;
-                    if members > r.remaining() / 8 {
-                        return Err(corrupt("RUNS", "member count exceeds payload"));
-                    }
-                    let mut pairs = Vec::with_capacity(members);
-                    for _ in 0..members {
-                        let len = r.u32()?;
-                        let id = r.u32()?;
-                        pairs.push((len, id));
-                    }
-                    if pairs.windows(2).any(|w| w[0] >= w[1]) {
-                        return Err(corrupt(
-                            "RUNS",
-                            format!("group {g} pairs not strictly (length, id) sorted"),
-                        ));
-                    }
-                    runs.push((g, pairs));
-                }
-                if !r.done() {
-                    return Err(corrupt("RUNS", "trailing bytes"));
                 }
             }
             KIND_SHARDS => {
@@ -647,7 +545,7 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
                 if approx.is_some() {
                     return Err(corrupt("SIG", "duplicate SIG block"));
                 }
-                approx = Some(MinHashIndex::decode(payload).map_err(|e| corrupt("SIG", e))?);
+                approx = Some(ApproxParams::decode(payload).map_err(|e| corrupt("SIG", e))?);
             }
             other => {
                 return Err(corrupt("block", format!("unknown block kind {other}")));
@@ -659,8 +557,8 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
     let meta = meta.ok_or_else(|| corrupt("META", "segment has no META block"))?;
     let tombstones = tombstones.ok_or_else(|| corrupt("TOMBS", "segment has no TOMBS block"))?;
 
-    // Cross-section validation: every count, id and bit must agree with
-    // META before any structure is built from them.
+    // Cross-section validation: every count and id must agree with META
+    // before any structure is built from them.
     let n_sets = meta.n_sets as usize;
     let n_groups = meta.n_groups as usize;
     if assignment.len() != n_sets {
@@ -688,61 +586,6 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
     // Out-of-range groups were rejected above, so this cannot panic
     // (with zero groups, any assigned set already failed that check).
     let partitioning = Partitioning::from_assignment(assignment, n_groups);
-
-    if runs.len() != n_groups {
-        return Err(corrupt(
-            "RUNS",
-            format!("{} groups present, {n_groups} expected", runs.len()),
-        ));
-    }
-    let runs: Vec<Vec<(u32, SetId)>> = runs.into_iter().map(|(_, pairs)| pairs).collect();
-    for (g, pairs) in runs.iter().enumerate() {
-        let members = partitioning.members(g as u32);
-        if pairs.len() != members.len() {
-            return Err(corrupt(
-                "RUNS",
-                format!(
-                    "group {g} lists {} of {} members",
-                    pairs.len(),
-                    members.len()
-                ),
-            ));
-        }
-        for &(len, id) in pairs {
-            if id as usize >= n_sets {
-                return Err(corrupt("RUNS", format!("member id {id} out of range")));
-            }
-            if partitioning.group_of(id) as usize != g {
-                return Err(corrupt(
-                    "RUNS",
-                    format!("member {id} listed under group {g} but assigned elsewhere"),
-                ));
-            }
-            if len as usize != distinct_len(db.set(id)) {
-                return Err(corrupt(
-                    "RUNS",
-                    format!("member {id} length {len} disagrees with its set"),
-                ));
-            }
-        }
-    }
-
-    let mut full_columns = vec![Bitmap::new(); meta.universe as usize];
-    for (token, col) in columns {
-        if token >= meta.universe {
-            return Err(corrupt(
-                "TGM",
-                format!("token {token} outside the universe"),
-            ));
-        }
-        if col.max().is_some_and(|g| g as usize >= n_groups) {
-            return Err(corrupt(
-                "TGM",
-                format!("column {token} sets a bit beyond the groups"),
-            ));
-        }
-        full_columns[token as usize] = col;
-    }
 
     if let Some(sog) = &shard_of_group {
         if meta.n_shards == 0 {
@@ -774,23 +617,12 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
         }
     }
 
-    if let Some(mh) = &approx {
-        if mh.n_sets() != n_sets {
-            return Err(corrupt(
-                "SIG",
-                format!("signatures cover {} of {n_sets} sets", mh.n_sets()),
-            ));
-        }
-    }
-
     Ok(RawSegment {
         epoch: meta.epoch,
         sim_name: meta.sim_name,
         n_shards: meta.n_shards,
         db,
         partitioning,
-        columns: full_columns,
-        runs,
         shard_of_group,
         tombstones,
         metadata,

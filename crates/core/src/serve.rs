@@ -142,6 +142,7 @@ use les3_data::TokenId;
 use crate::approx::{self, ApproxInfo, ApproxPolicy};
 use crate::batch::{lock_unpoisoned, WorkerPool};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
+use crate::delete::DeletionLog;
 use crate::index::SearchResult;
 use crate::metadata::Filters;
 use crate::namespace::{Namespace, Namespaces};
@@ -683,6 +684,10 @@ struct Request {
 /// with the front.
 struct Executor<B: ServeBackend> {
     backend: Arc<B>,
+    /// The log a reloaded backend came with: the default route answers
+    /// over its live sets only. `None` for a backend nothing was deleted
+    /// from, whose answers are the engine's as they are.
+    deletes: Option<DeletionLog>,
     shared: Arc<FrontShared>,
 }
 
@@ -714,7 +719,12 @@ impl<B: ServeBackend> Executor<B> {
             ..Query::new(&req.query, req.kind)
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| match &req.target {
-            Target::Backend => self.backend.search_approx(&q, req.mode, scratch),
+            Target::Backend => match &self.deletes {
+                None => self.backend.search_approx(&q, req.mode, scratch),
+                Some(log) => {
+                    log.search_live(&q, |q| self.backend.search_approx(q, req.mode, scratch))
+                }
+            },
             Target::Ns(ns, filters) => ns.search(&q, filters, req.mode),
         }));
         match outcome {
@@ -811,10 +821,25 @@ impl<B: ServeBackend> ServeFront<B> {
     /// [`knn`](crate::ShardedLes3Index::knn) calls on the same `Arc` stay
     /// available alongside served ones (and return identical results).
     pub fn from_arc(backend: Arc<B>, config: ServeConfig) -> Self {
+        Self::with_tombstones(backend, None, config)
+    }
+
+    /// [`ServeFront::from_arc`] over a backend that was reloaded with
+    /// tombstones ([`DurableIndex::into_backend`](crate::DurableIndex::into_backend)
+    /// yields the pair): the default route never returns a set `deletes`
+    /// holds deleted, and a kNN still comes back with `k` live hits —
+    /// the answer a [`Namespace`] gives over its own log. With `None`
+    /// the engine's answers pass through untouched.
+    pub fn with_tombstones(
+        backend: Arc<B>,
+        deletes: Option<DeletionLog>,
+        config: ServeConfig,
+    ) -> Self {
         let pool_workers = config.effective_workers();
         let shared = Arc::new(FrontShared::new(config.queue_capacity, pool_workers));
         let executor = Executor {
             backend: Arc::clone(&backend),
+            deletes,
             shared: Arc::clone(&shared),
         };
         let pool = WorkerPool::new(

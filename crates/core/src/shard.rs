@@ -206,10 +206,24 @@ impl<S: Similarity> ShardedLes3Index<S> {
             partitioning.n_sets(),
             "partitioning must cover the database"
         );
-        let n_groups = partitioning.n_groups();
         let shard_of_group = policy.assign(&partitioning, n_shards);
+        Self::from_layout(db, partitioning, sim, shard_of_group, n_shards)
+    }
+
+    /// The engine over `db` + `partitioning` under a given group → shard
+    /// layout (every entry `< n_shards`, one per group): the one place
+    /// shards are made, shared by [`ShardedLes3Index::build`] and the
+    /// persistence layer's reopen — a segment stores the layout, not the
+    /// structures, so an opened index is built by the code a fresh one is.
+    pub(crate) fn from_layout(
+        db: SetDatabase,
+        partitioning: Partitioning,
+        sim: S,
+        shard_of_group: Vec<u32>,
+        n_shards: usize,
+    ) -> Self {
         let mut groups_per: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        let mut local_of_group = vec![0u32; n_groups];
+        let mut local_of_group = vec![0u32; partitioning.n_groups()];
         for (g, &s) in shard_of_group.iter().enumerate() {
             local_of_group[g] = groups_per[s as usize].len() as u32;
             groups_per[s as usize].push(g as u32);
@@ -296,9 +310,9 @@ impl<S: Similarity> ShardedLes3Index<S> {
     }
 
     /// Builds the MinHash sidecar that backs
-    /// [`ApproxPolicy::Prefilter`] queries. Until this is called (or a
-    /// segment with a signature block is loaded), prefilter queries
-    /// fall back to the exact path.
+    /// [`ApproxPolicy::Prefilter`] queries. Until this is called (opening
+    /// a segment that carries the tier's parameters calls it), prefilter
+    /// queries fall back to the exact path.
     pub fn enable_approx(&mut self, params: ApproxParams) {
         self.approx = Some(MinHashIndex::build(&self.db, params));
     }

@@ -35,17 +35,12 @@ impl Tgm {
                 token_groups[t as usize].insert(g);
             }
         }
-        let mut tgm = Self {
-            n_groups: partitioning.n_groups(),
-            token_groups,
-        };
-        tgm.run_optimize();
-        tgm
+        Self::from_columns(partitioning.n_groups(), token_groups)
     }
 
     /// Builds a TGM from pre-populated token columns over `n_groups`
-    /// (shard builds fill many matrices in one database pass and hand the
-    /// columns over here for compression).
+    /// (the engine fills every shard's matrix in one database pass and
+    /// hands the columns over here for compression).
     pub(crate) fn from_columns(n_groups: usize, token_groups: Vec<Bitmap>) -> Self {
         let mut tgm = Self {
             n_groups,
@@ -58,12 +53,6 @@ impl Tgm {
     /// Number of groups (matrix rows).
     pub fn n_groups(&self) -> usize {
         self.n_groups
-    }
-
-    /// The raw token columns (persistence reads them out one at a time
-    /// so saving streams instead of materializing a second copy).
-    pub(crate) fn columns(&self) -> &[Bitmap] {
-        &self.token_groups
     }
 
     /// Number of token columns currently allocated.

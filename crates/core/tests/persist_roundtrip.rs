@@ -7,10 +7,13 @@
 //! four similarity measures. Inserts may carry attributes (the
 //! `InsertAttrs` WAL record / segment METADATA block); the reopened
 //! attribute table and attribute-filtered answers must round-trip too.
-//! Plus: random corruption of the segment bytes — including the
-//! METADATA block — must surface as a descriptive error, never a panic;
-//! and the SIG payload is pinned to bytes recorded before the sidecar's
-//! in-memory layout became blocked and column-major.
+//! The reopened index must also be the index `build` makes from what the
+//! segment stores (open ≡ build: nothing derived is on disk). Plus:
+//! random corruption of the segment bytes — including the METADATA
+//! block — must surface as a descriptive error, never a panic; a
+//! version-1 file, a version-1 block kind and SIG parameters outside
+//! what a sidecar accepts are each rejected by name; and the bytes of a
+//! flat version-2 segment are pinned.
 
 mod common;
 
@@ -23,7 +26,7 @@ use les3_core::persist::{save_index_with_meta, DurableIndex, PersistentBackend};
 use les3_core::{
     ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Jaccard, Les3Index, MetadataIndex,
     MinHashIndex, OverlapCoefficient, Partitioning, Query, QueryCtl, QueryScratch, SearchResult,
-    ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity,
+    ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity, Tgm,
 };
 use les3_data::SetDatabase;
 use proptest::prelude::*;
@@ -50,6 +53,10 @@ trait TestBackend: PersistentBackend {
     fn enable_sidecar(&mut self, params: ApproxParams);
     fn sidecar(&self) -> Option<&MinHashIndex>;
     fn prefilter_knn_q(&self, q: &[u32], k: usize) -> (SearchResult, les3_core::ApproxInfo);
+    /// The global token-group matrix, for the kind that has one.
+    fn flat_tgm(&self) -> Option<&Tgm> {
+        None
+    }
 }
 
 /// A prefilter shape that exercises the sidecar without saturating on
@@ -99,6 +106,9 @@ impl<S: Similarity> TestBackend for Les3Index<S> {
         let mut scratch = QueryScratch::new();
         self.knn_approx_ctl_on(1, q, k, SIDECAR_POLICY, &mut scratch, &QueryCtl::NONE)
             .expect("QueryCtl::NONE never interrupts")
+    }
+    fn flat_tgm(&self) -> Option<&Tgm> {
+        Some(self.tgm())
     }
 }
 
@@ -177,12 +187,31 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// Applies `op` to an in-memory backend + log, the way WAL replay does.
+fn apply<B: TestBackend>(backend: &mut B, log: &mut DeletionLog, op: &Op) {
+    match op {
+        Op::Insert(tokens) | Op::InsertAttrs(tokens, _) => {
+            let (id, _) = backend.sharded_mut().insert(&mut tokens.clone());
+            log.note_insert(backend.sharded(), id);
+        }
+        Op::Delete(pick) => {
+            let id = pick % backend.sharded().db().len() as u32;
+            log.delete(backend.sharded_mut(), id);
+        }
+    }
+}
+
 /// Applies `ops` to a live backend + log and to a [`DurableIndex`] over
-/// an identical copy, checkpointing halfway, then reopens from disk and
-/// demands bit-for-bit equality on structure and on every query.
+/// an identical copy (both from `build`), checkpointing halfway, then
+/// reopens from disk and demands bit-for-bit equality on structure and
+/// on every query — with the live index, and with the index `build`
+/// makes from the last segment's sets and assignment once its tombstones
+/// and the WAL tail are applied to it.
+#[allow(clippy::too_many_arguments)]
 fn check_roundtrip<B: TestBackend>(
-    mut live: B,
-    copy: B,
+    build: impl Fn(SetDatabase, Partitioning) -> B,
+    db: &SetDatabase,
+    part: &Partitioning,
     ops: &[Op],
     queries: &[Vec<u32>],
     k: usize,
@@ -190,10 +219,15 @@ fn check_roundtrip<B: TestBackend>(
     tag: &str,
 ) {
     let dir = fresh_dir(tag);
+    let mut live = build(db.clone(), part.clone());
     let mut live_log = live.build_log();
     let mut live_meta = MetadataIndex::new();
     live_meta.push_empty(live.sharded().db().len());
-    let mut durable = DurableIndex::create(&dir, copy).unwrap();
+    let mut durable = DurableIndex::create(&dir, build(db.clone(), part.clone())).unwrap();
+    // What `open` must produce: the segment is epoch 0's until the
+    // checkpoint below replaces it, and every op after it is WAL tail.
+    let mut rebuilt = build(db.clone(), part.clone());
+    let mut rebuilt_log = rebuilt.build_log();
     let halfway = ops.len() / 2;
     for (i, op) in ops.iter().enumerate() {
         match op {
@@ -220,10 +254,17 @@ fn check_roundtrip<B: TestBackend>(
                 assert_eq!(durable.delete(id).unwrap(), live_ok, "delete diverged");
             }
         }
+        apply(&mut rebuilt, &mut rebuilt_log, op);
         if i + 1 == halfway {
             // Fold the first half into a fresh segment; the second half
             // stays in the WAL and must replay on open.
             durable.checkpoint().unwrap();
+            let engine = live.sharded();
+            rebuilt = build(engine.db().clone(), engine.partitioning().clone());
+            rebuilt_log = rebuilt.build_log();
+            for id in live_log.deleted_ids() {
+                rebuilt_log.delete(rebuilt.sharded_mut(), id);
+            }
         }
     }
     let expected_epoch = durable.epoch();
@@ -280,6 +321,36 @@ fn check_roundtrip<B: TestBackend>(
         live_log.filter_hits(&mut b.hits);
         assert_eq!(a.hits, b.hits, "filtered range diverged after reload");
     }
+
+    // open ≡ build. `build` derives a Contiguous layout from the group
+    // sizes it is handed, the segment stores the one its index was built
+    // with; answers do not depend on the layout, the per-shard size sum
+    // does, so it is compared whenever the two coincide (always, for the
+    // flat kind and for Hash).
+    let opened = reopened.backend();
+    if opened.shard_layout() == rebuilt.shard_layout() {
+        assert_eq!(
+            opened.sharded().index_size_in_bytes(),
+            rebuilt.sharded().index_size_in_bytes(),
+            "index size diverged from a rebuild"
+        );
+    }
+    if let (Some(a), Some(b)) = (opened.flat_tgm(), rebuilt.flat_tgm()) {
+        let engine = opened.sharded();
+        for g in 0..engine.partitioning().n_groups() as u32 {
+            for t in 0..engine.db().universe_size() {
+                assert_eq!(a.bit(g, t), b.bit(g, t), "TGM bit ({g}, {t}) diverged");
+            }
+        }
+    }
+    for q in queries {
+        assert_eq!(opened.knn_q(q, k), rebuilt.knn_q(q, k), "kNN vs rebuild");
+        assert_eq!(
+            opened.range_q(q, delta),
+            rebuilt.range_q(q, delta),
+            "range vs rebuild"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -295,24 +366,31 @@ fn check_measure<S: Similarity>(
     delta: f64,
 ) {
     check_roundtrip(
-        Les3Index::build(db.clone(), part.clone(), sim),
-        Les3Index::build(db.clone(), part.clone(), sim),
+        |db, part| Les3Index::build(db, part, sim),
+        db,
+        part,
         ops,
         queries,
         k,
         delta,
         "rt-flat",
     );
-    let build = || {
-        ShardedLes3Index::build(
-            db.clone(),
-            part.clone(),
-            sim,
-            n_shards,
-            ShardPolicy::Contiguous,
-        )
-    };
-    check_roundtrip(build(), build(), ops, queries, k, delta, "rt-shard");
+    for (n_shards, policy) in [
+        (n_shards, ShardPolicy::Contiguous),
+        (4, ShardPolicy::Contiguous),
+        (4, ShardPolicy::Hash),
+    ] {
+        check_roundtrip(
+            |db, part| ShardedLes3Index::build(db, part, sim, n_shards, policy),
+            db,
+            part,
+            ops,
+            queries,
+            k,
+            delta,
+            "rt-shard",
+        );
+    }
 }
 
 /// Like [`check_roundtrip`], with the MinHash sidecar enabled: the
@@ -504,35 +582,7 @@ proptest! {
     }
 }
 
-// -- SIG payload pinned across in-memory layout changes ------------------
-
-const PIN_PARAMS: ApproxParams = ApproxParams {
-    bands: 2,
-    rows: 2,
-    seed: 42,
-};
-
-/// `MinHashIndex::encode()` of `[[0,1,2,3], [0,1,2,4], []]` under
-/// [`PIN_PARAMS`], recorded from commit 5238dbd — the last one whose
-/// in-memory matrix *was* the row-major payload.
-#[rustfmt::skip]
-const PINNED_SIG: [u8; 120] = [
-    0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // bands, rows
-    0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seed
-    0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // n_sets
-    0xdd, 0xb8, 0x9b, 0x8e, 0xd7, 0x02, 0xa7, 0x1e, // set 0
-    0x33, 0x76, 0xaa, 0xf3, 0xe3, 0xb3, 0x5e, 0x19,
-    0x8b, 0xdb, 0x0f, 0xfa, 0x14, 0x5e, 0xa2, 0x13,
-    0xcb, 0x91, 0xe3, 0xb7, 0x80, 0x9b, 0x07, 0x13,
-    0x25, 0xaf, 0x9c, 0x6c, 0x9b, 0x83, 0x91, 0x27, // set 1
-    0xad, 0x35, 0x72, 0x90, 0x3f, 0x03, 0xcd, 0x35,
-    0x8b, 0xdb, 0x0f, 0xfa, 0x14, 0x5e, 0xa2, 0x13,
-    0xcb, 0x91, 0xe3, 0xb7, 0x80, 0x9b, 0x07, 0x13,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // set 2 (empty)
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-];
+// -- format pins ---------------------------------------------------------
 
 /// 70 sets (more than one 64-set block), every fifth one empty.
 fn pinned_big_sets() -> Vec<Vec<u32>> {
@@ -545,49 +595,6 @@ fn pinned_big_sets() -> Vec<Vec<u32>> {
         .collect()
 }
 
-/// The SIG block's bytes — and the answers a sidecar decoded from them
-/// gives — are those of the parent commit: the blocked in-memory layout
-/// must never leak into the payload, or segments written before it stop
-/// loading (or worse, load as a transposed matrix).
-#[test]
-fn sig_payload_is_pinned_across_the_layout_rewrite() {
-    let small = SetDatabase::from_sets(vec![vec![0u32, 1, 2, 3], vec![0, 1, 2, 4], vec![]]);
-    let built = MinHashIndex::build(&small, PIN_PARAMS);
-    assert_eq!(built.encode(), PINNED_SIG);
-    let decoded = MinHashIndex::decode(&PINNED_SIG).expect("parent bytes decode");
-    assert_eq!(decoded, built);
-    // (query, bands, rows) → candidates, as the parent answered.
-    let small_answers: [(&[u32], u32, u32, &[u32]); 5] = [
-        (&[0, 1, 2, 3], 0, 2, &[0, 1]),
-        (&[0, 1, 2, 4], 2, 1, &[0, 1]),
-        (&[0, 1, 2], 1, 1, &[1]),
-        (&[], 0, 2, &[2]),
-        (&[7], 0, 0, &[0, 1, 2]),
-    ];
-    for (query, bands, rows, want) in small_answers {
-        assert_eq!(decoded.candidates(query, bands, rows), want);
-    }
-
-    let sets = pinned_big_sets();
-    let built = MinHashIndex::build(&SetDatabase::from_sets(sets.clone()), PIN_PARAMS);
-    let bytes = built.encode();
-    assert_eq!(bytes.len(), 2264);
-    assert_eq!(fnv1a(&bytes), 0x1482_fe52_7265_9cd3, "recorded at 5238dbd");
-    let decoded = MinHashIndex::decode(&bytes).expect("roundtrip");
-    assert_eq!(decoded, built);
-    let empties: Vec<u32> = (0..70).step_by(5).collect();
-    let big_answers: [(&[u32], u32, u32, &[u32]); 5] = [
-        (&sets[69], 0, 2, &[33, 57, 69]),
-        (&sets[64], 2, 1, &[28, 52, 64]),
-        (&sets[3], 1, 1, &[3]),
-        (&[], 0, 2, &empties),
-        (&[1, 14, 27], 2, 1, &[2, 14, 38]),
-    ];
-    for (query, bands, rows, want) in big_answers {
-        assert_eq!(decoded.candidates(query, bands, rows), want);
-    }
-}
-
 /// The fixed flat fixture of the compatibility pins: the 70 pinned sets
 /// in 6 pseudo-random groups, Jaccard.
 fn pinned_flat_index() -> Les3Index<Jaccard> {
@@ -597,31 +604,190 @@ fn pinned_flat_index() -> Les3Index<Jaccard> {
 }
 
 /// A flat index is stored without a SHARDS block and with `n_shards ==
-/// 0`; the bytes `DurableIndex::create` writes for a fixed fixture —
-/// and for the same fixture after a logged insert, a logged delete and
-/// a checkpoint — are those of 08853e3, the last commit where
-/// `Les3Index` was an engine of its own rather than the 1-shard one.
+/// 0`; the bytes `DurableIndex::create` writes for a fixed fixture — and
+/// for the same fixture after a logged insert, a logged delete and a
+/// checkpoint — are format version 2's, recorded at the commit that
+/// introduced it (version 1 wrote 4 279 and 4 391 bytes for the same two
+/// states: the TGM and RUNS blocks are gone).
 #[test]
-fn flat_segment_bytes_are_pinned_across_the_engine_merge() {
+fn flat_segment_bytes_are_pinned_at_format_v2() {
     let dir = fresh_dir("flat-pin");
     let mut durable = DurableIndex::create(&dir, pinned_flat_index()).unwrap();
     let bytes = std::fs::read(dir.join("segment")).unwrap();
-    assert_eq!(bytes.len(), 4_279);
-    assert_eq!(fnv1a(&bytes), 0xc181_e663_74fa_a6eb, "recorded at 08853e3");
+    assert_eq!(bytes.len(), 1_251);
+    assert_eq!(
+        fnv1a(&bytes),
+        0x6f21_be80_df5d_74c9,
+        "recorded with format v2"
+    );
 
     durable.insert(&mut [96, 3, 40, 3]).unwrap();
     durable.insert(&mut [200, 7]).unwrap();
     assert!(durable.delete(11).unwrap());
     durable.checkpoint().unwrap();
     let bytes = std::fs::read(dir.join("segment")).unwrap();
-    assert_eq!(bytes.len(), 4_391);
-    assert_eq!(fnv1a(&bytes), 0x9326_574e_dfa4_079b, "recorded at 08853e3");
+    assert_eq!(bytes.len(), 1_295);
+    assert_eq!(
+        fnv1a(&bytes),
+        0xe4b8_3ada_066e_322b,
+        "recorded with format v2"
+    );
     drop(durable);
 
     let meta = les3_core::persist::read_meta(&dir).unwrap();
     assert_eq!((meta.n_shards, meta.epoch), (0, 1));
     let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
     assert_eq!(reopened.backend().db().len(), 72);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `(offset, kind, payload length)` of every block of a segment.
+fn blocks(bytes: &[u8]) -> Vec<(usize, u32, usize)> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    let (mut out, mut pos) = (Vec::new(), 8);
+    while pos < bytes.len() {
+        let len = u32_at(pos + 4) as usize;
+        out.push((pos, u32_at(pos), len));
+        pos += 12 + len;
+    }
+    out
+}
+
+/// There is one format: a version-1 header is refused by number, and the
+/// two block kinds only version 1 had (4 = TGM, 5 = RUNS) are unknown
+/// blocks in a version-2 file, wherever they sit.
+#[test]
+fn v1_files_and_v1_block_kinds_are_refused() {
+    use les3_core::PersistError;
+    let dir = fresh_dir("v1");
+    drop(DurableIndex::create(&dir, pinned_flat_index()).unwrap());
+    let segment = dir.join("segment");
+    let good = std::fs::read(&segment).unwrap();
+    assert_eq!(good[4..8], 2u32.to_le_bytes());
+
+    let mut v1 = good.clone();
+    v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&segment, &v1).unwrap();
+    let err = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).err();
+    assert!(
+        matches!(err, Some(PersistError::UnsupportedVersion(1))),
+        "{err:?}"
+    );
+
+    // The kind field is outside the CRC, so relabelling a block keeps
+    // the file well-formed down to the END count.
+    let layout = blocks(&good);
+    for kind in [4u32, 5] {
+        for &(at, was, _) in &layout[1..layout.len() - 1] {
+            let mut bad = good.clone();
+            bad[at..at + 4].copy_from_slice(&kind.to_le_bytes());
+            std::fs::write(&segment, &bad).unwrap();
+            let err = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(PersistError::Corrupt {
+                        section: "block",
+                        ..
+                    })
+                ),
+                "kind {was} relabelled {kind}: {err:?}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// SIG parameters come from outside: a shape no sidecar can be built
+/// with, or a payload of any other length, is `Corrupt("SIG")` — with a
+/// valid CRC, so the parameter check is what refuses it — before
+/// anything is sized from them.
+#[test]
+fn sig_parameters_outside_a_sidecars_domain_are_corrupt() {
+    use les3_core::persist::io::crc32;
+    use les3_core::PersistError;
+    let dir = fresh_dir("sig-params");
+    let mut index = pinned_flat_index();
+    let params = ApproxParams {
+        bands: 2,
+        rows: 2,
+        seed: 42,
+    };
+    index.enable_approx(params);
+    drop(DurableIndex::create(&dir, index).unwrap());
+    let segment = dir.join("segment");
+    let good = std::fs::read(&segment).unwrap();
+    let &(at, _, len) = blocks(&good)
+        .iter()
+        .find(|&&(_, kind, _)| kind == 9)
+        .expect("a SIG block");
+    assert_eq!(good[at + 12..at + 12 + len], params.encode());
+
+    let shape = |bands: u32, rows: u32| {
+        ApproxParams {
+            bands,
+            rows,
+            ..params
+        }
+        .encode()
+        .to_vec()
+    };
+    let payloads = [
+        shape(0, 2),
+        shape(2, 0),
+        shape(4096, 3), // one past the width cap
+        shape(u32::MAX, u32::MAX),
+        Vec::new(),
+        params.encode()[..15].to_vec(),
+        [&params.encode()[..], &[0]].concat(),
+        [&params.encode()[..], &3u64.to_le_bytes()].concat(), // v1's n_sets field
+    ];
+    for payload in payloads {
+        let mut bad = good[..at + 4].to_vec();
+        bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bad.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bad.extend_from_slice(&payload);
+        bad.extend_from_slice(&good[at + 12 + len..]);
+        std::fs::write(&segment, &bad).unwrap();
+        let err = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).err();
+        assert!(
+            matches!(err, Some(PersistError::Corrupt { section: "SIG", .. })),
+            "payload {payload:?}: {err:?}"
+        );
+    }
+    std::fs::write(&segment, &good).unwrap();
+    let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+    assert_eq!(
+        reopened.backend().approx_sidecar(),
+        Some(&MinHashIndex::build(reopened.backend().db(), params))
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `DurableIndex::create` starts a fresh deletion log, so a backend some
+/// other log has already deleted from is outside its contract (those
+/// sets would be believed live under bounds that no longer cover them):
+/// debug builds refuse it, and the documented route — `save_index` with
+/// the tombstones, then `open` — carries the deletions over.
+#[cfg(debug_assertions)]
+#[test]
+fn create_refuses_a_backend_that_was_deleted_from() {
+    let mut index = pinned_flat_index();
+    let mut log = DeletionLog::build(&index);
+    assert!(log.delete(&mut index, 11));
+    let live = index.clone();
+
+    let dir = fresh_dir("create-contract");
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        DurableIndex::create(&dir, index).map(drop)
+    }));
+    assert!(refused.is_err(), "create accepted a deleted-from backend");
+
+    les3_core::persist::save_index(&live, &log.deleted_ids(), &dir).unwrap();
+    let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+    assert_eq!(reopened.log().deleted_ids(), [11]);
+    let q = live.db().set(11).to_vec();
+    assert_eq!(reopened.backend().knn(&q, 5), live.knn(&q, 5));
     std::fs::remove_dir_all(&dir).ok();
 }
 

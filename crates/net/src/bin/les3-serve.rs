@@ -30,8 +30,8 @@ use std::sync::Arc;
 use les3_core::persist::{read_meta, save_index};
 use les3_core::sim::Jaccard;
 use les3_core::{
-    ApproxParams, DurableIndex, Les3Index, NamespaceSpec, Partitioning, PersistentBackend,
-    ServeBackend, ServeConfig, ServeFront, ShardPolicy, ShardedLes3Index,
+    ApproxParams, DeletionLog, DurableIndex, Les3Index, NamespaceSpec, Partitioning,
+    PersistentBackend, ServeBackend, ServeConfig, ServeFront, ShardPolicy, ShardedLes3Index,
 };
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::SetDatabase;
@@ -294,13 +294,22 @@ fn preload_namespaces<B: ServeBackend>(front: &ServeFront<B>, args: &Args) {
 /// re-checkpoint it (and every namespace, under `DIR/ns/{name}`) into
 /// `--save-index`'s directory, and serves forever. The initial
 /// checkpoint (for a freshly built index) happens here too, so the
-/// directory is durable before the first query is accepted.
-fn serve_index<B>(backend: B, tombstones: Vec<u32>, config: ServeConfig, args: &Args) -> !
+/// directory is durable before the first query is accepted. `deletes`
+/// is the log a `--load-index` directory came back with: its tombstones
+/// never surface in an answer and are written back by every snapshot.
+fn serve_index<B>(backend: B, deletes: Option<DeletionLog>, config: ServeConfig, args: &Args) -> !
 where
     B: ServeBackend + PersistentBackend,
 {
     let backend = Arc::new(backend);
-    let front = Arc::new(ServeFront::from_arc(Arc::clone(&backend), config));
+    let tombstones = deletes
+        .as_ref()
+        .map_or(Vec::new(), DeletionLog::deleted_ids);
+    let front = Arc::new(ServeFront::with_tombstones(
+        Arc::clone(&backend),
+        deletes,
+        config,
+    ));
     if let Some(dir) = &args.load_index {
         let ns_root = Path::new(dir).join("ns");
         if ns_root.is_dir() {
@@ -380,7 +389,7 @@ fn main() {
             if let Some(params) = args.approx {
                 backend.enable_approx(params);
             }
-            serve_index(backend, log.deleted_ids(), config, &args)
+            serve_index(backend, Some(log), config, &args)
         } else {
             let durable = DurableIndex::<Les3Index<Jaccard>>::open(dir_path, Jaccard)
                 .unwrap_or_else(|e| die(&format!("cannot load index from {dir:?}: {e}")));
@@ -388,7 +397,7 @@ fn main() {
             if let Some(params) = args.approx {
                 backend.enable_approx(params);
             }
-            serve_index(backend, log.deleted_ids(), config, &args)
+            serve_index(backend, Some(log), config, &args)
         }
     }
 
@@ -429,13 +438,13 @@ fn main() {
         if let Some(params) = args.approx {
             index.enable_approx(params);
         }
-        serve_index(index, Vec::new(), config, &args)
+        serve_index(index, None, config, &args)
     } else {
         let mut index = Les3Index::build(db, partitioning, Jaccard);
         if let Some(params) = args.approx {
             index.enable_approx(params);
         }
-        serve_index(index, Vec::new(), config, &args)
+        serve_index(index, None, config, &args)
     }
 }
 

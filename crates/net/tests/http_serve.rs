@@ -726,6 +726,79 @@ fn snapshot_endpoint_writes_a_reloadable_index() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A directory with tombstones, reloaded the way `les3-serve
+/// --load-index` reloads it: the default route answers over the live
+/// sets only — a deleted set is never returned, by `/knn` or `/range`,
+/// a kNN still comes back with `k` hits, and `/stats` holds each query's
+/// work exactly once.
+#[test]
+fn a_reloaded_directory_never_serves_its_tombstoned_sets() {
+    use les3_core::persist::DurableIndex;
+
+    let dir = std::env::temp_dir().join(format!("les3-tombs-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut durable = DurableIndex::create(&dir, flat_index(21)).unwrap();
+    let query = durable.backend().db().set(5).to_vec();
+    // Delete the query's best answers: one lands in the segment's TOMBS
+    // block, the others stay in the WAL tail.
+    let doomed: Vec<u32> = durable
+        .backend()
+        .knn(&query, 3)
+        .hits
+        .iter()
+        .map(|h| h.0)
+        .collect();
+    assert!(doomed.contains(&5));
+    assert!(durable.delete(doomed[0]).unwrap());
+    durable.checkpoint().unwrap();
+    assert!(durable.delete(doomed[1]).unwrap());
+    assert!(durable.delete(doomed[2]).unwrap());
+    drop(durable);
+
+    let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).expect("reopen");
+    let (backend, log) = reopened.into_backend();
+    let backend = Arc::new(backend);
+    let (mut live_knn, mut live_range) = (backend.knn(&query, 4 + 3), backend.range(&query, 0.2));
+    for hits in [&mut live_knn.hits, &mut live_range.hits] {
+        log.filter_hits(hits);
+    }
+    live_knn.hits.truncate(4);
+    assert_eq!(live_knn.hits.len(), 4);
+
+    let front = ServeFront::with_tombstones(Arc::clone(&backend), Some(log), fast_config());
+    let server =
+        HttpServer::bind(Arc::new(front), "127.0.0.1:0", NetConfig::default()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr);
+
+    let response = client.knn(&query, 4);
+    assert_eq!(response.status, 200, "{}", response.body);
+    let knn = wire::decode_result(&response.json()).expect("decodable result");
+    assert!(knn.hits.iter().all(|h| !doomed.contains(&h.0)), "{knn:?}");
+    assert_eq!(knn, live_knn);
+
+    let response = client.range(&query, 0.2);
+    assert_eq!(response.status, 200, "{}", response.body);
+    let range = wire::decode_result(&response.json()).expect("decodable result");
+    assert!(
+        range.hits.iter().all(|h| !doomed.contains(&h.0)),
+        "{range:?}"
+    );
+    assert_eq!(range, live_range);
+
+    for (field, served) in [
+        ("candidates", knn.stats.candidates + range.stats.candidates),
+        (
+            "groups_verified",
+            knn.stats.groups_verified + range.stats.groups_verified,
+        ),
+    ] {
+        assert_eq!(stats_field(&addr, field), served as u64, "{field}");
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn snapshot_in_flight_returns_busy_but_queries_keep_serving() {
     use std::sync::mpsc;

@@ -35,7 +35,8 @@
 //! `cargo run -p xtask -- loc` prints the tracked size number on the
 //! same view: the non-blank code-view lines outside `#[cfg(test)]`
 //! regions, as a total for every crate's `src` directory and for the
-//! workspace, and per file for `crates/core/src` and `crates/net/src`.
+//! workspace, and per file for `crates/core/src`, `crates/net/src` and
+//! `crates/bitmap/src`.
 //! Comments, blank lines and in-`src` tests do not count, so neither
 //! does deleting them. It only reports.
 
@@ -105,7 +106,7 @@ fn run_lint(root: &Path) -> ExitCode {
 
 /// The crates whose code size is a tracked number (ROADMAP aim 2):
 /// these are listed per file, every other crate by its total only.
-const LOC_CRATES: [&str; 2] = ["crates/core/src", "crates/net/src"];
+const LOC_CRATES: [&str; 3] = ["crates/core/src", "crates/net/src", "crates/bitmap/src"];
 
 fn run_loc(root: &Path) -> ExitCode {
     let mut files = Vec::new();
@@ -712,21 +713,21 @@ mod tests {
         assert_eq!(crate_src_dir("crates/core/tests/golden_stats.rs"), None);
         assert_eq!(crate_src_dir("examples/quickstart.rs"), None);
         let files = [
-            ("crates/bitmap/src/bits.rs", 40),
-            ("crates/bitmap/src/lib.rs", 2),
             ("crates/core/src/index.rs", 10),
             ("crates/core/src/persist/io.rs", 5),
             ("crates/core/tests/golden_stats.rs", 99),
+            ("crates/data/src/lib.rs", 2),
+            ("crates/data/src/zipfian.rs", 40),
             ("src/lib.rs", 3),
         ]
         .map(|(rel, n)| (rel.to_string(), n));
         assert_eq!(
             loc_report(&files),
             [
-                "     42  crates/bitmap/src (total)",
                 "     10  crates/core/src/index.rs",
                 "      5  crates/core/src/persist/io.rs",
                 "     15  crates/core/src (total)",
+                "     42  crates/data/src (total)",
                 "      3  src (total)",
                 "     60  workspace (total)",
             ]
