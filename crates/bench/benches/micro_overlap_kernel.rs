@@ -155,7 +155,7 @@ fn bench_batch_throughput(c: &mut Criterion) {
     });
     group.finish();
     println!(
-        "(rayon workers available: {}; RAYON_NUM_THREADS overrides)",
+        "(batch workers: {}, one per available core)",
         rayon::current_num_threads()
     );
 }

@@ -58,7 +58,7 @@ use crate::metadata::FilterCandidates;
 use crate::partitioning::Partitioning;
 use crate::persist::{le_u32, le_u64};
 use crate::query::SearchOutcome;
-use crate::scratch::WorkerScratch;
+use crate::scratch::QueryScratch;
 
 /// How a query trades recall for speed. The default is [`Exact`]
 /// everywhere — approximation is strictly opt-in per query.
@@ -447,15 +447,15 @@ pub(crate) fn prefilter_info(
 /// duration of `search`, which needs the rest of the scratch mutably), hands `search` the mask — or `None` for the unfiltered
 /// exact path — and attaches the verdict to an answer that is not
 /// already a committed partial one.
-pub(crate) fn run_prefiltered<S: WorkerScratch>(
+pub(crate) fn run_prefiltered(
     mh: Option<&MinHashIndex>,
     partitioning: &Partitioning,
     query: &[TokenId],
     (bands, rows): (u32, u32),
-    scratch: &mut S,
-    search: impl FnOnce(Option<&FilterCandidates>, &mut S) -> SearchOutcome,
+    scratch: &mut QueryScratch,
+    search: impl FnOnce(Option<&FilterCandidates>, &mut QueryScratch) -> SearchOutcome,
 ) -> SearchOutcome {
-    let mut pre = std::mem::take(scratch.prefilter());
+    let mut pre = std::mem::take(&mut scratch.prefilter);
     let cand = prefilter_candidates(mh, partitioning, query, bands, rows, &mut pre);
     let out = search(cand, scratch).map(|(result, info)| match cand.and(mh) {
         Some(mh) if !info.approx => {
@@ -464,7 +464,7 @@ pub(crate) fn run_prefiltered<S: WorkerScratch>(
         }
         _ => (result, info),
     });
-    *scratch.prefilter() = pre;
+    scratch.prefilter = pre;
     out
 }
 

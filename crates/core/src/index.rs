@@ -645,7 +645,8 @@ mod tests {
         assert!(durable.delete(1).unwrap());
         durable.checkpoint().unwrap();
         durable.insert(&mut [5, 901]).unwrap();
-        let (live, _) = durable.into_backend();
+        let live = durable.into_live();
+        let live = live.engine();
         let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
         check(reopened.backend());
         let q = live.db().set(17).to_vec();

@@ -29,6 +29,11 @@
 //! * [`Les3Index`] — that engine with one shard, under the unsharded
 //!   constructor and on-disk kind (it derefs to the engine: every query
 //!   and update method is the engine's own);
+//! * [`LiveIndex`] — an engine together with the [`DeletionLog`] and
+//!   [`MetadataIndex`] that describe it: the one owner of inserts,
+//!   deletes, tombstone-aware search and snapshots, which
+//!   [`DurableIndex`] (adds the WAL), [`Namespace`] (adds a lock) and
+//!   [`ServeFront::from_live`] all hold;
 //! * [`ServeFront`] — the asynchronous serving front: single requests
 //!   from many producer threads pass an admission gate (bounded queue,
 //!   deadlines, cancellation) onto a persistent panic-isolating worker
@@ -99,6 +104,7 @@ pub mod delete;
 pub mod disk;
 pub mod htgm;
 pub mod index;
+pub mod live;
 pub mod metadata;
 pub mod namespace;
 pub(crate) mod par;
@@ -129,15 +135,14 @@ pub use delete::DeletionLog;
 pub use disk::DiskLes3;
 pub use htgm::{HierarchicalPartitioning, Htgm};
 pub use index::{Les3Index, SearchResult};
+pub use live::LiveIndex;
 pub use metadata::{Filter, FilterCandidates, Filters, MetaError, MetadataIndex};
 pub use namespace::{Namespace, NamespaceError, NamespaceInfo, NamespaceSpec, Namespaces};
 pub use partitioning::Partitioning;
 pub use persist::{DurableIndex, DurableOptions, FsyncPolicy, PersistError, PersistentBackend};
 pub use query::{Kind, OnExpiry, Query, SearchOutcome};
-pub use scratch::{QueryScratch, ShardedScratch, WorkerScratch};
-pub use serve::{
-    OnFull, ServeBackend, ServeConfig, ServeError, ServeFront, ServeResult, SubmitOpts, Ticket,
-};
+pub use scratch::{QueryScratch, ShardedScratch};
+pub use serve::{OnFull, ServeConfig, ServeError, ServeFront, ServeResult, SubmitOpts, Ticket};
 pub use shard::{ShardPolicy, ShardedLes3Index};
 pub use sim::{
     normalize_query, Cosine, Dice, Jaccard, OverlapCoefficient, Similarity, ThresholdedEval,

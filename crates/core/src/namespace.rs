@@ -3,13 +3,13 @@
 //! engine, attribute metadata and deletion log.
 //!
 //! A [`Namespaces`] registry maps names to [`Namespace`]s. Each
-//! namespace owns a type-erased engine (`Les3Index` or
-//! `ShardedLes3Index` over any of the four measures) plus a
-//! [`MetadataIndex`] for attribute-filtered search and a
-//! [`DeletionLog`] for tombstones. Queries take a read lock (many run
-//! concurrently), mutations a write lock; dropping a namespace only
-//! removes it from the registry — in-flight queries hold an `Arc` and
-//! finish cleanly on the detached index.
+//! namespace owns a type-erased [`LiveIndex`] — the engine (`Les3Index`
+//! or `ShardedLes3Index` over any of the four measures) with its
+//! attribute metadata for filtered search and its deletion log for
+//! tombstones. Queries take a read lock (many run concurrently, each in
+//! the scratch its caller brings), mutations a write lock; dropping a
+//! namespace only removes it from the registry — in-flight queries hold
+//! an `Arc` and finish cleanly on the detached index.
 //!
 //! Filtered queries resolve the [`Filters`] predicate to a
 //! [`FilterCandidates`](crate::FilterCandidates) mask once and hand it
@@ -56,13 +56,13 @@ use les3_data::{SetDatabase, SetId, TokenId};
 use crate::approx::ApproxPolicy;
 use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
-use crate::delete::DeletionLog;
 use crate::index::{Les3Index, SearchResult};
+use crate::live::LiveIndex;
 use crate::metadata::{Filters, MetaError, MetadataIndex, MAX_ATTRS_PER_SET, MAX_ATTR_STR};
 use crate::partitioning::Partitioning;
-use crate::persist::{self, DurableIndex, PersistError};
+use crate::persist::{self, DurableIndex, PersistError, PersistentBackend};
 use crate::query::{Query, SearchOutcome};
-use crate::serve::ServeBackend;
+use crate::scratch::QueryScratch;
 use crate::shard::{ShardPolicy, ShardedLes3Index};
 use crate::sim::{Cosine, Dice, Jaccard, OverlapCoefficient, Similarity};
 use crate::stats::SearchStats;
@@ -188,11 +188,17 @@ fn validate_name(name: &str) -> Result<(), NamespaceError> {
     Ok(())
 }
 
-/// What the registry stores per namespace, behind a trait object so one
-/// map can hold flat and sharded engines over any measure.
+/// What the registry stores per namespace: a [`LiveIndex`] behind a
+/// trait object, so one map can hold flat and sharded engines over any
+/// measure.
 trait NsBackend: Send + Sync {
-    fn search(&self, q: &Query<'_>, filters: &Filters, mode: ApproxPolicy) -> SearchOutcome;
-
+    fn search(
+        &self,
+        q: &Query<'_>,
+        filters: &Filters,
+        mode: ApproxPolicy,
+        scratch: &mut QueryScratch,
+    ) -> SearchOutcome;
     fn insert(&mut self, tokens: &mut [TokenId], attrs: &[(String, String)]) -> (SetId, u32);
     fn delete(&mut self, id: SetId) -> bool;
     fn attrs_of(&self, id: SetId) -> Vec<(String, String)>;
@@ -200,82 +206,41 @@ trait NsBackend: Send + Sync {
     fn save(&self, dir: &Path) -> Result<(), PersistError>;
 }
 
-/// One namespace's state: engine + metadata + tombstones + a scratch
-/// pool so concurrent read-locked queries never share working memory.
-struct NsIndex<E: ServeBackend> {
-    engine: E,
-    meta: MetadataIndex,
-    deletes: DeletionLog,
-    scratch: Mutex<Vec<E::Scratch>>,
-}
-
-impl<E: ServeBackend> NsIndex<E> {
-    fn new(engine: E, meta: MetadataIndex) -> Self {
-        let deletes = DeletionLog::build(engine.sharded());
-        Self::from_parts(engine, meta, deletes)
-    }
-
-    fn from_parts(engine: E, meta: MetadataIndex, deletes: DeletionLog) -> Self {
-        debug_assert_eq!(meta.n_sets(), engine.sharded().db().len());
-        Self {
-            engine,
-            meta,
-            deletes,
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn take_scratch(&self) -> E::Scratch {
-        lock_unpoisoned(&self.scratch).pop().unwrap_or_default()
-    }
-
-    fn put_scratch(&self, scratch: E::Scratch) {
-        lock_unpoisoned(&self.scratch).push(scratch);
-    }
-}
-
-impl<E: ServeBackend> NsBackend for NsIndex<E> {
-    fn search(&self, q: &Query<'_>, filters: &Filters, mode: ApproxPolicy) -> SearchOutcome {
-        let cand = self
-            .meta
-            .candidates(filters, self.engine.sharded().partitioning());
-        let mask = cand.as_ref();
-        self.deletes.search_live(&Query { mask, ..*q }, |q| {
-            let mut scratch = self.take_scratch();
-            let out = self.engine.search_approx(q, mode, &mut scratch);
-            self.put_scratch(scratch);
-            out
-        })
+impl<E: PersistentBackend> NsBackend for LiveIndex<E> {
+    fn search(
+        &self,
+        q: &Query<'_>,
+        filters: &Filters,
+        mode: ApproxPolicy,
+        scratch: &mut QueryScratch,
+    ) -> SearchOutcome {
+        LiveIndex::search(self, q, filters, mode, scratch)
     }
 
     fn insert(&mut self, tokens: &mut [TokenId], attrs: &[(String, String)]) -> (SetId, u32) {
-        let (id, g) = self.engine.sharded_mut().insert(tokens);
-        self.deletes.note_insert(self.engine.sharded(), id);
-        let meta_id = self.meta.push(attrs);
-        debug_assert_eq!(meta_id, id, "metadata and database ids must stay aligned");
-        (id, g)
+        LiveIndex::insert(self, tokens, attrs)
     }
 
     fn delete(&mut self, id: SetId) -> bool {
-        self.deletes.delete(self.engine.sharded_mut(), id)
+        LiveIndex::delete(self, id)
     }
 
     fn attrs_of(&self, id: SetId) -> Vec<(String, String)> {
-        self.meta.attrs(id)
+        self.meta().attrs(id)
     }
 
     fn fill_info(&self, info: &mut NamespaceInfo) {
-        let engine = self.engine.sharded();
+        let engine = self.engine().sharded();
         info.kind = E::kind_name();
         info.sim = engine.sim().name();
         info.n_sets = engine.db().len();
-        info.live_sets = self.deletes.live_count();
+        info.live_sets = self.log().live_count();
         info.n_groups = engine.partitioning().n_groups();
-        info.n_shards = self.engine.n_shards() as usize;
+        info.n_shards = self.engine().n_shards() as usize;
     }
 
     fn save(&self, dir: &Path) -> Result<(), PersistError> {
-        persist::save_index_with_meta(&self.engine, &self.deletes.deleted_ids(), &self.meta, dir)
+        LiveIndex::save(self, dir)
     }
 }
 
@@ -322,7 +287,7 @@ impl Namespace {
             ctl: *ctl,
             ..Query::knn(query, k)
         };
-        self.search(&q, filters, ApproxPolicy::Exact)
+        self.search(&q, filters, ApproxPolicy::Exact, &mut QueryScratch::new())
             .map(|(res, _)| res)
     }
 
@@ -340,12 +305,13 @@ impl Namespace {
             ctl: *ctl,
             ..Query::range(query, delta)
         };
-        self.search(&q, filters, ApproxPolicy::Exact)
+        self.search(&q, filters, ApproxPolicy::Exact, &mut QueryScratch::new())
             .map(|(res, _)| res)
     }
 
     /// Runs `q` over the sets `filters` admits (all of them when empty)
-    /// under an [`ApproxPolicy`]. The mask is the filters': `q.mask`
+    /// under an [`ApproxPolicy`], in the caller's `scratch` (a serving
+    /// worker passes the one it owns). The mask is the filters': `q.mask`
     /// speaks an engine's ids, which a namespace does not expose, and is
     /// ignored. [`ApproxPolicy::Prefilter`] falls back to exact
     /// (namespace engines build no MinHash sidecar);
@@ -354,8 +320,14 @@ impl Namespace {
     /// to `k` — with a coverage-based recall estimate. Committed anytime
     /// answers count as served queries in the namespace aggregate, not
     /// as `expired`.
-    pub fn search(&self, q: &Query<'_>, filters: &Filters, mode: ApproxPolicy) -> SearchOutcome {
-        let out = self.read_inner().search(q, filters, mode);
+    pub fn search(
+        &self,
+        q: &Query<'_>,
+        filters: &Filters,
+        mode: ApproxPolicy,
+        scratch: &mut QueryScratch,
+    ) -> SearchOutcome {
+        let out = self.read_inner().search(q, filters, mode, scratch);
         match &out {
             Ok((res, _)) => self.note(&res.stats, None),
             Err(interrupted) => self.note_interrupted(interrupted),
@@ -478,12 +450,10 @@ fn build_backend(spec: NamespaceSpec) -> Result<Box<dyn NsBackend>, NamespaceErr
         meta: MetadataIndex,
     ) -> Box<dyn NsBackend> {
         if n_shards == 0 {
-            Box::new(NsIndex::new(Les3Index::build(db, part, sim), meta))
+            Box::new(LiveIndex::with_attrs(Les3Index::build(db, part, sim), meta))
         } else {
-            Box::new(NsIndex::new(
-                ShardedLes3Index::build(db, part, sim, n_shards, ShardPolicy::Contiguous),
-                meta,
-            ))
+            let engine = ShardedLes3Index::build(db, part, sim, n_shards, ShardPolicy::Contiguous);
+            Box::new(LiveIndex::with_attrs(engine, meta))
         }
     }
 
@@ -503,12 +473,11 @@ fn build_backend(spec: NamespaceSpec) -> Result<Box<dyn NsBackend>, NamespaceErr
 fn load_backend(dir: &Path) -> Result<Box<dyn NsBackend>, NamespaceError> {
     let seg = persist::read_meta(dir)?;
 
-    fn open<B>(dir: &Path, sim: B::Sim) -> Result<Box<dyn NsBackend>, NamespaceError>
-    where
-        B: ServeBackend,
-    {
-        let (engine, deletes, meta) = DurableIndex::<B>::open(dir, sim)?.into_parts();
-        Ok(Box::new(NsIndex::from_parts(engine, meta, deletes)))
+    fn open<B: PersistentBackend>(
+        dir: &Path,
+        sim: B::Sim,
+    ) -> Result<Box<dyn NsBackend>, NamespaceError> {
+        Ok(Box::new(DurableIndex::<B>::open(dir, sim)?.into_live()))
     }
 
     match (seg.sim_name.as_str(), seg.n_shards) {
@@ -593,12 +562,6 @@ impl Namespaces {
     /// Looks a namespace up by name.
     pub fn get(&self, name: &str) -> Option<Arc<Namespace>> {
         self.read_map().get(name).cloned()
-    }
-
-    /// [`Namespaces::get`] that reports the missing name.
-    pub fn expect(&self, name: &str) -> Result<Arc<Namespace>, NamespaceError> {
-        self.get(name)
-            .ok_or_else(|| NamespaceError::Unknown(name.to_string()))
     }
 
     /// Removes a namespace from the registry; in-flight queries holding
@@ -687,13 +650,6 @@ impl Namespaces {
             loaded += 1;
         }
         Ok(loaded)
-    }
-
-    /// Loads one namespace snapshot from `dir` under `name`.
-    pub fn load_one(&self, name: &str, dir: &Path) -> Result<Arc<Namespace>, NamespaceError> {
-        validate_name(name)?;
-        let backend = load_backend(dir)?;
-        self.install(name, backend)
     }
 }
 
@@ -865,10 +821,6 @@ mod tests {
         assert!(matches!(
             registry.create("demo", demo_spec(0)),
             Err(NamespaceError::AlreadyExists(_))
-        ));
-        assert!(matches!(
-            registry.expect("nope"),
-            Err(NamespaceError::Unknown(_))
         ));
     }
 

@@ -2,10 +2,11 @@
 //! for post-save mutations, and crash recovery that is exact by
 //! construction.
 //!
-//! A [`DurableIndex`] wraps the engine under either of its on-disk kinds
-//! ([`ShardedLes3Index`], whose segments carry a SHARDS block, or
-//! [`Les3Index`], the 1-shard engine whose segments carry none) and a
-//! directory:
+//! A [`DurableIndex`] is a [`LiveIndex`] — the engine under either of
+//! its on-disk kinds ([`ShardedLes3Index`], whose segments carry a
+//! SHARDS block, or [`Les3Index`], the 1-shard engine whose segments
+//! carry none), with the deletion log and attributes that describe it —
+//! plus a directory:
 //!
 //! * `segment` — the immutable snapshot (see [`segment`](self) block
 //!   format docs in `segment.rs`): the facts — database, partitioning
@@ -24,10 +25,9 @@
 //! [`DurableIndex::open`] computes them with the code a fresh index is
 //! built by (`ShardedLes3Index::from_layout`, which
 //! [`build`](crate::ShardedLes3Index::build) ends in too), applies the
-//! tombstones through [`DeletionLog::delete`] and replays the WAL tail
-//! through the same deterministic
-//! [`insert`](crate::ShardedLes3Index::insert) / [`DeletionLog`] code
-//! paths the live index used, so a reopened
+//! tombstones through [`LiveIndex::delete`] and replays the WAL tail
+//! through the same [`LiveIndex::insert`] / [`LiveIndex::delete`] the
+//! live index was mutated by, so a reopened
 //! index answers every kNN/range query with identical hits *and*
 //! [`SearchStats`](crate::SearchStats) to one that never crashed.
 //!
@@ -55,13 +55,12 @@ mod wal;
 use crate::sync::Arc;
 use std::path::{Path, PathBuf};
 
-use les3_data::{SetDatabase, SetId, TokenId};
+use les3_data::{SetId, TokenId};
 
-use crate::approx::ApproxParams;
 use crate::delete::DeletionLog;
 use crate::index::Les3Index;
+use crate::live::LiveIndex;
 use crate::metadata::MetadataIndex;
-use crate::partitioning::Partitioning;
 use crate::shard::ShardedLes3Index;
 use crate::sim::Similarity;
 
@@ -187,28 +186,13 @@ pub struct DurableOptions {
     pub fsync: FsyncPolicy,
 }
 
-/// Pre-validated segment contents handed to
-/// [`PersistentBackend::assemble`]. Constructed only by this module
-/// (the fields stay private), which is what lets `assemble` trust them.
-pub struct LoadedParts<S: Similarity> {
-    sim: S,
-    db: SetDatabase,
-    partitioning: Partitioning,
-    /// Present iff the segment carries a SHARDS block.
-    shard_of_group: Option<Vec<u32>>,
-    n_shards: u32,
-    /// The MinHash sidecar's parameters, present iff the segment carries
-    /// a SIG block (the approximate tier was enabled when it was saved).
-    approx: Option<ApproxParams>,
-}
-
 /// An index that can be saved to and rebuilt from a segment: the
 /// one engine, [`ShardedLes3Index`], under one of its two on-disk kinds.
 /// Implemented by [`ShardedLes3Index`] itself (segments with a SHARDS
 /// block) and by [`Les3Index`], the 1-shard engine whose segments carry
-/// none; not implementable outside the crate ([`LoadedParts`] cannot be
-/// constructed elsewhere).
-pub trait PersistentBackend: Sized {
+/// none. Every bound that says "an index" — [`LiveIndex`],
+/// [`DurableIndex`], [`ServeFront`](crate::ServeFront) — is this trait.
+pub trait PersistentBackend: Sized + Send + Sync + 'static {
     /// The similarity measure type.
     type Sim: Similarity;
 
@@ -221,9 +205,9 @@ pub trait PersistentBackend: Sized {
     /// The engine, for inserts and deletes. Replacing it wholesale with
     /// one of another shard count is not supported.
     fn sharded_mut(&mut self) -> &mut ShardedLes3Index<Self::Sim>;
-    /// Builds the backend from validated segment parts of its own kind
-    /// (no tombstone applied yet).
-    fn assemble(parts: LoadedParts<Self::Sim>) -> Self;
+    /// Wraps an engine laid out for this kind (a flat index takes the
+    /// 1-shard engine).
+    fn from_engine(engine: ShardedLes3Index<Self::Sim>) -> Self;
 
     /// "flat" or "sharded".
     fn kind_name() -> &'static str {
@@ -263,8 +247,8 @@ impl<S: Similarity> PersistentBackend for Les3Index<S> {
         self
     }
 
-    fn assemble(parts: LoadedParts<S>) -> Self {
-        Les3Index::from_one_shard(ShardedLes3Index::assemble(parts))
+    fn from_engine(engine: ShardedLes3Index<S>) -> Self {
+        Les3Index::from_one_shard(engine)
     }
 }
 
@@ -280,36 +264,16 @@ impl<S: Similarity> PersistentBackend for ShardedLes3Index<S> {
         self
     }
 
-    /// A segment without a SHARDS block *is* the 1-shard engine: every
-    /// group in shard 0.
-    fn assemble(parts: LoadedParts<S>) -> Self {
-        let n_shards = (parts.n_shards as usize).max(1);
-        let shard_of_group = parts
-            .shard_of_group
-            .unwrap_or_else(|| vec![0; parts.partitioning.n_groups()]);
-        let mut engine = Self::from_layout(
-            parts.db,
-            parts.partitioning,
-            parts.sim,
-            shard_of_group,
-            n_shards,
-        );
-        if let Some(params) = parts.approx {
-            engine.enable_approx(params);
-        }
+    fn from_engine(engine: Self) -> Self {
         engine
     }
 }
 
-/// A crash-safe index: an in-memory backend kept in lockstep with an
-/// on-disk segment plus write-ahead log. See the module docs for the
-/// file layout and the recovery contract.
+/// A crash-safe index: a [`LiveIndex`] kept in lockstep with an on-disk
+/// segment plus write-ahead log. See the module docs for the file layout
+/// and the recovery contract.
 pub struct DurableIndex<B: PersistentBackend> {
-    backend: B,
-    log: DeletionLog,
-    /// Attribute metadata, id-aligned with `backend.db()` (attribute-free
-    /// sets hold empty entries).
-    meta: MetadataIndex,
+    live: LiveIndex<B>,
     dir: PathBuf,
     epoch: u64,
     /// `None` after a failed append or checkpoint (poisoned) until the
@@ -327,9 +291,9 @@ fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("wal-{epoch}"))
 }
 
-/// Writes a full checkpoint of `backend` + `tombstones` into `dir` as
-/// `new_epoch`: segment to a tmp file, fsync, rename over `segment`,
-/// directory fsync, then a fresh empty `wal-<new_epoch>` and
+/// Writes a full checkpoint of `backend` + `tombstones` + `metadata`
+/// into `dir` as `new_epoch`: segment to a tmp file, fsync, rename over
+/// `segment`, directory fsync, then a fresh empty `wal-<new_epoch>` and
 /// best-effort removal of stale WALs. Every prefix of this sequence
 /// leaves the directory recoverable (old segment + old WAL until the
 /// rename; new segment with an empty-or-absent WAL after it).
@@ -367,23 +331,20 @@ fn write_checkpoint<B: PersistentBackend>(
     Ok(wal)
 }
 
-/// Saves a standalone snapshot of `backend` (+ tombstones, if the
-/// caller maintains a [`DeletionLog`]) into `dir`, advancing the epoch
-/// past any segment already there. This is the zero-copy, read-only
-/// save the serving layer's `POST /snapshot` uses: it borrows the
-/// backend, so queries keep running while it streams.
-pub fn save_index<B: PersistentBackend>(
-    backend: &B,
-    tombstones: &[SetId],
-    dir: &Path,
-) -> Result<(), PersistError> {
-    save_index_with_meta(backend, tombstones, &MetadataIndex::new(), dir)
+/// Saves a standalone snapshot of a bare engine — one nothing was
+/// deleted from and whose sets carry no attributes — into `dir`,
+/// advancing the epoch past any segment already there. Zero-copy and
+/// read-only: it borrows the backend, so queries keep running while it
+/// streams. An index with deletions or attributes is a [`LiveIndex`]
+/// and saves itself ([`LiveIndex::save`]).
+pub fn save_index<B: PersistentBackend>(backend: &B, dir: &Path) -> Result<(), PersistError> {
+    save_snapshot(backend, &[], &MetadataIndex::new(), dir)
 }
 
-/// [`save_index`] for backends that carry attribute metadata (the
-/// namespace layer): the segment gains a METADATA block whenever any
-/// set has attributes.
-pub fn save_index_with_meta<B: PersistentBackend>(
+/// What [`save_index`] and [`LiveIndex::save`] share: the segment gains
+/// a TOMBS entry per tombstone and a METADATA block whenever any set has
+/// attributes.
+pub(crate) fn save_snapshot<B: PersistentBackend>(
     backend: &B,
     tombstones: &[SetId],
     metadata: &MetadataIndex,
@@ -406,27 +367,57 @@ pub fn read_meta(dir: &Path) -> Result<SegmentMeta, PersistError> {
     segment::read_meta(&segment_path(dir))
 }
 
+/// Builds the index a validated segment describes, with the code a fresh
+/// one is built by; the tombstones go through the live delete path, so
+/// the refcounts and the cleared TGM bits are what the same deletions
+/// left behind in the index that was saved.
+fn live_from_segment<B: PersistentBackend>(raw: segment::RawSegment, sim: B::Sim) -> LiveIndex<B> {
+    // A segment without a SHARDS block *is* the 1-shard engine: every
+    // group in shard 0.
+    let shard_of_group = raw
+        .shard_of_group
+        .unwrap_or_else(|| vec![0; raw.partitioning.n_groups()]);
+    let n_shards = (raw.n_shards as usize).max(1);
+    let mut engine =
+        ShardedLes3Index::from_layout(raw.db, raw.partitioning, sim, shard_of_group, n_shards);
+    if let Some(params) = raw.approx {
+        engine.enable_approx(params);
+    }
+    let engine = B::from_engine(engine);
+    // Segments without a METADATA block (attribute-free or written
+    // before metadata existed) mean "no set has attributes".
+    let mut live = match raw.metadata {
+        Some(attrs) => LiveIndex::with_attrs(engine, attrs),
+        None => LiveIndex::new(engine),
+    };
+    for &id in &raw.tombstones {
+        live.delete(id);
+    }
+    live
+}
+
 impl<B: PersistentBackend> DurableIndex<B> {
-    /// Saves `backend` into `dir` (created if needed) as epoch 0 and
-    /// returns the durable wrapper. Fails if `dir` already holds a
-    /// segment — open that instead.
+    /// Saves `index` — a bare engine or a [`LiveIndex`] — into `dir`
+    /// (created if needed) as epoch 0 and returns the durable wrapper.
+    /// Fails if `dir` already holds a segment — open that instead.
     ///
-    /// `backend` must be one no [`DeletionLog`] has deleted from: the
-    /// wrapper starts a fresh log, which would believe those sets live
-    /// while their group's bound no longer covers them (checked in debug
-    /// builds). An index with deletions goes to disk with its log's
-    /// tombstones — [`save_index`]`(backend, tombstones, dir)` — and
-    /// comes back through [`DurableIndex::open`].
-    pub fn create(dir: impl Into<PathBuf>, backend: B) -> Result<Self, PersistError> {
-        Self::create_with(dir, backend, Arc::new(RealIo), DurableOptions::default())
+    /// A bare engine must be one no [`DeletionLog`] has deleted from
+    /// ([`LiveIndex::new`]'s contract, checked in debug builds); an
+    /// index with deletions is a [`LiveIndex`] and arrives here with
+    /// its log.
+    pub fn create(
+        dir: impl Into<PathBuf>,
+        index: impl Into<LiveIndex<B>>,
+    ) -> Result<Self, PersistError> {
+        Self::create_with(dir, index, Arc::new(RealIo), DurableOptions::default())
     }
 
-    /// [`DurableIndex::create`] — same contract on `backend` — with
-    /// injectable I/O and options (the fault-injection harness passes a
-    /// [`FaultyIo`](io::FaultyIo) here).
+    /// [`DurableIndex::create`] with injectable I/O and options (the
+    /// fault-injection harness passes a [`FaultyIo`](io::FaultyIo)
+    /// here).
     pub fn create_with(
         dir: impl Into<PathBuf>,
-        backend: B,
+        index: impl Into<LiveIndex<B>>,
         io: Arc<dyn PersistIo>,
         opts: DurableOptions,
     ) -> Result<Self, PersistError> {
@@ -438,24 +429,16 @@ impl<B: PersistentBackend> DurableIndex<B> {
                 found: "an existing segment".into(),
             });
         }
-        let log = DeletionLog::build(backend.sharded());
-        debug_assert!(
-            log.counted_bits_are_set(backend.sharded()),
-            "create: the backend has been deleted from; save_index it with its tombstones and open"
-        );
-        let mut meta = MetadataIndex::new();
-        meta.push_empty(backend.sharded().db().len());
-        let wal = write_checkpoint(io.as_ref(), &dir, &backend, &[], &meta, 0)?;
-        Ok(Self {
-            backend,
-            log,
-            meta,
+        let mut durable = Self {
+            live: index.into(),
             dir,
             epoch: 0,
-            wal: Some(wal),
+            wal: None,
             io,
             opts,
-        })
+        };
+        durable.wal = Some(durable.checkpoint_as(0)?);
+        Ok(durable)
     }
 
     /// Opens the index saved in `dir`: reads and validates the segment,
@@ -490,29 +473,7 @@ impl<B: PersistentBackend> DurableIndex<B> {
             });
         }
         let epoch = raw.epoch;
-        let tombstones = raw.tombstones;
-        let mut meta = raw.metadata.unwrap_or_default();
-        let mut backend = B::assemble(LoadedParts {
-            sim,
-            db: raw.db,
-            partitioning: raw.partitioning,
-            shard_of_group: raw.shard_of_group,
-            n_shards: raw.n_shards,
-            approx: raw.approx,
-        });
-        // Tombstones go through the live delete path: the refcounts and
-        // the cleared TGM bits are what the same deletions left behind in
-        // the index that was saved.
-        let engine = backend.sharded_mut();
-        let mut log = DeletionLog::build(engine);
-        for &id in &tombstones {
-            log.delete(engine, id);
-        }
-        // Segments without a METADATA block (attribute-free or written
-        // before metadata existed) mean "no set has attributes".
-        if meta.n_sets() < engine.db().len() {
-            meta.push_empty(engine.db().len() - meta.n_sets());
-        }
+        let mut live = live_from_segment::<B>(raw, sim);
 
         // Replay the WAL tail. A missing file means a crash hit between
         // the segment rename and the fresh WAL creation — an empty log.
@@ -537,27 +498,20 @@ impl<B: PersistentBackend> DurableIndex<B> {
         for record in records {
             match record {
                 WalRecord::Insert(mut tokens) => {
-                    let (id, _) = engine.insert(&mut tokens);
-                    log.note_insert(engine, id);
-                    meta.push_empty(1);
+                    live.insert(&mut tokens, &[]);
                 }
                 WalRecord::Delete(id) => {
-                    log.delete(engine, id);
+                    live.delete(id);
                 }
                 WalRecord::InsertAttrs(mut tokens, attrs) => {
-                    let (id, _) = engine.insert(&mut tokens);
-                    log.note_insert(engine, id);
-                    let meta_id = meta.push(&attrs);
-                    debug_assert_eq!(meta_id, id);
+                    live.insert(&mut tokens, &attrs);
                 }
             }
         }
 
         let wal = io.open_append(&wal_file)?;
         Ok(Self {
-            backend,
-            log,
-            meta,
+            live,
             dir,
             epoch,
             wal: Some(wal),
@@ -568,13 +522,18 @@ impl<B: PersistentBackend> DurableIndex<B> {
 
     /// The in-memory backend (query through this).
     pub fn backend(&self) -> &B {
-        &self.backend
+        self.live.engine()
     }
 
     /// The deletion log (filter hits through
     /// [`DeletionLog::filter_hits`]).
     pub fn log(&self) -> &DeletionLog {
-        &self.log
+        self.live.log()
+    }
+
+    /// The attribute metadata, id-aligned with the backend's database.
+    pub fn meta(&self) -> &MetadataIndex {
+        self.live.meta()
     }
 
     /// The current checkpoint epoch.
@@ -588,23 +547,23 @@ impl<B: PersistentBackend> DurableIndex<B> {
         self.wal.is_none()
     }
 
-    /// The attribute metadata, id-aligned with the backend's database.
-    pub fn meta(&self) -> &MetadataIndex {
-        &self.meta
+    /// Consumes the wrapper, yielding the index it kept durable: the
+    /// engine with its log and attributes, as one value (serve it with
+    /// [`ServeFront::from_live`](crate::ServeFront::from_live)).
+    pub fn into_live(self) -> LiveIndex<B> {
+        self.live
     }
 
-    /// Consumes the wrapper, yielding the backend and deletion log. The
-    /// engine is tombstone-only, so the log has to travel with it
-    /// (serving takes the pair:
-    /// [`ServeFront::with_tombstones`](crate::ServeFront::with_tombstones)).
-    pub fn into_backend(self) -> (B, DeletionLog) {
-        (self.backend, self.log)
-    }
-
-    /// [`DurableIndex::into_backend`] plus the attribute metadata (the
-    /// namespace layer wants all three).
-    pub fn into_parts(self) -> (B, DeletionLog, MetadataIndex) {
-        (self.backend, self.log, self.meta)
+    /// Writes the index as it is now into the directory as `epoch`.
+    fn checkpoint_as(&self, epoch: u64) -> Result<Box<dyn WriteSync>, PersistError> {
+        write_checkpoint(
+            self.io.as_ref(),
+            &self.dir,
+            self.live.engine(),
+            &self.live.log().deleted_ids(),
+            self.live.meta(),
+            epoch,
+        )
     }
 
     fn append(&mut self, record: &WalRecord) -> Result<(), PersistError> {
@@ -628,14 +587,11 @@ impl<B: PersistentBackend> DurableIndex<B> {
     }
 
     /// Inserts a set: WAL first (per the configured
-    /// [`FsyncPolicy`]), then the in-memory backend. On error the
+    /// [`FsyncPolicy`]), then the in-memory index. On error the
     /// in-memory index is untouched and the writer is poisoned.
     pub fn insert(&mut self, tokens: &mut [TokenId]) -> Result<(SetId, u32), PersistError> {
         self.append(&WalRecord::Insert(tokens.to_vec()))?;
-        let (id, g) = self.backend.sharded_mut().insert(tokens);
-        self.log.note_insert(self.backend.sharded(), id);
-        self.meta.push_empty(1);
-        Ok((id, g))
+        Ok(self.live.insert(tokens, &[]))
     }
 
     /// [`DurableIndex::insert`] carrying the set's key/value attributes
@@ -646,11 +602,7 @@ impl<B: PersistentBackend> DurableIndex<B> {
         attrs: &[(String, String)],
     ) -> Result<(SetId, u32), PersistError> {
         self.append(&WalRecord::InsertAttrs(tokens.to_vec(), attrs.to_vec()))?;
-        let (id, g) = self.backend.sharded_mut().insert(tokens);
-        self.log.note_insert(self.backend.sharded(), id);
-        let meta_id = self.meta.push(attrs);
-        debug_assert_eq!(meta_id, id);
-        Ok((id, g))
+        Ok(self.live.insert(tokens, attrs))
     }
 
     /// Tombstones a set: WAL first, then the in-memory log + TGM.
@@ -658,7 +610,7 @@ impl<B: PersistentBackend> DurableIndex<B> {
     /// no-op is still logged and replays as a no-op).
     pub fn delete(&mut self, id: SetId) -> Result<bool, PersistError> {
         self.append(&WalRecord::Delete(id))?;
-        Ok(self.log.delete(self.backend.sharded_mut(), id))
+        Ok(self.live.delete(id))
     }
 
     /// Folds the WAL into a fresh segment at `epoch + 1` and starts an
@@ -670,18 +622,9 @@ impl<B: PersistentBackend> DurableIndex<B> {
     /// `wal-<epoch>` would be invisible to the next [`DurableIndex::open`].
     /// Mutations are refused until a later `checkpoint` succeeds.
     pub fn checkpoint(&mut self) -> Result<(), PersistError> {
-        let tombstones = self.log.deleted_ids();
         self.wal = None;
-        let wal = write_checkpoint(
-            self.io.as_ref(),
-            &self.dir,
-            &self.backend,
-            &tombstones,
-            &self.meta,
-            self.epoch + 1,
-        )?;
+        self.wal = Some(self.checkpoint_as(self.epoch + 1)?);
         self.epoch += 1;
-        self.wal = Some(wal);
         Ok(())
     }
 }

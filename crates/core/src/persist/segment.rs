@@ -234,7 +234,7 @@ pub(crate) fn write_segment<B: PersistentBackend>(
 }
 
 /// Everything a segment holds, parsed and cross-validated, ready for
-/// [`PersistentBackend::assemble`].
+/// `DurableIndex::open` to build the index from.
 pub(crate) struct RawSegment {
     pub(crate) epoch: u64,
     pub(crate) sim_name: String,

@@ -3,10 +3,13 @@
 //! Every buffer the query hot path needs — per-shard overlap counters,
 //! candidate-group masks and bucket histograms, the per-shard group
 //! streams, the cross-shard merge state — lives in one [`QueryScratch`]
-//! that callers (and the batch executor, one per worker thread) reuse
-//! across queries, so steady-state query execution performs no heap
-//! allocation. There is one engine and therefore one scratch type;
-//! [`ShardedScratch`] is an alias of it.
+//! that callers (and the batch executor and the serving front, one per
+//! worker thread) reuse across queries, so steady-state query execution
+//! performs no heap allocation. There is one engine and therefore one
+//! scratch type ([`ShardedScratch`] is an alias of it), and a scratch is
+//! not tied to an index: every query sizes the buffers it uses, so one
+//! scratch may alternate between indexes of any shape — a front worker's
+//! serves the default route and every namespace.
 
 use les3_bitmap::DenseBitSet;
 
@@ -75,31 +78,12 @@ impl QueryScratch {
         self.cursors.clear();
         self.cursors.resize(n_shards, 0);
     }
-}
 
-/// Per-worker scratch usable by the serving front's persistent workers
-/// ([`crate::serve::ServeFront`]).
-///
-/// The front's worker pool keeps one scratch per worker for the pool's
-/// whole lifetime, reused across every batch the worker executes. When a
-/// query panics mid-execution its scratch may be left with internal
-/// invariants violated (e.g. the restricted-count buffer's all-zero
-/// contract), so the panic-isolation path calls [`WorkerScratch::reset`]
-/// before the worker touches the next request.
-pub trait WorkerScratch: Default + Send + 'static {
     /// Restores every buffer invariant, discarding any state a panicked
-    /// query may have left mid-update.
-    fn reset(&mut self) {
+    /// query may have left mid-update (e.g. the restricted-count
+    /// buffer's all-zero contract). The serving front's panic-isolation
+    /// path calls this before its worker touches the next request.
+    pub fn reset(&mut self) {
         *self = Self::default();
-    }
-
-    /// Where a prefiltered query keeps its candidate mask.
-    #[doc(hidden)]
-    fn prefilter(&mut self) -> &mut PrefilterScratch;
-}
-
-impl WorkerScratch for QueryScratch {
-    fn prefilter(&mut self) -> &mut PrefilterScratch {
-        &mut self.prefilter
     }
 }

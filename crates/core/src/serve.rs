@@ -26,8 +26,10 @@
 //!    pool's FIFO queue, waking one parked worker. There is no thread in
 //!    between.
 //! 3. **Execute.** The pool's workers each own one [`QueryScratch`] for
-//!    the pool's whole lifetime — steady-state serving allocates nothing
-//!    per request — and pop exactly one request at a time. A request that
+//!    the pool's whole lifetime — it serves the default route and every
+//!    namespace alike, so steady-state serving allocates nothing per
+//!    request and borrows nothing from the index it queries — and pop
+//!    exactly one request at a time. A request that
 //!    died while queued (deadline passed, ticket cancelled) is completed
 //!    at the pop without running. Otherwise it runs the engine's one
 //!    `search` under a [`QueryCtl`]: the deadline and cancellation token
@@ -43,6 +45,13 @@
 //!    [`knn_with`](crate::ShardedLes3Index::knn_with) /
 //!    [`range_with`](crate::ShardedLes3Index::range_with) directly
 //!    (`tests/serve_front.rs` proves it under racing producers).
+//!
+//! The default route answers from a shared engine nothing was deleted
+//! from ([`ServeFront::new`] / [`ServeFront::from_arc`]: the engine's
+//! answers pass through) or from a [`LiveIndex`]
+//! ([`ServeFront::from_live`]: answers are over its live sets only, the
+//! same tombstone-aware search a [`Namespace`] runs).
+//! [`ServeFront::save`] snapshots whatever the front serves.
 //!
 //! # Admission control
 //!
@@ -122,7 +131,7 @@
 //! implementation, a corrupted input) fails **only its own request**:
 //! the panic is caught, the request completes with
 //! [`ServeError::QueryPanicked`], the worker's scratch is rebuilt
-//! ([`WorkerScratch::reset`]) and the pool keeps serving — no poisoned
+//! ([`QueryScratch::reset`]) and the pool keeps serving — no poisoned
 //! mutexes, no dead workers, no hung tickets.
 //!
 //! # Shutdown
@@ -135,20 +144,21 @@
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{Arc, Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use les3_data::TokenId;
 
-use crate::approx::{self, ApproxInfo, ApproxPolicy};
+use crate::approx::{ApproxInfo, ApproxPolicy};
 use crate::batch::{lock_unpoisoned, WorkerPool};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
-use crate::delete::DeletionLog;
 use crate::index::SearchResult;
+use crate::live::LiveIndex;
 use crate::metadata::Filters;
-use crate::namespace::{Namespace, Namespaces};
-use crate::persist::PersistentBackend;
-use crate::query::{self, Kind, OnExpiry, Query, SearchOutcome};
-use crate::scratch::{QueryScratch, WorkerScratch};
+use crate::namespace::{Namespace, NamespaceError, Namespaces};
+use crate::persist::{self, PersistentBackend};
+use crate::query::{Kind, Query, SearchOutcome};
+use crate::scratch::QueryScratch;
 use crate::stats::SearchStats;
 
 /// Tuning knobs for a [`ServeFront`].
@@ -269,81 +279,6 @@ pub struct SubmitOpts {
     /// queued, or mid-flight. Read the verdict with
     /// [`Ticket::wait_full`].
     pub mode: ApproxPolicy,
-}
-
-/// An index the serving front can execute requests against: the engine
-/// under either of its kinds (every [`PersistentBackend`] is one).
-pub trait ServeBackend: PersistentBackend + Send + Sync + 'static {
-    /// Per-worker working memory, owned by a pool worker for its whole
-    /// lifetime and reused across every request it executes.
-    type Scratch: WorkerScratch;
-
-    /// Runs one [`Query`]: the engine's
-    /// [`search`](crate::ShardedLes3Index::search), whose answer — stats
-    /// included — is the same at any worker count.
-    fn search(&self, q: &Query<'_>, scratch: &mut Self::Scratch) -> SearchOutcome;
-
-    /// [`ServeBackend::search`] under an [`ApproxPolicy`] — the one
-    /// place a policy is turned into query fields, for both index types and
-    /// every route:
-    ///
-    /// * [`ApproxPolicy::Exact`] is `search`, bit for bit.
-    /// * [`ApproxPolicy::Anytime`] is `search` with
-    ///   [`OnExpiry::Commit`].
-    /// * [`ApproxPolicy::Prefilter`] scans the MinHash sidecar into the
-    ///   query's `mask` — the same composition point as attribute
-    ///   filters — and `search` re-verifies the survivors exactly. A
-    ///   saturated candidate set (every set collides, e.g. `rows == 0`)
-    ///   and a missing sidecar both run unmasked, so those
-    ///   configurations stay bit-for-bit exact; a mask the caller
-    ///   already supplied wins and the scan is skipped.
-    fn search_approx(
-        &self,
-        q: &Query<'_>,
-        policy: ApproxPolicy,
-        scratch: &mut Self::Scratch,
-    ) -> SearchOutcome {
-        match policy {
-            ApproxPolicy::Prefilter { bands, rows } if q.mask.is_none() => approx::run_prefiltered(
-                self.sharded().approx_sidecar(),
-                self.sharded().partitioning(),
-                q.tokens,
-                (bands, rows),
-                scratch,
-                |mask, scratch| self.search(&Query { mask, ..*q }, scratch),
-            ),
-            ApproxPolicy::Anytime => {
-                let on_expiry = OnExpiry::Commit;
-                self.search(&Query { on_expiry, ..*q }, scratch)
-            }
-            ApproxPolicy::Exact | ApproxPolicy::Prefilter { .. } => self.search(q, scratch),
-        }
-    }
-
-    /// Uninterruptible sequential exact kNN.
-    fn serve_knn(&self, query: &[TokenId], k: usize, scratch: &mut Self::Scratch) -> SearchResult {
-        let q = Query::knn(query, k);
-        query::uninterrupted(self.search(&Query { workers: 1, ..q }, scratch))
-    }
-
-    /// Uninterruptible sequential exact range search.
-    fn serve_range(
-        &self,
-        query: &[TokenId],
-        delta: f64,
-        scratch: &mut Self::Scratch,
-    ) -> SearchResult {
-        let q = Query::range(query, delta);
-        query::uninterrupted(self.search(&Query { workers: 1, ..q }, scratch))
-    }
-}
-
-impl<B: PersistentBackend + Send + Sync + 'static> ServeBackend for B {
-    type Scratch = QueryScratch;
-
-    fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
-        self.sharded().search(q, scratch)
-    }
 }
 
 /// Pads a per-worker accumulator to its own cache line so two workers
@@ -663,12 +598,45 @@ impl Drop for Ticket {
     }
 }
 
-/// Where a request executes: the front's own backend (the default
+/// Where a request executes: the front's own index (the default
 /// route), or a named namespace resolved at submit time, carrying its
 /// decoded attribute filters.
 enum Target {
     Backend,
     Ns(Arc<Namespace>, Filters),
+}
+
+/// What the default route answers from. It is typed, shared and
+/// read-only — library callers query the same `Arc` directly — which is
+/// what sets it apart from a namespace (owned, mutable, type-erased,
+/// behind a lock).
+enum DefaultRoute<B: PersistentBackend> {
+    /// An engine nothing was deleted from: its answers are the route's.
+    Engine(Arc<B>),
+    /// An index with its deletion log: the route answers over the live
+    /// sets only, and a kNN still comes back with `k` of them.
+    Live(LiveIndex<B>),
+}
+
+impl<B: PersistentBackend> DefaultRoute<B> {
+    fn engine(&self) -> &B {
+        match self {
+            DefaultRoute::Engine(engine) => engine,
+            DefaultRoute::Live(live) => live.engine(),
+        }
+    }
+
+    fn search(
+        &self,
+        q: &Query<'_>,
+        mode: ApproxPolicy,
+        scratch: &mut QueryScratch,
+    ) -> SearchOutcome {
+        match self {
+            DefaultRoute::Engine(engine) => engine.sharded().search_approx(q, mode, scratch),
+            DefaultRoute::Live(live) => live.search(q, &Filters::none(), mode, scratch),
+        }
+    }
 }
 
 struct Request {
@@ -682,17 +650,13 @@ struct Request {
 
 /// What the pool's workers run each popped request with, built once
 /// with the front.
-struct Executor<B: ServeBackend> {
-    backend: Arc<B>,
-    /// The log a reloaded backend came with: the default route answers
-    /// over its live sets only. `None` for a backend nothing was deleted
-    /// from, whose answers are the engine's as they are.
-    deletes: Option<DeletionLog>,
+struct Executor<B: PersistentBackend> {
+    route: Arc<DefaultRoute<B>>,
     shared: Arc<FrontShared>,
 }
 
-impl<B: ServeBackend> Executor<B> {
-    fn serve_one(&self, worker: usize, req: &Request, scratch: &mut B::Scratch) {
+impl<B: PersistentBackend> Executor<B> {
+    fn serve_one(&self, worker: usize, req: &Request, scratch: &mut QueryScratch) {
         let ctl = QueryCtl::new(req.deadline, Some(&req.slot.cancelled));
         // Dead on arrival (expired or cancelled while queued): skip the
         // query entirely — zero stats, zero CPU. Exception: an expired
@@ -719,13 +683,8 @@ impl<B: ServeBackend> Executor<B> {
             ..Query::new(&req.query, req.kind)
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| match &req.target {
-            Target::Backend => match &self.deletes {
-                None => self.backend.search_approx(&q, req.mode, scratch),
-                Some(log) => {
-                    log.search_live(&q, |q| self.backend.search_approx(q, req.mode, scratch))
-                }
-            },
-            Target::Ns(ns, filters) => ns.search(&q, filters, req.mode),
+            Target::Backend => self.route.search(&q, req.mode, scratch),
+            Target::Ns(ns, filters) => ns.search(&q, filters, req.mode, scratch),
         }));
         match outcome {
             Ok(Ok((result, info))) => {
@@ -800,8 +759,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The admission-controlled serving front. See the
 /// [module docs](self) for the architecture; share one instance behind
 /// `&` (or `Arc`) across any number of producer threads.
-pub struct ServeFront<B: ServeBackend> {
-    backend: Arc<B>,
+pub struct ServeFront<B: PersistentBackend> {
+    route: Arc<DefaultRoute<B>>,
     shared: Arc<FrontShared>,
     /// Named secondary indexes served through the same admission queue
     /// and worker pool as the default route; see [`Namespaces`].
@@ -811,47 +770,50 @@ pub struct ServeFront<B: ServeBackend> {
     pool: WorkerPool<Request>,
 }
 
-impl<B: ServeBackend> ServeFront<B> {
-    /// Builds a front that owns its backend.
+impl<B: PersistentBackend> ServeFront<B> {
+    /// Builds a front that owns its backend, an engine nothing was
+    /// deleted from.
     pub fn new(backend: B, config: ServeConfig) -> Self {
         Self::from_arc(Arc::new(backend), config)
     }
 
-    /// Builds a front over a shared backend — direct
-    /// [`knn`](crate::ShardedLes3Index::knn) calls on the same `Arc` stay
-    /// available alongside served ones (and return identical results).
+    /// Builds a front over a shared engine nothing was deleted from —
+    /// direct [`knn`](crate::ShardedLes3Index::knn) calls on the same
+    /// `Arc` stay available alongside served ones (and return identical
+    /// results).
     pub fn from_arc(backend: Arc<B>, config: ServeConfig) -> Self {
-        Self::with_tombstones(backend, None, config)
+        Self::over(DefaultRoute::Engine(backend), config)
     }
 
-    /// [`ServeFront::from_arc`] over a backend that was reloaded with
-    /// tombstones ([`DurableIndex::into_backend`](crate::DurableIndex::into_backend)
-    /// yields the pair): the default route never returns a set `deletes`
-    /// holds deleted, and a kNN still comes back with `k` live hits —
-    /// the answer a [`Namespace`] gives over its own log. With `None`
-    /// the engine's answers pass through untouched.
-    pub fn with_tombstones(
-        backend: Arc<B>,
-        deletes: Option<DeletionLog>,
-        config: ServeConfig,
-    ) -> Self {
+    /// Builds a front over an index with its deletion log (what
+    /// [`DurableIndex::into_live`](crate::DurableIndex::into_live)
+    /// yields): the default route never returns a set the log holds
+    /// deleted, and a kNN still comes back with `k` live hits — the
+    /// answer a [`Namespace`] gives over its own log.
+    pub fn from_live(live: LiveIndex<B>, config: ServeConfig) -> Self {
+        Self::over(DefaultRoute::Live(live), config)
+    }
+
+    fn over(route: DefaultRoute<B>, config: ServeConfig) -> Self {
+        let route = Arc::new(route);
         let pool_workers = config.effective_workers();
         let shared = Arc::new(FrontShared::new(config.queue_capacity, pool_workers));
         let executor = Executor {
-            backend: Arc::clone(&backend),
-            deletes,
+            route: Arc::clone(&route),
             shared: Arc::clone(&shared),
         };
+        // One scratch per worker for the pool's lifetime, whatever it
+        // serves next: the default route or any namespace.
         let pool = WorkerPool::new(
             pool_workers,
             "les3-serve",
-            B::Scratch::default,
-            move |worker, req: Request, scratch: &mut B::Scratch| {
+            QueryScratch::default,
+            move |worker, req: Request, scratch: &mut QueryScratch| {
                 executor.serve_one(worker, &req, scratch)
             },
         );
         Self {
-            backend,
+            route,
             shared,
             namespaces: Arc::new(Namespaces::new()),
             pool,
@@ -860,7 +822,19 @@ impl<B: ServeBackend> ServeFront<B> {
 
     /// The index being served.
     pub fn backend(&self) -> &B {
-        &self.backend
+        self.route.engine()
+    }
+
+    /// Snapshots what the front serves into `dir`: the default route's
+    /// index (with its tombstones, if it has a log) as `dir`'s segment
+    /// and every namespace under `dir/ns/{name}`. Borrows everything, so
+    /// queries keep running while it streams.
+    pub fn save(&self, dir: &Path) -> Result<(), NamespaceError> {
+        match &*self.route {
+            DefaultRoute::Engine(engine) => persist::save_index(&**engine, dir)?,
+            DefaultRoute::Live(live) => live.save(dir)?,
+        }
+        self.namespaces.save_all(&dir.join("ns"))
     }
 
     /// The namespace registry served alongside the default route:

@@ -74,14 +74,13 @@
 use les3_bitmap::Bitmap;
 use les3_data::{SetDatabase, TokenId};
 
-use crate::approx::{ApproxParams, ApproxPolicy, MinHashIndex};
+use crate::approx::{self, ApproxParams, ApproxPolicy, MinHashIndex};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::index::{SearchResult, TopK, VerifyOrder, VerifyQuery};
 use crate::metadata::FilterCandidates;
 use crate::partitioning::Partitioning;
-use crate::query::{self, Gathered, Kind, Query, SearchOutcome};
+use crate::query::{self, Gathered, Kind, OnExpiry, Query, SearchOutcome};
 use crate::scratch::{FilterScratch, QueryScratch};
-use crate::serve::ServeBackend;
 use crate::sim::{distinct_len, normalize_query, Similarity};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
@@ -598,7 +597,43 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.search(&q, scratch).map(|(result, _)| result)
     }
 
-    /// kNN under an [`ApproxPolicy`]: [`ServeBackend::search_approx`]
+    /// [`ShardedLes3Index::search`] under an [`ApproxPolicy`] — the one
+    /// place a policy is turned into query fields, for every route:
+    ///
+    /// * [`ApproxPolicy::Exact`] is `search`, bit for bit.
+    /// * [`ApproxPolicy::Anytime`] is `search` with
+    ///   [`OnExpiry::Commit`].
+    /// * [`ApproxPolicy::Prefilter`] scans the MinHash sidecar into the
+    ///   query's `mask` — the same composition point as attribute
+    ///   filters — and `search` re-verifies the survivors exactly. A
+    ///   saturated candidate set (every set collides, e.g. `rows == 0`)
+    ///   and a missing sidecar both run unmasked, so those
+    ///   configurations stay bit-for-bit exact; a mask the caller
+    ///   already supplied wins and the scan is skipped.
+    pub fn search_approx(
+        &self,
+        q: &Query<'_>,
+        policy: ApproxPolicy,
+        scratch: &mut QueryScratch,
+    ) -> SearchOutcome {
+        match policy {
+            ApproxPolicy::Prefilter { bands, rows } if q.mask.is_none() => approx::run_prefiltered(
+                self.approx_sidecar(),
+                self.partitioning(),
+                q.tokens,
+                (bands, rows),
+                scratch,
+                |mask, scratch| self.search(&Query { mask, ..*q }, scratch),
+            ),
+            ApproxPolicy::Anytime => {
+                let on_expiry = OnExpiry::Commit;
+                self.search(&Query { on_expiry, ..*q }, scratch)
+            }
+            ApproxPolicy::Exact | ApproxPolicy::Prefilter { .. } => self.search(q, scratch),
+        }
+    }
+
+    /// kNN under an [`ApproxPolicy`]: [`ShardedLes3Index::search_approx`]
     /// taking its [`Query`] as an argument list.
     pub fn knn_approx_ctl_on(
         &self,

@@ -34,8 +34,8 @@ use common::run;
 use les3_core::{
     ApproxInfo, ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Filter, FilterCandidates,
     Filters, Jaccard, Kind, Les3Index, NamespaceSpec, Namespaces, OnExpiry, OverlapCoefficient,
-    Partitioning, Query, QueryCtl, QueryScratch, SearchResult, ServeBackend, ShardPolicy,
-    ShardedLes3Index, ShardedScratch, Similarity,
+    Partitioning, Query, QueryCtl, QueryScratch, SearchResult, ShardPolicy, ShardedLes3Index,
+    ShardedScratch, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
@@ -540,6 +540,7 @@ fn filtered_anytime_commits_masked_partials_mid_descent() {
                     },
                     &red,
                     ApproxPolicy::Exact,
+                    &mut QueryScratch::new(),
                 )
                 .expect("no deadline")
                 .0;
@@ -566,7 +567,7 @@ fn filtered_anytime_commits_masked_partials_mid_descent() {
                         ..Query::new(&tokens, kind)
                     };
                     let (got, info) = ns
-                        .search(&q, &red, ApproxPolicy::Anytime)
+                        .search(&q, &red, ApproxPolicy::Anytime, &mut QueryScratch::new())
                         .expect("anytime never surfaces Expired");
                     for hit in &got.hits {
                         let same = reference.iter().find(|e| e.0 == hit.0).unwrap_or_else(|| {

@@ -2,12 +2,13 @@
 //! and one digest for pinning bytes to recorded values.
 #![allow(dead_code)] // each suite uses its own subset
 
-use les3_core::{Query, SearchResult, ServeBackend};
+use les3_core::{PersistentBackend, Query, QueryScratch, SearchResult};
 
 /// Runs `q` on a fresh scratch; the query must complete.
-pub fn run<B: ServeBackend>(index: &B, q: Query<'_>) -> SearchResult {
+pub fn run<B: PersistentBackend>(index: &B, q: Query<'_>) -> SearchResult {
     index
-        .search(&q, &mut B::Scratch::default())
+        .sharded()
+        .search(&q, &mut QueryScratch::default())
         .expect("query was interrupted")
         .0
 }

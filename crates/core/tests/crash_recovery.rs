@@ -17,10 +17,10 @@ use std::sync::Arc;
 
 use les3_core::metadata::{Filter, Filters};
 use les3_core::persist::io::{FaultBudget, FaultyIo};
-use les3_core::persist::{save_index_with_meta, DurableIndex, DurableOptions, PersistentBackend};
+use les3_core::persist::{DurableIndex, DurableOptions, PersistentBackend};
 use les3_core::{
-    ApproxParams, DeletionLog, Jaccard, Les3Index, MetadataIndex, Partitioning, PersistError,
-    Query, SearchResult, ShardPolicy, ShardedLes3Index,
+    ApproxParams, DeletionLog, Jaccard, Les3Index, LiveIndex, MetadataIndex, Partitioning,
+    PersistError, Query, SearchResult, ShardPolicy, ShardedLes3Index,
 };
 use les3_data::SetDatabase;
 
@@ -545,7 +545,9 @@ fn every_byte_flip_and_truncation_is_rejected() {
             meta.push_empty(1);
         }
     }
-    save_index_with_meta(&index, &[3], &meta, &dir).unwrap();
+    let mut live = LiveIndex::with_attrs(index, meta);
+    assert!(live.delete(3));
+    live.save(&dir).unwrap();
     let segment = dir.join("segment");
     let good = std::fs::read(&segment).unwrap();
 

@@ -611,6 +611,134 @@ fn auto_worker_entry_points_match_explicit() {
     }
 }
 
+/// One scratch, many indexes: a serving worker's `QueryScratch` answers
+/// the default route and every namespace in turn, so nothing in it may
+/// be sized for, or left describing, the index it served last. One
+/// scratch alternates between a 4-shard / 256-group index with a sidecar
+/// and tombstones, a flat 3-group namespace and an empty index over a
+/// larger universe, under plain, attribute-filtered (broad and narrow:
+/// both masked kernels) and prefiltered kNN and range queries; every
+/// answer, `SearchStats` and verdict included, is the fresh-scratch one.
+#[test]
+fn one_scratch_alternates_between_indexes_of_every_shape() {
+    use les3_core::{ApproxParams, ApproxPolicy, LiveIndex, NamespaceSpec, Namespaces};
+
+    let mut g = Gen(0x51de_ca5e);
+    let mut random_sets = |n: usize, universe: u64, max_len: usize| -> Vec<Vec<TokenId>> {
+        (0..n)
+            .map(|_| {
+                let len = 1 + g.below(max_len);
+                let set: std::collections::BTreeSet<u32> =
+                    (0..len).map(|_| (g.next() % universe) as u32).collect();
+                set.into_iter().collect()
+            })
+            .collect()
+    };
+    let big_sets = random_sets(1_500, 300, 18);
+    let small_sets = random_sets(30, 40, 8);
+    let mut attrs_for =
+        |n: usize| -> Vec<Vec<(String, String)>> { (0..n).map(|_| random_attrs(&mut g)).collect() };
+    let (big_attrs, small_attrs) = (attrs_for(big_sets.len()), attrs_for(small_sets.len()));
+
+    let mut meta = MetadataIndex::new();
+    for a in &big_attrs {
+        meta.push(a);
+    }
+    let db = SetDatabase::from_sets(big_sets.clone());
+    let part = pseudo_partitioning(db.len(), 256, 11);
+    let engine = ShardedLes3Index::build(db, part, Jaccard, 4, ShardPolicy::Contiguous);
+    let mut big = LiveIndex::with_attrs(engine, meta);
+    big.enable_approx(ApproxParams {
+        bands: 8,
+        rows: 1,
+        ..ApproxParams::default()
+    });
+    for id in [3, 100, 777] {
+        assert!(big.delete(id));
+    }
+
+    let registry = Namespaces::new();
+    let spec = NamespaceSpec {
+        n_groups: 3,
+        sets: small_sets.clone(),
+        attrs: small_attrs,
+        ..Default::default()
+    };
+    let flat = registry.create("flat", spec).unwrap();
+    assert_eq!((flat.info().kind, flat.info().n_groups), ("flat", 3));
+
+    let nothing = Les3Index::build(
+        SetDatabase::new(5_000),
+        Partitioning::round_robin(0, 1),
+        Jaccard,
+    );
+    let empty = LiveIndex::new(nothing);
+
+    type Ask<'a> = &'a dyn Fn(
+        &Query<'_>,
+        &Filters,
+        ApproxPolicy,
+        &mut QueryScratch,
+    ) -> (SearchResult, ApproxInfo);
+    let indexes: [Ask<'_>; 3] = [
+        &|q, f, mode, scratch| big.search(q, f, mode, scratch).unwrap(),
+        &|q, f, mode, scratch| flat.search(q, f, mode, scratch).unwrap(),
+        &|q, f, mode, scratch| empty.search(q, f, mode, scratch).unwrap(),
+    ];
+
+    let broad = Filters(vec![Filter::Eq {
+        key: "color".into(),
+        value: "red".into(),
+    }]);
+    let narrow = Filters(vec![Filter::In {
+        key: "exotic".into(),
+        values: vec!["v0".into(), "v1".into()],
+    }]);
+    let prefilter = ApproxPolicy::Prefilter { bands: 8, rows: 1 };
+    let queries = [
+        big_sets[42].clone(),
+        small_sets[7].clone(),
+        vec![4_000, 4_500], // inside the empty index's universe only
+        vec![],
+    ];
+
+    let mut shared = QueryScratch::new();
+    let (mut turn, mut hits, mut masked_hits, mut approx_answers) = (0usize, 0, 0, 0);
+    for tokens in &queries {
+        for kind in [Kind::Knn(7), Kind::Range(0.25)] {
+            for filters in [&Filters::none(), &broad, &narrow] {
+                for mode in [ApproxPolicy::Exact, prefilter] {
+                    let q = Query {
+                        workers: 1,
+                        ..Query::new(tokens, kind)
+                    };
+                    // Rotate who goes first, so every index follows
+                    // every other one in the shared scratch.
+                    for step in 0..indexes.len() {
+                        let which = (turn + step) % indexes.len();
+                        let got = indexes[which](&q, filters, mode, &mut shared);
+                        let want = indexes[which](&q, filters, mode, &mut QueryScratch::new());
+                        assert_eq!(
+                            got, want,
+                            "index {which}: {tokens:?} {kind:?} {filters:?} {mode:?}"
+                        );
+                        hits += got.0.hits.len();
+                        masked_hits += if filters.is_empty() {
+                            0
+                        } else {
+                            got.0.hits.len()
+                        };
+                        approx_answers += usize::from(got.1.approx);
+                    }
+                    turn += 1;
+                }
+            }
+        }
+    }
+    // The mix did reach every path it names.
+    assert!(hits > 0 && masked_hits > 0 && approx_answers > 0);
+}
+
 /// `FilterCandidates::build` tolerates bitmap bits beyond the database
 /// (stale postings after decode) by ignoring them.
 #[test]

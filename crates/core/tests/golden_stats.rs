@@ -373,7 +373,7 @@ fn hit_digest(results: &[SearchResult]) -> u64 {
 
 /// Every query of the fixture, one at a time: the first 24 unmasked,
 /// the last 8 under `cand`.
-fn one_by_one<B: les3_core::ServeBackend>(
+fn one_by_one<B: les3_core::PersistentBackend>(
     index: &B,
     db: &SetDatabase,
     cand: &FilterCandidates,

@@ -22,11 +22,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use les3_core::metadata::{Filter, Filters};
-use les3_core::persist::{save_index_with_meta, DurableIndex, PersistentBackend};
+use les3_core::persist::{DurableIndex, PersistentBackend};
 use les3_core::{
-    ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Jaccard, Les3Index, MetadataIndex,
-    MinHashIndex, OverlapCoefficient, Partitioning, Query, QueryCtl, QueryScratch, SearchResult,
-    ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity, Tgm,
+    ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Jaccard, Les3Index, LiveIndex,
+    MetadataIndex, MinHashIndex, OverlapCoefficient, Partitioning, Query, QueryCtl, QueryScratch,
+    SearchResult, ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity, Tgm,
 };
 use les3_data::SetDatabase;
 use proptest::prelude::*;
@@ -555,7 +555,7 @@ proptest! {
                 meta.push_empty(1);
             }
         }
-        save_index_with_meta(&index, &[], &meta, &dir).unwrap();
+        LiveIndex::with_attrs(index, meta).save(&dir).unwrap();
         let segment = dir.join("segment");
         let good = std::fs::read(&segment).unwrap();
 
@@ -767,8 +767,9 @@ fn sig_parameters_outside_a_sidecars_domain_are_corrupt() {
 /// `DurableIndex::create` starts a fresh deletion log, so a backend some
 /// other log has already deleted from is outside its contract (those
 /// sets would be believed live under bounds that no longer cover them):
-/// debug builds refuse it, and the documented route — `save_index` with
-/// the tombstones, then `open` — carries the deletions over.
+/// debug builds refuse it, and the documented route — the deletions
+/// happen inside a `LiveIndex`, which saves itself, then `open` — carries
+/// them over.
 #[cfg(debug_assertions)]
 #[test]
 fn create_refuses_a_backend_that_was_deleted_from() {
@@ -783,7 +784,9 @@ fn create_refuses_a_backend_that_was_deleted_from() {
     }));
     assert!(refused.is_err(), "create accepted a deleted-from backend");
 
-    les3_core::persist::save_index(&live, &log.deleted_ids(), &dir).unwrap();
+    let mut with_log = LiveIndex::new(pinned_flat_index());
+    assert!(with_log.delete(11));
+    with_log.save(&dir).unwrap();
     let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
     assert_eq!(reopened.log().deleted_ids(), [11]);
     let q = live.db().set(11).to_vec();
@@ -855,7 +858,151 @@ fn namespace_kind_survives_save_and_load() {
 
         let loaded = Namespaces::new();
         assert_eq!(loaded.load_all(&root).unwrap(), 1);
-        assert_eq!(loaded.expect("pin").unwrap().info(), info);
+        assert_eq!(loaded.get("pin").unwrap().info(), info);
         std::fs::remove_dir_all(&root).ok();
     }
+}
+
+/// Three owners, one value: the same insert / delete / insert-with-attrs
+/// script applied through a `DurableIndex`, a `Namespace` and a bare
+/// `LiveIndex` (served afterwards by `ServeFront::from_live`) returns the
+/// same ids, groups and verdicts step by step and leaves the same index
+/// — hits and `SearchStats` with and without a filter, live count, and
+/// the segment bytes each owner saves.
+#[test]
+fn every_owner_of_a_live_index_applies_one_script_identically() {
+    use les3_core::{NamespaceSpec, Namespaces, ServeConfig, ServeFront};
+
+    enum Step {
+        Insert(Vec<u32>, Vec<(String, String)>),
+        Delete(u32),
+    }
+    use Step::{Delete, Insert};
+    let script = [
+        Insert(vec![3, 40, 96], vec![]),
+        Delete(7),
+        Insert(vec![7, 14, 21, 21], attrs_for(0)),
+        Delete(70),    // the first inserted set
+        Delete(7),     // already deleted: a no-op
+        Delete(9_999), // never issued: a no-op
+        Insert(vec![200, 7], attrs_for(1)),
+        Insert(vec![7, 14, 28], attrs_for(3)),
+        Delete(33),
+    ];
+    let sets = pinned_big_sets();
+    let base = || {
+        let part = Partitioning::round_robin(sets.len(), 6);
+        Les3Index::build(SetDatabase::from_sets(sets.clone()), part, Jaccard)
+    };
+
+    // Each owner runs the script and reports what every step returned.
+    let dir = fresh_dir("owners-wal");
+    let mut durable = DurableIndex::create(&dir, base()).unwrap();
+    let via_durable: Vec<(u32, u32)> = script
+        .iter()
+        .map(|step| match step {
+            Insert(tokens, attrs) if attrs.is_empty() => {
+                durable.insert(&mut tokens.clone()).unwrap()
+            }
+            Insert(tokens, attrs) => durable
+                .insert_with_attrs(&mut tokens.clone(), attrs)
+                .unwrap(),
+            Delete(id) => (durable.delete(*id).unwrap() as u32, 0),
+        })
+        .collect();
+    let from_durable = durable.into_live();
+
+    let registry = Namespaces::new();
+    let spec = NamespaceSpec {
+        n_groups: 6,
+        sets: sets.clone(),
+        ..Default::default()
+    };
+    let ns = registry.create("owner", spec).unwrap();
+    let via_namespace: Vec<(u32, u32)> = script
+        .iter()
+        .map(|step| match step {
+            Insert(tokens, attrs) => ns.insert(&mut tokens.clone(), attrs).unwrap(),
+            Delete(id) => (ns.delete(*id) as u32, 0),
+        })
+        .collect();
+
+    let mut bare = LiveIndex::new(base());
+    let via_bare: Vec<(u32, u32)> = script
+        .iter()
+        .map(|step| match step {
+            Insert(tokens, attrs) => bare.insert(&mut tokens.clone(), attrs),
+            Delete(id) => (bare.delete(*id) as u32, 0),
+        })
+        .collect();
+    assert_eq!(via_durable, via_namespace);
+    assert_eq!(via_durable, via_bare);
+
+    let live_sets = sets.len() + 4 - 3; // four inserts, three deletes that took
+    assert_eq!(from_durable.log().live_count(), live_sets);
+    assert_eq!(ns.info().live_sets, live_sets);
+    assert_eq!(bare.log().live_count(), live_sets);
+    let front = ServeFront::from_live(bare, ServeConfig::default());
+
+    // Set 7 was the best answer to its own tokens, set 71 carries
+    // `tier: gold`; both queries run into tombstones.
+    let mut scratch = QueryScratch::new();
+    let mut filtered_hits = 0;
+    for tokens in [sets[7].clone(), vec![7, 14, 21], vec![]] {
+        for kind in [les3_core::Kind::Knn(5), les3_core::Kind::Range(0.2)] {
+            let q = Query {
+                workers: 1,
+                ..Query::new(&tokens, kind)
+            };
+            for filters in [Filters::none(), gold_filter()] {
+                let (want, _) = from_durable
+                    .search(&q, &filters, ApproxPolicy::Exact, &mut scratch)
+                    .unwrap();
+                assert!(want.hits.iter().all(|h| ![7, 33, 70].contains(&h.0)));
+                filtered_hits += if filters.is_empty() {
+                    0
+                } else {
+                    want.hits.len()
+                };
+                let (got, _) = ns
+                    .search(&q, &filters, ApproxPolicy::Exact, &mut scratch)
+                    .unwrap();
+                assert_eq!(got, want, "namespace, {kind:?} {filters:?}");
+                if filters.is_empty() {
+                    let served = match kind {
+                        les3_core::Kind::Knn(k) => front.knn(&tokens, k),
+                        les3_core::Kind::Range(delta) => front.range(&tokens, delta),
+                    };
+                    assert_eq!(served.unwrap(), want, "front, {kind:?}");
+                }
+            }
+        }
+    }
+
+    assert!(filtered_hits > 0, "the filter must admit inserted sets");
+
+    let saved: Vec<Vec<u8>> = ["owners-a", "owners-b", "owners-c"]
+        .iter()
+        .enumerate()
+        .map(|(owner, tag)| {
+            let dir = fresh_dir(tag);
+            match owner {
+                0 => from_durable.save(&dir).unwrap(),
+                1 => ns.save(&dir).unwrap(),
+                _ => front.save(&dir).unwrap(),
+            }
+            let bytes = std::fs::read(dir.join("segment")).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            bytes
+        })
+        .collect();
+    assert_eq!(
+        saved[0], saved[1],
+        "namespace saves what the durable index holds"
+    );
+    assert_eq!(
+        saved[0], saved[2],
+        "the front saves what the durable index holds"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -30,8 +30,8 @@ use les3_core::serve::{OnFull, ServeConfig, ServeError, ServeFront, SubmitOpts, 
 use les3_core::sim::Jaccard;
 use les3_core::{ApproxInfo, ApproxPolicy};
 use les3_core::{
-    Filters, Les3Index, NamespaceSpec, Partitioning, SearchResult, SearchStats, ServeBackend,
-    ShardPolicy, ShardedLes3Index, Similarity,
+    Filters, Les3Index, NamespaceSpec, Partitioning, PersistentBackend, QueryScratch, SearchResult,
+    SearchStats, ShardPolicy, ShardedLes3Index, Similarity,
 };
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::TokenId;
@@ -41,22 +41,24 @@ const PRODUCERS: usize = 4;
 
 /// What each producer thread issues for query `i`: a deterministic mix
 /// of kNN and range requests so both paths race through one front.
-fn expected_for<B: ServeBackend>(
+fn expected_for<B: PersistentBackend>(
     backend: &B,
-    scratch: &mut B::Scratch,
+    scratch: &mut QueryScratch,
     i: usize,
     q: &[TokenId],
 ) -> SearchResult {
     if i.is_multiple_of(3) {
-        backend.serve_range(q, 0.25 + (i % 5) as f64 * 0.15, scratch)
+        backend
+            .sharded()
+            .range_with(q, 0.25 + (i % 5) as f64 * 0.15, scratch)
     } else {
-        backend.serve_knn(q, 1 + i % 9, scratch)
+        backend.sharded().knn_with(q, 1 + i % 9, scratch)
     }
 }
 
 /// Races `PRODUCERS` threads against the front (blocking calls AND
 /// ticket pipelines) and checks every response against the direct call.
-fn check_front<B: ServeBackend>(
+fn check_front<B: PersistentBackend>(
     backend: Arc<B>,
     config: ServeConfig,
     queries: &[Vec<TokenId>],
@@ -108,7 +110,7 @@ fn check_front<B: ServeBackend>(
             .map(|h| h.join().expect("producer thread panicked"))
             .collect()
     });
-    let mut scratch = B::Scratch::default();
+    let mut scratch = QueryScratch::default();
     for per_producer in served {
         for (i, got) in per_producer {
             let want = expected_for(&*backend, &mut scratch, i, &queries[i]);

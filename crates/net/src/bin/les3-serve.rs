@@ -27,11 +27,11 @@ use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
 
-use les3_core::persist::{read_meta, save_index};
+use les3_core::persist::read_meta;
 use les3_core::sim::Jaccard;
 use les3_core::{
-    ApproxParams, DeletionLog, DurableIndex, Les3Index, NamespaceSpec, Partitioning,
-    PersistentBackend, ServeBackend, ServeConfig, ServeFront, ShardPolicy, ShardedLes3Index,
+    ApproxParams, DurableIndex, Les3Index, NamespaceSpec, Partitioning, PersistentBackend,
+    ServeConfig, ServeFront, ShardPolicy, ShardedLes3Index,
 };
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::SetDatabase;
@@ -244,34 +244,9 @@ fn load_database(path: &str) -> SetDatabase {
     parse_database(&text).unwrap_or_else(|e| die(&format!("{path:?}: {e}")))
 }
 
-/// Binds the HTTP server over `front` and blocks forever.
-fn run<B: ServeBackend>(front: Arc<ServeFront<B>>, args: &Args, snapshot: Option<SnapshotFn>) -> ! {
-    let net = NetConfig {
-        conn_workers: args.conn_workers.max(1),
-        ..NetConfig::default()
-    };
-    let snapshot_enabled = snapshot.is_some();
-    let server =
-        HttpServer::bind_with_snapshot(front, (args.host.as_str(), args.port), net, snapshot)
-            .unwrap_or_else(|e| die(&format!("cannot bind {}:{}: {e}", args.host, args.port)));
-    println!("listening on http://{}", server.local_addr());
-    let snap = if snapshot_enabled {
-        ", POST /snapshot"
-    } else {
-        ""
-    };
-    println!(
-        "endpoints: POST /knn, POST /range{snap}, GET /stats, GET /healthz, /ns/... \
-         (docs/PROTOCOL.md)"
-    );
-    loop {
-        std::thread::park();
-    }
-}
-
 /// Creates the `--ns NAME=FILE` namespaces on `front` (flat engines,
 /// default grouping — finer control is a `PUT /ns/{name}` away).
-fn preload_namespaces<B: ServeBackend>(front: &ServeFront<B>, args: &Args) {
+fn preload_namespaces<B: PersistentBackend>(front: &ServeFront<B>, args: &Args) {
     for (name, file) in &args.namespaces {
         let db = load_database(file);
         let sets = (0..db.len()).map(|i| db.set(i as u32).to_vec()).collect();
@@ -290,68 +265,80 @@ fn preload_namespaces<B: ServeBackend>(front: &ServeFront<B>, args: &Args) {
     }
 }
 
-/// Wraps `backend` in a serving front, wiring `POST /snapshot` to
-/// re-checkpoint it (and every namespace, under `DIR/ns/{name}`) into
-/// `--save-index`'s directory, and serves forever. The initial
-/// checkpoint (for a freshly built index) happens here too, so the
-/// directory is durable before the first query is accepted. `deletes`
-/// is the log a `--load-index` directory came back with: its tombstones
-/// never surface in an answer and are written back by every snapshot.
-fn serve_index<B>(backend: B, deletes: Option<DeletionLog>, config: ServeConfig, args: &Args) -> !
-where
-    B: ServeBackend + PersistentBackend,
-{
-    let backend = Arc::new(backend);
-    let tombstones = deletes
-        .as_ref()
-        .map_or(Vec::new(), DeletionLog::deleted_ids);
-    let front = Arc::new(ServeFront::with_tombstones(
-        Arc::clone(&backend),
-        deletes,
-        config,
-    ));
+/// Serves `front` over HTTP forever. Before the first query is
+/// accepted, the namespaces of a `--load-index` directory and the
+/// `--ns` files join it and `--save-index`'s directory receives a
+/// checkpoint of everything the front serves (the default route with
+/// its tombstones, every namespace under `DIR/ns/{name}`); `POST
+/// /snapshot` rewrites that checkpoint on demand.
+fn serve<B: PersistentBackend>(front: ServeFront<B>, args: &Args) -> ! {
+    let front = Arc::new(front);
     if let Some(dir) = &args.load_index {
         let ns_root = Path::new(dir).join("ns");
-        if ns_root.is_dir() {
-            let n = front
-                .namespaces()
-                .load_all(&ns_root)
-                .unwrap_or_else(|e| die(&format!("cannot load namespaces from {ns_root:?}: {e}")));
-            if n > 0 {
-                println!("loaded {n} namespace(s) from {ns_root:?}");
-            }
+        let n = front
+            .namespaces()
+            .load_all(&ns_root)
+            .unwrap_or_else(|e| die(&format!("cannot load namespaces from {ns_root:?}: {e}")));
+        if n > 0 {
+            println!("loaded {n} namespace(s) from {ns_root:?}");
         }
     }
     preload_namespaces(&front, args);
     if let Some(dir) = &args.save_index {
-        // A fresh startup checkpoint — unless we are serving straight
-        // out of this very directory, which is already durable.
-        if args.load_index.as_deref() != Some(dir.as_str()) {
-            save_index(&*backend, &tombstones, Path::new(dir))
-                .unwrap_or_else(|e| die(&format!("cannot save index to {dir:?}: {e}")));
-            println!("saved index to {dir:?}");
-        }
-        // Namespaces always get a startup checkpoint: `--ns` may have
-        // added some that the (possibly reused) directory lacks.
         front
-            .namespaces()
-            .save_all(&Path::new(dir).join("ns"))
-            .unwrap_or_else(|e| die(&format!("cannot save namespaces to {dir:?}: {e}")));
+            .save(Path::new(dir))
+            .unwrap_or_else(|e| die(&format!("cannot save index to {dir:?}: {e}")));
+        println!("saved index to {dir:?}");
     }
     let snapshot: Option<SnapshotFn> = args.save_index.clone().map(|dir| {
-        let backend = Arc::clone(&backend);
         let front = Arc::clone(&front);
-        Box::new(move || {
-            save_index(&*backend, &tombstones, Path::new(&dir))
-                .map_err(|e| SnapshotError::Failed(e.to_string()))?;
-            front
-                .namespaces()
-                .save_all(&Path::new(&dir).join("ns"))
-                .map_err(|e| SnapshotError::Failed(e.to_string()))?;
-            Ok(dir.clone())
+        Box::new(move || match front.save(Path::new(&dir)) {
+            Ok(()) => Ok(dir.clone()),
+            Err(e) => Err(SnapshotError::Failed(e.to_string())),
         }) as SnapshotFn
     });
-    run(front, args, snapshot)
+    let net = NetConfig {
+        conn_workers: args.conn_workers.max(1),
+        ..NetConfig::default()
+    };
+    let snap = if snapshot.is_some() {
+        ", POST /snapshot"
+    } else {
+        ""
+    };
+    let server =
+        HttpServer::bind_with_snapshot(front, (args.host.as_str(), args.port), net, snapshot)
+            .unwrap_or_else(|e| die(&format!("cannot bind {}:{}: {e}", args.host, args.port)));
+    println!("listening on http://{}", server.local_addr());
+    println!(
+        "endpoints: POST /knn, POST /range{snap}, GET /stats, GET /healthz, /ns/... \
+         (docs/PROTOCOL.md)"
+    );
+    loop {
+        std::thread::park();
+    }
+}
+
+/// Serves the index checkpointed in `dir`, tombstones and all.
+fn serve_loaded<B>(dir: &str, config: ServeConfig, args: &Args) -> !
+where
+    B: PersistentBackend<Sim = Jaccard>,
+{
+    let mut live = DurableIndex::<B>::open(dir, Jaccard)
+        .unwrap_or_else(|e| die(&format!("cannot load index from {dir:?}: {e}")))
+        .into_live();
+    if let Some(params) = args.approx {
+        live.enable_approx(params);
+    }
+    serve(ServeFront::from_live(live, config), args)
+}
+
+/// Serves a freshly built index.
+fn serve_built<B: PersistentBackend>(mut index: B, config: ServeConfig, args: &Args) -> ! {
+    if let Some(params) = args.approx {
+        index.sharded_mut().enable_approx(params);
+    }
+    serve(ServeFront::new(index, config), args)
 }
 
 fn main() {
@@ -365,14 +352,13 @@ fn main() {
         },
     };
 
-    if let Some(dir) = args.load_index.clone() {
+    if let Some(dir) = &args.load_index {
         // Serve a checkpointed index; the segment itself says whether it
         // is flat or sharded, and the tombstones come with it.
         if args.load.is_some() {
             die("--load-index and --load are mutually exclusive");
         }
-        let dir_path = Path::new(&dir);
-        let meta = read_meta(dir_path)
+        let meta = read_meta(Path::new(dir))
             .unwrap_or_else(|e| die(&format!("cannot load index from {dir:?}: {e}")));
         println!(
             "loading {dir:?}: epoch {}, {} sets, {} groups, {} shard(s), sim {:?}",
@@ -383,21 +369,9 @@ fn main() {
             meta.sim_name,
         );
         if meta.n_shards > 0 {
-            let durable = DurableIndex::<ShardedLes3Index<Jaccard>>::open(dir_path, Jaccard)
-                .unwrap_or_else(|e| die(&format!("cannot load index from {dir:?}: {e}")));
-            let (mut backend, log) = durable.into_backend();
-            if let Some(params) = args.approx {
-                backend.enable_approx(params);
-            }
-            serve_index(backend, Some(log), config, &args)
+            serve_loaded::<ShardedLes3Index<Jaccard>>(dir, config, &args)
         } else {
-            let durable = DurableIndex::<Les3Index<Jaccard>>::open(dir_path, Jaccard)
-                .unwrap_or_else(|e| die(&format!("cannot load index from {dir:?}: {e}")));
-            let (mut backend, log) = durable.into_backend();
-            if let Some(params) = args.approx {
-                backend.enable_approx(params);
-            }
-            serve_index(backend, Some(log), config, &args)
+            serve_loaded::<Les3Index<Jaccard>>(dir, config, &args)
         }
     }
 
@@ -428,23 +402,11 @@ fn main() {
         args.queue_capacity,
     );
     if args.shards >= 1 {
-        let mut index = ShardedLes3Index::build(
-            db,
-            partitioning,
-            Jaccard,
-            args.shards,
-            ShardPolicy::Contiguous,
-        );
-        if let Some(params) = args.approx {
-            index.enable_approx(params);
-        }
-        serve_index(index, None, config, &args)
+        let policy = ShardPolicy::Contiguous;
+        let index = ShardedLes3Index::build(db, partitioning, Jaccard, args.shards, policy);
+        serve_built(index, config, &args)
     } else {
-        let mut index = Les3Index::build(db, partitioning, Jaccard);
-        if let Some(params) = args.approx {
-            index.enable_approx(params);
-        }
-        serve_index(index, None, config, &args)
+        serve_built(Les3Index::build(db, partitioning, Jaccard), config, &args)
     }
 }
 

@@ -38,8 +38,9 @@
 //! | unknown path / wrong method | `404` / `405` |
 //!
 //! The `/ns` family (multi-tenant namespaces with attribute-filtered
-//! search) is routed by its own dispatch table; lifecycle errors map
-//! `Unknown → 404`, `AlreadyExists → 409`, `Invalid → 400`.
+//! search) is routed by the same dispatch table as the default routes
+//! (`route` below: a namespace name or none, then an action); lifecycle
+//! errors map `Unknown → 404`, `AlreadyExists → 409`, `Invalid → 400`.
 //!
 //! Servers started with [`HttpServer::bind_with_snapshot`] additionally
 //! answer `POST /snapshot`, mirroring the overload mapping:
@@ -63,7 +64,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use les3_core::{
-    ApproxPolicy, NamespaceError, OnFull, ServeBackend, ServeError, ServeFront, SubmitOpts, Ticket,
+    ApproxPolicy, NamespaceError, OnFull, PersistentBackend, SearchStats, ServeError, ServeFront,
+    SubmitOpts, Ticket,
 };
 
 use crate::http::{
@@ -81,35 +83,33 @@ pub struct NetConfig {
     /// control for queries is the front's bounded queue; this is the
     /// bound on socket handling).
     pub conn_workers: usize,
-    /// How often a worker waiting on an in-flight query probes the
-    /// client socket for disconnect. Shorter means abandoned queries are
-    /// cancelled sooner at the cost of more `peek` syscalls.
-    pub probe_interval: Duration,
-    /// Value for the `Retry-After` header on `503` responses (rounded
-    /// up to whole seconds, minimum 1).
-    pub retry_after: Duration,
     /// How long a keep-alive connection may sit idle **between**
     /// requests before the server closes it. Without this bound,
     /// `conn_workers` silent connections would occupy every worker
     /// forever and starve the listener.
     pub idle_timeout: Duration,
-    /// Accepted connections waiting for a free worker. When the backlog
-    /// is full, new connections are closed immediately instead of
-    /// queueing file descriptors without bound.
-    pub accept_backlog: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
             conn_workers: 4,
-            probe_interval: Duration::from_millis(2),
-            retry_after: Duration::from_secs(1),
             idle_timeout: Duration::from_secs(30),
-            accept_backlog: 64,
         }
     }
 }
+
+/// How often a worker waiting on an in-flight query probes the client
+/// socket for disconnect. Shorter means abandoned queries are cancelled
+/// sooner at the cost of more `peek` syscalls.
+const PROBE_INTERVAL: Duration = Duration::from_millis(2);
+/// The `Retry-After` header of every `503`, in whole seconds (never 0:
+/// that would invite an immediate hammer).
+const RETRY_AFTER_SECS: u64 = 1;
+/// Accepted connections waiting for a free worker. When the backlog is
+/// full, new connections are closed immediately instead of queueing file
+/// descriptors without bound.
+const ACCEPT_BACKLOG: usize = 64;
 
 /// Why a `POST /snapshot` request could not produce a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,8 +137,8 @@ impl std::error::Error for SnapshotError {}
 /// The callback behind `POST /snapshot`: writes a durable snapshot and
 /// returns the path it landed at. It runs on a connection worker thread
 /// while query traffic continues; implementations only need shared
-/// access to the index (e.g. `les3_core::persist::save_index` over an
-/// `Arc`'d backend).
+/// access to what is served (e.g. `ServeFront::save` on the `Arc`'d
+/// front).
 pub type SnapshotFn = Box<dyn Fn() -> Result<String, SnapshotError> + Send + Sync>;
 
 /// The snapshot callback plus its single-writer guard: concurrent
@@ -224,7 +224,7 @@ impl HttpServer {
     /// let server = HttpServer::bind(front, "127.0.0.1:0", NetConfig::default()).unwrap();
     /// println!("listening on http://{}", server.local_addr());
     /// ```
-    pub fn bind<B: ServeBackend, A: ToSocketAddrs>(
+    pub fn bind<B: PersistentBackend, A: ToSocketAddrs>(
         front: Arc<ServeFront<B>>,
         addr: A,
         config: NetConfig,
@@ -237,7 +237,7 @@ impl HttpServer {
     /// concurrent request is answered `503` without running it) and maps
     /// its outcome to HTTP per the module table. Pass `None` to serve
     /// without a snapshot endpoint (`POST /snapshot` then answers `404`).
-    pub fn bind_with_snapshot<B: ServeBackend, A: ToSocketAddrs>(
+    pub fn bind_with_snapshot<B: PersistentBackend, A: ToSocketAddrs>(
         front: Arc<ServeFront<B>>,
         addr: A,
         config: NetConfig,
@@ -252,7 +252,7 @@ impl HttpServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.accept_backlog.max(1));
+        let (tx, rx) = mpsc::sync_channel::<TcpStream>(ACCEPT_BACKLOG);
         let rx = Arc::new(Mutex::new(rx));
         let mut workers = Vec::with_capacity(config.conn_workers.max(1));
         for i in 0..config.conn_workers.max(1) {
@@ -332,7 +332,7 @@ impl Drop for HttpServer {
     }
 }
 
-fn connection_worker<B: ServeBackend>(
+fn connection_worker<B: PersistentBackend>(
     rx: &Mutex<Receiver<TcpStream>>,
     front: &ServeFront<B>,
     shutdown: &AtomicBool,
@@ -364,7 +364,7 @@ enum ReadOutcome {
 }
 
 /// Runs the keep-alive loop on one connection until it closes.
-fn handle_connection<B: ServeBackend>(
+fn handle_connection<B: PersistentBackend>(
     mut stream: TcpStream,
     front: &ServeFront<B>,
     shutdown: &AtomicBool,
@@ -381,24 +381,13 @@ fn handle_connection<B: ServeBackend>(
         match read_request(&mut stream, &mut buf, shutdown, config.idle_timeout) {
             ReadOutcome::Closed => return,
             ReadOutcome::Reject(rejection) => {
-                let body = wire::encode_error("bad_request", rejection.message, None).to_string();
-                let _ = stream.write_all(&response_bytes(rejection.status, &body, &[], false));
+                Reply::error(rejection.status, "bad_request", rejection.message)
+                    .write(&mut stream, false);
                 return;
             }
             ReadOutcome::Request(head, body) => {
                 let keep_alive = head.keep_alive() && !shutdown.load(Ordering::Acquire);
-                if !respond(
-                    &mut stream,
-                    front,
-                    &head,
-                    &body,
-                    keep_alive,
-                    config,
-                    snapshot,
-                ) {
-                    return;
-                }
-                if !keep_alive {
+                if !respond(&mut stream, front, &head, &body, keep_alive, snapshot) || !keep_alive {
                     return;
                 }
             }
@@ -487,153 +476,111 @@ fn is_timeout(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
+/// One response before it is framed: status, JSON body, extra headers.
+struct Reply {
+    status: u16,
+    body: String,
+    headers: Vec<(&'static str, String)>,
+}
+
+impl Reply {
+    fn ok(body: Json) -> Self {
+        Self {
+            status: 200,
+            body: body.to_string(),
+            headers: vec![],
+        }
+    }
+
+    /// The error envelope ([`wire::encode_error`]) under `status`.
+    fn error(status: u16, code: &str, message: &str) -> Self {
+        Self::error_with(status, code, message, None)
+    }
+
+    /// [`Reply::error`] carrying the partial work of an interrupted
+    /// query.
+    fn error_with(status: u16, code: &str, message: &str, stats: Option<&SearchStats>) -> Self {
+        Self {
+            status,
+            body: wire::encode_error(code, message, stats).to_string(),
+            headers: vec![],
+        }
+    }
+
+    /// A `503` the client should retry after a backoff.
+    fn retry_later(code: &str, message: &str) -> Self {
+        let mut reply = Self::error(503, code, message);
+        reply
+            .headers
+            .push(("Retry-After", RETRY_AFTER_SECS.to_string()));
+        reply
+    }
+
+    /// A `405` naming the methods the path does take.
+    fn method_not_allowed(message: &str, allow: &str) -> Self {
+        let mut reply = Self::error(405, "method_not_allowed", message);
+        reply.headers.push(("Allow", allow.to_string()));
+        reply
+    }
+
+    fn bad_request(e: &wire::SchemaError) -> Self {
+        Self::error(400, "bad_request", &e.0)
+    }
+
+    /// Maps a [`NamespaceError`] from a lifecycle/mutation call: unknown
+    /// name → `404`, create collision → `409`, anything the caller got
+    /// wrong → `400`, persistence trouble → `500`.
+    fn ns_error(e: &NamespaceError) -> Self {
+        let (status, code) = match e {
+            NamespaceError::Unknown(_) => (404, "unknown_namespace"),
+            NamespaceError::AlreadyExists(_) => (409, "already_exists"),
+            NamespaceError::Invalid(_) => (400, "bad_request"),
+            NamespaceError::Persist(_) => (500, "internal"),
+        };
+        Self::error(status, code, &e.to_string())
+    }
+
+    fn unknown_ns(name: &str) -> Self {
+        Self::ns_error(&NamespaceError::Unknown(name.to_string()))
+    }
+
+    /// Frames and writes the response. Returns `false` when the
+    /// connection must close (write failure).
+    fn write(&self, stream: &mut TcpStream, keep_alive: bool) -> bool {
+        stream
+            .write_all(&response_bytes(
+                self.status,
+                &self.body,
+                &self.headers,
+                keep_alive,
+            ))
+            .is_ok()
+    }
+}
+
+/// Splits a request path into the dispatch table's key: the namespace
+/// it names (`None` is the default route) and the action on it. Bare
+/// `/ns` (or `/ns/`) is the default route's action `ns`: list the
+/// namespaces.
+fn route(path: &str) -> (Option<&str>, Option<&str>) {
+    match path.strip_prefix("/ns/") {
+        None => (None, Some(path.strip_prefix('/').unwrap_or(path))),
+        Some("") => (None, Some("ns")),
+        Some(rest) => match rest.split_once('/') {
+            None => (Some(rest), None),
+            Some((name, action)) => (Some(name), Some(action)),
+        },
+    }
+}
+
 /// Routes one request and writes its response. Returns `false` when the
 /// connection must close (write failure or client gone).
-#[allow(clippy::too_many_arguments)]
-fn respond<B: ServeBackend>(
-    stream: &mut TcpStream,
-    front: &ServeFront<B>,
-    head: &RequestHead,
-    body: &[u8],
-    keep_alive: bool,
-    config: NetConfig,
-    snapshot: Option<&SnapshotHook>,
-) -> bool {
-    if head.path == "/ns" || head.path.starts_with("/ns/") {
-        return respond_ns(stream, front, head, body, keep_alive, config);
-    }
-    let (status, response_body, extra): (u16, String, Vec<(&str, String)>) =
-        match (head.method.as_str(), head.path.as_str()) {
-            ("GET", "/healthz") => (
-                200,
-                Json::Obj(vec![("ok".into(), true.into())]).to_string(),
-                vec![],
-            ),
-            ("GET", "/stats") => {
-                let body = Json::Obj(vec![
-                    ("in_flight".into(), front.in_flight().into()),
-                    ("stats".into(), wire::encode_stats(&front.stats())),
-                ]);
-                (200, body.to_string(), vec![])
-            }
-            ("POST", "/knn") => match wire::decode_knn(body) {
-                Ok(query) if !query.filters.is_empty() => filter_not_supported(),
-                Ok(query) => return serve_query(stream, front, query, None, keep_alive, config),
-                Err(e) => (
-                    400,
-                    wire::encode_error("bad_request", &e.0, None).to_string(),
-                    vec![],
-                ),
-            },
-            ("POST", "/range") => match wire::decode_range(body) {
-                Ok(query) if !query.filters.is_empty() => filter_not_supported(),
-                Ok(query) => return serve_query(stream, front, query, None, keep_alive, config),
-                Err(e) => (
-                    400,
-                    wire::encode_error("bad_request", &e.0, None).to_string(),
-                    vec![],
-                ),
-            },
-            ("POST", "/snapshot") => match snapshot {
-                None => (
-                    404,
-                    wire::encode_error(
-                        "not_found",
-                        "snapshotting is not enabled (start les3-serve with --save-index)",
-                        None,
-                    )
-                    .to_string(),
-                    vec![],
-                ),
-                Some(hook) => match hook.snapshot() {
-                    Ok(path) => (
-                        200,
-                        Json::Obj(vec![
-                            ("ok".into(), true.into()),
-                            ("path".into(), path.as_str().into()),
-                        ])
-                        .to_string(),
-                        vec![],
-                    ),
-                    Err(SnapshotError::Busy) => (
-                        503,
-                        wire::encode_error(
-                            "snapshot_busy",
-                            "a snapshot is already being written; retry after a backoff",
-                            None,
-                        )
-                        .to_string(),
-                        vec![("Retry-After", retry_after_secs(config).to_string())],
-                    ),
-                    Err(SnapshotError::Failed(msg)) => (
-                        500,
-                        wire::encode_error("snapshot_failed", &msg, None).to_string(),
-                        vec![],
-                    ),
-                },
-            },
-            (_, "/healthz" | "/stats") => (
-                405,
-                wire::encode_error("method_not_allowed", "use GET", None).to_string(),
-                vec![("Allow", "GET".to_string())],
-            ),
-            (_, "/knn" | "/range" | "/snapshot") => (
-                405,
-                wire::encode_error("method_not_allowed", "use POST", None).to_string(),
-                vec![("Allow", "POST".to_string())],
-            ),
-            _ => (
-                404,
-                wire::encode_error(
-                    "not_found",
-                    "unknown path (expected /knn, /range, /snapshot, /stats, /healthz or /ns/...)",
-                    None,
-                )
-                .to_string(),
-                vec![],
-            ),
-        };
-    stream
-        .write_all(&response_bytes(status, &response_body, &extra, keep_alive))
-        .is_ok()
-}
-
-/// The `400` for a `"filter"` on the default routes, which serve the
-/// attribute-less primary index.
-fn filter_not_supported() -> (u16, String, Vec<(&'static str, String)>) {
-    (
-        400,
-        wire::encode_error(
-            "bad_request",
-            "\"filter\" is only supported on /ns/{name}/knn and /ns/{name}/range",
-            None,
-        )
-        .to_string(),
-        vec![],
-    )
-}
-
-/// Maps a [`NamespaceError`] from a lifecycle/mutation call to its HTTP
-/// response: unknown name → `404`, create collision → `409`, anything
-/// the caller got wrong → `400`, persistence trouble → `500`.
-fn ns_error_response(e: &NamespaceError) -> (u16, String, Vec<(&'static str, String)>) {
-    let (status, code) = match e {
-        NamespaceError::Unknown(_) => (404, "unknown_namespace"),
-        NamespaceError::AlreadyExists(_) => (409, "already_exists"),
-        NamespaceError::Invalid(_) => (400, "bad_request"),
-        NamespaceError::Persist(_) => (500, "internal"),
-    };
-    (
-        status,
-        wire::encode_error(code, &e.to_string(), None).to_string(),
-        vec![],
-    )
-}
-
-/// Routes the `/ns` namespace API (see the endpoint table in
-/// `docs/PROTOCOL.md`):
 ///
 /// ```text
+/// GET    /healthz               liveness
+/// GET    /stats                 global aggregate stats + in_flight
+/// POST   /knn, /range           query the default route (no "filter")
+/// POST   /snapshot              re-checkpoint (servers bound with one)
 /// GET    /ns                    list namespaces
 /// PUT    /ns/{name}             create (body: spec; empty = defaults)
 /// GET    /ns/{name}             describe
@@ -645,168 +592,144 @@ fn ns_error_response(e: &NamespaceError) -> (u16, String, Vec<(&'static str, Str
 /// POST   /ns/{name}/delete      tombstone one set
 /// ```
 ///
-/// Queries go through the same admission-controlled front as the
-/// default routes ([`ServeFront::submit_ns_knn`]), so namespace traffic
-/// shares the queue, deadlines and disconnect cancellation. Mutations
-/// and lifecycle calls are handled inline on the connection worker —
-/// they take the namespace's write lock, not a queue slot.
-fn respond_ns<B: ServeBackend>(
+/// Namespace queries go through the same admission-controlled front as
+/// the default routes ([`ServeFront::submit_ns_knn`]), so they share the
+/// queue, deadlines and disconnect cancellation. Mutations and lifecycle
+/// calls are handled inline on the connection worker — they take the
+/// namespace's write lock, not a queue slot.
+fn respond<B: PersistentBackend>(
     stream: &mut TcpStream,
     front: &ServeFront<B>,
     head: &RequestHead,
     body: &[u8],
     keep_alive: bool,
-    config: NetConfig,
+    snapshot: Option<&SnapshotHook>,
 ) -> bool {
-    let rest = head.path.strip_prefix("/ns").unwrap_or("");
-    let (name, action) = match rest.strip_prefix('/') {
-        None => ("", None), // bare "/ns"
-        Some(rest) => match rest.split_once('/') {
-            None => (rest, None),
-            Some((name, action)) => (name, Some(action)),
-        },
-    };
-    let bad_request = |e: &wire::SchemaError| {
-        (
-            400,
-            wire::encode_error("bad_request", &e.0, None).to_string(),
-            vec![],
-        )
-    };
     let namespaces = front.namespaces();
-    let (status, response_body, extra): (u16, String, Vec<(&str, String)>) =
-        match (head.method.as_str(), name, action) {
-            ("GET", "", None) => {
-                let list = namespaces.list().iter().map(wire::encode_ns_info).collect();
-                (
-                    200,
-                    Json::Obj(vec![("namespaces".into(), Json::Arr(list))]).to_string(),
-                    vec![],
-                )
-            }
-            (_, "", None) => (
-                405,
-                wire::encode_error("method_not_allowed", "use GET", None).to_string(),
-                vec![("Allow", "GET".to_string())],
-            ),
-            ("PUT", name, None) => match wire::decode_ns_spec(body) {
-                Ok(spec) => match namespaces.create(name, spec) {
-                    Ok(ns) => (200, wire::encode_ns_info(&ns.info()).to_string(), vec![]),
-                    Err(e) => ns_error_response(&e),
-                },
-                Err(e) => bad_request(&e),
-            },
-            ("DELETE", name, None) => {
-                if namespaces.remove(name) {
-                    (
-                        200,
-                        Json::Obj(vec![("ok".into(), true.into())]).to_string(),
-                        vec![],
-                    )
-                } else {
-                    ns_error_response(&NamespaceError::Unknown(name.to_string()))
-                }
-            }
-            ("GET", name, None) => match namespaces.get(name) {
-                Some(ns) => (200, wire::encode_ns_info(&ns.info()).to_string(), vec![]),
-                None => ns_error_response(&NamespaceError::Unknown(name.to_string())),
-            },
-            ("GET", name, Some("stats")) => match namespaces.get(name) {
-                Some(ns) => (
-                    200,
-                    Json::Obj(vec![
-                        ("name".into(), name.into()),
-                        ("stats".into(), wire::encode_stats(&ns.stats())),
-                    ])
-                    .to_string(),
-                    vec![],
+    let ok = || Reply::ok(Json::Obj(vec![("ok".into(), true.into())]));
+    let reply = match (head.method.as_str(), route(&head.path)) {
+        ("GET", (None, Some("healthz"))) => ok(),
+        ("GET", (None, Some("stats"))) => Reply::ok(Json::Obj(vec![
+            ("in_flight".into(), front.in_flight().into()),
+            ("stats".into(), wire::encode_stats(&front.stats())),
+        ])),
+        ("GET", (Some(name), Some("stats"))) => match namespaces.get(name) {
+            Some(ns) => Reply::ok(Json::Obj(vec![
+                ("name".into(), name.into()),
+                ("stats".into(), wire::encode_stats(&ns.stats())),
+            ])),
+            None => Reply::unknown_ns(name),
+        },
+        ("POST", (ns, Some(kind @ ("knn" | "range")))) => {
+            let decoded = match kind {
+                "knn" => wire::decode_knn(body),
+                _ => wire::decode_range(body),
+            };
+            match decoded {
+                // The default route serves the attribute-less primary
+                // index.
+                Ok(query) if ns.is_none() && !query.filters.is_empty() => Reply::error(
+                    400,
+                    "bad_request",
+                    "\"filter\" is only supported on /ns/{name}/knn and /ns/{name}/range",
                 ),
-                None => ns_error_response(&NamespaceError::Unknown(name.to_string())),
-            },
-            ("POST", name, Some("knn")) => match wire::decode_knn(body) {
-                Ok(query) => {
-                    return serve_query(stream, front, query, Some(name), keep_alive, config)
-                }
-                Err(e) => bad_request(&e),
-            },
-            ("POST", name, Some("range")) => match wire::decode_range(body) {
-                Ok(query) => {
-                    return serve_query(stream, front, query, Some(name), keep_alive, config)
-                }
-                Err(e) => bad_request(&e),
-            },
-            ("POST", name, Some("insert")) => match wire::decode_ns_insert(body) {
-                Ok((mut tokens, attrs)) => match namespaces.get(name) {
-                    Some(ns) => match ns.insert(&mut tokens, &attrs) {
-                        Ok((id, group)) => (
-                            200,
-                            Json::Obj(vec![
-                                ("id".into(), u64::from(id).into()),
-                                ("group".into(), u64::from(group).into()),
-                            ])
-                            .to_string(),
-                            vec![],
-                        ),
-                        Err(e) => ns_error_response(&e),
-                    },
-                    None => ns_error_response(&NamespaceError::Unknown(name.to_string())),
-                },
-                Err(e) => bad_request(&e),
-            },
-            ("POST", name, Some("delete")) => match wire::decode_ns_delete(body) {
-                Ok(id) => match namespaces.get(name) {
-                    Some(ns) => (
-                        200,
-                        Json::Obj(vec![("deleted".into(), ns.delete(id).into())]).to_string(),
-                        vec![],
-                    ),
-                    None => ns_error_response(&NamespaceError::Unknown(name.to_string())),
-                },
-                Err(e) => bad_request(&e),
-            },
-            (_, _, None) => (
-                405,
-                wire::encode_error("method_not_allowed", "use PUT, GET or DELETE", None)
-                    .to_string(),
-                vec![("Allow", "PUT, GET, DELETE".to_string())],
-            ),
-            (_, _, Some("stats")) => (
-                405,
-                wire::encode_error("method_not_allowed", "use GET", None).to_string(),
-                vec![("Allow", "GET".to_string())],
-            ),
-            (_, _, Some("knn" | "range" | "insert" | "delete")) => (
-                405,
-                wire::encode_error("method_not_allowed", "use POST", None).to_string(),
-                vec![("Allow", "POST".to_string())],
-            ),
-            _ => (
+                Ok(query) => return serve_query(stream, front, query, ns, keep_alive),
+                Err(e) => Reply::bad_request(&e),
+            }
+        }
+        ("POST", (None, Some("snapshot"))) => match snapshot.map(SnapshotHook::snapshot) {
+            None => Reply::error(
                 404,
-                wire::encode_error(
-                    "not_found",
-                    "unknown namespace path (expected /ns/{name}[/knn|range|insert|delete|stats])",
-                    None,
-                )
-                .to_string(),
-                vec![],
+                "not_found",
+                "snapshotting is not enabled (start les3-serve with --save-index)",
             ),
-        };
-    stream
-        .write_all(&response_bytes(status, &response_body, &extra, keep_alive))
-        .is_ok()
+            Some(Ok(path)) => Reply::ok(Json::Obj(vec![
+                ("ok".into(), true.into()),
+                ("path".into(), path.as_str().into()),
+            ])),
+            Some(Err(SnapshotError::Busy)) => Reply::retry_later(
+                "snapshot_busy",
+                "a snapshot is already being written; retry after a backoff",
+            ),
+            Some(Err(SnapshotError::Failed(msg))) => Reply::error(500, "snapshot_failed", &msg),
+        },
+        ("GET", (None, Some("ns"))) => {
+            let list = namespaces.list().iter().map(wire::encode_ns_info).collect();
+            Reply::ok(Json::Obj(vec![("namespaces".into(), Json::Arr(list))]))
+        }
+        ("PUT", (Some(name), None)) => match wire::decode_ns_spec(body) {
+            Ok(spec) => match namespaces.create(name, spec) {
+                Ok(ns) => Reply::ok(wire::encode_ns_info(&ns.info())),
+                Err(e) => Reply::ns_error(&e),
+            },
+            Err(e) => Reply::bad_request(&e),
+        },
+        ("DELETE", (Some(name), None)) => {
+            if namespaces.remove(name) {
+                ok()
+            } else {
+                Reply::unknown_ns(name)
+            }
+        }
+        ("GET", (Some(name), None)) => match namespaces.get(name) {
+            Some(ns) => Reply::ok(wire::encode_ns_info(&ns.info())),
+            None => Reply::unknown_ns(name),
+        },
+        ("POST", (Some(name), Some("insert"))) => match wire::decode_ns_insert(body) {
+            Ok((mut tokens, attrs)) => match namespaces.get(name) {
+                Some(ns) => match ns.insert(&mut tokens, &attrs) {
+                    Ok((id, group)) => Reply::ok(Json::Obj(vec![
+                        ("id".into(), u64::from(id).into()),
+                        ("group".into(), u64::from(group).into()),
+                    ])),
+                    Err(e) => Reply::ns_error(&e),
+                },
+                None => Reply::unknown_ns(name),
+            },
+            Err(e) => Reply::bad_request(&e),
+        },
+        ("POST", (Some(name), Some("delete"))) => match wire::decode_ns_delete(body) {
+            Ok(id) => match namespaces.get(name) {
+                Some(ns) => Reply::ok(Json::Obj(vec![("deleted".into(), ns.delete(id).into())])),
+                None => Reply::unknown_ns(name),
+            },
+            Err(e) => Reply::bad_request(&e),
+        },
+        // A known path under the wrong method.
+        (_, (None, Some("healthz" | "stats" | "ns")) | (Some(_), Some("stats"))) => {
+            Reply::method_not_allowed("use GET", "GET")
+        }
+        (_, (None, Some("knn" | "range" | "snapshot")))
+        | (_, (Some(_), Some("knn" | "range" | "insert" | "delete"))) => {
+            Reply::method_not_allowed("use POST", "POST")
+        }
+        (_, (Some(_), None)) => {
+            Reply::method_not_allowed("use PUT, GET or DELETE", "PUT, GET, DELETE")
+        }
+        (_, (None, _)) => Reply::error(
+            404,
+            "not_found",
+            "unknown path (expected /knn, /range, /snapshot, /stats, /healthz or /ns/...)",
+        ),
+        (_, (Some(_), _)) => Reply::error(
+            404,
+            "not_found",
+            "unknown namespace path (expected /ns/{name}[/knn|range|insert|delete|stats])",
+        ),
+    };
+    reply.write(stream, keep_alive)
 }
 
 /// Submits a decoded query to the front and streams its outcome back,
 /// probing the socket for client disconnect while the query is in
 /// flight. `ns` routes through the named namespace (with the query's
 /// decoded filter); `None` is the default backend.
-fn serve_query<B: ServeBackend>(
+fn serve_query<B: PersistentBackend>(
     stream: &mut TcpStream,
     front: &ServeFront<B>,
     query: wire::ApiQuery,
     ns: Option<&str>,
     keep_alive: bool,
-    config: NetConfig,
 ) -> bool {
     let deadline = query
         .timeout_ms
@@ -831,7 +754,7 @@ fn serve_query<B: ServeBackend>(
         }
     };
     let outcome = loop {
-        match ticket.wait_for_full(config.probe_interval) {
+        match ticket.wait_for_full(PROBE_INTERVAL) {
             Ok(outcome) => break outcome,
             Err(live) => {
                 if peer_gone(stream) {
@@ -846,67 +769,38 @@ fn serve_query<B: ServeBackend>(
             }
         }
     };
-    let (status, body, extra): (u16, String, Vec<(&str, String)>) = match outcome {
-        Ok((result, info)) => {
-            let body = if verdict_fields {
-                wire::encode_result_approx(&result, &info)
-            } else {
-                wire::encode_result(&result)
-            };
-            (200, body.to_string(), vec![])
-        }
-        Err(ServeError::Overloaded) => (
-            503,
-            wire::encode_error(
-                "overloaded",
-                "the serving queue is full; retry after a backoff",
-                None,
-            )
-            .to_string(),
-            vec![("Retry-After", retry_after_secs(config).to_string())],
+    let reply = match outcome {
+        Ok((result, info)) => Reply::ok(if verdict_fields {
+            wire::encode_result_approx(&result, &info)
+        } else {
+            wire::encode_result(&result)
+        }),
+        Err(ServeError::Overloaded) => Reply::retry_later(
+            "overloaded",
+            "the serving queue is full; retry after a backoff",
         ),
-        Err(ServeError::DeadlineExceeded(stats)) => (
+        Err(ServeError::DeadlineExceeded(stats)) => Reply::error_with(
             504,
-            wire::encode_error(
-                "deadline_exceeded",
-                "the request's timeout_ms elapsed before the query finished",
-                Some(&stats),
-            )
-            .to_string(),
-            vec![],
+            "deadline_exceeded",
+            "the request's timeout_ms elapsed before the query finished",
+            Some(&stats),
         ),
-        Err(ServeError::Cancelled(stats)) => (
-            // Normally unobservable — cancellation comes from client
-            // disconnect, and then nobody reads this. 499 is the
-            // conventional "client closed request" status.
-            499,
-            wire::encode_error("cancelled", "the request was cancelled", Some(&stats)).to_string(),
-            vec![],
-        ),
-        Err(ServeError::UnknownNamespace(name)) => (
+        // Normally unobservable — cancellation comes from client
+        // disconnect, and then nobody reads this. 499 is the
+        // conventional "client closed request" status.
+        Err(ServeError::Cancelled(stats)) => {
+            Reply::error_with(499, "cancelled", "the request was cancelled", Some(&stats))
+        }
+        Err(ServeError::UnknownNamespace(name)) => Reply::error(
             404,
-            wire::encode_error(
-                "unknown_namespace",
-                &format!("unknown namespace {name:?}"),
-                None,
-            )
-            .to_string(),
-            vec![],
+            "unknown_namespace",
+            &format!("unknown namespace {name:?}"),
         ),
-        Err(ServeError::QueryPanicked(msg)) => (
-            500,
-            wire::encode_error("internal", &format!("query panicked: {msg}"), None).to_string(),
-            vec![],
-        ),
+        Err(ServeError::QueryPanicked(msg)) => {
+            Reply::error(500, "internal", &format!("query panicked: {msg}"))
+        }
     };
-    stream
-        .write_all(&response_bytes(status, &body, &extra, keep_alive))
-        .is_ok()
-}
-
-fn retry_after_secs(config: NetConfig) -> u64 {
-    // Round up so "Retry-After: 0" never invites an immediate hammer.
-    (config.retry_after.as_secs() + u64::from(config.retry_after.subsec_nanos() > 0)).max(1)
+    reply.write(stream, keep_alive)
 }
 
 /// Whether the client side of `stream` is gone: a non-blocking `peek`

@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use les3_core::sim::Jaccard;
 use les3_core::{
-    Les3Index, Partitioning, ServeBackend, ServeConfig, ServeFront, ShardPolicy, ShardedLes3Index,
-    Similarity,
+    Les3Index, Partitioning, PersistentBackend, ServeConfig, ServeFront, ShardPolicy,
+    ShardedLes3Index, Similarity,
 };
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::SetDatabase;
@@ -68,11 +68,11 @@ fn gated_index<const ID: usize>(seed: u64) -> Les3Index<GatedSim<ID>> {
     Les3Index::build(db, part, GatedSim::<ID>::default())
 }
 
-fn start_server<B: ServeBackend>(backend: B, config: ServeConfig) -> (HttpServer, String) {
+fn start_server<B: PersistentBackend>(backend: B, config: ServeConfig) -> (HttpServer, String) {
     start_server_with(backend, config, NetConfig::default())
 }
 
-fn start_server_with<B: ServeBackend>(
+fn start_server_with<B: PersistentBackend>(
     backend: B,
     config: ServeConfig,
     net: NetConfig,
@@ -223,7 +223,7 @@ fn stats_field(addr: &str, field: &str) -> u64 {
 /// *and* stats decode to exactly the direct call's `SearchResult`.
 fn assert_served_equals_direct<B, F>(backend: B, direct: F)
 where
-    B: ServeBackend,
+    B: PersistentBackend,
     F: Fn(&[u32], wire::QueryParam) -> les3_core::SearchResult + Sync,
 {
     let db = test_db(9);
@@ -702,7 +702,7 @@ fn snapshot_endpoint_writes_a_reloadable_index() {
     let snap_index = Arc::clone(&index);
     let snap_dir = dir.clone();
     let hook: les3_net::SnapshotFn = Box::new(move || {
-        save_index(&*snap_index, &[], &snap_dir)
+        save_index(&*snap_index, &snap_dir)
             .map(|()| snap_dir.display().to_string())
             .map_err(|e| les3_net::SnapshotError::Failed(e.to_string()))
     });
@@ -756,8 +756,8 @@ fn a_reloaded_directory_never_serves_its_tombstoned_sets() {
     drop(durable);
 
     let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).expect("reopen");
-    let (backend, log) = reopened.into_backend();
-    let backend = Arc::new(backend);
+    let live = reopened.into_live();
+    let (backend, log) = (live.engine(), live.log());
     let (mut live_knn, mut live_range) = (backend.knn(&query, 4 + 3), backend.range(&query, 0.2));
     for hits in [&mut live_knn.hits, &mut live_range.hits] {
         log.filter_hits(hits);
@@ -765,7 +765,7 @@ fn a_reloaded_directory_never_serves_its_tombstoned_sets() {
     live_knn.hits.truncate(4);
     assert_eq!(live_knn.hits.len(), 4);
 
-    let front = ServeFront::with_tombstones(Arc::clone(&backend), Some(log), fast_config());
+    let front = ServeFront::from_live(live, fast_config());
     let server =
         HttpServer::bind(Arc::new(front), "127.0.0.1:0", NetConfig::default()).expect("bind");
     let addr = server.local_addr().to_string();

@@ -38,17 +38,11 @@
 //! counterpart in rayon's API but is trivially expressible with
 //! `rayon::scope` + `spawn`.
 
-/// Number of worker threads a parallel section should target.
+/// Number of worker threads a parallel section should target: the
+/// cores available to the process. There is no environment override —
+/// callers that need a specific width pass it (`*_batch_on(workers, ..)`,
+/// `Query.workers`).
 pub fn current_num_threads() -> usize {
-    static OVERRIDE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-    let over = OVERRIDE.get_or_init(|| {
-        std::env::var("RAYON_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    });
-    if let Some(n) = *over {
-        return n.max(1);
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

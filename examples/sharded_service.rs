@@ -15,7 +15,8 @@
 //! bit-for-bit results — see `docs/PROTOCOL.md`.
 //!
 //! Run with: `cargo run --release --example sharded_service`
-//! (`RAYON_NUM_THREADS=4` forces multi-worker execution on small hosts.)
+//! (batches run one worker per available core; pin a width with
+//! `knn_batch_on(workers, ..)`.)
 
 use les3::prelude::*;
 use std::time::Instant;

@@ -73,11 +73,11 @@ pub mod prelude {
     pub use les3_core::{
         normalize_query, ApproxInfo, ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice,
         DiskLes3, DurableIndex, DurableOptions, FsyncPolicy, HierarchicalPartitioning, Htgm,
-        InterruptReason, Interrupted, Jaccard, Kind, Les3Index, MinHashIndex, OnExpiry, OnFull,
-        OverlapCoefficient, Partitioning, PersistError, PersistentBackend, Query, QueryCtl,
-        QueryScratch, SearchOutcome, SearchResult, SearchStats, ServeBackend, ServeConfig,
-        ServeError, ServeFront, ServeResult, ShardPolicy, ShardedLes3Index, ShardedScratch,
-        Similarity, SubmitOpts, Tgm, Ticket, WorkerScratch,
+        InterruptReason, Interrupted, Jaccard, Kind, Les3Index, LiveIndex, MinHashIndex, OnExpiry,
+        OnFull, OverlapCoefficient, Partitioning, PersistError, PersistentBackend, Query, QueryCtl,
+        QueryScratch, SearchOutcome, SearchResult, SearchStats, ServeConfig, ServeError,
+        ServeFront, ServeResult, ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity,
+        SubmitOpts, Tgm, Ticket,
     };
     pub use les3_data::realistic::DatasetSpec;
     pub use les3_data::zipfian::ZipfianGenerator;
