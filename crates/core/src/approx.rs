@@ -48,9 +48,9 @@
 //! block is [`ApproxParams::encode`]'s 16 bytes, see
 //! `persist/segment.rs` — and opening one runs [`MinHashIndex::build`]
 //! over the stored sets, which yields the saved sidecar bit for bit.
-//! Deletions need no sidecar maintenance: the engines are
-//! tombstone-only, and a stale signature can only produce a superset
-//! candidate that downstream verification discards.
+//! Deletions need no sidecar maintenance: a deleted set leaves the
+//! verify order, so a stale signature can only set a mask bit for a
+//! set verification never visits.
 
 use les3_data::{SetId, TokenId};
 

@@ -4,19 +4,21 @@
 //! of state: a TGM bit `M[g, t]` may only be cleared when *no* remaining
 //! set of group `g` contains `t`, so the index keeps per-group token
 //! reference counts. A deleted set becomes a tombstone: it stays in the
-//! database arrays (ids are stable) but is skipped during verification
-//! and excluded from group membership.
+//! database arrays and in `Partitioning::members` (ids are stable, and
+//! insert placement keeps counting it), but [`DeletionLog::delete`] takes
+//! it out of its group's verify order — the membership queries scan — so
+//! the engine never verifies or returns it again, with or without this
+//! log in hand.
 //!
 //! Exactness is unaffected: bounds only ever shrink when bits are
-//! cleared, and verification filters tombstones.
+//! cleared, and a group's bound still covers every set verification
+//! visits there.
 
 use les3_data::{SetDatabase, SetId, TokenId};
 use std::collections::HashMap;
 
-use crate::query::{Kind, Query, SearchOutcome};
-use crate::shard::ShardedLes3Index;
-use crate::sim::Similarity;
-use crate::tgm::Tgm;
+use crate::shard::{Shard, ShardedLes3Index};
+use crate::sim::{distinct_len, Similarity};
 
 /// Per-group token reference counts enabling exact TGM bit clearing.
 ///
@@ -76,19 +78,20 @@ impl DeletionLog {
         self.count_in(index.db(), index.partitioning().group_of(id), id);
     }
 
-    /// Tombstones set `id` and clears every TGM bit whose reference count
-    /// drops to zero, each in the shard that owns the set's group (the
-    /// tombstone and reference counts are global). Returns `false` — a
-    /// no-op — if the set was already deleted or `id` is out of range
-    /// (ids the index never issued are treated like any other absent set
-    /// rather than panicking).
+    /// Tombstones set `id`: takes it out of its group's verify order and
+    /// clears every TGM bit whose reference count drops to zero, both in
+    /// the shard that owns the set's group (the tombstone and reference
+    /// counts are global). Returns `false` — a no-op — if the set was
+    /// already deleted or `id` is out of range (ids the index never
+    /// issued are treated like any other absent set rather than
+    /// panicking).
     pub fn delete<S: Similarity>(&mut self, index: &mut ShardedLes3Index<S>, id: SetId) -> bool {
         if (id as usize) >= index.db.len() {
             return false;
         }
         let g = index.partitioning.group_of(id);
         let (s, l) = index.locate(g);
-        self.count_out(&index.db, g, id, &mut index.shards[s].tgm, l)
+        self.count_out(&index.db, g, id, &mut index.shards[s], l)
     }
 
     // The refcount walks take the index's parts, not the index, so they
@@ -121,14 +124,14 @@ impl DeletionLog {
         self.live += 1;
     }
 
-    /// `id < db.len()`; `tgm` is the matrix of the shard that owns group
-    /// `g`, which it knows as `local`.
+    /// `id < db.len()`; `shard` owns group `g`, which it knows as
+    /// `local`.
     fn count_out(
         &mut self,
         db: &SetDatabase,
         g: u32,
         id: SetId,
-        tgm: &mut Tgm,
+        shard: &mut Shard,
         local: u32,
     ) -> bool {
         if self.deleted.len() < db.len() {
@@ -138,46 +141,26 @@ impl DeletionLog {
             return false;
         }
         self.live -= 1;
-        for t in distinct(db.set(id)) {
+        let set = db.set(id);
+        let was_member = shard.verify.remove(local, distinct_len(set) as u32, id);
+        debug_assert!(was_member, "a live set is in its group's verify order");
+        for t in distinct(set) {
             let entry = self.counts.get_mut(&(g, t)).expect("refcount must exist");
             *entry -= 1;
             if *entry == 0 {
                 self.counts.remove(&(g, t));
-                tgm.clear_bit(local, t);
+                shard.tgm.clear_bit(local, t);
             }
         }
         true
     }
 
-    /// Filters a search result's hits, dropping tombstoned sets. The
-    /// cheap way to keep query results exact after deletions: run the
-    /// query with `k + deleted_count` head-room or re-query if too few
-    /// hits survive.
+    /// Filters a hit list, dropping tombstoned sets — for hits that did
+    /// not come from the engine this log deletes from (a brute-force
+    /// reference, another index over the same ids): the engine's own
+    /// answers never name a deleted set.
     pub fn filter_hits(&self, hits: &mut Vec<(SetId, f64)>) {
         hits.retain(|&(id, _)| !self.is_deleted(id));
-    }
-
-    /// Answers `q` over the live sets only, through `search` (an engine
-    /// that knows nothing of tombstones). A kNN over-fetches past every
-    /// tombstone: at most that many hits can be dropped afterwards, so
-    /// `k + deleted` guarantees k live answers whenever they exist.
-    /// Partial (anytime) answers pass through the same filter and
-    /// truncation.
-    pub(crate) fn search_live(
-        &self,
-        q: &Query<'_>,
-        search: impl FnOnce(&Query<'_>) -> SearchOutcome,
-    ) -> SearchOutcome {
-        let kind = match q.kind {
-            Kind::Knn(k) => Kind::Knn(k.saturating_add(self.deleted.len() - self.live)),
-            range => range,
-        };
-        let (mut res, info) = search(&Query { kind, ..*q })?;
-        self.filter_hits(&mut res.hits);
-        if let Kind::Knn(k) = q.kind {
-            res.hits.truncate(k);
-        }
-        Ok((res, info))
     }
 }
 

@@ -15,9 +15,12 @@
 //!   monotone in the overlap count `r ∈ 0..=|Q|`, so bucketing groups by
 //!   `r` yields the same order as sorting by bound in `O(G + |Q|)`
 //!   instead of `O(G log G)`;
-//! * verification is **threshold-aware**: members are stored
-//!   length-sorted per group (`VerifyOrder`) so a similarity-specific
-//!   length window excludes most of a group with two binary searches,
+//! * verification is **threshold-aware**: a group's *live* members are
+//!   stored length-sorted (`VerifyOrder` — plain sorted arrays that an
+//!   insert and a delete edit in place under `&mut self`, so a query
+//!   takes no lock and never meets a deleted set) so a
+//!   similarity-specific length window excludes most of a group with
+//!   two binary searches,
 //!   and each surviving merge abandons as soon as its residual-overlap
 //!   bound cannot reach the current threshold
 //!   ([`Similarity::eval_with_threshold`]); the kNN and range candidate
@@ -160,43 +163,24 @@ impl<S: Similarity> Les3Index<S> {
     }
 }
 
-/// Per-group member ids sorted by (distinct length, id), with the lengths
-/// alongside — the order the verify step scans, shared by each shard of a
-/// [`crate::shard::ShardedLes3Index`] and the HTGM's finest level.
+/// Per-group *live* member ids sorted by (distinct length, id), with the
+/// lengths alongside — the order the verify step scans, shared by each
+/// shard of a [`crate::shard::ShardedLes3Index`] and the HTGM's finest
+/// level.
 ///
-/// Inserts append to a small unsorted per-group *tail* in O(1); the tail
-/// is merged into the sorted arrays lazily, by the next query that
-/// touches the group (the `O(|group|)` merge is paid once per touched
-/// group, not once per insert). Each group sits behind its own `RwLock`
-/// so concurrent batch workers share the index freely: readers of a
-/// clean group never block each other, and the first query to reach a
-/// dirty group upgrades to a writer just long enough to merge.
-#[derive(Debug)]
+/// Plain data: every mutation holds `&mut self` and puts the member
+/// where it belongs (`push`) or takes it out (`remove`), so a query only
+/// ever reads sorted slices and an engine cannot verify a deleted set.
+#[derive(Debug, Clone)]
 pub(crate) struct VerifyOrder {
-    groups: Vec<std::sync::RwLock<GroupOrder>>,
+    groups: Vec<GroupOrder>,
 }
 
-/// One group's verification order: the sorted arrays plus the lazy tail.
+/// One group's verification order.
 #[derive(Debug, Clone, Default)]
 struct GroupOrder {
     ids: Vec<SetId>,
     lens: Vec<u32>,
-    /// `(length, id)` of members inserted since the last merge, in
-    /// arrival order. Invariant: empty whenever a query has touched the
-    /// group after the last insert.
-    tail: Vec<(u32, SetId)>,
-}
-
-impl Clone for VerifyOrder {
-    fn clone(&self) -> Self {
-        Self {
-            groups: self
-                .groups
-                .iter()
-                .map(|l| std::sync::RwLock::new(l.read().expect("verify lock poisoned").clone()))
-                .collect(),
-        }
-    }
 }
 
 impl VerifyOrder {
@@ -224,55 +208,62 @@ impl VerifyOrder {
                 // Members arrive in ascending id order; the (length, id)
                 // tuple sort keeps ids ascending within equal lengths.
                 pairs.sort_unstable();
-                std::sync::RwLock::new(GroupOrder {
+                GroupOrder {
                     ids: pairs.iter().map(|&(_, id)| id).collect(),
                     lens: pairs.iter().map(|&(len, _)| len).collect(),
-                    tail: Vec::new(),
-                })
+                }
             })
             .collect();
         Self { groups }
     }
 
-    /// Registers a newly inserted member (update path): an O(1) append to
-    /// the group's unsorted tail. The next query touching the group pays
-    /// the one-time merge.
+    /// Registers a newly inserted member (update path). `id` is the
+    /// largest ever issued, so its `(length, id)` position is the end of
+    /// its length run.
     pub(crate) fn push(&mut self, g: u32, len: u32, id: SetId) {
-        self.groups[g as usize]
-            .get_mut()
-            .expect("verify lock poisoned")
-            .tail
-            .push((len, id));
+        let group = &mut self.groups[g as usize];
+        let at = group.lens.partition_point(|&l| l <= len);
+        group.ids.insert(at, id);
+        group.lens.insert(at, len);
     }
 
-    /// Runs `f` on the slice of group `g`'s member ids (in (length, id)
-    /// order) whose length alone permits `sim ≥ threshold`, their
-    /// distinct lengths alongside, plus the number of members excluded by
-    /// that length window. Merges the group's pending insert tail first
-    /// if a mutation left one behind.
-    pub(crate) fn with_window<S: Similarity, R>(
+    /// Takes a deleted member out of group `g`; `false` if it was not
+    /// there.
+    pub(crate) fn remove(&mut self, g: u32, len: u32, id: SetId) -> bool {
+        let group = &mut self.groups[g as usize];
+        // Ids ascend within a run of equal lengths.
+        let run = group.lens.partition_point(|&l| l < len);
+        let end = group.lens.partition_point(|&l| l <= len);
+        let Ok(at) = group.ids[run..end].binary_search(&id) else {
+            return false;
+        };
+        group.ids.remove(run + at);
+        group.lens.remove(run + at);
+        true
+    }
+
+    /// The slice of group `g`'s member ids (in (length, id) order) whose
+    /// length alone permits `sim ≥ threshold`, their distinct lengths
+    /// alongside, plus the number of members excluded by that length
+    /// window: a set of distinct length `L` has similarity at most
+    /// `from_overlap(min(|Q|, L), |Q|, L)`, which is unimodal in `L` with
+    /// its peak at `L = |Q|`, so the admissible region is one contiguous
+    /// window found by two binary searches.
+    pub(crate) fn window<S: Similarity>(
         &self,
         sim: S,
         g: u32,
         q_len: usize,
         threshold: f64,
-        f: impl FnOnce(&[SetId], &[u32], usize) -> R,
-    ) -> R {
-        let lock = &self.groups[g as usize];
-        let mut guard = lock.read().expect("verify lock poisoned");
-        if !guard.tail.is_empty() {
-            drop(guard);
-            // Double-checked: merge_tail is a no-op if another query won
-            // the race between our read and write acquisitions.
-            lock.write().expect("verify lock poisoned").merge_tail();
-            guard = lock.read().expect("verify lock poisoned");
-        }
-        let (lo, hi) = guard.window(sim, q_len, threshold);
-        f(
-            &guard.ids[lo..hi],
-            &guard.lens[lo..hi],
-            guard.ids.len() - (hi - lo),
-        )
+    ) -> (&[SetId], &[u32], usize) {
+        let GroupOrder { ids, lens } = &self.groups[g as usize];
+        let split = lens.partition_point(|&l| (l as usize) < q_len);
+        let lo = lens[..split]
+            .partition_point(|&l| sim.from_overlap(l as usize, q_len, l as usize) < threshold);
+        let hi = split
+            + lens[split..]
+                .partition_point(|&l| sim.from_overlap(q_len, q_len, l as usize) >= threshold);
+        (&ids[lo..hi], &lens[lo..hi], ids.len() - (hi - lo))
     }
 }
 
@@ -300,16 +291,14 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         top: &mut TopK,
         stats: &mut SearchStats,
     ) {
-        let t = top.kth();
-        order.with_window(self.sim, g, self.q_len, t, |ids, lens, skipped| {
-            stats.size_skipped += skipped;
-            // Branch on the filter once per window, not per candidate:
-            // non-matching members are skipped before any accounting.
-            match self.filter {
-                None => self.scan(ids, lens, |_| true, top, stats),
-                Some(m) => self.scan(ids, lens, |id| m.contains(id), top, stats),
-            }
-        });
+        let (ids, lens, skipped) = order.window(self.sim, g, self.q_len, top.kth());
+        stats.size_skipped += skipped;
+        // Branch on the filter once per window, not per candidate:
+        // non-matching members are skipped before any accounting.
+        match self.filter {
+            None => self.scan(ids, lens, |_| true, top, stats),
+            Some(m) => self.scan(ids, lens, |id| m.contains(id), top, stats),
+        }
     }
 
     /// The candidate loop. Everything constant across candidates stays
@@ -373,75 +362,26 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         hits: &mut Vec<(SetId, f64)>,
         stats: &mut SearchStats,
     ) {
-        order.with_window(self.sim, g, self.q_len, delta, |ids, _lens, skipped| {
-            stats.size_skipped += skipped;
-            for &id in ids {
-                if self.filter.is_some_and(|m| !m.contains(id)) {
-                    continue;
-                }
-                stats.candidates += 1;
-                stats.sims_computed += 1;
-                match self
-                    .sim
-                    .eval_with_threshold(self.query, self.db.set(id), delta)
-                {
-                    ThresholdedEval::Hit(s) => hits.push((id, s)),
-                    ThresholdedEval::Rejected { early } => {
-                        if early {
-                            stats.early_exits += 1;
-                        }
+        let (ids, _lens, skipped) = order.window(self.sim, g, self.q_len, delta);
+        stats.size_skipped += skipped;
+        for &id in ids {
+            if self.filter.is_some_and(|m| !m.contains(id)) {
+                continue;
+            }
+            stats.candidates += 1;
+            stats.sims_computed += 1;
+            match self
+                .sim
+                .eval_with_threshold(self.query, self.db.set(id), delta)
+            {
+                ThresholdedEval::Hit(s) => hits.push((id, s)),
+                ThresholdedEval::Rejected { early } => {
+                    if early {
+                        stats.early_exits += 1;
                     }
                 }
             }
-        });
-    }
-}
-
-impl GroupOrder {
-    /// Merges the unsorted tail into the sorted arrays: sort the tail,
-    /// then one backward in-place merge — `O(|group| + |tail| log |tail|)`
-    /// once, instead of an `O(|group|)` shift per insert.
-    fn merge_tail(&mut self) {
-        if self.tail.is_empty() {
-            return;
         }
-        self.tail.sort_unstable();
-        let old = self.ids.len();
-        let add = self.tail.len();
-        self.ids.resize(old + add, 0);
-        self.lens.resize(old + add, 0);
-        let (mut i, mut t, mut out) = (old, add, old + add);
-        while t > 0 {
-            let (tl, tid) = self.tail[t - 1];
-            if i > 0 && (self.lens[i - 1], self.ids[i - 1]) > (tl, tid) {
-                out -= 1;
-                self.ids[out] = self.ids[i - 1];
-                self.lens[out] = self.lens[i - 1];
-                i -= 1;
-            } else {
-                out -= 1;
-                self.ids[out] = tid;
-                self.lens[out] = tl;
-                t -= 1;
-            }
-        }
-        self.tail.clear();
-    }
-
-    /// Index range `[lo, hi)` of the members whose length alone permits
-    /// `sim ≥ threshold`: a set of distinct length `L` has similarity at
-    /// most `from_overlap(min(|Q|, L), |Q|, L)`, which is unimodal in `L`
-    /// with its peak at `L = |Q|`, so the admissible region is one
-    /// contiguous window found by two binary searches.
-    fn window<S: Similarity>(&self, sim: S, q_len: usize, threshold: f64) -> (usize, usize) {
-        let lens = &self.lens;
-        let split = lens.partition_point(|&l| (l as usize) < q_len);
-        let lo = lens[..split]
-            .partition_point(|&l| sim.from_overlap(l as usize, q_len, l as usize) < threshold);
-        let hi = split
-            + lens[split..]
-                .partition_point(|&l| sim.from_overlap(q_len, q_len, l as usize) >= threshold);
-        (lo, hi)
     }
 }
 
@@ -568,6 +508,7 @@ mod tests {
     use super::*;
     use crate::sim::{Cosine, Jaccard};
     use les3_data::zipfian::ZipfianGenerator;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -690,22 +631,21 @@ mod tests {
                 let q_len = distinct_len(query);
                 for filter in [None, Some(&mask)] {
                     let (mut want_top, mut want) = (TopK::new(k), SearchStats::default());
-                    order.with_window(sim, 0, q_len, want_top.kth(), |ids, _lens, skipped| {
-                        want.size_skipped += skipped;
-                        for &id in ids {
-                            if filter.is_some_and(|m| !m.contains(id)) {
-                                continue;
-                            }
-                            want.candidates += 1;
-                            want.sims_computed += 1;
-                            match sim.eval_with_threshold(query, db.set(id), want_top.kth()) {
-                                ThresholdedEval::Hit(s) => want_top.offer(id, s),
-                                ThresholdedEval::Rejected { early } => {
-                                    want.early_exits += usize::from(early)
-                                }
+                    let (ids, _lens, skipped) = order.window(sim, 0, q_len, want_top.kth());
+                    want.size_skipped += skipped;
+                    for &id in ids {
+                        if filter.is_some_and(|m| !m.contains(id)) {
+                            continue;
+                        }
+                        want.candidates += 1;
+                        want.sims_computed += 1;
+                        match sim.eval_with_threshold(query, db.set(id), want_top.kth()) {
+                            ThresholdedEval::Hit(s) => want_top.offer(id, s),
+                            ThresholdedEval::Rejected { early } => {
+                                want.early_exits += usize::from(early)
                             }
                         }
-                    });
+                    }
                     let (mut top, mut stats) = (TopK::new(k), SearchStats::default());
                     let verify = VerifyQuery {
                         sim,
@@ -942,35 +882,91 @@ mod tests {
     }
 
     #[test]
-    fn lazy_verify_tail_stays_exact_under_interleaved_inserts_and_queries() {
-        // Inserts land in an unsorted per-group tail; the next query that
-        // touches the group merges it. Interleave bursts of inserts with
-        // kNN and range queries and check exactness against brute force
-        // after every step.
+    fn order_stays_exact_under_interleaved_inserts_deletes_and_queries() {
+        // Inserts and deletes edit the per-group order in place.
+        // Interleave bursts of both with kNN and range queries and check
+        // exactness against brute force over the live sets after every
+        // step.
         let db = ZipfianGenerator::new(120, 90, 6.0, 1.1).generate(31);
         let part = random_partitioning(db.len(), 5, 3);
         let mut index = Les3Index::build(db, part, Jaccard);
+        let mut log = crate::DeletionLog::build(&index);
         let mut rng = StdRng::seed_from_u64(99);
         for round in 0..12u32 {
-            // A burst of inserts (several per group so tails grow past 1).
+            // A burst of inserts (several per group, into every length run).
             for _ in 0..(1 + round % 4) {
                 let len = rng.gen_range(1usize..12);
                 let mut tokens: Vec<u32> = (0..len).map(|_| rng.gen_range(0..110u32)).collect();
-                index.insert(&mut tokens);
+                let (id, _) = index.insert(&mut tokens);
+                log.note_insert(&index, id);
+            }
+            for _ in 0..round % 3 {
+                let id = rng.gen_range(0..index.db().len() as u32);
+                let was_live = !log.is_deleted(id);
+                assert_eq!(log.delete(&mut index, id), was_live, "round {round}");
             }
             let qid = rng.gen_range(0..index.db().len() as u32);
             let q = index.db().set(qid).to_vec();
             let got = index.knn(&q, 6);
-            let expected = brute_knn(index.db(), Jaccard, &q, 6);
+            let mut expected = brute_knn(index.db(), Jaccard, &q, index.db().len());
+            log.filter_hits(&mut expected);
             let gs: Vec<f64> = got.hits.iter().map(|h| h.1).collect();
-            let es: Vec<f64> = expected.iter().map(|h| h.1).collect();
+            let es: Vec<f64> = expected[..6].iter().map(|h| h.1).collect();
             assert_eq!(gs, es, "round {round}");
+            assert!(got.hits.iter().all(|h| !log.is_deleted(h.0)));
             let got = index.range(&q, 0.5);
-            let expected = brute_range(index.db(), Jaccard, &q, 0.5);
+            let mut expected = brute_range(index.db(), Jaccard, &q, 0.5);
+            log.filter_hits(&mut expected);
             assert_eq!(got.hits, expected, "round {round}");
-            // A repeat query sees the merged (tail-free) state and must
-            // agree with itself.
+            // A repeat query reads the same order and must agree with
+            // itself.
             assert_eq!(index.range(&q, 0.5).hits, got.hits, "round {round}");
+        }
+        assert!(
+            log.live_count() < index.db().len(),
+            "the script must delete"
+        );
+    }
+
+    proptest! {
+        /// Any interleaving of `push` and `remove` leaves every group's
+        /// arrays equal to a `build` over the members that survive —
+        /// what `open ≡ build + deletes` rests on.
+        #[test]
+        fn push_and_remove_leave_the_order_build_would(
+            initial in prop::collection::vec((0u32..3, 1u32..6), 0..20),
+            ops in prop::collection::vec((0u32..3, 1u32..6, 0usize..3, 0usize..1000), 0..60),
+        ) {
+            let set = |len: u32| (0..len).collect::<Vec<TokenId>>();
+            let mut db = SetDatabase::from_sets(initial.iter().map(|&(_, len)| set(len)));
+            let mut part =
+                Partitioning::from_assignment(initial.iter().map(|&(g, _)| g).collect(), 3);
+            let mut order = VerifyOrder::build(&db, &part);
+            let mut dead = vec![false; db.len()];
+            for (g, len, kind, pick) in ops {
+                if kind == 0 && !db.is_empty() {
+                    let id = (pick % db.len()) as SetId;
+                    let (g, len) = (part.group_of(id), distinct_len(db.set(id)) as u32);
+                    let was_live = !std::mem::replace(&mut dead[id as usize], true);
+                    prop_assert_eq!(order.remove(g, len, id), was_live);
+                } else {
+                    let id = db.push_sorted(&set(len));
+                    part.push(g);
+                    dead.push(false);
+                    order.push(g, len, id);
+                }
+            }
+            let built = VerifyOrder::build(&db, &part);
+            for (got, all) in order.groups.iter().zip(&built.groups) {
+                let (ids, lens): (Vec<SetId>, Vec<u32>) = all
+                    .ids
+                    .iter()
+                    .zip(&all.lens)
+                    .filter(|&(&id, _)| !dead[id as usize])
+                    .unzip();
+                prop_assert_eq!(&got.ids, &ids);
+                prop_assert_eq!(&got.lens, &lens);
+            }
         }
     }
 

@@ -31,7 +31,7 @@
 //!   and update method is the engine's own);
 //! * [`LiveIndex`] — an engine together with the [`DeletionLog`] and
 //!   [`MetadataIndex`] that describe it: the one owner of inserts,
-//!   deletes, tombstone-aware search and snapshots, which
+//!   deletes, attribute-filtered search and snapshots, which
 //!   [`DurableIndex`] (adds the WAL), [`Namespace`] (adds a lock) and
 //!   [`ServeFront::from_live`] all hold;
 //! * [`ServeFront`] — the asynchronous serving front: single requests

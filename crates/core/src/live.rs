@@ -66,8 +66,8 @@ impl<B: PersistentBackend> LiveIndex<B> {
         }
     }
 
-    /// The engine. Its own answers still hold tombstoned sets; query
-    /// through [`LiveIndex::search`] or filter with [`LiveIndex::log`].
+    /// The engine. Its own answers are live too — a delete takes the
+    /// set out of the verify order — but know nothing of attributes.
     pub fn engine(&self) -> &B {
         &self.engine
     }
@@ -107,8 +107,9 @@ impl<B: PersistentBackend> LiveIndex<B> {
 
     /// Runs `q` over the live sets `filters` admits (all of them when
     /// empty) under an [`ApproxPolicy`]. The mask is the filters':
-    /// `q.mask` is ignored. A kNN still comes back with `k` live hits
-    /// whenever they exist.
+    /// `q.mask` is ignored. Deleted sets are no candidates of the
+    /// engine's, so a kNN comes back with `k` live hits whenever they
+    /// exist.
     pub fn search(
         &self,
         q: &Query<'_>,
@@ -119,9 +120,7 @@ impl<B: PersistentBackend> LiveIndex<B> {
         let engine = self.engine.sharded();
         let cand = self.meta.candidates(filters, engine.partitioning());
         let mask = cand.as_ref();
-        self.deletes.search_live(&Query { mask, ..*q }, |q| {
-            engine.search_approx(q, mode, scratch)
-        })
+        engine.search_approx(&Query { mask, ..*q }, mode, scratch)
     }
 
     /// Snapshots the index — engine, tombstones, attributes — into

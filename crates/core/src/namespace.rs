@@ -47,9 +47,8 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{RwLock, RwLockReadGuard};
 
-use crate::sync::{Arc, Mutex};
+use crate::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use les3_data::{SetDatabase, SetId, TokenId};
 
@@ -316,8 +315,8 @@ impl Namespace {
     /// ignored. [`ApproxPolicy::Prefilter`] falls back to exact
     /// (namespace engines build no MinHash sidecar);
     /// [`ApproxPolicy::Anytime`] commits the partial answer on deadline
-    /// expiry — filtered or not, still tombstone-filtered and truncated
-    /// to `k` — with a coverage-based recall estimate. Committed anytime
+    /// expiry — filtered or not, over live sets only —
+    /// with a coverage-based recall estimate. Committed anytime
     /// answers count as served queries in the namespace aggregate, not
     /// as `expired`.
     pub fn search(
@@ -515,13 +514,13 @@ impl Namespaces {
         Self::default()
     }
 
-    fn read_map(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, Arc<Namespace>>> {
+    fn read_map(&self) -> RwLockReadGuard<'_, HashMap<String, Arc<Namespace>>> {
         self.map
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn write_map(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, Arc<Namespace>>> {
+    fn write_map(&self) -> RwLockWriteGuard<'_, HashMap<String, Arc<Namespace>>> {
         self.map
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -46,12 +46,12 @@
 //!    [`range_with`](crate::ShardedLes3Index::range_with) directly
 //!    (`tests/serve_front.rs` proves it under racing producers).
 //!
-//! The default route answers from a shared engine nothing was deleted
-//! from ([`ServeFront::new`] / [`ServeFront::from_arc`]: the engine's
-//! answers pass through) or from a [`LiveIndex`]
-//! ([`ServeFront::from_live`]: answers are over its live sets only, the
-//! same tombstone-aware search a [`Namespace`] runs).
-//! [`ServeFront::save`] snapshots whatever the front serves.
+//! The default route answers from a shared engine
+//! ([`ServeFront::new`] / [`ServeFront::from_arc`]) or from the engine of
+//! a [`LiveIndex`] ([`ServeFront::from_live`]) — the same answers either
+//! way, since an engine's candidates are its live sets. The two differ in
+//! what [`ServeFront::save`] can write: a bare engine has no tombstones
+//! or attributes to snapshot.
 //!
 //! # Admission control
 //!
@@ -611,10 +611,9 @@ enum Target {
 /// what sets it apart from a namespace (owned, mutable, type-erased,
 /// behind a lock).
 enum DefaultRoute<B: PersistentBackend> {
-    /// An engine nothing was deleted from: its answers are the route's.
+    /// A shared engine; saved as an index nothing was deleted from.
     Engine(Arc<B>),
-    /// An index with its deletion log: the route answers over the live
-    /// sets only, and a kNN still comes back with `k` of them.
+    /// An index with its deletion log and attributes, saved with both.
     Live(LiveIndex<B>),
 }
 
@@ -632,10 +631,7 @@ impl<B: PersistentBackend> DefaultRoute<B> {
         mode: ApproxPolicy,
         scratch: &mut QueryScratch,
     ) -> SearchOutcome {
-        match self {
-            DefaultRoute::Engine(engine) => engine.sharded().search_approx(q, mode, scratch),
-            DefaultRoute::Live(live) => live.search(q, &Filters::none(), mode, scratch),
-        }
+        self.engine().sharded().search_approx(q, mode, scratch)
     }
 }
 
@@ -771,25 +767,27 @@ pub struct ServeFront<B: PersistentBackend> {
 }
 
 impl<B: PersistentBackend> ServeFront<B> {
-    /// Builds a front that owns its backend, an engine nothing was
-    /// deleted from.
+    /// Builds a front that owns its backend. An engine some
+    /// [`DeletionLog`](crate::DeletionLog) deleted from answers
+    /// correctly here, but [`ServeFront::save`] cannot write tombstones
+    /// it does not hold — serve that one with [`ServeFront::from_live`].
     pub fn new(backend: B, config: ServeConfig) -> Self {
         Self::from_arc(Arc::new(backend), config)
     }
 
-    /// Builds a front over a shared engine nothing was deleted from —
-    /// direct [`knn`](crate::ShardedLes3Index::knn) calls on the same
-    /// `Arc` stay available alongside served ones (and return identical
-    /// results).
+    /// [`ServeFront::new`] over a shared engine — direct
+    /// [`knn`](crate::ShardedLes3Index::knn) calls on the same `Arc` stay
+    /// available alongside served ones (and return identical results).
     pub fn from_arc(backend: Arc<B>, config: ServeConfig) -> Self {
         Self::over(DefaultRoute::Engine(backend), config)
     }
 
-    /// Builds a front over an index with its deletion log (what
+    /// Builds a front over an index with its deletion log and
+    /// attributes (what
     /// [`DurableIndex::into_live`](crate::DurableIndex::into_live)
-    /// yields): the default route never returns a set the log holds
-    /// deleted, and a kNN still comes back with `k` live hits — the
-    /// answer a [`Namespace`] gives over its own log.
+    /// yields): the default route answers from its engine, and
+    /// [`ServeFront::save`] snapshots the tombstones and attributes with
+    /// it.
     pub fn from_live(live: LiveIndex<B>, config: ServeConfig) -> Self {
         Self::over(DefaultRoute::Live(live), config)
     }

@@ -9,11 +9,17 @@
 //! real protocol implementations (see `docs/CONCURRENCY.md`).
 //!
 //! The xtask lint (`cargo run -p xtask -- lint`) bans raw
-//! `std::sync::atomic` / `std::thread` imports in this crate outside
-//! this module, keeping the ported modules honest.
+//! `std::sync::atomic` / `std::thread` imports and `std::sync` locks
+//! (`RwLock`, `Mutex`, `Condvar`) in this crate outside this module,
+//! keeping the ported modules honest.
 //!
 //! Types with no scheduling-visible behavior (`Arc`, `OnceLock`,
-//! `PoisonError`) stay `std` under both configurations.
+//! `PoisonError`) stay `std` under both configurations. So does
+//! `RwLock`, for a different reason: the vendored loom shim has none, so
+//! the model checker cannot see one — it may only guard plain
+//! reader/writer exclusion of a value (a namespace's index, the registry
+//! map), never carry a protocol (no upgrade, no condition, no ordering
+//! another thread relies on).
 
 #[cfg(not(feature = "model"))]
 pub use std::sync::atomic;
@@ -29,4 +35,4 @@ pub use loom::sync::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
 #[cfg(feature = "model")]
 pub use loom::thread;
 
-pub use std::sync::{Arc, OnceLock, PoisonError};
+pub use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};

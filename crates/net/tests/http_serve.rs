@@ -758,11 +758,10 @@ fn a_reloaded_directory_never_serves_its_tombstoned_sets() {
     let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).expect("reopen");
     let live = reopened.into_live();
     let (backend, log) = (live.engine(), live.log());
-    let (mut live_knn, mut live_range) = (backend.knn(&query, 4 + 3), backend.range(&query, 0.2));
+    let (mut live_knn, mut live_range) = (backend.knn(&query, 4), backend.range(&query, 0.2));
     for hits in [&mut live_knn.hits, &mut live_range.hits] {
         log.filter_hits(hits);
     }
-    live_knn.hits.truncate(4);
     assert_eq!(live_knn.hits.len(), 4);
 
     let front = ServeFront::from_live(live, fast_config());

@@ -9,9 +9,11 @@
 //!   NaN turns it into a panic on the query path; use `total_cmp` or
 //!   handle the `None`.
 //! * `core-sync-facade` — bans `std::sync::atomic` and `std::thread`
-//!   tokens in non-test les3-core code outside `src/sync.rs`: every
-//!   synchronization primitive must go through the `crate::sync` facade
-//!   or the `model` feature silently stops covering it.
+//!   tokens, and `RwLock` / `Mutex` / `Condvar` (guards included) named
+//!   through a `std::sync` path or import group, in non-test les3-core
+//!   code outside `src/sync.rs`: every synchronization primitive must
+//!   go through the `crate::sync` facade or the `model` feature
+//!   silently stops covering it.
 //! * `relaxed-needs-justification` — every `Ordering::Relaxed` in
 //!   non-test crate sources must carry a `// relaxed:` comment saying
 //!   why the weakest ordering is sound there, either on the same line
@@ -231,6 +233,51 @@ fn doc_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
+/// Per code-view line, the lock types it names through a `std::sync`
+/// path: directly (`std::sync::RwLockReadGuard` counts as `RwLock`) or
+/// inside an import group (`use std::sync::{Arc, Mutex};`), which may
+/// nest and span lines.
+fn std_sync_locks(code_lines: &[&str]) -> Vec<Vec<&'static str>> {
+    const PATH: &str = "std::sync::";
+    const LOCKS: [&str; 3] = ["RwLock", "Mutex", "Condvar"];
+    // Brace depth inside an open `std::sync::{` group; 0 outside one.
+    let mut depth = 0usize;
+    code_lines
+        .iter()
+        .map(|line| {
+            let mut found = Vec::new();
+            let mut rest = *line;
+            while !rest.is_empty() {
+                if depth == 0 {
+                    let Some(at) = rest.find(PATH) else { break };
+                    rest = &rest[at + PATH.len()..];
+                    if let Some(group) = rest.strip_prefix('{') {
+                        (depth, rest) = (1, group);
+                        continue;
+                    }
+                }
+                // `rest` starts at a path segment, or anywhere in a group.
+                let ident = rest
+                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .unwrap_or(rest.len());
+                found.extend(LOCKS.iter().filter(|l| rest[..ident].starts_with(**l)));
+                rest = &rest[ident..];
+                if depth > 0 {
+                    if let Some(c) = rest.chars().next() {
+                        depth = match c {
+                            '{' => depth + 1,
+                            '}' => depth - 1,
+                            _ => depth,
+                        };
+                        rest = &rest[c.len_utf8()..];
+                    }
+                }
+            }
+            found
+        })
+        .collect()
+}
+
 /// Lints one Rust file; `rel` is the repo-relative path with `/`
 /// separators (rule scoping keys off it).
 fn lint_rust(rel: &str, src: &str) -> Vec<Violation> {
@@ -238,6 +285,7 @@ fn lint_rust(rel: &str, src: &str) -> Vec<Violation> {
     let code_lines: Vec<&str> = code.lines().collect();
     let raw_lines: Vec<&str> = src.lines().collect();
     let in_test = test_mask(&code_lines);
+    let locks = std_sync_locks(&code_lines);
 
     let core_src = rel.starts_with("crates/core/src/") && rel != "crates/core/src/sync.rs";
     let crate_src = rel.starts_with("crates/") && rel.contains("/src/");
@@ -275,18 +323,21 @@ fn lint_rust(rel: &str, src: &str) -> Vec<Violation> {
             continue;
         }
 
-        if core_src {
-            for token in ["std::sync::atomic", "std::thread"] {
-                if code.contains(token) && !allowed("core-sync-facade") {
-                    push(
-                        i,
-                        "core-sync-facade",
-                        format!(
-                            "`{token}` bypasses the crate::sync facade, so the `model` \
-                             feature cannot check it; import from crate::sync instead"
-                        ),
-                    );
-                }
+        if core_src && !allowed("core-sync-facade") {
+            let tokens = ["std::sync::atomic", "std::thread"]
+                .into_iter()
+                .filter(|token| code.contains(token))
+                .map(str::to_string)
+                .chain(locks[i].iter().map(|lock| format!("std::sync::{lock}")));
+            for token in tokens {
+                push(
+                    i,
+                    "core-sync-facade",
+                    format!(
+                        "`{token}` bypasses the crate::sync facade, so the `model` \
+                         feature cannot check it; import from crate::sync instead"
+                    ),
+                );
             }
         }
 
@@ -629,6 +680,31 @@ mod tests {
         assert!(lint("crates/net/src/server.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests {\n    use std::thread;\n}\n";
         assert!(lint("crates/core/src/par.rs", test_src).is_empty());
+    }
+
+    #[test]
+    fn flags_std_locks_in_core_by_path_or_import_group() {
+        let facade = ["core-sync-facade:1"];
+        for src in [
+            "struct O { groups: Vec<std::sync::RwLock<G>> }\n",
+            "use std::sync::{Arc, RwLockReadGuard};\n",
+            "use std::sync::Mutex;\n",
+            "fn f(c: &std::sync::Condvar) {}\n",
+        ] {
+            assert_eq!(lint("crates/core/src/index.rs", src), facade, "{src}");
+            assert!(lint("crates/core/src/sync.rs", src).is_empty());
+            assert!(lint("crates/net/src/server.rs", src).is_empty());
+        }
+        // A group may nest and span lines; each name is flagged where it is.
+        let group = "use std::sync::{\n    mpsc::{channel, Sender},\n    Mutex,\n};\nuse std::sync::RwLock;\n";
+        assert_eq!(
+            lint("crates/core/src/batch.rs", group),
+            ["core-sync-facade:3", "core-sync-facade:5"]
+        );
+        // Through the facade, scheduling-invisible types, prose, tests
+        // and a same-line allow all pass.
+        let fine = "use crate::sync::{Arc, Mutex, RwLock};\nuse std::sync::{Arc, OnceLock};\nfn f() { x.unwrap_or_else(std::sync::PoisonError::into_inner); }\n// std::sync::RwLock in prose\nuse std::sync::RwLock; // lint: allow(core-sync-facade)\n#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n";
+        assert!(lint("crates/core/src/namespace.rs", fine).is_empty());
     }
 
     #[test]
