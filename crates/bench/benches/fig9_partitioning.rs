@@ -64,6 +64,15 @@ fn main() {
     };
     let (result, t) = time(|| L2p::new(cfg.clone()).partition(&db, &reps));
     report("L2P", &db, result.finest().clone(), t, result.model_bytes);
+    // L2P's time is its models' training: read the column per model
+    // (`micro_l2p_train` times one model alone).
+    println!(
+        "        {} models × {} restarts, {} pairs each: {:.2} ms per model",
+        result.models_trained,
+        cfg.restarts,
+        cfg.pairs_per_model,
+        t.as_secs_f64() * 1e3 / result.models_trained.max(1) as f64
+    );
 
     // PAR-G: memory dominated by the kNN similarity graph.
     let (graph_bytes, _) = {

@@ -15,6 +15,11 @@ pub struct Mlp {
 pub struct MlpGradients {
     /// `(grad_w, grad_b)` per layer.
     pub layers: Vec<(Vec<f64>, Vec<f64>)>,
+    /// Scratch of [`Mlp::backward`]: the loss gradient w.r.t. the current
+    /// layer's output and input. Both hold the widest layer from
+    /// construction, so a backward pass allocates nothing.
+    upstream: Vec<f64>,
+    downstream: Vec<f64>,
 }
 
 impl MlpGradients {
@@ -104,12 +109,15 @@ impl Mlp {
 
     /// Allocates a gradient buffer shaped like this network.
     pub fn new_gradients(&self) -> MlpGradients {
+        let widest = self.layers.iter().map(|l| l.out_dim).max().unwrap_or(0);
         MlpGradients {
             layers: self
                 .layers
                 .iter()
                 .map(|l| (vec![0.0; l.w.len()], vec![0.0; l.b.len()]))
                 .collect(),
+            upstream: Vec::with_capacity(widest),
+            downstream: Vec::with_capacity(widest),
         }
     }
 
@@ -129,6 +137,8 @@ impl Mlp {
     /// Forward pass retaining per-layer outputs in `trace` for
     /// [`Self::backward`]. Reuses `trace`'s buffers across calls.
     pub fn forward_traced(&self, x: &[f64], trace: &mut Trace) {
+        #[cfg(test)]
+        FORWARDS.with(|n| n.set(n.get() + 1));
         trace.outputs.resize(self.layers.len(), Vec::new());
         for (l, layer) in self.layers.iter().enumerate() {
             // Split borrow: earlier outputs are read-only inputs here.
@@ -153,23 +163,34 @@ impl Mlp {
     /// * `grads` — accumulated (+=) parameter gradients.
     pub fn backward(&self, x: &[f64], trace: &Trace, dy: &[f64], grads: &mut MlpGradients) {
         assert_eq!(grads.layers.len(), self.layers.len());
-        let n = self.layers.len();
-        let mut upstream: Vec<f64> = dy.to_vec();
-        let mut downstream: Vec<f64> = Vec::new();
-        for l in (0..n).rev() {
+        let MlpGradients {
+            layers: grad_layers,
+            upstream,
+            downstream,
+        } = grads;
+        upstream.clear();
+        upstream.extend_from_slice(dy);
+        for l in (0..self.layers.len()).rev() {
             let layer = &self.layers[l];
             let input: &[f64] = if l == 0 { x } else { &trace.outputs[l - 1] };
             let output = &trace.outputs[l];
-            let (gw, gb) = &mut grads.layers[l];
+            let (gw, gb) = &mut grad_layers[l];
             if l == 0 {
-                layer.backward(input, output, &upstream, gw, gb, None);
+                layer.backward(input, output, upstream, gw, gb, None);
             } else {
                 downstream.resize(layer.in_dim, 0.0);
-                layer.backward(input, output, &upstream, gw, gb, Some(&mut downstream));
-                std::mem::swap(&mut upstream, &mut downstream);
+                layer.backward(input, output, upstream, gw, gb, Some(downstream));
+                std::mem::swap(upstream, downstream);
             }
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Forward passes run on this thread (tests count them; the product
+    /// has no such field).
+    pub(crate) static FORWARDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -217,6 +238,32 @@ mod tests {
                     "layer {l} b[{k}]: {numeric} vs {analytic}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn backward_scratch_carries_nothing_between_calls() {
+        // Two samples into one buffer must equal the two samples' own
+        // gradients added once: the reused upstream / downstream scratch
+        // is fully rewritten by every call.
+        let mlp = Mlp::new(&[3, 5, 2, 1], Activation::Tanh, 4);
+        let samples = [([0.5, -1.0, 2.0], 0.7), ([-0.25, 0.0, 1.5], -1.3)];
+        let mut shared = mlp.new_gradients();
+        let mut separate = Vec::new();
+        let mut trace = Trace::default();
+        for (x, dy) in &samples {
+            mlp.forward_traced(x, &mut trace);
+            mlp.backward(x, &trace, &[*dy], &mut shared);
+            let mut own = mlp.new_gradients();
+            mlp.backward(x, &trace, &[*dy], &mut own);
+            separate.push(own);
+        }
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let sum = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(a, b)| a + b).collect::<Vec<_>>();
+        for (l, (gw, gb)) in shared.layers.iter().enumerate() {
+            let (first, second) = (&separate[0].layers[l], &separate[1].layers[l]);
+            assert_eq!(bits(gw), bits(&sum(&first.0, &second.0)), "layer {l} w");
+            assert_eq!(bits(gb), bits(&sum(&first.1, &second.1)), "layer {l} b");
         }
     }
 

@@ -16,6 +16,20 @@
 //! 0.5 decision boundary, weighted by their dissimilarity, while similar
 //! pairs (dissimilarity ≈ 0) generate no force — exactly the grouping
 //! pressure Eq. 15 expresses, but with useful gradients.
+//!
+//! # One forward per distinct row per mini-batch
+//!
+//! The weights only move at the end of a mini-batch (one Adam step on the
+//! batch's mean gradient), so inside a batch a row's activations are a
+//! function of the row alone. L2P samples 256 pairs from a group of a few
+//! hundred members, so most rows of a batch are touched several times;
+//! [`SiameseTrainer::train`] forwards a row the first time a pair touches
+//! it and every later pair, and both backward passes, read that trace.
+//! Nothing else changes: pairs are visited in the same shuffled order, the
+//! loss is summed in that order, and each pair's two backward passes add
+//! into the gradient buffer in that order — so the weights, the learning
+//! curve and everything downstream are bit for bit those of the loop that
+//! ran two forwards per pair (kept as the test oracle in this module).
 
 use crate::adam::Adam;
 use crate::mlp::{Mlp, Trace};
@@ -62,6 +76,9 @@ impl PairLoss {
 }
 
 /// A borrowed batch of training pairs over a flat representation matrix.
+///
+/// The trainer keeps one table entry per row, so hand it the rows the
+/// pairs can name (L2P: the group's members), not a whole database.
 #[derive(Debug, Clone, Copy)]
 pub struct PairBatch<'a> {
     /// Row-major `n × dim` representation matrix.
@@ -146,8 +163,7 @@ impl SiameseTrainer {
         );
         let mut adam = Adam::new(mlp, self.cfg.lr);
         let mut grads = mlp.new_gradients();
-        let mut trace_x = Trace::default();
-        let mut trace_y = Trace::default();
+        let mut memo = ForwardMemo::new(batch.reps.len() / batch.dim);
         let mut order: Vec<usize> = (0..batch.pairs.len()).collect();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut epoch_losses = Vec::with_capacity(self.cfg.epochs);
@@ -160,13 +176,137 @@ impl SiameseTrainer {
                 grads.zero();
                 for &p in chunk {
                     let (a, b, d) = batch.pairs[p];
+                    let slot_a = memo.slot(mlp, &batch, a);
+                    let slot_b = memo.slot(mlp, &batch, b);
+                    let (trace_x, trace_y) = (&memo.traces[slot_a], &memo.traces[slot_b]);
+                    let ox = mlp.traced_output(trace_x)[0];
+                    let oy = mlp.traced_output(trace_y)[0];
+                    let (loss, gx, gy) = self.cfg.loss.eval(ox, oy, d);
+                    epoch_loss += loss;
+                    if gx != 0.0 {
+                        mlp.backward(batch.rep(a), trace_x, &[gx], &mut grads);
+                    }
+                    if gy != 0.0 {
+                        mlp.backward(batch.rep(b), trace_y, &[gy], &mut grads);
+                    }
+                    pairs_seen += 1;
+                }
+                grads.scale(1.0 / chunk.len() as f64);
+                adam.step(mlp, &grads);
+                // The step moved the weights: every trace is stale.
+                memo.clear();
+            }
+            epoch_losses.push(epoch_loss / batch.pairs.len().max(1) as f64);
+        }
+        TrainReport {
+            epoch_losses,
+            pairs_seen,
+        }
+    }
+}
+
+/// The rows already forwarded in the current mini-batch and where their
+/// activations are. One `u32` per row of the batch's matrix; the traces
+/// themselves are reused slots, at most two per pair of a mini-batch.
+struct ForwardMemo {
+    /// Row → its slot in `traces`, or `NO_SLOT` if no pair of this
+    /// mini-batch has touched the row yet.
+    slot_of: Vec<u32>,
+    /// Rows forwarded in this mini-batch, in slot order.
+    rows: Vec<u32>,
+    /// Slot → activations. Grows to the most distinct rows a batch had.
+    traces: Vec<Trace>,
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+impl ForwardMemo {
+    fn new(n_rows: usize) -> Self {
+        Self {
+            slot_of: vec![NO_SLOT; n_rows],
+            rows: Vec::new(),
+            traces: Vec::new(),
+        }
+    }
+
+    /// The slot holding `row`'s activations under the current weights,
+    /// running the forward pass if this is the batch's first touch.
+    fn slot(&mut self, mlp: &Mlp, batch: &PairBatch<'_>, row: u32) -> usize {
+        let known = self.slot_of[row as usize];
+        if known != NO_SLOT {
+            return known as usize;
+        }
+        let slot = self.rows.len();
+        if slot == self.traces.len() {
+            self.traces.push(Trace::default());
+        }
+        mlp.forward_traced(batch.rep(row), &mut self.traces[slot]);
+        self.slot_of[row as usize] = slot as u32;
+        self.rows.push(row);
+        slot
+    }
+
+    /// Forgets every row (the weights changed).
+    fn clear(&mut self) {
+        for row in self.rows.drain(..) {
+            self.slot_of[row as usize] = NO_SLOT;
+        }
+    }
+}
+
+/// The network's output for every row of a row-major `n × dim` matrix,
+/// through one reused trace.
+pub fn outputs(mlp: &Mlp, reps: &[f64], dim: usize) -> Vec<f64> {
+    debug_assert_eq!(mlp.out_dim(), 1);
+    let mut trace = Trace::default();
+    reps.chunks_exact(dim)
+        .map(|rep| {
+            mlp.forward_traced(rep, &mut trace);
+            mlp.traced_output(&trace)[0]
+        })
+        .collect()
+}
+
+/// Side of the 0.5 decision boundary an output falls on:
+/// `false` = first sub-group (`O < 0.5`), `true` = second (`O ≥ 0.5`).
+pub fn assign_side(output: f64) -> bool {
+    output >= 0.5
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::activation::Activation;
+    use crate::mlp::FORWARDS;
+    use proptest::prelude::*;
+
+    /// The trainer as it was before rows were memoised: two forwards per
+    /// pair, whatever the batch has already seen. Kept verbatim as the
+    /// oracle [`SiameseTrainer::train`] must equal bit for bit.
+    fn train_per_pair(cfg: &SiameseConfig, mlp: &mut Mlp, batch: PairBatch<'_>) -> TrainReport {
+        let mut adam = Adam::new(mlp, cfg.lr);
+        let mut grads = mlp.new_gradients();
+        let mut trace_x = Trace::default();
+        let mut trace_y = Trace::default();
+        let mut order: Vec<usize> = (0..batch.pairs.len()).collect();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut epoch_losses = Vec::with_capacity(cfg.epochs);
+        let mut pairs_seen = 0usize;
+
+        for _ in 0..cfg.epochs {
+            order.shuffle(&mut rng);
+            let mut epoch_loss = 0.0;
+            for chunk in order.chunks(cfg.batch_size.max(1)) {
+                grads.zero();
+                for &p in chunk {
+                    let (a, b, d) = batch.pairs[p];
                     let xa = batch.rep(a);
                     let xb = batch.rep(b);
                     mlp.forward_traced(xa, &mut trace_x);
                     let ox = mlp.traced_output(&trace_x)[0];
                     mlp.forward_traced(xb, &mut trace_y);
                     let oy = mlp.traced_output(&trace_y)[0];
-                    let (loss, gx, gy) = self.cfg.loss.eval(ox, oy, d);
+                    let (loss, gx, gy) = cfg.loss.eval(ox, oy, d);
                     epoch_loss += loss;
                     if gx != 0.0 {
                         mlp.backward(xa, &trace_x, &[gx], &mut grads);
@@ -186,18 +326,126 @@ impl SiameseTrainer {
             pairs_seen,
         }
     }
-}
 
-/// Side of the 0.5 decision boundary a representation falls on:
-/// `false` = first sub-group (`O < 0.5`), `true` = second (`O ≥ 0.5`).
-pub fn assign_side(mlp: &Mlp, rep: &[f64]) -> bool {
-    mlp.forward_scalar(rep) >= 0.5
-}
+    fn parameter_bits(mlp: &Mlp) -> Vec<u64> {
+        mlp.layers()
+            .iter()
+            .flat_map(|l| l.w.iter().chain(&l.b))
+            .map(|v| v.to_bits())
+            .collect()
+    }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::activation::Activation;
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Few rows and many pairs: most pairs of a batch repeat a row,
+        /// some repeat a whole pair, some are a row with itself or with a
+        /// duplicate (`d = 0`).
+        #[test]
+        fn memoised_training_equals_the_per_pair_loop_bit_for_bit(
+            (dim, n_rows) in (1usize..6, 1usize..12),
+            hidden in prop::collection::vec(1usize..7, 0..3),
+            act in prop_oneof![
+                Just(Activation::Sigmoid),
+                Just(Activation::Tanh),
+                Just(Activation::Relu),
+                Just(Activation::Identity),
+            ],
+            (batch_size, epochs) in (1usize..20, 1usize..4),
+            raw_pairs in prop::collection::vec((any::<u32>(), any::<u32>(), 0u32..5), 0..60),
+            hard in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            use rand::Rng;
+            let reps: Vec<f64> = (0..n_rows * dim).map(|_| rng.gen_range(-1.5..1.5)).collect();
+            let pairs: Vec<(u32, u32, f64)> = raw_pairs
+                .iter()
+                .map(|&(a, b, d)| (a % n_rows as u32, b % n_rows as u32, d as f64 / 4.0))
+                .collect();
+            let mut widths = vec![dim];
+            widths.extend(&hidden);
+            widths.push(1);
+            let cfg = SiameseConfig {
+                epochs,
+                batch_size,
+                lr: 0.05,
+                seed: seed ^ 0x5eed,
+                loss: if hard { PairLoss::Hard } else { PairLoss::Surrogate },
+            };
+            let batch = PairBatch { reps: &reps, dim, pairs: &pairs };
+
+            let mut memoised = Mlp::new(&widths, act, seed);
+            let mut per_pair = memoised.clone();
+            let got = SiameseTrainer::new(cfg.clone()).train(&mut memoised, batch);
+            let want = train_per_pair(&cfg, &mut per_pair, batch);
+
+            prop_assert_eq!(parameter_bits(&memoised), parameter_bits(&per_pair));
+            let bits = |r: &TrainReport| r.epoch_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(got.pairs_seen, want.pairs_seen);
+        }
+    }
+
+    #[test]
+    fn a_mini_batch_forwards_each_distinct_row_once() {
+        // Seven rows, one epoch, one batch of 40 pairs that never name
+        // row 6 and repeat the other six many times.
+        let (dim, n_rows) = (3usize, 7usize);
+        let reps: Vec<f64> = (0..n_rows * dim).map(|i| (i as f64 * 0.37).sin()).collect();
+        let pairs: Vec<(u32, u32, f64)> = (0..40u32)
+            .map(|i| (i % 6, (i * i + 1) % 6, 0.25 * (i % 5) as f64))
+            .collect();
+        let distinct: std::collections::BTreeSet<u32> =
+            pairs.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+        assert_eq!(distinct.len(), 6);
+        let mut mlp = Mlp::new(&[dim, 4, 1], Activation::Sigmoid, 2);
+        let trainer = SiameseTrainer::new(SiameseConfig {
+            epochs: 1,
+            batch_size: 64,
+            ..Default::default()
+        });
+        let before = FORWARDS.with(|n| n.get());
+        trainer.train(
+            &mut mlp,
+            PairBatch {
+                reps: &reps,
+                dim,
+                pairs: &pairs,
+            },
+        );
+        assert_eq!(FORWARDS.with(|n| n.get()) - before, distinct.len());
+
+        // Two batches of 20: the step makes every trace stale, so a row is
+        // forwarded again in the second batch that names it.
+        let trainer = SiameseTrainer::new(SiameseConfig {
+            batch_size: 20,
+            ..trainer.cfg
+        });
+        let mut order: Vec<usize> = (0..pairs.len()).collect();
+        order.shuffle(&mut StdRng::seed_from_u64(trainer.cfg.seed));
+        let per_batch: usize = order
+            .chunks(20)
+            .map(|chunk| {
+                let rows: std::collections::BTreeSet<u32> = chunk
+                    .iter()
+                    .flat_map(|&p| [pairs[p].0, pairs[p].1])
+                    .collect();
+                rows.len()
+            })
+            .sum();
+        assert!(per_batch > distinct.len());
+        let before = FORWARDS.with(|n| n.get());
+        trainer.train(
+            &mut mlp,
+            PairBatch {
+                reps: &reps,
+                dim,
+                pairs: &pairs,
+            },
+        );
+        assert_eq!(FORWARDS.with(|n| n.get()) - before, per_batch);
+    }
 
     #[test]
     fn surrogate_loss_values_and_gradients() {
@@ -309,9 +557,12 @@ mod tests {
             report.epoch_losses
         );
         // The two clusters should land on opposite sides of the boundary.
-        let side_of = |i: usize| assign_side(&mlp, &reps[i * dim..(i + 1) * dim]);
-        let first: usize = (0..n_per).filter(|&i| side_of(i)).count();
-        let second: usize = (n_per..2 * n_per).filter(|&i| side_of(i)).count();
+        let sides: Vec<bool> = outputs(&mlp, &reps, dim)
+            .into_iter()
+            .map(assign_side)
+            .collect();
+        let first: usize = sides[..n_per].iter().filter(|&&s| s).count();
+        let second: usize = sides[n_per..].iter().filter(|&&s| s).count();
         let separated = (first <= n_per / 8 && second >= n_per * 7 / 8)
             || (first >= n_per * 7 / 8 && second <= n_per / 8);
         assert!(

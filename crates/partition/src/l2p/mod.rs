@@ -22,13 +22,37 @@
 //!
 //! Models at the same level are independent and train in parallel
 //! (`parallel: true`), the direction the paper flags as future work.
+//!
+//! # Each piece of a model's work is done once
+//!
+//! Training the cascade *is* the index's set-up time, so one model's
+//! training touches nothing it does not need:
+//!
+//! * **Group-local coordinates.** A model only ever sees its group. The
+//!   group's representations are gathered once into a `members × dim`
+//!   matrix shared by all restarts, and sampled pairs carry *positions*
+//!   into the member list (the sampler draws positions anyway). Every
+//!   per-member table — the trainer's, the split's sides — is then a plain
+//!   array the size of the group, never of the database.
+//! * **Memoised forwards.** Inside a mini-batch the weights are constant,
+//!   and 256 pairs over a few hundred members name most members several
+//!   times; the trainer forwards each distinct member once per batch (see
+//!   [`les3_nn::siamese`]). Pair order and every floating-point summation
+//!   order are unchanged, so the partition is bit for bit the one a
+//!   two-forwards-per-pair trainer produces —
+//!   `crates/partition/tests/l2p_golden.rs` holds it to literals recorded
+//!   from that trainer.
+//! * **Scoring only ranks.** The within-side distance of a candidate split
+//!   is computed only when there are several restarts to choose between.
 
 use crate::rep::RepMatrix;
 use les3_core::{HierarchicalPartitioning, Jaccard, Partitioning, Similarity};
 use les3_data::{SetDatabase, SetId};
+use les3_nn::siamese;
 use les3_nn::{Activation, Mlp, PairBatch, SiameseConfig, SiameseTrainer, TrainReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configuration of the cascade.
 #[derive(Debug, Clone)]
@@ -112,10 +136,9 @@ pub struct L2p {
     pub cfg: L2pConfig,
 }
 
-/// One group's worth of work at the current cascade level.
-struct GroupTask {
-    members: Vec<SetId>,
-}
+/// One model to train at the current cascade level: the group's index and
+/// its members.
+type GroupTask<'g> = (usize, &'g [SetId]);
 
 impl L2p {
     /// Creates the partitioner.
@@ -172,34 +195,37 @@ impl L2p {
                 break;
             }
             // Train one model per splittable group (possibly in parallel).
-            let tasks: Vec<(usize, GroupTask)> = groups
+            let tasks: Vec<GroupTask<'_>> = groups
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| splittable[i])
-                .map(|(i, g)| (i, GroupTask { members: g.clone() }))
+                .map(|(i, g)| (i, g.as_slice()))
                 .collect();
             let outcomes = if cfg.parallel && tasks.len() > 1 {
                 self.train_parallel(db, reps, level, &tasks)
             } else {
                 tasks
                     .iter()
-                    .map(|(i, t)| (*i, self.train_one(db, reps, level, *i, t)))
+                    .map(|&(i, members)| (i, self.train_one(db, reps, level, i, members)))
                     .collect()
             };
             // Apply the splits in deterministic (group index) order.
             let mut next_groups: Vec<Vec<SetId>> = Vec::with_capacity(groups.len() * 2);
             let mut outcome_iter = outcomes.into_iter().peekable();
-            for (i, group) in groups.iter().enumerate() {
+            for (i, group) in groups.into_iter().enumerate() {
                 match outcome_iter.peek() {
                     Some((gi, _)) if *gi == i => {
                         let (_, outcome) = outcome_iter.next().unwrap();
                         reports.push(outcome.report);
                         models_trained += 1;
                         model_bytes = model_bytes.max(outcome.model_bytes);
-                        next_groups.push(outcome.left);
-                        next_groups.push(outcome.right);
+                        let ids = |side: &[u32]| -> Vec<SetId> {
+                            side.iter().map(|&pos| group[pos as usize]).collect()
+                        };
+                        next_groups.push(ids(&outcome.left));
+                        next_groups.push(ids(&outcome.right));
                     }
-                    _ => next_groups.push(group.clone()), // passes through
+                    _ => next_groups.push(group), // passes through
                 }
             }
             groups = next_groups;
@@ -216,28 +242,34 @@ impl L2p {
         }
     }
 
+    /// Trains the level's models on every core. Groups are uneven, so a
+    /// thread claims the next untrained model when it finishes one; which
+    /// thread trains a model does not matter (every model is seeded by its
+    /// level and group), and the outcomes are put back in group order.
     fn train_parallel(
         &self,
         db: &SetDatabase,
         reps: &RepMatrix,
         level: usize,
-        tasks: &[(usize, GroupTask)],
+        tasks: &[GroupTask<'_>],
     ) -> Vec<(usize, SplitOutcome)> {
         let threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
         let threads = threads.min(tasks.len()).max(1);
-        let chunks: Vec<&[(usize, GroupTask)]> =
-            tasks.chunks(tasks.len().div_ceil(threads)).collect();
+        let cursor = AtomicUsize::new(0);
         let mut out: Vec<(usize, SplitOutcome)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|(i, t)| (*i, self.train_one(db, reps, level, *i, t)))
-                            .collect::<Vec<_>>()
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut trained = Vec::new();
+                        // relaxed: unique-ticket handout into `tasks`, which
+                        // no thread writes; results flow through `join`.
+                        let claim = || cursor.fetch_add(1, Ordering::Relaxed);
+                        while let Some(&(i, members)) = tasks.get(claim()) {
+                            trained.push((i, self.train_one(db, reps, level, i, members)));
+                        }
+                        trained
                     })
                 })
                 .collect();
@@ -259,51 +291,64 @@ impl L2p {
         reps: &RepMatrix,
         level: usize,
         group_idx: usize,
-        task: &GroupTask,
+        members: &[SetId],
     ) -> SplitOutcome {
         let cfg = &self.cfg;
-        let members = &task.members;
         let model_seed = derive_seed(cfg.seed, level as u64, group_idx as u64);
         let mut rng = StdRng::seed_from_u64(model_seed);
 
+        // The group's representations, row `pos` for `members[pos]`.
+        let mut local = Vec::with_capacity(members.len() * reps.dim());
+        for &id in members {
+            local.extend_from_slice(reps.row(id as usize));
+        }
+        let local = RepMatrix::from_raw(local, reps.dim());
+
         // Sample training pairs with replacement (paper: 40 000 random
-        // pairs per group). All restarts train on the same pairs so their
-        // scores are comparable.
+        // pairs per group), as positions into `members`. All restarts
+        // train on the same pairs so their scores are comparable.
         let mut pairs: Vec<(u32, u32, f64)> = Vec::with_capacity(cfg.pairs_per_model);
         for _ in 0..cfg.pairs_per_model {
-            let a = members[rng.gen_range(0..members.len())];
-            let b = members[rng.gen_range(0..members.len())];
+            let a = rng.gen_range(0..members.len());
+            let b = rng.gen_range(0..members.len());
             if a == b {
                 continue;
             }
-            let d = 1.0 - Jaccard.eval(db.set(a), db.set(b));
-            pairs.push((a, b, d));
+            let d = 1.0 - Jaccard.eval(db.set(members[a]), db.set(members[b]));
+            pairs.push((a as u32, b as u32, d));
         }
 
-        let mut best: Option<(f64, SplitOutcome)> = None;
-        for restart in 0..cfg.restarts.max(1) {
+        let mut candidates = (0..cfg.restarts.max(1)).map(|restart| {
             let restart_seed = derive_seed(model_seed, u64::MAX, restart as u64);
-            let candidate = self.train_candidate(reps, members, &pairs, restart_seed);
-            let score = split_score(&candidate, members, &pairs);
-            if best.as_ref().is_none_or(|(b, _)| score < *b) {
-                best = Some((score, candidate));
+            self.train_candidate(&local, &pairs, restart_seed)
+        });
+        let first = candidates.next().expect("at least one restart");
+        if cfg.restarts <= 1 {
+            // Nothing to rank it against.
+            return first;
+        }
+        let mut best = (split_score(&first, members.len(), &pairs), first);
+        for candidate in candidates {
+            let score = split_score(&candidate, members.len(), &pairs);
+            if score < best.0 {
+                best = (score, candidate);
             }
         }
-        best.expect("at least one restart").1
+        best.1
     }
 
-    /// One training run: fit a Siamese MLP on `pairs`, split `members` by
-    /// output side (median fallback guarantees both sides are non-empty).
+    /// One training run: fit a Siamese MLP on `pairs` over the group's
+    /// `local` matrix, split the positions by output side (median fallback
+    /// guarantees both sides are non-empty).
     fn train_candidate(
         &self,
-        reps: &RepMatrix,
-        members: &[SetId],
+        local: &RepMatrix,
         pairs: &[(u32, u32, f64)],
         model_seed: u64,
     ) -> SplitOutcome {
         let cfg = &self.cfg;
         let mut widths = Vec::with_capacity(cfg.hidden.len() + 2);
-        widths.push(reps.dim());
+        widths.push(local.dim());
         widths.extend_from_slice(&cfg.hidden);
         widths.push(1);
         let mut mlp = Mlp::new(&widths, Activation::Sigmoid, model_seed);
@@ -314,36 +359,29 @@ impl L2p {
         let report = trainer.train(
             &mut mlp,
             PairBatch {
-                reps: reps.as_slice(),
-                dim: reps.dim(),
+                reps: local.as_slice(),
+                dim: local.dim(),
                 pairs,
             },
         );
 
         // Inference: assign each member by output side.
-        let outputs: Vec<f64> = members
-            .iter()
-            .map(|&id| mlp.forward_scalar(reps.row(id as usize)))
-            .collect();
+        let outputs = siamese::outputs(&mlp, local.as_slice(), local.dim());
         let (mut left, mut right) = (Vec::new(), Vec::new());
-        for (&id, &o) in members.iter().zip(&outputs) {
-            if o < 0.5 {
-                left.push(id);
+        for (pos, &o) in (0u32..).zip(&outputs) {
+            if siamese::assign_side(o) {
+                right.push(pos);
             } else {
-                right.push(id);
+                left.push(pos);
             }
         }
         if left.is_empty() || right.is_empty() {
             // Median-output fallback (guarantees both sides non-empty).
-            let mut indexed: Vec<(f64, SetId)> = outputs
-                .iter()
-                .copied()
-                .zip(members.iter().copied())
-                .collect();
+            let mut indexed: Vec<(f64, u32)> = outputs.iter().copied().zip(0u32..).collect();
             indexed.sort_by(|a, b| a.0.total_cmp(&b.0));
             let mid = indexed.len() / 2;
-            left = indexed[..mid].iter().map(|&(_, id)| id).collect();
-            right = indexed[mid..].iter().map(|&(_, id)| id).collect();
+            left = indexed[..mid].iter().map(|&(_, pos)| pos).collect();
+            right = indexed[mid..].iter().map(|&(_, pos)| pos).collect();
         }
         SplitOutcome {
             left,
@@ -354,9 +392,11 @@ impl L2p {
     }
 }
 
+/// A trained split of one group. The sides hold *positions* into the
+/// group's member list, in the order the next level will see them.
 struct SplitOutcome {
-    left: Vec<SetId>,
-    right: Vec<SetId>,
+    left: Vec<u32>,
+    right: Vec<u32>,
     report: TrainReport,
     model_bytes: usize,
 }
@@ -368,17 +408,15 @@ struct SplitOutcome {
 /// cluster boundary scores far below a random one. Falls back to the mean
 /// distance over all pairs when no sampled pair stays together (neutral:
 /// such a candidate is never preferred over a genuine cluster cut).
-fn split_score(candidate: &SplitOutcome, members: &[SetId], pairs: &[(u32, u32, f64)]) -> f64 {
-    let mut side = vec![false; members.len()];
-    let index_of: std::collections::HashMap<SetId, usize> =
-        members.iter().copied().zip(0..).collect();
-    for &id in &candidate.left {
-        side[index_of[&id]] = true;
+fn split_score(candidate: &SplitOutcome, n_members: usize, pairs: &[(u32, u32, f64)]) -> f64 {
+    let mut side = vec![false; n_members];
+    for &pos in &candidate.left {
+        side[pos as usize] = true;
     }
     let (mut within, mut n_within, mut total) = (0.0, 0usize, 0.0);
     for &(a, b, d) in pairs {
         total += d;
-        if side[index_of[&a]] == side[index_of[&b]] {
+        if side[a as usize] == side[b as usize] {
             within += d;
             n_within += 1;
         }
