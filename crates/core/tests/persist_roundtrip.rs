@@ -13,7 +13,8 @@
 //! block — must surface as a descriptive error, never a panic; a
 //! version-1 file, a version-1 block kind and SIG parameters outside
 //! what a sidecar accepts are each rejected by name; and the bytes of a
-//! flat version-2 segment are pinned.
+//! flat version-2 segment, and of a 4-shard and a 2-shard one with the
+//! layout they record, are pinned.
 
 mod common;
 
@@ -639,6 +640,92 @@ fn flat_segment_bytes_are_pinned_at_format_v2() {
     let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
     assert_eq!(reopened.backend().db().len(), 72);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A sharded segment records the group → shard layout it was built with:
+/// for a 4-shard `Contiguous` and a 2-shard `Hash` index over the pinned
+/// fixture — after logged inserts with and without attributes, two
+/// deletes and a checkpoint — the segment bytes, the layout a reopen
+/// reports and the bytes the reopened index saves are the ones recorded
+/// at 007c75e, when every shard still had a matrix of its own.
+#[test]
+fn sharded_segment_bytes_and_layout_are_pinned() {
+    let saved_bytes = |live: &LiveIndex<ShardedLes3Index<Jaccard>>| {
+        let dir = fresh_dir("sharded-pin-save");
+        live.save(&dir).unwrap();
+        let bytes = std::fs::read(dir.join("segment")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
+    };
+    type Pin = (
+        usize,
+        ShardPolicy,
+        &'static [&'static [u32]],
+        usize,
+        u64,
+        u64,
+    );
+    let pins: [Pin; 2] = [
+        (
+            4,
+            ShardPolicy::Contiguous,
+            &[&[0, 1], &[2], &[3, 4], &[5]],
+            1_733,
+            0xd5b8_5157_ff37_4197,
+            0x97e7_26da_76a2_6d95,
+        ),
+        (
+            2,
+            ShardPolicy::Hash,
+            &[&[0, 1, 3, 4], &[2, 5]],
+            1_733,
+            0xb92b_d077_3405_3ae4,
+            0xf732_f6a2_4fdd_9cb6,
+        ),
+    ];
+    for (n_shards, policy, layout, len, checkpointed, saved) in pins {
+        let flat = pinned_flat_index();
+        let sharded = ShardedLes3Index::build(
+            flat.db().clone(),
+            flat.partitioning().clone(),
+            Jaccard,
+            n_shards,
+            policy,
+        );
+        let dir = fresh_dir("sharded-pin");
+        let mut durable = DurableIndex::create(&dir, sharded).unwrap();
+        durable.insert(&mut [96, 3, 40, 3]).unwrap();
+        durable
+            .insert_with_attrs(&mut [200, 7], &attrs_for(0))
+            .unwrap();
+        durable
+            .insert_with_attrs(&mut [7, 14, 21], &attrs_for(1))
+            .unwrap();
+        assert!(durable.delete(11).unwrap());
+        assert!(durable.delete(70).unwrap());
+        durable.checkpoint().unwrap();
+        let bytes = std::fs::read(dir.join("segment")).unwrap();
+        let live_saved = saved_bytes(&durable.into_live());
+        assert_eq!(bytes.len(), len, "{policy:?} N={n_shards}");
+        assert_eq!(fnv1a(&bytes), checkpointed, "{policy:?} N={n_shards}");
+        assert_eq!(fnv1a(&live_saved), saved, "{policy:?} N={n_shards}");
+
+        let meta = les3_core::persist::read_meta(&dir).unwrap();
+        assert_eq!((meta.n_shards as usize, meta.epoch), (n_shards, 1));
+        let reopened = DurableIndex::<ShardedLes3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+        assert_eq!(reopened.backend().n_shards(), n_shards);
+        for (s, groups) in layout.iter().enumerate() {
+            assert_eq!(
+                reopened.backend().shard_groups(s).to_vec(),
+                groups.to_vec(),
+                "{policy:?} N={n_shards} shard {s}"
+            );
+        }
+        assert_eq!(reopened.log().deleted_ids(), vec![11, 70]);
+        assert_eq!(reopened.meta().attrs(72), attrs_for(1));
+        assert_eq!(saved_bytes(&reopened.into_live()), live_saved);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// The `(offset, kind, payload length)` of every block of a segment.

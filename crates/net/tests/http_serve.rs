@@ -1163,6 +1163,36 @@ fn cross_namespace_isolation_same_ids_different_corpora() {
     server.shutdown();
 }
 
+/// `GET /ns/{name}` of a namespace created with `"n_shards":2`, after an
+/// insert and a delete: the body recorded at 007c75e. The shard count a
+/// namespace was created with is part of what it reports, byte for byte.
+#[test]
+fn sharded_namespace_info_body_is_pinned() {
+    let (server, addr) = start_server(flat_index(25), fast_config());
+    let mut client = Client::connect(&addr);
+    let created = client.request(
+        "PUT",
+        "/ns/pin",
+        Some(r#"{"n_shards":2,"n_groups":3,"sets":[[1,2,3],[2,3,4],[9],[],[4,5]]}"#),
+    );
+    assert_eq!(created.status, 200, "{}", created.body);
+    assert_eq!(
+        created.body,
+        r#"{"name":"pin","kind":"sharded","sim":"jaccard","n_sets":5,"live_sets":5,"n_groups":3,"n_shards":2}"#
+    );
+    let inserted = client.request("POST", "/ns/pin/insert", Some(r#"{"tokens":[5,9]}"#));
+    assert_eq!(inserted.status, 200, "{}", inserted.body);
+    let deleted = client.request("POST", "/ns/pin/delete", Some(r#"{"id":1}"#));
+    assert_eq!(deleted.status, 200, "{}", deleted.body);
+    let info = client.request("GET", "/ns/pin", None);
+    assert_eq!(info.status, 200, "{}", info.body);
+    assert_eq!(
+        info.body,
+        r#"{"name":"pin","kind":"sharded","sim":"jaccard","n_sets":6,"live_sets":5,"n_groups":3,"n_shards":2}"#
+    );
+    server.shutdown();
+}
+
 #[test]
 fn global_stats_cover_namespace_traffic() {
     let (server, addr) = start_server(flat_index(23), fast_config());
