@@ -10,9 +10,8 @@
 //! * once between the phase-A filter pass and verification (the single
 //!   most valuable check: filtering is cheap, verification is where the
 //!   CPU goes), and
-//! * once per group inside the verify loop (and per step of the sharded
-//!   cross-shard merge), so an in-flight query stops at the next group
-//!   boundary rather than after the whole descent.
+//! * once per group inside the verify loop, so an in-flight query stops
+//!   at the next group boundary rather than after the whole descent.
 //!
 //! A poll costs one relaxed atomic load (cancellation) plus one
 //! monotonic-clock read (deadline) — both skipped entirely for

@@ -17,17 +17,17 @@
 use les3_data::{SetDatabase, SetId, TokenId};
 use std::collections::HashMap;
 
-use crate::shard::{Shard, ShardedLes3Index};
+use crate::index::VerifyOrder;
+use crate::shard::ShardedLes3Index;
 use crate::sim::{distinct_len, Similarity};
+use crate::tgm::Tgm;
 
 /// Per-group token reference counts enabling exact TGM bit clearing.
 ///
 /// Optional companion to an index (either type: a [`crate::Les3Index`]
-/// derefs to its one-shard engine): build once with
+/// derefs to the engine): build once with
 /// [`DeletionLog::build`], then route deletions through
-/// [`DeletionLog::delete`]. Reference counts are keyed by *global* group
-/// id regardless of which shard owns the group, so logs over the same
-/// database and partitioning hold identical state at every shard count.
+/// [`DeletionLog::delete`].
 #[derive(Debug, Clone, Default)]
 pub struct DeletionLog {
     /// `(group, token) → number of live member sets containing token`.
@@ -46,10 +46,7 @@ impl DeletionLog {
     /// Whether every counted `(group, token)` still has its TGM bit —
     /// false over an index that some other log has deleted from.
     pub(crate) fn counted_bits_are_set<S: Similarity>(&self, index: &ShardedLes3Index<S>) -> bool {
-        self.counts.keys().all(|&(g, t)| {
-            let (s, l) = index.locate(g);
-            index.shards[s].tgm.bit(l, t)
-        })
+        self.counts.keys().all(|&(g, t)| index.tgm.bit(g, t))
     }
 
     /// The tombstoned set ids, ascending (what persistence writes out).
@@ -79,19 +76,16 @@ impl DeletionLog {
     }
 
     /// Tombstones set `id`: takes it out of its group's verify order and
-    /// clears every TGM bit whose reference count drops to zero, both in
-    /// the shard that owns the set's group (the tombstone and reference
-    /// counts are global). Returns `false` — a no-op — if the set was
-    /// already deleted or `id` is out of range (ids the index never
-    /// issued are treated like any other absent set rather than
-    /// panicking).
+    /// clears every TGM bit whose reference count drops to zero. Returns
+    /// `false` — a no-op — if the set was already deleted or `id` is out
+    /// of range (ids the index never issued are treated like any other
+    /// absent set rather than panicking).
     pub fn delete<S: Similarity>(&mut self, index: &mut ShardedLes3Index<S>, id: SetId) -> bool {
         if (id as usize) >= index.db.len() {
             return false;
         }
         let g = index.partitioning.group_of(id);
-        let (s, l) = index.locate(g);
-        self.count_out(&index.db, g, id, &mut index.shards[s], l)
+        self.count_out(&index.db, g, id, &mut index.tgm, &mut index.verify)
     }
 
     // The refcount walks take the index's parts, not the index, so they
@@ -124,15 +118,14 @@ impl DeletionLog {
         self.live += 1;
     }
 
-    /// `id < db.len()`; `shard` owns group `g`, which it knows as
-    /// `local`.
+    /// `id < db.len()`, and `g` is its group.
     fn count_out(
         &mut self,
         db: &SetDatabase,
         g: u32,
         id: SetId,
-        shard: &mut Shard,
-        local: u32,
+        tgm: &mut Tgm,
+        verify: &mut VerifyOrder,
     ) -> bool {
         if self.deleted.len() < db.len() {
             self.deleted.resize(db.len(), false);
@@ -142,14 +135,14 @@ impl DeletionLog {
         }
         self.live -= 1;
         let set = db.set(id);
-        let was_member = shard.verify.remove(local, distinct_len(set) as u32, id);
+        let was_member = verify.remove(g, distinct_len(set) as u32, id);
         debug_assert!(was_member, "a live set is in its group's verify order");
         for t in distinct(set) {
             let entry = self.counts.get_mut(&(g, t)).expect("refcount must exist");
             *entry -= 1;
             if *entry == 0 {
                 self.counts.remove(&(g, t));
-                shard.tgm.clear_bit(local, t);
+                tgm.clear_bit(g, t);
             }
         }
         true

@@ -148,8 +148,7 @@ impl<S: Similarity> Htgm<S> {
         let mut stats = SearchStats::default();
         // Every level's pass runs one after the other: one kernel
         // scratch serves them all.
-        scratch.ensure(1);
-        let scratch = &mut scratch.per_shard[0];
+        let scratch = &mut scratch.filter;
         // Level 0: full word-parallel scan of the coarsest matrix.
         let touched = self.tgms[0].group_overlaps_into(query, &mut scratch.counts);
         stats.columns_checked += touched as usize;
@@ -225,8 +224,7 @@ impl<S: Similarity> Htgm<S> {
                 stats,
             };
         }
-        scratch.ensure(1);
-        let scratch = &mut scratch.per_shard[0];
+        let scratch = &mut scratch.filter;
         // Seed the frontier with level-0 bounds.
         let touched = self.tgms[0].group_overlaps_into(query, &mut scratch.counts);
         stats.columns_checked += touched as usize;

@@ -2,13 +2,12 @@
 //! shares (paper §6).
 //!
 //! [`Les3Index`] is not an engine of its own: it is a
-//! [`ShardedLes3Index`] built with exactly one shard — so the shard's
-//! local group ids *are* the global ones and its TGM *is* the global
-//! matrix — under the constructor, accessors and on-disk kind the
-//! unsharded index has always had. Every query, insert and delete runs
-//! the one body in `shard.rs` / `update.rs` / `delete.rs` through
-//! `Deref`. What lives here besides the newtype is what that body (and
-//! the HTGM) verifies with:
+//! [`ShardedLes3Index`] whose recorded layout is the trivial one (one
+//! shard, every group in it) under the constructor, accessors and
+//! on-disk kind the unsharded index has always had. Every query, insert
+//! and delete runs the one body in `shard.rs` / `update.rs` /
+//! `delete.rs` through `Deref`. What lives here besides the newtype is
+//! what that body (and the HTGM) verifies with:
 //!
 //! * groups are ordered for verification by **bucketed descending
 //!   selection** (`bucketed_descending`) — `ub_from_overlap` is
@@ -51,11 +50,10 @@ pub struct SearchResult {
 
 /// The LES3 index: database + partitioning + TGM + similarity measure.
 ///
-/// A [`ShardedLes3Index`] with one shard owning groups `0..G` in order
-/// (the invariant everything here relies on: local group id == global
-/// group id). `search`, `knn*`, `range*`, `insert`, `enable_approx` and
-/// the accessors are the engine's own, reached through `Deref`; this
-/// type adds the unsharded constructor, [`Les3Index::tgm`], the
+/// A [`ShardedLes3Index`] whose recorded layout is one shard. `search`,
+/// `knn*`, `range*`, `insert`, `enable_approx` and the accessors are the
+/// engine's own, reached through `Deref`; this type adds the unsharded
+/// constructor, [`Les3Index::tgm`], the
 /// per-group probes the disk-resident variant drives, the batch entry
 /// points with an explicit intra-query width, and the flat segment kind
 /// (no SHARDS block, see [`crate::persist`]).
@@ -83,17 +81,16 @@ impl<S: Similarity> Les3Index<S> {
         Self::from_one_shard(one_shard)
     }
 
-    /// Wraps an engine that has exactly one shard (the persist layer
-    /// builds one from every segment without a SHARDS block).
+    /// Wraps an engine whose recorded layout is one shard (the persist
+    /// layer builds one from every segment without a SHARDS block).
     pub(crate) fn from_one_shard(engine: ShardedLes3Index<S>) -> Self {
         assert_eq!(engine.n_shards(), 1, "a flat index is the 1-shard engine");
         Self(engine)
     }
 
-    /// The token-group matrix (the one shard's, whose rows are the
-    /// global groups).
+    /// The token-group matrix.
     pub fn tgm(&self) -> &Tgm {
-        &self.0.shards[0].tgm
+        &self.0.tgm
     }
 
     /// Upper bounds `UB(Q, G_g)` for every group, in verification order
@@ -114,15 +111,17 @@ impl<S: Similarity> Les3Index<S> {
     ) {
         let query = &*normalize_query(query);
         let q_len = distinct_len(query);
-        scratch.ensure(1);
-        let (kernel, filter) = (&mut scratch.per_shard[0], &mut scratch.filters[0]);
-        self.0.filter_shard(0, query, q_len, kernel, filter);
-        stats.columns_checked += filter.cols as usize;
+        let QueryScratch {
+            filter,
+            stream,
+            bounds,
+            ..
+        } = scratch;
+        stats.columns_checked += self.0.filter(query, q_len, filter, stream) as usize;
         let sim = self.0.sim;
-        scratch.bounds.clear();
-        scratch.bounds.extend(
-            filter
-                .bounds
+        bounds.clear();
+        bounds.extend(
+            stream
                 .iter()
                 .map(|b| (b.group, sim.ub_from_overlap(q_len, b.r as usize))),
         );
@@ -164,9 +163,8 @@ impl<S: Similarity> Les3Index<S> {
 }
 
 /// Per-group *live* member ids sorted by (distinct length, id), with the
-/// lengths alongside — the order the verify step scans, shared by each
-/// shard of a [`crate::shard::ShardedLes3Index`] and the HTGM's finest
-/// level.
+/// lengths alongside — the order the verify step scans, shared by the
+/// [`crate::shard::ShardedLes3Index`] and the HTGM's finest level.
 ///
 /// Plain data: every mutation holds `&mut self` and puts the member
 /// where it belongs (`push`) or takes it out (`remove`), so a query only
@@ -186,20 +184,8 @@ struct GroupOrder {
 impl VerifyOrder {
     /// Builds the per-group length-sorted order for every group.
     pub(crate) fn build(db: &SetDatabase, partitioning: &Partitioning) -> Self {
-        let all: Vec<u32> = (0..partitioning.n_groups() as u32).collect();
-        Self::build_for_groups(db, partitioning, &all)
-    }
-
-    /// Builds the order for a subset of groups (a shard's slice of the
-    /// group axis); entry `i` serves the caller's local group id `i`.
-    pub(crate) fn build_for_groups(
-        db: &SetDatabase,
-        partitioning: &Partitioning,
-        groups: &[u32],
-    ) -> Self {
-        let groups = groups
-            .iter()
-            .map(|&g| {
+        let groups = (0..partitioning.n_groups() as u32)
+            .map(|g| {
                 let mut pairs: Vec<(u32, SetId)> = partitioning
                     .members(g)
                     .iter()
@@ -268,7 +254,7 @@ impl VerifyOrder {
 }
 
 /// The query-constant inputs of verification. [`VerifyQuery::knn_window`]
-/// is the one kNN candidate loop (the cursor merge and the HTGM descent
+/// is the one kNN candidate loop (the engine's descent and the HTGM's
 /// both call it) and [`VerifyQuery::range_window`] the one range
 /// candidate loop.
 pub(crate) struct VerifyQuery<'a, S> {
@@ -385,15 +371,13 @@ impl<S: Similarity> VerifyQuery<'_, S> {
     }
 }
 
-/// The `O(G + |Q|)` bucketed descending selection of every shard's
-/// filter pass: overlap counts are histogrammed into buckets
-/// `r ∈ 0..=|Q|`, descending start offsets are prefixed, and each group
-/// is scattered to its verification-order position — `emit(pos, g, r)`
-/// with `pos` running over the `(r descending, group id ascending)`
-/// order. Exactly the order a stable descending sort on the (monotone in
-/// `r`) bounds would give. Every shard count MUST go through this one
-/// implementation: the engine's bit-for-bit equality across shard counts
-/// rests on all of them verifying groups in the identical sequence.
+/// The `O(G + |Q|)` bucketed descending selection of the filter pass:
+/// overlap counts are histogrammed into buckets `r ∈ 0..=|Q|`,
+/// descending start offsets are prefixed, and each group is scattered to
+/// its verification-order position — `emit(pos, g, r)` with `pos`
+/// running over the `(r descending, group id ascending)` order. Exactly
+/// the order a stable descending sort on the (monotone in `r`) bounds
+/// would give.
 pub(crate) fn bucketed_descending(
     counts: &[u32],
     q_len: usize,
@@ -547,22 +531,20 @@ mod tests {
         )
     }
 
-    /// What makes a `Les3Index` a `Les3Index`: its engine has one shard
-    /// that owns groups `0..G` in order (local id == global id), and on
-    /// disk it is the flat kind. Inserts, deletes and a save → open keep
-    /// both true.
+    /// What makes a `Les3Index` a `Les3Index`: its engine records one
+    /// shard holding every group, and on disk it is the flat kind.
+    /// Inserts, deletes and a save → open keep both true.
     #[test]
     fn a_flat_index_is_the_one_shard_engine_and_stays_one() {
         use crate::persist::{DurableIndex, PersistentBackend};
 
         fn check(index: &Les3Index<Jaccard>) {
             let identity: Vec<u32> = (0..index.partitioning().n_groups() as u32).collect();
-            assert_eq!(index.shards.len(), 1);
+            // Through the deref: the trait's `n_shards` is the on-disk 0.
+            assert_eq!((**index).n_shards(), 1);
             assert_eq!(index.shard_groups(0), identity);
-            assert_eq!(index.local_of_group, identity);
             assert!(index.shard_of_group.iter().all(|&s| s == 0));
             assert_eq!(index.tgm().n_groups(), identity.len());
-            assert!(index.sole_shard().is_some());
             // The persisted kind: no SHARDS block.
             assert_eq!(Les3Index::<Jaccard>::kind_name(), "flat");
             assert_eq!(PersistentBackend::n_shards(index), 0);

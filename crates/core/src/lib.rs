@@ -22,13 +22,13 @@
 //!   other named methods are single expressions over it;
 //! * [`ShardedLes3Index`] — the memory-resident engine over a
 //!   [`SetDatabase`](les3_data::SetDatabase) and a [`Partitioning`]:
-//!   the group axis split across N ≥ 1 shards, each with its own TGM;
-//!   kNN shares one global top-k whose running k-th similarity prunes
-//!   across shards, and batches run on a coalescing work queue. Hits
-//!   and stats are bit-for-bit the same at every N;
-//! * [`Les3Index`] — that engine with one shard, under the unsharded
-//!   constructor and on-disk kind (it derefs to the engine: every query
-//!   and update method is the engine's own);
+//!   one [`Tgm`], one verification order, and the N ≥ 1 shard layout it
+//!   was built with as recorded data (reported and saved, never
+//!   executed); batches run on a coalescing work queue. Hits, stats and
+//!   index bytes are the same at every N by construction;
+//! * [`Les3Index`] — that engine under the unsharded constructor and
+//!   on-disk kind (it derefs to the engine: every query and update
+//!   method is the engine's own);
 //! * [`LiveIndex`] — an engine together with the [`DeletionLog`] and
 //!   [`MetadataIndex`] that describe it: the one owner of inserts,
 //!   deletes, attribute-filtered search and snapshots, which

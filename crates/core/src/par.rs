@@ -1,7 +1,7 @@
 //! Range fan-out: the one range descent, on one thread or several.
 //!
-//! A range query is order-independent: each shard's prune point is a
-//! pure function of its (non-increasing) bound stream, every surviving
+//! A range query is order-independent: the prune point is a pure
+//! function of the (non-increasing) bound stream, every surviving
 //! group is verified against the same fixed `δ` whatever happened to the
 //! groups before it, per-worker [`SearchStats`] add up, and the caller's
 //! final `(similarity desc, id asc)` sort canonicalizes hit order. So
@@ -25,8 +25,8 @@
 //! the same probe two workers took 0.63–0.93× the sequential time on
 //! wide ranges (δ = 0.3, thousands of sets verified) and 1.6–10× on
 //! selective ones (δ = 0.8, a handful of surviving groups). The auto
-//! policy therefore keys on the groups that *will be verified* — the sum
-//! of the shards' surviving prefixes — not on the size of the index.
+//! policy therefore keys on the groups that *will be verified* — the
+//! stream's surviving prefix — not on the size of the index.
 //!
 //! # Interruption
 //!
@@ -43,7 +43,7 @@ use les3_data::SetId;
 use crate::batch::lock_unpoisoned;
 use crate::ctl::{InterruptReason, QueryCtl};
 use crate::index::VerifyQuery;
-use crate::shard::{ShardBound, ShardFilter, ShardedLes3Index};
+use crate::shard::{GroupBound, ShardedLes3Index};
 use crate::sim::Similarity;
 use crate::stats::SearchStats;
 
@@ -70,10 +70,10 @@ fn auto_workers(stop: usize) -> usize {
 }
 
 impl<S: Similarity> ShardedLes3Index<S> {
-    /// The range descent: verifies every group whose bound reaches
-    /// `delta`, appending hits (unsorted — the caller's final `sort_hits`
-    /// canonicalizes). `prefix` must hold one slot per shard; it receives
-    /// the length of each shard's surviving prefix. `workers` is
+    /// The range descent: verifies every group of `stream` whose bound
+    /// reaches `delta`, in stream order — the order a deadline-committed
+    /// partial answer is defined by — appending hits (unsorted: the
+    /// caller's final `sort_hits` canonicalizes). `workers` is
     /// [`Query::workers`](crate::Query): a pinned count is honoured, `0`
     /// asks the auto policy. Polls `ctl` at every group boundary.
     #[allow(clippy::too_many_arguments)] // internal kernel: callers thread scratch + ctl
@@ -82,47 +82,38 @@ impl<S: Similarity> ShardedLes3Index<S> {
         verify: &VerifyQuery<'_, S>,
         delta: f64,
         workers: usize,
-        filters: &[ShardFilter],
-        prefix: &mut [usize],
+        stream: &[GroupBound],
         hits: &mut Vec<(SetId, f64)>,
         stats: &mut SearchStats,
         ctl: &QueryCtl<'_>,
     ) -> Result<(), InterruptReason> {
-        // The prune point is independent of the results: a shard's
-        // bounds are non-increasing, so its survivors are a prefix.
-        let beaten = |b: &ShardBound| self.sim.ub_from_overlap(verify.q_len, b.r as usize) < delta;
-        for (f, p) in filters.iter().zip(prefix.iter_mut()) {
-            *p = f.bounds.iter().position(beaten).unwrap_or(f.bounds.len());
-        }
-        let prefix = &*prefix;
-        let stop: usize = prefix.iter().sum();
+        // The prune point is independent of the results: the bounds are
+        // non-increasing, so the survivors are a prefix.
+        let beaten = |b: &GroupBound| self.sim.ub_from_overlap(verify.q_len, b.r as usize) < delta;
+        let stop = stream.iter().position(beaten).unwrap_or(stream.len());
+        let (survivors, pruned) = stream.split_at(stop);
         let workers = match workers {
             0 => auto_workers(stop),
             pinned => pinned,
         }
         .min(stop);
         if workers > 1 {
-            return self.range_fan_out(
-                verify, delta, workers, filters, prefix, stop, hits, stats, ctl,
-            );
-        }
-        // Shard after shard, each in bound order: the order a
-        // deadline-committed partial answer is defined by.
-        for ((shard, f), &p) in self.shards.iter().zip(filters).zip(prefix) {
-            for b in &f.bounds[..p] {
+            self.range_fan_out(verify, delta, workers, survivors, hits, stats, ctl)?;
+        } else {
+            for b in survivors {
                 if let Some(reason) = ctl.interrupted() {
                     return Err(reason);
                 }
                 stats.groups_verified += 1;
-                verify.range_window(&shard.verify, b.local, delta, hits, stats);
+                verify.range_window(&self.verify, b.group, delta, hits, stats);
             }
-            stats.groups_pruned += f.bounds.len() - p;
         }
+        stats.groups_pruned += pruned.len();
         Ok(())
     }
 
     /// [`Self::range_descend`]'s parallel arm: `workers ≥ 2` claim the
-    /// `stop` surviving groups from one cursor. Out of line on purpose —
+    /// surviving groups from one cursor. Out of line on purpose —
     /// sharing a frame with it cost the sequential arm 3 % of a 12 µs
     /// `lib_range` call.
     #[allow(clippy::too_many_arguments)]
@@ -132,9 +123,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         verify: &VerifyQuery<'_, S>,
         delta: f64,
         workers: usize,
-        filters: &[ShardFilter],
-        prefix: &[usize],
-        stop: usize,
+        survivors: &[GroupBound],
         hits: &mut Vec<(SetId, f64)>,
         stats: &mut SearchStats,
         ctl: &QueryCtl<'_>,
@@ -174,21 +163,17 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 // relaxed: unique-ticket handout only; every result flows
                 // through the per-worker Mutex<Local> cells, which the
                 // joining `run_workers` barrier orders with the reader.
-                let mut i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= stop {
+                let Some(b) = survivors.get(next.fetch_add(1, Ordering::Relaxed)) else {
                     return;
-                }
-                // Ticket `i` is position `i` of the shards' surviving
-                // prefixes laid end to end.
-                let mut s = 0;
-                while i >= prefix[s] {
-                    i -= prefix[s];
-                    s += 1;
-                }
-                let local_group = filters[s].bounds[i].local;
+                };
                 local.stats.groups_verified += 1;
-                let order = &self.shards[s].verify;
-                verify.range_window(order, local_group, delta, &mut local.hits, &mut local.stats);
+                verify.range_window(
+                    &self.verify,
+                    b.group,
+                    delta,
+                    &mut local.hits,
+                    &mut local.stats,
+                );
             }
         });
         for cell in &locals {
@@ -196,12 +181,8 @@ impl<S: Similarity> ShardedLes3Index<S> {
             stats.accumulate(&local.stats);
             hits.extend_from_slice(&local.hits);
         }
-        if let Some(reason) = *lock_unpoisoned(&reason_cell) {
-            return Err(reason);
-        }
-        let considered: usize = filters.iter().map(|f| f.bounds.len()).sum();
-        stats.groups_pruned += considered - stop;
-        Ok(())
+        let stopped = *lock_unpoisoned(&reason_cell);
+        stopped.map_or(Ok(()), Err)
     }
 }
 

@@ -9,8 +9,8 @@
 //! deadline means ([`OnExpiry`]).
 //! [`ShardedLes3Index::search`](crate::ShardedLes3Index::search) is the
 //! only body that runs it — on a [`Les3Index`](crate::Les3Index) too,
-//! which is that engine with one shard; the named `knn*/range*` methods
-//! are single expressions over it.
+//! which derefs to that engine; the named `knn*/range*` methods are
+//! single expressions over it.
 //!
 //! ```
 //! use les3_core::sim::Jaccard;

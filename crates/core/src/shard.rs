@@ -1,54 +1,21 @@
-//! The query engine: per-shard TGMs with a cross-shard top-k merge, at
-//! any shard count `N ≥ 1`.
+//! The query engine: one TGM and one verification order over the whole
+//! group axis, under a recorded shard layout.
 //!
-//! LES3's filter–verify pipeline partitions cleanly along the TGM's
-//! *group axis*: every group is filtered and verified as a unit (the
-//! paper's §5 cost model prices both steps per group), so assigning each
-//! group — with all of its members — to one of `N` shards loses nothing.
-//! A [`ShardedLes3Index`] gives every shard its own [`Tgm`] over its
-//! slice of the group axis and its own verification order, so shards
-//! share nothing on the query path but the read-only database. This is
+//! A [`ShardedLes3Index`] is the paper's index — one [`Tgm`] over one
+//! [`Partitioning`] (§3.1), one length-sorted verification order — and
 //! the crate's only in-memory engine: [`crate::Les3Index`] is the same
-//! struct built with one shard (whose slice is the whole axis), and
-//! `search`, `insert`, [`crate::DeletionLog::delete`], the batch
-//! executor and the persistence layer exist once, here.
-//!
-//! # The cross-shard threshold-sharing invariant
-//!
-//! Exact kNN needs **one global top-k**. The descent keeps a cursor into
-//! each shard's filter output — groups in `(overlap r descending,
-//! global group id ascending)` order, the bucketed order — and at every
-//! step consumes the globally best-bounded front among all shards. Two
-//! consequences, which together make results *bit-for-bit identical* at
-//! every shard count (hits **and** stats):
-//!
-//! 1. **Admissible pruning across shards.** The merged stream is the
-//!    one-shard verification order: when the best remaining front's
-//!    upper bound cannot beat the current k-th similarity, *every*
-//!    unvisited group in *every* shard is behind that front in the
-//!    order, hence also beaten — the whole fleet stops at once. The
-//!    running k-th similarity therefore acts as a cross-shard pruning
-//!    threshold: a "tight" shard that fills the heap with high
-//!    similarities early prunes the other shards' groups before they are
-//!    verified.
-//! 2. **Identical traversal.** Because the merge replays the one-shard
-//!    order group by group with the same evolving threshold, every
-//!    window cut, every abandoned merge and every heap offer happens at
-//!    the same point with the same arguments — the equality is exact,
-//!    not just up to ties (`tests/shard_equivalence.rs` asserts full
-//!    `SearchResult` equality, counters included, and
-//!    `tests/golden_stats.rs` pins the counters to recorded literals).
-//!
-//! Range queries need no shared state at all: shards verify their groups
-//! against the fixed `δ` one after the other and the hit lists
-//! concatenate (the final sort by `(similarity, id)` is
-//! order-insensitive).
-//!
-//! Updates route to the owning shard: an insert picks its group with one
-//! global rule (per-shard overlap counts are scattered back to global
-//! group ids first — a no-op for a shard that owns every group), then
-//! touches only that group's shard; deletions clear TGM bits through the
-//! same routing (see [`crate::delete::DeletionLog`]).
+//! struct under the flat on-disk kind, and `search`, `insert`,
+//! [`crate::DeletionLog::delete`], the batch executor and the
+//! persistence layer exist once, here. The *shard layout* — which of `N`
+//! shards each group was assigned to at build time — is recorded data: it
+//! is what [`ShardedLes3Index::n_shards`] and
+//! [`ShardedLes3Index::shard_groups`] report and what a sharded segment's
+//! SHARDS block stores, and no query, insert or delete reads it. A query
+//! is one filter pass, one bound stream in the bucketed `(overlap r
+//! descending, group id ascending)` order, and one descent over it, so
+//! hits, [`SearchStats`] and the partial answer a deadline commits are
+//! the same at every `N` by construction (`tests/shard_equivalence.rs`,
+//! `tests/golden_stats.rs`).
 //!
 //! # Example
 //!
@@ -71,12 +38,11 @@
 //! assert_eq!(sharded.range(&[0, 1, 2], 0.5), flat.range(&[0, 1, 2], 0.5));
 //! ```
 
-use les3_bitmap::Bitmap;
 use les3_data::{SetDatabase, TokenId};
 
 use crate::approx::{self, ApproxParams, ApproxPolicy, MinHashIndex};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
-use crate::index::{SearchResult, TopK, VerifyOrder, VerifyQuery};
+use crate::index::{bucketed_descending, SearchResult, TopK, VerifyOrder, VerifyQuery};
 use crate::metadata::FilterCandidates;
 use crate::partitioning::Partitioning;
 use crate::query::{self, Gathered, Kind, OnExpiry, Query, SearchOutcome};
@@ -129,62 +95,39 @@ impl ShardPolicy {
     }
 }
 
-/// One shard: a slice of the group axis with its own filter and verify
-/// structures.
-#[derive(Debug, Clone)]
-pub(crate) struct Shard {
-    /// Global group ids owned by this shard, ascending; the position is
-    /// the shard-local group id.
-    pub(crate) groups: Vec<u32>,
-    /// Token-group matrix over the shard's local group ids.
-    pub(crate) tgm: Tgm,
-    /// Length-sorted verification order, indexed by local group id.
-    pub(crate) verify: VerifyOrder,
-}
-
-/// One entry of a shard's filter output: a group in verification order.
+/// One entry of the filter output: a group in verification order.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ShardBound {
-    /// Global group id (the cross-shard merge tie-breaker).
+pub(crate) struct GroupBound {
+    /// Group id (the order's tie-breaker).
     pub(crate) group: u32,
-    /// Shard-local group id (what the shard's TGM/verify order speak).
-    pub(crate) local: u32,
-    /// Overlap count `r = |GS_g ∩ Q|` (the merge's primary key — the
+    /// Overlap count `r = |GS_g ∩ Q|` (the order's primary key — the
     /// upper bound is monotone in `r` but not injective, so ordering by
     /// `ub` alone would not reproduce the bucketed order). The bound
     /// itself (`UB(Q, G_g)`, Eq. 2) is derived lazily from `r` only for
-    /// entries that reach the front of the merge — groups pruned
-    /// wholesale never pay for one.
+    /// entries the descent reaches — groups pruned wholesale never pay
+    /// for one.
     pub(crate) r: u32,
 }
 
-/// A shard's complete filter output for one query.
-#[derive(Debug, Clone, Default)]
-pub struct ShardFilter {
-    /// Groups in `(r descending, global id ascending)` order.
-    pub(crate) bounds: Vec<ShardBound>,
-    /// TGM bits visited by the shard's filter pass.
-    pub(crate) cols: u64,
-}
-
-/// The LES3 index: the group axis split across `N ≥ 1` shards, each
-/// with its own TGM + verification order, answering exact kNN and range
-/// queries bit-for-bit identically — hits and stats — at every `N` on
-/// the same database and partitioning ([`crate::Les3Index`] is `N = 1`).
-/// See the module docs for the cross-shard threshold-sharing invariant.
+/// The LES3 index: database + partitioning + TGM + verification order +
+/// similarity measure, answering exact kNN and range queries. The shard
+/// layout it was built or opened with is recorded, not executed: hits
+/// and stats are those of [`crate::Les3Index`] on the same database and
+/// partitioning at every shard count (see the module docs).
 #[derive(Debug, Clone)]
 pub struct ShardedLes3Index<S: Similarity> {
     pub(crate) db: SetDatabase,
     pub(crate) partitioning: Partitioning,
     pub(crate) sim: S,
-    pub(crate) shards: Vec<Shard>,
-    /// Global group id → owning shard.
+    /// The token-group matrix over every group.
+    pub(crate) tgm: Tgm,
+    /// Length-sorted verification order, indexed by group id.
+    pub(crate) verify: VerifyOrder,
+    /// The recorded layout: group id → the shard it was assigned to.
     pub(crate) shard_of_group: Vec<u32>,
-    /// Global group id → shard-local group id.
-    pub(crate) local_of_group: Vec<u32>,
-    /// The opt-in MinHash sidecar of the approximate tier. Sets are
-    /// global, so one sidecar serves every shard (candidates become a
-    /// per-set mask split across shards like any filtered query).
+    /// The recorded shard count (trailing shards may own no group).
+    n_shards: usize,
+    /// The opt-in MinHash sidecar of the approximate tier.
     pub(crate) approx: Option<MinHashIndex>,
 }
 
@@ -209,11 +152,12 @@ impl<S: Similarity> ShardedLes3Index<S> {
         Self::from_layout(db, partitioning, sim, shard_of_group, n_shards)
     }
 
-    /// The engine over `db` + `partitioning` under a given group → shard
-    /// layout (every entry `< n_shards`, one per group): the one place
-    /// shards are made, shared by [`ShardedLes3Index::build`] and the
-    /// persistence layer's reopen — a segment stores the layout, not the
-    /// structures, so an opened index is built by the code a fresh one is.
+    /// The engine over `db` + `partitioning`, recording a given group →
+    /// shard layout (every entry `< n_shards`, one per group): the one
+    /// place an engine is made, shared by [`ShardedLes3Index::build`] and
+    /// the persistence layer's reopen — a segment stores the layout, not
+    /// the structures, so an opened index is built by the code a fresh
+    /// one is.
     pub(crate) fn from_layout(
         db: SetDatabase,
         partitioning: Partitioning,
@@ -221,40 +165,16 @@ impl<S: Similarity> ShardedLes3Index<S> {
         shard_of_group: Vec<u32>,
         n_shards: usize,
     ) -> Self {
-        let mut groups_per: Vec<Vec<u32>> = vec![Vec::new(); n_shards];
-        let mut local_of_group = vec![0u32; partitioning.n_groups()];
-        for (g, &s) in shard_of_group.iter().enumerate() {
-            local_of_group[g] = groups_per[s as usize].len() as u32;
-            groups_per[s as usize].push(g as u32);
-        }
-        // One database pass fills every shard's token columns.
-        let mut cols: Vec<Vec<Bitmap>> = (0..n_shards)
-            .map(|_| vec![Bitmap::new(); db.universe_size() as usize])
-            .collect();
-        for (id, set) in db.iter() {
-            let g = partitioning.group_of(id) as usize;
-            let s = shard_of_group[g] as usize;
-            let l = local_of_group[g];
-            for &t in set {
-                cols[s][t as usize].insert(l);
-            }
-        }
-        let shards = groups_per
-            .into_iter()
-            .zip(cols)
-            .map(|(groups, c)| Shard {
-                tgm: Tgm::from_columns(groups.len(), c),
-                verify: VerifyOrder::build_for_groups(&db, &partitioning, &groups),
-                groups,
-            })
-            .collect();
+        debug_assert_eq!(shard_of_group.len(), partitioning.n_groups());
+        debug_assert!(shard_of_group.iter().all(|&s| (s as usize) < n_shards));
         Self {
+            tgm: Tgm::build(&db, &partitioning),
+            verify: VerifyOrder::build(&db, &partitioning),
             db,
             partitioning,
             sim,
-            shards,
             shard_of_group,
-            local_of_group,
+            n_shards,
             approx: None,
         }
     }
@@ -264,7 +184,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         &self.db
     }
 
-    /// The global partitioning (shards are views onto its group axis).
+    /// The partitioning.
     pub fn partitioning(&self) -> &Partitioning {
         &self.partitioning
     }
@@ -274,38 +194,22 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.sim
     }
 
-    /// Number of shards.
+    /// Number of shards in the recorded layout.
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.n_shards
     }
 
-    /// The global group ids owned by shard `s`.
-    pub fn shard_groups(&self, s: usize) -> &[u32] {
-        &self.shards[s].groups
+    /// The group ids the recorded layout assigns to shard `s`, ascending.
+    pub fn shard_groups(&self, s: usize) -> Vec<u32> {
+        assert!(s < self.n_shards, "shard {s} of {}", self.n_shards);
+        (0..self.shard_of_group.len() as u32)
+            .filter(|&g| self.shard_of_group[g as usize] as usize == s)
+            .collect()
     }
 
-    /// The index's only shard, if it has exactly one: that shard owns
-    /// every group in order, so its local group ids are the global ones
-    /// and its counts and columns need no local → global scatter.
-    pub(crate) fn sole_shard(&self) -> Option<&Shard> {
-        match &self.shards[..] {
-            [only] => Some(only),
-            _ => None,
-        }
-    }
-
-    /// The shard that owns global group `g`, and `g`'s id within it.
-    pub(crate) fn locate(&self, g: u32) -> (usize, u32) {
-        if self.shards.len() == 1 {
-            return (0, g);
-        }
-        let s = self.shard_of_group[g as usize] as usize;
-        (s, self.local_of_group[g as usize])
-    }
-
-    /// Total index size across all shard matrices (Figure-11 quantity).
+    /// Index size: the compressed matrix (Figure-11 quantity).
     pub fn index_size_in_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.tgm.size_in_bytes()).sum()
+        self.tgm.size_in_bytes()
     }
 
     /// Builds the MinHash sidecar that backs
@@ -321,141 +225,83 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.approx.as_ref()
     }
 
-    /// Runs shard `s`'s filter pass for `query`: word-parallel overlap
-    /// counts over the shard's TGM, then the `O(G_s + |Q|)` bucketed
-    /// descending selection, written into `out` in `(r descending,
-    /// global group id ascending)` order.
-    pub(crate) fn filter_shard(
+    /// The filter pass: word-parallel overlap counts over the TGM, then
+    /// the `O(G + |Q|)` bucketed descending selection, written into
+    /// `stream` in `(r descending, group id ascending)` order. Returns
+    /// the TGM bits visited.
+    pub(crate) fn filter(
         &self,
-        s: usize,
         query: &[TokenId],
         q_len: usize,
-        scratch: &mut FilterScratch,
-        out: &mut ShardFilter,
-    ) {
-        let shard = &self.shards[s];
-        out.cols = shard.tgm.group_overlaps_into(query, &mut scratch.counts);
-        out.bounds.clear();
-        out.bounds
-            .resize(shard.tgm.n_groups(), ShardBound::default());
-        // The one shared bucketed selection (see its docs: the
-        // bit-for-bit contract depends on every shard count emitting the
-        // identical order). Local ids ascend with global ids within a
-        // shard, so per-shard `(r desc, local asc)` is `(r desc, global
-        // asc)` — what the cross-shard merge assumes.
-        let bounds = &mut out.bounds;
-        crate::index::bucketed_descending(
-            &scratch.counts,
+        kernel: &mut FilterScratch,
+        stream: &mut Vec<GroupBound>,
+    ) -> u64 {
+        let cols = self.tgm.group_overlaps_into(query, &mut kernel.counts);
+        stream.clear();
+        stream.resize(self.tgm.n_groups(), GroupBound::default());
+        bucketed_descending(
+            &kernel.counts,
             q_len,
-            &mut scratch.offsets,
-            |pos, l, r| {
-                bounds[pos] = ShardBound {
-                    group: shard.groups[l as usize],
-                    local: l,
-                    r,
-                };
+            &mut kernel.offsets,
+            |pos, group, r| {
+                stream[pos] = GroupBound { group, r };
             },
         );
+        cols
     }
 
-    /// [`ShardedLes3Index::filter_shard`] restricted to a filtered
-    /// query's candidate groups: `locals` holds the shard-local ids of
-    /// the shard's candidates, ascending (global candidates ascend, and
-    /// local ids ascend with global within a shard), so the emitted
-    /// `(r desc, local asc)` order is again `(r desc, global asc)`.
-    fn filter_shard_restricted(
+    /// [`ShardedLes3Index::filter`] restricted to a filtered query's
+    /// candidate `groups` (ascending, so the emitted order is again `(r
+    /// descending, group id ascending)`).
+    fn filter_restricted(
         &self,
-        s: usize,
         query: &[TokenId],
         q_len: usize,
-        locals: &[u32],
-        scratch: &mut FilterScratch,
-        out: &mut ShardFilter,
-    ) {
-        let shard = &self.shards[s];
-        out.cols = shard.tgm.group_overlaps_restricted_into(
+        groups: &[u32],
+        kernel: &mut FilterScratch,
+        stream: &mut Vec<GroupBound>,
+    ) -> u64 {
+        let cols = self.tgm.group_overlaps_restricted_into(
             query,
-            locals,
-            &mut scratch.mask,
-            &mut scratch.restricted,
-            &mut scratch.restricted_out,
+            groups,
+            &mut kernel.mask,
+            &mut kernel.restricted,
+            &mut kernel.restricted_out,
         );
-        out.bounds.clear();
-        out.bounds.resize(locals.len(), ShardBound::default());
-        let bounds = &mut out.bounds;
-        crate::index::bucketed_descending(
-            &scratch.restricted_out,
+        stream.clear();
+        stream.resize(groups.len(), GroupBound::default());
+        bucketed_descending(
+            &kernel.restricted_out,
             q_len,
-            &mut scratch.offsets,
+            &mut kernel.offsets,
             |pos, i, r| {
-                let l = locals[i as usize];
-                bounds[pos] = ShardBound {
-                    group: shard.groups[l as usize],
-                    local: l,
-                    r,
-                };
+                let group = groups[i as usize];
+                stream[pos] = GroupBound { group, r };
             },
         );
+        cols
     }
 
-    /// Splits a filtered query's global candidate groups into per-shard
-    /// local candidate lists (ascending within each shard), reusing the
-    /// scratch buffers.
-    fn split_candidates(&self, cand: &FilterCandidates, locals: &mut Vec<Vec<u32>>) {
-        if locals.len() < self.shards.len() {
-            locals.resize_with(self.shards.len(), Vec::new);
-        }
-        for l in locals.iter_mut() {
-            l.clear();
-        }
-        for &g in &cand.groups {
-            let (s, l) = self.locate(g);
-            locals[s].push(l);
-        }
-    }
-
-    /// The cross-shard best-first descent over the shards' filter
-    /// outputs, sharing one global top-k. `cursors` must hold one zeroed
-    /// cursor per shard. Polls `ctl` at every merge step (a group
-    /// boundary). See the module docs for why the merged order is the
-    /// same at every shard count.
-    fn merge_knn(
+    /// The best-first kNN descent over the bound stream, stopping at the
+    /// first group whose bound cannot improve the k-th best (Theorem
+    /// 3.1). Polls `ctl` at every group boundary.
+    fn knn_descend(
         &self,
         verify: &VerifyQuery<'_, S>,
         k: usize,
-        filters: &[ShardFilter],
-        cursors: &mut [usize],
+        stream: &[GroupBound],
         stats: &mut SearchStats,
         ctl: &QueryCtl<'_>,
     ) -> Result<TopK, (InterruptReason, TopK)> {
         let mut top = TopK::new(k);
-        loop {
-            // The globally best unvisited group: max r, ties to the
-            // smallest global group id — the bucketed order.
-            let mut best: Option<(usize, ShardBound)> = None;
-            for (s, &cur) in cursors.iter().enumerate() {
-                if let Some(&b) = filters[s].bounds.get(cur) {
-                    let better = match &best {
-                        None => true,
-                        Some((_, cur)) => b.r > cur.r || (b.r == cur.r && b.group < cur.group),
-                    };
-                    if better {
-                        best = Some((s, b));
-                    }
-                }
-            }
-            let Some((s, b)) = best else { break };
+        for (i, b) in stream.iter().enumerate() {
             // The bound is derived from `r` only here, at the front:
             // groups pruned wholesale never pay for one.
             let ub = self.sim.ub_from_overlap(verify.q_len, b.r as usize);
             if top.is_full() && ub <= top.kth() {
-                // Every shard's remaining groups sit behind this front in
-                // the merged order, so they are all beaten too.
-                stats.groups_pruned += filters
-                    .iter()
-                    .zip(cursors.iter())
-                    .map(|(f, &cur)| f.bounds.len() - cur)
-                    .sum::<usize>();
+                // Every remaining group sits behind this one in the
+                // order, so they are all beaten too.
+                stats.groups_pruned += stream.len() - i;
                 break;
             }
             // Group boundary: stop before the next verification, not
@@ -464,63 +310,39 @@ impl<S: Similarity> ShardedLes3Index<S> {
             if let Some(reason) = ctl.interrupted() {
                 return Err((reason, top));
             }
-            cursors[s] += 1;
             stats.groups_verified += 1;
-            verify.knn_window(&self.shards[s].verify, b.local, &mut top, stats);
+            verify.knn_window(&self.verify, b.group, &mut top, stats);
         }
         Ok(top)
     }
 
-    /// Runs one [`Query`] — the only query body of the in-memory index,
-    /// at every shard count ([`crate::Les3Index`] is the 1-shard case);
-    /// every named `knn*/range*` method below is a single expression
-    /// over it. Hits *and* stats are the same at every shard count and
-    /// worker count.
+    /// Runs one [`Query`] — the only query body of the in-memory index
+    /// ([`crate::Les3Index`] derefs to it); every named `knn*/range*`
+    /// method below is a single expression over it. Hits *and* stats are
+    /// the same at every recorded shard count and worker count.
     ///
-    /// Guards, then phase A shard after shard (the full filter pass, or
-    /// the restricted kernels over each shard's slice of the mask's
-    /// groups), one `ctl` poll — filtering is cheap, verification is
-    /// where the CPU goes, so an expired or cancelled query must not
-    /// start it — then phase B: the cross-shard best-first `merge_knn`
-    /// sharing one top-k (stopping at the first front whose bound cannot
-    /// improve the k-th best, Theorem 3.1), or `range_descend` over every
-    /// shard's surviving prefix (`par.rs`).
+    /// Guards, then phase A (the full filter pass, or the restricted
+    /// kernels over the mask's groups), one `ctl` poll — filtering is
+    /// cheap, verification is where the CPU goes, so an expired or
+    /// cancelled query must not start it — then phase B over the bound
+    /// stream: the best-first `knn_descend`, or `range_descend` over its
+    /// surviving prefix (`par.rs`).
     pub fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
         let mut stats = SearchStats::default();
         if q.is_vacuous(self.db.is_empty()) {
             return query::settle(None, Gathered::NOTHING, stats, q.on_expiry, 0);
         }
-        // One sort for an unsorted query serves every shard's filter
-        // pass and the verify step alike.
+        // One sort for an unsorted query serves the filter pass and the
+        // verify step alike.
         let tokens = &*normalize_query(q.tokens);
         let q_len = distinct_len(tokens);
-        let n_shards = self.shards.len();
-        // Every group surfaces in exactly one shard's filter output.
         let n_considered = q.n_considered(self.partitioning.n_groups());
-        scratch.ensure(n_shards);
-        let QueryScratch {
-            per_shard,
-            filters,
-            cursors,
-            cand_locals,
-            ..
-        } = scratch;
-        match q.mask {
-            None => {
-                for s in 0..n_shards {
-                    self.filter_shard(s, tokens, q_len, &mut per_shard[s], &mut filters[s]);
-                }
-            }
-            Some(cand) => {
-                self.split_candidates(cand, cand_locals);
-                for (s, locals) in cand_locals.iter().enumerate().take(n_shards) {
-                    let (scr, out) = (&mut per_shard[s], &mut filters[s]);
-                    self.filter_shard_restricted(s, tokens, q_len, locals, scr, out);
-                }
-            }
-        }
-        let filters = &filters[..n_shards];
-        stats.columns_checked += filters.iter().map(|f| f.cols as usize).sum::<usize>();
+        let QueryScratch { filter, stream, .. } = scratch;
+        let cols = match q.mask {
+            None => self.filter(tokens, q_len, filter, stream),
+            Some(cand) => self.filter_restricted(tokens, q_len, &cand.groups, filter, stream),
+        };
+        stats.columns_checked += cols as usize;
         // Phase boundary: verification must not start for an expired or
         // cancelled query.
         if let stopped @ Some(_) = q.ctl.interrupted() {
@@ -535,19 +357,15 @@ impl<S: Similarity> ShardedLes3Index<S> {
         };
         let ctl = &q.ctl;
         let (stopped, gathered) = match q.kind {
-            Kind::Knn(k) => {
-                Gathered::heap(self.merge_knn(&verify, k, filters, cursors, &mut stats, ctl))
-            }
+            Kind::Knn(k) => Gathered::heap(self.knn_descend(&verify, k, stream, &mut stats, ctl)),
             Kind::Range(delta) => Gathered::list(|hits| {
-                self.range_descend(
-                    &verify, delta, q.workers, filters, cursors, hits, &mut stats, ctl,
-                )
+                self.range_descend(&verify, delta, q.workers, stream, hits, &mut stats, ctl)
             }),
         };
         query::settle(stopped, gathered, stats, q.on_expiry, n_considered)
     }
 
-    /// Exact kNN search across all shards (Definition 2.1).
+    /// Exact kNN search (Definition 2.1).
     pub fn knn(&self, query: &[TokenId], k: usize) -> SearchResult {
         self.knn_with(query, k, &mut QueryScratch::new())
     }
@@ -647,7 +465,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.search_approx(&Query::knn(query, k).pinned(workers, ctl), policy, scratch)
     }
 
-    /// Exact range search across all shards (Definition 2.2): all sets
+    /// Exact range search (Definition 2.2): all sets
     /// with `Sim(Q, S) ≥ delta`.
     pub fn range(&self, query: &[TokenId], delta: f64) -> SearchResult {
         self.range_with(query, delta, &mut QueryScratch::new())
@@ -730,6 +548,47 @@ mod tests {
                     let b = flat.range(&q, 0.55);
                     assert_eq!(a.hits, b.hits, "{policy:?} N={n_shards} qid={qid}");
                     assert_eq!(a.stats, b.stats, "{policy:?} N={n_shards} qid={qid}");
+                }
+            }
+        }
+
+        // The layout is recorded, not executed: after one interleaved
+        // insert / delete script (tokens 280..320 open the universe) the
+        // matrix is the flat engine's at every shard count, bit for bit.
+        fn script(index: &mut ShardedLes3Index<Jaccard>) {
+            let mut log = crate::DeletionLog::build(index);
+            let mut rng = StdRng::seed_from_u64(21);
+            for step in 0..60u32 {
+                let len = rng.gen_range(1usize..9);
+                let mut tokens: Vec<u32> = (0..len).map(|_| rng.gen_range(0..320u32)).collect();
+                let (id, _) = index.insert(&mut tokens);
+                log.note_insert(index, id);
+                if step % 3 != 0 {
+                    log.delete(index, rng.gen_range(0..index.db().len() as u32));
+                }
+            }
+            assert!(
+                log.live_count() < index.db().len(),
+                "the script must delete"
+            );
+        }
+        let mut flat = flat;
+        script(&mut flat);
+        for policy in [ShardPolicy::Contiguous, ShardPolicy::Hash] {
+            for n_shards in [1usize, 2, 4, 8] {
+                let mut sharded =
+                    ShardedLes3Index::build(db.clone(), part.clone(), Jaccard, n_shards, policy);
+                script(&mut sharded);
+                assert_eq!(sharded.index_size_in_bytes(), flat.tgm().size_in_bytes());
+                for g in 0..20u32 {
+                    for t in 0..=flat.tgm().n_tokens() as u32 {
+                        let bit = flat.tgm().bit(g, t);
+                        assert_eq!(
+                            sharded.tgm.bit(g, t),
+                            bit,
+                            "{policy:?} N={n_shards} M[{g}, {t}]"
+                        );
+                    }
                 }
             }
         }

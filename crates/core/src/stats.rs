@@ -67,9 +67,9 @@ impl SearchStats {
         (db_size - extra.min(db_size)) as f64 / db_size as f64
     }
 
-    /// Sums a sequence of stats records into one — the cross-shard
-    /// aggregation of the sharded query engine (work counters are
-    /// per-group quantities, so per-shard records add exactly).
+    /// Sums a sequence of stats records into one — a batch's total, a
+    /// range's per-worker records (work counters are per-group
+    /// quantities, so records add exactly).
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a SearchStats>) -> SearchStats {
         let mut out = SearchStats::default();
         for p in parts {

@@ -35,15 +35,8 @@ impl Tgm {
                 token_groups[t as usize].insert(g);
             }
         }
-        Self::from_columns(partitioning.n_groups(), token_groups)
-    }
-
-    /// Builds a TGM from pre-populated token columns over `n_groups`
-    /// (the engine fills every shard's matrix in one database pass and
-    /// hands the columns over here for compression).
-    pub(crate) fn from_columns(n_groups: usize, token_groups: Vec<Bitmap>) -> Self {
         let mut tgm = Self {
-            n_groups,
+            n_groups: partitioning.n_groups(),
             token_groups,
         };
         tgm.run_optimize();

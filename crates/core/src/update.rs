@@ -16,12 +16,8 @@ use crate::shard::ShardedLes3Index;
 use crate::sim::{distinct_len, Similarity};
 
 impl<S: Similarity> ShardedLes3Index<S> {
-    /// Inserts a new set, handling unseen tokens per §6, and routes it
-    /// to the shard that owns the chosen group. Returns the new set's id
-    /// and the group it joined. Group selection is one global rule —
-    /// per-shard overlap counts are scattered back to global group ids
-    /// first — so indexes at every shard count stay bit-for-bit in sync
-    /// under interleaved inserts.
+    /// Inserts a new set, handling unseen tokens per §6. Returns the new
+    /// set's id and the group it joined.
     pub fn insert(&mut self, tokens: &mut [TokenId]) -> (SetId, u32) {
         tokens.sort_unstable();
         let universe = self.db.universe_size();
@@ -31,31 +27,16 @@ impl<S: Similarity> ShardedLes3Index<S> {
         let g = if ps.is_empty() {
             smallest_group(&sizes)
         } else {
-            let counts = match self.sole_shard() {
-                // Local ids are the global ones: nothing to scatter.
-                Some(shard) => shard.tgm.group_overlaps(&ps),
-                None => {
-                    let mut counts = vec![0u32; self.partitioning.n_groups()];
-                    for shard in &self.shards {
-                        for (l, &r) in shard.tgm.group_overlaps(&ps).iter().enumerate() {
-                            counts[shard.groups[l] as usize] = r;
-                        }
-                    }
-                    counts
-                }
-            };
+            let counts = self.tgm.group_overlaps(&ps);
             choose_group_from_counts(self.sim, distinct_len(&ps), &counts, &sizes)
         };
         let id = self.db.push_sorted(tokens);
         let joined = self.partitioning.push(g);
         debug_assert_eq!(id, joined);
-        // Route to the owning shard.
-        let (s, l) = self.locate(g);
-        let shard = &mut self.shards[s];
         for &t in tokens.iter() {
-            shard.tgm.set_bit(l, t);
+            self.tgm.set_bit(g, t);
         }
-        shard.verify.push(l, distinct_len(tokens) as u32, id);
+        self.verify.push(g, distinct_len(tokens) as u32, id);
         if let Some(mh) = &mut self.approx {
             debug_assert_eq!(mh.n_sets() as u32, id, "sidecar out of sync with db");
             mh.push(tokens);

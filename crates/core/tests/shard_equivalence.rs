@@ -6,10 +6,18 @@
 //! descent guarantees (see `shard.rs` module docs): the merged
 //! per-shard group streams replay the unsharded verification order
 //! exactly, so not only the hits but every cost counter must agree.
+//! That includes a range its deadline stops mid-descent: what it has
+//! verified by then, and so the partial answer it commits, is the flat
+//! index's.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use les3_core::{
-    Cosine, DeletionLog, Dice, Jaccard, Les3Index, OverlapCoefficient, Partitioning, ShardPolicy,
-    ShardedLes3Index, Similarity,
+    ApproxInfo, Cosine, DeletionLog, Dice, Jaccard, Les3Index, OnExpiry, OverlapCoefficient,
+    Partitioning, Query, QueryCtl, QueryScratch, SearchResult, ShardPolicy, ShardedLes3Index,
+    Similarity, ThresholdedEval,
 };
 use les3_data::{SetDatabase, TokenId};
 use proptest::prelude::*;
@@ -198,5 +206,81 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A range whose deadline passes mid-descent under [`OnExpiry::Commit`]
+/// commits what it has verified so far, so *which* groups it verified
+/// first is part of the answer: best-first over the whole group axis, at
+/// every shard count. Deterministic: the `STALL_AT`-th evaluation
+/// outlasts the deadline, and the next group-boundary poll stops the
+/// descent. 64 singleton groups, δ = 0 (every group survives, spread
+/// over all four shards), one worker; the only exact match sits in group
+/// 40 — the first group of the flat order, and in the third shard of the
+/// `Contiguous` layout.
+#[test]
+fn a_deadline_committed_range_is_the_flat_one_at_every_shard_count() {
+    static EVALS: AtomicUsize = AtomicUsize::new(0);
+    static DEADLINE: Mutex<Option<Instant>> = Mutex::new(None);
+    const STALL_AT: usize = 24;
+    const G: usize = 64;
+
+    #[derive(Clone, Copy)]
+    struct StallingSim;
+    impl Similarity for StallingSim {
+        fn name(&self) -> &'static str {
+            "stalling-jaccard"
+        }
+        fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
+            Jaccard.from_overlap(overlap, a_len, b_len)
+        }
+        fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
+            Jaccard.ub_from_overlap(q_len, r)
+        }
+        fn eval_with_threshold(&self, a: &[TokenId], b: &[TokenId], t: f64) -> ThresholdedEval {
+            if EVALS.fetch_add(1, Ordering::SeqCst) + 1 == STALL_AT {
+                let deadline = DEADLINE.lock().unwrap().expect("set before the query");
+                while Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            Jaccard.eval_with_threshold(a, b, t)
+        }
+    }
+
+    /// The interrupted range on `index`. A host pause that uses up the
+    /// budget before the stall is reached is retried with a longer one.
+    fn stalled_range(index: &ShardedLes3Index<StallingSim>) -> (SearchResult, ApproxInfo) {
+        for budget_ms in [250, 2_500, 25_000] {
+            let deadline = Instant::now() + Duration::from_millis(budget_ms);
+            EVALS.store(0, Ordering::SeqCst);
+            *DEADLINE.lock().unwrap() = Some(deadline);
+            let q = Query {
+                workers: 1,
+                ctl: QueryCtl::with_deadline(deadline),
+                on_expiry: OnExpiry::Commit,
+                ..Query::range(&[40], 0.0)
+            };
+            let out = index
+                .search(&q, &mut QueryScratch::new())
+                .expect("an expired deadline commits");
+            if out.0.stats.sims_computed == STALL_AT {
+                return out;
+            }
+        }
+        panic!("the deadline never outlasted the first {STALL_AT} evaluations");
+    }
+
+    let db = SetDatabase::from_sets((0..G as u32).map(|i| vec![i]));
+    let part = Partitioning::from_assignment((0..G as u32).collect(), G);
+    let flat = Les3Index::build(db.clone(), part.clone(), StallingSim);
+    let want = stalled_range(&flat);
+    assert_eq!(want.0.hits[0], (40, 1.0), "best-first: the exact match");
+    assert_eq!(want.0.stats.groups_verified, STALL_AT);
+    assert!(want.1.approx);
+    assert_eq!(want.1.recall_est, STALL_AT as f64 / G as f64);
+    for policy in POLICIES {
+        let sharded = ShardedLes3Index::build(db.clone(), part.clone(), StallingSim, 4, policy);
+        assert_eq!(stalled_range(&sharded), want, "{policy:?} N=4");
     }
 }

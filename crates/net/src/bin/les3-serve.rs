@@ -9,9 +9,10 @@
 //! The dataset is either synthetic (`--sets/--universe/--avg-size/
 //! --alpha/--seed`, a Zipfian token distribution) or loaded from a text
 //! file (`--load FILE`, one set per line, whitespace-separated integer
-//! token ids). `--shards N` (N ≥ 1) serves a `ShardedLes3Index` instead
-//! of the flat one; the wire behavior is identical — the sharded engine
-//! is bit-for-bit equivalent.
+//! token ids). `--shards N` (N ≥ 1) records an N-shard layout with the
+//! index (`ShardedLes3Index`, the sharded segment kind under
+//! `--save-index`); answers, work and memory are the flat index's — the
+//! layout is stored and reported, never executed.
 //!
 //! Persistence (`docs/PERSISTENCE.md`): `--save-index DIR` writes a
 //! durable checkpoint at startup and enables `POST /snapshot` to rewrite
@@ -53,7 +54,9 @@ Serving front (admission control):
     --queue-capacity N     accepted-but-unfinished cap; 0 = unbounded [default: 1024]
 
 Index:
-    --shards N             shard the group axis N ways; 0 = flat index [default: 0]
+    --shards N             record an N-shard layout (sharded segment kind);
+                           answers, work and memory are the flat index's;
+                           0 = flat kind [default: 0]
     --groups N             partitioning groups [default: max(16, sets/80)]
     --approx BxR           build a MinHash sidecar (B bands x R rows, each >= 1)
                            backing \"mode\":\"prefilter\" queries (docs/APPROX.md);
