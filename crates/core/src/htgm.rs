@@ -12,7 +12,7 @@ use les3_data::{SetDatabase, SetId, TokenId};
 use crate::index::{sort_hits, SearchResult, TopK, VerifyOrder, VerifyQuery};
 use crate::partitioning::Partitioning;
 use crate::scratch::QueryScratch;
-use crate::sim::{distinct_len, normalize_query, Similarity};
+use crate::sim::{distinct_len, normalize_query, PreparedQuery, Similarity};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
 
@@ -189,8 +189,7 @@ impl<S: Similarity> Htgm<S> {
         let verify = VerifyQuery {
             sim: self.sim,
             db: &self.db,
-            query,
-            q_len,
+            query: PreparedQuery::without_bits(query),
             filter: None,
         };
         for &g in &surviving {
@@ -224,7 +223,11 @@ impl<S: Similarity> Htgm<S> {
                 stats,
             };
         }
-        let scratch = &mut scratch.filter;
+        let QueryScratch {
+            filter: scratch,
+            bits,
+            ..
+        } = scratch;
         // Seed the frontier with level-0 bounds.
         let touched = self.tgms[0].group_overlaps_into(query, &mut scratch.counts);
         stats.columns_checked += touched as usize;
@@ -240,8 +243,7 @@ impl<S: Similarity> Htgm<S> {
         let verify = VerifyQuery {
             sim: self.sim,
             db: &self.db,
-            query,
-            q_len,
+            query: bits.prepare(query, self.db.universe_size()),
             filter: None,
         };
         let last_level = self.hp.n_levels() - 1;

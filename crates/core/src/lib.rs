@@ -56,9 +56,10 @@
 //!   `O(G + |Q|)` — no sort on the hot path;
 //! * verification stores each group's members length-sorted, cuts the
 //!   inadmissible length range with two binary searches, and abandons
-//!   each merge as soon as its residual-overlap bound cannot reach the
-//!   threshold ([`Similarity::eval_with_threshold`]) — all exact, per
-//!   Theorem 3.1;
+//!   each candidate as soon as its overlap cannot reach the threshold — a
+//!   kNN counts by looking candidate tokens up in the query's bitset
+//!   ([`Similarity::eval_prepared`]), a range by merging
+//!   ([`Similarity::eval_with_threshold`]) — all exact, per Theorem 3.1;
 //! * callers that issue many queries reuse a [`QueryScratch`]
 //!   ([`ShardedLes3Index::knn_with`] / [`ShardedLes3Index::range_with`]),
 //!   and the batch entry points ([`ShardedLes3Index::knn_batch`] /
@@ -145,7 +146,8 @@ pub use scratch::{QueryScratch, ShardedScratch};
 pub use serve::{OnFull, ServeConfig, ServeError, ServeFront, ServeResult, SubmitOpts, Ticket};
 pub use shard::{ShardPolicy, ShardedLes3Index};
 pub use sim::{
-    normalize_query, Cosine, Dice, Jaccard, OverlapCoefficient, Similarity, ThresholdedEval,
+    normalize_query, Cosine, Dice, Jaccard, OverlapCoefficient, PreparedQuery, QueryBits,
+    Similarity, ThresholdedEval,
 };
 pub use stats::SearchStats;
 pub use tgm::Tgm;

@@ -158,8 +158,9 @@ impl std::error::Error for MetaError {}
 /// `postings[pair]` lists the set ids carrying it. The per-set view
 /// (`attrs_of`) is kept alongside so the index round-trips through the
 /// persist layer and sets can be re-described on delete/debug paths.
-/// One entry of `attrs_of` per set, pushed in id order — sets without
-/// attributes carry an empty list.
+/// It costs nothing for a set without attributes: `attrs_of` covers the
+/// ids up to the last set that has any (the gaps before it hold empty
+/// lists), and `n_sets` counts every set pushed.
 #[derive(Debug, Clone, Default)]
 pub struct MetadataIndex {
     /// Interned `(key, value)` pairs; position = pair id.
@@ -168,8 +169,11 @@ pub struct MetadataIndex {
     lookup: HashMap<(String, String), u32>,
     /// Pair id → matching set ids.
     postings: Vec<Bitmap>,
-    /// Set id → sorted pair ids.
+    /// Set id → sorted pair ids, for a prefix of the ids: every set past
+    /// it has no attributes.
     attrs_of: Vec<Vec<u32>>,
+    /// Number of sets tracked.
+    n_sets: usize,
 }
 
 impl MetadataIndex {
@@ -180,7 +184,22 @@ impl MetadataIndex {
 
     /// Number of sets tracked (one `push` per set, in id order).
     pub fn n_sets(&self) -> usize {
-        self.attrs_of.len()
+        self.n_sets
+    }
+
+    /// The sorted pair ids of set `id` (empty past the stored prefix).
+    fn pair_ids(&self, id: usize) -> &[u32] {
+        self.attrs_of.get(id).map_or(&[], Vec::as_slice)
+    }
+
+    /// Records `pair_ids` for the next set, growing the stored prefix
+    /// only for a set that has attributes.
+    fn record(&mut self, pair_ids: Vec<u32>) {
+        if !pair_ids.is_empty() {
+            self.attrs_of.resize_with(self.n_sets, Vec::new);
+            self.attrs_of.push(pair_ids);
+        }
+        self.n_sets += 1;
     }
 
     /// Number of distinct `(key, value)` pairs seen.
@@ -191,43 +210,37 @@ impl MetadataIndex {
     /// Whether no set carries any attribute (an all-default index; the
     /// persist layer skips the metadata block entirely for these).
     pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty() && self.attrs_of.iter().all(Vec::is_empty)
+        // A set's pair ids index `pairs`: no pairs, no attributes.
+        self.pairs.is_empty()
     }
 
     /// Registers the next set (id `n_sets()`) with its attributes.
     /// Duplicate pairs collapse. Returns the id the attributes were
     /// recorded under.
     pub fn push(&mut self, attrs: &[(String, String)]) -> SetId {
-        let id = self.attrs_of.len() as SetId;
+        let id = self.n_sets as SetId;
         let mut pair_ids: Vec<u32> = attrs.iter().map(|kv| self.intern(kv)).collect();
         pair_ids.sort_unstable();
         pair_ids.dedup();
         for &p in &pair_ids {
             self.postings[p as usize].insert(id);
         }
-        self.attrs_of.push(pair_ids);
+        self.record(pair_ids);
         id
     }
 
     /// Registers `count` attribute-less sets at once (bulk loads where
     /// no set carries attributes).
     pub fn push_empty(&mut self, count: usize) {
-        for _ in 0..count {
-            self.attrs_of.push(Vec::new());
-        }
+        self.n_sets += count;
     }
 
     /// The attributes of set `id` (empty for unknown ids).
     pub fn attrs(&self, id: SetId) -> Vec<(String, String)> {
-        self.attrs_of
-            .get(id as usize)
-            .map(|pair_ids| {
-                pair_ids
-                    .iter()
-                    .map(|&p| self.pairs[p as usize].clone())
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.pair_ids(id as usize)
+            .iter()
+            .map(|&p| self.pairs[p as usize].clone())
+            .collect()
     }
 
     fn intern(&mut self, kv: &(String, String)) -> u32 {
@@ -285,7 +298,7 @@ impl MetadataIndex {
 
     /// Every tracked set id.
     fn all(&self) -> Bitmap {
-        let ids: Vec<u32> = (0..self.attrs_of.len() as u32).collect();
+        let ids: Vec<u32> = (0..self.n_sets as u32).collect();
         Bitmap::from_sorted(&ids)
     }
 
@@ -318,8 +331,9 @@ impl MetadataIndex {
             out.extend_from_slice(&(v.len() as u32).to_le_bytes());
             out.extend_from_slice(v.as_bytes());
         }
-        out.extend_from_slice(&(self.attrs_of.len() as u32).to_le_bytes());
-        for pair_ids in &self.attrs_of {
+        out.extend_from_slice(&(self.n_sets as u32).to_le_bytes());
+        for id in 0..self.n_sets {
+            let pair_ids = self.pair_ids(id);
             out.extend_from_slice(&(pair_ids.len() as u32).to_le_bytes());
             for &p in pair_ids {
                 out.extend_from_slice(&p.to_le_bytes());
@@ -355,8 +369,13 @@ impl MetadataIndex {
         if n_sets > bytes.len() / 4 + 1 {
             return Err(MetaError::new("set count exceeds payload"));
         }
-        let mut postings = vec![Bitmap::new(); n_pairs];
-        let mut attrs_of = Vec::with_capacity(n_sets);
+        let mut meta = Self {
+            pairs,
+            lookup,
+            postings: vec![Bitmap::new(); n_pairs],
+            attrs_of: Vec::new(),
+            n_sets: 0,
+        };
         for id in 0..n_sets as u32 {
             let n_attrs = cur.u32()? as usize;
             if n_attrs > MAX_ATTRS_PER_SET {
@@ -373,20 +392,15 @@ impl MetadataIndex {
                     return Err(MetaError::new("pair ids not strictly ascending"));
                 }
                 prev = Some(p);
-                postings[p as usize].insert(id);
+                meta.postings[p as usize].insert(id);
                 pair_ids.push(p);
             }
-            attrs_of.push(pair_ids);
+            meta.record(pair_ids);
         }
         if cur.at != bytes.len() {
             return Err(MetaError::new("trailing bytes after metadata payload"));
         }
-        Ok(Self {
-            pairs,
-            lookup,
-            postings,
-            attrs_of,
-        })
+        Ok(meta)
     }
 }
 
@@ -624,6 +638,35 @@ mod tests {
         for id in 0..meta.n_sets() as u32 {
             assert_eq!(decoded.attrs(id), meta.attrs(id));
         }
+    }
+
+    /// A set without attributes stores nothing: the per-set lists cover
+    /// the ids up to the last attributed set, before and after a
+    /// round trip, while ids, `attrs`, `And([])` and the encoded count
+    /// still cover every set.
+    #[test]
+    fn sets_without_attributes_store_nothing() {
+        let mut meta = MetadataIndex::new();
+        meta.push_empty(1000);
+        meta.push(&[]);
+        assert_eq!((meta.n_sets(), meta.attrs_of.len()), (1001, 0));
+        assert!(meta.is_empty());
+        assert_eq!(meta.push(&[kv("lang", "en")]), 1001);
+        meta.push_empty(500);
+        meta.push(&[]);
+        assert_eq!((meta.n_sets(), meta.attrs_of.len()), (1503, 1002));
+        let bytes = meta.encode();
+        // Pair table (4 + 4 + 4 + 4 + 2 bytes), set count, one length per
+        // set and the one pair id.
+        assert_eq!(bytes.len(), 18 + 4 + 4 * 1503 + 4);
+        let decoded = MetadataIndex::decode(&bytes).expect("roundtrip");
+        assert_eq!((decoded.n_sets(), decoded.attrs_of.len()), (1503, 1002));
+        assert_eq!(decoded.encode(), bytes);
+        for id in [0u32, 1000, 1001, 1002, 1502, 1503] {
+            assert_eq!(decoded.attrs(id), meta.attrs(id), "id {id}");
+        }
+        assert_eq!(decoded.attrs(1001), vec![kv("lang", "en")]);
+        assert_eq!(decoded.eval(&Filter::And(vec![])).len(), 1503);
     }
 
     #[test]

@@ -89,7 +89,8 @@ impl<S: Similarity> ShardedLes3Index<S> {
     ) -> Result<(), InterruptReason> {
         // The prune point is independent of the results: the bounds are
         // non-increasing, so the survivors are a prefix.
-        let beaten = |b: &GroupBound| self.sim.ub_from_overlap(verify.q_len, b.r as usize) < delta;
+        let beaten =
+            |b: &GroupBound| self.sim.ub_from_overlap(verify.q_len(), b.r as usize) < delta;
         let stop = stream.iter().position(beaten).unwrap_or(stream.len());
         let (survivors, pruned) = stream.split_at(stop);
         let workers = match workers {

@@ -1,7 +1,8 @@
 //! Reusable per-query working memory.
 //!
 //! Every buffer the query hot path needs — overlap counters, the
-//! candidate-group mask, the bucket histogram, the bound stream — lives
+//! candidate-group mask, the bucket histogram, the bound stream, the kNN
+//! query's token bitset — lives
 //! in one [`QueryScratch`] that callers (and the batch executor and the
 //! serving front, one per worker thread) reuse across queries, so
 //! steady-state query execution performs no heap allocation. There is one engine and therefore one
@@ -14,6 +15,7 @@ use les3_bitmap::DenseBitSet;
 
 use crate::approx::PrefilterScratch;
 use crate::shard::GroupBound;
+use crate::sim::QueryBits;
 
 /// Working memory of one TGM's filter pass.
 #[derive(Debug, Clone, Default)]
@@ -49,6 +51,9 @@ pub struct QueryScratch {
     pub(crate) bounds: Vec<(u32, f64)>,
     /// The candidate mask of a prefiltered query and its inputs.
     pub(crate) prefilter: PrefilterScratch,
+    /// A kNN query's membership bitset (each load clears the words the
+    /// previous one set).
+    pub(crate) bits: QueryBits,
 }
 
 /// [`QueryScratch`], under the name callers of a

@@ -47,7 +47,7 @@ use crate::metadata::FilterCandidates;
 use crate::partitioning::Partitioning;
 use crate::query::{self, Gathered, Kind, OnExpiry, Query, SearchOutcome};
 use crate::scratch::{FilterScratch, QueryScratch};
-use crate::sim::{distinct_len, normalize_query, Similarity};
+use crate::sim::{normalize_query, PreparedQuery, Similarity};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
 
@@ -297,7 +297,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         for (i, b) in stream.iter().enumerate() {
             // The bound is derived from `r` only here, at the front:
             // groups pruned wholesale never pay for one.
-            let ub = self.sim.ub_from_overlap(verify.q_len, b.r as usize);
+            let ub = self.sim.ub_from_overlap(verify.q_len(), b.r as usize);
             if top.is_full() && ub <= top.kth() {
                 // Every remaining group sits behind this one in the
                 // order, so they are all beaten too.
@@ -335,9 +335,19 @@ impl<S: Similarity> ShardedLes3Index<S> {
         // One sort for an unsorted query serves the filter pass and the
         // verify step alike.
         let tokens = &*normalize_query(q.tokens);
-        let q_len = distinct_len(tokens);
+        let QueryScratch {
+            filter,
+            stream,
+            bits,
+            ..
+        } = scratch;
+        // A kNN verifies by bitset lookups; a range keeps the merge.
+        let query = match q.kind {
+            Kind::Knn(_) => bits.prepare(tokens, self.db.universe_size()),
+            Kind::Range(_) => PreparedQuery::without_bits(tokens),
+        };
+        let q_len = query.distinct_len();
         let n_considered = q.n_considered(self.partitioning.n_groups());
-        let QueryScratch { filter, stream, .. } = scratch;
         let cols = match q.mask {
             None => self.filter(tokens, q_len, filter, stream),
             Some(cand) => self.filter_restricted(tokens, q_len, &cand.groups, filter, stream),
@@ -351,8 +361,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         let verify = VerifyQuery {
             sim: self.sim,
             db: &self.db,
-            query: tokens,
-            q_len,
+            query,
             filter: q.mask.map(|cand| &cand.sets),
         };
         let ctl = &q.ctl;

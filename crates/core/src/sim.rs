@@ -62,92 +62,274 @@ pub trait Similarity: Copy + Send + Sync + 'static {
     }
 
     /// Threshold-aware evaluation: returns the exact similarity when it is
-    /// `≥ threshold`, or the reason it cannot be.
+    /// `≥ threshold`, or the reason it cannot be. The range candidate
+    /// loop's per-candidate hook.
     ///
     /// *Prepare* (both distinct lengths and the minimal overlap the
-    /// threshold requires) followed by [`Similarity::merge_with_threshold`].
-    /// For any `Some`/`Hit` outcome the value equals [`Similarity::eval`]
-    /// bit for bit (same `from_overlap` arithmetic on the same counts), so
-    /// replacing `eval` with this in the verify step preserves exactness
-    /// (Theorem 3.1 pruning is untouched; only sub-threshold candidates
-    /// are cut short).
+    /// threshold requires) followed by the threshold-aware merge. For any
+    /// `Hit` outcome the value equals [`Similarity::eval`] bit for bit
+    /// (same `from_overlap` arithmetic on the same counts), so replacing
+    /// `eval` with this in the verify step preserves exactness (Theorem
+    /// 3.1 pruning is untouched; only sub-threshold candidates are cut
+    /// short).
     fn eval_with_threshold(&self, a: &[TokenId], b: &[TokenId], threshold: f64) -> ThresholdedEval {
         let a_len = distinct_len(a);
         let b_len = distinct_len(b);
         let needed = self.min_overlap_for(threshold, a_len, b_len);
-        self.merge_with_threshold(a, b, a_len, b_len, needed, threshold)
+        merge_with_threshold(*self, a, b, a_len, b_len, needed, threshold)
     }
 
-    /// The merge half of [`Similarity::eval_with_threshold`], for callers
-    /// that already hold the prepared values: `a_len`/`b_len` are the
-    /// distinct lengths of `a`/`b` and `needed` is
-    /// `min_overlap_for(threshold, a_len, b_len)` (the kNN window scan
-    /// hoists all three out of its per-candidate loop).
+    /// The kNN candidate loop's per-candidate hook: the verdict of
+    /// [`Similarity::eval_with_threshold`]`(q.tokens(), b, threshold)` —
+    /// `Hit` bits and `early` flag — for callers that hold the prepared
+    /// values: `b_len` is the distinct length of `b` and `needed` is
+    /// `min_overlap_for(threshold, q.distinct_len(), b_len)` (the kNN
+    /// window scan hoists both out of its per-candidate loop, and the
+    /// query's bitset out of the whole descent).
     ///
-    /// The merge intersection maintains the residual-overlap bound
-    /// `o + min(remaining_a, remaining_b)` and abandons as soon as the
-    /// bound drops below `needed` — an integer comparison per merge step,
-    /// no floating point in the loop. The duplicate-free fast path takes
-    /// the same steps as the multiset loop on such inputs (one cursor
-    /// move per side per step), so both test the bound on the identical
-    /// `(i, j, o)` sequence and return the identical verdict.
+    /// Two kernels, one verdict. A multiset on either side takes the
+    /// merge, which keeps the residual-overlap bound `o + min(rem_Q,
+    /// rem_S)` and abandons once it drops below `needed`. When both sides
+    /// are duplicate-free and the query carries a bitset
+    /// ([`QueryBits::prepare`]), the overlap is counted by looking each
+    /// candidate token up in the bitset instead: independent loads, where
+    /// each merge step waits on the previous step's cursor moves. The
+    /// lookup kernel derives the merge's `early` flag from the final
+    /// count `o`:
+    ///
+    /// * on duplicate-free inputs every merge step either matches (`o`,
+    ///   `rem_Q` and `rem_S` each move by one: the bound stays) or
+    ///   advances one side (the bound stays or falls by one), so the
+    ///   bound never increases and the merge abandons iff the bound it
+    ///   tests before its *last* step is below `needed`;
+    /// * that last step consumes `x = min(max Q, max S)` — every smaller
+    ///   token of both sides is consumed before it, and it exhausts one
+    ///   side — so one side has one token left and the bound is
+    ///   `o' + 1`, where `o' = |Q ∩ S ∩ [0, x)|`;
+    /// * `Q ∩ S ⊆ [0, x]`, so `o' = o − [x ∈ Q ∩ S]`, and the merge
+    ///   abandons iff `o < needed ∧ (x ∈ Q ∩ S ∨ o + 1 < needed)` — which
+    ///   is how the kernel sets `early`. (With an empty side the merge
+    ///   takes no step and `needed = 0`: never early, and neither is the
+    ///   formula.)
+    ///
+    /// The scan may therefore stop as soon as `o + rem_S + 1 < needed`:
+    /// the final count cannot reach `needed − 1` any more. Its verdict is
+    /// the merge's, so every [`SearchStats`](crate::SearchStats) counter
+    /// is too.
     ///
     /// Forced inline: as a call the kNN scan pays ~4 % of `lib_knn` for
     /// the out-pointer return and the spills around it.
     #[inline(always)]
-    fn merge_with_threshold(
+    fn eval_prepared(
         &self,
-        a: &[TokenId],
+        q: &PreparedQuery<'_>,
         b: &[TokenId],
-        a_len: usize,
         b_len: usize,
         needed: usize,
         threshold: f64,
     ) -> ThresholdedEval {
-        if needed > a_len.min(b_len) {
-            // The length filter should normally have caught this.
-            return ThresholdedEval::Rejected { early: true };
-        }
-        let (mut i, mut j, mut o) = (0usize, 0usize, 0usize);
-        if a_len == a.len() && b_len == b.len() {
-            while i < a.len() && j < b.len() {
-                if o + (a.len() - i).min(b.len() - j) < needed {
-                    return ThresholdedEval::Rejected { early: true };
-                }
-                let (x, y) = (a[i], b[j]);
-                o += usize::from(x == y);
-                i += usize::from(x <= y);
-                j += usize::from(y <= x);
+        match q.bits {
+            Some(bits) if b_len == b.len() => {
+                lookup_with_threshold(*self, q, bits, b, needed, threshold)
             }
-        } else {
-            // Remaining raw lengths upper-bound the remaining distinct
-            // overlap (duplicates only loosen the bound, never tighten it).
-            while i < a.len() && j < b.len() {
-                if o + (a.len() - i).min(b.len() - j) < needed {
-                    return ThresholdedEval::Rejected { early: true };
-                }
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        o += 1;
-                        let t = a[i];
-                        while i < a.len() && a[i] == t {
-                            i += 1;
-                        }
-                        while j < b.len() && b[j] == t {
-                            j += 1;
-                        }
+            _ => merge_with_threshold(*self, q.tokens, b, q.len, b_len, needed, threshold),
+        }
+    }
+}
+
+/// The merge kernel: `a_len`/`b_len` are the distinct lengths of `a`/`b`
+/// and `needed` is `min_overlap_for(threshold, a_len, b_len)`.
+///
+/// The merge intersection maintains the residual-overlap bound
+/// `o + min(remaining_a, remaining_b)` and abandons as soon as the bound
+/// drops below `needed` — an integer comparison per merge step, no
+/// floating point in the loop. The duplicate-free fast path takes the
+/// same steps as the multiset loop on such inputs (one cursor move per
+/// side per step), so both test the bound on the identical `(i, j, o)`
+/// sequence and return the identical verdict.
+#[inline(always)]
+fn merge_with_threshold<S: Similarity>(
+    sim: S,
+    a: &[TokenId],
+    b: &[TokenId],
+    a_len: usize,
+    b_len: usize,
+    needed: usize,
+    threshold: f64,
+) -> ThresholdedEval {
+    if needed > a_len.min(b_len) {
+        // The length filter should normally have caught this.
+        return ThresholdedEval::Rejected { early: true };
+    }
+    let (mut i, mut j, mut o) = (0usize, 0usize, 0usize);
+    if a_len == a.len() && b_len == b.len() {
+        while i < a.len() && j < b.len() {
+            if o + (a.len() - i).min(b.len() - j) < needed {
+                return ThresholdedEval::Rejected { early: true };
+            }
+            let (x, y) = (a[i], b[j]);
+            o += usize::from(x == y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+        }
+    } else {
+        // Remaining raw lengths upper-bound the remaining distinct
+        // overlap (duplicates only loosen the bound, never tighten it).
+        while i < a.len() && j < b.len() {
+            if o + (a.len() - i).min(b.len() - j) < needed {
+                return ThresholdedEval::Rejected { early: true };
+            }
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    o += 1;
+                    let t = a[i];
+                    while i < a.len() && a[i] == t {
+                        i += 1;
+                    }
+                    while j < b.len() && b[j] == t {
+                        j += 1;
                     }
                 }
             }
         }
-        let sim = self.from_overlap(o, a_len, b_len);
-        if sim >= threshold {
-            ThresholdedEval::Hit(sim)
-        } else {
-            ThresholdedEval::Rejected { early: false }
+    }
+    let sim = sim.from_overlap(o, a_len, b_len);
+    if sim >= threshold {
+        ThresholdedEval::Hit(sim)
+    } else {
+        ThresholdedEval::Rejected { early: false }
+    }
+}
+
+/// The lookup kernel of [`Similarity::eval_prepared`]: `q` and `b` are
+/// both duplicate-free and `bits` is `q`'s membership bitset. The
+/// verdict is the merge's; the proof is on the trait method.
+#[inline(always)]
+fn lookup_with_threshold<S: Similarity>(
+    sim: S,
+    q: &PreparedQuery<'_>,
+    bits: &[u64],
+    b: &[TokenId],
+    needed: usize,
+    threshold: f64,
+) -> ThresholdedEval {
+    let (a_len, b_len) = (q.len, b.len());
+    if needed > a_len.min(b_len) {
+        return ThresholdedEval::Rejected { early: true };
+    }
+    // Tokens past the bitset lie at or above the universe: no match.
+    let member = |t: TokenId| {
+        bits.get((t >> 6) as usize)
+            .map_or(0, |w| (w >> (t & 63)) & 1) as usize
+    };
+    // Misses past `slack` leave `o + rem_S + 1 < needed`: settled early.
+    let slack = b_len + 1 - needed;
+    let mut o = 0usize;
+    for (j, &t) in b.iter().enumerate() {
+        o += member(t);
+        if j + 1 - o > slack {
+            return ThresholdedEval::Rejected { early: true };
         }
+    }
+    // Whether the merge's last step — on `min(max Q, max S)` — matched.
+    // Asked only when `o + 1 == needed`, so both sides are non-empty.
+    let last_matched = || {
+        let (q_max, s_max) = (q.tokens[a_len - 1], b[b_len - 1]);
+        if s_max <= q_max {
+            member(s_max) == 1
+        } else {
+            b.binary_search(&q_max).is_ok()
+        }
+    };
+    if o + 1 < needed || (o < needed && last_matched()) {
+        return ThresholdedEval::Rejected { early: true };
+    }
+    let sim = sim.from_overlap(o, a_len, b_len);
+    if sim >= threshold {
+        ThresholdedEval::Hit(sim)
+    } else {
+        ThresholdedEval::Rejected { early: false }
+    }
+}
+
+/// A query prepared once for the kNN candidate loop
+/// ([`Similarity::eval_prepared`]): its sorted tokens, its distinct
+/// length and — when it is duplicate-free and was loaded by
+/// [`QueryBits::prepare`] — the membership bitset of its tokens.
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedQuery<'a> {
+    tokens: &'a [TokenId],
+    len: usize,
+    /// Bit `t` is set iff `t ∈ Q`, for every `t` below the universe the
+    /// bits were loaded for; `None` sends every candidate to the merge.
+    bits: Option<&'a [u64]>,
+}
+
+impl<'a> PreparedQuery<'a> {
+    /// The sorted `query` without a bitset: every candidate takes the
+    /// merge.
+    pub fn without_bits(query: &'a [TokenId]) -> Self {
+        Self {
+            tokens: query,
+            len: distinct_len(query),
+            bits: None,
+        }
+    }
+
+    /// The sorted query tokens.
+    pub fn tokens(&self) -> &'a [TokenId] {
+        self.tokens
+    }
+
+    /// The number of distinct query tokens, `|Q|`.
+    pub fn distinct_len(&self) -> usize {
+        self.len
+    }
+}
+
+/// The reusable membership bitset behind a [`PreparedQuery`]: one per
+/// [`QueryScratch`](crate::QueryScratch), at most `⌈universe / 64⌉`
+/// words for the largest universe it has served.
+#[derive(Debug, Clone, Default)]
+pub struct QueryBits {
+    pub(crate) words: Vec<u64>,
+    /// The words the last load set: what the next load clears.
+    dirty: Vec<u32>,
+}
+
+impl QueryBits {
+    /// An empty bitset (it grows on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Prepares the sorted `query` against a database whose tokens all
+    /// lie below `universe`. A duplicate-free query is loaded into the
+    /// bitset — its tokens at or above `universe` can match no stored
+    /// token and are left out; a multiset query gets no bitset. The words
+    /// the previous load set are cleared first, so a query a panic or an
+    /// interrupt abandoned leaves nothing behind.
+    pub fn prepare<'a>(&'a mut self, query: &'a [TokenId], universe: u32) -> PreparedQuery<'a> {
+        for &w in &self.dirty {
+            self.words[w as usize] = 0;
+        }
+        self.dirty.clear();
+        let mut prepared = PreparedQuery::without_bits(query);
+        if prepared.len != query.len() {
+            return prepared;
+        }
+        let n_words = (universe as usize).div_ceil(64);
+        if self.words.len() < n_words {
+            self.words.resize(n_words, 0);
+        }
+        for &t in query.iter().take_while(|&&t| t < universe) {
+            self.dirty.push(t >> 6);
+            self.words[(t >> 6) as usize] |= 1 << (t & 63);
+        }
+        prepared.bits = Some(&self.words);
+        prepared
     }
 }
 
@@ -407,6 +589,23 @@ mod tests {
         }
     }
 
+    /// The same verdict: `Hit` bits, or the `early` flag.
+    fn assert_same_verdict<M: Similarity>(
+        got: ThresholdedEval,
+        want: ThresholdedEval,
+        m: M,
+        t: f64,
+        q: &[TokenId],
+        s: &[TokenId],
+    ) {
+        match (got, want) {
+            (ThresholdedEval::Hit(g), ThresholdedEval::Hit(w)) => {
+                assert_eq!(g.to_bits(), w.to_bits(), "{} t={t}", m.name())
+            }
+            _ => assert_eq!(got, want, "{} t={t} q={q:?} s={s:?}", m.name()),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -482,20 +681,76 @@ mod tests {
                 };
                 let (a_len, b_len) = (distinct_len(q), distinct_len(s));
                 let needed = m.min_overlap_for(t, a_len, b_len);
-                let got = m.merge_with_threshold(q, s, a_len, b_len, needed, t);
-                let want = reference_eval_with_threshold(m, q, s, t);
-                match (got, want) {
-                    (ThresholdedEval::Hit(g), ThresholdedEval::Hit(w)) => {
-                        assert_eq!(g.to_bits(), w.to_bits(), "{} t={t}", m.name())
-                    }
-                    _ => assert_eq!(got, want, "{} t={t} q={q:?} s={s:?}", m.name()),
-                }
+                let got = merge_with_threshold(m, q, s, a_len, b_len, needed, t);
+                assert_same_verdict(got, reference_eval_with_threshold(m, q, s, t), m, t, q, s);
                 assert_eq!(m.eval_with_threshold(q, s, t), got, "prepare + merge");
+                // A query prepared with a bitset sends multisets to the
+                // merge and the rest to the lookup kernel: same verdict.
+                let mut bits = QueryBits::new();
+                let universe = s.iter().chain(q).max().map_or(0, |&t| t + 1);
+                let prepared = bits.prepare(q, universe);
+                assert_eq!(prepared.bits.is_some(), a_len == q.len());
+                assert_same_verdict(m.eval_prepared(&prepared, s, b_len, needed, t), got, m, t, q, s);
             }
             check(Jaccard, &q, &s, t_kind, t_frac);
             check(Dice, &q, &s, t_kind, t_frac);
             check(Cosine, &q, &s, t_kind, t_frac);
             check(OverlapCoefficient, &q, &s, t_kind, t_frac);
+        }
+
+        /// The lookup kernel against the pre-split merge, on the inputs
+        /// it serves: duplicate-free sorted pairs — empty sets,
+        /// singletons, a query holding `u32::MAX` and other tokens at or
+        /// above the universe, candidate tokens anywhere below it
+        /// (including its last bit-word) — at every threshold kind. One
+        /// bitset serves two queries in turn and must answer as a fresh
+        /// one does: the first query's bits never leak into the second.
+        #[test]
+        fn lookup_kernel_equals_reference_eval(
+            q1 in prop::collection::btree_set(0u32..150, 0..14),
+            q2 in prop::collection::btree_set(0u32..150, 0..14),
+            s in prop::collection::btree_set(0u32..130, 0..20),
+            spare in 0u32..70,
+            with_max in 0usize..4,
+            t_kind in 0usize..9,
+            t_frac in 0.0f64..1.0,
+        ) {
+            let s: Vec<u32> = s.into_iter().collect();
+            // Candidates live below the universe; queries reach past it.
+            let universe = s.last().map_or(0, |&t| t + 1) + spare;
+            let (mut q1, mut q2): (Vec<u32>, Vec<u32>) =
+                (q1.into_iter().collect(), q2.into_iter().collect());
+            if with_max & 1 == 1 { q1.push(u32::MAX); }
+            if with_max & 2 == 2 { q2.push(u32::MAX); }
+            fn check<M: Similarity>(m: M, queries: [&[u32]; 2], s: &[u32], universe: u32, t_kind: usize, t_frac: f64) {
+                let mut reused = QueryBits::new();
+                for q in queries {
+                    let t = match t_kind {
+                        0 => f64::NEG_INFINITY,
+                        1 => -0.5,
+                        2 => 0.0,
+                        3 => 1.0,
+                        4 => 1.5,
+                        5 => f64::NAN,
+                        6 => m.eval(q, s),
+                        _ => t_frac,
+                    };
+                    let needed = m.min_overlap_for(t, q.len(), s.len());
+                    let want = reference_eval_with_threshold(m, q, s, t);
+                    let mut fresh = QueryBits::new();
+                    for bits in [&mut reused, &mut fresh] {
+                        let prepared = bits.prepare(q, universe);
+                        let words = prepared.bits.expect("a set query gets a bitset").len();
+                        assert!(words <= (universe as usize).div_ceil(64), "{words} words");
+                        let got = m.eval_prepared(&prepared, s, s.len(), needed, t);
+                        assert_same_verdict(got, want, m, t, q, s);
+                    }
+                }
+            }
+            check(Jaccard, [&q1, &q2], &s, universe, t_kind, t_frac);
+            check(Dice, [&q1, &q2], &s, universe, t_kind, t_frac);
+            check(Cosine, [&q1, &q2], &s, universe, t_kind, t_frac);
+            check(OverlapCoefficient, [&q1, &q2], &s, universe, t_kind, t_frac);
         }
 
         #[test]

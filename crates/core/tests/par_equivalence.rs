@@ -24,9 +24,9 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 
 use les3_core::{
-    Cosine, DeletionLog, Dice, InterruptReason, Jaccard, Les3Index, OverlapCoefficient,
-    Partitioning, Query, QueryCtl, QueryScratch, ServeConfig, ServeFront, ShardPolicy,
-    ShardedLes3Index, ShardedScratch, Similarity, ThresholdedEval,
+    Cosine, DeletionLog, Dice, FilterCandidates, InterruptReason, Jaccard, Les3Index,
+    OverlapCoefficient, Partitioning, PreparedQuery, Query, QueryCtl, QueryScratch, ServeConfig,
+    ServeFront, ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity, ThresholdedEval,
 };
 use les3_data::{SetDatabase, TokenId};
 use proptest::prelude::*;
@@ -372,10 +372,12 @@ fn parallel_matches_sequential_on_larger_index() {
 /// evaluation on a 1 024-group index: a kNN at any `workers` (flat and
 /// sharded) and a selective range at `workers: 0` evaluate everything on
 /// the calling thread, and a lone request served by a 4-worker front
-/// evaluates on exactly one pool thread.
+/// evaluates on exactly one pool thread. The wrapper also counts the kNN
+/// hook's calls: one per `sims_computed`, masked or not.
 #[test]
 fn knn_and_selective_ranges_evaluate_on_one_thread() {
     static SEEN: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+    static HOOK_CALLS: AtomicUsize = AtomicUsize::new(0);
 
     fn note_thread() {
         let me = std::thread::current().id();
@@ -405,17 +407,17 @@ fn knn_and_selective_ranges_evaluate_on_one_thread() {
             Jaccard.ub_from_overlap(q_len, r)
         }
         // The kNN window scan's per-candidate hook.
-        fn merge_with_threshold(
+        fn eval_prepared(
             &self,
-            a: &[TokenId],
+            q: &PreparedQuery<'_>,
             b: &[TokenId],
-            a_len: usize,
             b_len: usize,
             needed: usize,
             t: f64,
         ) -> ThresholdedEval {
             note_thread();
-            Jaccard.merge_with_threshold(a, b, a_len, b_len, needed, t)
+            HOOK_CALLS.fetch_add(1, Ordering::Relaxed);
+            Jaccard.eval_prepared(q, b, b_len, needed, t)
         }
         // The range window scan's. A selective range is over in
         // microseconds; hold each evaluation long enough that a spawned
@@ -460,6 +462,32 @@ fn knn_and_selective_ranges_evaluate_on_one_thread() {
             evaluators(|| drop(run(&sharded, knn))),
             me,
             "sharded w={workers}"
+        );
+    }
+
+    // Every candidate a kNN verifies passes through the one hook, so no
+    // kernel can bypass the trait: plain or masked, the hook's calls are
+    // the kNN's `sims_computed`.
+    let every_other = FilterCandidates::from_words(
+        &[0x5555_5555_5555_5555; 4 * GROUPS / 64],
+        flat.partitioning(),
+    );
+    for mask in [None, Some(&every_other)] {
+        HOOK_CALLS.store(0, Ordering::Relaxed);
+        let stats = run(
+            &flat,
+            Query {
+                mask,
+                ..Query::knn(&q, 10)
+            },
+        )
+        .stats;
+        assert!(stats.sims_computed > 0, "fixture: the kNN verifies");
+        assert_eq!(
+            HOOK_CALLS.load(Ordering::Relaxed),
+            stats.sims_computed,
+            "masked: {}",
+            mask.is_some()
         );
     }
 
