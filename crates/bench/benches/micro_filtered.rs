@@ -65,7 +65,7 @@ fn main() {
                 queries
                     .iter()
                     .map(|q| {
-                        ns.knn(q, K, filters, 1, &QueryCtl::NONE)
+                        ns.knn(q, K, filters, &QueryCtl::NONE)
                             .expect("uninterrupted bench query")
                     })
                     .collect::<Vec<_>>()

@@ -16,7 +16,7 @@
 //! Two executors live here:
 //!
 //! * `run_coalesced` — the synchronous one-shot executor behind
-//!   [`ShardedLes3Index::knn_batch`] / [`Les3Index::range_batch_on`] and
+//!   [`ShardedLes3Index::knn_batch`] / [`ShardedLes3Index::range_batch_on`] and
 //!   friends: spawn workers, claim tasks, join. Panicking tasks are
 //!   isolated (every other task still runs; the first payload is
 //!   rethrown to the caller).
@@ -52,7 +52,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use les3_data::TokenId;
 
-use crate::ctl::QueryCtl;
 use crate::index::{Les3Index, SearchResult};
 use crate::query::{self, Kind, Query};
 use crate::scratch::QueryScratch;
@@ -258,19 +257,6 @@ fn pool_worker_loop<J, W>(
     }
 }
 
-/// Splits a thread budget between the inter-query axis (workers
-/// claiming query-chunks) and the intra-query axis (workers inside one
-/// range query's verification, `par.rs`). Large batches take the whole
-/// budget on the inter axis (`intra = 1`, per-query overhead zero); a
-/// batch with fewer chunks than threads folds the leftover
-/// `budget / inter` into each query. The folded budget reaches range
-/// queries only: a kNN descends on one thread at any width. Never more
-/// inter-query workers than tasks.
-fn split_budget(budget: usize, n: usize) -> (usize, usize) {
-    let inter = budget.min(n.div_ceil(TASK_QUERIES)).max(1);
-    (inter, (budget / inter).max(1))
-}
-
 /// Splits `slots` into per-task output cells the executor's workers can
 /// claim: each task locks exactly its own cell once, so the mutexes are
 /// uncontended and exist only to satisfy the aliasing rules.
@@ -286,17 +272,15 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.range_batch_on(rayon::current_num_threads(), queries, delta)
     }
 
-    /// [`ShardedLes3Index::range_batch`] with an explicit worker budget:
-    /// `workers` is the *total* parallel width, split between
-    /// query-chunks and intra-query verification workers.
+    /// [`ShardedLes3Index::range_batch`] on `workers` threads, each
+    /// answering whole queries.
     pub fn range_batch_on(
         &self,
         workers: usize,
         queries: &[Vec<TokenId>],
         delta: f64,
     ) -> Vec<SearchResult> {
-        let (inter, intra) = split_budget(workers, queries.len());
-        self.run_kind_on(inter, intra, queries, Kind::Range(delta))
+        self.run_kind_on(workers, queries, Kind::Range(delta))
     }
 
     /// Answers many kNN queries in parallel. Returns one result per
@@ -306,45 +290,37 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.knn_batch_on(rayon::current_num_threads(), queries, k)
     }
 
-    /// [`ShardedLes3Index::knn_batch`] with an explicit worker budget,
-    /// split as in [`ShardedLes3Index::range_batch_on`].
+    /// [`ShardedLes3Index::knn_batch`] on `workers` threads, each
+    /// answering whole queries.
     pub fn knn_batch_on(
         &self,
         workers: usize,
         queries: &[Vec<TokenId>],
         k: usize,
     ) -> Vec<SearchResult> {
-        let (inter, intra) = split_budget(workers, queries.len());
-        self.run_kind_on(inter, intra, queries, Kind::Knn(k))
+        self.run_kind_on(workers, queries, Kind::Knn(k))
     }
 
-    /// Every query of the batch as a `kind` search with `intra`
-    /// intra-query workers, on `workers` chunk-claiming workers.
+    /// Every query of the batch as a `kind` search.
     fn run_kind_on(
         &self,
         workers: usize,
-        intra: usize,
         queries: &[Vec<TokenId>],
         kind: Kind,
     ) -> Vec<SearchResult> {
-        self.run_batch_on(workers, intra, queries, |index, tokens, scratch, intra| {
-            let q = Query::new(tokens, kind).pinned(intra, &QueryCtl::NONE);
-            query::uninterrupted(index.search(&q, scratch))
+        self.run_batch_on(workers, queries, |index, tokens, scratch| {
+            query::uninterrupted(index.search(&Query::new(tokens, kind), scratch))
         })
     }
 
     /// The one coalescing batch executor: `workers` claim query-chunks
-    /// (inter-query axis) and `run_one` answers each query, receiving
-    /// the `intra` width it is expected to run that query with. An
-    /// undersized batch (fewer chunks than cores) therefore still
-    /// saturates the machine: the leftover budget folds into each query
-    /// instead of idling.
+    /// and `run_one` answers each query of a chunk on the thread that
+    /// claimed it. Never more workers than chunks.
     fn run_batch_on(
         &self,
         workers: usize,
-        intra: usize,
         queries: &[Vec<TokenId>],
-        run_one: impl Fn(&Self, &[TokenId], &mut QueryScratch, usize) -> SearchResult + Sync,
+        run_one: impl Fn(&Self, &[TokenId], &mut QueryScratch) -> SearchResult + Sync,
     ) -> Vec<SearchResult> {
         let n = queries.len();
         if n == 0 {
@@ -355,7 +331,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         run_coalesced(workers, cells.len(), QueryScratch::new, |t, scratch| {
             let mut out = lock_unpoisoned(&cells[t]);
             for (q, slot) in queries[t * TASK_QUERIES..].iter().zip(out.iter_mut()) {
-                *slot = Some(run_one(self, q, scratch, intra));
+                *slot = Some(run_one(self, q, scratch));
             }
         });
         drop(cells);
@@ -367,29 +343,16 @@ impl<S: Similarity> ShardedLes3Index<S> {
 }
 
 impl<S: Similarity> Les3Index<S> {
-    /// [`ShardedLes3Index::range_batch`] with pinned inter-/intra-query
-    /// worker counts (the equivalence tests and bench sweeps pin both
-    /// axes).
-    pub fn range_batch_on(
-        &self,
-        workers: usize,
-        intra: usize,
-        queries: &[Vec<TokenId>],
-        delta: f64,
-    ) -> Vec<SearchResult> {
-        self.run_kind_on(workers, intra, queries, Kind::Range(delta))
-    }
-
-    /// [`ShardedLes3Index::knn_batch`] with pinned inter-/intra-query
-    /// worker counts.
+    /// [`ShardedLes3Index::knn_batch_on`] with an extra `_intra`
+    /// argument that is ignored: every query runs on one thread.
     pub fn knn_batch_on(
         &self,
         workers: usize,
-        intra: usize,
+        _intra: usize,
         queries: &[Vec<TokenId>],
         k: usize,
     ) -> Vec<SearchResult> {
-        self.run_kind_on(workers, intra, queries, Kind::Knn(k))
+        self.run_kind_on(workers, queries, Kind::Knn(k))
     }
 }
 
@@ -441,21 +404,17 @@ mod tests {
         let queries: Vec<Vec<TokenId>> = (0..100u32)
             .map(|i| index.db().set(i * 3 % 400).to_vec())
             .collect();
-        for (workers, intra) in [(2usize, 1usize), (4, 2), (7, 1)] {
-            let batch = index.knn_batch_on(workers, intra, &queries, 5);
+        for workers in [2usize, 4, 7] {
+            let batch = index.knn_batch_on(workers, 1, &queries, 5);
             assert_eq!(batch.len(), queries.len());
             for (q, b) in queries.iter().zip(&batch) {
                 let single = index.knn(q, 5);
-                assert_eq!(b.hits, single.hits, "workers {workers} intra {intra}");
-                assert_eq!(b.stats, single.stats, "workers {workers} intra {intra}");
+                assert_eq!(b.hits, single.hits, "workers {workers}");
+                assert_eq!(b.stats, single.stats, "workers {workers}");
             }
-            let batch = index.range_batch_on(workers, intra, &queries, 0.5);
+            let batch = index.range_batch_on(workers, &queries, 0.5);
             for (q, b) in queries.iter().zip(&batch) {
-                assert_eq!(
-                    b.hits,
-                    index.range(q, 0.5).hits,
-                    "workers {workers} intra {intra}"
-                );
+                assert_eq!(b.hits, index.range(q, 0.5).hits, "workers {workers}");
             }
         }
     }
@@ -506,14 +465,14 @@ mod tests {
             }
         }
         // An undersized batch against a big budget: 10 queries = 2
-        // chunks, 8 workers → each query is handed intra = 4, which a
-        // kNN does not read. Results (and stats) must not move.
+        // chunks for 8 workers, so only two start. Results (and stats)
+        // must not move.
         let small = &queries[..10];
         let knn = sharded.knn_batch_on(8, small, 6);
+        let rng = sharded.range_batch_on(8, small, 0.5);
         for (i, q) in small.iter().enumerate() {
-            let single = sharded.knn(q, 6);
-            assert_eq!(knn[i].hits, single.hits, "intra-split q {i}");
-            assert_eq!(knn[i].stats, single.stats, "intra-split q {i}");
+            assert_eq!(knn[i], sharded.knn(q, 6), "undersized q {i}");
+            assert_eq!(rng[i], sharded.range(q, 0.5), "undersized q {i}");
         }
     }
 
@@ -577,7 +536,7 @@ mod tests {
             .map(|i| index.db().set(i % 400).to_vec())
             .collect();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            index.run_batch_on(3, 1, &queries, |ix, q, scratch, _intra| {
+            index.run_batch_on(3, &queries, |ix, q, scratch| {
                 assert!(q != index.db().set(13), "query 13 is poisoned");
                 ix.knn_with(q, 3, scratch)
             })

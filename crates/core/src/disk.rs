@@ -2,17 +2,18 @@
 //!
 //! The TGM stays memory-resident (it is up to 90 % smaller than competing
 //! indexes — Figure 11), while the *data* lives on the simulated disk with
-//! every group materialized contiguously. A query therefore reads one
-//! sequential page run per verified group; pruned groups cost no I/O at
-//! all.
+//! every group materialized contiguously. A query is the memory engine's
+//! `search` — same hits, same [`crate::SearchStats`] — plus one
+//! sequential page run per group it verified; pruned groups cost no I/O
+//! at all.
 
 use les3_data::TokenId;
 use les3_storage::{DiskModel, GroupedLayout, IoStats, SimDisk};
 
-use crate::index::sort_hits;
-use crate::index::{Les3Index, SearchResult, TopK};
-use crate::sim::{normalize_query, Similarity};
-use crate::stats::SearchStats;
+use crate::index::{Les3Index, SearchResult};
+use crate::query::{self, Query};
+use crate::scratch::QueryScratch;
+use crate::sim::Similarity;
 
 /// Disk-resident LES3: index + group-contiguous layout + disk model.
 #[derive(Debug, Clone)]
@@ -51,62 +52,26 @@ impl<S: Similarity> DiskLes3<S> {
     /// kNN with I/O accounting: groups are read (sequentially, one run per
     /// group) only when verified.
     pub fn knn(&self, query: &[TokenId], k: usize) -> (SearchResult, IoStats) {
-        let mut disk = SimDisk::new(self.model);
-        let mut stats = SearchStats::default();
-        // Normalize once here; the per-group verify helper only rescans.
-        let query = &*normalize_query(query);
-        if k == 0 || self.index.db().is_empty() {
-            return (
-                SearchResult {
-                    hits: Vec::new(),
-                    stats,
-                },
-                disk.stats(),
-            );
-        }
-        let bounds = self.index.group_upper_bounds(query, &mut stats);
-        let mut top = TopK::new(k);
-        for &(g, ub) in &bounds {
-            if top.is_full() && ub <= top.kth() {
-                stats.groups_pruned += 1;
-                continue;
-            }
-            let run = self.layout.group_run(g as usize);
-            disk.read_run(run.start, run.count);
-            self.index
-                .verify_group(query, g, &mut stats, |id, s| top.offer(id, s));
-        }
-        (
-            SearchResult {
-                hits: top.into_sorted(),
-                stats,
-            },
-            disk.stats(),
-        )
+        self.search(&Query::knn(query, k))
     }
 
     /// Range search with I/O accounting.
     pub fn range(&self, query: &[TokenId], delta: f64) -> (SearchResult, IoStats) {
+        self.search(&Query::range(query, delta))
+    }
+
+    /// The engine's search, then the page run of each group it verified:
+    /// the first `groups_verified` groups of the bound order, in that
+    /// order.
+    fn search(&self, q: &Query<'_>) -> (SearchResult, IoStats) {
+        let mut scratch = QueryScratch::new();
+        let result = query::uninterrupted(self.index.search(q, &mut scratch));
         let mut disk = SimDisk::new(self.model);
-        let mut stats = SearchStats::default();
-        let query = &*normalize_query(query);
-        let bounds = self.index.group_upper_bounds(query, &mut stats);
-        let mut hits = Vec::new();
-        for &(g, ub) in &bounds {
-            if ub < delta {
-                stats.groups_pruned += 1;
-                continue;
-            }
-            let run = self.layout.group_run(g as usize);
+        for b in &scratch.stream[..result.stats.groups_verified] {
+            let run = self.layout.group_run(b.group as usize);
             disk.read_run(run.start, run.count);
-            self.index.verify_group(query, g, &mut stats, |id, s| {
-                if s >= delta {
-                    hits.push((id, s));
-                }
-            });
         }
-        sort_hits(&mut hits);
-        (SearchResult { hits, stats }, disk.stats())
+        (result, disk.stats())
     }
 }
 
@@ -129,17 +94,45 @@ mod tests {
         DiskLes3::new(Les3Index::build(db, part, Jaccard), DiskModel::hdd_5400())
     }
 
+    /// The pages of the first `n` groups of the bound order, which a
+    /// comparison sort on `(overlap desc, group asc)` reproduces here.
+    fn pages_of_first(disk: &DiskLes3<Jaccard>, q: &[TokenId], n: usize) -> u64 {
+        let mut counts = Vec::new();
+        disk.index().tgm().group_overlaps_into(q, &mut counts);
+        let mut order: Vec<u32> = (0..counts.len() as u32).collect();
+        order.sort_by_key(|&g| (std::cmp::Reverse(counts[g as usize]), g));
+        order[..n]
+            .iter()
+            .map(|&g| disk.layout.group_run(g as usize).count)
+            .sum()
+    }
+
+    /// Disk answers are the memory engine's, hits and stats bit for bit,
+    /// and read the pages of exactly the groups that engine verified.
+    fn assert_memory_answers_and_verified_pages(disk: &DiskLes3<Jaccard>, q: &[TokenId]) {
+        for k in [1usize, 5, 10] {
+            let (got, io) = disk.knn(q, k);
+            assert_eq!(got, disk.index().knn(q, k), "k {k}");
+            let pages = pages_of_first(disk, q, got.stats.groups_verified);
+            assert_eq!(io.pages_read, pages, "k {k}");
+        }
+        for delta in [0.3, 0.5, 0.8] {
+            let (got, io) = disk.range(q, delta);
+            assert_eq!(got, disk.index().range(q, delta), "δ {delta}");
+            let pages = pages_of_first(disk, q, got.stats.groups_verified);
+            assert_eq!(io.pages_read, pages, "δ {delta}");
+        }
+    }
+
     #[test]
     fn disk_results_equal_memory_results() {
         let disk = build(21);
+        for qid in [5u32, 77, 499] {
+            let q = disk.index().db().set(qid).to_vec();
+            assert_memory_answers_and_verified_pages(&disk, &q);
+        }
         let q = disk.index().db().set(5).to_vec();
-        let (dres, io) = disk.knn(&q, 10);
-        let mres = disk.index().knn(&q, 10);
-        assert_eq!(dres.hits, mres.hits);
-        assert!(io.pages_read > 0);
-        let (dres, _) = disk.range(&q, 0.5);
-        let mres = disk.index().range(&q, 0.5);
-        assert_eq!(dres.hits, mres.hits);
+        assert!(disk.knn(&q, 10).1.pages_read > 0);
     }
 
     #[test]
@@ -166,6 +159,7 @@ mod tests {
         assert!(io.seeks as usize <= res.stats.groups_verified.max(1));
         // Reading the whole file would cost ≥ total pages.
         assert!(io.pages_read < disk.data_pages());
+        assert_memory_answers_and_verified_pages(&disk, &q);
     }
 
     #[test]

@@ -65,10 +65,10 @@ pub struct SearchResult {
 /// A [`ShardedLes3Index`] whose recorded layout is one shard. `search`,
 /// `knn*`, `range*`, `insert`, `enable_approx` and the accessors are the
 /// engine's own, reached through `Deref`; this type adds the unsharded
-/// constructor, [`Les3Index::tgm`], the
-/// per-group probes the disk-resident variant drives, the batch entry
-/// points with an explicit intra-query width, and the flat segment kind
-/// (no SHARDS block, see [`crate::persist`]).
+/// constructor, [`Les3Index::tgm`], the phase-A probe
+/// [`Les3Index::group_upper_bounds_with`], a `knn_batch_on` that takes
+/// (and ignores) an intra-query width, and the flat segment kind (no
+/// SHARDS block, see [`crate::persist`]).
 #[derive(Debug, Clone)]
 pub struct Les3Index<S: Similarity>(ShardedLes3Index<S>);
 
@@ -137,40 +137,6 @@ impl<S: Similarity> Les3Index<S> {
                 .iter()
                 .map(|b| (b.group, sim.ub_from_overlap(q_len, b.r as usize))),
         );
-    }
-
-    /// Allocating wrapper around [`Les3Index::group_upper_bounds_with`].
-    pub fn group_upper_bounds(
-        &self,
-        query: &[TokenId],
-        stats: &mut SearchStats,
-    ) -> Vec<(u32, f64)> {
-        let mut scratch = QueryScratch::new();
-        self.group_upper_bounds_with(query, stats, &mut scratch);
-        scratch.bounds
-    }
-
-    /// Verifies every set of group `g` against the query, invoking
-    /// `on_hit(id, sim)` for each member, and updating `stats`.
-    ///
-    /// This is the exhaustive path (no length window, no early
-    /// termination) used where every member must be touched anyway, e.g.
-    /// the disk-resident variant after its pages are read.
-    pub fn verify_group(
-        &self,
-        query: &[TokenId],
-        g: u32,
-        stats: &mut SearchStats,
-        mut on_hit: impl FnMut(SetId, f64),
-    ) {
-        let query = &*normalize_query(query);
-        stats.groups_verified += 1;
-        for &id in self.0.partitioning.members(g) {
-            let s = self.0.sim.eval(query, self.0.db.set(id));
-            stats.candidates += 1;
-            stats.sims_computed += 1;
-            on_hit(id, s);
-        }
     }
 }
 
@@ -819,8 +785,9 @@ mod tests {
         let part = random_partitioning(db.len(), 24, 4);
         let index = Les3Index::build(db.clone(), part, Jaccard);
         let q = db.set(11).to_vec();
-        let mut stats = SearchStats::default();
-        let bounds = index.group_upper_bounds(&q, &mut stats);
+        let mut scratch = QueryScratch::new();
+        index.group_upper_bounds_with(&q, &mut SearchStats::default(), &mut scratch);
+        let bounds = scratch.bounds;
         assert_eq!(bounds.len(), 24);
         for w in bounds.windows(2) {
             assert!(

@@ -15,11 +15,10 @@
 //!
 //! * [`Query`] — the one query descriptor: [`Kind`] (`Knn(k)` or
 //!   `Range(δ)`), an optional candidate `mask` (attribute filter or LSH
-//!   prefilter), `workers` (a range's verification width, 0 = auto),
-//!   `ctl` (deadline / cancellation)
-//!   and [`OnExpiry`] (`Fail`, or `Commit` the partial answer). One
-//!   body runs it, [`ShardedLes3Index::search`]; `knn`, `range` and the
-//!   other named methods are single expressions over it;
+//!   prefilter), `ctl` (deadline / cancellation) and [`OnExpiry`]
+//!   (`Fail`, or `Commit` the partial answer). One body runs it, on the
+//!   calling thread, [`ShardedLes3Index::search`]; `knn`, `range` and
+//!   the other named methods are single expressions over it;
 //! * [`ShardedLes3Index`] — the memory-resident engine over a
 //!   [`SetDatabase`](les3_data::SetDatabase) and a [`Partitioning`]:
 //!   one [`Tgm`], one verification order, and the N ≥ 1 shard layout it
@@ -63,7 +62,7 @@
 //! * callers that issue many queries reuse a [`QueryScratch`]
 //!   ([`ShardedLes3Index::knn_with`] / [`ShardedLes3Index::range_with`]),
 //!   and the batch entry points ([`ShardedLes3Index::knn_batch`] /
-//!   [`ShardedLes3Index::range_batch`]) fan the batch out over rayon
+//!   [`ShardedLes3Index::range_batch`]) spread whole queries over rayon
 //!   workers with one scratch per worker.
 //! * [`SearchStats`] reports the true work performed, including
 //!   `early_exits` (abandoned merges) and `size_skipped` (members cut by
@@ -88,12 +87,13 @@
 //! assert_eq!(res.hits[0].0, 0); // exact match first
 //!
 //! // The same search spelled out: `knn` is `search` with the defaults.
-//! use les3_core::{ApproxInfo, Query, QueryScratch};
+//! use les3_core::{ApproxInfo, OnExpiry, Query, QueryScratch};
 //! let query = Query::knn(&[0, 1, 2], 2);
 //! let (same, info) = index.search(&query, &mut QueryScratch::new()).unwrap();
 //! assert_eq!((same, info), (res, ApproxInfo::EXACT));
-//! // Every axis is a field: range instead of kNN, two verify workers.
-//! let range = Query { workers: 2, ..Query::range(&[0, 1, 2], 0.5) };
+//! // Every axis is a field: range instead of kNN, committing a partial
+//! // answer if a deadline passed (none is set, so it completes).
+//! let range = Query { on_expiry: OnExpiry::Commit, ..Query::range(&[0, 1, 2], 0.5) };
 //! let (close, _) = index.search(&range, &mut QueryScratch::new()).unwrap();
 //! assert_eq!(close, index.range(&[0, 1, 2], 0.5));
 //! ```
@@ -108,7 +108,6 @@ pub mod index;
 pub mod live;
 pub mod metadata;
 pub mod namespace;
-pub(crate) mod par;
 pub mod partitioning;
 pub mod persist;
 pub mod query;

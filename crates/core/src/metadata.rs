@@ -12,7 +12,7 @@
 //! masked counting kernels), and the per-set mask rides into the
 //! existing verification loops where non-matching members are skipped
 //! before any similarity arithmetic. Everything downstream — bucketed
-//! ordering, length windows, early abandoning, the range fan-out,
+//! ordering, length windows, early abandoning, the range descent,
 //! [`crate::QueryCtl`] — is the unfiltered machinery unchanged, so the
 //! filtered result is exact by the same Theorem 3.1 argument applied to
 //! the matching subset.

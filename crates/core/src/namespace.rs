@@ -15,8 +15,7 @@
 //! [`FilterCandidates`](crate::FilterCandidates) mask once and hand it
 //! to the engine's `search` as the [`Query`]'s `mask`, so hits *and*
 //! [`SearchStats`] are bit-for-bit identical across flat/sharded
-//! engines and worker counts (`tests/filtered_equivalence.rs` pins
-//! this).
+//! engines (`tests/filtered_equivalence.rs` pins this).
 //!
 //! ```
 //! use les3_core::namespace::{NamespaceSpec, Namespaces};
@@ -41,7 +40,7 @@
 //!     key: "color".into(),
 //!     value: "red".into(),
 //! }]);
-//! let res = ns.knn(&[0, 1, 2], 2, &only_red, 1, &les3_core::QueryCtl::NONE).unwrap();
+//! let res = ns.knn(&[0, 1, 2], 2, &only_red, &les3_core::QueryCtl::NONE).unwrap();
 //! assert_eq!(res.hits.iter().map(|h| h.0).collect::<Vec<_>>(), vec![0, 2]);
 //! ```
 
@@ -271,18 +270,14 @@ impl Namespace {
     }
 
     /// Exact kNN over this namespace, optionally attribute-filtered.
-    /// `workers` lands in [`Query::workers`](Query), which a kNN does
-    /// not read; results are identical at every value.
     pub fn knn(
         &self,
         query: &[TokenId],
         k: usize,
         filters: &Filters,
-        workers: usize,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
         let q = Query {
-            workers,
             ctl: *ctl,
             ..Query::knn(query, k)
         };
@@ -296,11 +291,9 @@ impl Namespace {
         query: &[TokenId],
         delta: f64,
         filters: &Filters,
-        workers: usize,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
         let q = Query {
-            workers,
             ctl: *ctl,
             ..Query::range(query, delta)
         };
@@ -696,11 +689,11 @@ mod tests {
         assert_eq!(registry.list().len(), 1);
 
         let res = ns
-            .knn(&[0, 1, 2], 3, &Filters::none(), 1, &QueryCtl::NONE)
+            .knn(&[0, 1, 2], 3, &Filters::none(), &QueryCtl::NONE)
             .unwrap();
         assert_eq!(res.hits[0].0, 0);
 
-        let filtered = ns.knn(&[0, 1, 2], 3, &red(), 1, &QueryCtl::NONE).unwrap();
+        let filtered = ns.knn(&[0, 1, 2], 3, &red(), &QueryCtl::NONE).unwrap();
         assert!(filtered.hits.iter().all(|&(id, _)| [0, 2, 3].contains(&id)));
 
         assert!(registry.remove("demo"));
@@ -708,7 +701,7 @@ mod tests {
         assert!(!registry.remove("demo"));
         // The detached handle still answers (racing queries stay safe).
         assert!(!ns
-            .knn(&[0, 1, 2], 1, &Filters::none(), 1, &QueryCtl::NONE)
+            .knn(&[0, 1, 2], 1, &Filters::none(), &QueryCtl::NONE)
             .unwrap()
             .hits
             .is_empty());
@@ -720,11 +713,9 @@ mod tests {
         let flat = registry.create("flat", demo_spec(0)).unwrap();
         let sharded = registry.create("sharded", demo_spec(2)).unwrap();
         for filters in [Filters::none(), red()] {
-            let a = flat
-                .knn(&[0, 1, 2], 4, &filters, 1, &QueryCtl::NONE)
-                .unwrap();
+            let a = flat.knn(&[0, 1, 2], 4, &filters, &QueryCtl::NONE).unwrap();
             let b = sharded
-                .knn(&[0, 1, 2], 4, &filters, 1, &QueryCtl::NONE)
+                .knn(&[0, 1, 2], 4, &filters, &QueryCtl::NONE)
                 .unwrap();
             assert_eq!(a.hits, b.hits);
             assert_eq!(a.stats, b.stats);
@@ -739,12 +730,10 @@ mod tests {
         // the remaining live red sets.
         assert!(ns.delete(0));
         assert!(!ns.delete(0), "double delete is a no-op");
-        let res = ns.knn(&[0, 1, 2], 2, &red(), 1, &QueryCtl::NONE).unwrap();
+        let res = ns.knn(&[0, 1, 2], 2, &red(), &QueryCtl::NONE).unwrap();
         assert_eq!(res.hits.len(), 2);
         assert!(res.hits.iter().all(|&(id, _)| id == 2 || id == 3));
-        let rng = ns
-            .range(&[0, 1, 2], 0.1, &red(), 1, &QueryCtl::NONE)
-            .unwrap();
+        let rng = ns.range(&[0, 1, 2], 0.1, &red(), &QueryCtl::NONE).unwrap();
         assert!(rng.hits.iter().all(|&(id, _)| id != 0));
         assert_eq!(ns.info().live_sets, 4);
     }
@@ -755,9 +744,7 @@ mod tests {
         let ns = registry.create("demo", demo_spec(2)).unwrap();
         let (id, _) = ns.insert(&mut [0, 1, 2, 9], &[kv("color", "red")]).unwrap();
         assert_eq!(ns.attrs(id), vec![kv("color", "red")]);
-        let res = ns
-            .knn(&[0, 1, 2, 9], 1, &red(), 1, &QueryCtl::NONE)
-            .unwrap();
+        let res = ns.knn(&[0, 1, 2, 9], 1, &red(), &QueryCtl::NONE).unwrap();
         assert_eq!(res.hits[0].0, id);
     }
 
@@ -766,7 +753,7 @@ mod tests {
         let registry = Namespaces::new();
         let ns = registry.create("empty", NamespaceSpec::default()).unwrap();
         assert!(ns
-            .knn(&[1, 2], 3, &Filters::none(), 1, &QueryCtl::NONE)
+            .knn(&[1, 2], 3, &Filters::none(), &QueryCtl::NONE)
             .unwrap()
             .hits
             .is_empty());
@@ -779,7 +766,6 @@ mod tests {
                     key: "kind".into(),
                     value: "a".into(),
                 }]),
-                1,
                 &QueryCtl::NONE,
             )
             .unwrap();
@@ -845,10 +831,10 @@ mod tests {
             )
             .unwrap();
         let ra = a
-            .knn(&[0, 1], 1, &Filters::none(), 1, &QueryCtl::NONE)
+            .knn(&[0, 1], 1, &Filters::none(), &QueryCtl::NONE)
             .unwrap();
         let rb = b
-            .knn(&[0, 1], 1, &Filters::none(), 1, &QueryCtl::NONE)
+            .knn(&[0, 1], 1, &Filters::none(), &QueryCtl::NONE)
             .unwrap();
         assert_eq!(ra.hits[0].0, 0);
         assert_eq!(rb.hits[0].0, 1, "same ids, different corpora");
@@ -859,7 +845,7 @@ mod tests {
         let registry = Namespaces::new();
         let ns = registry.create("demo", demo_spec(0)).unwrap();
         let res = ns
-            .knn(&[0, 1, 2], 2, &Filters::none(), 1, &QueryCtl::NONE)
+            .knn(&[0, 1, 2], 2, &Filters::none(), &QueryCtl::NONE)
             .unwrap();
         assert_eq!(ns.stats(), res.stats);
         assert_eq!(registry.total_stats(), res.stats);
@@ -886,10 +872,8 @@ mod tests {
         let back = reloaded.get("demo").unwrap();
         assert_eq!(back.info(), ns.info());
         for filters in [Filters::none(), red()] {
-            let a = ns.knn(&[0, 1, 2], 4, &filters, 1, &QueryCtl::NONE).unwrap();
-            let b = back
-                .knn(&[0, 1, 2], 4, &filters, 1, &QueryCtl::NONE)
-                .unwrap();
+            let a = ns.knn(&[0, 1, 2], 4, &filters, &QueryCtl::NONE).unwrap();
+            let b = back.knn(&[0, 1, 2], 4, &filters, &QueryCtl::NONE).unwrap();
             assert_eq!(a.hits, b.hits);
             assert_eq!(a.stats, b.stats, "reload is bit-for-bit");
         }

@@ -4,17 +4,16 @@
 //! the groups by the Theorem 3.1 bound, verify best-first until the
 //! bound cannot beat the threshold. Everything a caller can vary about
 //! it is a field of [`Query`]: where the threshold comes from
-//! ([`Kind`]), which sets may answer (`mask`), how many threads verify
-//! a range (`workers`), when to stop early (`ctl`) and what a passed
-//! deadline means ([`OnExpiry`]).
+//! ([`Kind`]), which sets may answer (`mask`), when to stop early
+//! (`ctl`) and what a passed deadline means ([`OnExpiry`]).
 //! [`ShardedLes3Index::search`](crate::ShardedLes3Index::search) is the
-//! only body that runs it — on a [`Les3Index`](crate::Les3Index) too,
-//! which derefs to that engine; the named `knn*/range*` methods are
-//! single expressions over it.
+//! only body that runs it, on the calling thread — on a
+//! [`Les3Index`](crate::Les3Index) too, which derefs to that engine; the
+//! named `knn*/range*` methods are single expressions over it.
 //!
 //! ```
 //! use les3_core::sim::Jaccard;
-//! use les3_core::{ApproxInfo, Kind, Les3Index, Partitioning, Query, QueryScratch};
+//! use les3_core::{ApproxInfo, Kind, Les3Index, OnExpiry, Partitioning, Query, QueryScratch};
 //! use les3_data::SetDatabase;
 //!
 //! let db = SetDatabase::from_sets(vec![vec![0u32, 1, 2], vec![0, 1, 3], vec![7, 8]]);
@@ -26,9 +25,10 @@
 //! assert_eq!(result, index.knn(&[0, 1, 2], 2));
 //! assert_eq!(info, ApproxInfo::EXACT);
 //! assert_eq!(query.kind, Kind::Knn(2));
-//! // Every axis is a field: a range, verified by two workers.
+//! // Every axis is a field: a range that would commit a partial answer
+//! // if a deadline passed — with none set, it runs to completion.
 //! let query = Query {
-//!     workers: 2,
+//!     on_expiry: OnExpiry::Commit,
 //!     ..Query::range(&[0, 1, 2], 0.5)
 //! };
 //! let (result, _) = index.search(&query, &mut scratch).unwrap();
@@ -82,11 +82,6 @@ pub struct Query<'a> {
     /// verification skips non-matching members; every survivor is still
     /// verified exactly.
     pub mask: Option<&'a FilterCandidates>,
-    /// Range verification workers, `0` = from the surviving groups; a
-    /// kNN's threshold evolves group by group, so its descent is
-    /// sequential at any value. Hits *and* stats are bit-for-bit the
-    /// same at every count.
-    pub workers: usize,
     /// Deadline and cancellation, polled between phase A and
     /// verification and at every group boundary.
     pub ctl: QueryCtl<'a>,
@@ -96,14 +91,12 @@ pub struct Query<'a> {
 }
 
 impl<'a> Query<'a> {
-    /// An unmasked, uninterruptible exact query with automatic worker
-    /// choice.
+    /// An unmasked, uninterruptible exact query.
     pub fn new(tokens: &'a [TokenId], kind: Kind) -> Self {
         Self {
             tokens,
             kind,
             mask: None,
-            workers: 0,
             ctl: QueryCtl::NONE,
             on_expiry: OnExpiry::Fail,
         }
@@ -117,16 +110,6 @@ impl<'a> Query<'a> {
     /// [`Query::new`] for every set within `delta`.
     pub fn range(tokens: &'a [TokenId], delta: f64) -> Self {
         Self::new(tokens, Kind::Range(delta))
-    }
-
-    /// What the `*_ctl_on` shorthands pass: an explicit worker count
-    /// (`0` runs sequentially, as `1` does) and a borrowed `ctl`.
-    pub(crate) fn pinned(self, workers: usize, ctl: &QueryCtl<'a>) -> Self {
-        Self {
-            workers: workers.max(1),
-            ctl: *ctl,
-            ..self
-        }
     }
 
     /// Whether the answer is empty before any work: nothing asked for

@@ -674,7 +674,6 @@ impl<B: PersistentBackend> Executor<B> {
         }
         // One request is one pool job on one thread.
         let q = Query {
-            workers: 1,
             ctl,
             ..Query::new(&req.query, req.kind)
         };

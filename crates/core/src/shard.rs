@@ -38,7 +38,7 @@
 //! assert_eq!(sharded.range(&[0, 1, 2], 0.5), flat.range(&[0, 1, 2], 0.5));
 //! ```
 
-use les3_data::{SetDatabase, TokenId};
+use les3_data::{SetDatabase, SetId, TokenId};
 
 use crate::approx::{self, ApproxParams, ApproxPolicy, MinHashIndex};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
@@ -316,17 +316,47 @@ impl<S: Similarity> ShardedLes3Index<S> {
         Ok(top)
     }
 
+    /// The range descent: verifies every group of `stream` whose bound
+    /// reaches `delta`, in stream order — the order a deadline-committed
+    /// partial answer is defined by — appending hits unsorted (`settle`
+    /// sorts them). Polls `ctl` at every group boundary.
+    fn range_descend(
+        &self,
+        verify: &VerifyQuery<'_, S>,
+        delta: f64,
+        stream: &[GroupBound],
+        hits: &mut Vec<(SetId, f64)>,
+        stats: &mut SearchStats,
+        ctl: &QueryCtl<'_>,
+    ) -> Result<(), InterruptReason> {
+        // The prune point is independent of the results: the bounds are
+        // non-increasing, so the survivors are a prefix.
+        let beaten =
+            |b: &GroupBound| self.sim.ub_from_overlap(verify.q_len(), b.r as usize) < delta;
+        let stop = stream.iter().position(beaten).unwrap_or(stream.len());
+        let (survivors, pruned) = stream.split_at(stop);
+        for b in survivors {
+            if let Some(reason) = ctl.interrupted() {
+                return Err(reason);
+            }
+            stats.groups_verified += 1;
+            verify.range_window(&self.verify, b.group, delta, hits, stats);
+        }
+        stats.groups_pruned += pruned.len();
+        Ok(())
+    }
+
     /// Runs one [`Query`] — the only query body of the in-memory index
     /// ([`crate::Les3Index`] derefs to it); every named `knn*/range*`
     /// method below is a single expression over it. Hits *and* stats are
-    /// the same at every recorded shard count and worker count.
+    /// the same at every recorded shard count.
     ///
     /// Guards, then phase A (the full filter pass, or the restricted
     /// kernels over the mask's groups), one `ctl` poll — filtering is
     /// cheap, verification is where the CPU goes, so an expired or
     /// cancelled query must not start it — then phase B over the bound
-    /// stream: the best-first `knn_descend`, or `range_descend` over its
-    /// surviving prefix (`par.rs`).
+    /// stream on the calling thread: the best-first `knn_descend`, or
+    /// `range_descend` over its surviving prefix.
     pub fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
         let mut stats = SearchStats::default();
         if q.is_vacuous(self.db.is_empty()) {
@@ -368,7 +398,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         let (stopped, gathered) = match q.kind {
             Kind::Knn(k) => Gathered::heap(self.knn_descend(&verify, k, stream, &mut stats, ctl)),
             Kind::Range(delta) => Gathered::list(|hits| {
-                self.range_descend(&verify, delta, q.workers, stream, hits, &mut stats, ctl)
+                self.range_descend(&verify, delta, stream, hits, &mut stats, ctl)
             }),
         };
         query::settle(stopped, gathered, stats, q.on_expiry, n_considered)
@@ -390,27 +420,29 @@ impl<S: Similarity> ShardedLes3Index<S> {
         query::uninterrupted(self.search(&Query::knn(query, k), scratch))
     }
 
-    /// Exact kNN under cooperative interruption. `workers` lands in
-    /// [`Query::workers`](Query), which a kNN does not read: its descent
-    /// is sequential at any value.
+    /// Exact kNN under cooperative interruption. `_workers` is ignored:
+    /// every query runs on the calling thread.
     pub fn knn_ctl_on(
         &self,
-        workers: usize,
+        _workers: usize,
         query: &[TokenId],
         k: usize,
         scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
-        self.search(&Query::knn(query, k).pinned(workers, ctl), scratch)
-            .map(|(result, _)| result)
+        let q = Query {
+            ctl: *ctl,
+            ..Query::knn(query, k)
+        };
+        self.search(&q, scratch).map(|(result, _)| result)
     }
 
     /// [`ShardedLes3Index::knn_ctl_on`] over the matching subset of a
     /// filtered query: the k most similar sets among those `cand`
-    /// admits.
+    /// admits. `_workers` is ignored.
     pub fn knn_filtered_ctl_on(
         &self,
-        workers: usize,
+        _workers: usize,
         query: &[TokenId],
         k: usize,
         cand: &FilterCandidates,
@@ -419,7 +451,8 @@ impl<S: Similarity> ShardedLes3Index<S> {
     ) -> Result<SearchResult, Interrupted> {
         let q = Query {
             mask: Some(cand),
-            ..Query::knn(query, k).pinned(workers, ctl)
+            ctl: *ctl,
+            ..Query::knn(query, k)
         };
         self.search(&q, scratch).map(|(result, _)| result)
     }
@@ -461,17 +494,21 @@ impl<S: Similarity> ShardedLes3Index<S> {
     }
 
     /// kNN under an [`ApproxPolicy`]: [`ShardedLes3Index::search_approx`]
-    /// taking its [`Query`] as an argument list.
+    /// taking its [`Query`] as an argument list. `_workers` is ignored.
     pub fn knn_approx_ctl_on(
         &self,
-        workers: usize,
+        _workers: usize,
         query: &[TokenId],
         k: usize,
         policy: ApproxPolicy,
         scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> SearchOutcome {
-        self.search_approx(&Query::knn(query, k).pinned(workers, ctl), policy, scratch)
+        let q = Query {
+            ctl: *ctl,
+            ..Query::knn(query, k)
+        };
+        self.search_approx(&q, policy, scratch)
     }
 
     /// Exact range search (Definition 2.2): all sets
@@ -490,18 +527,21 @@ impl<S: Similarity> ShardedLes3Index<S> {
         query::uninterrupted(self.search(&Query::range(query, delta), scratch))
     }
 
-    /// Exact range search under cooperative interruption with a pinned
-    /// verification worker count (`0` counts as `1`).
+    /// Exact range search under cooperative interruption. `_workers` is
+    /// ignored: every query runs on the calling thread.
     pub fn range_ctl_on(
         &self,
-        workers: usize,
+        _workers: usize,
         query: &[TokenId],
         delta: f64,
         scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> Result<SearchResult, Interrupted> {
-        self.search(&Query::range(query, delta).pinned(workers, ctl), scratch)
-            .map(|(result, _)| result)
+        let q = Query {
+            ctl: *ctl,
+            ..Query::range(query, delta)
+        };
+        self.search(&q, scratch).map(|(result, _)| result)
     }
 }
 

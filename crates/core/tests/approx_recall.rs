@@ -1,8 +1,7 @@
 //! The approximate tier's recall-vs-ground-truth battery.
 //!
 //! Three contracts, property-tested across similarity measures,
-//! flat/sharded backends, worker counts and interleaved insert/delete
-//! sequences:
+//! flat/sharded backends and interleaved insert/delete sequences:
 //!
 //! * **Soundness** — a prefiltered answer never *invents* anything: its
 //!   hits are a subset of the exact admissible results, every reported
@@ -40,7 +39,6 @@ use les3_core::{
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
 
-const WORKER_COUNTS: [usize; 2] = [1, 4];
 const SHARD_COUNTS: [usize; 2] = [2, 5];
 
 /// The saturated prefilter: `rows == 0` makes every band key the empty
@@ -77,13 +75,7 @@ fn sidecar_params(seed: u64) -> ApproxParams {
 /// (`k = n` exhausts the tie classes). Absent ids have similarity 0 or
 /// are tombstoned — either way a prefiltered hit may not name them.
 fn exact_sims(flat: &Les3Index<impl Similarity>, query: &[TokenId]) -> Vec<Option<u64>> {
-    let full = run(
-        flat,
-        Query {
-            workers: 1,
-            ..Query::knn(query, flat.db().len())
-        },
-    );
+    let full = run(flat, Query::knn(query, flat.db().len()));
     let mut sims = vec![None; flat.db().len()];
     for (id, sim) in full.hits {
         sims[id as usize] = Some(sim.to_bits());
@@ -129,8 +121,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Soundness: prefiltered hits ⊆ exact admissible results, exact
-    /// similarity bits, flat ≡ sharded bit for bit, across measures and
-    /// worker counts.
+    /// similarity bits, flat ≡ sharded bit for bit, across measures.
     #[test]
     fn prefilter_is_sound_and_backend_invariant(
         db in db_strategy(),
@@ -154,7 +145,7 @@ proptest! {
             let mut flat = Les3Index::build(db.clone(), part.clone(), sim);
             flat.enable_approx(sidecar_params(seed));
             let sims = exact_sims(&flat, query);
-            let exact_range = run(&flat, Query { workers: 1, ..Query::range(query, delta) });
+            let exact_range = run(&flat, Query::range(query, delta));
             let ctl = QueryCtl::NONE;
             let mut scratch = QueryScratch::new();
             for policy in [
@@ -167,7 +158,7 @@ proptest! {
                     .expect("QueryCtl::NONE never interrupts");
                 assert_sound(&knn, &sims, &[], Some(k), &format!("{} knn {policy:?}", sim.name()));
                 let range = flat
-                    .search_approx(&Query { workers: 1, ctl, ..Query::range(query, delta) }, policy, &mut scratch)
+                    .search_approx(&Query { ctl, ..Query::range(query, delta) }, policy, &mut scratch)
                     .expect("QueryCtl::NONE never interrupts");
                 assert_sound(
                     &range,
@@ -176,8 +167,8 @@ proptest! {
                     None,
                     &format!("{} range {policy:?}", sim.name()),
                 );
-                // The same prefilter must be backend- and
-                // worker-invariant, bit for bit (mask composition is
+                // The same prefilter must be backend-invariant, bit for
+                // bit (mask composition is
                 // shared with the metadata layer, which carries this
                 // contract already).
                 for n_shards in SHARD_COUNTS {
@@ -186,20 +177,18 @@ proptest! {
                     );
                     sharded.enable_approx(sidecar_params(seed));
                     let mut sscratch = ShardedScratch::new();
-                    for workers in WORKER_COUNTS {
-                        let sknn = sharded
-                            .knn_approx_ctl_on(workers, query, k, policy, &mut sscratch, &ctl)
-                            .expect("QueryCtl::NONE never interrupts");
-                        assert_eq!(sknn.0.hits, knn.0.hits, "sharded knn hits diverged");
-                        assert_eq!(sknn.0.stats, knn.0.stats, "sharded knn stats diverged");
-                        assert_eq!(sknn.1, knn.1, "sharded knn verdict diverged");
-                        let srange = sharded
-                            .search_approx(&Query { workers, ctl, ..Query::range(query, delta) }, policy, &mut sscratch)
-                            .expect("QueryCtl::NONE never interrupts");
-                        assert_eq!(srange.0.hits, range.0.hits, "sharded range hits diverged");
-                        assert_eq!(srange.0.stats, range.0.stats, "sharded range stats diverged");
-                        assert_eq!(srange.1, range.1, "sharded range verdict diverged");
-                    }
+                    let sknn = sharded
+                        .knn_approx_ctl_on(1, query, k, policy, &mut sscratch, &ctl)
+                        .expect("QueryCtl::NONE never interrupts");
+                    assert_eq!(sknn.0.hits, knn.0.hits, "sharded knn hits diverged");
+                    assert_eq!(sknn.0.stats, knn.0.stats, "sharded knn stats diverged");
+                    assert_eq!(sknn.1, knn.1, "sharded knn verdict diverged");
+                    let srange = sharded
+                        .search_approx(&Query { ctl, ..Query::range(query, delta) }, policy, &mut sscratch)
+                        .expect("QueryCtl::NONE never interrupts");
+                    assert_eq!(srange.0.hits, range.0.hits, "sharded range hits diverged");
+                    assert_eq!(srange.0.stats, range.0.stats, "sharded range stats diverged");
+                    assert_eq!(srange.1, range.1, "sharded range verdict diverged");
                 }
             }
         }
@@ -211,7 +200,7 @@ proptest! {
 
     /// Exact fallback: `ApproxPolicy::Exact` AND the saturated
     /// prefilter are bit-for-bit the plain engine — hits and stats —
-    /// for every measure, backend, worker count, and across an
+    /// for every measure and backend, and across an
     /// interleaved insert/delete sequence.
     #[test]
     fn exact_and_saturated_policies_are_bit_for_bit_exact(
@@ -253,30 +242,25 @@ proptest! {
             }
             let ctl = QueryCtl::NONE;
             let mut scratch = QueryScratch::new();
-            let run_exact = |workers: usize, scratch: &mut QueryScratch| {
-                (
-                    flat.knn_ctl_on(workers, query, k, scratch, &ctl)
-                        .expect("QueryCtl::NONE never interrupts"),
-                    flat.range_ctl_on(workers, query, delta, scratch, &ctl)
-                        .expect("QueryCtl::NONE never interrupts"),
-                )
-            };
-            for workers in WORKER_COUNTS {
-                let (want_knn, want_range) = run_exact(workers, &mut scratch);
-                for policy in [ApproxPolicy::Exact, SATURATED] {
-                    let (knn, info) = flat
-                        .knn_approx_ctl_on(workers, query, k, policy, &mut scratch, &ctl)
-                        .expect("QueryCtl::NONE never interrupts");
-                    assert_eq!(knn.hits, want_knn.hits, "{} flat knn hits {policy:?}", sim.name());
-                    assert_eq!(knn.stats, want_knn.stats, "{} flat knn stats {policy:?}", sim.name());
-                    assert_eq!(info, ApproxInfo::EXACT, "{} flat knn verdict {policy:?}", sim.name());
-                    let (range, info) = flat
-                        .search_approx(&Query { workers, ctl, ..Query::range(query, delta) }, policy, &mut scratch)
-                        .expect("QueryCtl::NONE never interrupts");
-                    assert_eq!(range.hits, want_range.hits, "{} flat range hits {policy:?}", sim.name());
-                    assert_eq!(range.stats, want_range.stats, "{} flat range stats {policy:?}", sim.name());
-                    assert_eq!(info, ApproxInfo::EXACT, "{} flat range verdict {policy:?}", sim.name());
-                }
+            let want_knn = flat
+                .knn_ctl_on(1, query, k, &mut scratch, &ctl)
+                .expect("QueryCtl::NONE never interrupts");
+            let want_range = flat
+                .range_ctl_on(1, query, delta, &mut scratch, &ctl)
+                .expect("QueryCtl::NONE never interrupts");
+            for policy in [ApproxPolicy::Exact, SATURATED] {
+                let (knn, info) = flat
+                    .knn_approx_ctl_on(1, query, k, policy, &mut scratch, &ctl)
+                    .expect("QueryCtl::NONE never interrupts");
+                assert_eq!(knn.hits, want_knn.hits, "{} flat knn hits {policy:?}", sim.name());
+                assert_eq!(knn.stats, want_knn.stats, "{} flat knn stats {policy:?}", sim.name());
+                assert_eq!(info, ApproxInfo::EXACT, "{} flat knn verdict {policy:?}", sim.name());
+                let (range, info) = flat
+                    .search_approx(&Query { ctl, ..Query::range(query, delta) }, policy, &mut scratch)
+                    .expect("QueryCtl::NONE never interrupts");
+                assert_eq!(range.hits, want_range.hits, "{} flat range hits {policy:?}", sim.name());
+                assert_eq!(range.stats, want_range.stats, "{} flat range stats {policy:?}", sim.name());
+                assert_eq!(info, ApproxInfo::EXACT, "{} flat range verdict {policy:?}", sim.name());
             }
             // Sharded: rebuild at the final corpus (insert routing is
             // covered by shard_equivalence; here the contract under
@@ -296,27 +280,25 @@ proptest! {
                     slog.delete(&mut sharded, id);
                 }
                 let mut sscratch = ShardedScratch::new();
-                for workers in WORKER_COUNTS {
-                    let want_knn = sharded
-                        .knn_ctl_on(workers, query, k, &mut sscratch, &ctl)
+                let want_knn = sharded
+                    .knn_ctl_on(1, query, k, &mut sscratch, &ctl)
+                    .expect("QueryCtl::NONE never interrupts");
+                let want_range = sharded
+                    .range_ctl_on(1, query, delta, &mut sscratch, &ctl)
+                    .expect("QueryCtl::NONE never interrupts");
+                for policy in [ApproxPolicy::Exact, SATURATED] {
+                    let (knn, info) = sharded
+                        .knn_approx_ctl_on(1, query, k, policy, &mut sscratch, &ctl)
                         .expect("QueryCtl::NONE never interrupts");
-                    let want_range = sharded
-                        .range_ctl_on(workers, query, delta, &mut sscratch, &ctl)
+                    assert_eq!(knn.hits, want_knn.hits, "{} sharded knn hits {policy:?}", sim.name());
+                    assert_eq!(knn.stats, want_knn.stats, "{} sharded knn stats {policy:?}", sim.name());
+                    assert_eq!(info, ApproxInfo::EXACT);
+                    let (range, info) = sharded
+                        .search_approx(&Query { ctl, ..Query::range(query, delta) }, policy, &mut sscratch)
                         .expect("QueryCtl::NONE never interrupts");
-                    for policy in [ApproxPolicy::Exact, SATURATED] {
-                        let (knn, info) = sharded
-                            .knn_approx_ctl_on(workers, query, k, policy, &mut sscratch, &ctl)
-                            .expect("QueryCtl::NONE never interrupts");
-                        assert_eq!(knn.hits, want_knn.hits, "{} sharded knn hits {policy:?}", sim.name());
-                        assert_eq!(knn.stats, want_knn.stats, "{} sharded knn stats {policy:?}", sim.name());
-                        assert_eq!(info, ApproxInfo::EXACT);
-                        let (range, info) = sharded
-                            .search_approx(&Query { workers, ctl, ..Query::range(query, delta) }, policy, &mut sscratch)
-                            .expect("QueryCtl::NONE never interrupts");
-                        assert_eq!(range.hits, want_range.hits, "{} sharded range hits {policy:?}", sim.name());
-                        assert_eq!(range.stats, want_range.stats, "{} sharded range stats {policy:?}", sim.name());
-                        assert_eq!(info, ApproxInfo::EXACT);
-                    }
+                    assert_eq!(range.hits, want_range.hits, "{} sharded range hits {policy:?}", sim.name());
+                    assert_eq!(range.stats, want_range.stats, "{} sharded range stats {policy:?}", sim.name());
+                    assert_eq!(info, ApproxInfo::EXACT);
                 }
             }
         }
@@ -343,7 +325,6 @@ fn anytime_commits_partials_on_expired_deadline() {
     let (result, info) = flat
         .search(
             &Query {
-                workers: 1,
                 ctl,
                 on_expiry: OnExpiry::Commit,
                 ..Query::knn(&query, 5)
@@ -359,7 +340,6 @@ fn anytime_commits_partials_on_expired_deadline() {
     let (range, info) = flat
         .search(
             &Query {
-                workers: 1,
                 ctl,
                 on_expiry: OnExpiry::Commit,
                 ..Query::range(&query, 0.2)
@@ -379,7 +359,6 @@ fn anytime_commits_partials_on_expired_deadline() {
     let (result, info) = sharded
         .search(
             &Query {
-                workers: 1,
                 ctl,
                 on_expiry: OnExpiry::Commit,
                 ..Query::knn(&query, 5)
@@ -410,7 +389,6 @@ fn anytime_without_deadline_is_exact_and_cancellation_interrupts() {
     let (got, info) = flat
         .search(
             &Query {
-                workers: 1,
                 ctl: QueryCtl::NONE,
                 on_expiry: OnExpiry::Commit,
                 ..Query::knn(&query, 7)
@@ -427,7 +405,6 @@ fn anytime_without_deadline_is_exact_and_cancellation_interrupts() {
     let err = flat
         .search(
             &Query {
-                workers: 1,
                 ctl,
                 on_expiry: OnExpiry::Commit,
                 ..Query::knn(&query, 7)
@@ -461,37 +438,34 @@ fn masked_anytime_commits_empty_on_a_past_deadline() {
     let tokens: Vec<u32> = vec![7, 50, 51];
     let ctl = QueryCtl::with_deadline(Instant::now() - std::time::Duration::from_millis(1));
     for kind in [Kind::Knn(5), Kind::Range(0.2)] {
-        for workers in [1, 4] {
-            let q = Query {
-                mask: Some(&mask),
-                workers,
-                ctl,
-                on_expiry: OnExpiry::Commit,
-                ..Query::new(&tokens, kind)
-            };
-            let (a, a_info) = flat
-                .search(&q, &mut QueryScratch::new())
-                .expect("anytime never surfaces Expired");
-            let (b, b_info) = sharded
-                .search(&q, &mut ShardedScratch::new())
-                .expect("anytime never surfaces Expired");
-            assert!(a.hits.is_empty() && b.hits.is_empty(), "{kind:?}");
-            assert_eq!((a_info.approx, a_info.recall_est), (true, 0.0), "{kind:?}");
-            assert_eq!(a_info, b_info, "{kind:?}");
-            assert_eq!(a.stats, b.stats, "{kind:?} w={workers}");
-            assert!(a.stats.columns_checked > 0, "phase A ran");
-            assert_eq!(a.stats.groups_verified, 0, "phase B did not");
-            // The same query without the commit policy is an error.
-            let fail = Query {
-                on_expiry: OnExpiry::Fail,
-                ..q
-            };
-            let err = flat
-                .search(&fail, &mut QueryScratch::new())
-                .expect_err("expired");
-            assert_eq!(err.reason, les3_core::InterruptReason::Expired);
-            assert_eq!(err.stats, a.stats);
-        }
+        let q = Query {
+            mask: Some(&mask),
+            ctl,
+            on_expiry: OnExpiry::Commit,
+            ..Query::new(&tokens, kind)
+        };
+        let (a, a_info) = flat
+            .search(&q, &mut QueryScratch::new())
+            .expect("anytime never surfaces Expired");
+        let (b, b_info) = sharded
+            .search(&q, &mut ShardedScratch::new())
+            .expect("anytime never surfaces Expired");
+        assert!(a.hits.is_empty() && b.hits.is_empty(), "{kind:?}");
+        assert_eq!((a_info.approx, a_info.recall_est), (true, 0.0), "{kind:?}");
+        assert_eq!(a_info, b_info, "{kind:?}");
+        assert_eq!(a.stats, b.stats, "{kind:?}");
+        assert!(a.stats.columns_checked > 0, "phase A ran");
+        assert_eq!(a.stats.groups_verified, 0, "phase B did not");
+        // The same query without the commit policy is an error.
+        let fail = Query {
+            on_expiry: OnExpiry::Fail,
+            ..q
+        };
+        let err = flat
+            .search(&fail, &mut QueryScratch::new())
+            .expect_err("expired");
+        assert_eq!(err.reason, les3_core::InterruptReason::Expired);
+        assert_eq!(err.stats, a.stats);
     }
 }
 
@@ -534,10 +508,7 @@ fn filtered_anytime_commits_masked_partials_mid_descent() {
         for kind in [Kind::Knn(10), Kind::Range(0.1)] {
             let exact = ns
                 .search(
-                    &Query {
-                        workers: 1,
-                        ..Query::new(&tokens, kind)
-                    },
+                    &Query::new(&tokens, kind),
                     &red,
                     ApproxPolicy::Exact,
                     &mut QueryScratch::new(),
@@ -549,7 +520,7 @@ fn filtered_anytime_commits_masked_partials_mid_descent() {
             // fewer groups were seen, so a partial kNN hit is checked
             // against every matching set's exact similarity instead.
             let all = ns
-                .range(&tokens, 0.0, &red, 1, &QueryCtl::NONE)
+                .range(&tokens, 0.0, &red, &QueryCtl::NONE)
                 .expect("no deadline")
                 .hits;
             let reference = if matches!(kind, Kind::Knn(_)) {
@@ -562,7 +533,6 @@ fn filtered_anytime_commits_masked_partials_mid_descent() {
                 let mut budget = std::time::Duration::from_micros(1);
                 loop {
                     let q = Query {
-                        workers: 1,
                         ctl: QueryCtl::with_deadline(Instant::now() + budget),
                         ..Query::new(&tokens, kind)
                     };

@@ -132,7 +132,6 @@ impl CrashBackend for Les3Index<Jaccard> {
             self,
             Query {
                 mask: Some(&cand),
-                workers: 1,
                 ..Query::knn(q, k)
             },
         )
@@ -157,7 +156,6 @@ impl CrashBackend for ShardedLes3Index<Jaccard> {
             self,
             Query {
                 mask: Some(&cand),
-                workers: 1,
                 ..Query::knn(q, k)
             },
         )

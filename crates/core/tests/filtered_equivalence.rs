@@ -1,7 +1,7 @@
 //! Property tests for attribute-filtered search: a filtered kNN or
 //! range query must be indistinguishable — hits *and* every
 //! [`SearchStats`] counter, bit for bit — across flat vs. sharded
-//! backends and every worker count, and must agree with brute-force
+//! backends, and must agree with brute-force
 //! post-filtering of the exact unfiltered answer, for every similarity
 //! measure, random filter tree, and interleaved insert/delete sequence.
 //!
@@ -14,9 +14,9 @@
 //! therefore asserts the strongest order-invariant property — the
 //! similarity vector is bit-for-bit that of the total-order reference,
 //! ids above the boundary tie class are exact, and boundary ids are
-//! drawn from the reference tie class — while the cross-backend and
-//! cross-worker comparisons stay strictly bit-for-bit (that invariance
-//! is the engine's contract). Range search has no top-k boundary and is
+//! drawn from the reference tie class — while the cross-backend
+//! comparisons stay strictly bit-for-bit (that invariance is the
+//! engine's contract). Range search has no top-k boundary and is
 //! compared bit-for-bit against brute force throughout.
 //!
 //! This is the contract that lets the metadata layer sit *in front of*
@@ -43,7 +43,6 @@ use les3_core::{
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const SHARD_COUNTS: [usize; 2] = [2, 5];
 
 const KEYS: [&str; 3] = ["color", "size", "kind"];
@@ -169,17 +168,11 @@ fn brute_knn_full(
     query: &[TokenId],
     matching: &[bool],
 ) -> Vec<(SetId, f64)> {
-    run(
-        flat,
-        Query {
-            workers: 1,
-            ..Query::knn(query, flat.db().len())
-        },
-    )
-    .hits
-    .into_iter()
-    .filter(|&(id, _)| matching[id as usize])
-    .collect()
+    run(flat, Query::knn(query, flat.db().len()))
+        .hits
+        .into_iter()
+        .filter(|&(id, _)| matching[id as usize])
+        .collect()
 }
 
 /// Tie-class-aware top-k comparison (module docs): `got` must have the
@@ -228,17 +221,11 @@ fn brute_range(
     delta: f64,
     matching: &[bool],
 ) -> Vec<(SetId, f64)> {
-    run(
-        flat,
-        Query {
-            workers: 1,
-            ..Query::range(query, delta)
-        },
-    )
-    .hits
-    .into_iter()
-    .filter(|&(id, _)| matching[id as usize])
-    .collect()
+    run(flat, Query::range(query, delta))
+        .hits
+        .into_iter()
+        .filter(|&(id, _)| matching[id as usize])
+        .collect()
 }
 
 /// Asserts the full equivalence square for one (db, partitioning,
@@ -285,7 +272,6 @@ fn check_filtered_configs<S: Similarity>(
         &flat,
         Query {
             mask: Some(&cand),
-            workers: 1,
             ..Query::knn(query, k)
         },
     );
@@ -293,7 +279,6 @@ fn check_filtered_configs<S: Similarity>(
         &flat,
         Query {
             mask: Some(&cand),
-            workers: 1,
             ..Query::range(query, delta)
         },
     );
@@ -318,65 +303,37 @@ fn check_filtered_configs<S: Similarity>(
         assert_eq!(got.hits, want.hits, "{} {what} hits", sim.name());
         assert_eq!(got.stats, want.stats, "{} {what} stats", sim.name());
     };
-    for workers in WORKER_COUNTS {
-        let got = run(
-            &flat,
-            Query {
-                mask: Some(&cand),
-                workers,
-                ..Query::knn(query, k)
-            },
-        );
-        check(&got, &baseline_knn, &format!("flat knn w={workers}"));
-        let got = run(
-            &flat,
-            Query {
-                mask: Some(&cand),
-                workers,
-                ..Query::range(query, delta)
-            },
-        );
-        check(&got, &baseline_range, &format!("flat range w={workers}"));
-    }
     for n_shards in SHARD_COUNTS {
         let sharded =
             ShardedLes3Index::build(db.clone(), part.clone(), sim, n_shards, ShardPolicy::Hash);
-        for workers in WORKER_COUNTS {
-            let got = run(
-                &sharded,
-                Query {
-                    mask: Some(&cand),
-                    workers,
-                    ..Query::knn(query, k)
-                },
-            );
-            check(
-                &got,
-                &baseline_knn,
-                &format!("sharded knn N={n_shards} w={workers}"),
-            );
-            let got = run(
-                &sharded,
-                Query {
-                    mask: Some(&cand),
-                    workers,
-                    ..Query::range(query, delta)
-                },
-            );
-            check(
-                &got,
-                &baseline_range,
-                &format!("sharded range N={n_shards} w={workers}"),
-            );
-        }
+        let got = run(
+            &sharded,
+            Query {
+                mask: Some(&cand),
+                ..Query::knn(query, k)
+            },
+        );
+        check(&got, &baseline_knn, &format!("sharded knn N={n_shards}"));
+        let got = run(
+            &sharded,
+            Query {
+                mask: Some(&cand),
+                ..Query::range(query, delta)
+            },
+        );
+        check(
+            &got,
+            &baseline_range,
+            &format!("sharded range N={n_shards}"),
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The headline battery: 4 measures × flat/sharded × workers
-    /// {1,2,4} × random filter trees, hits and stats bit for bit.
+    /// The headline battery: 4 measures × flat/sharded × random filter
+    /// trees, hits and stats bit for bit.
     #[test]
     fn filtered_equals_brute_force_for_all_measures(
         db in db_strategy(),
@@ -500,31 +457,21 @@ proptest! {
             // Over-fetch exactly like the namespace layer does, so the
             // tombstone filter can never starve the answer below k.
             let fetch = k + (flat.db().len() - log.live_count());
-            let baseline = run(&flat, Query { mask: Some(&cand), workers: 1, ..Query::knn(&q, fetch) });
-            for workers in WORKER_COUNTS {
-                let got = run(&flat, Query { mask: Some(&cand), workers, ..Query::knn(&q, fetch) });
-                prop_assert_eq!(&got.hits, &baseline.hits, "knn w={}", workers);
-                prop_assert_eq!(got.stats, baseline.stats, "knn stats w={}", workers);
-                let mut hits = got.hits;
-                log.filter_hits(&mut hits);
-                hits.truncate(k);
-                assert_knn_matches(
-                    &hits,
-                    &full_live,
-                    k,
-                    &format!("post-update filtered knn w={workers}"),
-                );
-                let got = run(&flat, Query { mask: Some(&cand), workers, ..Query::range(&q, delta) });
-                let mut hits = got.hits;
-                log.filter_hits(&mut hits);
-                prop_assert_eq!(&hits, &want_range, "post-update filtered range w={}", workers);
-            }
+            let got = run(&flat, Query { mask: Some(&cand), ..Query::knn(&q, fetch) });
+            let mut hits = got.hits;
+            log.filter_hits(&mut hits);
+            hits.truncate(k);
+            assert_knn_matches(&hits, &full_live, k, "post-update filtered knn");
+            let got = run(&flat, Query { mask: Some(&cand), ..Query::range(&q, delta) });
+            let mut hits = got.hits;
+            log.filter_hits(&mut hits);
+            prop_assert_eq!(&hits, &want_range, "post-update filtered range");
         }
     }
 }
 
-/// Deterministic spot check: the entry points that leave the worker
-/// count to the engine must match the explicit ones.
+/// Deterministic spot check on a 160-group index: masked kNN and range
+/// answer the same, hits and stats, flat and on 4 shards.
 #[test]
 fn auto_worker_entry_points_match_explicit() {
     let mut g = Gen(0x0123_4567_89ab_cdef);
@@ -560,7 +507,6 @@ fn auto_worker_entry_points_match_explicit() {
             &flat,
             Query {
                 mask: Some(&cand),
-                workers: 1,
                 ..Query::knn(&q, 10)
             },
         );
@@ -568,7 +514,6 @@ fn auto_worker_entry_points_match_explicit() {
             &flat,
             Query {
                 mask: Some(&cand),
-                workers: 1,
                 ..Query::range(&q, 0.3)
             },
         );
@@ -708,10 +653,7 @@ fn one_scratch_alternates_between_indexes_of_every_shape() {
         for kind in [Kind::Knn(7), Kind::Range(0.25)] {
             for filters in [&Filters::none(), &broad, &narrow] {
                 for mode in [ApproxPolicy::Exact, prefilter] {
-                    let q = Query {
-                        workers: 1,
-                        ..Query::new(tokens, kind)
-                    };
+                    let q = Query::new(tokens, kind);
                     // Rotate who goes first, so every index follows
                     // every other one in the shared scratch.
                     for step in 0..indexes.len() {
@@ -819,14 +761,13 @@ fn every_query_axis_combination_matches_brute_force_and_flat() {
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             for kind in kinds {
                 let ctx = format!("{} {kind:?} mask={mask_name}", sim.name());
-                let query = |workers, on_expiry| Query {
+                let query = |on_expiry| Query {
                     mask: mask.as_ref(),
-                    workers,
                     on_expiry,
                     ..Query::new(&tokens, kind)
                 };
                 let (want, info) = flat
-                    .search(&query(1, OnExpiry::Fail), &mut QueryScratch::new())
+                    .search(&query(OnExpiry::Fail), &mut QueryScratch::new())
                     .expect("no deadline");
                 assert_eq!(info, ApproxInfo::EXACT, "{ctx}");
                 match kind {
@@ -837,16 +778,14 @@ fn every_query_axis_combination_matches_brute_force_and_flat() {
                         assert_eq!(want.hits, hits, "{ctx}");
                     }
                 }
-                for workers in [0, 1, 2, 4] {
-                    for on_expiry in [OnExpiry::Fail, OnExpiry::Commit] {
-                        let q = query(workers, on_expiry);
-                        let ctx = format!("{ctx} w={workers} {on_expiry:?}");
-                        let got = flat.search(&q, &mut QueryScratch::new());
-                        assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "flat {ctx}");
-                        for (name, engine) in &engines {
-                            let got = engine.search(&q, &mut ShardedScratch::new());
-                            assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "{name} {ctx}");
-                        }
+                for on_expiry in [OnExpiry::Fail, OnExpiry::Commit] {
+                    let q = query(on_expiry);
+                    let ctx = format!("{ctx} {on_expiry:?}");
+                    let got = flat.search(&q, &mut QueryScratch::new());
+                    assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "flat {ctx}");
+                    for (name, engine) in &engines {
+                        let got = engine.search(&q, &mut ShardedScratch::new());
+                        assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "{name} {ctx}");
                     }
                 }
             }

@@ -443,7 +443,7 @@ fn range_and_batch_stats_match_recorded_literals() {
         assert_eq!(x4, range, "x4 range {delta}");
 
         let batch = &range[..N_UNFILTERED];
-        let got = flat.range_batch_on(2, 1, &unfiltered, delta);
+        let got = flat.range_batch_on(2, &unfiltered, delta);
         assert_eq!(got, batch, "flat range batch {delta}");
         let got = sharded1.range_batch_on(2, &unfiltered, delta);
         assert_eq!(got, batch, "x1 range batch {delta}");

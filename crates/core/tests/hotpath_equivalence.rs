@@ -1,15 +1,39 @@
 //! Property tests: the overhauled query hot path — word-parallel filter,
 //! bucketed group selection, length-window + threshold-aware verification
 //! — must return exactly the same hit sets as the straightforward
-//! reference path (sorted bounds + exhaustive [`Les3Index::verify_group`]
-//! evaluation) and as a brute-force scan, for arbitrary databases,
-//! partitionings, queries, thresholds and k (Theorem 3.1 exactness).
+//! reference path (TGM bounds under a comparison sort + exhaustive
+//! per-member evaluation) and as a brute-force scan, for arbitrary
+//! databases, partitionings, queries, thresholds and k (Theorem 3.1
+//! exactness).
 
+use les3_core::sim::distinct_len;
 use les3_core::{
-    Cosine, Dice, Jaccard, Les3Index, OverlapCoefficient, Partitioning, SearchStats, Similarity,
+    normalize_query, Cosine, Dice, Jaccard, Les3Index, OverlapCoefficient, Partitioning, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
+
+/// Every group with its bound `UB(Q, G_g)` from the TGM's overlap
+/// counts, sorted by a full comparison sort: descending bound, ids
+/// ascending.
+fn reference_bounds<S: Similarity>(index: &Les3Index<S>, q: &[TokenId]) -> Vec<(u32, f64)> {
+    let mut counts = Vec::new();
+    index.tgm().group_overlaps_into(q, &mut counts);
+    let ub = |r: u32| index.sim().ub_from_overlap(distinct_len(q), r as usize);
+    let mut bounds: Vec<(u32, f64)> = (0u32..).zip(counts).map(|(g, r)| (g, ub(r))).collect();
+    bounds.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    bounds
+}
+
+/// Every member of group `g` fully evaluated: no length window, no
+/// early termination.
+fn verify_group<S: Similarity>(index: &Les3Index<S>, q: &[TokenId], g: u32) -> Vec<(SetId, f64)> {
+    let members = index.partitioning().members(g);
+    members
+        .iter()
+        .map(|&id| (id, index.sim().eval(q, index.db().set(id))))
+        .collect()
+}
 
 /// The pre-overhaul query path: bounds sorted by a full comparison sort,
 /// every member of every surviving group fully evaluated.
@@ -17,14 +41,12 @@ fn reference_knn<S: Similarity>(index: &Les3Index<S>, q: &[TokenId], k: usize) -
     if k == 0 || index.db().is_empty() {
         return Vec::new();
     }
-    let mut stats = SearchStats::default();
-    let mut bounds = index.group_upper_bounds(q, &mut stats);
-    bounds.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let q = &*normalize_query(q);
     // Collect every (id, sim), then take the top-k similarities — the
     // group pruning below only mirrors what the index is allowed to skip.
     let mut sims: Vec<f64> = Vec::new();
-    for &(g, _) in &bounds {
-        index.verify_group(q, g, &mut stats, |_, s| sims.push(s));
+    for (g, _) in reference_bounds(index, q) {
+        sims.extend(verify_group(index, q, g).iter().map(|&(_, s)| s));
     }
     sims.sort_by(|a, b| b.total_cmp(a));
     sims.truncate(k.min(index.db().len()));
@@ -36,18 +58,17 @@ fn reference_range<S: Similarity>(
     q: &[TokenId],
     delta: f64,
 ) -> Vec<(SetId, f64)> {
-    let mut stats = SearchStats::default();
-    let bounds = index.group_upper_bounds(q, &mut stats);
+    let q = &*normalize_query(q);
     let mut hits: Vec<(SetId, f64)> = Vec::new();
-    for &(g, ub) in &bounds {
+    for (g, ub) in reference_bounds(index, q) {
         if ub < delta {
             continue;
         }
-        index.verify_group(q, g, &mut stats, |id, s| {
-            if s >= delta {
-                hits.push((id, s));
-            }
-        });
+        hits.extend(
+            verify_group(index, q, g)
+                .into_iter()
+                .filter(|&(_, s)| s >= delta),
+        );
     }
     hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     hits

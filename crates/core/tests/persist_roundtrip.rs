@@ -89,7 +89,6 @@ impl<S: Similarity> TestBackend for Les3Index<S> {
             self,
             Query {
                 mask: Some(&cand),
-                workers: 1,
                 ..Query::knn(q, k)
             },
         )
@@ -128,7 +127,6 @@ impl<S: Similarity> TestBackend for ShardedLes3Index<S> {
             self,
             Query {
                 mask: Some(&cand),
-                workers: 1,
                 ..Query::knn(q, k)
             },
         )
@@ -1037,10 +1035,7 @@ fn every_owner_of_a_live_index_applies_one_script_identically() {
     let mut filtered_hits = 0;
     for tokens in [sets[7].clone(), vec![7, 14, 21], vec![]] {
         for kind in [les3_core::Kind::Knn(5), les3_core::Kind::Range(0.2)] {
-            let q = Query {
-                workers: 1,
-                ..Query::new(&tokens, kind)
-            };
+            let q = Query::new(&tokens, kind);
             for filters in [Filters::none(), gold_filter()] {
                 let (want, _) = from_durable
                     .search(&q, &filters, ApproxPolicy::Exact, &mut scratch)

@@ -256,7 +256,6 @@ fn a_deadline_committed_range_is_the_flat_one_at_every_shard_count() {
             EVALS.store(0, Ordering::SeqCst);
             *DEADLINE.lock().unwrap() = Some(deadline);
             let q = Query {
-                workers: 1,
                 ctl: QueryCtl::with_deadline(deadline),
                 on_expiry: OnExpiry::Commit,
                 ..Query::range(&[40], 0.0)

@@ -129,7 +129,7 @@ fn knn_work_does_not_grow_with_tombstones() {
     let ns = registry.create("tombs", spec).unwrap();
     let via_ns = |deleted| {
         run_all(&db, deleted, |q| {
-            ns.knn(q, K, &Filters::none(), 1, &les3_core::QueryCtl::NONE)
+            ns.knn(q, K, &Filters::none(), &les3_core::QueryCtl::NONE)
                 .expect("no deadline")
         })
     };

@@ -1013,9 +1013,7 @@ fn namespace_lifecycle_round_trip() {
         );
         assert_eq!(response.status, 200, "{}", response.body);
         let served = wire::decode_result(&response.json()).unwrap();
-        let direct = ref_ns
-            .knn(query, k, &Filters::none(), 1, &ctl_budget)
-            .unwrap();
+        let direct = ref_ns.knn(query, k, &Filters::none(), &ctl_budget).unwrap();
         assert_eq!(served.hits, direct.hits, "unfiltered qid {qid}");
 
         let response = client.request(
@@ -1029,7 +1027,7 @@ fn namespace_lifecycle_round_trip() {
             key: "tier".to_string(),
             value: "gold".to_string(),
         }]);
-        let direct = ref_ns.knn(query, k, &gold, 1, &ctl_budget).unwrap();
+        let direct = ref_ns.knn(query, k, &gold, &ctl_budget).unwrap();
         assert_eq!(served.hits, direct.hits, "filtered qid {qid}");
         // Every filtered hit really is a gold set (even ids).
         for (id, _) in &served.hits {
@@ -1138,7 +1136,7 @@ fn cross_namespace_isolation_same_ids_different_corpora() {
                 key: "tier".to_string(),
                 value: "gold".to_string(),
             }]);
-            let direct = ref_ns.knn(query, 6, &gold, 1, &ctl).unwrap();
+            let direct = ref_ns.knn(query, 6, &gold, &ctl).unwrap();
             assert_eq!(served.hits, direct.hits, "{name} qid {qid}");
         }
     }

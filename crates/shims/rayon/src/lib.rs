@@ -5,13 +5,13 @@
 //! scoped-worker helper [`run_workers`] — directly on OS threads via
 //! [`std::thread::scope`]. Unlike real rayon there is no work-stealing
 //! pool: every worker is one OS thread. Callers therefore start one loop
-//! per *worker*, not one task per item, which is how the batch executor
-//! and the range fan-out in `les3-core` use it.
+//! per *worker*, not one task per item, which is how its one caller,
+//! the batch executor in `les3-core`, uses it.
 //!
 //! # The scoped-worker idiom
 //!
 //! Because a worker costs a thread, fan-out code must not spawn per
-//! shard, per chunk, or per group. The shape that works is: start
+//! item. The shape that works is: start
 //! exactly `workers` loops, and have each loop *claim* items from a
 //! shared atomic cursor until the work runs dry. [`run_workers`]
 //! packages that shape — it runs `f(0) .. f(workers-1)` concurrently
@@ -40,8 +40,7 @@
 
 /// Number of worker threads a parallel section should target: the
 /// cores available to the process. There is no environment override —
-/// callers that need a specific width pass it (`*_batch_on(workers, ..)`,
-/// `Query.workers`).
+/// callers that need a specific width pass it (`*_batch_on(workers, ..)`).
 pub fn current_num_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -675,11 +675,11 @@ mod tests {
     #[test]
     fn flags_raw_std_sync_in_core_but_not_in_facade_or_tests() {
         let src = "use std::sync::atomic::AtomicBool;\n";
-        assert_eq!(lint("crates/core/src/par.rs", src), ["core-sync-facade:1"]);
+        assert_eq!(lint("crates/core/src/ctl.rs", src), ["core-sync-facade:1"]);
         assert!(lint("crates/core/src/sync.rs", src).is_empty());
         assert!(lint("crates/net/src/server.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests {\n    use std::thread;\n}\n";
-        assert!(lint("crates/core/src/par.rs", test_src).is_empty());
+        assert!(lint("crates/core/src/ctl.rs", test_src).is_empty());
     }
 
     #[test]
@@ -711,24 +711,24 @@ mod tests {
     fn relaxed_needs_a_same_line_justification() {
         let bad = "fn f(c: &AtomicUsize) { c.load(Ordering::Relaxed); }\n";
         assert_eq!(
-            lint("crates/core/src/par.rs", bad),
+            lint("crates/core/src/ctl.rs", bad),
             ["relaxed-needs-justification:1"]
         );
         let good =
             "fn f(c: &AtomicUsize) { c.load(Ordering::Relaxed); // relaxed: telemetry only\n}\n";
-        assert!(lint("crates/core/src/par.rs", good).is_empty());
+        assert!(lint("crates/core/src/ctl.rs", good).is_empty());
         // A justification in the comment block directly above also counts…
         let above = "fn f(c: &AtomicUsize) {\n    // relaxed: counter only; readers never\n    // order anything through it.\n    c.load(Ordering::Relaxed);\n}\n";
-        assert!(lint("crates/core/src/par.rs", above).is_empty());
+        assert!(lint("crates/core/src/ctl.rs", above).is_empty());
         // …but a blank line breaks the block.
         let detached = "fn f(c: &AtomicUsize) {\n    // relaxed: stale note\n\n    c.load(Ordering::Relaxed);\n}\n";
         assert_eq!(
-            lint("crates/core/src/par.rs", detached),
+            lint("crates/core/src/ctl.rs", detached),
             ["relaxed-needs-justification:4"]
         );
         // The token inside a string or a comment is not code.
         let quoted = "fn f() { let _ = \"Ordering::Relaxed\"; }\n// Ordering::Relaxed in prose\n";
-        assert!(lint("crates/core/src/par.rs", quoted).is_empty());
+        assert!(lint("crates/core/src/ctl.rs", quoted).is_empty());
     }
 
     #[test]
@@ -755,7 +755,7 @@ mod tests {
         // The waiver names the rule: a different rule still fires.
         let src = "fn f(c: &A) { c.load(Ordering::Relaxed); // lint: allow(no-unwrap)\n}\n";
         assert_eq!(
-            lint("crates/core/src/par.rs", src),
+            lint("crates/core/src/ctl.rs", src),
             ["relaxed-needs-justification:1"]
         );
     }
@@ -825,11 +825,11 @@ mod tests {
     #[test]
     fn doc_path_refs_match_the_old_shell_extraction() {
         let line =
-            "see crates/core/src/par.rs, [x](docs/PROTOCOL.md) and examples/serving_front.rs.";
+            "see crates/core/src/ctl.rs, [x](docs/PROTOCOL.md) and examples/serving_front.rs.";
         assert_eq!(
             doc_path_refs(line),
             [
-                "crates/core/src/par.rs",
+                "crates/core/src/ctl.rs",
                 "docs/PROTOCOL.md",
                 "examples/serving_front.rs"
             ]

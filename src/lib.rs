@@ -50,10 +50,10 @@
 //! assert!(close.hits.iter().all(|&(_, s)| s >= 0.8));
 //!
 //! // `knn`/`range` are shorthands over the one entry point, `search`:
-//! // a `Query` names every axis (kind, mask, workers, ctl, on_expiry).
-//! let pinned = Query { workers: 2, ..Query::range(&query, 0.8) };
-//! let (same, _) = index.search(&pinned, &mut QueryScratch::new()).unwrap();
-//! assert_eq!(same, close); // hits and stats, at any worker count
+//! // a `Query` names every axis (kind, mask, ctl, on_expiry).
+//! let anytime = Query { on_expiry: OnExpiry::Commit, ..Query::range(&query, 0.8) };
+//! let (same, _) = index.search(&anytime, &mut QueryScratch::new()).unwrap();
+//! assert_eq!(same, close); // hits and stats: no deadline, nothing to commit early
 //! ```
 
 pub use les3_baselines as baselines;
