@@ -166,18 +166,16 @@ struct PoolShared<J> {
 
 impl<J: Send + 'static> WorkerPool<J> {
     /// Spawns `workers` named threads, each owning one `make_state()`
-    /// result for its whole lifetime and calling `run(worker, job,
-    /// &mut state)` for every job it pops — `worker` is the thread's
-    /// stable index (`0..workers`), which `run` can use to write into
-    /// per-worker accumulators without a shared lock. `run` should not
-    /// let panics escape (the serving front converts them into
-    /// per-request errors); the pool treats an escaped panic as a defect,
-    /// rebuilds the worker's state and keeps the worker alive.
+    /// result for its whole lifetime and calling `run(job, &mut state)`
+    /// for every job it pops. `run` should not let panics escape (the
+    /// serving front converts them into per-request errors); the pool
+    /// treats an escaped panic as a defect, rebuilds the worker's state
+    /// and keeps the worker alive.
     pub fn new<W>(
         workers: usize,
         name: &str,
         make_state: impl Fn() -> W + Send + Sync + 'static,
-        run: impl Fn(usize, J, &mut W) + Send + Sync + 'static,
+        run: impl Fn(J, &mut W) + Send + Sync + 'static,
     ) -> Self {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
@@ -191,7 +189,7 @@ impl<J: Send + 'static> WorkerPool<J> {
                 let body = Arc::clone(&body);
                 crate::sync::thread::Builder::new()
                     .name(format!("{name}-{i}"))
-                    .spawn(move || pool_worker_loop(i, &shared, &body.0, &body.1))
+                    .spawn(move || pool_worker_loop(&shared, &body.0, &body.1))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -226,10 +224,9 @@ impl<J: Send + 'static> Drop for WorkerPool<J> {
 }
 
 fn pool_worker_loop<J, W>(
-    worker: usize,
     shared: &PoolShared<J>,
     make_state: &dyn Fn() -> W,
-    run: &dyn Fn(usize, J, &mut W),
+    run: &dyn Fn(J, &mut W),
 ) {
     let mut state = make_state();
     loop {
@@ -251,7 +248,7 @@ fn pool_worker_loop<J, W>(
         // The run function catches per-request panics itself; this outer
         // catch is the backstop that keeps a defective job from killing
         // the worker thread (and with it the pool's capacity).
-        if catch_unwind(AssertUnwindSafe(|| run(worker, job, &mut state))).is_err() {
+        if catch_unwind(AssertUnwindSafe(|| run(job, &mut state))).is_err() {
             state = make_state();
         }
     }
@@ -555,19 +552,21 @@ mod tests {
         const JOBS: usize = 26;
         const WORKERS: usize = 3;
         let ran: Arc<Vec<AtomicUsize>> = Arc::new((0..JOBS).map(|_| AtomicUsize::new(0)).collect());
-        // Each worker's own job tally, as its private state last saw it.
+        // Each worker's own job tally, as its private state last saw it;
+        // a state takes its tally slot when it is built.
         let tallies: Arc<Vec<AtomicUsize>> =
             Arc::new((0..WORKERS).map(|_| AtomicUsize::new(0)).collect());
+        let next_slot = Arc::new(AtomicUsize::new(0));
         let pool: WorkerPool<usize> = {
             let (ran, tallies) = (Arc::clone(&ran), Arc::clone(&tallies));
             WorkerPool::new(
                 WORKERS,
                 "test-pool",
-                || 0usize,
-                move |worker, job: usize, state: &mut usize| {
-                    *state += 1; // per-worker state survives across jobs
+                move || (next_slot.fetch_add(1, Ordering::Relaxed), 0usize),
+                move |job: usize, (slot, count): &mut (usize, usize)| {
+                    *count += 1; // per-worker state survives across jobs
                     ran[job].fetch_add(1, Ordering::Relaxed);
-                    tallies[worker].store(*state, Ordering::Relaxed);
+                    tallies[*slot].store(*count, Ordering::Relaxed);
                 },
             )
         };

@@ -15,10 +15,12 @@
 //!
 //! * [`Query`] — the one query descriptor: [`Kind`] (`Knn(k)` or
 //!   `Range(δ)`), an optional candidate `mask` (attribute filter or LSH
-//!   prefilter), `ctl` (deadline / cancellation) and [`OnExpiry`]
-//!   (`Fail`, or `Commit` the partial answer). One body runs it, on the
-//!   calling thread, [`ShardedLes3Index::search`]; `knn`, `range` and
-//!   the other named methods are single expressions over it;
+//!   prefilter), `ctl` (deadline / cancellation) and `approx`
+//!   ([`ApproxPolicy`]: `Exact`, a MinHash `Prefilter`, or `Anytime`,
+//!   which commits the partial answer when the deadline passes). One body
+//!   runs it, on the calling thread, [`ShardedLes3Index::search`]; `knn`,
+//!   `range` and the other named methods are single expressions over it,
+//!   and a served [`Request`] carries the same fields;
 //! * [`ShardedLes3Index`] — the memory-resident engine over a
 //!   [`SetDatabase`](les3_data::SetDatabase) and a [`Partitioning`]:
 //!   one [`Tgm`], one verification order, and the N ≥ 1 shard layout it
@@ -87,13 +89,13 @@
 //! assert_eq!(res.hits[0].0, 0); // exact match first
 //!
 //! // The same search spelled out: `knn` is `search` with the defaults.
-//! use les3_core::{ApproxInfo, OnExpiry, Query, QueryScratch};
+//! use les3_core::{ApproxInfo, ApproxPolicy, Query, QueryScratch};
 //! let query = Query::knn(&[0, 1, 2], 2);
 //! let (same, info) = index.search(&query, &mut QueryScratch::new()).unwrap();
 //! assert_eq!((same, info), (res, ApproxInfo::EXACT));
 //! // Every axis is a field: range instead of kNN, committing a partial
 //! // answer if a deadline passed (none is set, so it completes).
-//! let range = Query { on_expiry: OnExpiry::Commit, ..Query::range(&[0, 1, 2], 0.5) };
+//! let range = Query { approx: ApproxPolicy::Anytime, ..Query::range(&[0, 1, 2], 0.5) };
 //! let (close, _) = index.search(&range, &mut QueryScratch::new()).unwrap();
 //! assert_eq!(close, index.range(&[0, 1, 2], 0.5));
 //! ```
@@ -140,9 +142,11 @@ pub use metadata::{Filter, FilterCandidates, Filters, MetaError, MetadataIndex};
 pub use namespace::{Namespace, NamespaceError, NamespaceInfo, NamespaceSpec, Namespaces};
 pub use partitioning::Partitioning;
 pub use persist::{DurableIndex, DurableOptions, FsyncPolicy, PersistError, PersistentBackend};
-pub use query::{Kind, OnExpiry, Query, SearchOutcome};
+pub use query::{Kind, Query, SearchOutcome};
 pub use scratch::{QueryScratch, ShardedScratch};
-pub use serve::{OnFull, ServeConfig, ServeError, ServeFront, ServeResult, SubmitOpts, Ticket};
+pub use serve::{
+    OnFull, Request, Route, ServeConfig, ServeError, ServeFront, ServeResult, SubmitOpts, Ticket,
+};
 pub use shard::{ShardPolicy, ShardedLes3Index};
 pub use sim::{
     normalize_query, Cosine, Dice, Jaccard, OverlapCoefficient, PreparedQuery, QueryBits,

@@ -18,7 +18,7 @@ use std::path::Path;
 
 use les3_data::{SetId, TokenId};
 
-use crate::approx::{ApproxParams, ApproxPolicy};
+use crate::approx::ApproxParams;
 use crate::delete::DeletionLog;
 use crate::metadata::{Filters, MetadataIndex};
 use crate::persist::{self, PersistError, PersistentBackend};
@@ -106,21 +106,19 @@ impl<B: PersistentBackend> LiveIndex<B> {
     }
 
     /// Runs `q` over the live sets `filters` admits (all of them when
-    /// empty) under an [`ApproxPolicy`]. The mask is the filters':
-    /// `q.mask` is ignored. Deleted sets are no candidates of the
-    /// engine's, so a kNN comes back with `k` live hits whenever they
-    /// exist.
+    /// empty). The mask is the filters': `q.mask` is ignored. Deleted sets
+    /// are no candidates of the engine's, so a kNN comes back with `k`
+    /// live hits whenever they exist.
     pub fn search(
         &self,
         q: &Query<'_>,
         filters: &Filters,
-        mode: ApproxPolicy,
         scratch: &mut QueryScratch,
     ) -> SearchOutcome {
         let engine = self.engine.sharded();
         let cand = self.meta.candidates(filters, engine.partitioning());
         let mask = cand.as_ref();
-        engine.search_approx(&Query { mask, ..*q }, mode, scratch)
+        engine.search(&Query { mask, ..*q }, scratch)
     }
 
     /// Snapshots the index — engine, tombstones, attributes — into

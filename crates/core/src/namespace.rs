@@ -51,9 +51,8 @@ use crate::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use crate::approx::ApproxPolicy;
 use crate::batch::lock_unpoisoned;
-use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
+use crate::ctl::{Interrupted, QueryCtl};
 use crate::index::{Les3Index, SearchResult};
 use crate::live::LiveIndex;
 use crate::metadata::{Filters, MetaError, MetadataIndex, MAX_ATTRS_PER_SET, MAX_ATTR_STR};
@@ -63,7 +62,7 @@ use crate::query::{Query, SearchOutcome};
 use crate::scratch::QueryScratch;
 use crate::shard::{ShardPolicy, ShardedLes3Index};
 use crate::sim::{Cosine, Dice, Jaccard, OverlapCoefficient, Similarity};
-use crate::stats::SearchStats;
+use crate::stats::{SearchStats, StatsRecord};
 
 /// Longest accepted namespace name.
 pub const MAX_NAMESPACE_NAME: usize = 64;
@@ -190,13 +189,8 @@ fn validate_name(name: &str) -> Result<(), NamespaceError> {
 /// trait object, so one map can hold flat and sharded engines over any
 /// measure.
 trait NsBackend: Send + Sync {
-    fn search(
-        &self,
-        q: &Query<'_>,
-        filters: &Filters,
-        mode: ApproxPolicy,
-        scratch: &mut QueryScratch,
-    ) -> SearchOutcome;
+    fn search(&self, q: &Query<'_>, filters: &Filters, scratch: &mut QueryScratch)
+        -> SearchOutcome;
     fn insert(&mut self, tokens: &mut [TokenId], attrs: &[(String, String)]) -> (SetId, u32);
     fn delete(&mut self, id: SetId) -> bool;
     fn attrs_of(&self, id: SetId) -> Vec<(String, String)>;
@@ -209,10 +203,9 @@ impl<E: PersistentBackend> NsBackend for LiveIndex<E> {
         &self,
         q: &Query<'_>,
         filters: &Filters,
-        mode: ApproxPolicy,
         scratch: &mut QueryScratch,
     ) -> SearchOutcome {
-        LiveIndex::search(self, q, filters, mode, scratch)
+        LiveIndex::search(self, q, filters, scratch)
     }
 
     fn insert(&mut self, tokens: &mut [TokenId], attrs: &[(String, String)]) -> (SetId, u32) {
@@ -252,7 +245,7 @@ pub struct Namespace {
     /// (interrupted ones contribute their partial work plus an
     /// `expired`/`cancelled` count). The serving front's global
     /// aggregate sums these, so global = default route + Σ namespaces.
-    agg: Mutex<SearchStats>,
+    agg: StatsRecord,
 }
 
 impl Namespace {
@@ -281,7 +274,7 @@ impl Namespace {
             ctl: *ctl,
             ..Query::knn(query, k)
         };
-        self.search(&q, filters, ApproxPolicy::Exact, &mut QueryScratch::new())
+        self.search(&q, filters, &mut QueryScratch::new())
             .map(|(res, _)| res)
     }
 
@@ -297,52 +290,40 @@ impl Namespace {
             ctl: *ctl,
             ..Query::range(query, delta)
         };
-        self.search(&q, filters, ApproxPolicy::Exact, &mut QueryScratch::new())
+        self.search(&q, filters, &mut QueryScratch::new())
             .map(|(res, _)| res)
     }
 
-    /// Runs `q` over the sets `filters` admits (all of them when empty)
-    /// under an [`ApproxPolicy`], in the caller's `scratch` (a serving
-    /// worker passes the one it owns). The mask is the filters': `q.mask`
-    /// speaks an engine's ids, which a namespace does not expose, and is
-    /// ignored. [`ApproxPolicy::Prefilter`] falls back to exact
-    /// (namespace engines build no MinHash sidecar);
-    /// [`ApproxPolicy::Anytime`] commits the partial answer on deadline
-    /// expiry — filtered or not, over live sets only —
-    /// with a coverage-based recall estimate. Committed anytime
-    /// answers count as served queries in the namespace aggregate, not
-    /// as `expired`.
+    /// Runs `q` over the sets `filters` admits (all of them when empty),
+    /// in the caller's `scratch` (a serving worker passes the one it
+    /// owns), and records it in this namespace's aggregate. The mask is
+    /// the filters': `q.mask` speaks an engine's ids, which a namespace
+    /// does not expose, and is ignored. An [`ApproxPolicy::Prefilter`]
+    /// query runs exact (namespace engines build no MinHash sidecar);
+    /// an [`ApproxPolicy::Anytime`] one commits the partial answer on
+    /// deadline expiry — filtered or not, over live sets only — with a
+    /// coverage-based recall estimate, and counts as served, not as
+    /// `expired`.
+    ///
+    /// [`ApproxPolicy::Prefilter`]: crate::ApproxPolicy::Prefilter
+    /// [`ApproxPolicy::Anytime`]: crate::ApproxPolicy::Anytime
     pub fn search(
         &self,
         q: &Query<'_>,
         filters: &Filters,
-        mode: ApproxPolicy,
         scratch: &mut QueryScratch,
     ) -> SearchOutcome {
-        let out = self.read_inner().search(q, filters, mode, scratch);
-        match &out {
-            Ok((res, _)) => self.note(&res.stats, None),
-            Err(interrupted) => self.note_interrupted(interrupted),
-        }
+        let out = self.read_inner().search(q, filters, scratch);
+        self.agg.note(&out);
         out
     }
 
-    /// Folds an interruption into the aggregate — also one that never
-    /// reached this namespace's engine (a request dead on arrival at its
-    /// worker), so the global stats identity — front total = default
-    /// route + Σ namespaces — covers rejections too.
-    pub(crate) fn note_interrupted(&self, interrupted: &Interrupted) {
-        self.note(&interrupted.stats, Some(interrupted.reason));
-    }
-
-    fn note(&self, stats: &SearchStats, interrupted: Option<InterruptReason>) {
-        let mut agg = lock_unpoisoned(&self.agg);
-        agg.accumulate(stats);
-        match interrupted {
-            Some(InterruptReason::Expired) => agg.expired += 1,
-            Some(InterruptReason::Cancelled) => agg.cancelled += 1,
-            None => {}
-        }
+    /// Where this namespace's queries are recorded — also one that never
+    /// reached its engine (a request dead on arrival at its worker), so
+    /// the global stats identity — front total = default route + Σ
+    /// namespaces — covers rejections too.
+    pub(crate) fn record(&self) -> &StatsRecord {
+        &self.agg
     }
 
     /// Inserts a set with attributes; returns `(id, group)`.
@@ -390,7 +371,7 @@ impl Namespace {
     /// Lifetime aggregate stats of queries served against this
     /// namespace.
     pub fn stats(&self) -> SearchStats {
-        *lock_unpoisoned(&self.agg)
+        self.agg.get()
     }
 
     /// Snapshots this namespace into `dir` (segment + metadata block),
@@ -541,7 +522,7 @@ impl Namespaces {
         let ns = Arc::new(Namespace {
             name: name.to_string(),
             inner: RwLock::new(backend),
-            agg: Mutex::new(SearchStats::default()),
+            agg: StatsRecord::default(),
         });
         let mut map = self.write_map();
         if map.contains_key(name) {

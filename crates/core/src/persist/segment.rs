@@ -285,6 +285,25 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Decodes a `u32 count, count × u32` payload — the ASSIGN, SHARDS and
+/// TOMBS blocks — reporting errors under `section`.
+fn u32_array(payload: &[u8], section: &'static str) -> Result<Vec<u32>, PersistError> {
+    let mut r = Reader {
+        buf: payload,
+        pos: 0,
+        section,
+    };
+    let n = r.u32()? as usize;
+    if n > r.remaining() / 4 {
+        return Err(corrupt(section, "entry count exceeds payload"));
+    }
+    let out = (0..n).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
+    if !r.done() {
+        return Err(corrupt(section, "trailing bytes"));
+    }
+    Ok(out)
+}
+
 /// Partially parsed meta header.
 #[derive(Debug, Clone)]
 pub struct SegmentMeta {
@@ -443,23 +462,7 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
                 }
                 meta = Some(parse_meta(payload)?);
             }
-            KIND_ASSIGN => {
-                let mut r = Reader {
-                    buf: payload,
-                    pos: 0,
-                    section: "ASSIGN",
-                };
-                let n = r.u32()? as usize;
-                if n > r.remaining() / 4 {
-                    return Err(corrupt("ASSIGN", "entry count exceeds payload"));
-                }
-                for _ in 0..n {
-                    assignment.push(r.u32()?);
-                }
-                if !r.done() {
-                    return Err(corrupt("ASSIGN", "trailing bytes"));
-                }
-            }
+            KIND_ASSIGN => assignment.extend(u32_array(payload, "ASSIGN")?),
             KIND_SETS => {
                 let mut r = Reader {
                     buf: payload,
@@ -489,44 +492,13 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
                 if shard_of_group.is_some() {
                     return Err(corrupt("SHARDS", "duplicate SHARDS block"));
                 }
-                let mut r = Reader {
-                    buf: payload,
-                    pos: 0,
-                    section: "SHARDS",
-                };
-                let n = r.u32()? as usize;
-                if n > r.remaining() / 4 {
-                    return Err(corrupt("SHARDS", "entry count exceeds payload"));
-                }
-                let mut sog = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sog.push(r.u32()?);
-                }
-                if !r.done() {
-                    return Err(corrupt("SHARDS", "trailing bytes"));
-                }
-                shard_of_group = Some(sog);
+                shard_of_group = Some(u32_array(payload, "SHARDS")?);
             }
             KIND_TOMBS => {
                 if tombstones.is_some() {
                     return Err(corrupt("TOMBS", "duplicate TOMBS block"));
                 }
-                let mut r = Reader {
-                    buf: payload,
-                    pos: 0,
-                    section: "TOMBS",
-                };
-                let n = r.u32()? as usize;
-                if n > r.remaining() / 4 {
-                    return Err(corrupt("TOMBS", "entry count exceeds payload"));
-                }
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(r.u32()?);
-                }
-                if !r.done() {
-                    return Err(corrupt("TOMBS", "trailing bytes"));
-                }
+                let ids = u32_array(payload, "TOMBS")?;
                 if ids.windows(2).any(|w| w[0] >= w[1]) {
                     return Err(corrupt("TOMBS", "tombstones not strictly ascending"));
                 }

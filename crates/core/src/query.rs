@@ -5,7 +5,8 @@
 //! bound cannot beat the threshold. Everything a caller can vary about
 //! it is a field of [`Query`]: where the threshold comes from
 //! ([`Kind`]), which sets may answer (`mask`), when to stop early
-//! (`ctl`) and what a passed deadline means ([`OnExpiry`]).
+//! (`ctl`) and how recall may be traded ([`ApproxPolicy`]: a prefilter
+//! mask, or committing a partial answer when the deadline passes).
 //! [`ShardedLes3Index::search`](crate::ShardedLes3Index::search) is the
 //! only body that runs it, on the calling thread — on a
 //! [`Les3Index`](crate::Les3Index) too, which derefs to that engine; the
@@ -13,7 +14,7 @@
 //!
 //! ```
 //! use les3_core::sim::Jaccard;
-//! use les3_core::{ApproxInfo, Kind, Les3Index, OnExpiry, Partitioning, Query, QueryScratch};
+//! use les3_core::{ApproxInfo, ApproxPolicy, Kind, Les3Index, Partitioning, Query, QueryScratch};
 //! use les3_data::SetDatabase;
 //!
 //! let db = SetDatabase::from_sets(vec![vec![0u32, 1, 2], vec![0, 1, 3], vec![7, 8]]);
@@ -28,7 +29,7 @@
 //! // Every axis is a field: a range that would commit a partial answer
 //! // if a deadline passed — with none set, it runs to completion.
 //! let query = Query {
-//!     on_expiry: OnExpiry::Commit,
+//!     approx: ApproxPolicy::Anytime,
 //!     ..Query::range(&[0, 1, 2], 0.5)
 //! };
 //! let (result, _) = index.search(&query, &mut scratch).unwrap();
@@ -37,7 +38,7 @@
 
 use les3_data::{SetId, TokenId};
 
-use crate::approx::{coverage, ApproxInfo};
+use crate::approx::{coverage, ApproxInfo, ApproxPolicy};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::index::{sort_hits, SearchResult, TopK};
 use crate::metadata::FilterCandidates;
@@ -52,19 +53,6 @@ pub enum Kind {
     /// Every set with `Sim(Q, S) ≥ δ` (Definition 2.2): the threshold is
     /// fixed.
     Range(f64),
-}
-
-/// What a deadline that passes mid-query means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnExpiry {
-    /// Stop with [`Interrupted`] carrying the partial [`SearchStats`].
-    #[default]
-    Fail,
-    /// The anytime tier: commit what was gathered so far — every hit
-    /// with its exact similarity, only completeness traded — with a
-    /// coverage-based recall estimate. Cancellation still interrupts: a
-    /// cancelled caller wants no answer at all.
-    Commit,
 }
 
 /// One search, fully described. Build with [`Query::knn`] /
@@ -85,9 +73,12 @@ pub struct Query<'a> {
     /// Deadline and cancellation, polled between phase A and
     /// verification and at every group boundary.
     pub ctl: QueryCtl<'a>,
-    /// Whether an expired deadline fails the query or commits a partial
-    /// answer.
-    pub on_expiry: OnExpiry,
+    /// How recall may be traded. [`ApproxPolicy::Exact`] (the default)
+    /// and [`ApproxPolicy::Prefilter`] stop with [`Interrupted`] when the
+    /// deadline passes; [`ApproxPolicy::Anytime`] commits what was
+    /// gathered so far instead. A prefilter builds the query's `mask`
+    /// from the MinHash sidecar unless the caller supplied one.
+    pub approx: ApproxPolicy,
 }
 
 impl<'a> Query<'a> {
@@ -98,7 +89,7 @@ impl<'a> Query<'a> {
             kind,
             mask: None,
             ctl: QueryCtl::NONE,
-            on_expiry: OnExpiry::Fail,
+            approx: ApproxPolicy::Exact,
         }
     }
 
@@ -173,7 +164,7 @@ impl Gathered {
 
 /// The one place a search's ending is decided. A query that ran to
 /// completion is exact; one whose deadline passed under
-/// [`OnExpiry::Commit`] keeps what it gathered, with the share of its
+/// [`ApproxPolicy::Anytime`] keeps what it gathered, with the share of its
 /// `n_considered` groups it verified or pruned as the recall estimate
 /// (0 when it stopped before verification); every other stop is an
 /// [`Interrupted`] carrying the partial stats.
@@ -181,12 +172,12 @@ pub(crate) fn settle(
     stopped: Option<InterruptReason>,
     gathered: Gathered,
     stats: SearchStats,
-    on_expiry: OnExpiry,
+    approx: ApproxPolicy,
     n_considered: usize,
 ) -> SearchOutcome {
-    let info = match (stopped, on_expiry) {
+    let info = match (stopped, approx) {
         (None, _) => ApproxInfo::EXACT,
-        (Some(InterruptReason::Expired), OnExpiry::Commit) => ApproxInfo {
+        (Some(InterruptReason::Expired), ApproxPolicy::Anytime) => ApproxInfo {
             approx: true,
             recall_est: coverage(&stats, n_considered),
         },
@@ -234,7 +225,7 @@ mod tests {
                 Some(InterruptReason::Expired),
                 gathered,
                 stats(2, 1),
-                OnExpiry::Commit,
+                ApproxPolicy::Anytime,
                 12,
             )
             .expect("expiry commits");
@@ -252,7 +243,7 @@ mod tests {
                 Some(InterruptReason::Expired),
                 Gathered::NOTHING,
                 stats(0, 0),
-                OnExpiry::Commit,
+                ApproxPolicy::Anytime,
                 n_considered,
             )
             .expect("expiry commits");
@@ -263,12 +254,17 @@ mod tests {
 
     #[test]
     fn cancellation_and_fail_interrupt_with_the_partial_stats() {
-        for (reason, on_expiry) in [
-            (InterruptReason::Cancelled, OnExpiry::Commit),
-            (InterruptReason::Cancelled, OnExpiry::Fail),
-            (InterruptReason::Expired, OnExpiry::Fail),
+        for (reason, approx) in [
+            (InterruptReason::Cancelled, ApproxPolicy::Anytime),
+            (InterruptReason::Cancelled, ApproxPolicy::Exact),
+            (InterruptReason::Expired, ApproxPolicy::Exact),
+            // A prefilter over a caller's mask fails on expiry too.
+            (
+                InterruptReason::Expired,
+                ApproxPolicy::Prefilter { bands: 0, rows: 1 },
+            ),
         ] {
-            let err = settle(Some(reason), heap(&UNSORTED), stats(3, 0), on_expiry, 12)
+            let err = settle(Some(reason), heap(&UNSORTED), stats(3, 0), approx, 12)
                 .expect_err("must interrupt");
             assert_eq!(err.reason, reason);
             assert_eq!(err.stats, stats(3, 0));
@@ -277,9 +273,9 @@ mod tests {
 
     #[test]
     fn completion_is_exact_under_either_policy() {
-        for on_expiry in [OnExpiry::Fail, OnExpiry::Commit] {
+        for approx in [ApproxPolicy::Exact, ApproxPolicy::Anytime] {
             let (result, info) =
-                settle(None, heap(&UNSORTED), stats(5, 7), on_expiry, 12).expect("completed");
+                settle(None, heap(&UNSORTED), stats(5, 7), approx, 12).expect("completed");
             assert_eq!(result.hits, SORTED);
             assert_eq!(info, ApproxInfo::EXACT);
         }

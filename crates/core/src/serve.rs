@@ -12,8 +12,10 @@
 //! **one request is one pool job**.
 //!
 //! 1. **Admit.** Producer threads call [`ServeFront::knn`] /
-//!    [`ServeFront::range`] (blocking) or [`ServeFront::submit_knn`] /
-//!    [`ServeFront::submit_range`] (returning a [`Ticket`]). A bounded
+//!    [`ServeFront::range`] (blocking) or [`ServeFront::submit`] with one
+//!    owned [`Request`] — tokens, [`Kind`], [`ApproxPolicy`], [`Route`]
+//!    (the default route, or a namespace with its [`Filters`]) and
+//!    [`SubmitOpts`] — returning a [`Ticket`]. A bounded
 //!    gate ([`ServeConfig::queue_capacity`]) caps the
 //!    **accepted-but-unfinished** requests: when it is full, fire-and-
 //!    forget submissions are shed immediately with
@@ -37,7 +39,8 @@
 //!    every group boundary, so a request that expires or is cancelled
 //!    *mid-flight* stops consuming CPU at the next boundary instead of
 //!    running to completion. A request runs on the one worker that
-//!    popped it, start to finish.
+//!    popped it, start to finish, and its route records it: the default
+//!    route and every [`Namespace`] each own their aggregate.
 //! 4. **Complete.** The request's slot is filled with its
 //!    [`SearchResult`] (releasing its unit of queue capacity); results
 //!    are **bit-for-bit identical** — hits *and* [`SearchStats`] — to
@@ -67,8 +70,8 @@
 //!
 //! ([`ServeError::QueryPanicked`] — see *Panic isolation* below — is the
 //! defect path, not an admission outcome.) One modifier: under
-//! [`ApproxPolicy::Anytime`](crate::ApproxPolicy) (see
-//! [`SubmitOpts::mode`]) the deadline row changes meaning — expiry
+//! [`ApproxPolicy::Anytime`] (see [`Request::approx`]) the deadline row
+//! changes meaning — expiry
 //! *commits* the partial answer as `Ok` (with an approximation verdict
 //! readable through [`Ticket::wait_full`]) instead of rejecting, so an
 //! anytime request only ever fails with `Overloaded` or `Cancelled`.
@@ -82,9 +85,9 @@
 //! # Example: submit, deadline, aggregate counters
 //!
 //! ```
-//! use les3_core::serve::{ServeConfig, ServeError, ServeFront, SubmitOpts};
+//! use les3_core::serve::{OnFull, Request, ServeConfig, ServeError, ServeFront, SubmitOpts};
 //! use les3_core::sim::Jaccard;
-//! use les3_core::{Les3Index, Partitioning};
+//! use les3_core::{ApproxPolicy, Les3Index, Partitioning};
 //! use les3_data::SetDatabase;
 //! use std::time::Instant;
 //!
@@ -97,24 +100,32 @@
 //!         queue_capacity: 2, // at most 2 accepted-but-unfinished requests
 //!     },
 //! );
-//! let t1 = front.submit_knn(vec![0, 1, 2], 2);
-//! let t2 = front.submit_knn_wait(vec![0, 1, 3], 2); // parks if the queue is full
+//! let t1 = front.submit(Request::knn(vec![0, 1, 2], 2));
+//! // Parks if the queue is full, and commits a partial answer if a
+//! // deadline passed (none is set, so it completes).
+//! let t2 = front.submit(Request {
+//!     approx: ApproxPolicy::Anytime,
+//!     opts: SubmitOpts {
+//!         on_full: OnFull::Wait,
+//!         ..Default::default()
+//!     },
+//!     ..Request::range(vec![0, 1, 3], 0.5)
+//! });
 //! // A request whose deadline has already passed never runs at all:
-//! let late = front.submit_knn_opts(
-//!     vec![0, 1],
-//!     2,
-//!     SubmitOpts {
+//! let late = front.submit(Request {
+//!     opts: SubmitOpts {
 //!         deadline: Some(Instant::now()),
 //!         ..Default::default()
 //!     },
-//! );
+//!     ..Request::knn(vec![0, 1], 2)
+//! });
 //! match late.wait() {
 //!     Err(ServeError::DeadlineExceeded(stats)) => assert_eq!(stats.groups_verified, 0),
 //!     other => panic!("expected a deadline rejection, got {other:?}"),
 //! }
 //! // The admitted requests complete, identical to direct calls.
 //! assert_eq!(t1.wait().unwrap(), front.backend().knn(&[0, 1, 2], 2));
-//! assert_eq!(t2.wait().unwrap(), front.backend().knn(&[0, 1, 3], 2));
+//! assert_eq!(t2.wait().unwrap(), front.backend().range(&[0, 1, 3], 0.5));
 //! let agg = front.stats();
 //! assert_eq!((agg.shed, agg.expired, agg.cancelled), (0, 1, 0));
 //! ```
@@ -159,7 +170,7 @@ use crate::namespace::{Namespace, NamespaceError, Namespaces};
 use crate::persist::{self, PersistentBackend};
 use crate::query::{Kind, Query, SearchOutcome};
 use crate::scratch::QueryScratch;
-use crate::stats::SearchStats;
+use crate::stats::{SearchStats, StatsRecord};
 
 /// Tuning knobs for a [`ServeFront`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,37 +270,88 @@ pub enum OnFull {
     Wait,
 }
 
-/// Per-request submission options.
+/// How a request is admitted: what the admission gate reads.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SubmitOpts {
     /// Drop-dead time: past this instant the request is shed (at submit,
     /// or unrun when a worker reaches it) or interrupted at the next
     /// phase/group boundary (mid-flight), resolving to
-    /// [`ServeError::DeadlineExceeded`].
-    /// `None` means "run to completion".
+    /// [`ServeError::DeadlineExceeded`] — unless the request is
+    /// [`ApproxPolicy::Anytime`], which commits instead (see
+    /// [`Request::approx`]). `None` means "run to completion".
     pub deadline: Option<Instant>,
     /// Full-queue behavior; see [`OnFull`].
     pub on_full: OnFull,
-    /// Approximation policy (default [`ApproxPolicy::Exact`]). Under
-    /// [`ApproxPolicy::Anytime`] the deadline changes meaning: instead
-    /// of rejecting with [`ServeError::DeadlineExceeded`], expiry
+}
+
+/// Parks on a full queue, no deadline: what the blocking calls submit
+/// with.
+const WAIT: SubmitOpts = SubmitOpts {
+    deadline: None,
+    on_full: OnFull::Wait,
+};
+
+/// Where a served request runs.
+#[derive(Debug, Clone)]
+pub enum Route {
+    /// The front's own index.
+    Default,
+    /// The named namespace of [`ServeFront::namespaces`], answering only
+    /// the sets the [`Filters`] admit ([`Filters::none`] runs the
+    /// unfiltered path). The name is resolved at submission.
+    Namespace(String, Filters),
+}
+
+/// One served query, owned: the [`Query`] fields a client sets, the
+/// route it runs on and how it is admitted. Build with [`Request::knn`] /
+/// [`Request::range`] and override fields with struct-update syntax.
+#[derive(Debug, Clone)]
+pub struct Request {
+    /// The query set's tokens.
+    pub tokens: Vec<TokenId>,
+    /// kNN or range.
+    pub kind: Kind,
+    /// The query's [`Query::approx`] (default [`ApproxPolicy::Exact`]).
+    /// Under [`ApproxPolicy::Anytime`] the deadline changes meaning:
+    /// instead of rejecting with [`ServeError::DeadlineExceeded`], expiry
     /// **commits** the partial answer gathered so far (exact
     /// similarities, coverage-based recall estimate) — so an anytime
     /// request is never shed for a passed deadline, at submit, while
     /// queued, or mid-flight. Read the verdict with
     /// [`Ticket::wait_full`].
-    pub mode: ApproxPolicy,
+    pub approx: ApproxPolicy,
+    /// The default route, or a namespace with its filters.
+    pub route: Route,
+    /// Deadline and full-queue behavior.
+    pub opts: SubmitOpts,
 }
 
-/// Pads a per-worker accumulator to its own cache line so two workers
-/// completing requests never write-share a line (false sharing would put
-/// the contention right back).
-#[repr(align(64))]
-struct CacheAligned<T>(T);
+impl Request {
+    /// An exact request on the default route, shed on a full queue.
+    pub fn new(tokens: Vec<TokenId>, kind: Kind) -> Self {
+        Self {
+            tokens,
+            kind,
+            approx: ApproxPolicy::Exact,
+            route: Route::Default,
+            opts: SubmitOpts::default(),
+        }
+    }
 
-/// State shared by the front, its pool workers and every outstanding
-/// request: the bounded admission queue and the aggregate serving
-/// counters.
+    /// [`Request::new`] for the `k` nearest neighbours.
+    pub fn knn(tokens: Vec<TokenId>, k: usize) -> Self {
+        Self::new(tokens, Kind::Knn(k))
+    }
+
+    /// [`Request::new`] for every set within `delta`.
+    pub fn range(tokens: Vec<TokenId>, delta: f64) -> Self {
+        Self::new(tokens, Kind::Range(delta))
+    }
+}
+
+/// The admission gate shared by the front and every outstanding request:
+/// the bounded count of accepted-but-unfinished requests and the
+/// counters of the requests it turned away.
 pub struct FrontShared {
     /// Cap on accepted-but-unfinished requests (≥ 1).
     capacity: usize,
@@ -300,50 +362,29 @@ pub struct FrontShared {
     in_flight: Mutex<usize>,
     /// Signalled on every release (a completion freeing capacity).
     freed: Condvar,
-    /// Counters recorded off the worker path: admission shedding, on
-    /// the producer threads. Cold — at most one uncontended lock per
-    /// *rejected* request.
-    front_agg: Mutex<SearchStats>,
-    /// Per-worker lifetime accumulators: every completed or interrupted
-    /// query folds its stats into its executing worker's own slot, so
-    /// the per-request hot path never touches a shared lock (the old
-    /// single `agg` mutex serialized every completion across workers).
-    /// [`ServeFront::stats`] sums them on demand.
-    worker_aggs: Vec<CacheAligned<Mutex<SearchStats>>>,
+    /// `shed` and `expired` of the requests rejected at admission, on
+    /// the producer threads. Cold — one uncontended lock per *rejected*
+    /// request.
+    rejected: Mutex<SearchStats>,
 }
 
 impl FrontShared {
-    pub fn new(capacity: usize, workers: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
             in_flight: Mutex::new(0),
             freed: Condvar::new(),
-            front_agg: Mutex::new(SearchStats::default()),
-            worker_aggs: (0..workers.max(1))
-                .map(|_| CacheAligned(Mutex::new(SearchStats::default())))
-                .collect(),
+            rejected: Mutex::new(SearchStats::default()),
         }
     }
 
-    /// Folds an update into the front-path (rejection) counters.
-    fn note(&self, f: impl FnOnce(&mut SearchStats)) {
-        f(&mut lock_unpoisoned(&self.front_agg));
-    }
-
-    /// Folds an update into `worker`'s private accumulator — each pool
-    /// thread has its own, so this lock is never contended.
-    fn note_worker(&self, worker: usize, f: impl FnOnce(&mut SearchStats)) {
-        f(&mut lock_unpoisoned(&self.worker_aggs[worker].0));
-    }
-
-    /// Sums the front-path counters and every worker accumulator into
-    /// one lifetime snapshot.
-    fn aggregate(&self) -> SearchStats {
-        let mut out = *lock_unpoisoned(&self.front_agg);
-        for slot in &self.worker_aggs {
-            out.accumulate(&lock_unpoisoned(&slot.0));
+    /// Counts a rejection [`FrontShared::admit`] returned.
+    fn note_rejected(&self, err: &ServeError) {
+        let mut rejected = lock_unpoisoned(&self.rejected);
+        match err {
+            ServeError::Overloaded => rejected.shed += 1,
+            _ => rejected.expired += 1,
         }
-        out
     }
 
     /// Takes one unit of queue capacity, or reports why it cannot.
@@ -509,6 +550,13 @@ pub struct Ticket {
 }
 
 impl Ticket {
+    /// A ticket already resolved to a rejection that took no capacity.
+    fn resolved(err: ServeError) -> Self {
+        Self {
+            slot: Arc::new(Slot::resolved(err)),
+        }
+    }
+
     /// Blocks until the request completes and returns its result.
     pub fn wait(self) -> ServeResult {
         self.wait_full().map(|(result, _)| result)
@@ -522,7 +570,7 @@ impl Ticket {
     /// moment the client is gone:
     ///
     /// ```
-    /// # use les3_core::serve::{ServeConfig, ServeFront, Ticket};
+    /// # use les3_core::serve::{Request, ServeConfig, ServeFront, Ticket};
     /// # use les3_core::sim::Jaccard;
     /// # use les3_core::{Les3Index, Partitioning};
     /// # use les3_data::SetDatabase;
@@ -531,7 +579,7 @@ impl Ticket {
     /// # let index = Les3Index::build(db, Partitioning::round_robin(2, 1), Jaccard);
     /// # let front = ServeFront::new(index, ServeConfig::default());
     /// # let client_connected = || true;
-    /// let mut ticket = front.submit_knn(vec![0, 1, 2], 1);
+    /// let mut ticket = front.submit(Request::knn(vec![0, 1, 2], 1));
     /// let result = loop {
     ///     match ticket.wait_for(Duration::from_millis(2)) {
     ///         Ok(result) => break Some(result),
@@ -598,147 +646,123 @@ impl Drop for Ticket {
     }
 }
 
-/// Where a request executes: the front's own index (the default
-/// route), or a named namespace resolved at submit time, carrying its
-/// decoded attribute filters.
+/// Where an admitted request runs: the front's own index (the default
+/// route), or a namespace resolved at submit time, carrying its decoded
+/// attribute filters.
 enum Target {
-    Backend,
+    Default,
     Ns(Arc<Namespace>, Filters),
+}
+
+impl Target {
+    /// Runs `q` on this route, which records it.
+    fn search<B: PersistentBackend>(
+        &self,
+        route: &DefaultRoute<B>,
+        q: &Query<'_>,
+        scratch: &mut QueryScratch,
+    ) -> SearchOutcome {
+        match self {
+            Target::Default => route.search(q, scratch),
+            Target::Ns(ns, filters) => ns.search(q, filters, scratch),
+        }
+    }
+
+    /// Where this route records its queries.
+    fn record<'r, B: PersistentBackend>(&'r self, route: &'r DefaultRoute<B>) -> &'r StatsRecord {
+        match self {
+            Target::Default => &route.agg,
+            Target::Ns(ns, _) => ns.record(),
+        }
+    }
 }
 
 /// What the default route answers from. It is typed, shared and
 /// read-only — library callers query the same `Arc` directly — which is
 /// what sets it apart from a namespace (owned, mutable, type-erased,
 /// behind a lock).
-enum DefaultRoute<B: PersistentBackend> {
+enum Served<B: PersistentBackend> {
     /// A shared engine; saved as an index nothing was deleted from.
     Engine(Arc<B>),
     /// An index with its deletion log and attributes, saved with both.
     Live(LiveIndex<B>),
 }
 
+/// The front's own route: its index and the record of every query it
+/// ran, kept the way a [`Namespace`] keeps its own.
+struct DefaultRoute<B: PersistentBackend> {
+    served: Served<B>,
+    agg: StatsRecord,
+}
+
 impl<B: PersistentBackend> DefaultRoute<B> {
     fn engine(&self) -> &B {
-        match self {
-            DefaultRoute::Engine(engine) => engine,
-            DefaultRoute::Live(live) => live.engine(),
+        match &self.served {
+            Served::Engine(engine) => engine,
+            Served::Live(live) => live.engine(),
         }
     }
 
-    fn search(
-        &self,
-        q: &Query<'_>,
-        mode: ApproxPolicy,
-        scratch: &mut QueryScratch,
-    ) -> SearchOutcome {
-        self.engine().sharded().search_approx(q, mode, scratch)
+    fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
+        let out = self.engine().sharded().search(q, scratch);
+        self.agg.note(&out);
+        out
     }
 }
 
-struct Request {
-    query: Vec<TokenId>,
+/// An admitted request on the pool's queue, its route resolved.
+struct Job {
+    tokens: Vec<TokenId>,
     kind: Kind,
+    approx: ApproxPolicy,
     target: Target,
     deadline: Option<Instant>,
-    mode: ApproxPolicy,
     slot: Arc<Slot>,
 }
 
-/// What the pool's workers run each popped request with, built once
-/// with the front.
-struct Executor<B: PersistentBackend> {
-    route: Arc<DefaultRoute<B>>,
-    shared: Arc<FrontShared>,
-}
-
-impl<B: PersistentBackend> Executor<B> {
-    fn serve_one(&self, worker: usize, req: &Request, scratch: &mut QueryScratch) {
-        let ctl = QueryCtl::new(req.deadline, Some(&req.slot.cancelled));
+/// Runs one popped job on a pool worker. The pop is the only place a
+/// queued request can die; otherwise its route's `search` runs it and
+/// records it.
+fn serve_one<B: PersistentBackend>(route: &DefaultRoute<B>, job: Job, scratch: &mut QueryScratch) {
+    let ctl = QueryCtl::new(job.deadline, Some(&job.slot.cancelled));
+    let out = match ctl.interrupted() {
         // Dead on arrival (expired or cancelled while queued): skip the
-        // query entirely — zero stats, zero CPU. Exception: an expired
-        // *anytime* request still runs — its contract converts expiry
-        // into a committed partial answer, never a rejection (only
-        // cancellation skips it).
-        if let Some(reason) = ctl.interrupted() {
-            if !(req.mode.is_anytime() && reason == InterruptReason::Expired) {
-                self.finish_interrupted(
-                    worker,
-                    req,
-                    Interrupted {
-                        reason,
-                        stats: SearchStats::default(),
-                    },
-                );
-                return;
-            }
+        // query entirely — zero stats, zero CPU — and record it where its
+        // route records queries. Exception: an expired *anytime* request
+        // still runs — its contract converts expiry into a committed
+        // partial answer, never a rejection (only cancellation skips it).
+        Some(reason) if !(job.approx.is_anytime() && reason == InterruptReason::Expired) => {
+            let stats = SearchStats::default();
+            let out = Err(Interrupted { reason, stats });
+            job.target.record(route).note(&out);
+            out
         }
         // One request is one pool job on one thread.
-        let q = Query {
-            ctl,
-            ..Query::new(&req.query, req.kind)
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| match &req.target {
-            Target::Backend => self.route.search(&q, req.mode, scratch),
-            Target::Ns(ns, filters) => ns.search(&q, filters, req.mode, scratch),
+        _ => {
+            let q = Query {
+                ctl,
+                approx: job.approx,
+                ..Query::new(&job.tokens, job.kind)
+            };
+            match catch_unwind(AssertUnwindSafe(|| job.target.search(route, &q, scratch))) {
+                Ok(out) => out,
+                Err(payload) => {
+                    // The panicked query may have left scratch invariants
+                    // violated mid-update; rebuild before the next request.
+                    scratch.reset();
+                    // `&*` matters: `&payload` would coerce the Box itself
+                    // into `dyn Any` and every downcast would miss.
+                    let msg = panic_message(&*payload);
+                    return job.slot.put(Err(ServeError::QueryPanicked(msg)));
+                }
+            }
+        }
+    };
+    job.slot
+        .put(out.map_err(|interrupted| match interrupted.reason {
+            InterruptReason::Expired => ServeError::DeadlineExceeded(interrupted.stats),
+            InterruptReason::Cancelled => ServeError::Cancelled(interrupted.stats),
         }));
-        match outcome {
-            Ok(Ok((result, info))) => {
-                // Namespace queries are accounted in their namespace's
-                // own aggregate (inside `Namespace::search`);
-                // recording them here too would
-                // double-count in the global sum `stats() = default
-                // route + Σ namespaces`. A deadline-committed anytime
-                // answer lands here as a served query, not `expired`.
-                if matches!(req.target, Target::Backend) {
-                    self.shared
-                        .note_worker(worker, |agg| agg.accumulate(&result.stats));
-                }
-                req.slot.put(Ok((result, info)));
-            }
-            Ok(Err(interrupted)) => match &req.target {
-                // Already noted in the namespace aggregate mid-flight.
-                Target::Ns(..) => req.slot.put(Err(interrupt_error(interrupted))),
-                Target::Backend => self.finish_interrupted(worker, req, interrupted),
-            },
-            Err(payload) => {
-                // The panicked query may have left scratch invariants
-                // violated mid-update; rebuild before the next request.
-                scratch.reset();
-                // `&*` matters: `&payload` would coerce the Box itself
-                // into `dyn Any` and every downcast would miss.
-                req.slot
-                    .put(Err(ServeError::QueryPanicked(panic_message(&*payload))));
-            }
-        }
-    }
-
-    /// Completes an interrupted request, folding its partial work and
-    /// its rejection count into the executing worker's accumulator —
-    /// or, for a namespace-routed request, into that namespace's
-    /// aggregate, keeping the global stats identity intact. (A
-    /// namespace query interrupted *mid-flight* was already noted by
-    /// `Namespace::knn`/`range`; this path only sees ones dead on
-    /// arrival, which never reach the namespace.)
-    fn finish_interrupted(&self, worker: usize, req: &Request, interrupted: Interrupted) {
-        match &req.target {
-            Target::Backend => self.shared.note_worker(worker, |agg| {
-                agg.accumulate(&interrupted.stats);
-                match interrupted.reason {
-                    InterruptReason::Expired => agg.expired += 1,
-                    InterruptReason::Cancelled => agg.cancelled += 1,
-                }
-            }),
-            Target::Ns(ns, _) => ns.note_interrupted(&interrupted),
-        }
-        req.slot.put(Err(interrupt_error(interrupted)));
-    }
-}
-
-fn interrupt_error(interrupted: Interrupted) -> ServeError {
-    match interrupted.reason {
-        InterruptReason::Expired => ServeError::DeadlineExceeded(interrupted.stats),
-        InterruptReason::Cancelled => ServeError::Cancelled(interrupted.stats),
-    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -759,10 +783,10 @@ pub struct ServeFront<B: PersistentBackend> {
     shared: Arc<FrontShared>,
     /// Named secondary indexes served through the same admission queue
     /// and worker pool as the default route; see [`Namespaces`].
-    namespaces: Arc<Namespaces>,
+    namespaces: Namespaces,
     /// The request queue and its workers. Its drop drains every request
     /// already submitted before the threads join.
-    pool: WorkerPool<Request>,
+    pool: WorkerPool<Job>,
 }
 
 impl<B: PersistentBackend> ServeFront<B> {
@@ -778,7 +802,7 @@ impl<B: PersistentBackend> ServeFront<B> {
     /// [`knn`](crate::ShardedLes3Index::knn) calls on the same `Arc` stay
     /// available alongside served ones (and return identical results).
     pub fn from_arc(backend: Arc<B>, config: ServeConfig) -> Self {
-        Self::over(DefaultRoute::Engine(backend), config)
+        Self::over(Served::Engine(backend), config)
     }
 
     /// Builds a front over an index with its deletion log and
@@ -788,31 +812,27 @@ impl<B: PersistentBackend> ServeFront<B> {
     /// [`ServeFront::save`] snapshots the tombstones and attributes with
     /// it.
     pub fn from_live(live: LiveIndex<B>, config: ServeConfig) -> Self {
-        Self::over(DefaultRoute::Live(live), config)
+        Self::over(Served::Live(live), config)
     }
 
-    fn over(route: DefaultRoute<B>, config: ServeConfig) -> Self {
-        let route = Arc::new(route);
-        let pool_workers = config.effective_workers();
-        let shared = Arc::new(FrontShared::new(config.queue_capacity, pool_workers));
-        let executor = Executor {
-            route: Arc::clone(&route),
-            shared: Arc::clone(&shared),
-        };
+    fn over(served: Served<B>, config: ServeConfig) -> Self {
+        let route = Arc::new(DefaultRoute {
+            served,
+            agg: StatsRecord::default(),
+        });
+        let worker_route = Arc::clone(&route);
         // One scratch per worker for the pool's lifetime, whatever it
         // serves next: the default route or any namespace.
         let pool = WorkerPool::new(
-            pool_workers,
+            config.effective_workers(),
             "les3-serve",
             QueryScratch::default,
-            move |worker, req: Request, scratch: &mut QueryScratch| {
-                executor.serve_one(worker, &req, scratch)
-            },
+            move |job: Job, scratch: &mut QueryScratch| serve_one(&worker_route, job, scratch),
         );
         Self {
             route,
-            shared,
-            namespaces: Arc::new(Namespaces::new()),
+            shared: Arc::new(FrontShared::new(config.queue_capacity)),
+            namespaces: Namespaces::new(),
             pool,
         }
     }
@@ -827,18 +847,17 @@ impl<B: PersistentBackend> ServeFront<B> {
     /// and every namespace under `dir/ns/{name}`. Borrows everything, so
     /// queries keep running while it streams.
     pub fn save(&self, dir: &Path) -> Result<(), NamespaceError> {
-        match &*self.route {
-            DefaultRoute::Engine(engine) => persist::save_index(&**engine, dir)?,
-            DefaultRoute::Live(live) => live.save(dir)?,
+        match &self.route.served {
+            Served::Engine(engine) => persist::save_index(&**engine, dir)?,
+            Served::Live(live) => live.save(dir)?,
         }
         self.namespaces.save_all(&dir.join("ns"))
     }
 
     /// The namespace registry served alongside the default route:
     /// create, drop and list named indexes here; query them through
-    /// [`ServeFront::submit_ns_knn`] / [`ServeFront::submit_ns_range`]
-    /// (or directly on the [`Namespace`] handle, which is accounted the
-    /// same way).
+    /// [`ServeFront::submit`] with a [`Route::Namespace`] (or directly on
+    /// the [`Namespace`] handle, which is accounted the same way).
     pub fn namespaces(&self) -> &Namespaces {
         &self.namespaces
     }
@@ -846,25 +865,26 @@ impl<B: PersistentBackend> ServeFront<B> {
     /// Lifetime aggregate counters: per-query work summed over every
     /// executed request (interrupted ones contribute their partial
     /// work), plus `shed` (overload rejections), `expired` (deadline
-    /// misses) and `cancelled` (dropped/cancelled tickets). Summed on
-    /// demand from per-worker accumulators — completing a request only
-    /// ever touches its own worker's slot, not a global lock.
+    /// misses) and `cancelled` (dropped/cancelled tickets).
     ///
-    /// The aggregate is exactly the default route's counters plus
+    /// The aggregate is exactly [`ServeFront::default_route_stats`] plus
     /// [`Namespaces::total_stats`] (which itself folds dropped
     /// namespaces in), so `stats() == default_route_stats() + Σ
     /// namespace stats` holds at every quiescent instant —
     /// `stats_identity_holds` in the unit tests asserts it.
     pub fn stats(&self) -> SearchStats {
-        let mut agg = self.shared.aggregate();
+        let mut agg = self.default_route_stats();
         agg.accumulate(&self.namespaces.total_stats());
         agg
     }
 
     /// The default route's share of [`ServeFront::stats`]: every request
-    /// served against the front's own backend, namespaces excluded.
+    /// served against the front's own backend, namespaces excluded, plus
+    /// every request the admission gate rejected.
     pub fn default_route_stats(&self) -> SearchStats {
-        self.shared.aggregate()
+        let mut agg = *lock_unpoisoned(&self.shared.rejected);
+        agg.accumulate(&self.route.agg.get());
+        agg
     }
 
     /// Accepted-but-unfinished requests right now — never exceeds
@@ -873,151 +893,88 @@ impl<B: PersistentBackend> ServeFront<B> {
         self.shared.in_flight()
     }
 
-    /// Enqueues a kNN request (shedding on a full queue); the [`Ticket`]
-    /// resolves to exactly [`knn`](crate::ShardedLes3Index::knn)'s result for
-    /// the same arguments, or to an admission outcome.
-    pub fn submit_knn(&self, query: Vec<TokenId>, k: usize) -> Ticket {
-        self.submit(query, Kind::Knn(k), Target::Backend, SubmitOpts::default())
-    }
-
-    /// Enqueues a range request (shedding on a full queue); the
-    /// [`Ticket`] resolves to exactly
-    /// [`range`](crate::ShardedLes3Index::range)'s result for the same
-    /// arguments, or to an admission outcome.
-    pub fn submit_range(&self, query: Vec<TokenId>, delta: f64) -> Ticket {
-        self.submit(
-            query,
-            Kind::Range(delta),
-            Target::Backend,
-            SubmitOpts::default(),
-        )
-    }
-
-    /// [`ServeFront::submit_knn`] with explicit [`SubmitOpts`]
-    /// (deadline, full-queue behavior).
-    pub fn submit_knn_opts(&self, query: Vec<TokenId>, k: usize, opts: SubmitOpts) -> Ticket {
-        self.submit(query, Kind::Knn(k), Target::Backend, opts)
-    }
-
-    /// [`ServeFront::submit_range`] with explicit [`SubmitOpts`].
-    pub fn submit_range_opts(&self, query: Vec<TokenId>, delta: f64, opts: SubmitOpts) -> Ticket {
-        self.submit(query, Kind::Range(delta), Target::Backend, opts)
-    }
-
-    /// Enqueues a kNN request against namespace `ns`, optionally
-    /// attribute-filtered ([`Filters::none`] runs the unfiltered hot
-    /// path). The namespace is resolved *now*: an unknown name resolves
-    /// the ticket immediately to [`ServeError::UnknownNamespace`]
-    /// without consuming queue capacity, while a namespace dropped
-    /// after admission still answers, against the retained handle.
-    pub fn submit_ns_knn(
-        &self,
-        ns: &str,
-        query: Vec<TokenId>,
-        k: usize,
-        filters: Filters,
-        opts: SubmitOpts,
-    ) -> Ticket {
-        match self.namespaces.get(ns) {
-            Some(handle) => self.submit(query, Kind::Knn(k), Target::Ns(handle, filters), opts),
-            None => Ticket {
-                slot: Arc::new(Slot::resolved(ServeError::UnknownNamespace(ns.to_string()))),
+    /// Enqueues one request; the [`Ticket`] resolves to exactly what the
+    /// route's `search` answers for the same [`Query`] fields, or to an
+    /// admission outcome. A [`Route::Namespace`] is resolved *now*: an
+    /// unknown name resolves the ticket immediately to
+    /// [`ServeError::UnknownNamespace`] without consuming queue capacity,
+    /// while a namespace dropped after admission still answers, against
+    /// the retained handle.
+    pub fn submit(&self, request: Request) -> Ticket {
+        let Request {
+            tokens,
+            kind,
+            approx,
+            route,
+            opts,
+        } = request;
+        let target = match route {
+            Route::Default => Target::Default,
+            Route::Namespace(name, filters) => match self.namespaces.get(&name) {
+                Some(ns) => Target::Ns(ns, filters),
+                None => return Ticket::resolved(ServeError::UnknownNamespace(name)),
             },
+        };
+        // An anytime request is never deadline-rejected at admission —
+        // expiry commits a partial answer instead — so its deadline is
+        // withheld from the admission gate (it still bounds the query's
+        // execution through the worker's `QueryCtl`).
+        let admit_deadline = opts.deadline.filter(|_| !approx.is_anytime());
+        if let Err(err) = self.shared.admit(opts.on_full, admit_deadline) {
+            self.shared.note_rejected(&err);
+            return Ticket::resolved(err);
         }
+        let slot = Arc::new(Slot::admitted(Arc::clone(&self.shared)));
+        self.pool.submit(Job {
+            tokens,
+            kind,
+            approx,
+            target,
+            deadline: opts.deadline,
+            slot: Arc::clone(&slot),
+        });
+        Ticket { slot }
     }
 
-    /// Enqueues a range request against namespace `ns`; resolution and
-    /// filter semantics as for [`ServeFront::submit_ns_knn`].
-    pub fn submit_ns_range(
-        &self,
-        ns: &str,
-        query: Vec<TokenId>,
-        delta: f64,
-        filters: Filters,
-        opts: SubmitOpts,
-    ) -> Ticket {
-        match self.namespaces.get(ns) {
-            Some(handle) => {
-                self.submit(query, Kind::Range(delta), Target::Ns(handle, filters), opts)
-            }
-            None => Ticket {
-                slot: Arc::new(Slot::resolved(ServeError::UnknownNamespace(ns.to_string()))),
-            },
-        }
-    }
-
-    /// Blocking-admission variant of [`ServeFront::submit_knn`]: on a
-    /// full queue the submission parks until capacity frees
-    /// (backpressure) instead of shedding.
+    /// [`ServeFront::submit`] of a kNN on the default route, parking on a
+    /// full queue. Kept only because `les3-bench` calls it (ROADMAP
+    /// 1(f)); new callers use `submit`.
     pub fn submit_knn_wait(&self, query: Vec<TokenId>, k: usize) -> Ticket {
-        self.submit_knn_opts(
-            query,
-            k,
-            SubmitOpts {
-                on_full: OnFull::Wait,
-                ..Default::default()
-            },
-        )
+        self.submit(Request {
+            opts: WAIT,
+            ..Request::knn(query, k)
+        })
     }
 
-    /// Blocking-admission variant of [`ServeFront::submit_range`].
-    pub fn submit_range_wait(&self, query: Vec<TokenId>, delta: f64) -> Ticket {
-        self.submit_range_opts(
-            query,
-            delta,
-            SubmitOpts {
-                on_full: OnFull::Wait,
-                ..Default::default()
-            },
-        )
+    /// [`ServeFront::submit`] of a kNN on the default route under `opts`.
+    /// Kept only because `les3-bench` calls it (ROADMAP 1(f)); new
+    /// callers use `submit`.
+    pub fn submit_knn_opts(&self, query: Vec<TokenId>, k: usize, opts: SubmitOpts) -> Ticket {
+        self.submit(Request {
+            opts,
+            ..Request::knn(query, k)
+        })
     }
 
     /// Blocking kNN through the serving queue. Waits for admission on a
     /// full queue: a closed-loop caller experiences backpressure, never
     /// [`ServeError::Overloaded`].
     pub fn knn(&self, query: &[TokenId], k: usize) -> ServeResult {
-        self.submit_knn_wait(query.to_vec(), k).wait()
+        self.submit(Request {
+            opts: WAIT,
+            ..Request::knn(query.to_vec(), k)
+        })
+        .wait()
     }
 
     /// Blocking range search through the serving queue (waiting
     /// admission, like [`ServeFront::knn`]).
     pub fn range(&self, query: &[TokenId], delta: f64) -> ServeResult {
-        self.submit_range_wait(query.to_vec(), delta).wait()
-    }
-
-    fn submit(&self, query: Vec<TokenId>, kind: Kind, target: Target, opts: SubmitOpts) -> Ticket {
-        // An anytime request is never deadline-rejected at admission —
-        // expiry commits a partial answer instead — so its deadline is
-        // withheld from the admission gate (it still bounds the query's
-        // execution through the worker's `QueryCtl`).
-        let admit_deadline = if opts.mode.is_anytime() {
-            None
-        } else {
-            opts.deadline
-        };
-        if let Err(err) = self.shared.admit(opts.on_full, admit_deadline) {
-            self.shared.note(|agg| match err {
-                ServeError::Overloaded => agg.shed += 1,
-                ServeError::DeadlineExceeded(_) => agg.expired += 1,
-                _ => {}
-            });
-            return Ticket {
-                slot: Arc::new(Slot::resolved(err)),
-            };
-        }
-        let slot = Arc::new(Slot::admitted(Arc::clone(&self.shared)));
-        let ticket = Ticket {
-            slot: Arc::clone(&slot),
-        };
-        self.pool.submit(Request {
-            query,
-            kind,
-            target,
-            deadline: opts.deadline,
-            mode: opts.mode,
-            slot,
-        });
-        ticket
+        self.submit(Request {
+            opts: WAIT,
+            ..Request::range(query.to_vec(), delta)
+        })
+        .wait()
     }
 }
 
@@ -1067,7 +1024,7 @@ mod tests {
             .map(|qid| {
                 let q = index.db().set(qid * 3).to_vec();
                 expected.accumulate(&index.knn(&q, 4).stats);
-                front.submit_knn(q, 4)
+                front.submit(Request::knn(q, 4))
             })
             .collect();
         for t in tickets {
@@ -1102,30 +1059,27 @@ mod tests {
         }
         for _ in 0..3 {
             front
-                .submit_ns_knn(
-                    "tenant-a",
-                    vec![100, 101, 3],
-                    5,
-                    Filters::none(),
-                    SubmitOpts::default(),
-                )
+                .submit(Request {
+                    route: Route::Namespace("tenant-a".into(), Filters::none()),
+                    ..Request::knn(vec![100, 101, 3], 5)
+                })
                 .wait()
                 .unwrap();
             front
-                .submit_ns_range(
-                    "tenant-b",
-                    vec![500, 501],
-                    0.1,
-                    Filters::none(),
-                    SubmitOpts::default(),
-                )
+                .submit(Request {
+                    route: Route::Namespace("tenant-b".into(), Filters::none()),
+                    ..Request::range(vec![500, 501], 0.1)
+                })
                 .wait()
                 .unwrap();
         }
         // An unknown namespace resolves before admission and leaves
         // every aggregate untouched.
         let ghost = front
-            .submit_ns_knn("ghost", vec![1], 2, Filters::none(), SubmitOpts::default())
+            .submit(Request {
+                route: Route::Namespace("ghost".into(), Filters::none()),
+                ..Request::knn(vec![1], 2)
+            })
             .wait();
         assert!(matches!(ghost, Err(ServeError::UnknownNamespace(_))));
 
@@ -1143,7 +1097,9 @@ mod tests {
     fn tickets_resolve_after_front_drops() {
         let (front, index) = front_and_index();
         let q = index.db().set(3).to_vec();
-        let tickets: Vec<Ticket> = (0..20).map(|_| front.submit_knn(q.clone(), 4)).collect();
+        let tickets: Vec<Ticket> = (0..20)
+            .map(|_| front.submit(Request::knn(q.clone(), 4)))
+            .collect();
         drop(front); // graceful drain: accepted requests still complete
         let expected = index.knn(&q, 4);
         for t in tickets {
@@ -1178,14 +1134,14 @@ mod tests {
         let (front, index) = front_and_index();
         let q = index.db().set(5).to_vec();
         // Probe without consuming: once `is_done`, `wait` must not block.
-        let ticket = front.submit_knn(q.clone(), 3);
+        let ticket = front.submit(Request::knn(q.clone(), 3));
         while !ticket.is_done() {
             std::thread::yield_now();
         }
         assert_eq!(ticket.wait().unwrap(), index.knn(&q, 3));
         // Timed waits hand the live ticket back instead of losing it,
         // however many of them time out before the result lands.
-        let mut ticket = front.submit_knn(q.clone(), 3);
+        let mut ticket = front.submit(Request::knn(q.clone(), 3));
         let result = loop {
             match ticket.wait_for(Duration::from_micros(50)) {
                 Ok(result) => break result,

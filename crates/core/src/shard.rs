@@ -45,7 +45,7 @@ use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
 use crate::index::{bucketed_descending, SearchResult, TopK, VerifyOrder, VerifyQuery};
 use crate::metadata::FilterCandidates;
 use crate::partitioning::Partitioning;
-use crate::query::{self, Gathered, Kind, OnExpiry, Query, SearchOutcome};
+use crate::query::{self, Gathered, Kind, Query, SearchOutcome};
 use crate::scratch::{FilterScratch, QueryScratch};
 use crate::sim::{normalize_query, PreparedQuery, Similarity};
 use crate::stats::SearchStats;
@@ -351,6 +351,15 @@ impl<S: Similarity> ShardedLes3Index<S> {
     /// method below is a single expression over it. Hits *and* stats are
     /// the same at every recorded shard count.
     ///
+    /// An [`ApproxPolicy::Prefilter`] query without a mask first scans the
+    /// MinHash sidecar into one — the same composition point as attribute
+    /// filters — and runs again, masked and exact, with the prefilter
+    /// verdict attached. A saturated candidate set (every set collides,
+    /// e.g. `rows == 0`) and a missing sidecar both run unmasked, so those
+    /// configurations stay bit-for-bit exact; a mask the caller supplied
+    /// wins and the scan is skipped. [`ApproxPolicy::Anytime`] commits the
+    /// partial answer when the deadline passes; every other policy fails.
+    ///
     /// Guards, then phase A (the full filter pass, or the restricted
     /// kernels over the mask's groups), one `ctl` poll — filtering is
     /// cheap, verification is where the CPU goes, so an expired or
@@ -358,9 +367,22 @@ impl<S: Similarity> ShardedLes3Index<S> {
     /// stream on the calling thread: the best-first `knn_descend`, or
     /// `range_descend` over its surviving prefix.
     pub fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
+        if let (ApproxPolicy::Prefilter { bands, rows }, None) = (q.approx, q.mask) {
+            return approx::run_prefiltered(
+                self.approx_sidecar(),
+                self.partitioning(),
+                q.tokens,
+                (bands, rows),
+                scratch,
+                |mask, scratch| {
+                    let approx = ApproxPolicy::Exact;
+                    self.search(&Query { mask, approx, ..*q }, scratch)
+                },
+            );
+        }
         let mut stats = SearchStats::default();
         if q.is_vacuous(self.db.is_empty()) {
-            return query::settle(None, Gathered::NOTHING, stats, q.on_expiry, 0);
+            return query::settle(None, Gathered::NOTHING, stats, q.approx, 0);
         }
         // One sort for an unsorted query serves the filter pass and the
         // verify step alike.
@@ -386,7 +408,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         // Phase boundary: verification must not start for an expired or
         // cancelled query.
         if let stopped @ Some(_) = q.ctl.interrupted() {
-            return query::settle(stopped, Gathered::NOTHING, stats, q.on_expiry, n_considered);
+            return query::settle(stopped, Gathered::NOTHING, stats, q.approx, n_considered);
         }
         let verify = VerifyQuery {
             sim: self.sim,
@@ -401,7 +423,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 self.range_descend(&verify, delta, stream, hits, &mut stats, ctl)
             }),
         };
-        query::settle(stopped, gathered, stats, q.on_expiry, n_considered)
+        query::settle(stopped, gathered, stats, q.approx, n_considered)
     }
 
     /// Exact kNN search (Definition 2.1).
@@ -457,58 +479,26 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.search(&q, scratch).map(|(result, _)| result)
     }
 
-    /// [`ShardedLes3Index::search`] under an [`ApproxPolicy`] — the one
-    /// place a policy is turned into query fields, for every route:
-    ///
-    /// * [`ApproxPolicy::Exact`] is `search`, bit for bit.
-    /// * [`ApproxPolicy::Anytime`] is `search` with
-    ///   [`OnExpiry::Commit`].
-    /// * [`ApproxPolicy::Prefilter`] scans the MinHash sidecar into the
-    ///   query's `mask` — the same composition point as attribute
-    ///   filters — and `search` re-verifies the survivors exactly. A
-    ///   saturated candidate set (every set collides, e.g. `rows == 0`)
-    ///   and a missing sidecar both run unmasked, so those
-    ///   configurations stay bit-for-bit exact; a mask the caller
-    ///   already supplied wins and the scan is skipped.
-    pub fn search_approx(
-        &self,
-        q: &Query<'_>,
-        policy: ApproxPolicy,
-        scratch: &mut QueryScratch,
-    ) -> SearchOutcome {
-        match policy {
-            ApproxPolicy::Prefilter { bands, rows } if q.mask.is_none() => approx::run_prefiltered(
-                self.approx_sidecar(),
-                self.partitioning(),
-                q.tokens,
-                (bands, rows),
-                scratch,
-                |mask, scratch| self.search(&Query { mask, ..*q }, scratch),
-            ),
-            ApproxPolicy::Anytime => {
-                let on_expiry = OnExpiry::Commit;
-                self.search(&Query { on_expiry, ..*q }, scratch)
-            }
-            ApproxPolicy::Exact | ApproxPolicy::Prefilter { .. } => self.search(q, scratch),
-        }
-    }
-
-    /// kNN under an [`ApproxPolicy`]: [`ShardedLes3Index::search_approx`]
-    /// taking its [`Query`] as an argument list. `_workers` is ignored.
+    /// kNN under an [`ApproxPolicy`]: [`ShardedLes3Index::search`] taking
+    /// its [`Query`] as an argument list. `_workers` is ignored.
     pub fn knn_approx_ctl_on(
         &self,
         _workers: usize,
         query: &[TokenId],
         k: usize,
-        policy: ApproxPolicy,
+        approx: ApproxPolicy,
         scratch: &mut QueryScratch,
         ctl: &QueryCtl<'_>,
     ) -> SearchOutcome {
-        let q = Query {
-            ctl: *ctl,
-            ..Query::knn(query, k)
-        };
-        self.search_approx(&q, policy, scratch)
+        let ctl = *ctl;
+        self.search(
+            &Query {
+                ctl,
+                approx,
+                ..Query::knn(query, k)
+            },
+            scratch,
+        )
     }
 
     /// Exact range search (Definition 2.2): all sets

@@ -1,5 +1,10 @@
 //! Search cost accounting.
 
+use crate::batch::lock_unpoisoned;
+use crate::ctl::InterruptReason;
+use crate::query::SearchOutcome;
+use crate::sync::Mutex;
+
 /// Per-query cost counters.
 ///
 /// These are the quantities the paper's evaluation plots: pruning
@@ -90,6 +95,38 @@ impl SearchStats {
         self.shed += other.shed;
         self.expired += other.expired;
         self.cancelled += other.cancelled;
+    }
+}
+
+/// The lifetime aggregate of one serving route: the default route of a
+/// [`ServeFront`](crate::ServeFront) and every
+/// [`Namespace`](crate::Namespace) each own one and record every query
+/// they run into it, so the front's total is the plain sum of its
+/// routes' records.
+#[derive(Default)]
+pub(crate) struct StatsRecord(Mutex<SearchStats>);
+
+impl StatsRecord {
+    /// Folds one query in: its work — the partial work of an interrupted
+    /// one, plus an `expired` or `cancelled` count. A committed anytime
+    /// answer counts as served.
+    pub(crate) fn note(&self, out: &SearchOutcome) {
+        let mut agg = lock_unpoisoned(&self.0);
+        match out {
+            Ok((result, _)) => agg.accumulate(&result.stats),
+            Err(interrupted) => {
+                agg.accumulate(&interrupted.stats);
+                match interrupted.reason {
+                    InterruptReason::Expired => agg.expired += 1,
+                    InterruptReason::Cancelled => agg.cancelled += 1,
+                }
+            }
+        }
+    }
+
+    /// The aggregate so far.
+    pub(crate) fn get(&self) -> SearchStats {
+        *lock_unpoisoned(&self.0)
     }
 }
 

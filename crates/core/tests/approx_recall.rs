@@ -32,9 +32,9 @@ use std::time::Instant;
 use common::run;
 use les3_core::{
     ApproxInfo, ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Filter, FilterCandidates,
-    Filters, Jaccard, Kind, Les3Index, NamespaceSpec, Namespaces, OnExpiry, OverlapCoefficient,
-    Partitioning, Query, QueryCtl, QueryScratch, SearchResult, ShardPolicy, ShardedLes3Index,
-    ShardedScratch, Similarity,
+    Filters, Jaccard, Kind, Les3Index, NamespaceSpec, Namespaces, OverlapCoefficient, Partitioning,
+    Query, QueryCtl, QueryScratch, SearchResult, ShardPolicy, ShardedLes3Index, ShardedScratch,
+    Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
@@ -158,7 +158,7 @@ proptest! {
                     .expect("QueryCtl::NONE never interrupts");
                 assert_sound(&knn, &sims, &[], Some(k), &format!("{} knn {policy:?}", sim.name()));
                 let range = flat
-                    .search_approx(&Query { ctl, ..Query::range(query, delta) }, policy, &mut scratch)
+                    .search(&Query { ctl, approx: policy, ..Query::range(query, delta) }, &mut scratch)
                     .expect("QueryCtl::NONE never interrupts");
                 assert_sound(
                     &range,
@@ -184,7 +184,7 @@ proptest! {
                     assert_eq!(sknn.0.stats, knn.0.stats, "sharded knn stats diverged");
                     assert_eq!(sknn.1, knn.1, "sharded knn verdict diverged");
                     let srange = sharded
-                        .search_approx(&Query { ctl, ..Query::range(query, delta) }, policy, &mut sscratch)
+                        .search(&Query { ctl, approx: policy, ..Query::range(query, delta) }, &mut sscratch)
                         .expect("QueryCtl::NONE never interrupts");
                     assert_eq!(srange.0.hits, range.0.hits, "sharded range hits diverged");
                     assert_eq!(srange.0.stats, range.0.stats, "sharded range stats diverged");
@@ -256,7 +256,7 @@ proptest! {
                 assert_eq!(knn.stats, want_knn.stats, "{} flat knn stats {policy:?}", sim.name());
                 assert_eq!(info, ApproxInfo::EXACT, "{} flat knn verdict {policy:?}", sim.name());
                 let (range, info) = flat
-                    .search_approx(&Query { ctl, ..Query::range(query, delta) }, policy, &mut scratch)
+                    .search(&Query { ctl, approx: policy, ..Query::range(query, delta) }, &mut scratch)
                     .expect("QueryCtl::NONE never interrupts");
                 assert_eq!(range.hits, want_range.hits, "{} flat range hits {policy:?}", sim.name());
                 assert_eq!(range.stats, want_range.stats, "{} flat range stats {policy:?}", sim.name());
@@ -294,7 +294,7 @@ proptest! {
                     assert_eq!(knn.stats, want_knn.stats, "{} sharded knn stats {policy:?}", sim.name());
                     assert_eq!(info, ApproxInfo::EXACT);
                     let (range, info) = sharded
-                        .search_approx(&Query { ctl, ..Query::range(query, delta) }, policy, &mut sscratch)
+                        .search(&Query { ctl, approx: policy, ..Query::range(query, delta) }, &mut sscratch)
                         .expect("QueryCtl::NONE never interrupts");
                     assert_eq!(range.hits, want_range.hits, "{} sharded range hits {policy:?}", sim.name());
                     assert_eq!(range.stats, want_range.stats, "{} sharded range stats {policy:?}", sim.name());
@@ -326,7 +326,7 @@ fn anytime_commits_partials_on_expired_deadline() {
         .search(
             &Query {
                 ctl,
-                on_expiry: OnExpiry::Commit,
+                approx: ApproxPolicy::Anytime,
                 ..Query::knn(&query, 5)
             },
             &mut scratch,
@@ -341,7 +341,7 @@ fn anytime_commits_partials_on_expired_deadline() {
         .search(
             &Query {
                 ctl,
-                on_expiry: OnExpiry::Commit,
+                approx: ApproxPolicy::Anytime,
                 ..Query::range(&query, 0.2)
             },
             &mut scratch,
@@ -360,7 +360,7 @@ fn anytime_commits_partials_on_expired_deadline() {
         .search(
             &Query {
                 ctl,
-                on_expiry: OnExpiry::Commit,
+                approx: ApproxPolicy::Anytime,
                 ..Query::knn(&query, 5)
             },
             &mut sscratch,
@@ -390,7 +390,7 @@ fn anytime_without_deadline_is_exact_and_cancellation_interrupts() {
         .search(
             &Query {
                 ctl: QueryCtl::NONE,
-                on_expiry: OnExpiry::Commit,
+                approx: ApproxPolicy::Anytime,
                 ..Query::knn(&query, 7)
             },
             &mut scratch,
@@ -406,7 +406,7 @@ fn anytime_without_deadline_is_exact_and_cancellation_interrupts() {
         .search(
             &Query {
                 ctl,
-                on_expiry: OnExpiry::Commit,
+                approx: ApproxPolicy::Anytime,
                 ..Query::knn(&query, 7)
             },
             &mut scratch,
@@ -441,7 +441,7 @@ fn masked_anytime_commits_empty_on_a_past_deadline() {
         let q = Query {
             mask: Some(&mask),
             ctl,
-            on_expiry: OnExpiry::Commit,
+            approx: ApproxPolicy::Anytime,
             ..Query::new(&tokens, kind)
         };
         let (a, a_info) = flat
@@ -458,7 +458,7 @@ fn masked_anytime_commits_empty_on_a_past_deadline() {
         assert_eq!(a.stats.groups_verified, 0, "phase B did not");
         // The same query without the commit policy is an error.
         let fail = Query {
-            on_expiry: OnExpiry::Fail,
+            approx: ApproxPolicy::Exact,
             ..q
         };
         let err = flat
@@ -507,12 +507,7 @@ fn filtered_anytime_commits_masked_partials_mid_descent() {
         let ns = registry.create(name, spec).expect("namespace builds");
         for kind in [Kind::Knn(10), Kind::Range(0.1)] {
             let exact = ns
-                .search(
-                    &Query::new(&tokens, kind),
-                    &red,
-                    ApproxPolicy::Exact,
-                    &mut QueryScratch::new(),
-                )
+                .search(&Query::new(&tokens, kind), &red, &mut QueryScratch::new())
                 .expect("no deadline")
                 .0;
             assert!(exact.hits.len() >= 10, "{name} {kind:?}: fixture has hits");
@@ -534,10 +529,11 @@ fn filtered_anytime_commits_masked_partials_mid_descent() {
                 loop {
                     let q = Query {
                         ctl: QueryCtl::with_deadline(Instant::now() + budget),
+                        approx: ApproxPolicy::Anytime,
                         ..Query::new(&tokens, kind)
                     };
                     let (got, info) = ns
-                        .search(&q, &red, ApproxPolicy::Anytime, &mut QueryScratch::new())
+                        .search(&q, &red, &mut QueryScratch::new())
                         .expect("anytime never surfaces Expired");
                     for hit in &got.hits {
                         let same = reference.iter().find(|e| e.0 == hit.0).unwrap_or_else(|| {

@@ -36,8 +36,8 @@ mod common;
 use common::run;
 use les3_core::metadata::{Filter, Filters};
 use les3_core::{
-    ApproxInfo, Cosine, DeletionLog, Dice, FilterCandidates, Jaccard, Kind, Les3Index,
-    MetadataIndex, OnExpiry, OverlapCoefficient, Partitioning, Query, QueryScratch, SearchResult,
+    ApproxInfo, ApproxPolicy, Cosine, DeletionLog, Dice, FilterCandidates, Jaccard, Kind,
+    Les3Index, MetadataIndex, OverlapCoefficient, Partitioning, Query, QueryScratch, SearchResult,
     ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
@@ -566,7 +566,7 @@ fn auto_worker_entry_points_match_explicit() {
 /// answer, `SearchStats` and verdict included, is the fresh-scratch one.
 #[test]
 fn one_scratch_alternates_between_indexes_of_every_shape() {
-    use les3_core::{ApproxParams, ApproxPolicy, LiveIndex, NamespaceSpec, Namespaces};
+    use les3_core::{ApproxParams, LiveIndex, NamespaceSpec, Namespaces};
 
     let mut g = Gen(0x51de_ca5e);
     let mut random_sets = |n: usize, universe: u64, max_len: usize| -> Vec<Vec<TokenId>> {
@@ -619,16 +619,12 @@ fn one_scratch_alternates_between_indexes_of_every_shape() {
     );
     let empty = LiveIndex::new(nothing);
 
-    type Ask<'a> = &'a dyn Fn(
-        &Query<'_>,
-        &Filters,
-        ApproxPolicy,
-        &mut QueryScratch,
-    ) -> (SearchResult, ApproxInfo);
+    type Ask<'a> =
+        &'a dyn Fn(&Query<'_>, &Filters, &mut QueryScratch) -> (SearchResult, ApproxInfo);
     let indexes: [Ask<'_>; 3] = [
-        &|q, f, mode, scratch| big.search(q, f, mode, scratch).unwrap(),
-        &|q, f, mode, scratch| flat.search(q, f, mode, scratch).unwrap(),
-        &|q, f, mode, scratch| empty.search(q, f, mode, scratch).unwrap(),
+        &|q, f, scratch| big.search(q, f, scratch).unwrap(),
+        &|q, f, scratch| flat.search(q, f, scratch).unwrap(),
+        &|q, f, scratch| empty.search(q, f, scratch).unwrap(),
     ];
 
     let broad = Filters(vec![Filter::Eq {
@@ -653,13 +649,16 @@ fn one_scratch_alternates_between_indexes_of_every_shape() {
         for kind in [Kind::Knn(7), Kind::Range(0.25)] {
             for filters in [&Filters::none(), &broad, &narrow] {
                 for mode in [ApproxPolicy::Exact, prefilter] {
-                    let q = Query::new(tokens, kind);
+                    let q = Query {
+                        approx: mode,
+                        ..Query::new(tokens, kind)
+                    };
                     // Rotate who goes first, so every index follows
                     // every other one in the shared scratch.
                     for step in 0..indexes.len() {
                         let which = (turn + step) % indexes.len();
-                        let got = indexes[which](&q, filters, mode, &mut shared);
-                        let want = indexes[which](&q, filters, mode, &mut QueryScratch::new());
+                        let got = indexes[which](&q, filters, &mut shared);
+                        let want = indexes[which](&q, filters, &mut QueryScratch::new());
                         assert_eq!(
                             got, want,
                             "index {which}: {tokens:?} {kind:?} {filters:?} {mode:?}"
@@ -696,7 +695,7 @@ fn out_of_range_matches_are_ignored() {
 /// The entry-point matrix as a table: every combination of the
 /// [`Query`] axes, on every engine shape, is one `search` — equal to
 /// brute force on hits, and to the flat sequential run on hits *and*
-/// stats. With no deadline to pass, `OnExpiry::Commit` changes nothing
+/// stats. With no deadline to pass, `ApproxPolicy::Anytime` changes nothing
 /// and every verdict is exact.
 #[test]
 fn every_query_axis_combination_matches_brute_force_and_flat() {
@@ -761,13 +760,13 @@ fn every_query_axis_combination_matches_brute_force_and_flat() {
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             for kind in kinds {
                 let ctx = format!("{} {kind:?} mask={mask_name}", sim.name());
-                let query = |on_expiry| Query {
+                let query = |approx| Query {
                     mask: mask.as_ref(),
-                    on_expiry,
+                    approx,
                     ..Query::new(&tokens, kind)
                 };
                 let (want, info) = flat
-                    .search(&query(OnExpiry::Fail), &mut QueryScratch::new())
+                    .search(&query(ApproxPolicy::Exact), &mut QueryScratch::new())
                     .expect("no deadline");
                 assert_eq!(info, ApproxInfo::EXACT, "{ctx}");
                 match kind {
@@ -778,9 +777,9 @@ fn every_query_axis_combination_matches_brute_force_and_flat() {
                         assert_eq!(want.hits, hits, "{ctx}");
                     }
                 }
-                for on_expiry in [OnExpiry::Fail, OnExpiry::Commit] {
-                    let q = query(on_expiry);
-                    let ctx = format!("{ctx} {on_expiry:?}");
+                for approx in [ApproxPolicy::Exact, ApproxPolicy::Anytime] {
+                    let q = query(approx);
+                    let ctx = format!("{ctx} {approx:?}");
                     let got = flat.search(&q, &mut QueryScratch::new());
                     assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "flat {ctx}");
                     for (name, engine) in &engines {

@@ -108,7 +108,7 @@ fn coalesced_claiming_runs_every_task_once_despite_panic() {
 #[test]
 fn admission_gate_capacity_is_never_exceeded() {
     let report = model(|| {
-        let front = Arc::new(FrontShared::new(1, 1));
+        let front = Arc::new(FrontShared::new(1));
         let active = Arc::new(Data::new(0usize));
         let handles: Vec<_> = (0..2)
             .map(|_| {
@@ -241,7 +241,7 @@ fn worker_pool_runs_every_job_once_and_joins_on_drop() {
                 2,
                 "model-pool",
                 || (),
-                move |_worker, job: usize, _state: &mut ()| ran[job].with_mut(|r| *r += 1),
+                move |job: usize, _state: &mut ()| ran[job].with_mut(|r| *r += 1),
             )
         };
         for job in 0..JOBS {

@@ -950,13 +950,16 @@ fn namespace_kind_survives_save_and_load() {
 
 /// Three owners, one value: the same insert / delete / insert-with-attrs
 /// script applied through a `DurableIndex`, a `Namespace` and a bare
-/// `LiveIndex` (served afterwards by `ServeFront::from_live`) returns the
-/// same ids, groups and verdicts step by step and leaves the same index
-/// — hits and `SearchStats` with and without a filter, live count, and
-/// the segment bytes each owner saves.
+/// `LiveIndex` returns the same ids, groups and verdicts step by step and
+/// leaves the same index — hits and `SearchStats` with and without a
+/// filter, live count, and the segment bytes each owner saves. The bare
+/// index is served by `ServeFront::from_live` and the namespace lives on
+/// that front's registry, so both front routes answer through `submit`
+/// too, under every policy that has no recall to trade here, and the
+/// front's stats identity holds afterwards.
 #[test]
 fn every_owner_of_a_live_index_applies_one_script_identically() {
-    use les3_core::{NamespaceSpec, Namespaces, ServeConfig, ServeFront};
+    use les3_core::{Kind, NamespaceSpec, Request, Route, ServeConfig, ServeFront};
 
     enum Step {
         Insert(Vec<u32>, Vec<(String, String)>),
@@ -997,21 +1000,6 @@ fn every_owner_of_a_live_index_applies_one_script_identically() {
         .collect();
     let from_durable = durable.into_live();
 
-    let registry = Namespaces::new();
-    let spec = NamespaceSpec {
-        n_groups: 6,
-        sets: sets.clone(),
-        ..Default::default()
-    };
-    let ns = registry.create("owner", spec).unwrap();
-    let via_namespace: Vec<(u32, u32)> = script
-        .iter()
-        .map(|step| match step {
-            Insert(tokens, attrs) => ns.insert(&mut tokens.clone(), attrs).unwrap(),
-            Delete(id) => (ns.delete(*id) as u32, 0),
-        })
-        .collect();
-
     let mut bare = LiveIndex::new(base());
     let via_bare: Vec<(u32, u32)> = script
         .iter()
@@ -1020,14 +1008,27 @@ fn every_owner_of_a_live_index_applies_one_script_identically() {
             Delete(id) => (bare.delete(*id) as u32, 0),
         })
         .collect();
-    assert_eq!(via_durable, via_namespace);
-    assert_eq!(via_durable, via_bare);
-
     let live_sets = sets.len() + 4 - 3; // four inserts, three deletes that took
     assert_eq!(from_durable.log().live_count(), live_sets);
-    assert_eq!(ns.info().live_sets, live_sets);
     assert_eq!(bare.log().live_count(), live_sets);
     let front = ServeFront::from_live(bare, ServeConfig::default());
+
+    let spec = NamespaceSpec {
+        n_groups: 6,
+        sets: sets.clone(),
+        ..Default::default()
+    };
+    let ns = front.namespaces().create("owner", spec).unwrap();
+    let via_namespace: Vec<(u32, u32)> = script
+        .iter()
+        .map(|step| match step {
+            Insert(tokens, attrs) => ns.insert(&mut tokens.clone(), attrs).unwrap(),
+            Delete(id) => (ns.delete(*id) as u32, 0),
+        })
+        .collect();
+    assert_eq!(via_durable, via_namespace);
+    assert_eq!(via_durable, via_bare);
+    assert_eq!(ns.info().live_sets, live_sets);
 
     // Set 7 was the best answer to its own tokens, set 71 carries
     // `tier: gold`; both queries run into tombstones.
@@ -1037,18 +1038,14 @@ fn every_owner_of_a_live_index_applies_one_script_identically() {
         for kind in [les3_core::Kind::Knn(5), les3_core::Kind::Range(0.2)] {
             let q = Query::new(&tokens, kind);
             for filters in [Filters::none(), gold_filter()] {
-                let (want, _) = from_durable
-                    .search(&q, &filters, ApproxPolicy::Exact, &mut scratch)
-                    .unwrap();
+                let (want, _) = from_durable.search(&q, &filters, &mut scratch).unwrap();
                 assert!(want.hits.iter().all(|h| ![7, 33, 70].contains(&h.0)));
                 filtered_hits += if filters.is_empty() {
                     0
                 } else {
                     want.hits.len()
                 };
-                let (got, _) = ns
-                    .search(&q, &filters, ApproxPolicy::Exact, &mut scratch)
-                    .unwrap();
+                let (got, _) = ns.search(&q, &filters, &mut scratch).unwrap();
                 assert_eq!(got, want, "namespace, {kind:?} {filters:?}");
                 if filters.is_empty() {
                     let served = match kind {
@@ -1062,6 +1059,45 @@ fn every_owner_of_a_live_index_applies_one_script_identically() {
     }
 
     assert!(filtered_hits > 0, "the filter must admit inserted sets");
+
+    // Both routes of the front through `submit`: anytime without a
+    // deadline and a prefilter with no sidecar to scan answer exactly
+    // what the durable owner's `search` does — hits, stats and verdict.
+    let no_sidecar = ApproxPolicy::Prefilter { bands: 0, rows: 1 };
+    for tokens in [sets[7].clone(), vec![7, 14, 21], vec![]] {
+        for kind in [Kind::Knn(5), Kind::Range(0.2)] {
+            for approx in [ApproxPolicy::Exact, ApproxPolicy::Anytime, no_sidecar] {
+                let routes = [
+                    (Route::Default, Filters::none()),
+                    (
+                        Route::Namespace("owner".into(), Filters::none()),
+                        Filters::none(),
+                    ),
+                    (
+                        Route::Namespace("owner".into(), gold_filter()),
+                        gold_filter(),
+                    ),
+                ];
+                for (route, filters) in routes {
+                    let q = Query {
+                        approx,
+                        ..Query::new(&tokens, kind)
+                    };
+                    let want = from_durable.search(&q, &filters, &mut scratch).unwrap();
+                    let ctx = format!("front, {route:?} {kind:?} {approx:?}");
+                    let got = front.submit(Request {
+                        approx,
+                        route,
+                        ..Request::new(tokens.clone(), kind)
+                    });
+                    assert_eq!(got.wait_full().unwrap(), want, "{ctx}");
+                }
+            }
+        }
+    }
+    let mut routes_total = front.default_route_stats();
+    routes_total.accumulate(&front.namespaces().total_stats());
+    assert_eq!(front.stats(), routes_total, "stats identity");
 
     let saved: Vec<Vec<u8>> = ["owners-a", "owners-b", "owners-c"]
         .iter()

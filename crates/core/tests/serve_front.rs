@@ -26,7 +26,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use les3_core::serve::{OnFull, ServeConfig, ServeError, ServeFront, SubmitOpts, Ticket};
+use les3_core::serve::{
+    OnFull, Request, Route, ServeConfig, ServeError, ServeFront, SubmitOpts, Ticket,
+};
 use les3_core::sim::Jaccard;
 use les3_core::{ApproxInfo, ApproxPolicy};
 use les3_core::{
@@ -91,9 +93,10 @@ fn check_front<B: PersistentBackend>(
                         .filter(|(i, _)| i % PRODUCERS == p && i % 2 == 0)
                         .map(|(i, q)| {
                             let t = if i % 3 == 0 {
-                                front.submit_range(q.clone(), 0.25 + (i % 5) as f64 * 0.15)
+                                front
+                                    .submit(Request::range(q.clone(), 0.25 + (i % 5) as f64 * 0.15))
                             } else {
-                                front.submit_knn(q.clone(), 1 + i % 9)
+                                front.submit(Request::knn(q.clone(), 1 + i % 9))
                             };
                             (i, t)
                         })
@@ -194,10 +197,10 @@ fn panicking_query_fails_alone_and_pool_keeps_serving() {
     // between and after the panics.
     let mut tickets = Vec::new();
     for round in 0..4 {
-        tickets.push(("good", front.submit_knn(good.clone(), 5)));
-        tickets.push(("poison", front.submit_knn(poison.clone(), 5)));
+        tickets.push(("good", front.submit(Request::knn(good.clone(), 5))));
+        tickets.push(("poison", front.submit(Request::knn(poison.clone(), 5))));
         if round % 2 == 0 {
-            tickets.push(("good", front.submit_range(good.clone(), 0.3)));
+            tickets.push(("good", front.submit(Request::range(good.clone(), 0.3))));
         }
     }
     let range_expected = front.backend().range(&good, 0.3);
@@ -274,8 +277,8 @@ fn concurrent_requests_run_on_different_workers() {
             ..ServeConfig::default()
         },
     );
-    let a = front.submit_knn((0..MEET_LENS[0] as u32).collect(), 4);
-    let b = front.submit_knn((10..10 + MEET_LENS[1] as u32).collect(), 4);
+    let a = front.submit(Request::knn((0..MEET_LENS[0] as u32).collect(), 4));
+    let b = front.submit(Request::knn((10..10 + MEET_LENS[1] as u32).collect(), 4));
     assert!(a.wait().is_ok());
     assert!(b.wait().is_ok());
     assert!(
@@ -340,10 +343,10 @@ fn gated_front<const ID: usize>(queue_capacity: usize) -> ServeFront<Les3Index<G
 fn bounded_queue_sheds_overflow_and_respects_capacity() {
     let front = gated_front::<0>(2);
     let q = front.backend().db().set(3).to_vec();
-    let t1 = front.submit_knn(q.clone(), 4); // occupies the worker (gated)
-    let t2 = front.submit_knn(q.clone(), 4); // fills the queue
+    let t1 = front.submit(Request::knn(q.clone(), 4)); // occupies the worker (gated)
+    let t2 = front.submit(Request::knn(q.clone(), 4)); // fills the queue
     assert_eq!(front.in_flight(), 2, "both accepted requests count");
-    let t3 = front.submit_knn(q.clone(), 4); // over capacity: shed
+    let t3 = front.submit(Request::knn(q.clone(), 4)); // over capacity: shed
     assert_eq!(t3.wait(), Err(ServeError::Overloaded));
     assert_eq!(front.in_flight(), 2, "shed requests never occupy capacity");
     assert_eq!(front.stats().shed, 1);
@@ -402,10 +405,10 @@ fn expired_mid_flight_never_reaches_verification() {
 fn cancelled_and_dropped_tickets_skip_queued_work() {
     let front = gated_front::<2>(usize::MAX);
     let q = front.backend().db().set(11).to_vec();
-    let blocker = front.submit_knn(q.clone(), 4); // pins the only worker
-    let victim = front.submit_knn(q.clone(), 4); // queued behind it
+    let blocker = front.submit(Request::knn(q.clone(), 4)); // pins the only worker
+    let victim = front.submit(Request::knn(q.clone(), 4)); // queued behind it
     victim.cancel();
-    drop(front.submit_knn(q.clone(), 4)); // abandoned ticket == cancel
+    drop(front.submit(Request::knn(q.clone(), 4))); // abandoned ticket == cancel
     GATES[2].store(true, Ordering::Release);
     assert!(blocker.wait().is_ok());
     match victim.wait() {
@@ -446,17 +449,15 @@ fn namespace_request_dying_while_queued<const ID: usize>(
         )
         .unwrap();
     let q = front.backend().db().set(3).to_vec();
-    let blocker = front.submit_knn(q, 4); // pins the only worker
-    let victim = front.submit_ns_knn(
-        "tenant",
-        vec![1, 2, 3],
-        4,
-        Filters::none(),
-        SubmitOpts {
+    let blocker = front.submit(Request::knn(q, 4)); // pins the only worker
+    let victim = front.submit(Request {
+        route: Route::Namespace("tenant".into(), Filters::none()),
+        opts: SubmitOpts {
             deadline: ttl.map(|ttl| Instant::now() + ttl),
             ..Default::default()
         },
-    );
+        ..Request::knn(vec![1, 2, 3], 4)
+    });
     kill(&victim);
     GATES[ID].store(true, Ordering::Release);
     assert!(blocker.wait().is_ok());
@@ -509,15 +510,14 @@ fn anytime_expired_deadline_commits_partial_instead_of_504() {
         .unwrap_or_else(Instant::now);
     std::thread::sleep(Duration::from_millis(2)); // strictly past either way
 
-    let t = front.submit_knn_opts(
-        q.clone(),
-        4,
-        SubmitOpts {
+    let t = front.submit(Request {
+        approx: ApproxPolicy::Anytime,
+        opts: SubmitOpts {
             deadline: Some(expired),
-            mode: ApproxPolicy::Anytime,
             ..Default::default()
         },
-    );
+        ..Request::knn(q.clone(), 4)
+    });
     let (result, info) = t.wait_full().expect("anytime must commit, not expire");
     assert!(
         (0.0..=1.0).contains(&info.recall_est),
@@ -535,15 +535,14 @@ fn anytime_expired_deadline_commits_partial_instead_of_504() {
             .expect("committed hit must be a real set");
         assert_eq!(sim.to_bits(), want.1.to_bits(), "hit {id} not exact");
     }
-    let t = front.submit_range_opts(
-        q.clone(),
-        0.3,
-        SubmitOpts {
+    let t = front.submit(Request {
+        approx: ApproxPolicy::Anytime,
+        opts: SubmitOpts {
             deadline: Some(expired),
-            mode: ApproxPolicy::Anytime,
             ..Default::default()
         },
-    );
+        ..Request::range(q.clone(), 0.3)
+    });
     assert!(
         t.wait_full().is_ok(),
         "anytime range must commit, not expire"
@@ -555,15 +554,14 @@ fn anytime_expired_deadline_commits_partial_instead_of_504() {
     );
 
     // A generous deadline completes exactly: exact verdict, exact bits.
-    let t = front.submit_knn_opts(
-        q.clone(),
-        4,
-        SubmitOpts {
+    let t = front.submit(Request {
+        approx: ApproxPolicy::Anytime,
+        opts: SubmitOpts {
             deadline: Some(Instant::now() + Duration::from_secs(60)),
-            mode: ApproxPolicy::Anytime,
             ..Default::default()
         },
-    );
+        ..Request::knn(q.clone(), 4)
+    });
     let (result, info) = t.wait_full().expect("in-time anytime completes");
     assert_eq!(info, ApproxInfo::EXACT);
     assert_eq!(result, front.backend().knn(&q, 4));
@@ -588,15 +586,14 @@ fn anytime_expired_deadline_commits_partial_instead_of_504() {
 fn cancellation_mid_anytime_interrupts_instead_of_committing() {
     let front = gated_front::<3>(usize::MAX);
     let q = front.backend().db().set(9).to_vec();
-    let t = front.submit_knn_opts(
-        q,
-        4,
-        SubmitOpts {
+    let t = front.submit(Request {
+        approx: ApproxPolicy::Anytime,
+        opts: SubmitOpts {
             deadline: Some(Instant::now() + Duration::from_secs(60)),
-            mode: ApproxPolicy::Anytime,
             ..Default::default()
         },
-    );
+        ..Request::knn(q, 4)
+    });
     // Let the worker pick the query up and block in the gated filter,
     // then cancel it mid-flight.
     std::thread::sleep(Duration::from_millis(100));
@@ -694,7 +691,6 @@ proptest! {
                     _ => Some(Instant::now() + Duration::from_secs(60)),
                 },
                 on_full: if i % 2 == 0 { OnFull::Shed } else { OnFull::Wait },
-                ..Default::default()
             };
             let t = front.submit_knn_opts(q.clone(), 3, opts);
             if i % 5 == 4 {
@@ -718,7 +714,7 @@ proptest! {
         let stragglers: Vec<Ticket> = queries
             .iter()
             .take(5)
-            .map(|q| front.submit_knn(q.clone(), 3))
+            .map(|q| front.submit(Request::knn(q.clone(), 3)))
             .collect();
         drop(front);
         for (i, t) in stragglers.into_iter().enumerate() {

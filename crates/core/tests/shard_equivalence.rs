@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use les3_core::{
-    ApproxInfo, Cosine, DeletionLog, Dice, Jaccard, Les3Index, OnExpiry, OverlapCoefficient,
+    ApproxInfo, ApproxPolicy, Cosine, DeletionLog, Dice, Jaccard, Les3Index, OverlapCoefficient,
     Partitioning, Query, QueryCtl, QueryScratch, SearchResult, ShardPolicy, ShardedLes3Index,
     Similarity, ThresholdedEval,
 };
@@ -209,7 +209,7 @@ proptest! {
     }
 }
 
-/// A range whose deadline passes mid-descent under [`OnExpiry::Commit`]
+/// A range whose deadline passes mid-descent under [`ApproxPolicy::Anytime`]
 /// commits what it has verified so far, so *which* groups it verified
 /// first is part of the answer: best-first over the whole group axis, at
 /// every shard count. Deterministic: the `STALL_AT`-th evaluation
@@ -257,7 +257,7 @@ fn a_deadline_committed_range_is_the_flat_one_at_every_shard_count() {
             *DEADLINE.lock().unwrap() = Some(deadline);
             let q = Query {
                 ctl: QueryCtl::with_deadline(deadline),
-                on_expiry: OnExpiry::Commit,
+                approx: ApproxPolicy::Anytime,
                 ..Query::range(&[40], 0.0)
             };
             let out = index

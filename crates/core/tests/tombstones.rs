@@ -103,7 +103,7 @@ fn knn_work_does_not_grow_with_tombstones() {
         let live = live_index(&db, deleted);
         let direct = run_all(&db, deleted, |q| {
             let (q, mut scratch) = (Query::knn(q, K), QueryScratch::new());
-            live.search(&q, &Filters::none(), ApproxPolicy::Exact, &mut scratch)
+            live.search(&q, &Filters::none(), &mut scratch)
                 .expect("no deadline")
                 .0
         });
@@ -189,14 +189,18 @@ fn an_engine_without_its_log_never_answers_a_deleted_set() {
         assert_eq!(sharded.range(q, 0.3), range);
 
         let mut scratch = QueryScratch::new();
+        let prefiltered = Query {
+            approx: prefilter,
+            ..Query::knn(q, K)
+        };
         let (approx, info) = flat
-            .search_approx(&Query::knn(q, K), prefilter, &mut scratch)
+            .search(&prefiltered, &mut scratch)
             .expect("no deadline");
         assert!(info.approx, "the sidecar must be consulted");
         assert!(approx.hits.iter().all(|h| live(h.0)), "{approx:?}");
         prefiltered_hits += approx.hits.len();
         let (other, _) = sharded
-            .search_approx(&Query::knn(q, K), prefilter, &mut scratch)
+            .search(&prefiltered, &mut scratch)
             .expect("no deadline");
         assert_eq!(other, approx);
     }

@@ -9,7 +9,7 @@
 //!                                             │  parse HTTP (http.rs)
 //!                                             │  decode body (wire.rs)
 //!                                             ▼
-//!                                        ServeFront::submit_*_opts
+//!                                        ServeFront::submit(Request)
 //!                                             │  admission gate → FIFO → query worker
 //!                                             │  Ticket::wait_for_full probe loop
 //!                                             ▼
@@ -64,15 +64,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use les3_core::{
-    ApproxPolicy, NamespaceError, OnFull, PersistentBackend, SearchStats, ServeError, ServeFront,
-    SubmitOpts, Ticket,
+    ApproxPolicy, NamespaceError, OnFull, PersistentBackend, Request, Route, SearchStats,
+    ServeError, ServeFront, SubmitOpts, Ticket,
 };
 
 use crate::http::{
     find_head_end, parse_head, response_bytes, HttpRejection, RequestHead, MAX_HEAD_BYTES,
 };
 use crate::json::Json;
-use crate::wire::{self, QueryParam};
+use crate::wire;
 
 /// Tuning knobs for the HTTP layer (the query-side knobs live in
 /// [`les3_core::ServeConfig`]).
@@ -593,7 +593,7 @@ fn route(path: &str) -> (Option<&str>, Option<&str>) {
 /// ```
 ///
 /// Namespace queries go through the same admission-controlled front as
-/// the default routes ([`ServeFront::submit_ns_knn`]), so they share the
+/// the default routes ([`ServeFront::submit`]), so they share the
 /// queue, deadlines and disconnect cancellation. Mutations and lifecycle
 /// calls are handled inline on the connection worker — they take the
 /// namespace's write lock, not a queue slot.
@@ -731,28 +731,26 @@ fn serve_query<B: PersistentBackend>(
     ns: Option<&str>,
     keep_alive: bool,
 ) -> bool {
-    let deadline = query
-        .timeout_ms
-        .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
     // Non-exact requests carry the verdict ("approx"/"recall_est") in
     // their 200 envelope; exact responses stay byte-identical to the
     // pre-approx schema.
-    let verdict_fields = query.mode != ApproxPolicy::Exact;
-    let opts = SubmitOpts {
-        deadline,
-        on_full: OnFull::Shed,
-        mode: query.mode,
-    };
-    let mut ticket: Ticket = match (ns, query.param) {
-        (None, QueryParam::Knn(k)) => front.submit_knn_opts(query.query, k, opts),
-        (None, QueryParam::Range(delta)) => front.submit_range_opts(query.query, delta, opts),
-        (Some(name), QueryParam::Knn(k)) => {
-            front.submit_ns_knn(name, query.query, k, query.filters, opts)
-        }
-        (Some(name), QueryParam::Range(delta)) => {
-            front.submit_ns_range(name, query.query, delta, query.filters, opts)
-        }
-    };
+    let verdict_fields = query.approx != ApproxPolicy::Exact;
+    let deadline = query
+        .timeout_ms
+        .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
+    let mut ticket: Ticket = front.submit(Request {
+        tokens: query.query,
+        kind: query.param,
+        approx: query.approx,
+        route: match ns {
+            None => Route::Default,
+            Some(name) => Route::Namespace(name.to_string(), query.filters),
+        },
+        opts: SubmitOpts {
+            deadline,
+            on_full: OnFull::Shed,
+        },
+    });
     let outcome = loop {
         match ticket.wait_for_full(PROBE_INTERVAL) {
             Ok(outcome) => break outcome,

@@ -24,21 +24,22 @@
 
 use les3_core::metadata::{MAX_ATTRS_PER_SET, MAX_ATTR_STR, MAX_FILTER_DEPTH};
 use les3_core::{
-    ApproxInfo, ApproxPolicy, Filter, Filters, NamespaceInfo, NamespaceSpec, SearchResult,
+    ApproxInfo, ApproxPolicy, Filter, Filters, Kind, NamespaceInfo, NamespaceSpec, SearchResult,
     SearchStats,
 };
 use les3_data::TokenId;
 
 use crate::json::Json;
 
-/// A `/knn` or `/range` request decoded from its JSON body.
+/// A `/knn` or `/range` request decoded from its JSON body — the
+/// fields of one [`les3_core::Request`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApiQuery {
     /// The query set's token ids (the server normalizes ordering and
     /// duplicates, exactly like the direct API).
     pub query: Vec<TokenId>,
     /// kNN `k` or range `delta`.
-    pub param: QueryParam,
+    pub param: Kind,
     /// Optional per-request timeout; maps to a [`les3_core::SubmitOpts`]
     /// deadline.
     pub timeout_ms: Option<u64>,
@@ -47,20 +48,16 @@ pub struct ApiQuery {
     /// non-empty value — there is no metadata to filter on.
     pub filters: Filters,
     /// The optional `"mode"` field (`"exact"`, `"prefilter"`,
-    /// `"anytime"`); absent means exact. Prefilter reads the optional
-    /// `"bands"`/`"rows"` sibling integers (omitted → the sidecar's
-    /// built shape).
-    pub mode: ApproxPolicy,
+    /// `"anytime"`), the query's [`les3_core::Query::approx`]; absent
+    /// means exact. Prefilter reads the optional `"bands"`/`"rows"`
+    /// sibling integers (omitted → the sidecar's built shape).
+    pub approx: ApproxPolicy,
 }
 
-/// The query-type-specific parameter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueryParam {
-    /// `/knn`: number of neighbours.
-    Knn(usize),
-    /// `/range`: similarity threshold `δ`.
-    Range(f64),
-}
+/// The query-type-specific parameter: `/knn`'s `k` or `/range`'s `δ` —
+/// the engine's own [`Kind`]. The alias stays only because `les3-bench`
+/// names it (ROADMAP 1(f)), as do the HTTP tests that pin the wire.
+pub type QueryParam = Kind;
 
 /// Why a body failed schema validation (maps to `400 Bad Request`; the
 /// string becomes the error envelope's `message`).
@@ -167,11 +164,12 @@ fn parse_object(body: &[u8]) -> Result<Json, SchemaError> {
 /// Decodes a `POST /knn` body: `{"query":[...],"k":N,"timeout_ms"?:MS}`.
 ///
 /// ```
-/// use les3_net::wire::{decode_knn, QueryParam};
+/// use les3_core::Kind;
+/// use les3_net::wire::decode_knn;
 ///
 /// let q = decode_knn(br#"{"query":[3,1,2],"k":10}"#).unwrap();
 /// assert_eq!(q.query, vec![3, 1, 2]);
-/// assert_eq!(q.param, QueryParam::Knn(10));
+/// assert_eq!(q.param, Kind::Knn(10));
 /// assert_eq!(q.timeout_ms, None);
 /// assert!(decode_knn(br#"{"query":[1]}"#).is_err()); // k is required
 /// ```
@@ -188,10 +186,10 @@ pub fn decode_knn(body: &[u8]) -> Result<ApiQuery, SchemaError> {
         .ok_or_else(|| SchemaError("\"k\" must be an integer in 0..2^32".to_string()))?;
     Ok(ApiQuery {
         query,
-        param: QueryParam::Knn(k as usize),
+        param: Kind::Knn(k as usize),
         timeout_ms,
         filters: decode_filters_field(&value)?,
-        mode: decode_mode_field(&value)?,
+        approx: decode_mode_field(&value)?,
     })
 }
 
@@ -199,10 +197,11 @@ pub fn decode_knn(body: &[u8]) -> Result<ApiQuery, SchemaError> {
 /// `{"query":[...],"delta":D,"timeout_ms"?:MS}`.
 ///
 /// ```
-/// use les3_net::wire::{decode_range, QueryParam};
+/// use les3_core::Kind;
+/// use les3_net::wire::decode_range;
 ///
 /// let q = decode_range(br#"{"query":[1,2],"delta":0.8,"timeout_ms":50}"#).unwrap();
-/// assert_eq!(q.param, QueryParam::Range(0.8));
+/// assert_eq!(q.param, Kind::Range(0.8));
 /// assert_eq!(q.timeout_ms, Some(50));
 /// assert!(decode_range(br#"{"query":[1,2],"delta":"high"}"#).is_err());
 /// ```
@@ -215,10 +214,10 @@ pub fn decode_range(body: &[u8]) -> Result<ApiQuery, SchemaError> {
         .ok_or_else(|| SchemaError("\"delta\" must be a number".to_string()))?;
     Ok(ApiQuery {
         query,
-        param: QueryParam::Range(delta),
+        param: Kind::Range(delta),
         timeout_ms,
         filters: decode_filters_field(&value)?,
-        mode: decode_mode_field(&value)?,
+        approx: decode_mode_field(&value)?,
     })
 }
 
@@ -685,7 +684,7 @@ mod tests {
         assert!(decode_knn(br#"{"query":[1],"k":3,"timeout_ms":-5}"#).is_err());
         let ok = decode_knn(br#"{"query":[4294967295],"k":0,"timeout_ms":null}"#).unwrap();
         assert_eq!(ok.query, vec![u32::MAX]);
-        assert_eq!(ok.param, QueryParam::Knn(0));
+        assert_eq!(ok.param, Kind::Knn(0));
         assert_eq!(ok.timeout_ms, None);
     }
 
@@ -694,7 +693,7 @@ mod tests {
         assert!(decode_range(br#"{"query":[1]}"#).is_err()); // no delta
         assert!(decode_range(br#"{"query":[1],"delta":true}"#).is_err());
         let ok = decode_range(br#"{"query":[],"delta":1}"#).unwrap();
-        assert_eq!(ok.param, QueryParam::Range(1.0));
+        assert_eq!(ok.param, Kind::Range(1.0));
     }
 
     #[test]

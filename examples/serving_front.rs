@@ -22,12 +22,16 @@
 //! });
 //! // Share &front across connection threads:
 //! let hits = front.knn(&query, 10)?;          // blocking (backpressure on full)
-//! let ticket = front.submit_knn(query, 10);   // fire-and-wait-later (sheds on full)
+//! let ticket = front.submit(Request::knn(query, 10)); // fire-and-wait-later (sheds on full)
 //! ticket.cancel();                            // …or give up: skips queued work
-//! let t = front.submit_knn_opts(query, 10, SubmitOpts {
-//!     deadline: Some(Instant::now() + Duration::from_millis(20)),
-//!     ..Default::default()
-//! });                                         // per-request deadline
+//! let t = front.submit(Request {
+//!     opts: SubmitOpts {
+//!         deadline: Some(Instant::now() + Duration::from_millis(20)),
+//!         ..Default::default()
+//!     },                                      // per-request deadline
+//!     route: Route::Namespace("tenant".into(), filters), // a namespace's filtered sets
+//!     ..Request::range(query, 0.8)
+//! });
 //! ```
 //!
 //! Every submitted request resolves to exactly one of: a result
@@ -160,7 +164,7 @@ fn main() {
 
     // Pipelined tickets: queue a burst without blocking, then collect.
     let burst: Vec<Ticket> = (0..256)
-        .map(|i| front.submit_knn(db.set(i * 31 % db.len() as u32).to_vec(), K))
+        .map(|i| front.submit(Request::knn(db.set(i * 31 % db.len() as u32).to_vec(), K)))
         .collect();
     let t = Instant::now();
     let ok = burst
@@ -188,23 +192,22 @@ fn main() {
             queue_capacity: 2,
         },
     );
-    let t1 = small.submit_knn(q.clone(), K); // on the worker, at the gate
-    let t2 = small.submit_knn(q.clone(), K); // queued behind it
-    let t3 = small.submit_knn(q.clone(), K); // queue full: shed
+    let t1 = small.submit(Request::knn(q.clone(), K)); // on the worker, at the gate
+    let t2 = small.submit(Request::knn(q.clone(), K)); // queued behind it
+    let t3 = small.submit(Request::knn(q.clone(), K)); // queue full: shed
     match t3.wait() {
         Err(ServeError::Overloaded) => println!("\nthird request shed with Overloaded ✓"),
         other => panic!("expected an overload rejection, got {other:?}"),
     }
     // A per-request deadline that has already passed is shed too — it
     // never consumes a worker.
-    let late = small.submit_knn_opts(
-        q.clone(),
-        K,
-        SubmitOpts {
+    let late = small.submit(Request {
+        opts: SubmitOpts {
             deadline: Some(Instant::now()),
             ..Default::default()
         },
-    );
+        ..Request::knn(q.clone(), K)
+    });
     match late.wait() {
         Err(ServeError::DeadlineExceeded(stats)) => {
             assert_eq!(stats.groups_verified, 0);

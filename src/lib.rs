@@ -50,8 +50,8 @@
 //! assert!(close.hits.iter().all(|&(_, s)| s >= 0.8));
 //!
 //! // `knn`/`range` are shorthands over the one entry point, `search`:
-//! // a `Query` names every axis (kind, mask, ctl, on_expiry).
-//! let anytime = Query { on_expiry: OnExpiry::Commit, ..Query::range(&query, 0.8) };
+//! // a `Query` names every axis (kind, mask, ctl, approx).
+//! let anytime = Query { approx: ApproxPolicy::Anytime, ..Query::range(&query, 0.8) };
 //! let (same, _) = index.search(&anytime, &mut QueryScratch::new()).unwrap();
 //! assert_eq!(same, close); // hits and stats: no deadline, nothing to commit early
 //! ```
@@ -73,11 +73,11 @@ pub mod prelude {
     pub use les3_core::{
         normalize_query, ApproxInfo, ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice,
         DiskLes3, DurableIndex, DurableOptions, FsyncPolicy, HierarchicalPartitioning, Htgm,
-        InterruptReason, Interrupted, Jaccard, Kind, Les3Index, LiveIndex, MinHashIndex, OnExpiry,
-        OnFull, OverlapCoefficient, Partitioning, PersistError, PersistentBackend, Query, QueryCtl,
-        QueryScratch, SearchOutcome, SearchResult, SearchStats, ServeConfig, ServeError,
-        ServeFront, ServeResult, ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity,
-        SubmitOpts, Tgm, Ticket,
+        InterruptReason, Interrupted, Jaccard, Kind, Les3Index, LiveIndex, MinHashIndex, OnFull,
+        OverlapCoefficient, Partitioning, PersistError, PersistentBackend, Query, QueryCtl,
+        QueryScratch, Request, Route, SearchOutcome, SearchResult, SearchStats, ServeConfig,
+        ServeError, ServeFront, ServeResult, ShardPolicy, ShardedLes3Index, ShardedScratch,
+        Similarity, SubmitOpts, Tgm, Ticket,
     };
     pub use les3_data::realistic::DatasetSpec;
     pub use les3_data::zipfian::ZipfianGenerator;
