@@ -21,13 +21,15 @@
 //!   isolated (every other task still runs; the first payload is
 //!   rethrown to the caller).
 //! * [`WorkerPool`] — the persistent counterpart used by the serving
-//!   front ([`crate::serve::ServeFront`]): long-lived named threads,
-//!   each owning one scratch for the pool's whole lifetime, popping one
-//!   job at a time off a FIFO queue. A job is a whole unit of work (the
-//!   front's is one request), so a free worker is all the load balancing
-//!   there is. Dropping the pool drains every submitted job before
-//!   joining — the serving front's graceful-shutdown guarantee rests on
-//!   this.
+//!   front ([`crate::serve::ServeFront`]): long-lived named threads
+//!   popping one job at a time off a FIFO queue, each job together with
+//!   one of the pool's scratch states. The states are the execution
+//!   permits: a caller about to block on its job can run it on its own
+//!   thread instead ([`WorkerPool::run_here`]) when a state is free and
+//!   nothing is queued. A job is a whole unit of work (the front's is one
+//!   request), so a free state is all the load balancing there is.
+//!   Dropping the pool drains every submitted job before joining — the
+//!   serving front's graceful-shutdown guarantee rests on this.
 //!
 //! # Example
 //!
@@ -144,74 +146,144 @@ pub(crate) fn run_coalesced<W>(
 /// `run_coalesced`, for callers that outlive any single batch (the
 /// serving front's [`crate::serve::ServeFront`]).
 ///
-/// `N` OS threads live for the pool's whole lifetime; each owns one
-/// per-worker state (scratch) built once by the factory and reused
-/// across **every job the pool ever executes**, so steady-state serving
-/// allocates nothing per job. Jobs queue FIFO; a worker pops exactly one,
-/// hands it to the run function the pool was built with, and comes back
-/// for the next.
+/// `N` OS threads live for the pool's whole lifetime, and so do `N`
+/// states (scratch) built once by the factory and reused across **every
+/// job the pool ever executes**, so steady-state serving allocates
+/// nothing per job. The states sit on a free list beside the FIFO job
+/// queue, under the same lock: a worker pops a job only together with a
+/// free state, runs it with the run function the pool was built with,
+/// puts the state back and comes back for the next. A caller that would
+/// block on its job anyway may run it itself with
+/// [`WorkerPool::run_here`], which takes a state the same way. Either
+/// way a job runs only while it holds a state, so at most `N` jobs
+/// execute at once.
 ///
 /// Dropping the pool is graceful: workers drain the queue (every
 /// submitted job runs) before the threads are joined.
-pub struct WorkerPool<J: Send + 'static> {
-    shared: Arc<PoolShared<J>>,
+pub struct WorkerPool<J: Send + 'static, W: Send + 'static> {
+    shared: Arc<PoolShared<J, W>>,
+    /// Rebuilds a state a panicking job may have left inconsistent.
+    make_state: Arc<dyn Fn() -> W + Send + Sync>,
     handles: Vec<crate::sync::thread::JoinHandle<()>>,
 }
 
-struct PoolShared<J> {
-    queue: Mutex<VecDeque<J>>,
+struct PoolShared<J, W> {
+    inner: Mutex<PoolQueue<J, W>>,
     available: Condvar,
     shutdown: AtomicBool,
 }
 
-impl<J: Send + 'static> WorkerPool<J> {
-    /// Spawns `workers` named threads, each owning one `make_state()`
-    /// result for its whole lifetime and calling `run(job, &mut state)`
-    /// for every job it pops. `run` should not let panics escape (the
-    /// serving front converts them into per-request errors); the pool
-    /// treats an escaped panic as a defect, rebuilds the worker's state
-    /// and keeps the worker alive.
-    pub fn new<W>(
+/// The jobs waiting for a state and the states waiting for a job.
+struct PoolQueue<J, W> {
+    jobs: VecDeque<J>,
+    free: Vec<W>,
+}
+
+impl<J, W> PoolQueue<J, W> {
+    /// The oldest job with a free state to run it on, if both exist.
+    fn take(&mut self) -> Option<(J, W)> {
+        if self.jobs.is_empty() {
+            return None;
+        }
+        let state = self.free.pop()?;
+        self.jobs.pop_front().map(|job| (job, state))
+    }
+}
+
+impl<J: Send + 'static, W: Send + 'static> WorkerPool<J, W> {
+    /// Builds `workers` states with `make_state` and spawns as many named
+    /// threads, each calling `run(job, &mut state)` for every job it pops.
+    /// `run` should not let panics escape (the serving front converts
+    /// them into per-request errors); the pool treats an escaped panic
+    /// as a defect, rebuilds the state and keeps the worker alive.
+    pub fn new(
         workers: usize,
         name: &str,
         make_state: impl Fn() -> W + Send + Sync + 'static,
         run: impl Fn(J, &mut W) + Send + Sync + 'static,
     ) -> Self {
+        let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
+            inner: Mutex::new(PoolQueue {
+                jobs: VecDeque::new(),
+                free: (0..workers).map(|_| make_state()).collect(),
+            }),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
         });
-        let body = Arc::new((make_state, run));
-        let handles = (0..workers.max(1))
+        let make_state: Arc<dyn Fn() -> W + Send + Sync> = Arc::new(make_state);
+        let run = Arc::new(run);
+        let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let body = Arc::clone(&body);
+                let (make_state, run) = (Arc::clone(&make_state), Arc::clone(&run));
                 crate::sync::thread::Builder::new()
                     .name(format!("{name}-{i}"))
-                    .spawn(move || pool_worker_loop(&shared, &body.0, &body.1))
+                    .spawn(move || pool_worker_loop(&shared, &*make_state, &*run))
                     .expect("spawn pool worker")
             })
             .collect();
-        Self { shared, handles }
+        Self {
+            shared,
+            make_state,
+            handles,
+        }
     }
 
     /// Enqueues a job and wakes one parked worker. One wake-up per push
-    /// loses none: a worker only parks after finding the queue empty
+    /// loses none: a worker only parks after finding no job it can take
     /// under the lock this push takes.
     pub fn submit(&self, job: J) {
-        lock_unpoisoned(&self.shared.queue).push_back(job);
+        lock_unpoisoned(&self.shared.inner).jobs.push_back(job);
         self.shared.available.notify_one();
+    }
+
+    /// Runs `job` on the calling thread with a free state — only when no
+    /// job is queued (queued jobs keep their FIFO priority) and a state is
+    /// free — then puts the state back and wakes one worker if a job
+    /// queued meanwhile. Otherwise hands the job back untouched, for the
+    /// caller to [`submit`](WorkerPool::submit). A panic in `run`
+    /// rebuilds the state and resumes on the caller.
+    pub fn run_here(&self, job: J, run: impl FnOnce(J, &mut W)) -> Result<(), J> {
+        let mut state = {
+            let mut inner = lock_unpoisoned(&self.shared.inner);
+            if !inner.jobs.is_empty() {
+                return Err(job);
+            }
+            match inner.free.pop() {
+                Some(state) => state,
+                None => return Err(job),
+            }
+        };
+        let out = catch_unwind(AssertUnwindSafe(|| run(job, &mut state)));
+        if out.is_err() {
+            state = (self.make_state)();
+        }
+        let waiting = {
+            let mut inner = lock_unpoisoned(&self.shared.inner);
+            inner.free.push(state);
+            !inner.jobs.is_empty()
+        };
+        // A worker that found a job but no state parked; this state is
+        // its wake-up. (A worker returning a state takes the next job
+        // itself and needs none.)
+        if waiting {
+            self.shared.available.notify_one();
+        }
+        if let Err(payload) = out {
+            resume_unwind(payload);
+        }
+        Ok(())
     }
 }
 
-impl<J: Send + 'static> Drop for WorkerPool<J> {
+impl<J: Send + 'static, W: Send + 'static> Drop for WorkerPool<J, W> {
     fn drop(&mut self) {
         // Set the flag while holding the queue mutex: a worker that just
         // saw `shutdown == false` under the lock cannot yet be parked on
         // the condvar, so the notify below can never be lost.
         {
-            let _queue = lock_unpoisoned(&self.shared.queue);
+            let _queue = lock_unpoisoned(&self.shared.inner);
             self.shared.shutdown.store(true, Ordering::Release);
         }
         self.shared.available.notify_all();
@@ -224,32 +296,29 @@ impl<J: Send + 'static> Drop for WorkerPool<J> {
 }
 
 fn pool_worker_loop<J, W>(
-    shared: &PoolShared<J>,
+    shared: &PoolShared<J, W>,
     make_state: &dyn Fn() -> W,
     run: &dyn Fn(J, &mut W),
 ) {
-    let mut state = make_state();
+    let mut inner = lock_unpoisoned(&shared.inner);
     loop {
-        let job = {
-            let mut queue = lock_unpoisoned(&shared.queue);
-            loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return; // queue drained and no more submitters
-                }
-                queue = shared
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
+        if let Some((job, mut state)) = inner.take() {
+            drop(inner);
+            // The run function catches per-request panics itself; this
+            // outer catch is the backstop that keeps a defective job from
+            // killing the worker thread (and with it the pool's capacity).
+            if catch_unwind(AssertUnwindSafe(|| run(job, &mut state))).is_err() {
+                state = make_state();
             }
-        };
-        // The run function catches per-request panics itself; this outer
-        // catch is the backstop that keeps a defective job from killing
-        // the worker thread (and with it the pool's capacity).
-        if catch_unwind(AssertUnwindSafe(|| run(job, &mut state))).is_err() {
-            state = make_state();
+            inner = lock_unpoisoned(&shared.inner);
+            inner.free.push(state);
+        } else if inner.jobs.is_empty() && shared.shutdown.load(Ordering::Acquire) {
+            return; // queue drained and no more submitters
+        } else {
+            inner = shared
+                .available
+                .wait(inner)
+                .unwrap_or_else(|e| e.into_inner());
         }
     }
 }
@@ -552,12 +621,12 @@ mod tests {
         const JOBS: usize = 26;
         const WORKERS: usize = 3;
         let ran: Arc<Vec<AtomicUsize>> = Arc::new((0..JOBS).map(|_| AtomicUsize::new(0)).collect());
-        // Each worker's own job tally, as its private state last saw it;
-        // a state takes its tally slot when it is built.
+        // Each state's own job tally, as the state last saw it; a state
+        // takes its tally slot when it is built.
         let tallies: Arc<Vec<AtomicUsize>> =
             Arc::new((0..WORKERS).map(|_| AtomicUsize::new(0)).collect());
         let next_slot = Arc::new(AtomicUsize::new(0));
-        let pool: WorkerPool<usize> = {
+        let pool: WorkerPool<usize, (usize, usize)> = {
             let (ran, tallies) = (Arc::clone(&ran), Arc::clone(&tallies));
             WorkerPool::new(
                 WORKERS,
@@ -580,6 +649,55 @@ mod tests {
         // A state rebuilt per job would leave every tally at 1.
         let total: usize = tallies.iter().map(|t| t.load(Ordering::Relaxed)).sum();
         assert_eq!(total, JOBS);
+    }
+
+    #[test]
+    fn run_here_runs_on_the_caller_only_with_a_free_state() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let pool: WorkerPool<usize, usize> = {
+            let ran = Arc::clone(&ran);
+            WorkerPool::new(
+                1,
+                "test-pool",
+                || 0,
+                move |_job: usize, jobs_on_state: &mut usize| {
+                    *jobs_on_state += 1;
+                    ran.fetch_add(1, Ordering::Relaxed);
+                },
+            )
+        };
+        let me = std::thread::current().id();
+        let mut ran_here = None;
+        // Idle: the job runs here, on the pool's one state.
+        let outer = pool.run_here(1, |job, jobs_on_state| {
+            *jobs_on_state += 1;
+            // The only state is held: a second job is handed back, and a
+            // submitted one waits for the state instead of running.
+            assert_eq!(pool.run_here(2, |_, _| ()), Err(2));
+            pool.submit(3);
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert_eq!(ran.load(Ordering::Relaxed), 0, "ran without a state");
+            ran_here = Some((job, std::thread::current().id()));
+        });
+        assert_eq!(outer, Ok(()));
+        assert_eq!(ran_here, Some((1, me)));
+        // A panic resumes on the caller and leaves the pool serving.
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut attempt = pool.run_here(4, |_, _| panic!("inline job fault"));
+            while let Err(job) = attempt {
+                std::thread::yield_now(); // job 3 may still hold the state
+                attempt = pool.run_here(job, |_, _| panic!("inline job fault"));
+            }
+        }))
+        .expect_err("the inline panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"inline job fault"));
+        pool.submit(5);
+        drop(pool);
+        assert_eq!(
+            ran.load(Ordering::Relaxed),
+            2,
+            "jobs 3 and 5 ran on the worker"
+        );
     }
 
     #[test]

@@ -13,11 +13,14 @@
 //! * once per group inside the verify loop, so an in-flight query stops
 //!   at the next group boundary rather than after the whole descent.
 //!
-//! A poll costs one relaxed atomic load (cancellation) plus one
-//! monotonic-clock read (deadline) — both skipped entirely for
-//! [`QueryCtl::NONE`], which the uncontrolled entry points
-//! ([`crate::ShardedLes3Index::knn_with`] and friends) pass, so the existing
-//! hot paths pay nothing.
+//! A poll costs one atomic load (cancellation), the caller's `gone`
+//! check when one is set (the serving front's reads the clock and probes
+//! the client at most once per
+//! [`PROBE_INTERVAL`](crate::serve::PROBE_INTERVAL)) and one
+//! monotonic-clock read (deadline) — all skipped for [`QueryCtl::NONE`],
+//! which the uncontrolled entry points
+//! ([`crate::ShardedLes3Index::knn_with`] and friends) pass, so the
+//! existing hot paths pay an empty check each.
 //!
 //! Interruption never loses work silently: the `*_ctl` entry points
 //! return [`Interrupted`] carrying the [`SearchStats`] accumulated up to
@@ -55,14 +58,27 @@ pub struct Interrupted {
 /// Cooperative interruption control for one in-flight query.
 ///
 /// Bundles an optional drop-dead [`Instant`] with an optional shared
-/// cancellation flag; the query hot paths poll
-/// [`QueryCtl::interrupted`] at phase and group boundaries.
+/// cancellation flag and an optional `gone` signal (the caller's own
+/// check that nobody waits for the answer any more); the query hot paths
+/// poll [`QueryCtl::interrupted`] at phase and group boundaries.
 /// Cancellation is checked first (an atomic load is cheaper than a
-/// clock read, and an explicit cancel is the stronger signal).
-#[derive(Debug, Clone, Copy, Default)]
+/// clock read, and an explicit cancel is the stronger signal), then
+/// `gone`, then the deadline.
+#[derive(Clone, Copy, Default)]
 pub struct QueryCtl<'a> {
     deadline: Option<Instant>,
     cancelled: Option<&'a AtomicBool>,
+    gone: Option<&'a dyn Fn() -> bool>,
+}
+
+impl std::fmt::Debug for QueryCtl<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryCtl")
+            .field("deadline", &self.deadline)
+            .field("cancelled", &self.cancelled)
+            .field("gone", &self.gone.is_some())
+            .finish()
+    }
 }
 
 impl<'a> QueryCtl<'a> {
@@ -73,13 +89,14 @@ impl<'a> QueryCtl<'a> {
     pub const NONE: QueryCtl<'static> = QueryCtl {
         deadline: None,
         cancelled: None,
+        gone: None,
     };
 
     /// A control that interrupts once `deadline` has passed.
     pub fn with_deadline(deadline: Instant) -> QueryCtl<'static> {
         QueryCtl {
             deadline: Some(deadline),
-            cancelled: None,
+            ..QueryCtl::NONE
         }
     }
 
@@ -90,16 +107,32 @@ impl<'a> QueryCtl<'a> {
         Self {
             deadline,
             cancelled,
+            gone: None,
         }
     }
 
-    /// Polls both signals; `Some(reason)` once the query should stop.
+    /// This control plus a `gone` signal: once `gone()` returns `true` the
+    /// query stops as [`InterruptReason::Cancelled`]. It is called at
+    /// every boundary, so an expensive check (a socket probe) should
+    /// throttle itself — the serving front's wrapper reads the clock and
+    /// asks at most once per [`PROBE_INTERVAL`](crate::serve::PROBE_INTERVAL).
+    pub fn or_gone(self, gone: &'a dyn Fn() -> bool) -> Self {
+        Self {
+            gone: Some(gone),
+            ..self
+        }
+    }
+
+    /// Polls every signal; `Some(reason)` once the query should stop.
     #[inline]
     pub fn interrupted(&self) -> Option<InterruptReason> {
         if let Some(flag) = self.cancelled {
             if flag.load(Ordering::Acquire) {
                 return Some(InterruptReason::Cancelled);
             }
+        }
+        if self.gone.is_some_and(|gone| gone()) {
+            return Some(InterruptReason::Cancelled);
         }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
@@ -135,5 +168,24 @@ mod tests {
         assert_eq!(ctl.interrupted(), Some(InterruptReason::Cancelled));
         flag.store(false, Ordering::Release);
         assert_eq!(ctl.interrupted(), Some(InterruptReason::Expired));
+    }
+
+    #[test]
+    fn gone_cancels_after_the_flag_and_before_the_deadline() {
+        let flag = AtomicBool::new(false);
+        let gone = std::cell::Cell::new(false);
+        let polls = std::cell::Cell::new(0);
+        let probe = || {
+            polls.set(polls.get() + 1);
+            gone.get()
+        };
+        let ctl = QueryCtl::new(Some(Instant::now()), Some(&flag)).or_gone(&probe);
+        assert_eq!(ctl.interrupted(), Some(InterruptReason::Expired));
+        gone.set(true);
+        assert_eq!(ctl.interrupted(), Some(InterruptReason::Cancelled));
+        assert_eq!(polls.get(), 2);
+        flag.store(true, Ordering::Release);
+        assert_eq!(ctl.interrupted(), Some(InterruptReason::Cancelled));
+        assert_eq!(polls.get(), 2, "a raised flag answers without asking");
     }
 }

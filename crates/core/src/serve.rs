@@ -9,38 +9,46 @@
 //! LES3 answers every query on its own (count its TGM columns, order the
 //! groups by the bound, verify group by group), so requests have nothing
 //! to share and [`ServeFront`] never holds one back to wait for company:
-//! **one request is one pool job**.
+//! **one request runs on one thread**, and a caller that blocks on its
+//! request runs it itself when nothing forces a hand-off.
 //!
-//! 1. **Admit.** Producer threads call [`ServeFront::knn`] /
-//!    [`ServeFront::range`] (blocking) or [`ServeFront::submit`] with one
-//!    owned [`Request`] — tokens, [`Kind`], [`ApproxPolicy`], [`Route`]
-//!    (the default route, or a namespace with its [`Filters`]) and
-//!    [`SubmitOpts`] — returning a [`Ticket`]. A bounded
-//!    gate ([`ServeConfig::queue_capacity`]) caps the
+//! 1. **Admit.** Producer threads call [`ServeFront::run`] (blocking,
+//!    with the caller's own "is anybody still waiting?" check),
+//!    [`ServeFront::knn`] / [`ServeFront::range`] (blocking) or
+//!    [`ServeFront::submit`] (returning a [`Ticket`]) with one owned
+//!    [`Request`] — tokens, [`Kind`], [`ApproxPolicy`], [`Route`] (the
+//!    default route, or a namespace with its [`Filters`]) and
+//!    [`SubmitOpts`]. All of them pass one bounded gate
+//!    ([`ServeConfig::queue_capacity`]) that caps the
 //!    **accepted-but-unfinished** requests: when it is full, fire-and-
 //!    forget submissions are shed immediately with
 //!    [`ServeError::Overloaded`] (load shedding — overload degrades
 //!    into fast rejections, not unbounded queueing), while the blocking
 //!    calls and [`OnFull::Wait`] submissions park until capacity frees
 //!    (backpressure).
-//! 2. **Queue.** Each admitted request carries a one-shot completion
-//!    slot and goes straight from the submitting thread onto the worker
-//!    pool's FIFO queue, waking one parked worker. There is no thread in
-//!    between.
-//! 3. **Execute.** The pool's workers each own one [`QueryScratch`] for
-//!    the pool's whole lifetime — it serves the default route and every
+//! 2. **Run here, or queue.** The pool owns one [`QueryScratch`] per
+//!    worker, and a request executes only while it holds one: the
+//!    scratches are the execution permits. A blocking call whose request
+//!    finds no request queued and a scratch free runs it on the calling
+//!    thread ([`WorkerPool::run_here`]) — no hand-off at all. Otherwise
+//!    the request goes onto the pool's FIFO queue, waking one parked
+//!    worker, and the caller waits in [`PROBE_INTERVAL`] slices. A
+//!    [`submit`](ServeFront::submit) always queues: its caller is not
+//!    going to wait yet. Either way at most `workers` requests execute at
+//!    once, and queued requests keep their FIFO priority.
+//! 3. **Execute.** A scratch serves the default route and every
 //!    namespace alike, so steady-state serving allocates nothing per
-//!    request and borrows nothing from the index it queries — and pop
-//!    exactly one request at a time. A request that
-//!    died while queued (deadline passed, ticket cancelled) is completed
-//!    at the pop without running. Otherwise it runs the engine's one
-//!    `search` under a [`QueryCtl`]: the deadline and cancellation token
-//!    are polled between the phase-A filter and verification and at
-//!    every group boundary, so a request that expires or is cancelled
-//!    *mid-flight* stops consuming CPU at the next boundary instead of
-//!    running to completion. A request runs on the one worker that
-//!    popped it, start to finish, and its route records it: the default
-//!    route and every [`Namespace`] each own their aggregate.
+//!    request and borrows nothing from the index it queries. A queued
+//!    request that died while queued (deadline passed, ticket cancelled)
+//!    is completed at the pop without running. Otherwise it runs the
+//!    engine's one `search` under a [`QueryCtl`]: the deadline and
+//!    cancellation token — and, for a request running on its caller's
+//!    thread, the caller's `gone` check — are polled between the phase-A
+//!    filter and verification and at every group boundary, so a request
+//!    that expires or is cancelled *mid-flight* stops consuming CPU at
+//!    the next boundary instead of running to completion. A request runs
+//!    on one thread, start to finish, and its route records it: the
+//!    default route and every [`Namespace`] each own their aggregate.
 //! 4. **Complete.** The request's slot is filled with its
 //!    [`SearchResult`] (releasing its unit of queue capacity); results
 //!    are **bit-for-bit identical** — hits *and* [`SearchStats`] — to
@@ -126,6 +134,10 @@
 //! // The admitted requests complete, identical to direct calls.
 //! assert_eq!(t1.wait().unwrap(), front.backend().knn(&[0, 1, 2], 2));
 //! assert_eq!(t2.wait().unwrap(), front.backend().range(&[0, 1, 3], 0.5));
+//! // A blocking call finds the worker's scratch free and the queue empty,
+//! // so it runs on this thread; `gone` would cancel it (never, here).
+//! let (answer, _verdict) = front.run(Request::knn(vec![7, 8], 1), &|| false).unwrap();
+//! assert_eq!(answer, front.backend().knn(&[7, 8], 1));
 //! let agg = front.stats();
 //! assert_eq!((agg.shed, agg.expired, agg.cancelled), (0, 1, 0));
 //! ```
@@ -138,10 +150,10 @@
 //!
 //! # Panic isolation
 //!
-//! A query that panics inside a worker (a defective similarity
-//! implementation, a corrupted input) fails **only its own request**:
-//! the panic is caught, the request completes with
-//! [`ServeError::QueryPanicked`], the worker's scratch is rebuilt
+//! A query that panics (a defective similarity implementation, a
+//! corrupted input), on a worker or on its caller's thread, fails **only
+//! its own request**: the panic is caught, the request completes with
+//! [`ServeError::QueryPanicked`], the scratch is rebuilt
 //! ([`QueryScratch::reset`]) and the pool keeps serving — no poisoned
 //! mutexes, no dead workers, no hung tickets.
 //!
@@ -154,6 +166,7 @@
 
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{Arc, Condvar, Mutex};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -283,6 +296,13 @@ pub struct SubmitOpts {
     /// Full-queue behavior; see [`OnFull`].
     pub on_full: OnFull,
 }
+
+/// How often a caller blocked on its request asks its `gone` check
+/// ([`ServeFront::run`]): between waits while the request is queued, and
+/// at the query's phase and group boundaries while it runs on the
+/// caller's thread. Shorter means abandoned requests stop sooner, at the
+/// cost of more checks (a socket probe each, over HTTP).
+pub const PROBE_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Parks on a full queue, no deadline: what the blocking calls submit
 /// with.
@@ -457,8 +477,9 @@ impl FrontShared {
 struct Slot {
     cell: Mutex<Option<ServeResultFull>>,
     done: Condvar,
-    /// The cancellation token: set by [`Ticket::cancel`] or the ticket's
-    /// drop, polled by the worker when it pops the request and at every
+    /// The cancellation token: set by [`Ticket::cancel`], the ticket's
+    /// drop or a [`ServeFront::run`] caller whose `gone` check fired;
+    /// polled by the worker when it pops the request and at every
     /// phase/group boundary.
     cancelled: AtomicBool,
     /// `Some` for admitted requests: completing the slot releases their
@@ -531,8 +552,8 @@ impl Slot {
         }
     }
 
-    fn is_done(&self) -> bool {
-        lock_unpoisoned(&self.cell).is_some()
+    fn cancel(&self) {
+        self.cancelled.store(true, Ordering::Release);
     }
 }
 
@@ -562,43 +583,6 @@ impl Ticket {
         self.wait_full().map(|(result, _)| result)
     }
 
-    /// Waits for at most `timeout`: `Ok` with the result if the request
-    /// completed in time, otherwise `Err` handing the (still live)
-    /// ticket back for another round. This is the probing primitive a
-    /// network front needs — alternate short waits with connection
-    /// checks, and [`cancel`](Ticket::cancel) (or drop) the ticket the
-    /// moment the client is gone:
-    ///
-    /// ```
-    /// # use les3_core::serve::{Request, ServeConfig, ServeFront, Ticket};
-    /// # use les3_core::sim::Jaccard;
-    /// # use les3_core::{Les3Index, Partitioning};
-    /// # use les3_data::SetDatabase;
-    /// # use std::time::Duration;
-    /// # let db = SetDatabase::from_sets(vec![vec![0u32, 1, 2], vec![0, 1, 3]]);
-    /// # let index = Les3Index::build(db, Partitioning::round_robin(2, 1), Jaccard);
-    /// # let front = ServeFront::new(index, ServeConfig::default());
-    /// # let client_connected = || true;
-    /// let mut ticket = front.submit(Request::knn(vec![0, 1, 2], 1));
-    /// let result = loop {
-    ///     match ticket.wait_for(Duration::from_millis(2)) {
-    ///         Ok(result) => break Some(result),
-    ///         Err(live) => {
-    ///             if !client_connected() {
-    ///                 live.cancel(); // dropping `live` would cancel too
-    ///                 break None;
-    ///             }
-    ///             ticket = live;
-    ///         }
-    ///     }
-    /// };
-    /// assert!(result.unwrap().is_ok());
-    /// ```
-    pub fn wait_for(self, timeout: Duration) -> Result<ServeResult, Ticket> {
-        self.wait_for_full(timeout)
-            .map(|full| full.map(|(result, _)| result))
-    }
-
     /// [`Ticket::wait`] plus the approximation verdict: `approx` is
     /// `false` (estimate 1) for every exact answer — including anytime
     /// requests that finished in time — and `true` with a recall
@@ -607,33 +591,13 @@ impl Ticket {
         self.slot.wait()
     }
 
-    /// [`Ticket::wait_for`]'s probing twin for [`Ticket::wait_full`]:
-    /// `Ok` with the result + verdict when the request completed in
-    /// time, `Err` handing the live ticket back otherwise.
-    pub fn wait_for_full(
-        self,
-        timeout: Duration,
-    ) -> Result<Result<(SearchResult, ApproxInfo), ServeError>, Ticket> {
-        // checked_add: a "wait forever" timeout must not panic.
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Ok(self.wait_full());
-        };
-        self.slot.wait_until(deadline).ok_or(self)
-    }
-
-    /// Whether the request has already completed — a subsequent
-    /// [`Ticket::wait`] returns without blocking.
-    pub fn is_done(&self) -> bool {
-        self.slot.is_done()
-    }
-
     /// Cancels the request: queued work is skipped, in-flight
     /// verification aborts at the next group boundary. The ticket stays
     /// waitable — [`Ticket::wait`] then observes either
     /// [`ServeError::Cancelled`] or, if the request won the race by
     /// finishing first, its ordinary result.
     pub fn cancel(&self) {
-        self.slot.cancelled.store(true, Ordering::Release);
+        self.slot.cancel();
     }
 }
 
@@ -642,7 +606,7 @@ impl Drop for Ticket {
         // An abandoned ticket means nobody will read the answer: treat
         // it as a cancellation so the request stops consuming CPU. (For
         // waited tickets this fires after completion and is a no-op.)
-        self.slot.cancelled.store(true, Ordering::Release);
+        self.slot.cancel();
     }
 }
 
@@ -710,7 +674,8 @@ impl<B: PersistentBackend> DefaultRoute<B> {
     }
 }
 
-/// An admitted request on the pool's queue, its route resolved.
+/// An admitted request, its route resolved: queued on the pool or run on
+/// its caller's thread.
 struct Job {
     tokens: Vec<TokenId>,
     kind: Kind,
@@ -720,10 +685,17 @@ struct Job {
     slot: Arc<Slot>,
 }
 
-/// Runs one popped job on a pool worker. The pop is the only place a
-/// queued request can die; otherwise its route's `search` runs it and
-/// records it.
-fn serve_one<B: PersistentBackend>(route: &DefaultRoute<B>, job: Job, scratch: &mut QueryScratch) {
+/// Runs one job with a pool scratch — on the worker that popped it, or
+/// on its caller's thread with the caller's `gone` check, which the query
+/// polls from its first boundary on — and completes its slot. The start
+/// is the only place a queued request can die; otherwise its route's
+/// `search` runs it and records it.
+fn serve_one<B: PersistentBackend>(
+    route: &DefaultRoute<B>,
+    job: Job,
+    scratch: &mut QueryScratch,
+    gone: Option<&dyn Fn() -> bool>,
+) {
     let ctl = QueryCtl::new(job.deadline, Some(&job.slot.cancelled));
     let out = match ctl.interrupted() {
         // Dead on arrival (expired or cancelled while queued): skip the
@@ -737,10 +709,10 @@ fn serve_one<B: PersistentBackend>(route: &DefaultRoute<B>, job: Job, scratch: &
             job.target.record(route).note(&out);
             out
         }
-        // One request is one pool job on one thread.
+        // One request runs on one thread.
         _ => {
             let q = Query {
-                ctl,
+                ctl: gone.map_or(ctl, |gone| ctl.or_gone(gone)),
                 approx: job.approx,
                 ..Query::new(&job.tokens, job.kind)
             };
@@ -784,9 +756,9 @@ pub struct ServeFront<B: PersistentBackend> {
     /// Named secondary indexes served through the same admission queue
     /// and worker pool as the default route; see [`Namespaces`].
     namespaces: Namespaces,
-    /// The request queue and its workers. Its drop drains every request
-    /// already submitted before the threads join.
-    pool: WorkerPool<Job>,
+    /// The request queue, its workers and their scratches. Its drop
+    /// drains every request already submitted before the threads join.
+    pool: WorkerPool<Job, QueryScratch>,
 }
 
 impl<B: PersistentBackend> ServeFront<B> {
@@ -827,7 +799,9 @@ impl<B: PersistentBackend> ServeFront<B> {
             config.effective_workers(),
             "les3-serve",
             QueryScratch::default,
-            move |job: Job, scratch: &mut QueryScratch| serve_one(&worker_route, job, scratch),
+            move |job: Job, scratch: &mut QueryScratch| {
+                serve_one(&worker_route, job, scratch, None)
+            },
         );
         Self {
             route,
@@ -893,14 +867,13 @@ impl<B: PersistentBackend> ServeFront<B> {
         self.shared.in_flight()
     }
 
-    /// Enqueues one request; the [`Ticket`] resolves to exactly what the
-    /// route's `search` answers for the same [`Query`] fields, or to an
-    /// admission outcome. A [`Route::Namespace`] is resolved *now*: an
-    /// unknown name resolves the ticket immediately to
+    /// Resolves a request's route and passes it through the admission
+    /// gate: the job to run, or the outcome that ends it without running.
+    /// A [`Route::Namespace`] is resolved *now*: an unknown name is
     /// [`ServeError::UnknownNamespace`] without consuming queue capacity,
     /// while a namespace dropped after admission still answers, against
     /// the retained handle.
-    pub fn submit(&self, request: Request) -> Ticket {
+    fn admit(&self, request: Request) -> Result<Job, ServeError> {
         let Request {
             tokens,
             kind,
@@ -912,28 +885,91 @@ impl<B: PersistentBackend> ServeFront<B> {
             Route::Default => Target::Default,
             Route::Namespace(name, filters) => match self.namespaces.get(&name) {
                 Some(ns) => Target::Ns(ns, filters),
-                None => return Ticket::resolved(ServeError::UnknownNamespace(name)),
+                None => return Err(ServeError::UnknownNamespace(name)),
             },
         };
         // An anytime request is never deadline-rejected at admission —
         // expiry commits a partial answer instead — so its deadline is
         // withheld from the admission gate (it still bounds the query's
-        // execution through the worker's `QueryCtl`).
+        // execution through its `QueryCtl`).
         let admit_deadline = opts.deadline.filter(|_| !approx.is_anytime());
         if let Err(err) = self.shared.admit(opts.on_full, admit_deadline) {
             self.shared.note_rejected(&err);
-            return Ticket::resolved(err);
+            return Err(err);
         }
-        let slot = Arc::new(Slot::admitted(Arc::clone(&self.shared)));
-        self.pool.submit(Job {
+        Ok(Job {
             tokens,
             kind,
             approx,
             target,
             deadline: opts.deadline,
-            slot: Arc::clone(&slot),
-        });
-        Ticket { slot }
+            slot: Arc::new(Slot::admitted(Arc::clone(&self.shared))),
+        })
+    }
+
+    /// Enqueues one request; the [`Ticket`] resolves to exactly what the
+    /// route's `search` answers for the same [`Query`] fields, or to an
+    /// admission outcome (an unknown namespace resolves it at once).
+    /// Always queues, even with a worker idle: the caller is not waiting
+    /// yet, so the request must not run on its thread.
+    pub fn submit(&self, request: Request) -> Ticket {
+        match self.admit(request) {
+            Ok(job) => {
+                let slot = Arc::clone(&job.slot);
+                self.pool.submit(job);
+                Ticket { slot }
+            }
+            Err(err) => Ticket::resolved(err),
+        }
+    }
+
+    /// Answers one request for a caller that blocks until it is done:
+    /// the same admission and outcome as [`ServeFront::submit`] then
+    /// [`Ticket::wait_full`], and the same answer bit for bit.
+    ///
+    /// When nothing is queued and a worker's scratch is free, the request
+    /// runs on the calling thread, and `gone` is polled (after the
+    /// cancellation flag) at the query's phase and group boundaries — at
+    /// most once per [`PROBE_INTERVAL`], one clock read per boundary.
+    /// Otherwise it queues, and the caller waits in [`PROBE_INTERVAL`]
+    /// slices, calling `gone` between them. When `gone` returns `true`
+    /// the request is cancelled: on this thread it stops at the next
+    /// boundary with [`ServeError::Cancelled`] and its partial stats; in
+    /// the queue it is marked cancelled and `run` returns
+    /// `Cancelled` at once, with empty stats — the worker that reaches it
+    /// records what it did in its route.
+    pub fn run(
+        &self,
+        request: Request,
+        gone: &dyn Fn() -> bool,
+    ) -> Result<(SearchResult, ApproxInfo), ServeError> {
+        let job = self.admit(request)?;
+        let slot = Arc::clone(&job.slot);
+        let next_probe = Cell::new(Instant::now() + PROBE_INTERVAL);
+        let probe = || {
+            let now = Instant::now();
+            if now < next_probe.get() {
+                return false;
+            }
+            next_probe.set(now + PROBE_INTERVAL);
+            gone()
+        };
+        let route = &*self.route;
+        let Err(job) = self.pool.run_here(job, |job, scratch| {
+            serve_one(route, job, scratch, Some(&probe))
+        }) else {
+            return slot.wait(); // completed on this thread: no wait
+        };
+        self.pool.submit(job);
+        loop {
+            if let Some(out) = slot.wait_until(Instant::now() + PROBE_INTERVAL) {
+                return out;
+            }
+            if gone() {
+                slot.cancel();
+                return Err(ServeError::Cancelled(SearchStats::default()));
+            }
+        }
     }
 
     /// [`ServeFront::submit`] of a kNN on the default route, parking on a
@@ -956,25 +992,25 @@ impl<B: PersistentBackend> ServeFront<B> {
         })
     }
 
-    /// Blocking kNN through the serving queue. Waits for admission on a
-    /// full queue: a closed-loop caller experiences backpressure, never
-    /// [`ServeError::Overloaded`].
+    /// Blocking kNN through the front ([`ServeFront::run`], never
+    /// abandoned). Waits for admission on a full queue: a closed-loop
+    /// caller experiences backpressure, never [`ServeError::Overloaded`].
     pub fn knn(&self, query: &[TokenId], k: usize) -> ServeResult {
-        self.submit(Request {
+        let request = Request {
             opts: WAIT,
             ..Request::knn(query.to_vec(), k)
-        })
-        .wait()
+        };
+        self.run(request, &|| false).map(|(result, _)| result)
     }
 
-    /// Blocking range search through the serving queue (waiting
-    /// admission, like [`ServeFront::knn`]).
+    /// Blocking range search through the front (waiting admission, like
+    /// [`ServeFront::knn`]).
     pub fn range(&self, query: &[TokenId], delta: f64) -> ServeResult {
-        self.submit(Request {
+        let request = Request {
             opts: WAIT,
             ..Request::range(query.to_vec(), delta)
-        })
-        .wait()
+        };
+        self.run(request, &|| false).map(|(result, _)| result)
     }
 }
 
@@ -1129,26 +1165,45 @@ mod tests {
         assert_eq!(front.in_flight(), 0);
     }
 
+    /// With both scratches held (as two requests running on their callers'
+    /// threads hold them), a blocking call queues and asks `gone` once per
+    /// probe interval; the third `true` cancels it at once. The worker
+    /// that reaches it once a scratch is back records the cancellation.
     #[test]
-    fn wait_for_probes_without_losing_the_result() {
+    fn run_probes_gone_while_queued_and_cancels_at_once() {
         let (front, index) = front_and_index();
         let q = index.db().set(5).to_vec();
-        // Probe without consuming: once `is_done`, `wait` must not block.
-        let ticket = front.submit(Request::knn(q.clone(), 3));
-        while !ticket.is_done() {
-            std::thread::yield_now();
-        }
-        assert_eq!(ticket.wait().unwrap(), index.knn(&q, 3));
-        // Timed waits hand the live ticket back instead of losing it,
-        // however many of them time out before the result lands.
-        let mut ticket = front.submit(Request::knn(q.clone(), 3));
-        let result = loop {
-            match ticket.wait_for(Duration::from_micros(50)) {
-                Ok(result) => break result,
-                Err(live) => ticket = live,
-            }
+        let hold = |then: &dyn Fn()| {
+            let job = front.admit(Request::knn(q.clone(), 3)).unwrap();
+            let held = front.pool.run_here(job, |job, scratch| {
+                then();
+                serve_one(&front.route, job, scratch, None);
+            });
+            assert!(held.is_ok(), "a scratch was free");
         };
-        assert_eq!(result.unwrap(), index.knn(&q, 3));
+        hold(&|| {
+            hold(&|| {
+                let asked = Cell::new(0);
+                let t0 = Instant::now();
+                let out = front.run(Request::knn(q.clone(), 3), &|| {
+                    asked.set(asked.get() + 1);
+                    asked.get() == 3
+                });
+                assert_eq!(out, Err(ServeError::Cancelled(SearchStats::default())));
+                assert_eq!(asked.get(), 3);
+                assert!(t0.elapsed() >= 3 * PROBE_INTERVAL, "one ask per slice");
+            })
+        });
+        let start = Instant::now();
+        while front.in_flight() > 0 && start.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        let stats = front.stats();
+        assert_eq!(stats.cancelled, 1);
+        let mut held_work = index.knn(&q, 3).stats;
+        held_work.accumulate(&index.knn(&q, 3).stats);
+        held_work.cancelled = 1;
+        assert_eq!(stats, held_work, "the cancelled request did no work");
     }
 
     #[test]

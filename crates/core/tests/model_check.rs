@@ -21,6 +21,7 @@
 #![cfg(feature = "model")]
 
 use std::collections::VecDeque;
+use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loom::cell::Data;
@@ -296,6 +297,165 @@ fn injected_pool_shutdown_outside_the_lock_strands_a_worker() {
             worker.join().unwrap();
         })
         .expect_err("the unguarded store can land in the check-to-park window");
+    assert!(failure.message.contains("deadlock"), "{failure}");
+}
+
+/// What a job does in the permit models: counts its run, touches the one
+/// scratch — a second holder running at the same time would be an
+/// unordered access the checker reports — and reports completion, so the
+/// caller can wait for every job the way a blocked client waits for its
+/// answer.
+struct Ledger {
+    ran: Vec<Data<u32>>,
+    scratch: Data<u32>,
+    done: Mutex<usize>,
+    all_done: Condvar,
+}
+
+impl Ledger {
+    fn new(jobs: usize) -> Arc<Self> {
+        Arc::new(Ledger {
+            ran: (0..jobs).map(|_| Data::new(0)).collect(),
+            scratch: Data::new(0),
+            done: Mutex::new(0),
+            all_done: Condvar::new(),
+        })
+    }
+
+    fn run(&self, job: usize) {
+        self.scratch.with_mut(|s| *s += 1);
+        self.ran[job].with_mut(|r| *r += 1);
+        *lock(&self.done) += 1;
+        self.all_done.notify_all();
+    }
+
+    /// Blocks until every job ran; a stranded one is a deadlock here.
+    fn await_all(&self) {
+        let mut done = lock(&self.done);
+        while *done < self.ran.len() {
+            done = self.all_done.wait(done).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(done);
+        for (job, cell) in self.ran.iter().enumerate() {
+            cell.with(|r| assert_eq!(*r, 1, "job {job} ran {r} times"));
+        }
+    }
+}
+
+/// The real `WorkerPool` with one worker, so one state: a caller tries
+/// `run_here` (submitting the job it is handed back) while two more jobs
+/// are submitted, then every job is awaited and the pool dropped. In
+/// every schedule each job runs exactly once, never two at a time (the
+/// one state is the only permit; `Ledger::scratch` would report two
+/// holders), and no job is stranded: a worker that found a job but no
+/// state parks, and the `notify_one` with which `run_here` returns the
+/// state is its wake-up.
+#[test]
+fn worker_pool_run_here_takes_the_only_state_and_strands_no_job() {
+    let report = model(|| {
+        let ledger = Ledger::new(3);
+        // Dropped by hand at the end: were a failing schedule torn down
+        // while the pool is alive, its `drop` would run mid-unwind.
+        let pool = ManuallyDrop::new({
+            let ledger = Arc::clone(&ledger);
+            Arc::new(WorkerPool::new(
+                1,
+                "model-pool",
+                || (),
+                move |job: usize, _state: &mut ()| ledger.run(job),
+            ))
+        });
+        let caller = {
+            let (pool, ledger) = (Arc::clone(&pool), Arc::clone(&ledger));
+            thread::spawn(move || {
+                if let Err(job) = pool.run_here(0, |job, _state| ledger.run(job)) {
+                    pool.submit(job);
+                }
+            })
+        };
+        pool.submit(1);
+        pool.submit(2);
+        caller.join().unwrap();
+        ledger.await_all();
+        drop(ManuallyDrop::into_inner(pool)); // the last handle: joins the worker
+    });
+    assert!(report.executions > 1, "not exhaustive: {report:?}");
+}
+
+/// The injected twin: a mirror of the pool with one state whose
+/// `run_here` puts the state back *without* `notify_one`. The checker
+/// finds the schedule where the worker saw the submitted job, found no
+/// state and parked; nobody wakes it, and the job is stranded.
+#[test]
+fn injected_run_here_without_notify_strands_a_job() {
+    struct Pool {
+        /// Jobs, and the one state when it is free.
+        inner: Mutex<(VecDeque<usize>, Option<()>)>,
+        available: Condvar,
+        shutdown: AtomicBool,
+    }
+    let failure = Builder::default()
+        .check_result(|| {
+            let ledger = Ledger::new(2);
+            let pool = Arc::new(Pool {
+                inner: Mutex::new((VecDeque::new(), Some(()))),
+                available: Condvar::new(),
+                shutdown: AtomicBool::new(false),
+            });
+            let worker = {
+                let (pool, ledger) = (Arc::clone(&pool), Arc::clone(&ledger));
+                thread::spawn(move || {
+                    let mut inner = lock(&pool.inner);
+                    loop {
+                        if !inner.0.is_empty() && inner.1.is_some() {
+                            let (job, state) = (inner.0.pop_front().unwrap(), inner.1.take());
+                            drop(inner);
+                            ledger.run(job);
+                            inner = lock(&pool.inner);
+                            inner.1 = state;
+                        } else if inner.0.is_empty() && pool.shutdown.load(Ordering::Acquire) {
+                            return;
+                        } else {
+                            inner = pool
+                                .available
+                                .wait(inner)
+                                .unwrap_or_else(|e| e.into_inner());
+                        }
+                    }
+                })
+            };
+            let caller = {
+                let (pool, ledger) = (Arc::clone(&pool), Arc::clone(&ledger));
+                thread::spawn(move || {
+                    let state = {
+                        let mut inner = lock(&pool.inner);
+                        if inner.0.is_empty() {
+                            inner.1.take()
+                        } else {
+                            None
+                        }
+                    };
+                    if state.is_some() {
+                        ledger.run(0);
+                        lock(&pool.inner).1 = state; // no notify_one
+                    } else {
+                        lock(&pool.inner).0.push_back(0);
+                        pool.available.notify_one();
+                    }
+                })
+            };
+            lock(&pool.inner).0.push_back(1);
+            pool.available.notify_one();
+            caller.join().unwrap();
+            ledger.await_all();
+            {
+                let _inner = lock(&pool.inner);
+                pool.shutdown.store(true, Ordering::Release);
+            }
+            pool.available.notify_all();
+            worker.join().unwrap();
+        })
+        .expect_err("a state returned without a wake-up must strand the queued job");
     assert!(failure.message.contains("deadlock"), "{failure}");
 }
 

@@ -2,7 +2,8 @@
 //!
 //! A thread-recording `Similarity` shows where the work runs: a kNN, a
 //! selective range and a wide range evaluate every candidate on the
-//! calling thread, and a served request on exactly one pool thread. The
+//! calling thread, a blocking served request on the thread that waits
+//! for it and a submitted one on exactly one pool thread. The
 //! same wrapper pins that every candidate a kNN verifies passes through
 //! the one kNN hook. A flag tripped mid-verification stops a range and a
 //! kNN at the next group boundary.
@@ -22,8 +23,8 @@ use std::thread::ThreadId;
 
 use les3_core::{
     FilterCandidates, InterruptReason, Jaccard, Les3Index, Partitioning, PreparedQuery, Query,
-    QueryCtl, QueryScratch, SearchStats, ServeConfig, ServeFront, ShardPolicy, ShardedLes3Index,
-    Similarity, ThresholdedEval,
+    QueryCtl, QueryScratch, Request, SearchStats, ServeConfig, ServeFront, ShardPolicy,
+    ShardedLes3Index, Similarity, ThresholdedEval,
 };
 use les3_data::{SetDatabase, TokenId};
 
@@ -266,8 +267,10 @@ fn knn_and_ranges_evaluate_on_one_thread() {
     );
     assert_eq!(wide_evaluators, me);
 
-    // (d) A lone served request is one pool job on one pool thread, even
-    // with three more workers idle.
+    // (d) A lone blocking request runs on the thread that waits for it
+    // (the workers are idle, so there is nothing to hand off to); a
+    // submitted one runs on exactly one pool thread, even with three
+    // more workers idle.
     let front = ServeFront::new(
         flat,
         ServeConfig {
@@ -275,11 +278,13 @@ fn knn_and_ranges_evaluate_on_one_thread() {
             ..ServeConfig::default()
         },
     );
+    assert_eq!(evaluators(|| drop(front.knn(&q, 10).unwrap())), me);
+    assert_eq!(evaluators(|| drop(front.range(&q, 0.8).unwrap())), me);
     for served in [
-        evaluators(|| drop(front.knn(&q, 10).unwrap())),
-        evaluators(|| drop(front.range(&q, 0.8).unwrap())),
+        evaluators(|| drop(front.submit(Request::knn(q.clone(), 10)).wait().unwrap())),
+        evaluators(|| drop(front.submit(Request::range(q.clone(), 0.8)).wait().unwrap())),
     ] {
         assert_eq!(served.len(), 1, "one request, one thread: {served:?}");
-        assert!(served.is_disjoint(&me), "served on a pool thread");
+        assert!(served.is_disjoint(&me), "submitted to a pool thread");
     }
 }

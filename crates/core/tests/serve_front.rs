@@ -21,8 +21,13 @@
 //!   requests keep succeeding on the same pool.
 //! * **One request, one job**: two concurrent requests run on two
 //!   workers at the same time.
+//! * **Blocking calls run where they wait**: a blocking call runs on its
+//!   own thread while a worker's scratch is free and queues behind the
+//!   scratches otherwise — never more than `workers` requests execute at
+//!   once — while `submit` always queues. Panics, answers and the stats
+//!   identity are the same on either path.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,8 +37,8 @@ use les3_core::serve::{
 use les3_core::sim::Jaccard;
 use les3_core::{ApproxInfo, ApproxPolicy};
 use les3_core::{
-    Filters, Les3Index, NamespaceSpec, Partitioning, PersistentBackend, QueryScratch, SearchResult,
-    SearchStats, ShardPolicy, ShardedLes3Index, Similarity,
+    Filters, Les3Index, NamespaceSpec, Partitioning, PersistentBackend, QueryCtl, QueryScratch,
+    SearchResult, SearchStats, ShardPolicy, ShardedLes3Index, Similarity,
 };
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::TokenId;
@@ -295,7 +300,8 @@ fn concurrent_requests_run_on_different_workers() {
 #[derive(Debug, Clone, Copy, Default)]
 struct GatedSim<const ID: usize>(Jaccard);
 
-static GATES: [AtomicBool; 6] = [
+static GATES: [AtomicBool; 7] = [
+    AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
@@ -603,6 +609,213 @@ fn cancellation_mid_anytime_interrupts_instead_of_committing() {
         Err(ServeError::Cancelled(_)) => {}
         other => panic!("cancelled anytime request must not commit: {other:?}"),
     }
+}
+
+/// A gated measure that also counts the filter-bound evaluations in
+/// flight at once, and the most it ever saw.
+#[derive(Debug, Clone, Copy, Default)]
+struct CountingGate(Jaccard);
+
+static COUNTING_GATE: AtomicBool = AtomicBool::new(false);
+static EVALUATING: AtomicUsize = AtomicUsize::new(0);
+static MOST_EVALUATING: AtomicUsize = AtomicUsize::new(0);
+
+impl Similarity for CountingGate {
+    fn name(&self) -> &'static str {
+        "counting-gate"
+    }
+    fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
+        self.0.from_overlap(overlap, a_len, b_len)
+    }
+    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
+        let now = EVALUATING.fetch_add(1, Ordering::SeqCst) + 1;
+        MOST_EVALUATING.fetch_max(now, Ordering::SeqCst);
+        let start = Instant::now();
+        while !COUNTING_GATE.load(Ordering::Acquire) && start.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        EVALUATING.fetch_sub(1, Ordering::SeqCst);
+        self.0.ub_from_overlap(q_len, r)
+    }
+}
+
+/// With `workers` gated blocking calls in flight — each on its caller's
+/// thread, holding a scratch — one more blocking call is admitted but
+/// queues: it does not start until a scratch comes back, so the measure
+/// never sees more than `workers` evaluations at once. Every answer still
+/// equals the direct call.
+#[test]
+fn a_blocking_call_beyond_the_scratches_queues() {
+    const WORKERS: usize = 2;
+    let db = ZipfianGenerator::new(120, 90, 5.0, 1.1).generate(5);
+    let index = Les3Index::build(
+        db,
+        Partitioning::round_robin(120, 6),
+        CountingGate::default(),
+    );
+    let front = ServeFront::new(
+        index,
+        ServeConfig {
+            workers: WORKERS,
+            ..ServeConfig::default()
+        },
+    );
+    let queries: Vec<Vec<TokenId>> = (0..=WORKERS as u32)
+        .map(|i| front.backend().db().set(i * 7).to_vec())
+        .collect();
+    let served: Vec<SearchResult> = std::thread::scope(|s| {
+        let callers: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                let front = &front;
+                s.spawn(move || front.knn(q, 4).expect("served"))
+            })
+            .collect();
+        let start = Instant::now();
+        while front.in_flight() < WORKERS + 1 || EVALUATING.load(Ordering::SeqCst) < WORKERS {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "the calls never got in"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        // The last call stays queued however long the others hold on.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(EVALUATING.load(Ordering::SeqCst), WORKERS);
+        assert_eq!(front.in_flight(), WORKERS + 1);
+        COUNTING_GATE.store(true, Ordering::Release);
+        callers.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+    assert_eq!(MOST_EVALUATING.load(Ordering::SeqCst), WORKERS);
+    for (q, got) in queries.iter().zip(&served) {
+        assert_eq!(got, &front.backend().knn(q, 4));
+    }
+}
+
+/// A blocking call whose query panics fails alone with `QueryPanicked`,
+/// and the next blocking call on the same thread — on the same rebuilt
+/// scratch — answers bit for bit.
+#[test]
+fn a_panicking_blocking_call_fails_alone_on_its_thread() {
+    let db = ZipfianGenerator::new(150, 120, 5.0, 1.1).generate(3);
+    let index = Les3Index::build(db, Partitioning::round_robin(150, 6), PanicAtLen::default());
+    let front = ServeFront::new(
+        index,
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let good: Vec<TokenId> = (0..5u32).collect();
+    let poison: Vec<TokenId> = (100..100 + POISON_LEN as u32).collect();
+    for _ in 0..2 {
+        match front.knn(&poison, 5) {
+            Err(ServeError::QueryPanicked(msg)) => assert!(msg.contains("poison query"), "{msg}"),
+            other => panic!("poison query returned {other:?}"),
+        }
+        let knn = front.knn(&good, 5).unwrap();
+        assert_eq!(knn.hits, front.backend().knn(&good, 5).hits);
+        assert_eq!(knn.stats, front.backend().knn(&good, 5).stats);
+        assert_eq!(
+            front.range(&good, 0.3).unwrap(),
+            front.backend().range(&good, 0.3)
+        );
+    }
+    assert_eq!(front.in_flight(), 0);
+}
+
+/// `submit` never runs its request on the submitting thread, even with
+/// the only worker idle: it returns while the gated query waits on a
+/// worker (were it run inline, the gate would hold it for 10 s).
+#[test]
+fn submit_returns_before_its_gated_query_starts() {
+    let front = gated_front::<6>(usize::MAX);
+    let q = front.backend().db().set(4).to_vec();
+    let t0 = Instant::now();
+    let ticket = front.submit(Request::knn(q.clone(), 4));
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "submit ran the query"
+    );
+    GATES[6].store(true, Ordering::Release);
+    assert_eq!(ticket.wait().unwrap(), front.backend().knn(&q, 4));
+}
+
+/// Blocking calls from racing threads (on their own threads while a
+/// scratch is free, queued otherwise) mixed with submitted tickets, over
+/// the default route and a namespace: every answer equals the direct
+/// call — hits and `SearchStats` — and `stats()` is the default route
+/// plus the namespaces.
+#[test]
+fn inline_and_queued_requests_answer_alike_and_keep_the_stats_identity() {
+    let db = ZipfianGenerator::new(200, 150, 6.0, 1.1).generate(21);
+    let index = Arc::new(Les3Index::build(
+        db,
+        Partitioning::round_robin(200, 8),
+        Jaccard,
+    ));
+    let front = ServeFront::from_arc(
+        Arc::clone(&index),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let sets: Vec<Vec<TokenId>> = (0..40u32).map(|i| vec![i, i + 1, i % 7]).collect();
+    let namespace = front
+        .namespaces()
+        .create(
+            "tenant",
+            NamespaceSpec {
+                sets,
+                ..NamespaceSpec::default()
+            },
+        )
+        .unwrap();
+    let ns_route = || Route::Namespace("tenant".into(), Filters::none());
+    let queries: Vec<Vec<TokenId>> = (0..24u32).map(|i| index.db().set(i * 5).to_vec()).collect();
+    std::thread::scope(|s| {
+        for t in 0..3 {
+            let (front, queries, index, namespace) = (&front, &queries, &index, &namespace);
+            s.spawn(move || {
+                let mut tickets = Vec::new();
+                for (i, q) in queries.iter().enumerate().filter(|(i, _)| i % 3 == t) {
+                    assert_eq!(front.knn(q, 6).unwrap(), index.knn(q, 6), "query {i}");
+                    assert_eq!(
+                        front.range(q, 0.3).unwrap(),
+                        index.range(q, 0.3),
+                        "query {i}"
+                    );
+                    let ns_query = vec![i as u32, i as u32 + 1, 3];
+                    let (got, _) = front
+                        .run(
+                            Request {
+                                route: ns_route(),
+                                ..Request::knn(ns_query.clone(), 3)
+                            },
+                            &|| false,
+                        )
+                        .unwrap();
+                    let want = namespace
+                        .knn(&ns_query, 3, &Filters::none(), &QueryCtl::NONE)
+                        .unwrap();
+                    assert_eq!(got, want, "namespace query {i}");
+                    tickets.push((i, front.submit(Request::knn(q.clone(), 4))));
+                }
+                for (i, ticket) in tickets {
+                    assert_eq!(
+                        ticket.wait().unwrap(),
+                        index.knn(&queries[i], 4),
+                        "query {i}"
+                    );
+                }
+            });
+        }
+    });
+    let mut sum = front.default_route_stats();
+    sum.accumulate(&front.namespaces().total_stats());
+    assert_eq!(front.stats(), sum, "stats identity");
+    assert_eq!(front.in_flight(), 0);
 }
 
 /// A deliberately slow measure (no gate — just drag) for the overload

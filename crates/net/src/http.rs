@@ -91,6 +91,12 @@ impl HttpRejection {
     }
 }
 
+/// The answer to a head longer than [`MAX_HEAD_BYTES`], complete or not.
+pub(crate) const HEAD_TOO_LARGE: HttpRejection = HttpRejection {
+    status: 400,
+    message: "request head exceeds the 16 KiB limit",
+};
+
 /// Finds the end of the request head: the index just past the first
 /// `\r\n\r\n`, or `None` if the head is still incomplete.
 pub fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -99,9 +105,13 @@ pub fn find_head_end(buf: &[u8]) -> Option<usize> {
 
 /// Parses a complete request head (everything up to and including the
 /// blank line). Rejects, rather than guesses at, anything outside the
-/// supported subset: unknown HTTP versions, missing length on bodies
-/// that need one, `Transfer-Encoding`, oversized declarations.
+/// supported subset: heads over [`MAX_HEAD_BYTES`], unknown HTTP
+/// versions, missing length on bodies that need one,
+/// `Transfer-Encoding`, oversized declarations.
 pub fn parse_head(head: &[u8]) -> Result<RequestHead, HttpRejection> {
+    if head.len() > MAX_HEAD_BYTES {
+        return Err(HEAD_TOO_LARGE);
+    }
     let text = std::str::from_utf8(head)
         .map_err(|_| HttpRejection::new(400, "request head is not valid UTF-8"))?;
     let text = text

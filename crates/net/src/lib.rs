@@ -10,9 +10,9 @@
 //! * `timeout_ms` in the request body → per-request deadline → `504
 //!   Gateway Timeout` carrying the partial
 //!   [`SearchStats`](les3_core::SearchStats);
-//! * client disconnect mid-query → the request's ticket is dropped,
-//!   which cancels it — queued work never runs, in-flight verification
-//!   stops at the next group boundary.
+//! * client disconnect mid-query → the request is cancelled — queued
+//!   work never runs, in-flight verification stops at the next group
+//!   boundary.
 //!
 //! The container this repo builds in has no crates.io access, so the
 //! whole stack is hand-rolled on `std`: [`http`] parses the HTTP/1.1

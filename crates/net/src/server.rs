@@ -9,20 +9,24 @@
 //!                                             │  parse HTTP (http.rs)
 //!                                             │  decode body (wire.rs)
 //!                                             ▼
-//!                                        ServeFront::submit(Request)
-//!                                             │  admission gate → FIFO → query worker
-//!                                             │  Ticket::wait_for_full probe loop
+//!                                        ServeFront::run(Request, gone = peer_gone)
+//!                                             │  admission gate, then
+//!                                             │  a scratch free → the query runs right here
+//!                                             │  all busy → FIFO → query worker, probed waits
 //!                                             ▼
 //!                                        HTTP response (status mapping below)
 //! ```
 //!
-//! Each admitted request becomes one [`Ticket`]; the connection worker
-//! alternates short [`Ticket::wait_for_full`] waits with a **connection
-//! probe** (a non-blocking `peek`), so a client that disconnects
-//! mid-query gets its
-//! ticket dropped — which cancels the request, stopping queued work
-//! before it runs and in-flight verification at the next group boundary.
-//! Abandoned queries do not keep burning CPU.
+//! A connection worker hands each admitted request to
+//! [`ServeFront::run`]: with a query worker's scratch free and nothing
+//! queued, the query runs on the connection worker itself; otherwise it
+//! queues and the connection worker waits in short slices. Either way the
+//! front asks a **connection probe** (a non-blocking `peek`) at most once
+//! per [`PROBE_INTERVAL`](les3_core::serve::PROBE_INTERVAL) — between
+//! waits, or at the running query's group boundaries — so a client that
+//! disconnects mid-query gets its request cancelled: queued work is
+//! skipped and verification stops at the next group boundary. Abandoned
+//! queries do not keep burning CPU.
 //!
 //! # Status mapping
 //!
@@ -65,11 +69,12 @@ use std::time::{Duration, Instant};
 
 use les3_core::{
     ApproxPolicy, NamespaceError, OnFull, PersistentBackend, Request, Route, SearchStats,
-    ServeError, ServeFront, SubmitOpts, Ticket,
+    ServeError, ServeFront, SubmitOpts,
 };
 
 use crate::http::{
-    find_head_end, parse_head, response_bytes, HttpRejection, RequestHead, MAX_HEAD_BYTES,
+    find_head_end, parse_head, response_bytes, HttpRejection, RequestHead, HEAD_TOO_LARGE,
+    MAX_HEAD_BYTES,
 };
 use crate::json::Json;
 use crate::wire;
@@ -99,10 +104,6 @@ impl Default for NetConfig {
     }
 }
 
-/// How often a worker waiting on an in-flight query probes the client
-/// socket for disconnect. Shorter means abandoned queries are cancelled
-/// sooner at the cost of more `peek` syscalls.
-const PROBE_INTERVAL: Duration = Duration::from_millis(2);
 /// The `Retry-After` header of every `503`, in whole seconds (never 0:
 /// that would invite an immediate hammer).
 const RETRY_AFTER_SECS: u64 = 1;
@@ -437,11 +438,10 @@ fn read_request(
             buf.drain(..head_end + body_len);
             return ReadOutcome::Request(head, body);
         }
+        // Incomplete and already over the cap. (A head completed by the
+        // read that crosses the cap is refused by `parse_head`.)
         if buf.len() > MAX_HEAD_BYTES {
-            return ReadOutcome::Reject(HttpRejection {
-                status: 400,
-                message: "request head exceeds the 16 KiB limit",
-            });
+            return ReadOutcome::Reject(HEAD_TOO_LARGE);
         }
         match stream.read(&mut chunk) {
             Ok(0) => return ReadOutcome::Closed,
@@ -593,8 +593,8 @@ fn route(path: &str) -> (Option<&str>, Option<&str>) {
 /// ```
 ///
 /// Namespace queries go through the same admission-controlled front as
-/// the default routes ([`ServeFront::submit`]), so they share the
-/// queue, deadlines and disconnect cancellation. Mutations and lifecycle
+/// the default routes ([`ServeFront::run`]), so they share the
+/// scratches, queue, deadlines and disconnect cancellation. Mutations and lifecycle
 /// calls are handled inline on the connection worker — they take the
 /// namespace's write lock, not a queue slot.
 fn respond<B: PersistentBackend>(
@@ -720,10 +720,11 @@ fn respond<B: PersistentBackend>(
     reply.write(stream, keep_alive)
 }
 
-/// Submits a decoded query to the front and streams its outcome back,
-/// probing the socket for client disconnect while the query is in
-/// flight. `ns` routes through the named namespace (with the query's
-/// decoded filter); `None` is the default backend.
+/// Runs a decoded query through the front and writes its outcome back.
+/// The front probes the socket for client disconnect while the query
+/// waits or runs, and cancels it when the client is gone. `ns` routes
+/// through the named namespace (with the query's decoded filter); `None`
+/// is the default backend.
 fn serve_query<B: PersistentBackend>(
     stream: &mut TcpStream,
     front: &ServeFront<B>,
@@ -738,7 +739,7 @@ fn serve_query<B: PersistentBackend>(
     let deadline = query
         .timeout_ms
         .and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
-    let mut ticket: Ticket = front.submit(Request {
+    let request = Request {
         tokens: query.query,
         kind: query.param,
         approx: query.approx,
@@ -750,23 +751,10 @@ fn serve_query<B: PersistentBackend>(
             deadline,
             on_full: OnFull::Shed,
         },
-    });
-    let outcome = loop {
-        match ticket.wait_for_full(PROBE_INTERVAL) {
-            Ok(outcome) => break outcome,
-            Err(live) => {
-                if peer_gone(stream) {
-                    // Dropping the ticket cancels the request: queued
-                    // work is skipped, in-flight verification stops at
-                    // the next group boundary. No one is listening for
-                    // the response.
-                    drop(live);
-                    return false;
-                }
-                ticket = live;
-            }
-        }
     };
+    // The query's scratch is back in the pool before the response is
+    // encoded or written: a slow client holds no query capacity.
+    let outcome = front.run(request, &|| peer_gone(stream));
     let reply = match outcome {
         Ok((result, info)) => Reply::ok(if verdict_fields {
             wire::encode_result_approx(&result, &info)
@@ -784,8 +772,9 @@ fn serve_query<B: PersistentBackend>(
             Some(&stats),
         ),
         // Normally unobservable — cancellation comes from client
-        // disconnect, and then nobody reads this. 499 is the
-        // conventional "client closed request" status.
+        // disconnect, and then nobody reads this (a gone peer's socket
+        // may still take the write). 499 is the conventional "client
+        // closed request" status.
         Err(ServeError::Cancelled(stats)) => {
             Reply::error_with(499, "cancelled", "the request was cancelled", Some(&stats))
         }

@@ -44,7 +44,11 @@ fn sharded_index(seed: u64) -> ShardedLes3Index<Jaccard> {
 #[derive(Debug, Clone, Copy, Default)]
 struct GatedSim<const ID: usize>(Jaccard);
 
-static GATES: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
+static GATES: [AtomicBool; 3] = [
+    AtomicBool::new(false),
+    AtomicBool::new(false),
+    AtomicBool::new(false),
+];
 
 impl<const ID: usize> Similarity for GatedSim<ID> {
     fn name(&self) -> &'static str {
@@ -537,6 +541,84 @@ fn client_disconnect_cancels_the_query() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+    server.shutdown();
+}
+
+/// Polls `GET /stats` until `in_flight` reaches `n`.
+fn await_in_flight(addr: &str, n: u64) {
+    let t0 = Instant::now();
+    loop {
+        let response = Client::connect(addr).request("GET", "/stats", None);
+        if response.json().get("in_flight").and_then(Json::as_u64) == Some(n) {
+            return;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "in_flight never reached {n}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn client_disconnect_cancels_a_queued_query() {
+    // One worker, so one scratch: a gated occupant holds it on its own
+    // connection worker, and a second client's query queues behind it.
+    // That client vanishes while queued; the probe between waits must
+    // cancel the request, which then never runs.
+    let config = ServeConfig {
+        workers: 1,
+        queue_capacity: usize::MAX,
+    };
+    let (server, addr) = start_server(gated_index::<2>(7), config);
+    let db = test_db(7);
+    let query = db.set(2).to_vec();
+    let occupant = {
+        let (addr, query) = (addr.clone(), query.clone());
+        std::thread::spawn(move || Client::connect(&addr).knn(&query, 3))
+    };
+    await_in_flight(&addr, 1);
+    {
+        let mut client = Client::connect(&addr);
+        let tokens: Vec<Json> = query.iter().map(|&t| Json::from(u64::from(t))).collect();
+        let body = Json::Obj(vec![
+            ("query".to_string(), Json::Arr(tokens)),
+            ("k".to_string(), Json::from(3u64)),
+        ])
+        .to_string();
+        client.send_raw(
+            format!(
+                "POST /knn HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
+        await_in_flight(&addr, 2);
+        // Drop the connection without reading the response.
+    }
+    // Two hundred probe intervals for the server to notice, then free
+    // the scratch.
+    std::thread::sleep(Duration::from_millis(400));
+    GATES[2].store(true, Ordering::Release);
+    let occupant = occupant.join().unwrap();
+    assert_eq!(occupant.status, 200, "{}", occupant.body);
+    let t0 = Instant::now();
+    while stats_field(&addr, "cancelled") < 1 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the queued request was never cancelled"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(stats_field(&addr, "cancelled"), 1);
+    // The cancelled request verified nothing: all the verification the
+    // aggregate holds is the occupant's.
+    let occupant_stats = wire::decode_stats(occupant.json().get("stats").unwrap()).unwrap();
+    assert!(occupant_stats.groups_verified > 0);
+    assert_eq!(
+        stats_field(&addr, "groups_verified"),
+        occupant_stats.groups_verified as u64
+    );
     server.shutdown();
 }
 

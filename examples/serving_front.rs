@@ -1,6 +1,7 @@
 //! Async serving front: single queries from many producer threads pass
-//! an **admission-control layer** onto a FIFO queue drained by a
-//! persistent worker pool, one request per worker at a time — the
+//! an **admission-control layer**, then run on the producer's own thread
+//! while a worker's scratch is free, or queue FIFO for a persistent
+//! worker pool — at most one request per scratch at a time. This is the
 //! request-queue step on top of `sharded_service`'s synchronous batch
 //! calls.
 //!
@@ -21,7 +22,7 @@
 //!     queue_capacity: 256,                    // accepted-but-unfinished cap
 //! });
 //! // Share &front across connection threads:
-//! let hits = front.knn(&query, 10)?;          // blocking (backpressure on full)
+//! let hits = front.knn(&query, 10)?;          // blocking (backpressure on full; runs here if a scratch is free)
 //! let ticket = front.submit(Request::knn(query, 10)); // fire-and-wait-later (sheds on full)
 //! ticket.cancel();                            // …or give up: skips queued work
 //! let t = front.submit(Request {
@@ -100,7 +101,8 @@ fn main() {
     println!("serving front up: one worker per core, unbounded queue\n");
 
     // Closed-loop producers: each thread fires blocking single-query
-    // requests; each one is a job for the next free worker.
+    // requests; each one runs on its producer while a worker's scratch
+    // is free, and waits for the next free worker otherwise.
     let errors = AtomicUsize::new(0);
     let t = Instant::now();
     let latencies: Vec<Duration> = std::thread::scope(|s| {
