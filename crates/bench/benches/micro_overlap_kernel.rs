@@ -125,21 +125,6 @@ fn bench_batch_throughput(c: &mut Criterion) {
     group.bench_function("knn10_rayon_batch", |b| {
         b.iter(|| black_box(index.knn_batch(&queries, 10).len()))
     });
-    // Same workload through the sharded engine (per-shard TGMs +
-    // cross-shard top-k merge + coalescing executor). Two shards is the
-    // right scale for a single-core host — per-shard fixed costs grow
-    // with N while verification work is constant; `les3-bench`'s
-    // `shard.vs_flat_ratio` is the tracked sharded-vs-flat number.
-    let sharded = les3_core::ShardedLes3Index::build(
-        db.clone(),
-        Partitioning::round_robin(db.len(), 256),
-        Jaccard,
-        2,
-        les3_core::ShardPolicy::Contiguous,
-    );
-    group.bench_function("knn10_sharded_batch", |b| {
-        b.iter(|| black_box(sharded.knn_batch(&queries, 10).len()))
-    });
     group.bench_function("range0.6_sequential", |b| {
         b.iter(|| {
             let mut scratch = QueryScratch::new();

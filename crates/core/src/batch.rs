@@ -512,7 +512,7 @@ mod tests {
         let db = ZipfianGenerator::new(500, 300, 7.0, 1.1).generate(29);
         let queries: Vec<Vec<TokenId>> = (0..60u32).map(|i| db.set(i * 7 % 500).to_vec()).collect();
         let part = Partitioning::round_robin(500, 20);
-        let sharded = ShardedLes3Index::build(db, part, Jaccard, 3, ShardPolicy::Hash);
+        let sharded = ShardedLes3Index::build(db, part, Jaccard, 3, ShardPolicy::Contiguous);
         for workers in [1usize, 2, 5] {
             let knn = sharded.knn_batch_on(workers, &queries, 6);
             let rng = sharded.range_batch_on(workers, &queries, 0.5);

@@ -1,13 +1,11 @@
-//! The flat-kind index and the verification machinery every engine
-//! shares (paper §6).
+//! The index type and the verification machinery the engine and the
+//! HTGM share (paper §6).
 //!
-//! [`Les3Index`] is not an engine of its own: it is a
-//! [`ShardedLes3Index`] whose recorded layout is the trivial one (one
-//! shard, every group in it) under the constructor, accessors and
-//! on-disk kind the unsharded index has always had. Every query, insert
-//! and delete runs the one body in `shard.rs` / `update.rs` /
-//! `delete.rs` through `Deref`. What lives here besides the newtype is
-//! what that body (and the HTGM) verifies with:
+//! [`Les3Index`] is not an engine of its own: it derefs to the one
+//! engine, [`ShardedLes3Index`], so every query, insert and delete runs
+//! the one body in `shard.rs` / `update.rs` / `delete.rs`. What lives
+//! here besides the newtype is what that body (and the HTGM) verifies
+//! with:
 //!
 //! * groups are ordered for verification by **bucketed descending
 //!   selection** (`bucketed_descending`) — `ub_from_overlap` is
@@ -46,7 +44,7 @@ use les3_data::{SetDatabase, SetId, TokenId};
 
 use crate::partitioning::Partitioning;
 use crate::scratch::QueryScratch;
-use crate::shard::{ShardPolicy, ShardedLes3Index};
+use crate::shard::ShardedLes3Index;
 use crate::sim::{distinct_len, normalize_query, PreparedQuery, Similarity, ThresholdedEval};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
@@ -62,15 +60,15 @@ pub struct SearchResult {
 
 /// The LES3 index: database + partitioning + TGM + similarity measure.
 ///
-/// A [`ShardedLes3Index`] whose recorded layout is one shard. `search`,
+/// A newtype over the one engine, [`ShardedLes3Index`]: `search`,
 /// `knn*`, `range*`, `insert`, `enable_approx` and the accessors are the
-/// engine's own, reached through `Deref`; this type adds the unsharded
-/// constructor, [`Les3Index::tgm`], the phase-A probe
-/// [`Les3Index::group_upper_bounds_with`], a `knn_batch_on` that takes
-/// (and ignores) an intra-query width, and the flat segment kind (no
-/// SHARDS block, see [`crate::persist`]).
+/// engine's own, reached through `Deref`; this type adds the constructor
+/// without layout arguments, [`Les3Index::tgm`], the phase-A probe
+/// [`Les3Index::group_upper_bounds_with`] and a `knn_batch_on` that
+/// takes (and ignores) an intra-query width. Both types save the same
+/// segment bytes and open the same directories (see [`crate::persist`]).
 #[derive(Debug, Clone)]
-pub struct Les3Index<S: Similarity>(ShardedLes3Index<S>);
+pub struct Les3Index<S: Similarity>(pub(crate) ShardedLes3Index<S>);
 
 impl<S: Similarity> Deref for Les3Index<S> {
     type Target = ShardedLes3Index<S>;
@@ -89,15 +87,7 @@ impl<S: Similarity> DerefMut for Les3Index<S> {
 impl<S: Similarity> Les3Index<S> {
     /// Builds the index. The partitioning must cover the database.
     pub fn build(db: SetDatabase, partitioning: Partitioning, sim: S) -> Self {
-        let one_shard = ShardedLes3Index::build(db, partitioning, sim, 1, ShardPolicy::Contiguous);
-        Self::from_one_shard(one_shard)
-    }
-
-    /// Wraps an engine whose recorded layout is one shard (the persist
-    /// layer builds one from every segment without a SHARDS block).
-    pub(crate) fn from_one_shard(engine: ShardedLes3Index<S>) -> Self {
-        assert_eq!(engine.n_shards(), 1, "a flat index is the 1-shard engine");
-        Self(engine)
+        Self(ShardedLes3Index::new(db, partitioning, sim))
     }
 
     /// The token-group matrix.
@@ -512,50 +502,36 @@ mod tests {
         )
     }
 
-    /// What makes a `Les3Index` a `Les3Index`: its engine records one
-    /// shard holding every group, and on disk it is the flat kind.
-    /// Inserts, deletes and a save → open keep both true.
+    /// One engine, one on-disk kind: a directory a `Les3Index` kept
+    /// durable through inserts, deletes and a checkpoint opens as either
+    /// index type, and both answer as the live index does.
     #[test]
-    fn a_flat_index_is_the_one_shard_engine_and_stays_one() {
-        use crate::persist::{DurableIndex, PersistentBackend};
-
-        fn check(index: &Les3Index<Jaccard>) {
-            let identity: Vec<u32> = (0..index.partitioning().n_groups() as u32).collect();
-            // Through the deref: the trait's `n_shards` is the on-disk 0.
-            assert_eq!((**index).n_shards(), 1);
-            assert_eq!(index.shard_groups(0), identity);
-            assert!(index.shard_of_group.iter().all(|&s| s == 0));
-            assert_eq!(index.tgm().n_groups(), identity.len());
-            // The persisted kind: no SHARDS block.
-            assert_eq!(Les3Index::<Jaccard>::kind_name(), "flat");
-            assert_eq!(PersistentBackend::n_shards(index), 0);
-            assert_eq!(index.shard_layout(), None);
-        }
+    fn a_flat_directory_opens_as_either_index_type() {
+        use crate::persist::DurableIndex;
 
         let db = ZipfianGenerator::new(200, 120, 6.0, 1.1).generate(47);
         let part = random_partitioning(db.len(), 7, 5);
         let index = Les3Index::build(db, part, Jaccard);
-        check(&index);
 
-        let dir = std::env::temp_dir().join(format!("les3-one-shard-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("les3-one-kind-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let mut durable = DurableIndex::create(&dir, index).unwrap();
         for i in 0..30u32 {
             durable.insert(&mut [i % 9, 40 + i, 500 + i]).unwrap();
             assert!(durable.delete(i * 5).unwrap());
         }
-        check(durable.backend());
-        durable.insert(&mut [3, 4, 900]).unwrap();
-        assert!(durable.delete(1).unwrap());
         durable.checkpoint().unwrap();
         durable.insert(&mut [5, 901]).unwrap();
         let live = durable.into_live();
         let live = live.engine();
-        let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
-        check(reopened.backend());
         let q = live.db().set(17).to_vec();
-        assert_eq!(reopened.backend().knn(&q, 9), live.knn(&q, 9));
-        assert_eq!(reopened.backend().range(&q, 0.3), live.range(&q, 0.3));
+        let flat = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+        assert_eq!(flat.backend().knn(&q, 9), live.knn(&q, 9));
+        assert_eq!(flat.backend().range(&q, 0.3), live.range(&q, 0.3));
+        drop(flat);
+        let same = DurableIndex::<ShardedLes3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+        assert_eq!(same.backend().knn(&q, 9), live.knn(&q, 9));
+        assert_eq!(same.backend().range(&q, 0.3), live.range(&q, 0.3));
         std::fs::remove_dir_all(&dir).ok();
     }
 

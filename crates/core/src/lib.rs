@@ -21,15 +21,15 @@
 //!   runs it, on the calling thread, [`ShardedLes3Index::search`]; `knn`,
 //!   `range` and the other named methods are single expressions over it,
 //!   and a served [`Request`] carries the same fields;
-//! * [`ShardedLes3Index`] — the memory-resident engine over a
+//! * [`ShardedLes3Index`] — the one memory-resident engine over a
 //!   [`SetDatabase`](les3_data::SetDatabase) and a [`Partitioning`]:
-//!   one [`Tgm`], one verification order, and the N ≥ 1 shard layout it
-//!   was built with as recorded data (reported and saved, never
-//!   executed); batches run on a coalescing work queue. Hits, stats and
-//!   index bytes are the same at every N by construction;
-//! * [`Les3Index`] — that engine under the unsharded constructor and
-//!   on-disk kind (it derefs to the engine: every query and update
-//!   method is the engine's own);
+//!   one [`Tgm`] and one verification order; batches run on a coalescing
+//!   work queue. Its name and the ignored layout arguments of its
+//!   `build` ([`ShardPolicy`], [`ShardedScratch`]) stay until the
+//!   repository benchmark stops naming them;
+//! * [`Les3Index`] — that engine under the constructor without layout
+//!   arguments (it derefs to the engine: every query and update method is
+//!   the engine's own); both types save the same segment bytes;
 //! * [`LiveIndex`] — an engine together with the [`DeletionLog`] and
 //!   [`MetadataIndex`] that describe it: the one owner of inserts,
 //!   deletes, attribute-filtered search and snapshots, which

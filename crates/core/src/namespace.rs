@@ -1,21 +1,21 @@
 //! Multi-tenant namespaces: N independent indexes behind one registry,
-//! each with its own corpus, similarity measure, flat or sharded
-//! engine, attribute metadata and deletion log.
+//! each with its own corpus, similarity measure, attribute metadata and
+//! deletion log.
 //!
 //! A [`Namespaces`] registry maps names to [`Namespace`]s. Each
-//! namespace owns a type-erased [`LiveIndex`] — the engine (`Les3Index`
-//! or `ShardedLes3Index` over any of the four measures) with its
-//! attribute metadata for filtered search and its deletion log for
-//! tombstones. Queries take a read lock (many run concurrently, each in
-//! the scratch its caller brings), mutations a write lock; dropping a
-//! namespace only removes it from the registry — in-flight queries hold
-//! an `Arc` and finish cleanly on the detached index.
+//! namespace owns a type-erased [`LiveIndex`] — a `Les3Index` over any
+//! of the four measures, with its attribute metadata for filtered search
+//! and its deletion log for tombstones. Queries take a read lock (many
+//! run concurrently, each in the scratch its caller brings), mutations a
+//! write lock; dropping a namespace only removes it from the registry —
+//! in-flight queries hold an `Arc`, finish cleanly on the detached index
+//! and still count in [`Namespaces::total_stats`].
 //!
 //! Filtered queries resolve the [`Filters`] predicate to a
 //! [`FilterCandidates`](crate::FilterCandidates) mask once and hand it
 //! to the engine's `search` as the [`Query`]'s `mask`, so hits *and*
-//! [`SearchStats`] are bit-for-bit identical across flat/sharded
-//! engines (`tests/filtered_equivalence.rs` pins this).
+//! [`SearchStats`] are bit-for-bit those of the engine called directly
+//! with that mask (`tests/filtered_equivalence.rs` pins this).
 //!
 //! ```
 //! use les3_core::namespace::{NamespaceSpec, Namespaces};
@@ -57,15 +57,20 @@ use crate::index::{Les3Index, SearchResult};
 use crate::live::LiveIndex;
 use crate::metadata::{Filters, MetaError, MetadataIndex, MAX_ATTRS_PER_SET, MAX_ATTR_STR};
 use crate::partitioning::Partitioning;
-use crate::persist::{self, DurableIndex, PersistError, PersistentBackend};
+use crate::persist::{self, DurableIndex, PersistError};
 use crate::query::{Query, SearchOutcome};
 use crate::scratch::QueryScratch;
-use crate::shard::{ShardPolicy, ShardedLes3Index};
 use crate::sim::{Cosine, Dice, Jaccard, OverlapCoefficient, Similarity};
 use crate::stats::{SearchStats, StatsRecord};
 
 /// Longest accepted namespace name.
 pub const MAX_NAMESPACE_NAME: usize = 64;
+
+/// Most partitioning groups a namespace may ask for. Each group costs
+/// memory whether or not it holds a set (≈ 74 B), so the cap bounds what
+/// one `PUT /ns/{name}` body can allocate; 65 536 is 16× the largest
+/// group count the benchmarks sweep.
+pub const MAX_NAMESPACE_GROUPS: usize = 1 << 16;
 
 /// Why a namespace operation failed.
 #[derive(Debug)]
@@ -75,7 +80,7 @@ pub enum NamespaceError {
     /// A namespace with this name already exists.
     AlreadyExists(String),
     /// The request itself is malformed: bad name, unknown similarity,
-    /// mismatched attribute list, attribute caps exceeded.
+    /// mismatched attribute list, attribute or group caps exceeded.
     Invalid(String),
     /// Saving or loading the namespace failed.
     Persist(PersistError),
@@ -120,8 +125,6 @@ impl From<MetaError> for NamespaceError {
 pub struct NamespaceInfo {
     /// Registry name.
     pub name: String,
-    /// `"flat"` or `"sharded"`.
-    pub kind: &'static str,
     /// Similarity measure name (`"jaccard"`, …).
     pub sim: &'static str,
     /// Sets ever inserted (live + tombstoned).
@@ -130,8 +133,6 @@ pub struct NamespaceInfo {
     pub live_sets: usize,
     /// Partitioning groups.
     pub n_groups: usize,
-    /// Shards; 0 for a flat engine.
-    pub n_shards: usize,
 }
 
 /// Parameters for creating a namespace.
@@ -139,10 +140,9 @@ pub struct NamespaceInfo {
 pub struct NamespaceSpec {
     /// Similarity measure name; empty means `"jaccard"`.
     pub sim: String,
-    /// Partitioning groups; 0 picks `⌈√n⌉` (min 1).
+    /// Partitioning groups; 0 picks `⌈√n⌉` (min 1). At most
+    /// [`MAX_NAMESPACE_GROUPS`].
     pub n_groups: usize,
-    /// Shards; 0 builds a flat engine.
-    pub n_shards: usize,
     /// Initial corpus (sets may be unsorted; they are normalized).
     pub sets: Vec<Vec<TokenId>>,
     /// Per-set attributes, parallel to `sets`; empty means "no set has
@@ -186,8 +186,7 @@ fn validate_name(name: &str) -> Result<(), NamespaceError> {
 }
 
 /// What the registry stores per namespace: a [`LiveIndex`] behind a
-/// trait object, so one map can hold flat and sharded engines over any
-/// measure.
+/// trait object, so one map can hold engines over any measure.
 trait NsBackend: Send + Sync {
     fn search(&self, q: &Query<'_>, filters: &Filters, scratch: &mut QueryScratch)
         -> SearchOutcome;
@@ -198,7 +197,7 @@ trait NsBackend: Send + Sync {
     fn save(&self, dir: &Path) -> Result<(), PersistError>;
 }
 
-impl<E: PersistentBackend> NsBackend for LiveIndex<E> {
+impl<S: Similarity> NsBackend for LiveIndex<Les3Index<S>> {
     fn search(
         &self,
         q: &Query<'_>,
@@ -221,13 +220,11 @@ impl<E: PersistentBackend> NsBackend for LiveIndex<E> {
     }
 
     fn fill_info(&self, info: &mut NamespaceInfo) {
-        let engine = self.engine().sharded();
-        info.kind = E::kind_name();
+        let engine = self.engine();
         info.sim = engine.sim().name();
         info.n_sets = engine.db().len();
         info.live_sets = self.log().live_count();
         info.n_groups = engine.partitioning().n_groups();
-        info.n_shards = self.engine().n_shards() as usize;
     }
 
     fn save(&self, dir: &Path) -> Result<(), PersistError> {
@@ -245,7 +242,10 @@ pub struct Namespace {
     /// (interrupted ones contribute their partial work plus an
     /// `expired`/`cancelled` count). The serving front's global
     /// aggregate sums these, so global = default route + Σ namespaces.
-    agg: StatsRecord,
+    /// Shared with the registry's draining list once dropped, so work
+    /// that finishes after a drop still counts without keeping the
+    /// index alive.
+    agg: Arc<StatsRecord>,
 }
 
 impl Namespace {
@@ -357,12 +357,10 @@ impl Namespace {
     pub fn info(&self) -> NamespaceInfo {
         let mut info = NamespaceInfo {
             name: self.name.clone(),
-            kind: "flat",
             sim: "jaccard",
             n_sets: 0,
             live_sets: 0,
             n_groups: 0,
-            n_shards: 0,
         };
         self.read_inner().fill_info(&mut info);
         info
@@ -386,10 +384,14 @@ fn build_backend(spec: NamespaceSpec) -> Result<Box<dyn NsBackend>, NamespaceErr
     let NamespaceSpec {
         sim,
         n_groups,
-        n_shards,
         sets,
         attrs,
     } = spec;
+    if n_groups > MAX_NAMESPACE_GROUPS {
+        return Err(NamespaceError::Invalid(format!(
+            "{n_groups} groups exceeds the cap of {MAX_NAMESPACE_GROUPS}"
+        )));
+    }
     if !attrs.is_empty() && attrs.len() != sets.len() {
         return Err(NamespaceError::Invalid(format!(
             "{} attribute lists for {} sets",
@@ -419,22 +421,16 @@ fn build_backend(spec: NamespaceSpec) -> Result<Box<dyn NsBackend>, NamespaceErr
         sim: S,
         db: SetDatabase,
         part: Partitioning,
-        n_shards: usize,
         meta: MetadataIndex,
     ) -> Box<dyn NsBackend> {
-        if n_shards == 0 {
-            Box::new(LiveIndex::with_attrs(Les3Index::build(db, part, sim), meta))
-        } else {
-            let engine = ShardedLes3Index::build(db, part, sim, n_shards, ShardPolicy::Contiguous);
-            Box::new(LiveIndex::with_attrs(engine, meta))
-        }
+        Box::new(LiveIndex::with_attrs(Les3Index::build(db, part, sim), meta))
     }
 
     match sim.as_str() {
-        "" | "jaccard" => Ok(mk(Jaccard, db, part, n_shards, meta)),
-        "dice" => Ok(mk(Dice, db, part, n_shards, meta)),
-        "cosine" => Ok(mk(Cosine, db, part, n_shards, meta)),
-        "overlap" | "overlap-coefficient" => Ok(mk(OverlapCoefficient, db, part, n_shards, meta)),
+        "" | "jaccard" => Ok(mk(Jaccard, db, part, meta)),
+        "dice" => Ok(mk(Dice, db, part, meta)),
+        "cosine" => Ok(mk(Cosine, db, part, meta)),
+        "overlap" | "overlap-coefficient" => Ok(mk(OverlapCoefficient, db, part, meta)),
         other => Err(NamespaceError::Invalid(format!(
             "unknown similarity {other:?} (expected jaccard, dice, cosine or overlap-coefficient)"
         ))),
@@ -446,27 +442,18 @@ fn build_backend(spec: NamespaceSpec) -> Result<Box<dyn NsBackend>, NamespaceErr
 fn load_backend(dir: &Path) -> Result<Box<dyn NsBackend>, NamespaceError> {
     let seg = persist::read_meta(dir)?;
 
-    fn open<B: PersistentBackend>(
-        dir: &Path,
-        sim: B::Sim,
-    ) -> Result<Box<dyn NsBackend>, NamespaceError> {
-        Ok(Box::new(DurableIndex::<B>::open(dir, sim)?.into_live()))
+    fn open<S: Similarity>(dir: &Path, sim: S) -> Result<Box<dyn NsBackend>, NamespaceError> {
+        Ok(Box::new(
+            DurableIndex::<Les3Index<S>>::open(dir, sim)?.into_live(),
+        ))
     }
 
-    match (seg.sim_name.as_str(), seg.n_shards) {
-        ("jaccard", 0) => open::<Les3Index<Jaccard>>(dir, Jaccard),
-        ("jaccard", _) => open::<ShardedLes3Index<Jaccard>>(dir, Jaccard),
-        ("dice", 0) => open::<Les3Index<Dice>>(dir, Dice),
-        ("dice", _) => open::<ShardedLes3Index<Dice>>(dir, Dice),
-        ("cosine", 0) => open::<Les3Index<Cosine>>(dir, Cosine),
-        ("cosine", _) => open::<ShardedLes3Index<Cosine>>(dir, Cosine),
-        ("overlap-coefficient", 0) => {
-            open::<Les3Index<OverlapCoefficient>>(dir, OverlapCoefficient)
-        }
-        ("overlap-coefficient", _) => {
-            open::<ShardedLes3Index<OverlapCoefficient>>(dir, OverlapCoefficient)
-        }
-        (other, _) => Err(NamespaceError::Invalid(format!(
+    match seg.sim_name.as_str() {
+        "jaccard" => open(dir, Jaccard),
+        "dice" => open(dir, Dice),
+        "cosine" => open(dir, Cosine),
+        "overlap-coefficient" => open(dir, OverlapCoefficient),
+        other => Err(NamespaceError::Invalid(format!(
             "snapshot uses unknown similarity {other:?}"
         ))),
     }
@@ -477,9 +464,34 @@ fn load_backend(dir: &Path) -> Result<Box<dyn NsBackend>, NamespaceError> {
 #[derive(Default)]
 pub struct Namespaces {
     map: RwLock<HashMap<String, Arc<Namespace>>>,
-    /// Stats of dropped namespaces, folded in at drop so the global
-    /// serving aggregate never goes backwards.
-    retired: Mutex<SearchStats>,
+    /// Dropped namespaces, kept so the global serving aggregate never
+    /// goes backwards and counts the queries that finish after a drop.
+    retired: Mutex<Retired>,
+}
+
+/// The stats of a registry's dropped namespaces.
+#[derive(Default)]
+struct Retired {
+    /// Summed stats of dropped namespaces nobody holds any more.
+    folded: SearchStats,
+    /// Stats records of dropped namespaces a caller may still hold, and
+    /// record into.
+    draining: Vec<Arc<StatsRecord>>,
+}
+
+impl Retired {
+    /// Folds in, and releases, every draining record whose namespace is
+    /// gone: only this list holds it, so nothing can record into it.
+    fn sweep(&mut self) {
+        let Retired { folded, draining } = self;
+        draining.retain(|agg| {
+            let held = Arc::strong_count(agg) > 1;
+            if !held {
+                folded.accumulate(&agg.get());
+            }
+            held
+        });
+    }
 }
 
 impl Namespaces {
@@ -522,7 +534,7 @@ impl Namespaces {
         let ns = Arc::new(Namespace {
             name: name.to_string(),
             inner: RwLock::new(backend),
-            agg: StatsRecord::default(),
+            agg: Arc::default(),
         });
         let mut map = self.write_map();
         if map.contains_key(name) {
@@ -538,13 +550,18 @@ impl Namespaces {
     }
 
     /// Removes a namespace from the registry; in-flight queries holding
-    /// its `Arc` finish cleanly on the detached index. Returns whether
-    /// the name existed.
+    /// its `Arc` finish cleanly on the detached index, and their work
+    /// still counts in [`Namespaces::total_stats`]. The index is freed
+    /// once the last holder lets go. Returns whether the name existed.
     pub fn remove(&self, name: &str) -> bool {
         let removed = self.write_map().remove(name);
         match removed {
             Some(ns) => {
-                lock_unpoisoned(&self.retired).accumulate(&ns.stats());
+                let agg = Arc::clone(&ns.agg);
+                drop(ns);
+                let mut retired = lock_unpoisoned(&self.retired);
+                retired.draining.push(agg);
+                retired.sweep();
                 true
             }
             None => false,
@@ -571,7 +588,13 @@ impl Namespaces {
     /// Query stats summed over every namespace, including dropped ones
     /// — the namespace share of the serving front's global aggregate.
     pub fn total_stats(&self) -> SearchStats {
-        let mut out = *lock_unpoisoned(&self.retired);
+        let mut retired = lock_unpoisoned(&self.retired);
+        retired.sweep();
+        let mut out = retired.folded;
+        for agg in &retired.draining {
+            out.accumulate(&agg.get());
+        }
+        drop(retired);
         for ns in self.read_map().values() {
             out.accumulate(&ns.stats());
         }
@@ -635,9 +658,8 @@ mod tests {
         (k.to_string(), v.to_string())
     }
 
-    fn demo_spec(n_shards: usize) -> NamespaceSpec {
+    fn demo_spec() -> NamespaceSpec {
         NamespaceSpec {
-            n_shards,
             sets: vec![
                 vec![0, 1, 2],
                 vec![0, 1, 3],
@@ -666,7 +688,7 @@ mod tests {
     #[test]
     fn create_query_drop_round_trip() {
         let registry = Namespaces::new();
-        let ns = registry.create("demo", demo_spec(0)).unwrap();
+        let ns = registry.create("demo", demo_spec()).unwrap();
         assert_eq!(registry.list().len(), 1);
 
         let res = ns
@@ -689,24 +711,9 @@ mod tests {
     }
 
     #[test]
-    fn flat_and_sharded_filtered_answers_agree() {
-        let registry = Namespaces::new();
-        let flat = registry.create("flat", demo_spec(0)).unwrap();
-        let sharded = registry.create("sharded", demo_spec(2)).unwrap();
-        for filters in [Filters::none(), red()] {
-            let a = flat.knn(&[0, 1, 2], 4, &filters, &QueryCtl::NONE).unwrap();
-            let b = sharded
-                .knn(&[0, 1, 2], 4, &filters, &QueryCtl::NONE)
-                .unwrap();
-            assert_eq!(a.hits, b.hits);
-            assert_eq!(a.stats, b.stats);
-        }
-    }
-
-    #[test]
     fn tombstones_never_surface_and_knn_refills() {
         let registry = Namespaces::new();
-        let ns = registry.create("demo", demo_spec(0)).unwrap();
+        let ns = registry.create("demo", demo_spec()).unwrap();
         // Set 0 is the exact match; delete it and k=2 must refill from
         // the remaining live red sets.
         assert!(ns.delete(0));
@@ -722,7 +729,7 @@ mod tests {
     #[test]
     fn insert_updates_metadata_and_search() {
         let registry = Namespaces::new();
-        let ns = registry.create("demo", demo_spec(2)).unwrap();
+        let ns = registry.create("demo", demo_spec()).unwrap();
         let (id, _) = ns.insert(&mut [0, 1, 2, 9], &[kv("color", "red")]).unwrap();
         assert_eq!(ns.attrs(id), vec![kv("color", "red")]);
         let res = ns.knn(&[0, 1, 2, 9], 1, &red(), &QueryCtl::NONE).unwrap();
@@ -783,9 +790,9 @@ mod tests {
             ),
             Err(NamespaceError::Invalid(_))
         ));
-        registry.create("demo", demo_spec(0)).unwrap();
+        registry.create("demo", demo_spec()).unwrap();
         assert!(matches!(
-            registry.create("demo", demo_spec(0)),
+            registry.create("demo", demo_spec()),
             Err(NamespaceError::AlreadyExists(_))
         ));
     }
@@ -824,7 +831,7 @@ mod tests {
     #[test]
     fn stats_accumulate_and_survive_drop() {
         let registry = Namespaces::new();
-        let ns = registry.create("demo", demo_spec(0)).unwrap();
+        let ns = registry.create("demo", demo_spec()).unwrap();
         let res = ns
             .knn(&[0, 1, 2], 2, &Filters::none(), &QueryCtl::NONE)
             .unwrap();
@@ -838,12 +845,83 @@ mod tests {
         );
     }
 
+    /// A query admitted before its namespace is dropped, and finishing
+    /// after, still counts: the drop happens at the query's first group
+    /// boundary, and the registry total reads the query's work both
+    /// while the caller holds the detached namespace and after it lets
+    /// go.
+    #[test]
+    fn a_query_finishing_on_a_dropped_namespace_is_counted() {
+        let registry = Namespaces::new();
+        let ns = registry.create("x", demo_spec()).unwrap();
+        let dropped = std::cell::Cell::new(false);
+        let drop_at_first_boundary = || {
+            if !dropped.replace(true) {
+                assert!(registry.remove("x"));
+            }
+            false
+        };
+        let ctl = QueryCtl::NONE.or_gone(&drop_at_first_boundary);
+        let res = ns.knn(&[0, 1, 2], 3, &Filters::none(), &ctl).unwrap();
+        assert!(dropped.get() && registry.get("x").is_none());
+        assert!(res.stats.sims_computed > 0, "fixture: the kNN verifies");
+        assert_eq!(registry.total_stats(), res.stats, "held by the caller");
+        drop(ns);
+        assert_eq!(registry.total_stats(), res.stats, "released");
+        assert_eq!(registry.total_stats(), res.stats, "folded once");
+    }
+
+    /// A dropped namespace's index is freed once the last holder lets
+    /// go, whether that is the registry or a caller, with no stats read
+    /// in between; only its stats record waits, and only while held.
+    #[test]
+    fn a_dropped_namespace_is_freed_when_released() {
+        let registry = Namespaces::new();
+        let ns = registry.create("held", demo_spec()).unwrap();
+        let weak = Arc::downgrade(&ns);
+        assert!(registry.remove("held"));
+        assert!(weak.upgrade().is_some(), "the caller still holds it");
+        drop(ns);
+        assert!(weak.upgrade().is_none(), "freed when the caller lets go");
+
+        for _ in 0..8 {
+            let weak = Arc::downgrade(&registry.create("loop", demo_spec()).unwrap());
+            assert!(registry.remove("loop"));
+            assert!(weak.upgrade().is_none(), "freed by the drop itself");
+        }
+        assert!(
+            lock_unpoisoned(&registry.retired).draining.is_empty(),
+            "unheld stats records are folded at the next drop"
+        );
+    }
+
+    /// `n_groups` is capped: exactly [`MAX_NAMESPACE_GROUPS`] builds,
+    /// one more is `Invalid` before anything is allocated.
+    #[test]
+    fn group_count_is_capped() {
+        let registry = Namespaces::new();
+        let spec = |n_groups| NamespaceSpec {
+            n_groups,
+            sets: vec![vec![1, 2, 3]],
+            ..Default::default()
+        };
+        let ns = registry.create("cap", spec(MAX_NAMESPACE_GROUPS)).unwrap();
+        assert_eq!(ns.info().n_groups, MAX_NAMESPACE_GROUPS);
+        for n_groups in [MAX_NAMESPACE_GROUPS + 1, u32::MAX as usize] {
+            assert!(matches!(
+                registry.create("over", spec(n_groups)),
+                Err(NamespaceError::Invalid(_))
+            ));
+        }
+        assert!(registry.get("over").is_none());
+    }
+
     #[test]
     fn save_and_load_round_trip() {
         let dir = std::env::temp_dir().join(format!("les3-ns-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let registry = Namespaces::new();
-        let ns = registry.create("demo", demo_spec(2)).unwrap();
+        let ns = registry.create("demo", demo_spec()).unwrap();
         ns.delete(1);
         ns.insert(&mut [0, 9, 11], &[kv("color", "red")]).unwrap();
         registry.save_all(&dir).unwrap();

@@ -2,15 +2,14 @@
 //! for post-save mutations, and crash recovery that is exact by
 //! construction.
 //!
-//! A [`DurableIndex`] is a [`LiveIndex`] — the engine under either of
-//! its on-disk kinds ([`ShardedLes3Index`], whose segments carry a
-//! SHARDS block, or [`Les3Index`], the 1-shard engine whose segments
-//! carry none), with the deletion log and attributes that describe it —
-//! plus a directory:
+//! A [`DurableIndex`] is a [`LiveIndex`] — the engine, as a
+//! [`Les3Index`] or under its [`ShardedLes3Index`] name (both write the
+//! same bytes and open the same directories), with the deletion log and
+//! attributes that describe it — plus a directory:
 //!
 //! * `segment` — the immutable snapshot (see [`segment`](self) block
 //!   format docs in `segment.rs`): the facts — database, partitioning
-//!   assignment, shard layout, tombstones, attributes and the sidecar's
+//!   assignment, tombstones, attributes and the sidecar's
 //!   parameters — in CRC32-checksummed length-prefixed blocks, written
 //!   to a tmp file, fsynced and renamed into place. Nothing derived from
 //!   them is stored;
@@ -23,8 +22,8 @@
 //! verification order, the deletion refcounts and the MinHash signatures
 //! are pure functions of what the segment stores, and
 //! [`DurableIndex::open`] computes them with the code a fresh index is
-//! built by (`ShardedLes3Index::from_layout`, which
-//! [`build`](crate::ShardedLes3Index::build) ends in too), applies the
+//! built by (`ShardedLes3Index::new`, which both
+//! [`build`](crate::Les3Index::build)s end in too), applies the
 //! tombstones through [`LiveIndex::delete`] and replays the WAL tail
 //! through the same [`LiveIndex::insert`] / [`LiveIndex::delete`] the
 //! live index was mutated by, so a reopened
@@ -96,8 +95,8 @@ pub enum PersistError {
     UnsupportedVersion(u32),
     /// A segment section violates its invariants.
     Corrupt {
-        /// Which section (header, META, ASSIGN, SETS, SHARDS, TOMBS,
-        /// METADATA, SIG, block, END) failed validation.
+        /// Which section (header, META, ASSIGN, SETS, TOMBS, METADATA,
+        /// SIG, block, END) failed validation.
         section: &'static str,
         /// What exactly was wrong.
         detail: String,
@@ -109,8 +108,10 @@ pub enum PersistError {
         /// What exactly was wrong.
         detail: String,
     },
-    /// The opened segment does not match the requested backend (wrong
-    /// similarity measure or flat/sharded kind).
+    /// The opened segment does not match the request: a wrong
+    /// similarity measure, a segment where an empty directory was
+    /// expected, or a sharded segment (a kind this format no longer
+    /// reads).
     Mismatch {
         /// What the caller asked for.
         expected: String,
@@ -186,58 +187,26 @@ pub struct DurableOptions {
     pub fsync: FsyncPolicy,
 }
 
-/// An index that can be saved to and rebuilt from a segment: the
-/// one engine, [`ShardedLes3Index`], under one of its two on-disk kinds.
-/// Implemented by [`ShardedLes3Index`] itself (segments with a SHARDS
-/// block) and by [`Les3Index`], the 1-shard engine whose segments carry
-/// none. Every bound that says "an index" — [`LiveIndex`],
-/// [`DurableIndex`], [`ServeFront`](crate::ServeFront) — is this trait.
+/// An index that can be saved to and rebuilt from a segment: the one
+/// engine, [`ShardedLes3Index`], as itself or as a [`Les3Index`]. Both
+/// impls write the same bytes and open the same directories. Every bound
+/// that says "an index" — [`LiveIndex`], [`DurableIndex`],
+/// [`ServeFront`](crate::ServeFront) — is this trait.
 pub trait PersistentBackend: Sized + Send + Sync + 'static {
     /// The similarity measure type.
     type Sim: Similarity;
 
-    /// Whether segments of this kind carry a SHARDS block.
-    const SHARDED: bool;
-
     /// The engine (queries, the database, the partitioning, the
     /// sidecar: everything is read through this).
     fn sharded(&self) -> &ShardedLes3Index<Self::Sim>;
-    /// The engine, for inserts and deletes. Replacing it wholesale with
-    /// one of another shard count is not supported.
+    /// The engine, for inserts and deletes.
     fn sharded_mut(&mut self) -> &mut ShardedLes3Index<Self::Sim>;
-    /// Wraps an engine laid out for this kind (a flat index takes the
-    /// 1-shard engine).
+    /// Wraps the engine.
     fn from_engine(engine: ShardedLes3Index<Self::Sim>) -> Self;
-
-    /// "flat" or "sharded".
-    fn kind_name() -> &'static str {
-        if Self::SHARDED {
-            "sharded"
-        } else {
-            "flat"
-        }
-    }
-
-    /// Global group id → shard, or `None` for a flat index.
-    fn shard_layout(&self) -> Option<&[u32]> {
-        Self::SHARDED.then(|| &self.sharded().shard_of_group[..])
-    }
-
-    /// Number of shards (0 for a flat index; may exceed the largest
-    /// value in [`PersistentBackend::shard_layout`] when trailing
-    /// shards are empty).
-    fn n_shards(&self) -> u32 {
-        if Self::SHARDED {
-            self.sharded().n_shards() as u32
-        } else {
-            0
-        }
-    }
 }
 
 impl<S: Similarity> PersistentBackend for Les3Index<S> {
     type Sim = S;
-    const SHARDED: bool = false;
 
     fn sharded(&self) -> &ShardedLes3Index<S> {
         self
@@ -248,13 +217,12 @@ impl<S: Similarity> PersistentBackend for Les3Index<S> {
     }
 
     fn from_engine(engine: ShardedLes3Index<S>) -> Self {
-        Les3Index::from_one_shard(engine)
+        Les3Index(engine)
     }
 }
 
 impl<S: Similarity> PersistentBackend for ShardedLes3Index<S> {
     type Sim = S;
-    const SHARDED: bool = true;
 
     fn sharded(&self) -> &Self {
         self
@@ -372,14 +340,7 @@ pub fn read_meta(dir: &Path) -> Result<SegmentMeta, PersistError> {
 /// the refcounts and the cleared TGM bits are what the same deletions
 /// left behind in the index that was saved.
 fn live_from_segment<B: PersistentBackend>(raw: segment::RawSegment, sim: B::Sim) -> LiveIndex<B> {
-    // A segment without a SHARDS block *is* the 1-shard engine: every
-    // group in shard 0.
-    let shard_of_group = raw
-        .shard_of_group
-        .unwrap_or_else(|| vec![0; raw.partitioning.n_groups()]);
-    let n_shards = (raw.n_shards as usize).max(1);
-    let mut engine =
-        ShardedLes3Index::from_layout(raw.db, raw.partitioning, sim, shard_of_group, n_shards);
+    let mut engine = ShardedLes3Index::new(raw.db, raw.partitioning, sim);
     if let Some(params) = raw.approx {
         engine.enable_approx(params);
     }
@@ -463,13 +424,6 @@ impl<B: PersistentBackend> DurableIndex<B> {
             return Err(PersistError::Mismatch {
                 expected: format!("similarity {:?}", sim.name()),
                 found: format!("similarity {:?}", raw.sim_name),
-            });
-        }
-        let has_shards = raw.shard_of_group.is_some();
-        if has_shards != B::SHARDED {
-            return Err(PersistError::Mismatch {
-                expected: format!("a {} index", B::kind_name()),
-                found: format!("a {} segment", if has_shards { "sharded" } else { "flat" }),
             });
         }
         let epoch = raw.epoch;

@@ -15,23 +15,25 @@
 //!
 //! | kind | section | payload |
 //! |------|---------|---------|
-//! | 1 | META    | epoch u64, n_shards u32 (0 = flat), universe u32, n_sets u64, n_groups u64, sim name (u32 len + bytes) |
+//! | 1 | META    | epoch u64, reserved u32 (always 0), universe u32, n_sets u64, n_groups u64, sim name (u32 len + bytes) |
 //! | 2 | ASSIGN  | u32 count, count × u32 group-of-set, in set-id order |
 //! | 3 | SETS    | u32 count, count × (u32 len, len × u32 sorted tokens) |
-//! | 6 | SHARDS  | u32 count, count × u32 shard-of-group (sharded only) |
 //! | 7 | TOMBS   | u32 count, count × u32 deleted set ids, ascending |
 //! | 8 | METADATA | `MetadataIndex::encode` bytes (only when attributes exist) |
 //! | 9 | SIG     | `ApproxParams::encode` bytes: bands u32, rows u32, seed u64 (only when the approximate tier is enabled) |
 //! | 0 | END     | u64 number of preceding blocks |
 //!
 //! A segment stores what cannot be recomputed — the sets, the learned
-//! assignment, the shard layout, the tombstones, the attributes, the
-//! sidecar's parameters — and nothing derived from them: the TGM, the
-//! verification order, the deletion refcounts and the MinHash signatures
-//! are rebuilt at open by the code a fresh index is built by. Kinds 4
-//! (TGM) and 5 (RUNS) belonged to format version 1, which stored a copy
-//! of that derived state; they are unknown kinds now and a version-1
-//! file is [`PersistError::UnsupportedVersion`].
+//! assignment, the tombstones, the attributes, the sidecar's parameters —
+//! and nothing derived from them: the TGM, the verification order, the
+//! deletion refcounts and the MinHash signatures are rebuilt at open by
+//! the code a fresh index is built by. Kinds 4 (TGM) and 5 (RUNS)
+//! belonged to format version 1, which stored a copy of that derived
+//! state; they are unknown kinds now and a version-1 file is
+//! [`PersistError::UnsupportedVersion`]. META's reserved slot once held a
+//! shard count, and kind 6 (SHARDS) a group → shard layout: a segment
+//! with a nonzero slot is a sharded one, refused as a
+//! [`PersistError::Mismatch`], and kind 6 is an unknown kind.
 //!
 //! Multi-entry sections (ASSIGN/SETS) may span several blocks; blocks
 //! are flushed near [`BLOCK_BUDGET`] bytes so saving streams entry by
@@ -65,7 +67,6 @@ pub(crate) const KIND_END: u32 = 0;
 pub(crate) const KIND_META: u32 = 1;
 pub(crate) const KIND_ASSIGN: u32 = 2;
 pub(crate) const KIND_SETS: u32 = 3;
-pub(crate) const KIND_SHARDS: u32 = 6;
 pub(crate) const KIND_TOMBS: u32 = 7;
 pub(crate) const KIND_METADATA: u32 = 8;
 pub(crate) const KIND_SIG: u32 = 9;
@@ -168,13 +169,12 @@ pub(crate) fn write_segment<B: PersistentBackend>(
     let engine = backend.sharded();
     let db = engine.db();
     let partitioning = engine.partitioning();
-    let n_shards = backend.n_shards();
 
     let mut w = BlockWriter::new(io.create(path)?)?;
 
     let mut meta = Vec::new();
     meta.extend_from_slice(&epoch.to_le_bytes());
-    meta.extend_from_slice(&n_shards.to_le_bytes());
+    meta.extend_from_slice(&0u32.to_le_bytes()); // reserved
     meta.extend_from_slice(&db.universe_size().to_le_bytes());
     meta.extend_from_slice(&(db.len() as u64).to_le_bytes());
     meta.extend_from_slice(&(partitioning.n_groups() as u64).to_le_bytes());
@@ -199,15 +199,6 @@ pub(crate) fn write_segment<B: PersistentBackend>(
         })?;
     }
     sec.finish()?;
-
-    if let Some(sog) = backend.shard_layout() {
-        let mut payload = Vec::with_capacity(4 + 4 * sog.len());
-        payload.extend_from_slice(&(sog.len() as u32).to_le_bytes());
-        for &s in sog {
-            payload.extend_from_slice(&s.to_le_bytes());
-        }
-        w.write_block(KIND_SHARDS, &payload)?;
-    }
 
     let mut payload = Vec::with_capacity(4 + 4 * tombstones.len());
     payload.extend_from_slice(&(tombstones.len() as u32).to_le_bytes());
@@ -238,11 +229,8 @@ pub(crate) fn write_segment<B: PersistentBackend>(
 pub(crate) struct RawSegment {
     pub(crate) epoch: u64,
     pub(crate) sim_name: String,
-    /// 0 = flat.
-    pub(crate) n_shards: u32,
     pub(crate) db: SetDatabase,
     pub(crate) partitioning: Partitioning,
-    pub(crate) shard_of_group: Option<Vec<u32>>,
     pub(crate) tombstones: Vec<SetId>,
     /// Attribute metadata; `None` when the segment has no METADATA block
     /// (attribute-free index or a pre-metadata segment).
@@ -285,8 +273,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes a `u32 count, count × u32` payload — the ASSIGN, SHARDS and
-/// TOMBS blocks — reporting errors under `section`.
+/// Decodes a `u32 count, count × u32` payload — the ASSIGN and TOMBS
+/// blocks — reporting errors under `section`.
 fn u32_array(payload: &[u8], section: &'static str) -> Result<Vec<u32>, PersistError> {
     let mut r = Reader {
         buf: payload,
@@ -311,8 +299,6 @@ pub struct SegmentMeta {
     pub epoch: u64,
     /// Similarity measure name the index was saved with.
     pub sim_name: String,
-    /// Number of shards; 0 means a flat index.
-    pub n_shards: u32,
     /// Token universe size.
     pub universe: u32,
     /// Number of sets (live + tombstoned).
@@ -329,6 +315,12 @@ fn parse_meta(payload: &[u8]) -> Result<SegmentMeta, PersistError> {
     };
     let epoch = r.u64()?;
     let n_shards = r.u32()?;
+    if n_shards != 0 {
+        return Err(PersistError::Mismatch {
+            expected: "a flat segment".into(),
+            found: format!("a segment recording {n_shards} shards"),
+        });
+    }
     let universe = r.u32()?;
     let n_sets = r.u64()?;
     let n_groups = r.u64()?;
@@ -347,7 +339,6 @@ fn parse_meta(payload: &[u8]) -> Result<SegmentMeta, PersistError> {
     Ok(SegmentMeta {
         epoch,
         sim_name,
-        n_shards,
         universe,
         n_sets,
         n_groups,
@@ -446,7 +437,6 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
     let mut meta: Option<SegmentMeta> = None;
     let mut assignment: Vec<u32> = Vec::new();
     let mut sets: Vec<Vec<TokenId>> = Vec::new();
-    let mut shard_of_group: Option<Vec<u32>> = None;
     let mut tombstones: Option<Vec<SetId>> = None;
     let mut metadata: Option<MetadataIndex> = None;
     let mut approx: Option<ApproxParams> = None;
@@ -487,12 +477,6 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
                 if !r.done() {
                     return Err(corrupt("SETS", "trailing bytes"));
                 }
-            }
-            KIND_SHARDS => {
-                if shard_of_group.is_some() {
-                    return Err(corrupt("SHARDS", "duplicate SHARDS block"));
-                }
-                shard_of_group = Some(u32_array(payload, "SHARDS")?);
             }
             KIND_TOMBS => {
                 if tombstones.is_some() {
@@ -559,23 +543,6 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
     // (with zero groups, any assigned set already failed that check).
     let partitioning = Partitioning::from_assignment(assignment, n_groups);
 
-    if let Some(sog) = &shard_of_group {
-        if meta.n_shards == 0 {
-            return Err(corrupt("SHARDS", "SHARDS block in a flat segment"));
-        }
-        if sog.len() != n_groups {
-            return Err(corrupt(
-                "SHARDS",
-                format!("{} entries for {n_groups} groups", sog.len()),
-            ));
-        }
-        if let Some(&bad) = sog.iter().find(|&&s| s >= meta.n_shards) {
-            return Err(corrupt("SHARDS", format!("shard {bad} out of range")));
-        }
-    } else if meta.n_shards > 0 {
-        return Err(corrupt("SHARDS", "sharded segment lacks a SHARDS block"));
-    }
-
     if tombstones.last().is_some_and(|&id| id as usize >= n_sets) {
         return Err(corrupt("TOMBS", "tombstone id out of range"));
     }
@@ -592,10 +559,8 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
     Ok(RawSegment {
         epoch: meta.epoch,
         sim_name: meta.sim_name,
-        n_shards: meta.n_shards,
         db,
         partitioning,
-        shard_of_group,
         tombstones,
         metadata,
         approx,

@@ -56,8 +56,8 @@ pub struct QueryScratch {
     pub(crate) bits: QueryBits,
 }
 
-/// [`QueryScratch`], under the name callers of a
-/// [`crate::ShardedLes3Index`] know it by.
+/// [`QueryScratch`], under the name the repository benchmark still
+/// calls it by (ROADMAP 1(f)).
 pub type ShardedScratch = QueryScratch;
 
 impl QueryScratch {

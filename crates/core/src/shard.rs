@@ -1,21 +1,16 @@
 //! The query engine: one TGM and one verification order over the whole
-//! group axis, under a recorded shard layout.
+//! group axis.
 //!
 //! A [`ShardedLes3Index`] is the paper's index — one [`Tgm`] over one
 //! [`Partitioning`] (§3.1), one length-sorted verification order — and
-//! the crate's only in-memory engine: [`crate::Les3Index`] is the same
-//! struct under the flat on-disk kind, and `search`, `insert`,
-//! [`crate::DeletionLog::delete`], the batch executor and the
-//! persistence layer exist once, here. The *shard layout* — which of `N`
-//! shards each group was assigned to at build time — is recorded data: it
-//! is what [`ShardedLes3Index::n_shards`] and
-//! [`ShardedLes3Index::shard_groups`] report and what a sharded segment's
-//! SHARDS block stores, and no query, insert or delete reads it. A query
-//! is one filter pass, one bound stream in the bucketed `(overlap r
-//! descending, group id ascending)` order, and one descent over it, so
-//! hits, [`SearchStats`] and the partial answer a deadline commits are
-//! the same at every `N` by construction (`tests/shard_equivalence.rs`,
-//! `tests/golden_stats.rs`).
+//! the crate's only in-memory engine: [`crate::Les3Index`] derefs to it,
+//! and `search`, `insert`, [`crate::DeletionLog::delete`], the batch
+//! executor and the persistence layer exist once, here. A query is one
+//! filter pass, one bound stream in the bucketed `(overlap r descending,
+//! group id ascending)` order, and one descent over it
+//! (`tests/golden_stats.rs` pins its work). The type's name and the
+//! ignored layout arguments of [`ShardedLes3Index::build`] remain only
+//! until the repository benchmark stops naming them (ROADMAP 1(f)).
 //!
 //! # Example
 //!
@@ -32,10 +27,10 @@
 //! ]);
 //! let part = Partitioning::round_robin(4, 2);
 //! let flat = Les3Index::build(db.clone(), part.clone(), Jaccard);
-//! let sharded = ShardedLes3Index::build(db, part, Jaccard, 2, ShardPolicy::Hash);
-//! // Not merely the same answer — the same traversal: hits AND stats.
-//! assert_eq!(sharded.knn(&[0, 1, 2], 3), flat.knn(&[0, 1, 2], 3));
-//! assert_eq!(sharded.range(&[0, 1, 2], 0.5), flat.range(&[0, 1, 2], 0.5));
+//! let same = ShardedLes3Index::build(db, part, Jaccard, 2, ShardPolicy::Contiguous);
+//! // One engine: the same traversal, hits AND stats.
+//! assert_eq!(same.knn(&[0, 1, 2], 3), flat.knn(&[0, 1, 2], 3));
+//! assert_eq!(same.range(&[0, 1, 2], 0.5), flat.range(&[0, 1, 2], 0.5));
 //! ```
 
 use les3_data::{SetDatabase, SetId, TokenId};
@@ -51,48 +46,12 @@ use crate::sim::{normalize_query, PreparedQuery, Similarity};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
 
-/// How groups are assigned to shards at build time.
+/// The layout argument of [`ShardedLes3Index::build`]: ignored, kept
+/// only because the repository benchmark still names it (ROADMAP 1(f)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPolicy {
-    /// Contiguous ranges of group ids, balanced by member count. Groups
-    /// that are contiguous in the partitioning stay contiguous in one
-    /// shard — for length-ordered partitionings (PAR-C and friends) this
-    /// is a contiguous-by-length split of the database.
+    /// The one remaining value; it selects nothing.
     Contiguous,
-    /// Multiplicative hash of the group id: spreads hot neighbourhoods
-    /// of the group space across shards.
-    Hash,
-}
-
-impl ShardPolicy {
-    /// The shard of each group.
-    fn assign(self, partitioning: &Partitioning, n_shards: usize) -> Vec<u32> {
-        let n_groups = partitioning.n_groups();
-        match self {
-            ShardPolicy::Contiguous => {
-                // Weight each group by members + 1 so empty groups still
-                // spread instead of piling onto the last shard.
-                let sizes = partitioning.group_sizes();
-                let total: usize = sizes.iter().map(|s| s + 1).sum();
-                let mut out = vec![0u32; n_groups];
-                let (mut s, mut acc) = (0usize, 0usize);
-                for g in 0..n_groups {
-                    out[g] = s as u32;
-                    acc += sizes[g] + 1;
-                    if s + 1 < n_shards && acc * n_shards >= total * (s + 1) {
-                        s += 1;
-                    }
-                }
-                out
-            }
-            ShardPolicy::Hash => (0..n_groups as u32)
-                .map(|g| {
-                    (((g as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33) % n_shards as u64)
-                        as u32
-                })
-                .collect(),
-        }
-    }
 }
 
 /// One entry of the filter output: a group in verification order.
@@ -110,10 +69,7 @@ pub(crate) struct GroupBound {
 }
 
 /// The LES3 index: database + partitioning + TGM + verification order +
-/// similarity measure, answering exact kNN and range queries. The shard
-/// layout it was built or opened with is recorded, not executed: hits
-/// and stats are those of [`crate::Les3Index`] on the same database and
-/// partitioning at every shard count (see the module docs).
+/// similarity measure, answering exact kNN and range queries.
 #[derive(Debug, Clone)]
 pub struct ShardedLes3Index<S: Similarity> {
     pub(crate) db: SetDatabase,
@@ -123,58 +79,41 @@ pub struct ShardedLes3Index<S: Similarity> {
     pub(crate) tgm: Tgm,
     /// Length-sorted verification order, indexed by group id.
     pub(crate) verify: VerifyOrder,
-    /// The recorded layout: group id → the shard it was assigned to.
-    pub(crate) shard_of_group: Vec<u32>,
-    /// The recorded shard count (trailing shards may own no group).
-    n_shards: usize,
     /// The opt-in MinHash sidecar of the approximate tier.
     pub(crate) approx: Option<MinHashIndex>,
 }
 
 impl<S: Similarity> ShardedLes3Index<S> {
-    /// Builds the sharded index. The partitioning must cover the
-    /// database; `n_shards ≥ 1` (shard counts beyond the group count
-    /// leave the surplus shards empty).
+    /// Builds the index: [`crate::Les3Index::build`] under this type's
+    /// name. `_n_shards` and `_policy` are ignored; they stay only
+    /// because the repository benchmark still passes them (ROADMAP 1(f)).
     pub fn build(
         db: SetDatabase,
         partitioning: Partitioning,
         sim: S,
-        n_shards: usize,
-        policy: ShardPolicy,
+        _n_shards: usize,
+        _policy: ShardPolicy,
     ) -> Self {
-        assert!(n_shards >= 1, "need at least one shard");
+        Self::new(db, partitioning, sim)
+    }
+
+    /// The engine over `db` + `partitioning`: the one place an engine is
+    /// made, shared by both `build`s and the persistence layer's reopen —
+    /// a segment stores the facts, not the structures, so an opened index
+    /// is built by the code a fresh one is. The partitioning must cover
+    /// the database.
+    pub(crate) fn new(db: SetDatabase, partitioning: Partitioning, sim: S) -> Self {
         assert_eq!(
             db.len(),
             partitioning.n_sets(),
             "partitioning must cover the database"
         );
-        let shard_of_group = policy.assign(&partitioning, n_shards);
-        Self::from_layout(db, partitioning, sim, shard_of_group, n_shards)
-    }
-
-    /// The engine over `db` + `partitioning`, recording a given group →
-    /// shard layout (every entry `< n_shards`, one per group): the one
-    /// place an engine is made, shared by [`ShardedLes3Index::build`] and
-    /// the persistence layer's reopen — a segment stores the layout, not
-    /// the structures, so an opened index is built by the code a fresh
-    /// one is.
-    pub(crate) fn from_layout(
-        db: SetDatabase,
-        partitioning: Partitioning,
-        sim: S,
-        shard_of_group: Vec<u32>,
-        n_shards: usize,
-    ) -> Self {
-        debug_assert_eq!(shard_of_group.len(), partitioning.n_groups());
-        debug_assert!(shard_of_group.iter().all(|&s| (s as usize) < n_shards));
         Self {
             tgm: Tgm::build(&db, &partitioning),
             verify: VerifyOrder::build(&db, &partitioning),
             db,
             partitioning,
             sim,
-            shard_of_group,
-            n_shards,
             approx: None,
         }
     }
@@ -192,19 +131,6 @@ impl<S: Similarity> ShardedLes3Index<S> {
     /// The similarity measure.
     pub fn sim(&self) -> S {
         self.sim
-    }
-
-    /// Number of shards in the recorded layout.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// The group ids the recorded layout assigns to shard `s`, ascending.
-    pub fn shard_groups(&self, s: usize) -> Vec<u32> {
-        assert!(s < self.n_shards, "shard {s} of {}", self.n_shards);
-        (0..self.shard_of_group.len() as u32)
-            .filter(|&g| self.shard_of_group[g as usize] as usize == s)
-            .collect()
     }
 
     /// Index size: the compressed matrix (Figure-11 quantity).
@@ -348,8 +274,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
 
     /// Runs one [`Query`] — the only query body of the in-memory index
     /// ([`crate::Les3Index`] derefs to it); every named `knn*/range*`
-    /// method below is a single expression over it. Hits *and* stats are
-    /// the same at every recorded shard count.
+    /// method below is a single expression over it.
     ///
     /// An [`ApproxPolicy::Prefilter`] query without a mask first scans the
     /// MinHash sidecar into one — the same composition point as attribute
@@ -538,7 +463,6 @@ impl<S: Similarity> ShardedLes3Index<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::Les3Index;
     use crate::sim::Jaccard;
     use les3_data::zipfian::ZipfianGenerator;
     use rand::rngs::StdRng;
@@ -553,91 +477,10 @@ mod tests {
     }
 
     #[test]
-    fn policies_cover_all_groups_exactly_once() {
-        let part = random_partitioning(300, 17, 1);
-        for policy in [ShardPolicy::Contiguous, ShardPolicy::Hash] {
-            for n_shards in [1usize, 2, 5, 17, 40] {
-                let assign = policy.assign(&part, n_shards);
-                assert_eq!(assign.len(), 17);
-                assert!(assign.iter().all(|&s| (s as usize) < n_shards));
-                if policy == ShardPolicy::Contiguous {
-                    // Contiguous ranges: shard ids are non-decreasing.
-                    assert!(assign.windows(2).all(|w| w[0] <= w[1]), "{assign:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_results_match_unsharded_bit_for_bit() {
-        let db = ZipfianGenerator::new(500, 280, 7.0, 1.1).generate(13);
-        let part = random_partitioning(db.len(), 20, 4);
-        let flat = Les3Index::build(db.clone(), part.clone(), Jaccard);
-        for policy in [ShardPolicy::Contiguous, ShardPolicy::Hash] {
-            for n_shards in [1usize, 3, 8] {
-                let sharded =
-                    ShardedLes3Index::build(db.clone(), part.clone(), Jaccard, n_shards, policy);
-                for qid in [0u32, 77, 499] {
-                    let q = db.set(qid).to_vec();
-                    let a = sharded.knn(&q, 9);
-                    let b = flat.knn(&q, 9);
-                    assert_eq!(a.hits, b.hits, "{policy:?} N={n_shards} qid={qid}");
-                    assert_eq!(a.stats, b.stats, "{policy:?} N={n_shards} qid={qid}");
-                    let a = sharded.range(&q, 0.55);
-                    let b = flat.range(&q, 0.55);
-                    assert_eq!(a.hits, b.hits, "{policy:?} N={n_shards} qid={qid}");
-                    assert_eq!(a.stats, b.stats, "{policy:?} N={n_shards} qid={qid}");
-                }
-            }
-        }
-
-        // The layout is recorded, not executed: after one interleaved
-        // insert / delete script (tokens 280..320 open the universe) the
-        // matrix is the flat engine's at every shard count, bit for bit.
-        fn script(index: &mut ShardedLes3Index<Jaccard>) {
-            let mut log = crate::DeletionLog::build(index);
-            let mut rng = StdRng::seed_from_u64(21);
-            for step in 0..60u32 {
-                let len = rng.gen_range(1usize..9);
-                let mut tokens: Vec<u32> = (0..len).map(|_| rng.gen_range(0..320u32)).collect();
-                let (id, _) = index.insert(&mut tokens);
-                log.note_insert(index, id);
-                if step % 3 != 0 {
-                    log.delete(index, rng.gen_range(0..index.db().len() as u32));
-                }
-            }
-            assert!(
-                log.live_count() < index.db().len(),
-                "the script must delete"
-            );
-        }
-        let mut flat = flat;
-        script(&mut flat);
-        for policy in [ShardPolicy::Contiguous, ShardPolicy::Hash] {
-            for n_shards in [1usize, 2, 4, 8] {
-                let mut sharded =
-                    ShardedLes3Index::build(db.clone(), part.clone(), Jaccard, n_shards, policy);
-                script(&mut sharded);
-                assert_eq!(sharded.index_size_in_bytes(), flat.tgm().size_in_bytes());
-                for g in 0..20u32 {
-                    for t in 0..=flat.tgm().n_tokens() as u32 {
-                        let bit = flat.tgm().bit(g, t);
-                        assert_eq!(
-                            sharded.tgm.bit(g, t),
-                            bit,
-                            "{policy:?} N={n_shards} M[{g}, {t}]"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sharded_scratch_reuse_is_equivalent_to_fresh() {
         let db = ZipfianGenerator::new(300, 200, 6.0, 1.2).generate(8);
         let part = random_partitioning(db.len(), 12, 2);
-        let index = ShardedLes3Index::build(db.clone(), part, Jaccard, 4, ShardPolicy::Hash);
+        let index = ShardedLes3Index::build(db.clone(), part, Jaccard, 4, ShardPolicy::Contiguous);
         let mut scratch = QueryScratch::new();
         for qid in [0u32, 50, 299] {
             let q = db.set(qid).to_vec();
@@ -650,19 +493,6 @@ mod tests {
                 index.range(&q, 0.4).hits
             );
         }
-    }
-
-    #[test]
-    fn more_shards_than_groups_leaves_empties_harmless() {
-        let db = ZipfianGenerator::new(60, 50, 5.0, 1.0).generate(3);
-        let part = random_partitioning(db.len(), 3, 9);
-        let flat = Les3Index::build(db.clone(), part.clone(), Jaccard);
-        let sharded =
-            ShardedLes3Index::build(db.clone(), part, Jaccard, 7, ShardPolicy::Contiguous);
-        assert_eq!(sharded.n_shards(), 7);
-        let q = db.set(5).to_vec();
-        assert_eq!(sharded.knn(&q, 4).hits, flat.knn(&q, 4).hits);
-        assert_eq!(sharded.range(&q, 0.3).hits, flat.range(&q, 0.3).hits);
     }
 
     #[test]

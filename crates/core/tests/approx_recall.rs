@@ -1,13 +1,13 @@
 //! The approximate tier's recall-vs-ground-truth battery.
 //!
 //! Three contracts, property-tested across similarity measures,
-//! flat/sharded backends and interleaved insert/delete sequences:
+//! both index types and interleaved insert/delete sequences:
 //!
 //! * **Soundness** — a prefiltered answer never *invents* anything: its
 //!   hits are a subset of the exact admissible results, every reported
 //!   similarity is bit-for-bit the exact similarity of that id (misses
 //!   are only ever omissions), and the reported `recall_est` is a
-//!   probability. Flat and sharded backends agree bit for bit on the
+//!   probability. Both index types agree bit for bit on the
 //!   same prefilter, because the LSH mask feeds the same
 //!   [`FilterCandidates`] composition point the metadata layer uses.
 //! * **Exact fallback** — [`ApproxPolicy::Exact`] and a *saturated*
@@ -33,13 +33,10 @@ use common::run;
 use les3_core::{
     ApproxInfo, ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Filter, FilterCandidates,
     Filters, Jaccard, Kind, Les3Index, NamespaceSpec, Namespaces, OverlapCoefficient, Partitioning,
-    Query, QueryCtl, QueryScratch, SearchResult, ShardPolicy, ShardedLes3Index, ShardedScratch,
-    Similarity,
+    Query, QueryCtl, QueryScratch, SearchResult, ShardPolicy, ShardedLes3Index, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
-
-const SHARD_COUNTS: [usize; 2] = [2, 5];
 
 /// The saturated prefilter: `rows == 0` makes every band key the empty
 /// fold, so every set collides and the engine must take the unfiltered
@@ -121,7 +118,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Soundness: prefiltered hits ⊆ exact admissible results, exact
-    /// similarity bits, flat ≡ sharded bit for bit, across measures.
+    /// similarity bits, both index types bit for bit, across measures.
     #[test]
     fn prefilter_is_sound_and_backend_invariant(
         db in db_strategy(),
@@ -171,25 +168,23 @@ proptest! {
                 // bit (mask composition is
                 // shared with the metadata layer, which carries this
                 // contract already).
-                for n_shards in SHARD_COUNTS {
-                    let mut sharded = ShardedLes3Index::build(
-                        db.clone(), part.clone(), sim, n_shards, ShardPolicy::Hash,
-                    );
-                    sharded.enable_approx(sidecar_params(seed));
-                    let mut sscratch = ShardedScratch::new();
-                    let sknn = sharded
-                        .knn_approx_ctl_on(1, query, k, policy, &mut sscratch, &ctl)
-                        .expect("QueryCtl::NONE never interrupts");
-                    assert_eq!(sknn.0.hits, knn.0.hits, "sharded knn hits diverged");
-                    assert_eq!(sknn.0.stats, knn.0.stats, "sharded knn stats diverged");
-                    assert_eq!(sknn.1, knn.1, "sharded knn verdict diverged");
-                    let srange = sharded
-                        .search(&Query { ctl, approx: policy, ..Query::range(query, delta) }, &mut sscratch)
-                        .expect("QueryCtl::NONE never interrupts");
-                    assert_eq!(srange.0.hits, range.0.hits, "sharded range hits diverged");
-                    assert_eq!(srange.0.stats, range.0.stats, "sharded range stats diverged");
-                    assert_eq!(srange.1, range.1, "sharded range verdict diverged");
-                }
+                let mut sharded = ShardedLes3Index::build(
+                    db.clone(), part.clone(), sim, 4, ShardPolicy::Contiguous,
+                );
+                sharded.enable_approx(sidecar_params(seed));
+                let mut sscratch = QueryScratch::new();
+                let sknn = sharded
+                    .knn_approx_ctl_on(1, query, k, policy, &mut sscratch, &ctl)
+                    .expect("QueryCtl::NONE never interrupts");
+                assert_eq!(sknn.0.hits, knn.0.hits, "sharded knn hits diverged");
+                assert_eq!(sknn.0.stats, knn.0.stats, "sharded knn stats diverged");
+                assert_eq!(sknn.1, knn.1, "sharded knn verdict diverged");
+                let srange = sharded
+                    .search(&Query { ctl, approx: policy, ..Query::range(query, delta) }, &mut sscratch)
+                    .expect("QueryCtl::NONE never interrupts");
+                assert_eq!(srange.0.hits, range.0.hits, "sharded range hits diverged");
+                assert_eq!(srange.0.stats, range.0.stats, "sharded range stats diverged");
+                assert_eq!(srange.1, range.1, "sharded range verdict diverged");
             }
         }
         check(&db, &part, Jaccard, &query, k, delta, seed);
@@ -262,44 +257,41 @@ proptest! {
                 assert_eq!(range.stats, want_range.stats, "{} flat range stats {policy:?}", sim.name());
                 assert_eq!(info, ApproxInfo::EXACT, "{} flat range verdict {policy:?}", sim.name());
             }
-            // Sharded: rebuild at the final corpus (insert routing is
-            // covered by shard_equivalence; here the contract under
-            // test is the policy dispatch).
-            for n_shards in SHARD_COUNTS {
-                let mut sharded = ShardedLes3Index::build(
-                    flat.db().clone(),
-                    flat.partitioning().clone(),
-                    sim,
-                    n_shards,
-                    ShardPolicy::Hash,
-                );
-                sharded.enable_approx(sidecar_params(seed));
-                // Replay the tombstones: sharded deletes route by id.
-                let mut slog = DeletionLog::build(&sharded);
-                for id in log.deleted_ids() {
-                    slog.delete(&mut sharded, id);
-                }
-                let mut sscratch = ShardedScratch::new();
-                let want_knn = sharded
-                    .knn_ctl_on(1, query, k, &mut sscratch, &ctl)
+            // The other index type: rebuilt at the final corpus (the
+            // contract under test is the policy dispatch).
+            let mut sharded = ShardedLes3Index::build(
+                flat.db().clone(),
+                flat.partitioning().clone(),
+                sim,
+                4,
+                ShardPolicy::Contiguous,
+            );
+            sharded.enable_approx(sidecar_params(seed));
+            // Replay the tombstones.
+            let mut slog = DeletionLog::build(&sharded);
+            for id in log.deleted_ids() {
+                slog.delete(&mut sharded, id);
+            }
+            let mut sscratch = QueryScratch::new();
+            let want_knn = sharded
+                .knn_ctl_on(1, query, k, &mut sscratch, &ctl)
+                .expect("QueryCtl::NONE never interrupts");
+            let want_range = sharded
+                .range_ctl_on(1, query, delta, &mut sscratch, &ctl)
+                .expect("QueryCtl::NONE never interrupts");
+            for policy in [ApproxPolicy::Exact, SATURATED] {
+                let (knn, info) = sharded
+                    .knn_approx_ctl_on(1, query, k, policy, &mut sscratch, &ctl)
                     .expect("QueryCtl::NONE never interrupts");
-                let want_range = sharded
-                    .range_ctl_on(1, query, delta, &mut sscratch, &ctl)
+                assert_eq!(knn.hits, want_knn.hits, "{} sharded knn hits {policy:?}", sim.name());
+                assert_eq!(knn.stats, want_knn.stats, "{} sharded knn stats {policy:?}", sim.name());
+                assert_eq!(info, ApproxInfo::EXACT);
+                let (range, info) = sharded
+                    .search(&Query { ctl, approx: policy, ..Query::range(query, delta) }, &mut sscratch)
                     .expect("QueryCtl::NONE never interrupts");
-                for policy in [ApproxPolicy::Exact, SATURATED] {
-                    let (knn, info) = sharded
-                        .knn_approx_ctl_on(1, query, k, policy, &mut sscratch, &ctl)
-                        .expect("QueryCtl::NONE never interrupts");
-                    assert_eq!(knn.hits, want_knn.hits, "{} sharded knn hits {policy:?}", sim.name());
-                    assert_eq!(knn.stats, want_knn.stats, "{} sharded knn stats {policy:?}", sim.name());
-                    assert_eq!(info, ApproxInfo::EXACT);
-                    let (range, info) = sharded
-                        .search(&Query { ctl, approx: policy, ..Query::range(query, delta) }, &mut sscratch)
-                        .expect("QueryCtl::NONE never interrupts");
-                    assert_eq!(range.hits, want_range.hits, "{} sharded range hits {policy:?}", sim.name());
-                    assert_eq!(range.stats, want_range.stats, "{} sharded range stats {policy:?}", sim.name());
-                    assert_eq!(info, ApproxInfo::EXACT);
-                }
+                assert_eq!(range.hits, want_range.hits, "{} sharded range hits {policy:?}", sim.name());
+                assert_eq!(range.stats, want_range.stats, "{} sharded range stats {policy:?}", sim.name());
+                assert_eq!(info, ApproxInfo::EXACT);
             }
         }
         check(&db, &part, Jaccard, &inserts, &delete_picks, &query, k, delta, seed);
@@ -355,7 +347,7 @@ fn anytime_commits_partials_on_expired_deadline() {
     // Sharded twin, same contract.
     let sharded =
         ShardedLes3Index::build(flat.db().clone(), part, Jaccard, 4, ShardPolicy::Contiguous);
-    let mut sscratch = ShardedScratch::new();
+    let mut sscratch = QueryScratch::new();
     let (result, info) = sharded
         .search(
             &Query {
@@ -448,7 +440,7 @@ fn masked_anytime_commits_empty_on_a_past_deadline() {
             .search(&q, &mut QueryScratch::new())
             .expect("anytime never surfaces Expired");
         let (b, b_info) = sharded
-            .search(&q, &mut ShardedScratch::new())
+            .search(&q, &mut QueryScratch::new())
             .expect("anytime never surfaces Expired");
         assert!(a.hits.is_empty() && b.hits.is_empty(), "{kind:?}");
         assert_eq!((a_info.approx, a_info.recall_est), (true, 0.0), "{kind:?}");
@@ -496,67 +488,65 @@ fn filtered_anytime_commits_masked_partials_mid_descent() {
     }]);
     let tokens: Vec<u32> = vec![0, 5, 104, 207, 311];
     let registry = Namespaces::new();
-    for (name, n_shards) in [("flat", 0usize), ("sharded", 3)] {
-        let spec = NamespaceSpec {
-            n_groups: 96,
-            n_shards,
-            sets: sets.clone(),
-            attrs: attrs.clone(),
-            ..Default::default()
+    let spec = NamespaceSpec {
+        n_groups: 96,
+        sets,
+        attrs,
+        ..Default::default()
+    };
+    let ns = registry.create("ns", spec).expect("namespace builds");
+    for kind in [Kind::Knn(10), Kind::Range(0.1)] {
+        let exact = ns
+            .search(&Query::new(&tokens, kind), &red, &mut QueryScratch::new())
+            .expect("no deadline")
+            .0;
+        assert!(exact.hits.len() >= 10, "{kind:?}: fixture has hits");
+        // kNN ties at the boundary may resolve to different ids once
+        // fewer groups were seen, so a partial kNN hit is checked
+        // against every matching set's exact similarity instead.
+        let all = ns
+            .range(&tokens, 0.0, &red, &QueryCtl::NONE)
+            .expect("no deadline")
+            .hits;
+        let reference = if matches!(kind, Kind::Knn(_)) {
+            &all
+        } else {
+            &exact.hits
         };
-        let ns = registry.create(name, spec).expect("namespace builds");
-        for kind in [Kind::Knn(10), Kind::Range(0.1)] {
-            let exact = ns
-                .search(&Query::new(&tokens, kind), &red, &mut QueryScratch::new())
-                .expect("no deadline")
-                .0;
-            assert!(exact.hits.len() >= 10, "{name} {kind:?}: fixture has hits");
-            // kNN ties at the boundary may resolve to different ids once
-            // fewer groups were seen, so a partial kNN hit is checked
-            // against every matching set's exact similarity instead.
-            let all = ns
-                .range(&tokens, 0.0, &red, &QueryCtl::NONE)
-                .expect("no deadline")
-                .hits;
-            let reference = if matches!(kind, Kind::Knn(_)) {
-                &all
-            } else {
-                &exact.hits
-            };
-            let mut partials_with_hits = 0;
-            for _sweep in 0..50 {
-                let mut budget = std::time::Duration::from_micros(1);
-                loop {
-                    let q = Query {
-                        ctl: QueryCtl::with_deadline(Instant::now() + budget),
-                        approx: ApproxPolicy::Anytime,
-                        ..Query::new(&tokens, kind)
-                    };
-                    let (got, info) = ns
-                        .search(&q, &red, &mut QueryScratch::new())
-                        .expect("anytime never surfaces Expired");
-                    for hit in &got.hits {
-                        let same = reference.iter().find(|e| e.0 == hit.0).unwrap_or_else(|| {
-                            panic!("{name} {kind:?}: hit {} is not admissible", hit.0)
-                        });
-                        assert_eq!(hit.1.to_bits(), same.1.to_bits(), "{name} {kind:?}");
-                    }
-                    assert!((0.0..=1.0).contains(&info.recall_est));
-                    if !info.approx {
-                        assert_eq!(got.hits, exact.hits, "{name} {kind:?}: in time is exact");
-                        break;
-                    }
-                    partials_with_hits += usize::from(!got.hits.is_empty());
-                    budget *= 2;
+        let mut partials_with_hits = 0;
+        for _sweep in 0..50 {
+            let mut budget = std::time::Duration::from_micros(1);
+            loop {
+                let q = Query {
+                    ctl: QueryCtl::with_deadline(Instant::now() + budget),
+                    approx: ApproxPolicy::Anytime,
+                    ..Query::new(&tokens, kind)
+                };
+                let (got, info) = ns
+                    .search(&q, &red, &mut QueryScratch::new())
+                    .expect("anytime never surfaces Expired");
+                for hit in &got.hits {
+                    let same = reference
+                        .iter()
+                        .find(|e| e.0 == hit.0)
+                        .unwrap_or_else(|| panic!("{kind:?}: hit {} is not admissible", hit.0));
+                    assert_eq!(hit.1.to_bits(), same.1.to_bits(), "{kind:?}");
                 }
-                if partials_with_hits > 0 {
+                assert!((0.0..=1.0).contains(&info.recall_est));
+                if !info.approx {
+                    assert_eq!(got.hits, exact.hits, "{kind:?}: in time is exact");
                     break;
                 }
+                partials_with_hits += usize::from(!got.hits.is_empty());
+                budget *= 2;
             }
-            assert!(
-                partials_with_hits > 0,
-                "{name} {kind:?}: no deadline caught the descent with hits in hand"
-            );
+            if partials_with_hits > 0 {
+                break;
+            }
         }
+        assert!(
+            partials_with_hits > 0,
+            "{kind:?}: no deadline caught the descent with hits in hand"
+        );
     }
 }

@@ -33,7 +33,7 @@ fn sharded() -> ShardedLes3Index<Jaccard> {
         Partitioning::round_robin(5, 3),
         Jaccard,
         2,
-        ShardPolicy::Hash,
+        ShardPolicy::Contiguous,
     )
 }
 
@@ -153,10 +153,10 @@ fn empty_and_unseen_token_inserts() {
     assert_eq!(flat.knn(&[], 1).hits.len(), 1);
     let mut sharded = sharded();
     let (id, g) = sharded.insert(&mut [5_000, 5_000, 4_999]);
+    assert!((g as usize) < sharded.partitioning().n_groups());
     assert_eq!(sharded.db().set(id), &[4_999, 5_000, 5_000]);
     let res = sharded.knn(&[4_999, 5_000], 1);
     assert_eq!(res.hits[0].0, id);
-    assert!(sharded.shard_groups(sharded.n_shards() - 1).len() + g as usize > 0);
 }
 
 #[test]

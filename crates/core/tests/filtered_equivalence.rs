@@ -1,7 +1,7 @@
 //! Property tests for attribute-filtered search: a filtered kNN or
 //! range query must be indistinguishable — hits *and* every
-//! [`SearchStats`] counter, bit for bit — across flat vs. sharded
-//! backends, and must agree with brute-force
+//! [`SearchStats`] counter, bit for bit — across both index types, and
+//! must agree with brute-force
 //! post-filtering of the exact unfiltered answer, for every similarity
 //! measure, random filter tree, and interleaved insert/delete sequence.
 //!
@@ -38,12 +38,10 @@ use les3_core::metadata::{Filter, Filters};
 use les3_core::{
     ApproxInfo, ApproxPolicy, Cosine, DeletionLog, Dice, FilterCandidates, Jaccard, Kind,
     Les3Index, MetadataIndex, OverlapCoefficient, Partitioning, Query, QueryScratch, SearchResult,
-    ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity,
+    ShardPolicy, ShardedLes3Index, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
-
-const SHARD_COUNTS: [usize; 2] = [2, 5];
 
 const KEYS: [&str; 3] = ["color", "size", "kind"];
 const VALUES: [[&str; 3]; 3] = [
@@ -230,8 +228,7 @@ fn brute_range(
 
 /// Asserts the full equivalence square for one (db, partitioning,
 /// filter, query) instance: filtered hits equal the brute-force
-/// reference, and filtered stats are identical across flat/sharded
-/// backends and every worker count.
+/// reference, and filtered stats are identical across both index types.
 #[allow(clippy::too_many_arguments)]
 fn check_filtered_configs<S: Similarity>(
     db: &SetDatabase,
@@ -303,36 +300,30 @@ fn check_filtered_configs<S: Similarity>(
         assert_eq!(got.hits, want.hits, "{} {what} hits", sim.name());
         assert_eq!(got.stats, want.stats, "{} {what} stats", sim.name());
     };
-    for n_shards in SHARD_COUNTS {
-        let sharded =
-            ShardedLes3Index::build(db.clone(), part.clone(), sim, n_shards, ShardPolicy::Hash);
-        let got = run(
-            &sharded,
-            Query {
-                mask: Some(&cand),
-                ..Query::knn(query, k)
-            },
-        );
-        check(&got, &baseline_knn, &format!("sharded knn N={n_shards}"));
-        let got = run(
-            &sharded,
-            Query {
-                mask: Some(&cand),
-                ..Query::range(query, delta)
-            },
-        );
-        check(
-            &got,
-            &baseline_range,
-            &format!("sharded range N={n_shards}"),
-        );
-    }
+    let sharded =
+        ShardedLes3Index::build(db.clone(), part.clone(), sim, 4, ShardPolicy::Contiguous);
+    let got = run(
+        &sharded,
+        Query {
+            mask: Some(&cand),
+            ..Query::knn(query, k)
+        },
+    );
+    check(&got, &baseline_knn, "sharded knn");
+    let got = run(
+        &sharded,
+        Query {
+            mask: Some(&cand),
+            ..Query::range(query, delta)
+        },
+    );
+    check(&got, &baseline_range, "sharded range");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The headline battery: 4 measures × flat/sharded × random filter
+    /// The headline battery: 4 measures × both index types × random filter
     /// trees, hits and stats bit for bit.
     #[test]
     fn filtered_equals_brute_force_for_all_measures(
@@ -471,7 +462,7 @@ proptest! {
 }
 
 /// Deterministic spot check on a 160-group index: masked kNN and range
-/// answer the same, hits and stats, flat and on 4 shards.
+/// answer the same, hits and stats, under both index types.
 #[test]
 fn auto_worker_entry_points_match_explicit() {
     let mut g = Gen(0x0123_4567_89ab_cdef);
@@ -559,7 +550,7 @@ fn auto_worker_entry_points_match_explicit() {
 /// One scratch, many indexes: a serving worker's `QueryScratch` answers
 /// the default route and every namespace in turn, so nothing in it may
 /// be sized for, or left describing, the index it served last. One
-/// scratch alternates between a 4-shard / 256-group index with a sidecar
+/// scratch alternates between a 256-group index with a sidecar
 /// and tombstones, a flat 3-group namespace and an empty index over a
 /// larger universe, under plain, attribute-filtered (broad and narrow:
 /// both masked kernels) and prefiltered kNN and range queries; every
@@ -610,7 +601,7 @@ fn one_scratch_alternates_between_indexes_of_every_shape() {
         ..Default::default()
     };
     let flat = registry.create("flat", spec).unwrap();
-    assert_eq!((flat.info().kind, flat.info().n_groups), ("flat", 3));
+    assert_eq!(flat.info().n_groups, 3);
 
     let nothing = Les3Index::build(
         SetDatabase::new(5_000),
@@ -740,14 +731,8 @@ fn every_query_axis_combination_matches_brute_force_and_flat() {
         ];
 
         let flat = Les3Index::build(db.clone(), part.clone(), sim);
-        let sharded = |n_shards, policy| {
-            ShardedLes3Index::build(db.clone(), part.clone(), sim, n_shards, policy)
-        };
-        let engines = [
-            ("sharded x1", sharded(1, ShardPolicy::Contiguous)),
-            ("sharded x3 contiguous", sharded(3, ShardPolicy::Contiguous)),
-            ("sharded x3 hash", sharded(3, ShardPolicy::Hash)),
-        ];
+        let sharded =
+            ShardedLes3Index::build(db.clone(), part.clone(), sim, 3, ShardPolicy::Contiguous);
 
         for (mask_name, mask) in &masks {
             // Brute force: every admitted set's similarity, in the
@@ -782,10 +767,8 @@ fn every_query_axis_combination_matches_brute_force_and_flat() {
                     let ctx = format!("{ctx} {approx:?}");
                     let got = flat.search(&q, &mut QueryScratch::new());
                     assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "flat {ctx}");
-                    for (name, engine) in &engines {
-                        let got = engine.search(&q, &mut ShardedScratch::new());
-                        assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "{name} {ctx}");
-                    }
+                    let got = sharded.search(&q, &mut QueryScratch::new());
+                    assert_eq!(got, Ok((want.clone(), ApproxInfo::EXACT)), "sharded {ctx}");
                 }
             }
         }

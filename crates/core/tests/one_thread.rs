@@ -6,7 +6,8 @@
 //! for it and a submitted one on exactly one pool thread. The
 //! same wrapper pins that every candidate a kNN verifies passes through
 //! the one kNN hook. A flag tripped mid-verification stops a range and a
-//! kNN at the next group boundary.
+//! kNN at the next group boundary, and a range whose deadline passes
+//! mid-descent commits the groups best-first verified up to it.
 //!
 //! Compiled out under the `model` feature: these are real-thread tests,
 //! and loom-instrumented primitives only work inside a `loom::model` run
@@ -20,11 +21,12 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use les3_core::{
-    FilterCandidates, InterruptReason, Jaccard, Les3Index, Partitioning, PreparedQuery, Query,
-    QueryCtl, QueryScratch, Request, SearchStats, ServeConfig, ServeFront, ShardPolicy,
-    ShardedLes3Index, Similarity, ThresholdedEval,
+    ApproxInfo, ApproxPolicy, FilterCandidates, InterruptReason, Jaccard, Les3Index, Partitioning,
+    PreparedQuery, Query, QueryCtl, QueryScratch, Request, SearchResult, SearchStats, ServeConfig,
+    ServeFront, ShardPolicy, ShardedLes3Index, Similarity, ThresholdedEval,
 };
 use les3_data::{SetDatabase, TokenId};
 
@@ -129,6 +131,74 @@ fn cancellation_stops_a_range_and_a_knn_at_the_next_group_boundary() {
     }
 }
 
+/// A range whose deadline passes mid-descent under [`ApproxPolicy::Anytime`]
+/// commits what it has verified so far, so *which* groups it verified
+/// first is part of the answer: best-first over the whole group axis.
+/// Deterministic: the `STALL_AT`-th evaluation outlasts the deadline, and
+/// the next group-boundary poll stops the descent. 64 singleton groups,
+/// δ = 0 (every group survives); the only exact match sits in group 40,
+/// the first group of the bound order.
+#[test]
+fn a_deadline_committed_range_verifies_best_first() {
+    static EVALS: AtomicUsize = AtomicUsize::new(0);
+    static DEADLINE: Mutex<Option<Instant>> = Mutex::new(None);
+    const STALL_AT: usize = 24;
+    const G: usize = 64;
+
+    #[derive(Clone, Copy)]
+    struct StallingSim;
+    impl Similarity for StallingSim {
+        fn name(&self) -> &'static str {
+            "stalling-jaccard"
+        }
+        fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
+            Jaccard.from_overlap(overlap, a_len, b_len)
+        }
+        fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
+            Jaccard.ub_from_overlap(q_len, r)
+        }
+        fn eval_with_threshold(&self, a: &[TokenId], b: &[TokenId], t: f64) -> ThresholdedEval {
+            if EVALS.fetch_add(1, Ordering::SeqCst) + 1 == STALL_AT {
+                let deadline = DEADLINE.lock().unwrap().expect("set before the query");
+                while Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            Jaccard.eval_with_threshold(a, b, t)
+        }
+    }
+
+    /// The interrupted range on `index`. A host pause that uses up the
+    /// budget before the stall is reached is retried with a longer one.
+    fn stalled_range(index: &Les3Index<StallingSim>) -> (SearchResult, ApproxInfo) {
+        for budget_ms in [250, 2_500, 25_000] {
+            let deadline = Instant::now() + Duration::from_millis(budget_ms);
+            EVALS.store(0, Ordering::SeqCst);
+            *DEADLINE.lock().unwrap() = Some(deadline);
+            let q = Query {
+                ctl: QueryCtl::with_deadline(deadline),
+                approx: ApproxPolicy::Anytime,
+                ..Query::range(&[40], 0.0)
+            };
+            let out = index
+                .search(&q, &mut QueryScratch::new())
+                .expect("an expired deadline commits");
+            if out.0.stats.sims_computed == STALL_AT {
+                return out;
+            }
+        }
+        panic!("the deadline never outlasted the first {STALL_AT} evaluations");
+    }
+
+    let (db, part) = singleton_fixture(G);
+    let index = Les3Index::build(db, part, StallingSim);
+    let got = stalled_range(&index);
+    assert_eq!(got.0.hits[0], (40, 1.0), "best-first: the exact match");
+    assert_eq!(got.0.stats.groups_verified, STALL_AT);
+    assert!(got.1.approx);
+    assert_eq!(got.1.recall_est, STALL_AT as f64 / G as f64);
+}
+
 /// No call spawns a thread for a query. A `Similarity` wrapper records
 /// the thread of every candidate evaluation on a 1 024-group index: a
 /// kNN (flat and sharded), a selective range and a wide range evaluate
@@ -209,7 +279,7 @@ fn knn_and_ranges_evaluate_on_one_thread() {
     let db = SetDatabase::from_sets((0..4 * GROUPS).map(|i| base[i % GROUPS].clone()));
     let part = pseudo_partitioning(db.len(), GROUPS, 11);
     let flat = Les3Index::build(db.clone(), part.clone(), WhereSim);
-    let sharded = ShardedLes3Index::build(db, part, WhereSim, 4, ShardPolicy::Hash);
+    let sharded = ShardedLes3Index::build(db, part, WhereSim, 4, ShardPolicy::Contiguous);
     let me = HashSet::from([std::thread::current().id()]);
     let q = base[17].clone();
 

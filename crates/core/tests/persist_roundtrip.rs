@@ -3,8 +3,8 @@
 //! segment) → more mutations (left in the WAL tail) → reopen, and the
 //! reopened index must be indistinguishable — hits *and*
 //! [`SearchStats`](les3_core::SearchStats), raw and tombstone-filtered —
-//! from the live index that never touched the disk. Both backends, all
-//! four similarity measures. Inserts may carry attributes (the
+//! from the live index that never touched the disk. Both index types,
+//! all four similarity measures. Inserts may carry attributes (the
 //! `InsertAttrs` WAL record / segment METADATA block); the reopened
 //! attribute table and attribute-filtered answers must round-trip too.
 //! The reopened index must also be the index `build` makes from what the
@@ -12,9 +12,10 @@
 //! random corruption of the segment bytes — including the METADATA
 //! block — must surface as a descriptive error, never a panic; a
 //! version-1 file, a version-1 block kind and SIG parameters outside
-//! what a sidecar accepts are each rejected by name; and the bytes of a
-//! flat version-2 segment, and of a 4-shard and a 2-shard one with the
-//! layout they record, are pinned.
+//! what a sidecar accepts are each rejected by name; the bytes of a
+//! version-2 segment are pinned, and both index types write them; a
+//! segment that records shards, or carries the old SHARDS block, is
+//! refused.
 
 mod common;
 
@@ -27,7 +28,7 @@ use les3_core::persist::{DurableIndex, PersistentBackend};
 use les3_core::{
     ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Jaccard, Les3Index, LiveIndex,
     MetadataIndex, MinHashIndex, OverlapCoefficient, Partitioning, Query, QueryCtl, QueryScratch,
-    SearchResult, ShardPolicy, ShardedLes3Index, ShardedScratch, Similarity, Tgm,
+    SearchResult, ShardPolicy, ShardedLes3Index, Similarity, Tgm,
 };
 use les3_data::SetDatabase;
 use proptest::prelude::*;
@@ -141,7 +142,7 @@ impl<S: Similarity> TestBackend for ShardedLes3Index<S> {
         self.approx_sidecar()
     }
     fn prefilter_knn_q(&self, q: &[u32], k: usize) -> (SearchResult, les3_core::ApproxInfo) {
-        let mut scratch = ShardedScratch::new();
+        let mut scratch = QueryScratch::new();
         self.knn_approx_ctl_on(1, q, k, SIDECAR_POLICY, &mut scratch, &QueryCtl::NONE)
             .expect("QueryCtl::NONE never interrupts")
     }
@@ -321,19 +322,13 @@ fn check_roundtrip<B: TestBackend>(
         assert_eq!(a.hits, b.hits, "filtered range diverged after reload");
     }
 
-    // open ≡ build. `build` derives a Contiguous layout from the group
-    // sizes it is handed, the segment stores the one its index was built
-    // with; answers do not depend on the layout, the per-shard size sum
-    // does, so it is compared whenever the two coincide (always, for the
-    // flat kind and for Hash).
+    // open ≡ build.
     let opened = reopened.backend();
-    if opened.shard_layout() == rebuilt.shard_layout() {
-        assert_eq!(
-            opened.sharded().index_size_in_bytes(),
-            rebuilt.sharded().index_size_in_bytes(),
-            "index size diverged from a rebuild"
-        );
-    }
+    assert_eq!(
+        opened.sharded().index_size_in_bytes(),
+        rebuilt.sharded().index_size_in_bytes(),
+        "index size diverged from a rebuild"
+    );
     if let (Some(a), Some(b)) = (opened.flat_tgm(), rebuilt.flat_tgm()) {
         let engine = opened.sharded();
         for g in 0..engine.partitioning().n_groups() as u32 {
@@ -358,7 +353,6 @@ fn check_measure<S: Similarity>(
     db: &SetDatabase,
     part: &Partitioning,
     sim: S,
-    n_shards: usize,
     ops: &[Op],
     queries: &[Vec<u32>],
     k: usize,
@@ -374,22 +368,16 @@ fn check_measure<S: Similarity>(
         delta,
         "rt-flat",
     );
-    for (n_shards, policy) in [
-        (n_shards, ShardPolicy::Contiguous),
-        (4, ShardPolicy::Contiguous),
-        (4, ShardPolicy::Hash),
-    ] {
-        check_roundtrip(
-            |db, part| ShardedLes3Index::build(db, part, sim, n_shards, policy),
-            db,
-            part,
-            ops,
-            queries,
-            k,
-            delta,
-            "rt-shard",
-        );
-    }
+    check_roundtrip(
+        |db, part| ShardedLes3Index::build(db, part, sim, 4, ShardPolicy::Contiguous),
+        db,
+        part,
+        ops,
+        queries,
+        k,
+        delta,
+        "rt-shard",
+    );
 }
 
 /// Like [`check_roundtrip`], with the MinHash sidecar enabled: the
@@ -482,17 +470,16 @@ proptest! {
         k in 1usize..8,
         delta in 0.05f64..1.0,
         n_groups in 1usize..8,
-        n_shards in 1usize..4,
         seed in 0u64..500,
     ) {
         let part = pseudo_partitioning(db.len(), n_groups, seed);
         let mut queries: Vec<Vec<u32>> = vec![query.into_iter().collect()];
         queries.push(db.set(0).to_vec());
         queries.push(db.set((db.len() / 2) as u32).to_vec());
-        check_measure(&db, &part, Jaccard, n_shards, &ops, &queries, k, delta);
-        check_measure(&db, &part, Dice, n_shards, &ops, &queries, k, delta);
-        check_measure(&db, &part, Cosine, n_shards, &ops, &queries, k, delta);
-        check_measure(&db, &part, OverlapCoefficient, n_shards, &ops, &queries, k, delta);
+        check_measure(&db, &part, Jaccard, &ops, &queries, k, delta);
+        check_measure(&db, &part, Dice, &ops, &queries, k, delta);
+        check_measure(&db, &part, Cosine, &ops, &queries, k, delta);
+        check_measure(&db, &part, OverlapCoefficient, &ops, &queries, k, delta);
     }
 
     #[test]
@@ -502,7 +489,6 @@ proptest! {
         query in prop::collection::btree_set(0u32..110, 1..12),
         k in 1usize..8,
         n_groups in 1usize..8,
-        n_shards in 1usize..4,
         seed in 0u64..500,
         bands in 1u32..5,
         rows in 1u32..4,
@@ -522,13 +508,7 @@ proptest! {
             "rt-sig-flat",
         );
         let build = || {
-            ShardedLes3Index::build(
-                db.clone(),
-                part.clone(),
-                Jaccard,
-                n_shards,
-                ShardPolicy::Contiguous,
-            )
+            ShardedLes3Index::build(db.clone(), part.clone(), Jaccard, 4, ShardPolicy::Contiguous)
         };
         check_sidecar_roundtrip(build(), build(), &ops, &queries, k, params, "rt-sig-shard");
     }
@@ -602,8 +582,7 @@ fn pinned_flat_index() -> Les3Index<Jaccard> {
     Les3Index::build(db, part, Jaccard)
 }
 
-/// A flat index is stored without a SHARDS block and with `n_shards ==
-/// 0`; the bytes `DurableIndex::create` writes for a fixed fixture — and
+/// The bytes `DurableIndex::create` writes for a fixed fixture — and
 /// for the same fixture after a logged insert, a logged delete and a
 /// checkpoint — are format version 2's, recorded at the commit that
 /// introduced it (version 1 wrote 4 279 and 4 391 bytes for the same two
@@ -634,96 +613,31 @@ fn flat_segment_bytes_are_pinned_at_format_v2() {
     drop(durable);
 
     let meta = les3_core::persist::read_meta(&dir).unwrap();
-    assert_eq!((meta.n_shards, meta.epoch), (0, 1));
+    assert_eq!(meta.epoch, 1);
     let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
     assert_eq!(reopened.backend().db().len(), 72);
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A sharded segment records the group → shard layout it was built with:
-/// for a 4-shard `Contiguous` and a 2-shard `Hash` index over the pinned
-/// fixture — after logged inserts with and without attributes, two
-/// deletes and a checkpoint — the segment bytes, the layout a reopen
-/// reports and the bytes the reopened index saves are the ones recorded
-/// at 007c75e, when every shard still had a matrix of its own.
+/// One engine, one on-disk kind: the engine built under its sharded name,
+/// with layout arguments, writes exactly the pinned bytes of
+/// [`flat_segment_bytes_are_pinned_at_format_v2`]'s first state.
 #[test]
-fn sharded_segment_bytes_and_layout_are_pinned() {
-    let saved_bytes = |live: &LiveIndex<ShardedLes3Index<Jaccard>>| {
-        let dir = fresh_dir("sharded-pin-save");
-        live.save(&dir).unwrap();
-        let bytes = std::fs::read(dir.join("segment")).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        bytes
-    };
-    type Pin = (
-        usize,
-        ShardPolicy,
-        &'static [&'static [u32]],
-        usize,
-        u64,
-        u64,
+fn a_sharded_build_writes_the_pinned_flat_bytes() {
+    let flat = pinned_flat_index();
+    let sharded = ShardedLes3Index::build(
+        flat.db().clone(),
+        flat.partitioning().clone(),
+        Jaccard,
+        4,
+        ShardPolicy::Contiguous,
     );
-    let pins: [Pin; 2] = [
-        (
-            4,
-            ShardPolicy::Contiguous,
-            &[&[0, 1], &[2], &[3, 4], &[5]],
-            1_733,
-            0xd5b8_5157_ff37_4197,
-            0x97e7_26da_76a2_6d95,
-        ),
-        (
-            2,
-            ShardPolicy::Hash,
-            &[&[0, 1, 3, 4], &[2, 5]],
-            1_733,
-            0xb92b_d077_3405_3ae4,
-            0xf732_f6a2_4fdd_9cb6,
-        ),
-    ];
-    for (n_shards, policy, layout, len, checkpointed, saved) in pins {
-        let flat = pinned_flat_index();
-        let sharded = ShardedLes3Index::build(
-            flat.db().clone(),
-            flat.partitioning().clone(),
-            Jaccard,
-            n_shards,
-            policy,
-        );
-        let dir = fresh_dir("sharded-pin");
-        let mut durable = DurableIndex::create(&dir, sharded).unwrap();
-        durable.insert(&mut [96, 3, 40, 3]).unwrap();
-        durable
-            .insert_with_attrs(&mut [200, 7], &attrs_for(0))
-            .unwrap();
-        durable
-            .insert_with_attrs(&mut [7, 14, 21], &attrs_for(1))
-            .unwrap();
-        assert!(durable.delete(11).unwrap());
-        assert!(durable.delete(70).unwrap());
-        durable.checkpoint().unwrap();
-        let bytes = std::fs::read(dir.join("segment")).unwrap();
-        let live_saved = saved_bytes(&durable.into_live());
-        assert_eq!(bytes.len(), len, "{policy:?} N={n_shards}");
-        assert_eq!(fnv1a(&bytes), checkpointed, "{policy:?} N={n_shards}");
-        assert_eq!(fnv1a(&live_saved), saved, "{policy:?} N={n_shards}");
-
-        let meta = les3_core::persist::read_meta(&dir).unwrap();
-        assert_eq!((meta.n_shards as usize, meta.epoch), (n_shards, 1));
-        let reopened = DurableIndex::<ShardedLes3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
-        assert_eq!(reopened.backend().n_shards(), n_shards);
-        for (s, groups) in layout.iter().enumerate() {
-            assert_eq!(
-                reopened.backend().shard_groups(s).to_vec(),
-                groups.to_vec(),
-                "{policy:?} N={n_shards} shard {s}"
-            );
-        }
-        assert_eq!(reopened.log().deleted_ids(), vec![11, 70]);
-        assert_eq!(reopened.meta().attrs(72), attrs_for(1));
-        assert_eq!(saved_bytes(&reopened.into_live()), live_saved);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    let dir = fresh_dir("sharded-flat-pin");
+    drop(DurableIndex::create(&dir, sharded).unwrap());
+    let bytes = std::fs::read(dir.join("segment")).unwrap();
+    assert_eq!(bytes.len(), 1_251);
+    assert_eq!(fnv1a(&bytes), 0x6f21_be80_df5d_74c9);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The `(offset, kind, payload length)` of every block of a segment.
@@ -879,73 +793,116 @@ fn create_refuses_a_backend_that_was_deleted_from() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Flat and sharded directories are distinct kinds on disk, however many
-/// shards the sharded one has: opening either as the other is a
-/// `Mismatch`, never a silently re-sharded index.
-#[test]
-fn opening_a_directory_as_the_other_kind_is_a_mismatch() {
-    use les3_core::PersistError;
-    let flat_dir = fresh_dir("kind-flat");
-    drop(DurableIndex::create(&flat_dir, pinned_flat_index()).unwrap());
-    let err = DurableIndex::<ShardedLes3Index<Jaccard>>::open(&flat_dir, Jaccard)
-        .err()
-        .expect("a flat segment must not open as sharded");
-    assert!(matches!(err, PersistError::Mismatch { .. }), "{err}");
-    assert_eq!(
-        err.to_string(),
-        "segment mismatch: expected a sharded index, found a flat segment"
-    );
-    DurableIndex::<Les3Index<Jaccard>>::open(&flat_dir, Jaccard).expect("still opens as flat");
-
-    for n_shards in [1usize, 3] {
-        let dir = fresh_dir("kind-sharded");
-        let flat = pinned_flat_index();
-        let sharded = ShardedLes3Index::build(
-            flat.db().clone(),
-            flat.partitioning().clone(),
-            Jaccard,
-            n_shards,
-            ShardPolicy::Contiguous,
-        );
-        drop(DurableIndex::create(&dir, sharded).unwrap());
-        let err = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard)
-            .err()
-            .expect("a sharded segment must not open as flat");
-        assert!(matches!(err, PersistError::Mismatch { .. }), "{err}");
-        assert_eq!(
-            err.to_string(),
-            "segment mismatch: expected a flat index, found a sharded segment"
-        );
-        let reopened = DurableIndex::<ShardedLes3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
-        assert_eq!(reopened.backend().n_shards(), n_shards);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    std::fs::remove_dir_all(&flat_dir).ok();
+/// Recomputes the CRC of the block whose header starts at `at`.
+fn fix_crc(bytes: &mut [u8], at: usize) {
+    let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+    let crc = les3_core::persist::io::crc32(&bytes[at + 12..at + 12 + len]);
+    bytes[at + 8..at + 12].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// A namespace created with `n_shards: 0` is the flat kind before and
-/// after a save → load, and one created with a single shard is not.
+/// A segment whose META records shards was written by a sharded index
+/// of an earlier build; the format no longer reads that kind. With the
+/// slot patched to 4 (CRC fixed up) the pinned segment is a `Mismatch`
+/// to `read_meta`, to `open` under either index type and to
+/// `Namespaces::load_all` — never a silently flattened index.
 #[test]
-fn namespace_kind_survives_save_and_load() {
-    use les3_core::{NamespaceSpec, Namespaces};
-    for (n_shards, kind) in [(0usize, "flat"), (1, "sharded"), (2, "sharded")] {
-        let root = fresh_dir("ns-kind");
-        let registry = Namespaces::new();
-        let spec = NamespaceSpec {
-            n_shards,
-            n_groups: 4,
-            sets: pinned_big_sets(),
-            ..Default::default()
-        };
-        let info = registry.create("pin", spec).unwrap().info();
-        assert_eq!((info.kind, info.n_shards), (kind, n_shards));
-        registry.save_all(&root).unwrap();
+fn a_segment_recording_shards_is_refused() {
+    use les3_core::{NamespaceError, Namespaces, PersistError};
+    let root = fresh_dir("sharded-refused");
+    let dir = root.join("old");
+    drop(DurableIndex::create(&dir, pinned_flat_index()).unwrap());
+    let segment = dir.join("segment");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let (meta_at, kind, _) = blocks(&bytes)[0];
+    assert_eq!(kind, 1, "META comes first");
+    // META's payload: epoch u64, then the reserved slot.
+    let slot = meta_at + 12 + 8;
+    assert_eq!(bytes[slot..slot + 4], 0u32.to_le_bytes());
+    bytes[slot..slot + 4].copy_from_slice(&4u32.to_le_bytes());
+    fix_crc(&mut bytes, meta_at);
+    std::fs::write(&segment, &bytes).unwrap();
 
-        let loaded = Namespaces::new();
-        assert_eq!(loaded.load_all(&root).unwrap(), 1);
-        assert_eq!(loaded.get("pin").unwrap().info(), info);
-        std::fs::remove_dir_all(&root).ok();
-    }
+    let expected = "segment mismatch: expected a flat segment, found a segment recording 4 shards";
+    let err = les3_core::persist::read_meta(&dir).unwrap_err();
+    assert!(matches!(err, PersistError::Mismatch { .. }), "{err}");
+    assert_eq!(err.to_string(), expected);
+    let err = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard)
+        .err()
+        .unwrap();
+    assert_eq!(err.to_string(), expected);
+    let err = DurableIndex::<ShardedLes3Index<Jaccard>>::open(&dir, Jaccard)
+        .err()
+        .unwrap();
+    assert_eq!(err.to_string(), expected);
+    let err = Namespaces::new().load_all(&root).unwrap_err();
+    assert!(
+        matches!(err, NamespaceError::Persist(PersistError::Mismatch { .. })),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Block kind 6 held a sharded segment's group → shard layout. It is an
+/// unknown kind now: the pinned segment with a well-formed kind-6 block
+/// spliced in before TOMBS (END count fixed up) is `Corrupt`.
+#[test]
+fn a_shards_block_is_an_unknown_kind() {
+    use les3_core::PersistError;
+    let dir = fresh_dir("shards-block");
+    drop(DurableIndex::create(&dir, pinned_flat_index()).unwrap());
+    let segment = dir.join("segment");
+    let good = std::fs::read(&segment).unwrap();
+    let layout = blocks(&good);
+    let &(tombs_at, _, _) = layout.iter().find(|b| b.1 == 7).expect("a TOMBS block");
+    // The old SHARDS payload: 6 groups, all in shard 0.
+    let payload: Vec<u8> = [6u32, 0, 0, 0, 0, 0, 0]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mut bad = good[..tombs_at].to_vec();
+    bad.extend_from_slice(&6u32.to_le_bytes());
+    bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bad.extend_from_slice(&les3_core::persist::io::crc32(&payload).to_le_bytes());
+    bad.extend_from_slice(&payload);
+    bad.extend_from_slice(&good[tombs_at..]);
+    let (end_at, end_kind, _) = *blocks(&bad).last().unwrap();
+    assert_eq!(end_kind, 0, "END comes last");
+    let count = u64::from_le_bytes(bad[end_at + 12..end_at + 20].try_into().unwrap());
+    bad[end_at + 12..end_at + 20].copy_from_slice(&(count + 1).to_le_bytes());
+    fix_crc(&mut bad, end_at);
+    std::fs::write(&segment, &bad).unwrap();
+
+    let err = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).err();
+    assert!(
+        matches!(
+            &err,
+            Some(PersistError::Corrupt { section: "block", detail })
+                if detail == "unknown block kind 6"
+        ),
+        "{err:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A namespace's info is the same before and after a save → load.
+#[test]
+fn namespace_info_survives_save_and_load() {
+    use les3_core::{NamespaceSpec, Namespaces};
+    let root = fresh_dir("ns-info");
+    let registry = Namespaces::new();
+    let spec = NamespaceSpec {
+        n_groups: 4,
+        sets: pinned_big_sets(),
+        ..Default::default()
+    };
+    let info = registry.create("pin", spec).unwrap().info();
+    assert_eq!((info.n_sets, info.n_groups), (70, 4));
+    registry.save_all(&root).unwrap();
+
+    let loaded = Namespaces::new();
+    assert_eq!(loaded.load_all(&root).unwrap(), 1);
+    assert_eq!(loaded.get("pin").unwrap().info(), info);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// Three owners, one value: the same insert / delete / insert-with-attrs

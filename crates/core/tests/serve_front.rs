@@ -2,8 +2,8 @@
 //!
 //! * **Equivalence** (the acceptance bar): results served through
 //!   [`ServeFront`] — hits *and* [`SearchStats`] — are bit-for-bit
-//!   identical to direct `knn_with` / `range_with` calls, for both the
-//!   flat and the sharded backend, under ≥ 4 racing producer threads
+//!   identical to direct `knn_with` / `range_with` calls, for both
+//!   index types, under ≥ 4 racing producer threads
 //!   and across worker counts (proptest).
 //! * **Admission control**: a bounded queue never exceeds its capacity
 //!   in accepted-but-unfinished requests and sheds the overflow with
@@ -132,14 +132,13 @@ fn check_front<B: PersistentBackend>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The acceptance proptest: N racing producers, flat AND sharded
-    /// backends, randomized worker counts — served results must equal
+    /// The acceptance proptest: N racing producers, both index types,
+    /// randomized worker counts — served results must equal
     /// direct calls bit for bit.
     #[test]
     fn served_results_equal_direct_calls(
         seed in 0u64..10_000,
         n_groups in 3usize..20,
-        n_shards in 1usize..5,
         workers in 1usize..5,
     ) {
         let db = ZipfianGenerator::new(300, 180, 6.0, 1.1).generate(seed);
@@ -154,7 +153,7 @@ proptest! {
         let flat = Arc::new(Les3Index::build(db.clone(), part.clone(), Jaccard));
         check_front(flat, config, &queries)?;
         let sharded = Arc::new(ShardedLes3Index::build(
-            db, part, Jaccard, n_shards, ShardPolicy::Hash,
+            db, part, Jaccard, 4, ShardPolicy::Contiguous,
         ));
         check_front(sharded, config, &queries)?;
     }

@@ -143,7 +143,7 @@ fn knn_work_does_not_grow_with_tombstones() {
 /// The hazard both PR 19 bugs were: an engine that travels without the
 /// log that deleted from it. It can no longer delete or save its
 /// tombstones, but every entry point answers over the live sets with no
-/// filter step, and flat and 4-shard engines agree, stats included.
+/// filter step, and both index types agree, stats included.
 #[test]
 fn an_engine_without_its_log_never_answers_a_deleted_set() {
     fn delete_and_drop_the_log<S: Similarity>(index: &mut ShardedLes3Index<S>) {

@@ -9,16 +9,13 @@
 //! The dataset is either synthetic (`--sets/--universe/--avg-size/
 //! --alpha/--seed`, a Zipfian token distribution) or loaded from a text
 //! file (`--load FILE`, one set per line, whitespace-separated integer
-//! token ids). `--shards N` (N ≥ 1) records an N-shard layout with the
-//! index (`ShardedLes3Index`, the sharded segment kind under
-//! `--save-index`); answers, work and memory are the flat index's — the
-//! layout is stored and reported, never executed.
+//! token ids). The index is a `Les3Index<Jaccard>` over a round-robin
+//! partitioning of `--groups` groups.
 //!
 //! Persistence (`docs/PERSISTENCE.md`): `--save-index DIR` writes a
 //! durable checkpoint at startup and enables `POST /snapshot` to rewrite
 //! it on demand without pausing queries; `--load-index DIR` skips the
-//! build entirely and serves the checkpointed index (flat or sharded is
-//! read from the segment itself).
+//! build entirely and serves the checkpointed index.
 //!
 //! With `--port 0` the OS picks an ephemeral port; the chosen address is
 //! printed as `listening on http://…` (CI's smoke test parses that
@@ -31,8 +28,7 @@ use std::sync::Arc;
 use les3_core::persist::read_meta;
 use les3_core::sim::Jaccard;
 use les3_core::{
-    ApproxParams, DurableIndex, Les3Index, NamespaceSpec, Partitioning, PersistentBackend,
-    ServeConfig, ServeFront, ShardPolicy, ShardedLes3Index,
+    ApproxParams, DurableIndex, Les3Index, NamespaceSpec, Partitioning, ServeConfig, ServeFront,
 };
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::SetDatabase;
@@ -54,9 +50,6 @@ Serving front (admission control):
     --queue-capacity N     accepted-but-unfinished cap; 0 = unbounded [default: 1024]
 
 Index:
-    --shards N             record an N-shard layout (sharded segment kind);
-                           answers, work and memory are the flat index's;
-                           0 = flat kind [default: 0]
     --groups N             partitioning groups [default: max(16, sets/80)]
     --approx BxR           build a MinHash sidecar (B bands x R rows, each >= 1)
                            backing \"mode\":\"prefilter\" queries (docs/APPROX.md);
@@ -79,7 +72,7 @@ Persistence (docs/PERSISTENCE.md):
     --save-index DIR       checkpoint the index to DIR at startup and let
                            POST /snapshot rewrite it while serving
     --load-index DIR       serve the index checkpointed in DIR instead of
-                           building one (replaces --load/--sets/--shards/--groups)
+                           building one (replaces --load/--sets/--groups)
 
     -h, --help             print this help
 ";
@@ -90,7 +83,6 @@ struct Args {
     conn_workers: usize,
     workers: usize,
     queue_capacity: usize,
-    shards: usize,
     groups: Option<usize>,
     approx: Option<ApproxParams>,
     sets: usize,
@@ -112,7 +104,6 @@ impl Default for Args {
             conn_workers: 4,
             workers: 0,
             queue_capacity: 1024,
-            shards: 0,
             groups: None,
             approx: None,
             sets: 10_000,
@@ -156,7 +147,6 @@ fn parse_args() -> Args {
             "--queue-capacity" => {
                 args.queue_capacity = parse(value(&mut it, "--queue-capacity"), "--queue-capacity")
             }
-            "--shards" => args.shards = parse(value(&mut it, "--shards"), "--shards"),
             "--groups" => args.groups = Some(parse(value(&mut it, "--groups"), "--groups")),
             "--approx" => {
                 let raw = value(&mut it, "--approx");
@@ -247,9 +237,9 @@ fn load_database(path: &str) -> SetDatabase {
     parse_database(&text).unwrap_or_else(|e| die(&format!("{path:?}: {e}")))
 }
 
-/// Creates the `--ns NAME=FILE` namespaces on `front` (flat engines,
-/// default grouping — finer control is a `PUT /ns/{name}` away).
-fn preload_namespaces<B: PersistentBackend>(front: &ServeFront<B>, args: &Args) {
+/// Creates the `--ns NAME=FILE` namespaces on `front` (Jaccard, default
+/// grouping — finer control is a `PUT /ns/{name}` away).
+fn preload_namespaces(front: &ServeFront<Les3Index<Jaccard>>, args: &Args) {
     for (name, file) in &args.namespaces {
         let db = load_database(file);
         let sets = (0..db.len()).map(|i| db.set(i as u32).to_vec()).collect();
@@ -274,7 +264,7 @@ fn preload_namespaces<B: PersistentBackend>(front: &ServeFront<B>, args: &Args) 
 /// checkpoint of everything the front serves (the default route with
 /// its tombstones, every namespace under `DIR/ns/{name}`); `POST
 /// /snapshot` rewrites that checkpoint on demand.
-fn serve<B: PersistentBackend>(front: ServeFront<B>, args: &Args) -> ! {
+fn serve(front: ServeFront<Les3Index<Jaccard>>, args: &Args) -> ! {
     let front = Arc::new(front);
     if let Some(dir) = &args.load_index {
         let ns_root = Path::new(dir).join("ns");
@@ -323,11 +313,8 @@ fn serve<B: PersistentBackend>(front: ServeFront<B>, args: &Args) -> ! {
 }
 
 /// Serves the index checkpointed in `dir`, tombstones and all.
-fn serve_loaded<B>(dir: &str, config: ServeConfig, args: &Args) -> !
-where
-    B: PersistentBackend<Sim = Jaccard>,
-{
-    let mut live = DurableIndex::<B>::open(dir, Jaccard)
+fn serve_loaded(dir: &str, config: ServeConfig, args: &Args) -> ! {
+    let mut live = DurableIndex::<Les3Index<Jaccard>>::open(dir, Jaccard)
         .unwrap_or_else(|e| die(&format!("cannot load index from {dir:?}: {e}")))
         .into_live();
     if let Some(params) = args.approx {
@@ -337,9 +324,9 @@ where
 }
 
 /// Serves a freshly built index.
-fn serve_built<B: PersistentBackend>(mut index: B, config: ServeConfig, args: &Args) -> ! {
+fn serve_built(mut index: Les3Index<Jaccard>, config: ServeConfig, args: &Args) -> ! {
     if let Some(params) = args.approx {
-        index.sharded_mut().enable_approx(params);
+        index.enable_approx(params);
     }
     serve(ServeFront::new(index, config), args)
 }
@@ -356,26 +343,17 @@ fn main() {
     };
 
     if let Some(dir) = &args.load_index {
-        // Serve a checkpointed index; the segment itself says whether it
-        // is flat or sharded, and the tombstones come with it.
+        // Serve a checkpointed index; the tombstones come with it.
         if args.load.is_some() {
             die("--load-index and --load are mutually exclusive");
         }
         let meta = read_meta(Path::new(dir))
             .unwrap_or_else(|e| die(&format!("cannot load index from {dir:?}: {e}")));
         println!(
-            "loading {dir:?}: epoch {}, {} sets, {} groups, {} shard(s), sim {:?}",
-            meta.epoch,
-            meta.n_sets,
-            meta.n_groups,
-            meta.n_shards.max(1),
-            meta.sim_name,
+            "loading {dir:?}: epoch {}, {} sets, {} groups, sim {:?}",
+            meta.epoch, meta.n_sets, meta.n_groups, meta.sim_name,
         );
-        if meta.n_shards > 0 {
-            serve_loaded::<ShardedLes3Index<Jaccard>>(dir, config, &args)
-        } else {
-            serve_loaded::<Les3Index<Jaccard>>(dir, config, &args)
-        }
+        serve_loaded(dir, config, &args)
     }
 
     let db = match &args.load {
@@ -398,19 +376,10 @@ fn main() {
         .clamp(1, n_sets.max(1));
     let partitioning = Partitioning::round_robin(n_sets, n_groups);
     println!(
-        "index: {} groups, {} shard(s); front: workers={} queue_capacity={}",
-        n_groups,
-        args.shards.max(1),
-        config.workers,
-        args.queue_capacity,
+        "index: {} groups; front: workers={} queue_capacity={}",
+        n_groups, config.workers, args.queue_capacity,
     );
-    if args.shards >= 1 {
-        let policy = ShardPolicy::Contiguous;
-        let index = ShardedLes3Index::build(db, partitioning, Jaccard, args.shards, policy);
-        serve_built(index, config, &args)
-    } else {
-        serve_built(Les3Index::build(db, partitioning, Jaccard), config, &args)
-    }
+    serve_built(Les3Index::build(db, partitioning, Jaccard), config, &args)
 }
 
 #[cfg(test)]

@@ -33,12 +33,11 @@
 //!
 //! Served hits and stats are **bit-for-bit identical** to calling the
 //! index directly — floats travel in shortest-round-trip decimal form —
-//! proven end-to-end by `tests/http_serve.rs` over both the flat and
-//! sharded backends.
+//! proven end-to-end by `tests/http_serve.rs` over both index types.
 //!
-//! The ready-made binary is `les3-serve` (in `src/bin/`): it builds a
-//! flat or sharded index from a generated or loaded dataset and serves
-//! it — see `README.md`'s "Run it as a service".
+//! The ready-made binary is `les3-serve` (in `src/bin/`): it builds an
+//! index from a generated or loaded dataset and serves it — see
+//! `README.md`'s "Run it as a service".
 
 pub mod http;
 pub mod json;

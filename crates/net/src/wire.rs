@@ -392,16 +392,19 @@ fn decode_attrs(value: &Json) -> Result<Vec<(String, String)>, SchemaError> {
 }
 
 /// Decodes a `PUT /ns/{name}` body into a [`NamespaceSpec`]. An empty
-/// body (or `{}`) is a default spec: flat engine, Jaccard, `⌈√n⌉`
-/// groups. `"sets"` is the initial corpus, `"attrs"` an optional
-/// parallel array of attribute objects.
+/// body (or `{}`) is a default spec: Jaccard, `⌈√n⌉` groups. `"sets"` is
+/// the initial corpus, `"attrs"` an optional parallel array of attribute
+/// objects; unknown fields are ignored. `"n_groups"` is range-checked
+/// here against `u32` only: the cap on it,
+/// [`MAX_NAMESPACE_GROUPS`](les3_core::namespace::MAX_NAMESPACE_GROUPS),
+/// lives in [`Namespaces::create`](les3_core::Namespaces::create).
 ///
 /// ```
 /// use les3_net::wire::decode_ns_spec;
 ///
-/// let spec = decode_ns_spec(br#"{"n_shards":2,"sets":[[1,2],[3]],
+/// let spec = decode_ns_spec(br#"{"n_groups":2,"sets":[[1,2],[3]],
 ///                                "attrs":[{"tier":"gold"},{}]}"#).unwrap();
-/// assert_eq!(spec.n_shards, 2);
+/// assert_eq!(spec.n_groups, 2);
 /// assert_eq!(spec.sets.len(), 2);
 /// assert_eq!(spec.attrs[0], vec![("tier".to_string(), "gold".to_string())]);
 /// assert!(decode_ns_spec(br#"{"sets":[[1]],"attrs":[{},{}]}"#).is_err()); // length mismatch
@@ -418,17 +421,12 @@ pub fn decode_ns_spec(body: &[u8]) -> Result<NamespaceSpec, SchemaError> {
             .ok_or_else(|| SchemaError("\"sim\" must be a string".to_string()))?
             .to_string();
     }
-    for (field, slot) in [
-        ("n_groups", &mut spec.n_groups),
-        ("n_shards", &mut spec.n_shards),
-    ] {
-        if let Some(n) = value.get(field) {
-            *slot = n
-                .as_u64()
-                .filter(|&n| n <= u64::from(u32::MAX))
-                .ok_or_else(|| SchemaError(format!("{field:?} must be an integer in 0..2^32")))?
-                as usize;
-        }
+    if let Some(n) = value.get("n_groups") {
+        spec.n_groups = n
+            .as_u64()
+            .filter(|&n| n <= u64::from(u32::MAX))
+            .ok_or_else(|| SchemaError("\"n_groups\" must be an integer in 0..2^32".to_string()))?
+            as usize;
     }
     if let Some(sets) = value.get("sets") {
         spec.sets = sets
@@ -496,12 +494,10 @@ pub fn decode_ns_delete(body: &[u8]) -> Result<u32, SchemaError> {
 pub fn encode_ns_info(info: &NamespaceInfo) -> Json {
     Json::Obj(vec![
         ("name".into(), info.name.as_str().into()),
-        ("kind".into(), info.kind.into()),
         ("sim".into(), info.sim.into()),
         ("n_sets".into(), info.n_sets.into()),
         ("live_sets".into(), info.live_sets.into()),
         ("n_groups".into(), info.n_groups.into()),
-        ("n_shards".into(), info.n_shards.into()),
     ])
 }
 

@@ -1062,7 +1062,7 @@ fn namespace_lifecycle_round_trip() {
     let info = response.json();
     assert_eq!(info.get("name").and_then(Json::as_str), Some("tenant-a"));
     assert_eq!(info.get("n_sets").and_then(Json::as_u64), Some(60));
-    assert_eq!(info.get("kind").and_then(Json::as_str), Some("flat"));
+    assert!(info.get("kind").is_none(), "one engine: no kind field");
 
     let listed = client.request("GET", "/ns", None);
     assert_eq!(listed.status, 200);
@@ -1243,9 +1243,9 @@ fn cross_namespace_isolation_same_ids_different_corpora() {
     server.shutdown();
 }
 
-/// `GET /ns/{name}` of a namespace created with `"n_shards":2`, after an
-/// insert and a delete: the body recorded at 007c75e. The shard count a
-/// namespace was created with is part of what it reports, byte for byte.
+/// `GET /ns/{name}` of a namespace whose create body still asks for
+/// `"n_shards":2`, after an insert and a delete. Unknown spec fields are
+/// ignored, and the info body carries no layout: one engine, one kind.
 #[test]
 fn sharded_namespace_info_body_is_pinned() {
     let (server, addr) = start_server(flat_index(25), fast_config());
@@ -1258,7 +1258,7 @@ fn sharded_namespace_info_body_is_pinned() {
     assert_eq!(created.status, 200, "{}", created.body);
     assert_eq!(
         created.body,
-        r#"{"name":"pin","kind":"sharded","sim":"jaccard","n_sets":5,"live_sets":5,"n_groups":3,"n_shards":2}"#
+        r#"{"name":"pin","sim":"jaccard","n_sets":5,"live_sets":5,"n_groups":3}"#
     );
     let inserted = client.request("POST", "/ns/pin/insert", Some(r#"{"tokens":[5,9]}"#));
     assert_eq!(inserted.status, 200, "{}", inserted.body);
@@ -1268,8 +1268,27 @@ fn sharded_namespace_info_body_is_pinned() {
     assert_eq!(info.status, 200, "{}", info.body);
     assert_eq!(
         info.body,
-        r#"{"name":"pin","kind":"sharded","sim":"jaccard","n_sets":6,"live_sets":5,"n_groups":3,"n_shards":2}"#
+        r#"{"name":"pin","sim":"jaccard","n_sets":6,"live_sets":5,"n_groups":3}"#
     );
+    server.shutdown();
+}
+
+/// A 25-byte body asking for 2³² − 1 groups is a `400` before anything
+/// is allocated, and the server keeps answering.
+#[test]
+fn a_namespace_over_the_group_cap_is_a_400() {
+    let (server, addr) = start_server(flat_index(26), fast_config());
+    let mut client = Client::connect(&addr);
+    let huge = client.request("PUT", "/ns/huge", Some(r#"{"n_groups":4294967295}"#));
+    assert_eq!(huge.status, 400, "{}", huge.body);
+    assert_eq!(
+        huge.json().get("error").and_then(Json::as_str),
+        Some("bad_request")
+    );
+    let health = client.request("GET", "/healthz", None);
+    assert_eq!(health.status, 200, "{}", health.body);
+    let missing = client.request("GET", "/ns/huge", None);
+    assert_eq!(missing.status, 404, "{}", missing.body);
     server.shutdown();
 }
 

@@ -2,8 +2,8 @@
 //! an **admission-control layer**, then run on the producer's own thread
 //! while a worker's scratch is free, or queue FIFO for a persistent
 //! worker pool — at most one request per scratch at a time. This is the
-//! request-queue step on top of `sharded_service`'s synchronous batch
-//! calls.
+//! request-queue step on top of the index's synchronous batch calls
+//! (`knn_batch` / `range_batch`).
 //!
 //! This example drives the front **in-process**; the production path
 //! puts the network layer (`crates/net`) in front of the very same
@@ -79,19 +79,13 @@ impl Similarity for Gated {
 }
 
 fn main() {
-    // A KOSARAK-shaped database served by a 4-shard index.
+    // A KOSARAK-shaped database.
     let spec = DatasetSpec::kosarak().with_sets(20_000);
     let db = spec.generate(7);
     println!("dataset {}: {}", spec.name, db.stats());
     let n_groups = (db.len() / 80).max(16);
     let part = Partitioning::round_robin(db.len(), n_groups);
-    let index = Arc::new(ShardedLes3Index::build(
-        db.clone(),
-        part,
-        Jaccard,
-        4,
-        ShardPolicy::Contiguous,
-    ));
+    let index = Arc::new(Les3Index::build(db.clone(), part, Jaccard));
 
     let config = ServeConfig {
         workers: 0, // one worker per core
@@ -154,7 +148,7 @@ fn main() {
     );
 
     // Served results are bit-for-bit the direct call's — hits AND stats.
-    let mut scratch = ShardedScratch::new();
+    let mut scratch = QueryScratch::new();
     for qid in [0u32, 1_234, 9_999] {
         let q = db.set(qid).to_vec();
         let served = front.knn(&q, K).expect("serve failed");

@@ -76,8 +76,7 @@ pub mod prelude {
         InterruptReason, Interrupted, Jaccard, Kind, Les3Index, LiveIndex, MinHashIndex, OnFull,
         OverlapCoefficient, Partitioning, PersistError, PersistentBackend, Query, QueryCtl,
         QueryScratch, Request, Route, SearchOutcome, SearchResult, SearchStats, ServeConfig,
-        ServeError, ServeFront, ServeResult, ShardPolicy, ShardedLes3Index, ShardedScratch,
-        Similarity, SubmitOpts, Tgm, Ticket,
+        ServeError, ServeFront, ServeResult, ShardedLes3Index, Similarity, SubmitOpts, Tgm, Ticket,
     };
     pub use les3_data::realistic::DatasetSpec;
     pub use les3_data::zipfian::ZipfianGenerator;
