@@ -235,6 +235,7 @@ impl<S: Similarity> Htgm<S> {
         for (g, &r) in scratch.counts.iter().enumerate() {
             frontier.push(Frontier {
                 ub: self.sim.ub_from_overlap(q_len, r as usize),
+                r,
                 level: 0,
                 group: g as u32,
             });
@@ -247,14 +248,20 @@ impl<S: Similarity> Htgm<S> {
             filter: None,
         };
         let last_level = self.hp.n_levels() - 1;
-        while let Some(Frontier { ub, level, group }) = frontier.pop() {
+        while let Some(Frontier {
+            ub,
+            r,
+            level,
+            group,
+        }) = frontier.pop()
+        {
             if top.is_full() && ub <= top.kth() {
                 stats.groups_pruned += 1 + frontier.len();
                 break;
             }
             if level == last_level {
                 stats.groups_verified += 1;
-                verify.knn_window(&self.verify, group, &mut top, &mut stats);
+                verify.knn_window(&self.verify, group, r, &mut top, &mut stats);
             } else {
                 let children = self.hp.children(level, group);
                 let touched = self.tgms[level + 1].group_overlaps_restricted_into(
@@ -268,6 +275,7 @@ impl<S: Similarity> Htgm<S> {
                 for (&child, &r) in children.iter().zip(&scratch.restricted_out) {
                     frontier.push(Frontier {
                         ub: self.sim.ub_from_overlap(q_len, r as usize),
+                        r,
                         level: level + 1,
                         group: child,
                     });
@@ -281,8 +289,12 @@ impl<S: Similarity> Htgm<S> {
     }
 }
 
+/// A frontier entry: a group's bound and the overlap count `r` it came
+/// from, which caps the group's verify window once it reaches the finest
+/// level.
 struct Frontier {
     ub: f64,
+    r: u32,
     level: usize,
     group: u32,
 }

@@ -21,6 +21,16 @@
 //!   soon as its overlap cannot reach the current threshold; the kNN and
 //!   range candidate loops exist once each (`VerifyQuery::knn_window`,
 //!   `VerifyQuery::range_window`);
+//! * a kNN's window is **capped by the group's overlap count** `r_g =
+//!   |Q ∩ GS_g|`, the number the filter pass already computed: a member
+//!   `S` of distinct length `L` has similarity at most
+//!   `from_overlap(min(r_g, L), |Q|, L)`, because every token it shares
+//!   with `Q` lies in `GS_g ∩ Q` (deletes keep the TGM a superset of the
+//!   live members' tokens). A member the cap cuts was below the k-th
+//!   similarity already, so hits and the group counters are those of the
+//!   uncapped window; only `candidates`, `sims_computed`, `early_exits`
+//!   and `size_skipped` move. A range keeps the uncapped window
+//!   (`r = |Q|`) until the benchmark bounds its sample memory;
 //! * the two loops count overlap differently. A kNN loads a
 //!   duplicate-free query into a membership bitset once
 //!   ([`crate::sim::QueryBits`], in the scratch, at most `⌈universe /
@@ -29,7 +39,7 @@
 //!   merge step waits on the previous step's cursor moves. A multiset on
 //!   either side takes the merge, and so does every range candidate
 //!   ([`Similarity::eval_with_threshold`]): a range verifies ≈ 85
-//!   candidates per call against the kNN's ≈ 8 300, so its time is the
+//!   candidates per call against the kNN's ≈ 5 800, so its time is the
 //!   filter pass and per-call overhead, and hoisting its loop waits on
 //!   the benchmark harness bounding its sample memory. Both kernels
 //!   return the merge's verdict, `Hit` bits and `early` flag alike, so
@@ -199,24 +209,32 @@ impl VerifyOrder {
     /// The slice of group `g`'s member ids (in (length, id) order) whose
     /// length alone permits `sim ≥ threshold`, their distinct lengths
     /// alongside, plus the number of members excluded by that length
-    /// window: a set of distinct length `L` has similarity at most
-    /// `from_overlap(min(|Q|, L), |Q|, L)`, which is unimodal in `L` with
-    /// its peak at `L = |Q|`, so the admissible region is one contiguous
-    /// window found by two binary searches.
+    /// window.
+    ///
+    /// `r` is the group's TGM overlap count `|Q ∩ GS_g|`. Every token a
+    /// member `S` shares with `Q` lies in `GS_g ∩ Q` (deletes keep the TGM
+    /// a superset of the live members' tokens), so with `c = min(r, |Q|)`
+    /// a member of distinct length `L` has similarity at most
+    /// `from_overlap(min(c, L), |Q|, L)`. That bound rises with `L` below
+    /// `c` and falls from `c` up, for every measure, so the admissible
+    /// region is one contiguous window found by two binary searches.
+    /// Passing `r = |Q|` gives the uncapped window.
     pub(crate) fn window<S: Similarity>(
         &self,
         sim: S,
         g: u32,
         q_len: usize,
+        r: usize,
         threshold: f64,
     ) -> (&[SetId], &[u32], usize) {
         let GroupOrder { ids, lens } = &self.groups[g as usize];
-        let split = lens.partition_point(|&l| (l as usize) < q_len);
+        let c = r.min(q_len);
+        let split = lens.partition_point(|&l| (l as usize) < c);
         let lo = lens[..split]
             .partition_point(|&l| sim.from_overlap(l as usize, q_len, l as usize) < threshold);
         let hi = split
             + lens[split..]
-                .partition_point(|&l| sim.from_overlap(q_len, q_len, l as usize) >= threshold);
+                .partition_point(|&l| sim.from_overlap(c, q_len, l as usize) >= threshold);
         (&ids[lo..hi], &lens[lo..hi], ids.len() - (hi - lo))
     }
 }
@@ -241,16 +259,19 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         self.query.distinct_len()
     }
 
-    /// Verifies group `g`'s length window at `top`'s evolving k-th
-    /// similarity, offering every hit and charging the work to `stats`.
+    /// Verifies group `g`'s length window, capped by the group's overlap
+    /// count `r`, at `top`'s evolving k-th similarity, offering every hit
+    /// and charging the work to `stats`. A member the cap leaves out is
+    /// below the k-th similarity already, so the heap never sees it.
     pub(crate) fn knn_window(
         &self,
         order: &VerifyOrder,
         g: u32,
+        r: u32,
         top: &mut TopK,
         stats: &mut SearchStats,
     ) {
-        let (ids, lens, skipped) = order.window(self.sim, g, self.q_len(), top.kth());
+        let (ids, lens, skipped) = order.window(self.sim, g, self.q_len(), r as usize, top.kth());
         stats.size_skipped += skipped;
         // Branch on the filter once per window, not per candidate:
         // non-matching members are skipped before any accounting.
@@ -310,7 +331,9 @@ impl<S: Similarity> VerifyQuery<'_, S> {
 
     /// Verifies group `g`'s length window at the fixed range threshold
     /// `delta`, appending hits (unsorted) and charging the work to
-    /// `stats`.
+    /// `stats`. The window stays uncapped (`r = |Q|`): the cap is ready
+    /// but waits on the benchmark bounding its sample memory (ROADMAP
+    /// 1(a), direction 3).
     pub(crate) fn range_window(
         &self,
         order: &VerifyOrder,
@@ -319,7 +342,8 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         hits: &mut Vec<(SetId, f64)>,
         stats: &mut SearchStats,
     ) {
-        let (ids, _lens, skipped) = order.window(self.sim, g, self.q_len(), delta);
+        let q_len = self.q_len();
+        let (ids, _lens, skipped) = order.window(self.sim, g, q_len, q_len, delta);
         stats.size_skipped += skipped;
         for &id in ids {
             if self.filter.is_some_and(|m| !m.contains(id)) {
@@ -565,12 +589,15 @@ mod tests {
             (0..db.len() as SetId)
                 .filter(|id| id % 3 != 0)
                 .for_each(|id| mask.insert(id));
+            let tgm = Tgm::build(&db, &part);
             for (qid, k) in [(7u32, 1usize), (100, 3), (191, 8), (239, 40), (64, 500)] {
                 let query = db.set(qid);
                 let q_len = distinct_len(query);
+                let r = tgm.group_overlaps(query)[0];
                 for filter in [None, Some(&mask)] {
                     let (mut want_top, mut want) = (TopK::new(k), SearchStats::default());
-                    let (ids, _lens, skipped) = order.window(sim, 0, q_len, want_top.kth());
+                    let (ids, _lens, skipped) =
+                        order.window(sim, 0, q_len, r as usize, want_top.kth());
                     want.size_skipped += skipped;
                     for &id in ids {
                         if filter.is_some_and(|m| !m.contains(id)) {
@@ -601,7 +628,7 @@ mod tests {
                             query,
                             filter,
                         };
-                        verify.knn_window(&order, 0, &mut top, &mut stats);
+                        verify.knn_window(&order, 0, r, &mut top, &mut stats);
                         assert_eq!(stats, want, "{} q{qid} k{k}", sim.name());
                         assert_eq!(top.into_sorted(), want_hits);
                     }

@@ -56,7 +56,8 @@
 //! * candidate groups are ordered by **bucketed descending selection** in
 //!   `O(G + |Q|)` — no sort on the hot path;
 //! * verification stores each group's members length-sorted, cuts the
-//!   inadmissible length range with two binary searches, and abandons
+//!   inadmissible length range with two binary searches (for a kNN the
+//!   range is capped by the group's TGM overlap count), and abandons
 //!   each candidate as soon as its overlap cannot reach the threshold — a
 //!   kNN counts by looking candidate tokens up in the query's bitset
 //!   ([`Similarity::eval_prepared`]), a range by merging

@@ -64,7 +64,7 @@ pub(crate) struct GroupBound {
     /// `ub` alone would not reproduce the bucketed order). The bound
     /// itself (`UB(Q, G_g)`, Eq. 2) is derived lazily from `r` only for
     /// entries the descent reaches — groups pruned wholesale never pay
-    /// for one.
+    /// for one. A kNN also caps the group's verify window by it.
     pub(crate) r: u32,
 }
 
@@ -151,6 +151,16 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.approx.as_ref()
     }
 
+    /// The live members of group `g` that the kNN length window admits at
+    /// `threshold`, for a query of `q_len` distinct tokens sharing `r`
+    /// tokens with the group's TGM row. Exposed for the window's
+    /// soundness property test (`tests/hotpath_equivalence.rs`); not
+    /// public API.
+    #[doc(hidden)]
+    pub fn verify_window(&self, g: u32, q_len: usize, r: usize, threshold: f64) -> &[SetId] {
+        self.verify.window(self.sim, g, q_len, r, threshold).0
+    }
+
     /// The filter pass: word-parallel overlap counts over the TGM, then
     /// the `O(G + |Q|)` bucketed descending selection, written into
     /// `stream` in `(r descending, group id ascending)` order. Returns
@@ -210,7 +220,8 @@ impl<S: Similarity> ShardedLes3Index<S> {
 
     /// The best-first kNN descent over the bound stream, stopping at the
     /// first group whose bound cannot improve the k-th best (Theorem
-    /// 3.1). Polls `ctl` at every group boundary.
+    /// 3.1); each verified group's length window is capped by its overlap
+    /// count `r`. Polls `ctl` at every group boundary.
     fn knn_descend(
         &self,
         verify: &VerifyQuery<'_, S>,
@@ -237,7 +248,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 return Err((reason, top));
             }
             stats.groups_verified += 1;
-            verify.knn_window(&self.verify, b.group, &mut top, stats);
+            verify.knn_window(&self.verify, b.group, b.r, &mut top, stats);
         }
         Ok(top)
     }

@@ -5,10 +5,14 @@
 //! The equivalence suites compare engines *within* one commit, so a
 //! verify-kernel rewrite that shifted `early_exits`, `size_skipped` or
 //! `candidates` identically everywhere would pass them all. These
-//! literals pin the counters *across* commits: they were recorded from
-//! the commit before the shared kNN window-verify routine landed
-//! (456e852) and must only ever change together with a deliberate,
-//! documented change of the work the engines do.
+//! literals pin the counters *across* commits and must only ever change
+//! together with a deliberate, documented change of the work the engines
+//! do. The range tables were recorded from the commit before the shared
+//! kNN window-verify routine landed (456e852). The kNN tables were
+//! re-recorded when a kNN began to cap each group's verify window by its
+//! TGM overlap count (the commit after d095c49); the uncapped kNN record
+//! stays beside them, and `capping_the_window_moves_only_verify_work`
+//! holds the two against each other.
 #![cfg(not(feature = "model"))]
 
 mod common;
@@ -31,6 +35,73 @@ const N_UNFILTERED: usize = 24;
 /// groups_verified early_exits size_skipped` per query (flat and
 /// sharded ×4 are bit-for-bit the same engine, so they share a table).
 const GOLDEN_FLAT: [[usize; 7]; N_QUERIES] = [
+    [98, 98, 64, 63, 1, 58, 0],
+    [1040, 1040, 67, 1, 63, 42, 1932],
+    [1283, 1283, 81, 5, 59, 328, 1510],
+    [1408, 1408, 49, 15, 49, 31, 953],
+    [2310, 2310, 648, 0, 64, 2098, 690],
+    [2453, 2453, 504, 0, 64, 2217, 547],
+    [1072, 1072, 33, 31, 33, 14, 441],
+    [1156, 1156, 30, 34, 30, 20, 334],
+    [2339, 2339, 248, 0, 64, 1765, 661],
+    [2137, 2137, 646, 0, 64, 1916, 863],
+    [2311, 2311, 206, 6, 58, 1860, 388],
+    [2194, 2194, 624, 0, 64, 2008, 806],
+    [2408, 2408, 228, 0, 64, 1870, 592],
+    [2301, 2301, 265, 0, 64, 1965, 699],
+    [2487, 2487, 559, 0, 64, 2197, 513],
+    [1197, 1197, 36, 34, 30, 22, 291],
+    [2673, 2673, 460, 0, 64, 2322, 327],
+    [716, 716, 16, 48, 16, 8, 31],
+    [2152, 2152, 200, 1, 63, 1686, 820],
+    [2163, 2163, 682, 0, 64, 1951, 837],
+    [1642, 1642, 1015, 0, 64, 1495, 1358],
+    [2508, 2508, 201, 2, 62, 1686, 422],
+    [2328, 2328, 215, 2, 62, 1745, 608],
+    [2513, 2513, 296, 0, 64, 1872, 487],
+    [619, 619, 128, 7, 57, 46, 275],
+    [593, 593, 74, 6, 58, 4, 399],
+    [539, 539, 64, 13, 51, 3, 289],
+    [186, 186, 13, 51, 13, 0, 0],
+    [35, 35, 3, 61, 3, 0, 0],
+    [495, 495, 91, 8, 56, 49, 647],
+    [407, 407, 91, 1, 63, 33, 1342],
+    [666, 666, 198, 0, 64, 352, 377],
+];
+
+/// The same counters for the HTGM's best-first descent (unfiltered
+/// queries only: the hierarchy has no filtered entry point).
+const GOLDEN_HTGM: [[usize; 7]; N_UNFILTERED] = [
+    [98, 98, 16, 14, 1, 58, 0],
+    [1143, 1143, 79, 1, 63, 43, 1829],
+    [1283, 1283, 97, 5, 59, 328, 1510],
+    [1408, 1408, 57, 15, 49, 31, 953],
+    [2310, 2310, 783, 0, 64, 2098, 690],
+    [2448, 2448, 592, 0, 64, 2210, 552],
+    [1072, 1072, 41, 31, 33, 14, 441],
+    [1156, 1156, 38, 34, 30, 20, 334],
+    [2339, 2339, 296, 0, 64, 1765, 661],
+    [2137, 2137, 757, 0, 64, 1916, 863],
+    [2309, 2309, 257, 6, 58, 1869, 390],
+    [2194, 2194, 791, 0, 64, 2008, 806],
+    [2407, 2407, 271, 0, 64, 1894, 593],
+    [2301, 2301, 318, 0, 64, 1965, 699],
+    [2487, 2487, 655, 0, 64, 2197, 513],
+    [1197, 1197, 52, 34, 30, 22, 291],
+    [2673, 2673, 548, 0, 64, 2322, 327],
+    [716, 716, 24, 48, 16, 8, 31],
+    [2152, 2152, 253, 1, 63, 1686, 820],
+    [2163, 2163, 819, 0, 64, 1951, 837],
+    [1642, 1642, 1225, 0, 64, 1495, 1358],
+    [2507, 2507, 234, 2, 62, 1682, 423],
+    [2328, 2328, 269, 2, 62, 1745, 608],
+    [2513, 2513, 343, 0, 64, 1874, 487],
+];
+
+/// [`GOLDEN_FLAT`] and [`GOLDEN_HTGM`] as recorded before the kNN
+/// window was capped by the group's overlap count (456e852 through
+/// d095c49).
+const UNCAPPED_FLAT: [[usize; 7]; N_QUERIES] = [
     [98, 98, 64, 63, 1, 58, 0],
     [1988, 1988, 67, 1, 63, 930, 984],
     [1912, 1912, 81, 5, 59, 938, 881],
@@ -65,9 +136,7 @@ const GOLDEN_FLAT: [[usize; 7]; N_QUERIES] = [
     [709, 709, 198, 0, 64, 395, 205],
 ];
 
-/// The same counters for the HTGM's best-first descent (unfiltered
-/// queries only: the hierarchy has no filtered entry point).
-const GOLDEN_HTGM: [[usize; 7]; N_UNFILTERED] = [
+const UNCAPPED_HTGM: [[usize; 7]; N_UNFILTERED] = [
     [98, 98, 16, 14, 1, 58, 0],
     [2081, 2081, 79, 1, 63, 917, 891],
     [1912, 1912, 97, 5, 59, 938, 881],
@@ -93,6 +162,38 @@ const GOLDEN_HTGM: [[usize; 7]; N_UNFILTERED] = [
     [2768, 2768, 269, 2, 62, 2183, 168],
     [2687, 2687, 343, 0, 64, 2048, 313],
 ];
+
+/// The cap leaves out only members below the k-th similarity, so it
+/// moves work from `candidates` (= `sims_computed`) to `size_skipped` and
+/// changes nothing else: `columns_checked`, `groups_pruned` and
+/// `groups_verified` repeat the uncapped record. In an unfiltered row the
+/// moved members are all accounted for: `candidates + size_skipped` is
+/// the group sizes summed over the verified groups, which the cap cannot
+/// change. (A filtered row counts only matching members as candidates
+/// but every cut member as skipped, so there the sum may grow.) The hits
+/// are pinned by `GOLDEN_HIT_DIGESTS[0]`, recorded uncapped.
+#[test]
+fn capping_the_window_moves_only_verify_work() {
+    let flat: (&[[usize; 7]], &[[usize; 7]]) = (&GOLDEN_FLAT, &UNCAPPED_FLAT);
+    let htgm: (&[[usize; 7]], &[[usize; 7]]) = (&GOLDEN_HTGM, &UNCAPPED_HTGM);
+    for (name, (capped, uncapped)) in [("flat", flat), ("htgm", htgm)] {
+        let mut moved = 0;
+        for (i, (new, old)) in capped.iter().zip(uncapped).enumerate() {
+            assert_eq!(new[0], new[1], "{name} row {i}: candidates = sims_computed");
+            assert_eq!(new[2..5], old[2..5], "{name} row {i}: group counters");
+            assert!(new[0] <= old[0] && new[6] >= old[6], "{name} row {i}");
+            if i < N_UNFILTERED {
+                assert_eq!(
+                    new[0] + new[6],
+                    old[0] + old[6],
+                    "{name} row {i}: lost members"
+                );
+            }
+            moved += old[0] - new[0];
+        }
+        assert!(moved > 0, "{name}: the fixture must exercise the cap");
+    }
+}
 
 fn fixture() -> (SetDatabase, Partitioning, HierarchicalPartitioning) {
     let db = ZipfianGenerator::new(N_SETS, 1500, 9.0, 1.0).generate(0x1e53);

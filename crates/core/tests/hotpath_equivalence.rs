@@ -8,7 +8,8 @@
 
 use les3_core::sim::distinct_len;
 use les3_core::{
-    normalize_query, Cosine, Dice, Jaccard, Les3Index, OverlapCoefficient, Partitioning, Similarity,
+    normalize_query, Cosine, DeletionLog, Dice, HierarchicalPartitioning, Htgm, Jaccard, Les3Index,
+    OverlapCoefficient, Partitioning, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
@@ -183,4 +184,121 @@ proptest! {
         let fast = index.range(&query, delta).hits;
         prop_assert_eq!(fast, reference_range(&index, &query, delta));
     }
+
+    /// The capped kNN window is sound: for every group `g` and threshold
+    /// `t`, every live member with exact `sim ≥ t` lies inside
+    /// `window(g, |Q|, r_g, t)`, where `r_g` is the engine's own TGM
+    /// overlap count. Multiset sets and queries, inserts past the
+    /// universe, and deletes through the `DeletionLog` (which keep the TGM
+    /// a superset of the live members' tokens); the thresholds include
+    /// every member's own similarity, the boundary the window must keep.
+    #[test]
+    fn capped_window_keeps_every_member_at_or_above_the_threshold(
+        sets in prop::collection::vec(prop::collection::vec(0u32..60, 1..16), 2..50),
+        inserts in prop::collection::vec(prop::collection::vec(0u32..90, 1..16), 0..10),
+        deletes in prop::collection::vec(0usize..1000, 0..20),
+        query in prop::collection::vec(0u32..100, 1..14),
+        extra_t in prop::collection::vec(0.0f64..1.0, 3),
+        n_groups in 1usize..7,
+        seed in 0u64..500,
+    ) {
+        fn check<S: Similarity>(
+            sim: S,
+            db: &SetDatabase,
+            part: &Partitioning,
+            ops: (&[Vec<u32>], &[usize]),
+            query: &[u32],
+            extra_t: &[f64],
+        ) {
+            let mut index = Les3Index::build(db.clone(), part.clone(), sim);
+            let mut log = DeletionLog::build(&index);
+            for set in ops.0 {
+                let (id, _) = index.insert(&mut set.clone());
+                log.note_insert(&index, id);
+            }
+            for &pick in ops.1 {
+                let id = (pick % index.db().len()) as SetId;
+                log.delete(&mut index, id);
+            }
+            let q = &*normalize_query(query);
+            let q_len = distinct_len(q);
+            let mut counts = Vec::new();
+            index.tgm().group_overlaps_into(q, &mut counts);
+            for (g, &r) in (0u32..).zip(&counts) {
+                let live: Vec<(SetId, f64)> = index
+                    .partitioning()
+                    .members(g)
+                    .iter()
+                    .filter(|&&id| !log.is_deleted(id))
+                    .map(|&id| (id, sim.eval(q, index.db().set(id))))
+                    .collect();
+                let thresholds = live.iter().map(|&(_, s)| s).chain(extra_t.iter().copied());
+                for t in thresholds.chain([f64::NEG_INFINITY, 0.0, 1.0]) {
+                    let window = index.verify_window(g, q_len, r as usize, t);
+                    for &(id, s) in live.iter().filter(|&&(_, s)| s >= t) {
+                        assert!(
+                            window.contains(&id),
+                            "{}: set {id} (sim {s}) outside group {g}'s window at t={t}, r={r}, |Q|={q_len}",
+                            sim.name()
+                        );
+                    }
+                }
+            }
+            // And the capped engine answers what brute force over the live
+            // sets answers.
+            let mut want: Vec<f64> = (0..index.db().len() as SetId)
+                .filter(|&id| !log.is_deleted(id))
+                .map(|id| sim.eval(q, index.db().set(id)))
+                .collect();
+            want.sort_by(|a, b| b.total_cmp(a));
+            want.truncate(5);
+            let got: Vec<f64> = index.knn(q, 5).hits.iter().map(|h| h.1).collect();
+            assert_eq!(got, want, "{} kNN", sim.name());
+        }
+        let db = SetDatabase::from_sets(sets);
+        let part = pseudo_partitioning(db.len(), n_groups, seed);
+        let ops = (&inserts[..], &deletes[..]);
+        check(Jaccard, &db, &part, ops, &query, &extra_t);
+        check(Dice, &db, &part, ops, &query, &extra_t);
+        check(Cosine, &db, &part, ops, &query, &extra_t);
+        check(OverlapCoefficient, &db, &part, ops, &query, &extra_t);
+    }
+}
+
+/// One hand-built group whose overlap count `r_g = 6` is below `|Q| = 10`:
+/// the cap must cut member E (length 10, one shared token), which the
+/// uncapped window keeps. Fails if the window ignores `r`, or if the
+/// engine or the HTGM passes `|Q|` in place of the group's count.
+#[test]
+fn the_cap_cuts_a_member_the_uncapped_window_keeps() {
+    let q: Vec<u32> = (0..10).collect();
+    let a = q.clone(); // group 0, Jaccard 1.0
+    let b: Vec<u32> = (0..5).collect(); // group 0, 0.5
+    let d: Vec<u32> = (0..6).chain([200]).collect(); // group 1, 6/11
+    let e: Vec<u32> = [0].into_iter().chain(100..109).collect(); // group 1, 1/19
+    let db = SetDatabase::from_sets([a, b, d, e]);
+    let part = Partitioning::from_assignment(vec![0, 0, 1, 1], 2);
+    let index = Les3Index::build(db.clone(), part.clone(), Jaccard);
+    let r = index.tgm().group_overlaps(&q);
+    assert_eq!(r, vec![10, 6]);
+    // After group 0 a 2-NN's threshold is 0.5: E's bound at overlap 6 is
+    // 6/14, at the uncapped overlap 10 it is 1.
+    assert_eq!(index.verify_window(1, 10, 10, 0.5), &[2, 3]);
+    assert_eq!(index.verify_window(1, 10, 6, 0.5), &[2]);
+
+    let want_hits = vec![(0, 1.0), (2, 6.0 / 11.0)];
+    let flat = index.knn(&q, 2);
+    assert_eq!(flat.hits, want_hits);
+    // Group 0: A and B verified; group 1: D verified, E cut.
+    assert_eq!(
+        (
+            flat.stats.groups_verified,
+            flat.stats.candidates,
+            flat.stats.size_skipped
+        ),
+        (2, 3, 1)
+    );
+    let htgm = Htgm::build(db, HierarchicalPartitioning::new(vec![part]), Jaccard).knn(&q, 2);
+    assert_eq!(htgm.hits, want_hits);
+    assert_eq!(htgm.stats, flat.stats);
 }

@@ -61,7 +61,8 @@ Dataset (synthetic unless --load):
     --avg-size F           mean set size       [default: 12]
     --alpha F              Zipf skew           [default: 1.1]
     --seed N               generator seed      [default: 42]
-    --load FILE            read sets from FILE (one per line, integer token ids)
+    --load FILE            read sets from FILE (one per line, integer token ids
+                           below 4294967295)
 
 Namespaces (docs/PROTOCOL.md, the /ns routes):
     --ns NAME=FILE         also serve FILE (same text format) as namespace
@@ -201,6 +202,9 @@ const MAX_LINE_BYTES: usize = 1 << 20;
 /// separated integer token ids; blank lines and `#` comments skipped)
 /// into a database, or a one-line description of exactly what is wrong
 /// and where.
+///
+/// Token ids stop below `u32::MAX`: the universe is the largest id + 1,
+/// which must itself be a `u32`.
 fn parse_database(text: &str) -> Result<SetDatabase, String> {
     let mut sets: Vec<Vec<u32>> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -221,6 +225,13 @@ fn parse_database(text: &str) -> Result<SetDatabase, String> {
             let id: u32 = tok
                 .parse()
                 .map_err(|_| format!("line {}: bad token id {tok:?}", idx + 1))?;
+            if id == u32::MAX {
+                return Err(format!(
+                    "line {}: token id {id} is out of range (the largest is {})",
+                    idx + 1,
+                    u32::MAX - 1
+                ));
+            }
             set.push(id);
         }
         sets.push(set);
@@ -421,5 +432,91 @@ mod tests {
         let err = parse_database(&huge).unwrap_err();
         assert!(err.contains("line 1"), "got: {err}");
         assert!(err.contains("limit"), "got: {err}");
+    }
+
+    // The `--load` battery: every input ends in a database or a
+    // line-numbered error, never a panic, in debug and release alike.
+
+    /// A small valid file: a comment, a blank line, a multiset, padding,
+    /// and the largest token id the format accepts.
+    const SAMPLE: &str = "# sets\n0 1 2\n\n3 3 4\n  5 6  \n4294967294 7\n";
+
+    /// The outcome contract. A database keeps every token below its
+    /// universe (what `Tgm::build` indexes by); an error names its line,
+    /// or says there are no sets.
+    fn check(text: &str) {
+        match parse_database(text) {
+            Ok(db) => {
+                for (_, set) in db.iter() {
+                    assert!(set.iter().all(|&t| t < db.universe_size()), "{text:?}");
+                }
+            }
+            Err(e) => assert!(e.starts_with("line ") || e.contains("no sets"), "{e}"),
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_of_a_load_file_parses_or_errs() {
+        let bytes = SAMPLE.as_bytes();
+        for i in 0..bytes.len() {
+            for flip in [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+                let mut mutated = bytes.to_vec();
+                mutated[i] ^= flip;
+                // A file that is not UTF-8 fails in `read_to_string`, before
+                // the parser.
+                if let Ok(text) = std::str::from_utf8(&mutated) {
+                    check(text);
+                }
+            }
+        }
+        // The last digit of 4294967294 flipped to 5: the one id past the
+        // range.
+        let at = SAMPLE.find("94 7").unwrap() + 1;
+        let mut mutated = SAMPLE.as_bytes().to_vec();
+        mutated[at] ^= 0x01;
+        let err = parse_database(std::str::from_utf8(&mutated).unwrap()).unwrap_err();
+        assert!(err.starts_with("line 6:"), "{err}");
+    }
+
+    #[test]
+    fn every_truncation_of_a_load_file_parses_or_errs() {
+        for len in 0..=SAMPLE.len() {
+            check(&SAMPLE[..len]);
+        }
+    }
+
+    #[test]
+    fn the_line_guard_is_exact() {
+        let at_limit = format!("0 1\n{}77\n", "7 ".repeat(MAX_LINE_BYTES / 2 - 1));
+        let past = format!("0 1\n{}777\n", "7 ".repeat(MAX_LINE_BYTES / 2 - 1));
+        assert_eq!(at_limit.lines().nth(1).unwrap().len(), MAX_LINE_BYTES);
+        assert_eq!(parse_database(&at_limit).unwrap().len(), 2);
+        let err = parse_database(&past).unwrap_err();
+        assert!(err.starts_with("line 2:") && err.contains("limit"), "{err}");
+    }
+
+    #[test]
+    fn token_ids_stop_below_u32_max() {
+        let db = parse_database("1\n4294967294 3\n").unwrap();
+        assert_eq!(db.universe_size(), u32::MAX);
+        assert_eq!(db.set(1), &[3, 4294967294]);
+        let err = parse_database("1\n\n2 4294967295 3\n").unwrap_err();
+        assert!(
+            err.starts_with("line 3:") && err.contains("4294967295"),
+            "{err}"
+        );
+        // Past the type: a bad token, not a wrapped one.
+        let err = parse_database("4294967296\n").unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
+    }
+
+    proptest::proptest! {
+        /// Arbitrary short texts over the format's own alphabet.
+        #[test]
+        fn load_garbage_parses_or_errs(picks in proptest::collection::vec(0usize..15, 0..80)) {
+            const ALPHABET: &[u8; 15] = b"0123456789 \n#-\t";
+            let text: String = picks.iter().map(|&i| ALPHABET[i] as char).collect();
+            check(&text);
+        }
     }
 }
