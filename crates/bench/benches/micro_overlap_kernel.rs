@@ -11,7 +11,7 @@
 //!   ([`les3_bitmap::Bitmap::count_into_masked_sparse`], which jumps
 //!   straight to mask-covered words) against the word-scanning
 //!   [`les3_bitmap::Bitmap::count_into_masked`] across candidate-mask
-//!   sparsities — the HTGM restricted-pass regime.
+//!   sparsities — the filtered query's restricted-pass regime.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use les3_bitmap::{Bitmap, DenseBitSet};

@@ -12,8 +12,8 @@
 //!
 //! * [`Bitmap::count_into`] — `counts[v] += 1` for every member `v`;
 //! * [`Bitmap::count_into_masked`] — the same, restricted to members also
-//!   present in a [`DenseBitSet`] (the hierarchical descent intersects
-//!   each token column against the surviving candidate groups this way).
+//!   present in a [`DenseBitSet`] (a filtered query's restricted phase A
+//!   intersects each token column against its candidate groups this way).
 //!
 //! Both return the number of members visited so callers can account the
 //! true filter cost (`Σ_{t∈Q} |groups(t)|`) instead of a dense-matrix

@@ -1,11 +1,9 @@
-//! The index type and the verification machinery the engine and the
-//! HTGM share (paper §6).
+//! The index type and the engine's verification machinery (paper §6).
 //!
 //! [`Les3Index`] is not an engine of its own: it derefs to the one
 //! engine, [`ShardedLes3Index`], so every query, insert and delete runs
 //! the one body in `shard.rs` / `update.rs` / `delete.rs`. What lives
-//! here besides the newtype is what that body (and the HTGM) verifies
-//! with:
+//! here besides the newtype is what that body verifies with:
 //!
 //! * groups are ordered for verification by **bucketed descending
 //!   selection** (`bucketed_descending`) — `ub_from_overlap` is
@@ -141,8 +139,7 @@ impl<S: Similarity> Les3Index<S> {
 }
 
 /// Per-group *live* member ids sorted by (distinct length, id), with the
-/// lengths alongside — the order the verify step scans, shared by the
-/// [`crate::shard::ShardedLes3Index`] and the HTGM's finest level.
+/// lengths alongside — the order the engine's verify step scans.
 ///
 /// Plain data: every mutation holds `&mut self` and puts the member
 /// where it belongs (`push`) or takes it out (`remove`), so a query only
@@ -240,9 +237,9 @@ impl VerifyOrder {
 }
 
 /// The query-constant inputs of verification. [`VerifyQuery::knn_window`]
-/// is the one kNN candidate loop (the engine's descent and the HTGM's
-/// both call it) and [`VerifyQuery::range_window`] the one range
-/// candidate loop.
+/// is the one kNN candidate loop (the engine's `knn_descend` calls it)
+/// and [`VerifyQuery::range_window`] the one range candidate loop (its
+/// `range_descend`).
 pub(crate) struct VerifyQuery<'a, S> {
     pub(crate) sim: S,
     pub(crate) db: &'a SetDatabase,

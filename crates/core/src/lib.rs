@@ -39,7 +39,6 @@
 //!   from many producer threads pass an admission gate (bounded queue,
 //!   deadlines, cancellation) onto a persistent panic-isolating worker
 //!   pool, with results bit-for-bit identical to direct calls;
-//! * [`Htgm`] — the hierarchical variant (§5.2, evaluated in Figure 14);
 //! * [`DiskLes3`] — disk-resident variant with group-contiguous layout
 //!   (§7.6, Figure 13);
 //! * [`sim`] — the similarity measures (Jaccard, Dice, Cosine, overlap
@@ -106,7 +105,6 @@ pub mod batch;
 pub mod ctl;
 pub mod delete;
 pub mod disk;
-pub mod htgm;
 pub mod index;
 pub mod live;
 pub mod metadata;
@@ -136,7 +134,6 @@ pub use approx::{ApproxInfo, ApproxParams, ApproxPolicy, MinHashIndex};
 pub use ctl::{InterruptReason, Interrupted, QueryCtl};
 pub use delete::DeletionLog;
 pub use disk::DiskLes3;
-pub use htgm::{HierarchicalPartitioning, Htgm};
 pub use index::{Les3Index, SearchResult};
 pub use live::LiveIndex;
 pub use metadata::{Filter, FilterCandidates, Filters, MetaError, MetadataIndex};

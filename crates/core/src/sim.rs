@@ -353,8 +353,8 @@ pub enum ThresholdedEval {
 /// sorted; duplicates are kept either way (multiset semantics — the
 /// filter kernels and [`distinct_len`] skip adjacent repeats).
 ///
-/// Every public query entry point (flat, sharded, HTGM, disk, batch and
-/// serving front) routes through this, so callers may pass tokens in any
+/// Every public query entry point (engine, disk, batch and serving
+/// front) routes through this, so callers may pass tokens in any
 /// order and still get exact results.
 pub fn normalize_query(query: &[TokenId]) -> std::borrow::Cow<'_, [TokenId]> {
     if query.windows(2).all(|w| w[0] <= w[1]) {

@@ -21,9 +21,9 @@ pub struct SearchStats {
     /// TGM work performed by the filter step: the number of set bits the
     /// counting kernels actually visited — `Σ_{t∈Q} |groups(t)|` for a
     /// full pass, `Σ_{t∈Q} |groups(t) ∩ C|` for a candidate-restricted
-    /// pass — summed across hierarchy levels. (Earlier revisions charged
-    /// the dense-matrix cost `|Q|·n_groups` regardless of how sparse the
-    /// columns were; this is the honest figure benches should plot.)
+    /// pass. (Earlier revisions charged the dense-matrix cost
+    /// `|Q|·n_groups` regardless of how sparse the columns were; this is
+    /// the honest figure benches should plot.)
     pub columns_checked: usize,
     /// Groups eliminated without verification.
     pub groups_pruned: usize,

@@ -112,8 +112,8 @@ impl Tgm {
         counts
     }
 
-    /// Overlap counts restricted to `groups` (used by the hierarchical
-    /// descent, where only surviving parents' children are examined).
+    /// Overlap counts restricted to `groups` (the filtered phase A, where
+    /// only groups holding a set the mask admits are examined).
     /// Each query-token column is intersected against a dense bitset of
     /// the candidate groups — `O(Σ_t words(groups(t)))` instead of the
     /// former `O(|Q|·|groups|)` per-group `contains` probing.

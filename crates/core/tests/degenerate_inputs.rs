@@ -6,10 +6,7 @@
 
 use les3_core::serve::{ServeConfig, ServeFront};
 use les3_core::sim::{Cosine, Jaccard, OverlapCoefficient};
-use les3_core::{
-    DeletionLog, DiskLes3, HierarchicalPartitioning, Htgm, Les3Index, Partitioning, ShardPolicy,
-    ShardedLes3Index,
-};
+use les3_core::{DeletionLog, DiskLes3, Les3Index, Partitioning, ShardPolicy, ShardedLes3Index};
 use les3_data::{SetDatabase, TokenId};
 use les3_storage::DiskModel;
 
@@ -51,14 +48,7 @@ fn empty_queries_return_cleanly_everywhere() {
     assert!(flat.knn_batch(&[], 4).is_empty());
     assert_eq!(flat.knn_batch(&[vec![], vec![]], 4).len(), 2);
     assert_eq!(sharded.range_batch(&[vec![]], 0.3).len(), 1);
-    // HTGM and disk variants.
-    let htgm = Htgm::build(
-        small_db(),
-        HierarchicalPartitioning::new(vec![Partitioning::round_robin(5, 2)]),
-        Jaccard,
-    );
-    assert_eq!(htgm.knn(&[], 2).hits.len(), 2);
-    assert!(htgm.range(&[], 0.9).hits.is_empty());
+    // The disk variant.
     let disk = DiskLes3::new(flat, DiskModel::ssd());
     assert_eq!(disk.knn(&[], 2).0.hits.len(), 2);
     assert!(disk.range(&[], 0.9).0.hits.is_empty());

@@ -1,6 +1,6 @@
 //! Golden `SearchStats`: per-query work counters of a seeded Zipfian
-//! fixture, recorded as literals and asserted for the flat, sharded ×4
-//! and HTGM engines.
+//! fixture, recorded as literals and asserted for the flat and sharded ×4
+//! engines.
 //!
 //! The equivalence suites compare engines *within* one commit, so a
 //! verify-kernel rewrite that shifted `early_exits`, `size_skipped` or
@@ -18,8 +18,8 @@
 mod common;
 
 use les3_core::{
-    FilterCandidates, HierarchicalPartitioning, Htgm, Jaccard, Les3Index, Partitioning, Query,
-    SearchResult, SearchStats, ShardPolicy, ShardedLes3Index,
+    FilterCandidates, Jaccard, Les3Index, Partitioning, Query, SearchResult, SearchStats,
+    ShardPolicy, ShardedLes3Index,
 };
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::{SetDatabase, TokenId};
@@ -69,38 +69,8 @@ const GOLDEN_FLAT: [[usize; 7]; N_QUERIES] = [
     [666, 666, 198, 0, 64, 352, 377],
 ];
 
-/// The same counters for the HTGM's best-first descent (unfiltered
-/// queries only: the hierarchy has no filtered entry point).
-const GOLDEN_HTGM: [[usize; 7]; N_UNFILTERED] = [
-    [98, 98, 16, 14, 1, 58, 0],
-    [1143, 1143, 79, 1, 63, 43, 1829],
-    [1283, 1283, 97, 5, 59, 328, 1510],
-    [1408, 1408, 57, 15, 49, 31, 953],
-    [2310, 2310, 783, 0, 64, 2098, 690],
-    [2448, 2448, 592, 0, 64, 2210, 552],
-    [1072, 1072, 41, 31, 33, 14, 441],
-    [1156, 1156, 38, 34, 30, 20, 334],
-    [2339, 2339, 296, 0, 64, 1765, 661],
-    [2137, 2137, 757, 0, 64, 1916, 863],
-    [2309, 2309, 257, 6, 58, 1869, 390],
-    [2194, 2194, 791, 0, 64, 2008, 806],
-    [2407, 2407, 271, 0, 64, 1894, 593],
-    [2301, 2301, 318, 0, 64, 1965, 699],
-    [2487, 2487, 655, 0, 64, 2197, 513],
-    [1197, 1197, 52, 34, 30, 22, 291],
-    [2673, 2673, 548, 0, 64, 2322, 327],
-    [716, 716, 24, 48, 16, 8, 31],
-    [2152, 2152, 253, 1, 63, 1686, 820],
-    [2163, 2163, 819, 0, 64, 1951, 837],
-    [1642, 1642, 1225, 0, 64, 1495, 1358],
-    [2507, 2507, 234, 2, 62, 1682, 423],
-    [2328, 2328, 269, 2, 62, 1745, 608],
-    [2513, 2513, 343, 0, 64, 1874, 487],
-];
-
-/// [`GOLDEN_FLAT`] and [`GOLDEN_HTGM`] as recorded before the kNN
-/// window was capped by the group's overlap count (456e852 through
-/// d095c49).
+/// [`GOLDEN_FLAT`] as recorded before the kNN window was capped by the
+/// group's overlap count (456e852 through d095c49).
 const UNCAPPED_FLAT: [[usize; 7]; N_QUERIES] = [
     [98, 98, 64, 63, 1, 58, 0],
     [1988, 1988, 67, 1, 63, 930, 984],
@@ -136,33 +106,6 @@ const UNCAPPED_FLAT: [[usize; 7]; N_QUERIES] = [
     [709, 709, 198, 0, 64, 395, 205],
 ];
 
-const UNCAPPED_HTGM: [[usize; 7]; N_UNFILTERED] = [
-    [98, 98, 16, 14, 1, 58, 0],
-    [2081, 2081, 79, 1, 63, 917, 891],
-    [1912, 1912, 97, 5, 59, 938, 881],
-    [1408, 1408, 57, 15, 49, 31, 953],
-    [2333, 2333, 783, 0, 64, 2121, 667],
-    [2508, 2508, 592, 0, 64, 2270, 492],
-    [1072, 1072, 41, 31, 33, 14, 441],
-    [1156, 1156, 38, 34, 30, 20, 334],
-    [2662, 2662, 296, 0, 64, 2085, 338],
-    [2187, 2187, 757, 0, 64, 1966, 813],
-    [2625, 2625, 257, 6, 58, 2184, 74],
-    [2220, 2220, 791, 0, 64, 2034, 780],
-    [2764, 2764, 271, 0, 64, 2250, 236],
-    [2706, 2706, 318, 0, 64, 2369, 294],
-    [2536, 2536, 655, 0, 64, 2246, 464],
-    [1385, 1385, 52, 34, 30, 200, 103],
-    [2732, 2732, 548, 0, 64, 2381, 268],
-    [716, 716, 24, 48, 16, 8, 31],
-    [2731, 2731, 253, 1, 63, 2261, 241],
-    [2189, 2189, 819, 0, 64, 1977, 811],
-    [1646, 1646, 1225, 0, 64, 1499, 1354],
-    [2776, 2776, 234, 2, 62, 1950, 154],
-    [2768, 2768, 269, 2, 62, 2183, 168],
-    [2687, 2687, 343, 0, 64, 2048, 313],
-];
-
 /// The cap leaves out only members below the k-th similarity, so it
 /// moves work from `candidates` (= `sims_computed`) to `size_skipped` and
 /// changes nothing else: `columns_checked`, `groups_pruned` and
@@ -174,44 +117,30 @@ const UNCAPPED_HTGM: [[usize; 7]; N_UNFILTERED] = [
 /// are pinned by `GOLDEN_HIT_DIGESTS[0]`, recorded uncapped.
 #[test]
 fn capping_the_window_moves_only_verify_work() {
-    let flat: (&[[usize; 7]], &[[usize; 7]]) = (&GOLDEN_FLAT, &UNCAPPED_FLAT);
-    let htgm: (&[[usize; 7]], &[[usize; 7]]) = (&GOLDEN_HTGM, &UNCAPPED_HTGM);
-    for (name, (capped, uncapped)) in [("flat", flat), ("htgm", htgm)] {
-        let mut moved = 0;
-        for (i, (new, old)) in capped.iter().zip(uncapped).enumerate() {
-            assert_eq!(new[0], new[1], "{name} row {i}: candidates = sims_computed");
-            assert_eq!(new[2..5], old[2..5], "{name} row {i}: group counters");
-            assert!(new[0] <= old[0] && new[6] >= old[6], "{name} row {i}");
-            if i < N_UNFILTERED {
-                assert_eq!(
-                    new[0] + new[6],
-                    old[0] + old[6],
-                    "{name} row {i}: lost members"
-                );
-            }
-            moved += old[0] - new[0];
+    let mut moved = 0;
+    for (i, (new, old)) in GOLDEN_FLAT.iter().zip(&UNCAPPED_FLAT).enumerate() {
+        assert_eq!(new[0], new[1], "row {i}: candidates = sims_computed");
+        assert_eq!(new[2..5], old[2..5], "row {i}: group counters");
+        assert!(new[0] <= old[0] && new[6] >= old[6], "row {i}");
+        if i < N_UNFILTERED {
+            assert_eq!(new[0] + new[6], old[0] + old[6], "row {i}: lost members");
         }
-        assert!(moved > 0, "{name}: the fixture must exercise the cap");
+        moved += old[0] - new[0];
     }
+    assert!(moved > 0, "the fixture must exercise the cap");
 }
 
-fn fixture() -> (SetDatabase, Partitioning, HierarchicalPartitioning) {
+fn fixture() -> (SetDatabase, Partitioning) {
     let db = ZipfianGenerator::new(N_SETS, 1500, 9.0, 1.0).generate(0x1e53);
     // Grouped by rarest token (near-duplicates mostly share it), so
     // bounds separate and whole groups prune, while the mixed lengths
-    // inside a group make length windows and early exits trigger; eight
-    // fine groups per coarse group.
+    // inside a group make length windows and early exits trigger.
     let fine: Vec<u32> = db
         .iter()
         .map(|(_, set)| set[set.len() - 1] % N_GROUPS as u32)
         .collect();
-    let coarse: Vec<u32> = fine.iter().map(|&g| g / 8).collect();
     let part = Partitioning::from_assignment(fine, N_GROUPS);
-    let hp = HierarchicalPartitioning::new(vec![
-        Partitioning::from_assignment(coarse, N_GROUPS / 8),
-        part.clone(),
-    ]);
-    (db, part, hp)
+    (db, part)
 }
 
 /// Query `i`: database member `97·i` with its first token replaced (and,
@@ -245,7 +174,7 @@ fn counters(results: &[SearchResult]) -> Vec<[usize; 7]> {
 
 #[test]
 fn per_query_search_stats_match_recorded_literals() {
-    let (db, part, hp) = fixture();
+    let (db, part) = fixture();
     let matching: Vec<u32> = (0..N_SETS as u32).filter(|id| id % 4 == 1).collect();
     let cand = FilterCandidates::build(&les3_bitmap::Bitmap::from_sorted(&matching), &part);
 
@@ -257,7 +186,6 @@ fn per_query_search_stats_match_recorded_literals() {
         4,
         ShardPolicy::Contiguous,
     );
-    let htgm = Htgm::build(db.clone(), hp, Jaccard);
 
     let run = |knn: &dyn Fn(&[TokenId]) -> SearchResult,
                knn_filtered: &dyn Fn(&[TokenId]) -> SearchResult| {
@@ -290,9 +218,6 @@ fn per_query_search_stats_match_recorded_literals() {
             },
         )
     });
-    let htgm_results: Vec<SearchResult> = (0..N_UNFILTERED)
-        .map(|i| htgm.knn(&query(&db, i), K))
-        .collect();
 
     // The fixture must exercise every counter the literals pin.
     let total = SearchStats::merged(flat_results.iter().map(|r| &r.stats));
@@ -300,7 +225,6 @@ fn per_query_search_stats_match_recorded_literals() {
 
     assert_eq!(counters(&flat_results), GOLDEN_FLAT, "flat");
     assert_eq!(counters(&sharded_results), GOLDEN_FLAT, "sharded x4");
-    assert_eq!(counters(&htgm_results), GOLDEN_HTGM, "htgm");
     for (f, s) in flat_results.iter().zip(&sharded_results) {
         assert_eq!(f.hits, s.hits);
     }
@@ -390,68 +314,6 @@ const GOLDEN_RANGE: [(f64, [[usize; 7]; N_QUERIES]); 2] = [
     ),
 ];
 
-/// The HTGM's level-by-level range descent (unfiltered queries only).
-const GOLDEN_HTGM_RANGE: [(f64, [[usize; 7]; N_UNFILTERED]); 2] = [
-    (
-        0.5,
-        [
-            [590, 590, 72, 0, 64, 0, 2410],
-            [1199, 1199, 79, 1, 63, 893, 1773],
-            [1130, 1130, 97, 5, 59, 836, 1663],
-            [467, 467, 57, 15, 49, 0, 1894],
-            [558, 558, 783, 24, 40, 556, 1381],
-            [1243, 1243, 592, 4, 60, 1241, 1608],
-            [291, 291, 41, 31, 33, 0, 1222],
-            [313, 313, 38, 34, 30, 0, 1177],
-            [1630, 1630, 296, 6, 58, 1625, 1126],
-            [950, 950, 757, 1, 63, 949, 2002],
-            [731, 731, 257, 36, 28, 729, 577],
-            [46, 46, 791, 60, 4, 44, 166],
-            [1755, 1755, 271, 1, 63, 1753, 1203],
-            [1125, 1125, 318, 21, 43, 1124, 893],
-            [1224, 1224, 655, 4, 60, 1223, 1617],
-            [575, 575, 52, 34, 30, 419, 913],
-            [800, 800, 548, 18, 46, 799, 1389],
-            [131, 131, 24, 48, 16, 0, 616],
-            [474, 474, 253, 47, 17, 473, 351],
-            [435, 435, 819, 31, 33, 434, 1228],
-            [184, 184, 1225, 40, 24, 183, 979],
-            [1460, 1460, 234, 8, 56, 1458, 1241],
-            [229, 229, 269, 55, 9, 228, 234],
-            [1780, 1780, 343, 0, 64, 1778, 1220],
-        ],
-    ),
-    (
-        0.8,
-        [
-            [279, 279, 72, 0, 64, 0, 2721],
-            [20, 20, 48, 32, 4, 20, 180],
-            [111, 111, 97, 42, 22, 110, 957],
-            [231, 231, 57, 15, 49, 0, 2130],
-            [8, 8, 711, 56, 1, 7, 63],
-            [58, 58, 592, 57, 7, 57, 306],
-            [142, 142, 41, 31, 33, 0, 1371],
-            [155, 155, 38, 34, 30, 0, 1335],
-            [229, 229, 296, 44, 20, 229, 741],
-            [82, 82, 757, 51, 13, 81, 630],
-            [15, 15, 130, 28, 1, 15, 31],
-            [3, 3, 426, 28, 1, 2, 52],
-            [43, 43, 271, 59, 5, 43, 174],
-            [22, 22, 190, 33, 3, 22, 139],
-            [156, 156, 655, 43, 21, 155, 912],
-            [26, 26, 52, 58, 6, 25, 266],
-            [5, 5, 376, 42, 1, 4, 45],
-            [54, 54, 24, 48, 16, 0, 693],
-            [4, 4, 187, 42, 1, 4, 40],
-            [2, 2, 483, 35, 1, 1, 45],
-            [3, 3, 473, 21, 1, 2, 39],
-            [227, 227, 234, 45, 19, 227, 732],
-            [3, 3, 115, 21, 1, 2, 63],
-            [413, 413, 343, 25, 39, 412, 1455],
-        ],
-    ),
-];
-
 /// FNV-1a over every hit's `(id, similarity bits)` of the 32 kNN
 /// answers, then of the 32 range answers at each `δ`.
 const GOLDEN_HIT_DIGESTS: [u64; 3] = [
@@ -498,7 +360,7 @@ fn one_by_one<B: les3_core::PersistentBackend>(
 #[test]
 fn range_and_batch_stats_match_recorded_literals() {
     use les3_core::Kind;
-    let (db, part, hp) = fixture();
+    let (db, part) = fixture();
     let matching: Vec<u32> = (0..N_SETS as u32).filter(|id| id % 4 == 1).collect();
     let cand = FilterCandidates::build(&les3_bitmap::Bitmap::from_sorted(&matching), &part);
     let sharded_with = |n_shards| {
@@ -512,7 +374,6 @@ fn range_and_batch_stats_match_recorded_literals() {
     };
     let flat = Les3Index::build(db.clone(), part.clone(), Jaccard);
     let (sharded1, sharded4) = (sharded_with(1), sharded_with(4));
-    let htgm = Htgm::build(db.clone(), hp, Jaccard);
     let unfiltered: Vec<Vec<TokenId>> = (0..N_UNFILTERED).map(|i| query(&db, i)).collect();
 
     // kNN, one at a time: the existing table, now also for one shard.
@@ -550,13 +411,5 @@ fn range_and_batch_stats_match_recorded_literals() {
         assert_eq!(got, batch, "x1 range batch {delta}");
         let got = sharded4.range_batch_on(2, &unfiltered, delta);
         assert_eq!(got, batch, "x4 range batch {delta}");
-
-        let (htgm_delta, htgm_golden) = GOLDEN_HTGM_RANGE[i];
-        assert_eq!(htgm_delta, delta);
-        let got: Vec<SearchResult> = unfiltered.iter().map(|q| htgm.range(q, delta)).collect();
-        assert_eq!(counters(&got), htgm_golden, "htgm range {delta}");
-        for (h, f) in got.iter().zip(batch) {
-            assert_eq!(h.hits, f.hits, "htgm range hits {delta}");
-        }
     }
 }

@@ -8,8 +8,8 @@
 
 use les3_core::sim::distinct_len;
 use les3_core::{
-    normalize_query, Cosine, DeletionLog, Dice, HierarchicalPartitioning, Htgm, Jaccard, Les3Index,
-    OverlapCoefficient, Partitioning, Similarity,
+    normalize_query, Cosine, DeletionLog, Dice, Jaccard, Les3Index, OverlapCoefficient,
+    Partitioning, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
@@ -267,8 +267,8 @@ proptest! {
 
 /// One hand-built group whose overlap count `r_g = 6` is below `|Q| = 10`:
 /// the cap must cut member E (length 10, one shared token), which the
-/// uncapped window keeps. Fails if the window ignores `r`, or if the
-/// engine or the HTGM passes `|Q|` in place of the group's count.
+/// uncapped window keeps. Fails if the window ignores `r` or the engine
+/// passes `|Q|`.
 #[test]
 fn the_cap_cuts_a_member_the_uncapped_window_keeps() {
     let q: Vec<u32> = (0..10).collect();
@@ -278,7 +278,7 @@ fn the_cap_cuts_a_member_the_uncapped_window_keeps() {
     let e: Vec<u32> = [0].into_iter().chain(100..109).collect(); // group 1, 1/19
     let db = SetDatabase::from_sets([a, b, d, e]);
     let part = Partitioning::from_assignment(vec![0, 0, 1, 1], 2);
-    let index = Les3Index::build(db.clone(), part.clone(), Jaccard);
+    let index = Les3Index::build(db, part, Jaccard);
     let r = index.tgm().group_overlaps(&q);
     assert_eq!(r, vec![10, 6]);
     // After group 0 a 2-NN's threshold is 0.5: E's bound at overlap 6 is
@@ -298,7 +298,4 @@ fn the_cap_cuts_a_member_the_uncapped_window_keeps() {
         ),
         (2, 3, 1)
     );
-    let htgm = Htgm::build(db, HierarchicalPartitioning::new(vec![part]), Jaccard).knn(&q, 2);
-    assert_eq!(htgm.hits, want_hits);
-    assert_eq!(htgm.stats, flat.stats);
 }

@@ -10,8 +10,6 @@
 //! * [`uniform`] — databases satisfying the *uniform token distribution
 //!   assumption* of §4.1 (used to validate the balance/coherence theory);
 //! * [`zipfian`] — heavy-tailed token popularity, the realistic case;
-//! * [`powerlaw`] — databases whose pairwise similarity follows
-//!   `P[sim = v] ∝ v^(−α)` for the TGM-vs-HTGM study (Figure 14);
 //! * [`realistic`] — scaled-down emulators matching the per-dataset shape
 //!   statistics of Table 2;
 //! * [`query`] — query workload sampling (the paper draws 10 000 database
@@ -31,7 +29,6 @@
 //! ```
 
 pub mod db;
-pub mod powerlaw;
 pub mod query;
 pub mod rand_util;
 pub mod realistic;

@@ -94,22 +94,6 @@ pub fn distinct_uniform(rng: &mut StdRng, n: usize, k: usize) -> Vec<u32> {
     out
 }
 
-/// Samples a value from a power-law density `p(v) ∝ v^(−α)` on
-/// `[v_min, 1]` by inverse-transform sampling. Used by the Figure-14
-/// similarity-distribution generator (`P[sim = v] ∼ v^(−α)`, §7.7).
-pub fn power_law_unit(rng: &mut StdRng, alpha: f64, v_min: f64) -> f64 {
-    let u: f64 = rng.gen_range(0.0..1.0);
-    if (alpha - 1.0).abs() < 1e-9 {
-        // p(v) ∝ 1/v  ⇒  inverse CDF is exponential interpolation.
-        (v_min.ln() * (1.0 - u)).exp()
-    } else {
-        let e = 1.0 - alpha;
-        let a = v_min.powf(e);
-        // CDF(v) = (v^e − a) / (1 − a)
-        ((a + u * (1.0 - a)).powf(1.0 / e)).clamp(v_min, 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,29 +143,6 @@ mod tests {
         let sum: usize = (0..n).map(|_| set_size(&mut r, 10.0, 1, 1000)).sum();
         let mean = sum as f64 / n as f64;
         assert!((mean - 10.0).abs() < 1.0, "mean {mean}");
-    }
-
-    #[test]
-    fn power_law_mass_concentrates_low_for_large_alpha() {
-        let mut r = rng(5);
-        let low_alpha: f64 = (0..5000)
-            .map(|_| power_law_unit(&mut r, 1.0, 0.05))
-            .sum::<f64>()
-            / 5000.0;
-        let high_alpha: f64 = (0..5000)
-            .map(|_| power_law_unit(&mut r, 4.0, 0.05))
-            .sum::<f64>()
-            / 5000.0;
-        assert!(
-            high_alpha < low_alpha,
-            "α=4 mean {high_alpha} vs α=1 mean {low_alpha}"
-        );
-        let mut all_in_range = true;
-        for _ in 0..1000 {
-            let v = power_law_unit(&mut r, 2.0, 0.05);
-            all_in_range &= (0.05..=1.0).contains(&v);
-        }
-        assert!(all_in_range);
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //!   is computed only when there are several restarts to choose between.
 
 use crate::rep::RepMatrix;
-use les3_core::{HierarchicalPartitioning, Jaccard, Partitioning, Similarity};
+use les3_core::{Jaccard, Partitioning, Similarity};
 use les3_data::{SetDatabase, SetId};
 use les3_nn::siamese;
 use les3_nn::{Activation, Mlp, PairBatch, SiameseConfig, SiameseTrainer, TrainReport};
@@ -101,7 +101,8 @@ impl Default for L2pConfig {
     }
 }
 
-/// Output of the cascade: the per-level hierarchy plus training telemetry.
+/// Output of the cascade: the per-level partitionings plus training
+/// telemetry.
 #[derive(Debug, Clone)]
 pub struct L2pResult {
     /// Nested partitionings, coarsest (initialization) first.
@@ -120,12 +121,6 @@ impl L2pResult {
     /// The finest partitioning (what the TGM is built on).
     pub fn finest(&self) -> &Partitioning {
         self.levels.last().unwrap()
-    }
-
-    /// Converts the per-level partitionings into the nested hierarchy the
-    /// HTGM consumes.
-    pub fn hierarchy(&self) -> HierarchicalPartitioning {
-        HierarchicalPartitioning::new(self.levels.clone())
     }
 }
 
@@ -487,9 +482,7 @@ mod tests {
         let result = L2p::new(small_cfg(8)).partition(&db, &reps);
         assert!(result.finest().n_groups() >= 8);
         assert!(result.models_trained > 0);
-        // Hierarchy construction validates nesting internally.
-        let h = result.hierarchy();
-        assert_eq!(h.finest().n_groups(), result.finest().n_groups());
+        assert_eq!(nesting(&result.levels), Ok(()));
     }
 
     #[test]
@@ -559,7 +552,48 @@ mod tests {
         let result = L2p::new(cfg).partition(&db, &reps);
         assert!(result.finest().n_groups() >= 16);
         assert_eq!(result.finest().n_sets(), 400);
-        // All levels nested (validated by constructor).
-        let _ = result.hierarchy();
+        assert_eq!(nesting(&result.levels), Ok(()));
+    }
+
+    #[test]
+    fn nesting_check_rejects_a_crossing_pair() {
+        let crossing = [
+            Partitioning::from_assignment(vec![0, 0, 1, 1], 2),
+            // Fine group 1 holds set 1 (coarse 0) and set 2 (coarse 1).
+            Partitioning::from_assignment(vec![0, 1, 1, 2], 3),
+        ];
+        assert_eq!(
+            nesting(&crossing),
+            Err("fine group 1 of level 1 spans coarse groups 0 and 1".into())
+        );
+    }
+
+    /// Whether `levels` (coarsest first) is a cascade: every level covers
+    /// the same sets, and all members of each finer group share one
+    /// coarser group.
+    fn nesting(levels: &[Partitioning]) -> Result<(), String> {
+        let n_sets = levels[0].n_sets();
+        for (l, pair) in levels.windows(2).enumerate() {
+            let (coarse, fine) = (&pair[0], &pair[1]);
+            if fine.n_sets() != n_sets {
+                return Err(format!(
+                    "level {} covers {} sets, not {n_sets}",
+                    l + 1,
+                    fine.n_sets()
+                ));
+            }
+            let mut parent = vec![None; fine.n_groups()];
+            for id in 0..n_sets as SetId {
+                let (fg, cg) = (fine.group_of(id), coarse.group_of(id));
+                let p = *parent[fg as usize].get_or_insert(cg);
+                if p != cg {
+                    return Err(format!(
+                        "fine group {fg} of level {} spans coarse groups {p} and {cg}",
+                        l + 1
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 }

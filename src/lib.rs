@@ -11,7 +11,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`core`] | `les3-core` | TGM/HTGM indexes, kNN & range search, updates, disk variant |
+//! | [`core`] | `les3-core` | TGM index, kNN & range search, updates, disk variant |
 //! | [`net`] | `les3-net` | HTTP/1.1 + JSON serving layer and the `les3-serve` binary |
 //! | [`partition`] | `les3-partition` | PTR representations, GPO objectives, PAR-C/D/A/G, L2P cascade |
 //! | [`data`] | `les3-data` | set databases, generators, Table-2 dataset emulators |
@@ -72,11 +72,11 @@ pub mod prelude {
     pub use les3_baselines::{BruteForce, DualTrans, InvIdx, ScalarTrans, SetSimSearch};
     pub use les3_core::{
         normalize_query, ApproxInfo, ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice,
-        DiskLes3, DurableIndex, DurableOptions, FsyncPolicy, HierarchicalPartitioning, Htgm,
-        InterruptReason, Interrupted, Jaccard, Kind, Les3Index, LiveIndex, MinHashIndex, OnFull,
-        OverlapCoefficient, Partitioning, PersistError, PersistentBackend, Query, QueryCtl,
-        QueryScratch, Request, Route, SearchOutcome, SearchResult, SearchStats, ServeConfig,
-        ServeError, ServeFront, ServeResult, ShardedLes3Index, Similarity, SubmitOpts, Tgm, Ticket,
+        DiskLes3, DurableIndex, DurableOptions, FsyncPolicy, InterruptReason, Interrupted, Jaccard,
+        Kind, Les3Index, LiveIndex, MinHashIndex, OnFull, OverlapCoefficient, Partitioning,
+        PersistError, PersistentBackend, Query, QueryCtl, QueryScratch, Request, Route,
+        SearchOutcome, SearchResult, SearchStats, ServeConfig, ServeError, ServeFront, ServeResult,
+        ShardedLes3Index, Similarity, SubmitOpts, Tgm, Ticket,
     };
     pub use les3_data::realistic::DatasetSpec;
     pub use les3_data::zipfian::ZipfianGenerator;

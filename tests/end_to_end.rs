@@ -89,29 +89,6 @@ fn all_similarity_measures_stay_exact_end_to_end() {
 }
 
 #[test]
-fn htgm_from_l2p_hierarchy_matches_flat_index() {
-    let db = DatasetSpec::dblp().with_sets(800).generate(11);
-    let reps = RepMatrix::from_representation(&db, &Ptr::new(db.universe_size()));
-    let result = les3::partition::l2p::L2p::new(L2pConfig {
-        target_groups: 16,
-        init_groups: 2,
-        min_group_size: 10,
-        pairs_per_model: 500,
-        ..Default::default()
-    })
-    .partition(&db, &reps);
-    let flat = Les3Index::build(db.clone(), result.finest().clone(), Jaccard);
-    let htgm = Htgm::build(db.clone(), result.hierarchy(), Jaccard);
-    for qid in [1u32, 400, 799] {
-        let q = db.set(qid).to_vec();
-        assert_eq!(htgm.range(&q, 0.6).hits, flat.range(&q, 0.6).hits);
-        let a: Vec<f64> = htgm.knn(&q, 5).hits.iter().map(|h| h.1).collect();
-        let b: Vec<f64> = flat.knn(&q, 5).hits.iter().map(|h| h.1).collect();
-        assert_eq!(a, b);
-    }
-}
-
-#[test]
 fn queries_with_unseen_tokens_are_exact() {
     let db = ZipfianGenerator::new(300, 1_000, 6.0, 1.1).generate(21);
     let index = l2p_index(&db, 8, 3);
