@@ -4,9 +4,9 @@
 //!   ([`les3_bitmap::Bitmap::count_into`], what `Tgm::group_overlaps`
 //!   runs on) against the scalar `BitmapIter` loop it replaced, on the
 //!   token columns of a Zipfian database;
-//! * `batch_throughput/*` — `knn_batch` (rayon workers, one scratch per
-//!   worker) against the same queries executed sequentially with a single
-//!   reused scratch;
+//! * `batch_throughput/*` — `knn_batch_on` (one contiguous chunk and one
+//!   scratch per available core) against the same kNN queries executed
+//!   sequentially with a single reused scratch;
 //! * `masked_kernel/*` — the chunk-skipping masked kernel
 //!   ([`les3_bitmap::Bitmap::count_into_masked_sparse`], which jumps
 //!   straight to mask-covered words) against the word-scanning
@@ -122,27 +122,12 @@ fn bench_batch_throughput(c: &mut Criterion) {
             black_box(total)
         })
     });
+    let workers = rayon::current_num_threads();
     group.bench_function("knn10_rayon_batch", |b| {
-        b.iter(|| black_box(index.knn_batch(&queries, 10).len()))
-    });
-    group.bench_function("range0.6_sequential", |b| {
-        b.iter(|| {
-            let mut scratch = QueryScratch::new();
-            let total: usize = queries
-                .iter()
-                .map(|q| index.range_with(q, 0.6, &mut scratch).hits.len())
-                .sum();
-            black_box(total)
-        })
-    });
-    group.bench_function("range0.6_rayon_batch", |b| {
-        b.iter(|| black_box(index.range_batch(&queries, 0.6).len()))
+        b.iter(|| black_box(index.knn_batch_on(workers, 1, &queries, 10).len()))
     });
     group.finish();
-    println!(
-        "(batch workers: {}, one per available core)",
-        rayon::current_num_threads()
-    );
+    println!("(batch workers: {workers}, one per available core)");
 }
 
 fn bench_masked_kernel(c: &mut Criterion) {

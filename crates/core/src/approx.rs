@@ -44,10 +44,12 @@
 //!
 //! Signatures are deterministic (seeded splitmix64 row hashes, no
 //! runtime randomness): a pure function of the sets and of
-//! [`ApproxParams`]. So a segment stores the parameters only — the SIG
-//! block is [`ApproxParams::encode`]'s 16 bytes, see
-//! `persist/segment.rs` — and opening one runs [`MinHashIndex::build`]
-//! over the stored sets, which yields the saved sidecar bit for bit.
+//! [`ApproxParams`], so [`MinHashIndex::build`] over the same sets
+//! yields the same sidecar bit for bit. The sidecar lives in memory
+//! only: no segment stores it and no server flag or wire field builds
+//! or selects it — a library caller builds it with
+//! [`ShardedLes3Index::enable_approx`](crate::ShardedLes3Index::enable_approx)
+//! until the repository benchmark stops calling it (ROADMAP 1(f)).
 //! Deletions need no sidecar maintenance: a deleted set leaves the
 //! verify order, so a stale signature can only set a mask bit for a
 //! set verification never visits.
@@ -56,7 +58,6 @@ use les3_data::{SetId, TokenId};
 
 use crate::metadata::FilterCandidates;
 use crate::partitioning::Partitioning;
-use crate::persist::{le_u32, le_u64};
 use crate::query::SearchOutcome;
 use crate::scratch::QueryScratch;
 
@@ -141,47 +142,6 @@ impl Default for ApproxParams {
     }
 }
 
-/// Hard cap on `bands × rows` a decoder will believe (64 KiB of
-/// signature per set is already far past useful).
-const MAX_WIDTH: u64 = 8192;
-
-impl ApproxParams {
-    /// The SIG segment block: `bands` u32, `rows` u32, `seed` u64,
-    /// little-endian. Signatures are a pure function of these and the
-    /// sets, so the parameters are all a segment stores.
-    pub fn encode(&self) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[..4].copy_from_slice(&self.bands.to_le_bytes());
-        out[4..8].copy_from_slice(&self.rows.to_le_bytes());
-        out[8..].copy_from_slice(&self.seed.to_le_bytes());
-        out
-    }
-
-    /// Decodes [`ApproxParams::encode`]'s bytes, rejecting every shape
-    /// [`MinHashIndex::new`] would panic on before anything is sized
-    /// from it. Errors are descriptive strings (the persistence layer
-    /// wraps them in [`PersistError::Corrupt`](crate::PersistError::Corrupt));
-    /// this function never panics on malformed input.
-    pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        if payload.len() != 16 {
-            return Err(format!(
-                "sidecar parameters are 16 bytes, payload has {}",
-                payload.len()
-            ));
-        }
-        let (bands, rows) = (le_u32(payload), le_u32(&payload[4..]));
-        let seed = le_u64(&payload[8..]);
-        if bands == 0 || rows == 0 {
-            return Err(format!("degenerate sidecar shape {bands}x{rows}"));
-        }
-        let width = bands as u64 * rows as u64;
-        if width > MAX_WIDTH {
-            return Err(format!("signature width {width} exceeds cap {MAX_WIDTH}"));
-        }
-        Ok(Self { bands, rows, seed })
-    }
-}
-
 /// The 64-bit finalizer of splitmix64 — the deterministic mixing
 /// function behind every row hash.
 fn splitmix64(mut z: u64) -> u64 {
@@ -216,12 +176,11 @@ pub struct MinHashIndex {
 
 impl MinHashIndex {
     /// An empty sidecar. Panics on degenerate parameters (`bands` or
-    /// `rows` of 0, or a width beyond the decoder cap).
+    /// `rows` of 0).
     pub fn new(params: ApproxParams) -> Self {
         assert!(params.bands >= 1, "need at least one band");
         assert!(params.rows >= 1, "need at least one row per band");
         let width = params.bands as u64 * params.rows as u64;
-        assert!(width <= MAX_WIDTH, "signature width {width} exceeds cap");
         let row_seeds = (0..width)
             .map(|i| splitmix64(params.seed ^ splitmix64(i + 1)))
             .collect();
@@ -705,41 +664,5 @@ mod tests {
         assert_eq!(MinHashIndex::inclusion_prob(0.3, 4, 0), 1.0);
         assert_eq!(MinHashIndex::inclusion_prob(1.0, 1, 1), 1.0);
         assert_eq!(MinHashIndex::inclusion_prob(0.0, 9, 3), 0.0);
-    }
-
-    #[test]
-    fn decode_rejects_malformed_payloads_without_panicking() {
-        let params = ApproxParams {
-            bands: 3,
-            rows: 2,
-            seed: 42,
-        };
-        let good = params.encode();
-        assert_eq!(ApproxParams::decode(&good), Ok(params));
-        // Every other length: truncations and trailing bytes.
-        for cut in 0..good.len() {
-            assert!(ApproxParams::decode(&good[..cut]).is_err());
-        }
-        assert!(ApproxParams::decode(&[&good[..], &[0]].concat()).is_err());
-        // Degenerate shapes, and a width past what `new` accepts.
-        for (bands, rows) in [(0, 2), (3, 0), (0, 0), (4096, 3), (u32::MAX, u32::MAX)] {
-            let bad = ApproxParams {
-                bands,
-                rows,
-                ..params
-            };
-            assert!(
-                ApproxParams::decode(&bad.encode()).is_err(),
-                "{bands}x{rows}"
-            );
-        }
-        // The cap itself is a shape `new` takes.
-        let widest = ApproxParams {
-            bands: 4096,
-            rows: 2,
-            ..params
-        };
-        assert_eq!(ApproxParams::decode(&widest.encode()), Ok(widest));
-        MinHashIndex::new(widest);
     }
 }

@@ -83,9 +83,8 @@ impl std::fmt::Debug for QueryCtl<'_> {
 
 impl<'a> QueryCtl<'a> {
     /// The no-op control: never interrupts, polls cost nothing. The
-    /// plain entry points (`knn_with`, `range_with`, the synchronous
-    /// batch executors) use this, keeping their behavior bit-for-bit
-    /// unchanged.
+    /// plain entry points (`knn_with`, `range_with`, the batch kNN) use
+    /// this, keeping their behavior bit-for-bit unchanged.
     pub const NONE: QueryCtl<'static> = QueryCtl {
         deadline: None,
         cancelled: None,

@@ -72,8 +72,9 @@ pub struct SearchResult {
 /// `knn*`, `range*`, `insert`, `enable_approx` and the accessors are the
 /// engine's own, reached through `Deref`; this type adds the constructor
 /// without layout arguments, [`Les3Index::tgm`], the phase-A probe
-/// [`Les3Index::group_upper_bounds_with`] and a `knn_batch_on` that
-/// takes (and ignores) an intra-query width. Both types save the same
+/// [`Les3Index::group_upper_bounds_with`] and the batch kNN
+/// [`Les3Index::knn_batch_on`], which takes (and ignores) an
+/// intra-query width. Both types save the same
 /// segment bytes and open the same directories (see [`crate::persist`]).
 #[derive(Debug, Clone)]
 pub struct Les3Index<S: Similarity>(pub(crate) ShardedLes3Index<S>);

@@ -16,17 +16,18 @@
 //! * [`Query`] — the one query descriptor: [`Kind`] (`Knn(k)` or
 //!   `Range(δ)`), an optional candidate `mask` (attribute filter or LSH
 //!   prefilter), `ctl` (deadline / cancellation) and `approx`
-//!   ([`ApproxPolicy`]: `Exact`, a MinHash `Prefilter`, or `Anytime`,
-//!   which commits the partial answer when the deadline passes). One body
-//!   runs it, on the calling thread, [`ShardedLes3Index::search`]; `knn`,
-//!   `range` and the other named methods are single expressions over it,
-//!   and a served [`Request`] carries the same fields;
+//!   ([`ApproxPolicy`]: `Exact`, `Anytime`, which commits the partial
+//!   answer when the deadline passes, or a MinHash `Prefilter` — an
+//!   in-memory library policy: no segment, server flag or wire field
+//!   reaches it). One body runs it, on the calling thread,
+//!   [`ShardedLes3Index::search`]; `knn`, `range` and the other named
+//!   methods are single expressions over it, and a served [`Request`]
+//!   carries the same fields;
 //! * [`ShardedLes3Index`] — the one memory-resident engine over a
 //!   [`SetDatabase`](les3_data::SetDatabase) and a [`Partitioning`]:
-//!   one [`Tgm`] and one verification order; batches run on a coalescing
-//!   work queue. Its name and the ignored layout arguments of its
-//!   `build` ([`ShardPolicy`], [`ShardedScratch`]) stay until the
-//!   repository benchmark stops naming them;
+//!   one [`Tgm`] and one verification order. Its name and the ignored
+//!   layout arguments of its `build` ([`ShardPolicy`], [`ShardedScratch`])
+//!   stay until the repository benchmark stops naming them;
 //! * [`Les3Index`] — that engine under the constructor without layout
 //!   arguments (it derefs to the engine: every query and update method is
 //!   the engine's own); both types save the same segment bytes;
@@ -62,10 +63,9 @@
 //!   ([`Similarity::eval_prepared`]), a range by merging
 //!   ([`Similarity::eval_with_threshold`]) — all exact, per Theorem 3.1;
 //! * callers that issue many queries reuse a [`QueryScratch`]
-//!   ([`ShardedLes3Index::knn_with`] / [`ShardedLes3Index::range_with`]),
-//!   and the batch entry points ([`ShardedLes3Index::knn_batch`] /
-//!   [`ShardedLes3Index::range_batch`]) spread whole queries over rayon
-//!   workers with one scratch per worker.
+//!   ([`ShardedLes3Index::knn_with`] / [`ShardedLes3Index::range_with`]);
+//!   [`Les3Index::knn_batch_on`] gives each of its threads one
+//!   contiguous chunk of a batch and one scratch.
 //! * [`SearchStats`] reports the true work performed, including
 //!   `early_exits` (abandoned merges) and `size_skipped` (members cut by
 //!   the length window).

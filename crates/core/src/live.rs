@@ -18,7 +18,6 @@ use std::path::Path;
 
 use les3_data::{SetId, TokenId};
 
-use crate::approx::ApproxParams;
 use crate::delete::DeletionLog;
 use crate::metadata::{Filters, MetadataIndex};
 use crate::persist::{self, PersistError, PersistentBackend};
@@ -95,14 +94,6 @@ impl<B: PersistentBackend> LiveIndex<B> {
     /// Tombstones a set; `false` for unknown or already-deleted ids.
     pub fn delete(&mut self, id: SetId) -> bool {
         self.deletes.delete(self.engine.sharded_mut(), id)
-    }
-
-    /// Builds (or rebuilds) the engine's MinHash sidecar — see
-    /// [`ShardedLes3Index::enable_approx`](crate::ShardedLes3Index::enable_approx).
-    /// It derives from the database alone, so the log and the attributes
-    /// still describe the engine.
-    pub fn enable_approx(&mut self, params: ApproxParams) {
-        self.engine.sharded_mut().enable_approx(params);
     }
 
     /// Runs `q` over the live sets `filters` admits (all of them when

@@ -9,21 +9,19 @@
 //!
 //! * `segment` — the immutable snapshot (see [`segment`](self) block
 //!   format docs in `segment.rs`): the facts — database, partitioning
-//!   assignment, tombstones, attributes and the sidecar's
-//!   parameters — in CRC32-checksummed length-prefixed blocks, written
-//!   to a tmp file, fsynced and renamed into place. Nothing derived from
-//!   them is stored;
+//!   assignment, tombstones and attributes — in CRC32-checksummed
+//!   length-prefixed blocks, written to a tmp file, fsynced and renamed
+//!   into place. Nothing derived from them is stored;
 //! * `wal-<epoch>` — checksummed mutation records appended **before**
 //!   each in-memory insert/delete and replayed on open. A truncated or
 //!   corrupt *tail* record is the clean end of the log (a torn final
 //!   write); a corrupt *interior* record is a hard, descriptive error.
 //!
 //! Recovery is bit-for-bit because open ≡ build: the TGM, the
-//! verification order, the deletion refcounts and the MinHash signatures
-//! are pure functions of what the segment stores, and
-//! [`DurableIndex::open`] computes them with the code a fresh index is
-//! built by (`ShardedLes3Index::new`, which both
-//! [`build`](crate::Les3Index::build)s end in too), applies the
+//! verification order and the deletion refcounts are pure functions of
+//! what the segment stores, and [`DurableIndex::open`] computes them
+//! with the code a fresh index is built by (`ShardedLes3Index::new`,
+//! which both [`build`](crate::Les3Index::build)s end in too), applies the
 //! tombstones through [`LiveIndex::delete`] and replays the WAL tail
 //! through the same [`LiveIndex::insert`] / [`LiveIndex::delete`] the
 //! live index was mutated by, so a reopened
@@ -96,7 +94,7 @@ pub enum PersistError {
     /// A segment section violates its invariants.
     Corrupt {
         /// Which section (header, META, ASSIGN, SETS, TOMBS, METADATA,
-        /// SIG, block, END) failed validation.
+        /// block, END) failed validation.
         section: &'static str,
         /// What exactly was wrong.
         detail: String,
@@ -196,8 +194,8 @@ pub trait PersistentBackend: Sized + Send + Sync + 'static {
     /// The similarity measure type.
     type Sim: Similarity;
 
-    /// The engine (queries, the database, the partitioning, the
-    /// sidecar: everything is read through this).
+    /// The engine (queries, the database, the partitioning: everything
+    /// is read through this).
     fn sharded(&self) -> &ShardedLes3Index<Self::Sim>;
     /// The engine, for inserts and deletes.
     fn sharded_mut(&mut self) -> &mut ShardedLes3Index<Self::Sim>;
@@ -340,11 +338,7 @@ pub fn read_meta(dir: &Path) -> Result<SegmentMeta, PersistError> {
 /// the refcounts and the cleared TGM bits are what the same deletions
 /// left behind in the index that was saved.
 fn live_from_segment<B: PersistentBackend>(raw: segment::RawSegment, sim: B::Sim) -> LiveIndex<B> {
-    let mut engine = ShardedLes3Index::new(raw.db, raw.partitioning, sim);
-    if let Some(params) = raw.approx {
-        engine.enable_approx(params);
-    }
-    let engine = B::from_engine(engine);
+    let engine = B::from_engine(ShardedLes3Index::new(raw.db, raw.partitioning, sim));
     // Segments without a METADATA block (attribute-free or written
     // before metadata existed) mean "no set has attributes".
     let mut live = match raw.metadata {

@@ -20,15 +20,17 @@
 //! | 3 | SETS    | u32 count, count × (u32 len, len × u32 sorted tokens) |
 //! | 7 | TOMBS   | u32 count, count × u32 deleted set ids, ascending |
 //! | 8 | METADATA | `MetadataIndex::encode` bytes (only when attributes exist) |
-//! | 9 | SIG     | `ApproxParams::encode` bytes: bands u32, rows u32, seed u64 (only when the approximate tier is enabled) |
+//! | 9 | SIG     | skipped; written by older builds (16 bytes: a MinHash sidecar's bands u32, rows u32, seed u64) |
 //! | 0 | END     | u64 number of preceding blocks |
 //!
 //! A segment stores what cannot be recomputed — the sets, the learned
-//! assignment, the tombstones, the attributes, the sidecar's parameters —
-//! and nothing derived from them: the TGM, the verification order, the
-//! deletion refcounts and the MinHash signatures are rebuilt at open by
-//! the code a fresh index is built by. Kinds 4 (TGM) and 5 (RUNS)
-//! belonged to format version 1, which stored a copy of that derived
+//! assignment, the tombstones, the attributes — and nothing derived from
+//! them: the TGM, the verification order and the deletion refcounts are
+//! rebuilt at open by the code a fresh index is built by. Older builds
+//! also wrote a SIG block (kind 9) with a MinHash sidecar's parameters;
+//! its CRC is checked like any block's, then it is skipped, so such a
+//! segment opens exact and its next checkpoint drops the block. Kinds 4
+//! (TGM) and 5 (RUNS) belonged to format version 1, which stored a copy of that derived
 //! state; they are unknown kinds now and a version-1 file is
 //! [`PersistError::UnsupportedVersion`]. META's reserved slot once held a
 //! shard count, and kind 6 (SHARDS) a group → shard layout: a segment
@@ -47,7 +49,6 @@ use les3_data::{SetDatabase, SetId, TokenId};
 
 use super::io::{crc32, PersistIo, WriteSync};
 use super::{PersistError, PersistentBackend};
-use crate::approx::ApproxParams;
 use crate::metadata::MetadataIndex;
 use crate::partitioning::Partitioning;
 use crate::sim::Similarity;
@@ -214,13 +215,6 @@ pub(crate) fn write_segment<B: PersistentBackend>(
         w.write_block(KIND_METADATA, &metadata.encode())?;
     }
 
-    // The approximate tier travels as its parameters: absence means the
-    // tier was never enabled and the reopened index answers only exact
-    // queries until `enable_approx` builds a sidecar.
-    if let Some(mh) = engine.approx_sidecar() {
-        w.write_block(KIND_SIG, &mh.params().encode())?;
-    }
-
     w.finish()
 }
 
@@ -235,9 +229,6 @@ pub(crate) struct RawSegment {
     /// Attribute metadata; `None` when the segment has no METADATA block
     /// (attribute-free index or a pre-metadata segment).
     pub(crate) metadata: Option<MetadataIndex>,
-    /// The MinHash sidecar's parameters; `None` when the segment has no
-    /// SIG block (the approximate tier was not enabled at save time).
-    pub(crate) approx: Option<ApproxParams>,
 }
 
 struct Reader<'a> {
@@ -439,7 +430,6 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
     let mut sets: Vec<Vec<TokenId>> = Vec::new();
     let mut tombstones: Option<Vec<SetId>> = None;
     let mut metadata: Option<MetadataIndex> = None;
-    let mut approx: Option<ApproxParams> = None;
 
     for_each_block(&bytes, |kind, payload| {
         if kind != KIND_META && meta.is_none() {
@@ -497,12 +487,10 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
                         .map_err(|e| corrupt("METADATA", e.to_string()))?,
                 );
             }
-            KIND_SIG => {
-                if approx.is_some() {
-                    return Err(corrupt("SIG", "duplicate SIG block"));
-                }
-                approx = Some(ApproxParams::decode(payload).map_err(|e| corrupt("SIG", e))?);
-            }
+            // Older builds wrote a MinHash sidecar's 16 parameter bytes
+            // here; the CRC held, so it is skipped. Another length is a
+            // damaged kind field, not such a block.
+            KIND_SIG if payload.len() == 16 => {}
             other => {
                 return Err(corrupt("block", format!("unknown block kind {other}")));
             }
@@ -563,6 +551,5 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
         partitioning,
         tombstones,
         metadata,
-        approx,
     })
 }

@@ -3,8 +3,8 @@
 //! Every buffer the query hot path needs — overlap counters, the
 //! candidate-group mask, the bucket histogram, the bound stream, the kNN
 //! query's token bitset — lives
-//! in one [`QueryScratch`] that callers (and the batch executor and the
-//! serving front, one per worker thread) reuse across queries, so
+//! in one [`QueryScratch`] that callers (and the batch kNN and the
+//! serving front, one per thread) reuse across queries, so
 //! steady-state query execution performs no heap allocation. There is one engine and therefore one
 //! scratch type ([`ShardedScratch`] is an alias of it), and a scratch is
 //! not tied to an index: every query sizes the buffers it uses, so one

@@ -4,8 +4,8 @@
 //! A [`ShardedLes3Index`] is the paper's index — one [`Tgm`] over one
 //! [`Partitioning`] (§3.1), one length-sorted verification order — and
 //! the crate's only in-memory engine: [`crate::Les3Index`] derefs to it,
-//! and `search`, `insert`, [`crate::DeletionLog::delete`], the batch
-//! executor and the persistence layer exist once, here. A query is one
+//! and `search`, `insert`, [`crate::DeletionLog::delete`] and the
+//! persistence layer exist once, here. A query is one
 //! filter pass, one bound stream in the bucketed `(overlap r descending,
 //! group id ascending)` order, and one descent over it
 //! (`tests/golden_stats.rs` pins its work). The type's name and the
@@ -139,9 +139,9 @@ impl<S: Similarity> ShardedLes3Index<S> {
     }
 
     /// Builds the MinHash sidecar that backs
-    /// [`ApproxPolicy::Prefilter`] queries. Until this is called (opening
-    /// a segment that carries the tier's parameters calls it), prefilter
-    /// queries fall back to the exact path.
+    /// [`ApproxPolicy::Prefilter`] queries. Until this is called,
+    /// prefilter queries fall back to the exact path. The sidecar lives
+    /// in memory only: saving the engine does not store it.
     pub fn enable_approx(&mut self, params: ApproxParams) {
         self.approx = Some(MinHashIndex::build(&self.db, params));
     }

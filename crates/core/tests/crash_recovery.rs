@@ -19,8 +19,8 @@ use les3_core::metadata::{Filter, Filters};
 use les3_core::persist::io::{FaultBudget, FaultyIo};
 use les3_core::persist::{DurableIndex, DurableOptions, PersistentBackend};
 use les3_core::{
-    ApproxParams, DeletionLog, Jaccard, Les3Index, LiveIndex, MetadataIndex, Partitioning,
-    PersistError, Query, SearchResult, ShardPolicy, ShardedLes3Index,
+    DeletionLog, Jaccard, Les3Index, LiveIndex, MetadataIndex, Partitioning, PersistError, Query,
+    SearchResult, ShardPolicy, ShardedLes3Index,
 };
 use les3_data::SetDatabase;
 
@@ -313,29 +313,15 @@ fn crash_everywhere<B: CrashBackend>(make: impl Fn() -> B, tag: &str) {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A small signature sidecar for the fault sweeps: its SIG block rides
-/// along in every segment the injector kills byte by byte, so the
-/// sidecar's write *and* decode paths get the same exhaustive
-/// treatment as every other block.
-fn sweep_params() -> ApproxParams {
-    ApproxParams {
-        bands: 2,
-        rows: 2,
-        seed: 7,
-    }
-}
-
 #[test]
 fn flat_index_recovers_from_a_crash_at_every_byte() {
     crash_everywhere(
         || {
-            let mut index = Les3Index::build(
+            Les3Index::build(
                 base_db(),
                 Partitioning::round_robin(base_db().len(), 3),
                 Jaccard,
-            );
-            index.enable_approx(sweep_params());
-            index
+            )
         },
         "flat",
     );
@@ -345,15 +331,13 @@ fn flat_index_recovers_from_a_crash_at_every_byte() {
 fn sharded_index_recovers_from_a_crash_at_every_byte() {
     crash_everywhere(
         || {
-            let mut index = ShardedLes3Index::build(
+            ShardedLes3Index::build(
                 base_db(),
                 Partitioning::round_robin(base_db().len(), 3),
                 Jaccard,
                 2,
                 ShardPolicy::Contiguous,
-            );
-            index.enable_approx(sweep_params());
-            index
+            )
         },
         "sharded",
     );
@@ -527,14 +511,11 @@ fn failed_checkpoint_poisons_the_writer_until_one_succeeds() {
 fn every_byte_flip_and_truncation_is_rejected() {
     let dir = std::env::temp_dir().join(format!("les3-flip-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let mut index = Les3Index::build(
+    let index = Les3Index::build(
         base_db(),
         Partitioning::round_robin(base_db().len(), 3),
         Jaccard,
     );
-    // The sidecar puts a SIG block in the segment: the sweep flips and
-    // truncates every one of its bytes like any other block's.
-    index.enable_approx(sweep_params());
     let mut meta = MetadataIndex::new();
     for id in 0..index.db().len() {
         if id % 3 == 0 {

@@ -44,10 +44,13 @@ fn empty_queries_return_cleanly_everywhere() {
     assert_eq!(sharded.knn(&[], 3).hits.len(), 3);
     assert!(flat.range(&[], 0.5).hits.is_empty());
     assert!(sharded.range(&[], 0.5).hits.is_empty());
-    // Batches of empties, and empty batches.
-    assert!(flat.knn_batch(&[], 4).is_empty());
-    assert_eq!(flat.knn_batch(&[vec![], vec![]], 4).len(), 2);
-    assert_eq!(sharded.range_batch(&[vec![]], 0.3).len(), 1);
+    // Batches of empties, and empty batches, at every width: 0 and 1
+    // run inline, 5 is more threads than queries.
+    for workers in [0, 1, 2, 5] {
+        assert!(flat.knn_batch_on(workers, 1, &[], 4).is_empty());
+        let batch = flat.knn_batch_on(workers, 1, &[vec![], vec![]], 4);
+        assert_eq!(batch, vec![flat.knn(&[], 4); 2], "workers {workers}");
+    }
     // The disk variant.
     let disk = DiskLes3::new(flat, DiskModel::ssd());
     assert_eq!(disk.knn(&[], 2).0.hits.len(), 2);
@@ -85,12 +88,14 @@ fn unsorted_and_duplicate_queries_match_their_sorted_forms() {
     assert_eq!(a.hits, b.hits);
     assert_eq!(a.stats, b.stats);
     // Sharded single + batch paths normalize identically.
-    let a = sharded.knn(&messy, 4);
-    assert_eq!(a.hits, flat.knn(&sorted, 4).hits);
-    let batch = sharded.knn_batch(&vec![messy.clone(); 20], 4);
-    for b in &batch {
-        assert_eq!(b.hits, a.hits);
-        assert_eq!(b.stats, a.stats);
+    assert_eq!(sharded.knn(&messy, 4).hits, flat.knn(&sorted, 4).hits);
+    let a = flat.knn(&messy, 4);
+    for workers in [0, 1, 3, 32] {
+        let batch = flat.knn_batch_on(workers, 1, &vec![messy.clone(); 20], 4);
+        assert_eq!(batch.len(), 20);
+        for b in &batch {
+            assert_eq!(b, &a, "workers {workers}");
+        }
     }
     // Duplicate tokens behave as a multiset with one run per token.
     let dup: Vec<TokenId> = vec![1, 1, 1, 2];

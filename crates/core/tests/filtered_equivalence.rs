@@ -582,13 +582,13 @@ fn one_scratch_alternates_between_indexes_of_every_shape() {
     }
     let db = SetDatabase::from_sets(big_sets.clone());
     let part = pseudo_partitioning(db.len(), 256, 11);
-    let engine = ShardedLes3Index::build(db, part, Jaccard, 4, ShardPolicy::Contiguous);
-    let mut big = LiveIndex::with_attrs(engine, meta);
-    big.enable_approx(ApproxParams {
+    let mut engine = ShardedLes3Index::build(db, part, Jaccard, 4, ShardPolicy::Contiguous);
+    engine.enable_approx(ApproxParams {
         bands: 8,
         rows: 1,
         ..ApproxParams::default()
     });
+    let mut big = LiveIndex::with_attrs(engine, meta);
     for id in [3, 100, 777] {
         assert!(big.delete(id));
     }

@@ -9,7 +9,7 @@
 use les3_core::sim::distinct_len;
 use les3_core::{
     normalize_query, Cosine, DeletionLog, Dice, Jaccard, Les3Index, OverlapCoefficient,
-    Partitioning, Similarity,
+    Partitioning, QueryScratch, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
@@ -150,16 +150,18 @@ proptest! {
         delta in 0.05f64..1.0,
         n_groups in 1usize..7,
         seed in 0u64..500,
+        workers in 0usize..30,
     ) {
         let part = pseudo_partitioning(db.len(), n_groups, seed);
         let index = Les3Index::build(db.clone(), part, Jaccard);
         let queries: Vec<Vec<TokenId>> =
             (0..db.len().min(24) as u32).map(|i| db.set(i).to_vec()).collect();
-        let knn_batch = index.knn_batch(&queries, k);
-        let range_batch = index.range_batch(&queries, delta);
+        let knn_batch = index.knn_batch_on(workers, 1, &queries, k);
+        let mut scratch = QueryScratch::new();
         for (i, q) in queries.iter().enumerate() {
-            prop_assert_eq!(&knn_batch[i].hits, &index.knn(q, k).hits, "kNN query {}", i);
-            prop_assert_eq!(&range_batch[i].hits, &index.range(q, delta).hits, "range query {}", i);
+            prop_assert_eq!(&knn_batch[i], &index.knn(q, k), "kNN query {}", i);
+            let range = index.range_with(q, delta, &mut scratch);
+            prop_assert_eq!(&range, &index.range(q, delta), "range query {}", i);
         }
     }
 

@@ -6,9 +6,8 @@
 //! (`FrontShared`, `WorkerPool`, `QueryCtl`) execute on instrumented atomics and every
 //! interleaving within the preemption bound is explored. The remaining
 //! models are small, faithful mirrors of protocols whose production hosts
-//! are too large to model whole (the coalesced task queue of `batch.rs`,
-//! the snapshot busy guard of `les3-net`); `docs/CONCURRENCY.md` maps
-//! each protocol to its model.
+//! are too large to model whole (the snapshot busy guard of
+//! `les3-net`); `docs/CONCURRENCY.md` maps each protocol to its model.
 //!
 //! Every passing test asserts `report.executions > 1`: the checker really
 //! explored the schedule tree to completion, it did not see one lucky
@@ -25,7 +24,7 @@ use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use loom::cell::Data;
-use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use loom::sync::atomic::{AtomicBool, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::{model, thread, Builder};
 
@@ -37,69 +36,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> loom::sync::MutexGuard<'a, T> {
 }
 
 // ---------------------------------------------------------------------------
-// (a) Coalesced task claiming (batch.rs::run_coalesced).
-// ---------------------------------------------------------------------------
-
-/// Two workers race a `fetch_add(Relaxed)` cursor over three tasks, one
-/// task panics. In every schedule: each task runs exactly once, the
-/// panic is contained and recorded, and the surviving worker drains the
-/// queue. The `Relaxed` on the cursor is sound because each claim is a
-/// unique ticket and the results flow back through the join edges the
-/// model also verifies (a race here would be reported on `ran`).
-#[test]
-fn coalesced_claiming_runs_every_task_once_despite_panic() {
-    let report = model(|| {
-        const TASKS: usize = 3;
-        const POISONED: usize = 0; // this task's body panics
-        let next = Arc::new(AtomicUsize::new(0));
-        let ran: Arc<Vec<Data<u32>>> = Arc::new((0..TASKS).map(|_| Data::new(0)).collect());
-        let first_panic = Arc::new(Mutex::new(None::<&'static str>));
-
-        let worker = |next: Arc<AtomicUsize>,
-                      ran: Arc<Vec<Data<u32>>>,
-                      first_panic: Arc<Mutex<Option<&'static str>>>| {
-            move || loop {
-                // relaxed in production too: unique tickets via RMW atomicity.
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= TASKS {
-                    break;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    ran[t].with_mut(|r| *r += 1);
-                    assert!(t != POISONED, "task body fault");
-                }));
-                if outcome.is_err() {
-                    lock(&first_panic).get_or_insert("task body fault");
-                }
-            }
-        };
-
-        let a = thread::spawn(worker(
-            Arc::clone(&next),
-            Arc::clone(&ran),
-            Arc::clone(&first_panic),
-        ));
-        let b = thread::spawn(worker(
-            Arc::clone(&next),
-            Arc::clone(&ran),
-            Arc::clone(&first_panic),
-        ));
-        a.join().unwrap();
-        b.join().unwrap();
-
-        for (t, cell) in ran.iter().enumerate() {
-            cell.with(|r| assert_eq!(*r, 1, "task {t} ran {r} times"));
-        }
-        assert!(
-            lock(&first_panic).is_some(),
-            "the poisoned task's panic must be recorded"
-        );
-    });
-    assert!(report.executions > 1, "not exhaustive: {report:?}");
-}
-
-// ---------------------------------------------------------------------------
-// (b) The admission gate (serve.rs::FrontShared).
+// (a) The admission gate (serve.rs::FrontShared).
 // ---------------------------------------------------------------------------
 
 /// The real `FrontShared` at capacity 1 under two competing producers:
@@ -220,7 +157,7 @@ fn abandon_gate_body(renotify: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// (c) The worker pool's queue (batch.rs::WorkerPool).
+// (b) The worker pool's queue (batch.rs::WorkerPool).
 // ---------------------------------------------------------------------------
 
 /// The real `WorkerPool`: two workers, three submits, then `drop` — all
@@ -460,7 +397,7 @@ fn injected_run_here_without_notify_strands_a_job() {
 }
 
 // ---------------------------------------------------------------------------
-// (d) The snapshot busy guard (les3-net server.rs).
+// (c) The snapshot busy guard (les3-net server.rs).
 // ---------------------------------------------------------------------------
 
 /// Mirror of the `POST /snapshot` single-flight guard: `swap(true,

@@ -11,11 +11,11 @@
 //! segment stores (open ≡ build: nothing derived is on disk). Plus:
 //! random corruption of the segment bytes — including the METADATA
 //! block — must surface as a descriptive error, never a panic; a
-//! version-1 file, a version-1 block kind and SIG parameters outside
-//! what a sidecar accepts are each rejected by name; the bytes of a
-//! version-2 segment are pinned, and both index types write them; a
-//! segment that records shards, or carries the old SHARDS block, is
-//! refused.
+//! version-1 file and a version-1 block kind are each rejected by name;
+//! the bytes of a version-2 segment are pinned, and both index types
+//! write them; a segment that records shards, or carries the old SHARDS
+//! block, is refused; the SIG block older builds wrote is checked, then
+//! skipped.
 
 mod common;
 
@@ -26,9 +26,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use les3_core::metadata::{Filter, Filters};
 use les3_core::persist::{DurableIndex, PersistentBackend};
 use les3_core::{
-    ApproxParams, ApproxPolicy, Cosine, DeletionLog, Dice, Jaccard, Les3Index, LiveIndex,
-    MetadataIndex, MinHashIndex, OverlapCoefficient, Partitioning, Query, QueryCtl, QueryScratch,
-    SearchResult, ShardPolicy, ShardedLes3Index, Similarity, Tgm,
+    ApproxPolicy, Cosine, DeletionLog, Dice, Jaccard, Les3Index, LiveIndex, MetadataIndex,
+    OverlapCoefficient, Partitioning, Query, QueryScratch, SearchResult, ShardPolicy,
+    ShardedLes3Index, Similarity, Tgm,
 };
 use les3_data::SetDatabase;
 use proptest::prelude::*;
@@ -52,19 +52,11 @@ trait TestBackend: PersistentBackend {
     fn range_q(&self, q: &[u32], delta: f64) -> SearchResult;
     fn attr_knn_q(&self, q: &[u32], k: usize, meta: &MetadataIndex) -> SearchResult;
     fn build_log(&self) -> DeletionLog;
-    fn enable_sidecar(&mut self, params: ApproxParams);
-    fn sidecar(&self) -> Option<&MinHashIndex>;
-    fn prefilter_knn_q(&self, q: &[u32], k: usize) -> (SearchResult, les3_core::ApproxInfo);
     /// The global token-group matrix, for the kind that has one.
     fn flat_tgm(&self) -> Option<&Tgm> {
         None
     }
 }
-
-/// A prefilter shape that exercises the sidecar without saturating on
-/// these tiny corpora: one row per band keeps per-set inclusion odds
-/// well under 1 for most pairs.
-const SIDECAR_POLICY: ApproxPolicy = ApproxPolicy::Prefilter { bands: 0, rows: 1 };
 
 /// The fixed attribute predicate every round-trip answers under (only
 /// `InsertAttrs` ops with `code % 3 == 0` match it).
@@ -97,17 +89,6 @@ impl<S: Similarity> TestBackend for Les3Index<S> {
     fn build_log(&self) -> DeletionLog {
         DeletionLog::build(self)
     }
-    fn enable_sidecar(&mut self, params: ApproxParams) {
-        self.enable_approx(params);
-    }
-    fn sidecar(&self) -> Option<&MinHashIndex> {
-        self.approx_sidecar()
-    }
-    fn prefilter_knn_q(&self, q: &[u32], k: usize) -> (SearchResult, les3_core::ApproxInfo) {
-        let mut scratch = QueryScratch::new();
-        self.knn_approx_ctl_on(1, q, k, SIDECAR_POLICY, &mut scratch, &QueryCtl::NONE)
-            .expect("QueryCtl::NONE never interrupts")
-    }
     fn flat_tgm(&self) -> Option<&Tgm> {
         Some(self.tgm())
     }
@@ -134,17 +115,6 @@ impl<S: Similarity> TestBackend for ShardedLes3Index<S> {
     }
     fn build_log(&self) -> DeletionLog {
         DeletionLog::build(self)
-    }
-    fn enable_sidecar(&mut self, params: ApproxParams) {
-        self.enable_approx(params);
-    }
-    fn sidecar(&self) -> Option<&MinHashIndex> {
-        self.approx_sidecar()
-    }
-    fn prefilter_knn_q(&self, q: &[u32], k: usize) -> (SearchResult, les3_core::ApproxInfo) {
-        let mut scratch = QueryScratch::new();
-        self.knn_approx_ctl_on(1, q, k, SIDECAR_POLICY, &mut scratch, &QueryCtl::NONE)
-            .expect("QueryCtl::NONE never interrupts")
     }
 }
 
@@ -380,74 +350,6 @@ fn check_measure<S: Similarity>(
     );
 }
 
-/// Like [`check_roundtrip`], with the MinHash sidecar enabled: the
-/// reopened signatures must be bit-for-bit the live ones (the SIG
-/// segment block plus WAL replay reproduce every incremental push),
-/// both must equal a cold rebuild over the final database, and
-/// prefiltered queries must answer identically after reload.
-fn check_sidecar_roundtrip<B: TestBackend>(
-    mut live: B,
-    mut copy: B,
-    ops: &[Op],
-    queries: &[Vec<u32>],
-    k: usize,
-    params: ApproxParams,
-    tag: &str,
-) {
-    live.enable_sidecar(params);
-    copy.enable_sidecar(params);
-    let dir = fresh_dir(tag);
-    let mut live_log = live.build_log();
-    let mut durable = DurableIndex::create(&dir, copy).unwrap();
-    let halfway = ops.len() / 2;
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::Insert(tokens) | Op::InsertAttrs(tokens, _) => {
-                let (live_id, _) = live.sharded_mut().insert(&mut tokens.clone());
-                live_log.note_insert(live.sharded(), live_id);
-                durable.insert(&mut tokens.clone()).unwrap();
-            }
-            Op::Delete(pick) => {
-                let id = pick % live.sharded().db().len() as u32;
-                let live_ok = live_log.delete(live.sharded_mut(), id);
-                assert_eq!(durable.delete(id).unwrap(), live_ok, "delete diverged");
-            }
-        }
-        if i + 1 == halfway {
-            durable.checkpoint().unwrap();
-        }
-    }
-    let sim = live.sharded().sim();
-    drop(durable);
-
-    let reopened = DurableIndex::<B>::open(&dir, sim).unwrap();
-    let live_sig = live.sidecar().expect("sidecar enabled on the live index");
-    assert_eq!(
-        reopened.backend().sidecar(),
-        Some(live_sig),
-        "sidecar diverged after reload"
-    );
-    // Incremental pushes must land exactly where a cold rebuild over the
-    // final corpus does (deletes are logical, so tombstoned sets keep
-    // their signatures and the rebuild sees them too).
-    assert_eq!(
-        &MinHashIndex::build(live.sharded().db(), params),
-        live_sig,
-        "incremental sidecar diverged from a cold rebuild"
-    );
-    for q in queries {
-        let (a, ai) = reopened.backend().prefilter_knn_q(q, k);
-        let (b, bi) = live.prefilter_knn_q(q, k);
-        assert_eq!(a.hits, b.hits, "prefiltered kNN hits diverged after reload");
-        assert_eq!(
-            a.stats, b.stats,
-            "prefiltered kNN stats diverged after reload"
-        );
-        assert_eq!(ai, bi, "prefilter verdict diverged after reload");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 fn pseudo_partitioning(n_sets: usize, n_groups: usize, seed: u64) -> Partitioning {
     let assignment: Vec<u32> = (0..n_sets)
         .map(|i| {
@@ -480,37 +382,6 @@ proptest! {
         check_measure(&db, &part, Dice, &ops, &queries, k, delta);
         check_measure(&db, &part, Cosine, &ops, &queries, k, delta);
         check_measure(&db, &part, OverlapCoefficient, &ops, &queries, k, delta);
-    }
-
-    #[test]
-    fn sidecar_signatures_roundtrip_bit_for_bit(
-        db in db_strategy(),
-        ops in ops_strategy(),
-        query in prop::collection::btree_set(0u32..110, 1..12),
-        k in 1usize..8,
-        n_groups in 1usize..8,
-        seed in 0u64..500,
-        bands in 1u32..5,
-        rows in 1u32..4,
-    ) {
-        let part = pseudo_partitioning(db.len(), n_groups, seed);
-        let params = ApproxParams { bands, rows, seed: seed ^ 0x51_67 };
-        let mut queries: Vec<Vec<u32>> = vec![query.into_iter().collect()];
-        queries.push(db.set(0).to_vec());
-        queries.push(db.set((db.len() / 2) as u32).to_vec());
-        check_sidecar_roundtrip(
-            Les3Index::build(db.clone(), part.clone(), Jaccard),
-            Les3Index::build(db.clone(), part.clone(), Jaccard),
-            &ops,
-            &queries,
-            k,
-            params,
-            "rt-sig-flat",
-        );
-        let build = || {
-            ShardedLes3Index::build(db.clone(), part.clone(), Jaccard, 4, ShardPolicy::Contiguous)
-        };
-        check_sidecar_roundtrip(build(), build(), &ops, &queries, k, params, "rt-sig-shard");
     }
 
     #[test]
@@ -697,72 +568,6 @@ fn v1_files_and_v1_block_kinds_are_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// SIG parameters come from outside: a shape no sidecar can be built
-/// with, or a payload of any other length, is `Corrupt("SIG")` — with a
-/// valid CRC, so the parameter check is what refuses it — before
-/// anything is sized from them.
-#[test]
-fn sig_parameters_outside_a_sidecars_domain_are_corrupt() {
-    use les3_core::persist::io::crc32;
-    use les3_core::PersistError;
-    let dir = fresh_dir("sig-params");
-    let mut index = pinned_flat_index();
-    let params = ApproxParams {
-        bands: 2,
-        rows: 2,
-        seed: 42,
-    };
-    index.enable_approx(params);
-    drop(DurableIndex::create(&dir, index).unwrap());
-    let segment = dir.join("segment");
-    let good = std::fs::read(&segment).unwrap();
-    let &(at, _, len) = blocks(&good)
-        .iter()
-        .find(|&&(_, kind, _)| kind == 9)
-        .expect("a SIG block");
-    assert_eq!(good[at + 12..at + 12 + len], params.encode());
-
-    let shape = |bands: u32, rows: u32| {
-        ApproxParams {
-            bands,
-            rows,
-            ..params
-        }
-        .encode()
-        .to_vec()
-    };
-    let payloads = [
-        shape(0, 2),
-        shape(2, 0),
-        shape(4096, 3), // one past the width cap
-        shape(u32::MAX, u32::MAX),
-        Vec::new(),
-        params.encode()[..15].to_vec(),
-        [&params.encode()[..], &[0]].concat(),
-        [&params.encode()[..], &3u64.to_le_bytes()].concat(), // v1's n_sets field
-    ];
-    for payload in payloads {
-        let mut bad = good[..at + 4].to_vec();
-        bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bad.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bad.extend_from_slice(&payload);
-        bad.extend_from_slice(&good[at + 12 + len..]);
-        std::fs::write(&segment, &bad).unwrap();
-        let err = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).err();
-        assert!(
-            matches!(err, Some(PersistError::Corrupt { section: "SIG", .. })),
-            "payload {payload:?}: {err:?}"
-        );
-    }
-    std::fs::write(&segment, &good).unwrap();
-    let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
-    assert_eq!(
-        reopened.backend().approx_sidecar(),
-        Some(&MinHashIndex::build(reopened.backend().db(), params))
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// `DurableIndex::create` starts a fresh deletion log, so a backend some
 /// other log has already deleted from is outside its contract (those
 /// sets would be believed live under bounds that no longer cover them):
@@ -842,6 +647,25 @@ fn a_segment_recording_shards_is_refused() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// `good` with a well-formed block of `kind` spliced in before the
+/// first block of kind `before`, the END count fixed up.
+fn splice_block(good: &[u8], before: u32, kind: u32, payload: &[u8]) -> Vec<u8> {
+    let layout = blocks(good);
+    let &(at, _, _) = layout.iter().find(|b| b.1 == before).expect("the block");
+    let mut out = good[..at].to_vec();
+    out.extend_from_slice(&kind.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&les3_core::persist::io::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&good[at..]);
+    let (end_at, end_kind, _) = *blocks(&out).last().unwrap();
+    assert_eq!(end_kind, 0, "END comes last");
+    let count = u64::from_le_bytes(out[end_at + 12..end_at + 20].try_into().unwrap());
+    out[end_at + 12..end_at + 20].copy_from_slice(&(count + 1).to_le_bytes());
+    fix_crc(&mut out, end_at);
+    out
+}
+
 /// Block kind 6 held a sharded segment's group → shard layout. It is an
 /// unknown kind now: the pinned segment with a well-formed kind-6 block
 /// spliced in before TOMBS (END count fixed up) is `Corrupt`.
@@ -852,25 +676,12 @@ fn a_shards_block_is_an_unknown_kind() {
     drop(DurableIndex::create(&dir, pinned_flat_index()).unwrap());
     let segment = dir.join("segment");
     let good = std::fs::read(&segment).unwrap();
-    let layout = blocks(&good);
-    let &(tombs_at, _, _) = layout.iter().find(|b| b.1 == 7).expect("a TOMBS block");
     // The old SHARDS payload: 6 groups, all in shard 0.
     let payload: Vec<u8> = [6u32, 0, 0, 0, 0, 0, 0]
         .iter()
         .flat_map(|v| v.to_le_bytes())
         .collect();
-    let mut bad = good[..tombs_at].to_vec();
-    bad.extend_from_slice(&6u32.to_le_bytes());
-    bad.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bad.extend_from_slice(&les3_core::persist::io::crc32(&payload).to_le_bytes());
-    bad.extend_from_slice(&payload);
-    bad.extend_from_slice(&good[tombs_at..]);
-    let (end_at, end_kind, _) = *blocks(&bad).last().unwrap();
-    assert_eq!(end_kind, 0, "END comes last");
-    let count = u64::from_le_bytes(bad[end_at + 12..end_at + 20].try_into().unwrap());
-    bad[end_at + 12..end_at + 20].copy_from_slice(&(count + 1).to_le_bytes());
-    fix_crc(&mut bad, end_at);
-    std::fs::write(&segment, &bad).unwrap();
+    std::fs::write(&segment, splice_block(&good, 7, 6, &payload)).unwrap();
 
     let err = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).err();
     assert!(
@@ -882,6 +693,75 @@ fn a_shards_block_is_an_unknown_kind() {
         "{err:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Older builds saved a MinHash sidecar's parameters as a SIG block
+/// (kind 9: bands u32, rows u32, seed u64), last before END. Its sets and
+/// assignment are intact, so the reader checks its CRC like any block's
+/// and skips it: the pinned segment with one spliced in opens to the
+/// same index — kNN and range hits and stats — and its next checkpoint
+/// writes the bytes the unspliced segment's does, with no kind-9 block.
+/// A kind-9 block whose CRC does not hold is `Corrupt`.
+#[test]
+fn an_old_sig_block_is_checked_then_skipped() {
+    use les3_core::PersistError;
+    let root = fresh_dir("sig-skipped");
+    let (plain_dir, sig_dir) = (root.join("plain"), root.join("sig"));
+    drop(DurableIndex::create(&plain_dir, pinned_flat_index()).unwrap());
+    drop(DurableIndex::create(&sig_dir, pinned_flat_index()).unwrap());
+    let segment = sig_dir.join("segment");
+    let good = std::fs::read(&segment).unwrap();
+    let params: Vec<u8> = [8u32.to_le_bytes(), 1u32.to_le_bytes()]
+        .concat()
+        .into_iter()
+        .chain(0x1e53_c0de_u64.to_le_bytes())
+        .collect();
+    let spliced = splice_block(&good, 0, 9, &params);
+    assert_eq!(spliced.len(), good.len() + 12 + 16);
+    std::fs::write(&segment, &spliced).unwrap();
+
+    let open = |dir: &PathBuf| DurableIndex::<Les3Index<Jaccard>>::open(dir, Jaccard).unwrap();
+    let (mut plain, mut sig) = (open(&plain_dir), open(&sig_dir));
+    let db = plain.backend().db().clone();
+    let queries: Vec<Vec<u32>> = (0..db.len() as u32)
+        .step_by(9)
+        .map(|id| db.set(id).to_vec())
+        .chain([vec![3, 17, 40], vec![]])
+        .collect();
+    for q in &queries {
+        for k in [1, 5] {
+            assert_eq!(
+                sig.backend().knn(q, k),
+                plain.backend().knn(q, k),
+                "kNN {q:?}"
+            );
+        }
+        for delta in [0.2, 0.6] {
+            let want = plain.backend().range(q, delta);
+            assert_eq!(sig.backend().range(q, delta), want, "range {q:?}");
+        }
+    }
+
+    plain.checkpoint().unwrap();
+    sig.checkpoint().unwrap();
+    let rewritten = std::fs::read(&segment).unwrap();
+    assert!(blocks(&rewritten).iter().all(|b| b.1 != 9), "SIG rewritten");
+    assert_eq!(rewritten, std::fs::read(plain_dir.join("segment")).unwrap());
+    drop(sig);
+
+    let mut bad = spliced;
+    let &(sig_at, _, _) = blocks(&bad).iter().find(|b| b.1 == 9).unwrap();
+    bad[sig_at + 8] ^= 0x01;
+    std::fs::write(&segment, &bad).unwrap();
+    let err = DurableIndex::<Les3Index<Jaccard>>::open(&sig_dir, Jaccard).err();
+    assert!(
+        matches!(
+            &err,
+            Some(PersistError::Corrupt { detail, .. }) if detail == "CRC mismatch in block kind 9"
+        ),
+        "{err:?}"
+    );
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// A namespace's info is the same before and after a save → load.

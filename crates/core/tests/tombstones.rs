@@ -170,7 +170,6 @@ fn an_engine_without_its_log_never_answers_a_deleted_set() {
     let live = |id: SetId| !doomed(id);
     let queries = queries(&db);
     let batch = flat.knn_batch_on(2, 1, &queries, K);
-    assert_eq!(sharded.knn_batch_on(2, &queries, K), batch);
     let prefilter = ApproxPolicy::Prefilter { bands: 8, rows: 1 };
     let mut prefiltered_hits = 0;
     for (q, batched) in queries.iter().zip(&batch) {

@@ -27,9 +27,7 @@ use std::sync::Arc;
 
 use les3_core::persist::read_meta;
 use les3_core::sim::Jaccard;
-use les3_core::{
-    ApproxParams, DurableIndex, Les3Index, NamespaceSpec, Partitioning, ServeConfig, ServeFront,
-};
+use les3_core::{DurableIndex, Les3Index, NamespaceSpec, Partitioning, ServeConfig, ServeFront};
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::SetDatabase;
 use les3_net::{HttpServer, NetConfig, SnapshotError, SnapshotFn};
@@ -51,9 +49,6 @@ Serving front (admission control):
 
 Index:
     --groups N             partitioning groups [default: max(16, sets/80)]
-    --approx BxR           build a MinHash sidecar (B bands x R rows, each >= 1)
-                           backing \"mode\":\"prefilter\" queries (docs/APPROX.md);
-                           without it, prefilter requests answer exactly
 
 Dataset (synthetic unless --load):
     --sets N               number of sets      [default: 10000]
@@ -85,7 +80,6 @@ struct Args {
     workers: usize,
     queue_capacity: usize,
     groups: Option<usize>,
-    approx: Option<ApproxParams>,
     sets: usize,
     universe: u32,
     avg_size: f64,
@@ -106,7 +100,6 @@ impl Default for Args {
             workers: 0,
             queue_capacity: 1024,
             groups: None,
-            approx: None,
             sets: 10_000,
             universe: 2_000,
             avg_size: 12.0,
@@ -149,24 +142,6 @@ fn parse_args() -> Args {
                 args.queue_capacity = parse(value(&mut it, "--queue-capacity"), "--queue-capacity")
             }
             "--groups" => args.groups = Some(parse(value(&mut it, "--groups"), "--groups")),
-            "--approx" => {
-                let raw = value(&mut it, "--approx");
-                let Some((b, r)) = raw.split_once(['x', 'X']) else {
-                    die(&format!(
-                        "--approx wants BANDSxROWS (e.g. 16x2), got {raw:?}"
-                    ));
-                };
-                let bands: u32 = parse(b.to_string(), "--approx");
-                let rows: u32 = parse(r.to_string(), "--approx");
-                if bands == 0 || rows == 0 {
-                    die(&format!("--approx needs bands and rows >= 1, got {raw:?}"));
-                }
-                args.approx = Some(ApproxParams {
-                    bands,
-                    rows,
-                    ..ApproxParams::default()
-                });
-            }
             "--sets" => args.sets = parse(value(&mut it, "--sets"), "--sets"),
             "--universe" => args.universe = parse(value(&mut it, "--universe"), "--universe"),
             "--avg-size" => args.avg_size = parse(value(&mut it, "--avg-size"), "--avg-size"),
@@ -325,20 +300,14 @@ fn serve(front: ServeFront<Les3Index<Jaccard>>, args: &Args) -> ! {
 
 /// Serves the index checkpointed in `dir`, tombstones and all.
 fn serve_loaded(dir: &str, config: ServeConfig, args: &Args) -> ! {
-    let mut live = DurableIndex::<Les3Index<Jaccard>>::open(dir, Jaccard)
+    let live = DurableIndex::<Les3Index<Jaccard>>::open(dir, Jaccard)
         .unwrap_or_else(|e| die(&format!("cannot load index from {dir:?}: {e}")))
         .into_live();
-    if let Some(params) = args.approx {
-        live.enable_approx(params);
-    }
     serve(ServeFront::from_live(live, config), args)
 }
 
 /// Serves a freshly built index.
-fn serve_built(mut index: Les3Index<Jaccard>, config: ServeConfig, args: &Args) -> ! {
-    if let Some(params) = args.approx {
-        index.enable_approx(params);
-    }
+fn serve_built(index: Les3Index<Jaccard>, config: ServeConfig, args: &Args) -> ! {
     serve(ServeFront::new(index, config), args)
 }
 

@@ -47,10 +47,8 @@ pub struct ApiQuery {
     /// unfiltered). The default `/knn`/`/range` routes reject a
     /// non-empty value — there is no metadata to filter on.
     pub filters: Filters,
-    /// The optional `"mode"` field (`"exact"`, `"prefilter"`,
-    /// `"anytime"`), the query's [`les3_core::Query::approx`]; absent
-    /// means exact. Prefilter reads the optional `"bands"`/`"rows"`
-    /// sibling integers (omitted → the sidecar's built shape).
+    /// The optional `"mode"` field (`"exact"` or `"anytime"`), the
+    /// query's [`les3_core::Query::approx`]; absent means exact.
     pub approx: ApproxPolicy,
 }
 
@@ -109,10 +107,8 @@ fn parse_common(body: &[u8]) -> Result<(Json, Vec<TokenId>, Option<u64>), Schema
 }
 
 /// Decodes a body's optional `"mode"` field into an [`ApproxPolicy`].
-/// Absent or `null` means [`ApproxPolicy::Exact`]. `"prefilter"` reads
-/// the optional sibling integers `"bands"` (0 or omitted → all built
-/// bands) and `"rows"` (omitted → the sidecar's built rows; an explicit
-/// 0 saturates the filter, which routes through the exact path).
+/// Absent or `null` means [`ApproxPolicy::Exact`]; any mode but
+/// `"exact"` and `"anytime"` is a [`SchemaError`].
 fn decode_mode_field(value: &Json) -> Result<ApproxPolicy, SchemaError> {
     let mode = match value.get("mode") {
         None | Some(Json::Null) => return Ok(ApproxPolicy::Exact),
@@ -123,28 +119,8 @@ fn decode_mode_field(value: &Json) -> Result<ApproxPolicy, SchemaError> {
     match mode {
         "exact" => Ok(ApproxPolicy::Exact),
         "anytime" => Ok(ApproxPolicy::Anytime),
-        "prefilter" => {
-            let knob = |field: &str, default: u32| -> Result<u32, SchemaError> {
-                match value.get(field) {
-                    None | Some(Json::Null) => Ok(default),
-                    Some(n) => n
-                        .as_u64()
-                        .filter(|&n| n <= u64::from(u32::MAX))
-                        .map(|n| n as u32)
-                        .ok_or_else(|| {
-                            SchemaError(format!("{field:?} must be an integer in 0..2^32"))
-                        }),
-                }
-            };
-            Ok(ApproxPolicy::Prefilter {
-                bands: knob("bands", 0)?,
-                // u32::MAX clamps to the sidecar's built rows; an
-                // explicit 0 is kept (it saturates the filter).
-                rows: knob("rows", u32::MAX)?,
-            })
-        }
         other => Err(SchemaError(format!(
-            "unknown mode {other:?} (expected \"exact\", \"prefilter\" or \"anytime\")"
+            "unknown mode {other:?} (expected \"exact\" or \"anytime\")"
         ))),
     }
 }

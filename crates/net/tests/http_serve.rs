@@ -437,16 +437,12 @@ fn anytime_mode_commits_with_200_where_exact_504s() {
     server.shutdown();
 }
 
-/// The prefilter tier over the wire, against a sidecar-enabled index:
-/// `200` with `"approx": true`, a probability `"recall_est"`, and only
-/// exact similarities; an unknown `"mode"` is a schema error; exact
+/// The MinHash prefilter is a library policy only: `"mode":"prefilter"`
+/// is a schema error naming the mode, like any unknown mode; exact
 /// responses carry no verdict fields (byte-compat with old clients).
 #[test]
-fn prefilter_mode_reports_verdict_and_exact_bits() {
-    let mut index = flat_index(8);
-    index.enable_approx(les3_core::ApproxParams::default());
-    let reference = index.clone();
-    let (server, addr) = start_server(index, fast_config());
+fn prefilter_mode_is_a_schema_error() {
+    let (server, addr) = start_server(flat_index(8), fast_config());
     let db = test_db(8);
     let mut client = Client::connect(&addr);
 
@@ -455,43 +451,35 @@ fn prefilter_mode_reports_verdict_and_exact_bits() {
         .iter()
         .map(|&t| Json::from(u64::from(t)))
         .collect();
-    let body = Json::Obj(vec![
-        ("query".to_string(), Json::Arr(query.clone())),
-        ("k".to_string(), Json::from(5u64)),
-        ("mode".to_string(), Json::from("prefilter")),
-        ("bands".to_string(), Json::from(4u64)),
-        ("rows".to_string(), Json::from(2u64)),
-    ]);
-    let response = client.request("POST", "/knn", Some(&body.to_string()));
-    assert_eq!(response.status, 200, "{}", response.body);
-    let json = response.json();
-    let result = wire::decode_result(&json).expect("200 body decodes");
-    let info = wire::decode_approx(&json).expect("prefilter carries the verdict fields");
-    assert!((0.0..=1.0).contains(&info.recall_est));
-    let full = reference.knn(db.set(3), db.len());
-    for &(id, sim) in &result.hits {
-        let want = full.hits.iter().find(|&&(fid, _)| fid == id).unwrap();
-        assert_eq!(sim.to_bits(), want.1.to_bits(), "hit {id} not exact");
+    for mode in ["prefilter", "psychic"] {
+        let body = Json::Obj(vec![
+            ("query".to_string(), Json::Arr(query.clone())),
+            ("k".to_string(), Json::from(5u64)),
+            ("mode".to_string(), Json::from(mode)),
+        ]);
+        let response = client.request("POST", "/knn", Some(&body.to_string()));
+        assert_eq!(response.status, 400, "{}", response.body);
+        let json = response.json();
+        assert_eq!(
+            json.get("error").and_then(Json::as_str),
+            Some("bad_request")
+        );
+        let message = json
+            .get("message")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(message.contains(&format!("{mode:?}")), "{message}");
     }
 
     // No "mode" → the envelope stays exactly the pre-approx schema.
     let body = Json::Obj(vec![
-        ("query".to_string(), Json::Arr(query.clone())),
+        ("query".to_string(), Json::Arr(query)),
         ("k".to_string(), Json::from(5u64)),
     ]);
     let response = client.request("POST", "/knn", Some(&body.to_string()));
     assert_eq!(response.status, 200);
     assert!(response.json().get("approx").is_none());
     assert!(response.json().get("recall_est").is_none());
-
-    // An unknown mode is a schema violation.
-    let body = Json::Obj(vec![
-        ("query".to_string(), Json::Arr(query)),
-        ("k".to_string(), Json::from(5u64)),
-        ("mode".to_string(), Json::from("psychic")),
-    ]);
-    let response = client.request("POST", "/knn", Some(&body.to_string()));
-    assert_eq!(response.status, 400, "{}", response.body);
     server.shutdown();
 }
 

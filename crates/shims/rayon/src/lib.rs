@@ -5,19 +5,20 @@
 //! scoped-worker helper [`run_workers`] — directly on OS threads via
 //! [`std::thread::scope`]. Unlike real rayon there is no work-stealing
 //! pool: every worker is one OS thread. Callers therefore start one loop
-//! per *worker*, not one task per item, which is how its one caller,
-//! the batch executor in `les3-core`, uses it.
+//! per *worker*, not one task per item. Its one caller, `les3-core`'s
+//! `Les3Index::knn_batch_on`, gives each worker one contiguous chunk of
+//! its batch.
 //!
 //! # The scoped-worker idiom
 //!
 //! Because a worker costs a thread, fan-out code must not spawn per
-//! item. The shape that works is: start
-//! exactly `workers` loops, and have each loop *claim* items from a
-//! shared atomic cursor until the work runs dry. [`run_workers`]
-//! packages that shape — it runs `f(0) .. f(workers-1)` concurrently
-//! (worker 0 on the calling thread, so `workers == 1` costs nothing)
-//! and returns when all of them have. Item claiming stays with the
-//! caller, e.g.:
+//! item. The shape that works is: start exactly `workers` loops, each
+//! over its own share of the items — a contiguous chunk picked by the
+//! worker index, or items claimed from a shared atomic cursor until the
+//! work runs dry. [`run_workers`] packages that shape — it runs
+//! `f(0) .. f(workers-1)` concurrently (worker 0 on the calling thread,
+//! so `workers == 1` costs nothing) and returns when all of them have.
+//! Splitting the items stays with the caller, e.g.:
 //!
 //! ```
 //! use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,8 +53,7 @@ pub fn current_num_threads() -> usize {
 /// worker has. `workers <= 1` runs `f(0)` inline with no thread spawned.
 ///
 /// This is the scoped-worker idiom (see the module docs): callers pass a
-/// worker *loop* that claims items from a shared cursor, never a
-/// per-item closure.
+/// worker *loop* over its share of the items, never a per-item closure.
 pub fn run_workers<F>(workers: usize, f: F)
 where
     F: Fn(usize) + Sync,

@@ -2,8 +2,8 @@
 //! an **admission-control layer**, then run on the producer's own thread
 //! while a worker's scratch is free, or queue FIFO for a persistent
 //! worker pool — at most one request per scratch at a time. This is the
-//! request-queue step on top of the index's synchronous batch calls
-//! (`knn_batch` / `range_batch`).
+//! request-queue step on top of the index's synchronous calls (`knn` /
+//! `range`).
 //!
 //! This example drives the front **in-process**; the production path
 //! puts the network layer (`crates/net`) in front of the very same
