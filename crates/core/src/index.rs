@@ -29,6 +29,16 @@
 //!   uncapped window; only `candidates`, `sims_computed`, `early_exits`
 //!   and `size_skipped` move. A range keeps the uncapped window
 //!   (`r = |Q|`) until the benchmark bounds its sample memory;
+//! * inside the window a kNN **rejects members by a 64-bit token
+//!   signature** before reading their tokens: `VerifyOrder` keeps each
+//!   live member's [`token_signature`] beside its id and length (16 B
+//!   per live set where it was 8; not part of `index_bytes`, which is
+//!   the TGM's size), and a member whose bound
+//!   [`PreparedQuery::overlap_bound`] is below the overlap the k-th
+//!   similarity needs is strictly below it. Hits and every counter but
+//!   `sims_computed` and `early_exits` — which count only the members
+//!   whose tokens were read — are those of the unsigned scan. A range
+//!   reads every window member;
 //! * the two loops count overlap differently. A kNN loads a
 //!   duplicate-free query into a membership bitset once
 //!   ([`crate::sim::QueryBits`], in the scratch, at most `⌈universe /
@@ -53,7 +63,9 @@ use les3_data::{SetDatabase, SetId, TokenId};
 use crate::partitioning::Partitioning;
 use crate::scratch::QueryScratch;
 use crate::shard::ShardedLes3Index;
-use crate::sim::{distinct_len, normalize_query, PreparedQuery, Similarity, ThresholdedEval};
+use crate::sim::{
+    distinct_len, normalize_query, token_signature, PreparedQuery, Similarity, ThresholdedEval,
+};
 use crate::stats::SearchStats;
 use crate::tgm::Tgm;
 
@@ -140,7 +152,8 @@ impl<S: Similarity> Les3Index<S> {
 }
 
 /// Per-group *live* member ids sorted by (distinct length, id), with the
-/// lengths alongside — the order the engine's verify step scans.
+/// lengths and token signatures alongside — the order the engine's verify
+/// step scans.
 ///
 /// Plain data: every mutation holds `&mut self` and puts the member
 /// where it belongs (`push`) or takes it out (`remove`), so a query only
@@ -155,6 +168,8 @@ pub(crate) struct VerifyOrder {
 struct GroupOrder {
     ids: Vec<SetId>,
     lens: Vec<u32>,
+    /// Each member's [`token_signature`].
+    sigs: Vec<u64>,
 }
 
 impl VerifyOrder {
@@ -173,20 +188,26 @@ impl VerifyOrder {
                 GroupOrder {
                     ids: pairs.iter().map(|&(_, id)| id).collect(),
                     lens: pairs.iter().map(|&(len, _)| len).collect(),
+                    sigs: pairs
+                        .iter()
+                        .map(|&(_, id)| token_signature(db.set(id)))
+                        .collect(),
                 }
             })
             .collect();
         Self { groups }
     }
 
-    /// Registers a newly inserted member (update path). `id` is the
-    /// largest ever issued, so its `(length, id)` position is the end of
-    /// its length run.
-    pub(crate) fn push(&mut self, g: u32, len: u32, id: SetId) {
+    /// Registers a newly inserted member with sorted `tokens` (update
+    /// path). `id` is the largest ever issued, so its `(length, id)`
+    /// position is the end of its length run.
+    pub(crate) fn push(&mut self, g: u32, tokens: &[TokenId], id: SetId) {
         let group = &mut self.groups[g as usize];
+        let len = distinct_len(tokens) as u32;
         let at = group.lens.partition_point(|&l| l <= len);
         group.ids.insert(at, id);
         group.lens.insert(at, len);
+        group.sigs.insert(at, token_signature(tokens));
     }
 
     /// Takes a deleted member out of group `g`; `false` if it was not
@@ -201,13 +222,14 @@ impl VerifyOrder {
         };
         group.ids.remove(run + at);
         group.lens.remove(run + at);
+        group.sigs.remove(run + at);
         true
     }
 
     /// The slice of group `g`'s member ids (in (length, id) order) whose
-    /// length alone permits `sim ≥ threshold`, their distinct lengths
-    /// alongside, plus the number of members excluded by that length
-    /// window.
+    /// length alone permits `sim ≥ threshold`, their distinct lengths and
+    /// signatures alongside, plus the number of members excluded by that
+    /// length window.
     ///
     /// `r` is the group's TGM overlap count `|Q ∩ GS_g|`. Every token a
     /// member `S` shares with `Q` lies in `GS_g ∩ Q` (deletes keep the TGM
@@ -224,8 +246,8 @@ impl VerifyOrder {
         q_len: usize,
         r: usize,
         threshold: f64,
-    ) -> (&[SetId], &[u32], usize) {
-        let GroupOrder { ids, lens } = &self.groups[g as usize];
+    ) -> (&[SetId], &[u32], &[u64], usize) {
+        let GroupOrder { ids, lens, sigs } = &self.groups[g as usize];
         let c = r.min(q_len);
         let split = lens.partition_point(|&l| (l as usize) < c);
         let lo = lens[..split]
@@ -233,7 +255,12 @@ impl VerifyOrder {
         let hi = split
             + lens[split..]
                 .partition_point(|&l| sim.from_overlap(c, q_len, l as usize) >= threshold);
-        (&ids[lo..hi], &lens[lo..hi], ids.len() - (hi - lo))
+        (
+            &ids[lo..hi],
+            &lens[lo..hi],
+            &sigs[lo..hi],
+            ids.len() - (hi - lo),
+        )
     }
 }
 
@@ -269,61 +296,96 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         top: &mut TopK,
         stats: &mut SearchStats,
     ) {
-        let (ids, lens, skipped) = order.window(self.sim, g, self.q_len(), r as usize, top.kth());
+        let (ids, lens, sigs, skipped) =
+            order.window(self.sim, g, self.q_len(), r as usize, top.kth());
         stats.size_skipped += skipped;
         // Branch on the filter once per window, not per candidate:
         // non-matching members are skipped before any accounting.
         match self.filter {
-            None => self.scan(ids, lens, |_| true, top, stats),
-            Some(m) => self.scan(ids, lens, |id| m.contains(id), top, stats),
+            None => self.scan(ids, lens, sigs, |_| true, top, stats),
+            Some(m) => self.scan(ids, lens, sigs, |id| m.contains(id), top, stats),
         }
     }
 
     /// The candidate loop. Everything constant across candidates stays
-    /// out of it: `|Q|` comes from the caller, `|S|` from the stored
-    /// window lengths, and the minimal overlap is recomputed only when
-    /// the length or the threshold changes — windows are length-sorted
-    /// and the threshold moves only on an accepted hit, so that is a few
-    /// times per group. Each candidate goes through the one kNN hook,
-    /// [`Similarity::eval_prepared`], whose verdicts are those of
-    /// [`Similarity::eval_with_threshold`] on the same `(Q, S, t)`.
+    /// out of it: `|Q|` comes from the caller, `|S|` and the signature
+    /// from the stored window arrays, and the minimal overlap is
+    /// recomputed only when the length or the threshold changes —
+    /// windows are length-sorted and the threshold moves only on an
+    /// accepted hit, so that is a few times per group. A candidate whose
+    /// signature bound ([`PreparedQuery::overlap_bound`]) is below the
+    /// minimal overlap is strictly below the k-th similarity and is
+    /// dropped without reading its tokens; every other one goes through
+    /// the one kNN hook, [`Similarity::eval_prepared`], whose verdicts
+    /// are those of [`Similarity::eval_with_threshold`] on the same `(Q,
+    /// S, t)`.
     fn scan(
         &self,
         ids: &[SetId],
         lens: &[u32],
+        sigs: &[u64],
         keep: impl Fn(SetId) -> bool,
         top: &mut TopK,
         stats: &mut SearchStats,
     ) {
         let mut t = top.kth();
-        let (mut memo, mut needed) = ((usize::MAX, 0u64), 0usize);
-        let (mut candidates, mut early_exits) = (0usize, 0usize);
-        let mut members = ids
-            .iter()
-            .zip(lens)
-            .filter(|&(&id, _)| keep(id))
-            .map(|(&id, &len)| (id, len as usize, self.db.set(id)));
-        let mut next = members.next();
-        while let Some((id, b_len, b)) = next {
-            // Resolve the next candidate's tokens before this merge, so
-            // its offset loads are in flight while the merge runs.
-            next = members.next();
-            if memo != (b_len, t.to_bits()) {
-                memo = (b_len, t.to_bits());
-                needed = self.sim.min_overlap_for(t, self.q_len(), b_len);
-            }
-            candidates += 1;
-            match self.sim.eval_prepared(&self.query, b, b_len, needed, t) {
-                // Only an accepted hit can move the threshold.
-                ThresholdedEval::Hit(s) => {
-                    top.offer(id, s);
-                    t = top.kth();
+        let (mut memo, mut candidates) = ((usize::MAX, 0u64, 0usize), 0usize);
+        // The first member from `i` on that the mask keeps and whose
+        // bound reaches the minimal overlap at `t`, with that overlap.
+        // Every kept member it passes is a candidate.
+        let mut seek = |mut i: usize, t: f64| {
+            while i < ids.len() {
+                if keep(ids[i]) {
+                    candidates += 1;
+                    let len = lens[i] as usize;
+                    if (memo.0, memo.1) != (len, t.to_bits()) {
+                        memo = (
+                            len,
+                            t.to_bits(),
+                            self.sim.min_overlap_for(t, self.q_len(), len),
+                        );
+                    }
+                    if self.query.overlap_bound(len, sigs[i]) >= memo.2 {
+                        break;
+                    }
                 }
-                ThresholdedEval::Rejected { early } => early_exits += usize::from(early),
+                i += 1;
             }
+            (i, memo.2)
+        };
+        let (mut evaluated, mut early_exits) = (0usize, 0usize);
+        let ((mut i, mut needed), mut sought_at) = (seek(0, t), t);
+        let mut tokens = ids.get(i).map(|&id| self.db.set(id));
+        while let Some(b) = tokens {
+            let (id, b_len) = (ids[i], lens[i] as usize);
+            // A hit since this member was admitted raised the threshold
+            // (a few times per group): its bound must reach the new
+            // minimal overlap too. The threshold only rises, so members
+            // the bound rejected earlier stay rejected.
+            let admitted = sought_at.to_bits() == t.to_bits() || {
+                needed = self.sim.min_overlap_for(t, self.q_len(), b_len);
+                self.query.overlap_bound(b_len, sigs[i]) >= needed
+            };
+            // Resolve the next admitted member's tokens before this
+            // merge, so its offset loads are in flight while it runs.
+            let (next, next_needed) = seek(i + 1, t);
+            tokens = ids.get(next).map(|&id| self.db.set(id));
+            sought_at = t;
+            if admitted {
+                evaluated += 1;
+                match self.sim.eval_prepared(&self.query, b, b_len, needed, t) {
+                    // Only an accepted hit can move the threshold.
+                    ThresholdedEval::Hit(s) => {
+                        top.offer(id, s);
+                        t = top.kth();
+                    }
+                    ThresholdedEval::Rejected { early } => early_exits += usize::from(early),
+                }
+            }
+            (i, needed) = (next, next_needed);
         }
         stats.candidates += candidates;
-        stats.sims_computed += candidates;
+        stats.sims_computed += evaluated;
         stats.early_exits += early_exits;
     }
 
@@ -341,7 +403,7 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         stats: &mut SearchStats,
     ) {
         let q_len = self.q_len();
-        let (ids, _lens, skipped) = order.window(self.sim, g, q_len, q_len, delta);
+        let (ids, _lens, _sigs, skipped) = order.window(self.sim, g, q_len, q_len, delta);
         stats.size_skipped += skipped;
         for &id in ids {
             if self.filter.is_some_and(|m| !m.contains(id)) {
@@ -558,14 +620,17 @@ mod tests {
     }
 
     /// The hoisted window scan against the loop it replaced: every
-    /// member evaluated by `eval_with_threshold` at the heap's current
-    /// k-th similarity. One group holding runs of equal lengths, changing
-    /// lengths, multisets and (for small k) a threshold that rises inside
-    /// the window — so the `(length, threshold)` memo of the minimal
-    /// overlap is both reused and invalidated mid-window.
+    /// member the signature bound admits evaluated by
+    /// `eval_with_threshold` at the heap's current k-th similarity. One
+    /// group holding runs of equal lengths, changing lengths, multisets
+    /// and (for small k) a threshold that rises inside the window — so
+    /// the `(length, threshold)` memo of the minimal overlap is both
+    /// reused and invalidated mid-window — members the signature
+    /// rejects, and decoys it admits that the kernel abandons early.
     #[test]
     fn window_scan_equals_per_candidate_eval_while_threshold_rises() {
         fn check<S: Similarity>(sim: S) {
+            let mut sig_rejected = 0;
             let mut rng = StdRng::seed_from_u64(0x5ca9);
             let sets: Vec<Vec<TokenId>> = (0..240)
                 .map(|i| {
@@ -579,31 +644,58 @@ mod tests {
                     s
                 })
                 .collect();
-            let db = SetDatabase::from_sets(sets);
+            let queries = [(7u32, 1usize), (100, 3), (191, 8), (239, 40), (64, 500)];
+            // On a 40-token alphabet the signature is nearly exact, so
+            // each query gets decoys: its own set with the smallest token
+            // swapped for 1, 2, …, 13 tokens past the alphabet that set
+            // the same signature bit. The bound admits every decoy at the
+            // query's own overlap; the kernel abandons it early.
+            let decoys: Vec<Vec<TokenId>> = queries
+                .iter()
+                .flat_map(|&(qid, _)| {
+                    let s = &sets[qid as usize];
+                    let twins: Vec<TokenId> = (40..)
+                        .filter(|&t| token_signature(&[t]) == token_signature(&s[..1]))
+                        .take(13)
+                        .collect();
+                    let rest: Vec<TokenId> = s.iter().copied().filter(|&t| t != s[0]).collect();
+                    (1..=twins.len()).map(move |n| [&rest[..], &twins[..n]].concat())
+                })
+                .collect();
+            let db = SetDatabase::from_sets(sets.into_iter().chain(decoys));
             let part = Partitioning::from_assignment(vec![0; db.len()], 1);
             let order = VerifyOrder::build(&db, &part);
             let mut mask = les3_bitmap::DenseBitSet::new();
             mask.reset(db.len());
             (0..db.len() as SetId)
-                .filter(|id| id % 3 != 0)
+                .filter(|&id| id % 3 != 0 || id >= 240) // the decoys pass
                 .for_each(|id| mask.insert(id));
             let tgm = Tgm::build(&db, &part);
-            for (qid, k) in [(7u32, 1usize), (100, 3), (191, 8), (239, 40), (64, 500)] {
+            for (qid, k) in queries {
                 let query = db.set(qid);
                 let q_len = distinct_len(query);
                 let r = tgm.group_overlaps(query)[0];
                 for filter in [None, Some(&mask)] {
                     let (mut want_top, mut want) = (TopK::new(k), SearchStats::default());
-                    let (ids, _lens, skipped) =
+                    let (ids, _lens, _sigs, skipped) =
                         order.window(sim, 0, q_len, r as usize, want_top.kth());
                     want.size_skipped += skipped;
+                    let q_sig = token_signature(query);
                     for &id in ids {
                         if filter.is_some_and(|m| !m.contains(id)) {
                             continue;
                         }
                         want.candidates += 1;
+                        let set = db.set(id);
+                        let s_len = distinct_len(set);
+                        let popcount = (q_sig ^ token_signature(set)).count_ones() as usize;
+                        let needed = sim.min_overlap_for(want_top.kth(), q_len, s_len);
+                        if (q_len + s_len - popcount) / 2 < needed {
+                            sig_rejected += 1;
+                            continue;
+                        }
                         want.sims_computed += 1;
-                        match sim.eval_with_threshold(query, db.set(id), want_top.kth()) {
+                        match sim.eval_with_threshold(query, set, want_top.kth()) {
                             ThresholdedEval::Hit(s) => want_top.offer(id, s),
                             ThresholdedEval::Rejected { early } => {
                                 want.early_exits += usize::from(early)
@@ -633,6 +725,7 @@ mod tests {
                     assert!(want.early_exits > 0 || k >= 40, "fixture must exit early");
                 }
             }
+            assert!(sig_rejected > 0, "the fixture must reject by signature");
         }
         check(Jaccard);
         check(Cosine);
@@ -946,17 +1039,20 @@ mod tests {
 
     proptest! {
         /// Any interleaving of `push` and `remove` leaves every group's
-        /// arrays equal to a `build` over the members that survive —
-        /// what `open ≡ build + deletes` rests on.
+        /// arrays — ids, lengths and signatures — equal to a `build` over
+        /// the members that survive: what `open ≡ build + deletes` rests
+        /// on. Sets of one length differ by a salt, so a signature that
+        /// landed beside the wrong id shows.
         #[test]
         fn push_and_remove_leave_the_order_build_would(
-            initial in prop::collection::vec((0u32..3, 1u32..6), 0..20),
+            initial in prop::collection::vec((0u32..3, 1u32..6, 0u32..50), 0..20),
             ops in prop::collection::vec((0u32..3, 1u32..6, 0usize..3, 0usize..1000), 0..60),
         ) {
-            let set = |len: u32| (0..len).collect::<Vec<TokenId>>();
-            let mut db = SetDatabase::from_sets(initial.iter().map(|&(_, len)| set(len)));
+            let set = |len: u32, salt: u32| (0..len).map(|t| salt + 50 * t).collect::<Vec<TokenId>>();
+            let mut db =
+                SetDatabase::from_sets(initial.iter().map(|&(_, len, salt)| set(len, salt)));
             let mut part =
-                Partitioning::from_assignment(initial.iter().map(|&(g, _)| g).collect(), 3);
+                Partitioning::from_assignment(initial.iter().map(|&(g, _, _)| g).collect(), 3);
             let mut order = VerifyOrder::build(&db, &part);
             let mut dead = vec![false; db.len()];
             for (g, len, kind, pick) in ops {
@@ -966,22 +1062,22 @@ mod tests {
                     let was_live = !std::mem::replace(&mut dead[id as usize], true);
                     prop_assert_eq!(order.remove(g, len, id), was_live);
                 } else {
-                    let id = db.push_sorted(&set(len));
+                    let tokens = set(len, pick as u32 % 50);
+                    let id = db.push_sorted(&tokens);
                     part.push(g);
                     dead.push(false);
-                    order.push(g, len, id);
+                    order.push(g, &tokens, id);
                 }
             }
             let built = VerifyOrder::build(&db, &part);
             for (got, all) in order.groups.iter().zip(&built.groups) {
-                let (ids, lens): (Vec<SetId>, Vec<u32>) = all
-                    .ids
-                    .iter()
-                    .zip(&all.lens)
-                    .filter(|&(&id, _)| !dead[id as usize])
-                    .unzip();
-                prop_assert_eq!(&got.ids, &ids);
-                prop_assert_eq!(&got.lens, &lens);
+                let live: Vec<(SetId, u32, u64)> = (0..all.ids.len())
+                    .map(|i| (all.ids[i], all.lens[i], all.sigs[i]))
+                    .filter(|&(id, _, _)| !dead[id as usize])
+                    .collect();
+                prop_assert_eq!(&got.ids, &live.iter().map(|m| m.0).collect::<Vec<_>>());
+                prop_assert_eq!(&got.lens, &live.iter().map(|m| m.1).collect::<Vec<_>>());
+                prop_assert_eq!(&got.sigs, &live.iter().map(|m| m.2).collect::<Vec<_>>());
             }
         }
     }

@@ -254,14 +254,28 @@ fn lookup_with_threshold<S: Similarity>(
     }
 }
 
+/// The 64-bit token signature of a set: bit `t·φ >> 26` (the top six
+/// bits of a multiplicative hash) for each of its tokens. Duplicates set
+/// the same bit, so a multiset and its distinct tokens share a signature.
+/// Exposed for the bound's soundness property test
+/// (`tests/hotpath_equivalence.rs`); not public API.
+#[doc(hidden)]
+pub fn token_signature(tokens: &[TokenId]) -> u64 {
+    tokens
+        .iter()
+        .fold(0, |sig, &t| sig | 1 << (t.wrapping_mul(0x9e37_79b9) >> 26))
+}
+
 /// A query prepared once for the kNN candidate loop
 /// ([`Similarity::eval_prepared`]): its sorted tokens, its distinct
-/// length and — when it is duplicate-free and was loaded by
-/// [`QueryBits::prepare`] — the membership bitset of its tokens.
+/// length, its [`token_signature`] and — when it is duplicate-free and
+/// was loaded by [`QueryBits::prepare`] — the membership bitset of its
+/// tokens.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedQuery<'a> {
     tokens: &'a [TokenId],
     len: usize,
+    sig: u64,
     /// Bit `t` is set iff `t ∈ Q`, for every `t` below the universe the
     /// bits were loaded for; `None` sends every candidate to the merge.
     bits: Option<&'a [u64]>,
@@ -274,8 +288,23 @@ impl<'a> PreparedQuery<'a> {
         Self {
             tokens: query,
             len: distinct_len(query),
+            sig: token_signature(query),
             bits: None,
         }
+    }
+
+    /// An upper bound on `|Q ∩ S|` for a set `S` of distinct length
+    /// `s_len` and signature `s_sig`: `⌊(|Q| + |S| − popcount(sig_Q ⊕
+    /// s_sig)) / 2⌋`. A bit set on one side only was set by a token of
+    /// that side the other lacks, and distinct bits come from distinct
+    /// tokens, so the popcount is at most `|Q Δ S| = |Q| + |S| − 2|Q ∩
+    /// S|`. Tokens of either side past the universe only add to `Q Δ S`.
+    /// Exposed for the bound's soundness property test
+    /// (`tests/hotpath_equivalence.rs`); not public API.
+    #[doc(hidden)]
+    #[inline]
+    pub fn overlap_bound(&self, s_len: usize, s_sig: u64) -> usize {
+        (self.len + s_len - (self.sig ^ s_sig).count_ones() as usize) / 2
     }
 
     /// The sorted query tokens.

@@ -12,11 +12,15 @@ use crate::sync::Mutex;
 /// counts, and index access cost measured in TGM columns (Figure 14).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Sets whose similarity to the query was actually computed
-    /// (the candidate set `S_Q` of Definition 2.3).
+    /// The candidate set `S_Q` of Definition 2.3: for TGM search, the
+    /// members of verified groups' length windows that the query's mask
+    /// (if any) admits.
     pub candidates: usize,
-    /// Exact similarity evaluations performed (== `candidates` for TGM
-    /// search; may differ for baselines with cheaper partial filters).
+    /// Candidates whose tokens were read to evaluate the similarity. A
+    /// kNN rejects a candidate by its 64-bit token signature first, so
+    /// there this is at most `candidates`; a range evaluates every
+    /// candidate. Baselines count their own cheaper partial filters the
+    /// same way.
     pub sims_computed: usize,
     /// TGM work performed by the filter step: the number of set bits the
     /// counting kernels actually visited — `Σ_{t∈Q} |groups(t)|` for a
@@ -29,8 +33,9 @@ pub struct SearchStats {
     pub groups_pruned: usize,
     /// Groups verified.
     pub groups_verified: usize,
-    /// Verification merges abandoned early because the residual-overlap
-    /// bound could no longer reach the threshold / current k-th best.
+    /// Verifications abandoned early because the residual-overlap bound
+    /// could no longer reach the threshold / current k-th best (at most
+    /// `sims_computed`: a signature rejection reads no token).
     pub early_exits: usize,
     /// Group members skipped by the similarity-specific length filter
     /// without touching their token lists.

@@ -36,7 +36,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
         for &t in tokens.iter() {
             self.tgm.set_bit(g, t);
         }
-        self.verify.push(g, distinct_len(tokens) as u32, id);
+        self.verify.push(g, tokens, id);
         if let Some(mh) = &mut self.approx {
             debug_assert_eq!(mh.n_sets() as u32, id, "sidecar out of sync with db");
             mh.push(tokens);

@@ -12,7 +12,11 @@
 //! re-recorded when a kNN began to cap each group's verify window by its
 //! TGM overlap count (the commit after d095c49); the uncapped kNN record
 //! stays beside them, and `capping_the_window_moves_only_verify_work`
-//! holds the two against each other.
+//! holds the two against each other. Their `sims_computed` and
+//! `early_exits` columns were re-recorded once more when a kNN began to
+//! reject window members by a 64-bit token signature before reading their
+//! tokens (the commit after 0b37074); `the_signature_moves_only_token_work`
+//! holds them against the record before that.
 #![cfg(not(feature = "model"))]
 
 mod common;
@@ -35,6 +39,43 @@ const N_UNFILTERED: usize = 24;
 /// groups_verified early_exits size_skipped` per query (flat and
 /// sharded ×4 are bit-for-bit the same engine, so they share a table).
 const GOLDEN_FLAT: [[usize; 7]; N_QUERIES] = [
+    [98, 44, 64, 63, 1, 7, 0],
+    [1040, 157, 67, 1, 63, 3, 1932],
+    [1283, 179, 81, 5, 59, 8, 1510],
+    [1408, 364, 49, 15, 49, 8, 953],
+    [2310, 1800, 648, 0, 64, 1588, 690],
+    [2453, 955, 504, 0, 64, 719, 547],
+    [1072, 319, 33, 31, 33, 2, 441],
+    [1156, 430, 30, 34, 30, 4, 334],
+    [2339, 303, 248, 0, 64, 120, 661],
+    [2137, 619, 646, 0, 64, 432, 863],
+    [2311, 563, 206, 6, 58, 369, 388],
+    [2194, 2180, 624, 0, 64, 1994, 806],
+    [2408, 264, 228, 0, 64, 86, 592],
+    [2301, 334, 265, 0, 64, 181, 699],
+    [2487, 1021, 559, 0, 64, 732, 513],
+    [1197, 542, 36, 34, 30, 8, 291],
+    [2673, 1212, 460, 0, 64, 862, 327],
+    [716, 446, 16, 48, 16, 8, 31],
+    [2152, 350, 200, 1, 63, 157, 820],
+    [2163, 1210, 682, 0, 64, 998, 837],
+    [1642, 1605, 1015, 0, 64, 1458, 1358],
+    [2508, 328, 201, 2, 62, 101, 422],
+    [2328, 1608, 215, 2, 62, 1025, 608],
+    [2513, 248, 296, 0, 64, 65, 487],
+    [619, 321, 128, 7, 57, 34, 275],
+    [593, 233, 74, 6, 58, 4, 399],
+    [539, 222, 64, 13, 51, 0, 289],
+    [186, 186, 13, 51, 13, 0, 0],
+    [35, 35, 3, 61, 3, 0, 0],
+    [495, 183, 91, 8, 56, 20, 647],
+    [407, 152, 91, 1, 63, 15, 1342],
+    [666, 98, 198, 0, 64, 15, 377],
+];
+
+/// [`GOLDEN_FLAT`] as recorded before a kNN rejected window members by
+/// their token signature (the commit after d095c49 through 0b37074).
+const UNSIGNED_FLAT: [[usize; 7]; N_QUERIES] = [
     [98, 98, 64, 63, 1, 58, 0],
     [1040, 1040, 67, 1, 63, 42, 1932],
     [1283, 1283, 81, 5, 59, 328, 1510],
@@ -119,7 +160,7 @@ const UNCAPPED_FLAT: [[usize; 7]; N_QUERIES] = [
 fn capping_the_window_moves_only_verify_work() {
     let mut moved = 0;
     for (i, (new, old)) in GOLDEN_FLAT.iter().zip(&UNCAPPED_FLAT).enumerate() {
-        assert_eq!(new[0], new[1], "row {i}: candidates = sims_computed");
+        assert!(new[1] <= new[0], "row {i}: sims_computed <= candidates");
         assert_eq!(new[2..5], old[2..5], "row {i}: group counters");
         assert!(new[0] <= old[0] && new[6] >= old[6], "row {i}");
         if i < N_UNFILTERED {
@@ -128,6 +169,27 @@ fn capping_the_window_moves_only_verify_work() {
         moved += old[0] - new[0];
     }
     assert!(moved > 0, "the fixture must exercise the cap");
+}
+
+/// The signature check runs on window members the mask admits, after
+/// they are counted as candidates, and rejects only members strictly
+/// below the k-th similarity: `candidates`, `columns_checked`,
+/// `groups_pruned`, `groups_verified` and `size_skipped` repeat
+/// [`UNSIGNED_FLAT`], and only the members whose tokens were read count
+/// as `sims_computed` (every one of them, before the signature) and may
+/// exit early. The hits are pinned by `GOLDEN_HIT_DIGESTS[0]`, recorded
+/// without the signature.
+#[test]
+fn the_signature_moves_only_token_work() {
+    let mut rejected = 0;
+    for (i, (new, old)) in GOLDEN_FLAT.iter().zip(&UNSIGNED_FLAT).enumerate() {
+        assert_eq!(new[0], old[0], "row {i}: candidates");
+        assert_eq!(new[2..5], old[2..5], "row {i}: group counters");
+        assert_eq!(new[6], old[6], "row {i}: size_skipped");
+        assert!(new[5] <= new[1] && new[1] <= old[1], "row {i}");
+        rejected += old[1] - new[1];
+    }
+    assert!(rejected > 0, "the fixture must exercise the signature");
 }
 
 fn fixture() -> (SetDatabase, Partitioning) {

@@ -6,10 +6,10 @@
 //! databases, partitionings, queries, thresholds and k (Theorem 3.1
 //! exactness).
 
-use les3_core::sim::distinct_len;
+use les3_core::sim::{distinct_len, token_signature};
 use les3_core::{
     normalize_query, Cosine, DeletionLog, Dice, Jaccard, Les3Index, OverlapCoefficient,
-    Partitioning, QueryScratch, Similarity,
+    Partitioning, PreparedQuery, QueryBits, QueryScratch, Similarity,
 };
 use les3_data::{SetDatabase, SetId, TokenId};
 use proptest::prelude::*;
@@ -265,6 +265,65 @@ proptest! {
         check(Cosine, &db, &part, ops, &query, &extra_t);
         check(OverlapCoefficient, &db, &part, ops, &query, &extra_t);
     }
+
+    /// The signature bound never falls below the true overlap:
+    /// `|Q ∩ S| ≤ ⌊(|Q| + |S| − popcount(sig_Q ⊕ sig_S)) / 2⌋` over
+    /// distinct lengths, for multisets on either side, empty sets, tokens
+    /// near `u32::MAX` and query tokens past the universe the query's
+    /// bitset was loaded for (prepared with and without the bitset).
+    #[test]
+    fn the_signature_bound_is_at_least_the_overlap(
+        q in prop::collection::vec(prop_oneof![0u32..40, (u32::MAX - 8)..=u32::MAX], 0..7),
+        s in prop::collection::vec(prop_oneof![0u32..40, (u32::MAX - 8)..=u32::MAX], 0..7),
+        universe in 0u32..100,
+    ) {
+        let (mut q, mut s) = (q, s);
+        q.sort_unstable();
+        s.sort_unstable();
+        let overlap = SetDatabase::overlap(&q, &s);
+        let (s_len, s_sig) = (distinct_len(&s), token_signature(&s));
+        let mut bits = QueryBits::new();
+        for prepared in [PreparedQuery::without_bits(&q), bits.prepare(&q, universe)] {
+            let bound = prepared.overlap_bound(s_len, s_sig);
+            prop_assert!(overlap <= bound, "|Q ∩ S| = {} > bound {}", overlap, bound);
+        }
+    }
+}
+
+/// A window member the signature rejects, then a tie at the k-th
+/// similarity that only a strict `<` lets through. Group 0 (`r = 4`) is
+/// verified first: B (id 1, Jaccard 3/5) takes the 1-NN slot, and C (id 2,
+/// one shared token) is rejected by its signature — bound 1 below the 4
+/// tokens it needs — without its tokens being read. Group 1 (`r = 3`)
+/// holds A (id 0, also 3/5): its signature bound is exactly the 3 tokens
+/// it needs, so it is read, ties B and wins on its smaller id. Rejecting
+/// at `bound ≤ needed` would answer B.
+#[test]
+fn the_signature_rejects_a_member_and_keeps_a_tie_at_the_kth_similarity() {
+    let q: Vec<u32> = (0..4).collect();
+    let a = vec![0, 1, 2, 10];
+    let b = vec![0, 1, 2, 11];
+    let c = vec![3, 20, 21, 22, 23];
+    let prepared = PreparedQuery::without_bits(&q);
+    assert_eq!(prepared.overlap_bound(4, token_signature(&a)), 3);
+    assert_eq!(prepared.overlap_bound(5, token_signature(&c)), 1);
+    let db = SetDatabase::from_sets([a, b, c]);
+    let part = Partitioning::from_assignment(vec![1, 0, 0], 2);
+    let index = Les3Index::build(db.clone(), part, Jaccard);
+    assert_eq!(index.tgm().group_overlaps(&q), vec![4, 3]);
+
+    let got = index.knn(&q, 1);
+    let mut brute: Vec<(SetId, f64)> = db.iter().map(|(id, s)| (id, Jaccard.eval(&q, s))).collect();
+    brute.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+    brute.truncate(1);
+    assert_eq!(got.hits, brute);
+    assert_eq!(got.hits, vec![(0, 0.6)]);
+    // B, C and A are window members; C's tokens are never read.
+    let s = got.stats;
+    assert_eq!(
+        (s.groups_verified, s.candidates, s.sims_computed),
+        (2, 3, 2)
+    );
 }
 
 /// One hand-built group whose overlap count `r_g = 6` is below `|Q| = 10`:
