@@ -6,15 +6,10 @@
 //!   token columns of a Zipfian database;
 //! * `batch_throughput/*` — `knn_batch_on` (one contiguous chunk and one
 //!   scratch per available core) against the same kNN queries executed
-//!   sequentially with a single reused scratch;
-//! * `masked_kernel/*` — the chunk-skipping masked kernel
-//!   ([`les3_bitmap::Bitmap::count_into_masked_sparse`], which jumps
-//!   straight to mask-covered words) against the word-scanning
-//!   [`les3_bitmap::Bitmap::count_into_masked`] across candidate-mask
-//!   sparsities — the filtered query's restricted-pass regime.
+//!   sequentially with a single reused scratch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use les3_bitmap::{Bitmap, DenseBitSet};
+use les3_bitmap::Bitmap;
 use les3_core::{Jaccard, Les3Index, Partitioning, QueryScratch};
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::{SetDatabase, TokenId};
@@ -130,66 +125,9 @@ fn bench_batch_throughput(c: &mut Criterion) {
     println!("(batch workers: {workers}, one per available core)");
 }
 
-fn bench_masked_kernel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("masked_kernel");
-    group.sample_size(30);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_millis(1500));
-    // A popular token's column over 8 192 groups, mixing all three
-    // container shapes: a run-compressed stretch, a dense-bits stretch,
-    // and an array tail.
-    let n_groups = 8_192usize;
-    let mut values: Vec<u32> = (0..3_000u32).collect();
-    values.extend((3_000..6_000u32).filter(|v| v % 2 == 0));
-    values.extend((6_000..n_groups as u32).step_by(7));
-    let mut column = Bitmap::from_sorted(&values);
-    column.run_optimize();
-    let mut counts = vec![0u32; n_groups];
-    for candidates in [8usize, 64, 512, 4_096] {
-        let mut mask = DenseBitSet::new();
-        mask.reset(n_groups);
-        let stride = n_groups / candidates;
-        for i in 0..candidates {
-            mask.insert((i * stride) as u32);
-        }
-        mask.sort_touched();
-        group.bench_with_input(
-            BenchmarkId::new("word_scan", candidates),
-            &mask,
-            |b, mask| {
-                b.iter(|| {
-                    counts.fill(0);
-                    black_box(column.count_into_masked(black_box(mask), &mut counts))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("chunk_skip", candidates),
-            &mask,
-            |b, mask| {
-                b.iter(|| {
-                    counts.fill(0);
-                    black_box(column.count_into_masked_sparse(black_box(mask), &mut counts))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("adaptive", candidates),
-            &mask,
-            |b, mask| {
-                b.iter(|| {
-                    counts.fill(0);
-                    black_box(column.count_into_masked_adaptive(black_box(mask), &mut counts))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().without_plots();
-    targets = bench_overlap_kernel, bench_batch_throughput, bench_masked_kernel
+    targets = bench_overlap_kernel, bench_batch_throughput
 }
 criterion_main!(benches);

@@ -21,24 +21,6 @@ fn bench_tgm(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    let mut group = c.benchmark_group("tgm_restricted");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_millis(1200));
-    let part = Partitioning::round_robin(db.len(), 512);
-    let tgm = Tgm::build(&db, &part);
-    for survivors in [8usize, 64, 256] {
-        let groups: Vec<u32> = (0..survivors as u32).collect();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(survivors),
-            &groups,
-            |b, groups| {
-                b.iter(|| black_box(tgm.group_overlaps_restricted(black_box(&query), groups)))
-            },
-        );
-    }
-    group.finish();
 }
 
 criterion_group! {

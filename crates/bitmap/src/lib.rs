@@ -24,11 +24,11 @@
 //! a size model only.
 //!
 //! The query hot path does not iterate values one by one: the
-//! [`kernel`] module provides word-parallel counting kernels
-//! ([`Bitmap::count_into`], [`Bitmap::count_into_masked`]) that stream
-//! 64-bit container words and decode them with `trailing_zeros`, plus the
-//! reusable [`DenseBitSet`] candidate mask, so the per-query filter pass
-//! is allocation-free and touches each word once.
+//! [`kernel`] module provides the word-parallel counting kernel
+//! ([`Bitmap::count_into`]) that streams 64-bit container words and
+//! decodes them with `trailing_zeros`, so the per-query filter pass is
+//! allocation-free and touches each word once, plus the reusable
+//! [`DenseBitSet`] a filtered query's per-set mask lives in.
 //!
 //! # Example
 //!

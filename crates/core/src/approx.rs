@@ -7,11 +7,11 @@
 //!
 //! * **Prefilter** — a classic MinHash LSH candidate filter (b bands ×
 //!   r rows; a set is a candidate iff it agrees with the query on every
-//!   row of at least one band). The scan's output *is* the per-set mask
-//!   that is intersected into the group mask *before* phase A — exactly
-//!   how [`crate::metadata`] attribute filters already compose — so the
-//!   masked kernels, `TopK` and `QueryCtl`
-//!   are reused unchanged, and every surviving candidate is re-verified
+//!   row of at least one band). The scan's output *is* the per-set mask,
+//!   whose groups are the ones phase A puts in the bound stream — exactly
+//!   how [`crate::metadata`] attribute filters already compose — so phase
+//!   A, `TopK` and `QueryCtl` are reused unchanged, and every surviving
+//!   candidate is re-verified
 //!   with the **exact** similarity. Misses are only ever *omissions*:
 //!   a true neighbour whose signature never collides. The probability a
 //!   set with true similarity `s` survives is `1 − (1 − s^r)^b`, which
@@ -358,9 +358,9 @@ pub struct PrefilterScratch {
 /// The LSH candidate mask of a prefilter query, scanned straight into
 /// `scratch`, or `None` when the query must take the unfiltered exact
 /// path instead: no sidecar built, `rows == 0` (decided before any
-/// signature is read), or a candidate set that came out saturated (only
-/// a full candidate set reproduces the exact engine's stats bit-for-bit
-/// — the restricted kernels count differently).
+/// signature is read), or a candidate set that came out saturated. A
+/// full mask's stream still leaves out the groups that hold no set, so
+/// only the unmasked path repeats the exact engine's group counters.
 pub(crate) fn prefilter_candidates<'s>(
     mh: Option<&MinHashIndex>,
     partitioning: &Partitioning,
@@ -579,9 +579,6 @@ mod tests {
                         for w in 0..n_sets.div_ceil(64) + 1 {
                             prop_assert_eq!(cand.sets.word(w), want.sets.word(w));
                         }
-                        prop_assert!(cand.sets.touched_is_sorted());
-                        prop_assert!(cand.sets.touched_words().windows(2).all(|p| p[0] < p[1]));
-                        prop_assert_eq!(cand.sets.touched_words(), want.sets.touched_words());
                     }
                 }
             }

@@ -140,7 +140,7 @@ impl<S: Similarity> Les3Index<S> {
             bounds,
             ..
         } = scratch;
-        stats.columns_checked += self.0.filter(query, q_len, filter, stream) as usize;
+        stats.columns_checked += self.0.filter(query, q_len, None, filter, stream) as usize;
         let sim = self.0.sim;
         bounds.clear();
         bounds.extend(
@@ -427,14 +427,14 @@ impl<S: Similarity> VerifyQuery<'_, S> {
 }
 
 /// The `O(G + |Q|)` bucketed descending selection of the filter pass:
-/// overlap counts are histogrammed into buckets `r ∈ 0..=|Q|`,
-/// descending start offsets are prefixed, and each group is scattered to
-/// its verification-order position — `emit(pos, g, r)` with `pos`
-/// running over the `(r descending, group id ascending)` order. Exactly
-/// the order a stable descending sort on the (monotone in `r`) bounds
-/// would give.
+/// the `(group, r)` entries (group ids ascending) are histogrammed into
+/// buckets `r ∈ 0..=|Q|`, descending start offsets are prefixed, and
+/// each group is scattered to its verification-order position —
+/// `emit(pos, g, r)` with `pos` running over the `(r descending, group
+/// id ascending)` order. Exactly the order a stable descending sort on
+/// the (monotone in `r`) bounds would give.
 pub(crate) fn bucketed_descending(
-    counts: &[u32],
+    entries: impl Iterator<Item = (u32, u32)> + Clone,
     q_len: usize,
     offsets: &mut Vec<u32>,
     mut emit: impl FnMut(usize, u32, u32),
@@ -442,7 +442,7 @@ pub(crate) fn bucketed_descending(
     let n_buckets = q_len + 1;
     offsets.clear();
     offsets.resize(n_buckets, 0);
-    for &r in counts {
+    for (_, r) in entries.clone() {
         debug_assert!((r as usize) < n_buckets, "overlap exceeds |Q|");
         offsets[r as usize] += 1;
     }
@@ -452,10 +452,10 @@ pub(crate) fn bucketed_descending(
         offsets[r] = acc;
         acc += here;
     }
-    for (g, &r) in counts.iter().enumerate() {
+    for (g, r) in entries {
         let pos = offsets[r as usize];
         offsets[r as usize] += 1;
-        emit(pos as usize, g as u32, r);
+        emit(pos as usize, g, r);
     }
 }
 

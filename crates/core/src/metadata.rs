@@ -6,10 +6,9 @@
 //! restrict the candidate set *before* similarity search. LES3's
 //! filter-and-verify pipeline absorbs such predicates without a new
 //! verification code path: a predicate evaluates to a bitmap of matching
-//! set ids, the groups containing at least one match become the
-//! candidate groups of a *restricted* phase A
-//! ([`crate::Tgm::group_overlaps_restricted_into`], which runs the
-//! masked counting kernels), and the per-set mask rides into the
+//! set ids, the groups containing at least one match are the only ones
+//! phase A's one counting pass ([`crate::Tgm::group_overlaps_into`])
+//! puts in the bound stream, and the per-set mask rides into the
 //! existing verification loops where non-matching members are skipped
 //! before any similarity arithmetic. Everything downstream — bucketed
 //! ordering, length windows, early abandoning, the range descent,
@@ -443,8 +442,8 @@ impl Cursor<'_> {
 
 /// The precomputed inputs of one filtered query: the per-set match mask
 /// (skips non-matching members inside verification windows) and the
-/// distinct groups containing at least one matching set (the restricted
-/// phase-A candidate list, global ids ascending).
+/// distinct groups containing at least one matching set (the groups
+/// phase A puts in the bound stream, global ids ascending).
 #[derive(Debug, Clone, Default)]
 pub struct FilterCandidates {
     /// Matching set ids as a dense mask (capacity = number of sets).

@@ -1,17 +1,14 @@
 //! Reusable per-query working memory.
 //!
-//! Every buffer the query hot path needs — overlap counters, the
-//! candidate-group mask, the bucket histogram, the bound stream, the kNN
-//! query's token bitset — lives
-//! in one [`QueryScratch`] that callers (and the batch kNN and the
-//! serving front, one per thread) reuse across queries, so
-//! steady-state query execution performs no heap allocation. There is one engine and therefore one
+//! Every buffer the query hot path needs — overlap counters, the bucket
+//! histogram, the bound stream, the kNN query's token bitset — lives in
+//! one [`QueryScratch`] that callers (and the batch kNN and the serving
+//! front, one per thread) reuse across queries, so steady-state query
+//! execution performs no heap allocation. There is one engine and therefore one
 //! scratch type ([`ShardedScratch`] is an alias of it), and a scratch is
 //! not tied to an index: every query sizes the buffers it uses, so one
 //! scratch may alternate between indexes of any shape — a front worker's
 //! serves the default route and every namespace.
-
-use les3_bitmap::DenseBitSet;
 
 use crate::approx::PrefilterScratch;
 use crate::shard::GroupBound;
@@ -20,15 +17,8 @@ use crate::sim::QueryBits;
 /// Working memory of one TGM's filter pass.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FilterScratch {
-    /// Dense per-group overlap counts (full filter pass).
+    /// Dense per-group overlap counts.
     pub(crate) counts: Vec<u32>,
-    /// Dense counts for candidate-restricted passes. Invariant: all-zero
-    /// between uses (restored by the restricted kernel).
-    pub(crate) restricted: Vec<u32>,
-    /// Candidate-group mask for restricted passes.
-    pub(crate) mask: DenseBitSet,
-    /// Counts parallel to a candidate list (restricted pass output).
-    pub(crate) restricted_out: Vec<u32>,
     /// Bucket histogram / offsets for the `O(G + |Q|)` descending
     /// selection (indexed by overlap count `r ∈ 0..=|Q|`).
     pub(crate) offsets: Vec<u32>,
@@ -66,9 +56,8 @@ impl QueryScratch {
         Self::default()
     }
 
-    /// Restores every buffer invariant, discarding any state a panicked
-    /// query may have left mid-update (e.g. the restricted-count
-    /// buffer's all-zero contract). The serving front's panic-isolation
+    /// Drops every buffer, discarding whatever state a panicked query
+    /// may have left mid-update. The serving front's panic-isolation
     /// path calls this before its worker touches the next request.
     pub fn reset(&mut self) {
         *self = Self::default();

@@ -161,60 +161,42 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.verify.window(self.sim, g, q_len, r, threshold).0
     }
 
-    /// The filter pass: word-parallel overlap counts over the TGM, then
-    /// the `O(G + |Q|)` bucketed descending selection, written into
-    /// `stream` in `(r descending, group id ascending)` order. Returns
-    /// the TGM bits visited.
+    /// The filter pass: word-parallel overlap counts over the TGM for
+    /// every group, then the `O(G + |Q|)` bucketed descending selection
+    /// over every group — or, for a filtered query, over the mask's
+    /// candidate `groups` (ascending) only — written into `stream` in `(r
+    /// descending, group id ascending)` order. Returns the TGM bits
+    /// visited, `Σ_{t∈Q} |groups(t)|`, mask or not.
     pub(crate) fn filter(
         &self,
         query: &[TokenId],
         q_len: usize,
+        groups: Option<&[u32]>,
         kernel: &mut FilterScratch,
         stream: &mut Vec<GroupBound>,
     ) -> u64 {
         let cols = self.tgm.group_overlaps_into(query, &mut kernel.counts);
+        let counts = &kernel.counts;
         stream.clear();
-        stream.resize(self.tgm.n_groups(), GroupBound::default());
-        bucketed_descending(
-            &kernel.counts,
-            q_len,
-            &mut kernel.offsets,
-            |pos, group, r| {
-                stream[pos] = GroupBound { group, r };
-            },
+        stream.resize(
+            groups.map_or(counts.len(), <[u32]>::len),
+            GroupBound::default(),
         );
-        cols
-    }
-
-    /// [`ShardedLes3Index::filter`] restricted to a filtered query's
-    /// candidate `groups` (ascending, so the emitted order is again `(r
-    /// descending, group id ascending)`).
-    fn filter_restricted(
-        &self,
-        query: &[TokenId],
-        q_len: usize,
-        groups: &[u32],
-        kernel: &mut FilterScratch,
-        stream: &mut Vec<GroupBound>,
-    ) -> u64 {
-        let cols = self.tgm.group_overlaps_restricted_into(
-            query,
-            groups,
-            &mut kernel.mask,
-            &mut kernel.restricted,
-            &mut kernel.restricted_out,
-        );
-        stream.clear();
-        stream.resize(groups.len(), GroupBound::default());
-        bucketed_descending(
-            &kernel.restricted_out,
-            q_len,
-            &mut kernel.offsets,
-            |pos, i, r| {
-                let group = groups[i as usize];
-                stream[pos] = GroupBound { group, r };
-            },
-        );
+        let emit = |pos: usize, group, r| stream[pos] = GroupBound { group, r };
+        match groups {
+            None => bucketed_descending(
+                (0u32..).zip(counts.iter().copied()),
+                q_len,
+                &mut kernel.offsets,
+                emit,
+            ),
+            Some(groups) => bucketed_descending(
+                groups.iter().map(|&g| (g, counts[g as usize])),
+                q_len,
+                &mut kernel.offsets,
+                emit,
+            ),
+        }
         cols
     }
 
@@ -271,15 +253,16 @@ impl<S: Similarity> ShardedLes3Index<S> {
         let beaten =
             |b: &GroupBound| self.sim.ub_from_overlap(verify.q_len(), b.r as usize) < delta;
         let stop = stream.iter().position(beaten).unwrap_or(stream.len());
-        let (survivors, pruned) = stream.split_at(stop);
-        for b in survivors {
+        // Counted before the loop: an interrupted range has pruned them
+        // all the same, and its partial stats and recall estimate say so.
+        stats.groups_pruned += stream.len() - stop;
+        for b in &stream[..stop] {
             if let Some(reason) = ctl.interrupted() {
                 return Err(reason);
             }
             stats.groups_verified += 1;
             verify.range_window(&self.verify, b.group, delta, hits, stats);
         }
-        stats.groups_pruned += pruned.len();
         Ok(())
     }
 
@@ -296,12 +279,13 @@ impl<S: Similarity> ShardedLes3Index<S> {
     /// wins and the scan is skipped. [`ApproxPolicy::Anytime`] commits the
     /// partial answer when the deadline passes; every other policy fails.
     ///
-    /// Guards, then phase A (the full filter pass, or the restricted
-    /// kernels over the mask's groups), one `ctl` poll — filtering is
-    /// cheap, verification is where the CPU goes, so an expired or
-    /// cancelled query must not start it — then phase B over the bound
-    /// stream on the calling thread: the best-first `knn_descend`, or
-    /// `range_descend` over its surviving prefix.
+    /// Guards, then phase A (one counting pass over the query's TGM
+    /// columns; a mask only picks which groups enter the stream), one
+    /// `ctl` poll — filtering is cheap, verification is where the CPU
+    /// goes, so an expired or cancelled query must not start it — then
+    /// phase B over the bound stream on the calling thread: the
+    /// best-first `knn_descend`, or `range_descend` over its surviving
+    /// prefix.
     pub fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
         if let (ApproxPolicy::Prefilter { bands, rows }, None) = (q.approx, q.mask) {
             return approx::run_prefiltered(
@@ -336,11 +320,8 @@ impl<S: Similarity> ShardedLes3Index<S> {
         };
         let q_len = query.distinct_len();
         let n_considered = q.n_considered(self.partitioning.n_groups());
-        let cols = match q.mask {
-            None => self.filter(tokens, q_len, filter, stream),
-            Some(cand) => self.filter_restricted(tokens, q_len, &cand.groups, filter, stream),
-        };
-        stats.columns_checked += cols as usize;
+        let groups = q.mask.map(|cand| &*cand.groups);
+        stats.columns_checked += self.filter(tokens, q_len, groups, filter, stream) as usize;
         // Phase boundary: verification must not start for an expired or
         // cancelled query.
         if let stopped @ Some(_) = q.ctl.interrupted() {

@@ -23,9 +23,9 @@ pub struct SearchStats {
     /// same way.
     pub sims_computed: usize,
     /// TGM work performed by the filter step: the number of set bits the
-    /// counting kernels actually visited — `Σ_{t∈Q} |groups(t)|` for a
-    /// full pass, `Σ_{t∈Q} |groups(t) ∩ C|` for a candidate-restricted
-    /// pass. (Earlier revisions charged the dense-matrix cost
+    /// counting kernel actually visited — `Σ_{t∈Q} |groups(t)|`, for a
+    /// filtered query too (its mask picks groups after the one counting
+    /// pass, not columns before it). (Earlier revisions charged the dense-matrix cost
     /// `|Q|·n_groups` regardless of how sparse the columns were; this is
     /// the honest figure benches should plot.)
     pub columns_checked: usize,

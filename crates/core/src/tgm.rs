@@ -112,72 +112,6 @@ impl Tgm {
         counts
     }
 
-    /// Overlap counts restricted to `groups` (the filtered phase A, where
-    /// only groups holding a set the mask admits are examined).
-    /// Each query-token column is intersected against a dense bitset of
-    /// the candidate groups — `O(Σ_t words(groups(t)))` instead of the
-    /// former `O(|Q|·|groups|)` per-group `contains` probing.
-    ///
-    /// `mask` and `dense` are caller-provided scratch: `dense` must either
-    /// be empty or all-zero with `len ≥ n_groups` (the invariant this
-    /// method re-establishes before returning). `out` is overwritten with
-    /// counts parallel to `groups`. Returns the number of TGM bits
-    /// visited (`Σ_{t∈Q} |groups(t) ∩ C|`).
-    pub fn group_overlaps_restricted_into(
-        &self,
-        query: &[TokenId],
-        groups: &[u32],
-        mask: &mut les3_bitmap::DenseBitSet,
-        dense: &mut Vec<u32>,
-        out: &mut Vec<u32>,
-    ) -> u64 {
-        mask.reset(self.n_groups);
-        for &g in groups {
-            debug_assert!((g as usize) < self.n_groups);
-            mask.insert(g);
-        }
-        // Sorted touched words let the kernel jump straight to the
-        // mask-covered chunks of each column instead of word-scanning it —
-        // the chunk-skipping fast path for very sparse candidate sets.
-        mask.sort_touched();
-        if dense.len() < self.n_groups {
-            dense.resize(self.n_groups, 0);
-        }
-        debug_assert!(dense.iter().all(|&c| c == 0), "scratch must be zeroed");
-        let mut touched = 0u64;
-        let mut prev: Option<TokenId> = None;
-        for &t in query {
-            if prev == Some(t) {
-                continue;
-            }
-            prev = Some(t);
-            if let Some(bm) = self.token_groups.get(t as usize) {
-                touched += bm.count_into_masked_adaptive(mask, dense);
-            }
-        }
-        out.clear();
-        out.reserve(groups.len());
-        // Gather before zeroing so duplicate group ids (allowed, if
-        // unusual) each receive the true count.
-        for &g in groups {
-            out.push(dense[g as usize]);
-        }
-        for &g in groups {
-            dense[g as usize] = 0; // restore the all-zero invariant
-        }
-        touched
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`Tgm::group_overlaps_restricted_into`].
-    pub fn group_overlaps_restricted(&self, query: &[TokenId], groups: &[u32]) -> Vec<u32> {
-        let mut mask = les3_bitmap::DenseBitSet::new();
-        let mut dense = Vec::new();
-        let mut out = Vec::new();
-        self.group_overlaps_restricted_into(query, groups, &mut mask, &mut dense, &mut out);
-        out
-    }
-
     /// Recompresses every column to its smallest representation.
     pub fn run_optimize(&mut self) {
         for bm in &mut self.token_groups {
@@ -252,18 +186,6 @@ mod tests {
         // Query {C, C, D, 99}: C and D hit; 99 ∉ T contributes zero.
         let counts = tgm.group_overlaps(&[2, 2, 3, 99]);
         assert_eq!(counts, vec![1, 2]);
-    }
-
-    #[test]
-    fn restricted_matches_full() {
-        let (db, part) = figure1();
-        let tgm = Tgm::build(&db, &part);
-        let full = tgm.group_overlaps(&[1, 2, 3]);
-        let restricted = tgm.group_overlaps_restricted(&[1, 2, 3], &[1, 0]);
-        assert_eq!(restricted, vec![full[1], full[0]]);
-        // Duplicate candidate ids each get the true count.
-        let dup = tgm.group_overlaps_restricted(&[1, 2, 3], &[0, 1, 0]);
-        assert_eq!(dup, vec![full[0], full[1], full[0]]);
     }
 
     #[test]

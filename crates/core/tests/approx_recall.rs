@@ -411,8 +411,8 @@ fn anytime_without_deadline_is_exact_and_cancellation_interrupts() {
 
 /// Mask × anytime, first half: a masked query whose deadline has
 /// already passed stops at the phase boundary and commits the empty
-/// answer with recall 0 — the restricted phase A it did run is in the
-/// stats, identically on both engines.
+/// answer with recall 0 — the phase A it did run is in the stats,
+/// identically on both engines.
 #[test]
 fn masked_anytime_commits_empty_on_a_past_deadline() {
     let db = SetDatabase::from_sets((0..200).map(|i| vec![i as u32, i as u32 + 1, 7]));

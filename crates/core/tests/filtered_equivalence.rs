@@ -21,9 +21,10 @@
 //!
 //! This is the contract that lets the metadata layer sit *in front of*
 //! the verification hot path instead of inside it: the predicate
-//! resolves to a candidate mask once, phase A restricts to the
-//! candidate groups, and verification skips non-matching members before
-//! any accounting — no second result path exists to diverge.
+//! resolves to a candidate mask once, phase A counts the TGM in the one
+//! pass every query runs and puts only the candidate groups in the bound
+//! stream, and verification skips non-matching members before any
+//! accounting — no second result path exists to diverge.
 //!
 //! The matching-set model here is an independent reimplementation of
 //! predicate semantics (a recursive matcher over the raw attribute
@@ -295,6 +296,33 @@ fn check_filtered_configs<S: Similarity>(
     // sets, so the counter is bounded by the mask's population.
     assert!(baseline_knn.stats.candidates <= cand.n_matching());
     assert!(baseline_range.stats.candidates <= cand.n_matching());
+    // Phase A is one counting pass, mask or not: a query that reaches it
+    // visits the TGM bits its unfiltered twin does, and once complete it
+    // has verified or pruned every one of the mask's groups.
+    let reaches_phase_a = cand.n_groups() > 0;
+    for (got, unfiltered, reached) in [
+        (
+            &baseline_knn,
+            Query::knn(query, k),
+            reaches_phase_a && k > 0 && !db.is_empty(),
+        ),
+        (&baseline_range, Query::range(query, delta), reaches_phase_a),
+    ] {
+        if !reached {
+            continue;
+        }
+        let what = format!("{} {:?}", sim.name(), unfiltered.kind);
+        let unfiltered = run(&flat, unfiltered);
+        assert_eq!(
+            got.stats.columns_checked, unfiltered.stats.columns_checked,
+            "{what}: a filtered phase A visits the unfiltered bits"
+        );
+        assert_eq!(
+            got.stats.groups_verified + got.stats.groups_pruned,
+            cand.n_groups(),
+            "{what}: every candidate group is verified or pruned"
+        );
+    }
 
     let check = |got: &SearchResult, want: &SearchResult, what: &str| {
         assert_eq!(got.hits, want.hits, "{} {what} hits", sim.name());
@@ -552,8 +580,8 @@ fn auto_worker_entry_points_match_explicit() {
 /// be sized for, or left describing, the index it served last. One
 /// scratch alternates between a 256-group index with a sidecar
 /// and tombstones, a flat 3-group namespace and an empty index over a
-/// larger universe, under plain, attribute-filtered (broad and narrow:
-/// both masked kernels) and prefiltered kNN and range queries; every
+/// larger universe, under plain, attribute-filtered (broad and narrow
+/// masks) and prefiltered kNN and range queries; every
 /// answer, `SearchStats` and verdict included, is the fresh-scratch one.
 #[test]
 fn one_scratch_alternates_between_indexes_of_every_shape() {

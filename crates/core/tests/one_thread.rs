@@ -7,7 +7,8 @@
 //! same wrapper pins that every candidate a kNN verifies passes through
 //! the one kNN hook. A flag tripped mid-verification stops a range and a
 //! kNN at the next group boundary, and a range whose deadline passes
-//! mid-descent commits the groups best-first verified up to it.
+//! mid-descent commits the groups best-first verified up to it and
+//! counts the groups it pruned.
 //!
 //! Compiled out under the `model` feature: these are real-thread tests,
 //! and loom-instrumented primitives only work inside a `loom::model` run
@@ -138,6 +139,13 @@ fn cancellation_stops_a_range_and_a_knn_at_the_next_group_boundary() {
 /// the next group-boundary poll stops the descent. 64 singleton groups,
 /// δ = 0 (every group survives); the only exact match sits in group 40,
 /// the first group of the bound order.
+///
+/// The groups a range prunes are decided before its descent starts, so
+/// an interrupted range has pruned them too: its partial stats count
+/// them and its recall estimate covers them. Second fixture: the even
+/// sets also carry token 64, the query is `{40, 64}` and δ = 0.3, so the
+/// 32 odd groups (bound 0) are pruned and the 32 even ones (bound ≥ ½)
+/// survive, more than the `STALL_AT` the deadline lets through.
 #[test]
 fn a_deadline_committed_range_verifies_best_first() {
     static EVALS: AtomicUsize = AtomicUsize::new(0);
@@ -168,9 +176,16 @@ fn a_deadline_committed_range_verifies_best_first() {
         }
     }
 
-    /// The interrupted range on `index`. A host pause that uses up the
-    /// budget before the stall is reached is retried with a longer one.
-    fn stalled_range(index: &Les3Index<StallingSim>) -> (SearchResult, ApproxInfo) {
+    /// The interrupted range `(tokens, delta)` on `db`, one group per
+    /// set. A host pause that uses up the budget before the stall is
+    /// reached is retried with a longer one.
+    fn stalled_range(
+        db: SetDatabase,
+        tokens: &[TokenId],
+        delta: f64,
+    ) -> (SearchResult, ApproxInfo) {
+        let part = Partitioning::from_assignment((0..G as u32).collect(), G);
+        let index = Les3Index::build(db, part, StallingSim);
         for budget_ms in [250, 2_500, 25_000] {
             let deadline = Instant::now() + Duration::from_millis(budget_ms);
             EVALS.store(0, Ordering::SeqCst);
@@ -178,7 +193,7 @@ fn a_deadline_committed_range_verifies_best_first() {
             let q = Query {
                 ctl: QueryCtl::with_deadline(deadline),
                 approx: ApproxPolicy::Anytime,
-                ..Query::range(&[40], 0.0)
+                ..Query::range(tokens, delta)
             };
             let out = index
                 .search(&q, &mut QueryScratch::new())
@@ -190,13 +205,23 @@ fn a_deadline_committed_range_verifies_best_first() {
         panic!("the deadline never outlasted the first {STALL_AT} evaluations");
     }
 
-    let (db, part) = singleton_fixture(G);
-    let index = Les3Index::build(db, part, StallingSim);
-    let got = stalled_range(&index);
+    let got = stalled_range(singleton_fixture(G).0, &[40], 0.0);
     assert_eq!(got.0.hits[0], (40, 1.0), "best-first: the exact match");
     assert_eq!(got.0.stats.groups_verified, STALL_AT);
     assert!(got.1.approx);
     assert_eq!(got.1.recall_est, STALL_AT as f64 / G as f64);
+
+    let g = G as u32;
+    let sets = (0..g).map(|i| if i % 2 == 0 { vec![i, g] } else { vec![i] });
+    let (result, info) = stalled_range(SetDatabase::from_sets(sets), &[40, g], 0.3);
+    assert_eq!(result.hits[0], (40, 1.0), "best-first: the exact match");
+    let stats = result.stats;
+    assert_eq!(
+        (stats.groups_verified, stats.groups_pruned),
+        (STALL_AT, G / 2)
+    );
+    assert!(info.approx);
+    assert_eq!(info.recall_est, (STALL_AT + G / 2) as f64 / G as f64);
 }
 
 /// No call spawns a thread for a query. A `Similarity` wrapper records
