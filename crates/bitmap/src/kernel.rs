@@ -279,12 +279,17 @@ mod tests {
         for v in 0..256 {
             assert_eq!(by_word.contains(v), by_value.contains(v), "value {v}");
         }
-        // OR-ing into a live word keeps its bits.
+        // An empty word is not "touched".
+        assert_eq!(by_word.touched, [0, 2, 3]);
+        assert_eq!(by_word.touched, by_value.touched);
+        // OR-ing into a live word keeps its bits and does not touch it twice.
         by_word.insert_word(2, 1);
         assert_eq!(by_word.word(2), 0xff01);
+        assert_eq!(by_word.touched, [0, 2, 3]);
         // `reset` clears word-filled sets like any other.
         by_word.reset(256);
         assert!((0..4).all(|w| by_word.word(w) == 0));
+        assert!(by_word.touched.is_empty());
     }
 
     #[test]
