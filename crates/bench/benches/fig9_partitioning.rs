@@ -53,7 +53,9 @@ fn main() {
         "method", "part. time", "memory", "kNN µs/query"
     );
 
-    // L2P: memory = model parameters + one mini-batch (paper §7.4).
+    // L2P: memory = what one model's training holds (paper §7.4):
+    // parameters, Adam's moments, the gradient, the trainer's kernel
+    // buffers and its row → slot table.
     let reps = ptr_reps(&db);
     let cfg = L2pConfig {
         target_groups: n_groups,

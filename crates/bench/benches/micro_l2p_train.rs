@@ -8,12 +8,14 @@
 //! row prints pair-steps per second and forwards per pair-step: a trainer
 //! that forwards both ends of every pair does 2.0; forwarding each distinct
 //! member once per mini-batch does `distinct members of the batch / batch
-//! size`, which falls as the group shrinks.
+//! size`, which falls as the group shrinks. It then prints what the two
+//! kernels cost at that shape, timed alone: nanoseconds per forwarded row
+//! (every member into its own slot) and per backward call (one per slot).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use les3_core::{Jaccard, Similarity};
 use les3_data::realistic::DatasetSpec;
-use les3_nn::{Activation, Mlp, PairBatch, SiameseConfig, SiameseTrainer};
+use les3_nn::{Activation, BatchKernel, Mlp, PairBatch, SiameseConfig, SiameseTrainer};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -42,6 +44,37 @@ fn distinct_rows_per_run(cfg: &SiameseConfig, pairs: &[(u32, u32, f64)], n_rows:
         }
     }
     distinct
+}
+
+/// Best-of-rounds nanoseconds per forwarded row and per backward call,
+/// through the entry points the trainer uses: the rows of `reps` (all but
+/// an odd last one) forwarded two at a time into their own slots, then
+/// backward calls two at a time, one per slot.
+fn kernel_ns(mlp: &Mlp, reps: &[f64], dim: usize) -> (f64, f64) {
+    let rows = reps.len() / dim / 2 * 2;
+    let reps = &reps[..rows * dim];
+    let mut kernel = BatchKernel::new(mlp, rows);
+    let mut grads = mlp.new_gradients();
+    let (mut forward, mut backward) = (f64::INFINITY, f64::INFINITY);
+    let per_row = |start: Instant| start.elapsed().as_nanos() as f64 / rows as f64;
+    let until = Instant::now() + Duration::from_millis(300);
+    while Instant::now() < until {
+        let start = Instant::now();
+        for (slot, two) in (0..).step_by(2).zip(reps.chunks_exact(2 * dim)) {
+            let (a, b) = two.split_at(dim);
+            kernel.forward(mlp, [a, b], [slot, slot + 1]);
+        }
+        forward = forward.min(per_row(start));
+        let start = Instant::now();
+        for (slot, two) in (0..).step_by(2).zip(reps.chunks_exact(2 * dim)) {
+            let (a, b) = two.split_at(dim);
+            let dys: [&[f64]; 2] = [&[0.25], &[-0.25]];
+            kernel.backward(mlp, [a, b], [slot, slot + 1], dys, &mut grads);
+        }
+        backward = backward.min(per_row(start));
+    }
+    black_box(grads);
+    (forward, backward)
 }
 
 fn bench_train(c: &mut Criterion) {
@@ -87,8 +120,10 @@ fn bench_train(c: &mut Criterion) {
                 },
             );
             let steps = pairs.len() * cfg.epochs;
+            let (forward_ns, backward_ns) = kernel_ns(&mlp, reps.as_slice(), reps.dim());
             println!(
-                "    {:.2} M pair-steps/s, {:.3} forwards per pair-step",
+                "    {:.2} M pair-steps/s, {:.3} forwards per pair-step, \
+                 {forward_ns:.0} ns per forwarded row, {backward_ns:.0} ns per backward call",
                 steps as f64 * runs as f64 / busy.as_secs_f64() / 1e6,
                 distinct_rows_per_run(&cfg, &pairs, members) as f64 / steps as f64,
             );

@@ -5,8 +5,9 @@ use crate::mlp::{Mlp, MlpGradients};
 /// Adam optimizer state for an [`Mlp`].
 ///
 /// Maintains first/second moment estimates per parameter and applies
-/// bias-corrected updates. Defaults match the PyTorch defaults the paper
-/// implicitly uses: `lr = 1e-3`, `β₁ = 0.9`, `β₂ = 0.999`, `ε = 1e-8`.
+/// bias-corrected updates. The learning rate is [`Adam::new`]'s argument
+/// (L2P passes `SiameseConfig::lr`, 0.01); the rest are PyTorch's
+/// defaults: `β₁ = 0.9`, `β₂ = 0.999`, `ε = 1e-8`.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate.

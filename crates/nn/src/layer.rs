@@ -36,6 +36,16 @@ impl Dense {
         }
     }
 
+    /// Number of trainable parameters.
+    pub fn param_count(&self) -> usize {
+        self.w.len() + self.b.len()
+    }
+}
+
+/// The per-sample passes: the oracle [`crate::kernel::BatchKernel`] is
+/// held to, bit for bit.
+#[cfg(test)]
+impl Dense {
     /// Forward pass: writes the activated outputs into `out`.
     ///
     /// # Panics
@@ -96,11 +106,6 @@ impl Dense {
                 }
             }
         }
-    }
-
-    /// Number of trainable parameters.
-    pub fn param_count(&self) -> usize {
-        self.w.len() + self.b.len()
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::activation::Activation;
 use crate::init::seeded_rng;
+use crate::kernel::BatchKernel;
 use crate::layer::Dense;
 
 /// A feed-forward network of [`Dense`] layers.
@@ -15,11 +16,6 @@ pub struct Mlp {
 pub struct MlpGradients {
     /// `(grad_w, grad_b)` per layer.
     pub layers: Vec<(Vec<f64>, Vec<f64>)>,
-    /// Scratch of [`Mlp::backward`]: the loss gradient w.r.t. the current
-    /// layer's output and input. Both hold the widest layer from
-    /// construction, so a backward pass allocates nothing.
-    upstream: Vec<f64>,
-    downstream: Vec<f64>,
 }
 
 impl MlpGradients {
@@ -42,13 +38,6 @@ impl MlpGradients {
             }
         }
     }
-}
-
-/// Forward-pass activations retained for the backward pass.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    /// `outputs[l]` is the activated output of layer `l`.
-    outputs: Vec<Vec<f64>>,
 }
 
 impl Mlp {
@@ -101,44 +90,40 @@ impl Mlp {
         self.layers.iter().map(Dense::param_count).sum()
     }
 
-    /// Estimated heap bytes held by parameters (used for the partitioning
-    /// space-cost comparison in Figure 9).
-    pub fn size_in_bytes(&self) -> usize {
-        self.param_count() * std::mem::size_of::<f64>()
-    }
-
     /// Allocates a gradient buffer shaped like this network.
     pub fn new_gradients(&self) -> MlpGradients {
-        let widest = self.layers.iter().map(|l| l.out_dim).max().unwrap_or(0);
         MlpGradients {
             layers: self
                 .layers
                 .iter()
                 .map(|l| (vec![0.0; l.w.len()], vec![0.0; l.b.len()]))
                 .collect(),
-            upstream: Vec::with_capacity(widest),
-            downstream: Vec::with_capacity(widest),
         }
     }
 
-    /// Convenience forward pass allocating its own buffers.
+    /// Convenience forward pass of one input, allocating its own buffers.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut trace = Trace::default();
-        self.forward_traced(x, &mut trace);
-        trace.outputs.last().cloned().unwrap_or_default()
+        let mut kernel = BatchKernel::new(self, 1);
+        kernel.forward(self, [x], [0]);
+        kernel.output(0).to_vec()
     }
+}
 
-    /// Forward pass for a single-output network, returning the scalar.
-    pub fn forward_scalar(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(self.out_dim(), 1);
-        self.forward(x)[0]
-    }
+/// Activations of one per-sample forward pass, kept for its backward pass.
+#[cfg(test)]
+#[derive(Debug, Clone, Default)]
+pub struct Trace {
+    /// `outputs[l]` is the activated output of layer `l`.
+    outputs: Vec<Vec<f64>>,
+}
 
+/// The per-sample passes the trainer used before [`BatchKernel`]: the
+/// oracle its tests hold the kernel to, bit for bit.
+#[cfg(test)]
+impl Mlp {
     /// Forward pass retaining per-layer outputs in `trace` for
     /// [`Self::backward`]. Reuses `trace`'s buffers across calls.
     pub fn forward_traced(&self, x: &[f64], trace: &mut Trace) {
-        #[cfg(test)]
-        FORWARDS.with(|n| n.set(n.get() + 1));
         trace.outputs.resize(self.layers.len(), Vec::new());
         for (l, layer) in self.layers.iter().enumerate() {
             // Split borrow: earlier outputs are read-only inputs here.
@@ -163,34 +148,22 @@ impl Mlp {
     /// * `grads` — accumulated (+=) parameter gradients.
     pub fn backward(&self, x: &[f64], trace: &Trace, dy: &[f64], grads: &mut MlpGradients) {
         assert_eq!(grads.layers.len(), self.layers.len());
-        let MlpGradients {
-            layers: grad_layers,
-            upstream,
-            downstream,
-        } = grads;
-        upstream.clear();
-        upstream.extend_from_slice(dy);
+        let mut upstream = dy.to_vec();
+        let mut downstream = Vec::new();
         for l in (0..self.layers.len()).rev() {
             let layer = &self.layers[l];
             let input: &[f64] = if l == 0 { x } else { &trace.outputs[l - 1] };
             let output = &trace.outputs[l];
-            let (gw, gb) = &mut grad_layers[l];
+            let (gw, gb) = &mut grads.layers[l];
             if l == 0 {
-                layer.backward(input, output, upstream, gw, gb, None);
+                layer.backward(input, output, &upstream, gw, gb, None);
             } else {
                 downstream.resize(layer.in_dim, 0.0);
-                layer.backward(input, output, upstream, gw, gb, Some(downstream));
-                std::mem::swap(upstream, downstream);
+                layer.backward(input, output, &upstream, gw, gb, Some(&mut downstream));
+                std::mem::swap(&mut upstream, &mut downstream);
             }
         }
     }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Forward passes run on this thread (tests count them; the product
-    /// has no such field).
-    pub(crate) static FORWARDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -214,12 +187,13 @@ mod tests {
 
     #[test]
     fn backward_matches_finite_difference_all_layers() {
-        let mlp = Mlp::new(&[4, 8, 8, 1], Activation::Sigmoid, 11);
+        // Nine hidden outputs: a forward block and a one-output tail.
+        let mlp = Mlp::new(&[4, 9, 8, 1], Activation::Sigmoid, 11);
         let x = [0.25, -0.5, 0.75, 1.0];
-        let mut trace = Trace::default();
-        mlp.forward_traced(&x, &mut trace);
+        let mut kernel = BatchKernel::new(&mlp, 1);
+        kernel.forward(&mlp, [&x], [0]);
         let mut grads = mlp.new_gradients();
-        mlp.backward(&x, &trace, &[1.0], &mut grads);
+        kernel.backward(&mlp, [&x], [0], [&[1.0]], &mut grads);
 
         for l in 0..mlp.layers().len() {
             for k in 0..mlp.layers()[l].w.len() {
@@ -243,27 +217,33 @@ mod tests {
 
     #[test]
     fn backward_scratch_carries_nothing_between_calls() {
-        // Two samples into one buffer must equal the two samples' own
-        // gradients added once: the reused upstream / downstream scratch
-        // is fully rewritten by every call.
+        // Two calls into one buffer, one at a time or as one two-call
+        // sweep, must equal the two calls' own gradients added in call
+        // order: the kernel's scratch is fully rewritten by every call.
         let mlp = Mlp::new(&[3, 5, 2, 1], Activation::Tanh, 4);
-        let samples = [([0.5, -1.0, 2.0], 0.7), ([-0.25, 0.0, 1.5], -1.3)];
+        let xs: [&[f64]; 2] = [&[0.5, -1.0, 2.0], &[-0.25, 0.0, 1.5]];
+        let dys: [&[f64]; 2] = [&[0.7], &[-1.3]];
+        let mut kernel = BatchKernel::new(&mlp, 2);
+        kernel.forward(&mlp, xs, [0, 1]);
         let mut shared = mlp.new_gradients();
         let mut separate = Vec::new();
-        let mut trace = Trace::default();
-        for (x, dy) in &samples {
-            mlp.forward_traced(x, &mut trace);
-            mlp.backward(x, &trace, &[*dy], &mut shared);
+        for slot in 0..2 {
+            let call = ([xs[slot]], [slot], [dys[slot]]);
+            kernel.backward(&mlp, call.0, call.1, call.2, &mut shared);
             let mut own = mlp.new_gradients();
-            mlp.backward(x, &trace, &[*dy], &mut own);
+            kernel.backward(&mlp, call.0, call.1, call.2, &mut own);
             separate.push(own);
         }
+        let mut swept = mlp.new_gradients();
+        kernel.backward(&mlp, xs, [0, 1], dys, &mut swept);
         let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let sum = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(a, b)| a + b).collect::<Vec<_>>();
-        for (l, (gw, gb)) in shared.layers.iter().enumerate() {
-            let (first, second) = (&separate[0].layers[l], &separate[1].layers[l]);
-            assert_eq!(bits(gw), bits(&sum(&first.0, &second.0)), "layer {l} w");
-            assert_eq!(bits(gb), bits(&sum(&first.1, &second.1)), "layer {l} b");
+        for grads in [&shared, &swept] {
+            for (l, (gw, gb)) in grads.layers.iter().enumerate() {
+                let (first, second) = (&separate[0].layers[l], &separate[1].layers[l]);
+                assert_eq!(bits(gw), bits(&sum(&first.0, &second.0)), "layer {l} w");
+                assert_eq!(bits(gb), bits(&sum(&first.1, &second.1)), "layer {l} b");
+            }
         }
     }
 

@@ -23,16 +23,18 @@
 //! batch's mean gradient), so inside a batch a row's activations are a
 //! function of the row alone. L2P samples 256 pairs from a group of a few
 //! hundred members, so most rows of a batch are touched several times;
-//! [`SiameseTrainer::train`] forwards a row the first time a pair touches
-//! it and every later pair, and both backward passes, read that trace.
-//! Nothing else changes: pairs are visited in the same shuffled order, the
-//! loss is summed in that order, and each pair's two backward passes add
-//! into the gradient buffer in that order — so the weights, the learning
-//! curve and everything downstream are bit for bit those of the loop that
-//! ran two forwards per pair (kept as the test oracle in this module).
+//! [`SiameseTrainer::train`] gives each distinct row of the batch a slot,
+//! forwards every slot once through the [`BatchKernel`], and every pair
+//! that names the row, and its backward passes, read that slot. Nothing
+//! else changes: pairs are visited in the same shuffled order, the loss is
+//! summed in that order, and each pair's two backward passes add into the
+//! gradient buffer in that order — so the weights, the learning curve and
+//! everything downstream are bit for bit those of the loop that ran two
+//! per-sample forwards per pair (kept as the test oracle in this module).
 
 use crate::adam::Adam;
-use crate::mlp::{Mlp, Trace};
+use crate::kernel::BatchKernel;
+use crate::mlp::Mlp;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -161,9 +163,11 @@ impl SiameseTrainer {
             batch.dim,
             "representation dim must match network input"
         );
+        let n_rows = batch.reps.len() / batch.dim;
         let mut adam = Adam::new(mlp, self.cfg.lr);
         let mut grads = mlp.new_gradients();
-        let mut memo = ForwardMemo::new(batch.reps.len() / batch.dim);
+        let mut kernel = BatchKernel::new(mlp, self.slots(n_rows));
+        let mut slots = Slots::new(n_rows);
         let mut order: Vec<usize> = (0..batch.pairs.len()).collect();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         let mut epoch_losses = Vec::with_capacity(self.cfg.epochs);
@@ -175,26 +179,38 @@ impl SiameseTrainer {
             for chunk in order.chunks(self.cfg.batch_size.max(1)) {
                 grads.zero();
                 for &p in chunk {
+                    let (a, b, _) = batch.pairs[p];
+                    slots.assign(a);
+                    slots.assign(b);
+                }
+                slots.forward(&mut kernel, mlp, &batch);
+                for &p in chunk {
                     let (a, b, d) = batch.pairs[p];
-                    let slot_a = memo.slot(mlp, &batch, a);
-                    let slot_b = memo.slot(mlp, &batch, b);
-                    let (trace_x, trace_y) = (&memo.traces[slot_a], &memo.traces[slot_b]);
-                    let ox = mlp.traced_output(trace_x)[0];
-                    let oy = mlp.traced_output(trace_y)[0];
+                    let (slot_a, slot_b) = (slots.of(a), slots.of(b));
+                    let ox = kernel.output(slot_a)[0];
+                    let oy = kernel.output(slot_b)[0];
                     let (loss, gx, gy) = self.cfg.loss.eval(ox, oy, d);
                     epoch_loss += loss;
-                    if gx != 0.0 {
-                        mlp.backward(batch.rep(a), trace_x, &[gx], &mut grads);
-                    }
-                    if gy != 0.0 {
-                        mlp.backward(batch.rep(b), trace_y, &[gy], &mut grads);
+                    let (xa, xb) = (batch.rep(a), batch.rep(b));
+                    match (gx != 0.0, gy != 0.0) {
+                        (true, true) => kernel.backward(
+                            mlp,
+                            [xa, xb],
+                            [slot_a, slot_b],
+                            [&[gx], &[gy]],
+                            &mut grads,
+                        ),
+                        (true, false) => kernel.backward(mlp, [xa], [slot_a], [&[gx]], &mut grads),
+                        (false, true) => kernel.backward(mlp, [xb], [slot_b], [&[gy]], &mut grads),
+                        (false, false) => {}
                     }
                     pairs_seen += 1;
                 }
                 grads.scale(1.0 / chunk.len() as f64);
                 adam.step(mlp, &grads);
-                // The step moved the weights: every trace is stale.
-                memo.clear();
+                // The step moved the weights: every slot is stale.
+                kernel.load(mlp);
+                slots.clear();
             }
             epoch_losses.push(epoch_loss / batch.pairs.len().max(1) as f64);
         }
@@ -203,47 +219,69 @@ impl SiameseTrainer {
             pairs_seen,
         }
     }
+
+    /// Rows one mini-batch can forward: two per pair, at most every row.
+    fn slots(&self, n_rows: usize) -> usize {
+        (2 * self.cfg.batch_size.max(1)).min(n_rows)
+    }
+
+    /// Heap bytes [`Self::train`] holds while it trains `mlp` over a batch
+    /// of `n_rows` rows: the parameters, Adam's two moment vectors, the
+    /// gradient buffer, the kernel (input-major weights, one activation
+    /// row per slot, backward scratch) and the row → slot table.
+    pub fn memory_bytes(&self, mlp: &Mlp, n_rows: usize) -> usize {
+        let params = mlp.param_count() * std::mem::size_of::<f64>();
+        let slots = self.slots(n_rows);
+        let kernel = BatchKernel::new(mlp, slots).heap_bytes();
+        let table = (n_rows + slots) * std::mem::size_of::<u32>();
+        4 * params + kernel + table
+    }
 }
 
-/// The rows already forwarded in the current mini-batch and where their
-/// activations are. One `u32` per row of the batch's matrix; the traces
-/// themselves are reused slots, at most two per pair of a mini-batch.
-struct ForwardMemo {
-    /// Row → its slot in `traces`, or `NO_SLOT` if no pair of this
-    /// mini-batch has touched the row yet.
+/// Which kernel slot holds each row's activations in the current
+/// mini-batch. One `u32` per row of the batch's matrix.
+struct Slots {
+    /// Row → its slot, or `NO_SLOT` if no pair of this mini-batch has
+    /// touched the row yet.
     slot_of: Vec<u32>,
     /// Rows forwarded in this mini-batch, in slot order.
     rows: Vec<u32>,
-    /// Slot → activations. Grows to the most distinct rows a batch had.
-    traces: Vec<Trace>,
 }
 
 const NO_SLOT: u32 = u32::MAX;
 
-impl ForwardMemo {
+impl Slots {
     fn new(n_rows: usize) -> Self {
         Self {
             slot_of: vec![NO_SLOT; n_rows],
             rows: Vec::new(),
-            traces: Vec::new(),
         }
     }
 
-    /// The slot holding `row`'s activations under the current weights,
-    /// running the forward pass if this is the batch's first touch.
-    fn slot(&mut self, mlp: &Mlp, batch: &PairBatch<'_>, row: u32) -> usize {
-        let known = self.slot_of[row as usize];
-        if known != NO_SLOT {
-            return known as usize;
+    /// Gives `row` the next free slot unless this mini-batch already
+    /// named it.
+    fn assign(&mut self, row: u32) {
+        if self.slot_of[row as usize] == NO_SLOT {
+            self.slot_of[row as usize] = self.rows.len() as u32;
+            self.rows.push(row);
         }
-        let slot = self.rows.len();
-        if slot == self.traces.len() {
-            self.traces.push(Trace::default());
+    }
+
+    /// The slot of a row [`Self::assign`]ed in this mini-batch.
+    fn of(&self, row: u32) -> usize {
+        self.slot_of[row as usize] as usize
+    }
+
+    /// Forwards every assigned row into its slot, two at a time.
+    fn forward(&self, kernel: &mut BatchKernel, mlp: &Mlp, batch: &PairBatch<'_>) {
+        let mut pairs = self.rows.chunks_exact(2);
+        for (slot, two) in (0..).step_by(2).zip(&mut pairs) {
+            let xs = [batch.rep(two[0]), batch.rep(two[1])];
+            kernel.forward(mlp, xs, [slot, slot + 1]);
         }
-        mlp.forward_traced(batch.rep(row), &mut self.traces[slot]);
-        self.slot_of[row as usize] = slot as u32;
-        self.rows.push(row);
-        slot
+        if let [row] = pairs.remainder() {
+            kernel.forward(mlp, [batch.rep(*row)], [self.rows.len() - 1]);
+        }
     }
 
     /// Forgets every row (the weights changed).
@@ -255,14 +293,14 @@ impl ForwardMemo {
 }
 
 /// The network's output for every row of a row-major `n × dim` matrix,
-/// through one reused trace.
+/// each forwarded through one reused kernel slot.
 pub fn outputs(mlp: &Mlp, reps: &[f64], dim: usize) -> Vec<f64> {
     debug_assert_eq!(mlp.out_dim(), 1);
-    let mut trace = Trace::default();
+    let mut kernel = BatchKernel::new(mlp, 1);
     reps.chunks_exact(dim)
         .map(|rep| {
-            mlp.forward_traced(rep, &mut trace);
-            mlp.traced_output(&trace)[0]
+            kernel.forward(mlp, [rep], [0]);
+            kernel.output(0)[0]
         })
         .collect()
 }
@@ -277,12 +315,15 @@ pub fn assign_side(output: f64) -> bool {
 mod tests {
     use super::*;
     use crate::activation::Activation;
-    use crate::mlp::FORWARDS;
+    use crate::kernel::FORWARDS;
+    use crate::mlp::Trace;
     use proptest::prelude::*;
 
     /// The trainer as it was before rows were memoised: two forwards per
-    /// pair, whatever the batch has already seen. Kept verbatim as the
-    /// oracle [`SiameseTrainer::train`] must equal bit for bit.
+    /// pair, whatever the batch has already seen, through the per-sample
+    /// passes (`Mlp::forward_traced` / `Mlp::backward`, test-only) — never
+    /// the kernel. Kept as the oracle [`SiameseTrainer::train`] must equal
+    /// bit for bit.
     fn train_per_pair(cfg: &SiameseConfig, mlp: &mut Mlp, batch: PairBatch<'_>) -> TrainReport {
         let mut adam = Adam::new(mlp, cfg.lr);
         let mut grads = mlp.new_gradients();
@@ -335,16 +376,59 @@ mod tests {
             .collect()
     }
 
+    /// Trains one copy of `mlp` with [`SiameseTrainer::train`] and one with
+    /// the per-pair oracle and asserts they end bit for bit alike.
+    fn assert_trainers_agree(cfg: &SiameseConfig, mlp: &Mlp, batch: PairBatch<'_>) {
+        let mut kernel = mlp.clone();
+        let mut per_pair = mlp.clone();
+        let got = SiameseTrainer::new(cfg.clone()).train(&mut kernel, batch);
+        let want = train_per_pair(cfg, &mut per_pair, batch);
+        assert_eq!(parameter_bits(&kernel), parameter_bits(&per_pair));
+        let bits = |r: &TrainReport| {
+            r.epoch_losses
+                .iter()
+                .map(|l| l.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got.pairs_seen, want.pairs_seen);
+    }
+
+    /// `n_rows × dim` values in `[-1.5, 1.5)` and `n_pairs` pairs over
+    /// them, dissimilarities in quarters.
+    fn random_batch(
+        dim: usize,
+        n_rows: usize,
+        n_pairs: usize,
+        seed: u64,
+    ) -> (Vec<f64>, Vec<(u32, u32, f64)>) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reps = (0..n_rows * dim)
+            .map(|_| rng.gen_range(-1.5..1.5))
+            .collect();
+        let pairs = (0..n_pairs)
+            .map(|_| {
+                let (a, b) = (rng.gen_range(0..n_rows), rng.gen_range(0..n_rows));
+                (a as u32, b as u32, rng.gen_range(0..5u32) as f64 / 4.0)
+            })
+            .collect();
+        (reps, pairs)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Few rows and many pairs: most pairs of a batch repeat a row,
         /// some repeat a whole pair, some are a row with itself or with a
-        /// duplicate (`d = 0`).
+        /// duplicate (`d = 0`). Input widths reach the product's PTR
+        /// dimensions (28 on KOSARAK, 34 on LIVEJ) and hidden widths run
+        /// past two forward blocks, so every layer takes its block path,
+        /// its scalar tail, or both.
         #[test]
         fn memoised_training_equals_the_per_pair_loop_bit_for_bit(
-            (dim, n_rows) in (1usize..6, 1usize..12),
-            hidden in prop::collection::vec(1usize..7, 0..3),
+            (dim, n_rows) in (1usize..=40, 1usize..12),
+            hidden in prop::collection::vec(1usize..=17, 0..3),
             act in prop_oneof![
                 Just(Activation::Sigmoid),
                 Just(Activation::Tanh),
@@ -352,17 +436,11 @@ mod tests {
                 Just(Activation::Identity),
             ],
             (batch_size, epochs) in (1usize..20, 1usize..4),
-            raw_pairs in prop::collection::vec((any::<u32>(), any::<u32>(), 0u32..5), 0..60),
+            n_pairs in 0usize..60,
             hard in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            use rand::Rng;
-            let reps: Vec<f64> = (0..n_rows * dim).map(|_| rng.gen_range(-1.5..1.5)).collect();
-            let pairs: Vec<(u32, u32, f64)> = raw_pairs
-                .iter()
-                .map(|&(a, b, d)| (a % n_rows as u32, b % n_rows as u32, d as f64 / 4.0))
-                .collect();
+            let (reps, pairs) = random_batch(dim, n_rows, n_pairs, seed);
             let mut widths = vec![dim];
             widths.extend(&hidden);
             widths.push(1);
@@ -374,17 +452,81 @@ mod tests {
                 loss: if hard { PairLoss::Hard } else { PairLoss::Surrogate },
             };
             let batch = PairBatch { reps: &reps, dim, pairs: &pairs };
-
-            let mut memoised = Mlp::new(&widths, act, seed);
-            let mut per_pair = memoised.clone();
-            let got = SiameseTrainer::new(cfg.clone()).train(&mut memoised, batch);
-            let want = train_per_pair(&cfg, &mut per_pair, batch);
-
-            prop_assert_eq!(parameter_bits(&memoised), parameter_bits(&per_pair));
-            let bits = |r: &TrainReport| r.epoch_losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&got), bits(&want));
-            prop_assert_eq!(got.pairs_seen, want.pairs_seen);
+            assert_trainers_agree(&cfg, &Mlp::new(&widths, act, seed), batch);
         }
+
+        /// [`outputs`] decides every split: it must be the per-sample
+        /// forward pass, bit for bit, at every shape.
+        #[test]
+        fn outputs_equal_the_per_sample_forward_bit_for_bit(
+            (dim, n_rows) in (1usize..=40, 0usize..12),
+            hidden in prop::collection::vec(1usize..=17, 0..3),
+            act in prop_oneof![
+                Just(Activation::Sigmoid),
+                Just(Activation::Tanh),
+                Just(Activation::Relu),
+                Just(Activation::Identity),
+            ],
+            seed in any::<u64>(),
+        ) {
+            let (reps, _) = random_batch(dim, n_rows, 0, seed);
+            let mut widths = vec![dim];
+            widths.extend(&hidden);
+            widths.push(1);
+            // Nonzero biases: a fresh network's are zero, which would hide
+            // where a sum adds its bias.
+            let mut mlp = Mlp::new(&widths, act, seed);
+            for (layer, bias) in mlp.layers_mut().iter_mut().zip(1u32..) {
+                for (b, k) in layer.b.iter_mut().zip(1u32..) {
+                    *b = (0.37 * (bias * 11 + k) as f64).sin();
+                }
+            }
+            let mut trace = Trace::default();
+            let want: Vec<u64> = reps
+                .chunks_exact(dim)
+                .map(|x| {
+                    mlp.forward_traced(x, &mut trace);
+                    mlp.traced_output(&trace)[0].to_bits()
+                })
+                .collect();
+            let got: Vec<u64> = outputs(&mlp, &reps, dim).iter().map(|o| o.to_bits()).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn the_products_network_trains_bit_for_bit() {
+        // L2P's model on KOSARAK's PTR dimension: [28, 8, 8, 1] sigmoid,
+        // 5 000 pairs over a 156-member group, the default batch, epochs
+        // and learning rate.
+        let (reps, pairs) = random_batch(28, 156, 5_000, 28);
+        let mlp = Mlp::new(&[28, 8, 8, 1], Activation::Sigmoid, 7);
+        let batch = PairBatch {
+            reps: &reps,
+            dim: 28,
+            pairs: &pairs,
+        };
+        assert_trainers_agree(&SiameseConfig::default(), &mlp, batch);
+    }
+
+    #[test]
+    fn memory_bytes_count_what_training_holds() {
+        // [28, 8, 8, 1]: 232 + 72 + 9 = 313 parameters. The trainer holds
+        // them, Adam's two moments and the gradient (4 × 313 × 8 B); the
+        // kernel's input-major weights (a 28 × 8 and an 8 × 8 block; the
+        // output neuron is a tail and reads the network's row) and a
+        // 17-wide activation row for each of 2 × 256 slots, plus two 2 × 8
+        // rows of backward scratch (8 B each); and a u32 per row and per
+        // slot.
+        let mlp = Mlp::new(&[28, 8, 8, 1], Activation::Sigmoid, 0);
+        let trainer = SiameseTrainer::default();
+        let floats = 4 * 313 + (28 + 8) * 8 + 512 * 17 + 2 * 2 * 8;
+        assert_eq!(floats * 8 + (625 + 512) * 4, 86_756);
+        assert_eq!(trainer.memory_bytes(&mlp, 625), 86_756);
+        // A group smaller than two batches' rows holds one slot per row.
+        let floats = 4 * 313 + (28 + 8) * 8 + 156 * 17 + 2 * 2 * 8;
+        assert_eq!(floats * 8 + (156 + 156) * 4, 35_040);
+        assert_eq!(trainer.memory_bytes(&mlp, 156), 35_040);
     }
 
     #[test]
@@ -416,7 +558,7 @@ mod tests {
         );
         assert_eq!(FORWARDS.with(|n| n.get()) - before, distinct.len());
 
-        // Two batches of 20: the step makes every trace stale, so a row is
+        // Two batches of 20: the step makes every slot stale, so a row is
         // forwarded again in the second batch that names it.
         let trainer = SiameseTrainer::new(SiameseConfig {
             batch_size: 20,

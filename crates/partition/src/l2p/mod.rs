@@ -34,14 +34,24 @@
 //!   into the member list (the sampler draws positions anyway). Every
 //!   per-member table — the trainer's, the split's sides — is then a plain
 //!   array the size of the group, never of the database.
-//! * **Memoised forwards.** Inside a mini-batch the weights are constant,
-//!   and 256 pairs over a few hundred members name most members several
-//!   times; the trainer forwards each distinct member once per batch (see
-//!   [`les3_nn::siamese`]). Pair order and every floating-point summation
-//!   order are unchanged, so the partition is bit for bit the one a
-//!   two-forwards-per-pair trainer produces —
-//!   `crates/partition/tests/l2p_golden.rs` holds it to literals recorded
-//!   from that trainer.
+//! * **One forward per member per mini-batch.** Inside a mini-batch the
+//!   weights are constant, and 256 pairs over a few hundred members name
+//!   most members several times; the trainer forwards each distinct
+//!   member once per batch into a slot of the kernel's flat activation
+//!   buffers (see [`les3_nn::siamese`] and [`les3_nn::kernel`]).
+//! * **Mini-batch kernels.** The forward pass reads a copy of the weights
+//!   kept input-major in blocks of eight outputs, refreshed after each
+//!   Adam step, and advances a block's eight sums together, one input at a
+//!   time, for two rows at once; the backward pass runs a pair's two calls
+//!   in one sweep over the gradient and sums each input gradient in
+//!   registers. Each sum is still the per-sample one: bias first, then
+//!   inputs 0 … n−1; every gradient element one add per call, in call
+//!   order; input gradients over the outputs in ascending order; every
+//!   `dz == 0` skipped; `exp` the libm call. Nothing is reassociated, so
+//!   the partition is bit for bit the one a two-forwards-per-pair trainer
+//!   produces — `crates/partition/tests/l2p_golden.rs` holds it to
+//!   literals recorded from that trainer and, for the benchmark's KOSARAK
+//!   and LIVEJ shapes, from the per-sample trainer before the kernels.
 //! * **Scoring only ranks.** The within-side distance of a candidate split
 //!   is computed only when there are several restarts to choose between.
 
@@ -112,8 +122,11 @@ pub struct L2pResult {
     pub reports: Vec<TrainReport>,
     /// Number of Siamese models trained.
     pub models_trained: usize,
-    /// Peak memory the method needs: model parameters + one mini-batch
-    /// (the paper credits L2P's tiny footprint in Figure 9).
+    /// Peak memory one model's training holds, the largest over the
+    /// cascade: parameters, Adam's moments, the gradient, the trainer's
+    /// kernel and its row → slot table
+    /// ([`SiameseTrainer::memory_bytes`]). The paper credits L2P's tiny
+    /// footprint in Figure 9.
     pub model_bytes: usize,
 }
 
@@ -227,13 +240,11 @@ impl L2p {
             levels.push(groups_to_partitioning(db.len(), &groups));
         }
 
-        // Mini-batch memory: batch_size pairs × 2 reps × dim × 8 bytes.
-        let batch_bytes = cfg.siamese.batch_size * 2 * reps.dim() * std::mem::size_of::<f64>();
         L2pResult {
             levels,
             reports,
             models_trained,
-            model_bytes: model_bytes + batch_bytes,
+            model_bytes,
         }
     }
 
@@ -382,7 +393,7 @@ impl L2p {
             left,
             right,
             report,
-            model_bytes: mlp.size_in_bytes(),
+            model_bytes: trainer.memory_bytes(&mlp, local.len()),
         }
     }
 }
@@ -494,7 +505,11 @@ mod tests {
         for r in &result.reports {
             assert_eq!(r.epoch_losses.len(), 3, "3 epochs by default");
         }
-        assert!(result.model_bytes > 0);
+        // The first level's groups are the largest any model trains on.
+        let largest = *result.levels[0].group_sizes().iter().max().unwrap();
+        let mlp = Mlp::new(&[reps.dim(), 8, 8, 1], Activation::Sigmoid, 0);
+        let want = SiameseTrainer::default().memory_bytes(&mlp, largest);
+        assert_eq!(result.model_bytes, want);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! Each cell is three FNV-1a hashes: the finest assignment, every level's
 //! group count and assignment, and every report's `epoch_losses` bits.
 
+use les3_data::realistic::DatasetSpec;
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::SetDatabase;
 use les3_nn::{PairLoss, SiameseConfig};
@@ -226,4 +227,50 @@ fn ragged_last_batch_repeats_bit_for_bit() {
         run(&db, cfg),
         [0xe6fd08f060843d0c, 0x424e7e641ee25601, 0x2892853f33eb4949],
     )]);
+}
+
+/// The cascade `les3-bench` trains (`gen::l2p_partition`) at its tiny
+/// scale: 2 000 sets, 32 groups, 500 pairs per model, one restart. The
+/// other cells train PTR dimension 18; these train the two shapes the
+/// benchmark runs, KOSARAK (PTR dimension 24 here, 28 at 20 000 sets) and
+/// LIVEJ's wide universe (30 here, 34 at 20 000 sets). The literals were
+/// recorded at 43a70da, before the trainer's mini-batch kernels.
+fn bench_shape_cfg(n_sets: usize, parallel: bool) -> L2pConfig {
+    let groups = 32;
+    L2pConfig {
+        target_groups: groups,
+        init_groups: groups / 8,
+        min_group_size: (n_sets / groups / 4).clamp(4, 50),
+        pairs_per_model: 500,
+        restarts: 1,
+        parallel,
+        seed: 41,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn benchmark_shapes_repeat_bit_for_bit() {
+    let golden: [(DatasetSpec, [u64; 3]); 2] = [
+        (
+            DatasetSpec::kosarak(),
+            [0x1d52b752a7ade7f9, 0x30e0594aa89f2e2b, 0x9a8f21e15694435f],
+        ),
+        (
+            DatasetSpec::livej(),
+            [0x4e54aa922f205858, 0xa5108d60ec4fb8cd, 0xce7da7d7ccdb11ce],
+        ),
+    ];
+    let mut cells = Vec::new();
+    for (spec, want) in golden {
+        let db = spec.with_sets(2_000).generate(7);
+        for parallel in [false, true] {
+            cells.push((
+                format!("{} parallel={parallel}", spec.name),
+                run(&db, bench_shape_cfg(db.len(), parallel)),
+                want,
+            ));
+        }
+    }
+    check(&cells);
 }
