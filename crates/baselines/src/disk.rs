@@ -19,7 +19,7 @@ use crate::dualtrans::DualTrans;
 use crate::invidx::InvIdx;
 use crate::SetSimSearch;
 use les3_core::index::SearchResult;
-use les3_core::{SearchStats, Similarity};
+use les3_core::Similarity;
 use les3_data::{SetDatabase, SetId, TokenId};
 use les3_storage::{DiskModel, IoStats, SequentialLayout, SimDisk};
 
@@ -230,11 +230,6 @@ fn kth_similarity(result: &SearchResult, k: usize) -> f64 {
     } else {
         f64::NEG_INFINITY
     }
-}
-
-/// Convenience: total verification work of a result (used by benches).
-pub fn candidates_of(stats: &SearchStats) -> usize {
-    stats.candidates
 }
 
 #[cfg(test)]

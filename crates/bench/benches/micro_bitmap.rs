@@ -31,8 +31,8 @@ fn bench_bitmap(c: &mut Criterion) {
             hits
         })
     });
-    group.bench_function("intersect_len_10k", |bch| {
-        bch.iter(|| black_box(a.intersect_len(&b)))
+    group.bench_function("intersect_10k", |bch| {
+        bch.iter(|| black_box(a.intersect(&b)))
     });
     group.bench_function("union_10k", |bch| bch.iter(|| black_box(a.union(&b))));
     group.bench_function("iterate_10k", |bch| {

@@ -67,13 +67,6 @@ impl ArrayContainer {
         &self.values
     }
 
-    /// Number of stored values `< value`.
-    pub fn rank(&self, value: u16) -> usize {
-        match self.values.binary_search(&value) {
-            Ok(pos) | Err(pos) => pos,
-        }
-    }
-
     /// Merge-based union.
     pub fn union(&self, other: &Self) -> Self {
         let mut out = Vec::with_capacity(self.len() + other.len());
@@ -118,44 +111,6 @@ impl ArrayContainer {
         Self { values: out }
     }
 
-    /// Cardinality of the intersection without materializing it.
-    pub fn intersect_len(&self, other: &Self) -> usize {
-        let (mut i, mut j, mut n) = (0, 0, 0);
-        while i < self.values.len() && j < other.values.len() {
-            match self.values[i].cmp(&other.values[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// Values in `self` but not in `other`.
-    pub fn difference(&self, other: &Self) -> Self {
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.values.len() && j < other.values.len() {
-            match self.values[i].cmp(&other.values[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(self.values[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&self.values[i..]);
-        Self { values: out }
-    }
-
     /// Heap bytes used by this container.
     pub fn size_in_bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<u16>()
@@ -182,24 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn union_intersect_difference() {
+    fn union_and_intersect() {
         let a = ArrayContainer::from_sorted(vec![1, 3, 5, 7]);
         let b = ArrayContainer::from_sorted(vec![3, 4, 7, 9]);
         assert_eq!(a.union(&b).as_slice(), &[1, 3, 4, 5, 7, 9]);
         assert_eq!(a.intersect(&b).as_slice(), &[3, 7]);
-        assert_eq!(a.intersect_len(&b), 2);
-        assert_eq!(a.difference(&b).as_slice(), &[1, 5]);
-        assert_eq!(b.difference(&a).as_slice(), &[4, 9]);
-    }
-
-    #[test]
-    fn rank_counts_strictly_smaller_values() {
-        let a = ArrayContainer::from_sorted(vec![2, 4, 6]);
-        assert_eq!(a.rank(0), 0);
-        assert_eq!(a.rank(2), 0);
-        assert_eq!(a.rank(3), 1);
-        assert_eq!(a.rank(6), 2);
-        assert_eq!(a.rank(7), 3);
+        assert_eq!(b.intersect(&a).as_slice(), &[3, 7]);
     }
 
     #[test]
@@ -209,7 +152,6 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.union(&a).as_slice(), &[1]);
         assert!(e.intersect(&a).is_empty());
-        assert!(e.difference(&a).is_empty());
-        assert_eq!(a.difference(&e).as_slice(), &[1]);
+        assert!(a.intersect(&e).is_empty());
     }
 }

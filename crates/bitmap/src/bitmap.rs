@@ -20,11 +20,6 @@ fn split(value: u32) -> (u16, u16) {
     ((value >> 16) as u16, value as u16)
 }
 
-#[inline]
-fn join(high: u16, low: u16) -> u32 {
-    ((high as u32) << 16) | low as u32
-}
-
 impl Bitmap {
     /// Creates an empty bitmap.
     pub fn new() -> Self {
@@ -103,35 +98,6 @@ impl Bitmap {
         }
     }
 
-    /// Number of stored values `< value`.
-    pub fn rank(&self, value: u32) -> usize {
-        let (high, low) = split(value);
-        let mut rank = 0usize;
-        for (h, c) in &self.chunks {
-            if *h < high {
-                rank += c.len();
-            } else if *h == high {
-                rank += c.rank(low);
-                break;
-            } else {
-                break;
-            }
-        }
-        rank
-    }
-
-    /// Smallest stored value, if any.
-    pub fn min(&self) -> Option<u32> {
-        let (h, c) = self.chunks.iter().find(|(_, c)| !c.is_empty())?;
-        c.to_vec().first().map(|&low| join(*h, low))
-    }
-
-    /// Largest stored value, if any.
-    pub fn max(&self) -> Option<u32> {
-        let (h, c) = self.chunks.iter().rev().find(|(_, c)| !c.is_empty())?;
-        c.to_vec().last().map(|&low| join(*h, low))
-    }
-
     /// Iterates over stored values in increasing order.
     pub fn iter(&self) -> BitmapIter<'_> {
         BitmapIter::new(&self.chunks)
@@ -200,74 +166,6 @@ impl Bitmap {
         Self { chunks }
     }
 
-    /// Cardinality of the intersection without materializing it.
-    pub fn intersect_len(&self, other: &Self) -> usize {
-        let mut n = 0usize;
-        let (mut i, mut j) = (0, 0);
-        while i < self.chunks.len() && j < other.chunks.len() {
-            let (ha, ca) = &self.chunks[i];
-            let (hb, cb) = &other.chunks[j];
-            match ha.cmp(hb) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += ca.intersect_len(cb);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// Difference `self - other`.
-    pub fn difference(&self, other: &Self) -> Self {
-        let mut chunks = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < self.chunks.len() && j < other.chunks.len() {
-            let (ha, ca) = &self.chunks[i];
-            let (hb, cb) = &other.chunks[j];
-            match ha.cmp(hb) {
-                std::cmp::Ordering::Less => {
-                    chunks.push((*ha, ca.clone()));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    let c = ca.difference(cb);
-                    if !c.is_empty() {
-                        chunks.push((*ha, c));
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        chunks.extend_from_slice(&self.chunks[i..]);
-        Self { chunks }
-    }
-
-    /// Whether the two bitmaps share at least one value.
-    pub fn intersects(&self, other: &Self) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.chunks.len() && j < other.chunks.len() {
-            let (ha, ca) = &self.chunks[i];
-            let (hb, cb) = &other.chunks[j];
-            match ha.cmp(hb) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if ca.intersect_len(cb) > 0 {
-                        return true;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        false
-    }
-
     /// Converts every chunk to its smallest representation.
     pub fn run_optimize(&mut self) {
         for (_, c) in &mut self.chunks {
@@ -329,8 +227,6 @@ mod tests {
         let bm = Bitmap::from_iter(vals.iter().copied());
         assert_eq!(bm.len(), vals.len());
         assert_eq!(bm.to_vec(), vals);
-        assert_eq!(bm.min(), Some(0));
-        assert_eq!(bm.max(), Some(u32::MAX));
     }
 
     #[test]
@@ -340,15 +236,6 @@ mod tests {
             Bitmap::from_sorted(&vals),
             Bitmap::from_iter(vals.iter().copied())
         );
-    }
-
-    #[test]
-    fn rank_across_chunks() {
-        let bm = Bitmap::from_iter([10u32, 70_000, 70_001, 200_000]);
-        assert_eq!(bm.rank(10), 0);
-        assert_eq!(bm.rank(11), 1);
-        assert_eq!(bm.rank(70_001), 2);
-        assert_eq!(bm.rank(1_000_000), 4);
     }
 
     #[test]
@@ -366,10 +253,7 @@ mod tests {
         let b = Bitmap::from_iter([2u32, 65_540, 131_072]);
         assert_eq!(a.union(&b).to_vec(), vec![1, 2, 65_536, 65_540, 131_072]);
         assert_eq!(a.intersect(&b).to_vec(), vec![2, 65_540]);
-        assert_eq!(a.intersect_len(&b), 2);
-        assert_eq!(a.difference(&b).to_vec(), vec![1, 65_536]);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&Bitmap::from_iter([7u32])));
+        assert!(a.intersect(&Bitmap::from_iter([7u32])).is_empty());
     }
 
     #[test]
@@ -381,7 +265,7 @@ mod tests {
         assert!(after < before / 50, "before={before} after={after}");
         assert_eq!(bm.len(), 100_000);
         assert!(bm.contains(99_999));
-        assert_eq!(bm.rank(50_000), 50_000);
+        assert!(!bm.contains(100_000));
     }
 
     /// The Figure-11 size model, per container kind: a 4-byte chunk

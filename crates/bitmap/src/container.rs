@@ -82,15 +82,6 @@ impl Container {
         }
     }
 
-    /// Number of stored values `< value`.
-    pub fn rank(&self, value: u16) -> usize {
-        match self {
-            Container::Array(c) => c.rank(value),
-            Container::Bits(c) => c.rank(value),
-            Container::Runs(c) => c.rank(value),
-        }
-    }
-
     /// Materializes values into a sorted vector.
     pub fn to_vec(&self) -> Vec<u16> {
         match self {
@@ -131,39 +122,6 @@ impl Container {
             _ => {
                 let mut bits = self.to_bits();
                 bits.intersect_with(&other.to_bits());
-                Container::Bits(bits).normalized()
-            }
-        }
-    }
-
-    /// Cardinality of the intersection without materializing it.
-    pub fn intersect_len(&self, other: &Self) -> usize {
-        match (self, other) {
-            (Container::Array(a), Container::Array(b)) => a.intersect_len(b),
-            (Container::Array(a), b) | (b, Container::Array(a)) => {
-                a.as_slice().iter().filter(|&&v| b.contains(v)).count()
-            }
-            (Container::Bits(a), Container::Bits(b)) => a.intersect_len(b),
-            _ => self.to_bits().intersect_len(&other.to_bits()),
-        }
-    }
-
-    /// Difference `self - other`.
-    pub fn difference(&self, other: &Self) -> Self {
-        match (self, other) {
-            (Container::Array(a), Container::Array(b)) => Container::Array(a.difference(b)),
-            (Container::Array(a), b) => {
-                let vals: Vec<u16> = a
-                    .as_slice()
-                    .iter()
-                    .copied()
-                    .filter(|&v| !b.contains(v))
-                    .collect();
-                Container::Array(ArrayContainer::from_sorted(vals))
-            }
-            _ => {
-                let mut bits = self.to_bits();
-                bits.difference_with(&other.to_bits());
                 Container::Bits(bits).normalized()
             }
         }
@@ -290,9 +248,7 @@ mod tests {
         assert!(matches!(dense, Container::Bits(_)));
         let expected: Vec<u16> = (0..1000u16).step_by(7).collect();
         assert_eq!(sparse.intersect(&dense).to_vec(), expected);
-        assert_eq!(sparse.intersect_len(&dense), expected.len());
+        assert_eq!(dense.intersect(&sparse).to_vec(), expected);
         assert_eq!(dense.union(&sparse).len(), 5000);
-        assert_eq!(sparse.difference(&dense).len(), 0);
-        assert_eq!(dense.difference(&sparse).len(), 5000 - expected.len());
     }
 }

@@ -83,6 +83,12 @@ impl DenseBitSet {
     pub fn word(&self, i: usize) -> u64 {
         self.words.get(i).copied().unwrap_or(0)
     }
+
+    /// Number of words allocated: `⌈capacity / 64⌉` for the largest
+    /// capacity any `reset` asked for.
+    pub fn n_words(&self) -> usize {
+        self.words.len()
+    }
 }
 
 /// Decodes one 64-bit word: `counts[base + bit] += 1` for every set bit.

@@ -14,21 +14,31 @@
 //! * containers convert between representations automatically on mutation
 //!   and explicitly via [`Bitmap::run_optimize`].
 //!
-//! The operations exercised by the TGM are dense: membership tests,
-//! insertion, iteration (the per-token "column scan" during upper-bound
-//! computation), unions (building group token signatures), intersection
-//! cardinality, and byte-accurate size accounting (Figure 11 of the paper
-//! reports index sizes). A bitmap has no byte format of its own: nothing
-//! stores one (a saved index keeps the sets and the assignment, and its
-//! TGM is rebuilt from them), so [`Bitmap::serialized_size_in_bytes`] is
-//! a size model only.
+//! The crate has two callers, both in `les3-core`, and carries what they
+//! use:
+//!
+//! * the TGM's token columns (`tgm.rs`) — [`Bitmap::insert`],
+//!   [`Bitmap::remove`] and [`Bitmap::contains`] for builds and live
+//!   updates, [`Bitmap::run_optimize`] after a build, the counting kernel
+//!   [`Bitmap::count_into`] for phase A, and [`Bitmap::len`] plus
+//!   [`Bitmap::serialized_size_in_bytes`] for the index size (Figure 11
+//!   of the paper reports it);
+//! * the attribute postings (`metadata.rs`) — [`Bitmap::from_sorted`],
+//!   [`Bitmap::insert`], [`Bitmap::union_with`] and [`Bitmap::intersect`]
+//!   to evaluate a filter, and [`Bitmap::visit_words`] to turn its result
+//!   into a per-set mask.
+//!
+//! A bitmap has no byte format of its own: nothing stores one (a saved
+//! index keeps the sets and the assignment, and its TGM is rebuilt from
+//! them), so [`Bitmap::serialized_size_in_bytes`] is a size model only.
 //!
 //! The query hot path does not iterate values one by one: the
 //! [`kernel`] module provides the word-parallel counting kernel
 //! ([`Bitmap::count_into`]) that streams 64-bit container words and
 //! decodes them with `trailing_zeros`, so the per-query filter pass is
 //! allocation-free and touches each word once, plus the reusable
-//! [`DenseBitSet`] a filtered query's per-set mask lives in.
+//! [`DenseBitSet`]: a filtered query's per-set mask and a kNN query's
+//! token membership bitset are both one.
 //!
 //! # Example
 //!

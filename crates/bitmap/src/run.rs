@@ -88,23 +88,6 @@ impl RunContainer {
         }
     }
 
-    /// Number of stored values `< value`.
-    pub fn rank(&self, value: u16) -> usize {
-        let mut rank = 0usize;
-        for run in &self.runs {
-            if run.start >= value {
-                break;
-            }
-            if run.end() < value {
-                rank += run.len();
-            } else {
-                rank += (value - run.start) as usize;
-                break;
-            }
-        }
-        rank
-    }
-
     /// Inserts `value`; returns `true` if it was not already present.
     ///
     /// Kept simple (merge neighbours when adjacent); run containers are
@@ -159,14 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_rank() {
+    fn contains_at_run_edges() {
         let c = RunContainer::from_sorted_values([5u16, 6, 7, 20, 21]);
         assert!(c.contains(5) && c.contains(7) && c.contains(21));
         assert!(!c.contains(4) && !c.contains(8) && !c.contains(19));
-        assert_eq!(c.rank(5), 0);
-        assert_eq!(c.rank(7), 2);
-        assert_eq!(c.rank(8), 3);
-        assert_eq!(c.rank(22), 5);
     }
 
     #[test]
@@ -183,7 +162,7 @@ mod tests {
     fn handles_u16_max_boundary() {
         let c = RunContainer::from_sorted_values([u16::MAX - 1, u16::MAX]);
         assert_eq!(c.run_count(), 1);
-        assert!(c.contains(u16::MAX));
-        assert_eq!(c.rank(u16::MAX), 1);
+        assert!(c.contains(u16::MAX - 1) && c.contains(u16::MAX));
+        assert_eq!(c.len(), 2);
     }
 }

@@ -26,11 +26,8 @@ proptest! {
         }
         prop_assert_eq!(bm.len(), reference.len());
         prop_assert_eq!(bm.to_vec(), reference.iter().copied().collect::<Vec<_>>());
-        prop_assert_eq!(bm.min(), reference.iter().next().copied());
-        prop_assert_eq!(bm.max(), reference.iter().next_back().copied());
         for &v in values.iter().take(50) {
             prop_assert!(bm.contains(v));
-            prop_assert_eq!(bm.rank(v), reference.range(..v).count());
         }
     }
 
@@ -56,12 +53,11 @@ proptest! {
         let bb = Bitmap::from_iter(b.iter().copied());
         let union: Vec<u32> = a.union(&b).copied().collect();
         let inter: Vec<u32> = a.intersection(&b).copied().collect();
-        let diff: Vec<u32> = a.difference(&b).copied().collect();
-        prop_assert_eq!(ba.union(&bb).to_vec(), union);
-        prop_assert_eq!(ba.intersect(&bb).to_vec(), inter.clone());
-        prop_assert_eq!(ba.intersect_len(&bb), inter.len());
-        prop_assert_eq!(ba.difference(&bb).to_vec(), diff);
-        prop_assert_eq!(ba.intersects(&bb), !inter.is_empty());
+        prop_assert_eq!(ba.union(&bb).to_vec(), union.clone());
+        prop_assert_eq!(ba.intersect(&bb).to_vec(), inter);
+        let mut acc = ba.clone();
+        acc.union_with(&bb);
+        prop_assert_eq!(acc.to_vec(), union);
     }
 
     #[test]
@@ -71,7 +67,6 @@ proptest! {
         prop_assert_eq!(bm.to_vec(), values.iter().copied().collect::<Vec<_>>());
         for &v in values.iter().take(30) {
             prop_assert!(bm.contains(v));
-            prop_assert_eq!(bm.rank(v), values.range(..v).count());
         }
     }
 
@@ -89,22 +84,37 @@ proptest! {
     fn count_kernel_matches_scalar_reference(
         values in prop::collection::vec(counting_value_strategy(), 0..3000),
         optimize in any::<bool>(),
+        script in prop::collection::vec((any::<bool>(), counting_value_strategy()), 0..300),
     ) {
         // The word-parallel kernel must agree with the trivial per-value
-        // reference on arbitrary container mixes (array/bits/runs).
+        // reference on arbitrary container mixes (array/bits/runs), also
+        // after the inserts and removes a live TGM applies to its
+        // optimized columns (`Tgm::set_bit` / `clear_bit` land on run
+        // containers).
         let mut bm = Bitmap::from_iter(values.iter().copied());
+        let mut reference: BTreeSet<u32> = values.iter().copied().collect();
         if optimize {
             bm.run_optimize();
         }
+        for &(insert, v) in &script {
+            if insert {
+                prop_assert_eq!(bm.insert(v), reference.insert(v));
+            } else {
+                prop_assert_eq!(bm.remove(v), reference.remove(&v));
+            }
+        }
+        let members: Vec<u32> = reference.iter().copied().collect();
+        prop_assert_eq!(bm.to_vec(), members.clone());
+        prop_assert_eq!(bm.len(), members.len());
         let n = COUNTING_UNIVERSE as usize;
         let mut expected = vec![0u32; n];
-        for v in bm.iter() {
+        for &v in &members {
             expected[v as usize] += 1;
         }
         let mut got = vec![0u32; n];
         let visited = bm.count_into(&mut got);
         prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(visited, bm.len() as u64);
+        prop_assert_eq!(visited, members.len() as u64);
 
         // Word visitation re-enumerates the exact member sequence.
         let mut seen = Vec::new();
@@ -115,7 +125,7 @@ proptest! {
                 }
             }
         });
-        prop_assert_eq!(seen, bm.to_vec());
+        prop_assert_eq!(seen, members);
     }
 }
 

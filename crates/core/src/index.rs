@@ -761,7 +761,7 @@ mod tests {
                 let gs: Vec<f64> = got.hits.iter().map(|h| h.1).collect();
                 let ws: Vec<f64> = want.iter().map(|h| h.1).collect();
                 assert_eq!(gs, ws, "q {q:?} k {k}");
-                let words = scratch.bits.words.len();
+                let words = scratch.bits.set.n_words();
                 assert!(words <= (universe as usize).div_ceil(64), "{words} words");
             }
         }
@@ -771,7 +771,7 @@ mod tests {
         assert!(universe > fresh, "the insert extends the universe");
         let got = index.knn_with(&[fresh], 1, &mut scratch);
         assert_eq!(got.hits, vec![(id, 0.5)]);
-        let words = scratch.bits.words.len();
+        let words = scratch.bits.set.n_words();
         assert!(words <= (universe as usize).div_ceil(64), "{words} words");
     }
 

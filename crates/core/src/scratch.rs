@@ -41,8 +41,8 @@ pub struct QueryScratch {
     pub(crate) bounds: Vec<(u32, f64)>,
     /// The candidate mask of a prefiltered query and its inputs.
     pub(crate) prefilter: PrefilterScratch,
-    /// A kNN query's membership bitset (each load clears the words the
-    /// previous one set).
+    /// A kNN query's membership bitset, a `DenseBitSet` (each load
+    /// clears the words the previous one set).
     pub(crate) bits: QueryBits,
 }
 

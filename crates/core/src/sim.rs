@@ -12,6 +12,7 @@
 //! [`Similarity::ub_from_overlap`]; a property test in this module verifies
 //! admissibility against random sets.
 
+use les3_bitmap::DenseBitSet;
 use les3_data::TokenId;
 
 /// A set similarity measure usable with the TGM.
@@ -210,7 +211,7 @@ fn merge_with_threshold<S: Similarity>(
 fn lookup_with_threshold<S: Similarity>(
     sim: S,
     q: &PreparedQuery<'_>,
-    bits: &[u64],
+    bits: &DenseBitSet,
     b: &[TokenId],
     needed: usize,
     threshold: f64,
@@ -220,10 +221,7 @@ fn lookup_with_threshold<S: Similarity>(
         return ThresholdedEval::Rejected { early: true };
     }
     // Tokens past the bitset lie at or above the universe: no match.
-    let member = |t: TokenId| {
-        bits.get((t >> 6) as usize)
-            .map_or(0, |w| (w >> (t & 63)) & 1) as usize
-    };
+    let member = |t: TokenId| ((bits.word((t >> 6) as usize) >> (t & 63)) & 1) as usize;
     // Misses past `slack` leave `o + rem_S + 1 < needed`: settled early.
     let slack = b_len + 1 - needed;
     let mut o = 0usize;
@@ -278,7 +276,7 @@ pub struct PreparedQuery<'a> {
     sig: u64,
     /// Bit `t` is set iff `t ∈ Q`, for every `t` below the universe the
     /// bits were loaded for; `None` sends every candidate to the merge.
-    bits: Option<&'a [u64]>,
+    bits: Option<&'a DenseBitSet>,
 }
 
 impl<'a> PreparedQuery<'a> {
@@ -319,13 +317,11 @@ impl<'a> PreparedQuery<'a> {
 }
 
 /// The reusable membership bitset behind a [`PreparedQuery`]: one per
-/// [`QueryScratch`](crate::QueryScratch), at most `⌈universe / 64⌉`
-/// words for the largest universe it has served.
+/// [`QueryScratch`](crate::QueryScratch), a [`DenseBitSet`] of at most
+/// `⌈universe / 64⌉` words for the largest universe it has served.
 #[derive(Debug, Clone, Default)]
 pub struct QueryBits {
-    pub(crate) words: Vec<u64>,
-    /// The words the last load set: what the next load clears.
-    dirty: Vec<u32>,
+    pub(crate) set: DenseBitSet,
 }
 
 impl QueryBits {
@@ -341,23 +337,15 @@ impl QueryBits {
     /// the previous load set are cleared first, so a query a panic or an
     /// interrupt abandoned leaves nothing behind.
     pub fn prepare<'a>(&'a mut self, query: &'a [TokenId], universe: u32) -> PreparedQuery<'a> {
-        for &w in &self.dirty {
-            self.words[w as usize] = 0;
-        }
-        self.dirty.clear();
+        self.set.reset(universe as usize);
         let mut prepared = PreparedQuery::without_bits(query);
         if prepared.len != query.len() {
             return prepared;
         }
-        let n_words = (universe as usize).div_ceil(64);
-        if self.words.len() < n_words {
-            self.words.resize(n_words, 0);
-        }
         for &t in query.iter().take_while(|&&t| t < universe) {
-            self.dirty.push(t >> 6);
-            self.words[(t >> 6) as usize] |= 1 << (t & 63);
+            self.set.insert(t);
         }
-        prepared.bits = Some(&self.words);
+        prepared.bits = Some(&self.set);
         prepared
     }
 }
@@ -769,7 +757,7 @@ mod tests {
                     let mut fresh = QueryBits::new();
                     for bits in [&mut reused, &mut fresh] {
                         let prepared = bits.prepare(q, universe);
-                        let words = prepared.bits.expect("a set query gets a bitset").len();
+                        let words = prepared.bits.expect("a set query gets a bitset").n_words();
                         assert!(words <= (universe as usize).div_ceil(64), "{words} words");
                         let got = m.eval_prepared(&prepared, s, s.len(), needed, t);
                         assert_same_verdict(got, want, m, t, q, s);

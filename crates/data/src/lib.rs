@@ -7,8 +7,6 @@
 //!
 //! * [`SetDatabase`] — the storage format shared by every index and
 //!   baseline: a CSR-style flattened collection of token-sorted sets;
-//! * [`uniform`] — databases satisfying the *uniform token distribution
-//!   assumption* of §4.1 (used to validate the balance/coherence theory);
 //! * [`zipfian`] — heavy-tailed token popularity, the realistic case;
 //! * [`realistic`] — scaled-down emulators matching the per-dataset shape
 //!   statistics of Table 2;
@@ -34,7 +32,6 @@ pub mod rand_util;
 pub mod realistic;
 pub mod stats;
 pub mod tokenizer;
-pub mod uniform;
 pub mod zipfian;
 
 pub use db::{SetDatabase, SetId, TokenId};

@@ -80,20 +80,6 @@ impl Zipf {
     }
 }
 
-/// Samples `k` *distinct* values in `0..n` uniformly (Floyd's algorithm).
-pub fn distinct_uniform(rng: &mut StdRng, n: usize, k: usize) -> Vec<u32> {
-    let k = k.min(n);
-    let mut chosen = std::collections::HashSet::with_capacity(k);
-    let mut out = Vec::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.gen_range(0..=j as u64) as usize;
-        let v = if chosen.contains(&t) { j } else { t };
-        chosen.insert(v);
-        out.push(v as u32);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,20 +106,6 @@ mod tests {
         }
         let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         assert!((*max as f64) / (*min as f64) < 1.25, "{counts:?}");
-    }
-
-    #[test]
-    fn distinct_uniform_is_distinct_and_in_range() {
-        let mut r = rng(3);
-        for _ in 0..50 {
-            let v = distinct_uniform(&mut r, 100, 30);
-            assert_eq!(v.len(), 30);
-            let set: std::collections::HashSet<_> = v.iter().collect();
-            assert_eq!(set.len(), 30);
-            assert!(v.iter().all(|&x| x < 100));
-        }
-        // k > n clamps
-        assert_eq!(distinct_uniform(&mut r, 5, 10).len(), 5);
     }
 
     #[test]

@@ -59,12 +59,6 @@ impl Mlp {
         Self { layers }
     }
 
-    /// Builds an MLP from explicit layers.
-    pub fn from_layers(layers: Vec<Dense>) -> Self {
-        assert!(!layers.is_empty());
-        Self { layers }
-    }
-
     /// Input dimensionality.
     pub fn in_dim(&self) -> usize {
         self.layers[0].in_dim

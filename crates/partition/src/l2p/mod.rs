@@ -64,6 +64,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Width of each of the cascade MLP's two hidden layers (paper §7.1).
+const HIDDEN: usize = 8;
+
 /// Configuration of the cascade.
 #[derive(Debug, Clone)]
 pub struct L2pConfig {
@@ -75,13 +78,8 @@ pub struct L2pConfig {
     pub min_group_size: usize,
     /// Pairs sampled per model (paper: 40 000).
     pub pairs_per_model: usize,
-    /// Hidden layer widths (paper: `[8, 8]`).
-    pub hidden: Vec<usize>,
     /// Siamese training hyperparameters (epochs, batch, lr, loss).
     pub siamese: SiameseConfig,
-    /// Scale representations by `1 / mean set size` before training, which
-    /// keeps sigmoid pre-activations in a trainable range.
-    pub normalize_reps: bool,
     /// Train same-level models on multiple threads.
     pub parallel: bool,
     /// Independent training restarts per split; the candidate whose split
@@ -101,9 +99,7 @@ impl Default for L2pConfig {
             init_groups: 128,
             min_group_size: 50,
             pairs_per_model: 40_000,
-            hidden: vec![8, 8],
             siamese: SiameseConfig::default(),
-            normalize_reps: true,
             parallel: true,
             restarts: 2,
             seed: 0,
@@ -165,17 +161,12 @@ impl L2p {
         assert_eq!(reps.len(), db.len(), "one representation per set");
         assert!(!db.is_empty(), "cannot partition an empty database");
         let cfg = &self.cfg;
-        // Optional normalization for trainability.
-        let scaled;
-        let reps = if cfg.normalize_reps {
-            let mean_size = db.total_tokens() as f64 / db.len() as f64;
-            let mut m = reps.clone();
-            m.scale(1.0 / mean_size.max(1.0));
-            scaled = m;
-            &scaled
-        } else {
-            reps
-        };
+        // Scale by `1 / mean set size`, which keeps sigmoid
+        // pre-activations in a trainable range.
+        let mean_size = db.total_tokens() as f64 / db.len() as f64;
+        let mut scaled = reps.clone();
+        scaled.scale(1.0 / mean_size.max(1.0));
+        let reps = &scaled;
 
         // --- Initialization: sort by minimal token, chunk evenly (§7.1).
         let mut levels: Vec<Partitioning> = Vec::new();
@@ -353,10 +344,7 @@ impl L2p {
         model_seed: u64,
     ) -> SplitOutcome {
         let cfg = &self.cfg;
-        let mut widths = Vec::with_capacity(cfg.hidden.len() + 2);
-        widths.push(local.dim());
-        widths.extend_from_slice(&cfg.hidden);
-        widths.push(1);
+        let widths = [local.dim(), HIDDEN, HIDDEN, 1];
         let mut mlp = Mlp::new(&widths, Activation::Sigmoid, model_seed);
         let trainer = SiameseTrainer::new(SiameseConfig {
             seed: model_seed ^ 0x9e37_79b9,

@@ -98,7 +98,6 @@ fn zipf_cfg(restarts: usize, parallel: bool, loss: PairLoss) -> L2pConfig {
             loss,
             ..Default::default()
         },
-        ..Default::default()
     }
 }
 
@@ -220,7 +219,6 @@ fn ragged_last_batch_repeats_bit_for_bit() {
             epochs: 2,
             ..Default::default()
         },
-        ..Default::default()
     };
     check(&[(
         "ragged".into(),

@@ -31,9 +31,4 @@ impl Node {
             Children::Leaf(rows) => rows.len(),
         }
     }
-
-    /// Whether this is a leaf node.
-    pub fn is_leaf(&self) -> bool {
-        matches!(self.children, Children::Leaf(_))
-    }
 }

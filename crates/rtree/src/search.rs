@@ -102,11 +102,6 @@ where
     pub fn stats(&self) -> TraversalStats {
         self.stats
     }
-
-    /// Highest score still possible for any not-yet-returned item.
-    pub fn peek_bound(&self) -> Option<f64> {
-        self.heap.peek().map(Entry::score)
-    }
 }
 
 impl<FN, FI> Iterator for BestFirst<'_, FN, FI>

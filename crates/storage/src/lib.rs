@@ -17,14 +17,11 @@
 //! * [`SimDisk`] — charges each page read as sequential (transfer only)
 //!   or random (seek + rotational latency + transfer), and accumulates the
 //!   simulated elapsed time;
-//! * [`BufferPool`] — LRU page cache in front of a [`SimDisk`];
 //! * [`layout`] — maps a `SetDatabase` onto pages either in insertion
 //!   order (baselines) or grouped (LES3 stores each group contiguously).
 
-pub mod buffer;
 pub mod disk;
 pub mod layout;
 
-pub use buffer::BufferPool;
 pub use disk::{DiskModel, IoStats, SimDisk};
 pub use layout::{GroupedLayout, PageRun, SequentialLayout};
