@@ -19,8 +19,9 @@
 //!
 //! * the TGM's token columns (`tgm.rs`) — [`Bitmap::insert`],
 //!   [`Bitmap::remove`] and [`Bitmap::contains`] for builds and live
-//!   updates, [`Bitmap::run_optimize`] after a build, the counting kernel
-//!   [`Bitmap::count_into`] for phase A, and [`Bitmap::len`] plus
+//!   updates, [`Bitmap::run_optimize`] after a build, for phase A
+//!   [`Bitmap::first_word`] (the fetch pass) and the counting kernel
+//!   [`Bitmap::count_into`], and [`Bitmap::len`] plus
 //!   [`Bitmap::serialized_size_in_bytes`] for the index size (Figure 11
 //!   of the paper reports it);
 //! * the attribute postings (`metadata.rs`) — [`Bitmap::from_sorted`],

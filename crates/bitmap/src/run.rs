@@ -88,28 +88,82 @@ impl RunContainer {
         }
     }
 
+    /// Index of the last run starting at or before `value`, if any.
+    fn run_before(&self, value: u16) -> Option<usize> {
+        self.runs
+            .partition_point(|r| r.start <= value)
+            .checked_sub(1)
+    }
+
     /// Inserts `value`; returns `true` if it was not already present.
     ///
-    /// Kept simple (merge neighbours when adjacent); run containers are
-    /// mostly produced by [`Self::from_sorted_values`] during optimization.
+    /// Edits the run list in place: `value` extends the run that ends
+    /// just before it or starts just after it, joins two runs it is the
+    /// only gap between, or else becomes a run of its own.
     pub fn insert(&mut self, value: u16) -> bool {
-        if self.contains(value) {
+        let prev = self.run_before(value);
+        if prev.is_some_and(|i| self.runs[i].end() >= value) {
             return false;
         }
-        let mut values: Vec<u16> = self.iter().collect();
-        let pos = values.partition_point(|&v| v < value);
-        values.insert(pos, value);
-        *self = Self::from_sorted_values(values);
+        let next = prev.map_or(0, |i| i + 1);
+        // No overflow: a previous run ends below `value`, a next run
+        // starts above it.
+        let joins_prev = prev.is_some_and(|i| self.runs[i].end() + 1 == value);
+        let joins_next = self.runs.get(next).is_some_and(|r| r.start == value + 1);
+        match (prev, joins_prev, joins_next) {
+            (Some(i), true, true) => {
+                let absorbed = self.runs.remove(next);
+                self.runs[i].len_minus_one += absorbed.len_minus_one + 2;
+            }
+            (Some(i), true, false) => self.runs[i].len_minus_one += 1,
+            (_, _, true) => {
+                let run = &mut self.runs[next];
+                run.start -= 1;
+                run.len_minus_one += 1;
+            }
+            _ => self.runs.insert(
+                next,
+                Run {
+                    start: value,
+                    len_minus_one: 0,
+                },
+            ),
+        }
+        self.len += 1;
         true
     }
 
     /// Removes `value`; returns `true` if it was present.
+    ///
+    /// Edits the run list in place: `value` drops a singleton run, trims
+    /// a run at either end, or splits a run in two.
     pub fn remove(&mut self, value: u16) -> bool {
-        if !self.contains(value) {
+        let Some(i) = self
+            .run_before(value)
+            .filter(|&i| self.runs[i].end() >= value)
+        else {
             return false;
+        };
+        let run = &mut self.runs[i];
+        let (start, end) = (run.start, run.end());
+        if start == end {
+            self.runs.remove(i);
+        } else if value == start {
+            run.start += 1;
+            run.len_minus_one -= 1;
+        } else if value == end {
+            run.len_minus_one -= 1;
+        } else {
+            run.len_minus_one = value - start - 1;
+            self.runs.insert(
+                i + 1,
+                Run {
+                    start: value + 1,
+                    len_minus_one: end - value - 1,
+                },
+            );
         }
-        let values: Vec<u16> = self.iter().filter(|&v| v != value).collect();
-        *self = Self::from_sorted_values(values);
+        self.len -= 1;
         true
     }
 
@@ -156,6 +210,52 @@ mod tests {
         assert!(!c.insert(2));
         assert!(c.remove(2));
         assert_eq!(c.run_count(), 2);
+    }
+
+    fn runs_of(c: &RunContainer) -> Vec<(u16, u16)> {
+        c.runs().iter().map(|r| (r.start, r.end())).collect()
+    }
+
+    #[test]
+    fn removing_from_the_middle_of_a_run_splits_it() {
+        let mut c = RunContainer::from_sorted_values(10u16..=20);
+        assert!(c.remove(15));
+        assert_eq!(runs_of(&c), [(10, 14), (16, 20)]);
+        assert_eq!(c.len(), 10);
+        assert!(!c.remove(15));
+        // Trimming either end keeps one run; a singleton run disappears.
+        assert!(c.remove(10) && c.remove(14));
+        assert_eq!(runs_of(&c), [(11, 13), (16, 20)]);
+        let mut one = RunContainer::from_sorted_values([7u16]);
+        assert!(one.remove(7));
+        assert!(one.is_empty() && one.run_count() == 0);
+    }
+
+    #[test]
+    fn inserting_between_two_runs_merges_them() {
+        let mut c = RunContainer::from_sorted_values([1u16, 2, 4, 5, 9]);
+        assert!(c.insert(3));
+        assert_eq!(runs_of(&c), [(1, 5), (9, 9)]);
+        assert_eq!(c.len(), 6);
+        assert!(!c.insert(3) && !c.insert(1) && !c.insert(5));
+    }
+
+    #[test]
+    fn inserting_at_a_runs_edge_extends_it() {
+        let mut c = RunContainer::from_sorted_values([5u16, 6, 7, 20]);
+        assert!(c.insert(8) && c.insert(4) && c.insert(19));
+        assert_eq!(runs_of(&c), [(4, 8), (19, 20)]);
+        // Away from every run: a run of its own, in order.
+        assert!(c.insert(0) && c.insert(12) && c.insert(u16::MAX));
+        assert_eq!(
+            runs_of(&c),
+            [(0, 0), (4, 8), (12, 12), (19, 20), (u16::MAX, u16::MAX)]
+        );
+        assert!(c.insert(u16::MAX - 1) && c.remove(u16::MAX));
+        assert_eq!(runs_of(&c).last(), Some(&(u16::MAX - 1, u16::MAX - 1)));
+        assert_eq!(c.len(), 10);
+        let rebuilt = RunContainer::from_sorted_values(c.iter().collect::<Vec<_>>());
+        assert_eq!(c, rebuilt);
     }
 
     #[test]

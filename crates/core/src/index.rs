@@ -39,6 +39,12 @@
 //!   `sims_computed` and `early_exits` — which count only the members
 //!   whose tokens were read — are those of the unsigned scan. A range
 //!   reads every window member;
+//! * both loops **fetch ahead** of their merges (why: `tgm.rs` module
+//!   docs). The kNN scan resolves the next admitted member's token slice
+//!   before it merges the current one; the range loop takes its window
+//!   32 members at a time and reads the first token of each one the
+//!   mask keeps before it merges any of them. Only when loads are issued
+//!   moves, never which bytes are read or a verdict;
 //! * the two loops count overlap differently. A kNN loads a
 //!   duplicate-free query into a membership bitset once
 //!   ([`crate::sim::QueryBits`], in the scratch, at most `⌈universe /
@@ -405,20 +411,31 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         let q_len = self.q_len();
         let (ids, _lens, _sigs, skipped) = order.window(self.sim, g, q_len, q_len, delta);
         stats.size_skipped += skipped;
-        for &id in ids {
-            if self.filter.is_some_and(|m| !m.contains(id)) {
-                continue;
+        // Fetch ahead (module docs): per chunk of 32, read the first token
+        // of every member the mask keeps, then merge those members.
+        let mut kept = [0 as SetId; 32];
+        for chunk in ids.chunks(kept.len()) {
+            let (mut n, mut fetched) = (0, 0u32);
+            for &id in chunk {
+                if self.filter.is_none_or(|m| m.contains(id)) {
+                    fetched ^= self.db.set(id).first().copied().unwrap_or(0);
+                    kept[n] = id;
+                    n += 1;
+                }
             }
-            stats.candidates += 1;
-            stats.sims_computed += 1;
-            match self
-                .sim
-                .eval_with_threshold(self.query.tokens(), self.db.set(id), delta)
-            {
-                ThresholdedEval::Hit(s) => hits.push((id, s)),
-                ThresholdedEval::Rejected { early } => {
-                    if early {
-                        stats.early_exits += 1;
+            std::hint::black_box(fetched);
+            for &id in &kept[..n] {
+                stats.candidates += 1;
+                stats.sims_computed += 1;
+                match self
+                    .sim
+                    .eval_with_threshold(self.query.tokens(), self.db.set(id), delta)
+                {
+                    ThresholdedEval::Hit(s) => hits.push((id, s)),
+                    ThresholdedEval::Rejected { early } => {
+                        if early {
+                            stats.early_exits += 1;
+                        }
                     }
                 }
             }

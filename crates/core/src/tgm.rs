@@ -6,6 +6,20 @@
 //! groups is then one counting pass over the query's token bitmaps —
 //! `O(Σ_{t∈Q} |groups(t)|) ≤ O(n·|Q|)`, the paper's bound with better
 //! constants on sparse data.
+//!
+//! [`Tgm::group_overlaps_into`] runs two passes over the query. Reaching
+//! a column's groups is three dependent loads — the column's bitmap in
+//! `token_groups`, its chunk table, the first container's data — and on
+//! a benchmark-sized matrix none of them is in L2. Counting column by
+//! column makes every column wait for its own chain, so a 31-token query
+//! pays ≈ 93 misses back to back. The first pass only reads one word of
+//! every column's first container ([`Bitmap::first_word`]): the chains
+//! are independent across tokens, so the CPU has all of them in flight
+//! at once. The second pass counts, over columns that are now cached.
+//! The fetch pass reads only bytes the count reads too, so it moves when
+//! loads are issued and nothing else: counts and bits visited are those
+//! of the count alone. The range verify loop fetches its candidates'
+//! token slices ahead for the same reason (`index.rs`).
 
 use les3_bitmap::Bitmap;
 use les3_data::{SetDatabase, TokenId};
@@ -81,14 +95,22 @@ impl Tgm {
     }
 
     /// Per-group overlap counts `r_g = |GS_g ∩ Q|` for all groups in one
-    /// word-parallel counting pass into caller-provided storage (resized
-    /// and zeroed here; reusing one buffer across queries makes the filter
-    /// step allocation-free). `query` must be sorted; duplicate tokens
+    /// word-parallel counting pass, after a fetch pass (module docs), into
+    /// caller-provided storage (resized and zeroed here; reusing one buffer
+    /// across queries makes the filter step allocation-free). `query` must be sorted; duplicate tokens
     /// count once. Returns the number of TGM bits visited —
     /// `Σ_{t∈Q} |groups(t)|`, the honest filter cost.
     pub fn group_overlaps_into(&self, query: &[TokenId], counts: &mut Vec<u32>) -> u64 {
         counts.clear();
         counts.resize(self.n_groups, 0);
+        // Fetch pass (module docs); `black_box` keeps the loads alive.
+        let mut fetched = 0u64;
+        for &t in query {
+            if let Some(bm) = self.token_groups.get(t as usize) {
+                fetched ^= bm.first_word();
+            }
+        }
+        std::hint::black_box(fetched);
         let mut touched = 0u64;
         let mut prev: Option<TokenId> = None;
         for &t in query {
@@ -197,6 +219,73 @@ mod tests {
         assert_eq!(tgm.n_tokens(), 11);
         assert!(tgm.bit(1, 10));
         assert_eq!(tgm.group_overlaps(&[10]), vec![0, 1]);
+    }
+
+    /// The fetch pass only reads ahead: for duplicate tokens, tokens at
+    /// or past `n_tokens()`, columns that deletes emptied and the empty
+    /// query, the counts are the per-group bit sums over the distinct
+    /// tokens, and the bits visited — the engine's `columns_checked` —
+    /// are the summed lengths of their columns.
+    #[test]
+    fn phase_a_edge_queries_visit_each_column_once() {
+        use crate::sim::Jaccard;
+        use crate::{DeletionLog, Les3Index};
+        // 40 sets in 8 groups: token 8 is in every group (a run column),
+        // tokens 10 and 11 only in sets 38 and 39.
+        let sets = (0..40u32).map(|i| {
+            let mut s = vec![i % 5, 5 + i % 3, 8];
+            s.extend(
+                [(i == 38).then_some(10), (i == 39).then_some(11)]
+                    .into_iter()
+                    .flatten(),
+            );
+            s
+        });
+        let db = SetDatabase::from_sets(sets.collect::<Vec<_>>());
+        let part = Partitioning::from_assignment((0..40).map(|i| i % 8).collect(), 8);
+        let mut index = Les3Index::build(db, part, Jaccard);
+        let check = |index: &Les3Index<Jaccard>, query: &[TokenId]| {
+            let tgm = index.tgm();
+            let mut distinct = query.to_vec();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let column = |t| (0..8).filter(|&g| tgm.bit(g, t)).count();
+            let cols: usize = distinct.iter().map(|&t| column(t)).sum();
+            let expected: Vec<u32> = (0..8)
+                .map(|g| distinct.iter().filter(|&&t| tgm.bit(g, t)).count() as u32)
+                .collect();
+            let mut sorted = query.to_vec();
+            sorted.sort_unstable();
+            let mut counts = vec![7; 3]; // stale contents are cleared
+            assert_eq!(
+                tgm.group_overlaps_into(&sorted, &mut counts),
+                cols as u64,
+                "{query:?}"
+            );
+            assert_eq!(counts, expected, "{query:?}");
+            assert_eq!(index.knn(query, 3).stats.columns_checked, cols, "{query:?}");
+            assert_eq!(
+                index.range(query, 0.5).stats.columns_checked,
+                cols,
+                "{query:?}"
+            );
+            cols
+        };
+        assert_eq!(check(&index, &[]), 0);
+        assert_eq!(check(&index, &[8, 8, 8]), 8);
+        assert_eq!(check(&index, &[2, 8, 2, 8, 0]), 3 * 8);
+        let n = index.tgm().n_tokens() as TokenId;
+        assert_eq!(n, 12);
+        assert_eq!(check(&index, &[u32::MAX, n, 8, n + 500, 11]), 8 + 1);
+        let mut log = DeletionLog::build(&index);
+        assert!(log.delete(&mut index, 38) && log.delete(&mut index, 39));
+        assert_eq!(
+            index.tgm().n_tokens(),
+            12,
+            "an emptied column stays allocated"
+        );
+        assert_eq!(check(&index, &[10, 11]), 0);
+        assert_eq!(check(&index, &[11, 10, 11, 8, n]), 8);
     }
 
     #[test]

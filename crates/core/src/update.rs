@@ -23,12 +23,12 @@ impl<S: Similarity> ShardedLes3Index<S> {
         let universe = self.db.universe_size();
         // PS = previously seen tokens (§6 step 1).
         let ps: Vec<TokenId> = tokens.iter().copied().filter(|&t| t < universe).collect();
-        let sizes = self.partitioning.group_sizes();
+        let size = |g: u32| self.partitioning.members(g).len();
         let g = if ps.is_empty() {
-            smallest_group(&sizes)
+            smallest_group(self.partitioning.n_groups(), size)
         } else {
             let counts = self.tgm.group_overlaps(&ps);
-            choose_group_from_counts(self.sim, distinct_len(&ps), &counts, &sizes)
+            choose_group_from_counts(self.sim, distinct_len(&ps), &counts, size)
         };
         let id = self.db.push_sorted(tokens);
         let joined = self.partitioning.push(g);
@@ -47,21 +47,22 @@ impl<S: Similarity> ShardedLes3Index<S> {
 
 /// Group with the highest `UB(ps, G_g)` given pre-computed overlap
 /// counts; ties (including the all-zero case) go to the smallest group,
-/// then the smallest id — the §6 placement rule.
+/// then the smallest id — the §6 placement rule. `size(g)` is group
+/// `g`'s member count.
 pub(crate) fn choose_group_from_counts<S: Similarity>(
     sim: S,
     q_len: usize,
     counts: &[u32],
-    sizes: &[usize],
+    size: impl Fn(u32) -> usize,
 ) -> u32 {
     let mut best_g = 0u32;
     let mut best_ub = f64::NEG_INFINITY;
     let mut best_size = usize::MAX;
-    for (g, &r) in counts.iter().enumerate() {
+    for (g, &r) in (0u32..).zip(counts) {
         let ub = sim.ub_from_overlap(q_len, r as usize);
-        let size = sizes[g];
+        let size = size(g);
         if ub > best_ub || (ub == best_ub && size < best_size) {
-            best_g = g as u32;
+            best_g = g;
             best_ub = ub;
             best_size = size;
         }
@@ -69,13 +70,9 @@ pub(crate) fn choose_group_from_counts<S: Similarity>(
     best_g
 }
 
-pub(crate) fn smallest_group(sizes: &[usize]) -> u32 {
-    sizes
-        .iter()
-        .enumerate()
-        .min_by_key(|&(_, &s)| s)
-        .map(|(g, _)| g as u32)
-        .unwrap_or(0)
+/// The smallest of `n_groups` groups by `size`, then the smallest id.
+pub(crate) fn smallest_group(n_groups: usize, size: impl Fn(u32) -> usize) -> u32 {
+    (0..n_groups as u32).min_by_key(|&g| size(g)).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -83,8 +80,24 @@ mod tests {
     use super::*;
     use crate::index::Les3Index;
     use crate::partitioning::Partitioning;
-    use crate::sim::Jaccard;
+    use crate::sim::{Jaccard, OverlapCoefficient};
     use les3_data::SetDatabase;
+
+    #[test]
+    fn overlap_coefficient_ties_go_to_the_smallest_group_then_id() {
+        // Every r ≥ 1 bounds 1.0: groups 0, 1, 3 and 4 tie, 0 and 4 are
+        // the smallest of them, 0 has the smaller id. Group 2 is smaller
+        // still but bounds 0.0.
+        let (counts, sizes) = ([1, 3, 0, 2, 3], [2, 4, 1, 5, 2]);
+        let size = |g: u32| sizes[g as usize];
+        assert_eq!(
+            choose_group_from_counts(OverlapCoefficient, 3, &counts, size),
+            0
+        );
+        // Jaccard separates the same counts: r = 3 wins, then the size.
+        assert_eq!(choose_group_from_counts(Jaccard, 3, &counts, size), 4);
+        assert_eq!(smallest_group(counts.len(), size), 2);
+    }
 
     fn two_region_index() -> Les3Index<Jaccard> {
         // Group 0 holds tokens 0..10, group 1 holds tokens 100..110.
