@@ -275,7 +275,7 @@ mod tests {
         );
         // At high δ InvIdx touches a tiny fraction of the pages; the
         // elapsed-time crossover needs paper-scale data (see
-        // `DiskModel::scaled_for_emulation` and the fig13 bench).
+        // `DiskModel::scaled_for_emulation` and the `paper` bench).
         let (_, io_i_hi) = dinv.range(&q, 0.9);
         assert!(
             io_i_hi.pages_read < io_b.pages_read / 4,

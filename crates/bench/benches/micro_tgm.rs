@@ -13,7 +13,7 @@ fn bench_tgm(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1200));
     let db = DatasetSpec::kosarak().with_sets(4_000).generate(1);
     let query = db.set(17).to_vec();
-    for n_groups in [32usize, 128, 512] {
+    for n_groups in [32usize, 128, 512, 1024] {
         let part = Partitioning::round_robin(db.len(), n_groups);
         let tgm = Tgm::build(&db, &part);
         group.bench_with_input(BenchmarkId::from_parameter(n_groups), &tgm, |b, tgm| {

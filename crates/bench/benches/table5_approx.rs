@@ -25,7 +25,9 @@
 //! at least that recall, so a regression in the signature pipeline
 //! fails the build rather than silently degrading the tier.
 
-use les3_bench::{bench_queries, bench_sets, env_json, header, per_query_us, time, workload};
+use les3_bench::{
+    bench_queries, bench_sets, env_json, header, per_query_us, record, time, workload,
+};
 use les3_core::{
     ApproxParams, ApproxPolicy, Jaccard, Les3Index, Partitioning, QueryCtl, QueryScratch,
 };
@@ -210,9 +212,5 @@ fn main() {
         "{{\n \"bench\": \"table5_approx\",\n \"env\": {},\n \"n_sets\": {n},\n \"n_groups\": {n_groups},\n \"n_queries\": {n_queries},\n \"k\": {K},\n \"sidecar\": {{\"bands\": 16, \"rows\": 2}},\n \"rows\": [{rows}]\n}}\n",
         env_json()
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_approx.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nrecorded {path}"),
-        Err(e) => println!("\n(could not record {path}: {e})"),
-    }
+    record("BENCH_approx.json", &json);
 }

@@ -1,15 +1,19 @@
 //! Shared helpers for the figure/table benchmark harnesses.
 //!
-//! Every harness prints the rows/series of one exhibit from the paper's
-//! §7 evaluation. Scale is configurable through environment variables so
-//! the suite finishes in minutes by default yet can be pushed toward
-//! paper scale:
+//! Most harnesses print the rows/series of one exhibit from the paper's
+//! §7 evaluation. Two also record them at the repository root, under an
+//! [`env_json`] block: `paper` (the §7.6 comparison of LES3 against its
+//! baselines, Figures 11–13 and Table 2, each answer checked against
+//! brute force with [`same_answer`]) writes `BENCH_paper.json`, and
+//! `table5_approx` writes `BENCH_approx.json`. Scale is configurable
+//! through environment variables so the suite finishes in minutes by
+//! default yet can be pushed toward paper scale:
 //!
 //! * `LES3_BENCH_N` — sets per emulated dataset (default varies per
 //!   harness, typically 4 000);
 //! * `LES3_BENCH_QUERIES` — queries per measurement (default 50).
 
-use les3_core::{Jaccard, Les3Index, Partitioning};
+use les3_core::{Jaccard, Kind, Les3Index, Partitioning, SearchResult};
 use les3_data::query::sample_query_ids;
 use les3_data::{SetDatabase, TokenId};
 use les3_partition::l2p::{L2p, L2pConfig, L2pResult};
@@ -50,6 +54,16 @@ pub fn env_json() -> String {
         scale("LES3_BENCH_N"),
         scale("LES3_BENCH_QUERIES"),
     )
+}
+
+/// Writes a recorded `BENCH_*.json` to the repository root, or says
+/// why it could not.
+pub fn record(file: &str, json: &str) {
+    let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    match std::fs::write(&path, json) {
+        Ok(()) => println!("\nrecorded {path}"),
+        Err(e) => println!("\n(could not record {path}: {e})"),
+    }
 }
 
 /// Dataset size for a harness (`LES3_BENCH_N`).
@@ -123,6 +137,22 @@ pub fn header(exhibit: &str, description: &str) {
     println!("=== {exhibit} — {description} ===");
 }
 
+/// Whether `got` is the exact answer `want` is, for a query of `kind`.
+/// A range must return the same `(id, similarity)` list. A kNN must
+/// return the same similarity list; ids may differ only among the ties
+/// at the k-th (last) similarity, which each exact method breaks its own
+/// way. Similarities compare with `==`: one ulp apart disagrees.
+pub fn same_answer(kind: Kind, got: &SearchResult, want: &SearchResult) -> bool {
+    let kth = want.hits.last().map(|&(_, sim)| sim);
+    let tie_at_kth = |sim: f64| matches!(kind, Kind::Knn(_)) && Some(sim) == kth;
+    got.hits.len() == want.hits.len()
+        && got
+            .hits
+            .iter()
+            .zip(&want.hits)
+            .all(|(&(gid, gsim), &(wid, wsim))| gsim == wsim && (gid == wid || tie_at_kth(wsim)))
+}
+
 /// Embeds a database with any inductive representation and reports the
 /// elapsed time (Figure 8's "embedding cost").
 pub fn embed_timed<R: SetRepresentation>(db: &SetDatabase, rep: &R) -> (RepMatrix, Duration) {
@@ -143,6 +173,33 @@ mod tests {
         assert!(index.partitioning().n_groups() >= 8);
         let (_, d) = time(|| 1 + 1);
         assert!(d.as_nanos() < 1_000_000);
+    }
+
+    fn result(hits: &[(u32, f64)]) -> SearchResult {
+        SearchResult {
+            hits: hits.to_vec(),
+            stats: Default::default(),
+        }
+    }
+
+    #[test]
+    fn same_answer_frees_ids_only_among_kth_ties() {
+        let want = result(&[(4, 0.9), (2, 0.5), (3, 0.5)]);
+        // Another member of the tie at the k-th similarity agrees…
+        let tie = result(&[(4, 0.9), (2, 0.5), (7, 0.5)]);
+        assert!(same_answer(Kind::Knn(3), &tie, &want));
+        // …but not in a range, nor above the tie.
+        assert!(!same_answer(Kind::Range(0.5), &tie, &want));
+        let above = result(&[(5, 0.9), (2, 0.5), (3, 0.5)]);
+        assert!(!same_answer(Kind::Knn(3), &above, &want));
+        // A similarity one ulp off disagrees.
+        let ulp = f64::from_bits(0.5f64.to_bits() + 1);
+        let off = result(&[(4, 0.9), (2, 0.5), (3, ulp)]);
+        assert!(!same_answer(Kind::Knn(3), &off, &want));
+        // A range missing one hit disagrees.
+        let short = result(&[(4, 0.9), (2, 0.5)]);
+        assert!(!same_answer(Kind::Range(0.5), &short, &want));
+        assert!(same_answer(Kind::Range(0.5), &want, &want));
     }
 
     #[test]

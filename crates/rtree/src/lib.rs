@@ -5,8 +5,8 @@
 //! R-tree for branch-and-bound similarity search. The paper's critique of
 //! this design (R-tree nodes overlap badly in higher dimensions, and
 //! scanning the tree is expensive relative to cheap set-similarity
-//! verification) is reproduced by the Figure 12/13 benchmarks, so the tree
-//! counts every node visit.
+//! verification) is reproduced by the `paper` benchmark (Figures 12/13),
+//! so the tree counts every node visit.
 //!
 //! Features:
 //! * [`RTree::bulk_load`] — Sort-Tile-Recursive packing (used to build the
