@@ -1,34 +1,50 @@
-//! The paper's §7.6 comparison (Figures 11–13, Table 2), recorded: LES3
-//! against InvIdx, DualTrans, brute force and the repo's ScalarTrans
-//! extension, in memory and on the simulated disk.
+//! The paper's evaluation, recorded: L2P's partitions (§7.2–7.5, Figs.
+//! 7–10, the loss and TGM-storage ablations) and LES3 against InvIdx,
+//! DualTrans, brute force and the repo's ScalarTrans, in memory and on the
+//! simulated disk (§7.6, Figs. 11–13, Table 2).
 //!
-//! Each shape's data is built once. A memory shape trains one L2P cascade;
-//! its levels nearest 256 and 1 024 groups give two LES3 indexes, beside
-//! `InvIdx`, `DualTrans(8, 16)`, `ScalarTrans` and `BruteForce`. A disk
-//! shape (FS, PMC) drives `DiskLes3` and the three `Disk*` baselines on the
+//! Each shape is built once and trains one L2P cascade (PTR, surrogate
+//! loss; every cascade here uses [`les3_bench::l2p_config`]). A memory
+//! shape runs LES3 at every cascade level (Fig. 10); PAR-G/C/D/A and
+//! round-robin at the group count of the level nearest 256 (Fig. 9); on
+//! KOSARAK, every level of a second cascade trained with Eq. 15's hard
+//! loss; and `InvIdx`, `DualTrans(8, 16)`, `ScalarTrans` and `BruteForce`.
+//! The `sample` shape, KOSARAK at `n / 4` sets (MDS holds an `n × n`
+//! matrix), trains one cascade per representation (PTR, PTR-half,
+//! BinaryEnc, PCA, MDS) and runs LES3 on each finest level (Fig. 8). A disk
+//! shape (FS, PMC) drives `DiskLes3` and the `Disk*` baselines on the
 //! 5400 RPM HDD model, its positioning scaled down by the factor the data
-//! shrank by (emulating the paper-size file).
+//! shrank by.
 //!
-//! Every method answers the same queries, δ ∈ {0.9, 0.7, 0.5, 0.3} and
-//! k ∈ {1, 10, 50}. Before a cell is timed, each answer must equal brute
-//! force's ([`les3_bench::same_answer`]) or the run panics, so the table is
-//! also a cross-method exactness check. A row is one method × shape ×
-//! query: µs and sets read per query, simulated I/O ms per query (disk),
-//! index bytes, build time, and LES3's group count and L2P training (one
-//! cascade serves both memory rows). The rows and each shape's Table 2
-//! statistics land in `BENCH_paper.json` at the repository root, under an
-//! `env` block.
+//! Queries are δ ∈ {0.9, 0.7, 0.5, 0.3} and k ∈ {1, 10, 50}. Before a cell
+//! is timed, every answer must equal brute force's
+//! ([`les3_bench::same_answer`]) or the run panics. A row is one method ×
+//! partition × shape × query: µs, sets read and (disk) I/O ms per query,
+//! index bytes, build time. LES3 rows add the partitioner and group count,
+//! per-query groups verified, candidates and TGM bits, sampled GPO, dense
+//! TGM bytes, partition seconds and measured bytes (`null` if unmeasured);
+//! L2P rows the embedding seconds and models trained (Fig. 7(b) against
+//! `partition_s`). Each shape block holds its cascade's first learning
+//! curve (Fig. 7(a)). All of it goes to `BENCH_paper.json` at the
+//! repository root, under an `env` block.
 
 use les3_baselines::disk::{DiskBruteForce, DiskDualTrans, DiskInvIdx};
 use les3_baselines::{BruteForce, DualTrans, InvIdx, ScalarTrans, SetSimSearch};
 use les3_bench::{
-    bench_queries, bench_sets, env_json, header, l2p_partition, per_query_us, record, same_answer,
-    time, workload,
+    bench_queries, bench_sets, embed_timed, env_json, header, l2p_config, per_query_us, record,
+    same_answer, time, workload, QueryWork,
 };
-use les3_core::{DiskLes3, Jaccard, Kind, Les3Index, SearchResult};
+use les3_core::{DiskLes3, Jaccard, Kind, Les3Index, Partitioning, SearchResult};
 use les3_data::realistic::DatasetSpec;
 use les3_data::{SetDatabase, TokenId};
+use les3_nn::PairLoss;
+use les3_partition::graph::{knn_graph, partition_graph, GraphWorkload, MultilevelConfig};
+use les3_partition::l2p::L2p;
+use les3_partition::objective::gpo_sampled;
+use les3_partition::rep::{BinaryEncoding, Mds, Pca, Ptr, PtrHalf, RepMatrix};
+use les3_partition::{ParA, ParC, ParD, ParG};
 use les3_storage::{DiskModel, IoStats};
+use std::fmt::Display;
 use std::time::Duration;
 
 const KINDS: [Kind; 7] = [
@@ -54,15 +70,110 @@ macro_rules! ask {
 /// A method's answer to one query and, on disk, its simulated I/O ms.
 type Ask = Box<dyn Fn(&[TokenId], Kind) -> (SearchResult, Option<f64>)>;
 
+/// The partitioning a LES3 method is built on, and what making it cost.
+struct Part {
+    /// `L2P`, `L2P/<representation>`, `L2P/hard`, `PAR-G`, `PAR-C`,
+    /// `PAR-D`, `PAR-A` or `round-robin`.
+    partitioner: String,
+    partitioning: Partitioning,
+    /// Sampled GPO (Eq. 13; 64 pairs per group).
+    gpo: f64,
+    /// The TGM as an uncompressed `n_groups × |T|` bit matrix.
+    dense_tgm_bytes: usize,
+    /// Wall time to partition; for L2P the cascade's training, which all
+    /// its levels share, without the embedding.
+    seconds: f64,
+    /// Memory measured while partitioning.
+    bytes: Option<usize>,
+    /// L2P only: embedding seconds and models trained.
+    embed_s: Option<f64>,
+    models_trained: Option<usize>,
+}
+
+impl Part {
+    fn new(
+        db: &SetDatabase,
+        partitioner: &str,
+        partitioning: Partitioning,
+        seconds: Duration,
+        bytes: Option<usize>,
+    ) -> Self {
+        Self {
+            partitioner: partitioner.into(),
+            gpo: gpo_sampled(db, &partitioning, Jaccard, 64, 7),
+            dense_tgm_bytes: partitioning.n_groups() * db.universe_size() as usize / 8,
+            partitioning,
+            seconds: seconds.as_secs_f64(),
+            bytes,
+            embed_s: None,
+            models_trained: None,
+        }
+    }
+}
+
+/// Trains an L2P cascade with the recorder's one config: one `Part` per
+/// level, and its first model's learning curve (Fig. 7(a)).
+fn cascade(
+    db: &SetDatabase,
+    label: &str,
+    (reps, embed): (RepMatrix, Duration),
+    target: usize,
+    loss: PairLoss,
+) -> (Vec<Part>, Vec<f64>) {
+    let mut cfg = l2p_config(db, target);
+    cfg.siamese.loss = loss;
+    let l2p = L2p::new(cfg);
+    let (mut result, train) = time(|| l2p.partition(db, &reps));
+    let curve = result.reports.swap_remove(0).epoch_losses;
+    let parts = result.levels.into_iter().map(|level| Part {
+        embed_s: Some(embed.as_secs_f64()),
+        models_trained: Some(result.models_trained),
+        ..Part::new(db, label, level, train, Some(result.model_bytes))
+    });
+    (parts.collect(), curve)
+}
+
+fn ptr(db: &SetDatabase) -> (RepMatrix, Duration) {
+    embed_timed(db, &Ptr::new(db.universe_size()))
+}
+
+/// Fig. 9's algorithmic partitioners and round-robin, each at `groups`.
+fn partitioners(db: &SetDatabase, groups: usize) -> Vec<Part> {
+    // `ParG::partition`'s two steps, apart so the graph it cuts is weighed.
+    let parg = ParG::new(groups);
+    let ((assignment, graph_bytes), t) = time(|| {
+        let graph = match parg.workload {
+            GraphWorkload::Knn(k) => knn_graph(db, k, Jaccard),
+            GraphWorkload::Range(_) => unreachable!("ParG::new cuts a kNN graph"),
+        };
+        let cfg = MultilevelConfig {
+            balance: parg.balance,
+            seed: parg.seed,
+            ..Default::default()
+        };
+        (partition_graph(&graph, groups, &cfg), graph.size_in_bytes())
+    });
+    let parg = Partitioning::from_assignment(assignment, groups);
+    let mut parts = vec![Part::new(db, "PAR-G", parg, t, Some(graph_bytes))];
+    // Nothing measures what the others hold, so their bytes stay null.
+    let mut push = |name, (partitioning, t)| parts.push(Part::new(db, name, partitioning, t, None));
+    push("PAR-C", time(|| ParC::new(groups).partition(db, Jaccard)));
+    push("PAR-D", time(|| ParD::new(groups).partition(db, Jaccard)));
+    push("PAR-A", time(|| ParA::new(groups).partition(db, Jaccard)));
+    push(
+        "round-robin",
+        time(|| Partitioning::round_robin(db.len(), groups)),
+    );
+    parts
+}
+
 /// One method built on one shape.
 struct Method {
     name: &'static str,
-    /// LES3's group count.
-    groups: Option<usize>,
+    /// LES3's partition.
+    part: Option<Part>,
     index_bytes: usize,
     build: Duration,
-    /// LES3's L2P training, apart from `build`.
-    l2p: Option<Duration>,
     ask: Ask,
 }
 
@@ -70,11 +181,19 @@ impl Method {
     fn memory<M: SetSimSearch + 'static>((index, build): (M, Duration)) -> Self {
         Self {
             name: index.name(),
-            groups: None,
+            part: None,
             index_bytes: index.index_size_in_bytes(),
             build,
-            l2p: None,
             ask: Box::new(move |q, kind| (ask!(index, q, kind), None)),
+        }
+    }
+
+    fn les3(db: &SetDatabase, part: Part) -> Self {
+        let (index, build) =
+            time(|| Les3Index::build(db.clone(), part.partitioning.clone(), Jaccard));
+        Self {
+            part: Some(part),
+            ..Self::memory((index, build))
         }
     }
 
@@ -87,35 +206,35 @@ impl Method {
     ) -> Self {
         Self {
             name,
-            groups: None,
+            part: None,
             index_bytes: index_bytes(&index),
             build,
-            l2p: None,
             ask: Box::new(move |q, kind| {
                 let (result, io) = ask(&index, q, kind);
                 (result, Some(io.elapsed_ms))
             }),
         }
     }
+
+    /// `LES3 <partitioner>@<groups>`, or the method's name.
+    fn label(&self) -> String {
+        self.part.as_ref().map_or(self.name.into(), |p| {
+            let groups = p.partitioning.n_groups();
+            format!("{} {}@{groups}", self.name, p.partitioner)
+        })
+    }
 }
 
-fn memory_methods(db: &SetDatabase) -> Vec<Method> {
-    let (cascade, train) = time(|| l2p_partition(db, 1024));
-    let mut methods: Vec<Method> = [256, 1024]
-        .iter()
-        .map(|&target| {
-            let part = cascade
-                .levels
-                .iter()
-                .min_by_key(|p| p.n_groups().abs_diff(target))
-                .expect("a cascade has levels");
-            Method {
-                groups: Some(part.n_groups()),
-                l2p: Some(train),
-                ..Method::memory(time(|| Les3Index::build(db.clone(), part.clone(), Jaccard)))
-            }
-        })
-        .collect();
+fn memory_methods(shape: &str, db: &SetDatabase, mut parts: Vec<Part>) -> Vec<Method> {
+    let groups = parts.iter().map(|p| p.partitioning.n_groups());
+    let groups = groups
+        .min_by_key(|g| g.abs_diff(256))
+        .expect("a cascade has levels");
+    parts.extend(partitioners(db, groups));
+    if shape == "KOSARAK" {
+        parts.extend(cascade(db, "L2P/hard", ptr(db), 1024, PairLoss::Hard).0);
+    }
+    let mut methods: Vec<Method> = parts.into_iter().map(|p| Method::les3(db, p)).collect();
     methods.extend([
         Method::memory(time(|| InvIdx::build(db.clone(), Jaccard))),
         Method::memory(time(|| DualTrans::build(db.clone(), Jaccard, 8, 16))),
@@ -125,17 +244,39 @@ fn memory_methods(db: &SetDatabase) -> Vec<Method> {
     methods
 }
 
-fn disk_methods(spec: &DatasetSpec, db: &SetDatabase) -> Vec<Method> {
+/// Fig. 8: one cascade per representation, LES3 on each finest level.
+fn sample_methods(db: &SetDatabase, l2p: Vec<Part>) -> Vec<Method> {
+    let universe = db.universe_size();
+    let dim = (2 * Ptr::new(universe).height()).min(16);
+    let (pca, fit) = time(|| Pca::fit(db, dim, 25, 3));
+    let (pca, embed) = embed_timed(db, &pca);
+    let half = embed_timed(db, &PtrHalf::new(universe));
+    let binary = embed_timed(db, &BinaryEncoding::for_database_size(db.len()));
+    let mds = time(|| Mds::new(dim).fit(db));
+    let reps = [
+        ("L2P/PTR-half", half),
+        ("L2P/BinaryEnc", binary),
+        ("L2P/PCA", (pca, fit + embed)),
+        ("L2P/MDS", mds),
+    ];
+    let cascades = reps.map(|(label, reps)| cascade(db, label, reps, 256, PairLoss::Surrogate).0);
+    std::iter::once(l2p)
+        .chain(cascades)
+        .filter_map(|mut levels| levels.pop())
+        .map(|finest| Method::les3(db, finest))
+        .collect()
+}
+
+fn disk_methods(spec: &DatasetSpec, db: &SetDatabase, mut parts: Vec<Part>) -> Vec<Method> {
     let model = DiskModel::hdd_5400().scaled_for_emulation(spec.n_sets as f64 / db.len() as f64);
-    // The paper's coarse 0.5 %·|D| rule: groups must span several pages
-    // so one seek amortizes over a sequential run.
-    let (cascade, train) = time(|| l2p_partition(db, (db.len() / 200).max(8)));
-    let part = cascade.finest();
-    let les3 = time(|| DiskLes3::new(Les3Index::build(db.clone(), part.clone(), Jaccard), model));
+    let part = parts.pop().expect("a cascade has levels");
+    let les3 = time(|| {
+        let index = Les3Index::build(db.clone(), part.partitioning.clone(), Jaccard);
+        DiskLes3::new(index, model)
+    });
     vec![
         Method {
-            groups: Some(part.n_groups()),
-            l2p: Some(train),
+            part: Some(part),
             ..Method::disk(
                 "LES3",
                 les3,
@@ -165,20 +306,20 @@ fn disk_methods(spec: &DatasetSpec, db: &SetDatabase) -> Vec<Method> {
 }
 
 /// Checks each of `m`'s answers against brute force's, then times them:
-/// µs, sets read and simulated I/O ms per query.
+/// µs, work counters and simulated I/O ms per query.
 fn cell(
     shape: &str,
     m: &Method,
     kind: Kind,
     queries: &[Vec<TokenId>],
     truth: &[SearchResult],
-) -> (f64, f64, Option<f64>) {
+) -> (f64, QueryWork, Option<f64>) {
     let answers: Vec<_> = queries.iter().map(|q| (m.ask)(q, kind)).collect();
     for (i, ((got, _), want)) in answers.iter().zip(truth).enumerate() {
         assert!(
             same_answer(kind, got, want),
             "{shape} {} {kind:?} query {i}: {:?}, brute force {:?}",
-            m.name,
+            m.label(),
             got.hits,
             want.hits
         );
@@ -188,77 +329,103 @@ fn cell(
             std::hint::black_box((m.ask)(q, kind));
         }
     });
-    let per_query = |total: f64| total / queries.len().max(1) as f64;
-    let sets_read = answers.iter().map(|(r, _)| r.stats.sims_computed as f64);
     let io_ms = answers.iter().map(|&(_, io)| io).sum::<Option<f64>>();
     (
         per_query_us(t, queries.len()),
-        per_query(sets_read.sum()),
-        io_ms.map(per_query),
+        QueryWork::mean(answers.iter().map(|(r, _)| r)),
+        io_ms.map(|ms| ms / queries.len().max(1) as f64),
     )
 }
 
+/// A JSON value, or `null` where there is none.
+fn or_null(value: Option<impl Display>) -> String {
+    value.map_or_else(|| "null".into(), |v| v.to_string())
+}
+
 fn main() {
-    header("§7.6", "LES3 against its baselines, in memory and on disk");
+    header("§7", "L2P's partitions and LES3 against its baselines");
     // Posting-list density (what InvIdx's cost tracks) approaches paper
     // conditions only as |D| grows against the ∛-scaled universe.
     let n = bench_sets(16_000);
     let n_queries = bench_queries(50);
     let memory = DatasetSpec::memory_datasets()
         .into_iter()
-        .map(|spec| ("memory", spec));
+        .map(|spec| ("memory", spec, n));
+    let sample = ("sample", DatasetSpec::kosarak(), n / 4);
     let disk = DatasetSpec::disk_datasets()
         .into_iter()
-        .map(|spec| ("disk", spec));
+        .map(|spec| ("disk", spec, n));
     let (mut shapes, mut rows) = (Vec::new(), Vec::new());
-    for (tier, spec) in memory.chain(disk) {
-        let db = spec.with_sets(n).generate(31);
-        let s = db.stats();
-        shapes.push(format!(
-            "{{\"shape\": \"{}\", \"tier\": \"{tier}\", \"n_sets\": {}, \"max_size\": {}, \"min_size\": {}, \"avg_size\": {:.2}, \"tokens\": {}, \"paper_n_sets\": {}, \"paper_tokens\": {}}}",
-            spec.name, s.n_sets, s.max_size, s.min_size, s.avg_size, s.distinct_tokens, spec.n_sets, spec.universe
-        ));
+    for (tier, spec, n_sets) in memory.chain([sample]).chain(disk) {
+        let db = spec.with_sets(n_sets).generate(31);
         let queries = workload(&db, n_queries, 7);
         let brute = BruteForce::new(db.clone(), Jaccard);
         let truth: Vec<Vec<SearchResult>> = KINDS
             .iter()
             .map(|&kind| queries.iter().map(|q| ask!(brute, q, kind)).collect())
             .collect();
-        let methods = match tier {
-            "memory" => memory_methods(&db),
-            _ => disk_methods(&spec, &db),
+        let target = match tier {
+            "memory" => 1024,
+            "sample" => 256,
+            // The paper's coarse 0.5 %·|D| rule: groups must span several
+            // pages so one seek amortizes over a sequential run.
+            _ => (db.len() / 200).max(8),
         };
-        println!("\n--- {} ({s}) ---", spec.name);
+        let (parts, curve) = cascade(&db, "L2P", ptr(&db), target, PairLoss::Surrogate);
+        let methods = match tier {
+            "memory" => memory_methods(spec.name, &db, parts),
+            "sample" => sample_methods(&db, parts),
+            _ => disk_methods(&spec, &db, parts),
+        };
+        let s = db.stats();
+        let curve: Vec<String> = curve.iter().map(|l| format!("{l:.6}")).collect();
+        shapes.push(format!(
+            "{{\"shape\": \"{}\", \"tier\": \"{tier}\", \"n_sets\": {}, \"max_size\": {}, \"min_size\": {}, \"avg_size\": {:.2}, \"tokens\": {}, \"paper_n_sets\": {}, \"paper_tokens\": {}, \"epoch_losses\": [{}]}}",
+            spec.name, s.n_sets, s.max_size, s.min_size, s.avg_size, s.distinct_tokens, spec.n_sets, spec.universe, curve.join(", ")
+        ));
+
+        println!("\n--- {} {tier} ({s}) ---", spec.name);
         println!(
-            "{:<12} {:<11} {:>10} {:>10} {:>10}",
-            "query", "method", "µs/query", "sets read", "I/O ms"
+            "{:<12} {:<24} {:>10} {:>10} {:>10} {:>10}",
+            "query", "method", "µs/query", "sets read", "groups", "I/O ms"
         );
         for m in &methods {
             for (&kind, truth) in KINDS.iter().zip(&truth) {
-                let (us, sets_read, io_ms) = cell(spec.name, m, kind, &queries, truth);
-                let label = m
-                    .groups
-                    .map_or(m.name.into(), |g| format!("{}@{g}", m.name));
+                let (us, work, io_ms) = cell(spec.name, m, kind, &queries, truth);
                 let io = io_ms.map_or(String::new(), |ms| format!("{ms:>10.3}"));
                 println!(
-                    "{:<12} {label:<11} {us:>10.1} {sets_read:>10.1} {io}",
-                    format!("{kind:?}")
+                    "{:<12} {:<24} {us:>10.1} {:>10.1} {:>10.1} {io}",
+                    format!("{kind:?}"),
+                    m.label(),
+                    work.sets_read,
+                    work.groups_verified,
                 );
 
-                let or_null = |field: Option<String>| field.unwrap_or_else(|| "null".into());
+                let p = m.part.as_ref();
+                let per_part = |v: f64| or_null(p.map(|_| format!("{v:.2}")));
                 rows.push(format!(
-                    "{{\"shape\": \"{}\", \"tier\": \"{tier}\", \"method\": \"{}\", \"groups\": {}, {}, \"us_per_query\": {us:.2}, \"sets_read_per_query\": {sets_read:.2}, \"io_ms_per_query\": {}, \"index_bytes\": {}, \"build_ms\": {:.2}, \"l2p_s\": {}}}",
+                    "{{\"shape\": \"{}\", \"tier\": \"{tier}\", \"method\": \"{}\", \"partitioner\": {}, \"groups\": {}, {}, \"us_per_query\": {us:.2}, \"sets_read_per_query\": {:.2}, \"groups_verified_per_query\": {}, \"candidates_per_query\": {}, \"tgm_bits_per_query\": {}, \"io_ms_per_query\": {}, \"index_bytes\": {}, \"dense_tgm_bytes\": {}, \"build_ms\": {:.2}, \"gpo_sampled\": {}, \"partition_s\": {}, \"partition_bytes\": {}, \"embed_s\": {}, \"models_trained\": {}}}",
                     spec.name,
                     m.name,
-                    or_null(m.groups.map(|g| g.to_string())),
+                    or_null(p.map(|p| format!("\"{}\"", p.partitioner))),
+                    or_null(p.map(|p| p.partitioning.n_groups())),
                     match kind {
                         Kind::Knn(k) => format!("\"k\": {k}"),
                         Kind::Range(delta) => format!("\"delta\": {delta}"),
                     },
+                    work.sets_read,
+                    per_part(work.groups_verified),
+                    per_part(work.candidates),
+                    per_part(work.tgm_bits),
                     or_null(io_ms.map(|ms| format!("{ms:.4}"))),
                     m.index_bytes,
+                    or_null(p.map(|p| p.dense_tgm_bytes)),
                     m.build.as_secs_f64() * 1e3,
-                    or_null(m.l2p.map(|t| format!("{:.3}", t.as_secs_f64()))),
+                    or_null(p.map(|p| format!("{:.1}", p.gpo))),
+                    or_null(p.map(|p| format!("{:.3}", p.seconds))),
+                    or_null(p.and_then(|p| p.bytes)),
+                    or_null(p.and_then(|p| p.embed_s).map(|s| format!("{s:.4}"))),
+                    or_null(p.and_then(|p| p.models_trained)),
                 ));
             }
         }

@@ -1,19 +1,20 @@
 //! Shared helpers for the figure/table benchmark harnesses.
 //!
-//! Most harnesses print the rows/series of one exhibit from the paper's
-//! §7 evaluation. Two also record them at the repository root, under an
-//! [`env_json`] block: `paper` (the §7.6 comparison of LES3 against its
-//! baselines, Figures 11–13 and Table 2, each answer checked against
-//! brute force with [`same_answer`]) writes `BENCH_paper.json`, and
-//! `table5_approx` writes `BENCH_approx.json`. Scale is configurable
-//! through environment variables so the suite finishes in minutes by
-//! default yet can be pushed toward paper scale:
+//! Two harnesses record their rows at the repository root, under an
+//! [`env_json`] block: `paper` (the paper's evaluation — L2P's partitions
+//! against the other partitioners and representations, Figures 7–10 and
+//! the loss and TGM ablations, then LES3 against its baselines, Figures
+//! 11–13 and Table 2 — each answer checked against brute force with
+//! [`same_answer`]) writes `BENCH_paper.json`, and `table5_approx` writes
+//! `BENCH_approx.json`. The rest print. Scale is configurable through
+//! environment variables so the suite finishes in minutes by default yet
+//! can be pushed toward paper scale:
 //!
 //! * `LES3_BENCH_N` — sets per emulated dataset (default varies per
 //!   harness, typically 4 000);
 //! * `LES3_BENCH_QUERIES` — queries per measurement (default 50).
 
-use les3_core::{Jaccard, Kind, Les3Index, Partitioning, SearchResult};
+use les3_core::{Kind, SearchResult};
 use les3_data::query::sample_query_ids;
 use les3_data::{SetDatabase, TokenId};
 use les3_partition::l2p::{L2p, L2pConfig, L2pResult};
@@ -112,24 +113,12 @@ pub fn l2p_config(db: &SetDatabase, target_groups: usize) -> L2pConfig {
 
 /// Runs the full L2P pipeline (PTR → cascade) and returns the result.
 pub fn l2p_partition(db: &SetDatabase, target_groups: usize) -> L2pResult {
-    let reps = RepMatrix::from_representation(db, &Ptr::new(db.universe_size()));
-    L2p::new(l2p_config(db, target_groups)).partition(db, &reps)
-}
-
-/// Builds a Jaccard LES3 index with an L2P partitioning.
-pub fn l2p_index(db: &SetDatabase, target_groups: usize) -> Les3Index<Jaccard> {
-    let result = l2p_partition(db, target_groups);
-    Les3Index::build(db.clone(), result.finest().clone(), Jaccard)
+    L2p::new(l2p_config(db, target_groups)).partition(db, &ptr_reps(db))
 }
 
 /// A PTR representation matrix for a database.
 pub fn ptr_reps(db: &SetDatabase) -> RepMatrix {
     RepMatrix::from_representation(db, &Ptr::new(db.universe_size()))
-}
-
-/// Round-robin partitioning helper.
-pub fn round_robin(db: &SetDatabase, n_groups: usize) -> Partitioning {
-    Partitioning::round_robin(db.len(), n_groups)
 }
 
 /// Prints the standard harness header.
@@ -159,6 +148,40 @@ pub fn embed_timed<R: SetRepresentation>(db: &SetDatabase, rep: &R) -> (RepMatri
     time(|| RepMatrix::from_representation(db, rep))
 }
 
+/// Per-query means of the work counters a partition row records.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct QueryWork {
+    /// Groups the TGM did not prune.
+    pub groups_verified: f64,
+    /// Members of the verified groups' length windows.
+    pub candidates: f64,
+    /// Candidates whose tokens were read (`sims_computed`).
+    pub sets_read: f64,
+    /// TGM bits the counting pass visited (`columns_checked`).
+    pub tgm_bits: f64,
+}
+
+impl QueryWork {
+    /// The means over `results`; all zero when there are none.
+    pub fn mean<'a>(results: impl IntoIterator<Item = &'a SearchResult>) -> Self {
+        let (mut sum, mut n) = (Self::default(), 0usize);
+        for r in results {
+            sum.groups_verified += r.stats.groups_verified as f64;
+            sum.candidates += r.stats.candidates as f64;
+            sum.sets_read += r.stats.sims_computed as f64;
+            sum.tgm_bits += r.stats.columns_checked as f64;
+            n += 1;
+        }
+        let n = n.max(1) as f64;
+        Self {
+            groups_verified: sum.groups_verified / n,
+            candidates: sum.candidates / n,
+            sets_read: sum.sets_read / n,
+            tgm_bits: sum.tgm_bits / n,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,10 +192,33 @@ mod tests {
         let db = ZipfianGenerator::new(200, 150, 6.0, 1.0).generate(1);
         let queries = workload(&db, 10, 2);
         assert_eq!(queries.len(), 10);
-        let index = l2p_index(&db, 8);
-        assert!(index.partitioning().n_groups() >= 8);
+        assert!(l2p_partition(&db, 8).finest().n_groups() >= 8);
         let (_, d) = time(|| 1 + 1);
         assert!(d.as_nanos() < 1_000_000);
+    }
+
+    #[test]
+    fn query_work_is_the_per_query_mean() {
+        let run = |groups_verified, candidates, sims_computed, columns_checked| SearchResult {
+            hits: Vec::new(),
+            stats: les3_core::SearchStats {
+                groups_verified,
+                candidates,
+                sims_computed,
+                columns_checked,
+                ..Default::default()
+            },
+        };
+        let runs = [run(3, 40, 10, 7), run(1, 0, 0, 2), run(2, 20, 5, 0)];
+        let want = QueryWork {
+            groups_verified: 2.0,
+            candidates: 20.0,
+            sets_read: 5.0,
+            tgm_bits: 3.0,
+        };
+        assert_eq!(QueryWork::mean(&runs), want);
+        // No queries: zeros, not NaN.
+        assert_eq!(QueryWork::mean(&[]), QueryWork::default());
     }
 
     fn result(hits: &[(u32, f64)]) -> SearchResult {

@@ -45,8 +45,8 @@ pub enum PairLoss {
     /// The trainable surrogate of Eq. (18).
     Surrogate,
     /// The original hard loss of Eq. (15). Its gradient is zero almost
-    /// everywhere; retained for the `ablation_l2p_loss` benchmark, which
-    /// demonstrates why the surrogate is necessary.
+    /// everywhere; retained for the `paper` bench's loss ablation, which
+    /// measures why the surrogate is necessary.
     Hard,
 }
 

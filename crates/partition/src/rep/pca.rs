@@ -5,9 +5,9 @@
 //! `Cov·v = (1/n) Σ_i x_i (x_i·v) − μ (μ·v)` only touches the tokens each
 //! set contains, so the |T|-dimensional n-hot vectors are never
 //! materialized. Components are extracted by power iteration with
-//! deflation. The paper's point — reproduced by the `fig8_representations`
-//! bench — is that even this sparse PCA costs orders of magnitude more
-//! embedding time than PTR.
+//! deflation. The paper's point — which the `paper` bench's Figure 8 rows
+//! measure (`embed_s`) — is that even this sparse PCA costs orders of
+//! magnitude more embedding time than PTR.
 
 use super::SetRepresentation;
 use les3_data::{SetDatabase, TokenId};
