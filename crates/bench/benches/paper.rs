@@ -1,7 +1,8 @@
 //! The paper's evaluation, recorded: L2P's partitions (§7.2–7.5, Figs.
-//! 7–10, the loss and TGM-storage ablations) and LES3 against InvIdx,
+//! 7–10, the loss and TGM-storage ablations), LES3 against InvIdx,
 //! DualTrans, brute force and the repo's ScalarTrans, in memory and on the
-//! simulated disk (§7.6, Figs. 11–13, Table 2).
+//! simulated disk (§7.6, Figs. 11–13, Table 2), and pruning under
+//! insertions (§7.8, Fig. 15).
 //!
 //! Each shape is built once and trains one L2P cascade (PTR, surrogate
 //! loss; every cascade here uses [`les3_bench::l2p_config`]). A memory
@@ -25,14 +26,25 @@
 //! TGM bytes, partition seconds and measured bytes (`null` if unmeasured);
 //! L2P rows the embedding seconds and models trained (Fig. 7(b) against
 //! `partition_s`). Each shape block holds its cascade's first learning
-//! curve (Fig. 7(a)). All of it goes to `BENCH_paper.json` at the
-//! repository root, under an `env` block.
+//! curve (Fig. 7(a)).
+//!
+//! §7.8 grows a KOSARAK base of `n / 8` sets, partitioned by one cascade
+//! into `|D| / 40` groups, by a quarter, half, three quarters and all of
+//! its size, with sets drawn from its own universe (closed) or half from
+//! beyond it (open). An `updates` row holds the kNN (k = 10) pruning
+//! efficiency of the index grown by inserts and of one rebuilt by a
+//! fresh cascade over the grown database, and the relative decrease. Both
+//! indexes' answers must equal brute force's over the grown database
+//! before the row is recorded.
+//!
+//! All of it goes to `BENCH_paper.json` at the repository root, under an
+//! `env` block.
 
 use les3_baselines::disk::{DiskBruteForce, DiskDualTrans, DiskInvIdx};
 use les3_baselines::{BruteForce, DualTrans, InvIdx, ScalarTrans, SetSimSearch};
 use les3_bench::{
-    bench_queries, bench_sets, embed_timed, env_json, header, l2p_config, per_query_us, record,
-    same_answer, time, workload, QueryWork,
+    bench_queries, bench_sets, embed_timed, env_json, header, l2p_config, l2p_partition,
+    per_query_us, record, same_answer, time, workload, QueryWork,
 };
 use les3_core::{DiskLes3, Jaccard, Kind, Les3Index, Partitioning, SearchResult};
 use les3_data::realistic::DatasetSpec;
@@ -337,13 +349,112 @@ fn cell(
     )
 }
 
+/// New sets to insert; `open` draws half the tokens from beyond the
+/// base's `universe` (§7.8: "half of the tokens in D_open are from D and
+/// half are new"). Tokens are drawn directly, not compacted, so new ids
+/// really lie outside the original universe.
+fn new_sets(
+    spec: &DatasetSpec,
+    count: usize,
+    universe: u32,
+    open: bool,
+    seed: u64,
+) -> Vec<Vec<TokenId>> {
+    use les3_data::rand_util::{rng, set_size, Zipf};
+    use rand::Rng;
+    let mut rng = rng(seed);
+    let old_tokens = Zipf::new(universe as usize, spec.alpha);
+    let new_tokens = Zipf::new((universe as usize / 2).max(1), spec.alpha);
+    (0..count)
+        .map(|_| {
+            let size = set_size(&mut rng, spec.avg_size, spec.min_size, 200);
+            let mut tokens: Vec<TokenId> = (0..size)
+                .map(|_| {
+                    if open && rng.gen_bool(0.5) {
+                        universe + new_tokens.sample(&mut rng) as u32
+                    } else {
+                        old_tokens.sample(&mut rng) as u32
+                    }
+                })
+                .collect();
+            tokens.sort_unstable();
+            tokens.dedup();
+            tokens
+        })
+        .collect()
+}
+
+/// §7.8's rows: kNN pruning efficiency of an incrementally grown index
+/// against a rebuilt one, per insertion ratio and universe.
+fn updates(n_sets: usize, n_queries: usize) -> Vec<String> {
+    const K: usize = 10;
+    let spec = DatasetSpec::kosarak().with_sets(n_sets);
+    let base = spec.generate(3);
+    let universe = base.universe_size();
+    let n_groups = (base.len() / 40).max(16);
+    let partitioning = l2p_partition(&base, n_groups).finest().clone();
+    println!("\n--- {} updates ({}) ---", spec.name, base.stats());
+    println!(
+        "{:>7} {:>9} {:>15} {:>12} {:>8}",
+        "ratio", "universe", "PE incremental", "PE rebuilt", "ΔPE %"
+    );
+    let mut rows = Vec::new();
+    for ratio in [0.25f64, 0.5, 0.75, 1.0] {
+        let count = (base.len() as f64 * ratio) as usize;
+        for open in [false, true] {
+            let inserts = new_sets(&spec, count, universe, open, 91);
+            let mut incremental = Les3Index::build(base.clone(), partitioning.clone(), Jaccard);
+            let mut grown = base.clone();
+            if open {
+                grown.extend_universe(universe + universe / 2);
+            }
+            for s in &inserts {
+                incremental.insert(&mut s.clone());
+                grown.push_sorted(s);
+            }
+            let rebuilt_part = l2p_partition(&grown, n_groups).finest().clone();
+            let rebuilt = Les3Index::build(grown.clone(), rebuilt_part, Jaccard);
+            let queries = workload(&grown, n_queries, 5);
+            let brute = BruteForce::new(grown.clone(), Jaccard);
+            let universe_name = if open { "open" } else { "closed" };
+            let mean_pe = |index: &Les3Index<Jaccard>, label: &str| {
+                let mut total = 0.0;
+                for (i, q) in queries.iter().enumerate() {
+                    let (got, want) = (index.knn(q, K), brute.knn(q, K));
+                    assert!(
+                        same_answer(Kind::Knn(K), &got, &want),
+                        "updates {ratio} {universe_name} {label} query {i}: {:?}, brute force {:?}",
+                        got.hits,
+                        want.hits
+                    );
+                    total += got.stats.pruning_efficiency_knn(grown.len(), K);
+                }
+                total / queries.len().max(1) as f64
+            };
+            let pe_inc = mean_pe(&incremental, "incremental");
+            let pe_reb = mean_pe(&rebuilt, "rebuilt");
+            let delta = (pe_reb - pe_inc) / pe_reb.max(1e-12) * 100.0;
+            println!("{ratio:>7.2} {universe_name:>9} {pe_inc:>15.4} {pe_reb:>12.4} {delta:>8.2}");
+            rows.push(format!(
+                "{{\"shape\": \"{}\", \"universe\": \"{universe_name}\", \"insert_ratio\": {ratio}, \"base_sets\": {}, \"inserted\": {count}, \"groups\": {n_groups}, \"k\": {K}, \"pe_incremental\": {pe_inc:.6}, \"pe_rebuilt\": {pe_reb:.6}, \"delta_pe_pct\": {delta:.3}}}",
+                spec.name,
+                base.len(),
+            ));
+        }
+    }
+    rows
+}
+
 /// A JSON value, or `null` where there is none.
 fn or_null(value: Option<impl Display>) -> String {
     value.map_or_else(|| "null".into(), |v| v.to_string())
 }
 
 fn main() {
-    header("§7", "L2P's partitions and LES3 against its baselines");
+    header(
+        "§7",
+        "L2P's partitions, LES3 against its baselines, and updates",
+    );
     // Posting-list density (what InvIdx's cost tracks) approaches paper
     // conditions only as |D| grows against the ∛-scaled universe.
     let n = bench_sets(16_000);
@@ -431,11 +542,14 @@ fn main() {
         }
     }
 
+    let updates = updates(n / 8, n_queries);
+
     let json = format!(
-        "{{\n \"bench\": \"paper\",\n \"env\": {},\n \"n_queries\": {n_queries},\n \"shapes\": [\n  {}\n ],\n \"rows\": [\n  {}\n ]\n}}\n",
+        "{{\n \"bench\": \"paper\",\n \"env\": {},\n \"n_queries\": {n_queries},\n \"shapes\": [\n  {}\n ],\n \"rows\": [\n  {}\n ],\n \"updates\": [\n  {}\n ]\n}}\n",
         env_json(),
         shapes.join(",\n  "),
-        rows.join(",\n  ")
+        rows.join(",\n  "),
+        updates.join(",\n  ")
     );
     record("BENCH_paper.json", &json);
 }

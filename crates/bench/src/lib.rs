@@ -4,8 +4,9 @@
 //! [`env_json`] block: `paper` (the paper's evaluation — L2P's partitions
 //! against the other partitioners and representations, Figures 7–10 and
 //! the loss and TGM ablations, then LES3 against its baselines, Figures
-//! 11–13 and Table 2 — each answer checked against brute force with
-//! [`same_answer`]) writes `BENCH_paper.json`, and `table5_approx` writes
+//! 11–13 and Table 2, then pruning under insertions, Figure 15 — each
+//! answer checked against brute force with [`same_answer`]) writes
+//! `BENCH_paper.json`, and `table5_approx` writes
 //! `BENCH_approx.json`. The rest print. Scale is configurable through
 //! environment variables so the suite finishes in minutes by default yet
 //! can be pushed toward paper scale:

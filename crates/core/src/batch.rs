@@ -145,8 +145,22 @@ impl<J: Send + 'static, W: Send + 'static> WorkerPool<J, W> {
     /// loses none: a worker only parks after finding no job it can take
     /// under the lock this push takes.
     pub fn submit(&self, job: J) {
-        lock_unpoisoned(&self.shared.inner).jobs.push_back(job);
+        // No queue reaches `usize::MAX` jobs, so this never hands one back.
+        let _ = self.try_submit(job, usize::MAX);
+    }
+
+    /// [`submit`](WorkerPool::submit)s `job` unless `max_queued` jobs
+    /// already wait, and then hands it back untouched (the HTTP server's
+    /// accept backlog).
+    pub fn try_submit(&self, job: J, max_queued: usize) -> Result<(), J> {
+        let mut inner = lock_unpoisoned(&self.shared.inner);
+        if inner.jobs.len() >= max_queued {
+            return Err(job);
+        }
+        inner.jobs.push_back(job);
+        drop(inner);
         self.shared.available.notify_one();
+        Ok(())
     }
 
     /// Runs `job` on the calling thread with a free state — only when no

@@ -737,13 +737,15 @@ fn serve_one<B: PersistentBackend>(
         }));
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The text of a caught panic: its `&str` or `String` payload, else a
+/// fixed placeholder.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "query panicked".to_string()
+        "non-string panic payload".to_string()
     }
 }
 

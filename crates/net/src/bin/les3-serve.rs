@@ -23,10 +23,10 @@
 
 use std::path::Path;
 use std::process::exit;
-use std::sync::Arc;
 
 use les3_core::persist::read_meta;
 use les3_core::sim::Jaccard;
+use les3_core::sync::{thread, Arc};
 use les3_core::{DurableIndex, Les3Index, NamespaceSpec, Partitioning, ServeConfig, ServeFront};
 use les3_data::zipfian::ZipfianGenerator;
 use les3_data::SetDatabase;
@@ -294,7 +294,7 @@ fn serve(front: ServeFront<Les3Index<Jaccard>>, args: &Args) -> ! {
          (docs/PROTOCOL.md)"
     );
     loop {
-        std::thread::park();
+        thread::park();
     }
 }
 

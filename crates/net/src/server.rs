@@ -1,11 +1,11 @@
 //! The HTTP server: an accept thread feeding a pool of connection
-//! workers, each running keep-alive request loops against a shared
-//! [`ServeFront`].
+//! workers ([`WorkerPool`], the serving front's own pool), each running
+//! keep-alive request loops against a shared [`ServeFront`].
 //!
 //! # Architecture
 //!
 //! ```text
-//! TcpListener ── accept thread ──► mpsc ──► N connection workers
+//! TcpListener ── accept thread ──► WorkerPool ──► N connection workers
 //!                                             │  parse HTTP (http.rs)
 //!                                             │  decode body (wire.rs)
 //!                                             ▼
@@ -61,12 +61,12 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use les3_core::batch::WorkerPool;
+use les3_core::serve::panic_message;
+use les3_core::sync::atomic::{AtomicBool, Ordering};
+use les3_core::sync::{thread, Arc};
 use les3_core::{
     ApproxPolicy, NamespaceError, OnFull, PersistentBackend, Request, Route, SearchStats,
     ServeError, ServeFront, SubmitOpts,
@@ -165,26 +165,16 @@ impl SnapshotHook {
         }
         let _clear = Clear(&self.busy);
         // And contain the panic itself: it maps to `Failed` (a 500) like
-        // any other snapshot error instead of unwinding through — and
-        // killing — the connection worker thread.
+        // any other snapshot error instead of unwinding out of the
+        // connection, which would close it without a response.
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.run)())).unwrap_or_else(
             |payload| {
                 Err(SnapshotError::Failed(format!(
                     "snapshot callback panicked: {}",
-                    panic_text(payload.as_ref())
+                    panic_message(payload.as_ref())
                 )))
             },
         )
-    }
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -202,8 +192,7 @@ const MAX_PARTIAL_POLLS: u32 = 40;
 pub struct HttpServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    accept: Option<thread::JoinHandle<()>>,
 }
 
 impl HttpServer {
@@ -244,50 +233,38 @@ impl HttpServer {
         config: NetConfig,
         snapshot: Option<SnapshotFn>,
     ) -> std::io::Result<HttpServer> {
-        let snapshot = snapshot.map(|run| {
-            Arc::new(SnapshotHook {
-                busy: AtomicBool::new(false),
-                run,
-            })
+        let snapshot = snapshot.map(|run| SnapshotHook {
+            busy: AtomicBool::new(false),
+            run,
         });
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(ACCEPT_BACKLOG);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(config.conn_workers.max(1));
-        for i in 0..config.conn_workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let front = Arc::clone(&front);
-            let shutdown = Arc::clone(&shutdown);
-            let snapshot = snapshot.clone();
-            let worker = std::thread::Builder::new()
-                .name(format!("les3-net-conn-{i}"))
-                .spawn(move || {
-                    connection_worker(&rx, &front, &shutdown, config, snapshot.as_deref())
-                })
-                .expect("spawn connection worker"); // lint: allow(no-unwrap) startup is fail-fast
-            workers.push(worker);
-        }
+        let conn_shutdown = Arc::clone(&shutdown);
+        let pool = WorkerPool::new(
+            config.conn_workers,
+            "les3-net-conn",
+            || (),
+            move |stream, _: &mut ()| {
+                handle_connection(stream, &front, &conn_shutdown, config, snapshot.as_ref())
+            },
+        );
         let accept_shutdown = Arc::clone(&shutdown);
-        let accept = std::thread::Builder::new()
+        let accept = thread::Builder::new()
             .name("les3-net-accept".to_string())
             .spawn(move || {
-                // `tx` lives in this thread: when the accept loop exits,
-                // the channel disconnects and idle workers drain out.
+                // The pool lives in this thread: when the accept loop
+                // exits, dropping it serves every queued connection and
+                // joins the workers.
                 for conn in listener.incoming() {
                     if accept_shutdown.load(Ordering::Acquire) {
                         return;
                     }
                     let Ok(stream) = conn else { continue };
-                    match tx.try_send(stream) {
-                        Ok(()) => {}
-                        // Backlog full: close the connection now rather
-                        // than queueing file descriptors without bound —
-                        // the client sees a clean EOF and can retry.
-                        Err(mpsc::TrySendError::Full(stream)) => drop(stream),
-                        Err(mpsc::TrySendError::Disconnected(_)) => return,
-                    }
+                    // Backlog full: close the connection now rather than
+                    // queueing file descriptors without bound — the
+                    // client sees a clean EOF and can retry.
+                    drop(pool.try_submit(stream, ACCEPT_BACKLOG));
                 }
             })
             .expect("spawn accept thread"); // lint: allow(no-unwrap) startup is fail-fast
@@ -295,7 +272,6 @@ impl HttpServer {
             local_addr,
             shutdown,
             accept: Some(accept),
-            workers,
         })
     }
 
@@ -304,9 +280,9 @@ impl HttpServer {
         self.local_addr
     }
 
-    /// Stops accepting, finishes in-flight exchanges, joins all server
-    /// threads. Idle keep-alive connections are closed at their next
-    /// read poll (≤ 250 ms).
+    /// Stops accepting, finishes in-flight exchanges and every queued
+    /// connection, joins all server threads. Idle keep-alive connections
+    /// are closed at their next read poll (≤ 250 ms).
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -318,11 +294,10 @@ impl HttpServer {
         self.shutdown.store(true, Ordering::Release);
         // Unblock the accept loop with a wake-up connection.
         let _ = TcpStream::connect(self.local_addr);
+        // The accept thread's exit drops the pool, which joins the
+        // connection workers.
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
         }
     }
 }
@@ -330,26 +305,6 @@ impl HttpServer {
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn connection_worker<B: PersistentBackend>(
-    rx: &Mutex<Receiver<TcpStream>>,
-    front: &ServeFront<B>,
-    shutdown: &AtomicBool,
-    config: NetConfig,
-    snapshot: Option<&SnapshotHook>,
-) {
-    loop {
-        // Take the lock only to receive: handling must not serialize.
-        let stream = {
-            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        match stream {
-            Ok(stream) => handle_connection(stream, front, shutdown, config, snapshot),
-            Err(_) => return, // accept thread gone: shutting down
-        }
     }
 }
 

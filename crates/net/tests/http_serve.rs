@@ -736,6 +736,44 @@ fn idle_connections_are_closed_after_the_idle_timeout() {
     server.shutdown();
 }
 
+/// `ACCEPT_BACKLOG` in `crates/net/src/server.rs`: accepted connections
+/// that may wait for a connection worker.
+const ACCEPT_BACKLOG: usize = 64;
+
+#[test]
+fn accepted_connections_queue_up_to_the_backlog_and_the_next_is_closed() {
+    let net = NetConfig {
+        conn_workers: 1,
+        idle_timeout: Duration::from_secs(60),
+    };
+    let (server, addr) = start_server_with(flat_index(17), fast_config(), net);
+    // One answered keep-alive connection, left idle, holds the only
+    // connection worker.
+    let mut idle = Client::connect(&addr);
+    assert_eq!(idle.request("GET", "/healthz", None).status, 200);
+    // The accept thread takes connections in order: the backlog fills,
+    // and the one past it is closed at once.
+    let mut queued: Vec<Client> = (0..ACCEPT_BACKLOG)
+        .map(|_| Client::connect(&addr))
+        .collect();
+    let extra = Client::connect(&addr);
+    let mut probe = [0u8; 1];
+    let n = (&extra.stream)
+        .read(&mut probe)
+        .expect("clean EOF, not a timeout");
+    assert_eq!(n, 0, "a connection past the backlog must be closed");
+    // Once the idle client leaves, the worker serves every queued
+    // connection in turn.
+    for client in &mut queued {
+        client.send_raw(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
+    }
+    drop(idle);
+    for (i, client) in queued.iter_mut().enumerate() {
+        assert_eq!(client.read_response().status, 200, "queued connection {i}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn timeout_far_in_the_future_serves_normally() {
     let (server, addr) = start_server(flat_index(11), fast_config());

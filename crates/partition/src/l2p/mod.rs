@@ -4,8 +4,8 @@
 //! infeasible (§5.2), so L2P trains a *cascade*: each level trains one
 //! Siamese MLP per current group, splitting it in two. Level `i` therefore
 //! holds up to `2^i · init_groups` groups; splitting stops below
-//! `min_group_size` sets (the paper uses 50) or once `target_groups` is
-//! reached.
+//! `min_group_size` sets (the paper uses 50) or at `target_groups`: a
+//! level that would pass the target splits only its largest groups.
 //!
 //! Paper-faithful details reproduced here:
 //!
@@ -70,7 +70,8 @@ const HIDDEN: usize = 8;
 /// Configuration of the cascade.
 #[derive(Debug, Clone)]
 pub struct L2pConfig {
-    /// Stop once at least this many leaf groups exist.
+    /// Stop at this many leaf groups (or fewer, when no group is left
+    /// to split).
     pub target_groups: usize,
     /// Groups formed by the min-token initialization (paper: 128).
     pub init_groups: usize,
@@ -186,12 +187,22 @@ impl L2p {
             if groups.len() >= cfg.target_groups {
                 break;
             }
-            let splittable: Vec<bool> = groups
+            let mut splittable: Vec<bool> = groups
                 .iter()
                 .map(|g| g.len() >= cfg.min_group_size.max(2))
                 .collect();
-            if !splittable.iter().any(|&s| s) {
+            let mut by_size: Vec<usize> = (0..groups.len()).filter(|&i| splittable[i]).collect();
+            if by_size.is_empty() {
                 break;
+            }
+            // Each split adds one group: a level that would pass the
+            // target splits only the largest groups (ties by index).
+            let room = cfg.target_groups - groups.len();
+            if by_size.len() > room {
+                by_size.sort_by_key(|&i| (std::cmp::Reverse(groups[i].len()), i));
+                for &i in &by_size[room..] {
+                    splittable[i] = false;
+                }
             }
             // Train one model per splittable group (possibly in parallel).
             let tasks: Vec<GroupTask<'_>> = groups
@@ -481,6 +492,38 @@ mod tests {
         let result = L2p::new(small_cfg(8)).partition(&db, &reps);
         assert!(result.finest().n_groups() >= 8);
         assert!(result.models_trained > 0);
+        assert_eq!(nesting(&result.levels), Ok(()));
+    }
+
+    #[test]
+    fn a_level_that_would_pass_the_target_splits_only_its_largest_groups() {
+        // Three initial groups double to 6, and doubling again would
+        // pass the target of 8.
+        let db = clustered_db(4, 30);
+        let reps = RepMatrix::from_representation(&db, &Ptr::new(db.universe_size()));
+        let mut cfg = small_cfg(8);
+        cfg.init_groups = 3;
+        let result = L2p::new(cfg).partition(&db, &reps);
+        let groups: Vec<usize> = result.levels.iter().map(|l| l.n_groups()).collect();
+        assert_eq!(groups, [3, 6, 8]);
+        assert_eq!(result.models_trained, 3 + 2);
+        // The last level split level 1's two largest groups, ties by index;
+        // the rest pass through in order.
+        let (before, after) = (
+            result.levels[1].group_sizes(),
+            result.levels[2].group_sizes(),
+        );
+        let mut largest: Vec<usize> = (0..before.len()).collect();
+        largest.sort_by_key(|&i| (std::cmp::Reverse(before[i]), i));
+        let mut next = after.iter();
+        for (i, &size) in before.iter().enumerate() {
+            if largest[..2].contains(&i) {
+                let (a, b) = (next.next().unwrap(), next.next().unwrap());
+                assert!(*a > 0 && *b > 0 && a + b == size, "group {i} split");
+            } else {
+                assert_eq!(next.next(), Some(&size), "group {i} passes through");
+            }
+        }
         assert_eq!(nesting(&result.levels), Ok(()));
     }
 

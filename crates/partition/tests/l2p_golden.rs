@@ -252,7 +252,7 @@ fn benchmark_shapes_repeat_bit_for_bit() {
     let golden: [(DatasetSpec, [u64; 3]); 2] = [
         (
             DatasetSpec::kosarak(),
-            [0x1d52b752a7ade7f9, 0x30e0594aa89f2e2b, 0x9a8f21e15694435f],
+            [0xbf22feba1e403b58, 0xacef828282f7b822, 0xdc1d9b33a7470814],
         ),
         (
             DatasetSpec::livej(),

@@ -149,6 +149,12 @@ pub fn yield_now() {
     rt.schedule_point(me);
 }
 
+/// A schedule point that returns at once: `std::thread::park` may wake
+/// spuriously, so a caller must already re-check its condition in a loop.
+pub fn park() {
+    yield_now();
+}
+
 pub struct Scope<'scope, 'env: 'scope> {
     handles: StdMutex<Vec<JoinHandle<()>>>,
     _scope: PhantomData<&'scope mut &'scope ()>,

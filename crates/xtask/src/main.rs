@@ -11,9 +11,9 @@
 //! * `core-sync-facade` — bans `std::sync::atomic` and `std::thread`
 //!   tokens, and `RwLock` / `Mutex` / `Condvar` (guards included) named
 //!   through a `std::sync` path or import group, in non-test les3-core
-//!   code outside `src/sync.rs`: every synchronization primitive must
-//!   go through the `crate::sync` facade or the `model` feature
-//!   silently stops covering it.
+//!   code outside `src/sync.rs` and in non-test les3-net code: every
+//!   synchronization primitive must go through the `les3_core::sync`
+//!   facade or the `model` feature silently stops covering it.
 //! * `relaxed-needs-justification` — every `Ordering::Relaxed` in
 //!   non-test crate sources must carry a `// relaxed:` comment saying
 //!   why the weakest ordering is sound there, either on the same line
@@ -287,7 +287,8 @@ fn lint_rust(rel: &str, src: &str) -> Vec<Violation> {
     let in_test = test_mask(&code_lines);
     let locks = std_sync_locks(&code_lines);
 
-    let core_src = rel.starts_with("crates/core/src/") && rel != "crates/core/src/sync.rs";
+    let facade_scope = (rel.starts_with("crates/core/src/") && rel != "crates/core/src/sync.rs")
+        || rel.starts_with("crates/net/src/");
     let crate_src = rel.starts_with("crates/") && rel.contains("/src/");
     let no_unwrap_scope =
         rel.starts_with("crates/net/src/") || rel.starts_with("crates/core/src/persist/");
@@ -323,7 +324,7 @@ fn lint_rust(rel: &str, src: &str) -> Vec<Violation> {
             continue;
         }
 
-        if core_src && !allowed("core-sync-facade") {
+        if facade_scope && !allowed("core-sync-facade") {
             let tokens = ["std::sync::atomic", "std::thread"]
                 .into_iter()
                 .filter(|token| code.contains(token))
@@ -334,8 +335,8 @@ fn lint_rust(rel: &str, src: &str) -> Vec<Violation> {
                     i,
                     "core-sync-facade",
                     format!(
-                        "`{token}` bypasses the crate::sync facade, so the `model` \
-                         feature cannot check it; import from crate::sync instead"
+                        "`{token}` bypasses the les3_core::sync facade, so the `model` \
+                         feature cannot check it; import from the facade instead"
                     ),
                 );
             }
@@ -677,9 +678,19 @@ mod tests {
         let src = "use std::sync::atomic::AtomicBool;\n";
         assert_eq!(lint("crates/core/src/ctl.rs", src), ["core-sync-facade:1"]);
         assert!(lint("crates/core/src/sync.rs", src).is_empty());
-        assert!(lint("crates/net/src/server.rs", src).is_empty());
+        assert!(lint("crates/data/src/db.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests {\n    use std::thread;\n}\n";
         assert!(lint("crates/core/src/ctl.rs", test_src).is_empty());
+    }
+
+    #[test]
+    fn flags_raw_std_sync_in_net_including_its_binary() {
+        let src = "use std::sync::mpsc::Receiver;\nuse std::sync::{Arc, Mutex};\nfn main() { std::thread::park(); }\n";
+        let flagged = ["core-sync-facade:2", "core-sync-facade:3"];
+        assert_eq!(lint("crates/net/src/server.rs", src), flagged);
+        assert_eq!(lint("crates/net/src/bin/les3-serve.rs", src), flagged);
+        let allowed = "use les3_core::sync::{thread, Arc};\nuse std::sync::Mutex; // lint: allow(core-sync-facade)\n";
+        assert!(lint("crates/net/src/server.rs", allowed).is_empty());
     }
 
     #[test]
@@ -693,7 +704,7 @@ mod tests {
         ] {
             assert_eq!(lint("crates/core/src/index.rs", src), facade, "{src}");
             assert!(lint("crates/core/src/sync.rs", src).is_empty());
-            assert!(lint("crates/net/src/server.rs", src).is_empty());
+            assert!(lint("crates/data/src/db.rs", src).is_empty());
         }
         // A group may nest and span lines; each name is flagged where it is.
         let group = "use std::sync::{\n    mpsc::{channel, Sender},\n    Mutex,\n};\nuse std::sync::RwLock;\n";
