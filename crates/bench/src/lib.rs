@@ -1,13 +1,13 @@
 //! Shared helpers for the figure/table benchmark harnesses.
 //!
-//! Two harnesses record their rows at the repository root, under an
+//! Both harnesses record their rows at the repository root, under an
 //! [`env_json`] block: `paper` (the paper's evaluation — L2P's partitions
 //! against the other partitioners and representations, Figures 7–10 and
 //! the loss and TGM ablations, then LES3 against its baselines, Figures
 //! 11–13 and Table 2, then pruning under insertions, Figure 15 — each
 //! answer checked against brute force with [`same_answer`]) writes
 //! `BENCH_paper.json`, and `table5_approx` writes
-//! `BENCH_approx.json`. The rest print. Scale is configurable through
+//! `BENCH_approx.json`. Scale is configurable through
 //! environment variables so the suite finishes in minutes by default yet
 //! can be pushed toward paper scale:
 //!
@@ -114,12 +114,8 @@ pub fn l2p_config(db: &SetDatabase, target_groups: usize) -> L2pConfig {
 
 /// Runs the full L2P pipeline (PTR → cascade) and returns the result.
 pub fn l2p_partition(db: &SetDatabase, target_groups: usize) -> L2pResult {
-    L2p::new(l2p_config(db, target_groups)).partition(db, &ptr_reps(db))
-}
-
-/// A PTR representation matrix for a database.
-pub fn ptr_reps(db: &SetDatabase) -> RepMatrix {
-    RepMatrix::from_representation(db, &Ptr::new(db.universe_size()))
+    let reps = RepMatrix::from_representation(db, &Ptr::new(db.universe_size()));
+    L2p::new(l2p_config(db, target_groups)).partition(db, &reps)
 }
 
 /// Prints the standard harness header.

@@ -57,8 +57,9 @@ impl SimilarityGraph {
     }
 
     fn from_directed(n: usize, directed: Vec<Vec<(u32, f64)>>) -> Self {
-        // Symmetrize and deduplicate.
-        let mut pair_set = std::collections::HashMap::new();
+        // Symmetrize and deduplicate. The map is ordered so every run
+        // builds the same adjacency order, which the cut's ties follow.
+        let mut pair_set = std::collections::BTreeMap::new();
         for (v, edges) in directed.iter().enumerate() {
             for &(u, w) in edges {
                 if v as u32 == u {

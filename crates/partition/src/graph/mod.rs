@@ -112,6 +112,18 @@ mod tests {
     }
 
     #[test]
+    fn parg_repeats_within_one_process() {
+        // A std `HashMap` draws its hasher keys per instance: graph code
+        // walking one in iteration order gives two calls different cuts.
+        let db = les3_data::realistic::DatasetSpec::kosarak()
+            .with_sets(1_000)
+            .generate(5);
+        let first = ParG::new(32).partition(&db, Jaccard);
+        let second = ParG::new(32).partition(&db, Jaccard);
+        assert_eq!(first.assignment(), second.assignment());
+    }
+
+    #[test]
     fn range_workload_variant_runs() {
         let db = clustered_db();
         let parg = ParG {

@@ -13,11 +13,14 @@
 //!    improved at every level with FM-style boundary moves (move a vertex
 //!    to the neighbouring part with maximal positive gain, subject to the
 //!    balance cap).
+//!
+//! Every map the phases walk is ordered, so one seed gives one partition.
 
 use super::knn_graph::SimilarityGraph;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 
 /// Knobs of the multilevel partitioner.
 #[derive(Debug, Clone)]
@@ -155,7 +158,7 @@ fn heavy_edge_matching(
     for v in 0..n {
         coarse_weights[matched[v] as usize] += weights[v];
     }
-    let mut edge_map: std::collections::HashMap<(u32, u32), f64> = std::collections::HashMap::new();
+    let mut edge_map: BTreeMap<(u32, u32), f64> = BTreeMap::new();
     for v in 0..n {
         for &(u, w) in &adj[v] {
             let (a, b) = (matched[v], matched[u as usize]);
@@ -252,8 +255,9 @@ fn refine(
         let mut moves = 0usize;
         for &v in &order {
             let cur = assignment[v] as usize;
-            // Edge weight to each adjacent part.
-            let mut to_part: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+            // Edge weight to each adjacent part, by part id: of equal
+            // gains the lowest part wins.
+            let mut to_part: BTreeMap<u32, f64> = BTreeMap::new();
             for &(u, w) in &adj[v] {
                 *to_part.entry(assignment[u as usize]).or_insert(0.0) += w;
             }
