@@ -14,11 +14,22 @@
 //!   stored length-sorted (`VerifyOrder` — plain sorted arrays that an
 //!   insert and a delete edit in place under `&mut self`, so a query
 //!   takes no lock and never meets a deleted set) so a
-//!   similarity-specific length window excludes most of a group with
-//!   two binary searches, and each surviving candidate is abandoned as
-//!   soon as its overlap cannot reach the current threshold; the kNN and
-//!   range candidate loops exist once each (`VerifyQuery::knn_window`,
-//!   `VerifyQuery::range_window`);
+//!   similarity-specific length window excludes most of a group, and
+//!   each surviving candidate is abandoned as soon as its overlap cannot
+//!   reach the current threshold; the kNN and range candidate loops
+//!   exist once each (`VerifyQuery::knn_window`,
+//!   `VerifyQuery::range_window`) and share one window path;
+//! * the window's **length limits are cached** per query in
+//!   `WindowCache` (in the [`QueryScratch`]): the least admissible
+//!   length below the cap, the end of the admissible lengths by cap `c`,
+//!   and the minimal overlap `min_overlap_for(t, |Q|, L)` by length, all
+//!   keyed by the threshold's bits. A threshold moves only on an accepted
+//!   hit, so each value costs a few floating-point evaluations once per
+//!   threshold, and a group's window is two integer `partition_point`s
+//!   over its lengths. Two floating-point binary searches per group and
+//!   the minimal overlaps recomputed per window were ≈ 12 % of a direct
+//!   kNN on the round-robin index `serve_closed` serves (≈ 180 of 256
+//!   groups verified);
 //! * a kNN's window is **capped by the group's overlap count** `r_g =
 //!   |Q ∩ GS_g|`, the number the filter pass already computed: a member
 //!   `S` of distinct length `L` has similarity at most
@@ -232,41 +243,211 @@ impl VerifyOrder {
         true
     }
 
-    /// The slice of group `g`'s member ids (in (length, id) order) whose
-    /// length alone permits `sim ≥ threshold`, their distinct lengths and
-    /// signatures alongside, plus the number of members excluded by that
-    /// length window.
-    ///
-    /// `r` is the group's TGM overlap count `|Q ∩ GS_g|`. Every token a
-    /// member `S` shares with `Q` lies in `GS_g ∩ Q` (deletes keep the TGM
-    /// a superset of the live members' tokens), so with `c = min(r, |Q|)`
-    /// a member of distinct length `L` has similarity at most
-    /// `from_overlap(min(c, L), |Q|, L)`. That bound rises with `L` below
-    /// `c` and falls from `c` up, for every measure, so the admissible
-    /// region is one contiguous window found by two binary searches.
-    /// Passing `r = |Q|` gives the uncapped window.
-    pub(crate) fn window<S: Similarity>(
-        &self,
-        sim: S,
-        g: u32,
-        q_len: usize,
-        r: usize,
-        threshold: f64,
-    ) -> (&[SetId], &[u32], &[u64], usize) {
+    /// The slice of group `g`'s member ids (in (length, id) order) with
+    /// distinct length in `lo..hi`, their lengths and signatures
+    /// alongside, plus the number of members that length window excludes
+    /// — two integer `partition_point`s. [`WindowCache::limits`] gives
+    /// the limits at a threshold.
+    pub(crate) fn window(&self, g: u32, lo: usize, hi: usize) -> (&[SetId], &[u32], &[u64], usize) {
         let GroupOrder { ids, lens, sigs } = &self.groups[g as usize];
-        let c = r.min(q_len);
-        let split = lens.partition_point(|&l| (l as usize) < c);
-        let lo = lens[..split]
-            .partition_point(|&l| sim.from_overlap(l as usize, q_len, l as usize) < threshold);
-        let hi = split
-            + lens[split..]
-                .partition_point(|&l| sim.from_overlap(c, q_len, l as usize) >= threshold);
+        let lo = lens.partition_point(|&l| (l as usize) < lo);
+        let hi = lens.partition_point(|&l| (l as usize) < hi);
         (
             &ids[lo..hi],
             &lens[lo..hi],
             &sigs[lo..hi],
             ids.len() - (hi - lo),
         )
+    }
+}
+
+/// The least distinct length `L ≤ |Q|` with `from_overlap(L, |Q|, L) ≥
+/// t`, or `|Q| + 1` if there is none: a member shorter than the cap `c ≤
+/// |Q|` shares at most its own `L` tokens with the query, and that bound
+/// rises with `L`. The search tests `< t`, as the float search did, so
+/// a NaN threshold keeps every length below the cap, as it did there.
+fn lo_len<S: Similarity>(sim: S, q_len: usize, t: f64) -> usize {
+    let (mut lo, mut hi) = (0, q_len + 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if sim.from_overlap(mid, q_len, mid) < t {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// One past the greatest distinct length `L ≥ c` with `from_overlap(c,
+/// |Q|, L) ≥ t`, or `c` if there is none: a member at least as long as
+/// the cap `c` shares at most `c` tokens with the query, and that bound
+/// falls as `L` grows. Lengths are stored as `u32`, so the search ends
+/// at `u32::MAX`; it gallops up from `c`, so a window that ends near `c`
+/// costs a few evaluations.
+fn hi_end<S: Similarity>(sim: S, q_len: usize, c: usize, t: f64) -> usize {
+    const MAX: usize = u32::MAX as usize;
+    let admits = |l: usize| sim.from_overlap(c, q_len, l) >= t;
+    if !admits(c) {
+        return c;
+    }
+    if admits(MAX) {
+        return MAX + 1;
+    }
+    // `lo` is admitted and `hi` is not.
+    let (mut lo, mut step) = (c, 1);
+    let mut hi = loop {
+        let probe = (c + step).min(MAX);
+        if !admits(probe) {
+            break probe;
+        }
+        (lo, step) = (probe, step * 2);
+    };
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if admits(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
+}
+
+/// The verify windows' per-query caches, one per [`QueryScratch`]: the
+/// length limits of [`VerifyOrder::window`] and the minimal overlap
+/// `min_overlap_for(t, |Q|, L)` by member length, all at the threshold
+/// `t` they were computed for.
+///
+/// A kNN's threshold is the heap's k-th similarity: it moves only on an
+/// accepted hit, while a query verifies hundreds of groups and
+/// thousands of window members. So every value is computed once per
+/// threshold — a few floating-point evaluations — and each window after
+/// that is two integer `partition_point`s. Entries carry the stamp of
+/// the `(query, threshold)` they were computed for; a new query or a new
+/// threshold takes a new stamp, so nothing is cleared on the hot path
+/// and steady-state queries allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WindowCache {
+    /// The query's distinct length, `|Q|`.
+    q_len: usize,
+    /// The bits of the threshold the fresh entries are for; `None` until
+    /// the query asks for its first value.
+    key: Option<u64>,
+    /// The stamp of fresh entries: one per `(query, threshold)`, 64 bits
+    /// so it never wraps, and never 0, the stamp of a new entry.
+    stamp: u64,
+    /// [`lo_len`] at the threshold, once asked for.
+    lo_len: Option<usize>,
+    /// [`hi_end`] by cap `c ∈ 0..=|Q|`, with its stamp.
+    hi_end: Vec<(u64, usize)>,
+    /// `min_overlap_for(t, |Q|, L)` by length `L <` [`NEEDED_LENS`], with
+    /// its stamp; longer members compute theirs.
+    needed: Vec<(u64, u32)>,
+}
+
+/// The member lengths [`WindowCache`] keeps a minimal overlap for: its
+/// table grows to the longest member a window offers, at most this many
+/// entries (1 MiB).
+const NEEDED_LENS: usize = 1 << 16;
+
+impl WindowCache {
+    /// Starts a query of `q_len` distinct tokens: every entry goes stale.
+    pub(crate) fn reset(&mut self, q_len: usize) {
+        self.q_len = q_len;
+        self.key = None;
+        if self.hi_end.len() <= q_len {
+            self.hi_end.resize(q_len + 1, (0, 0));
+        }
+    }
+
+    /// Keys the cache to threshold `t`, taking a new stamp when it moved.
+    #[inline]
+    fn rekey(&mut self, t: f64) {
+        if self.key == Some(t.to_bits()) {
+            return;
+        }
+        self.key = Some(t.to_bits());
+        self.lo_len = None;
+        self.stamp += 1;
+    }
+
+    /// The length limits `lo..hi` of a window at threshold `t` for a
+    /// group whose TGM overlap count is `r`.
+    ///
+    /// Every token a member `S` shares with `Q` lies in `GS_g ∩ Q`
+    /// (deletes keep the TGM a superset of the live members' tokens), so
+    /// with `c = min(r, |Q|)` a member of distinct length `L` has
+    /// similarity at most `from_overlap(min(c, L), |Q|, L)`. That bound
+    /// rises with `L` below `c` and falls from `c` up, for every measure,
+    /// so the admissible lengths are the one run `min(lo_len, c)..hi_end`
+    /// ([`lo_len`], [`hi_end`]). Passing `r = |Q|` gives the uncapped
+    /// window.
+    #[inline]
+    pub(crate) fn limits<S: Similarity>(&mut self, sim: S, r: usize, t: f64) -> (usize, usize) {
+        self.rekey(t);
+        let (q_len, c) = (self.q_len, r.min(self.q_len));
+        let lo = *self.lo_len.get_or_insert_with(|| lo_len(sim, q_len, t));
+        let entry = &mut self.hi_end[c];
+        if entry.0 != self.stamp {
+            *entry = (self.stamp, hi_end(sim, q_len, c, t));
+        }
+        (lo.min(c), entry.1)
+    }
+
+    /// `sim.min_overlap_for(t, |Q|, len)`.
+    #[inline]
+    pub(crate) fn needed<S: Similarity>(&mut self, sim: S, len: usize, t: f64) -> usize {
+        self.rekey(t);
+        if len >= NEEDED_LENS {
+            return sim.min_overlap_for(t, self.q_len, len);
+        }
+        if len >= self.needed.len() {
+            self.needed.resize(len + 1, (0, 0));
+        }
+        let entry = &mut self.needed[len];
+        if entry.0 != self.stamp {
+            *entry = (self.stamp, sim.min_overlap_for(t, self.q_len, len) as u32);
+        }
+        entry.1 as usize
+    }
+}
+
+/// The window limits [`WindowCache::limits`] caches, computed afresh —
+/// for callers without a scratch.
+pub(crate) fn window_limits<S: Similarity>(
+    sim: S,
+    q_len: usize,
+    r: usize,
+    t: f64,
+) -> (usize, usize) {
+    let c = r.min(q_len);
+    (lo_len(sim, q_len, t).min(c), hi_end(sim, q_len, c, t))
+}
+
+#[cfg(test)]
+impl VerifyOrder {
+    /// The oracle of the cached limits: group `g`'s window as the index
+    /// range two floating-point binary searches over its stored lengths
+    /// find — split at `c = min(r, |Q|)`, the lower side keeping lengths
+    /// with `from_overlap(L, |Q|, L) ≥ t`, the upper side those with
+    /// `from_overlap(c, |Q|, L) ≥ t`.
+    fn float_window<S: Similarity>(
+        &self,
+        sim: S,
+        g: u32,
+        q_len: usize,
+        r: usize,
+        t: f64,
+    ) -> std::ops::Range<usize> {
+        let lens = &self.groups[g as usize].lens;
+        let c = r.min(q_len);
+        let split = lens.partition_point(|&l| (l as usize) < c);
+        let lo =
+            lens[..split].partition_point(|&l| sim.from_overlap(l as usize, q_len, l as usize) < t);
+        let hi =
+            split + lens[split..].partition_point(|&l| sim.from_overlap(c, q_len, l as usize) >= t);
+        lo..hi
     }
 }
 
@@ -294,29 +475,32 @@ impl<S: Similarity> VerifyQuery<'_, S> {
     /// count `r`, at `top`'s evolving k-th similarity, offering every hit
     /// and charging the work to `stats`. A member the cap leaves out is
     /// below the k-th similarity already, so the heap never sees it.
+    /// `cache` is the query's own ([`WindowCache::reset`] at `|Q|`).
     pub(crate) fn knn_window(
         &self,
+        cache: &mut WindowCache,
         order: &VerifyOrder,
         g: u32,
         r: u32,
         top: &mut TopK,
         stats: &mut SearchStats,
     ) {
-        let (ids, lens, sigs, skipped) =
-            order.window(self.sim, g, self.q_len(), r as usize, top.kth());
+        let (lo, hi) = cache.limits(self.sim, r as usize, top.kth());
+        let (ids, lens, sigs, skipped) = order.window(g, lo, hi);
         stats.size_skipped += skipped;
+        let window = (ids, lens, sigs);
         // Branch on the filter once per window, not per candidate:
         // non-matching members are skipped before any accounting.
         match self.filter {
-            None => self.scan(ids, lens, sigs, |_| true, top, stats),
-            Some(m) => self.scan(ids, lens, sigs, |id| m.contains(id), top, stats),
+            None => self.scan(cache, window, |_| true, top, stats),
+            Some(m) => self.scan(cache, window, |id| m.contains(id), top, stats),
         }
     }
 
     /// The candidate loop. Everything constant across candidates stays
     /// out of it: `|Q|` comes from the caller, `|S|` and the signature
-    /// from the stored window arrays, and the minimal overlap is
-    /// recomputed only when the length or the threshold changes —
+    /// from the stored window arrays, and the minimal overlap is looked
+    /// up in `cache` only when the length or the threshold changes —
     /// windows are length-sorted and the threshold moves only on an
     /// accepted hit, so that is a few times per group. A candidate whose
     /// signature bound ([`PreparedQuery::overlap_bound`]) is below the
@@ -327,9 +511,8 @@ impl<S: Similarity> VerifyQuery<'_, S> {
     /// S, t)`.
     fn scan(
         &self,
-        ids: &[SetId],
-        lens: &[u32],
-        sigs: &[u64],
+        cache: &mut WindowCache,
+        (ids, lens, sigs): (&[SetId], &[u32], &[u64]),
         keep: impl Fn(SetId) -> bool,
         top: &mut TopK,
         stats: &mut SearchStats,
@@ -339,17 +522,13 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         // The first member from `i` on that the mask keeps and whose
         // bound reaches the minimal overlap at `t`, with that overlap.
         // Every kept member it passes is a candidate.
-        let mut seek = |mut i: usize, t: f64| {
+        let mut seek = |cache: &mut WindowCache, mut i: usize, t: f64| {
             while i < ids.len() {
                 if keep(ids[i]) {
                     candidates += 1;
                     let len = lens[i] as usize;
                     if (memo.0, memo.1) != (len, t.to_bits()) {
-                        memo = (
-                            len,
-                            t.to_bits(),
-                            self.sim.min_overlap_for(t, self.q_len(), len),
-                        );
+                        memo = (len, t.to_bits(), cache.needed(self.sim, len, t));
                     }
                     if self.query.overlap_bound(len, sigs[i]) >= memo.2 {
                         break;
@@ -360,7 +539,7 @@ impl<S: Similarity> VerifyQuery<'_, S> {
             (i, memo.2)
         };
         let (mut evaluated, mut early_exits) = (0usize, 0usize);
-        let ((mut i, mut needed), mut sought_at) = (seek(0, t), t);
+        let ((mut i, mut needed), mut sought_at) = (seek(cache, 0, t), t);
         let mut tokens = ids.get(i).map(|&id| self.db.set(id));
         while let Some(b) = tokens {
             let (id, b_len) = (ids[i], lens[i] as usize);
@@ -369,12 +548,12 @@ impl<S: Similarity> VerifyQuery<'_, S> {
             // minimal overlap too. The threshold only rises, so members
             // the bound rejected earlier stay rejected.
             let admitted = sought_at.to_bits() == t.to_bits() || {
-                needed = self.sim.min_overlap_for(t, self.q_len(), b_len);
+                needed = cache.needed(self.sim, b_len, t);
                 self.query.overlap_bound(b_len, sigs[i]) >= needed
             };
             // Resolve the next admitted member's tokens before this
             // merge, so its offset loads are in flight while it runs.
-            let (next, next_needed) = seek(i + 1, t);
+            let (next, next_needed) = seek(cache, i + 1, t);
             tokens = ids.get(next).map(|&id| self.db.set(id));
             sought_at = t;
             if admitted {
@@ -399,17 +578,19 @@ impl<S: Similarity> VerifyQuery<'_, S> {
     /// `delta`, appending hits (unsorted) and charging the work to
     /// `stats`. The window stays uncapped (`r = |Q|`): the cap is ready
     /// but waits on the benchmark bounding its sample memory (ROADMAP
-    /// 1(a), direction 3).
+    /// 1(a), direction 3). Its limits come from the query's `cache`, as
+    /// a kNN's do.
     pub(crate) fn range_window(
         &self,
+        cache: &mut WindowCache,
         order: &VerifyOrder,
         g: u32,
         delta: f64,
         hits: &mut Vec<(SetId, f64)>,
         stats: &mut SearchStats,
     ) {
-        let q_len = self.q_len();
-        let (ids, _lens, _sigs, skipped) = order.window(self.sim, g, q_len, q_len, delta);
+        let (lo, hi) = cache.limits(self.sim, self.q_len(), delta);
+        let (ids, _lens, _sigs, skipped) = order.window(g, lo, hi);
         stats.size_skipped += skipped;
         // Fetch ahead (module docs): per chunk of 32, read the first token
         // of every member the mask keeps, then merge those members.
@@ -694,8 +875,8 @@ mod tests {
                 let r = tgm.group_overlaps(query)[0];
                 for filter in [None, Some(&mask)] {
                     let (mut want_top, mut want) = (TopK::new(k), SearchStats::default());
-                    let (ids, _lens, _sigs, skipped) =
-                        order.window(sim, 0, q_len, r as usize, want_top.kth());
+                    let (lo, hi) = window_limits(sim, q_len, r as usize, want_top.kth());
+                    let (ids, _lens, _sigs, skipped) = order.window(0, lo, hi);
                     want.size_skipped += skipped;
                     let q_sig = token_signature(query);
                     for &id in ids {
@@ -729,13 +910,15 @@ mod tests {
                         bits.prepare(query, db.universe_size()),
                     ] {
                         let (mut top, mut stats) = (TopK::new(k), SearchStats::default());
+                        let mut cache = WindowCache::default();
+                        cache.reset(q_len);
                         let verify = VerifyQuery {
                             sim,
                             db: &db,
                             query,
                             filter,
                         };
-                        verify.knn_window(&order, 0, r, &mut top, &mut stats);
+                        verify.knn_window(&mut cache, &order, 0, r, &mut top, &mut stats);
                         assert_eq!(stats, want, "{} q{qid} k{k}", sim.name());
                         assert_eq!(top.into_sorted(), want_hits);
                     }
@@ -1055,6 +1238,86 @@ mod tests {
     }
 
     proptest! {
+        /// The cached window limits against the floating-point searches
+        /// they replaced, on one group whose lengths come in runs with
+        /// gaps between (short, long and `u32::MAX`): every cap `r ∈
+        /// 0..=|Q|+1` at thresholds −∞, 0, 0.8, 1, 1.5 and random ones
+        /// in between, asked in rising order as a kNN's k-th similarity
+        /// moves, then NaN (a range's `delta` is the caller's). One cache
+        /// serves every measure and several queries in turn — as one
+        /// scratch serves every namespace — and its minimal overlaps
+        /// equal `min_overlap_for` at every threshold.
+        #[test]
+        fn cached_windows_equal_the_float_search(
+            runs in prop::collection::vec(
+                (prop_oneof![0u32..40, 40u32..100_000, Just(u32::MAX)], 1usize..4),
+                0..14,
+            ),
+            q_lens in prop::collection::vec(0usize..24, 1..4),
+            between in prop::collection::vec(0.0f64..1.2, 0..6),
+        ) {
+            fn check<S: Similarity>(
+                sim: S,
+                cache: &mut WindowCache,
+                order: &VerifyOrder,
+                q_len: usize,
+                thresholds: &[f64],
+            ) -> Result<(), TestCaseError> {
+                let GroupOrder { ids, lens, .. } = &order.groups[0];
+                let probes: Vec<usize> = lens
+                    .iter()
+                    .map(|&l| l as usize)
+                    .chain(0..=q_len + 2)
+                    .chain([NEEDED_LENS - 1, NEEDED_LENS])
+                    .collect();
+                cache.reset(q_len);
+                for &t in thresholds {
+                    for r in 0..=q_len + 1 {
+                        let (lo, hi) = cache.limits(sim, r, t);
+                        prop_assert_eq!((lo, hi), window_limits(sim, q_len, r, t));
+                        let (got, _, _, skipped) = order.window(0, lo, hi);
+                        let want = order.float_window(sim, 0, q_len, r, t);
+                        let at = format!("{} |Q|={q_len} r={r} t={t}", sim.name());
+                        prop_assert_eq!(got, &ids[want.clone()], "{}", at);
+                        prop_assert_eq!(skipped, ids.len() - want.len(), "{}", at);
+                    }
+                    for &len in &probes {
+                        prop_assert_eq!(
+                            cache.needed(sim, len, t),
+                            sim.min_overlap_for(t, q_len, len),
+                            "{} |Q|={} L={} t={}", sim.name(), q_len, len, t
+                        );
+                    }
+                }
+                Ok(())
+            }
+            let mut lens: Vec<u32> = runs
+                .iter()
+                .flat_map(|&(len, n)| std::iter::repeat_n(len, n))
+                .collect();
+            lens.sort_unstable();
+            let order = VerifyOrder {
+                groups: vec![GroupOrder {
+                    ids: (0..lens.len() as SetId).collect(),
+                    sigs: vec![0; lens.len()],
+                    lens,
+                }],
+            };
+            let mut thresholds: Vec<f64> = [f64::NEG_INFINITY, 0.0, 0.8, 1.0, 1.5]
+                .into_iter()
+                .chain(between)
+                .collect();
+            thresholds.sort_by(f64::total_cmp);
+            thresholds.push(f64::NAN);
+            let mut cache = WindowCache::default();
+            for &q_len in &q_lens {
+                check(Jaccard, &mut cache, &order, q_len, &thresholds)?;
+                check(Cosine, &mut cache, &order, q_len, &thresholds)?;
+                check(crate::sim::Dice, &mut cache, &order, q_len, &thresholds)?;
+                check(crate::sim::OverlapCoefficient, &mut cache, &order, q_len, &thresholds)?;
+            }
+        }
+
         /// Any interleaving of `push` and `remove` leaves every group's
         /// arrays — ids, lengths and signatures — equal to a `build` over
         /// the members that survive: what `open ≡ build + deletes` rests

@@ -1,16 +1,18 @@
 //! Reusable per-query working memory.
 //!
 //! Every buffer the query hot path needs — overlap counters, the bucket
-//! histogram, the bound stream, the kNN query's token bitset — lives in
-//! one [`QueryScratch`] that callers (and the batch kNN and the serving
-//! front, one per thread) reuse across queries, so steady-state query
-//! execution performs no heap allocation. There is one engine and therefore one
-//! scratch type ([`ShardedScratch`] is an alias of it), and a scratch is
-//! not tied to an index: every query sizes the buffers it uses, so one
-//! scratch may alternate between indexes of any shape — a front worker's
-//! serves the default route and every namespace.
+//! histogram, the bound stream, the kNN query's token bitset, the verify
+//! windows' caches — lives in one [`QueryScratch`] that callers (and the
+//! batch kNN and the serving front, one per thread) reuse across queries,
+//! so steady-state query execution performs no heap allocation. There is
+//! one engine and therefore one scratch type ([`ShardedScratch`] is an
+//! alias of it), and a scratch is not tied to an index: every query sizes
+//! the buffers it uses, so one scratch may alternate between indexes of
+//! any shape — a front worker's serves the default route and every
+//! namespace.
 
 use crate::approx::PrefilterScratch;
+use crate::index::WindowCache;
 use crate::shard::GroupBound;
 use crate::sim::QueryBits;
 
@@ -44,6 +46,11 @@ pub struct QueryScratch {
     /// A kNN query's membership bitset, a `DenseBitSet` (each load
     /// clears the words the previous one set).
     pub(crate) bits: QueryBits,
+    /// The verify windows' length limits by overlap cap `c ∈ 0..=|Q|`
+    /// and minimal overlaps by member length, at the query's current
+    /// threshold: computed once per threshold, stamped per query and
+    /// threshold, so nothing is cleared between queries.
+    pub(crate) window: WindowCache,
 }
 
 /// [`QueryScratch`], under the name the repository benchmark still

@@ -304,6 +304,15 @@ pub struct SubmitOpts {
 /// cost of more checks (a socket probe each, over HTTP).
 pub const PROBE_INTERVAL: Duration = Duration::from_millis(2);
 
+/// The boundaries between clock reads of [`ServeFront::run`]'s inline
+/// probe once a query has passed its first this many. A clock read costs
+/// ≈ 48 ns (2-core x86-64 container) and a kNN of `serve_closed`'s shape
+/// crosses ≈ 180 group boundaries, while the probe may ask only once per
+/// [`PROBE_INTERVAL`]; reading at each of the first boundaries keeps a
+/// slow query's reaction time, since one whose groups take long has few
+/// of them.
+const CLOCK_STRIDE: u32 = 16;
+
 /// Parks on a full queue, no deadline: what the blocking calls submit
 /// with.
 const WAIT: SubmitOpts = SubmitOpts {
@@ -932,9 +941,10 @@ impl<B: PersistentBackend> ServeFront<B> {
     /// When nothing is queued and a worker's scratch is free, the request
     /// runs on the calling thread, and `gone` is polled (after the
     /// cancellation flag) at the query's phase and group boundaries — at
-    /// most once per [`PROBE_INTERVAL`], one clock read per boundary.
-    /// Otherwise it queues, and the caller waits in [`PROBE_INTERVAL`]
-    /// slices, calling `gone` between them. When `gone` returns `true`
+    /// most once per [`PROBE_INTERVAL`], reading the clock at each of the
+    /// first 16 boundaries and then at every 16th. Otherwise it queues,
+    /// and the caller waits in [`PROBE_INTERVAL`] slices, calling `gone`
+    /// between them. When `gone` returns `true`
     /// the request is cancelled: on this thread it stops at the next
     /// boundary with [`ServeError::Cancelled`] and its partial stats; in
     /// the queue it is marked cancelled and `run` returns
@@ -947,8 +957,14 @@ impl<B: PersistentBackend> ServeFront<B> {
     ) -> Result<(SearchResult, ApproxInfo), ServeError> {
         let job = self.admit(request)?;
         let slot = Arc::clone(&job.slot);
-        let next_probe = Cell::new(Instant::now() + PROBE_INTERVAL);
+        let (boundaries, next_probe) =
+            (Cell::new(0u32), Cell::new(Instant::now() + PROBE_INTERVAL));
         let probe = || {
+            let n = boundaries.get();
+            boundaries.set(n.wrapping_add(1));
+            if n >= CLOCK_STRIDE && n % CLOCK_STRIDE != 0 {
+                return false;
+            }
             let now = Instant::now();
             if now < next_probe.get() {
                 return false;
@@ -1021,8 +1037,9 @@ mod tests {
     use super::*;
     use crate::index::Les3Index;
     use crate::partitioning::Partitioning;
-    use crate::sim::Jaccard;
+    use crate::sim::{Jaccard, Similarity};
     use les3_data::zipfian::ZipfianGenerator;
+    use std::sync::atomic::AtomicUsize;
 
     fn front_and_index() -> (ServeFront<Les3Index<Jaccard>>, Arc<Les3Index<Jaccard>>) {
         let db = ZipfianGenerator::new(200, 150, 6.0, 1.1).generate(17);
@@ -1206,6 +1223,99 @@ mod tests {
         held_work.accumulate(&index.knn(&q, 3).stats);
         held_work.cancelled = 1;
         assert_eq!(stats, held_work, "the cancelled request did no work");
+    }
+
+    /// Jaccard whose group bound counts its calls into `bounds` and
+    /// sleeps `pause` first. It answers 1.0 — admissible, and no group is
+    /// ever pruned — and a kNN asks for one bound per group right before
+    /// it polls that group's boundary, so `bounds` numbers the boundaries.
+    #[derive(Clone, Copy)]
+    struct SlowBound {
+        bounds: &'static AtomicUsize,
+        pause: Duration,
+    }
+
+    impl Similarity for SlowBound {
+        fn name(&self) -> &'static str {
+            "slow-bound"
+        }
+
+        fn from_overlap(&self, overlap: usize, a_len: usize, b_len: usize) -> f64 {
+            Jaccard.from_overlap(overlap, a_len, b_len)
+        }
+
+        fn ub_from_overlap(&self, _q_len: usize, _r: usize) -> f64 {
+            self.bounds.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(self.pause);
+            1.0
+        }
+    }
+
+    /// A front over 256 sets, each alone in its group, so a kNN with `k`
+    /// past the database crosses 256 group boundaries.
+    fn singleton_front(sim: SlowBound) -> ServeFront<Les3Index<SlowBound>> {
+        let sets = (0..256u32).map(|i| vec![i % 7, 10 + i]);
+        let db = les3_data::SetDatabase::from_sets(sets);
+        let index = Les3Index::build(db, Partitioning::round_robin(256, 256), sim);
+        ServeFront::from_arc(Arc::new(index), ServeConfig::default())
+    }
+
+    /// A blocking kNN on its caller's thread reads the clock at every 16th
+    /// group boundary at the latest: with each group outlasting the probe
+    /// interval, a `gone` that turns true after boundary N cancels the
+    /// query by boundary N + 16, and no later.
+    #[test]
+    fn a_client_gone_after_boundary_n_cancels_within_16_more() {
+        static BOUNDS: AtomicUsize = AtomicUsize::new(0);
+        const N: usize = 40;
+        let front = singleton_front(SlowBound {
+            bounds: &BOUNDS,
+            pause: PROBE_INTERVAL,
+        });
+        let gone = || BOUNDS.load(Ordering::SeqCst) > N;
+        let Err(ServeError::Cancelled(stats)) = front.run(Request::knn(vec![1, 2, 3], 1000), &gone)
+        else {
+            panic!("the query must be cancelled");
+        };
+        // The boundary it stopped at is the one after the last verified.
+        let stopped_at = stats.groups_verified + 1;
+        assert!(
+            (N + 1..=N + 16).contains(&stopped_at),
+            "stopped at boundary {stopped_at}"
+        );
+        assert_eq!(BOUNDS.load(Ordering::SeqCst), stopped_at);
+    }
+
+    /// A `gone` that never turns true is asked at most once per probe
+    /// interval over a whole query of 256 group boundaries, and the query
+    /// answers as the engine does.
+    #[test]
+    fn a_client_that_stays_is_asked_at_most_once_per_interval() {
+        static BOUNDS: AtomicUsize = AtomicUsize::new(0);
+        let front = singleton_front(SlowBound {
+            bounds: &BOUNDS,
+            pause: Duration::from_micros(50),
+        });
+        let asked = Cell::new(0u128);
+        let gone = || {
+            asked.set(asked.get() + 1);
+            false
+        };
+        let t0 = Instant::now();
+        let (served, _) = front.run(Request::knn(vec![1, 2, 3], 1000), &gone).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(served.stats.groups_verified, 256);
+        assert_eq!(served, front.backend().knn(&[1, 2, 3], 1000));
+        let intervals = elapsed.as_nanos() / PROBE_INTERVAL.as_nanos();
+        assert!(
+            asked.get() >= 1,
+            "a {elapsed:?} query is asked at least once"
+        );
+        assert!(
+            asked.get() <= intervals,
+            "asked {} times in {elapsed:?}",
+            asked.get()
+        );
     }
 
     #[test]

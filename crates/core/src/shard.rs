@@ -37,7 +37,9 @@ use les3_data::{SetDatabase, SetId, TokenId};
 
 use crate::approx::{self, ApproxParams, ApproxPolicy, MinHashIndex};
 use crate::ctl::{InterruptReason, Interrupted, QueryCtl};
-use crate::index::{bucketed_descending, SearchResult, TopK, VerifyOrder, VerifyQuery};
+use crate::index::{
+    bucketed_descending, window_limits, SearchResult, TopK, VerifyOrder, VerifyQuery, WindowCache,
+};
 use crate::metadata::FilterCandidates;
 use crate::partitioning::Partitioning;
 use crate::query::{self, Gathered, Kind, Query, SearchOutcome};
@@ -158,7 +160,8 @@ impl<S: Similarity> ShardedLes3Index<S> {
     /// public API.
     #[doc(hidden)]
     pub fn verify_window(&self, g: u32, q_len: usize, r: usize, threshold: f64) -> &[SetId] {
-        self.verify.window(self.sim, g, q_len, r, threshold).0
+        let (lo, hi) = window_limits(self.sim, q_len, r, threshold);
+        self.verify.window(g, lo, hi).0
     }
 
     /// The filter pass: word-parallel overlap counts over the TGM for
@@ -207,6 +210,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
     fn knn_descend(
         &self,
         verify: &VerifyQuery<'_, S>,
+        cache: &mut WindowCache,
         k: usize,
         stream: &[GroupBound],
         stats: &mut SearchStats,
@@ -230,7 +234,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 return Err((reason, top));
             }
             stats.groups_verified += 1;
-            verify.knn_window(&self.verify, b.group, b.r, &mut top, stats);
+            verify.knn_window(cache, &self.verify, b.group, b.r, &mut top, stats);
         }
         Ok(top)
     }
@@ -239,9 +243,11 @@ impl<S: Similarity> ShardedLes3Index<S> {
     /// reaches `delta`, in stream order — the order a deadline-committed
     /// partial answer is defined by — appending hits unsorted (`settle`
     /// sorts them). Polls `ctl` at every group boundary.
+    #[allow(clippy::too_many_arguments)]
     fn range_descend(
         &self,
         verify: &VerifyQuery<'_, S>,
+        cache: &mut WindowCache,
         delta: f64,
         stream: &[GroupBound],
         hits: &mut Vec<(SetId, f64)>,
@@ -261,7 +267,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 return Err(reason);
             }
             stats.groups_verified += 1;
-            verify.range_window(&self.verify, b.group, delta, hits, stats);
+            verify.range_window(cache, &self.verify, b.group, delta, hits, stats);
         }
         Ok(())
     }
@@ -311,6 +317,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
             filter,
             stream,
             bits,
+            window,
             ..
         } = scratch;
         // A kNN verifies by bitset lookups; a range keeps the merge.
@@ -319,6 +326,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
             Kind::Range(_) => PreparedQuery::without_bits(tokens),
         };
         let q_len = query.distinct_len();
+        window.reset(q_len);
         let n_considered = q.n_considered(self.partitioning.n_groups());
         let groups = q.mask.map(|cand| &*cand.groups);
         stats.columns_checked += self.filter(tokens, q_len, groups, filter, stream) as usize;
@@ -335,9 +343,11 @@ impl<S: Similarity> ShardedLes3Index<S> {
         };
         let ctl = &q.ctl;
         let (stopped, gathered) = match q.kind {
-            Kind::Knn(k) => Gathered::heap(self.knn_descend(&verify, k, stream, &mut stats, ctl)),
+            Kind::Knn(k) => {
+                Gathered::heap(self.knn_descend(&verify, window, k, stream, &mut stats, ctl))
+            }
             Kind::Range(delta) => Gathered::list(|hits| {
-                self.range_descend(&verify, delta, stream, hits, &mut stats, ctl)
+                self.range_descend(&verify, window, delta, stream, hits, &mut stats, ctl)
             }),
         };
         query::settle(stopped, gathered, stats, q.approx, n_considered)

@@ -224,21 +224,32 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a JSON string: one `write_str` per run of bytes that
+/// need no escape. Every byte that does is ASCII, so each run ends on a
+/// character boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{08}' => f.write_str("\\b")?,
-            '\u{0c}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0..0x20 => None,
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        match named {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -487,6 +498,53 @@ mod tests {
         assert_eq!(
             Json::parse(r#""\u0041\u00e9\ud83d\ude00""#).unwrap(),
             Json::Str("Aé\u{1F600}".to_string())
+        );
+    }
+
+    /// The run writer against the character-at-a-time writer it
+    /// replaced: quotes, backslash, every control character, `\u{7f}`
+    /// (not a control character to JSON) and multi-byte UTF-8, alone, at
+    /// either end and between runs.
+    #[test]
+    fn escaping_writes_what_the_per_character_writer_wrote() {
+        fn per_char(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{08}' => out.push_str("\\b"),
+                    '\u{0c}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out + "\""
+        }
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let mut cases = vec![
+            String::new(),
+            "plain".to_string(),
+            "\"".to_string(),
+            "\\".to_string(),
+            "\u{7f}".to_string(),
+            "é😀\u{7f}".to_string(),
+            controls.clone(),
+            format!("a{controls}b\"c\\dé\u{7f}😀x"),
+            format!("😀{controls}é"),
+        ];
+        cases.extend(controls.chars().map(|c| format!("é{c}😀")));
+        for s in cases {
+            let written = Json::Str(s.clone()).to_string();
+            assert_eq!(written, per_char(&s), "{s:?}");
+            assert_eq!(Json::parse(&written).unwrap(), Json::Str(s));
+        }
+        assert_eq!(
+            Json::Str("\u{1}\u{1f}\u{7f}".into()).to_string(),
+            "\"\\u0001\\u001f\u{7f}\""
         );
     }
 

@@ -440,9 +440,14 @@ struct Reply {
 
 impl Reply {
     fn ok(body: Json) -> Self {
+        Self::ok_text(body.to_string())
+    }
+
+    /// A `200` whose body is already written.
+    fn ok_text(body: String) -> Self {
         Self {
             status: 200,
-            body: body.to_string(),
+            body,
             headers: vec![],
         }
     }
@@ -711,11 +716,11 @@ fn serve_query<B: PersistentBackend>(
     // encoded or written: a slow client holds no query capacity.
     let outcome = front.run(request, &|| peer_gone(stream));
     let reply = match outcome {
-        Ok((result, info)) => Reply::ok(if verdict_fields {
-            wire::encode_result_approx(&result, &info)
-        } else {
-            wire::encode_result(&result)
-        }),
+        Ok((result, info)) if verdict_fields => {
+            Reply::ok(wire::encode_result_approx(&result, &info))
+        }
+        // The hot path: the exact body, written without a tree.
+        Ok((result, _)) => Reply::ok_text(wire::result_body(&result)),
         Err(ServeError::Overloaded) => Reply::retry_later(
             "overloaded",
             "the serving queue is full; retry after a backoff",

@@ -22,6 +22,8 @@
 //! assert_eq!(decoded, result); // similarities identical to the last bit
 //! ```
 
+use std::fmt::Write as _;
+
 use les3_core::metadata::{MAX_ATTRS_PER_SET, MAX_ATTR_STR, MAX_FILTER_DEPTH};
 use les3_core::{
     ApproxInfo, ApproxPolicy, Filter, Filters, Kind, NamespaceInfo, NamespaceSpec, SearchResult,
@@ -537,6 +539,65 @@ pub fn encode_result(result: &SearchResult) -> Json {
     ])
 }
 
+/// The exact `200` body, [`encode_result`]`(result).to_string()` byte for
+/// byte, written straight into a `String` without building the tree.
+/// Ids and counters are written as integers: up to 2^53 those are the
+/// digits the tree's `f64` `Display` writes, and a larger counter takes
+/// the `f64` path, as the tree does. Similarities use `f64` `Display`,
+/// and a non-finite one is written as `null`.
+pub fn result_body(result: &SearchResult) -> String {
+    let mut out = String::with_capacity(256 + 32 * result.hits.len());
+    out.push_str("{\"hits\":[");
+    for (i, &(id, sim)) in result.hits.iter().enumerate() {
+        out.push_str(if i == 0 { "[" } else { ",[" });
+        push_count(&mut out, u64::from(id));
+        out.push(',');
+        push_f64(&mut out, sim);
+        out.push(']');
+    }
+    out.push_str("],\"stats\":");
+    let s = &result.stats;
+    let counters = [
+        ("{\"candidates\":", s.candidates),
+        (",\"sims_computed\":", s.sims_computed),
+        (",\"columns_checked\":", s.columns_checked),
+        (",\"groups_pruned\":", s.groups_pruned),
+        (",\"groups_verified\":", s.groups_verified),
+        (",\"early_exits\":", s.early_exits),
+        (",\"size_skipped\":", s.size_skipped),
+        (",\"shed\":", s.shed),
+        (",\"expired\":", s.expired),
+        (",\"cancelled\":", s.cancelled),
+    ];
+    for (key, n) in counters {
+        out.push_str(key);
+        push_count(&mut out, n as u64);
+    }
+    out.push_str("}}");
+    out
+}
+
+/// Writes `n` as the tree writes `Json::from(n)`: its decimal digits up
+/// to 2^53, where every integer is an exact `f64`, else the `f64` it
+/// rounds to.
+fn push_count(out: &mut String, n: u64) {
+    if n > 1 << 53 {
+        push_f64(out, n as f64);
+    } else {
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// Writes `x` as the tree writes `Json::Num(x)`.
+fn push_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
 /// [`encode_result`] plus the approximation verdict: the envelope gains
 /// `"approx"` and `"recall_est"`. Served only to requests that asked
 /// for a non-exact `"mode"` — exact responses stay byte-identical to
@@ -601,6 +662,7 @@ pub fn encode_error(code: &str, message: &str, stats: Option<&SearchStats>) -> J
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn stats_round_trip_all_fields() {
@@ -638,6 +700,76 @@ mod tests {
         assert_eq!(back, result);
         for ((_, a), (_, b)) in back.hits.iter().zip(&result.hits) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    proptest! {
+        /// The direct writer is the tree's bytes for ids up to
+        /// `u32::MAX`, similarities at 0, 1, subnormal, 1/3, non-finite
+        /// and in between, and counters at 0, 2^53, 2^53 + 1 and
+        /// `usize::MAX`; what it writes decodes back to the result when
+        /// every counter is at most 2^53 and every similarity finite.
+        #[test]
+        fn result_body_is_the_trees_bytes(
+            hits in prop::collection::vec(
+                (
+                    prop_oneof![
+                        Just(0u32),
+                        Just(u32::MAX),
+                        0u32..1000,
+                        any::<u32>(),
+                    ],
+                    prop_oneof![
+                        Just(0.0f64),
+                        Just(1.0f64),
+                        Just(f64::MIN_POSITIVE / 3.0),
+                        Just(1.0f64 / 3.0),
+                        Just(f64::NAN),
+                        Just(f64::INFINITY),
+                        0.0f64..1.0,
+                    ],
+                ),
+                0..12,
+            ),
+            counters in prop::collection::vec(
+                prop_oneof![
+                    Just(0usize),
+                    Just(1usize << 53),
+                    Just((1usize << 53) + 1),
+                    Just(usize::MAX),
+                    0usize..100_000,
+                    any::<usize>(),
+                ],
+                10,
+            ),
+        ) {
+            let c = |i: usize| counters[i];
+            let result = SearchResult {
+                hits,
+                stats: SearchStats {
+                    candidates: c(0),
+                    sims_computed: c(1),
+                    columns_checked: c(2),
+                    groups_pruned: c(3),
+                    groups_verified: c(4),
+                    early_exits: c(5),
+                    size_skipped: c(6),
+                    shed: c(7),
+                    expired: c(8),
+                    cancelled: c(9),
+                },
+            };
+            let body = result_body(&result);
+            prop_assert_eq!(&body, &encode_result(&result).to_string());
+            let exact = counters.iter().all(|&n| n <= 1 << 53)
+                && result.hits.iter().all(|h| h.1.is_finite());
+            if exact {
+                let back = decode_result(&Json::parse(&body).unwrap()).unwrap();
+                prop_assert_eq!(&back, &result);
+                for ((_, a), (_, b)) in back.hits.iter().zip(&result.hits) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
         }
     }
 
