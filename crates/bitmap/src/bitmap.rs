@@ -1,7 +1,10 @@
 //! The top-level chunked bitmap.
 
+use crate::array::ArrayContainer;
+use crate::bits::BitsContainer;
 use crate::container::Container;
 use crate::iter::BitmapIter;
+use crate::ARRAY_TO_BITS_THRESHOLD;
 
 /// A compressed bitmap over `u32` values.
 ///
@@ -26,24 +29,32 @@ impl Bitmap {
         Self::default()
     }
 
-    /// Builds a bitmap from a sorted slice (fast path: appends containers).
+    /// Builds a bitmap from a sorted slice, duplicates allowed. The chunk
+    /// table holds exactly one entry per chunk and each array container
+    /// exactly its values; a chunk of more than
+    /// [`ARRAY_TO_BITS_THRESHOLD`] values is a bits container, as
+    /// inserting them one by one would leave it.
     pub fn from_sorted(values: &[u32]) -> Self {
         debug_assert!(values.windows(2).all(|w| w[0] <= w[1]));
-        let mut bm = Self::new();
-        for &v in values {
-            let (high, low) = split(v);
-            match bm.chunks.last_mut() {
-                Some((h, c)) if *h == high => {
-                    c.insert(low);
-                }
-                _ => {
-                    let mut c = Container::default();
-                    c.insert(low);
-                    bm.chunks.push((high, c));
-                }
-            }
+        let by_chunk = || values.chunk_by(|a, b| a >> 16 == b >> 16);
+        let mut chunks = Vec::with_capacity(by_chunk().count());
+        for run in by_chunk() {
+            let lows = || run.chunk_by(|a, b| a == b).map(|same| split(same[0]).1);
+            let distinct = lows().count();
+            let container = if distinct > ARRAY_TO_BITS_THRESHOLD {
+                let mut bits = BitsContainer::new();
+                lows().for_each(|v| {
+                    bits.insert(v);
+                });
+                Container::Bits(bits)
+            } else {
+                let mut array = Vec::with_capacity(distinct);
+                array.extend(lows());
+                Container::Array(ArrayContainer::from_sorted(array))
+            };
+            chunks.push((split(run[0]).0, container));
         }
-        bm
+        Self { chunks }
     }
 
     fn chunk_index(&self, high: u16) -> Result<usize, usize> {
@@ -220,6 +231,7 @@ impl<'a> IntoIterator for &'a Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn cross_chunk_insert_iter() {
@@ -229,13 +241,59 @@ mod tests {
         assert_eq!(bm.to_vec(), vals);
     }
 
+    /// Sorted values with duplicates: per chunk spec `(high, n, step,
+    /// dup)`, `n` lows `i·step mod 2^16`, every third repeated `dup`
+    /// more times.
+    fn chunk_values(specs: &[(u32, usize, u32, usize)]) -> Vec<u32> {
+        let mut values: Vec<u32> = specs
+            .iter()
+            .flat_map(|&(high, n, step, dup)| {
+                (0..n as u32).flat_map(move |i| {
+                    let v = high << 16 | (i * step) & 0xffff;
+                    std::iter::repeat_n(v, 1 + if i % 3 == 0 { dup } else { 0 })
+                })
+            })
+            .collect();
+        values.sort_unstable();
+        values
+    }
+
+    /// `from_sorted` equals inserting one by one — containers and their
+    /// kinds — and its chunk table holds exactly its chunks.
+    fn check_from_sorted(values: &[u32]) -> Result<(), TestCaseError> {
+        let built = Bitmap::from_sorted(values);
+        prop_assert_eq!(&built, &Bitmap::from_iter(values.iter().copied()));
+        prop_assert_eq!(built.chunks.capacity(), built.chunks.len());
+        Ok(())
+    }
+
     #[test]
-    fn from_sorted_matches_from_iter() {
-        let vals: Vec<u32> = (0..100_000).step_by(37).collect();
-        assert_eq!(
-            Bitmap::from_sorted(&vals),
-            Bitmap::from_iter(vals.iter().copied())
-        );
+    fn from_sorted_makes_bits_past_the_array_threshold() {
+        // One chunk of 4 097 distinct values (every one twice), one of
+        // 4 096, and a sparse third.
+        let values = chunk_values(&[(0, 4097, 3, 1), (2, 4096, 1, 1), (9, 5, 1000, 0)]);
+        check_from_sorted(&values).unwrap();
+        let kinds: Vec<bool> = Bitmap::from_sorted(&values)
+            .chunks
+            .iter()
+            .map(|(_, c)| matches!(c, Container::Bits(_)))
+            .collect();
+        assert_eq!(kinds, [true, false, false]);
+        check_from_sorted(&[]).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn from_sorted_equals_from_iter(
+            specs in prop::collection::vec(
+                (0u32..6, prop_oneof![0usize..60, 4000usize..6000], 1u32..17, 0usize..3),
+                0..5,
+            ),
+        ) {
+            check_from_sorted(&chunk_values(&specs))?;
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! The crate has two callers, both in `les3-core`, and carries what they
 //! use:
 //!
-//! * the TGM's token columns (`tgm.rs`) — [`Bitmap::insert`],
-//!   [`Bitmap::remove`] and [`Bitmap::contains`] for builds and live
-//!   updates, [`Bitmap::run_optimize`] after a build, for phase A
+//! * the TGM's token columns (`tgm.rs`) — [`Bitmap::from_sorted`] and
+//!   [`Bitmap::run_optimize`] for builds, [`Bitmap::insert`],
+//!   [`Bitmap::remove`] and [`Bitmap::contains`] for live updates and
+//!   probes, for phase A
 //!   [`Bitmap::first_word`] (the fetch pass) and the counting kernel
 //!   [`Bitmap::count_into`], and [`Bitmap::len`] plus
 //!   [`Bitmap::serialized_size_in_bytes`] for the index size (Figure 11

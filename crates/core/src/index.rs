@@ -56,20 +56,18 @@
 //!   32 members at a time and reads the first token of each one the
 //!   mask keeps before it merges any of them. Only when loads are issued
 //!   moves, never which bytes are read or a verdict;
-//! * the two loops count overlap differently. A kNN loads a
-//!   duplicate-free query into a membership bitset once
-//!   ([`crate::sim::QueryBits`], in the scratch, at most `⌈universe /
-//!   64⌉` words) and counts each candidate by looking its tokens up
-//!   there ([`Similarity::eval_prepared`]): independent loads, where a
-//!   merge step waits on the previous step's cursor moves. A multiset on
-//!   either side takes the merge, and so does every range candidate
-//!   ([`Similarity::eval_with_threshold`]): a range verifies ≈ 85
-//!   candidates per call against the kNN's ≈ 5 800, so its time is the
-//!   filter pass and per-call overhead, and hoisting its loop waits on
-//!   the benchmark harness bounding its sample memory. Both kernels
-//!   return the merge's verdict, `Hit` bits and `early` flag alike, so
-//!   every [`SearchStats`] counter is the merge's too (the proof is on
-//!   [`Similarity::eval_prepared`]);
+//! * both loops evaluate through one hook, [`Similarity::eval_prepared`],
+//!   with `|S|` from the window's stored lengths and the minimal overlap
+//!   from the cache, looked up only when the length (or a kNN's
+//!   threshold) changes. A kNN loads a duplicate-free query into a
+//!   membership bitset once ([`crate::sim::QueryBits`], in the scratch,
+//!   at most `⌈universe / 64⌉` words) and counts each candidate by
+//!   looking its tokens up there: independent loads, where a merge step
+//!   waits on the previous step's cursor moves. A multiset on either
+//!   side takes the merge, and so does every range candidate: a range's
+//!   query carries no bitset. Both kernels return the merge's verdict,
+//!   `Hit` bits and `early` flag alike, so every [`SearchStats`] counter
+//!   is the merge's too (the proof is on [`Similarity::eval_prepared`]);
 //! * all working memory lives in a reusable [`QueryScratch`], so
 //!   steady-state queries allocate nothing but their result vector.
 
@@ -506,9 +504,7 @@ impl<S: Similarity> VerifyQuery<'_, S> {
     /// signature bound ([`PreparedQuery::overlap_bound`]) is below the
     /// minimal overlap is strictly below the k-th similarity and is
     /// dropped without reading its tokens; every other one goes through
-    /// the one kNN hook, [`Similarity::eval_prepared`], whose verdicts
-    /// are those of [`Similarity::eval_with_threshold`] on the same `(Q,
-    /// S, t)`.
+    /// the one per-candidate hook, [`Similarity::eval_prepared`].
     fn scan(
         &self,
         cache: &mut WindowCache,
@@ -576,10 +572,12 @@ impl<S: Similarity> VerifyQuery<'_, S> {
 
     /// Verifies group `g`'s length window at the fixed range threshold
     /// `delta`, appending hits (unsorted) and charging the work to
-    /// `stats`. The window stays uncapped (`r = |Q|`): the cap is ready
-    /// but waits on the benchmark bounding its sample memory (ROADMAP
-    /// 1(a), direction 3). Its limits come from the query's `cache`, as
-    /// a kNN's do.
+    /// `stats`. The window stays uncapped (`r = |Q|`; ROADMAP direction
+    /// 3). As in a kNN's scan, the limits and the minimal overlaps come
+    /// from the query's `cache`, `|S|` from the stored lengths, and every
+    /// member the mask keeps goes through the one hook,
+    /// [`Similarity::eval_prepared`]; the query carries no bitset, so
+    /// each takes the merge.
     pub(crate) fn range_window(
         &self,
         cache: &mut WindowCache,
@@ -590,34 +588,34 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         stats: &mut SearchStats,
     ) {
         let (lo, hi) = cache.limits(self.sim, self.q_len(), delta);
-        let (ids, _lens, _sigs, skipped) = order.window(g, lo, hi);
+        let (ids, lens, _sigs, skipped) = order.window(g, lo, hi);
         stats.size_skipped += skipped;
+        // `needed` by length: the window is length-sorted.
+        let mut memo = (usize::MAX, 0);
         // Fetch ahead (module docs): per chunk of 32, read the first token
         // of every member the mask keeps, then merge those members.
-        let mut kept = [0 as SetId; 32];
-        for chunk in ids.chunks(kept.len()) {
+        let mut kept = [(0 as SetId, 0u32); 32];
+        for (ids, lens) in ids.chunks(kept.len()).zip(lens.chunks(kept.len())) {
             let (mut n, mut fetched) = (0, 0u32);
-            for &id in chunk {
+            for (&id, &len) in ids.iter().zip(lens) {
                 if self.filter.is_none_or(|m| m.contains(id)) {
                     fetched ^= self.db.set(id).first().copied().unwrap_or(0);
-                    kept[n] = id;
+                    kept[n] = (id, len);
                     n += 1;
                 }
             }
             std::hint::black_box(fetched);
-            for &id in &kept[..n] {
-                stats.candidates += 1;
-                stats.sims_computed += 1;
-                match self
-                    .sim
-                    .eval_with_threshold(self.query.tokens(), self.db.set(id), delta)
-                {
+            stats.candidates += n;
+            stats.sims_computed += n;
+            for &(id, len) in &kept[..n] {
+                let len = len as usize;
+                if memo.0 != len {
+                    memo = (len, cache.needed(self.sim, len, delta));
+                }
+                let set = self.db.set(id);
+                match self.sim.eval_prepared(&self.query, set, len, memo.1, delta) {
                     ThresholdedEval::Hit(s) => hits.push((id, s)),
-                    ThresholdedEval::Rejected { early } => {
-                        if early {
-                            stats.early_exits += 1;
-                        }
-                    }
+                    ThresholdedEval::Rejected { early } => stats.early_exits += usize::from(early),
                 }
             }
         }
@@ -743,7 +741,8 @@ impl TopK {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{Cosine, Jaccard};
+    use crate::query;
+    use crate::sim::{reference_eval_with_threshold, Cosine, Jaccard};
     use les3_data::zipfian::ZipfianGenerator;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -818,8 +817,8 @@ mod tests {
     }
 
     /// The hoisted window scan against the loop it replaced: every
-    /// member the signature bound admits evaluated by
-    /// `eval_with_threshold` at the heap's current k-th similarity. One
+    /// member the signature bound admits evaluated by the reference merge
+    /// at the heap's current k-th similarity. One
     /// group holding runs of equal lengths, changing lengths, multisets
     /// and (for small k) a threshold that rises inside the window — so
     /// the `(length, threshold)` memo of the minimal overlap is both
@@ -893,7 +892,7 @@ mod tests {
                             continue;
                         }
                         want.sims_computed += 1;
-                        match sim.eval_with_threshold(query, set, want_top.kth()) {
+                        match reference_eval_with_threshold(sim, query, set, want_top.kth()) {
                             ThresholdedEval::Hit(s) => want_top.offer(id, s),
                             ThresholdedEval::Rejected { early } => {
                                 want.early_exits += usize::from(early)
@@ -1237,7 +1236,180 @@ mod tests {
         );
     }
 
+    /// A range as the loop before the hoisting: every window member the
+    /// mask keeps evaluated by the reference merge, both distinct lengths
+    /// and `min_overlap_for` recomputed per member. Every group whose
+    /// bound is not at least `delta` is pruned.
+    fn reference_range<S: Similarity>(
+        index: &Les3Index<S>,
+        query: &[TokenId],
+        delta: f64,
+        mask: Option<&crate::FilterCandidates>,
+    ) -> SearchResult {
+        let (sim, mut stats, mut hits) = (index.sim(), SearchStats::default(), Vec::new());
+        if mask.is_some_and(|m| m.groups.is_empty()) {
+            return SearchResult { hits, stats };
+        }
+        let mut q = query.to_vec();
+        q.sort_unstable();
+        let q_len = distinct_len(&q);
+        let mut counts = Vec::new();
+        stats.columns_checked = index.tgm().group_overlaps_into(&q, &mut counts) as usize;
+        let groups: Vec<u32> = match mask {
+            Some(m) => m.groups.clone(),
+            None => (0..counts.len() as u32).collect(),
+        };
+        let (lo, hi) = window_limits(sim, q_len, q_len, delta);
+        for g in groups {
+            let ub = sim.ub_from_overlap(q_len, counts[g as usize] as usize);
+            if ub.partial_cmp(&delta).is_none_or(std::cmp::Ordering::is_lt) {
+                stats.groups_pruned += 1;
+                continue;
+            }
+            stats.groups_verified += 1;
+            let (ids, _, _, skipped) = index.verify.window(g, lo, hi);
+            stats.size_skipped += skipped;
+            for &id in ids
+                .iter()
+                .filter(|&&id| mask.is_none_or(|m| m.sets.contains(id)))
+            {
+                stats.candidates += 1;
+                stats.sims_computed += 1;
+                match reference_eval_with_threshold(sim, &q, index.db().set(id), delta) {
+                    ThresholdedEval::Hit(s) => hits.push((id, s)),
+                    ThresholdedEval::Rejected { early } => stats.early_exits += usize::from(early),
+                }
+            }
+        }
+        sort_hits(&mut hits);
+        SearchResult { hits, stats }
+    }
+
+    /// The database, partitioning, queries and mask of the range
+    /// properties.
+    type RangeFixture = (
+        SetDatabase,
+        Partitioning,
+        Vec<Vec<TokenId>>,
+        crate::FilterCandidates,
+    );
+
+    /// A [`RangeFixture`]: multiset sets, groups left empty, queries that
+    /// are a member plus 0–3 more tokens (duplicates and unseen ones too).
+    fn range_fixture(
+        sets: &[Vec<TokenId>],
+        n_groups: usize,
+        picks: &[usize],
+        queries: &[(usize, Vec<TokenId>)],
+        mask_word: u64,
+    ) -> RangeFixture {
+        let db = SetDatabase::from_sets(sets.iter().cloned());
+        let assignment = picks[..db.len()]
+            .iter()
+            .map(|&p| (p % n_groups) as u32)
+            .collect();
+        let part = Partitioning::from_assignment(assignment, n_groups);
+        let queries = queries
+            .iter()
+            .map(|(pick, extra)| [db.set((pick % db.len()) as SetId), extra].concat())
+            .collect();
+        let mask = crate::FilterCandidates::from_words(&[mask_word], &part);
+        (db, part, queries, mask)
+    }
+
     proptest! {
+        /// The range loop against [`reference_range`]: hits and every
+        /// counter, for all four measures, at δ ∈ {−∞, 0, 0.3, 0.8, 1,
+        /// 1.5}, with and without a mask, one scratch serving every query.
+        #[test]
+        fn range_loop_equals_the_per_candidate_reference(
+            sets in prop::collection::vec(prop::collection::vec(0u32..30, 0..10), 1..60),
+            n_groups in 1usize..9,
+            picks in prop::collection::vec(0usize..1000, 60),
+            queries in prop::collection::vec((0usize..1000, prop::collection::vec(0u32..34, 0..4)), 1..4),
+            mask_word in any::<u64>(),
+        ) {
+            fn check<S: Similarity>(
+                sim: S,
+                (db, part, queries, mask): &RangeFixture,
+            ) -> Result<(), TestCaseError> {
+                let index = Les3Index::build(db.clone(), part.clone(), sim);
+                let mut scratch = QueryScratch::new();
+                for q in queries {
+                    for delta in [f64::NEG_INFINITY, 0.0, 0.3, 0.8, 1.0, 1.5] {
+                        for mask in [None, Some(mask)] {
+                            let query = crate::Query { mask, ..crate::Query::range(q, delta) };
+                            let got = query::uninterrupted(index.search(&query, &mut scratch));
+                            let want = reference_range(&index, q, delta, mask);
+                            let at = format!("{} q={q:?} δ={delta} masked={}", sim.name(), mask.is_some());
+                            prop_assert_eq!(got.stats, want.stats, "{}", at);
+                            prop_assert_eq!(got.hits, want.hits, "{}", at);
+                        }
+                    }
+                }
+                Ok(())
+            }
+            let fixture = range_fixture(&sets, n_groups, &picks, &queries, mask_word);
+            check(Jaccard, &fixture)?;
+            check(Cosine, &fixture)?;
+            check(crate::sim::Dice, &fixture)?;
+            check(crate::sim::OverlapCoefficient, &fixture)?;
+        }
+
+        /// No bound reaches a NaN `delta`: through every range entry point
+        /// — `range`, `range_with`, `range_ctl_on`, a masked `search` and
+        /// an anytime `search` — a NaN range returns nothing, verifies no
+        /// group and prunes every group it considers.
+        #[test]
+        fn a_nan_range_prunes_every_group(
+            sets in prop::collection::vec(prop::collection::vec(0u32..30, 0..10), 1..60),
+            n_groups in 1usize..9,
+            picks in prop::collection::vec(0usize..1000, 60),
+            queries in prop::collection::vec((0usize..1000, prop::collection::vec(0u32..34, 0..4)), 1..4),
+            mask_word in any::<u64>(),
+        ) {
+            fn check<S: Similarity>(
+                sim: S,
+                (db, part, queries, mask): &RangeFixture,
+            ) -> Result<(), TestCaseError> {
+                let index = Les3Index::build(db.clone(), part.clone(), sim);
+                let mut scratch = QueryScratch::new();
+                let nan = f64::NAN;
+                for q in queries {
+                    let search = |query: crate::Query<'_>, scratch: &mut QueryScratch| {
+                        index.search(&query, scratch).expect("never interrupted").0
+                    };
+                    let anytime = crate::Query {
+                        approx: crate::ApproxPolicy::Anytime,
+                        ..crate::Query::range(q, nan)
+                    };
+                    let masked = crate::Query { mask: Some(mask), ..crate::Query::range(q, nan) };
+                    let unmasked = [
+                        index.range(q, nan),
+                        index.range_with(q, nan, &mut scratch),
+                        index.range_ctl_on(1, q, nan, &mut scratch, &crate::QueryCtl::NONE).unwrap(),
+                        search(anytime, &mut scratch),
+                    ];
+                    let runs = unmasked
+                        .into_iter()
+                        .map(|r| (r, part.n_groups()))
+                        .chain([(search(masked, &mut scratch), mask.n_groups())]);
+                    for (i, (got, considered)) in runs.enumerate() {
+                        let at = format!("{} q={q:?} entry point {i}", sim.name());
+                        prop_assert!(got.hits.is_empty(), "{}", at);
+                        prop_assert_eq!(got.stats.groups_verified, 0, "{}", at);
+                        prop_assert_eq!(got.stats.groups_pruned, considered, "{}", at);
+                    }
+                }
+                Ok(())
+            }
+            let fixture = range_fixture(&sets, n_groups, &picks, &queries, mask_word);
+            check(Jaccard, &fixture)?;
+            check(Cosine, &fixture)?;
+            check(crate::sim::Dice, &fixture)?;
+            check(crate::sim::OverlapCoefficient, &fixture)?;
+        }
+
         /// The cached window limits against the floating-point searches
         /// they replaced, on one group whose lengths come in runs with
         /// gaps between (short, long and `u32::MAX`): every cap `r ∈

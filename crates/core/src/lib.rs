@@ -58,10 +58,10 @@
 //! * verification stores each group's members length-sorted, cuts the
 //!   inadmissible length range with two binary searches (for a kNN the
 //!   range is capped by the group's TGM overlap count), and abandons
-//!   each candidate as soon as its overlap cannot reach the threshold — a
-//!   kNN counts by looking candidate tokens up in the query's bitset
-//!   ([`Similarity::eval_prepared`]), a range by merging
-//!   ([`Similarity::eval_with_threshold`]) — all exact, per Theorem 3.1;
+//!   each candidate as soon as its overlap cannot reach the threshold,
+//!   through one hook ([`Similarity::eval_prepared`]) — a kNN counts by
+//!   looking candidate tokens up in the query's bitset, a range by
+//!   merging — all exact, per Theorem 3.1;
 //! * callers that issue many queries reuse a [`QueryScratch`]
 //!   ([`ShardedLes3Index::knn_with`] / [`ShardedLes3Index::range_with`]);
 //!   [`Les3Index::knn_batch_on`] gives each of its threads one

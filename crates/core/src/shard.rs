@@ -33,6 +33,8 @@
 //! assert_eq!(same.range(&[0, 1, 2], 0.5), flat.range(&[0, 1, 2], 0.5));
 //! ```
 
+use std::cmp::Ordering;
+
 use les3_data::{SetDatabase, SetId, TokenId};
 
 use crate::approx::{self, ApproxParams, ApproxPolicy, MinHashIndex};
@@ -255,9 +257,12 @@ impl<S: Similarity> ShardedLes3Index<S> {
         ctl: &QueryCtl<'_>,
     ) -> Result<(), InterruptReason> {
         // The prune point is independent of the results: the bounds are
-        // non-increasing, so the survivors are a prefix.
-        let beaten =
-            |b: &GroupBound| self.sim.ub_from_overlap(verify.q_len(), b.r as usize) < delta;
+        // non-increasing, so the survivors are a prefix. No bound reaches
+        // a NaN `delta`, so such a range prunes every group.
+        let beaten = |b: &GroupBound| {
+            let ub = self.sim.ub_from_overlap(verify.q_len(), b.r as usize);
+            ub.partial_cmp(&delta).is_none_or(Ordering::is_lt)
+        };
         let stop = stream.iter().position(beaten).unwrap_or(stream.len());
         // Counted before the loop: an interrupted range has pruned them
         // all the same, and its partial stats and recall estimate say so.

@@ -62,33 +62,19 @@ pub trait Similarity: Copy + Send + Sync + 'static {
         lo
     }
 
-    /// Threshold-aware evaluation: returns the exact similarity when it is
-    /// `≥ threshold`, or the reason it cannot be. The range candidate
-    /// loop's per-candidate hook.
+    /// Threshold-aware evaluation, the one per-candidate hook of the kNN
+    /// and the range candidate loops: the exact similarity of `q` and `b`
+    /// when it is `≥ threshold`, or the reason it cannot be. `b_len` is
+    /// the distinct length of `b` and `needed` is
+    /// `min_overlap_for(threshold, q.distinct_len(), b_len)`; both loops
+    /// take them from the window's stored lengths and the query's cached
+    /// minimal overlaps, outside the per-candidate work. For any `Hit` the
+    /// value equals [`Similarity::eval`] bit for bit (the same
+    /// `from_overlap` on the same counts), so verification stays exact;
+    /// only sub-threshold candidates are cut short.
     ///
-    /// *Prepare* (both distinct lengths and the minimal overlap the
-    /// threshold requires) followed by the threshold-aware merge. For any
-    /// `Hit` outcome the value equals [`Similarity::eval`] bit for bit
-    /// (same `from_overlap` arithmetic on the same counts), so replacing
-    /// `eval` with this in the verify step preserves exactness (Theorem
-    /// 3.1 pruning is untouched; only sub-threshold candidates are cut
-    /// short).
-    fn eval_with_threshold(&self, a: &[TokenId], b: &[TokenId], threshold: f64) -> ThresholdedEval {
-        let a_len = distinct_len(a);
-        let b_len = distinct_len(b);
-        let needed = self.min_overlap_for(threshold, a_len, b_len);
-        merge_with_threshold(*self, a, b, a_len, b_len, needed, threshold)
-    }
-
-    /// The kNN candidate loop's per-candidate hook: the verdict of
-    /// [`Similarity::eval_with_threshold`]`(q.tokens(), b, threshold)` —
-    /// `Hit` bits and `early` flag — for callers that hold the prepared
-    /// values: `b_len` is the distinct length of `b` and `needed` is
-    /// `min_overlap_for(threshold, q.distinct_len(), b_len)` (the kNN
-    /// window scan hoists both out of its per-candidate loop, and the
-    /// query's bitset out of the whole descent).
-    ///
-    /// Two kernels, one verdict. A multiset on either side takes the
+    /// Two kernels, one verdict. A multiset on either side, and every
+    /// candidate of a query without a bitset (a range's), takes the
     /// merge, which keeps the residual-overlap bound `o + min(rem_Q,
     /// rem_S)` and abandons once it drops below `needed`. When both sides
     /// are duplicate-free and the query carries a bitset
@@ -350,7 +336,7 @@ impl QueryBits {
     }
 }
 
-/// Outcome of [`Similarity::eval_with_threshold`].
+/// Outcome of [`Similarity::eval_prepared`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThresholdedEval {
     /// Similarity is `≥ threshold`; the exact value.
@@ -506,6 +492,51 @@ impl Similarity for OverlapCoefficient {
     }
 }
 
+/// The per-candidate evaluation as it stood before the prepare/merge
+/// split (one loop, both distinct lengths and `needed` derived per call)
+/// — the oracle both kernels and both candidate loops must reproduce:
+/// `Hit` bits and the `early` flag.
+#[cfg(test)]
+pub(crate) fn reference_eval_with_threshold<M: Similarity>(
+    m: M,
+    a: &[TokenId],
+    b: &[TokenId],
+    threshold: f64,
+) -> ThresholdedEval {
+    let a_len = distinct_len(a);
+    let b_len = distinct_len(b);
+    let needed = m.min_overlap_for(threshold, a_len, b_len);
+    if needed > a_len.min(b_len) {
+        return ThresholdedEval::Rejected { early: true };
+    }
+    let (mut i, mut j, mut o) = (0usize, 0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        if o + (a.len() - i).min(b.len() - j) < needed {
+            return ThresholdedEval::Rejected { early: true };
+        }
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                o += 1;
+                let t = a[i];
+                while i < a.len() && a[i] == t {
+                    i += 1;
+                }
+                while j < b.len() && b[j] == t {
+                    j += 1;
+                }
+            }
+        }
+    }
+    let sim = m.from_overlap(o, a_len, b_len);
+    if sim >= threshold {
+        ThresholdedEval::Hit(sim)
+    } else {
+        ThresholdedEval::Rejected { early: false }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,47 +594,17 @@ mod tests {
         }
     }
 
-    /// `eval_with_threshold` as it stood before the prepare/merge split
-    /// (one loop, lengths and `needed` derived per call) — the oracle the
-    /// split kernel must reproduce: `Hit` bits and the `early` flag.
-    fn reference_eval_with_threshold<M: Similarity>(
+    /// The hook on a query without a bitset, as a range calls it: the
+    /// merge, with `b`'s distinct length and the minimal overlap.
+    fn eval_without_bits<M: Similarity>(
         m: M,
-        a: &[TokenId],
+        q: &[TokenId],
         b: &[TokenId],
-        threshold: f64,
+        t: f64,
     ) -> ThresholdedEval {
-        let a_len = distinct_len(a);
         let b_len = distinct_len(b);
-        let needed = m.min_overlap_for(threshold, a_len, b_len);
-        if needed > a_len.min(b_len) {
-            return ThresholdedEval::Rejected { early: true };
-        }
-        let (mut i, mut j, mut o) = (0usize, 0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            if o + (a.len() - i).min(b.len() - j) < needed {
-                return ThresholdedEval::Rejected { early: true };
-            }
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    o += 1;
-                    let t = a[i];
-                    while i < a.len() && a[i] == t {
-                        i += 1;
-                    }
-                    while j < b.len() && b[j] == t {
-                        j += 1;
-                    }
-                }
-            }
-        }
-        let sim = m.from_overlap(o, a_len, b_len);
-        if sim >= threshold {
-            ThresholdedEval::Hit(sim)
-        } else {
-            ThresholdedEval::Rejected { early: false }
-        }
+        let needed = m.min_overlap_for(t, distinct_len(q), b_len);
+        m.eval_prepared(&PreparedQuery::without_bits(q), b, b_len, needed, t)
     }
 
     /// The same verdict: `Hit` bits, or the `early` flag.
@@ -649,7 +650,7 @@ mod tests {
             let mut s = s; s.sort_unstable();
             fn check<M: Similarity>(m: M, q: &[u32], s: &[u32], t: f64) {
                 let exact = m.eval(q, s);
-                match m.eval_with_threshold(q, s, t) {
+                match eval_without_bits(m, q, s, t) {
                     ThresholdedEval::Hit(v) => {
                         assert!(v >= t, "{}: hit {v} below threshold {t}", m.name());
                         assert_eq!(v, exact, "{}: hit value must equal eval", m.name());
@@ -665,7 +666,7 @@ mod tests {
             check(OverlapCoefficient, &q, &s, threshold);
             // −∞ threshold (kNN heap not yet full) must always hit.
             assert!(matches!(
-                Jaccard.eval_with_threshold(&q, &s, f64::NEG_INFINITY),
+                eval_without_bits(Jaccard, &q, &s, f64::NEG_INFINITY),
                 ThresholdedEval::Hit(_)
             ));
         }
@@ -700,7 +701,7 @@ mod tests {
                 let needed = m.min_overlap_for(t, a_len, b_len);
                 let got = merge_with_threshold(m, q, s, a_len, b_len, needed, t);
                 assert_same_verdict(got, reference_eval_with_threshold(m, q, s, t), m, t, q, s);
-                assert_eq!(m.eval_with_threshold(q, s, t), got, "prepare + merge");
+                assert_eq!(eval_without_bits(m, q, s, t), got, "prepare + merge");
                 // A query prepared with a bitset sends multisets to the
                 // merge and the rest to the lookup kernel: same verdict.
                 let mut bits = QueryBits::new();

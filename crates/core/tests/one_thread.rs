@@ -4,11 +4,11 @@
 //! selective range and a wide range evaluate every candidate on the
 //! calling thread, a blocking served request on the thread that waits
 //! for it and a submitted one on exactly one pool thread. The
-//! same wrapper pins that every candidate a kNN verifies passes through
-//! the one kNN hook. A flag tripped mid-verification stops a range and a
-//! kNN at the next group boundary, and a range whose deadline passes
-//! mid-descent commits the groups best-first verified up to it and
-//! counts the groups it pruned.
+//! same wrapper pins that every candidate a kNN or a range verifies
+//! passes through the one per-candidate hook. A flag tripped
+//! mid-verification stops a range and a kNN at the next group boundary,
+//! and a range whose deadline passes mid-descent commits the groups
+//! best-first verified up to it and counts the groups it pruned.
 //!
 //! Compiled out under the `model` feature: these are real-thread tests,
 //! and loom-instrumented primitives only work inside a `loom::model` run
@@ -103,10 +103,6 @@ fn cancellation_stops_a_range_and_a_knn_at_the_next_group_boundary() {
             count_eval();
             Jaccard.eval_prepared(q, b, b_len, needed, t)
         }
-        fn eval_with_threshold(&self, a: &[TokenId], b: &[TokenId], t: f64) -> ThresholdedEval {
-            count_eval();
-            Jaccard.eval_with_threshold(a, b, t)
-        }
     }
 
     let (db, part) = singleton_fixture(G);
@@ -165,14 +161,21 @@ fn a_deadline_committed_range_verifies_best_first() {
         fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
             Jaccard.ub_from_overlap(q_len, r)
         }
-        fn eval_with_threshold(&self, a: &[TokenId], b: &[TokenId], t: f64) -> ThresholdedEval {
+        fn eval_prepared(
+            &self,
+            q: &PreparedQuery<'_>,
+            b: &[TokenId],
+            b_len: usize,
+            needed: usize,
+            t: f64,
+        ) -> ThresholdedEval {
             if EVALS.fetch_add(1, Ordering::SeqCst) + 1 == STALL_AT {
                 let deadline = DEADLINE.lock().unwrap().expect("set before the query");
                 while Instant::now() < deadline {
                     std::thread::sleep(Duration::from_millis(1));
                 }
             }
-            Jaccard.eval_with_threshold(a, b, t)
+            Jaccard.eval_prepared(q, b, b_len, needed, t)
         }
     }
 
@@ -229,8 +232,8 @@ fn a_deadline_committed_range_verifies_best_first() {
 /// kNN (flat and sharded), a selective range and a wide range evaluate
 /// everything on the calling thread, and a lone request served by a
 /// 4-worker front evaluates on exactly one pool thread. The wrapper
-/// also counts the kNN hook's calls: one per `sims_computed`, masked or
-/// not.
+/// also counts the hook's calls: one per `sims_computed`, for a kNN
+/// masked or not and for the selective and the wide range.
 #[test]
 fn knn_and_ranges_evaluate_on_one_thread() {
     static SEEN: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
@@ -263,7 +266,9 @@ fn knn_and_ranges_evaluate_on_one_thread() {
         fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
             Jaccard.ub_from_overlap(q_len, r)
         }
-        // The kNN window scan's per-candidate hook.
+        // The one per-candidate hook. A selective range is over in
+        // microseconds; hold each evaluation long enough that a spawned
+        // worker, if there were one, would get to claim a group.
         fn eval_prepared(
             &self,
             q: &PreparedQuery<'_>,
@@ -274,15 +279,8 @@ fn knn_and_ranges_evaluate_on_one_thread() {
         ) -> ThresholdedEval {
             note_thread();
             HOOK_CALLS.fetch_add(1, Ordering::Relaxed);
-            Jaccard.eval_prepared(q, b, b_len, needed, t)
-        }
-        // The range window scan's. A selective range is over in
-        // microseconds; hold each evaluation long enough that a spawned
-        // worker, if there were one, would get to claim a group.
-        fn eval_with_threshold(&self, a: &[TokenId], b: &[TokenId], t: f64) -> ThresholdedEval {
-            note_thread();
             std::thread::sleep(std::time::Duration::from_micros(100));
-            Jaccard.eval_with_threshold(a, b, t)
+            Jaccard.eval_prepared(q, b, b_len, needed, t)
         }
     }
 
@@ -339,12 +337,15 @@ fn knn_and_ranges_evaluate_on_one_thread() {
         );
     }
 
-    // (b) A selective range: a handful of surviving groups.
+    // (b) A selective range: a handful of surviving groups. Ranges
+    // verify through the same hook: its calls are `sims_computed`.
+    HOOK_CALLS.store(0, Ordering::Relaxed);
     let selective = run(&flat, Query::range(&q, 0.8)).stats;
     assert!(
         (2..=16).contains(&selective.groups_verified),
         "fixture: a handful of surviving groups, got {selective:?}"
     );
+    assert_eq!(HOOK_CALLS.load(Ordering::Relaxed), selective.sims_computed);
     assert_eq!(evaluators(|| drop(run(&flat, Query::range(&q, 0.8)))), me);
     assert_eq!(
         evaluators(|| drop(run(&sharded, Query::range(&q, 0.8)))),
@@ -354,6 +355,7 @@ fn knn_and_ranges_evaluate_on_one_thread() {
     // (c) A wide range through the plain entry point: every group that
     // shares a token with the query survives, over half of the 1 024.
     let mut wide = SearchStats::default();
+    HOOK_CALLS.store(0, Ordering::Relaxed);
     let wide_evaluators =
         evaluators(|| wide = flat.range_with(&q, 0.05, &mut QueryScratch::new()).stats);
     assert!(
@@ -361,6 +363,7 @@ fn knn_and_ranges_evaluate_on_one_thread() {
         "fixture: at least 512 surviving groups, got {wide:?}"
     );
     assert_eq!(wide_evaluators, me);
+    assert_eq!(HOOK_CALLS.load(Ordering::Relaxed), wide.sims_computed);
 
     // (d) A lone blocking request runs on the thread that waits for it
     // (the workers are idle, so there is nothing to hand off to); a
