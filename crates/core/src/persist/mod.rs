@@ -576,3 +576,6 @@ impl<B: PersistentBackend> DurableIndex<B> {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests;
