@@ -34,9 +34,13 @@ use crate::partitioning::Partitioning;
 pub const MAX_FILTER_DEPTH: usize = 16;
 /// Maximum total nodes (internal + leaves + `In` values) in one filter.
 pub const MAX_FILTER_NODES: usize = 1024;
-/// Maximum byte length of one attribute key or value.
+/// Maximum byte length of one attribute key or value a request may
+/// carry. Checked where outside input enters (the `les3-net` decoders,
+/// [`Namespace`](crate::Namespace) inserts and filters); the library
+/// itself, and the files it writes, take any length.
 pub const MAX_ATTR_STR: usize = 4096;
-/// Maximum attributes on one set.
+/// Maximum attributes on one set a request may carry (checked where
+/// [`MAX_ATTR_STR`] is).
 pub const MAX_ATTRS_PER_SET: usize = 256;
 
 /// A predicate over set attributes.
@@ -187,8 +191,14 @@ impl MetadataIndex {
     }
 
     /// The sorted pair ids of set `id` (empty past the stored prefix).
-    fn pair_ids(&self, id: usize) -> &[u32] {
+    pub(crate) fn pair_ids(&self, id: usize) -> &[u32] {
         self.attrs_of.get(id).map_or(&[], Vec::as_slice)
+    }
+
+    /// Length of the stored per-set prefix.
+    #[cfg(test)]
+    pub(crate) fn stored_sets(&self) -> usize {
+        self.attrs_of.len()
     }
 
     /// Records `pair_ids` for the next set, growing the stored prefix
@@ -316,127 +326,47 @@ impl MetadataIndex {
         Some(FilterCandidates::build(&matching, partitioning))
     }
 
-    // -- persistence ---------------------------------------------------
-
-    /// Serializes the index: interned pair table, then per-set sorted
-    /// pair-id lists. Little-endian `u32` lengths throughout; decoded
-    /// back by [`MetadataIndex::decode`].
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.pairs.len() as u32).to_le_bytes());
-        for (k, v) in &self.pairs {
-            out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            out.extend_from_slice(k.as_bytes());
-            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            out.extend_from_slice(v.as_bytes());
-        }
-        out.extend_from_slice(&(self.n_sets as u32).to_le_bytes());
-        for id in 0..self.n_sets {
-            let pair_ids = self.pair_ids(id);
-            out.extend_from_slice(&(pair_ids.len() as u32).to_le_bytes());
-            for &p in pair_ids {
-                out.extend_from_slice(&p.to_le_bytes());
-            }
-        }
-        out
+    /// The interned `(key, value)` pairs, in pair-id order.
+    pub(crate) fn pairs(&self) -> &[(String, String)] {
+        &self.pairs
     }
 
-    /// Decodes [`MetadataIndex::encode`] output, rebuilding the postings
-    /// and the lookup table. Total: every malformed input — truncation,
-    /// overlong lengths, invalid UTF-8, duplicate pairs, out-of-range or
-    /// unsorted pair ids — is an error, never a panic.
-    pub fn decode(bytes: &[u8]) -> Result<Self, MetaError> {
-        let mut cur = Cursor { bytes, at: 0 };
-        let n_pairs = cur.u32()? as usize;
-        // Each pair costs ≥ 8 bytes: reject fantasy counts before
-        // allocating.
-        if n_pairs > bytes.len() / 8 + 1 {
-            return Err(MetaError::new("pair count exceeds payload"));
-        }
-        let mut pairs = Vec::with_capacity(n_pairs);
-        let mut lookup = HashMap::with_capacity(n_pairs);
-        for p in 0..n_pairs {
-            let k = cur.string()?;
-            let v = cur.string()?;
-            let kv = (k, v);
-            if lookup.insert(kv.clone(), p as u32).is_some() {
+    /// Rebuilds an index from its interned pairs (pair-id order) and each
+    /// set's pair ids, rebuilding the postings and the lookup table. Every
+    /// violated invariant — a duplicate pair, a pair id out of range, pair
+    /// ids not strictly ascending — is an error, never a panic.
+    pub(crate) fn from_parts(
+        pairs: Vec<(String, String)>,
+        mut attrs_of: Vec<Vec<u32>>,
+    ) -> Result<Self, MetaError> {
+        let mut lookup = HashMap::with_capacity(pairs.len());
+        for (p, kv) in (0u32..).zip(&pairs) {
+            if lookup.insert(kv.clone(), p).is_some() {
                 return Err(MetaError::new("duplicate interned pair"));
             }
-            pairs.push(kv);
         }
-        let n_sets = cur.u32()? as usize;
-        if n_sets > bytes.len() / 4 + 1 {
-            return Err(MetaError::new("set count exceeds payload"));
+        let mut postings = vec![Bitmap::new(); pairs.len()];
+        for (id, pair_ids) in (0u32..).zip(&attrs_of) {
+            if pair_ids.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(MetaError::new("pair ids not strictly ascending"));
+            }
+            for &p in pair_ids {
+                postings
+                    .get_mut(p as usize)
+                    .ok_or_else(|| MetaError::new("pair id out of range"))?
+                    .insert(id);
+            }
         }
-        let mut meta = Self {
+        let n_sets = attrs_of.len();
+        let stored = attrs_of.iter().rposition(|ids| !ids.is_empty());
+        attrs_of.truncate(stored.map_or(0, |last| last + 1));
+        Ok(Self {
             pairs,
             lookup,
-            postings: vec![Bitmap::new(); n_pairs],
-            attrs_of: Vec::new(),
-            n_sets: 0,
-        };
-        for id in 0..n_sets as u32 {
-            let n_attrs = cur.u32()? as usize;
-            if n_attrs > MAX_ATTRS_PER_SET {
-                return Err(MetaError::new("set carries too many attributes"));
-            }
-            let mut pair_ids = Vec::with_capacity(n_attrs);
-            let mut prev: Option<u32> = None;
-            for _ in 0..n_attrs {
-                let p = cur.u32()?;
-                if (p as usize) >= n_pairs {
-                    return Err(MetaError::new("pair id out of range"));
-                }
-                if prev.is_some_and(|q| q >= p) {
-                    return Err(MetaError::new("pair ids not strictly ascending"));
-                }
-                prev = Some(p);
-                meta.postings[p as usize].insert(id);
-                pair_ids.push(p);
-            }
-            meta.record(pair_ids);
-        }
-        if cur.at != bytes.len() {
-            return Err(MetaError::new("trailing bytes after metadata payload"));
-        }
-        Ok(meta)
-    }
-}
-
-/// Bounds-checked little-endian reader for [`MetadataIndex::decode`].
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn u32(&mut self) -> Result<u32, MetaError> {
-        let end = self
-            .at
-            .checked_add(4)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| MetaError::new("truncated u32"))?;
-        let mut buf = [0u8; 4];
-        buf.copy_from_slice(&self.bytes[self.at..end]);
-        self.at = end;
-        Ok(u32::from_le_bytes(buf))
-    }
-
-    fn string(&mut self) -> Result<String, MetaError> {
-        let len = self.u32()? as usize;
-        if len > MAX_ATTR_STR {
-            return Err(MetaError::new("string exceeds MAX_ATTR_STR"));
-        }
-        let end = self
-            .at
-            .checked_add(len)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| MetaError::new("truncated string"))?;
-        let s = std::str::from_utf8(&self.bytes[self.at..end])
-            .map_err(|_| MetaError::new("invalid UTF-8"))?
-            .to_owned();
-        self.at = end;
-        Ok(s)
+            postings,
+            attrs_of,
+            n_sets,
+        })
     }
 }
 
@@ -537,8 +467,6 @@ impl FilterCandidates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn kv(k: &str, v: &str) -> (String, String) {
         (k.to_owned(), v.to_owned())
@@ -607,107 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_attrs_collapse_and_roundtrip() {
-        let mut meta = MetadataIndex::new();
-        meta.push(&[kv("a", "1"), kv("a", "1"), kv("b", "2")]);
-        assert_eq!(meta.attrs(0), vec![kv("a", "1"), kv("b", "2")]);
-        let decoded = MetadataIndex::decode(&meta.encode()).expect("roundtrip");
-        assert_eq!(decoded.attrs(0), meta.attrs(0));
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_preserves_eval() {
-        let meta = sample();
-        let decoded = MetadataIndex::decode(&meta.encode()).expect("roundtrip");
-        assert_eq!(decoded.n_sets(), meta.n_sets());
-        assert_eq!(decoded.n_pairs(), meta.n_pairs());
-        for f in [
-            Filter::Eq {
-                key: "lang".into(),
-                value: "en".into(),
-            },
-            Filter::And(vec![]),
-            Filter::Or(vec![Filter::Eq {
-                key: "tier".into(),
-                value: "silver".into(),
-            }]),
-        ] {
-            assert_eq!(decoded.eval(&f).to_vec(), meta.eval(&f).to_vec());
-        }
-        for id in 0..meta.n_sets() as u32 {
-            assert_eq!(decoded.attrs(id), meta.attrs(id));
-        }
-    }
-
-    /// A set without attributes stores nothing: the per-set lists cover
-    /// the ids up to the last attributed set, before and after a
-    /// round trip, while ids, `attrs`, `And([])` and the encoded count
-    /// still cover every set.
-    #[test]
-    fn sets_without_attributes_store_nothing() {
-        let mut meta = MetadataIndex::new();
-        meta.push_empty(1000);
-        meta.push(&[]);
-        assert_eq!((meta.n_sets(), meta.attrs_of.len()), (1001, 0));
-        assert!(meta.is_empty());
-        assert_eq!(meta.push(&[kv("lang", "en")]), 1001);
-        meta.push_empty(500);
-        meta.push(&[]);
-        assert_eq!((meta.n_sets(), meta.attrs_of.len()), (1503, 1002));
-        let bytes = meta.encode();
-        // Pair table (4 + 4 + 4 + 4 + 2 bytes), set count, one length per
-        // set and the one pair id.
-        assert_eq!(bytes.len(), 18 + 4 + 4 * 1503 + 4);
-        let decoded = MetadataIndex::decode(&bytes).expect("roundtrip");
-        assert_eq!((decoded.n_sets(), decoded.attrs_of.len()), (1503, 1002));
-        assert_eq!(decoded.encode(), bytes);
-        for id in [0u32, 1000, 1001, 1002, 1502, 1503] {
-            assert_eq!(decoded.attrs(id), meta.attrs(id), "id {id}");
-        }
-        assert_eq!(decoded.attrs(1001), vec![kv("lang", "en")]);
-        assert_eq!(decoded.eval(&Filter::And(vec![])).len(), 1503);
-    }
-
-    #[test]
-    fn decode_never_panics_on_mutated_payloads() {
-        // The flip/truncate-every-byte sweep: decode must return (Ok or
-        // Err) on every mutation, and Ok only for payloads that are
-        // genuinely valid re-encodings.
-        let good = sample().encode();
-        for cut in 0..good.len() {
-            let _ = MetadataIndex::decode(&good[..cut]);
-        }
-        for i in 0..good.len() {
-            for flip in [0x01u8, 0x80, 0xff] {
-                let mut bad = good.clone();
-                bad[i] ^= flip;
-                if let Ok(decoded) = MetadataIndex::decode(&bad) {
-                    assert_eq!(decoded.encode(), bad, "accepted payload must re-encode");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn decode_rejects_structural_corruption() {
-        // Out-of-range pair id.
-        let mut meta = MetadataIndex::new();
-        meta.push(&[kv("k", "v")]);
-        let mut bytes = meta.encode();
-        let n = bytes.len();
-        bytes[n - 4..].copy_from_slice(&7u32.to_le_bytes());
-        assert!(MetadataIndex::decode(&bytes).is_err());
-        // Fantasy pair count.
-        let mut bytes = meta.encode();
-        bytes[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(MetadataIndex::decode(&bytes).is_err());
-        // Trailing garbage.
-        let mut bytes = meta.encode();
-        bytes.push(0);
-        assert!(MetadataIndex::decode(&bytes).is_err());
-    }
-
-    #[test]
     fn candidates_split_sets_and_groups() {
         let meta = sample();
         let part = Partitioning::from_assignment(vec![0, 0, 1, 1, 2], 4);
@@ -752,30 +579,5 @@ mod tests {
             value: "v".into(),
         }]);
         assert!(fine.check_caps().is_ok());
-    }
-
-    #[test]
-    fn random_roundtrips_agree_with_model() {
-        let mut rng = StdRng::seed_from_u64(0xA77);
-        for _ in 0..50 {
-            let mut meta = MetadataIndex::new();
-            let n = rng.gen_range(0usize..40);
-            for _ in 0..n {
-                let n_attrs = rng.gen_range(0usize..5);
-                let attrs: Vec<(String, String)> = (0..n_attrs)
-                    .map(|_| {
-                        (
-                            format!("k{}", rng.gen_range(0..4)),
-                            format!("v{}", rng.gen_range(0..6)),
-                        )
-                    })
-                    .collect();
-                meta.push(&attrs);
-            }
-            let decoded = MetadataIndex::decode(&meta.encode()).expect("roundtrip");
-            for id in 0..meta.n_sets() as u32 {
-                assert_eq!(decoded.attrs(id), meta.attrs(id));
-            }
-        }
     }
 }

@@ -17,6 +17,12 @@
 //!   corrupt *tail* record is the clean end of the log (a torn final
 //!   write); a corrupt *interior* record is a hard, descriptive error.
 //!
+//! Both files are written and read by one codec (`codec.rs`): a WAL
+//! record is the `length · CRC32 · payload` frame that follows a segment
+//! block's kind, and the METADATA block's layout lives there too. Its
+//! reader checks every length and count against the bytes present and
+//! caps nothing below that, so every file the writers produce reopens.
+//!
 //! Recovery is bit-for-bit because open ≡ build: the TGM, the
 //! verification order and the deletion refcounts are pure functions of
 //! what the segment stores, and [`DurableIndex::open`] computes them
@@ -45,6 +51,7 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+mod codec;
 pub mod io;
 mod segment;
 mod wal;
@@ -64,23 +71,6 @@ use crate::sim::Similarity;
 use io::{PersistIo, RealIo, WriteSync};
 pub use segment::SegmentMeta;
 use wal::WalRecord;
-
-/// Decodes a little-endian `u32` from the first 4 bytes of `b`.
-/// Callers guarantee the length; indexing (not `try_into().unwrap()`)
-/// keeps the recovery path free of unwrap tokens the no-unwrap lint
-/// polices.
-pub(crate) fn le_u32(b: &[u8]) -> u32 {
-    let mut a = [0u8; 4];
-    a.copy_from_slice(&b[..4]);
-    u32::from_le_bytes(a)
-}
-
-/// Decodes a little-endian `u64` from the first 8 bytes of `b`.
-pub(crate) fn le_u64(b: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(a)
-}
 
 /// Errors of the persistence layer.
 #[derive(Debug)]
@@ -518,7 +508,7 @@ impl<B: PersistentBackend> DurableIndex<B> {
         let Some(wal) = self.wal.as_mut() else {
             return Err(PersistError::Poisoned);
         };
-        let bytes = record.encode();
+        let bytes = record.framed()?;
         let result = wal.write_all(&bytes).and_then(|()| match self.opts.fsync {
             FsyncPolicy::Always => wal.sync(),
             FsyncPolicy::Never => Ok(()),
@@ -577,5 +567,338 @@ impl<B: PersistentBackend> DurableIndex<B> {
     }
 }
 
+/// Byte pins of the WAL and segment formats, and the files the writers
+/// produce at sizes the format must carry: every such file reopens to
+/// the index that wrote it.
 #[cfg(test)]
-mod tests;
+mod tests {
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use les3_data::SetDatabase;
+    use proptest::prelude::*;
+
+    use super::codec::{self, put_frame, put_metadata, put_u32, put_u32s};
+    use super::segment::{self, SegmentMeta};
+    use super::wal::{self, WalRecord};
+    use super::{DurableIndex, PersistError};
+    use crate::index::{Les3Index, SearchResult};
+    use crate::live::LiveIndex;
+    use crate::metadata::{MetadataIndex, MAX_ATTRS_PER_SET, MAX_ATTR_STR};
+    use crate::partitioning::Partitioning;
+    use crate::sim::Jaccard;
+
+    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "les3-unit-{tag}-{}-{}",
+            std::process::id(),
+            DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// 64-bit FNV-1a, for pinning bytes recorded at an earlier commit.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    fn kv(k: &str, v: &str) -> (String, String) {
+        (k.to_owned(), v.to_owned())
+    }
+
+    /// 24 small sets in 4 round-robin groups, Jaccard.
+    fn pinned_index() -> Les3Index<Jaccard> {
+        let sets: Vec<Vec<u32>> = (0..24u32)
+            .map(|i| {
+                let mut s: Vec<u32> = (0..1 + i % 4).map(|j| (i * 5 + j * 11) % 37).collect();
+                s.sort_unstable();
+                s.dedup();
+                s
+            })
+            .collect();
+        let db = SetDatabase::from_sets(sets);
+        let part = Partitioning::round_robin(db.len(), 4);
+        Les3Index::build(db, part, Jaccard)
+    }
+
+    /// A durable index with one logged record of each kind: an insert, a
+    /// delete and an insert with attributes (one key multi-byte UTF-8).
+    fn durable_with_every_record_kind(dir: &PathBuf) -> DurableIndex<Les3Index<Jaccard>> {
+        let mut durable = DurableIndex::create(dir, pinned_index()).unwrap();
+        durable.insert(&mut [30, 2, 17, 2]).unwrap();
+        assert!(durable.delete(5).unwrap());
+        durable
+            .insert_with_attrs(
+                &mut [4, 9],
+                &[kv("größe", "groß"), kv("tier", "gold"), kv("", "")],
+            )
+            .unwrap();
+        durable
+    }
+
+    /// The WAL bytes of one record of each kind, recorded before the
+    /// persistence codecs were merged into one.
+    #[test]
+    fn wal_bytes_with_every_record_kind_are_pinned() {
+        let dir = fresh_dir("wal-pin");
+        drop(durable_with_every_record_kind(&dir));
+        let bytes = std::fs::read(dir.join("wal-0")).unwrap();
+        assert_eq!(bytes.len(), 111);
+        assert_eq!(
+            fnv1a(&bytes),
+            0x43aa_b141_d01c_5e19,
+            "recorded with format v2"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bytes of a segment carrying tombstones and a METADATA block,
+    /// recorded before the persistence codecs were merged into one.
+    #[test]
+    fn segment_bytes_with_tombstones_and_metadata_are_pinned() {
+        let dir = fresh_dir("segment-pin");
+        let mut durable = durable_with_every_record_kind(&dir);
+        assert!(durable.delete(0).unwrap());
+        durable
+            .insert_with_attrs(&mut [1, 2, 3], &[kv("tier", "gold")])
+            .unwrap();
+        durable.checkpoint().unwrap();
+        let bytes = std::fs::read(dir.join("segment")).unwrap();
+        assert_eq!(bytes.len(), 819);
+        assert_eq!(
+            fnv1a(&bytes),
+            0xd165_0f58_b80f_134b,
+            "recorded with format v2"
+        );
+        drop(durable);
+        let reopened = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+        assert_eq!(reopened.log().deleted_ids(), [0, 5]);
+        assert_eq!(reopened.meta().attrs(26), vec![kv("tier", "gold")]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What an index answers: kNN and range hits with their `SearchStats`
+    /// for every fixture set and two ad-hoc queries.
+    fn answers(engine: &Les3Index<Jaccard>) -> Vec<(SearchResult, SearchResult)> {
+        let db = engine.db();
+        let mut queries: Vec<Vec<u32>> = (0..24).map(|id| db.set(id).to_vec()).collect();
+        queries.extend([vec![7], vec![2, 7, 30]]);
+        queries
+            .iter()
+            .map(|q| (engine.knn(q, 5), engine.range(q, 0.3)))
+            .collect()
+    }
+
+    fn assert_reopens_to(dir: &PathBuf, live: &LiveIndex<Les3Index<Jaccard>>) {
+        let reopened = DurableIndex::<Les3Index<Jaccard>>::open(dir, Jaccard).unwrap();
+        assert_eq!(reopened.backend().db().len(), live.engine().db().len());
+        assert_eq!(reopened.log().deleted_ids(), live.log().deleted_ids());
+        assert_eq!(answers(reopened.backend()), answers(live.engine()));
+        for id in 0..live.engine().db().len() as u32 {
+            assert_eq!(reopened.meta().attrs(id), live.meta().attrs(id), "set {id}");
+        }
+    }
+
+    /// Attributes longer or more numerous than the wire admits (the caps
+    /// sit where outside input enters) are still the library's to save: a
+    /// 4 097-byte value and a set with 257 pairs reopen as they were saved,
+    /// from a snapshot and from a replayed WAL alike.
+    #[test]
+    fn attributes_past_the_wire_caps_reopen() {
+        let long = "v".repeat(MAX_ATTR_STR + 1);
+        let many: Vec<(String, String)> = (0..=MAX_ATTRS_PER_SET)
+            .map(|i| kv("k", &i.to_string()))
+            .collect();
+        for attrs in [vec![kv("note", &long)], many] {
+            let dir = fresh_dir("attrs-saved");
+            let mut live = LiveIndex::new(pinned_index());
+            live.insert(&mut [3, 8, 21], &attrs);
+            assert!(live.delete(2));
+            live.save(&dir).unwrap();
+            assert_reopens_to(&dir, &live);
+            std::fs::remove_dir_all(&dir).ok();
+
+            let dir = fresh_dir("attrs-logged");
+            let mut live = LiveIndex::new(pinned_index());
+            let mut durable = DurableIndex::create(&dir, pinned_index()).unwrap();
+            durable.insert_with_attrs(&mut [3, 8, 21], &attrs).unwrap();
+            live.insert(&mut [3, 8, 21], &attrs);
+            drop(durable);
+            assert_reopens_to(&dir, &live);
+            let mut replayed = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+            replayed.checkpoint().unwrap();
+            drop(replayed);
+            assert_reopens_to(&dir, &live);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// An acknowledged insert of 4 194 303 tokens logs a 16 777 217-byte
+    /// record; the next open replays it, and a checkpoint stores it.
+    #[test]
+    fn an_acknowledged_insert_past_16_mib_reopens() {
+        let dir = fresh_dir("big-record");
+        let mut live = LiveIndex::new(pinned_index());
+        let mut durable = DurableIndex::create(&dir, pinned_index()).unwrap();
+        let mut tokens = vec![7u32; 4_194_303];
+        durable.insert(&mut tokens.clone()).unwrap();
+        live.insert(&mut tokens, &[]);
+        drop(durable);
+        assert_eq!(
+            std::fs::metadata(dir.join("wal-0")).unwrap().len(),
+            8 + 16_777_217
+        );
+        assert_reopens_to(&dir, &live);
+        let mut replayed = DurableIndex::<Les3Index<Jaccard>>::open(&dir, Jaccard).unwrap();
+        replayed.checkpoint().unwrap();
+        drop(replayed);
+        assert_reopens_to(&dir, &live);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn encoded(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        put(&mut out);
+        out
+    }
+
+    /// `good`, every truncation of it and every single-byte flip.
+    fn damaged(good: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let cuts = (0..good.len()).map(|cut| good[..cut].to_vec());
+        let flips = (0..good.len()).flat_map(move |i| {
+            [0x01u8, 0x80, 0xff].map(|x| {
+                let mut bad = good.to_vec();
+                bad[i] ^= x;
+                bad
+            })
+        });
+        std::iter::once(good.to_vec()).chain(cuts).chain(flips)
+    }
+
+    /// Runs `decode` (`Ok`: the value re-encoded) on `good` damaged every
+    /// way [`damaged`] lists and on `noise`: each run is `Ok` with the
+    /// input's own bytes, or an error `own_error` accepts.
+    fn sweep(
+        good: &[u8],
+        noise: &[u8],
+        decode: impl Fn(&[u8]) -> Result<Vec<u8>, PersistError>,
+        own_error: impl Fn(&PersistError) -> bool,
+    ) -> Result<(), TestCaseError> {
+        for input in damaged(good).chain([noise.to_vec()]) {
+            match decode(&input) {
+                Ok(again) => prop_assert_eq!(again, input),
+                Err(e) => prop_assert!(own_error(&e), "{input:?}: {e:?}"),
+            }
+        }
+        Ok(())
+    }
+
+    fn section(e: &PersistError, name: &str) -> bool {
+        matches!(e, PersistError::Corrupt { section, .. } if *section == name)
+    }
+
+    fn key(k: u8) -> String {
+        // One key is multi-byte UTF-8, so flips land inside a character.
+        if k == 0 {
+            "größe".to_owned()
+        } else {
+            format!("k{k}")
+        }
+    }
+
+    proptest! {
+        /// Every corruption sweep through a segment or a WAL meets the
+        /// block's or record's CRC first. Here each payload decoder gets
+        /// the damage directly (a WAL record reframed with its CRC
+        /// recomputed), and no index is built: every truncation and
+        /// single-byte flip of a valid payload, and random bytes, decode
+        /// to a value that re-encodes to the input or fail as that
+        /// section's error — META's reserved slot also as the sharded
+        /// segment's `Mismatch` — and never panic.
+        #[test]
+        fn payload_decoders_past_the_crc_reencode_or_fail_in_their_section(
+            (epoch, universe, n_sets, n_groups) in (any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            ids in prop::collection::vec(any::<u32>(), 0..12),
+            sets in prop::collection::vec(prop::collection::btree_set(0u32..300, 0..6), 0..6),
+            attrs in prop::collection::vec(prop::collection::vec((0u8..4, 0u8..4), 0..4), 0..6),
+            noise in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let meta = SegmentMeta {
+                epoch,
+                sim_name: key((epoch % 3) as u8),
+                universe,
+                n_sets: n_sets.into(),
+                n_groups: n_groups.into(),
+            };
+            sweep(
+                &encoded(|o| meta.put(o)),
+                &noise,
+                |p| SegmentMeta::decode(p).map(|m| encoded(|o| m.put(o))),
+                |e| section(e, "META") || matches!(e, PersistError::Mismatch { .. }),
+            )?;
+
+            for name in ["ASSIGN", "TOMBS"] {
+                sweep(
+                    &encoded(|o| put_u32s(o, &ids)),
+                    &noise,
+                    |p| segment::decode_ids(p, name).map(|ids| encoded(|o| put_u32s(o, &ids))),
+                    |e| section(e, name),
+                )?;
+            }
+
+            let sets: Vec<Vec<u32>> = sets.into_iter().map(|s| s.into_iter().collect()).collect();
+            let put_sets = |o: &mut Vec<u8>, sets: &[Vec<u32>]| {
+                put_u32(o, sets.len() as u32);
+                for s in sets {
+                    put_u32s(o, s);
+                }
+            };
+            sweep(
+                &encoded(|o| put_sets(o, &sets)),
+                &noise,
+                |p| segment::decode_sets(p).map(|sets| encoded(|o| put_sets(o, &sets))),
+                |e| section(e, "SETS"),
+            )?;
+
+            let attrs: Vec<Vec<(String, String)>> = attrs
+                .iter()
+                .map(|set| set.iter().map(|&(k, v)| (key(k), format!("v{v}"))).collect())
+                .collect();
+            let mut index = MetadataIndex::new();
+            for set in &attrs {
+                index.push(set);
+            }
+            sweep(
+                &encoded(|o| put_metadata(o, &index)),
+                &noise,
+                |p| codec::metadata(p).map(|m| encoded(|o| put_metadata(o, &m))),
+                |e| section(e, "METADATA"),
+            )?;
+
+            let records = [
+                WalRecord::Insert(ids.clone()),
+                WalRecord::Delete(universe),
+                WalRecord::InsertAttrs(ids, attrs.concat()),
+            ];
+            for record in records {
+                let framed = record.framed().unwrap();
+                sweep(
+                    &framed[8..],
+                    &noise,
+                    |payload| {
+                        let input = encoded(|o| put_frame(o, |p| p.extend_from_slice(payload)).unwrap());
+                        let parsed = wal::parse_wal(&input)?;
+                        let again: Vec<u8> = parsed.records.iter().flat_map(WalRecord::encode).collect();
+                        Ok(if again == input { payload.to_vec() } else { again })
+                    },
+                    |e| matches!(e, PersistError::WalCorrupt { offset: 0, .. }),
+                )?;
+            }
+        }
+    }
+}

@@ -19,7 +19,7 @@
 //! | 2 | ASSIGN  | u32 count, count × u32 group-of-set, in set-id order |
 //! | 3 | SETS    | u32 count, count × (u32 len, len × u32 sorted tokens) |
 //! | 7 | TOMBS   | u32 count, count × u32 deleted set ids, ascending |
-//! | 8 | METADATA | `MetadataIndex::encode` bytes (only when attributes exist) |
+//! | 8 | METADATA | u32 n_pairs, n_pairs × (key, value: each u32 len + UTF-8 bytes), u32 n_sets, n_sets × (u32 count, count × u32 pair ids, strictly ascending); only when attributes exist |
 //! | 9 | SIG     | skipped; written by older builds (16 bytes: a MinHash sidecar's bands u32, rows u32, seed u64) |
 //! | 0 | END     | u64 number of preceding blocks |
 //!
@@ -43,11 +43,13 @@
 //! must be last and count every preceding block — a segment truncated at
 //! a block boundary is detected by its absence, and a segment truncated
 //! or corrupted mid-block by the length prefix or the CRC. All integers
-//! are little-endian.
+//! are little-endian; every byte goes through [`codec`](super::codec),
+//! whose frame (length, CRC, payload) follows each block's kind.
 
 use les3_data::{SetDatabase, SetId, TokenId};
 
-use super::io::{crc32, PersistIo, WriteSync};
+use super::codec::{self, put_frame, put_str, put_u32, put_u32s, put_u64, Dec};
+use super::io::{PersistIo, WriteSync};
 use super::{PersistError, PersistentBackend};
 use crate::metadata::MetadataIndex;
 use crate::partitioning::Partitioning;
@@ -57,12 +59,8 @@ pub(crate) const MAGIC: u32 = 0x4c53_3353; // "LS3S"
 pub(crate) const VERSION: u32 = 2;
 
 /// Flush threshold for multi-entry blocks. One entry may exceed it (a
-/// huge set gets its own oversized block); the reader caps block length
-/// at [`MAX_BLOCK`] instead.
+/// huge set gets its own oversized block).
 const BLOCK_BUDGET: usize = 64 << 10;
-
-/// Upper bound a reader will believe for one block's payload length.
-const MAX_BLOCK: u32 = 64 << 20;
 
 pub(crate) const KIND_END: u32 = 0;
 pub(crate) const KIND_META: u32 = 1;
@@ -87,32 +85,37 @@ struct BlockWriter {
 
 impl BlockWriter {
     fn new(mut out: Box<dyn WriteSync>) -> Result<Self, PersistError> {
-        out.write_all(&MAGIC.to_le_bytes())?;
-        out.write_all(&VERSION.to_le_bytes())?;
+        let mut header = Vec::with_capacity(8);
+        put_u32(&mut header, MAGIC);
+        put_u32(&mut header, VERSION);
+        out.write_all(&header)?;
         Ok(Self { out, n_blocks: 0 })
     }
 
-    fn write_block(&mut self, kind: u32, payload: &[u8]) -> Result<(), PersistError> {
-        self.out.write_all(&kind.to_le_bytes())?;
-        self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.out.write_all(&crc32(payload).to_le_bytes())?;
-        self.out.write_all(payload)?;
+    fn write_block(
+        &mut self,
+        kind: u32,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), PersistError> {
+        let mut block = Vec::new();
+        put_u32(&mut block, kind);
+        put_frame(&mut block, payload)?;
+        self.out.write_all(&block)?;
         self.n_blocks += 1;
         Ok(())
     }
 
     /// Writes the END block and fsyncs the file.
     fn finish(mut self) -> Result<(), PersistError> {
-        let payload = self.n_blocks.to_le_bytes();
-        self.write_block(KIND_END, &payload)?;
+        let n_blocks = self.n_blocks;
+        self.write_block(KIND_END, |p| put_u64(p, n_blocks))?;
         self.out.sync()?;
         Ok(())
     }
 }
 
-/// Accumulates entries of one section and flushes a block whenever the
-/// buffer passes the budget. The entry count is patched into the first
-/// four payload bytes at flush time.
+/// Accumulates entries of one section and flushes a block — the entry
+/// count, then the entries — whenever that payload passes the budget.
 struct SectionWriter<'a> {
     writer: &'a mut BlockWriter,
     kind: u32,
@@ -125,7 +128,7 @@ impl<'a> SectionWriter<'a> {
         Self {
             writer,
             kind,
-            buf: vec![0, 0, 0, 0],
+            buf: Vec::new(),
             entries: 0,
         }
     }
@@ -133,7 +136,7 @@ impl<'a> SectionWriter<'a> {
     fn entry(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Result<(), PersistError> {
         write(&mut self.buf);
         self.entries += 1;
-        if self.buf.len() >= BLOCK_BUDGET {
+        if self.buf.len() + 4 >= BLOCK_BUDGET {
             self.flush()?;
         }
         Ok(())
@@ -143,10 +146,12 @@ impl<'a> SectionWriter<'a> {
         if self.entries == 0 {
             return Ok(());
         }
-        self.buf[..4].copy_from_slice(&self.entries.to_le_bytes());
-        self.writer.write_block(self.kind, &self.buf)?;
+        let (entries, buf) = (self.entries, &self.buf);
+        self.writer.write_block(self.kind, |p| {
+            put_u32(p, entries);
+            p.extend_from_slice(buf);
+        })?;
         self.buf.clear();
-        self.buf.extend_from_slice(&[0, 0, 0, 0]);
         self.entries = 0;
         Ok(())
     }
@@ -173,46 +178,34 @@ pub(crate) fn write_segment<B: PersistentBackend>(
 
     let mut w = BlockWriter::new(io.create(path)?)?;
 
-    let mut meta = Vec::new();
-    meta.extend_from_slice(&epoch.to_le_bytes());
-    meta.extend_from_slice(&0u32.to_le_bytes()); // reserved
-    meta.extend_from_slice(&db.universe_size().to_le_bytes());
-    meta.extend_from_slice(&(db.len() as u64).to_le_bytes());
-    meta.extend_from_slice(&(partitioning.n_groups() as u64).to_le_bytes());
-    let name = engine.sim().name();
-    meta.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    meta.extend_from_slice(name.as_bytes());
-    w.write_block(KIND_META, &meta)?;
+    let meta = SegmentMeta {
+        epoch,
+        sim_name: engine.sim().name().to_owned(),
+        universe: db.universe_size(),
+        n_sets: db.len() as u64,
+        n_groups: partitioning.n_groups() as u64,
+    };
+    w.write_block(KIND_META, |p| meta.put(p))?;
 
     let mut sec = SectionWriter::new(&mut w, KIND_ASSIGN);
     for &g in partitioning.assignment() {
-        sec.entry(|buf| buf.extend_from_slice(&g.to_le_bytes()))?;
+        sec.entry(|buf| put_u32(buf, g))?;
     }
     sec.finish()?;
 
     let mut sec = SectionWriter::new(&mut w, KIND_SETS);
     for (_, set) in db.iter() {
-        sec.entry(|buf| {
-            buf.extend_from_slice(&(set.len() as u32).to_le_bytes());
-            for &t in set {
-                buf.extend_from_slice(&t.to_le_bytes());
-            }
-        })?;
+        sec.entry(|buf| put_u32s(buf, set))?;
     }
     sec.finish()?;
 
-    let mut payload = Vec::with_capacity(4 + 4 * tombstones.len());
-    payload.extend_from_slice(&(tombstones.len() as u32).to_le_bytes());
-    for &id in tombstones {
-        payload.extend_from_slice(&id.to_le_bytes());
-    }
-    w.write_block(KIND_TOMBS, &payload)?;
+    w.write_block(KIND_TOMBS, |p| put_u32s(p, tombstones))?;
 
     // Segments predating attribute metadata carry no METADATA block, and
     // neither do attribute-free indexes — readers treat its absence as
     // "every set has no attributes", keeping old segments loadable.
     if !metadata.is_empty() {
-        w.write_block(KIND_METADATA, &metadata.encode())?;
+        w.write_block(KIND_METADATA, |p| codec::put_metadata(p, metadata))?;
     }
 
     w.finish()
@@ -231,56 +224,18 @@ pub(crate) struct RawSegment {
     pub(crate) metadata: Option<MetadataIndex>,
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
+/// Decodes an ASSIGN or TOMBS payload, reporting errors under `section`.
+pub(crate) fn decode_ids(payload: &[u8], section: &'static str) -> Result<Vec<u32>, PersistError> {
+    Dec::whole(payload, Dec::u32s).map_err(|e| corrupt(section, e))
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if n > self.buf.len() - self.pos {
-            return Err(corrupt(self.section, "payload shorter than declared"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+/// Decodes a SETS payload; every set's tokens must be sorted.
+pub(crate) fn decode_sets(payload: &[u8]) -> Result<Vec<Vec<TokenId>>, PersistError> {
+    let sets = Dec::whole(payload, |d| d.list(Dec::u32s)).map_err(|e| corrupt("SETS", e))?;
+    if sets.iter().any(|s| s.windows(2).any(|w| w[0] > w[1])) {
+        return Err(corrupt("SETS", "set tokens are not sorted"));
     }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        Ok(super::le_u32(self.take(4)?))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        Ok(super::le_u64(self.take(8)?))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-/// Decodes a `u32 count, count × u32` payload — the ASSIGN and TOMBS
-/// blocks — reporting errors under `section`.
-fn u32_array(payload: &[u8], section: &'static str) -> Result<Vec<u32>, PersistError> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-        section,
-    };
-    let n = r.u32()? as usize;
-    if n > r.remaining() / 4 {
-        return Err(corrupt(section, "entry count exceeds payload"));
-    }
-    let out = (0..n).map(|_| r.u32()).collect::<Result<Vec<_>, _>>()?;
-    if !r.done() {
-        return Err(corrupt(section, "trailing bytes"));
-    }
-    Ok(out)
+    Ok(sets)
 }
 
 /// Partially parsed meta header.
@@ -298,42 +253,43 @@ pub struct SegmentMeta {
     pub n_groups: u64,
 }
 
-fn parse_meta(payload: &[u8]) -> Result<SegmentMeta, PersistError> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-        section: "META",
-    };
-    let epoch = r.u64()?;
-    let n_shards = r.u32()?;
-    if n_shards != 0 {
-        return Err(PersistError::Mismatch {
-            expected: "a flat segment".into(),
-            found: format!("a segment recording {n_shards} shards"),
-        });
+impl SegmentMeta {
+    /// Writes the META payload; the reserved slot is 0.
+    pub(crate) fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.epoch);
+        put_u32(out, 0);
+        put_u32(out, self.universe);
+        put_u64(out, self.n_sets);
+        put_u64(out, self.n_groups);
+        put_str(out, &self.sim_name);
     }
-    let universe = r.u32()?;
-    let n_sets = r.u64()?;
-    let n_groups = r.u64()?;
-    let name_len = r.u32()? as usize;
-    if name_len > r.remaining() {
-        return Err(corrupt("META", "similarity name overruns payload"));
+
+    /// Decodes a META payload. A nonzero reserved slot is a sharded
+    /// segment, refused before anything after it is read.
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self, PersistError> {
+        let c = |e| corrupt("META", e);
+        let mut d = Dec::new(payload);
+        let epoch = d.u64().map_err(c)?;
+        let n_shards = d.u32().map_err(c)?;
+        if n_shards != 0 {
+            return Err(PersistError::Mismatch {
+                expected: "a flat segment".into(),
+                found: format!("a segment recording {n_shards} shards"),
+            });
+        }
+        let meta = Self {
+            universe: d.u32().map_err(c)?,
+            n_sets: d.u64().map_err(c)?,
+            n_groups: d.u64().map_err(c)?,
+            sim_name: d.str().map_err(c)?.to_owned(),
+            epoch,
+        };
+        d.finish().map_err(c)?;
+        if meta.n_sets > u32::MAX as u64 || meta.n_groups > u32::MAX as u64 {
+            return Err(corrupt("META", "set or group count exceeds u32"));
+        }
+        Ok(meta)
     }
-    let sim_name = String::from_utf8(r.take(name_len)?.to_vec())
-        .map_err(|_| corrupt("META", "similarity name is not UTF-8"))?;
-    if !r.done() {
-        return Err(corrupt("META", "trailing bytes"));
-    }
-    if n_sets > u32::MAX as u64 || n_groups > u32::MAX as u64 {
-        return Err(corrupt("META", "set or group count exceeds u32"));
-    }
-    Ok(SegmentMeta {
-        epoch,
-        sim_name,
-        universe,
-        n_sets,
-        n_groups,
-    })
 }
 
 /// Iterates the validated `(kind, payload)` blocks of a segment file,
@@ -342,54 +298,32 @@ fn for_each_block(
     bytes: &[u8],
     mut f: impl FnMut(u32, &[u8]) -> Result<(), PersistError>,
 ) -> Result<(), PersistError> {
-    if bytes.len() < 8 {
+    let mut d = Dec::new(bytes);
+    let (Ok(magic), Ok(version)) = (d.u32(), d.u32()) else {
         return Err(corrupt("header", "file shorter than the 8-byte header"));
-    }
-    if super::le_u32(&bytes[0..4]) != MAGIC {
+    };
+    if magic != MAGIC {
         return Err(PersistError::BadMagic);
     }
-    let version = super::le_u32(&bytes[4..8]);
     if version != VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    let mut pos = 8usize;
     let mut n_blocks = 0u64;
     let mut saw_end = false;
-    while pos < bytes.len() {
+    while d.remaining() > 0 {
         if saw_end {
             return Err(corrupt("END", "trailing bytes after the END block"));
         }
-        if bytes.len() - pos < 12 {
-            return Err(corrupt("block", "truncated block header"));
-        }
-        let kind = super::le_u32(&bytes[pos..pos + 4]);
-        let len = super::le_u32(&bytes[pos + 4..pos + 8]);
-        let crc = super::le_u32(&bytes[pos + 8..pos + 12]);
-        if len > MAX_BLOCK {
-            return Err(corrupt("block", format!("block length {len} exceeds cap")));
-        }
-        pos += 12;
-        if len as usize > bytes.len() - pos {
-            return Err(corrupt("block", "payload overruns the file"));
-        }
-        let payload = &bytes[pos..pos + len as usize];
-        pos += len as usize;
-        if crc32(payload) != crc {
+        let kind = d.u32().map_err(|e| corrupt("block", e))?;
+        let (payload, intact) = d.frame().map_err(|e| corrupt("block", e))?;
+        if !intact {
             return Err(corrupt(
                 "block",
                 format!("CRC mismatch in block kind {kind}"),
             ));
         }
         if kind == KIND_END {
-            let mut r = Reader {
-                buf: payload,
-                pos: 0,
-                section: "END",
-            };
-            let declared = r.u64()?;
-            if !r.done() {
-                return Err(corrupt("END", "trailing bytes"));
-            }
+            let declared = Dec::whole(payload, Dec::u64).map_err(|e| corrupt("END", e))?;
             if declared != n_blocks {
                 return Err(corrupt(
                     "END",
@@ -414,7 +348,7 @@ pub(crate) fn read_meta(path: &std::path::Path) -> Result<SegmentMeta, PersistEr
     let mut meta: Option<SegmentMeta> = None;
     for_each_block(&bytes, |kind, payload| {
         if kind == KIND_META && meta.is_none() {
-            meta = Some(parse_meta(payload)?);
+            meta = Some(SegmentMeta::decode(payload)?);
         }
         Ok(())
     })?;
@@ -440,39 +374,15 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
                 if meta.is_some() {
                     return Err(corrupt("META", "duplicate META block"));
                 }
-                meta = Some(parse_meta(payload)?);
+                meta = Some(SegmentMeta::decode(payload)?);
             }
-            KIND_ASSIGN => assignment.extend(u32_array(payload, "ASSIGN")?),
-            KIND_SETS => {
-                let mut r = Reader {
-                    buf: payload,
-                    pos: 0,
-                    section: "SETS",
-                };
-                let n = r.u32()? as usize;
-                for _ in 0..n {
-                    let len = r.u32()? as usize;
-                    if len > r.remaining() / 4 {
-                        return Err(corrupt("SETS", "set length exceeds payload"));
-                    }
-                    let mut tokens = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        tokens.push(r.u32()?);
-                    }
-                    if tokens.windows(2).any(|w| w[0] > w[1]) {
-                        return Err(corrupt("SETS", "set tokens are not sorted"));
-                    }
-                    sets.push(tokens);
-                }
-                if !r.done() {
-                    return Err(corrupt("SETS", "trailing bytes"));
-                }
-            }
+            KIND_ASSIGN => assignment.extend(decode_ids(payload, "ASSIGN")?),
+            KIND_SETS => sets.extend(decode_sets(payload)?),
             KIND_TOMBS => {
                 if tombstones.is_some() {
                     return Err(corrupt("TOMBS", "duplicate TOMBS block"));
                 }
-                let ids = u32_array(payload, "TOMBS")?;
+                let ids = decode_ids(payload, "TOMBS")?;
                 if ids.windows(2).any(|w| w[0] >= w[1]) {
                     return Err(corrupt("TOMBS", "tombstones not strictly ascending"));
                 }
@@ -482,10 +392,7 @@ pub(crate) fn read_segment(path: &std::path::Path) -> Result<RawSegment, Persist
                 if metadata.is_some() {
                     return Err(corrupt("METADATA", "duplicate METADATA block"));
                 }
-                metadata = Some(
-                    MetadataIndex::decode(payload)
-                        .map_err(|e| corrupt("METADATA", e.to_string()))?,
-                );
+                metadata = Some(codec::metadata(payload)?);
             }
             // Older builds wrote a MinHash sidecar's 16 parameter bytes
             // here; the CRC held, so it is skipped. Another length is a

@@ -23,11 +23,10 @@
 
 use les3_data::{SetId, TokenId};
 
+use super::codec::{put_frame, put_pairs, put_u32, put_u32s, Dec};
+#[cfg(test)]
 use super::io::crc32;
 use super::PersistError;
-
-/// Cap any one record's declared payload (a set with ~4M tokens).
-const MAX_RECORD: u32 = 16 << 20;
 
 const KIND_INSERT: u8 = 1;
 const KIND_DELETE: u8 = 2;
@@ -45,40 +44,43 @@ pub(crate) enum WalRecord {
 
 impl WalRecord {
     /// Serializes the record, framing included.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        match self {
+    pub(crate) fn framed(&self) -> Result<Vec<u8>, PersistError> {
+        let mut out = Vec::new();
+        put_frame(&mut out, |p| match self {
             WalRecord::Insert(tokens) => {
-                payload.push(KIND_INSERT);
-                payload.extend_from_slice(&(tokens.len() as u32).to_le_bytes());
-                for &t in tokens {
-                    payload.extend_from_slice(&t.to_le_bytes());
-                }
+                p.push(KIND_INSERT);
+                put_u32s(p, tokens);
             }
             WalRecord::Delete(id) => {
-                payload.push(KIND_DELETE);
-                payload.extend_from_slice(&id.to_le_bytes());
+                p.push(KIND_DELETE);
+                put_u32(p, *id);
             }
             WalRecord::InsertAttrs(tokens, attrs) => {
-                payload.push(KIND_INSERT_ATTRS);
-                payload.extend_from_slice(&(tokens.len() as u32).to_le_bytes());
-                for &t in tokens {
-                    payload.extend_from_slice(&t.to_le_bytes());
-                }
-                payload.extend_from_slice(&(attrs.len() as u32).to_le_bytes());
-                for (k, v) in attrs {
-                    payload.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                    payload.extend_from_slice(k.as_bytes());
-                    payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    payload.extend_from_slice(v.as_bytes());
-                }
+                p.push(KIND_INSERT_ATTRS);
+                put_u32s(p, tokens);
+                put_pairs(p, attrs);
             }
-        }
-        let mut out = Vec::with_capacity(8 + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        })?;
+        Ok(out)
+    }
+
+    /// [`WalRecord::framed`], for records no frame length can overflow.
+    #[cfg(test)]
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        self.framed().expect("a test record fits its frame")
+    }
+
+    /// Decodes one record's payload.
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self, String> {
+        let mut d = Dec::new(payload);
+        let record = match d.u8()? {
+            KIND_INSERT => WalRecord::Insert(d.u32s()?),
+            KIND_DELETE => WalRecord::Delete(d.u32()?),
+            KIND_INSERT_ATTRS => WalRecord::InsertAttrs(d.u32s()?, d.pairs()?),
+            k => return Err(format!("unknown record kind {k}")),
+        };
+        d.finish()?;
+        Ok(record)
     }
 }
 
@@ -102,132 +104,27 @@ pub(crate) struct ParsedWal {
     pub clean_len: u64,
 }
 
-/// Parses a WAL image into its records, applying the torn-tail rule.
+/// Parses a WAL image into its records, applying the torn-tail rule: a
+/// frame whose header or payload runs past the end of the file is the
+/// tail, and so is a final frame whose CRC fails.
 pub(crate) fn parse_wal(bytes: &[u8]) -> Result<ParsedWal, PersistError> {
     let mut records = Vec::new();
+    let mut d = Dec::new(bytes);
     let mut pos = 0usize;
-    while pos < bytes.len() {
-        if bytes.len() - pos < 8 {
-            // A header torn mid-write: clean end of log.
-            break;
-        }
-        let len = super::le_u32(&bytes[pos..pos + 4]);
-        let crc = super::le_u32(&bytes[pos + 4..pos + 8]);
-        let end = pos + 8 + len as usize;
-        if end > bytes.len() {
-            // The declared extent leaves the file (a torn length field
-            // reads as garbage): no complete record can follow, so this
-            // is the tail.
-            break;
-        }
-        if len > MAX_RECORD {
-            // The file really does hold this many bytes, but no writer
-            // ever frames a record this large: the length field itself
-            // is corrupt, with live bytes after it.
-            return Err(interior(
-                pos,
-                format!("record length {len} exceeds the cap"),
-            ));
-        }
-        let payload = &bytes[pos + 8..end];
-        if crc32(payload) != crc {
-            if end == bytes.len() {
-                // Corrupt final record: torn tail.
+    while let Ok((payload, intact)) = d.frame() {
+        if !intact {
+            if d.remaining() == 0 {
                 break;
             }
             return Err(interior(pos, "checksum mismatch with records after it"));
         }
-        records.push(parse_payload(payload).map_err(|d| interior(pos, d))?);
-        pos = end;
+        records.push(WalRecord::decode(payload).map_err(|e| interior(pos, e))?);
+        pos = bytes.len() - d.remaining();
     }
     Ok(ParsedWal {
         records,
         clean_len: pos as u64,
     })
-}
-
-fn parse_payload(payload: &[u8]) -> Result<WalRecord, String> {
-    match payload.first() {
-        Some(&KIND_INSERT) => {
-            if payload.len() < 5 {
-                return Err("insert record shorter than its header".into());
-            }
-            let n = super::le_u32(&payload[1..5]) as usize;
-            let rest = &payload[5..];
-            if rest.len() != n * 4 {
-                return Err(format!(
-                    "insert record declares {n} tokens but carries {} bytes",
-                    rest.len()
-                ));
-            }
-            Ok(WalRecord::Insert(
-                rest.chunks_exact(4).map(super::le_u32).collect(),
-            ))
-        }
-        Some(&KIND_DELETE) => {
-            if payload.len() != 5 {
-                return Err("delete record has the wrong size".into());
-            }
-            Ok(WalRecord::Delete(super::le_u32(&payload[1..5])))
-        }
-        Some(&KIND_INSERT_ATTRS) => {
-            if payload.len() < 5 {
-                return Err("insert-attrs record shorter than its header".into());
-            }
-            let n = super::le_u32(&payload[1..5]) as usize;
-            let mut pos = 5usize;
-            // n is bounded by MAX_RECORD/4 because the framed payload was
-            // already length-checked, so this multiply cannot overflow.
-            if payload.len() - pos < n * 4 {
-                return Err(format!(
-                    "insert-attrs record declares {n} tokens but is too short"
-                ));
-            }
-            let tokens: Vec<TokenId> = payload[pos..pos + n * 4]
-                .chunks_exact(4)
-                .map(super::le_u32)
-                .collect();
-            pos += n * 4;
-            if payload.len() - pos < 4 {
-                return Err("insert-attrs record truncated before attribute count".into());
-            }
-            let m = super::le_u32(&payload[pos..pos + 4]) as usize;
-            pos += 4;
-            let mut attrs = Vec::with_capacity(m.min(1024));
-            for i in 0..m {
-                let mut read_str = |what: &str| -> Result<String, String> {
-                    if payload.len() - pos < 4 {
-                        return Err(format!(
-                            "insert-attrs record truncated before attribute {i} {what} length"
-                        ));
-                    }
-                    let len = super::le_u32(&payload[pos..pos + 4]) as usize;
-                    pos += 4;
-                    if payload.len() - pos < len {
-                        return Err(format!(
-                            "attribute {i} {what} declares {len} bytes past the record end"
-                        ));
-                    }
-                    let s = std::str::from_utf8(&payload[pos..pos + len])
-                        .map_err(|_| format!("attribute {i} {what} is not valid UTF-8"))?;
-                    pos += len;
-                    Ok(s.to_string())
-                };
-                let k = read_str("key")?;
-                let v = read_str("value")?;
-                attrs.push((k, v));
-            }
-            if pos != payload.len() {
-                return Err(format!(
-                    "insert-attrs record has {} trailing bytes",
-                    payload.len() - pos
-                ));
-            }
-            Ok(WalRecord::InsertAttrs(tokens, attrs))
-        }
-        Some(&k) => Err(format!("unknown record kind {k}")),
-        None => Err("empty record".into()),
-    }
 }
 
 #[cfg(test)]

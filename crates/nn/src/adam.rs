@@ -127,20 +127,17 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Activation;
 
-    /// Adam should drive a single-layer identity network to fit a linear
-    /// target quickly.
+    /// Adam should drive a single sigmoid unit to fit a logistic target
+    /// quickly.
     #[test]
-    fn converges_on_linear_regression() {
-        let mut mlp = Mlp::new(&[2, 1], Activation::Identity, 21);
+    fn converges_on_logistic_regression() {
+        let mut mlp = Mlp::new(&[2, 1], 21);
         let mut adam = Adam::new(&mlp, 0.05);
-        let data: Vec<([f64; 2], f64)> = vec![
-            ([0.0, 0.0], 1.0),
-            ([1.0, 0.0], 3.0),
-            ([0.0, 1.0], 0.0),
-            ([1.0, 1.0], 2.0),
-        ]; // target: y = 2*x0 - x1 + 1
+        let data: Vec<([f64; 2], f64)> = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+            .into_iter()
+            .map(|x| (x, crate::layer::sigmoid(2.0 * x[0] - x[1] + 1.0)))
+            .collect();
         let mut grads = mlp.new_gradients();
         let mut trace = crate::mlp::Trace::default();
         let mut last_loss = f64::INFINITY;
@@ -170,7 +167,7 @@ mod tests {
     /// Bias correction should make the very first step have magnitude ≈ lr.
     #[test]
     fn first_step_magnitude_is_lr() {
-        let mut mlp = Mlp::new(&[1, 1], Activation::Identity, 2);
+        let mut mlp = Mlp::new(&[1, 1], 2);
         let w0 = mlp.layers()[0].w[0];
         let mut adam = Adam::new(&mlp, 0.01);
         let mut grads = mlp.new_gradients();

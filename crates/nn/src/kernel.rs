@@ -12,9 +12,9 @@
 //!   at a time from the network's own rows. Two rows run side by side.
 //!   Each output's sum still starts at its bias and adds
 //!   `w · x` for input 0, 1, …, n − 1 in that order, and the activation is
-//!   the same call ([`Activation::apply`]: the libm `exp` for sigmoid).
+//!   the same call ([`sigmoid`]: the libm `exp`).
 //! * **Backward.** Per layer from the last, for output `o` in ascending
-//!   order: `dz = dy[o] · act'(y[o])`, skipped when zero; one add of `dz`
+//!   order: `dz = dy[o] · y[o]·(1 − y[o])`, skipped when zero; one add of `dz`
 //!   into the bias gradient and one of `dz · x[i]` into each weight
 //!   gradient; the input gradient starts at `0.0` and adds `dz · w[o][i]`
 //!   over the outputs in ascending order, in registers. Two consecutive
@@ -26,7 +26,7 @@
 //! fused), so the outputs and the gradients are bit for bit those of the
 //! per-sample passes (the trainer's tests hold them to that oracle).
 
-use crate::activation::Activation;
+use crate::layer::{sigmoid, sigmoid_derivative};
 use crate::mlp::{Mlp, MlpGradients};
 
 /// Outputs a forward block advances together, and inputs an input-gradient
@@ -55,7 +55,6 @@ pub struct BatchKernel {
 struct KernelLayer {
     in_dim: usize,
     out_dim: usize,
-    act: Activation,
     /// The weights of each whole block of [`LANES`] outputs, input-major:
     /// block `j` is `in_dim` rows of `LANES`, entry `[i][k]` the weight
     /// from input `i` to output `j · LANES + k`. The last `out_dim %
@@ -74,7 +73,6 @@ impl BatchKernel {
             .map(|l| KernelLayer {
                 in_dim: l.in_dim,
                 out_dim: l.out_dim,
-                act: l.act,
                 wt: vec![[0.0; LANES]; l.out_dim / LANES * l.in_dim],
                 acts: vec![0.0; slots * l.out_dim],
             })
@@ -128,7 +126,7 @@ impl BatchKernel {
                 None => xs,
                 Some(prev) => slots.map(|slot| prev.row(slot)),
             };
-            let (n_in, n_out, act) = (layer.in_dim, layer.out_dim, layer.act);
+            let (n_in, n_out) = (layer.in_dim, layer.out_dim);
             let (bias_blocks, bias_tail) = dense.b.as_chunks::<LANES>();
             for (j, (bias, weights)) in bias_blocks
                 .iter()
@@ -147,7 +145,7 @@ impl BatchKernel {
                 for (acc, slot) in acc.into_iter().zip(slots) {
                     let z = &mut layer.acts[slot * n_out + j * LANES..][..LANES];
                     for (z, v) in z.iter_mut().zip(acc) {
-                        *z = act.apply(v);
+                        *z = sigmoid(v);
                     }
                 }
             }
@@ -161,7 +159,7 @@ impl BatchKernel {
                     }
                 }
                 for (acc, slot) in acc.into_iter().zip(slots) {
-                    layer.acts[slot * n_out + o] = act.apply(acc);
+                    layer.acts[slot * n_out + o] = sigmoid(acc);
                 }
             }
         }
@@ -200,7 +198,7 @@ impl BatchKernel {
         let layer_grads = mlp.layers().iter().zip(&mut grads.layers);
         for (l, (dense, (gw, gb))) in layer_grads.enumerate().rev() {
             let layer = &layers[l];
-            let (n_in, n_out, act) = (layer.in_dim, layer.out_dim, layer.act);
+            let (n_in, n_out) = (layer.in_dim, layer.out_dim);
             let inputs = match l {
                 0 => xs,
                 _ => slots.map(|slot| layers[l - 1].row(slot)),
@@ -208,7 +206,7 @@ impl BatchKernel {
             // dL/dy becomes dL/dz in place.
             for (dz, &slot) in up.chunks_exact_mut(width).zip(&slots) {
                 for (d, &y) in dz.iter_mut().zip(layer.row(slot)) {
-                    *d *= act.derivative_from_output(y);
+                    *d *= sigmoid_derivative(y);
                 }
             }
             for (o, (gb, grow)) in gb.iter_mut().zip(gw.chunks_exact_mut(n_in)).enumerate() {

@@ -1,10 +1,22 @@
 //! Dense (fully connected) layer.
 
-use crate::activation::Activation;
 use crate::init;
 use rand::rngs::StdRng;
 
-/// A dense layer computing `act(W·x + b)`.
+/// The logistic sigmoid `1 / (1 + e^-z)`: every layer's activation, the
+/// paper's choice (§7.1).
+#[inline]
+pub fn sigmoid(z: f64) -> f64 {
+    1.0 / (1.0 + (-z).exp())
+}
+
+/// The sigmoid's derivative in terms of its output `y = sigmoid(z)`.
+#[inline]
+pub fn sigmoid_derivative(y: f64) -> f64 {
+    y * (1.0 - y)
+}
+
+/// A dense layer computing `sigmoid(W·x + b)`.
 ///
 /// Weights are stored row-major: `w[o * in_dim + i]` connects input `i` to
 /// output `o`.
@@ -18,13 +30,11 @@ pub struct Dense {
     pub w: Vec<f64>,
     /// Bias vector, length `out_dim`.
     pub b: Vec<f64>,
-    /// Activation applied to each output.
-    pub act: Activation,
 }
 
 impl Dense {
     /// Creates a layer with Xavier-initialized weights and zero biases.
-    pub fn new(in_dim: usize, out_dim: usize, act: Activation, rng: &mut StdRng) -> Self {
+    pub fn new(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
         let mut w = vec![0.0; in_dim * out_dim];
         init::xavier_uniform(rng, in_dim, out_dim, &mut w);
         Self {
@@ -32,7 +42,6 @@ impl Dense {
             out_dim,
             w,
             b: vec![0.0; out_dim],
-            act,
         }
     }
 
@@ -60,7 +69,7 @@ impl Dense {
             for (wi, xi) in row.iter().zip(x.iter()) {
                 z += wi * xi;
             }
-            *out_slot = self.act.apply(z);
+            *out_slot = sigmoid(z);
         }
     }
 
@@ -84,8 +93,8 @@ impl Dense {
             dx.fill(0.0);
         }
         for o in 0..self.out_dim {
-            // dL/dz = dL/dy * act'(z), with act' expressed via the output.
-            let dz = dy[o] * self.act.derivative_from_output(y[o]);
+            // dL/dz = dL/dy * sigmoid'(z), expressed via the output.
+            let dz = dy[o] * sigmoid_derivative(y[o]);
             if dz == 0.0 {
                 continue;
             }
@@ -115,19 +124,39 @@ mod tests {
     use crate::init::seeded_rng;
 
     #[test]
-    fn forward_identity_is_affine() {
-        let mut layer = Dense::new(2, 2, Activation::Identity, &mut seeded_rng(0));
+    fn sigmoid_range_and_midpoint() {
+        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
+        assert!(sigmoid(100.0) > 0.999);
+        assert!(sigmoid(-100.0) < 0.001);
+    }
+
+    #[test]
+    fn sigmoid_derivative_matches_finite_differences() {
+        let eps = 1e-6;
+        for &x in &[-2.0, -0.5, 0.3, 1.7] {
+            let numeric = (sigmoid(x + eps) - sigmoid(x - eps)) / (2.0 * eps);
+            let analytic = sigmoid_derivative(sigmoid(x));
+            assert!(
+                (numeric - analytic).abs() < 1e-5,
+                "at {x}: numeric {numeric} vs analytic {analytic}"
+            );
+        }
+    }
+
+    #[test]
+    fn forward_is_the_sigmoid_of_the_affine_map() {
+        let mut layer = Dense::new(2, 2, &mut seeded_rng(0));
         layer.w = vec![1.0, 2.0, 3.0, 4.0];
         layer.b = vec![0.5, -0.5];
         let mut out = vec![0.0; 2];
         layer.forward(&[1.0, 1.0], &mut out);
-        assert_eq!(out, vec![3.5, 6.5]);
+        assert_eq!(out, vec![sigmoid(3.5), sigmoid(6.5)]);
     }
 
     #[test]
     fn backward_matches_finite_difference() {
         let mut rng = seeded_rng(3);
-        let layer = Dense::new(3, 2, Activation::Sigmoid, &mut rng);
+        let layer = Dense::new(3, 2, &mut rng);
         let x = [0.3, -0.7, 1.1];
         let mut y = vec![0.0; 2];
         layer.forward(&x, &mut y);
@@ -169,7 +198,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "input size mismatch")]
     fn forward_rejects_wrong_input_size() {
-        let layer = Dense::new(3, 1, Activation::Identity, &mut seeded_rng(0));
+        let layer = Dense::new(3, 1, &mut seeded_rng(0));
         let mut out = vec![0.0; 1];
         layer.forward(&[1.0], &mut out);
     }

@@ -7,8 +7,8 @@
 //! "Training"). A model that small needs no tensor framework, so this crate
 //! implements exactly the required pieces from scratch:
 //!
-//! * [`Mlp`] — dense feed-forward network with configurable layer sizes and
-//!   activations;
+//! * [`Mlp`] — dense feed-forward network of sigmoid layers with
+//!   configurable layer sizes;
 //! * [`BatchKernel`] — the forward and backward passes of a mini-batch over
 //!   flat buffers (see below);
 //! * [`Adam`] — the Adam optimizer (Kingma & Ba) over the MLP parameters;
@@ -44,17 +44,16 @@
 //! # Example
 //!
 //! ```
-//! use les3_nn::{Activation, Mlp};
+//! use les3_nn::Mlp;
 //!
 //! // The paper's network: input -> 8 -> 8 -> 1, all sigmoid.
-//! let mlp = Mlp::new(&[32, 8, 8, 1], Activation::Sigmoid, 42);
+//! let mlp = Mlp::new(&[32, 8, 8, 1], 42);
 //! let x = vec![0.5; 32];
 //! let out = mlp.forward(&x);
 //! assert_eq!(out.len(), 1);
 //! assert!(out[0] > 0.0 && out[0] < 1.0);
 //! ```
 
-pub mod activation;
 pub mod adam;
 pub mod init;
 pub mod kernel;
@@ -62,7 +61,6 @@ pub mod layer;
 pub mod mlp;
 pub mod siamese;
 
-pub use activation::Activation;
 pub use adam::Adam;
 pub use kernel::BatchKernel;
 pub use layer::Dense;

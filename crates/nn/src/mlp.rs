@@ -1,6 +1,5 @@
 //! Multi-layer perceptron with reverse-mode gradients.
 
-use crate::activation::Activation;
 use crate::init::seeded_rng;
 use crate::kernel::BatchKernel;
 use crate::layer::Dense;
@@ -44,17 +43,17 @@ impl Mlp {
     /// Builds an MLP with the given layer widths, e.g. `&[32, 8, 8, 1]`
     /// (the paper's architecture for a 32-dimensional PTR input).
     ///
-    /// All layers use `act`; weights are Xavier-initialized from `seed`.
+    /// Every layer is sigmoid; weights are Xavier-initialized from `seed`.
     ///
     /// # Panics
     ///
     /// Panics if fewer than two widths are given.
-    pub fn new(widths: &[usize], act: Activation, seed: u64) -> Self {
+    pub fn new(widths: &[usize], seed: u64) -> Self {
         assert!(widths.len() >= 2, "need at least input and output widths");
         let mut rng = seeded_rng(seed);
         let layers = widths
             .windows(2)
-            .map(|w| Dense::new(w[0], w[1], act, &mut rng))
+            .map(|w| Dense::new(w[0], w[1], &mut rng))
             .collect();
         Self { layers }
     }
@@ -182,7 +181,7 @@ mod tests {
     #[test]
     fn backward_matches_finite_difference_all_layers() {
         // Nine hidden outputs: a forward block and a one-output tail.
-        let mlp = Mlp::new(&[4, 9, 8, 1], Activation::Sigmoid, 11);
+        let mlp = Mlp::new(&[4, 9, 8, 1], 11);
         let x = [0.25, -0.5, 0.75, 1.0];
         let mut kernel = BatchKernel::new(&mlp, 1);
         kernel.forward(&mlp, [&x], [0]);
@@ -214,7 +213,7 @@ mod tests {
         // Two calls into one buffer, one at a time or as one two-call
         // sweep, must equal the two calls' own gradients added in call
         // order: the kernel's scratch is fully rewritten by every call.
-        let mlp = Mlp::new(&[3, 5, 2, 1], Activation::Tanh, 4);
+        let mlp = Mlp::new(&[3, 5, 2, 1], 4);
         let xs: [&[f64]; 2] = [&[0.5, -1.0, 2.0], &[-0.25, 0.0, 1.5]];
         let dys: [&[f64]; 2] = [&[0.7], &[-1.3]];
         let mut kernel = BatchKernel::new(&mlp, 2);
@@ -243,7 +242,7 @@ mod tests {
 
     #[test]
     fn forward_traced_reuses_buffers() {
-        let mlp = Mlp::new(&[2, 4, 1], Activation::Tanh, 5);
+        let mlp = Mlp::new(&[2, 4, 1], 5);
         let mut trace = Trace::default();
         mlp.forward_traced(&[1.0, -1.0], &mut trace);
         let first = mlp.traced_output(&trace)[0];
@@ -253,7 +252,7 @@ mod tests {
 
     #[test]
     fn param_count_matches_architecture() {
-        let mlp = Mlp::new(&[32, 8, 8, 1], Activation::Sigmoid, 0);
+        let mlp = Mlp::new(&[32, 8, 8, 1], 0);
         // 32*8+8 + 8*8+8 + 8*1+1 = 264 + 72 + 9 = 345
         assert_eq!(mlp.param_count(), 345);
         assert_eq!(mlp.in_dim(), 32);
@@ -262,8 +261,8 @@ mod tests {
 
     #[test]
     fn deterministic_construction() {
-        let a = Mlp::new(&[4, 4, 1], Activation::Sigmoid, 9);
-        let b = Mlp::new(&[4, 4, 1], Activation::Sigmoid, 9);
+        let a = Mlp::new(&[4, 4, 1], 9);
+        let b = Mlp::new(&[4, 4, 1], 9);
         assert_eq!(
             a.forward(&[0.1, 0.2, 0.3, 0.4]),
             b.forward(&[0.1, 0.2, 0.3, 0.4])

@@ -314,7 +314,6 @@ pub fn assign_side(output: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Activation;
     use crate::kernel::FORWARDS;
     use crate::mlp::Trace;
     use proptest::prelude::*;
@@ -429,12 +428,6 @@ mod tests {
         fn memoised_training_equals_the_per_pair_loop_bit_for_bit(
             (dim, n_rows) in (1usize..=40, 1usize..12),
             hidden in prop::collection::vec(1usize..=17, 0..3),
-            act in prop_oneof![
-                Just(Activation::Sigmoid),
-                Just(Activation::Tanh),
-                Just(Activation::Relu),
-                Just(Activation::Identity),
-            ],
             (batch_size, epochs) in (1usize..20, 1usize..4),
             n_pairs in 0usize..60,
             hard in any::<bool>(),
@@ -452,7 +445,7 @@ mod tests {
                 loss: if hard { PairLoss::Hard } else { PairLoss::Surrogate },
             };
             let batch = PairBatch { reps: &reps, dim, pairs: &pairs };
-            assert_trainers_agree(&cfg, &Mlp::new(&widths, act, seed), batch);
+            assert_trainers_agree(&cfg, &Mlp::new(&widths, seed), batch);
         }
 
         /// [`outputs`] decides every split: it must be the per-sample
@@ -461,12 +454,6 @@ mod tests {
         fn outputs_equal_the_per_sample_forward_bit_for_bit(
             (dim, n_rows) in (1usize..=40, 0usize..12),
             hidden in prop::collection::vec(1usize..=17, 0..3),
-            act in prop_oneof![
-                Just(Activation::Sigmoid),
-                Just(Activation::Tanh),
-                Just(Activation::Relu),
-                Just(Activation::Identity),
-            ],
             seed in any::<u64>(),
         ) {
             let (reps, _) = random_batch(dim, n_rows, 0, seed);
@@ -475,7 +462,7 @@ mod tests {
             widths.push(1);
             // Nonzero biases: a fresh network's are zero, which would hide
             // where a sum adds its bias.
-            let mut mlp = Mlp::new(&widths, act, seed);
+            let mut mlp = Mlp::new(&widths, seed);
             for (layer, bias) in mlp.layers_mut().iter_mut().zip(1u32..) {
                 for (b, k) in layer.b.iter_mut().zip(1u32..) {
                     *b = (0.37 * (bias * 11 + k) as f64).sin();
@@ -500,7 +487,7 @@ mod tests {
         // 5 000 pairs over a 156-member group, the default batch, epochs
         // and learning rate.
         let (reps, pairs) = random_batch(28, 156, 5_000, 28);
-        let mlp = Mlp::new(&[28, 8, 8, 1], Activation::Sigmoid, 7);
+        let mlp = Mlp::new(&[28, 8, 8, 1], 7);
         let batch = PairBatch {
             reps: &reps,
             dim: 28,
@@ -518,7 +505,7 @@ mod tests {
         // 17-wide activation row for each of 2 × 256 slots, plus two 2 × 8
         // rows of backward scratch (8 B each); and a u32 per row and per
         // slot.
-        let mlp = Mlp::new(&[28, 8, 8, 1], Activation::Sigmoid, 0);
+        let mlp = Mlp::new(&[28, 8, 8, 1], 0);
         let trainer = SiameseTrainer::default();
         let floats = 4 * 313 + (28 + 8) * 8 + 512 * 17 + 2 * 2 * 8;
         assert_eq!(floats * 8 + (625 + 512) * 4, 86_756);
@@ -541,7 +528,7 @@ mod tests {
         let distinct: std::collections::BTreeSet<u32> =
             pairs.iter().flat_map(|&(a, b, _)| [a, b]).collect();
         assert_eq!(distinct.len(), 6);
-        let mut mlp = Mlp::new(&[dim, 4, 1], Activation::Sigmoid, 2);
+        let mut mlp = Mlp::new(&[dim, 4, 1], 2);
         let trainer = SiameseTrainer::new(SiameseConfig {
             epochs: 1,
             batch_size: 64,
@@ -622,7 +609,7 @@ mod tests {
 
     #[test]
     fn hard_loss_has_zero_gradient_and_freezes_training() {
-        let mut mlp = Mlp::new(&[2, 4, 1], Activation::Sigmoid, 1);
+        let mut mlp = Mlp::new(&[2, 4, 1], 1);
         let before = mlp.layers()[0].w.clone();
         let reps = vec![0.0, 0.0, 1.0, 1.0];
         let pairs = vec![(0u32, 1u32, 1.0)];
@@ -677,7 +664,7 @@ mod tests {
             let d = if cluster_a == cluster_b { 0.05 } else { 1.0 };
             pairs.push((a, b, d));
         }
-        let mut mlp = Mlp::new(&[dim, 8, 8, 1], Activation::Sigmoid, 7);
+        let mut mlp = Mlp::new(&[dim, 8, 8, 1], 7);
         let trainer = SiameseTrainer::new(SiameseConfig {
             epochs: 20,
             batch_size: 64,
@@ -717,7 +704,7 @@ mod tests {
     fn report_counts_pairs() {
         let reps = vec![0.0, 1.0, 1.0, 0.0];
         let pairs = vec![(0u32, 1u32, 0.5); 10];
-        let mut mlp = Mlp::new(&[2, 4, 1], Activation::Sigmoid, 3);
+        let mut mlp = Mlp::new(&[2, 4, 1], 3);
         let trainer = SiameseTrainer::new(SiameseConfig {
             epochs: 2,
             ..Default::default()

@@ -20,8 +20,8 @@
 //!   split leaves one side empty the median output is used as the
 //!   threshold instead (not specified by the paper; guarantees progress).
 //!
-//! Models at the same level are independent and train in parallel
-//! (`parallel: true`), the direction the paper flags as future work.
+//! Models at the same level are independent and train on every core,
+//! the direction the paper flags as future work.
 //!
 //! # Each piece of a model's work is done once
 //!
@@ -59,7 +59,7 @@ use crate::rep::RepMatrix;
 use les3_core::{Jaccard, Partitioning, Similarity};
 use les3_data::{SetDatabase, SetId};
 use les3_nn::siamese;
-use les3_nn::{Activation, Mlp, PairBatch, SiameseConfig, SiameseTrainer, TrainReport};
+use les3_nn::{Mlp, PairBatch, SiameseConfig, SiameseTrainer, TrainReport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,8 +81,6 @@ pub struct L2pConfig {
     pub pairs_per_model: usize,
     /// Siamese training hyperparameters (epochs, batch, lr, loss).
     pub siamese: SiameseConfig,
-    /// Train same-level models on multiple threads.
-    pub parallel: bool,
     /// Independent training restarts per split; the candidate whose split
     /// minimizes the within-side distance of the sampled pairs wins. The
     /// tiny cascade MLPs are high-variance — a bad early split cannot be
@@ -101,7 +99,6 @@ impl Default for L2pConfig {
             min_group_size: 50,
             pairs_per_model: 40_000,
             siamese: SiameseConfig::default(),
-            parallel: true,
             restarts: 2,
             seed: 0,
         }
@@ -204,21 +201,14 @@ impl L2p {
                     splittable[i] = false;
                 }
             }
-            // Train one model per splittable group (possibly in parallel).
+            // Train one model per splittable group, on every core.
             let tasks: Vec<GroupTask<'_>> = groups
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| splittable[i])
                 .map(|(i, g)| (i, g.as_slice()))
                 .collect();
-            let outcomes = if cfg.parallel && tasks.len() > 1 {
-                self.train_parallel(db, reps, level, &tasks)
-            } else {
-                tasks
-                    .iter()
-                    .map(|&(i, members)| (i, self.train_one(db, reps, level, i, members)))
-                    .collect()
-            };
+            let outcomes = self.train_parallel(db, reps, level, &tasks);
             // Apply the splits in deterministic (group index) order.
             let mut next_groups: Vec<Vec<SetId>> = Vec::with_capacity(groups.len() * 2);
             let mut outcome_iter = outcomes.into_iter().peekable();
@@ -356,7 +346,7 @@ impl L2p {
     ) -> SplitOutcome {
         let cfg = &self.cfg;
         let widths = [local.dim(), HIDDEN, HIDDEN, 1];
-        let mut mlp = Mlp::new(&widths, Activation::Sigmoid, model_seed);
+        let mut mlp = Mlp::new(&widths, model_seed);
         let trainer = SiameseTrainer::new(SiameseConfig {
             seed: model_seed ^ 0x9e37_79b9,
             ..cfg.siamese.clone()
@@ -469,7 +459,6 @@ mod tests {
             init_groups: 2,
             min_group_size: 4,
             pairs_per_model: 400,
-            parallel: false,
             ..Default::default()
         }
     }
@@ -538,7 +527,7 @@ mod tests {
         }
         // The first level's groups are the largest any model trains on.
         let largest = *result.levels[0].group_sizes().iter().max().unwrap();
-        let mlp = Mlp::new(&[reps.dim(), 8, 8, 1], Activation::Sigmoid, 0);
+        let mlp = Mlp::new(&[reps.dim(), 8, 8, 1], 0);
         let want = SiameseTrainer::default().memory_bytes(&mlp, largest);
         assert_eq!(result.model_bytes, want);
     }
@@ -563,25 +552,12 @@ mod tests {
             init_groups: 1,
             min_group_size: 8,
             pairs_per_model: 100,
-            parallel: false,
             ..Default::default()
         };
         let result = L2p::new(cfg).partition(&db, &reps);
         // 10 sets, min size 8: one split into (5,5), then both stop.
         assert!(result.finest().n_groups() <= 2);
         assert!(result.finest().group_sizes().iter().all(|&s| s > 0));
-    }
-
-    #[test]
-    fn parallel_and_serial_agree() {
-        let db = ZipfianGenerator::new(150, 100, 5.0, 1.0).generate(9);
-        let reps = RepMatrix::from_representation(&db, &Ptr::new(db.universe_size()));
-        let mut cfg = small_cfg(8);
-        cfg.init_groups = 4;
-        let serial = L2p::new(cfg.clone()).partition(&db, &reps);
-        cfg.parallel = true;
-        let parallel = L2p::new(cfg).partition(&db, &reps);
-        assert_eq!(serial.finest().assignment(), parallel.finest().assignment());
     }
 
     #[test]

@@ -85,14 +85,13 @@ fn check(cells: &[(String, [u64; 3], [u64; 3])]) {
     );
 }
 
-fn zipf_cfg(restarts: usize, parallel: bool, loss: PairLoss) -> L2pConfig {
+fn zipf_cfg(restarts: usize, loss: PairLoss) -> L2pConfig {
     L2pConfig {
         target_groups: 32,
         init_groups: 4,
         min_group_size: 6,
         pairs_per_model: 1_024,
         restarts,
-        parallel,
         seed: 17,
         siamese: SiameseConfig {
             loss,
@@ -132,13 +131,11 @@ fn zipfian_cascade_repeats_bit_for_bit() {
     ];
     let mut cells = Vec::new();
     for (restarts, loss, want) in golden {
-        for parallel in [false, true] {
-            cells.push((
-                format!("restarts={restarts} {loss:?} parallel={parallel}"),
-                run(&db, zipf_cfg(restarts, parallel, loss)),
-                want,
-            ));
-        }
+        cells.push((
+            format!("restarts={restarts} {loss:?}"),
+            run(&db, zipf_cfg(restarts, loss)),
+            want,
+        ));
     }
     check(&cells);
 }
@@ -162,7 +159,6 @@ fn multiset_database_repeats_bit_for_bit() {
         min_group_size: 4,
         pairs_per_model: 600,
         restarts: 2,
-        parallel: false,
         seed: 3,
         ..Default::default()
     };
@@ -190,7 +186,6 @@ fn five_member_group_repeats_bit_for_bit() {
         min_group_size: 2,
         pairs_per_model: 2_000,
         restarts: 2,
-        parallel: false,
         seed: 5,
         ..Default::default()
     };
@@ -212,7 +207,6 @@ fn ragged_last_batch_repeats_bit_for_bit() {
         min_group_size: 4,
         pairs_per_model: 700,
         restarts: 2,
-        parallel: true,
         seed: 29,
         siamese: SiameseConfig {
             batch_size: 100,
@@ -233,7 +227,7 @@ fn ragged_last_batch_repeats_bit_for_bit() {
 /// benchmark runs, KOSARAK (PTR dimension 24 here, 28 at 20 000 sets) and
 /// LIVEJ's wide universe (30 here, 34 at 20 000 sets). The literals were
 /// recorded at 43a70da, before the trainer's mini-batch kernels.
-fn bench_shape_cfg(n_sets: usize, parallel: bool) -> L2pConfig {
+fn bench_shape_cfg(n_sets: usize) -> L2pConfig {
     let groups = 32;
     L2pConfig {
         target_groups: groups,
@@ -241,7 +235,6 @@ fn bench_shape_cfg(n_sets: usize, parallel: bool) -> L2pConfig {
         min_group_size: (n_sets / groups / 4).clamp(4, 50),
         pairs_per_model: 500,
         restarts: 1,
-        parallel,
         seed: 41,
         ..Default::default()
     }
@@ -262,13 +255,11 @@ fn benchmark_shapes_repeat_bit_for_bit() {
     let mut cells = Vec::new();
     for (spec, want) in golden {
         let db = spec.with_sets(2_000).generate(7);
-        for parallel in [false, true] {
-            cells.push((
-                format!("{} parallel={parallel}", spec.name),
-                run(&db, bench_shape_cfg(db.len(), parallel)),
-                want,
-            ));
-        }
+        cells.push((
+            spec.name.to_string(),
+            run(&db, bench_shape_cfg(db.len())),
+            want,
+        ));
     }
     check(&cells);
 }
