@@ -50,7 +50,7 @@ use les3_core::{DiskLes3, Jaccard, Kind, Les3Index, Partitioning, SearchResult};
 use les3_data::realistic::DatasetSpec;
 use les3_data::{SetDatabase, TokenId};
 use les3_nn::PairLoss;
-use les3_partition::graph::{knn_graph, partition_graph, GraphWorkload, MultilevelConfig};
+use les3_partition::graph::{knn_graph, partition_graph, GraphWorkload};
 use les3_partition::l2p::L2p;
 use les3_partition::objective::gpo_sampled;
 use les3_partition::rep::{BinaryEncoding, Mds, Pca, Ptr, PtrHalf, RepMatrix};
@@ -158,12 +158,7 @@ fn partitioners(db: &SetDatabase, groups: usize) -> Vec<Part> {
             GraphWorkload::Knn(k) => knn_graph(db, k, Jaccard),
             GraphWorkload::Range(_) => unreachable!("ParG::new cuts a kNN graph"),
         };
-        let cfg = MultilevelConfig {
-            balance: parg.balance,
-            seed: parg.seed,
-            ..Default::default()
-        };
-        (partition_graph(&graph, groups, &cfg), graph.size_in_bytes())
+        (partition_graph(&graph, groups), graph.size_in_bytes())
     });
     let parg = Partitioning::from_assignment(assignment, groups);
     let mut parts = vec![Part::new(db, "PAR-G", parg, t, Some(graph_bytes))];
@@ -260,7 +255,7 @@ fn memory_methods(shape: &str, db: &SetDatabase, mut parts: Vec<Part>) -> Vec<Me
 fn sample_methods(db: &SetDatabase, l2p: Vec<Part>) -> Vec<Method> {
     let universe = db.universe_size();
     let dim = (2 * Ptr::new(universe).height()).min(16);
-    let (pca, fit) = time(|| Pca::fit(db, dim, 25, 3));
+    let (pca, fit) = time(|| Pca::fit(db, dim));
     let (pca, embed) = embed_timed(db, &pca);
     let half = embed_timed(db, &PtrHalf::new(universe));
     let binary = embed_timed(db, &BinaryEncoding::for_database_size(db.len()));

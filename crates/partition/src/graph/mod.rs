@@ -12,7 +12,7 @@ pub mod knn_graph;
 pub mod multilevel;
 
 pub use knn_graph::{knn_graph, range_graph, SimilarityGraph};
-pub use multilevel::{partition_graph, MultilevelConfig};
+pub use multilevel::partition_graph;
 
 use les3_core::{Partitioning, Similarity};
 use les3_data::SetDatabase;
@@ -27,17 +27,14 @@ pub enum GraphWorkload {
     Range(f64),
 }
 
-/// The graph-cut partitioner.
+/// The graph-cut partitioner. Its balance cap and seed are the multilevel
+/// cut's constants ([`multilevel`]).
 #[derive(Debug, Clone)]
 pub struct ParG {
     /// Target number of groups.
     pub n_groups: usize,
     /// Workload the graph is built for.
     pub workload: GraphWorkload,
-    /// Allowed imbalance (max part weight / average), e.g. 1.1.
-    pub balance: f64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl ParG {
@@ -47,8 +44,6 @@ impl ParG {
         Self {
             n_groups,
             workload: GraphWorkload::Knn(10),
-            balance: 1.2,
-            seed: 0,
         }
     }
 
@@ -58,15 +53,7 @@ impl ParG {
             GraphWorkload::Knn(k) => knn_graph(db, k, sim),
             GraphWorkload::Range(delta) => range_graph(db, delta, sim),
         };
-        let assignment = partition_graph(
-            &graph,
-            self.n_groups,
-            &MultilevelConfig {
-                balance: self.balance,
-                seed: self.seed,
-                ..Default::default()
-            },
-        );
+        let assignment = partition_graph(&graph, self.n_groups);
         Partitioning::from_assignment(assignment, self.n_groups)
     }
 }

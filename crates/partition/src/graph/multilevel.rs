@@ -14,7 +14,11 @@
 //!    to the neighbouring part with maximal positive gain, subject to the
 //!    balance cap).
 //!
-//! Every map the phases walk is ordered, so one seed gives one partition.
+//! The knobs are constants: the balance cap `BALANCE` = 1.2 (PAR-G's),
+//! coarsening down to `COARSEN_UNTIL` = 8 vertices per part,
+//! `REFINE_PASSES` = 4 FM passes per level and the RNG seed `SEED` = 0.
+//! Every map the phases walk is ordered, so the graph alone fixes the
+//! partition.
 
 use super::knn_graph::SimilarityGraph;
 use rand::rngs::StdRng;
@@ -22,29 +26,14 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
-/// Knobs of the multilevel partitioner.
-#[derive(Debug, Clone)]
-pub struct MultilevelConfig {
-    /// Allowed imbalance: max part weight ≤ `balance × total / n_parts`.
-    pub balance: f64,
-    /// Stop coarsening below `coarsen_until × n_parts` vertices.
-    pub coarsen_until: usize,
-    /// FM refinement passes per level.
-    pub refine_passes: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for MultilevelConfig {
-    fn default() -> Self {
-        Self {
-            balance: 1.2,
-            coarsen_until: 8,
-            refine_passes: 4,
-            seed: 0,
-        }
-    }
-}
+/// Allowed imbalance: max part weight ≤ `BALANCE × total / n_parts`.
+const BALANCE: f64 = 1.2;
+/// Stop coarsening below `COARSEN_UNTIL × n_parts` vertices.
+const COARSEN_UNTIL: usize = 8;
+/// FM refinement passes per level.
+const REFINE_PASSES: usize = 4;
+/// RNG seed.
+const SEED: u64 = 0;
 
 /// A coarsened graph with vertex weights.
 struct Level {
@@ -56,11 +45,7 @@ struct Level {
 
 /// Partitions `graph` into `n_parts` balanced parts, returning one part id
 /// per vertex.
-pub fn partition_graph(
-    graph: &SimilarityGraph,
-    n_parts: usize,
-    cfg: &MultilevelConfig,
-) -> Vec<u32> {
+pub fn partition_graph(graph: &SimilarityGraph, n_parts: usize) -> Vec<u32> {
     assert!(n_parts >= 1);
     let n = graph.len();
     if n == 0 {
@@ -69,13 +54,13 @@ pub fn partition_graph(
     if n_parts == 1 {
         return vec![0; n];
     }
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut rng = StdRng::seed_from_u64(SEED);
 
     // --- Coarsening phase ---
     let mut levels: Vec<Level> = Vec::new();
     let mut cur_adj = graph.adj.clone();
     let mut cur_weights = vec![1.0f64; n];
-    let target = (cfg.coarsen_until * n_parts).max(32);
+    let target = (COARSEN_UNTIL * n_parts).max(32);
     while cur_adj.len() > target {
         let (projection, coarse_adj, coarse_weights) =
             heavy_edge_matching(&cur_adj, &cur_weights, &mut rng);
@@ -92,15 +77,8 @@ pub fn partition_graph(
     }
 
     // --- Initial partitioning on the coarsest graph ---
-    let mut assignment = greedy_initial(&cur_adj, &cur_weights, n_parts, cfg.balance, &mut rng);
-    refine(
-        &cur_adj,
-        &cur_weights,
-        &mut assignment,
-        n_parts,
-        cfg,
-        &mut rng,
-    );
+    let mut assignment = greedy_initial(&cur_adj, &cur_weights, n_parts, &mut rng);
+    refine(&cur_adj, &cur_weights, &mut assignment, n_parts, &mut rng);
 
     // --- Uncoarsening + refinement ---
     while let Some(level) = levels.pop() {
@@ -114,7 +92,6 @@ pub fn partition_graph(
             &level.weights,
             &mut assignment,
             n_parts,
-            cfg,
             &mut rng,
         );
     }
@@ -182,12 +159,11 @@ fn greedy_initial(
     adj: &[Vec<(u32, f64)>],
     weights: &[f64],
     n_parts: usize,
-    balance: f64,
     rng: &mut StdRng,
 ) -> Vec<u32> {
     let n = adj.len();
     let total: f64 = weights.iter().sum();
-    let cap = balance * total / n_parts as f64;
+    let cap = BALANCE * total / n_parts as f64;
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
     order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]));
@@ -239,18 +215,17 @@ fn refine(
     weights: &[f64],
     assignment: &mut [u32],
     n_parts: usize,
-    cfg: &MultilevelConfig,
     rng: &mut StdRng,
 ) {
     let n = adj.len();
     let total: f64 = weights.iter().sum();
-    let cap = cfg.balance * total / n_parts as f64;
+    let cap = BALANCE * total / n_parts as f64;
     let mut part_weights = vec![0.0f64; n_parts];
     for v in 0..n {
         part_weights[assignment[v] as usize] += weights[v];
     }
     let mut order: Vec<usize> = (0..n).collect();
-    for _ in 0..cfg.refine_passes {
+    for _ in 0..REFINE_PASSES {
         order.shuffle(rng);
         let mut moves = 0usize;
         for &v in &order {
@@ -313,7 +288,7 @@ mod tests {
     #[test]
     fn bisects_two_cliques_perfectly() {
         let g = two_cliques(16);
-        let assignment = partition_graph(&g, 2, &MultilevelConfig::default());
+        let assignment = partition_graph(&g, 2);
         assert!(
             g.cut_weight(&assignment) <= 0.011,
             "cut {}",
@@ -327,16 +302,12 @@ mod tests {
     #[test]
     fn respects_balance_cap() {
         let g = two_cliques(20);
-        let cfg = MultilevelConfig {
-            balance: 1.1,
-            ..Default::default()
-        };
-        let assignment = partition_graph(&g, 4, &cfg);
+        let assignment = partition_graph(&g, 4);
         let mut sizes = vec![0usize; 4];
         for &p in &assignment {
             sizes[p as usize] += 1;
         }
-        let cap = (1.1_f64 * 40.0 / 4.0).ceil() as usize;
+        let cap = (BALANCE * 40.0 / 4.0).ceil() as usize;
         assert!(
             sizes.iter().all(|&s| s <= cap + 1),
             "sizes {sizes:?} cap {cap}"
@@ -348,7 +319,7 @@ mod tests {
         let g = SimilarityGraph {
             adj: vec![Vec::new(); 50],
         };
-        let assignment = partition_graph(&g, 5, &MultilevelConfig::default());
+        let assignment = partition_graph(&g, 5);
         assert_eq!(assignment.len(), 50);
         let mut sizes = vec![0usize; 5];
         for &p in &assignment {
@@ -360,16 +331,12 @@ mod tests {
     #[test]
     fn single_part_is_trivial() {
         let g = two_cliques(4);
-        assert_eq!(
-            partition_graph(&g, 1, &MultilevelConfig::default()),
-            vec![0; 8]
-        );
+        assert_eq!(partition_graph(&g, 1), vec![0; 8]);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let g = two_cliques(12);
-        let cfg = MultilevelConfig::default();
-        assert_eq!(partition_graph(&g, 3, &cfg), partition_graph(&g, 3, &cfg));
+        assert_eq!(partition_graph(&g, 3), partition_graph(&g, 3));
     }
 }

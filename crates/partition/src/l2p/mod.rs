@@ -55,6 +55,7 @@
 //! * **Scoring only ranks.** The within-side distance of a candidate split
 //!   is computed only when there are several restarts to choose between.
 
+use crate::objective::from_groups;
 use crate::rep::RepMatrix;
 use les3_core::{Jaccard, Partitioning, Similarity};
 use les3_data::{SetDatabase, SetId};
@@ -173,7 +174,7 @@ impl L2p {
         order.sort_by_key(|&id| db.set(id).first().copied().unwrap_or(u32::MAX));
         let chunk = db.len().div_ceil(init_groups);
         let mut groups: Vec<Vec<SetId>> = order.chunks(chunk).map(|c| c.to_vec()).collect();
-        levels.push(groups_to_partitioning(db.len(), &groups));
+        levels.push(from_groups(db.len(), &groups));
 
         let mut reports: Vec<TrainReport> = Vec::new();
         let mut models_trained = 0usize;
@@ -229,7 +230,7 @@ impl L2p {
                 }
             }
             groups = next_groups;
-            levels.push(groups_to_partitioning(db.len(), &groups));
+            levels.push(from_groups(db.len(), &groups));
         }
 
         L2pResult {
@@ -423,16 +424,6 @@ fn split_score(candidate: &SplitOutcome, n_members: usize, pairs: &[(u32, u32, f
     } else {
         0.0
     }
-}
-
-fn groups_to_partitioning(n_sets: usize, groups: &[Vec<SetId>]) -> Partitioning {
-    let mut assignment = vec![0u32; n_sets];
-    for (g, members) in groups.iter().enumerate() {
-        for &id in members {
-            assignment[id as usize] = g as u32;
-        }
-    }
-    Partitioning::from_assignment(assignment, groups.len())
 }
 
 /// SplitMix64-style seed derivation so every (level, group) model is

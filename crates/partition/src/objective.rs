@@ -4,7 +4,7 @@ use les3_core::{Partitioning, Similarity};
 use les3_data::{SetDatabase, SetId, TokenId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// The general partitioning objective (Eq. 13): the sum over groups of all
@@ -12,17 +12,10 @@ use std::collections::HashSet;
 ///
 /// Exact computation is `O(Σ_g |G_g|²)`; use [`gpo_sampled`] at scale.
 pub fn gpo<S: Similarity>(db: &SetDatabase, part: &Partitioning, sim: S) -> f64 {
-    let mut total = 0.0;
-    for g in 0..part.n_groups() as u32 {
-        let members = part.members(g);
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                // Eq. 13 counts ordered pairs; each unordered pair twice.
-                total += 2.0 * (1.0 - sim.eval(db.set(a), db.set(b)));
-            }
-        }
-    }
-    total
+    // Eq. 13 counts ordered pairs; each unordered pair twice. Doubling is
+    // exact, so 2·Σ d is bit for bit Σ 2·d.
+    let pairs = (0..part.n_groups() as u32).flat_map(|g| within_pairs(part.members(g)));
+    2.0 * distance_sum(db, sim, pairs).0
 }
 
 /// Sampled GPO estimate: for each group, averages the pairwise distance
@@ -45,15 +38,15 @@ pub fn gpo_sampled<S: Similarity>(
         }
         let pairs = (m * (m - 1)) as f64; // ordered pairs
         let n_samples = samples.min(m * (m - 1) / 2).max(1);
-        let mut acc = 0.0;
-        for _ in 0..n_samples {
-            let a = members[rand::Rng::gen_range(&mut rng, 0..m)];
-            let mut b = members[rand::Rng::gen_range(&mut rng, 0..m)];
-            while b == a && m > 1 {
-                b = members[rand::Rng::gen_range(&mut rng, 0..m)];
+        let sampled = (0..n_samples).map(|_| {
+            let a = members[rng.gen_range(0..m)];
+            let mut b = members[rng.gen_range(0..m)];
+            while b == a {
+                b = members[rng.gen_range(0..m)];
             }
-            acc += 1.0 - sim.eval(db.set(a), db.set(b));
-        }
+            (a, b)
+        });
+        let (acc, _) = distance_sum(db, sim, sampled);
         total += acc / n_samples as f64 * pairs;
     }
     total
@@ -63,32 +56,14 @@ pub fn gpo_sampled<S: Similarity>(
 /// Theorem 4.3 (Eq. 10). Under the uniform assumption, minimizing `U`
 /// with balanced groups maximizes pruning efficiency.
 pub fn signature_cost(db: &SetDatabase, part: &Partitioning) -> usize {
-    let mut total = 0usize;
-    let mut sig: HashSet<TokenId> = HashSet::new();
-    for g in 0..part.n_groups() as u32 {
-        sig.clear();
-        for &id in part.members(g) {
-            sig.extend(db.set(id).iter().copied());
-        }
-        total += sig.len();
-    }
-    total
+    signatures(db, part).iter().map(HashSet::len).sum()
 }
 
 /// The `F` value of Eq. 8: `Σ_g |G_g| Σ_Q |GS_g ∩ Q| / |Q|`, estimated over
 /// the given queries. Minimizing `F` maximizes expected pruning efficiency
 /// (Eq. 5–8).
 pub fn f_value(db: &SetDatabase, part: &Partitioning, queries: &[Vec<TokenId>]) -> f64 {
-    // Group signatures as hash sets.
-    let sigs: Vec<HashSet<TokenId>> = (0..part.n_groups() as u32)
-        .map(|g| {
-            let mut s = HashSet::new();
-            for &id in part.members(g) {
-                s.extend(db.set(id).iter().copied());
-            }
-            s
-        })
-        .collect();
+    let sigs = signatures(db, part);
     let mut total = 0.0;
     for (g, sig) in sigs.iter().enumerate() {
         let size = part.members(g as u32).len() as f64;
@@ -113,15 +88,7 @@ pub fn expected_pe<S: Similarity>(
     if db.is_empty() || queries.is_empty() {
         return 1.0;
     }
-    let sigs: Vec<HashSet<TokenId>> = (0..part.n_groups() as u32)
-        .map(|g| {
-            let mut s = HashSet::new();
-            for &id in part.members(g) {
-                s.extend(db.set(id).iter().copied());
-            }
-            s
-        })
-        .collect();
+    let sigs = signatures(db, part);
     let mut total = 0.0;
     for q in queries {
         let q_len = les3_core::sim::distinct_len(q);
@@ -172,6 +139,36 @@ pub fn optimal_bruteforce<S: Similarity>(
     }
 }
 
+/// Each group's signature `GS_g`: the union of its members' tokens.
+fn signatures(db: &SetDatabase, part: &Partitioning) -> Vec<HashSet<TokenId>> {
+    (0..part.n_groups() as u32)
+        .map(|g| {
+            let members = part.members(g).iter();
+            members.flat_map(|&id| db.set(id).iter().copied()).collect()
+        })
+        .collect()
+}
+
+/// `(Σ (1 − Sim(a, b)), pair count)` over `pairs`, in one running sum in
+/// the given order (f64 addition is not associative, so the order is part
+/// of the result). Every distance estimate of the partitioners and the
+/// exact [`gpo`] go through here; each caller applies its own scaling.
+pub(crate) fn distance_sum<S: Similarity>(
+    db: &SetDatabase,
+    sim: S,
+    pairs: impl IntoIterator<Item = (SetId, SetId)>,
+) -> (f64, usize) {
+    pairs.into_iter().fold((0.0, 0), |(acc, count), (a, b)| {
+        (acc + (1.0 - sim.eval(db.set(a), db.set(b))), count + 1)
+    })
+}
+
+/// Every unordered pair of `sample`, as nested loops with `j > i`.
+pub(crate) fn within_pairs(sample: &[SetId]) -> impl Iterator<Item = (SetId, SetId)> + '_ {
+    let later = |(i, &a): (usize, &SetId)| sample[i + 1..].iter().map(move |&b| (a, b));
+    sample.iter().enumerate().flat_map(later)
+}
+
 /// Samples up to `count` member ids of a group (partitioner helper).
 pub(crate) fn sample_members(members: &[SetId], count: usize, rng: &mut StdRng) -> Vec<SetId> {
     if members.len() <= count {
@@ -181,6 +178,18 @@ pub(crate) fn sample_members(members: &[SetId], count: usize, rng: &mut StdRng) 
     v.shuffle(rng);
     v.truncate(count);
     v
+}
+
+/// The partitioning whose group `g` is `groups[g]` (the groups must cover
+/// `0..n_sets` exactly once).
+pub(crate) fn from_groups(n_sets: usize, groups: &[Vec<SetId>]) -> Partitioning {
+    let mut assignment = vec![0u32; n_sets];
+    for (g, members) in groups.iter().enumerate() {
+        for &id in members {
+            assignment[id as usize] = g as u32;
+        }
+    }
+    Partitioning::from_assignment(assignment, groups.len())
 }
 
 #[cfg(test)]

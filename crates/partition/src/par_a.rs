@@ -6,41 +6,37 @@
 //! `φ(G₁ ∪ G₂)`. Partner evaluation samples both candidate groups and —
 //! for tractability at scale — a random subset of candidate partners.
 
-use crate::objective::sample_members;
+use crate::objective::{distance_sum, from_groups, sample_members, within_pairs};
 use les3_core::{Partitioning, Similarity};
 use les3_data::{SetDatabase, SetId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Configuration of the agglomerative partitioner.
+/// Members sampled per group in `φ` estimates.
+const SAMPLE: usize = 8;
+/// Candidate partner groups evaluated per merge (sampled).
+const CANDIDATES: usize = 32;
+/// RNG seed.
+const SEED: u64 = 0;
+
+/// The agglomerative partitioner.
 #[derive(Debug, Clone)]
 pub struct ParA {
     /// Target number of groups.
     pub n_groups: usize,
-    /// Members sampled per group in `φ` estimates.
-    pub sample_size: usize,
-    /// Candidate partner groups evaluated per merge (sampled).
-    pub candidate_groups: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl ParA {
-    /// Sensible defaults for bench-scale data.
+    /// PAR-A down to `n_groups` groups.
     pub fn new(n_groups: usize) -> Self {
-        Self {
-            n_groups,
-            sample_size: 8,
-            candidate_groups: 32,
-            seed: 0,
-        }
+        Self { n_groups }
     }
 
     /// Runs the partitioner.
     pub fn partition<S: Similarity>(&self, db: &SetDatabase, sim: S) -> Partitioning {
         assert!(self.n_groups >= 1);
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut groups: Vec<Vec<SetId>> = (0..db.len() as SetId).map(|id| vec![id]).collect();
         while groups.len() > self.n_groups {
             // Smallest group first (§4.3.4 simplification), ties random.
@@ -52,12 +48,12 @@ impl ParA {
             // Sample candidate partners.
             let mut candidates: Vec<usize> = (0..groups.len()).filter(|&g| g != g1).collect();
             candidates.shuffle(&mut rng);
-            candidates.truncate(self.candidate_groups.max(1));
+            candidates.truncate(CANDIDATES);
             let g2 = *candidates
                 .iter()
                 .min_by(|&&a, &&b| {
-                    let pa = self.estimated_merged_phi(db, sim, &groups[g1], &groups[a], &mut rng);
-                    let pb = self.estimated_merged_phi(db, sim, &groups[g1], &groups[b], &mut rng);
+                    let pa = estimated_merged_phi(db, sim, &groups[g1], &groups[a], &mut rng);
+                    let pb = estimated_merged_phi(db, sim, &groups[g1], &groups[b], &mut rng);
                     pa.total_cmp(&pb)
                 })
                 .unwrap();
@@ -66,57 +62,32 @@ impl ParA {
             groups[g2].extend(moved);
             groups.swap_remove(g1);
         }
-        let n_groups = groups.len();
-        let mut assignment = vec![0u32; db.len()];
-        for (g, members) in groups.iter().enumerate() {
-            for &id in members {
-                assignment[id as usize] = g as u32;
-            }
-        }
-        Partitioning::from_assignment(assignment, n_groups)
+        from_groups(db.len(), &groups)
     }
+}
 
-    /// Estimated `φ(G₁ ∪ G₂)`: within-φ of both sides plus the cross term,
-    /// all from samples.
-    fn estimated_merged_phi<S: Similarity>(
-        &self,
-        db: &SetDatabase,
-        sim: S,
-        g1: &[SetId],
-        g2: &[SetId],
-        rng: &mut StdRng,
-    ) -> f64 {
-        let s1 = sample_members(g1, self.sample_size, rng);
-        let s2 = sample_members(g2, self.sample_size, rng);
-        let mut acc = 0.0;
-        let mut count = 0usize;
-        for &a in &s1 {
-            for &b in &s2 {
-                acc += 1.0 - sim.eval(db.set(a), db.set(b));
-                count += 1;
-            }
+/// Estimated `φ(G₁ ∪ G₂)`: within-φ of both sides plus the cross term,
+/// all from samples. No group is ever empty, so no sum is over nothing.
+fn estimated_merged_phi<S: Similarity>(
+    db: &SetDatabase,
+    sim: S,
+    g1: &[SetId],
+    g2: &[SetId],
+    rng: &mut StdRng,
+) -> f64 {
+    let s1 = sample_members(g1, SAMPLE, rng);
+    let s2 = sample_members(g2, SAMPLE, rng);
+    let cross_pairs = s1.iter().flat_map(|&a| s2.iter().map(move |&b| (a, b)));
+    let (acc, count) = distance_sum(db, sim, cross_pairs);
+    let cross = acc / count as f64 * (2 * g1.len() * g2.len()) as f64;
+    let phi_within = |s: &[SetId], full: usize| -> f64 {
+        if s.len() < 2 {
+            return 0.0;
         }
-        let cross = if count == 0 {
-            0.0
-        } else {
-            acc / count as f64 * (2 * g1.len() * g2.len()) as f64
-        };
-        let phi_within = |s: &[SetId], full: usize| -> f64 {
-            if s.len() < 2 || full < 2 {
-                return 0.0;
-            }
-            let mut acc = 0.0;
-            let mut c = 0usize;
-            for (i, &a) in s.iter().enumerate() {
-                for &b in &s[i + 1..] {
-                    acc += 1.0 - sim.eval(db.set(a), db.set(b));
-                    c += 1;
-                }
-            }
-            acc / c as f64 * (full * (full - 1)) as f64
-        };
-        cross + phi_within(&s1, g1.len()) + phi_within(&s2, g2.len())
-    }
+        let (acc, count) = distance_sum(db, sim, within_pairs(s));
+        acc / count as f64 * (full * (full - 1)) as f64
+    };
+    cross + phi_within(&s1, g1.len()) + phi_within(&s2, g2.len())
 }
 
 #[cfg(test)]

@@ -7,42 +7,38 @@
 //! rather than the best), and group distances are estimated from sampled
 //! members (footnote 2).
 
-use crate::objective::sample_members;
+use crate::objective::{distance_sum, sample_members};
 use les3_core::{Partitioning, Similarity};
 use les3_data::{SetDatabase, SetId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Configuration of the centroid-based partitioner.
+/// Maximum relocation passes over the database.
+const ROUNDS: usize = 5;
+/// Members sampled per group when estimating `Σ_{x∈G} dist(S, x)`.
+const SAMPLE: usize = 16;
+/// RNG seed.
+const SEED: u64 = 0;
+
+/// The centroid-based partitioner.
 #[derive(Debug, Clone)]
 pub struct ParC {
     /// Target number of groups `n`.
     pub n_groups: usize,
-    /// Maximum relocation passes over the database.
-    pub max_rounds: usize,
-    /// Members sampled per group when estimating `Σ_{x∈G} dist(S, x)`.
-    pub sample_size: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl ParC {
-    /// Sensible defaults for bench-scale data.
+    /// PAR-C into `n_groups` groups.
     pub fn new(n_groups: usize) -> Self {
-        Self {
-            n_groups,
-            max_rounds: 5,
-            sample_size: 16,
-            seed: 0,
-        }
+        Self { n_groups }
     }
 
     /// Runs the partitioner.
     pub fn partition<S: Similarity>(&self, db: &SetDatabase, sim: S) -> Partitioning {
         assert!(self.n_groups >= 1);
         let n = db.len();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         // Random initialization (§4.3.2 step 1).
         let mut assignment: Vec<u32> = (0..n)
             .map(|_| rng.gen_range(0..self.n_groups as u32))
@@ -53,27 +49,21 @@ impl ParC {
         }
         let mut order: Vec<usize> = (0..n).collect();
         let mut group_order: Vec<u32> = (0..self.n_groups as u32).collect();
-        for _ in 0..self.max_rounds {
+        for _ in 0..ROUNDS {
             order.shuffle(&mut rng);
             let mut moved = 0usize;
             for &i in &order {
                 let id = i as SetId;
                 let cur = assignment[i];
                 // Estimated total distance to the current group (minus S).
-                let d_cur = self.estimated_total_distance(
-                    db,
-                    sim,
-                    id,
-                    &members[cur as usize],
-                    true,
-                    &mut rng,
-                );
+                let d_cur =
+                    estimated_total_distance(db, sim, id, &members[cur as usize], true, &mut rng);
                 group_order.shuffle(&mut rng);
                 for &cand in &group_order {
                     if cand == cur {
                         continue;
                     }
-                    let d_new = self.estimated_total_distance(
+                    let d_new = estimated_total_distance(
                         db,
                         sim,
                         id,
@@ -97,41 +87,28 @@ impl ParC {
         }
         Partitioning::from_assignment(assignment, self.n_groups)
     }
+}
 
-    /// Estimates `Σ_{x∈G} (1 − Sim(S, x))` by sampling; `exclude_self`
-    /// drops `S` from its own group.
-    fn estimated_total_distance<S: Similarity>(
-        &self,
-        db: &SetDatabase,
-        sim: S,
-        id: SetId,
-        group: &[SetId],
-        exclude_self: bool,
-        rng: &mut StdRng,
-    ) -> f64 {
-        let effective: usize = if exclude_self {
-            group.len().saturating_sub(1)
-        } else {
-            group.len()
-        };
-        if effective == 0 {
-            return 0.0;
-        }
-        let sample = sample_members(group, self.sample_size, rng);
-        let mut acc = 0.0;
-        let mut counted = 0usize;
-        for &other in &sample {
-            if exclude_self && other == id {
-                continue;
-            }
-            acc += 1.0 - sim.eval(db.set(id), db.set(other));
-            counted += 1;
-        }
-        if counted == 0 {
-            return 0.0;
-        }
-        acc / counted as f64 * effective as f64
+/// Estimates `Σ_{x∈G} (1 − Sim(S, x))` by sampling; `exclude_self`
+/// drops `S` from its own group.
+fn estimated_total_distance<S: Similarity>(
+    db: &SetDatabase,
+    sim: S,
+    id: SetId,
+    group: &[SetId],
+    exclude_self: bool,
+    rng: &mut StdRng,
+) -> f64 {
+    let effective = group.len() - usize::from(exclude_self);
+    if effective == 0 {
+        return 0.0;
     }
+    // At least one sampled member is not `S`: a sample of two or more
+    // distinct members holds `S` at most once.
+    let sample = sample_members(group, SAMPLE, rng);
+    let others = sample.iter().filter(|&&o| !(exclude_self && o == id));
+    let (acc, count) = distance_sum(db, sim, others.map(|&o| (id, o)));
+    acc / count as f64 * effective as f64
 }
 
 #[cfg(test)]
@@ -171,11 +148,7 @@ mod tests {
     #[test]
     fn recovers_obvious_clusters_mostly() {
         let db = clustered_db(3, 20);
-        let result = ParC {
-            max_rounds: 10,
-            ..ParC::new(3)
-        }
-        .partition(&db, Jaccard);
+        let result = ParC::new(3).partition(&db, Jaccard);
         // Each true cluster should be dominated by one group label.
         let mut pure = 0;
         for c in 0..3 {

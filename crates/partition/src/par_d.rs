@@ -6,37 +6,34 @@
 //! simplification of choosing the max-total-distance member), and move
 //! over every member whose move reduces the GPO.
 
-use crate::objective::sample_members;
+use crate::objective::{distance_sum, from_groups, sample_members, within_pairs};
 use les3_core::{Partitioning, Similarity};
 use les3_data::{SetDatabase, SetId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Configuration of the divisive partitioner.
+/// Members sampled when estimating distances and `φ`.
+const SAMPLE: usize = 16;
+/// RNG seed.
+const SEED: u64 = 0;
+
+/// The divisive partitioner.
 #[derive(Debug, Clone)]
 pub struct ParD {
     /// Target number of groups.
     pub n_groups: usize,
-    /// Members sampled when estimating distances and `φ`.
-    pub sample_size: usize,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl ParD {
-    /// Sensible defaults for bench-scale data.
+    /// PAR-D into `n_groups` groups.
     pub fn new(n_groups: usize) -> Self {
-        Self {
-            n_groups,
-            sample_size: 16,
-            seed: 0,
-        }
+        Self { n_groups }
     }
 
     /// Runs the partitioner.
     pub fn partition<S: Similarity>(&self, db: &SetDatabase, sim: S) -> Partitioning {
         assert!(self.n_groups >= 1);
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
         let mut groups: Vec<Vec<SetId>> = vec![(0..db.len() as SetId).collect()];
         while groups.len() < self.n_groups {
             // Find the group with the largest estimated φ (only splittable
@@ -50,8 +47,8 @@ impl ParD {
             let target = *candidates
                 .iter()
                 .max_by(|&&a, &&b| {
-                    let pa = self.estimated_phi(db, sim, &groups[a], &mut rng);
-                    let pb = self.estimated_phi(db, sim, &groups[b], &mut rng);
+                    let pa = estimated_phi(db, sim, &groups[a], &mut rng);
+                    let pb = estimated_phi(db, sim, &groups[b], &mut rng);
                     pa.total_cmp(&pb)
                 })
                 .unwrap();
@@ -65,12 +62,8 @@ impl ParD {
             let mut remaining = Vec::with_capacity(groups[target].len());
             let old = std::mem::take(&mut groups[target]);
             for id in old {
-                let to_new = self.mean_distance(db, sim, id, &new_group, &mut rng);
-                let to_old = if remaining.is_empty() {
-                    f64::INFINITY
-                } else {
-                    self.mean_distance(db, sim, id, &remaining, &mut rng)
-                };
+                let to_new = mean_distance(db, sim, id, &new_group, &mut rng);
+                let to_old = mean_distance(db, sim, id, &remaining, &mut rng);
                 if to_new < to_old {
                     new_group.push(id);
                 } else {
@@ -86,66 +79,38 @@ impl ParD {
             }
             groups.push(new_group);
         }
-        to_partitioning(db.len(), groups)
-    }
-
-    /// Estimated `φ(G)` = mean sampled pairwise distance × (ordered) pairs.
-    fn estimated_phi<S: Similarity>(
-        &self,
-        db: &SetDatabase,
-        sim: S,
-        group: &[SetId],
-        rng: &mut StdRng,
-    ) -> f64 {
-        let m = group.len();
-        if m < 2 {
-            return 0.0;
-        }
-        let sample = sample_members(group, self.sample_size, rng);
-        let mut acc = 0.0;
-        let mut count = 0usize;
-        for (i, &a) in sample.iter().enumerate() {
-            for &b in &sample[i + 1..] {
-                acc += 1.0 - sim.eval(db.set(a), db.set(b));
-                count += 1;
-            }
-        }
-        if count == 0 {
-            return 0.0;
-        }
-        acc / count as f64 * (m * (m - 1)) as f64
-    }
-
-    /// Mean distance from `id` to a sample of `group`.
-    fn mean_distance<S: Similarity>(
-        &self,
-        db: &SetDatabase,
-        sim: S,
-        id: SetId,
-        group: &[SetId],
-        rng: &mut StdRng,
-    ) -> f64 {
-        if group.is_empty() {
-            return f64::INFINITY;
-        }
-        let sample = sample_members(group, self.sample_size, rng);
-        let acc: f64 = sample
-            .iter()
-            .map(|&o| 1.0 - sim.eval(db.set(id), db.set(o)))
-            .sum();
-        acc / sample.len() as f64
+        from_groups(db.len(), &groups)
     }
 }
 
-fn to_partitioning(n_sets: usize, groups: Vec<Vec<SetId>>) -> Partitioning {
-    let n_groups = groups.len();
-    let mut assignment = vec![0u32; n_sets];
-    for (g, members) in groups.iter().enumerate() {
-        for &id in members {
-            assignment[id as usize] = g as u32;
-        }
+/// Estimated `φ(G)` = mean sampled pairwise distance × (ordered) pairs,
+/// for a splittable group (two or more members).
+fn estimated_phi<S: Similarity>(
+    db: &SetDatabase,
+    sim: S,
+    group: &[SetId],
+    rng: &mut StdRng,
+) -> f64 {
+    let m = group.len();
+    let sample = sample_members(group, SAMPLE, rng);
+    let (acc, count) = distance_sum(db, sim, within_pairs(&sample));
+    acc / count as f64 * (m * (m - 1)) as f64
+}
+
+/// Mean distance from `id` to a sample of `group` (infinite when empty).
+fn mean_distance<S: Similarity>(
+    db: &SetDatabase,
+    sim: S,
+    id: SetId,
+    group: &[SetId],
+    rng: &mut StdRng,
+) -> f64 {
+    if group.is_empty() {
+        return f64::INFINITY;
     }
-    Partitioning::from_assignment(assignment, n_groups)
+    let sample = sample_members(group, SAMPLE, rng);
+    let (acc, count) = distance_sum(db, sim, sample.iter().map(|&o| (id, o)));
+    acc / count as f64
 }
 
 #[cfg(test)]

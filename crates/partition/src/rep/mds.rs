@@ -3,8 +3,9 @@
 //! MDS embeds the sets so that Euclidean distances approximate the
 //! Jaccard distances `1 − Sim`. Classical (Torgerson) MDS double-centers
 //! the squared-distance matrix, `B = −½ J D² J`, and uses the top-`d`
-//! eigenpairs `rep_j = √λ_j · v_j`, extracted here by power iteration with
-//! deflation.
+//! eigenpairs `rep_j = √λ_j · v_j`, extracted by the crate's one power
+//! iteration with deflation (`super::power_iteration`) at `ITERATIONS` = 50
+//! rounds per component from seed `SEED` = 0.
 //!
 //! MDS is transductive — it embeds the training sets directly and needs
 //! the full `n × n` distance matrix — which is exactly why the paper finds
@@ -13,31 +14,26 @@
 //! [`RepMatrix`] for the given database rather than implementing the
 //! inductive [`super::SetRepresentation`] trait.
 
-use super::RepMatrix;
+use super::{dot, power_iteration, RepMatrix};
 use les3_core::{Jaccard, Similarity};
 use les3_data::SetDatabase;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+/// Power-iteration rounds per component.
+const ITERATIONS: usize = 50;
+/// RNG seed of the power-iteration starts.
+const SEED: u64 = 0;
 
 /// Classical MDS embedder.
 #[derive(Debug, Clone)]
 pub struct Mds {
     /// Output dimensionality.
     pub dim: usize,
-    /// Power-iteration rounds per component.
-    pub iterations: usize,
-    /// RNG seed for power-iteration starts.
-    pub seed: u64,
 }
 
 impl Mds {
     /// Creates an embedder producing `dim`-dimensional coordinates.
     pub fn new(dim: usize) -> Self {
-        Self {
-            dim,
-            iterations: 50,
-            seed: 0,
-        }
+        Self { dim }
     }
 
     /// Embeds every set of `db`.
@@ -72,58 +68,20 @@ impl Mds {
                 b[i * n + j] = -0.5 * (d2[i * n + j] - row_mean[i] - row_mean[j] + grand);
             }
         }
-        // Top-d eigenpairs by power iteration with deflation.
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        // Top-d eigenpairs: rep_j = √λ_j · v_j.
+        let b_mul = |v: &[f64]| (0..n).map(|i| dot(&b[i * n..(i + 1) * n], v)).collect();
         let mut coords = vec![0.0f64; n * self.dim];
-        let mut basis: Vec<Vec<f64>> = Vec::new();
-        for j in 0..self.dim {
-            let mut v: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            normalize(&mut v);
-            let mut lambda = 0.0;
-            for _ in 0..self.iterations {
-                let mut next = mat_vec(&b, &v, n);
-                for u in &basis {
-                    let d = dot(&next, u);
-                    for (x, y) in next.iter_mut().zip(u) {
-                        *x -= d * y;
-                    }
-                }
-                lambda = normalize(&mut next);
-                if lambda < 1e-12 {
-                    break;
-                }
-                v = next;
-            }
+        for (j, (v, lambda)) in power_iteration(n, self.dim, ITERATIONS, SEED, b_mul)
+            .into_iter()
+            .enumerate()
+        {
             let scale = lambda.max(0.0).sqrt();
             for i in 0..n {
                 coords[i * self.dim + j] = scale * v[i];
             }
-            basis.push(v);
         }
         RepMatrix::from_raw(coords, self.dim)
     }
-}
-
-fn mat_vec(m: &[f64], v: &[f64], n: usize) -> Vec<f64> {
-    let mut out = vec![0.0; n];
-    for i in 0..n {
-        out[i] = dot(&m[i * n..(i + 1) * n], v);
-    }
-    out
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn normalize(v: &mut [f64]) -> f64 {
-    let norm = dot(v, v).sqrt();
-    if norm > 0.0 {
-        for x in v.iter_mut() {
-            *x /= norm;
-        }
-    }
-    norm
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@ pub use pca::Pca;
 pub use ptr::{Ptr, PtrHalf};
 
 use les3_data::{SetDatabase, TokenId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// An inductive set → vector embedding (can embed unseen sets).
 pub trait SetRepresentation {
@@ -99,6 +101,61 @@ impl RepMatrix {
             *v *= factor;
         }
     }
+}
+
+/// The top-`d` eigenvectors of the symmetric operator `mul` on
+/// `len`-vectors, by power iteration with deflation, each with the norm of
+/// its last iterate (its eigenvalue estimate). One RNG serves the call:
+/// each start vector is drawn uniformly from `[-1, 1)^len` before its
+/// `iterations` rounds, and every iterate is deflated against the vectors
+/// found before it, in order. An iterate whose norm falls below `1e-12`
+/// ends its rounds and the previous vector stands. [`Mds`] and [`Pca`]
+/// both extract their components here.
+pub(crate) fn power_iteration(
+    len: usize,
+    d: usize,
+    iterations: usize,
+    seed: u64,
+    mul: impl Fn(&[f64]) -> Vec<f64>,
+) -> Vec<(Vec<f64>, f64)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut found: Vec<(Vec<f64>, f64)> = Vec::with_capacity(d);
+    for _ in 0..d {
+        let mut v: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        normalize(&mut v);
+        let mut norm = 0.0;
+        for _ in 0..iterations {
+            let mut next = mul(&v);
+            for (u, _) in &found {
+                let d = dot(&next, u);
+                for (x, y) in next.iter_mut().zip(u) {
+                    *x -= d * y;
+                }
+            }
+            norm = normalize(&mut next);
+            if norm < 1e-12 {
+                break;
+            }
+            v = next;
+        }
+        found.push((v, norm));
+    }
+    found
+}
+
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Scales `v` to unit length (a zero vector stays zero); returns the norm.
+fn normalize(v: &mut [f64]) -> f64 {
+    let norm = dot(v, v).sqrt();
+    if norm > 0.0 {
+        for x in v.iter_mut() {
+            *x /= norm;
+        }
+    }
+    norm
 }
 
 #[cfg(test)]

@@ -4,15 +4,20 @@
 //! sparsely: the covariance-vector product
 //! `Cov·v = (1/n) Σ_i x_i (x_i·v) − μ (μ·v)` only touches the tokens each
 //! set contains, so the |T|-dimensional n-hot vectors are never
-//! materialized. Components are extracted by power iteration with
-//! deflation. The paper's point — which the `paper` bench's Figure 8 rows
-//! measure (`embed_s`) — is that even this sparse PCA costs orders of
-//! magnitude more embedding time than PTR.
+//! materialized. Components are extracted by the crate's one power
+//! iteration with deflation (`super::power_iteration`) at `ITERATIONS` = 25
+//! rounds per component from seed `SEED` = 3, the values the `paper`
+//! recorder has always fitted with. The paper's point — which the `paper`
+//! bench's Figure 8 rows measure (`embed_s`) — is that even this sparse
+//! PCA costs orders of magnitude more embedding time than PTR.
 
-use super::SetRepresentation;
+use super::{dot, power_iteration, SetRepresentation};
 use les3_data::{SetDatabase, TokenId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+/// Power-iteration rounds per component.
+const ITERATIONS: usize = 25;
+/// RNG seed of the power-iteration starts.
+const SEED: u64 = 3;
 
 /// A fitted PCA embedding.
 #[derive(Debug, Clone)]
@@ -24,13 +29,12 @@ pub struct Pca {
 }
 
 impl Pca {
-    /// Fits `d` components on the database with `iterations` rounds of
-    /// power iteration per component.
+    /// Fits `d` components on the database.
     ///
     /// # Panics
     ///
     /// Panics if the database is empty or `d == 0`.
-    pub fn fit(db: &SetDatabase, d: usize, iterations: usize, seed: u64) -> Self {
+    pub fn fit(db: &SetDatabase, d: usize) -> Self {
         assert!(!db.is_empty(), "cannot fit PCA on an empty database");
         assert!(d > 0, "need at least one component");
         let t = db.universe_size() as usize;
@@ -44,27 +48,9 @@ impl Pca {
         for m in &mut mean {
             *m /= n;
         }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut components: Vec<Vec<f64>> = Vec::with_capacity(d);
-        for _ in 0..d {
-            let mut v: Vec<f64> = (0..t).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            normalize(&mut v);
-            for _ in 0..iterations {
-                let mut next = cov_mul(db, &mean, &v);
-                // Deflation: project out previously found components.
-                for c in &components {
-                    let dot = dot(&next, c);
-                    for (x, y) in next.iter_mut().zip(c) {
-                        *x -= dot * y;
-                    }
-                }
-                if normalize(&mut next) < 1e-12 {
-                    break; // degenerate direction; keep previous v
-                }
-                v = next;
-            }
-            components.push(v);
-        }
+        let cov = |v: &[f64]| cov_mul(db, &mean, v);
+        let components = power_iteration(t, d, ITERATIONS, SEED, cov);
+        let components = components.into_iter().map(|(v, _)| v).collect();
         Self { mean, components }
     }
 }
@@ -87,20 +73,6 @@ fn cov_mul(db: &SetDatabase, mean: &[f64], v: &[f64]) -> Vec<f64> {
         *o = *o / n - m * mu_v;
     }
     out
-}
-
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-fn normalize(v: &mut [f64]) -> f64 {
-    let norm = dot(v, v).sqrt();
-    if norm > 0.0 {
-        for x in v.iter_mut() {
-            *x /= norm;
-        }
-    }
-    norm
 }
 
 impl SetRepresentation for Pca {
@@ -140,7 +112,7 @@ mod tests {
             sets.push(vec![100 + i % 10, 100 + (i + 1) % 10, 100 + (i + 2) % 10]);
         }
         let db = SetDatabase::from_sets(sets);
-        let pca = Pca::fit(&db, 2, 30, 1);
+        let pca = Pca::fit(&db, 2);
         let a: Vec<f64> = (0..30u32).map(|i| pca.rep(db.set(i))[0]).collect();
         let b: Vec<f64> = (30..60u32).map(|i| pca.rep(db.set(i))[0]).collect();
         let mean_a = a.iter().sum::<f64>() / 30.0;
@@ -158,7 +130,7 @@ mod tests {
     fn components_are_orthonormal() {
         let db =
             SetDatabase::from_sets((0..50u32).map(|i| vec![i % 20, (i * 3) % 20, (i * 7) % 20]));
-        let pca = Pca::fit(&db, 3, 40, 2);
+        let pca = Pca::fit(&db, 3);
         for i in 0..3 {
             let norm = dot(&pca.components[i], &pca.components[i]);
             assert!((norm - 1.0).abs() < 1e-6, "component {i} norm {norm}");
@@ -172,7 +144,7 @@ mod tests {
     #[test]
     fn unseen_tokens_are_ignored() {
         let db = SetDatabase::from_sets(vec![vec![0u32, 1], vec![1, 2], vec![0, 2]]);
-        let pca = Pca::fit(&db, 1, 20, 3);
+        let pca = Pca::fit(&db, 1);
         // A set with an out-of-universe token must not panic.
         let r = pca.rep(&[0, 999]);
         assert_eq!(r.len(), 1);
