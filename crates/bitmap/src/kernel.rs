@@ -143,24 +143,6 @@ impl Bitmap {
         }
     }
 
-    /// The first payload word of the first container (its first value,
-    /// bit word or run start; 0 for an empty bitmap): the loads
-    /// [`Bitmap::count_into`] starts with, for a caller that fetches
-    /// ahead (`les3-core`'s `tgm.rs` says why).
-    #[inline]
-    pub fn first_word(&self) -> u64 {
-        match self.chunks.first() {
-            None => 0,
-            Some((_, Container::Array(array))) => {
-                array.as_slice().first().map_or(0, |&v| u64::from(v))
-            }
-            Some((_, Container::Bits(bits))) => bits.words()[0],
-            Some((_, Container::Runs(runs))) => {
-                runs.runs().first().map_or(0, |r| u64::from(r.start))
-            }
-        }
-    }
-
     /// Adds 1 to `counts[v]` for every member `v`; returns the number of
     /// members visited.
     ///
@@ -259,21 +241,6 @@ mod tests {
             let expect = u32::from(bm.contains(v));
             assert_eq!(counts[v as usize], expect, "value {v}");
         }
-    }
-
-    #[test]
-    fn first_word_is_the_first_containers_first_word() {
-        assert_eq!(Bitmap::new().first_word(), 0);
-        // Array: the first value's low 16 bits, from the first chunk.
-        assert_eq!(Bitmap::from_iter([70_000u32, 9, 5]).first_word(), 5);
-        assert_eq!(Bitmap::from_iter([70_000u32]).first_word(), 70_000 - 65_536);
-        // Bits: word 0 (every odd value).
-        let odd = Bitmap::from_iter((0..5_000u32).map(|v| 2 * v + 1));
-        assert_eq!(odd.first_word(), 0xAAAA_AAAA_AAAA_AAAA);
-        // Runs: the first run's start.
-        let mut dense = Bitmap::from_iter(100u32..30_000);
-        dense.run_optimize();
-        assert_eq!(dense.first_word(), 100);
     }
 
     #[test]

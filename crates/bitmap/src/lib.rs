@@ -19,10 +19,9 @@
 //!
 //! * the TGM's token columns (`tgm.rs`) — [`Bitmap::from_sorted`] and
 //!   [`Bitmap::run_optimize`] for builds, [`Bitmap::insert`],
-//!   [`Bitmap::remove`] and [`Bitmap::contains`] for live updates and
-//!   probes, for phase A
-//!   [`Bitmap::first_word`] (the fetch pass) and the counting kernel
-//!   [`Bitmap::count_into`], and [`Bitmap::len`] plus
+//!   [`Bitmap::remove`] for live updates, for phase A [`Bitmap::len`]
+//!   (the column-length pass), the counting kernel [`Bitmap::count_into`]
+//!   and [`Bitmap::contains`] (survivor probes), and [`Bitmap::len`] plus
 //!   [`Bitmap::serialized_size_in_bytes`] for the index size (Figure 11
 //!   of the paper reports it);
 //! * the attribute postings (`metadata.rs`) — [`Bitmap::from_sorted`],

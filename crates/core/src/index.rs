@@ -50,9 +50,12 @@
 //!   `sims_computed` and `early_exits` — which count only the members
 //!   whose tokens were read — are those of the unsigned scan. A range
 //!   reads every window member;
-//! * both loops **fetch ahead** of their merges (why: `tgm.rs` module
-//!   docs). The kNN scan resolves the next admitted member's token slice
-//!   before it merges the current one; the range loop takes its window
+//! * both loops **fetch ahead** of their merges: reaching a member's
+//!   tokens is a chain of dependent loads that misses L2 on a
+//!   benchmark-sized database, and chains issued together overlap their
+//!   misses where chains issued one by one wait for each. The kNN scan
+//!   resolves the next admitted member's token slice before it merges
+//!   the current one; the range loop takes its window
 //!   32 members at a time and reads the first token of each one the
 //!   mask keeps before it merges any of them. Only when loads are issued
 //!   moves, never which bytes are read or a verdict;
@@ -77,7 +80,7 @@ use les3_data::{SetDatabase, SetId, TokenId};
 
 use crate::partitioning::Partitioning;
 use crate::scratch::QueryScratch;
-use crate::shard::ShardedLes3Index;
+use crate::shard::{GroupBound, ShardedLes3Index};
 use crate::sim::{
     distinct_len, normalize_query, token_signature, PreparedQuery, Similarity, ThresholdedEval,
 };
@@ -134,7 +137,10 @@ impl<S: Similarity> Les3Index<S> {
     /// Upper bounds `UB(Q, G_g)` for every group, in verification order
     /// (descending bound, Eq. 2 via [`Similarity::ub_from_overlap`]),
     /// written into `scratch.bounds`. Records the true column-scan cost
-    /// (`Σ_{t∈Q} |groups(t)|` bits visited) into `stats`.
+    /// (`Σ_{t∈Q} |groups(t)|` bits visited) into `stats`. This is a kNN's
+    /// phase A, which counts every column; a range's counts only its
+    /// rarest ones and orders only the groups it verifies
+    /// (`ShardedLes3Index::filter`).
     ///
     /// The order is the engine's phase A: overlap counts are bucketed
     /// (`r ∈ 0..=|Q|`) and buckets are emitted from `r = |Q|` down, group
@@ -155,7 +161,7 @@ impl<S: Similarity> Les3Index<S> {
             bounds,
             ..
         } = scratch;
-        stats.columns_checked += self.0.filter(query, q_len, None, filter, stream) as usize;
+        stats.columns_checked += self.0.filter(query, q_len, None, None, filter, stream) as usize;
         let sim = self.0.sim;
         bounds.clear();
         bounds.extend(
@@ -625,15 +631,15 @@ impl<S: Similarity> VerifyQuery<'_, S> {
 /// The `O(G + |Q|)` bucketed descending selection of the filter pass:
 /// the `(group, r)` entries (group ids ascending) are histogrammed into
 /// buckets `r ∈ 0..=|Q|`, descending start offsets are prefixed, and
-/// each group is scattered to its verification-order position —
-/// `emit(pos, g, r)` with `pos` running over the `(r descending, group
-/// id ascending)` order. Exactly the order a stable descending sort on
-/// the (monotone in `r`) bounds would give.
+/// each group is scattered to its position in `stream`, which ends up
+/// holding exactly the entries in `(r descending, group id ascending)`
+/// order — the order a stable descending sort on the (monotone in `r`)
+/// bounds would give.
 pub(crate) fn bucketed_descending(
     entries: impl Iterator<Item = (u32, u32)> + Clone,
     q_len: usize,
     offsets: &mut Vec<u32>,
-    mut emit: impl FnMut(usize, u32, u32),
+    stream: &mut Vec<GroupBound>,
 ) {
     let n_buckets = q_len + 1;
     offsets.clear();
@@ -648,10 +654,12 @@ pub(crate) fn bucketed_descending(
         offsets[r] = acc;
         acc += here;
     }
-    for (g, r) in entries {
+    stream.clear();
+    stream.resize(acc as usize, GroupBound::default());
+    for (group, r) in entries {
         let pos = offsets[r as usize];
         offsets[r as usize] += 1;
-        emit(pos as usize, g, r);
+        stream[pos as usize] = GroupBound { group, r };
     }
 }
 
@@ -1239,7 +1247,9 @@ mod tests {
     /// A range as the loop before the hoisting: every window member the
     /// mask keeps evaluated by the reference merge, both distinct lengths
     /// and `min_overlap_for` recomputed per member. Every group whose
-    /// bound is not at least `delta` is pruned.
+    /// bound is not at least `delta` is pruned. Phase A's bits visited are
+    /// those of the rarest-first count at the least overlap whose bound
+    /// reaches `delta` (none if no overlap's does).
     fn reference_range<S: Similarity>(
         index: &Les3Index<S>,
         query: &[TokenId],
@@ -1254,15 +1264,23 @@ mod tests {
         q.sort_unstable();
         let q_len = distinct_len(&q);
         let mut counts = Vec::new();
-        stats.columns_checked = index.tgm().group_overlaps_into(&q, &mut counts) as usize;
+        index.tgm().group_overlaps_into(&q, &mut counts);
+        let reaches = |r| {
+            !sim.ub_from_overlap(q_len, r)
+                .partial_cmp(&delta)
+                .is_none_or(std::cmp::Ordering::is_lt)
+        };
+        if let Some(o) = (0..=q_len).find(|&r| reaches(r)) {
+            let kernel = &mut crate::scratch::FilterScratch::default();
+            stats.columns_checked = index.tgm().overlaps_reaching(&q, o, kernel) as usize;
+        }
         let groups: Vec<u32> = match mask {
             Some(m) => m.groups.clone(),
             None => (0..counts.len() as u32).collect(),
         };
         let (lo, hi) = window_limits(sim, q_len, q_len, delta);
         for g in groups {
-            let ub = sim.ub_from_overlap(q_len, counts[g as usize] as usize);
-            if ub.partial_cmp(&delta).is_none_or(std::cmp::Ordering::is_lt) {
+            if !reaches(counts[g as usize] as usize) {
                 stats.groups_pruned += 1;
                 continue;
             }

@@ -7,8 +7,8 @@
 //! filter-and-verify pipeline absorbs such predicates without a new
 //! verification code path: a predicate evaluates to a bitmap of matching
 //! set ids, the groups containing at least one match are the only ones
-//! phase A's one counting pass ([`crate::Tgm::group_overlaps_into`])
-//! puts in the bound stream, and the per-set mask rides into the
+//! phase A puts in the bound stream (it counts the TGM as for an
+//! unfiltered query, then picks groups), and the per-set mask rides into the
 //! existing verification loops where non-matching members are skipped
 //! before any similarity arithmetic. Everything downstream — bucketed
 //! ordering, length windows, early abandoning, the range descent,

@@ -21,6 +21,11 @@ use crate::sim::QueryBits;
 pub(crate) struct FilterScratch {
     /// Dense per-group overlap counts.
     pub(crate) counts: Vec<u32>,
+    /// The query's distinct tokens with their column lengths, rarest
+    /// first up to the counted prefix.
+    pub(crate) columns: Vec<(usize, les3_data::TokenId)>,
+    /// The groups a range's overlap can still reach, ascending.
+    pub(crate) survivors: Vec<u32>,
     /// Bucket histogram / offsets for the `O(G + |Q|)` descending
     /// selection (indexed by overlap count `r ∈ 0..=|Q|`).
     pub(crate) offsets: Vec<u32>,

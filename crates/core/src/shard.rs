@@ -166,43 +166,70 @@ impl<S: Similarity> ShardedLes3Index<S> {
         self.verify.window(g, lo, hi).0
     }
 
-    /// The filter pass: word-parallel overlap counts over the TGM for
-    /// every group, then the `O(G + |Q|)` bucketed descending selection
-    /// over every group — or, for a filtered query, over the mask's
-    /// candidate `groups` (ascending) only — written into `stream` in `(r
-    /// descending, group id ascending)` order. Returns the TGM bits
-    /// visited, `Σ_{t∈Q} |groups(t)|`, mask or not.
+    /// Phase A: the groups a query goes on to, written into `stream` in
+    /// `(r descending, group id ascending)` order. A kNN (`range` is
+    /// `None`) counts every query column over every group and orders them
+    /// all — or, for a filtered query, the mask's candidate `groups`
+    /// (ascending) only. A range at `Some(delta)` needs an overlap of at
+    /// least `o` ([`ShardedLes3Index::min_overlap`]): it counts the rarest
+    /// `|Q| − o + 1` columns, completes the counts of the groups they
+    /// reach and orders those that reach `o` — the mask's share of them,
+    /// for a filtered query — so its stream is exactly the groups it
+    /// verifies; every other group is pruned. `o = 0` is the kNN's full
+    /// count, and a `delta` no bound reaches counts nothing. Returns the
+    /// TGM bits visited ([`Tgm::overlaps_reaching`]), which the mask does
+    /// not change: it picks groups after phase A, not columns before it.
     pub(crate) fn filter(
         &self,
         query: &[TokenId],
         q_len: usize,
+        range: Option<f64>,
         groups: Option<&[u32]>,
         kernel: &mut FilterScratch,
         stream: &mut Vec<GroupBound>,
     ) -> u64 {
-        let cols = self.tgm.group_overlaps_into(query, &mut kernel.counts);
-        let counts = &kernel.counts;
-        stream.clear();
-        stream.resize(
-            groups.map_or(counts.len(), <[u32]>::len),
-            GroupBound::default(),
-        );
-        let emit = |pos: usize, group, r| stream[pos] = GroupBound { group, r };
-        match groups {
-            None => bucketed_descending(
-                (0u32..).zip(counts.iter().copied()),
-                q_len,
-                &mut kernel.offsets,
-                emit,
-            ),
-            Some(groups) => bucketed_descending(
-                groups.iter().map(|&g| (g, counts[g as usize])),
-                q_len,
-                &mut kernel.offsets,
-                emit,
-            ),
+        let Some(o) = range.map_or(Some(0), |delta| self.min_overlap(q_len, delta)) else {
+            stream.clear();
+            return 0;
+        };
+        let visited = self.tgm.overlaps_reaching(query, o, kernel);
+        let FilterScratch {
+            counts,
+            offsets,
+            survivors,
+            ..
+        } = kernel;
+        let with_r = |&g: &u32| (g, counts[g as usize]);
+        match (o, groups) {
+            (0, None) => {
+                bucketed_descending((0u32..).zip(counts.iter().copied()), q_len, offsets, stream);
+            }
+            (0, Some(groups)) => {
+                bucketed_descending(groups.iter().map(with_r), q_len, offsets, stream)
+            }
+            (_, groups) => {
+                if let Some(groups) = groups {
+                    let mut mask = groups.iter().peekable();
+                    survivors.retain(|g| {
+                        while mask.next_if(|&m| m < g).is_some() {}
+                        mask.next_if_eq(&g).is_some()
+                    });
+                }
+                bucketed_descending(survivors.iter().map(with_r), q_len, offsets, stream);
+            }
         }
-        cols
+        visited
+    }
+
+    /// The least overlap `o ∈ 0..=q_len` whose bound reaches `delta`, or
+    /// `None` if none does — no bound reaches a NaN `delta`. The bound is
+    /// monotone in the overlap, so a range verifies exactly the groups
+    /// with `r ≥ o`.
+    fn min_overlap(&self, q_len: usize, delta: f64) -> Option<usize> {
+        (0..=q_len).find(|&r| {
+            let ub = self.sim.ub_from_overlap(q_len, r);
+            ub.partial_cmp(&delta).is_some_and(Ordering::is_ge)
+        })
     }
 
     /// The best-first kNN descent over the bound stream, stopping at the
@@ -241,10 +268,12 @@ impl<S: Similarity> ShardedLes3Index<S> {
         Ok(top)
     }
 
-    /// The range descent: verifies every group of `stream` whose bound
-    /// reaches `delta`, in stream order — the order a deadline-committed
-    /// partial answer is defined by — appending hits unsorted (`settle`
-    /// sorts them). Polls `ctl` at every group boundary.
+    /// The range descent: verifies every group of `stream` — phase A
+    /// left exactly the groups whose bound reaches `delta` in it — in
+    /// stream order, the order a deadline-committed partial answer is
+    /// defined by, appending hits unsorted (`settle` sorts them), and
+    /// prunes the rest of the `n_considered` groups. Polls `ctl` at every
+    /// group boundary.
     #[allow(clippy::too_many_arguments)]
     fn range_descend(
         &self,
@@ -252,22 +281,15 @@ impl<S: Similarity> ShardedLes3Index<S> {
         cache: &mut WindowCache,
         delta: f64,
         stream: &[GroupBound],
+        n_considered: usize,
         hits: &mut Vec<(SetId, f64)>,
         stats: &mut SearchStats,
         ctl: &QueryCtl<'_>,
     ) -> Result<(), InterruptReason> {
-        // The prune point is independent of the results: the bounds are
-        // non-increasing, so the survivors are a prefix. No bound reaches
-        // a NaN `delta`, so such a range prunes every group.
-        let beaten = |b: &GroupBound| {
-            let ub = self.sim.ub_from_overlap(verify.q_len(), b.r as usize);
-            ub.partial_cmp(&delta).is_none_or(Ordering::is_lt)
-        };
-        let stop = stream.iter().position(beaten).unwrap_or(stream.len());
         // Counted before the loop: an interrupted range has pruned them
         // all the same, and its partial stats and recall estimate say so.
-        stats.groups_pruned += stream.len() - stop;
-        for b in &stream[..stop] {
+        stats.groups_pruned += n_considered - stream.len();
+        for b in stream {
             if let Some(reason) = ctl.interrupted() {
                 return Err(reason);
             }
@@ -290,14 +312,37 @@ impl<S: Similarity> ShardedLes3Index<S> {
     /// wins and the scan is skipped. [`ApproxPolicy::Anytime`] commits the
     /// partial answer when the deadline passes; every other policy fails.
     ///
-    /// Guards, then phase A (one counting pass over the query's TGM
-    /// columns; a mask only picks which groups enter the stream), one
-    /// `ctl` poll — filtering is cheap, verification is where the CPU
+    /// Guards, then phase A (`ShardedLes3Index::filter`: a kNN counts
+    /// every query column, a range only those that can still change which
+    /// groups survive; a mask only picks which groups enter the stream),
+    /// one `ctl` poll — filtering is cheap, verification is where the CPU
     /// goes, so an expired or cancelled query must not start it — then
     /// phase B over the bound stream on the calling thread: the
-    /// best-first `knn_descend`, or `range_descend` over its surviving
-    /// prefix.
+    /// best-first `knn_descend`, or `range_descend` over every group in
+    /// it.
     pub fn search(&self, q: &Query<'_>, scratch: &mut QueryScratch) -> SearchOutcome {
+        self.search_with(q, scratch, Self::filter)
+    }
+
+    /// [`ShardedLes3Index::search`] over the given phase A, which fills
+    /// the stream as [`ShardedLes3Index::filter`] does and returns the
+    /// bits it visited. `search` passes `filter`; the tests pass the full
+    /// count it replaced, as its oracle.
+    fn search_with(
+        &self,
+        q: &Query<'_>,
+        scratch: &mut QueryScratch,
+        phase_a: impl Copy
+            + Fn(
+                &Self,
+                &[TokenId],
+                usize,
+                Option<f64>,
+                Option<&[u32]>,
+                &mut FilterScratch,
+                &mut Vec<GroupBound>,
+            ) -> u64,
+    ) -> SearchOutcome {
         if let (ApproxPolicy::Prefilter { bands, rows }, None) = (q.approx, q.mask) {
             return approx::run_prefiltered(
                 self.approx_sidecar(),
@@ -307,7 +352,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 scratch,
                 |mask, scratch| {
                     let approx = ApproxPolicy::Exact;
-                    self.search(&Query { mask, approx, ..*q }, scratch)
+                    self.search_with(&Query { mask, approx, ..*q }, scratch, phase_a)
                 },
             );
         }
@@ -334,7 +379,12 @@ impl<S: Similarity> ShardedLes3Index<S> {
         window.reset(q_len);
         let n_considered = q.n_considered(self.partitioning.n_groups());
         let groups = q.mask.map(|cand| &*cand.groups);
-        stats.columns_checked += self.filter(tokens, q_len, groups, filter, stream) as usize;
+        let range = match q.kind {
+            Kind::Knn(_) => None,
+            Kind::Range(delta) => Some(delta),
+        };
+        stats.columns_checked +=
+            phase_a(self, tokens, q_len, range, groups, filter, stream) as usize;
         // Phase boundary: verification must not start for an expired or
         // cancelled query.
         if let stopped @ Some(_) = q.ctl.interrupted() {
@@ -352,7 +402,8 @@ impl<S: Similarity> ShardedLes3Index<S> {
                 Gathered::heap(self.knn_descend(&verify, window, k, stream, &mut stats, ctl))
             }
             Kind::Range(delta) => Gathered::list(|hits| {
-                self.range_descend(&verify, window, delta, stream, hits, &mut stats, ctl)
+                let n = n_considered;
+                self.range_descend(&verify, window, delta, stream, n, hits, &mut stats, ctl)
             }),
         };
         query::settle(stopped, gathered, stats, q.approx, n_considered)
@@ -472,6 +523,7 @@ mod tests {
     use super::*;
     use crate::sim::Jaccard;
     use les3_data::zipfian::ZipfianGenerator;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -517,5 +569,279 @@ mod tests {
         let res = index.knn(&[100, 200], 1);
         assert_eq!(res.hits.len(), 1);
         assert_eq!(res.hits[0].1, 0.0);
+    }
+
+    /// A phase A as `search_with` takes it.
+    type PhaseA<S> = fn(
+        &ShardedLes3Index<S>,
+        &[TokenId],
+        usize,
+        Option<f64>,
+        Option<&[u32]>,
+        &mut FilterScratch,
+        &mut Vec<GroupBound>,
+    ) -> u64;
+
+    /// Phase A before it counted rarest-first, the oracle of
+    /// [`ShardedLes3Index::filter`]: every column counted over every group
+    /// ([`Tgm::reference_overlaps_into`]), every considered group
+    /// bucket-ordered, and a range's stream cut at the first group whose
+    /// bound misses `delta` (no bound reaches a NaN one).
+    fn full_count_filter<S: Similarity>(
+        index: &ShardedLes3Index<S>,
+        query: &[TokenId],
+        q_len: usize,
+        range: Option<f64>,
+        groups: Option<&[u32]>,
+        kernel: &mut FilterScratch,
+        stream: &mut Vec<GroupBound>,
+    ) -> u64 {
+        let visited = index.tgm.reference_overlaps_into(query, &mut kernel.counts);
+        let (counts, offsets) = (&kernel.counts, &mut kernel.offsets);
+        match groups {
+            None => {
+                bucketed_descending((0u32..).zip(counts.iter().copied()), q_len, offsets, stream)
+            }
+            Some(groups) => {
+                let entries = groups.iter().map(|&g| (g, counts[g as usize]));
+                bucketed_descending(entries, q_len, offsets, stream);
+            }
+        }
+        if let Some(delta) = range {
+            let beaten = |b: &GroupBound| {
+                let ub = index.sim.ub_from_overlap(q_len, b.r as usize);
+                ub.partial_cmp(&delta).is_none_or(Ordering::is_lt)
+            };
+            stream.truncate(stream.iter().position(beaten).unwrap_or(stream.len()));
+        }
+        visited
+    }
+
+    /// `q` through `phase_a`, its `ctl` replaced by one that lets `polls`
+    /// boundary polls pass (all of them for `None`) and stops at the next:
+    /// cancelled, or — with `expire` — once the deadline it waits out at
+    /// that poll has passed, which an [`ApproxPolicy::Anytime`] query
+    /// commits.
+    fn run_stopped<S: Similarity>(
+        index: &ShardedLes3Index<S>,
+        q: &Query<'_>,
+        (polls, expire): (Option<usize>, bool),
+        scratch: &mut QueryScratch,
+        phase_a: PhaseA<S>,
+    ) -> SearchOutcome {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(20);
+        let seen = std::cell::Cell::new(0);
+        let gone = || {
+            seen.set(seen.get() + 1);
+            let stop = polls.is_some_and(|n| seen.get() > n);
+            while stop && expire && std::time::Instant::now() < deadline {
+                std::hint::spin_loop();
+            }
+            stop && !expire
+        };
+        let deadline = expire.then_some(deadline);
+        let ctl = QueryCtl::new(deadline, None).or_gone(&gone);
+        index.search_with(&Query { ctl, ..*q }, scratch, phase_a)
+    }
+
+    /// An outcome with `columns_checked` cleared: the one counter the
+    /// rarest-first rule may move.
+    fn but_bits(mut out: SearchOutcome) -> SearchOutcome {
+        match &mut out {
+            Ok((result, _)) => result.stats.columns_checked = 0,
+            Err(stop) => stop.stats.columns_checked = 0,
+        }
+        out
+    }
+
+    /// `search` against the oracle phase A on `q` stopped as `stop` says:
+    /// hits, approximation info and every counter but `columns_checked`
+    /// agree — that too for a kNN, which counts every column either way.
+    /// Stopped at the phase boundary, `search` has pruned and verified
+    /// nothing.
+    fn agrees_with_the_full_count<S: Similarity>(
+        index: &ShardedLes3Index<S>,
+        q: &Query<'_>,
+        stop: (Option<usize>, bool),
+        scratch: &mut QueryScratch,
+    ) -> Result<(), String> {
+        let got = run_stopped(index, q, stop, scratch, ShardedLes3Index::filter);
+        let want = run_stopped(index, q, stop, scratch, full_count_filter);
+        let stats = match &got {
+            Ok((result, _)) => result.stats,
+            Err(stopped) => stopped.stats,
+        };
+        if stop.0 == Some(0) && stats.groups_pruned + stats.groups_verified > 0 {
+            return Err(format!("{q:?} stopped at the phase boundary: {got:?}"));
+        }
+        let (got, want) = match q.kind {
+            Kind::Knn(_) => (got, want),
+            Kind::Range(_) => (but_bits(got), but_bits(want)),
+        };
+        if got == want {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} {:?} q={:?} masked={} stop={stop:?}:\n{got:?}\n!= {want:?}",
+                index.sim.name(),
+                q.kind,
+                q.tokens,
+                q.mask.is_some()
+            ))
+        }
+    }
+
+    const DELTAS: [f64; 10] = [
+        f64::NEG_INFINITY,
+        0.0,
+        0.3,
+        0.5,
+        0.7,
+        0.8,
+        0.9,
+        1.0,
+        1.5,
+        f64::NAN,
+    ];
+
+    proptest! {
+        /// Rarest-first phase A against the full count it replaced, through
+        /// `search`: all four measures, every δ of [`DELTAS`], member
+        /// queries with extra tokens (duplicates and ones past the universe
+        /// among them), the empty query and `u32::MAX`, random partitions
+        /// with empty groups, with and without a mask, uninterrupted and
+        /// stopped at the phase boundary or after the first group, before
+        /// and after inserts (new columns and bits) and deletes (cleared
+        /// bits). kNNs ride along at k = 1 and 5.
+        #[test]
+        fn rarest_first_phase_a_equals_the_full_count(
+            sets in prop::collection::vec(prop::collection::vec(0u32..30, 0..10), 1..50),
+            n_groups in 1usize..10,
+            picks in prop::collection::vec(0usize..1000, 50),
+            extras in prop::collection::vec((0usize..1000, prop::collection::vec(0u32..36, 0..5)), 1..4),
+            inserts in prop::collection::vec(prop::collection::vec(0u32..40, 0..10), 0..6),
+            deletes in prop::collection::vec(0usize..1000, 0..8),
+            mask_word in any::<u64>(),
+        ) {
+            fn check<S: Similarity>(
+                sim: S,
+                (db, part): (&SetDatabase, &Partitioning),
+                extras: &[(usize, Vec<TokenId>)],
+                (inserts, deletes): (&[Vec<TokenId>], &[usize]),
+                mask_word: u64,
+            ) -> Result<(), String> {
+                let mut index = ShardedLes3Index::new(db.clone(), part.clone(), sim);
+                let mut log = crate::DeletionLog::build(&index);
+                let mut scratch = QueryScratch::new();
+                let mut queries: Vec<Vec<TokenId>> = extras
+                    .iter()
+                    .map(|(pick, extra)| [db.set((pick % db.len()) as SetId), extra].concat())
+                    .collect();
+                queries.extend([vec![], vec![u32::MAX, 3, 3]]);
+                for round in 0..2 {
+                    let mask = FilterCandidates::from_words(&[mask_word], &index.partitioning);
+                    for q in &queries {
+                        for mask in [None, Some(&mask)] {
+                            for k in [1, 5] {
+                                let knn = Query { mask, ..Query::knn(q, k) };
+                                agrees_with_the_full_count(&index, &knn, (None, false), &mut scratch)?;
+                            }
+                            for delta in DELTAS {
+                                let range = Query {
+                                    mask,
+                                    approx: ApproxPolicy::Anytime,
+                                    ..Query::range(q, delta)
+                                };
+                                for polls in [None, Some(0), Some(1)] {
+                                    agrees_with_the_full_count(&index, &range, (polls, false), &mut scratch)?;
+                                }
+                            }
+                        }
+                    }
+                    if round == 0 {
+                        for set in inserts {
+                            let (id, _) = index.insert(&mut set.clone());
+                            log.note_insert(&index, id);
+                        }
+                        for &d in deletes {
+                            let id = (d % index.db.len()) as SetId;
+                            log.delete(&mut index, id);
+                        }
+                    }
+                }
+                Ok(())
+            }
+            let db = SetDatabase::from_sets(sets);
+            let assignment = picks[..db.len()].iter().map(|&p| (p % n_groups) as u32).collect();
+            let part = Partitioning::from_assignment(assignment, n_groups);
+            let fixture = (&db, &part);
+            let updates = (&inserts[..], &deletes[..]);
+            let checks = [
+                check(Jaccard, fixture, &extras, updates, mask_word),
+                check(crate::sim::Cosine, fixture, &extras, updates, mask_word),
+                check(crate::sim::Dice, fixture, &extras, updates, mask_word),
+                check(crate::sim::OverlapCoefficient, fixture, &extras, updates, mask_word),
+            ];
+            for outcome in checks {
+                prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+            }
+        }
+    }
+
+    /// An [`ApproxPolicy::Anytime`] range whose deadline passes at the
+    /// phase boundary, after the first group or after the second commits
+    /// the partial answer and recall estimate the full count would have,
+    /// for every measure, masked or not.
+    #[test]
+    fn an_expired_anytime_range_commits_what_the_full_count_would() {
+        let db = ZipfianGenerator::new(300, 120, 6.0, 1.1).generate(3);
+        let part = random_partitioning(db.len(), 12, 5);
+        let mask = FilterCandidates::from_words(&[0x5555_5555_5555_5555; 5], &part);
+        fn check<S: Similarity>(
+            index: &ShardedLes3Index<S>,
+            q: &[TokenId],
+            mask: &FilterCandidates,
+        ) {
+            let mut scratch = QueryScratch::new();
+            for mask in [None, Some(mask)] {
+                let range = Query {
+                    mask,
+                    approx: ApproxPolicy::Anytime,
+                    ..Query::range(q, 0.3)
+                };
+                for polls in 0..3 {
+                    let stop = (Some(polls), true);
+                    agrees_with_the_full_count(index, &range, stop, &mut scratch).unwrap();
+                    let (_, info) =
+                        run_stopped(index, &range, stop, &mut scratch, ShardedLes3Index::filter)
+                            .expect("an expired anytime range commits");
+                    assert!(info.approx, "stopped after {polls} polls");
+                }
+            }
+        }
+        for id in [4u32, 77] {
+            let q = db.set(id);
+            check(
+                &ShardedLes3Index::new(db.clone(), part.clone(), Jaccard),
+                q,
+                &mask,
+            );
+            check(
+                &ShardedLes3Index::new(db.clone(), part.clone(), crate::sim::Cosine),
+                q,
+                &mask,
+            );
+            check(
+                &ShardedLes3Index::new(db.clone(), part.clone(), crate::sim::Dice),
+                q,
+                &mask,
+            );
+            let overlap = crate::sim::OverlapCoefficient;
+            check(
+                &ShardedLes3Index::new(db.clone(), part.clone(), overlap),
+                q,
+                &mask,
+            );
+        }
     }
 }

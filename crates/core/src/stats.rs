@@ -22,12 +22,16 @@ pub struct SearchStats {
     /// candidate. Baselines count their own cheaper partial filters the
     /// same way.
     pub sims_computed: usize,
-    /// TGM work performed by the filter step: the number of set bits the
-    /// counting kernel actually visited — `Σ_{t∈Q} |groups(t)|`, for a
-    /// filtered query too (its mask picks groups after the one counting
-    /// pass, not columns before it). (Earlier revisions charged the dense-matrix cost
-    /// `|Q|·n_groups` regardless of how sparse the columns were; this is
-    /// the honest figure benches should plot.)
+    /// TGM work performed by the filter step: the bits visited. A kNN
+    /// counts every query column, `Σ_{t∈Q} |groups(t)|`; a range counts
+    /// its rarest `|Q| − o + 1` columns (`o`: the least overlap whose
+    /// bound reaches δ) and adds, per other column, its length if counted
+    /// whole or one per surviving group probed — 0 when no overlap's
+    /// bound reaches δ. A filtered query visits what its unfiltered twin
+    /// does (its mask picks groups after phase A, not columns before it).
+    /// (Earlier revisions charged the dense-matrix cost `|Q|·n_groups`
+    /// regardless of how sparse the columns were; this is the honest
+    /// figure benches should plot.)
     pub columns_checked: usize,
     /// Groups eliminated without verification.
     pub groups_pruned: usize,

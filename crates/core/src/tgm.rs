@@ -19,24 +19,35 @@
 //! of heap for a 2.2 MB matrix of 20 000 long sets. Updates still set
 //! and clear single bits.
 //!
-//! [`Tgm::group_overlaps_into`] runs two passes over the query. Reaching
-//! a column's groups is three dependent loads — the column's bitmap in
-//! `token_groups`, its chunk table, the first container's data — and on
-//! a benchmark-sized matrix none of them is in L2. Counting column by
-//! column makes every column wait for its own chain, so a 31-token query
-//! pays ≈ 93 misses back to back. The first pass only reads one word of
-//! every column's first container ([`Bitmap::first_word`]): the chains
-//! are independent across tokens, so the CPU has all of them in flight
-//! at once. The second pass counts, over columns that are now cached.
-//! The fetch pass reads only bytes the count reads too, so it moves when
-//! loads are issued and nothing else: counts and bits visited are those
-//! of the count alone. The range verify loop fetches its candidates'
-//! token slices ahead for the same reason (`index.rs`).
+//! Phase A (`Tgm::overlaps_reaching`) counts only what can still
+//! change which groups survive. A range at δ verifies exactly the groups
+//! whose overlap reaches `o`, the least `r` with `UB(|Q|, r) ≥ δ`. A
+//! group with `r_g ≥ o` misses at most `|Q| − o` of the query's distinct
+//! tokens, so it holds one of *any* `|Q| − o + 1` of them (pigeonhole —
+//! the prefix filter of exact set-similarity joins, applied to TGM
+//! columns instead of postings lists). So the pass reads every query
+//! column's length first — independent load chains, all in flight at
+//! once — selects the `|Q| − o + 1` shortest, counts them over every
+//! group, and takes the groups with a non-zero count as survivors. The
+//! other columns are completed over the survivors only, each the cheaper
+//! way: a membership probe per survivor, or the whole column counted.
+//! Every other group has `r_g ≤ o − 1` and is pruned uncounted. `o = 0`
+//! (a kNN, or a δ that even `r = 0` reaches) counts every column over
+//! every group, and `o = 1` counts every column with nothing to
+//! complete. On `lib_range`'s LIVEJ-shaped index (range(0.8), 256
+//! groups) this reads ≈ 190 bits per query where counting every column
+//! read ≈ 2 930 (CHANGES.md).
 
 use les3_bitmap::Bitmap;
 use les3_data::{SetDatabase, TokenId};
 
 use crate::partitioning::Partitioning;
+use crate::scratch::FilterScratch;
+
+/// What one survivor probe ([`Bitmap::contains`]: a chunk search, then a
+/// container search) costs, in bits of a counting pass: completion
+/// probes a column's survivors while they cost less than counting it.
+const PROBE_BITS: usize = 4;
 
 /// The token-group matrix: a bitmap per token over group ids.
 #[derive(Debug, Clone, Default)]
@@ -121,23 +132,106 @@ impl Tgm {
         }
     }
 
-    /// Per-group overlap counts `r_g = |GS_g ∩ Q|` for all groups in one
-    /// word-parallel counting pass, after a fetch pass (module docs), into
-    /// caller-provided storage (resized and zeroed here; reusing one buffer
-    /// across queries makes the filter step allocation-free). `query` must be sorted; duplicate tokens
-    /// count once. Returns the number of TGM bits visited —
-    /// `Σ_{t∈Q} |groups(t)|`, the honest filter cost.
-    pub fn group_overlaps_into(&self, query: &[TokenId], counts: &mut Vec<u32>) -> u64 {
+    /// Phase A of a query that only needs the groups sharing at least `o`
+    /// of its tokens (module docs): exact overlap counts `r_g = |GS_g ∩
+    /// Q|` in `kernel.counts` for every group with `r_g ≥ o` and, for `o
+    /// ≥ 1`, those groups in `kernel.survivors`, ascending. `o = 0` counts
+    /// every column and every group survives (`survivors` is left as it
+    /// was); a group outside the survivors has a count of at most `o − 1`
+    /// or none at all. `query` must be sorted; duplicate tokens count once,
+    /// tokens without a column count zero. Returns the TGM bits visited:
+    /// the prefix columns' lengths plus, per completed column, its length
+    /// or the number of survivors probed.
+    pub(crate) fn overlaps_reaching(
+        &self,
+        query: &[TokenId],
+        o: usize,
+        kernel: &mut FilterScratch,
+    ) -> u64 {
+        let FilterScratch {
+            counts,
+            columns,
+            survivors,
+            ..
+        } = kernel;
         counts.clear();
         counts.resize(self.n_groups, 0);
-        // Fetch pass (module docs); `black_box` keeps the loads alive.
-        let mut fetched = 0u64;
+        // Column-length pass: independent load chains, all in flight.
+        columns.clear();
+        let mut prev: Option<TokenId> = None;
         for &t in query {
-            if let Some(bm) = self.token_groups.get(t as usize) {
-                fetched ^= bm.first_word();
+            if prev != Some(t) {
+                prev = Some(t);
+                columns.push((self.column(t).map_or(0, Bitmap::len), t));
             }
         }
-        std::hint::black_box(fetched);
+        // Pigeonhole: a group with `r_g ≥ o` misses at most `|Q| − o` of
+        // the query's tokens, so it holds one of any `|Q| − o + 1`.
+        let prefix = (columns.len() + 1).saturating_sub(o).min(columns.len());
+        if prefix < columns.len() {
+            columns.select_nth_unstable(prefix);
+        }
+        let (prefix, rest) = columns.split_at(prefix);
+        let mut visited = 0;
+        for &(_, t) in prefix {
+            if let Some(column) = self.column(t) {
+                visited += column.count_into(counts);
+            }
+        }
+        if o == 0 {
+            return visited;
+        }
+        survivors.clear();
+        survivors.extend(
+            (0u32..)
+                .zip(counts.iter())
+                .filter(|(_, &r)| r > 0)
+                .map(|(g, _)| g),
+        );
+        for &(len, t) in rest {
+            let Some(column) = self.column(t) else {
+                continue;
+            };
+            if survivors.len() * PROBE_BITS < len {
+                for &g in survivors.iter() {
+                    counts[g as usize] += u32::from(column.contains(g));
+                }
+                visited += survivors.len() as u64;
+            } else {
+                visited += column.count_into(counts);
+            }
+        }
+        survivors.retain(|&g| counts[g as usize] as usize >= o);
+        visited
+    }
+
+    /// Per-group overlap counts `r_g = |GS_g ∩ Q|` for all groups: phase A
+    /// with every group surviving (`Tgm::overlaps_reaching` at `o = 0`),
+    /// into caller-provided storage (resized and zeroed here). `query`
+    /// must be sorted; duplicate tokens count once. Returns the number of
+    /// TGM bits visited — `Σ_{t∈Q} |groups(t)|`.
+    pub fn group_overlaps_into(&self, query: &[TokenId], counts: &mut Vec<u32>) -> u64 {
+        let mut kernel = FilterScratch {
+            counts: std::mem::take(counts),
+            ..FilterScratch::default()
+        };
+        let visited = self.overlaps_reaching(query, 0, &mut kernel);
+        *counts = kernel.counts;
+        visited
+    }
+
+    /// Token `t`'s column, if the matrix has one.
+    fn column(&self, t: TokenId) -> Option<&Bitmap> {
+        self.token_groups.get(t as usize)
+    }
+
+    /// Phase A as it was before it counted rarest-first, less the fetch
+    /// pass that only moved its loads: every column counted over every
+    /// group. The oracle of the rarest-first rule.
+    #[cfg(test)]
+    pub(crate) fn reference_overlaps_into(&self, query: &[TokenId], counts: &mut Vec<u32>) -> u64 {
+        counts.clear();
+        counts.resize(self.n_groups, 0);
         let mut touched = 0u64;
         let mut prev: Option<TokenId> = None;
         for &t in query {
@@ -258,11 +352,14 @@ mod tests {
         assert_eq!(tgm.group_overlaps(&[10]), vec![0, 1]);
     }
 
-    /// The fetch pass only reads ahead: for duplicate tokens, tokens at
-    /// or past `n_tokens()`, columns that deletes emptied and the empty
-    /// query, the counts are the per-group bit sums over the distinct
-    /// tokens, and the bits visited — the engine's `columns_checked` —
-    /// are the summed lengths of their columns.
+    /// The column-length pass only reads ahead: for duplicate tokens,
+    /// tokens at or past `n_tokens()`, columns that deletes emptied and
+    /// the empty query, the counts are the per-group bit sums over the
+    /// distinct tokens, and the bits visited — a kNN's `columns_checked`
+    /// — are the summed lengths of their columns. A range at δ = 0.5
+    /// visits `range_bits`: its rarest `|Q| − o + 1` columns, then the
+    /// rest over the groups those reach — nothing more when the rarest
+    /// columns are past the universe or emptied.
     #[test]
     fn phase_a_edge_queries_visit_each_column_once() {
         use crate::sim::Jaccard;
@@ -281,7 +378,7 @@ mod tests {
         let db = SetDatabase::from_sets(sets.collect::<Vec<_>>());
         let part = Partitioning::from_assignment((0..40).map(|i| i % 8).collect(), 8);
         let mut index = Les3Index::build(db, part, Jaccard);
-        let check = |index: &Les3Index<Jaccard>, query: &[TokenId]| {
+        let check = |index: &Les3Index<Jaccard>, query: &[TokenId], range_bits: usize| {
             let tgm = index.tgm();
             let mut distinct = query.to_vec();
             distinct.sort_unstable();
@@ -303,17 +400,17 @@ mod tests {
             assert_eq!(index.knn(query, 3).stats.columns_checked, cols, "{query:?}");
             assert_eq!(
                 index.range(query, 0.5).stats.columns_checked,
-                cols,
+                range_bits,
                 "{query:?}"
             );
             cols
         };
-        assert_eq!(check(&index, &[]), 0);
-        assert_eq!(check(&index, &[8, 8, 8]), 8);
-        assert_eq!(check(&index, &[2, 8, 2, 8, 0]), 3 * 8);
+        assert_eq!(check(&index, &[], 0), 0);
+        assert_eq!(check(&index, &[8, 8, 8], 8), 8);
+        assert_eq!(check(&index, &[2, 8, 2, 8, 0], 3 * 8), 3 * 8);
         let n = index.tgm().n_tokens() as TokenId;
         assert_eq!(n, 12);
-        assert_eq!(check(&index, &[u32::MAX, n, 8, n + 500, 11]), 8 + 1);
+        assert_eq!(check(&index, &[u32::MAX, n, 8, n + 500, 11], 0), 8 + 1);
         let mut log = DeletionLog::build(&index);
         assert!(log.delete(&mut index, 38) && log.delete(&mut index, 39));
         assert_eq!(
@@ -321,8 +418,8 @@ mod tests {
             12,
             "an emptied column stays allocated"
         );
-        assert_eq!(check(&index, &[10, 11]), 0);
-        assert_eq!(check(&index, &[11, 10, 11, 8, n]), 8);
+        assert_eq!(check(&index, &[10, 11], 0), 0);
+        assert_eq!(check(&index, &[11, 10, 11, 8, n], 0), 8);
     }
 
     /// The matrix as it was built before the counting passes: every bit
