@@ -50,12 +50,27 @@
 //!   `sims_computed` and `early_exits` — which count only the members
 //!   whose tokens were read — are those of the unsigned scan. A range
 //!   reads every window member;
+//! * the kNN loop is a **block walk**: 64 window members at a time make a
+//!   `kept` word (the mask's bits; all ones unmasked), whose popcount is
+//!   the block's candidates, and a `pass` word, one bit per kept member
+//!   with `popcount(sig_Q ⊕ sig_S)` below the pass limit of its length
+//!   (`|Q| + L + 1 − 2·needed(L)`, from a per-threshold table in
+//!   `WindowCache`), set without a branch on its outcome. Only the pass
+//!   bits are visited, in order. The per-member loop this replaced spent
+//!   its time on branches, not on arithmetic: each admitted member (≈ a
+//!   fifth) ended its search in a mispredicted exit, and a hardware
+//!   popcount alone bought nothing there. A sparse `kept` word (a
+//!   selective mask) is checked member by member, so it pays no more
+//!   than it did. The engine's kNN descent is compiled twice, portable
+//!   and for the `popcnt` instruction, and the CPU is asked once per
+//!   query which one to run;
 //! * both loops **fetch ahead** of their merges: reaching a member's
 //!   tokens is a chain of dependent loads that misses L2 on a
 //!   benchmark-sized database, and chains issued together overlap their
-//!   misses where chains issued one by one wait for each. The kNN scan
-//!   resolves the next admitted member's token slice before it merges
-//!   the current one; the range loop takes its window
+//!   misses where chains issued one by one wait for each. The kNN walk
+//!   resolves the next pass member's token slice (the next set bit,
+//!   making the next block's words if the current ones are spent) before
+//!   it merges the current one; the range loop takes its window
 //!   32 members at a time and reads the first token of each one the
 //!   mask keeps before it merges any of them. Only when loads are issued
 //!   moves, never which bytes are read or a verdict;
@@ -348,12 +363,21 @@ pub(crate) struct WindowCache {
     /// `min_overlap_for(t, |Q|, L)` by length `L <` [`NEEDED_LENS`], with
     /// its stamp; longer members compute theirs.
     needed: Vec<(u64, u32)>,
+    /// The pass limits of [`WindowCache::pass_limits`] by length; those
+    /// in `lims_fresh` are at the threshold the key holds.
+    lims: Vec<u8>,
+    lims_fresh: std::ops::Range<usize>,
 }
 
 /// The member lengths [`WindowCache`] keeps a minimal overlap for: its
 /// table grows to the longest member a window offers, at most this many
 /// entries (1 MiB).
 const NEEDED_LENS: usize = 1 << 16;
+
+/// The most lengths [`WindowCache::pass_limits`] adds to its table for
+/// one block: a block whose lengths lie far from the lengths the table
+/// holds is checked member by member instead.
+const LIM_GROWTH: usize = 2 * BLOCK;
 
 impl WindowCache {
     /// Starts a query of `q_len` distinct tokens: every entry goes stale.
@@ -373,6 +397,7 @@ impl WindowCache {
         }
         self.key = Some(t.to_bits());
         self.lo_len = None;
+        self.lims_fresh = 0..0;
         self.stamp += 1;
     }
 
@@ -397,6 +422,47 @@ impl WindowCache {
             *entry = (self.stamp, hi_end(sim, q_len, c, t));
         }
         (lo.min(c), entry.1)
+    }
+
+    /// The pass limits of lengths `first..=last` at threshold `t`, in a
+    /// table indexed by `L − first`: entry `L` is `|Q| + L + 1 −
+    /// 2·needed(L)`, clamped to `0..=65`, so a member of length `L` and
+    /// signature `sig` has [`PreparedQuery::overlap_bound`] `≥ needed(L)`
+    /// iff `popcount(sig_Q ⊕ sig) <` its entry. The table keeps one run of
+    /// lengths per threshold and extends it by what a block adds; `None`
+    /// when that is more than [`LIM_GROWTH`] lengths, or the run would
+    /// reach [`NEEDED_LENS`] (the caller checks such a block member by
+    /// member).
+    #[inline(always)]
+    fn pass_limits<S: Similarity>(
+        &mut self,
+        sim: S,
+        first: usize,
+        last: usize,
+        t: f64,
+    ) -> Option<&[u8]> {
+        self.rekey(t);
+        let (have, want) = (self.lims_fresh.clone(), first..last + 1);
+        if want.start < have.start || want.end > have.end {
+            let grown = if have.is_empty() {
+                want
+            } else {
+                have.start.min(want.start)..have.end.max(want.end)
+            };
+            if grown.end > NEEDED_LENS || grown.len() - have.len() > LIM_GROWTH {
+                return None;
+            }
+            if self.lims.len() < grown.end {
+                self.lims.resize(grown.end, 0);
+            }
+            for len in grown.clone().filter(|l| !have.contains(l)) {
+                let needed = self.needed(sim, len, t);
+                let lim = (self.q_len + len + 1).saturating_sub(2 * needed).min(65);
+                self.lims[len] = lim as u8;
+            }
+            self.lims_fresh = grown;
+        }
+        Some(&self.lims[first..=last])
     }
 
     /// `sim.min_overlap_for(t, |Q|, len)`.
@@ -480,6 +546,8 @@ impl<S: Similarity> VerifyQuery<'_, S> {
     /// and charging the work to `stats`. A member the cap leaves out is
     /// below the k-th similarity already, so the heap never sees it.
     /// `cache` is the query's own ([`WindowCache::reset`] at `|Q|`).
+    /// Inlined into both compilations of the engine's kNN descent.
+    #[inline(always)]
     pub(crate) fn knn_window(
         &self,
         cache: &mut WindowCache,
@@ -493,87 +561,131 @@ impl<S: Similarity> VerifyQuery<'_, S> {
         let (ids, lens, sigs, skipped) = order.window(g, lo, hi);
         stats.size_skipped += skipped;
         let window = (ids, lens, sigs);
-        // Branch on the filter once per window, not per candidate:
-        // non-matching members are skipped before any accounting.
+        // Branch on the filter once per window, not per block.
         match self.filter {
-            None => self.scan(cache, window, |_| true, top, stats),
-            Some(m) => self.scan(cache, window, |id| m.contains(id), top, stats),
+            None => self.walk(
+                cache,
+                window,
+                |ids| u64::MAX >> (BLOCK - ids.len()),
+                top,
+                stats,
+            ),
+            Some(m) => self.walk(cache, window, |ids| kept_word(m, ids), top, stats),
         }
     }
 
-    /// The candidate loop. Everything constant across candidates stays
-    /// out of it: `|Q|` comes from the caller, `|S|` and the signature
-    /// from the stored window arrays, and the minimal overlap is looked
-    /// up in `cache` only when the length or the threshold changes —
-    /// windows are length-sorted and the threshold moves only on an
-    /// accepted hit, so that is a few times per group. A candidate whose
-    /// signature bound ([`PreparedQuery::overlap_bound`]) is below the
-    /// minimal overlap is strictly below the k-th similarity and is
-    /// dropped without reading its tokens; every other one goes through
-    /// the one per-candidate hook, [`Similarity::eval_prepared`].
-    fn scan(
+    /// The candidate loop, a block walk: the window is taken 64 members at
+    /// a time, and each block makes two words. `kept` has a bit per member
+    /// the mask keeps (all of them when unmasked); each one is a
+    /// candidate. `pass` has a bit per kept member whose signature bound
+    /// ([`PreparedQuery::overlap_bound`]) reaches the minimal overlap at
+    /// the current k-th similarity `t` ([`VerifyQuery::pass_word`]); every
+    /// other member is strictly below `t` and is dropped without reading
+    /// its tokens. The members of `pass` go in bit order through the one
+    /// per-candidate hook, [`Similarity::eval_prepared`], each one's token
+    /// slice resolved before the previous one's merge (the fetch-ahead).
+    ///
+    /// A hit that raises `t` (a few times per group) re-checks the rest of
+    /// the word and the member already fetched against the new minimal
+    /// overlaps. The threshold only rises, so nothing a word rejected can
+    /// pass again: the members evaluated, and so the hits and every
+    /// counter, are those of a per-member check at the threshold of the
+    /// moment.
+    #[inline(always)]
+    fn walk(
         &self,
         cache: &mut WindowCache,
-        (ids, lens, sigs): (&[SetId], &[u32], &[u64]),
-        keep: impl Fn(SetId) -> bool,
+        window @ (ids, lens, sigs): (&[SetId], &[u32], &[u64]),
+        kept: impl Fn(&[SetId]) -> u64,
         top: &mut TopK,
         stats: &mut SearchStats,
     ) {
         let mut t = top.kth();
-        let (mut memo, mut candidates) = ((usize::MAX, 0u64, 0usize), 0usize);
-        // The first member from `i` on that the mask keeps and whose
-        // bound reaches the minimal overlap at `t`, with that overlap.
-        // Every kept member it passes is a candidate.
-        let mut seek = |cache: &mut WindowCache, mut i: usize, t: f64| {
-            while i < ids.len() {
-                if keep(ids[i]) {
-                    candidates += 1;
-                    let len = lens[i] as usize;
-                    if (memo.0, memo.1) != (len, t.to_bits()) {
-                        memo = (len, t.to_bits(), cache.needed(self.sim, len, t));
-                    }
-                    if self.query.overlap_bound(len, sigs[i]) >= memo.2 {
-                        break;
-                    }
-                }
-                i += 1;
-            }
-            (i, memo.2)
-        };
+        let mut blocks = Blocks::default();
+        let mut next = blocks.next(self, cache, window, &kept, t);
+        let mut tokens = next.map(|i| self.db.set(ids[i]));
         let (mut evaluated, mut early_exits) = (0usize, 0usize);
-        let ((mut i, mut needed), mut sought_at) = (seek(cache, 0, t), t);
-        let mut tokens = ids.get(i).map(|&id| self.db.set(id));
-        while let Some(b) = tokens {
+        while let (Some(i), Some(b)) = (next, tokens) {
             let (id, b_len) = (ids[i], lens[i] as usize);
-            // A hit since this member was admitted raised the threshold
-            // (a few times per group): its bound must reach the new
-            // minimal overlap too. The threshold only rises, so members
-            // the bound rejected earlier stay rejected.
-            let admitted = sought_at.to_bits() == t.to_bits() || {
-                needed = cache.needed(self.sim, b_len, t);
-                self.query.overlap_bound(b_len, sigs[i]) >= needed
-            };
-            // Resolve the next admitted member's tokens before this
-            // merge, so its offset loads are in flight while it runs.
-            let (next, next_needed) = seek(cache, i + 1, t);
-            tokens = ids.get(next).map(|&id| self.db.set(id));
-            sought_at = t;
-            if admitted {
-                evaluated += 1;
-                match self.sim.eval_prepared(&self.query, b, b_len, needed, t) {
-                    // Only an accepted hit can move the threshold.
-                    ThresholdedEval::Hit(s) => {
-                        top.offer(id, s);
+            next = blocks.next(self, cache, window, &kept, t);
+            tokens = next.map(|i| self.db.set(ids[i]));
+            evaluated += 1;
+            let needed = cache.needed(self.sim, b_len, t);
+            match self.sim.eval_prepared(&self.query, b, b_len, needed, t) {
+                // Only an accepted hit can move the threshold.
+                ThresholdedEval::Hit(s) => {
+                    top.offer(id, s);
+                    if top.kth().to_bits() != t.to_bits() {
                         t = top.kth();
+                        let at = blocks.base;
+                        blocks.word = self.recheck(cache, &lens[at..], &sigs[at..], blocks.word, t);
+                        if next
+                            .is_some_and(|j| self.recheck(cache, &lens[j..], &sigs[j..], 1, t) == 0)
+                        {
+                            next = blocks.next(self, cache, window, &kept, t);
+                            tokens = next.map(|i| self.db.set(ids[i]));
+                        }
                     }
-                    ThresholdedEval::Rejected { early } => early_exits += usize::from(early),
                 }
+                ThresholdedEval::Rejected { early } => early_exits += usize::from(early),
             }
-            (i, needed) = (next, next_needed);
         }
-        stats.candidates += candidates;
+        stats.candidates += blocks.candidates;
         stats.sims_computed += evaluated;
         stats.early_exits += early_exits;
+    }
+
+    /// The `pass` word of one block (`lens`, `sigs`: its members) at
+    /// threshold `t`: bit `j` is set iff `kept` has it and member `j`'s
+    /// signature bound reaches the minimal overlap at `t`. The dense loop
+    /// sets a bit per member with no branch on its outcome, comparing the
+    /// popcount with the block's pass limits ([`WindowCache::pass_limits`]).
+    /// A sparse `kept` word (a selective mask), and a block the limits do
+    /// not cover, are checked one member at a time.
+    #[inline(always)]
+    fn pass_word(
+        &self,
+        cache: &mut WindowCache,
+        lens: &[u32],
+        sigs: &[u64],
+        kept: u64,
+        t: f64,
+    ) -> u64 {
+        let (first, last) = (lens[0], lens[lens.len() - 1]);
+        let dense = 4 * kept.count_ones() as usize >= lens.len();
+        let lims = dense.then(|| cache.pass_limits(self.sim, first as usize, last as usize, t));
+        let Some(lims) = lims.flatten() else {
+            return self.recheck(cache, lens, sigs, kept, t);
+        };
+        let q_sig = self.query.sig();
+        let mut pass = 0u64;
+        for (j, (&len, &sig)) in lens.iter().zip(sigs).enumerate() {
+            let popcount = (q_sig ^ sig).count_ones() as u8;
+            pass |= u64::from(popcount < lims[(len - first) as usize]) << j;
+        }
+        pass & kept
+    }
+
+    /// The members of `word` (bits over `lens` / `sigs`) whose signature
+    /// bound reaches the minimal overlap at `t`, one member at a time.
+    #[inline(always)]
+    fn recheck(
+        &self,
+        cache: &mut WindowCache,
+        lens: &[u32],
+        sigs: &[u64],
+        mut word: u64,
+        t: f64,
+    ) -> u64 {
+        let mut pass = 0;
+        while word != 0 {
+            let j = word.trailing_zeros() as usize;
+            word &= word - 1;
+            let len = lens[j] as usize;
+            let reaches = self.query.overlap_bound(len, sigs[j]) >= cache.needed(self.sim, len, t);
+            pass |= u64::from(reaches) << j;
+        }
+        pass
     }
 
     /// Verifies group `g`'s length window at the fixed range threshold
@@ -625,6 +737,57 @@ impl<S: Similarity> VerifyQuery<'_, S> {
                 }
             }
         }
+    }
+}
+
+/// The members a block walk ([`VerifyQuery::knn_window`]) takes at a
+/// time: one bit each of a `u64`.
+const BLOCK: usize = 64;
+
+/// The `kept` word of a block of a masked window: bit `j` is set iff the
+/// mask holds `ids[j]`.
+#[inline(always)]
+fn kept_word(mask: &les3_bitmap::DenseBitSet, ids: &[SetId]) -> u64 {
+    (ids.iter().enumerate()).fold(0, |w, (j, &id)| w | u64::from(mask.contains(id)) << j)
+}
+
+/// A block walk's cursor over one window: the block that starts at
+/// `base`, the members of its `pass` word not yet taken, where the next
+/// block starts, and the candidates (`kept` bits) counted so far.
+#[derive(Default)]
+struct Blocks {
+    base: usize,
+    word: u64,
+    end: usize,
+    candidates: usize,
+}
+
+impl Blocks {
+    /// The next member of the window that passes at `t`, making the
+    /// words of the blocks it reaches.
+    #[inline(always)]
+    fn next<S: Similarity>(
+        &mut self,
+        verify: &VerifyQuery<'_, S>,
+        cache: &mut WindowCache,
+        (ids, lens, sigs): (&[SetId], &[u32], &[u64]),
+        kept: &impl Fn(&[SetId]) -> u64,
+        t: f64,
+    ) -> Option<usize> {
+        while self.word == 0 {
+            if self.end == ids.len() {
+                return None;
+            }
+            self.base = self.end;
+            self.end = ids.len().min(self.base + BLOCK);
+            let block = self.base..self.end;
+            let kept = kept(&ids[block.clone()]);
+            self.candidates += kept.count_ones() as usize;
+            self.word = verify.pass_word(cache, &lens[block.clone()], &sigs[block], kept, t);
+        }
+        let j = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + j)
     }
 }
 
@@ -824,120 +987,215 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The hoisted window scan against the loop it replaced: every
-    /// member the signature bound admits evaluated by the reference merge
-    /// at the heap's current k-th similarity. One
-    /// group holding runs of equal lengths, changing lengths, multisets
-    /// and (for small k) a threshold that rises inside the window — so
-    /// the `(length, threshold)` memo of the minimal overlap is both
-    /// reused and invalidated mid-window — members the signature
-    /// rejects, and decoys it admits that the kernel abandons early.
-    #[test]
-    fn window_scan_equals_per_candidate_eval_while_threshold_rises() {
-        fn check<S: Similarity>(sim: S) {
-            let mut sig_rejected = 0;
-            let mut rng = StdRng::seed_from_u64(0x5ca9);
-            let sets: Vec<Vec<TokenId>> = (0..240)
-                .map(|i| {
-                    // Lengths repeat in runs of ~8 and grow with i.
-                    let len = 2 + i / 8 % 12;
-                    let mut s: Vec<TokenId> = (0..len).map(|_| rng.gen_range(0..40)).collect();
-                    s.sort_unstable();
-                    if i % 5 != 0 {
-                        s.dedup(); // every fifth set stays a multiset
-                    }
-                    s
-                })
-                .collect();
-            let queries = [(7u32, 1usize), (100, 3), (191, 8), (239, 40), (64, 500)];
-            // On a 40-token alphabet the signature is nearly exact, so
-            // each query gets decoys: its own set with the smallest token
-            // swapped for 1, 2, …, 13 tokens past the alphabet that set
-            // the same signature bit. The bound admits every decoy at the
-            // query's own overlap; the kernel abandons it early.
-            let decoys: Vec<Vec<TokenId>> = queries
-                .iter()
-                .flat_map(|&(qid, _)| {
-                    let s = &sets[qid as usize];
-                    let twins: Vec<TokenId> = (40..)
-                        .filter(|&t| token_signature(&[t]) == token_signature(&s[..1]))
-                        .take(13)
-                        .collect();
-                    let rest: Vec<TokenId> = s.iter().copied().filter(|&t| t != s[0]).collect();
-                    (1..=twins.len()).map(move |n| [&rest[..], &twins[..n]].concat())
-                })
-                .collect();
-            let db = SetDatabase::from_sets(sets.into_iter().chain(decoys));
-            let part = Partitioning::from_assignment(vec![0; db.len()], 1);
-            let order = VerifyOrder::build(&db, &part);
-            let mut mask = les3_bitmap::DenseBitSet::new();
-            mask.reset(db.len());
-            (0..db.len() as SetId)
-                .filter(|&id| id % 3 != 0 || id >= 240) // the decoys pass
-                .for_each(|id| mask.insert(id));
-            let tgm = Tgm::build(&db, &part);
-            for (qid, k) in queries {
-                let query = db.set(qid);
-                let q_len = distinct_len(query);
-                let r = tgm.group_overlaps(query)[0];
-                for filter in [None, Some(&mask)] {
-                    let (mut want_top, mut want) = (TopK::new(k), SearchStats::default());
-                    let (lo, hi) = window_limits(sim, q_len, r as usize, want_top.kth());
-                    let (ids, _lens, _sigs, skipped) = order.window(0, lo, hi);
-                    want.size_skipped += skipped;
-                    let q_sig = token_signature(query);
-                    for &id in ids {
-                        if filter.is_some_and(|m| !m.contains(id)) {
-                            continue;
-                        }
-                        want.candidates += 1;
-                        let set = db.set(id);
-                        let s_len = distinct_len(set);
-                        let popcount = (q_sig ^ token_signature(set)).count_ones() as usize;
-                        let needed = sim.min_overlap_for(want_top.kth(), q_len, s_len);
-                        if (q_len + s_len - popcount) / 2 < needed {
-                            sig_rejected += 1;
-                            continue;
-                        }
-                        want.sims_computed += 1;
-                        match reference_eval_with_threshold(sim, query, set, want_top.kth()) {
-                            ThresholdedEval::Hit(s) => want_top.offer(id, s),
-                            ThresholdedEval::Rejected { early } => {
-                                want.early_exits += usize::from(early)
+    /// Sets in runs of equal lengths (every fifth a multiset) over a
+    /// 40-token alphabet, and decoys of `base`: `base` with its smallest
+    /// token swapped for 1, 2, … of the tokens past the alphabet that set
+    /// the same signature bit. On such an alphabet the signature is nearly
+    /// exact, so the decoys are what its bound admits and the kernel then
+    /// abandons early.
+    fn window_sets(rng: &mut StdRng, n: usize, base: &[TokenId]) -> Vec<Vec<TokenId>> {
+        let twins: Vec<TokenId> = (40..)
+            .filter(|&t| token_signature(&[t]) == token_signature(&base[..1]))
+            .take(13.min(n / 4))
+            .collect();
+        let rest: Vec<TokenId> = base.iter().copied().filter(|&t| t != base[0]).collect();
+        let decoys = (1..=twins.len()).map(|n| [&rest[..], &twins[..n]].concat());
+        let random = (0..).map(|i: usize| {
+            let len = 2 + i / 8 % 12;
+            let mut s: Vec<TokenId> = (0..len).map(|_| rng.gen_range(0..40)).collect();
+            s.sort_unstable();
+            if !i.is_multiple_of(5) {
+                s.dedup();
+            }
+            s
+        });
+        [base.to_vec()]
+            .into_iter()
+            .chain(decoys)
+            .chain(random)
+            .take(n)
+            .collect()
+    }
+
+    /// What the kNN descent over `stream` must equal: the groups taken
+    /// best-first until one's bound cannot beat the k-th similarity, and in
+    /// each group's window every member the mask keeps checked on its own
+    /// — its signature bound against the minimal overlap at the heap's
+    /// k-th similarity of the moment — then, if admitted, evaluated by the
+    /// reference merge at that similarity. Also counts the threshold rises
+    /// a later member of the same 64-block saw.
+    fn reference_descent<S: Similarity>(
+        sim: S,
+        db: &SetDatabase,
+        order: &VerifyOrder,
+        stream: &[GroupBound],
+        (query, k): (&[TokenId], usize),
+        filter: Option<&les3_bitmap::DenseBitSet>,
+        rises_mid_block: &mut usize,
+    ) -> (Vec<(SetId, f64)>, SearchStats) {
+        let (q_len, q_sig) = (distinct_len(query), token_signature(query));
+        let (mut top, mut want) = (TopK::new(k), SearchStats::default());
+        for (at, b) in stream.iter().enumerate() {
+            if top.is_full() && sim.ub_from_overlap(q_len, b.r as usize) <= top.kth() {
+                want.groups_pruned += stream.len() - at;
+                break;
+            }
+            want.groups_verified += 1;
+            let (lo, hi) = window_limits(sim, q_len, b.r as usize, top.kth());
+            let (ids, _lens, _sigs, skipped) = order.window(b.group, lo, hi);
+            want.size_skipped += skipped;
+            for (i, &id) in ids.iter().enumerate() {
+                if filter.is_some_and(|m| !m.contains(id)) {
+                    continue;
+                }
+                want.candidates += 1;
+                let set = db.set(id);
+                let s_len = distinct_len(set);
+                let popcount = (q_sig ^ token_signature(set)).count_ones() as usize;
+                let needed = sim.min_overlap_for(top.kth(), q_len, s_len);
+                if (q_len + s_len - popcount) / 2 < needed {
+                    continue;
+                }
+                want.sims_computed += 1;
+                let before = top.kth();
+                match reference_eval_with_threshold(sim, query, set, top.kth()) {
+                    ThresholdedEval::Hit(s) => top.offer(id, s),
+                    ThresholdedEval::Rejected { early } => want.early_exits += usize::from(early),
+                }
+                let rest_of_block = (i + 1..ids.len()).take_while(|j| j % BLOCK != 0);
+                if top.kth() != before && rest_of_block.count() > 0 {
+                    *rises_mid_block += 1;
+                }
+            }
+        }
+        (top.into_sorted(), want)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// The block walk, through both compilations of the kNN descent
+        /// (portable, and popcnt where the CPU has it), against
+        /// [`reference_window`]: hits and every counter. Windows of 0, 1,
+        /// 63, 64, 65 and ≥ 130 members (a first window is its whole
+        /// group), k from 1 — a threshold that rises inside a block, so the
+        /// rest of the word is re-checked — to past the group; no mask, an
+        /// empty one, one member, ≈ 10 %, dense and full (sparse `kept`
+        /// words take the one-by-one check, dense ones the branch-free
+        /// pass); all four measures; both kernels behind
+        /// [`Similarity::eval_prepared`].
+        #[test]
+        fn window_scan_equals_per_candidate_eval_while_threshold_rises(
+            seed in any::<u64>(),
+            big in 130usize..200,
+        ) {
+            fn check<S: Similarity>(
+                sim: S,
+                db: &SetDatabase,
+                part: &Partitioning,
+                queries: &[Vec<TokenId>],
+                masks: &[Option<les3_bitmap::DenseBitSet>],
+            ) -> Result<(), TestCaseError> {
+                let index = Les3Index::build(db.clone(), part.clone(), sim);
+                let (mut sig_rejected, mut early, mut rises) = (0, 0, 0);
+                for query in queries {
+                    let overlaps = index.tgm().group_overlaps(query);
+                    let mut bits = crate::sim::QueryBits::new();
+                    let prepared = [
+                        PreparedQuery::without_bits(query),
+                        bits.prepare(query, db.universe_size()),
+                    ];
+                    // Each group on its own (its first window is the
+                    // whole group), then every group in the bound order,
+                    // the threshold carried from window to window.
+                    let mut all = Vec::new();
+                    let entries = (0u32..).zip(overlaps.iter().copied());
+                    bucketed_descending(entries, distinct_len(query), &mut Vec::new(), &mut all);
+                    let streams = (0u32..)
+                        .zip(&overlaps)
+                        .map(|(group, &r)| vec![GroupBound { group, r }])
+                        .chain([all]);
+                    for stream in streams {
+                        for k in [1usize, 3, 8, 40, 500] {
+                            for mask in masks {
+                                let filter = mask.as_ref();
+                                let want = reference_descent(
+                                    sim, db, &index.verify, &stream, (query, k), filter, &mut rises,
+                                );
+                                sig_rejected += want.1.candidates - want.1.sims_computed;
+                                early += want.1.early_exits;
+                                for query in prepared {
+                                    let verify = VerifyQuery { sim, db, query, filter };
+                                    let each = index.knn_descend_each_compilation(&verify, k, &stream);
+                                    #[cfg(target_arch = "x86_64")]
+                                    prop_assert_eq!(
+                                        each.len(),
+                                        1 + usize::from(std::arch::is_x86_feature_detected!("popcnt"))
+                                    );
+                                    for (compiled, got) in each.iter().enumerate() {
+                                        let at = format!(
+                                            "{} groups {:?} k{k} masked {} compilation {compiled}",
+                                            sim.name(),
+                                            stream.iter().map(|b| b.group).collect::<Vec<_>>(),
+                                            filter.is_some(),
+                                        );
+                                        prop_assert_eq!(&got.1, &want.1, "{}", at);
+                                        prop_assert_eq!(&got.0, &want.0, "{}", at);
+                                    }
+                                }
                             }
                         }
                     }
-                    let want_hits = want_top.into_sorted();
-                    // Without bits every candidate takes the merge; with
-                    // them a set query takes the lookup kernel for every
-                    // set candidate.
-                    let mut bits = crate::sim::QueryBits::new();
-                    for query in [
-                        PreparedQuery::without_bits(query),
-                        bits.prepare(query, db.universe_size()),
-                    ] {
-                        let (mut top, mut stats) = (TopK::new(k), SearchStats::default());
-                        let mut cache = WindowCache::default();
-                        cache.reset(q_len);
-                        let verify = VerifyQuery {
-                            sim,
-                            db: &db,
-                            query,
-                            filter,
-                        };
-                        verify.knn_window(&mut cache, &order, 0, r, &mut top, &mut stats);
-                        assert_eq!(stats, want, "{} q{qid} k{k}", sim.name());
-                        assert_eq!(top.into_sorted(), want_hits);
-                    }
-                    assert!(want.early_exits > 0 || k >= 40, "fixture must exit early");
                 }
+                prop_assert!(sig_rejected > 0, "the fixture must reject by signature");
+                prop_assert!(early > 0, "the fixture must exit early");
+                prop_assert!(rises > 0, "a threshold must rise inside a block");
+                Ok(())
             }
-            assert!(sig_rejected > 0, "the fixture must reject by signature");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sizes = [0, 1, 63, 64, 65, big];
+            let bases: Vec<Vec<TokenId>> = sizes
+                .iter()
+                .map(|_| {
+                    let mut s: Vec<TokenId> = (0..rng.gen_range(3..10)).map(|_| rng.gen_range(0..40)).collect();
+                    s.sort_unstable();
+                    s.dedup();
+                    s
+                })
+                .collect();
+            let groups: Vec<Vec<Vec<TokenId>>> =
+                sizes.iter().zip(&bases).map(|(&n, base)| window_sets(&mut rng, n, base)).collect();
+            let assignment = (0u32..).zip(&groups).flat_map(|(g, sets)| sets.iter().map(move |_| g)).collect();
+            let db = SetDatabase::from_sets(groups.concat());
+            let part = Partitioning::from_assignment(assignment, sizes.len());
+            // Each group's decoy base (in group order), every 41st set, an
+            // unseen-token query.
+            let queries: Vec<Vec<TokenId>> = bases
+                .iter()
+                .cloned()
+                .chain((0..db.len() as SetId).step_by(41).map(|id| db.set(id).to_vec()))
+                .chain([vec![3, 41, 77]])
+                .collect();
+            let mask = |keep: &dyn Fn(SetId) -> bool| {
+                let mut m = les3_bitmap::DenseBitSet::new();
+                m.reset(db.len());
+                (0..db.len() as SetId).filter(|&id| keep(id)).for_each(|id| m.insert(id));
+                Some(m)
+            };
+            let one = rng.gen_range(0..db.len() as SetId);
+            let masks = [
+                None,
+                mask(&|_| false),
+                mask(&|id| id == one),
+                mask(&|id| (u64::from(id) ^ seed).is_multiple_of(10)),
+                mask(&|id| !(u64::from(id) ^ seed).is_multiple_of(4)),
+                mask(&|_| true),
+            ];
+            check(Jaccard, &db, &part, &queries, &masks)?;
+            check(Cosine, &db, &part, &queries, &masks)?;
+            check(crate::sim::Dice, &db, &part, &queries, &masks)?;
+            check(crate::sim::OverlapCoefficient, &db, &part, &queries, &masks)?;
         }
-        check(Jaccard);
-        check(Cosine);
-        check(crate::sim::Dice);
-        check(crate::sim::OverlapCoefficient);
     }
 
     /// A kNN whose query reaches past the universe — `u32::MAX` among

@@ -236,7 +236,99 @@ impl<S: Similarity> ShardedLes3Index<S> {
     /// first group whose bound cannot improve the k-th best (Theorem
     /// 3.1); each verified group's length window is capped by its overlap
     /// count `r`. Polls `ctl` at every group boundary.
+    ///
+    /// The body is compiled twice: portable, and for CPUs with the
+    /// `popcnt` instruction, which the block walk's signature test runs
+    /// once per window member. The CPU is asked once per query; other
+    /// architectures build the portable body only.
     fn knn_descend(
+        &self,
+        verify: &VerifyQuery<'_, S>,
+        cache: &mut WindowCache,
+        k: usize,
+        stream: &[GroupBound],
+        stats: &mut SearchStats,
+        ctl: &QueryCtl<'_>,
+    ) -> Result<TopK, (InterruptReason, TopK)> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: `knn_descend_popcnt` is compiled for the popcnt
+            // instruction, and the line above found it on this CPU.
+            return unsafe { self.knn_descend_popcnt(verify, cache, k, stream, stats, ctl) };
+        }
+        self.knn_descend_portable(verify, cache, k, stream, stats, ctl)
+    }
+
+    /// [`ShardedLes3Index::knn_descend`]'s body compiled for the popcnt
+    /// instruction.
+    ///
+    /// # Safety
+    ///
+    /// Callers without the `popcnt` target feature must make sure the CPU
+    /// has the instruction before calling this.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn knn_descend_popcnt(
+        &self,
+        verify: &VerifyQuery<'_, S>,
+        cache: &mut WindowCache,
+        k: usize,
+        stream: &[GroupBound],
+        stats: &mut SearchStats,
+        ctl: &QueryCtl<'_>,
+    ) -> Result<TopK, (InterruptReason, TopK)> {
+        self.knn_descend_body(verify, cache, k, stream, stats, ctl)
+    }
+
+    /// Runs the kNN descent over `stream` through every compilation of its
+    /// body this CPU can run — the portable one first, then the popcnt
+    /// one where the CPU has the instruction — each from a fresh window
+    /// cache and fresh counters, for the tests to compare.
+    #[cfg(test)]
+    pub(crate) fn knn_descend_each_compilation(
+        &self,
+        verify: &VerifyQuery<'_, S>,
+        k: usize,
+        stream: &[GroupBound],
+    ) -> Vec<(Vec<(SetId, f64)>, SearchStats)> {
+        let run = |descend: &dyn Fn(&mut WindowCache, &mut SearchStats) -> Result<TopK, _>| {
+            let (mut cache, mut stats) = (WindowCache::default(), SearchStats::default());
+            cache.reset(verify.q_len());
+            let Ok(top) = descend(&mut cache, &mut stats) else {
+                panic!("QueryCtl::NONE never interrupts");
+            };
+            (top.into_sorted(), stats)
+        };
+        let ctl = &QueryCtl::NONE;
+        let mut each = vec![run(&|cache, stats| {
+            self.knn_descend_portable(verify, cache, k, stream, stats, ctl)
+        })];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            each.push(run(&|cache, stats| {
+                // SAFETY: the CPU has the popcnt instruction (checked above).
+                unsafe { self.knn_descend_popcnt(verify, cache, k, stream, stats, ctl) }
+            }));
+        }
+        each
+    }
+
+    /// [`ShardedLes3Index::knn_descend`]'s body compiled for any CPU.
+    fn knn_descend_portable(
+        &self,
+        verify: &VerifyQuery<'_, S>,
+        cache: &mut WindowCache,
+        k: usize,
+        stream: &[GroupBound],
+        stats: &mut SearchStats,
+        ctl: &QueryCtl<'_>,
+    ) -> Result<TopK, (InterruptReason, TopK)> {
+        self.knn_descend_body(verify, cache, k, stream, stats, ctl)
+    }
+
+    /// The descent itself, inlined into both compilations.
+    #[inline(always)]
+    fn knn_descend_body(
         &self,
         verify: &VerifyQuery<'_, S>,
         cache: &mut WindowCache,

@@ -291,6 +291,12 @@ impl<'a> PreparedQuery<'a> {
         (self.len + s_len - (self.sig ^ s_sig).count_ones() as usize) / 2
     }
 
+    /// The query's [`token_signature`].
+    #[inline]
+    pub(crate) fn sig(&self) -> u64 {
+        self.sig
+    }
+
     /// The sorted query tokens.
     pub fn tokens(&self) -> &'a [TokenId] {
         self.tokens

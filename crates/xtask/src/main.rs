@@ -18,6 +18,11 @@
 //!   non-test crate sources must carry a `// relaxed:` comment saying
 //!   why the weakest ordering is sound there, either on the same line
 //!   or in the contiguous comment block directly above.
+//! * `unsafe-needs-safety` — every `unsafe` block, function, impl or
+//!   trait in non-test sources (outside `tests/` directories and
+//!   `#[cfg(test)]` items) must carry a `// SAFETY:` comment saying
+//!   which obligation the code meets and how, on the same line or in the
+//!   contiguous comment block directly above.
 //! * `no-unwrap` — non-test code in `crates/net/src` and
 //!   `crates/core/src/persist` must not `.unwrap()` / `.expect(`:
 //!   both sit on error paths (sockets, disks) where panicking converts
@@ -292,6 +297,7 @@ fn lint_rust(rel: &str, src: &str) -> Vec<Violation> {
     let crate_src = rel.starts_with("crates/") && rel.contains("/src/");
     let no_unwrap_scope =
         rel.starts_with("crates/net/src/") || rel.starts_with("crates/core/src/persist/");
+    let test_file = rel.starts_with("tests/") || rel.contains("/tests/");
 
     let mut out = Vec::new();
     let mut push = |line: usize, rule: &'static str, msg: String| {
@@ -357,6 +363,21 @@ fn lint_rust(rel: &str, src: &str) -> Vec<Violation> {
             );
         }
 
+        if !test_file
+            && has_word(code, "unsafe")
+            && !raw.contains("// SAFETY:")
+            && !comment_block_above_has(&raw_lines, i, "// SAFETY:")
+            && !allowed("unsafe-needs-safety")
+        {
+            push(
+                i,
+                "unsafe-needs-safety",
+                "`unsafe` requires a `// SAFETY:` comment on this line or in the comment block \
+                 directly above, saying why the code upholds what the compiler cannot check"
+                    .into(),
+            );
+        }
+
         if no_unwrap_scope {
             for token in [".unwrap()", ".expect("] {
                 if code.contains(token) && !allowed("no-unwrap") {
@@ -373,6 +394,15 @@ fn lint_rust(rel: &str, src: &str) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// True when `word` occurs in `code` as a whole identifier (not as part
+/// of a longer one such as `unsafe_code`).
+fn has_word(code: &str, word: &str) -> bool {
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_alphanumeric() || c == '_');
+    code.match_indices(word).any(|(at, _)| {
+        !ident(code[..at].chars().next_back()) && !ident(code[at + word.len()..].chars().next())
+    })
 }
 
 /// True when the contiguous run of comment-only lines directly above
@@ -757,6 +787,46 @@ mod tests {
         // unwrap_or_else / expect_err are different tokens.
         let ok = "fn f() { g().unwrap_or_else(|e| e.into_inner()); h().expect_err(\"x\"); }\n";
         assert!(lint("crates/net/src/http.rs", ok).is_empty());
+    }
+
+    #[test]
+    fn unsafe_needs_a_safety_comment() {
+        let bad = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
+        assert_eq!(
+            lint("crates/core/src/shard.rs", bad),
+            ["unsafe-needs-safety:2"]
+        );
+        // Every kind of `unsafe` item, in any product source.
+        let items = "unsafe fn g() {}\nunsafe impl Send for X {}\n";
+        assert_eq!(
+            lint("examples/probe.rs", items),
+            ["unsafe-needs-safety:1", "unsafe-needs-safety:2"]
+        );
+        let same_line = "fn f(p: *const u8) -> u8 {\n    unsafe { *p } // SAFETY: p is valid\n}\n";
+        assert!(lint("crates/core/src/shard.rs", same_line).is_empty());
+        let above = "fn f(p: *const u8) -> u8 {\n    // SAFETY: the caller passes a\n    // valid, aligned pointer.\n    unsafe { *p }\n}\n";
+        assert!(lint("crates/core/src/shard.rs", above).is_empty());
+        let detached =
+            "fn f(p: *const u8) -> u8 {\n    // SAFETY: stale note\n\n    unsafe { *p }\n}\n";
+        assert_eq!(
+            lint("crates/core/src/shard.rs", detached),
+            ["unsafe-needs-safety:4"]
+        );
+        // Words that merely contain it, prose, strings and tests pass.
+        let fine = "#![forbid(unsafe_code)]\nfn not_unsafe() { let _ = \"unsafe\"; }\n// unsafe in prose\n#[cfg(test)]\nmod tests {\n    fn g(p: *const u8) -> u8 { unsafe { *p } }\n}\n";
+        assert!(lint("crates/core/src/shard.rs", fine).is_empty());
+        assert!(lint("crates/core/tests/probe.rs", bad).is_empty());
+    }
+
+    #[test]
+    fn unsafe_needs_safety_is_waived_by_name() {
+        let waived = "fn f(p: *const u8) -> u8 {\n    unsafe { *p } // lint: allow(unsafe-needs-safety)\n}\n";
+        assert!(lint("crates/core/src/shard.rs", waived).is_empty());
+        let other = "fn f(p: *const u8) -> u8 {\n    unsafe { *p } // lint: allow(no-unwrap)\n}\n";
+        assert_eq!(
+            lint("crates/core/src/shard.rs", other),
+            ["unsafe-needs-safety:2"]
+        );
     }
 
     #[test]
