@@ -51,17 +51,6 @@ impl ArrayContainer {
         }
     }
 
-    /// Removes `value`; returns `true` if it was present.
-    pub fn remove(&mut self, value: u16) -> bool {
-        match self.values.binary_search(&value) {
-            Ok(pos) => {
-                self.values.remove(pos);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Sorted slice of the stored values.
     pub fn as_slice(&self) -> &[u16] {
         &self.values
@@ -110,11 +99,6 @@ impl ArrayContainer {
         }
         Self { values: out }
     }
-
-    /// Heap bytes used by this container.
-    pub fn size_in_bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<u16>()
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +106,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_contains_remove_roundtrip() {
+    fn insert_contains_roundtrip() {
         let mut c = ArrayContainer::new();
         assert!(c.insert(5));
         assert!(c.insert(1));
@@ -131,9 +115,6 @@ mod tests {
         assert!(c.contains(5));
         assert!(!c.contains(2));
         assert_eq!(c.as_slice(), &[1, 5]);
-        assert!(c.remove(1));
-        assert!(!c.remove(1));
-        assert_eq!(c.as_slice(), &[5]);
     }
 
     #[test]

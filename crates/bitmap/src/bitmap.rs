@@ -9,8 +9,9 @@ use crate::ARRAY_TO_BITS_THRESHOLD;
 /// A compressed bitmap over `u32` values.
 ///
 /// Values are partitioned by their high 16 bits into chunks; each chunk is a
-/// [`Container`] choosing the cheapest of three representations. See the
-/// crate docs for the role this plays in the LES3 token-group matrix.
+/// [`Container`]: a sorted array or, past
+/// [`ARRAY_TO_BITS_THRESHOLD`] values, a bitset. See the crate docs for
+/// the role this plays in LES3's attribute filters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Bitmap {
     /// `(high_bits, container)` pairs sorted by `high_bits` (the counting
@@ -94,21 +95,6 @@ impl Bitmap {
         }
     }
 
-    /// Removes `value`; returns `true` if it was present.
-    pub fn remove(&mut self, value: u32) -> bool {
-        let (high, low) = split(value);
-        match self.chunk_index(high) {
-            Ok(i) => {
-                let removed = self.chunks[i].1.remove(low);
-                if removed && self.chunks[i].1.is_empty() {
-                    self.chunks.remove(i);
-                }
-                removed
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Iterates over stored values in increasing order.
     pub fn iter(&self) -> BitmapIter<'_> {
         BitmapIter::new(&self.chunks)
@@ -175,37 +161,6 @@ impl Bitmap {
             }
         }
         Self { chunks }
-    }
-
-    /// Converts every chunk to its smallest representation.
-    pub fn run_optimize(&mut self) {
-        for (_, c) in &mut self.chunks {
-            let taken = std::mem::take(c);
-            *c = taken.optimized();
-        }
-    }
-
-    /// Heap bytes used (containers + chunk table).
-    pub fn size_in_bytes(&self) -> usize {
-        let table = self.chunks.capacity() * std::mem::size_of::<(u16, Container)>();
-        table
-            + self
-                .chunks
-                .iter()
-                .map(|(_, c)| c.size_in_bytes())
-                .sum::<usize>()
-    }
-
-    /// Bytes of the portable serialized form (Roaring-style): a 4-byte
-    /// chunk header (key, type, cardinality) plus the container payload.
-    /// This is the quantity index-size comparisons report (Figure 11 of
-    /// the paper), matching how Roaring files are measured.
-    pub fn serialized_size_in_bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .filter(|(_, c)| !c.is_empty())
-            .map(|(_, c)| 4 + c.size_in_bytes())
-            .sum()
     }
 }
 
@@ -297,48 +252,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_drops_empty_chunks() {
-        let mut bm = Bitmap::from_iter([65_536u32]);
-        assert!(bm.remove(65_536));
-        assert!(bm.is_empty());
-        assert_eq!(bm.to_vec(), Vec::<u32>::new());
-        assert!(!bm.remove(65_536));
-    }
-
-    #[test]
     fn set_algebra_across_chunks() {
         let a = Bitmap::from_iter([1u32, 2, 65_536, 65_540]);
         let b = Bitmap::from_iter([2u32, 65_540, 131_072]);
         assert_eq!(a.union(&b).to_vec(), vec![1, 2, 65_536, 65_540, 131_072]);
         assert_eq!(a.intersect(&b).to_vec(), vec![2, 65_540]);
         assert!(a.intersect(&Bitmap::from_iter([7u32])).is_empty());
-    }
-
-    #[test]
-    fn run_optimize_shrinks_dense_ranges() {
-        let mut bm = Bitmap::from_iter(0u32..100_000);
-        let before = bm.size_in_bytes();
-        bm.run_optimize();
-        let after = bm.size_in_bytes();
-        assert!(after < before / 50, "before={before} after={after}");
-        assert_eq!(bm.len(), 100_000);
-        assert!(bm.contains(99_999));
-        assert!(!bm.contains(100_000));
-    }
-
-    /// The Figure-11 size model, per container kind: a 4-byte chunk
-    /// header plus 2 bytes per array value, 8 KiB per bits container,
-    /// 4 bytes per run.
-    #[test]
-    fn serialized_size_is_chunk_header_plus_payload() {
-        assert_eq!(Bitmap::new().serialized_size_in_bytes(), 0);
-        let two_chunks = Bitmap::from_iter([1u32, 5, 70_000]);
-        assert_eq!(two_chunks.serialized_size_in_bytes(), (4 + 4) + (4 + 2));
-        let mut sparse = Bitmap::from_iter((0..5_000u32).map(|v| v * 7));
-        sparse.run_optimize();
-        assert_eq!(sparse.serialized_size_in_bytes(), 4 + 8192);
-        let mut dense = Bitmap::from_iter(100u32..30_000);
-        dense.run_optimize();
-        assert_eq!(dense.serialized_size_in_bytes(), 4 + 4);
     }
 }

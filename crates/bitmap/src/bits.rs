@@ -69,17 +69,6 @@ impl BitsContainer {
         absent
     }
 
-    /// Clears the bit for `value`; returns `true` if it was set.
-    pub fn remove(&mut self, value: u16) -> bool {
-        let (w, mask) = Self::index(value);
-        let present = self.words[w] & mask != 0;
-        self.words[w] &= !mask;
-        if present {
-            self.len -= 1;
-        }
-        present
-    }
-
     /// In-place union with `other`.
     pub fn union_with(&mut self, other: &Self) {
         let mut len = 0u32;
@@ -116,30 +105,11 @@ impl BitsContainer {
         out
     }
 
-    /// Heap bytes used by this container.
-    pub fn size_in_bytes(&self) -> usize {
-        WORDS * std::mem::size_of::<u64>()
-    }
-
     /// The raw 64-bit words (bit `i` of word `w` ⇔ value `w·64 + i`).
     /// Exposed for the word-parallel counting kernels.
     #[inline]
     pub fn words(&self) -> &[u64; WORDS] {
         &self.words
-    }
-
-    /// Number of runs of consecutive set bits (used to decide RLE conversion).
-    pub fn run_count(&self) -> usize {
-        // A run starts at every set bit whose predecessor is clear.
-        let mut runs = 0usize;
-        let mut prev_msb = 0u64; // bit 63 of the previous word, shifted to bit 0
-        for &w in self.words.iter() {
-            // starts = bits set in w whose previous bit (within w, or carried) is clear
-            let shifted = (w << 1) | prev_msb;
-            runs += (w & !shifted).count_ones() as usize;
-            prev_msb = w >> 63;
-        }
-        runs
     }
 }
 
@@ -174,7 +144,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_remove_and_len() {
+    fn insert_and_len() {
         let mut b = BitsContainer::new();
         assert!(b.insert(0));
         assert!(b.insert(63));
@@ -182,10 +152,7 @@ mod tests {
         assert!(b.insert(u16::MAX));
         assert!(!b.insert(64));
         assert_eq!(b.len(), 4);
-        assert!(b.remove(63));
-        assert!(!b.remove(63));
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.to_vec(), vec![0, 64, u16::MAX]);
+        assert_eq!(b.to_vec(), vec![0, 63, 64, u16::MAX]);
     }
 
     #[test]
@@ -207,19 +174,5 @@ mod tests {
             assert!(u.contains(v * 2) && u.contains(v * 3));
         }
         assert_eq!(u.len(), 200 - multiples_of_6.len());
-    }
-
-    #[test]
-    fn run_count_detects_runs() {
-        let mut b = BitsContainer::new();
-        for v in 10..20u16 {
-            b.insert(v);
-        }
-        for v in 100..105u16 {
-            b.insert(v);
-        }
-        b.insert(63);
-        b.insert(64); // run crossing a word boundary
-        assert_eq!(b.run_count(), 3);
     }
 }

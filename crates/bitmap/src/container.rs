@@ -1,8 +1,7 @@
-//! Chunk container: the adaptive union of the three representations.
+//! Chunk container: the adaptive union of the two representations.
 
 use crate::array::ArrayContainer;
 use crate::bits::BitsContainer;
-use crate::run::RunContainer;
 use crate::ARRAY_TO_BITS_THRESHOLD;
 
 /// One chunk (2^16 value range) of a [`crate::Bitmap`].
@@ -12,8 +11,6 @@ pub enum Container {
     Array(ArrayContainer),
     /// Dense fixed-size bitset representation.
     Bits(BitsContainer),
-    /// Run-length-encoded representation.
-    Runs(RunContainer),
 }
 
 impl Default for Container {
@@ -28,7 +25,6 @@ impl Container {
         match self {
             Container::Array(c) => c.len(),
             Container::Bits(c) => c.len(),
-            Container::Runs(c) => c.len(),
         }
     }
 
@@ -42,7 +38,6 @@ impl Container {
         match self {
             Container::Array(c) => c.contains(value),
             Container::Bits(c) => c.contains(value),
-            Container::Runs(c) => c.contains(value),
         }
     }
 
@@ -53,32 +48,11 @@ impl Container {
             Container::Array(c) => {
                 let inserted = c.insert(value);
                 if inserted && c.len() > ARRAY_TO_BITS_THRESHOLD {
-                    let mut bits = BitsContainer::new();
-                    for &v in c.as_slice() {
-                        bits.insert(v);
-                    }
-                    *self = Container::Bits(bits);
+                    *self = Container::Bits(self.to_bits());
                 }
                 inserted
             }
             Container::Bits(c) => c.insert(value),
-            Container::Runs(c) => c.insert(value),
-        }
-    }
-
-    /// Removes `value`, converting bits → array when dropping below the
-    /// density threshold. Returns `true` if the value was present.
-    pub fn remove(&mut self, value: u16) -> bool {
-        match self {
-            Container::Array(c) => c.remove(value),
-            Container::Bits(c) => {
-                let removed = c.remove(value);
-                if removed && c.len() <= ARRAY_TO_BITS_THRESHOLD / 2 {
-                    *self = Container::Array(ArrayContainer::from_sorted(c.to_vec()));
-                }
-                removed
-            }
-            Container::Runs(c) => c.remove(value),
         }
     }
 
@@ -87,7 +61,6 @@ impl Container {
         match self {
             Container::Array(c) => c.as_slice().to_vec(),
             Container::Bits(c) => c.to_vec(),
-            Container::Runs(c) => c.iter().collect(),
         }
     }
 
@@ -131,9 +104,9 @@ impl Container {
     pub fn to_bits(&self) -> BitsContainer {
         match self {
             Container::Bits(c) => c.clone(),
-            other => {
+            Container::Array(c) => {
                 let mut bits = BitsContainer::new();
-                for v in other.to_vec() {
+                for &v in c.as_slice() {
                     bits.insert(v);
                 }
                 bits
@@ -147,51 +120,10 @@ impl Container {
             Container::Bits(c) if c.len() <= ARRAY_TO_BITS_THRESHOLD => {
                 Container::Array(ArrayContainer::from_sorted(c.to_vec()))
             }
-            Container::Array(c) if c.len() > ARRAY_TO_BITS_THRESHOLD => {
-                let mut bits = BitsContainer::new();
-                for &v in c.as_slice() {
-                    bits.insert(v);
-                }
-                Container::Bits(bits)
+            Container::Array(ref c) if c.len() > ARRAY_TO_BITS_THRESHOLD => {
+                Container::Bits(self.to_bits())
             }
             other => other,
-        }
-    }
-
-    /// Converts to the smallest of the three representations.
-    pub fn optimized(self) -> Self {
-        let len = self.len();
-        let runs = match &self {
-            Container::Array(c) => {
-                RunContainer::from_sorted_values(c.as_slice().iter().copied()).run_count()
-            }
-            Container::Bits(c) => c.run_count(),
-            Container::Runs(c) => c.run_count(),
-        };
-        let run_bytes = runs * 4;
-        let array_bytes = len * 2;
-        let bits_bytes = crate::bits::WORDS * 8;
-        if run_bytes <= array_bytes && run_bytes <= bits_bytes {
-            Container::Runs(RunContainer::from_sorted_values(self.to_vec()))
-        } else if array_bytes <= bits_bytes {
-            match self {
-                Container::Array(_) => self,
-                other => Container::Array(ArrayContainer::from_sorted(other.to_vec())),
-            }
-        } else {
-            match self {
-                Container::Bits(_) => self,
-                other => Container::Bits(other.to_bits()),
-            }
-        }
-    }
-
-    /// Heap bytes used by this container.
-    pub fn size_in_bytes(&self) -> usize {
-        match self {
-            Container::Array(c) => c.size_in_bytes(),
-            Container::Bits(c) => c.size_in_bytes(),
-            Container::Runs(c) => c.size_in_bytes(),
         }
     }
 }
@@ -208,31 +140,6 @@ mod tests {
         }
         assert!(matches!(c, Container::Bits(_)));
         assert_eq!(c.len(), ARRAY_TO_BITS_THRESHOLD + 1);
-    }
-
-    #[test]
-    fn bits_demotes_to_array_on_removal() {
-        let mut c = Container::default();
-        for v in 0..=(ARRAY_TO_BITS_THRESHOLD as u32) {
-            c.insert(v as u16);
-        }
-        assert!(matches!(c, Container::Bits(_)));
-        for v in 0..=(ARRAY_TO_BITS_THRESHOLD as u32 / 2 + 1) {
-            c.remove(v as u16);
-        }
-        assert!(matches!(c, Container::Array(_)));
-    }
-
-    #[test]
-    fn optimized_picks_runs_for_dense_ranges() {
-        let mut c = Container::default();
-        for v in 0..5000u16 {
-            c.insert(v);
-        }
-        let opt = c.optimized();
-        assert!(matches!(opt, Container::Runs(_)));
-        assert_eq!(opt.len(), 5000);
-        assert!(opt.size_in_bytes() < 16);
     }
 
     #[test]

@@ -1,21 +1,8 @@
-//! Word-parallel counting kernels.
-//!
-//! The LES3 filter step accumulates, for every group, how many query
-//! tokens its token signature contains (`r_g = |GS_g ∩ Q|`, paper §3.1).
-//! Doing that through [`crate::BitmapIter`] costs an iterator call per set
-//! bit; these kernels instead stream each container's 64-bit words and
-//! decode them with `trailing_zeros`, fall through to direct slice adds
-//! for sorted-array containers, and turn run containers into bulk
-//! `counts[a..=b] += 1` range updates that the compiler vectorizes.
-//!
-//! [`Bitmap::count_into`] adds `counts[v] += 1` for every member `v` and
-//! returns the number of members visited, so callers can account the
-//! true filter cost (`Σ_{t∈Q} |groups(t)|`) instead of a dense-matrix
-//! estimate. [`Bitmap::visit_words`] exposes the underlying word stream
-//! for callers that need a custom word-level scan.
+//! Word-level access: [`Bitmap::visit_words`] streams a bitmap's 64-bit
+//! words, and [`DenseBitSet`] is the flat bitset a filtered query's
+//! per-set mask and a kNN query's token membership are built in.
 
 use crate::container::Container;
-use crate::run::Run;
 use crate::Bitmap;
 
 /// A flat, fixed-capacity bitset over `0..capacity`.
@@ -91,18 +78,6 @@ impl DenseBitSet {
     }
 }
 
-/// Decodes one 64-bit word: `counts[base + bit] += 1` for every set bit.
-#[inline]
-fn count_word(counts: &mut [u32], base: u32, mut word: u64) -> u64 {
-    let n = word.count_ones() as u64;
-    while word != 0 {
-        let bit = word.trailing_zeros();
-        counts[(base + bit) as usize] += 1;
-        word &= word - 1;
-    }
-    n
-}
-
 impl Bitmap {
     /// Streams every non-zero 64-bit word of the bitmap as
     /// `(base_value, word)`: bit `i` of `word` set means value
@@ -134,128 +109,14 @@ impl Bitmap {
                         f(chunk_base + word_base as u32, word);
                     }
                 }
-                Container::Runs(runs) => {
-                    visit_run_words(runs.runs(), |word_base, word| {
-                        f(chunk_base + word_base, word)
-                    });
-                }
             }
         }
-    }
-
-    /// Adds 1 to `counts[v]` for every member `v`; returns the number of
-    /// members visited.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any member is `>= counts.len()`.
-    pub fn count_into(&self, counts: &mut [u32]) -> u64 {
-        let mut visited = 0u64;
-        for (high, container) in &self.chunks {
-            let chunk_base = (*high as u32) << 16;
-            match container {
-                Container::Bits(bits) => {
-                    for (i, &w) in bits.words().iter().enumerate() {
-                        if w != 0 {
-                            visited += count_word(counts, chunk_base + ((i as u32) << 6), w);
-                        }
-                    }
-                }
-                Container::Array(array) => {
-                    for &v in array.as_slice() {
-                        counts[(chunk_base + v as u32) as usize] += 1;
-                    }
-                    visited += array.len() as u64;
-                }
-                Container::Runs(runs) => {
-                    for run in runs.runs() {
-                        let lo = (chunk_base + run.start as u32) as usize;
-                        let hi = (chunk_base + run.end() as u32) as usize;
-                        for c in &mut counts[lo..=hi] {
-                            *c += 1;
-                        }
-                        visited += run.len() as u64;
-                    }
-                }
-            }
-        }
-        visited
-    }
-}
-
-/// Emits the non-zero 64-bit words covered by a sorted run list. Adjacent
-/// runs sharing a word are merged into one emission, so word bases
-/// strictly increase.
-fn visit_run_words(runs: &[Run], mut f: impl FnMut(u32, u64)) {
-    let mut cur_idx = u32::MAX;
-    let mut cur_word = 0u64;
-    for run in runs {
-        let (s, e) = (run.start as u32, run.end() as u32);
-        let (ws, we) = (s >> 6, e >> 6);
-        for w in ws..=we {
-            let lo = if w == ws { s & 63 } else { 0 };
-            let hi = if w == we { e & 63 } else { 63 };
-            let span = hi - lo;
-            let mask = if span >= 63 {
-                u64::MAX
-            } else {
-                ((1u64 << (span + 1)) - 1) << lo
-            };
-            if w == cur_idx {
-                cur_word |= mask;
-            } else {
-                if cur_idx != u32::MAX {
-                    f(cur_idx << 6, cur_word);
-                }
-                cur_idx = w;
-                cur_word = mask;
-            }
-        }
-    }
-    if cur_idx != u32::MAX {
-        f(cur_idx << 6, cur_word);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn counts_of(bm: &Bitmap, n: usize) -> (Vec<u32>, u64) {
-        let mut counts = vec![0u32; n];
-        let visited = bm.count_into(&mut counts);
-        (counts, visited)
-    }
-
-    #[test]
-    fn count_into_matches_iteration_across_representations() {
-        // Array, bits and runs representations in one bitmap.
-        let mut values: Vec<u32> = Vec::new();
-        values.extend((0..100u32).map(|i| i * 7)); // sparse → array
-        values.extend(70_000..76_000u32); // dense → bits after insert
-        let mut bm = Bitmap::from_sorted(&values);
-        bm.run_optimize(); // dense range → runs
-        let (counts, visited) = counts_of(&bm, 80_000);
-        assert_eq!(visited, bm.len() as u64);
-        for v in 0..80_000u32 {
-            let expect = u32::from(bm.contains(v));
-            assert_eq!(counts[v as usize], expect, "value {v}");
-        }
-    }
-
-    #[test]
-    fn count_into_accumulates() {
-        let a = Bitmap::from_iter([1u32, 5, 9]);
-        let b = Bitmap::from_iter([5u32, 9, 11]);
-        let mut counts = vec![0u32; 16];
-        a.count_into(&mut counts);
-        b.count_into(&mut counts);
-        assert_eq!(counts[1], 1);
-        assert_eq!(counts[5], 2);
-        assert_eq!(counts[9], 2);
-        assert_eq!(counts[11], 1);
-        assert_eq!(counts[0], 0);
-    }
 
     #[test]
     fn dense_bitset_reset_clears_only_touched() {
@@ -304,8 +165,8 @@ mod tests {
         values.extend([0u32, 1, 63, 64, 127]);
         values.extend(1000..1500u32);
         values.extend((70_000..71_000u32).step_by(2));
-        let mut bm = Bitmap::from_sorted(&values);
-        bm.run_optimize();
+        values.extend(140_000..145_000u32);
+        let bm = Bitmap::from_sorted(&values);
         let mut seen = Vec::new();
         let mut last_base = None;
         bm.visit_words(|base, word| {

@@ -1,58 +1,43 @@
-//! Roaring-style compressed bitmap.
+//! Chunked compressed bitmaps for LES3's attribute filters.
 //!
-//! The LES3 paper stores its token-group matrix (TGM) as "essentially a
-//! bitmap index" and compresses it with Roaring (Lemire et al., 2018,
-//! reference \[41\] of the paper). This crate is a from-scratch Rust
-//! implementation of the same container-based design:
+//! A [`Bitmap`] is a set of `u32` values in the container layout of
+//! Roaring (Lemire et al., 2018):
 //!
-//! * the `u32` key space is split into 2^16 *chunks* keyed by the high
-//!   16 bits of each value;
-//! * each chunk holds one of three container kinds:
-//!   a sorted [`ArrayContainer`](array::ArrayContainer) (≤ 4096 values),
-//!   a fixed 8 KiB [`BitsContainer`](bits::BitsContainer), or a run-length
-//!   encoded [`RunContainer`](run::RunContainer);
-//! * containers convert between representations automatically on mutation
-//!   and explicitly via [`Bitmap::run_optimize`].
+//! * the key space is split into 2^16 *chunks* keyed by the high 16 bits
+//!   of each value;
+//! * each chunk holds a sorted [`ArrayContainer`](array::ArrayContainer)
+//!   of at most [`ARRAY_TO_BITS_THRESHOLD`] values or, past it, a fixed
+//!   8 KiB [`BitsContainer`](bits::BitsContainer), converting on insert
+//!   and after set algebra.
 //!
-//! The crate has two callers, both in `les3-core`, and carries what they
-//! use:
-//!
-//! * the TGM's token columns (`tgm.rs`) — [`Bitmap::from_sorted`] and
-//!   [`Bitmap::run_optimize`] for builds, [`Bitmap::insert`],
-//!   [`Bitmap::remove`] for live updates, for phase A [`Bitmap::len`]
-//!   (the column-length pass), the counting kernel [`Bitmap::count_into`]
-//!   and [`Bitmap::contains`] (survivor probes), and [`Bitmap::len`] plus
-//!   [`Bitmap::serialized_size_in_bytes`] for the index size (Figure 11
-//!   of the paper reports it);
-//! * the attribute postings (`metadata.rs`) — [`Bitmap::from_sorted`],
-//!   [`Bitmap::insert`], [`Bitmap::union_with`] and [`Bitmap::intersect`]
-//!   to evaluate a filter, and [`Bitmap::visit_words`] to turn its result
-//!   into a per-set mask.
+//! Its caller is the attribute postings of `les3-core` (`metadata.rs`):
+//! [`Bitmap::from_sorted`] and [`Bitmap::insert`] to build a posting,
+//! [`Bitmap::union_with`] and [`Bitmap::intersect`] to evaluate a filter,
+//! and [`Bitmap::visit_words`] to turn its result into a per-set mask.
+//! The token-group matrix does not use it: at the group counts LES3
+//! indexes a column is one chunk, so `les3-core` keeps each column as a
+//! sorted list of groups and only models Roaring's size for the paper's
+//! Figure 11.
 //!
 //! A bitmap has no byte format of its own: nothing stores one (a saved
-//! index keeps the sets and the assignment, and its TGM is rebuilt from
-//! them), so [`Bitmap::serialized_size_in_bytes`] is a size model only.
+//! index keeps the sets and their attributes and rebuilds the postings).
 //!
-//! The query hot path does not iterate values one by one: the
-//! [`kernel`] module provides the word-parallel counting kernel
-//! ([`Bitmap::count_into`]) that streams 64-bit container words and
-//! decodes them with `trailing_zeros`, so the per-query filter pass is
-//! allocation-free and touches each word once, plus the reusable
-//! [`DenseBitSet`]: a filtered query's per-set mask and a kNN query's
-//! token membership bitset are both one.
+//! The crate also provides [`DenseBitSet`], the reusable flat bitset a
+//! filtered query's per-set mask and a kNN query's token membership are
+//! both built in, so the query hot path allocates nothing.
 //!
 //! # Example
 //!
 //! ```
 //! use les3_bitmap::Bitmap;
 //!
-//! let mut groups_with_token = Bitmap::new();
-//! groups_with_token.insert(3);
-//! groups_with_token.insert(17);
-//! groups_with_token.insert(65_536);
-//! assert!(groups_with_token.contains(17));
-//! assert_eq!(groups_with_token.len(), 3);
-//! assert_eq!(groups_with_token.iter().collect::<Vec<_>>(), vec![3, 17, 65_536]);
+//! let mut sets_with_attr = Bitmap::new();
+//! sets_with_attr.insert(3);
+//! sets_with_attr.insert(17);
+//! sets_with_attr.insert(65_536);
+//! assert!(sets_with_attr.contains(17));
+//! assert_eq!(sets_with_attr.len(), 3);
+//! assert_eq!(sets_with_attr.iter().collect::<Vec<_>>(), vec![3, 17, 65_536]);
 //! ```
 
 pub mod array;
@@ -60,7 +45,6 @@ pub mod bits;
 pub mod container;
 pub mod iter;
 pub mod kernel;
-pub mod run;
 
 mod bitmap;
 

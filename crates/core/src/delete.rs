@@ -1,52 +1,48 @@
 //! Deletions (extension beyond the paper).
 //!
-//! §6 of the paper covers insertions only. Deletions need one extra piece
-//! of state: a TGM bit `M[g, t]` may only be cleared when *no* remaining
-//! set of group `g` contains `t`, so the index keeps per-group token
-//! reference counts. A deleted set becomes a tombstone: it stays in the
+//! §6 of the paper covers insertions only. A deletion has to undo one:
+//! a TGM bit `M[g, t]` may only be cleared when *no* remaining set of
+//! group `g` contains `t`. The matrix keeps that count itself — every
+//! column entry carries `refs`, the number of live members of its group
+//! holding the token ([`crate::tgm`]) — so a delete removes one
+//! reference per distinct token of the set and the entries whose last
+//! reference goes. A deleted set becomes a tombstone: it stays in the
 //! database arrays and in `Partitioning::members` (ids are stable, and
 //! insert placement keeps counting it), but [`DeletionLog::delete`] takes
 //! it out of its group's verify order — the membership queries scan — so
 //! the engine never verifies or returns it again, with or without this
-//! log in hand.
+//! log in hand. The log itself holds only the tombstones.
 //!
 //! Exactness is unaffected: bounds only ever shrink when bits are
 //! cleared, and a group's bound still covers every set verification
 //! visits there.
 
-use les3_data::{SetDatabase, SetId, TokenId};
-use std::collections::HashMap;
+use les3_data::{SetDatabase, SetId};
 
 use crate::index::VerifyOrder;
 use crate::shard::ShardedLes3Index;
 use crate::sim::{distinct_len, Similarity};
 use crate::tgm::Tgm;
 
-/// Per-group token reference counts enabling exact TGM bit clearing.
+/// The tombstones of an index's deleted sets.
 ///
 /// Optional companion to an index (either type: a [`crate::Les3Index`]
-/// derefs to the engine): build once with
-/// [`DeletionLog::build`], then route deletions through
-/// [`DeletionLog::delete`].
+/// derefs to the engine): build once with [`DeletionLog::build`], then
+/// route deletions through [`DeletionLog::delete`].
 #[derive(Debug, Clone, Default)]
 pub struct DeletionLog {
-    /// `(group, token) → number of live member sets containing token`.
-    counts: HashMap<(u32, TokenId), u32>,
     /// Tombstoned set ids.
     deleted: Vec<bool>,
     live: usize,
 }
 
 impl DeletionLog {
-    /// Scans the index and counts token occurrences per group.
+    /// A log with no tombstones over the index's sets.
     pub fn build<S: Similarity>(index: &ShardedLes3Index<S>) -> Self {
-        Self::count_all(index.db(), index.partitioning())
-    }
-
-    /// Whether every counted `(group, token)` still has its TGM bit —
-    /// false over an index that some other log has deleted from.
-    pub(crate) fn counted_bits_are_set<S: Similarity>(&self, index: &ShardedLes3Index<S>) -> bool {
-        self.counts.keys().all(|&(g, t)| index.tgm.bit(g, t))
+        Self {
+            deleted: vec![false; index.db().len()],
+            live: index.db().len(),
+        }
     }
 
     /// The tombstoned set ids, ascending (what persistence writes out).
@@ -70,16 +66,21 @@ impl DeletionLog {
     }
 
     /// Registers an insertion performed through
-    /// [`ShardedLes3Index::insert`] so reference counts stay in sync.
+    /// [`ShardedLes3Index::insert`], which has already referenced the
+    /// set's tokens in the TGM.
     pub fn note_insert(&mut self, index: &ShardedLes3Index<impl Similarity>, id: SetId) {
-        self.count_in(index.db(), index.partitioning().group_of(id), id);
+        debug_assert!((id as usize) < index.db().len(), "an id the index issued");
+        if self.deleted.len() <= id as usize {
+            self.deleted.resize(id as usize + 1, false);
+        }
+        self.live += 1;
     }
 
     /// Tombstones set `id`: takes it out of its group's verify order and
-    /// clears every TGM bit whose reference count drops to zero. Returns
-    /// `false` — a no-op — if the set was already deleted or `id` is out
-    /// of range (ids the index never issued are treated like any other
-    /// absent set rather than panicking).
+    /// its references out of the TGM. Returns `false` — a no-op — if the
+    /// set is not in the engine: already deleted (through this log or any
+    /// other) or out of range (ids the index never issued are treated like
+    /// any other absent set rather than panicking).
     pub fn delete<S: Similarity>(&mut self, index: &mut ShardedLes3Index<S>, id: SetId) -> bool {
         if (id as usize) >= index.db.len() {
             return false;
@@ -88,37 +89,11 @@ impl DeletionLog {
         self.count_out(&index.db, g, id, &mut index.tgm, &mut index.verify)
     }
 
-    // The refcount walks take the index's parts, not the index, so they
-    // are compiled once, in this crate, whatever the similarity measure:
-    // generic over it they are instantiated in the caller's crate, where
-    // each call measured ≈ 0.4 µs slower (`durable_rw`).
-
-    fn count_all(db: &SetDatabase, partitioning: &crate::Partitioning) -> Self {
-        let mut counts: HashMap<(u32, TokenId), u32> = HashMap::new();
-        for (id, set) in db.iter() {
-            let g = partitioning.group_of(id);
-            for t in distinct(set) {
-                *counts.entry((g, t)).or_insert(0) += 1;
-            }
-        }
-        Self {
-            counts,
-            deleted: vec![false; db.len()],
-            live: db.len(),
-        }
-    }
-
-    fn count_in(&mut self, db: &SetDatabase, g: u32, id: SetId) {
-        for t in distinct(db.set(id)) {
-            *self.counts.entry((g, t)).or_insert(0) += 1;
-        }
-        if self.deleted.len() <= id as usize {
-            self.deleted.resize(id as usize + 1, false);
-        }
-        self.live += 1;
-    }
-
-    /// `id < db.len()`, and `g` is its group.
+    /// `id < db.len()`, and `g` is its group. Takes the index's parts,
+    /// not the index, so it is compiled once, in this crate, whatever the
+    /// similarity measure: generic over it, it is instantiated in the
+    /// caller's crate, where each call measured ≈ 0.4 µs slower
+    /// (`durable_rw`).
     fn count_out(
         &mut self,
         db: &SetDatabase,
@@ -127,24 +102,18 @@ impl DeletionLog {
         tgm: &mut Tgm,
         verify: &mut VerifyOrder,
     ) -> bool {
+        let set = db.set(id);
+        // A set absent from the verify order has had its references
+        // removed already: removing them again would under-count.
+        if self.is_deleted(id) || !verify.remove(g, distinct_len(set) as u32, id) {
+            return false;
+        }
+        tgm.remove_member(g, set);
         if self.deleted.len() < db.len() {
             self.deleted.resize(db.len(), false);
         }
-        if std::mem::replace(&mut self.deleted[id as usize], true) {
-            return false;
-        }
+        self.deleted[id as usize] = true;
         self.live -= 1;
-        let set = db.set(id);
-        let was_member = verify.remove(g, distinct_len(set) as u32, id);
-        debug_assert!(was_member, "a live set is in its group's verify order");
-        for t in distinct(set) {
-            let entry = self.counts.get_mut(&(g, t)).expect("refcount must exist");
-            *entry -= 1;
-            if *entry == 0 {
-                self.counts.remove(&(g, t));
-                tgm.clear_bit(g, t);
-            }
-        }
         true
     }
 
@@ -155,14 +124,6 @@ impl DeletionLog {
     pub fn filter_hits(&self, hits: &mut Vec<(SetId, f64)>) {
         hits.retain(|&(id, _)| !self.is_deleted(id));
     }
-}
-
-/// The distinct tokens of a (sorted) set: multiset duplicates count once.
-fn distinct(set: &[TokenId]) -> impl Iterator<Item = TokenId> + '_ {
-    let mut prev = None;
-    set.iter()
-        .copied()
-        .filter(move |&t| prev.replace(t) != Some(t))
 }
 
 #[cfg(test)]
@@ -260,5 +221,28 @@ mod tests {
         // Deleting the replacement clears bits again only when warranted.
         log.delete(&mut idx, id);
         assert!(idx.tgm().bit(0, 0), "set 1 still references token 0");
+    }
+
+    /// Two logs over one engine: the second does not know the first
+    /// deleted set 0, so its delete finds the set gone from the verify
+    /// order and leaves the refs alone — every column still equals a
+    /// recount from the live sets.
+    #[test]
+    fn a_delete_through_a_second_log_removes_no_references() {
+        let mut idx = index();
+        let (mut first, mut second) = (DeletionLog::build(&idx), DeletionLog::build(&idx));
+        assert!(first.delete(&mut idx, 0));
+        assert!(
+            !second.delete(&mut idx, 0),
+            "set 0 is no longer in the engine"
+        );
+        assert!(!second.is_deleted(0) && second.live_count() == 4);
+        crate::tgm::tests::assert_columns_recount(&idx, |id| id != 0);
+        assert!(
+            idx.tgm().bit(0, 0) && idx.tgm().bit(0, 1),
+            "set 1 holds tokens 0 and 1"
+        );
+        assert!(second.delete(&mut idx, 1));
+        crate::tgm::tests::assert_columns_recount(&idx, |id| id > 1);
     }
 }

@@ -262,6 +262,11 @@ impl VerifyOrder {
         true
     }
 
+    /// Members in every group's order: the live sets.
+    pub(crate) fn n_members(&self) -> usize {
+        self.groups.iter().map(|group| group.ids.len()).sum()
+    }
+
     /// The slice of group `g`'s member ids (in (length, id) order) with
     /// distinct length in `lo..hi`, their lengths and signatures
     /// alongside, plus the number of members that length window excludes

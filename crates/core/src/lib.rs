@@ -50,10 +50,10 @@
 //! Queries are engineered to be allocation-free and word-parallel in
 //! steady state:
 //!
-//! * the filter pass counts group overlaps with the word-level kernels of
-//!   `les3-bitmap` ([`Tgm::group_overlaps_into`]), visiting each TGM word
-//!   once instead of iterating bits — a range only its rarest columns,
-//!   then the rest over the groups those reach;
+//! * the filter pass counts group overlaps over the query's sorted TGM
+//!   columns ([`Tgm::group_overlaps_into`]), one increment per entry —
+//!   a range only its rarest columns, then the rest over the groups
+//!   those reach;
 //! * candidate groups are ordered by **bucketed descending selection** in
 //!   `O(G + |Q|)` — no sort on the hot path;
 //! * verification stores each group's members length-sorted, cuts the

@@ -2,14 +2,14 @@
 //! describe it.
 //!
 //! Updates keep exactness only while three things move together: the
-//! engine, the [`DeletionLog`] whose per-group reference counts decide
-//! when a TGM bit may be cleared, and the [`MetadataIndex`] whose ids
-//! must stay aligned with the database. [`LiveIndex`] owns all three
-//! behind private fields, so the invariant "counts, tombstones and
-//! attributes describe this engine" is the type: every mutation goes
-//! through [`LiveIndex::insert`] / [`LiveIndex::delete`], and whoever
-//! serves or saves an index that was ever deleted from holds one of
-//! these — a [`DurableIndex`](crate::DurableIndex) (which adds the WAL),
+//! engine, the [`DeletionLog`] whose tombstones name the sets it has
+//! taken out, and the [`MetadataIndex`] whose ids must stay aligned with
+//! the database. [`LiveIndex`] owns all three behind private fields, so
+//! the invariant "tombstones and attributes describe this engine" is the
+//! type: every mutation goes through [`LiveIndex::insert`] /
+//! [`LiveIndex::delete`], and whoever serves or saves an index that was
+//! ever deleted from holds one of these — a
+//! [`DurableIndex`](crate::DurableIndex) (which adds the WAL),
 //! a [`Namespace`](crate::Namespace) (which adds a lock and a name), or
 //! a [`ServeFront`](crate::ServeFront) built with
 //! [`from_live`](crate::ServeFront::from_live).
@@ -45,12 +45,14 @@ impl<B: PersistentBackend> LiveIndex<B> {
     /// the engine's database.
     ///
     /// The log starts fresh, so an engine some other log already deleted
-    /// from is outside the contract: its sets would be believed live
-    /// under bounds that no longer cover them (checked in debug builds).
+    /// from is outside the contract: its deleted sets would be believed
+    /// live, and a save would write no tombstones for them (checked in
+    /// debug builds: every set must still be in its group's verify
+    /// order).
     pub fn with_attrs(engine: B, attrs: MetadataIndex) -> Self {
         let deletes = DeletionLog::build(engine.sharded());
         debug_assert!(
-            deletes.counted_bits_are_set(engine.sharded()),
+            engine.sharded().verify.n_members() == engine.sharded().db().len(),
             "the engine has been deleted from by a log that is not this one"
         );
         assert_eq!(

@@ -23,8 +23,8 @@
 //! reader checks every length and count against the bytes present and
 //! caps nothing below that, so every file the writers produce reopens.
 //!
-//! Recovery is bit-for-bit because open ≡ build: the TGM, the
-//! verification order and the deletion refcounts are pure functions of
+//! Recovery is bit-for-bit because open ≡ build: the TGM with its
+//! reference counts and the verification order are pure functions of
 //! what the segment stores, and [`DurableIndex::open`] computes them
 //! with the code a fresh index is built by (`ShardedLes3Index::new`,
 //! which both [`build`](crate::Les3Index::build)s end in too), applies the
@@ -325,7 +325,7 @@ pub fn read_meta(dir: &Path) -> Result<SegmentMeta, PersistError> {
 
 /// Builds the index a validated segment describes, with the code a fresh
 /// one is built by; the tombstones go through the live delete path, so
-/// the refcounts and the cleared TGM bits are what the same deletions
+/// the TGM's reference counts and cleared bits are what the same deletions
 /// left behind in the index that was saved.
 fn live_from_segment<B: PersistentBackend>(raw: segment::RawSegment, sim: B::Sim) -> LiveIndex<B> {
     let engine = B::from_engine(ShardedLes3Index::new(raw.db, raw.partitioning, sim));

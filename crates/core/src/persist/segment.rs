@@ -25,8 +25,8 @@
 //!
 //! A segment stores what cannot be recomputed — the sets, the learned
 //! assignment, the tombstones, the attributes — and nothing derived from
-//! them: the TGM, the verification order and the deletion refcounts are
-//! rebuilt at open by the code a fresh index is built by. Older builds
+//! them: the TGM with its reference counts and the verification order
+//! are rebuilt at open by the code a fresh index is built by. Older builds
 //! also wrote a SIG block (kind 9) with a MinHash sidecar's parameters;
 //! its CRC is checked like any block's, then it is skipped, so such a
 //! segment opens exact and its next checkpoint drops the block. Kinds 4

@@ -85,6 +85,8 @@ pub struct ShardedLes3Index<S: Similarity> {
     pub(crate) verify: VerifyOrder,
     /// The opt-in MinHash sidecar of the approximate tier.
     pub(crate) approx: Option<MinHashIndex>,
+    /// Insert placement's phase-A buffers, reused across inserts.
+    pub(crate) placement: FilterScratch,
 }
 
 impl<S: Similarity> ShardedLes3Index<S> {
@@ -119,6 +121,7 @@ impl<S: Similarity> ShardedLes3Index<S> {
             partitioning,
             sim,
             approx: None,
+            placement: FilterScratch::default(),
         }
     }
 

@@ -30,8 +30,13 @@ pub trait Similarity: Copy + Send + Sync + 'static {
     /// Theorem 3.1 upper bound: the largest similarity any set can have to
     /// a query of size `q_len` when their overlap is at most `r`.
     ///
-    /// Equals `Sim(Q, R)` with `|R| = r`, `R ⊆ Q`.
-    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64;
+    /// `Sim(Q, R)` with `|R| = r`, `R ⊆ Q`, computed as the measure's own
+    /// `from_overlap(r, q_len, r)`: the very float a set `S = R` would
+    /// score, so no member a range at that δ must return falls one
+    /// rounding below its group's bound.
+    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
+        self.from_overlap(r, q_len, r)
+    }
 
     /// Evaluates the measure on two sorted token slices.
     fn eval(&self, a: &[TokenId], b: &[TokenId]) -> f64 {
@@ -389,6 +394,14 @@ pub fn distinct_len(a: &[TokenId]) -> usize {
     n
 }
 
+/// The distinct tokens of a sorted slice: multiset duplicates count once.
+pub(crate) fn distinct(set: &[TokenId]) -> impl Iterator<Item = TokenId> + '_ {
+    let mut prev = None;
+    set.iter()
+        .copied()
+        .filter(move |&t| prev.replace(t) != Some(t))
+}
+
 /// Jaccard similarity `|A∩B| / |A∪B|` — the paper's primary measure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Jaccard;
@@ -404,14 +417,6 @@ impl Similarity for Jaccard {
             return 1.0; // both empty
         }
         overlap as f64 / union as f64
-    }
-
-    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
-        // Best case S = R ⊆ Q: J = r / |Q| (Eq. 2).
-        if q_len == 0 {
-            return 1.0;
-        }
-        r as f64 / q_len as f64
     }
 }
 
@@ -429,14 +434,6 @@ impl Similarity for Dice {
             return 1.0;
         }
         2.0 * overlap as f64 / (a_len + b_len) as f64
-    }
-
-    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
-        // Best case S = R: 2r / (|Q| + r).
-        if q_len + r == 0 {
-            return 1.0;
-        }
-        2.0 * r as f64 / (q_len + r) as f64
     }
 }
 
@@ -457,14 +454,6 @@ impl Similarity for Cosine {
             return if a_len == b_len { 1.0 } else { 0.0 };
         }
         overlap as f64 / ((a_len * b_len) as f64).sqrt()
-    }
-
-    fn ub_from_overlap(&self, q_len: usize, r: usize) -> f64 {
-        // Best case S = R: r / sqrt(|Q|·r) = sqrt(r / |Q|).
-        if q_len == 0 {
-            return 1.0;
-        }
-        (r as f64 / q_len as f64).sqrt()
     }
 }
 
@@ -788,5 +777,44 @@ mod tests {
             // Full overlap bound is exact similarity of Q with itself: 1.
             prop_assert!((Jaccard.ub_from_overlap(q_len, q_len) - 1.0).abs() < 1e-12);
         }
+    }
+
+    /// In floating point, with no tolerance: `ub(q, r)` is at least the
+    /// similarity `from_overlap(o, q, o)` of every `S = R' ⊆ Q` with `|R'|
+    /// = o ≤ r`, for every `0 ≤ o ≤ r ≤ q ≤ 300` — checked against the
+    /// running maximum over `o`. `sqrt(r / q)`, Cosine's old bound, is
+    /// one ulp short at `q = 3, r = o = 1`.
+    #[test]
+    fn bounds_cover_every_subset_of_the_query_exactly() {
+        fn check<M: Similarity>(m: M) {
+            for q in 0..=300 {
+                let mut reached = f64::NEG_INFINITY;
+                for r in 0..=q {
+                    reached = reached.max(m.from_overlap(r, q, r));
+                    let ub = m.ub_from_overlap(q, r);
+                    assert!(
+                        ub >= reached,
+                        "{}: ub({q}, {r}) = {ub} < {reached}",
+                        m.name()
+                    );
+                }
+            }
+        }
+        check(Jaccard);
+        check(Dice);
+        check(Cosine);
+        assert!((1.0f64 / 3.0).sqrt() < Cosine.from_overlap(1, 3, 1));
+    }
+
+    /// A Cosine range at exactly the similarity a member reaches returns
+    /// it: `{1}` scores `1/√3` against `Q = {1, 2, 3}`, and its group's
+    /// bound at `r = 1` must not fall one rounding below that.
+    #[test]
+    fn a_cosine_range_returns_the_set_on_its_delta() {
+        let db = les3_data::SetDatabase::from_sets(vec![vec![1u32], vec![7, 8]]);
+        let part = crate::Partitioning::from_assignment(vec![0, 1], 2);
+        let index = crate::Les3Index::build(db, part, Cosine);
+        let delta = Cosine.eval(&[1, 2, 3], &[1]);
+        assert_eq!(index.range(&[1, 2, 3], delta).hits, [(0, delta)]);
     }
 }

@@ -1,23 +1,31 @@
 //! The token-group matrix (paper §3.1).
 //!
 //! `M[g, t] = 1` iff some set in group `g` contains token `t` (Eq. 1).
-//! We store the matrix token-major: one compressed bitmap per token holding
-//! the groups that contain it. Computing the overlap `|GS_g ∩ Q|` for *all*
-//! groups is then one counting pass over the query's token bitmaps —
-//! `O(Σ_{t∈Q} |groups(t)|) ≤ O(n·|Q|)`, the paper's bound with better
-//! constants on sparse data.
+//! We store the matrix token-major: one column per token, the groups that
+//! contain it as a sorted list of `(group, refs)` entries, where `refs`
+//! is the number of live member sets of that group containing the token.
+//! Computing the overlap `|GS_g ∩ Q|` for *all* groups is then one
+//! counting pass over the query's columns — `O(Σ_{t∈Q} |groups(t)|) ≤
+//! O(n·|Q|)`, the paper's bound with better constants on sparse data.
+//!
+//! The refs make §6 updates local: an insert adds one reference per
+//! distinct token of the new set, a delete ([`crate::DeletionLog`])
+//! removes them, and an entry goes when its last reference does — bit
+//! `M[g, t]` is cleared exactly when no live member of `g` holds `t`.
 //!
 //! [`Tgm::build`] walks the partitioning group by group, so each token
 //! meets its groups in ascending order, and makes two passes: the first
 //! counts each column's distinct groups (a token's last group seen tells
-//! a repeat), the second writes them into one flat transient array of
-//! all columns. Each column is then [`Bitmap::from_sorted`] over its
-//! slice — a chunk table of exactly its chunks, each array container
-//! exactly its values — and recompressed by `run_optimize`. Inserting
-//! bit by bit instead gave every column a 4-slot chunk table and a
-//! doubling array, and left the freed growth buffers resident: ≈ 16 MB
-//! of heap for a 2.2 MB matrix of 20 000 long sets. Updates still set
-//! and clear single bits.
+//! a repeat), the second fills exactly sized columns, a member whose
+//! group is already the column's last entry adding a reference to it.
+//!
+//! [`Tgm::size_in_bytes`] is the "index size" of the paper's Figure 11,
+//! which compresses the matrix with Roaring (its ref. \[41\]). It stays
+//! Roaring's serialized size, computed from the column: per 2^16-group
+//! chunk a 4-byte header plus the smallest of a sorted array (2 bytes a
+//! group), a run list (4 bytes a run) and a bitset (8 KiB). It is a size
+//! model: it leaves out the in-memory heap (8 bytes an entry, a `Vec`
+//! header a token) and the refs.
 //!
 //! Phase A (`Tgm::overlaps_reaching`) counts only what can still
 //! change which groups survive. A range at δ verifies exactly the groups
@@ -30,7 +38,7 @@
 //! once — selects the `|Q| − o + 1` shortest, counts them over every
 //! group, and takes the groups with a non-zero count as survivors. The
 //! other columns are completed over the survivors only, each the cheaper
-//! way: a membership probe per survivor, or the whole column counted.
+//! way: a binary-search probe per survivor, or the whole column counted.
 //! Every other group has `r_g ≤ o − 1` and is pruned uncounted. `o = 0`
 //! (a kNN, or a δ that even `r = 0` reaches) counts every column over
 //! every group, and `o = 1` counts every column with nothing to
@@ -38,60 +46,56 @@
 //! groups) this reads ≈ 190 bits per query where counting every column
 //! read ≈ 2 930 (CHANGES.md).
 
-use les3_bitmap::Bitmap;
 use les3_data::{SetDatabase, TokenId};
 
 use crate::partitioning::Partitioning;
 use crate::scratch::FilterScratch;
+use crate::sim::distinct;
 
-/// What one survivor probe ([`Bitmap::contains`]: a chunk search, then a
-/// container search) costs, in bits of a counting pass: completion
-/// probes a column's survivors while they cost less than counting it.
+/// What one survivor probe (a binary search of the column) costs, in
+/// entries of a counting pass: completion probes a column's survivors
+/// while they cost less than counting it.
 const PROBE_BITS: usize = 4;
 
-/// The token-group matrix: a bitmap per token over group ids.
+/// One column: `(group, refs)` entries, ascending by group, every `refs`
+/// at least 1.
+type Column = Vec<(u32, u32)>;
+
+/// The token-group matrix: a sorted `(group, refs)` column per token.
 #[derive(Debug, Clone, Default)]
 pub struct Tgm {
     n_groups: usize,
-    /// `token_groups[t]` = groups containing token `t`.
-    token_groups: Vec<Bitmap>,
+    /// `columns[t]` = the groups containing token `t`, with their refs.
+    columns: Vec<Column>,
 }
 
 impl Tgm {
     /// Builds the TGM for a partitioned database (module docs: two
-    /// counting passes, then one exactly sized column per token).
+    /// passes, one exactly sized column per token).
     pub fn build(db: &SetDatabase, partitioning: &Partitioning) -> Self {
         assert_eq!(
             db.len(),
             partitioning.n_sets(),
             "partitioning must cover the database"
         );
-        // Pass 1 counts each column; pass 2 fills the columns into one
-        // flat array, `ends[t]` walking from column t's start to its end.
-        let mut ends = vec![0usize; db.universe_size() as usize];
-        for_each_bit(db, partitioning, |t, _| ends[t] += 1);
-        let mut start = 0;
-        for end in &mut ends {
-            (*end, start) = (start, start + *end);
-        }
-        let mut groups = vec![0u32; start];
-        for_each_bit(db, partitioning, |t, g| {
-            groups[ends[t]] = g;
-            ends[t] += 1;
+        let universe = db.universe_size() as usize;
+        // Groups are visited in order, so token `t` has met group `g` iff
+        // the last group it met is `g`.
+        let (mut lens, mut last) = (vec![0usize; universe], vec![u32::MAX; universe]);
+        for_each_member(db, partitioning, |g, t| {
+            lens[t as usize] += usize::from(std::mem::replace(&mut last[t as usize], g) != g);
         });
-        let mut start = 0;
-        let token_groups = ends
-            .iter()
-            .map(|&end| {
-                let mut column = Bitmap::from_sorted(&groups[start..end]);
-                column.run_optimize();
-                start = end;
-                column
-            })
-            .collect();
+        let mut columns: Vec<Column> = lens.into_iter().map(Vec::with_capacity).collect();
+        for_each_member(db, partitioning, |g, t| {
+            let column = &mut columns[t as usize];
+            match column.last_mut() {
+                Some((last, refs)) if *last == g => *refs += 1,
+                _ => column.push((g, 1)),
+            }
+        });
         Self {
             n_groups: partitioning.n_groups(),
-            token_groups,
+            columns,
         }
     }
 
@@ -102,33 +106,44 @@ impl Tgm {
 
     /// Number of token columns currently allocated.
     pub fn n_tokens(&self) -> usize {
-        self.token_groups.len()
+        self.columns.len()
     }
 
     /// Whether token `t` appears in group `g`.
     pub fn bit(&self, g: u32, t: TokenId) -> bool {
-        self.token_groups
-            .get(t as usize)
-            .map(|bm| bm.contains(g))
-            .unwrap_or(false)
+        find(self.column(t), g).is_ok()
     }
 
-    /// Sets `M[g, t] = 1`, growing the token table if `t` is new
-    /// (open-universe updates, §6).
-    pub fn set_bit(&mut self, g: u32, t: TokenId) {
+    /// Adds a reference per distinct token of `set`, a new member of
+    /// group `g`, growing the token table for unseen tokens
+    /// (open-universe updates, §6). `set` must be sorted.
+    pub(crate) fn add_member(&mut self, g: u32, set: &[TokenId]) {
         debug_assert!((g as usize) < self.n_groups);
-        if t as usize >= self.token_groups.len() {
-            self.token_groups.resize(t as usize + 1, Bitmap::new());
+        if let Some(&max) = set.last() {
+            if max as usize >= self.columns.len() {
+                self.columns.resize_with(max as usize + 1, Vec::new);
+            }
         }
-        self.token_groups[t as usize].insert(g);
+        for t in distinct(set) {
+            let column = &mut self.columns[t as usize];
+            match find(column, g) {
+                Ok(i) => column[i].1 += 1,
+                Err(i) => column.insert(i, (g, 1)),
+            }
+        }
     }
 
-    /// Clears `M[g, t] = 0` (deletion support; the caller must guarantee
-    /// no remaining member of `g` contains `t`, see
-    /// [`crate::delete::DeletionLog`]).
-    pub fn clear_bit(&mut self, g: u32, t: TokenId) {
-        if let Some(bm) = self.token_groups.get_mut(t as usize) {
-            bm.remove(g);
+    /// Removes the references [`Tgm::add_member`] (or the build) added for
+    /// `set`, a live member of group `g`; an entry whose last reference
+    /// goes leaves its column. `set` must be sorted.
+    pub(crate) fn remove_member(&mut self, g: u32, set: &[TokenId]) {
+        for t in distinct(set) {
+            let column = &mut self.columns[t as usize];
+            let i = find(column, g).expect("a live member's tokens have entries");
+            column[i].1 -= 1;
+            if column[i].1 == 0 {
+                column.remove(i);
+            }
         }
     }
 
@@ -158,13 +173,7 @@ impl Tgm {
         counts.resize(self.n_groups, 0);
         // Column-length pass: independent load chains, all in flight.
         columns.clear();
-        let mut prev: Option<TokenId> = None;
-        for &t in query {
-            if prev != Some(t) {
-                prev = Some(t);
-                columns.push((self.column(t).map_or(0, Bitmap::len), t));
-            }
-        }
+        columns.extend(distinct(query).map(|t| (self.column(t).len(), t)));
         // Pigeonhole: a group with `r_g ≥ o` misses at most `|Q| − o` of
         // the query's tokens, so it holds one of any `|Q| − o + 1`.
         let prefix = (columns.len() + 1).saturating_sub(o).min(columns.len());
@@ -174,9 +183,7 @@ impl Tgm {
         let (prefix, rest) = columns.split_at(prefix);
         let mut visited = 0;
         for &(_, t) in prefix {
-            if let Some(column) = self.column(t) {
-                visited += column.count_into(counts);
-            }
+            visited += count_into(self.column(t), counts);
         }
         if o == 0 {
             return visited;
@@ -189,16 +196,14 @@ impl Tgm {
                 .map(|(g, _)| g),
         );
         for &(len, t) in rest {
-            let Some(column) = self.column(t) else {
-                continue;
-            };
+            let column = self.column(t);
             if survivors.len() * PROBE_BITS < len {
                 for &g in survivors.iter() {
-                    counts[g as usize] += u32::from(column.contains(g));
+                    counts[g as usize] += u32::from(find(column, g).is_ok());
                 }
                 visited += survivors.len() as u64;
             } else {
-                visited += column.count_into(counts);
+                visited += count_into(column, counts);
             }
         }
         survivors.retain(|&g| counts[g as usize] as usize >= o);
@@ -220,9 +225,9 @@ impl Tgm {
         visited
     }
 
-    /// Token `t`'s column, if the matrix has one.
-    fn column(&self, t: TokenId) -> Option<&Bitmap> {
-        self.token_groups.get(t as usize)
+    /// Token `t`'s column (empty past the token table).
+    fn column(&self, t: TokenId) -> &[(u32, u32)] {
+        self.columns.get(t as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Phase A as it was before it counted rarest-first, less the fetch
@@ -232,19 +237,10 @@ impl Tgm {
     pub(crate) fn reference_overlaps_into(&self, query: &[TokenId], counts: &mut Vec<u32>) -> u64 {
         counts.clear();
         counts.resize(self.n_groups, 0);
-        let mut touched = 0u64;
-        let mut prev: Option<TokenId> = None;
-        for &t in query {
-            if prev == Some(t) {
-                continue; // multiset duplicate
-            }
-            prev = Some(t);
-            if let Some(bm) = self.token_groups.get(t as usize) {
-                touched += bm.count_into(counts);
-            }
-            // Tokens outside T contribute 0 (paper §3.1: M[*, t'] = 0).
-        }
-        touched
+        // Tokens outside T contribute 0 (paper §3.1: M[*, t'] = 0).
+        distinct(query)
+            .map(|t| count_into(self.column(t), counts))
+            .sum()
     }
 
     /// Allocating convenience wrapper around
@@ -255,45 +251,69 @@ impl Tgm {
         counts
     }
 
-    /// Serialized bytes of the compressed matrix — the "index size"
-    /// reported in Figure 11: per non-empty token column an 8-byte header
-    /// (token id + offset) plus the Roaring-serialized group bitmap.
-    /// Columns for tokens that appear nowhere cost nothing, exactly as in
-    /// a packed on-disk TGM.
+    /// Serialized bytes of the Roaring-compressed matrix — the "index
+    /// size" reported in Figure 11 (module docs): per non-empty column an
+    /// 8-byte header (token id + offset), plus per 2^16-group chunk a
+    /// 4-byte header and the smallest container payload. Columns for
+    /// tokens that appear nowhere cost nothing, exactly as in a packed
+    /// on-disk TGM.
     pub fn size_in_bytes(&self) -> usize {
-        self.token_groups
+        let chunk_bytes = |chunk: &[(u32, u32)]| {
+            let runs = 1 + chunk.windows(2).filter(|w| w[1].0 != w[0].0 + 1).count();
+            4 + (2 * chunk.len()).min(4 * runs).min(8192)
+        };
+        self.columns
             .iter()
-            .filter(|bm| !bm.is_empty())
-            .map(|bm| 8 + bm.serialized_size_in_bytes())
+            .filter(|column| !column.is_empty())
+            .map(|column| {
+                let chunks = column.chunk_by(|a, b| a.0 >> 16 == b.0 >> 16);
+                8 + chunks.map(chunk_bytes).sum::<usize>()
+            })
             .sum()
     }
 
     /// Number of set bits (for density diagnostics).
     pub fn ones(&self) -> usize {
-        self.token_groups.iter().map(Bitmap::len).sum()
+        self.columns.iter().map(Vec::len).sum()
     }
 }
 
-/// Calls `bit(t, g)` once per set bit `M[g, t]`, each token's groups in
-/// ascending order. Groups are visited in order, so token `t` has met
-/// group `g` iff the last group it met is `g`.
-fn for_each_bit(db: &SetDatabase, partitioning: &Partitioning, mut bit: impl FnMut(usize, u32)) {
-    let mut last = vec![u32::MAX; db.universe_size() as usize];
+/// Where group `g` is in `column`, or where it would go.
+fn find(column: &[(u32, u32)], g: u32) -> Result<usize, usize> {
+    column.binary_search_by_key(&g, |&(group, _)| group)
+}
+
+/// Adds 1 to `counts[g]` for every group `g` of `column`; returns the
+/// column's length.
+fn count_into(column: &[(u32, u32)], counts: &mut [u32]) -> u64 {
+    for &(g, _) in column {
+        counts[g as usize] += 1;
+    }
+    column.len() as u64
+}
+
+/// Calls `member(g, t)` once per distinct token `t` of every member of
+/// every group `g`, groups ascending.
+fn for_each_member(
+    db: &SetDatabase,
+    partitioning: &Partitioning,
+    mut member: impl FnMut(u32, TokenId),
+) {
     for g in 0..partitioning.n_groups() as u32 {
         for &id in partitioning.members(g) {
-            for &t in db.set(id) {
-                if std::mem::replace(&mut last[t as usize], g) != g {
-                    bit(t as usize, g);
-                }
-            }
+            distinct(db.set(id)).for_each(|t| member(g, t));
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::sim::Jaccard;
+    use crate::{DeletionLog, Les3Index, ShardedLes3Index, Similarity};
+    use les3_data::SetId;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The example of Figure 1: T = {A,B,C,D} (0..4), six sets in two
     /// groups.
@@ -315,12 +335,14 @@ mod tests {
     }
 
     #[test]
-    fn figure1_matrix_bits() {
+    fn figure1_matrix_bits_and_refs() {
         let (db, part) = figure1();
         let tgm = Tgm::build(&db, &part);
         // G0 contains A,B,C; G1 contains C,D.
         assert!(tgm.bit(0, 0) && tgm.bit(0, 1) && tgm.bit(0, 2) && !tgm.bit(0, 3));
         assert!(!tgm.bit(1, 0) && !tgm.bit(1, 1) && tgm.bit(1, 2) && tgm.bit(1, 3));
+        assert_eq!(tgm.columns[1], [(0, 3)], "B is in all three sets of G0");
+        assert_eq!(tgm.columns[2], [(0, 2), (1, 2)]);
     }
 
     #[test]
@@ -342,13 +364,14 @@ mod tests {
     }
 
     #[test]
-    fn set_bit_grows_universe() {
+    fn add_member_grows_universe() {
         let (db, part) = figure1();
         let mut tgm = Tgm::build(&db, &part);
         assert_eq!(tgm.n_tokens(), 4);
-        tgm.set_bit(1, 10);
+        tgm.add_member(1, &[3, 10, 10]);
         assert_eq!(tgm.n_tokens(), 11);
-        assert!(tgm.bit(1, 10));
+        assert_eq!(tgm.columns[10], [(1, 1)], "a duplicate is one reference");
+        assert_eq!(tgm.columns[3], [(1, 3)]);
         assert_eq!(tgm.group_overlaps(&[10]), vec![0, 1]);
     }
 
@@ -362,9 +385,7 @@ mod tests {
     /// columns are past the universe or emptied.
     #[test]
     fn phase_a_edge_queries_visit_each_column_once() {
-        use crate::sim::Jaccard;
-        use crate::{DeletionLog, Les3Index};
-        // 40 sets in 8 groups: token 8 is in every group (a run column),
+        // 40 sets in 8 groups: token 8 is in every group (one run),
         // tokens 10 and 11 only in sets 38 and 39.
         let sets = (0..40u32).map(|i| {
             let mut s = vec![i % 5, 5 + i % 3, 8];
@@ -422,101 +443,179 @@ mod tests {
         assert_eq!(check(&index, &[11, 10, 11, 8, n], 0), 8);
     }
 
-    /// The matrix as it was built before the counting passes: every bit
-    /// inserted one by one in set order, then recompressed.
-    fn insert_built(db: &SetDatabase, part: &Partitioning) -> Tgm {
-        let mut tgm = Tgm {
-            n_groups: part.n_groups(),
-            token_groups: vec![Bitmap::new(); db.universe_size() as usize],
-        };
-        for (id, set) in db.iter() {
-            for &t in set {
-                tgm.set_bit(part.group_of(id), t);
+    /// Every column of `index` against a recount over the sets `live`
+    /// admits: each distinct token of a live set is one reference in its
+    /// group's entry, and no entry is left without one. Columns past the
+    /// recount's tokens must be empty.
+    pub(crate) fn assert_columns_recount<S: Similarity>(
+        index: &ShardedLes3Index<S>,
+        live: impl Fn(SetId) -> bool,
+    ) {
+        let mut refs: BTreeMap<(TokenId, u32), u32> = BTreeMap::new();
+        for (id, set) in index.db().iter().filter(|&(id, _)| live(id)) {
+            for t in distinct(set) {
+                *refs
+                    .entry((t, index.partitioning().group_of(id)))
+                    .or_default() += 1;
             }
         }
-        tgm.token_groups.iter_mut().for_each(Bitmap::run_optimize);
-        tgm
+        let tgm = &index.tgm;
+        assert!(refs.keys().all(|&(t, _)| (t as usize) < tgm.n_tokens()));
+        for (t, column) in (0..).zip(&tgm.columns) {
+            let want: Vec<(u32, u32)> = refs
+                .range((t, 0)..=(t, u32::MAX))
+                .map(|(&(_, g), &n)| (g, n))
+                .collect();
+            assert_eq!(column, &want, "column {t}");
+        }
     }
 
-    /// `Tgm::build` against the insert-built matrix: the same columns,
-    /// every bit (and none past the universe), `ones`, the size model and
-    /// the overlap counts and bits visited of each query.
-    fn check_build_equals_insert_built(
-        db: &SetDatabase,
-        part: &Partitioning,
-        queries: &[Vec<TokenId>],
-    ) {
-        let (built, want) = (Tgm::build(db, part), insert_built(db, part));
-        assert_eq!(built.token_groups, want.token_groups);
-        assert_eq!(built.n_groups(), want.n_groups());
-        for t in 0..db.universe_size() + 2 {
-            for g in 0..part.n_groups() as u32 {
-                assert_eq!(built.bit(g, t), want.bit(g, t), "M[{g}, {t}]");
+    /// Phase A at every `o` from 0 to past the query's length against the
+    /// full count: at `o = 0` the counts and the bits visited, above it
+    /// the survivors (every group the full count puts at `o` or more)
+    /// and their counts.
+    fn assert_phase_a_equals_the_full_count(tgm: &Tgm, query: &[TokenId]) {
+        let mut query = query.to_vec();
+        query.sort_unstable();
+        let mut want = Vec::new();
+        let want_bits = tgm.reference_overlaps_into(&query, &mut want);
+        let mut kernel = FilterScratch::default();
+        for o in 0..=distinct(&query).count() + 1 {
+            let bits = tgm.overlaps_reaching(&query, o, &mut kernel);
+            if o == 0 {
+                assert_eq!((&kernel.counts, bits), (&want, want_bits), "{query:?}");
+                continue;
+            }
+            let reaching: Vec<u32> = (0..)
+                .zip(&want)
+                .filter(|(_, &r)| r as usize >= o)
+                .map(|(g, _)| g)
+                .collect();
+            assert_eq!(kernel.survivors, reaching, "{query:?} o={o}");
+            for &g in &reaching {
+                assert_eq!(
+                    kernel.counts[g as usize], want[g as usize],
+                    "{query:?} o={o} g={g}"
+                );
             }
         }
-        assert_eq!(built.ones(), want.ones());
-        assert_eq!(built.size_in_bytes(), want.size_in_bytes());
-        for q in queries {
-            let mut q = q.clone();
-            q.sort_unstable();
-            let (mut got, mut counts) = (Vec::new(), Vec::new());
-            assert_eq!(
-                built.group_overlaps_into(&q, &mut got),
-                want.group_overlaps_into(&q, &mut counts),
-                "{q:?}"
-            );
-            assert_eq!(got, counts, "{q:?}");
-        }
+    }
+
+    /// One step of an update script.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// Insert these tokens (duplicates make a multiset).
+        Insert(Vec<TokenId>),
+        /// Delete the set at this pick, modulo the database's length.
+        Delete(usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            prop::collection::vec(0u32..60, 0..9).prop_map(Step::Insert),
+            (0usize..1000).prop_map(Step::Delete),
+        ]
     }
 
     proptest! {
-        /// Multiset sets, groups left empty, tokens in no set (below the
-        /// universe and past the last set's tokens), queries with
-        /// duplicates and unseen tokens.
+        /// A random insert / delete script — multiset sets, tokens past
+        /// the universe, repeated deletes of one id — through the engine
+        /// and a [`DeletionLog`]: after the build and after every step
+        /// each column equals a recount from the live sets, and phase A
+        /// equals the full count.
         #[test]
-        fn build_equals_the_insert_built_matrix(
+        fn columns_equal_a_recount_through_inserts_and_deletes(
             sets in prop::collection::vec(prop::collection::vec(0u32..48, 0..9), 0..40),
             n_groups in 1usize..12,
             picks in prop::collection::vec(0usize..1000, 40),
-            spare in 0u32..4,
-            queries in prop::collection::vec(prop::collection::vec(0u32..56, 0..8), 1..5),
+            script in prop::collection::vec(step(), 0..24),
+            queries in prop::collection::vec(prop::collection::vec(0u32..64, 0..8), 1..4),
         ) {
-            let max = sets.iter().flatten().max().map_or(0, |&t| t + 1);
-            let mut db = SetDatabase::new(max + spare);
-            for set in &sets {
-                let mut set = set.clone();
-                set.sort_unstable();
-                db.push_sorted(&set);
-            }
+            let db = SetDatabase::from_sets(sets.clone());
             let assignment = picks[..sets.len()].iter().map(|&p| (p % n_groups) as u32).collect();
             let part = Partitioning::from_assignment(assignment, n_groups);
-            check_build_equals_insert_built(&db, &part, &queries);
+            let mut index = Les3Index::build(db, part, Jaccard);
+            let mut log = DeletionLog::build(&index);
+            let check = |index: &Les3Index<Jaccard>, log: &DeletionLog| {
+                assert_columns_recount(index, |id| !log.is_deleted(id));
+                for q in &queries {
+                    assert_phase_a_equals_the_full_count(index.tgm(), q);
+                }
+            };
+            check(&index, &log);
+            for step in &script {
+                match step {
+                    Step::Insert(tokens) => {
+                        let (id, _) = index.insert(&mut tokens.clone());
+                        log.note_insert(&index, id);
+                    }
+                    Step::Delete(pick) if !index.db().is_empty() => {
+                        let id = (pick % index.db().len()) as SetId;
+                        let live = !log.is_deleted(id);
+                        prop_assert_eq!(log.delete(&mut index, id), live);
+                    }
+                    Step::Delete(_) => {}
+                }
+                check(&index, &log);
+            }
         }
     }
 
     /// Columns past one chunk: 70 000 groups, most of them empty, and
-    /// every token in groups on both sides of 65 536.
+    /// every token in groups on both sides of 65 536, built and then
+    /// updated on both sides.
     #[test]
-    fn build_equals_the_insert_built_matrix_across_chunks() {
+    fn columns_equal_a_recount_across_chunks() {
         let db = SetDatabase::from_sets((0..300u32).map(|i| [i % 5, 5 + i % 3, i % 5]));
         let groups = 70_000;
         let part = Partitioning::from_assignment(
             (0..300).map(|i| i * 233 % groups).collect(),
             groups as usize,
         );
-        let tgm = Tgm::build(&db, &part);
-        assert!(tgm.bit(233 * 290 % groups, 0) && 233 * 290 % groups >= 1 << 16);
-        check_build_equals_insert_built(&db, &part, &[vec![0, 0, 6], vec![1, 4, 7, 9]]);
+        let mut index = Les3Index::build(db, part, Jaccard);
+        assert!(index.tgm().bit(233 * 290 % groups, 0) && 233 * 290 % groups >= 1 << 16);
+        let mut log = DeletionLog::build(&index);
+        for id in [290, 3, 4] {
+            assert!(log.delete(&mut index, id));
+        }
+        let (id, _) = index.insert(&mut [0, 9, 9]);
+        log.note_insert(&index, id);
+        assert_columns_recount(&index, |id| !log.is_deleted(id));
+        for q in [vec![0, 0, 6], vec![1, 4, 7, 9]] {
+            assert_phase_a_equals_the_full_count(index.tgm(), &q);
+        }
     }
 
-    /// A column of 5 000 groups in one chunk, every other group: a bits
-    /// container before and after `run_optimize`.
+    /// Bytes the Figure-11 model gives one column of `groups`.
+    fn column_size(groups: impl IntoIterator<Item = u32>) -> usize {
+        let column: Column = groups.into_iter().map(|g| (g, 1)).collect();
+        Tgm {
+            n_groups: column.last().map_or(0, |&(g, _)| g as usize + 1),
+            columns: vec![Vec::new(), column],
+        }
+        .size_in_bytes()
+    }
+
+    /// The Figure-11 size model per container kind: an 8-byte column
+    /// header, then per chunk a 4-byte header plus 2 bytes per group of
+    /// a sorted array, 8 KiB of a bitset or 4 bytes per run, whichever
+    /// is smallest.
     #[test]
-    fn build_equals_the_insert_built_matrix_past_the_array_threshold() {
-        let db = SetDatabase::from_sets((0..5_000u32).map(|i| [0, 1 + i % 7]));
-        let part = Partitioning::from_assignment((0..5_000).map(|i| 2 * i).collect(), 10_000);
-        assert_eq!(Tgm::build(&db, &part).ones(), 5_000 + 5_000);
-        check_build_equals_insert_built(&db, &part, &[vec![0], vec![0, 3, 3, 8]]);
+    fn column_size_is_chunk_headers_plus_the_smallest_payload() {
+        assert_eq!(column_size([]), 0, "an empty column costs nothing");
+        assert_eq!(column_size([1, 5, 70_000]), 8 + (4 + 4) + (4 + 2));
+        assert_eq!(column_size((0..5_000).map(|g| g * 7)), 8 + 4 + 8192);
+        assert_eq!(column_size(100..30_000), 8 + 4 + 4);
+        assert_eq!(
+            column_size([3, 4, 5, 9]),
+            8 + 4 + 8,
+            "an array of 4 as cheap as 2 runs"
+        );
+        assert_eq!(
+            column_size([65_535, 65_536]),
+            8 + (4 + 2) + (4 + 2),
+            "runs stop at a chunk"
+        );
     }
 
     #[test]

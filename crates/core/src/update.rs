@@ -9,6 +9,10 @@
 //! * **Open universe**: only the previously seen tokens `PS = S ∩ T`
 //!   participate in group selection (if `PS = ∅`, the smallest group
 //!   wins); new tokens get fresh TGM columns.
+//!
+//! Either way the new set adds one reference per distinct token to its
+//! group's TGM entries (`Tgm::add_member`), the counts a delete takes
+//! back.
 
 use les3_data::{SetId, TokenId};
 
@@ -21,21 +25,22 @@ impl<S: Similarity> ShardedLes3Index<S> {
     pub fn insert(&mut self, tokens: &mut [TokenId]) -> (SetId, u32) {
         tokens.sort_unstable();
         let universe = self.db.universe_size();
-        // PS = previously seen tokens (§6 step 1).
-        let ps: Vec<TokenId> = tokens.iter().copied().filter(|&t| t < universe).collect();
+        // PS = previously seen tokens (§6 step 1), a prefix of the
+        // sorted set.
+        let ps = &tokens[..tokens.partition_point(|&t| t < universe)];
         let size = |g: u32| self.partitioning.members(g).len();
         let g = if ps.is_empty() {
             smallest_group(self.partitioning.n_groups(), size)
         } else {
-            let counts = self.tgm.group_overlaps(&ps);
-            choose_group_from_counts(self.sim, distinct_len(&ps), &counts, size)
+            // Counted into the engine's own buffers: no allocation.
+            let kernel = &mut self.placement;
+            self.tgm.overlaps_reaching(ps, 0, kernel);
+            choose_group_from_counts(self.sim, distinct_len(ps), &kernel.counts, size)
         };
         let id = self.db.push_sorted(tokens);
         let joined = self.partitioning.push(g);
         debug_assert_eq!(id, joined);
-        for &t in tokens.iter() {
-            self.tgm.set_bit(g, t);
-        }
+        self.tgm.add_member(g, tokens);
         self.verify.push(g, tokens, id);
         if let Some(mh) = &mut self.approx {
             debug_assert_eq!(mh.n_sets() as u32, id, "sidecar out of sync with db");
